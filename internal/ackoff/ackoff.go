@@ -33,27 +33,52 @@ import (
 // The returned slice has len(extras) entries; the template itself is the
 // first ACK and is not duplicated here.
 func Expand(template []byte, l3off int, extras []uint32) ([][]byte, error) {
-	if l3off < 0 || len(template) < l3off+20 {
-		return nil, fmt.Errorf("ackoff: template too short (%d bytes, l3off %d)", len(template), l3off)
+	if _, err := templateL4(template, l3off); err != nil {
+		return nil, err
 	}
-	ihl := int(template[l3off]&0x0f) * 4
-	if ihl < 20 || len(template) < l3off+ihl+tcpwire.MinHeaderLen {
-		return nil, fmt.Errorf("ackoff: malformed template IP header")
-	}
-	l4off := l3off + ihl
-	baseID := binary.BigEndian.Uint16(template[l3off+4:])
-
 	out := make([][]byte, 0, len(extras))
 	for i, ackNum := range extras {
 		cp := make([]byte, len(template))
-		copy(cp, template)
-		if err := tcpwire.PatchAck(cp[l4off:], ackNum); err != nil {
-			return nil, fmt.Errorf("ackoff: %w", err)
+		if err := ExpandTo(cp, template, l3off, i, ackNum); err != nil {
+			return nil, err
 		}
-		patchIPID(cp[l3off:], baseID+uint16(i)+1)
 		out = append(out, cp)
 	}
 	return out, nil
+}
+
+// ExpandTo materializes the i-th expanded ACK of a template (0-based, so
+// its IP ID is the template's plus i+1) with acknowledgment number ackNum
+// into dst, which must be len(template) bytes: Expand's per-packet step,
+// for callers that supply their own (pooled) buffers.
+func ExpandTo(dst, template []byte, l3off, i int, ackNum uint32) error {
+	l4off, err := templateL4(template, l3off)
+	if err != nil {
+		return err
+	}
+	if len(dst) != len(template) {
+		return fmt.Errorf("ackoff: destination of %d bytes for a %d-byte template", len(dst), len(template))
+	}
+	baseID := binary.BigEndian.Uint16(template[l3off+4:])
+	copy(dst, template)
+	if err := tcpwire.PatchAck(dst[l4off:], ackNum); err != nil {
+		return fmt.Errorf("ackoff: %w", err)
+	}
+	patchIPID(dst[l3off:], baseID+uint16(i)+1)
+	return nil
+}
+
+// templateL4 validates a template's IP header and returns the TCP header
+// offset.
+func templateL4(template []byte, l3off int) (int, error) {
+	if l3off < 0 || len(template) < l3off+20 {
+		return 0, fmt.Errorf("ackoff: template too short (%d bytes, l3off %d)", len(template), l3off)
+	}
+	ihl := int(template[l3off]&0x0f) * 4
+	if ihl < 20 || len(template) < l3off+ihl+tcpwire.MinHeaderLen {
+		return 0, fmt.Errorf("ackoff: malformed template IP header")
+	}
+	return l3off + ihl, nil
 }
 
 // patchIPID rewrites the IP identification field with an incremental

@@ -194,6 +194,16 @@ type heldFrame struct {
 	payloadLen int
 }
 
+// poolBuf returns the frame-pool buffer a fragment taken from f must carry
+// so that freeing the aggregate releases it (nil for frames outside the
+// pool).
+func poolBuf(f nic.Frame) []byte {
+	if f.Pooled {
+		return f.Data
+	}
+	return nil
+}
+
 // payload returns the held frame's TCP payload bytes.
 func (h heldFrame) payload() []byte {
 	return h.frame.Data[h.payloadOff : h.payloadOff+h.payloadLen]
@@ -217,7 +227,8 @@ type Engine struct {
 	Clock func() uint64
 
 	table map[FlowKey]*pending
-	order []FlowKey // insertion order for eviction and FlushAll
+	order []FlowKey  // insertion order for eviction and FlushAll
+	spare []*pending // delivered pending records, recycled by newPending
 
 	stats Stats
 }
@@ -330,7 +341,7 @@ func (e *Engine) Input(f nic.Frame) {
 
 	if p, ok := e.table[key]; ok {
 		if e.matches(p, &th) {
-			e.alloc.AttachFrag(p.skb, buf.Frag{Data: payload, Ack: th.Ack, TSVal: th.TSVal})
+			e.alloc.AttachFrag(p.skb, buf.Frag{Data: payload, Buf: poolBuf(f), Ack: th.Ack, TSVal: th.TSVal})
 			p.count++
 			p.nextSeq = th.Seq + uint32(payloadLen)
 			p.lastAck = th.Ack
@@ -431,7 +442,7 @@ func (e *Engine) stitchHeld(p *pending) {
 				return
 			}
 			p.held = p.held[1:]
-			e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Ack: hf.ack, TSVal: hf.tsVal})
+			e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Buf: poolBuf(hf.frame), Ack: hf.ack, TSVal: hf.tsVal})
 			p.count++
 			p.nextSeq = hf.seq + uint32(hf.payloadLen)
 			p.lastAck = hf.ack
@@ -539,11 +550,19 @@ func (e *Engine) matches(p *pending, th *tcpwire.Header) bool {
 // sites cannot drift when pending grows a field.
 func (e *Engine) newPending(key FlowKey, f nic.Frame, ih *ipv4.Header, th *tcpwire.Header, payloadLen int) *pending {
 	skb := e.alloc.NewData(f.Data, ether.HeaderLen)
+	skb.Pooled = f.Pooled
 	skb.CsumVerified = true
 	skb.RSSHash = f.RSSHash
 	skb.FirstAck = th.Ack
 	skb.SentNs, skb.ArriveNs, skb.DequeueNs = f.SentNs, f.ArriveNs, f.DequeueNs
-	return &pending{
+	var p *pending
+	if n := len(e.spare); n > 0 {
+		p = e.spare[n-1]
+		e.spare = e.spare[:n-1]
+	} else {
+		p = new(pending)
+	}
+	*p = pending{
 		key:     key,
 		skb:     skb,
 		count:   1,
@@ -556,6 +575,7 @@ func (e *Engine) newPending(key FlowKey, f nic.Frame, ih *ipv4.Header, th *tcpwi
 		l4off:   ether.HeaderLen + ih.IHL,
 		dataOff: th.DataOff,
 	}
+	return p
 }
 
 // start opens a new pending aggregate seeded with this frame.
@@ -681,6 +701,8 @@ func (e *Engine) deliver(p *pending) {
 		p.held = nil
 		e.drainHeldSlice(held)
 	}
+	// Delivered: no caller touches p again, so the record is recycled.
+	e.spare = append(e.spare, p)
 }
 
 // drainHeldSlice delivers parked frames whose gap never filled, in
@@ -741,7 +763,7 @@ func (e *Engine) stitchDrainRun(run []heldFrame) {
 	p := e.newPending(key, head.frame, &ih, &th, head.payloadLen)
 	e.stats.WindowTimeout++
 	for _, hf := range run[1:] {
-		e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Ack: hf.ack, TSVal: hf.tsVal})
+		e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Buf: poolBuf(hf.frame), Ack: hf.ack, TSVal: hf.tsVal})
 		p.count++
 		p.nextSeq = hf.seq + uint32(hf.payloadLen)
 		p.lastAck = hf.ack
@@ -792,6 +814,7 @@ func (e *Engine) rewriteHeader(p *pending) {
 // unmodified (§3.1: no reordering, no modification).
 func (e *Engine) passthrough(f nic.Frame) {
 	skb := e.alloc.NewData(f.Data, ether.HeaderLen)
+	skb.Pooled = f.Pooled
 	skb.CsumVerified = f.RxCsumOK
 	skb.RSSHash = f.RSSHash
 	skb.SentNs, skb.ArriveNs, skb.DequeueNs = f.SentNs, f.ArriveNs, f.DequeueNs

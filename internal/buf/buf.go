@@ -33,6 +33,10 @@ const (
 type Frag struct {
 	// Data is the fragment payload.
 	Data []byte
+	// Buf is the pool buffer Data lies in (the whole constituent frame),
+	// released when the SKB is freed; nil when the frame does not belong
+	// to a pool (hand-built test frames), which is then never released.
+	Buf []byte
 	// Ack is the TCP acknowledgment number carried by the original
 	// network packet, saved for the TCP layer's §3.4 processing.
 	Ack uint32
@@ -49,6 +53,10 @@ type SKB struct {
 	// frame (and, for aggregates, the first constituent frame); for
 	// transmitted packets the full frame to put on the wire.
 	Head []byte
+	// Pooled marks Head as a pool buffer: Free releases it. Whoever hands
+	// Head on beyond the SKB's life (the driver putting it on the wire)
+	// clears the mark first and passes ownership along with the bytes.
+	Pooled bool
 	// L3Offset is the offset of the IP header within Head.
 	L3Offset int
 	// Frags are the payloads of the second and subsequent aggregated
@@ -89,10 +97,20 @@ type SKB struct {
 
 	alloc *Allocator
 	freed bool
+	// tmplCap keeps a freed template's TemplateAcks capacity for reuse
+	// (TemplateAcks itself must go nil: non-nil marks a template).
+	tmplCap []uint32
 }
 
 // L3 returns the bytes of Head from the IP header onward.
 func (s *SKB) L3() []byte { return s.Head[s.L3Offset:] }
+
+// SetTemplateAcks marks the SKB as an ACK template carrying a copy of acks
+// (which must be non-empty), reusing the capacity of the SKB's previous
+// template so that template building allocates nothing in steady state.
+func (s *SKB) SetTemplateAcks(acks []uint32) {
+	s.TemplateAcks = append(s.tmplCap[:0], acks...)
+}
 
 // FragAcks returns the ACK numbers of all constituent frames in order,
 // including the first. For ordinary packets it returns just FirstAck.
@@ -141,6 +159,7 @@ type Allocator struct {
 	params *cost.Params
 	stats  Stats
 	free   []*SKB
+	pool   *Pool
 }
 
 // NewAllocator returns an allocator charging m under p.
@@ -150,6 +169,25 @@ func NewAllocator(m *cycles.Meter, p *cost.Params) *Allocator {
 	}
 	return &Allocator{meter: m, params: p}
 }
+
+// SetPool makes the allocator cut frame buffers from p and release the
+// pool buffers of the SKBs it frees back into it (nil: no pooling).
+func (a *Allocator) SetPool(p *Pool) { a.pool = p }
+
+// Pool returns the allocator's frame-buffer pool (nil when unpooled).
+func (a *Allocator) Pool() *Pool { return a.pool }
+
+// FrameBuf returns an n-byte frame buffer with undefined contents, and
+// whether it belongs to the allocator's pool — in which case whoever ends
+// the frame's life must release it (Free, via SKB.Pooled or Frag.Buf, or
+// Release). Pure host bookkeeping: no cycles are charged.
+func (a *Allocator) FrameBuf(n int) (b []byte, pooled bool) {
+	return a.pool.Get(n), a.pool != nil
+}
+
+// Release returns a pool frame buffer that never reached an SKB (a frame
+// dropped before the stack saw it) to the allocator's pool.
+func (a *Allocator) Release(b []byte) { a.pool.Put(b) }
 
 // NewData allocates a data SKB around the given frame bytes, charging
 // SKBAlloc. l3Offset locates the IP header within head.
@@ -218,16 +256,26 @@ func (a *Allocator) Free(s *SKB) {
 	}
 	a.stats.Live--
 	s.freed = true
+	if s.Pooled {
+		a.pool.Put(s.Head)
+	}
 	s.Head = nil
-	// Drop the fragment payload references but keep the backing array: an
-	// aggregate SKB's Frags regrow to the same length every cycle, and
-	// reusing the capacity removes the per-aggregate slice allocation.
+	// Release the fragments' frame buffers and drop the references but keep
+	// the backing array: an aggregate SKB's Frags regrow to the same length
+	// every cycle, and reusing the capacity removes the per-aggregate slice
+	// allocation.
 	for i := range s.Frags {
+		if s.Frags[i].Buf != nil {
+			a.pool.Put(s.Frags[i].Buf)
+		}
 		s.Frags[i] = Frag{}
 	}
 	s.Frags = s.Frags[:0]
-	// TemplateAcks stays nil: non-nil is the "this SKB is an ACK template"
-	// marker, so its capacity cannot be recycled.
+	// TemplateAcks goes nil (non-nil is the "this SKB is an ACK template"
+	// marker); its capacity is kept aside for SetTemplateAcks.
+	if s.TemplateAcks != nil {
+		s.tmplCap = s.TemplateAcks[:0]
+	}
 	s.TemplateAcks = nil
 	if len(a.free) < 1024 {
 		a.free = append(a.free, s)
@@ -244,8 +292,8 @@ func (a *Allocator) get() *SKB {
 	if n := len(a.free); n > 0 {
 		s := a.free[n-1]
 		a.free = a.free[:n-1]
-		frags := s.Frags[:0] // preserve the recycled fragment capacity
-		*s = SKB{alloc: a, Frags: frags}
+		// Preserve the recycled fragment and template capacity.
+		*s = SKB{alloc: a, Frags: s.Frags[:0], tmplCap: s.tmplCap}
 		return s
 	}
 	return &SKB{alloc: a}

@@ -7,21 +7,59 @@
 // template without touching the rest of the packet (paper §4.2).
 package checksum
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Sum computes the one's-complement sum of b folded to 16 bits, without the
 // final complement. Odd-length buffers are padded with a zero byte, as
 // specified by RFC 1071.
+//
+// The loop adds big-endian 8-byte words into a 64-bit accumulator with
+// end-around carry (RFC 1071 §2(C): the sum is independent of word size
+// because 2^64 ≡ 1 mod 2^16-1). The result is exactly the 16-bit loop's:
+// both are congruent mod 0xffff and both are zero only for all-zero input.
 func Sum(b []byte) uint16 {
-	var sum uint32
-	n := len(b) &^ 1
-	for i := 0; i < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	var acc, carry uint64
+	for len(b) >= 32 {
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b[8:]), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b[16:]), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b[24:]), carry)
+		b = b[32:]
 	}
-	if len(b)&1 != 0 {
-		sum += uint32(b[len(b)-1]) << 8
+	for len(b) >= 8 {
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b), carry)
+		b = b[8:]
 	}
-	return fold(sum)
+	if len(b) >= 4 {
+		acc, carry = bits.Add64(acc, uint64(binary.BigEndian.Uint32(b)), carry)
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		acc, carry = bits.Add64(acc, uint64(binary.BigEndian.Uint16(b)), carry)
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		acc, carry = bits.Add64(acc, uint64(b[0])<<8, carry)
+	}
+	return Fold64(acc, carry)
+}
+
+// Fold64 reduces a 64-bit one's-complement accumulator plus its pending
+// carry-out to 16 bits with end-around carry. Callers that sum 8-byte words
+// themselves (the transmit path's fused payload fill) finish with it.
+func Fold64(acc, carry uint64) uint16 {
+	// Absorbing the carry can carry out again only when acc wraps to zero,
+	// so the second end-around add cannot overflow.
+	acc, carry = bits.Add64(acc, 0, carry)
+	acc += carry
+	s := acc>>32 + acc&0xffffffff
+	for s > 0xffff {
+		s = s>>16 + s&0xffff
+	}
+	return uint16(s)
 }
 
 // Checksum computes the Internet checksum of b: the one's complement of the

@@ -195,6 +195,71 @@ func TestUpdate32Composition_Quick(t *testing.T) {
 	}
 }
 
+// referenceSum is the RFC 1071 loop Sum replaced: 16-bit big-endian words
+// into a 32-bit accumulator, odd byte padded on the right. The word-wide
+// Sum must agree with it bit for bit.
+func referenceSum(b []byte) uint16 {
+	var sum uint32
+	n := len(b) &^ 1
+	for i := 0; i < n; i += 2 {
+		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	}
+	if len(b)&1 != 0 {
+		sum += uint32(b[len(b)-1]) << 8
+	}
+	return fold(sum)
+}
+
+func TestSumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	buf := make([]byte, 2048+8)
+	fills := map[string]func([]byte){
+		"random": func(b []byte) { rng.Read(b) },
+		"zeros":  func(b []byte) { clear(b) },
+		"ones": func(b []byte) {
+			for i := range b {
+				b[i] = 0xff
+			}
+		},
+	}
+	for name, fill := range fills {
+		for n := 0; n <= 2048; n++ {
+			// Start at every alignment mod 8 over the run, so the word
+			// loop sees unaligned slices too.
+			off := n % 8
+			b := buf[off : off+n]
+			fill(b)
+			if got, want := Sum(b), referenceSum(b); got != want {
+				t.Fatalf("%s len %d: Sum = %#04x, reference %#04x", name, n, got, want)
+			}
+		}
+	}
+}
+
+func FuzzSum(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xab})
+	f.Add([]byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if got, want := Sum(b), referenceSum(b); got != want {
+			t.Fatalf("len %d: Sum = %#04x, reference %#04x", len(b), got, want)
+		}
+	})
+}
+
+func BenchmarkSum1448(b *testing.B) {
+	buf := make([]byte, 1448)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	b.SetBytes(1448)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Sum(buf)
+	}
+}
+
 func BenchmarkChecksum1448(b *testing.B) {
 	buf := make([]byte, 1448)
 	for i := range buf {

@@ -5,9 +5,10 @@
 // baseline uniprocessor profile reproduces the category shares of the
 // paper's Figure 3 (per-byte 17%, rx+tx 21%, buffer+non-proto 25%, driver
 // 21%, misc 16%) and the baseline throughput of Figure 7 (3452 Mb/s at CPU
-// saturation on a 3.0 GHz Xeon). Every other number in EXPERIMENTS.md — the
-// SMP and Xen profiles, all optimized variants, the aggregation-limit sweep
-// and the scalability curve — is *emergent*: the event counts change with
+// saturation on a 3.0 GHz Xeon). Every other number the experiments report
+// (bench/rxperf/README.md keeps the baseline table) — the SMP and Xen
+// profiles, all optimized variants, the aggregation-limit sweep and the
+// scalability curve — is *emergent*: the event counts change with
 // the configuration, the unit costs never do.
 //
 // Costs are expressed in CPU cycles. Fixed instruction-path costs are plain
@@ -29,7 +30,8 @@ type Params struct {
 	// ClockHz is the CPU core clock.
 	ClockHz float64
 	// Cores is the number of cores. The receive path itself is serialized
-	// (see DESIGN.md §5.5): extra cores absorb non-network work only.
+	// (ARCHITECTURE.md, "One core runs the receive path"): extra cores
+	// absorb non-network work only.
 	Cores int
 	// SMP enables locked-RMW charging on the locking routines (§2.3).
 	SMP bool

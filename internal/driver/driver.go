@@ -103,6 +103,9 @@ type Driver struct {
 	// scratch is the reusable poll buffer (hot path: one PollRxOn slice
 	// allocation per poll otherwise).
 	scratch []nic.Frame
+	// expanded holds one ACK template's expansions between building them
+	// and putting them on the wire (reused across templates).
+	expanded []nic.Frame
 }
 
 // New creates a driver for queue 0 of n charging m under p.
@@ -155,6 +158,7 @@ func (d *Driver) Poll(budget int) int {
 			d.meter.Charge(cycles.Driver,
 				d.params.MACProcFixed+d.params.Mem.HeaderTouchCost())
 			skb := d.alloc.NewData(f.Data, ether.HeaderLen)
+			skb.Pooled = f.Pooled
 			skb.CsumVerified = f.RxCsumOK
 			skb.RSSHash = f.RSSHash
 			skb.SentNs, skb.ArriveNs, skb.DequeueNs = f.SentNs, f.ArriveNs, f.DequeueNs
@@ -172,7 +176,11 @@ func (d *Driver) Poll(budget int) int {
 			if d.DeliverRaw != nil && d.DeliverRaw(f) {
 				d.stats.RawDelivered++
 			} else {
+				// Backlog overflow: the frame dies here.
 				d.stats.RawQueueFull++
+				if f.Pooled {
+					d.alloc.Release(f.Data)
+				}
 			}
 		}
 	}
@@ -185,25 +193,32 @@ func (d *Driver) Poll(budget int) int {
 // Transmit sends an outgoing SKB. Ordinary packets go straight to the NIC.
 // ACK-template SKBs (TemplateAcks non-nil) are expanded here: the template
 // frame is sent as the first ACK, then one patched copy per recorded ACK
-// number (§4.2). The SKB is freed after transmission.
+// number (§4.2), each cut from the allocator's frame pool. The SKB is freed
+// after transmission; its frame buffer goes to the wire with the frame.
 func (d *Driver) Transmit(skb *buf.SKB) {
 	frame := skb.Head
-	d.meter.Charge(cycles.Driver, d.params.DriverTxPerPacket)
-	d.stats.TxPackets++
-	d.txFrame(nic.Frame{Data: frame})
-
-	if skb.TemplateAcks != nil {
-		expanded, err := ackoff.Expand(frame, skb.L3Offset, skb.TemplateAcks)
-		if err != nil {
+	// Expand before anything leaves: once on the wire the template frame
+	// belongs to the link.
+	d.expanded = d.expanded[:0]
+	for i, ack := range skb.TemplateAcks {
+		cp, pooled := d.alloc.FrameBuf(len(frame))
+		if err := ackoff.ExpandTo(cp, frame, skb.L3Offset, i, ack); err != nil {
 			panic(fmt.Sprintf("driver: ack expansion: %v", err))
 		}
-		for _, cp := range expanded {
-			d.meter.Charge(cycles.Driver,
-				d.params.AckExpandPerAck+d.params.DriverTxPerPacket)
-			d.stats.TxPackets++
-			d.stats.AcksExpanded++
-			d.txFrame(nic.Frame{Data: cp})
-		}
+		d.expanded = append(d.expanded, nic.Frame{Data: cp, Pooled: pooled})
+	}
+
+	d.meter.Charge(cycles.Driver, d.params.DriverTxPerPacket)
+	d.stats.TxPackets++
+	d.txFrame(nic.Frame{Data: frame, Pooled: skb.Pooled})
+	skb.Pooled = false // the wire owns the buffer now
+	for i, f := range d.expanded {
+		d.meter.Charge(cycles.Driver,
+			d.params.AckExpandPerAck+d.params.DriverTxPerPacket)
+		d.stats.TxPackets++
+		d.stats.AcksExpanded++
+		d.txFrame(f)
+		d.expanded[i] = nic.Frame{}
 	}
 	d.alloc.Free(skb)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/ackoff"
 	"repro/internal/buf"
 	"repro/internal/cost"
 	"repro/internal/cycles"
@@ -284,5 +285,62 @@ func TestModeString(t *testing.T) {
 	}
 	if Mode(9).String() != "Mode(9)" {
 		t.Error("unknown mode name wrong")
+	}
+}
+
+// pooledCopy copies a frame into a buffer of the harness allocator's pool.
+func (h *harness) pooledCopy(frame []byte) nic.Frame {
+	b, pooled := h.alloc.FrameBuf(len(frame))
+	copy(b, frame)
+	return nic.Frame{Data: b, Pooled: pooled}
+}
+
+func TestRawQueueFullReleasesFrame(t *testing.T) {
+	h := newHarness(t, ModeRaw)
+	pool := buf.NewPool()
+	h.alloc.SetPool(pool)
+	h.drv.DeliverRaw = func(nic.Frame) bool { return false } // backlog full
+	h.nic.ReceiveFromWire(h.pooledCopy(dataFrame(1)))
+	h.nic.ReceiveFromWire(nic.Frame{Data: dataFrame(1449)}) // hand-built
+	h.drv.Poll(64)
+	if h.drv.Stats().RawQueueFull != 2 {
+		t.Fatalf("RawQueueFull = %d, want 2", h.drv.Stats().RawQueueFull)
+	}
+	if pool.Len() != 1 {
+		t.Errorf("%d buffers back in the pool, want 1 (the pooled frame only)", pool.Len())
+	}
+}
+
+func TestTransmitPassesBufferOwnershipToWire(t *testing.T) {
+	h := newHarness(t, ModeBaseline)
+	pool := buf.NewPool()
+	h.alloc.SetPool(pool)
+	var sent []nic.Frame
+	h.nic.OnTransmit = func(f nic.Frame) { sent = append(sent, f) }
+	f := h.pooledCopy(ackFrame(1000))
+	skb := h.alloc.NewAck(f.Data, ether.HeaderLen)
+	skb.Pooled = true
+	skb.SetTemplateAcks([]uint32{3896, 6792})
+	h.drv.Transmit(skb)
+	if len(sent) != 3 {
+		t.Fatalf("sent %d frames, want 3", len(sent))
+	}
+	for i, s := range sent {
+		if !s.Pooled {
+			t.Errorf("frame %d left without pool ownership", i)
+		}
+	}
+	// The wire owns all three buffers: freeing the SKB released none.
+	if pool.Len() != 0 {
+		t.Errorf("%d buffers released at transmit", pool.Len())
+	}
+	want, err := ackoff.Expand(ackFrame(1000), ether.HeaderLen, []uint32{3896, 6792})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		if !bytes.Equal(sent[i+1].Data, w) {
+			t.Errorf("pooled expansion %d differs from ackoff.Expand", i)
+		}
 	}
 }

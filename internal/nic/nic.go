@@ -34,6 +34,11 @@ type Frame struct {
 	// RxCsumOK reports that the NIC validated the transport checksum
 	// (receive checksum offload). Meaningless on transmit.
 	RxCsumOK bool
+	// Pooled marks Data as a frame-buffer pool buffer (internal/buf.Pool):
+	// whoever ends the frame's life — the stack freeing its SKB, a drop,
+	// the sender consuming a returned frame — releases it. Hand-built
+	// frames leave it false and are never released.
+	Pooled bool
 	// RSSHash is the Toeplitz hash the NIC computed for the frame's
 	// four-tuple, set for every classifiable IPv4/TCP frame regardless
 	// of queue count (0 = unclassifiable; the stack's demux then hashes
@@ -159,7 +164,11 @@ type NIC struct {
 	// on the CPU that owns the queue. May be nil.
 	OnInterrupt func(queue int)
 	// OnTransmit receives frames put on the wire. May be nil (frames
-	// are then counted and dropped, useful in unit tests).
+	// are then counted and dropped, useful in unit tests). f.Data is valid
+	// only during the call unless the hook takes ownership of it: a hook
+	// that keeps a Pooled frame past the call owns its buffer and must
+	// release it at the frame's end of life (the simulator's reverse link
+	// hands it to the sender machine, which does).
 	OnTransmit func(Frame)
 
 	// rec, when non-nil, puts the receive path in recording mode (parallel
@@ -227,7 +236,9 @@ func (n *NIC) RecPeek(q int) (at, schedAt uint64, ok bool) {
 // ReceiveFromWire (drop check, checksum verification, counters, ring push,
 // interrupt assertion) or a deferred per-queue FlushInterrupt. The caller
 // must have established the command's virtual time on the applying lane.
-func (n *NIC) RecApply(q int) {
+// A frame the full ring rejects is returned with dropped set, so the
+// applying lane can release its buffer.
+func (n *NIC) RecApply(q int) (rejected Frame, dropped bool) {
 	rq := &n.rec.queues[q]
 	cmd := &rq.cmds[rq.head]
 	rq.head++
@@ -240,14 +251,17 @@ func (n *NIC) RecApply(q int) {
 		if !n.rxq[q].irqPending && n.rxq[q].len > 0 {
 			n.assertInterrupt(q)
 		}
-		return
+		return Frame{}, false
 	}
 	rq.pendingPush--
 	// Deferred checksum offload: pure computation, so verifying here
 	// instead of at classify time is invisible to the simulation.
 	csumOK := cmd.Hashed && cmd.IPOK &&
 		tcpwire.VerifyChecksum(cmd.Frame.Data[cmd.SegOff:cmd.SegEnd], cmd.Src, cmd.Dst)
-	n.enqueue(cmd.Frame, cmd.Hashed, csumOK)
+	if !n.enqueue(cmd.Frame, cmd.Hashed, csumOK) {
+		return cmd.Frame, true
+	}
+	return Frame{}, false
 }
 
 // RxNearFullShadow is the recording-mode pause check: ring occupancy plus
@@ -334,8 +348,8 @@ func (n *NIC) RxFramesOn(q int) uint64 { return n.rxq[q].rxFrames }
 
 // CanAccept reports whether every receive ring has room for another
 // frame. The link model uses it to apply pause-frame backpressure instead
-// of dropping (DESIGN.md §5.7); pause frames stop the whole link, so one
-// full queue pauses the port.
+// of dropping (ARCHITECTURE.md, "Lossless links: pause instead of drop");
+// pause frames stop the whole link, so one full queue pauses the port.
 func (n *NIC) CanAccept() bool { return !n.RxNearFull(1) }
 
 // RxNearFull reports whether any queue has fewer than headroom free ring
@@ -352,10 +366,12 @@ func (n *NIC) RxNearFull(headroom int) bool {
 // ReceiveFromWire DMAs a frame into its receive ring, performing checksum
 // offload validation and RSS classification in "hardware" (no host CPU
 // cycles are charged). It returns false and counts a drop if the target
-// ring is full. In recording mode the classify/steer half runs now (on the
-// link lane) and everything ring-side is recorded for the owning CPU lane;
-// the return value is then always true — the link learns of uncertain ring
-// pressure through RxNearFullShadow before transmitting, never here.
+// ring is full; the frame's buffer then stays the caller's to release. In
+// recording mode the classify/steer half runs now (on the link lane) and
+// everything ring-side is recorded for the owning CPU lane; the return
+// value is then always true — the link learns of uncertain ring pressure
+// through RxNearFullShadow before transmitting, never here (a rejected
+// frame comes back from RecApply instead).
 func (n *NIC) ReceiveFromWire(f Frame) bool {
 	hash, tuple, hashed, ipOK, segOff, segEnd, src, dst := n.classifyLight(f.Data)
 	q := 0

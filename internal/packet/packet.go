@@ -4,8 +4,10 @@
 package packet
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"repro/internal/checksum"
 	"repro/internal/ether"
 	"repro/internal/ipv4"
 	"repro/internal/tcpwire"
@@ -25,9 +27,11 @@ type TCPSpec struct {
 	// NOP,NOP,TS + NOP,NOP,SACK layout); at most tcpwire.MaxSACKBlocks
 	// blocks fit beside a timestamp. Ignored when RawTCPOptions is set.
 	SACKBlocks []tcpwire.SACKBlock
-	Payload    []byte
-	IPID       uint16
-	TTL        uint8
+	// Payload is the segment payload (Build copies it; BuildInto expects
+	// it already in the frame and ignores this field).
+	Payload []byte
+	IPID    uint16
+	TTL     uint8
 
 	// Fault/feature injection for tests and rule coverage:
 
@@ -47,8 +51,50 @@ type TCPSpec struct {
 
 // Build serializes the frame described by s.
 func Build(s TCPSpec) ([]byte, error) {
-	if s.RawTCPOptions == nil && len(s.SACKBlocks) > 0 {
-		s.RawTCPOptions = tcpwire.BuildOptions(s.HasTS, s.TSVal, s.TSEcr, s.SACKBlocks)
+	hl, err := HeaderLen(&s)
+	if err != nil {
+		return nil, err
+	}
+	frame := make([]byte, hl+len(s.Payload))
+	copy(frame[hl:], s.Payload)
+	if err := BuildInto(frame, &s, checksum.Sum(s.Payload)); err != nil {
+		return nil, err
+	}
+	return frame, nil
+}
+
+// HeaderLen returns the length of the Ethernet, IP and TCP headers s
+// serializes to: the offset of the payload within the frame.
+func HeaderLen(s *TCPSpec) (int, error) {
+	tcpLen := tcpwire.MinHeaderLen
+	switch {
+	case s.RawTCPOptions != nil:
+		if len(s.RawTCPOptions)%4 != 0 {
+			return 0, fmt.Errorf("packet: TCP options length %d not 32-bit aligned", len(s.RawTCPOptions))
+		}
+		tcpLen += len(s.RawTCPOptions)
+	case len(s.SACKBlocks) > 0:
+		tcpLen += tcpwire.OptionsLen(s.HasTS, len(s.SACKBlocks))
+	case s.HasTS:
+		tcpLen = tcpwire.TimestampHeaderLen
+	}
+	ih := ipv4.Header{Options: s.IPOptions}
+	return ether.HeaderLen + ih.Len() + tcpLen, nil
+}
+
+// BuildInto serializes the headers described by s into frame and sets both
+// checksums. The payload must already be in place: frame is exactly
+// HeaderLen(s) bytes of headers followed by the payload, and payloadSum is
+// checksum.Sum of that payload, so a fill that computes the sum as it
+// writes (sim.PatternPayloadSum) spares the checksum a second pass over
+// the bytes. s.Payload is ignored. The result is byte-identical to Build's.
+func BuildInto(frame []byte, s *TCPSpec, payloadSum uint16) error {
+	hl, err := HeaderLen(s)
+	if err != nil {
+		return err
+	}
+	if len(frame) < hl {
+		return fmt.Errorf("packet: frame of %d bytes cannot hold %d header bytes", len(frame), hl)
 	}
 	th := tcpwire.Header{
 		SrcPort: s.SrcPort,
@@ -58,17 +104,11 @@ func Build(s TCPSpec) ([]byte, error) {
 		Flags:   s.Flags,
 		Window:  s.Window,
 	}
-	tcpLen := tcpwire.MinHeaderLen
-	if s.RawTCPOptions != nil {
-		if len(s.RawTCPOptions)%4 != 0 {
-			return nil, fmt.Errorf("packet: TCP options length %d not 32-bit aligned", len(s.RawTCPOptions))
-		}
-		tcpLen += len(s.RawTCPOptions)
-	} else if s.HasTS {
+	opts := s.RawTCPOptions != nil || len(s.SACKBlocks) > 0
+	if !opts && s.HasTS {
 		th.HasTimestamp = true
 		th.TSVal = s.TSVal
 		th.TSEcr = s.TSEcr
-		tcpLen = tcpwire.TimestampHeaderLen
 	}
 
 	ih := ipv4.Header{
@@ -87,45 +127,46 @@ func Build(s TCPSpec) ([]byte, error) {
 		ih.TTL = 64
 	}
 	ipLen := ih.Len()
-	ih.TotalLen = ipLen + tcpLen + len(s.Payload)
+	ih.TotalLen = len(frame) - ether.HeaderLen
 	if ih.TotalLen > 0xffff {
-		return nil, fmt.Errorf("packet: datagram too large: %d", ih.TotalLen)
+		return fmt.Errorf("packet: datagram too large: %d", ih.TotalLen)
 	}
 
-	frame := make([]byte, ether.HeaderLen+ih.TotalLen)
 	eh := ether.Header{Dst: s.DstMAC, Src: s.SrcMAC, Type: ether.TypeIPv4}
 	if err := eh.Put(frame); err != nil {
-		return nil, err
+		return err
 	}
 	l3 := frame[ether.HeaderLen:]
 	if err := ih.Put(l3); err != nil {
-		return nil, err
+		return err
 	}
 	seg := l3[ipLen:]
-	if s.RawTCPOptions != nil {
-		base := make([]byte, tcpwire.MinHeaderLen)
-		if err := th.Put(base); err != nil {
-			return nil, err
-		}
-		copy(seg, base)
+	tcpLen := hl - ether.HeaderLen - ipLen
+	if err := th.Put(seg); err != nil {
+		return err
+	}
+	if opts {
 		seg[12] = byte(tcpLen/4) << 4
-		copy(seg[tcpwire.MinHeaderLen:], s.RawTCPOptions)
-	} else {
-		if err := th.Put(seg); err != nil {
-			return nil, err
+		if s.RawTCPOptions != nil {
+			copy(seg[tcpwire.MinHeaderLen:tcpLen], s.RawTCPOptions)
+		} else {
+			tcpwire.AppendOptions(seg[tcpwire.MinHeaderLen:tcpwire.MinHeaderLen], s.HasTS, s.TSVal, s.TSEcr, s.SACKBlocks)
 		}
 	}
-	copy(seg[tcpLen:], s.Payload)
-	if err := tcpwire.SetChecksum(seg, ih.Src, ih.Dst); err != nil {
-		return nil, err
-	}
+	// The checksum field is zero after Put. The header length is a multiple
+	// of four, so the payload's words align with the segment's and its sum
+	// combines in without re-reading a byte.
+	sum := checksum.Combine(
+		checksum.PseudoHeaderSum([4]byte(ih.Src), [4]byte(ih.Dst), ipv4.ProtoTCP, len(seg)),
+		checksum.Combine(checksum.Sum(seg[:tcpLen]), payloadSum))
+	binary.BigEndian.PutUint16(seg[tcpwire.OffChecksum:], ^sum)
 	if s.CorruptTCPCsum {
 		seg[tcpwire.OffChecksum] ^= 0x01
 	}
 	if s.CorruptIPCsum {
 		l3[10] ^= 0x01
 	}
-	return frame, nil
+	return nil
 }
 
 // MustBuild is Build for specs known valid at compile time; it panics on

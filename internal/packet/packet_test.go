@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/checksum"
 	"repro/internal/ether"
 	"repro/internal/ipv4"
 	"repro/internal/tcpwire"
@@ -200,5 +201,69 @@ func TestRoundTrip_Quick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildIntoMatchesBuild serializes each layout both ways — Build from
+// a payload slice, BuildInto around a payload already in place with its
+// sum supplied — into a buffer full of garbage: the frames must be equal
+// byte for byte.
+func TestBuildIntoMatchesBuild(t *testing.T) {
+	payload := make([]byte, 1448)
+	for i := range payload {
+		payload[i] = byte(i*7 + 3)
+	}
+	variants := map[string]func(*TCPSpec){
+		"timestamp":  func(*TCPSpec) {},
+		"no-options": func(s *TCPSpec) { s.HasTS = false },
+		"odd-payload": func(s *TCPSpec) {
+			s.Payload = payload[:333]
+		},
+		"empty": func(s *TCPSpec) { s.Payload = nil },
+		"sack": func(s *TCPSpec) {
+			s.Payload = nil
+			s.SACKBlocks = []tcpwire.SACKBlock{{Start: 10, End: 20}, {Start: 30, End: 40}}
+		},
+		"sack-no-ts": func(s *TCPSpec) {
+			s.HasTS, s.Payload = false, nil
+			s.SACKBlocks = []tcpwire.SACKBlock{{Start: 1, End: 2}}
+		},
+		"raw-options": func(s *TCPSpec) { s.RawTCPOptions = []byte{1, 1, 1, 0} },
+		"ip-options":  func(s *TCPSpec) { s.IPOptions = []byte{1, 1, 1, 0} },
+		"corrupt":     func(s *TCPSpec) { s.CorruptTCPCsum, s.CorruptIPCsum = true, true },
+	}
+	for name, mutate := range variants {
+		s := baseSpec()
+		s.Payload = payload
+		mutate(&s)
+		want, err := Build(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		hl, err := HeaderLen(&s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		frame := bytes.Repeat([]byte{0xdb}, hl+len(s.Payload))
+		copy(frame[hl:], s.Payload)
+		if err := BuildInto(frame, &s, checksum.Sum(s.Payload)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(frame, want) {
+			t.Errorf("%s: BuildInto differs from Build", name)
+		}
+	}
+}
+
+func BenchmarkBuild(b *testing.B) {
+	s := baseSpec()
+	s.Payload = make([]byte, 1448)
+	b.SetBytes(1448)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Seq += 1448
+		if _, err := Build(s); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -4,7 +4,7 @@
 // charged CPU cycles advance virtual time, and throughput emerges from the
 // interplay of link rate, windows and CPU saturation — exactly the
 // mechanism of the paper's testbed, with the hardware replaced by the cost
-// model (see DESIGN.md, substitution table).
+// model (see ARCHITECTURE.md, "Model substitutions").
 package sim
 
 import (

@@ -14,9 +14,10 @@ import (
 // frame and occupies the wire for the frame's serialization time. When the
 // ring is near-full the link pauses (IEEE 802.3x-style backpressure)
 // instead of dropping — the lossless LAN regime of the paper's testbed
-// (DESIGN.md §5.7). The reverse (ACK) direction is delivered after the
-// propagation delay without rate limiting: ACK volume is under 5% of link
-// capacity and never contends in these workloads.
+// (ARCHITECTURE.md, "Lossless links: pause instead of drop"). The reverse
+// (ACK) direction is delivered after the propagation delay without rate
+// limiting: ACK volume is under 5% of link capacity and never contends in
+// these workloads.
 type Link struct {
 	sim    *Sim
 	sender *SenderMachine
@@ -83,9 +84,18 @@ type Link struct {
 	onStall func() bool
 
 	busy     bool
-	inFlight int
 	fwdCount int
 	stats    LinkStats
+
+	// wire holds the forward frames between transmit start and arrival, in
+	// send order. Serialization is sequential and the delay constant, so
+	// they arrive in that order: each arrival is the one pre-bound arriveFn
+	// event popping the head (no closure per frame).
+	wire     wireFIFO
+	arriveFn func()
+	// revFree recycles delivered reverse frames with their pre-bound
+	// events, so the ACK direction allocates no closure per frame either.
+	revFree []*revFrame
 
 	// wireFreeFn is the pre-bound "serialization finished" event (one
 	// closure for the link's lifetime instead of one per frame).
@@ -95,12 +105,11 @@ type Link struct {
 	// method-value binding each time was a measurable allocation source.
 	transmitFn func()
 
-	// Reorder-injector state: the withheld frame (with its transmit-start
-	// stamp) and how many deliveries remain before it is released.
-	reorderCount  int
-	displaced     []byte
-	displacedSent uint64
-	displaceLeft  int
+	// Reorder-injector state: the withheld frame (nil data = none) and how
+	// many deliveries remain before it is released.
+	reorderCount int
+	displaced    wireFrame
+	displaceLeft int
 
 	// Loss-injector state: frames considered and the Gilbert-Elliott
 	// channel state (true = bad/bursting).
@@ -157,7 +166,44 @@ func NewLink(s *Sim, sender *SenderMachine, dst *nic.NIC) *Link {
 		l.transmitNext()
 	}
 	l.transmitFn = l.transmitNext
+	l.arriveFn = l.arrive
 	return l
+}
+
+// wireFrame is one forward frame in flight: its buffer (pooled when it
+// belongs to the sender's frame pool), its transmit-start stamp, and the
+// corruption verdict drawn at transmit.
+type wireFrame struct {
+	data    []byte
+	pooled  bool
+	sentNs  uint64
+	corrupt bool
+}
+
+// wireFIFO is a growable ring of in-flight frames.
+type wireFIFO struct {
+	ring    []wireFrame
+	head, n int
+}
+
+func (q *wireFIFO) push(w wireFrame) {
+	if q.n == len(q.ring) {
+		grown := make([]wireFrame, max(2*len(q.ring), 8))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.ring[(q.head+i)%len(q.ring)]
+		}
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)%len(q.ring)] = w
+	q.n++
+}
+
+func (q *wireFIFO) pop() wireFrame {
+	w := q.ring[q.head]
+	q.ring[q.head] = wireFrame{}
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
+	return w
 }
 
 // Stats returns a copy of the link counters.
@@ -209,14 +255,13 @@ func (l *Link) transmitNext() {
 		// interrupt so the tail of a burst is processed immediately
 		// (this is what keeps request/response latency flat, §5.4).
 		l.stats.IdleEvents++
-		if l.inFlight == 0 {
+		if l.wire.n == 0 {
 			l.releaseDisplaced()
 			l.dst.FlushInterrupt()
 		}
 		return
 	}
 	l.busy = true
-	l.inFlight++
 	wire := l.wireTimeNs(len(frame))
 	sentNs := l.sim.Now() // transmit start: the frame's StageWire boundary
 	l.spanLane.Record(l.spanTrack, "tx", sentNs, wire)
@@ -224,30 +269,47 @@ func (l *Link) transmitNext() {
 	// receiver one propagation delay later.
 	l.sim.After(wire, l.wireFreeFn)
 	l.fwdCount++
-	corrupt := l.CorruptOneIn > 0 && l.fwdCount%l.CorruptOneIn == 0
-	l.sim.After(wire+l.DelayNs, func() {
-		l.inFlight--
-		if l.dropLost() {
-			// The frame vanishes at the delivery point: wire timing and
-			// backpressure already happened, exactly like corruption.
-			// The idle check below (and the one in transmitNext) is the
-			// wire-idle release discipline — when a drop leaves nothing
-			// in flight and the sender window-limited, the displaced
-			// frame is released and the coalesced interrupt flushed, so
-			// a dropped frame can never strand the ACK clock.
-			l.stats.Lost++
-		} else {
-			if corrupt && len(frame) > 70 {
-				frame[len(frame)-1] ^= 0x01
-				l.stats.Corrupted++
-			}
-			l.deliverForward(frame, sentNs)
-		}
-		if l.inFlight == 0 && !l.busy {
-			l.releaseDisplaced()
-			l.dst.FlushInterrupt()
-		}
+	l.wire.push(wireFrame{
+		data:    frame,
+		pooled:  l.sender.alloc.Pool() != nil,
+		sentNs:  sentNs,
+		corrupt: l.CorruptOneIn > 0 && l.fwdCount%l.CorruptOneIn == 0,
 	})
+	l.sim.After(wire+l.DelayNs, l.arriveFn)
+}
+
+// arrive lands the oldest in-flight frame at the receiver edge.
+func (l *Link) arrive() {
+	w := l.wire.pop()
+	if l.dropLost() {
+		// The frame vanishes at the delivery point: wire timing and
+		// backpressure already happened, exactly like corruption. Its
+		// buffer goes back to the sender's pool. The idle check below (and
+		// the one in transmitNext) is the wire-idle release discipline —
+		// when a drop leaves nothing in flight and the sender
+		// window-limited, the displaced frame is released and the coalesced
+		// interrupt flushed, so a dropped frame can never strand the ACK
+		// clock.
+		l.stats.Lost++
+		l.release(w)
+	} else {
+		if w.corrupt && len(w.data) > 70 {
+			w.data[len(w.data)-1] ^= 0x01
+			l.stats.Corrupted++
+		}
+		l.deliverForward(w)
+	}
+	if l.wire.n == 0 && !l.busy {
+		l.releaseDisplaced()
+		l.dst.FlushInterrupt()
+	}
+}
+
+// release ends the life of a forward frame that never reached the ring.
+func (l *Link) release(w wireFrame) {
+	if w.pooled {
+		l.sender.alloc.Release(w.data)
+	}
 }
 
 // lossEnabled reports whether either loss arm is configured.
@@ -308,13 +370,13 @@ func splitmix64(x uint64) uint64 {
 // deliverForward hands a frame to the receiver NIC, applying the reorder
 // injector: every ReorderOneIn-th frame is withheld and re-injected after
 // ReorderDistance later frames have been delivered.
-func (l *Link) deliverForward(frame []byte, sentNs uint64) {
+func (l *Link) deliverForward(w wireFrame) {
 	if l.ReorderOneIn <= 0 {
-		l.deliver(frame, sentNs)
+		l.deliver(w)
 		return
 	}
-	if l.displaced != nil {
-		l.deliver(frame, sentNs)
+	if l.displaced.data != nil {
+		l.deliver(w)
 		l.displaceLeft--
 		if l.displaceLeft <= 0 {
 			l.releaseDisplaced()
@@ -323,59 +385,90 @@ func (l *Link) deliverForward(frame []byte, sentNs uint64) {
 	}
 	l.reorderCount++
 	if l.reorderCount%l.ReorderOneIn == 0 {
-		l.displaced = frame
-		l.displacedSent = sentNs
+		l.displaced = w
 		l.displaceLeft = l.ReorderDistance
 		if l.displaceLeft <= 0 {
 			l.displaceLeft = 1 // adjacent swap
 		}
 		return
 	}
-	l.deliver(frame, sentNs)
+	l.deliver(w)
 }
 
 // releaseDisplaced injects the withheld frame, if any.
 func (l *Link) releaseDisplaced() {
-	if l.displaced == nil {
+	if l.displaced.data == nil {
 		return
 	}
-	f, sent := l.displaced, l.displacedSent
-	l.displaced = nil
+	w := l.displaced
+	l.displaced = wireFrame{}
 	l.stats.Reordered++
-	l.deliver(f, sent)
+	l.deliver(w)
 }
 
 // deliver is the actual handoff into the receiver's ring, stamping the
-// frame's wire interval (transmit start and arrival).
-func (l *Link) deliver(frame []byte, sentNs uint64) {
+// frame's wire interval (transmit start and arrival). A frame the full
+// ring rejects dies here.
+func (l *Link) deliver(w wireFrame) {
 	l.stats.FramesDelivered++
-	l.stats.BytesDelivered += uint64(len(frame))
-	l.dst.ReceiveFromWire(nic.Frame{Data: frame, SentNs: sentNs, ArriveNs: l.sim.Now()})
+	l.stats.BytesDelivered += uint64(len(w.data))
+	f := nic.Frame{Data: w.data, Pooled: w.pooled, SentNs: w.sentNs, ArriveNs: l.sim.Now()}
+	if !l.dst.ReceiveFromWire(f) {
+		l.release(w)
+	}
 }
 
 // DeliverReverse carries a receiver-transmitted frame back to the sender
-// after the propagation delay.
-func (l *Link) DeliverReverse(frame []byte) { l.DeliverReverseDelayed(frame, 0) }
-
-// DeliverReverseDelayed additionally holds the frame for extraNs before it
-// leaves the receiver (CPU processing time of the round that produced it).
-func (l *Link) DeliverReverseDelayed(frame []byte, extraNs uint64) {
+// after the propagation delay, holding it extraNs longer before it leaves
+// the receiver (CPU processing time of the round that produced it). A
+// Pooled frame is released by the sender once processed.
+func (l *Link) DeliverReverse(f nic.Frame, extraNs uint64) {
 	l.stats.ReverseFrames++
-	l.sim.After(extraNs+l.DelayNs, func() {
-		l.sender.ReceiveFrame(frame)
-	})
+	l.sim.After(extraNs+l.DelayNs, l.reverseEvent(f))
 }
 
-// DeliverReverseAt is DeliverReverseDelayed for callers whose notion of
-// "now" is not this link's lane clock: the parallel scheduler's mailbox
-// commit and epoch barrier, where the transmit happened at virtual time
-// `at` on a CPU lane that may be ahead of or behind this link's lane. The
-// frame reaches the sender at at+extraNs+DelayNs, keyed exactly as the
-// serial schedule would have keyed it (schedAt = the transmit instant).
-func (l *Link) DeliverReverseAt(frame []byte, at, extraNs uint64) {
+// DeliverReverseAt is DeliverReverse for callers whose notion of "now" is
+// not this link's lane clock: the parallel scheduler's mailbox commit and
+// epoch barrier, where the transmit happened at virtual time `at` on a CPU
+// lane that may be ahead of or behind this link's lane. The frame reaches
+// the sender at at+extraNs+DelayNs, keyed exactly as the serial schedule
+// would have keyed it (schedAt = the transmit instant).
+func (l *Link) DeliverReverseAt(f nic.Frame, at, extraNs uint64) {
 	l.stats.ReverseFrames++
 	l.sim.seq++
-	l.sim.ScheduleKeyed(at+extraNs+l.DelayNs, at, l.sim.seq, func() {
-		l.sender.ReceiveFrame(frame)
-	})
+	l.sim.ScheduleKeyed(at+extraNs+l.DelayNs, at, l.sim.seq, l.reverseEvent(f))
+}
+
+// revFrame is one reverse frame in flight with its pre-bound arrival
+// event. Reverse frames need not arrive in send order (each departs after
+// its own round's CPU time), so unlike the forward FIFO each carries its
+// own event; arrived ones are recycled through Link.revFree.
+type revFrame struct {
+	l      *Link
+	data   []byte
+	pooled bool
+	fn     func()
+}
+
+// reverseEvent returns the arrival event for f, reusing a recycled record
+// when one is free.
+func (l *Link) reverseEvent(f nic.Frame) func() {
+	var r *revFrame
+	if n := len(l.revFree); n > 0 {
+		r = l.revFree[n-1]
+		l.revFree = l.revFree[:n-1]
+	} else {
+		r = &revFrame{l: l}
+		r.fn = r.arrive
+	}
+	r.data, r.pooled = f.Data, f.Pooled
+	return r.fn
+}
+
+// arrive hands the frame to the sender and recycles the record.
+func (r *revFrame) arrive() {
+	l, data, pooled := r.l, r.data, r.pooled
+	r.data = nil
+	l.revFree = append(l.revFree, r)
+	l.sender.receiveReverse(data, pooled)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/buf"
 	"repro/internal/ipv4"
 	"repro/internal/nic"
 	"repro/internal/packet"
@@ -110,7 +111,7 @@ func TestLinkReverseDelivery(t *testing.T) {
 		SrcPort: 44000, DstPort: 5001,
 		Seq: 1, Ack: 1 + sent, Flags: tcpwire.FlagACK, Window: 65535, HasTS: true,
 	})
-	l.DeliverReverse(ack)
+	l.DeliverReverse(nic.Frame{Data: ack}, 0)
 	s.RunUntil(s.Now() + 4_999)
 	if ep.SndUna() != 1 {
 		t.Fatal("ACK applied before the propagation delay")
@@ -126,7 +127,7 @@ func TestLinkReverseDelivery(t *testing.T) {
 		Seq: 1, Ack: 1 + sent, Flags: tcpwire.FlagACK, Window: 65535, HasTS: true,
 	})
 	before := l.Stats().ReverseFrames
-	l.DeliverReverseDelayed(ack2, 7_000)
+	l.DeliverReverse(nic.Frame{Data: ack2}, 7_000)
 	s.RunUntil(s.Now() + 12_000)
 	if l.Stats().ReverseFrames != before+1 {
 		t.Error("delayed reverse frame not counted")
@@ -195,5 +196,42 @@ func TestCPUDriverSerializesRounds(t *testing.T) {
 	}
 	if busyFrac < 0.90 {
 		t.Errorf("baseline run should be near CPU saturation, got %.3f", busyFrac)
+	}
+}
+
+// TestLinkReleasesDroppedFrames runs a pooled sender into a ring nobody
+// drains, with no pause headroom and a lossy wire: every buffer the pool
+// ever issued must end up either queued in the ring or back in the pool,
+// so ring-full rejects and losses both returned theirs.
+func TestLinkReleasesDroppedFrames(t *testing.T) {
+	s := NewSim()
+	snd := NewSender(s, 0)
+	pool := buf.NewPool()
+	snd.SetPool(pool)
+	for i := uint16(0); i < 5; i++ {
+		if _, err := snd.AddStreamConn(
+			ipv4.Addr{10, 0, 0, 1}, ipv4.Addr{10, 0, 0, 2}, 5001+i, 44000+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := nic.DefaultConfig("eth0")
+	cfg.RxRingSize = 8
+	n, err := nic.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLink(s, snd, n)
+	l.RingHeadroom = 0 // never pause: the full ring drops
+	l.LossOneIn, l.LossSeed = 3, 1
+	l.Kick()
+	s.RunUntil(100_000_000) // windows exhausted, wire idle, nothing drained
+	if n.Stats().RxDropped == 0 || l.Stats().Lost == 0 {
+		t.Fatalf("dropped %d, lost %d: both drop paths must fire", n.Stats().RxDropped, l.Stats().Lost)
+	}
+	if got, want := pool.Misses(), uint64(n.RxQueueLen()+pool.Len()); got != want {
+		t.Errorf("pool issued %d buffers, but %d are queued and %d free", got, n.RxQueueLen(), pool.Len())
+	}
+	if pool.Misses() >= l.Stats().FramesDelivered+l.Stats().Lost {
+		t.Error("no buffer was ever reused")
 	}
 }

@@ -197,6 +197,7 @@ func NewNative(cfg NativeConfig) (*NativeMachine, error) {
 	}
 	m := &NativeMachine{cfg: cfg, cpus: cfg.RxQueues, Params: cfg.Params}
 	m.Alloc = buf.NewAllocator(&m.Meter, &m.Params)
+	m.Alloc.SetPool(buf.NewPool())
 	m.Stack = netstack.NewLayout(&m.Meter, &m.Params, m.Alloc, cfg.FlowLayout)
 	m.Stack.Tx = nativeRouter{m}
 	m.Stack.SetQueues(m.cpus)
@@ -215,7 +216,9 @@ func NewNative(cfg NativeConfig) (*NativeMachine, error) {
 		for cpu := 0; cpu < m.cpus; cpu++ {
 			lm := &cycles.Meter{}
 			m.laneMeters = append(m.laneMeters, lm)
-			m.laneAllocs = append(m.laneAllocs, buf.NewAllocator(lm, &m.Params))
+			la := buf.NewAllocator(lm, &m.Params)
+			la.SetPool(buf.NewPool())
+			m.laneAllocs = append(m.laneAllocs, la)
 		}
 		m.Stack.SetLanes(m.laneMeters, m.laneAllocs)
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/buf"
 	"repro/internal/nic"
 )
 
@@ -87,6 +88,12 @@ type parSched struct {
 	// (pre-bound so the merge loops allocate nothing per command).
 	applyFns [][]func()
 
+	// pools are every lane's frame-buffer pool (CPU lanes, then link lanes
+	// in attach order) and spare the machine's, which holds the surplus
+	// between barriers; buf.Rebalance evens them out at each barrier.
+	pools []*buf.Pool
+	spare *buf.Pool
+
 	// useWorkers selects goroutine fan-out for the phases. On a
 	// single-CPU host goroutines cannot overlap, so lanes run inline in
 	// phase order instead — the schedule and results are identical either
@@ -101,7 +108,7 @@ type parSched struct {
 // serially would have gone straight onto its link.
 type txCapture struct {
 	nic   int
-	data  []byte
+	frame nic.Frame
 	at    uint64 // lane virtual time of the transmit
 	extra uint64 // in-round latency already accrued at capture
 }
@@ -144,6 +151,10 @@ func (p *parSched) bind(m *NativeMachine, cs *cpuSet) {
 	cs.laneMeters = m.laneMeters
 	cs.par = p
 
+	p.spare = m.Alloc.Pool()
+	for _, a := range m.laneAllocs {
+		p.pools = append(p.pools, a.Pool())
+	}
 	p.applyFns = make([][]func(), len(p.nics))
 	for ni := range p.nics {
 		p.applyFns[ni] = make([]func(), len(p.cpuLanes))
@@ -184,8 +195,15 @@ func (p *parSched) attachLink(i int, l *Link) {
 	}
 	for q := range p.cpuLanes {
 		ni, qq := i, q
-		p.applyFns[i][q] = func() { p.nics[ni].RecApply(qq) }
+		alloc := p.machine.laneAlloc(qq)
+		p.applyFns[i][q] = func() {
+			// A frame the full ring rejects dies on the applying lane.
+			if f, dropped := p.nics[ni].RecApply(qq); dropped && f.Pooled {
+				alloc.Release(f.Data)
+			}
+		}
 	}
+	p.pools = append(p.pools, l.sender.alloc.Pool())
 	if p.minDelayNs == 0 || l.DelayNs < p.minDelayNs {
 		p.minDelayNs = l.DelayNs
 	}
@@ -202,14 +220,14 @@ func (p *parSched) txHook(cpu, ni int) func(nic.Frame) {
 		if p.phaseB {
 			p.mailboxes[cpu] = append(p.mailboxes[cpu], txCapture{
 				nic:   ni,
-				data:  f.Data,
+				frame: f,
 				at:    lane.Now(),
 				extra: p.cs.inRoundLatencyOn(cpu),
 			})
 			return
 		}
 		p.nics[ni].CountTxFrame()
-		p.links[ni].DeliverReverseAt(f.Data, p.barrierNow, p.cs.inRoundLatencyOn(cpu))
+		p.links[ni].DeliverReverseAt(f, p.barrierNow, p.cs.inRoundLatencyOn(cpu))
 	}
 }
 
@@ -281,6 +299,7 @@ func (p *parSched) run(until uint64) {
 		p.syncClocks(h)
 		p.mergedRunAt(h)
 		p.global.SetNow(h)
+		buf.Rebalance(p.spare, p.pools)
 	}
 }
 
@@ -389,7 +408,7 @@ func (p *parSched) commitMailboxes() {
 	for i := range p.commits {
 		c := &p.commits[i]
 		p.nics[c.nic].CountTxFrame()
-		p.links[c.nic].DeliverReverseAt(c.data, c.at, c.extra)
+		p.links[c.nic].DeliverReverseAt(c.frame, c.at, c.extra)
 	}
 }
 

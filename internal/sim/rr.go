@@ -64,6 +64,7 @@ func RunRR(cfg RRConfig) (RRResult, error) {
 	serverIP := ipv4.Addr{10, 0, 0, 2}
 
 	client := NewSender(s, 0)
+	client.SetPool(machine.AllocRef().Pool())
 	link := NewLink(s, client, machine.NICs()[0])
 	machine.WireInterrupts(cpu.kick)
 	machine.NICs()[0].OnTransmit = nicReverse(link, cpu)

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/buf"
+	"repro/internal/checksum"
 	"repro/internal/cost"
 	"repro/internal/cycles"
 	"repro/internal/ether"
@@ -49,6 +52,11 @@ type SenderMachine struct {
 	rrIdx   int
 	rrLeft  int
 	pending [][]byte // retransmissions and pure-ACK frames awaiting the link
+
+	// Per-frame scratch for ReceiveFrame's segment view (the endpoint only
+	// ranges over both during Input).
+	fragAcks [1]uint32
+	payloads [1][]byte
 
 	paceBlocked []*senderConn // conns held back by pacing this NextFrame
 	wakeAt      uint64        // deadline of the armed pacing wake (0 = none)
@@ -133,10 +141,43 @@ func (m *SenderMachine) AddConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 // the in-order original — across aggregation, ACK offload, retransmission
 // and flow-steering migration — without buffering a reference copy.
 func PatternPayload(seq uint32, b []byte) {
-	for i := range b {
-		s := seq + uint32(i)
-		b[i] = byte((s * 2654435761) >> 24) // Knuth multiplicative mix
+	PatternPayloadSum(seq, b)
+}
+
+// PatternPayloadSum is PatternPayload that also returns checksum.Sum of
+// the bytes it wrote, accumulated in the same pass (a tcp.DataSource): the
+// sender's data frames are generated and checksummed without reading the
+// payload back. It writes the pattern eight bytes at a time — byte i is the
+// top byte of (seq+i)*2654435761, and consecutive products differ by that
+// constant — and sums the big-endian words as it stores them.
+func PatternPayloadSum(seq uint32, b []byte) uint16 {
+	k := uint32(2654435761) // Knuth multiplicative mix; products wrap mod 2^32
+	x := seq * k
+	var acc, carry uint64
+	for len(b) >= 8 {
+		w := uint64(x>>24)<<56 |
+			uint64((x+k)>>24)<<48 |
+			uint64((x+2*k)>>24)<<40 |
+			uint64((x+3*k)>>24)<<32 |
+			uint64((x+4*k)>>24)<<24 |
+			uint64((x+5*k)>>24)<<16 |
+			uint64((x+6*k)>>24)<<8 |
+			uint64((x+7*k)>>24)
+		binary.BigEndian.PutUint64(b, w)
+		acc, carry = bits.Add64(acc, w, carry)
+		x += 8 * k
+		b = b[8:]
 	}
+	// The tail keeps its position within 16-bit words (an even number of
+	// bytes precedes it), so it adds as the leading bytes of one word.
+	var w uint64
+	for i := range b {
+		b[i] = byte(x >> 24)
+		w |= uint64(b[i]) << (56 - 8*i)
+		x += k
+	}
+	acc, carry = bits.Add64(acc, w, carry)
+	return checksum.Fold64(acc, carry)
 }
 
 func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePort uint16) (*tcp.Endpoint, error) {
@@ -146,7 +187,7 @@ func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 	cfg := tcp.DefaultConfig()
 	cfg.LocalIP, cfg.RemoteIP = localIP, remoteIP
 	cfg.LocalPort, cfg.RemotePort = localPort, remotePort
-	cfg.Source = PatternPayload
+	cfg.Source = PatternPayloadSum
 	if m.NextISS != 0 {
 		cfg.ISS = m.NextISS
 		m.NextISS = 0
@@ -164,11 +205,11 @@ func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 		m.kick()
 	}
 	// Pure ACKs from the sender's receive half (it receives only ACKs in
-	// stream mode, but the RR client receives data) go out as frames.
+	// stream mode, but the RR client receives data) go out as frames: the
+	// frame buffer leaves with the link, and only the SKB is freed.
 	ep.Output = func(skb *buf.SKB) {
-		frame := make([]byte, len(skb.Head))
-		copy(frame, skb.Head)
-		m.pending = append(m.pending, frame)
+		m.pending = append(m.pending, skb.Head)
+		skb.Pooled = false
 		m.alloc.Free(skb)
 		m.kick()
 	}
@@ -323,6 +364,11 @@ func (m *SenderMachine) scheduleWake() {
 	})
 }
 
+// SetPool makes the machine's endpoints cut their frames from p: the run's
+// shared pool on a serial run, the link lane's own under the parallel
+// scheduler. Every frame NextFrame returns is then a pool buffer.
+func (m *SenderMachine) SetPool(p *buf.Pool) { m.alloc.SetPool(p) }
+
 // ReceiveFrame processes a frame arriving from the receiver (ACKs; data in
 // RR mode). Parsing happens on the sender's CPU, which is free by
 // construction.
@@ -335,16 +381,28 @@ func (m *SenderMachine) ReceiveFrame(frame []byte) {
 	if !ok {
 		return
 	}
+	m.fragAcks[0] = p.TCP.Ack
 	seg := tcp.Segment{
 		Hdr:        p.TCP,
-		FragAcks:   []uint32{p.TCP.Ack},
+		FragAcks:   m.fragAcks[:],
 		NetPackets: 1,
 	}
 	if len(p.Payload) > 0 {
-		seg.Payloads = [][]byte{p.Payload}
+		m.payloads[0] = p.Payload
+		seg.Payloads = m.payloads[:]
 	}
 	c.ep.Input(seg)
+	m.payloads[0] = nil
 	m.kick()
+}
+
+// receiveReverse is ReceiveFrame for frames off the reverse link: a pool
+// frame's life ends once the endpoint has processed it.
+func (m *SenderMachine) receiveReverse(frame []byte, pooled bool) {
+	m.ReceiveFrame(frame)
+	if pooled {
+		m.alloc.Release(frame)
+	}
 }
 
 // FireTimers fires due endpoint timers at virtual time now.

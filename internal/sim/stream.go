@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/aggregate"
+	"repro/internal/buf"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/cycles"
@@ -310,7 +311,8 @@ type StreamResult struct {
 	// ThroughputMbps is application goodput over the measured interval.
 	ThroughputMbps float64
 	// CPUUtil is receiver busy cycles / available cycles (one core
-	// serializes the receive path; see DESIGN.md §5.5).
+	// serializes the receive path; see ARCHITECTURE.md, "One core runs the
+	// receive path").
 	CPUUtil float64
 	// CyclesPerPacket is charged cycles per network frame.
 	CyclesPerPacket float64
@@ -813,6 +815,13 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 			ls = par.linkLanes[i]
 		}
 		sender := NewSender(ls, cfg.SenderQuantum)
+		// One frame pool per run, shared with the receiver; under the
+		// parallel scheduler each link lane gets its own (parsched.go).
+		if par != nil {
+			sender.SetPool(buf.NewPool())
+		} else {
+			sender.SetPool(machine.AllocRef().Pool())
+		}
 		sender.MaxPayload = cfg.MessageSize
 		if cfg.SACK || cfg.NoTimestamps {
 			sack, noTS := cfg.SACK, cfg.NoTimestamps
@@ -1010,7 +1019,7 @@ func buildMachine(cfg *StreamConfig, s *Sim, laneClocks []tcp.Clock) (Machine, e
 // the request/response latency of Table 1).
 func nicReverse(l *Link, cpu *cpuSet) func(nic.Frame) {
 	return func(f nic.Frame) {
-		l.DeliverReverseDelayed(f.Data, cpu.inRoundLatencyNs())
+		l.DeliverReverse(f, cpu.inRoundLatencyNs())
 	}
 }
 

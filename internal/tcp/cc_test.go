@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/checksum"
 	"repro/internal/tcpwire"
 )
 
@@ -204,10 +205,11 @@ func TestAckAboveSndNxtIgnored(t *testing.T) {
 
 func TestDataFrameContents(t *testing.T) {
 	env := senderEnv(t)
-	env.ep.cfg.Source = func(seq uint32, b []byte) {
+	env.ep.cfg.Source = func(seq uint32, b []byte) uint16 {
 		for i := range b {
 			b[i] = byte(seq + uint32(i))
 		}
+		return checksum.Sum(b)
 	}
 	f := env.ep.NextDataFrame(0)
 	p := mustParse(t, f)
@@ -229,10 +231,11 @@ func TestDataFrameContents(t *testing.T) {
 
 func TestRetransmitRebuildsSameSegment(t *testing.T) {
 	env := senderEnv(t)
-	env.ep.cfg.Source = func(seq uint32, b []byte) {
+	env.ep.cfg.Source = func(seq uint32, b []byte) uint16 {
 		for i := range b {
 			b[i] = byte(seq + uint32(i))
 		}
+		return checksum.Sum(b)
 	}
 	first := env.ep.NextDataFrame(0)
 	env.ep.NextDataFrame(0)

@@ -25,7 +25,6 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/ether"
 	"repro/internal/ipv4"
-	"repro/internal/packet"
 	"repro/internal/tcpwire"
 	"repro/internal/telemetry"
 )
@@ -34,9 +33,12 @@ import (
 type Clock func() uint64
 
 // DataSource fills b with the payload bytes for sequence range
-// [seq, seq+len(b)). It lets the retransmit path rebuild any segment
-// without buffering sent data; the default source writes zeros.
-type DataSource func(seq uint32, b []byte)
+// [seq, seq+len(b)) and returns their checksum.Sum, accumulated as it
+// writes, so a data frame's payload is generated and checksummed in one
+// pass (sim.PatternPayloadSum). It lets the retransmit path rebuild any
+// segment without buffering sent data; the default source writes zeros.
+// It must write every byte of b: frame buffers are recycled.
+type DataSource func(seq uint32, b []byte) uint16
 
 // Config describes one endpoint of an established connection. The
 // simulation starts connections in the established state: connection setup
@@ -145,8 +147,9 @@ type Stats struct {
 }
 
 type oooSegment struct {
-	seq  uint32
-	data []byte
+	seq    uint32
+	data   []byte
+	pooled bool // data is a frame-pool buffer, released once drained
 }
 
 // Rebind repoints the endpoint's charging and allocation context: the
@@ -195,10 +198,14 @@ type Endpoint struct {
 	Output func(*buf.SKB)
 	// AppSink, when set, receives the in-order byte stream (tests and
 	// examples); when nil payload bytes are counted but not copied out.
+	// The slice is valid only during the call: it points into a frame
+	// buffer that is recycled once the segment's SKB is freed, so a sink
+	// that keeps bytes must copy them.
 	AppSink func([]byte)
 	// OnRetransmit, when set, receives retransmitted frames as raw bytes
 	// instead of SKBs through Output (used by sender machines that feed
-	// a link directly).
+	// a link directly). The callee owns the frame, which is a buffer of the
+	// endpoint allocator's pool when it has one.
 	OnRetransmit func([]byte)
 
 	// Receive state.
@@ -283,10 +290,9 @@ func New(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, cloc
 		return nil, fmt.Errorf("tcp: bad InitialCwnd %d", cfg.InitialCwnd)
 	}
 	if cfg.Source == nil {
-		cfg.Source = func(seq uint32, b []byte) {
-			for i := range b {
-				b[i] = 0
-			}
+		cfg.Source = func(seq uint32, b []byte) uint16 {
+			clear(b)
+			return 0
 		}
 	}
 	e := &Endpoint{
@@ -573,7 +579,7 @@ func (e *Endpoint) flushAcks() {
 			uint64(len(acks)-1)*e.params.AckTemplatePerAck+
 			e.params.LockCost(e.params.TxLockOps))
 		skb := e.buildAck(acks[0])
-		skb.TemplateAcks = append([]uint32(nil), acks[1:]...)
+		skb.SetTemplateAcks(acks[1:])
 		e.stats.AckTemplatesOut++
 		e.stats.AckPacketsOut += uint64(len(acks))
 		e.output(skb)
@@ -590,26 +596,17 @@ func (e *Endpoint) flushAcks() {
 // out-of-order data queued, the ACK carries up to tcpwire.MaxSACKBlocks
 // blocks in RFC 2018 order.
 func (e *Endpoint) buildAck(ackNum uint32) *buf.SKB {
-	e.ipID++
-	spec := packet.TCPSpec{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: e.cfg.RemoteMAC,
-		SrcIP: e.cfg.LocalIP, DstIP: e.cfg.RemoteIP,
-		SrcPort: e.cfg.LocalPort, DstPort: e.cfg.RemotePort,
-		Seq: e.sndNxt, Ack: ackNum,
-		Flags:  tcpwire.FlagACK,
-		Window: e.advertisedWindow(),
-		HasTS:  e.cfg.UseTimestamps, TSVal: e.tsNow(), TSEcr: e.tsRecent,
-		IPID: e.ipID,
-	}
+	var sack []tcpwire.SACKBlock
 	if e.cfg.SACK && len(e.sackBlocks) > 0 {
 		e.pruneSACK()
 		if n := minInt(len(e.sackBlocks), tcpwire.MaxSACKBlocks); n > 0 {
-			spec.SACKBlocks = e.sackBlocks[:n]
+			sack = e.sackBlocks[:n]
 			e.stats.SACKBlocksOut += uint64(n)
 		}
 	}
-	frame := packet.MustBuild(spec)
+	frame, pooled := e.buildFrame(e.sndNxt, ackNum, tcpwire.FlagACK, 0, sack)
 	skb := e.alloc.NewAck(frame, ether.HeaderLen)
+	skb.Pooled = pooled
 	return skb
 }
 
@@ -691,8 +688,9 @@ func (e *Endpoint) queueOOO(seq uint32, runs [][]byte) {
 		if len(run) == 0 {
 			continue
 		}
-		cp := append([]byte(nil), run...)
-		e.insertOOO(oooSegment{seq: s, data: cp})
+		cp, pooled := e.alloc.FrameBuf(len(run))
+		copy(cp, run)
+		e.insertOOO(oooSegment{seq: s, data: cp, pooled: pooled})
 		e.noteSACK(s, s+uint32(len(run)))
 		s += uint32(len(run))
 	}
@@ -701,18 +699,28 @@ func (e *Endpoint) queueOOO(seq uint32, runs [][]byte) {
 // insertOOO keeps the queue sorted by sequence number, dropping exact
 // duplicates.
 func (e *Endpoint) insertOOO(seg oooSegment) {
-	for i, q := range e.ooo {
+	i := len(e.ooo)
+	for j, q := range e.ooo {
 		if seg.seq == q.seq {
+			e.releaseOOO(seg)
 			return
 		}
 		if seqLT(seg.seq, q.seq) {
-			e.ooo = append(e.ooo[:i], append([]oooSegment{seg}, e.ooo[i:]...)...)
-			e.notePeakOOO()
-			return
+			i = j
+			break
 		}
 	}
-	e.ooo = append(e.ooo, seg)
+	e.ooo = append(e.ooo, oooSegment{})
+	copy(e.ooo[i+1:], e.ooo[i:])
+	e.ooo[i] = seg
 	e.notePeakOOO()
+}
+
+// releaseOOO ends the life of a queued copy.
+func (e *Endpoint) releaseOOO(seg oooSegment) {
+	if seg.pooled {
+		e.alloc.Release(seg.data)
+	}
 }
 
 // notePeakOOO tracks the out-of-order queue's high-water mark.
@@ -729,15 +737,16 @@ func (e *Endpoint) drainOOO() {
 		if seqGT(q.seq, e.rcvNxt) {
 			return
 		}
-		e.ooo = e.ooo[1:]
-		if end := q.seq + uint32(len(q.data)); seqLEQ(end, e.rcvNxt) {
-			continue // fully duplicate
+		// Shift rather than reslice, so the queue keeps its storage.
+		e.ooo = e.ooo[:copy(e.ooo, e.ooo[1:])]
+		if end := q.seq + uint32(len(q.data)); seqGT(end, e.rcvNxt) {
+			skip := e.rcvNxt - q.seq // overlap with already-received bytes
+			run := q.data[skip:]
+			e.deliverToApp(run)
+			e.rcvNxt += uint32(len(run))
+			e.countSegmentForAck(len(run), e.rcvNxt)
 		}
-		skip := e.rcvNxt - q.seq // overlap with already-received bytes
-		run := q.data[skip:]
-		e.deliverToApp(run)
-		e.rcvNxt += uint32(len(run))
-		e.countSegmentForAck(len(run), e.rcvNxt)
+		e.releaseOOO(q)
 	}
 }
 

@@ -308,14 +308,23 @@ func (e *Endpoint) HasDataToSend() bool { return e.SendWindowAvail() > 0 || e.fi
 // NextDataFrame builds the next data frame the window permits, up to
 // maxPayload bytes (0 means one MSS), returning nil when the window is
 // closed. The frame carries the current cumulative ACK (piggybacked), so
-// any pending delayed ACK is satisfied by it.
+// any pending delayed ACK is satisfied by it. The frame is cut from the
+// endpoint allocator's pool when it has one: the caller owns it from here
+// and releases it at its end of life (see buf.Allocator.FrameBuf).
 func (e *Endpoint) NextDataFrame(maxPayload int) []byte {
+	frame, _ := e.nextDataFrame(maxPayload)
+	return frame
+}
+
+// nextDataFrame is NextDataFrame that also reports whether the frame is a
+// pool buffer.
+func (e *Endpoint) nextDataFrame(maxPayload int) ([]byte, bool) {
 	avail := e.SendWindowAvail()
 	if avail <= 0 {
 		if e.finPending() {
 			return e.buildFinFrame()
 		}
-		return nil
+		return nil, false
 	}
 	size := e.cfg.MSS
 	if maxPayload > 0 && maxPayload < size {
@@ -324,21 +333,7 @@ func (e *Endpoint) NextDataFrame(maxPayload int) []byte {
 	if size > avail {
 		size = avail
 	}
-	payload := make([]byte, size)
-	e.cfg.Source(e.sndNxt, payload)
-
-	e.ipID++
-	frame := packet.MustBuild(packet.TCPSpec{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: e.cfg.RemoteMAC,
-		SrcIP: e.cfg.LocalIP, DstIP: e.cfg.RemoteIP,
-		SrcPort: e.cfg.LocalPort, DstPort: e.cfg.RemotePort,
-		Seq: e.sndNxt, Ack: e.rcvNxt,
-		Flags:  tcpwire.FlagACK | tcpwire.FlagPSH,
-		Window: e.advertisedWindow(),
-		HasTS:  e.cfg.UseTimestamps, TSVal: e.tsNow(), TSEcr: e.tsRecent,
-		IPID:    e.ipID,
-		Payload: payload,
-	})
+	frame, pooled := e.buildFrame(e.sndNxt, e.rcvNxt, tcpwire.FlagACK|tcpwire.FlagPSH, size, nil)
 
 	if e.cfg.SACK && !e.inFastRec && e.dupAcks > 0 && e.dupAcks < 3 {
 		e.stats.LimitedTransmits++
@@ -353,23 +348,13 @@ func (e *Endpoint) NextDataFrame(maxPayload int) []byte {
 	e.delackSegs = 0
 	e.delackArm = 0
 	e.armRTO()
-	return frame
+	return frame, pooled
 }
 
 // buildFinFrame emits our FIN: an empty FIN|ACK segment consuming one
 // sequence number, tracked for retransmission like data.
-func (e *Endpoint) buildFinFrame() []byte {
-	e.ipID++
-	frame := packet.MustBuild(packet.TCPSpec{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: e.cfg.RemoteMAC,
-		SrcIP: e.cfg.LocalIP, DstIP: e.cfg.RemoteIP,
-		SrcPort: e.cfg.LocalPort, DstPort: e.cfg.RemotePort,
-		Seq: e.sndNxt, Ack: e.rcvNxt,
-		Flags:  tcpwire.FlagACK | tcpwire.FlagFIN,
-		Window: e.advertisedWindow(),
-		HasTS:  e.cfg.UseTimestamps, TSVal: e.tsNow(), TSEcr: e.tsRecent,
-		IPID: e.ipID,
-	})
+func (e *Endpoint) buildFinFrame() ([]byte, bool) {
+	frame, pooled := e.buildFrame(e.sndNxt, e.rcvNxt, tcpwire.FlagACK|tcpwire.FlagFIN, 0, nil)
 	now := e.clock()
 	e.rtx = append(e.rtx, sentSegment{seq: e.sndNxt, fin: true, sentAt: now, lastTx: now})
 	e.finSeq = e.sndNxt
@@ -381,18 +366,53 @@ func (e *Endpoint) buildFinFrame() []byte {
 	e.delackSegs = 0
 	e.delackArm = 0
 	e.armRTO()
-	return frame
+	return frame, pooled
+}
+
+// buildFrame is the endpoint's one frame builder: data, retransmission,
+// FIN and ACK frames all come through it. It takes a frame buffer from the
+// endpoint's allocator, generates payloadLen payload bytes for sequence
+// number seq in place (the fill returns their checksum sum in the same
+// pass), and serializes the headers from the connection state around them.
+// pooled reports that the buffer belongs to the allocator's pool.
+func (e *Endpoint) buildFrame(seq, ack uint32, flags uint8, payloadLen int, sack []tcpwire.SACKBlock) (frame []byte, pooled bool) {
+	e.ipID++
+	spec := packet.TCPSpec{
+		SrcMAC: e.cfg.LocalMAC, DstMAC: e.cfg.RemoteMAC,
+		SrcIP: e.cfg.LocalIP, DstIP: e.cfg.RemoteIP,
+		SrcPort: e.cfg.LocalPort, DstPort: e.cfg.RemotePort,
+		Seq: seq, Ack: ack,
+		Flags:  flags,
+		Window: e.advertisedWindow(),
+		HasTS:  e.cfg.UseTimestamps, TSVal: e.tsNow(), TSEcr: e.tsRecent,
+		IPID:       e.ipID,
+		SACKBlocks: sack,
+	}
+	hl, err := packet.HeaderLen(&spec)
+	if err != nil {
+		panic(fmt.Sprintf("tcp: frame build: %v", err))
+	}
+	frame, pooled = e.alloc.FrameBuf(hl + payloadLen)
+	var sum uint16
+	if payloadLen > 0 {
+		sum = e.cfg.Source(seq, frame[hl:])
+	}
+	if err := packet.BuildInto(frame, &spec, sum); err != nil {
+		panic(fmt.Sprintf("tcp: frame build: %v", err))
+	}
+	return frame, pooled
 }
 
 // SendDataSKB builds the next permitted data frame and wraps it in an SKB
 // for in-stack transmission (used by the request/response workload where
 // both sides live inside simulated machines).
 func (e *Endpoint) SendDataSKB(maxPayload int) bool {
-	frame := e.NextDataFrame(maxPayload)
+	frame, pooled := e.nextDataFrame(maxPayload)
 	if frame == nil {
 		return false
 	}
 	skb := e.alloc.NewData(frame, ether.HeaderLen)
+	skb.Pooled = pooled
 	e.output(skb)
 	return true
 }
@@ -410,7 +430,12 @@ func (e *Endpoint) popRtx(ackNum uint32) {
 			e.sackedBytes -= int(e.rtx[i].seqLen())
 		}
 	}
-	e.rtx = e.rtx[i:]
+	// Shift the survivors down rather than reslicing: advancing the start
+	// would strand the array's front, and append would keep growing fresh
+	// arrays as the list slides along.
+	if i > 0 {
+		e.rtx = e.rtx[:copy(e.rtx, e.rtx[i:])]
+	}
 }
 
 // retransmitOne rebuilds and resends the earliest unacknowledged segment
@@ -435,30 +460,16 @@ func (e *Endpoint) resendSegment(s *sentSegment) {
 	s.rexmit = true
 	s.lastTx = e.clock()
 	flags := tcpwire.FlagACK | tcpwire.FlagPSH
-	var payload []byte
 	if s.fin {
 		flags = tcpwire.FlagACK | tcpwire.FlagFIN
 		e.stats.FinsOut++
-	} else {
-		payload = make([]byte, s.length)
-		e.cfg.Source(s.seq, payload)
 	}
-	e.ipID++
-	frame := packet.MustBuild(packet.TCPSpec{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: e.cfg.RemoteMAC,
-		SrcIP: e.cfg.LocalIP, DstIP: e.cfg.RemoteIP,
-		SrcPort: e.cfg.LocalPort, DstPort: e.cfg.RemotePort,
-		Seq: s.seq, Ack: e.rcvNxt,
-		Flags:  flags,
-		Window: e.advertisedWindow(),
-		HasTS:  e.cfg.UseTimestamps, TSVal: e.tsNow(), TSEcr: e.tsRecent,
-		IPID:    e.ipID,
-		Payload: payload,
-	})
+	frame, pooled := e.buildFrame(s.seq, e.rcvNxt, flags, s.length, nil)
 	if e.OnRetransmit != nil {
 		e.OnRetransmit(frame)
 	} else if e.Output != nil {
 		skb := e.alloc.NewData(frame, ether.HeaderLen)
+		skb.Pooled = pooled
 		e.output(skb)
 	}
 }

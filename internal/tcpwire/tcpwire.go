@@ -213,37 +213,55 @@ func (h *Header) Put(b []byte) error {
 // exactly full at three); excess blocks are dropped, never truncated
 // mid-block. Returns nil when neither option is requested.
 func BuildOptions(hasTS bool, tsVal, tsEcr uint32, blocks []SACKBlock) []byte {
-	max := MaxSACKBlocks
-	if !hasTS {
-		max = 4 // 40-byte area fits NOP,NOP,SACK(2+8·4)
+	n := OptionsLen(hasTS, len(blocks))
+	if n == 0 {
+		return nil
 	}
-	if len(blocks) > max {
-		blocks = blocks[:max]
+	return AppendOptions(make([]byte, 0, n), hasTS, tsVal, tsEcr, blocks)
+}
+
+// sackBudget is the number of SACK blocks that fit beside the timestamp
+// option (or alone, when there is none).
+func sackBudget(hasTS bool) int {
+	if hasTS {
+		return MaxSACKBlocks
 	}
+	return 4 // 40-byte area fits NOP,NOP,SACK(2+8·4)
+}
+
+// OptionsLen returns the length of BuildOptions' layout for a timestamp
+// (when hasTS) and nblocks SACK blocks: a multiple of four, 0 for neither.
+func OptionsLen(hasTS bool, nblocks int) int {
+	nblocks = min(nblocks, sackBudget(hasTS))
 	n := 0
 	if hasTS {
 		n += 2 + TimestampOptLen
 	}
-	if len(blocks) > 0 {
-		n += 2 + 2 + 8*len(blocks)
+	if nblocks > 0 {
+		n += 2 + 2 + 8*nblocks
 	}
-	if n == 0 {
-		return nil
+	return n
+}
+
+// AppendOptions appends BuildOptions' layout to dst. Appending into a
+// zero-length slice of a frame writes the options in place.
+func AppendOptions(dst []byte, hasTS bool, tsVal, tsEcr uint32, blocks []SACKBlock) []byte {
+	if max := sackBudget(hasTS); len(blocks) > max {
+		blocks = blocks[:max]
 	}
-	b := make([]byte, 0, n)
 	if hasTS {
-		b = append(b, OptNOP, OptNOP, OptTimestamps, TimestampOptLen)
-		b = binary.BigEndian.AppendUint32(b, tsVal)
-		b = binary.BigEndian.AppendUint32(b, tsEcr)
+		dst = append(dst, OptNOP, OptNOP, OptTimestamps, TimestampOptLen)
+		dst = binary.BigEndian.AppendUint32(dst, tsVal)
+		dst = binary.BigEndian.AppendUint32(dst, tsEcr)
 	}
 	if len(blocks) > 0 {
-		b = append(b, OptNOP, OptNOP, OptSACK, byte(2+8*len(blocks)))
+		dst = append(dst, OptNOP, OptNOP, OptSACK, byte(2+8*len(blocks)))
 		for _, blk := range blocks {
-			b = binary.BigEndian.AppendUint32(b, blk.Start)
-			b = binary.BigEndian.AppendUint32(b, blk.End)
+			dst = binary.BigEndian.AppendUint32(dst, blk.Start)
+			dst = binary.BigEndian.AppendUint32(dst, blk.End)
 		}
 	}
-	return b
+	return dst
 }
 
 // SetChecksum computes and inserts the transport checksum for the serialized

@@ -233,6 +233,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg, queues: cfg.Queues, vcpus: cfg.GuestVCPUs, Params: cfg.Params, curCPU: -1}
 	m.Alloc = buf.NewAllocator(&m.Meter, &m.Params)
+	m.Alloc.SetPool(buf.NewPool())
 	m.GuestStack = netstack.NewLayout(&m.Meter, &m.Params, m.Alloc, cfg.FlowLayout)
 	m.GuestStack.Tx = txChain{m}
 	m.GuestStack.SetQueues(m.vcpus)
@@ -663,15 +664,17 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 
 // grantCopy copies the packet into guest memory, charging the batched
 // hypercall's fixed cost once and per-byte cost per fragment run (each run
-// is a fresh stream for the prefetcher).
+// is a fresh stream for the prefetcher). The guest buffers come from the
+// machine's frame pool and are released when the guest frees the SKB.
 func (m *Machine) grantCopy(skb *buf.SKB) *buf.SKB {
 	m.stats.GrantCopies++
-	head := make([]byte, len(skb.Head))
+	head, pooled := m.Alloc.FrameBuf(len(skb.Head))
 	copy(head, skb.Head)
 	m.Meter.Charge(cycles.Xen, m.Params.GrantCopyFixed)
 	m.Meter.Charge(cycles.PerByte, m.Params.Mem.CopyCost(len(skb.Head)))
 
 	g := m.Alloc.NewData(head, skb.L3Offset)
+	g.Pooled = pooled
 	g.CsumVerified = skb.CsumVerified
 	g.RSSHash = skb.RSSHash
 	g.Aggregated = skb.Aggregated
@@ -681,10 +684,14 @@ func (m *Machine) grantCopy(skb *buf.SKB) *buf.SKB {
 		skb.SentNs, skb.ArriveNs, skb.DequeueNs, skb.AggCloseNs
 	for i := range skb.Frags {
 		f := skb.Frags[i]
-		data := make([]byte, len(f.Data))
+		data, pooled := m.Alloc.FrameBuf(len(f.Data))
 		copy(data, f.Data)
 		m.Meter.Charge(cycles.PerByte, m.Params.Mem.CopyCost(len(f.Data)))
-		m.Alloc.AttachFrag(g, buf.Frag{Data: data, Ack: f.Ack, TSVal: f.TSVal})
+		frag := buf.Frag{Data: data, Ack: f.Ack, TSVal: f.TSVal}
+		if pooled {
+			frag.Buf = data
+		}
+		m.Alloc.AttachFrag(g, frag)
 	}
 	return g
 }

@@ -11,8 +11,9 @@
 // prefetching (the paper's §2 architectural argument).
 //
 // This facade exposes the experiment runners that regenerate every table
-// and figure of the paper's evaluation; see EXPERIMENTS.md for the
-// paper-vs-measured record and DESIGN.md for the substitution rationale.
+// and figure of the paper's evaluation; see the baseline table in
+// bench/rxperf/README.md for the measured record and ARCHITECTURE.md,
+// "Model substitutions", for the substitution rationale.
 //
 // Quick start:
 //
