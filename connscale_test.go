@@ -3,7 +3,10 @@ package repro
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/netstack"
 )
 
 // layoutEquivalent runs cfg under both shard layouts and requires every
@@ -178,5 +181,44 @@ func TestConnScaleDemuxFlat(t *testing.T) {
 	}
 	if ts.LoadMax > 0.76 {
 		t.Errorf("a shard reports load %.2f, over the 3/4 growth threshold", ts.LoadMax)
+	}
+}
+
+// TestConnScaleSeedingPinned pins a 200k-endpoint connscale point to the
+// exact values the per-key registration loop produced before the idle
+// population was seeded in one shard-ordered batch. Batch seeding changes
+// only the simulator's host work: throughput, cycles, the demux charge,
+// the table's structure summary and the memory budget's peak must all
+// reproduce bit for bit.
+func TestConnScaleSeedingPinned(t *testing.T) {
+	res := shortStream(t, connScaleConfig(LayoutOpenAddressed, 200_000))
+	if res.ThroughputMbps != 3458.996266666667 {
+		t.Errorf("throughput %v Mb/s, want 3458.996266666667", res.ThroughputMbps)
+	}
+	if res.CyclesPerPacket != 10230.22265625 {
+		t.Errorf("cycles/packet %v, want 10230.22265625", res.CyclesPerPacket)
+	}
+	if res.DemuxCycles != 2488225 {
+		t.Errorf("demux cycles %d, want 2488225", res.DemuxCycles)
+	}
+	if res.Mem.PeakBytes != 426377216 {
+		t.Errorf("peak budget %d bytes, want 426377216", res.Mem.PeakBytes)
+	}
+	want := netstack.TableStats{
+		Layout:      LayoutOpenAddressed,
+		Entries:     200_000,
+		Slots:       524288,
+		Bytes:       16777216,
+		DemuxCycles: 86620783,
+		LoadMin:     0.381103515625,
+		LoadP50:     0.38134765625,
+		LoadMax:     0.382080078125,
+		ProbeMin:    1,
+		ProbeP50:    1,
+		ProbeMax:    9,
+		ProbeHist:   []uint64{150725, 39218, 8122, 1556, 301, 62, 14, 1, 1},
+	}
+	if !reflect.DeepEqual(res.Demux, want) {
+		t.Errorf("table summary drifted:\n got %+v\nwant %+v", res.Demux, want)
 	}
 }

@@ -370,34 +370,47 @@ func (s *flowShard) openLookup(h uint32, k FlowKey) (*tcp.Endpoint, int) {
 	}
 }
 
-// openNeedsGrow reports whether one more insert would push the shard
-// past 3/4 load (or it has no slots yet).
-func (s *flowShard) openNeedsGrow() bool {
-	return len(s.slots) == 0 || (s.used+1)*4 > len(s.slots)*3
+// openSlotsFor is the growth rule: the slot count a shard of slots slots
+// holding used entries must have before its next insert. It is slots
+// itself below 3/4 load, else the doubled count (flowShardMinSlots for a
+// shard's first insert).
+func openSlotsFor(slots, used int) int {
+	switch {
+	case slots == 0:
+		return flowShardMinSlots
+	case (used+1)*4 > slots*3:
+		return 2 * slots
+	}
+	return slots
 }
 
-// openGrow doubles the slot array (or allocates the first one) and
-// rehashes every resident entry, returning the old and new slot counts
-// for footprint accounting and growth pricing.
-func (s *flowShard) openGrow() (oldSlots, newSlots int) {
+// openGrow resizes the slot array to n slots and rehashes every resident
+// entry in old-slot order. An array with spare capacity (InsertBatch
+// reserves it, zeroed) grows in place: the old entries are staged in
+// scratch, which is returned for reuse. Otherwise a fresh array is
+// allocated and scratch is returned untouched.
+func (s *flowShard) openGrow(n int, scratch []flowSlot) []flowSlot {
 	old := s.slots
-	n := 2 * len(old)
-	if n == 0 {
-		n = flowShardMinSlots
+	if cap(old) >= n {
+		scratch = append(scratch[:0], old...)
+		clear(old)
+		old = scratch
+		s.slots = s.slots[:n]
+	} else {
+		s.slots = make([]flowSlot, n)
 	}
-	s.slots = make([]flowSlot, n)
 	s.used = 0
 	for i := range old {
 		if old[i].dist != 0 {
 			s.openPut(old[i].hash, old[i].key, old[i].ep)
 		}
 	}
-	return len(old), n
+	return scratch
 }
 
 // openPut inserts a key known to be absent, robin-hood displacing richer
 // residents, and returns the number of slots visited. The caller must
-// have ensured capacity (openNeedsGrow), so an empty slot is guaranteed
+// have ensured capacity (openSlotsFor), so an empty slot is guaranteed
 // within the probe run.
 func (s *flowShard) openPut(h uint32, k FlowKey, ep *tcp.Endpoint) int {
 	mask := uint32(len(s.slots) - 1)
@@ -480,20 +493,160 @@ func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 		s.conns[k] = ep
 		t.bytes += flowMapEntryBytes
 		t.charge(cycles.NonProto, flowMapDemuxLines)
-	} else {
-		if ep0, _ := s.openLookup(h, k); ep0 != nil {
-			return t.dupErr(k)
-		}
-		if s.openNeedsGrow() {
-			oldSlots, newSlots := s.openGrow()
-			t.bytes += uint64(newSlots-oldSlots) * FlowSlotBytes
-			t.chargeGrow(oldSlots, newSlots)
-		}
-		probes := s.openPut(h, k, ep)
-		t.charge(cycles.NonProto, openProbeLines(probes))
+		s.stats.Endpoints++
+		t.count++
+		return nil
 	}
+	if ep0, _ := s.openLookup(h, k); ep0 != nil {
+		return t.dupErr(k)
+	}
+	slots, used := len(s.slots), s.used
+	if n := openSlotsFor(slots, used); n != slots {
+		s.openGrow(n, nil)
+	}
+	t.priceOpenInsert(s, slots, used, s.openPut(h, k, ep))
+	return nil
+}
+
+// priceOpenInsert is the one pricing rule of an open-layout insert into
+// shard s, which held used entries in slots slots before it and whose
+// openPut visited probes slots: the growth decision on the modelled slot
+// count, the footprint and growth-rehash charge, the probe-run charge and
+// the endpoint counters, in that order. It returns the shard's slot count
+// after the insert. Insert applies it after each physical insert;
+// InsertBatch replays it in index order.
+func (t *FlowTable) priceOpenInsert(s *flowShard, slots, used, probes int) int {
+	if n := openSlotsFor(slots, used); n != slots {
+		t.bytes += uint64(n-slots) * FlowSlotBytes
+		t.chargeGrow(slots, n)
+		slots = n
+	}
+	t.charge(cycles.NonProto, openProbeLines(probes))
 	s.stats.Endpoints++
 	t.count++
+	return slots
+}
+
+// InsertBatch registers ep under key(0), …, key(n-1) and leaves the table
+// exactly as n calls to Insert in index order would: the same slots in
+// every shard, the same footprint, counters and demux cycles, and every
+// meter charge with the same value in the same order. On a duplicate it
+// stops where that loop would, with the keys before it registered and the
+// same error.
+//
+// The open layout builds the table shard by shard, so bulk population
+// works on one cache-resident shard at a time instead of scattering
+// consecutive inserts over the whole table:
+//
+//  1. Group: hash the keys and counting-sort their indices by shard, then
+//     reserve each touched shard's final slot array, the exact size its
+//     growth sequence ends at.
+//  2. Insert: fill each shard with its keys in index order. Growth doubles
+//     inside the reservation and rehashes in old-slot order, like Insert's
+//     growth, so every slot lands where Insert would put it; each key's
+//     probe count is recorded. Nothing is committed until every shard is
+//     built, so on a duplicate the batch discards its work and reruns
+//     over the keys before it.
+//  3. Replay: in index order, apply priceOpenInsert with the recorded
+//     probe counts and the modelled per-shard slot counts.
+//
+// The seed-map layout keeps the per-key Insert loop.
+func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
+	if t.layout == LayoutSeedMap {
+		for i := 0; i < n; i++ {
+			if err := t.Insert(key(i), ep); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if n <= 0 {
+		return nil
+	}
+
+	// Pass 1: group by shard. Shard si's keys occupy grouped[start[si]:
+	// start[si+1]] in ascending index order.
+	nShards := len(t.shards)
+	hashes := make([]uint32, n)
+	start := make([]int, nShards+1)
+	for i := range hashes {
+		hashes[i] = hashOf(key(i))
+		start[rss.ShardOf(hashes[i], nShards)+1]++
+	}
+	for si := 0; si < nShards; si++ {
+		start[si+1] += start[si]
+	}
+	type batchKey struct {
+		i    int32
+		hash uint32
+	}
+	grouped := make([]batchKey, n)
+	next := append([]int(nil), start[:nShards]...)
+	for i, h := range hashes {
+		si := rss.ShardOf(h, nShards)
+		grouped[next[si]] = batchKey{int32(i), h}
+		next[si]++
+	}
+
+	// Pass 2: build each touched shard in its reserved array, recording
+	// probe counts in grouped order. model keeps every shard's pre-batch
+	// slot count and occupancy for the replay.
+	model := make([]struct{ slots, used int }, nShards)
+	built := make([]flowShard, nShards)
+	probes := make([]uint32, n)
+	var scratch []flowSlot
+	firstDup := n
+	for si := range t.shards {
+		s, w := &t.shards[si], &built[si]
+		model[si].slots, model[si].used = len(s.slots), s.used
+		if start[si] == start[si+1] {
+			continue
+		}
+		final := len(s.slots)
+		for u := s.used; u < s.used+start[si+1]-start[si]; u++ {
+			final = openSlotsFor(final, u)
+		}
+		w.slots = make([]flowSlot, len(s.slots), final)
+		copy(w.slots, s.slots)
+		w.used = s.used
+		for pos := start[si]; pos < start[si+1]; pos++ {
+			bk := grouped[pos]
+			if int(bk.i) >= firstDup {
+				break
+			}
+			k := key(int(bk.i))
+			if ep0, _ := w.openLookup(bk.hash, k); ep0 != nil {
+				firstDup = int(bk.i)
+				break
+			}
+			if g := openSlotsFor(len(w.slots), w.used); g != len(w.slots) {
+				scratch = w.openGrow(g, scratch)
+			}
+			probes[pos] = uint32(w.openPut(bk.hash, k, ep))
+		}
+	}
+	if firstDup < n {
+		if err := t.InsertBatch(firstDup, key, ep); err != nil {
+			return err
+		}
+		return t.dupErr(key(firstDup))
+	}
+	for si := range t.shards {
+		if start[si] < start[si+1] {
+			t.shards[si].slots, t.shards[si].used = built[si].slots, built[si].used
+		}
+	}
+
+	// Pass 3: replay the accounting in index order. Each shard's probe
+	// counts are consumed in the order they were recorded.
+	copy(next, start[:nShards])
+	for _, h := range hashes {
+		si := rss.ShardOf(h, nShards)
+		m := &model[si]
+		m.slots = t.priceOpenInsert(&t.shards[si], m.slots, m.used, int(probes[next[si]]))
+		m.used++
+		next[si]++
+	}
 	return nil
 }
 
@@ -693,8 +846,8 @@ func (t *FlowTable) TableStats() TableStats {
 		return ts
 	}
 	var loads []float64
-	var probes []int
 	var hist []uint64
+	var entries uint64
 	for i := range t.shards {
 		s := &t.shards[i]
 		if len(s.slots) == 0 {
@@ -704,11 +857,11 @@ func (t *FlowTable) TableStats() TableStats {
 		loads = append(loads, float64(s.used)/float64(len(s.slots)))
 		for j := range s.slots {
 			if d := int(s.slots[j].dist); d > 0 {
-				probes = append(probes, d)
 				for len(hist) < d {
 					hist = append(hist, 0)
 				}
 				hist[d-1]++
+				entries++
 			}
 		}
 	}
@@ -716,10 +869,24 @@ func (t *FlowTable) TableStats() TableStats {
 		sort.Float64s(loads)
 		ts.LoadMin, ts.LoadP50, ts.LoadMax = loads[0], loads[len(loads)/2], loads[len(loads)-1]
 	}
-	if len(probes) > 0 {
-		sort.Ints(probes)
-		ts.ProbeMin, ts.ProbeP50, ts.ProbeMax = probes[0], probes[len(probes)/2], probes[len(probes)-1]
-		ts.ProbeHist = hist
+	if entries == 0 {
+		return ts
+	}
+	// The probe summary reads off the histogram: the shortest and longest
+	// populated lengths, and the median as the length holding the
+	// (entries/2)-th entry (0-based) in ascending order.
+	ts.ProbeHist = hist
+	ts.ProbeMax = len(hist)
+	var below uint64
+	for i, c := range hist {
+		if c > 0 && ts.ProbeMin == 0 {
+			ts.ProbeMin = i + 1
+		}
+		below += c
+		if below > entries/2 {
+			ts.ProbeP50 = i + 1
+			break
+		}
 	}
 	return ts
 }

@@ -152,6 +152,10 @@ type Stack struct {
 	// them (so callers release peer-side state through one path).
 	memPeak   uint64
 	twEvicted []FlowKey
+
+	// output is s.Output bound once: every registration assigns it, so
+	// registering does not allocate a method value per endpoint.
+	output func(*buf.SKB)
 }
 
 // New creates an empty stack charging m under p, with the default shard
@@ -191,7 +195,9 @@ func NewShardedLayout(m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, sha
 	t.SetPricing(m, p)
 	// The TIME_WAIT table shares the flow table's sharding, so a flow's
 	// lingering entry lives on the same softirq CPU as its demux entry.
-	return &Stack{meter: m, params: p, alloc: alloc, table: t, tw: newTimeWaitTable(t.Shards())}, nil
+	s := &Stack{meter: m, params: p, alloc: alloc, table: t, tw: newTimeWaitTable(t.Shards())}
+	s.output = s.Output
+	return s, nil
 }
 
 // Stats returns a copy of the stack counters: the base counts plus the
@@ -266,9 +272,24 @@ func (s *Stack) Register(ep *tcp.Endpoint, remoteIP, localIP ipv4.Addr, remotePo
 	if err := s.table.Insert(k, ep); err != nil {
 		return err
 	}
-	ep.Output = s.Output
+	ep.Output = s.output
 	s.noteMem()
 	return nil
+}
+
+// RegisterBatch binds ep under key(0), …, key(n-1) through
+// FlowTable.InsertBatch, with exactly the effect of n Register calls in
+// index order (on a duplicate, of the calls up to it). The memory budget's
+// high-water mark is sampled once, after the batch: registration only
+// grows the footprint, so its last value is its peak.
+func (s *Stack) RegisterBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
+	before := s.table.Len()
+	err := s.table.InsertBatch(n, key, ep)
+	if s.table.Len() > before {
+		ep.Output = s.output
+		s.noteMem()
+	}
+	return err
 }
 
 // Unregister removes the endpoint bound to the given key, reporting

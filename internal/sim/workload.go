@@ -129,7 +129,10 @@ func (g *flowGen) recycle(rec flowRecord) {
 // and footprint matter, and a million per-key endpoints would add nothing
 // but allocation noise. Idle flows are registered directly on the
 // netstack, bypassing the machine's endpoint list, so the per-sweep
-// timer scan stays proportional to the active population.
+// timer scan stays proportional to the active population. The population
+// registers as one batch (Stack.RegisterBatch), which builds the demux
+// table shard by shard with exactly the effect of registering the keys
+// one at a time in index order.
 func (g *flowGen) seedIdleFlows(n int) error {
 	m := g.top.machine
 	rcfg := tcp.DefaultConfig()
@@ -139,16 +142,18 @@ func (g *flowGen) seedIdleFlows(n int) error {
 	if err != nil {
 		return err
 	}
-	ns := m.Netstack()
-	localIP := ipv4.Addr{172, 16, 0, 2}
-	for i := 0; i < n; i++ {
+	key := func(i int) netstack.FlowKey {
 		// 60k ports per remote address, then advance the address.
 		ipIdx := i / 60000
-		remoteIP := ipv4.Addr{172, byte(16 + ipIdx/256), byte(ipIdx % 256), 1}
-		remotePort := uint16(1024 + i%60000)
-		if err := ns.Register(dummy, remoteIP, localIP, remotePort, 8080); err != nil {
-			return fmt.Errorf("sim: seeding idle flow %d: %w", i, err)
+		return netstack.FlowKey{
+			Src:     ipv4.Addr{172, byte(16 + ipIdx/256), byte(ipIdx % 256), 1},
+			Dst:     ipv4.Addr{172, 16, 0, 2},
+			SrcPort: uint16(1024 + i%60000),
+			DstPort: 8080,
 		}
+	}
+	if err := m.Netstack().RegisterBatch(n, key, dummy); err != nil {
+		return fmt.Errorf("sim: seeding idle flows: %w", err)
 	}
 	return nil
 }
