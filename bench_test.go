@@ -504,39 +504,32 @@ func BenchmarkAblation_AggLimitOne(b *testing.B) {
 }
 
 // BenchmarkHarness_WallClock measures the simulator harness itself —
-// real wall-clock ns/op and allocs/op for one fixed experiment, serial
-// versus the parallel intra-run scheduler at 1, 2 and 4 queues. This is
-// the one benchmark in the file where ns/op IS the interesting number:
-// it tracks the tentpole's speedup and the hot-path allocation budget.
-// The workload is the 4-queue connection-scale sweep point (8 links so
-// the wire ceiling sits above the CPUs; 100k registered flows).
+// real wall-clock ns/op and allocs/op for one fixed experiment at 1, 2
+// and 4 queues. This is the one benchmark in the file where ns/op IS the
+// interesting number: it tracks the event loop's speed and the hot-path
+// allocation budget. The workload is the 4-queue connection-scale sweep
+// point (8 links so the wire ceiling sits above the CPUs; 100k registered
+// flows).
 func BenchmarkHarness_WallClock(b *testing.B) {
-	for _, par := range []bool{false, true} {
-		mode := "serial"
-		if par {
-			mode = "parallel"
-		}
-		for _, q := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/q%d", mode, q), func(b *testing.B) {
-				cfg := DefaultStreamConfig(SystemNativeSMP, OptFull)
-				cfg.NICs = 8
-				cfg.Queues = q
-				cfg.Connections = 64
-				cfg.RegisteredFlows = 100_000
-				cfg.ParallelScheduler = par
-				cfg.DurationNs = 50_000_000
-				cfg.WarmupNs = 25_000_000
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := RunStream(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						b.ReportMetric(res.ThroughputMbps, "Mb/s")
-					}
+	for _, q := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("serial/q%d", q), func(b *testing.B) {
+			cfg := DefaultStreamConfig(SystemNativeSMP, OptFull)
+			cfg.NICs = 8
+			cfg.Queues = q
+			cfg.Connections = 64
+			cfg.RegisteredFlows = 100_000
+			cfg.DurationNs = 50_000_000
+			cfg.WarmupNs = 25_000_000
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := RunStream(cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if i == 0 {
+					b.ReportMetric(res.ThroughputMbps, "Mb/s")
+				}
+			}
+		})
 	}
 }

@@ -59,8 +59,6 @@ var (
 		"emit machine-readable JSON run records on stdout (tables move to stderr)")
 	parallel = flag.Int("parallel", 1,
 		"worker goroutines for independent sweep points (rss, restartstorm, connscale); output order is deterministic")
-	parSched = flag.Bool("parsched", false,
-		"run each stream on the intra-run parallel scheduler (bit-identical results; Xen and steering configs fall back to serial)")
 	cpuProfile = flag.String("cpuprofile", "",
 		"write a CPU profile of the whole invocation to this file")
 	memProfile = flag.String("memprofile", "",
@@ -271,7 +269,6 @@ func writeMemProfile() {
 func stream(cfg repro.StreamConfig) repro.StreamResult {
 	cfg.DurationNs = uint64(duration.Nanoseconds())
 	cfg.WarmupNs = uint64(warmup.Nanoseconds())
-	cfg.ParallelScheduler = *parSched
 	if *traceOut != "" {
 		cfg.Telemetry.Latency, cfg.Telemetry.Spans = true, true
 		cfg.Telemetry.SpanSink = func(s []repro.Span) { traceSpans = s }
@@ -295,7 +292,6 @@ func streamMany(cfgs []repro.StreamConfig) ([]repro.StreamResult, []error) {
 	for i := range cfgs {
 		cfgs[i].DurationNs = uint64(duration.Nanoseconds())
 		cfgs[i].WarmupNs = uint64(warmup.Nanoseconds())
-		cfgs[i].ParallelScheduler = *parSched
 	}
 	// With -trace every point records spans into its own slot (workers
 	// never share one), and the final point's timeline wins.

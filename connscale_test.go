@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -52,48 +51,24 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestFlowLayoutGoldenEquivalence sweeps the PR 1-5 configuration
-// shapes — the golden systems, multi-queue skewed churn, reordering with
-// a resequencing window, and the restart storm with SYN-time reuse —
-// under both layouts. The map baseline is the seed-era structure, so
-// equality here proves every prior PR's behavior reproduces with the
-// open-addressed layout on (TestN1EquivalenceGolden separately pins the
-// absolute numbers).
+// TestFlowLayoutGoldenEquivalence runs every golden shape under both
+// layouts. The map baseline is the seed-era structure, so equality here
+// proves every shape reproduces with the open-addressed layout on
+// (TestGoldenShapes separately pins the absolute results). The connscale
+// shapes set their layout themselves (one of them to the default, so the
+// config cannot tell) and are recognized by their registered population:
+// above cache scale the two layouts price demux differently by design.
 func TestFlowLayoutGoldenEquivalence(t *testing.T) {
-	for _, g := range []struct {
-		sys SystemKind
-		opt OptLevel
-	}{
-		{SystemNativeUP, OptNone},
-		{SystemNativeUP, OptFull},
-		{SystemXen, OptFull},
-	} {
-		cfg := DefaultStreamConfig(g.sys, g.opt)
-		layoutEquivalent(t, fmt.Sprintf("golden %v/%v", g.sys, g.opt), cfg)
+	for name, cfg := range goldenShapes() {
+		if cfg.RegisteredFlows != 0 {
+			continue
+		}
+		cfg := cfg
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			layoutEquivalent(t, name, cfg)
+		})
 	}
-
-	churn := DefaultStreamConfig(SystemNativeUP, OptFull)
-	churn.Connections = 400
-	churn.Queues = 4
-	churn.FlowSkew = 1.1
-	churn.ChurnIntervalNs = 2_000_000
-	layoutEquivalent(t, "many-flow churn", churn)
-
-	reorder := DefaultStreamConfig(SystemNativeUP, OptFull)
-	reorder.NICs = 4
-	reorder.Connections = 64
-	reorder.Queues = 4
-	reorder.Reorder = ReorderConfig{OneIn: 50, Distance: 1}
-	reorder.ReorderWindow = 8
-	layoutEquivalent(t, "reorder window", reorder)
-
-	storm := DefaultStreamConfig(SystemNativeUP, OptFull)
-	storm.NICs = 4
-	storm.Connections = 80
-	storm.Queues = 2
-	storm.TimeWaitReuse = true
-	storm.RestartStorm = RestartStormConfig{AtNs: 20_000_000, Fraction: 0.5, PrefillTimeWait: 1000}
-	layoutEquivalent(t, "restart storm", storm)
 }
 
 // connScaleConfig is the connscale sweep point: a small active subset

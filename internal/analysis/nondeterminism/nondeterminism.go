@@ -1,6 +1,6 @@
 // Package nondeterminism implements the simlint analyzer enforcing the
 // repository's core replay invariant: a simulator run is a pure function
-// of its StreamConfig. Three classes of construct break that silently and
+// of its StreamConfig. Four classes of construct break that silently and
 // are forbidden in the deterministic package set:
 //
 //   - wall-clock reads and real timers (time.Now, time.Since, time.Sleep,
@@ -13,7 +13,12 @@
 //     events, charges cycles/memory accounting, emits telemetry, appends
 //     to an output slice, or writes state where the last writer wins. Go
 //     randomizes map iteration order per process, so any such loop makes
-//     two runs of the same config diverge — the classic Go replay-breaker.
+//     two runs of the same config diverge — the classic Go replay-breaker;
+//   - goroutines: a go statement, or an import of package sync (whose
+//     only purpose is coordinating goroutines). A run executes on one
+//     serial event loop; host threads would make the interleaving of
+//     simulated effects depend on the Go scheduler. Independent runs
+//     execute in parallel from outside the simulator (rxbench -parallel).
 //
 // Order-insensitive map-loop bodies are recognized and allowed: integer
 // accumulation (n += len(v) and friends — commutative on integers, unlike
@@ -41,7 +46,7 @@ import (
 // Analyzer is the nondeterminism analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "nondeterminism",
-	Doc: "forbid wall-clock reads, global math/rand, and order-sensitive map iteration in simulator packages\n\n" +
+	Doc: "forbid wall-clock reads, global math/rand, order-sensitive map iteration and goroutines in simulator packages\n\n" +
 		"The simulator's replay invariant requires every run to be a pure function of its StreamConfig.",
 	Run: run,
 }
@@ -66,11 +71,22 @@ func run(pass *framework.Pass) (interface{}, error) {
 		return nil, nil
 	}
 	for _, file := range pass.Files {
-		// Wall-clock and global-rand calls are forbidden anywhere in the
-		// file, including package-level variable initializers.
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"sync"` {
+				pass.Reportf(imp.Pos(),
+					"package sync coordinates goroutines; a simulator run executes on one serial event loop, so its packages share no state across threads [nondeterminism]")
+			}
+		}
+		// Wall-clock and global-rand calls and go statements are
+		// forbidden anywhere in the file, including package-level
+		// variable initializers.
 		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				checkCall(pass, call)
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				checkCall(pass, x)
+			case *ast.GoStmt:
+				pass.Reportf(x.Pos(),
+					"go statement spawns a goroutine; a simulator run executes on one serial event loop so its schedule cannot depend on the Go scheduler (run independent configs in parallel from outside, like rxbench -parallel) [nondeterminism]")
 			}
 			return true
 		})

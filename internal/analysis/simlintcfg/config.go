@@ -79,9 +79,8 @@ const TelemetryPackage = "internal/telemetry"
 // events. Calling one from telemetry code, or from inside an unordered map
 // iteration, breaks replay determinism.
 var SchedulerFuncNames = map[string]bool{
-	"Schedule":      true,
-	"ScheduleKeyed": true,
-	"After":         true,
+	"Schedule": true,
+	"After":    true,
 }
 
 // PricedTypes names structures whose touches are priced through

@@ -21,26 +21,17 @@ const poisonByte = 0xdb
 // free, link loss, a ring-full or queue-full drop, or the sender consuming
 // a returned frame (ARCHITECTURE.md, "Frame buffer lifetime").
 //
-// A Pool is a plain LIFO slice per size class with no locking: a serial
-// run shares one between its senders and the receiver, and the parallel
-// scheduler gives each event lane its own and rebalances them at the epoch
-// barrier, when no lane runs (Rebalance). It grows lazily, one buffer per
-// miss, and never shrinks or pre-sizes. sync.Pool is deliberately not used: its GC-driven
-// eviction would make the run's allocation count depend on GC timing.
+// A Pool is a plain LIFO slice per size class with no locking: a run
+// shares one between its senders and the receiver. It grows lazily, one
+// buffer per miss, and never shrinks or pre-sizes. sync.Pool is
+// deliberately not used: its GC-driven eviction would make the run's
+// allocation count depend on GC timing.
 //
 // A nil *Pool is valid and allocates every buffer fresh (Put is a no-op),
 // which is what unpooled allocators and hand-built test frames get.
 type Pool struct {
-	classes [2]freeList // SmallBufCap, FrameBufCap
+	classes [2][][]byte // free buffers: SmallBufCap, FrameBufCap
 	misses  uint64
-}
-
-// freeList is one size class of a Pool.
-type freeList struct {
-	free [][]byte
-	// window counts Gets since the last Rebalance; demand is the largest
-	// window seen, the stock a lane keeps across a barrier.
-	window, demand int
 }
 
 // NewPool returns an empty pool.
@@ -58,15 +49,14 @@ func (p *Pool) Get(n int) []byte {
 	if n <= SmallBufCap {
 		cls, capacity = &p.classes[0], SmallBufCap
 	}
-	cls.window++
-	k := len(cls.free)
+	k := len(*cls)
 	if k == 0 {
 		p.misses++
 		return make([]byte, n, capacity)
 	}
-	b := cls.free[k-1]
-	cls.free[k-1] = nil
-	cls.free = cls.free[:k-1]
+	b := (*cls)[k-1]
+	(*cls)[k-1] = nil
+	*cls = (*cls)[:k-1]
 	if poisonReleased {
 		if !poisoned(b) {
 			panic("buf: a released frame buffer was written after its release")
@@ -85,7 +75,7 @@ func (p *Pool) Put(b []byte) {
 	if p == nil {
 		return
 	}
-	var cls *freeList
+	var cls *[][]byte
 	switch cap(b) {
 	case SmallBufCap:
 		cls = &p.classes[0]
@@ -103,7 +93,7 @@ func (p *Pool) Put(b []byte) {
 			b[i] = poisonByte
 		}
 	}
-	cls.free = append(cls.free, b)
+	*cls = append(*cls, b)
 }
 
 // poisoned reports whether every byte of b is the poison byte. A live
@@ -124,42 +114,4 @@ func poisoned(b []byte) bool {
 func (p *Pool) Misses() uint64 { return p.misses }
 
 // Len returns the number of free buffers held.
-func (p *Pool) Len() int { return len(p.classes[0].free) + len(p.classes[1].free) }
-
-// Rebalance moves free buffers between per-lane pools at a parallel
-// scheduler's epoch barrier, where no lane runs. Buffers drift one way per
-// lane — data frames are cut on link lanes and released on CPU lanes, ACKs
-// the reverse — so each lane first hands everything beyond its demand (the
-// most Gets it has served between two barriers) to spare, and then every
-// lane short of its demand refills from spare. A lane therefore misses only
-// when it serves more Gets in one window than in any window before, and the
-// population stays bounded. The order is fixed, so the allocation count is
-// as deterministic as the schedule.
-func Rebalance(spare *Pool, lanes []*Pool) {
-	for c := range spare.classes {
-		sp := &spare.classes[c]
-		for _, p := range lanes {
-			l := &p.classes[c]
-			if l.window > l.demand {
-				l.demand = l.window
-			}
-			l.window = 0
-			if len(l.free) > l.demand {
-				sp.free = append(sp.free, l.free[l.demand:]...)
-				clear(l.free[l.demand:])
-				l.free = l.free[:l.demand]
-			}
-		}
-		for _, p := range lanes {
-			l := &p.classes[c]
-			need := l.demand - len(l.free)
-			if need <= 0 {
-				continue
-			}
-			k := max(len(sp.free)-need, 0)
-			l.free = append(l.free, sp.free[k:]...)
-			clear(sp.free[k:])
-			sp.free = sp.free[:k]
-		}
-	}
-}
+func (p *Pool) Len() int { return len(p.classes[0]) + len(p.classes[1]) }

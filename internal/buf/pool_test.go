@@ -117,42 +117,3 @@ func TestTemplateAcksCapacityRecycled(t *testing.T) {
 		t.Errorf("TemplateAcks = %v", s.TemplateAcks)
 	}
 }
-
-// TestRebalanceBoundsMisses drives two lanes the way the parallel
-// scheduler does — one cuts every frame, the other releases them — with a
-// barrier after each window. The population must stop growing once the
-// pools have seen the largest window.
-func TestRebalanceBoundsMisses(t *testing.T) {
-	spare := NewPool()
-	producer, consumer := NewPool(), NewPool()
-	lanes := []*Pool{producer, consumer}
-	var inFlight [][]byte
-	window := func(n int) {
-		for i := 0; i < n; i++ {
-			inFlight = append(inFlight, producer.Get(1514))
-		}
-		// Frames cut in this window land next window; the consumer
-		// releases the previous window's and cuts a few ACKs of its own.
-		for _, b := range inFlight[:len(inFlight)-n] {
-			consumer.Put(b)
-		}
-		inFlight = inFlight[len(inFlight)-n:]
-		for i := 0; i < n/4; i++ {
-			consumer.Put(consumer.Get(66))
-		}
-		Rebalance(spare, lanes)
-	}
-	for i := 0; i < 10; i++ {
-		window(40)
-	}
-	misses := producer.Misses() + consumer.Misses() + spare.Misses()
-	for i := 0; i < 1000; i++ {
-		window(40 - i%7) // smaller windows never need more buffers
-	}
-	if got := producer.Misses() + consumer.Misses() + spare.Misses(); got != misses {
-		t.Errorf("misses grew from %d to %d in steady state", misses, got)
-	}
-	if d := [2]int{producer.classes[1].demand, consumer.classes[0].demand}; d != [2]int{40, 10} {
-		t.Errorf("frame/ACK demand %v, want [40 10]", d)
-	}
-}

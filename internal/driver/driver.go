@@ -85,13 +85,6 @@ type Driver struct {
 	// the aggregation queue is full (the frame is then dropped, as a
 	// real driver would when the backlog overflows).
 	DeliverRaw func(nic.Frame) bool
-	// TxFrame, when set, intercepts outgoing frames instead of
-	// nic.Transmit. The parallel scheduler installs it on per-CPU transmit
-	// drivers: during a parallel phase it captures the frame into the
-	// lane's mailbox (committed in canonical order at the barrier); at
-	// barrier time it delivers directly with the lane's context. The hook
-	// owns the NIC TxFrames accounting.
-	TxFrame func(nic.Frame)
 	// StampClock, when set, supplies the simulated-ns time used to stamp
 	// each polled frame's softirq-dequeue boundary (internal/telemetry).
 	// Stamping reads the clock only — it charges nothing and schedules
@@ -210,23 +203,15 @@ func (d *Driver) Transmit(skb *buf.SKB) {
 
 	d.meter.Charge(cycles.Driver, d.params.DriverTxPerPacket)
 	d.stats.TxPackets++
-	d.txFrame(nic.Frame{Data: frame, Pooled: skb.Pooled})
+	d.nic.Transmit(nic.Frame{Data: frame, Pooled: skb.Pooled})
 	skb.Pooled = false // the wire owns the buffer now
 	for i, f := range d.expanded {
 		d.meter.Charge(cycles.Driver,
 			d.params.AckExpandPerAck+d.params.DriverTxPerPacket)
 		d.stats.TxPackets++
 		d.stats.AcksExpanded++
-		d.txFrame(f)
+		d.nic.Transmit(f)
 		d.expanded[i] = nic.Frame{}
 	}
 	d.alloc.Free(skb)
-}
-
-func (d *Driver) txFrame(f nic.Frame) {
-	if d.TxFrame != nil {
-		d.TxFrame(f)
-		return
-	}
-	d.nic.Transmit(f)
 }

@@ -67,13 +67,6 @@ type FlowTable struct {
 	meter  *cycles.Meter
 	params *cost.Params
 
-	// perCPU, when set (SetLanePricing), redirects lookup-path charges to
-	// the delivering CPU's lane: LookupOn(cpu,...) charges meters[cpu] and
-	// accumulates that lane's demux-cycle shard, so concurrent lanes never
-	// write the shared meter. Mutations (Insert/Remove/grow) always run at
-	// a barrier and keep the base meter.
-	perCPU []lanePricing
-
 	// owners, when set, is the live bucket→CPU steering map shared with
 	// the NICs: shard ownership follows indirection rewrites instead of
 	// the static bucket-mod-queues fill.
@@ -239,35 +232,13 @@ func (t *FlowTable) SetPricing(m *cycles.Meter, p *cost.Params) {
 	t.meter, t.params = m, p
 }
 
-// lanePricing is one CPU lane's lookup-charge destination.
-type lanePricing struct {
-	meter       *cycles.Meter
-	demuxCycles uint64
-}
-
-// SetLanePricing arms per-CPU lookup pricing for the parallel scheduler
-// (see the perCPU field). No-op until SetPricing has armed the base.
-func (t *FlowTable) SetLanePricing(meters []*cycles.Meter) {
-	t.perCPU = make([]lanePricing, len(meters))
-	for i := range meters {
-		t.perCPU[i].meter = meters[i]
-	}
-}
-
 // StructBytes returns the modeled footprint of the demux structure
 // itself (slot arrays or map buckets, not the endpoints).
 func (t *FlowTable) StructBytes() uint64 { return t.bytes }
 
 // DemuxCycles returns the cycles charged for structural demux touches so
-// far (zero while the table fits in cache or pricing is off): the base
-// accumulator plus any per-CPU lane shards.
-func (t *FlowTable) DemuxCycles() uint64 {
-	total := t.demuxCycles
-	for i := range t.perCPU {
-		total += t.perCPU[i].demuxCycles
-	}
-	return total
-}
+// far (zero while the table fits in cache or pricing is off).
+func (t *FlowTable) DemuxCycles() uint64 { return t.demuxCycles }
 
 // hashOf computes the key's RSS hash. The packet's own addressing is the
 // key (Src = remote peer), matching what the NIC hashed on the wire.
@@ -311,26 +282,6 @@ func (t *FlowTable) charge(cat cycles.Category, lines int) {
 	}
 	t.meter.Charge(cat, c)
 	t.demuxCycles += c
-}
-
-// chargeOn prices a lookup-path touch on behalf of CPU cpu, landing on
-// the lane's meter and demux shard when lane pricing is armed (t.bytes is
-// only mutated at barriers, so reading it lane-side is safe).
-func (t *FlowTable) chargeOn(cpu int, cat cycles.Category, lines int) {
-	if cpu < 0 || cpu >= len(t.perCPU) {
-		t.charge(cat, lines)
-		return
-	}
-	if t.meter == nil || lines == 0 {
-		return
-	}
-	c := t.params.Mem.CapacityTouchCost(lines, t.bytes)
-	if c == 0 {
-		return
-	}
-	ln := &t.perCPU[cpu]
-	ln.meter.Charge(cat, c)
-	ln.demuxCycles += c
 }
 
 // chargeGrow prices a shard growth rehash: a sequential sweep of the old
@@ -775,11 +726,11 @@ func (t *FlowTable) LookupOn(cpu int, k FlowKey, hash uint32, netPackets int, ag
 	var ep *tcp.Endpoint
 	if t.layout == LayoutSeedMap {
 		ep = s.conns[k]
-		t.chargeOn(cpu, cycles.Rx, flowMapDemuxLines)
+		t.charge(cycles.Rx, flowMapDemuxLines)
 	} else {
 		var probes int
 		ep, probes = s.openLookup(hash, k)
-		t.chargeOn(cpu, cycles.Rx, openProbeLines(probes))
+		t.charge(cycles.Rx, openProbeLines(probes))
 	}
 	if ep == nil {
 		s.stats.Misses++

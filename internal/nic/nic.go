@@ -115,23 +115,7 @@ type Stats struct {
 	Steered, Unsteered uint64
 }
 
-// add accumulates o into s (merging per-queue counter shards).
-func (s *Stats) add(o Stats) {
-	s.RxFrames += o.RxFrames
-	s.RxDropped += o.RxDropped
-	s.TxFrames += o.TxFrames
-	s.Interrupts += o.Interrupts
-	s.CsumGood += o.CsumGood
-	s.CsumBad += o.CsumBad
-	s.Steered += o.Steered
-	s.Unsteered += o.Unsteered
-}
-
 // rxQueue is one receive descriptor ring with its own interrupt vector.
-// Receive counters live here rather than on the NIC so that, under the
-// parallel scheduler, each queue's owning CPU lane can apply recorded ring
-// operations without touching any other lane's counters; Stats() sums the
-// shards, so totals are identical to the serial single-struct counts.
 type rxQueue struct {
 	ring []Frame
 	head int // next frame the driver will take
@@ -140,7 +124,6 @@ type rxQueue struct {
 	irqPending     bool
 	framesSinceIRQ int
 	rxFrames       uint64
-	stats          Stats // receive-side counters for this queue only
 }
 
 // NIC is one simulated network interface.
@@ -171,110 +154,7 @@ type NIC struct {
 	// hands it to the sender machine, which does).
 	OnTransmit func(Frame)
 
-	// rec, when non-nil, puts the receive path in recording mode (parallel
-	// scheduler): ReceiveFromWire classifies and steers but defers the ring
-	// push into a per-queue command stream that the queue's owning CPU lane
-	// applies in canonical order. Serial runs never set it.
-	rec *Recording
-
 	stats Stats
-}
-
-// RxCmd is one recorded receive-path effect: a classified frame awaiting
-// its ring push (or, with Flush set, a deferred FlushInterrupt) on queue
-// Frame.RxQueue. At/SchedAt are the virtual time and ordering key of the
-// link-lane event that produced it; the owning CPU lane merges commands
-// with its own events on (At, SchedAt). The TCP checksum is deliberately
-// NOT verified at record time: Hashed/IPOK plus the segment bounds carry
-// everything Apply needs to verify it lane-side, moving the most expensive
-// per-frame computation off the serialising link lane and onto the queue's
-// worker.
-type RxCmd struct {
-	At, SchedAt uint64
-	Flush       bool
-	Frame       Frame
-	Hashed      bool
-	IPOK        bool
-	SegOff      int // TCP segment bounds within Frame.Data
-	SegEnd      int
-	Src, Dst    ipv4.Addr
-}
-
-// recQueue is the command FIFO for one receive queue. head indexes the
-// first unapplied command; pendingPush counts unapplied ring pushes (the
-// link's shadow-occupancy bound).
-type recQueue struct {
-	cmds        []RxCmd
-	head        int
-	pendingPush int
-}
-
-// Recording holds per-queue command streams plus the clock of the link
-// lane feeding this NIC (each NIC is fed by exactly one link).
-type Recording struct {
-	now    func() (at, schedAt uint64)
-	queues []recQueue
-}
-
-// EnableRecording switches the receive path into recording mode. now must
-// report the feeding link lane's current event position.
-func (n *NIC) EnableRecording(now func() (at, schedAt uint64)) {
-	n.rec = &Recording{now: now, queues: make([]recQueue, len(n.rxq))}
-}
-
-// RecPeek returns the ordering key of queue q's next unapplied command.
-func (n *NIC) RecPeek(q int) (at, schedAt uint64, ok bool) {
-	rq := &n.rec.queues[q]
-	if rq.head >= len(rq.cmds) {
-		return 0, 0, false
-	}
-	c := &rq.cmds[rq.head]
-	return c.At, c.SchedAt, true
-}
-
-// RecApply applies queue q's next command: the deferred half of
-// ReceiveFromWire (drop check, checksum verification, counters, ring push,
-// interrupt assertion) or a deferred per-queue FlushInterrupt. The caller
-// must have established the command's virtual time on the applying lane.
-// A frame the full ring rejects is returned with dropped set, so the
-// applying lane can release its buffer.
-func (n *NIC) RecApply(q int) (rejected Frame, dropped bool) {
-	rq := &n.rec.queues[q]
-	cmd := &rq.cmds[rq.head]
-	rq.head++
-	if rq.head == len(rq.cmds) {
-		// FIFO drained: recycle the backing array.
-		rq.cmds = rq.cmds[:0]
-		rq.head = 0
-	}
-	if cmd.Flush {
-		if !n.rxq[q].irqPending && n.rxq[q].len > 0 {
-			n.assertInterrupt(q)
-		}
-		return Frame{}, false
-	}
-	rq.pendingPush--
-	// Deferred checksum offload: pure computation, so verifying here
-	// instead of at classify time is invisible to the simulation.
-	csumOK := cmd.Hashed && cmd.IPOK &&
-		tcpwire.VerifyChecksum(cmd.Frame.Data[cmd.SegOff:cmd.SegEnd], cmd.Src, cmd.Dst)
-	if !n.enqueue(cmd.Frame, cmd.Hashed, csumOK) {
-		return cmd.Frame, true
-	}
-	return Frame{}, false
-}
-
-// RxNearFullShadow is the recording-mode pause check: ring occupancy plus
-// unapplied pushes. It can only overestimate the serial occupancy (drains
-// inside the window are unknown), so "not near-full" here proves the
-// serial link would have transmitted too.
-func (n *NIC) RxNearFullShadow(headroom int) bool {
-	for q := range n.rxq {
-		if n.rxq[q].len+n.rec.queues[q].pendingPush > len(n.rxq[q].ring)-headroom {
-			return true
-		}
-	}
-	return false
 }
 
 // New creates a NIC from cfg.
@@ -316,16 +196,8 @@ func New(cfg Config) (*NIC, error) {
 // Config returns the NIC configuration.
 func (n *NIC) Config() Config { return n.cfg }
 
-// Stats returns a copy of the NIC counters: the device-level counts plus
-// the per-queue receive shards (uint64 sums, so the total is exactly the
-// serial single-struct count).
-func (n *NIC) Stats() Stats {
-	out := n.stats
-	for q := range n.rxq {
-		out.add(n.rxq[q].stats)
-	}
-	return out
-}
+// Stats returns a copy of the NIC counters.
+func (n *NIC) Stats() Stats { return n.stats }
 
 // RxQueues returns the number of receive queues.
 func (n *NIC) RxQueues() int { return len(n.rxq) }
@@ -366,14 +238,9 @@ func (n *NIC) RxNearFull(headroom int) bool {
 // ReceiveFromWire DMAs a frame into its receive ring, performing checksum
 // offload validation and RSS classification in "hardware" (no host CPU
 // cycles are charged). It returns false and counts a drop if the target
-// ring is full; the frame's buffer then stays the caller's to release. In
-// recording mode the classify/steer half runs now (on the link lane) and
-// everything ring-side is recorded for the owning CPU lane; the return
-// value is then always true — the link learns of uncertain ring pressure
-// through RxNearFullShadow before transmitting, never here (a rejected
-// frame comes back from RecApply instead).
+// ring is full; the frame's buffer then stays the caller's to release.
 func (n *NIC) ReceiveFromWire(f Frame) bool {
-	hash, tuple, hashed, ipOK, segOff, segEnd, src, dst := n.classifyLight(f.Data)
+	hash, tuple, hashed, csumOK := n.classify(f.Data)
 	q := 0
 	if hashed {
 		f.RSSHash = hash
@@ -381,41 +248,22 @@ func (n *NIC) ReceiveFromWire(f Frame) bool {
 		q = n.steerQueue(tuple, hash)
 	}
 	f.RxQueue = q
-	if n.rec != nil {
-		at, schedAt := n.rec.now()
-		rq := &n.rec.queues[q]
-		rq.cmds = append(rq.cmds, RxCmd{
-			At: at, SchedAt: schedAt, Frame: f,
-			Hashed: hashed, IPOK: ipOK,
-			SegOff: segOff, SegEnd: segEnd, Src: src, Dst: dst,
-		})
-		rq.pendingPush++
-		return true
-	}
-	csumOK := hashed && ipOK && tcpwire.VerifyChecksum(f.Data[segOff:segEnd], src, dst)
-	return n.enqueue(f, hashed, csumOK)
-}
-
-// enqueue is the ring-side half of frame receive: drop check, offload
-// counters, push, interrupt throttling. f.RxQueue selects the ring.
-func (n *NIC) enqueue(f Frame, hashed, csumOK bool) bool {
-	q := f.RxQueue
 	rxq := &n.rxq[q]
 	if rxq.len == len(rxq.ring) {
-		rxq.stats.RxDropped++
+		n.stats.RxDropped++
 		return false
 	}
 	if hashed {
-		rxq.stats.Steered++
+		n.stats.Steered++
 	} else {
-		rxq.stats.Unsteered++
+		n.stats.Unsteered++
 	}
 	if n.cfg.Caps.RxCsumOffload {
 		f.RxCsumOK = csumOK
 		if csumOK {
-			rxq.stats.CsumGood++
+			n.stats.CsumGood++
 		} else {
-			rxq.stats.CsumBad++
+			n.stats.CsumBad++
 		}
 	} else {
 		f.RxCsumOK = false
@@ -423,7 +271,7 @@ func (n *NIC) enqueue(f Frame, hashed, csumOK bool) bool {
 	rxq.ring[(rxq.head+rxq.len)%len(rxq.ring)] = f
 	rxq.len++
 	rxq.rxFrames++
-	rxq.stats.RxFrames++
+	n.stats.RxFrames++
 
 	rxq.framesSinceIRQ++
 	if !rxq.irqPending && rxq.framesSinceIRQ >= n.cfg.IntThrottleFrames {
@@ -434,18 +282,8 @@ func (n *NIC) enqueue(f Frame, hashed, csumOK bool) bool {
 
 // FlushInterrupt asserts a pending interrupt immediately on every queue
 // with waiting frames; the link model calls it when the wire goes idle so
-// coalescing never strands frames (work conservation end to end). In
-// recording mode the flush is deferred per queue, ordered against the
-// recorded ring pushes it must observe.
+// coalescing never strands frames (work conservation end to end).
 func (n *NIC) FlushInterrupt() {
-	if n.rec != nil {
-		at, schedAt := n.rec.now()
-		for q := range n.rxq {
-			n.rec.queues[q].cmds = append(n.rec.queues[q].cmds,
-				RxCmd{At: at, SchedAt: schedAt, Flush: true, Frame: Frame{RxQueue: q}})
-		}
-		return
-	}
 	for q := range n.rxq {
 		if !n.rxq[q].irqPending && n.rxq[q].len > 0 {
 			n.assertInterrupt(q)
@@ -456,7 +294,7 @@ func (n *NIC) FlushInterrupt() {
 func (n *NIC) assertInterrupt(q int) {
 	n.rxq[q].irqPending = true
 	n.rxq[q].framesSinceIRQ = 0
-	n.rxq[q].stats.Interrupts++
+	n.stats.Interrupts++
 	if n.OnInterrupt != nil {
 		n.OnInterrupt(q)
 	}
@@ -509,42 +347,31 @@ func (n *NIC) Transmit(f Frame) {
 	}
 }
 
-// CountTxFrame records a transmitted frame without invoking OnTransmit.
-// The parallel scheduler's mailbox commit uses it: the frame's delivery is
-// scheduled explicitly with the captured ordering key, but the counter
-// must still advance exactly once per wire frame.
-func (n *NIC) CountTxFrame() { n.stats.TxFrames++ }
-
-// classifyLight performs the hardware parse of an IPv4/TCP frame: IP
+// classify performs the hardware parse of an IPv4/TCP frame: IP and TCP
 // checksum validation, the Toeplitz steering hash and the four-tuple (for
-// exact-match rule lookup), in one pass over the headers. The TCP checksum
-// — a walk over the whole payload, by far the most expensive step — is NOT
-// verified here; callers combine hashed && ipOK with
-// tcpwire.VerifyChecksum over the returned segment bounds, either inline
-// (serial) or deferred to the applying CPU lane (recording mode). Non-TCP
-// or malformed frames report hashed = false, which routes them around
+// exact-match rule lookup). csumOK reports both checksums good. Non-TCP or
+// malformed frames report hashed = false, which routes them around
 // aggregation and onto the default queue.
-func (n *NIC) classifyLight(frame []byte) (hash uint32, tuple FlowTuple, hashed, ipOK bool, segOff, segEnd int, src, dst ipv4.Addr) {
+func (n *NIC) classify(frame []byte) (hash uint32, tuple FlowTuple, hashed, csumOK bool) {
 	if len(frame) < ether.HeaderLen+ipv4.MinHeaderLen {
-		return 0, tuple, false, false, 0, 0, src, dst
+		return 0, tuple, false, false
 	}
 	eh, err := ether.Parse(frame)
 	if err != nil || eh.Type != ether.TypeIPv4 {
-		return 0, tuple, false, false, 0, 0, src, dst
+		return 0, tuple, false, false
 	}
 	l3 := frame[ether.HeaderLen:]
-	ipOK = ipv4.VerifyChecksum(l3)
+	ipOK := ipv4.VerifyChecksum(l3)
 	ih, err := ipv4.Parse(l3)
 	if err != nil || ih.Proto != ipv4.ProtoTCP || ih.IsFragment() {
-		return 0, tuple, false, false, 0, 0, src, dst
+		return 0, tuple, false, false
 	}
-	segOff = ether.HeaderLen + int(ih.IHL)
-	segEnd = ether.HeaderLen + int(ih.TotalLen)
-	th, err := tcpwire.Parse(frame[segOff:segEnd])
+	seg := frame[ether.HeaderLen+int(ih.IHL) : ether.HeaderLen+int(ih.TotalLen)]
+	th, err := tcpwire.Parse(seg)
 	if err != nil {
-		return 0, tuple, false, false, 0, 0, src, dst
+		return 0, tuple, false, false
 	}
 	tuple = FlowTuple{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}
 	hash = rss.HashTCP4(ih.Src, ih.Dst, th.SrcPort, th.DstPort)
-	return hash, tuple, true, ipOK, segOff, segEnd, ih.Src, ih.Dst
+	return hash, tuple, true, ipOK && tcpwire.VerifyChecksum(seg, ih.Src, ih.Dst)
 }

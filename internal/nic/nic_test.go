@@ -347,24 +347,3 @@ func TestRingWraparound(t *testing.T) {
 		}
 	}
 }
-
-func TestRecApplyReturnsRejectedFrame(t *testing.T) {
-	cfg := DefaultConfig("eth0")
-	cfg.RxRingSize = 1
-	n := mustNIC(t, cfg)
-	n.EnableRecording(func() (uint64, uint64) { return 0, 0 })
-	first := Frame{Data: goodFrame(), Pooled: true}
-	second := Frame{Data: goodFrame(), Pooled: true}
-	n.ReceiveFromWire(first)
-	n.ReceiveFromWire(second)
-	if _, dropped := n.RecApply(0); dropped {
-		t.Fatal("the first push found the ring full")
-	}
-	rej, dropped := n.RecApply(0)
-	if !dropped || !rej.Pooled || &rej.Data[0] != &second.Data[0] {
-		t.Fatalf("RecApply = (%v, %v), want the second frame back", rej.Pooled, dropped)
-	}
-	if n.Stats().RxDropped != 1 {
-		t.Errorf("RxDropped = %d, want 1", n.Stats().RxDropped)
-	}
-}

@@ -43,10 +43,9 @@ type Link struct {
 
 	// LossOneIn, when positive, drops each forward frame with
 	// probability 1/N — the uniform arm of the loss injector. The
-	// decision is a seeded hash of the per-link loss counter, so it is
-	// identical in serial and parallel scheduling (the counter advances
-	// in the link lane's deterministic delivery order) and independent
-	// of everything else in the run.
+	// decision is a seeded hash of the per-link loss counter, so it
+	// depends only on the link's delivery order and is independent of
+	// everything else in the run.
 	LossOneIn int
 	// BurstLossRate, when positive, switches the injector to the
 	// two-state Gilbert-Elliott burst model with this target loss
@@ -72,16 +71,6 @@ type Link struct {
 	// ReorderDistance is the displacement distance in frames (0 = 1,
 	// the adjacent swap).
 	ReorderDistance int
-
-	// onStall, when set (parallel scheduler), is consulted before the
-	// ring-occupancy pause check. During a parallel link phase the exact
-	// check is unavailable — the owning CPU lane may still drain the ring
-	// inside the window — so the hook tests the conservative shadow bound
-	// and, on pressure, returns true: transmitNext requeues itself at its
-	// original ordering key and the lane halts, deferring the decision to
-	// the epoch barrier where the hook returns false and the exact check
-	// below runs with fully merged ring state.
-	onStall func() bool
 
 	busy     bool
 	fwdCount int
@@ -229,14 +218,6 @@ func (l *Link) transmitNext() {
 	if l.busy {
 		return
 	}
-	if l.onStall != nil && l.onStall() {
-		// Parallel phase: ring pressure cannot be decided on this lane.
-		// Re-enter at the same key so the deferred attempt holds exactly
-		// this event's position in the canonical serial order.
-		schedAt, seq := l.sim.CurKey()
-		l.sim.ScheduleKeyed(l.sim.Now(), schedAt, seq, l.transmitFn)
-		return
-	}
 	if l.dst.RxNearFull(l.RingHeadroom) {
 		// Pause: ring nearly full; hold the wire and retry shortly.
 		// The in-flight margin guarantees no drops between check and
@@ -317,8 +298,7 @@ func (l *Link) lossEnabled() bool { return l.LossOneIn > 0 || l.BurstLossRate > 
 
 // dropLost decides the fate of one delivered forward frame. Both arms
 // draw from splitmix64 over (LossSeed, lossCount): the decision depends
-// only on the frame's position in this link's delivery order, which the
-// parallel scheduler reproduces bit-exactly.
+// only on the frame's position in this link's delivery order.
 func (l *Link) dropLost() bool {
 	if !l.lossEnabled() {
 		return false
@@ -425,18 +405,6 @@ func (l *Link) deliver(w wireFrame) {
 func (l *Link) DeliverReverse(f nic.Frame, extraNs uint64) {
 	l.stats.ReverseFrames++
 	l.sim.After(extraNs+l.DelayNs, l.reverseEvent(f))
-}
-
-// DeliverReverseAt is DeliverReverse for callers whose notion of "now" is
-// not this link's lane clock: the parallel scheduler's mailbox commit and
-// epoch barrier, where the transmit happened at virtual time `at` on a CPU
-// lane that may be ahead of or behind this link's lane. The frame reaches
-// the sender at at+extraNs+DelayNs, keyed exactly as the serial schedule
-// would have keyed it (schedAt = the transmit instant).
-func (l *Link) DeliverReverseAt(f nic.Frame, at, extraNs uint64) {
-	l.stats.ReverseFrames++
-	l.sim.seq++
-	l.sim.ScheduleKeyed(at+extraNs+l.DelayNs, at, l.sim.seq, l.reverseEvent(f))
 }
 
 // revFrame is one reverse frame in flight with its pre-bound arrival

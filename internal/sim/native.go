@@ -80,7 +80,7 @@ type Machine interface {
 	// simulated-ns stamp clock for work executing on that CPU, wired into
 	// every driver, aggregation engine and the stack so frames carry their
 	// stage-boundary times; when col is non-nil, endpoints registered from
-	// then on record per-stage residencies into the lane of the CPU that
+	// then on record per-stage residencies into the shard of the CPU that
 	// owns their flow. Observation only: stamping reads the clock, it
 	// never charges a cycle or schedules an event.
 	SetTelemetry(col *telemetry.Collector, stampClock func(cpu int) uint64)
@@ -122,14 +122,6 @@ type NativeConfig struct {
 	// cache-conscious open-addressed layout; LayoutSeedMap is the priced
 	// Go-map baseline).
 	FlowLayout netstack.FlowLayout
-	// LaneClocks, when non-nil (parallel scheduler), builds the machine
-	// with one private execution context per softirq CPU — meter, SKB
-	// allocator, transmit drivers, stack lane — with context q reading
-	// virtual time from LaneClocks[q] (the CPU's event-lane clock). Length
-	// must equal RxQueues. Totals (MeterSnapshot, Stats sums) are exact
-	// uint64 sums of the shards, so results are bit-identical to a serial
-	// machine doing the same work.
-	LaneClocks []tcp.Clock
 }
 
 // NativeMachine is a native Linux receiver host.
@@ -154,15 +146,6 @@ type NativeMachine struct {
 	framesIn uint64
 	polling  [][]bool // NAPI poll lists: [nic][queue] with signaled irq
 	wired    bool     // interrupts routed via WireInterrupts
-
-	// Per-CPU execution contexts (LaneClocks set). Each softirq CPU owns
-	// a meter and allocator shard plus its own transmit drivers, so a CPU
-	// lane's entire receive round — driver poll, aggregation, stack,
-	// endpoint, ACK transmit — mutates nothing another lane touches.
-	laneMeters []*cycles.Meter
-	laneAllocs []*buf.Allocator
-	laneFrames []uint64
-	laneTx     [][]*driver.Driver // [cpu][nic]
 
 	// steerMap is the machine's bucket→CPU steering truth, shared by
 	// every NIC's indirection lookup and the flow table's ownership
@@ -192,9 +175,6 @@ func NewNative(cfg NativeConfig) (*NativeMachine, error) {
 	if cfg.RxQueues < 0 {
 		return nil, fmt.Errorf("sim: RxQueues %d must be positive", cfg.RxQueues)
 	}
-	if cfg.LaneClocks != nil && len(cfg.LaneClocks) != cfg.RxQueues {
-		return nil, fmt.Errorf("sim: %d lane clocks for %d queues", len(cfg.LaneClocks), cfg.RxQueues)
-	}
 	m := &NativeMachine{cfg: cfg, cpus: cfg.RxQueues, Params: cfg.Params}
 	m.Alloc = buf.NewAllocator(&m.Meter, &m.Params)
 	m.Alloc.SetPool(buf.NewPool())
@@ -208,21 +188,6 @@ func NewNative(cfg NativeConfig) (*NativeMachine, error) {
 	m.steerMap = sm
 	m.Stack.FlowTable().SetOwnerMap(sm)
 
-	// laneMeter/laneAlloc resolve the charging context for work attributed
-	// to one CPU: the lane shard when per-CPU contexts are armed, the
-	// machine-wide context otherwise.
-	if cfg.LaneClocks != nil {
-		m.laneFrames = make([]uint64, m.cpus)
-		for cpu := 0; cpu < m.cpus; cpu++ {
-			lm := &cycles.Meter{}
-			m.laneMeters = append(m.laneMeters, lm)
-			la := buf.NewAllocator(lm, &m.Params)
-			la.SetPool(buf.NewPool())
-			m.laneAllocs = append(m.laneAllocs, la)
-		}
-		m.Stack.SetLanes(m.laneMeters, m.laneAllocs)
-	}
-
 	if cfg.Mode == NativeOptimized {
 		opts := cfg.Aggregation
 		if opts.QueueCapacity == 0 {
@@ -235,7 +200,7 @@ func NewNative(cfg NativeConfig) (*NativeMachine, error) {
 			opts.Aggregation.ReorderWindowBytes = agg.ReorderWindowBytes
 		}
 		for cpu := 0; cpu < m.cpus; cpu++ {
-			rp, err := core.NewOnCPU(cpu, opts, m.laneMeter(cpu), &m.Params, m.laneAlloc(cpu), m.Stack.InputOn(cpu))
+			rp, err := core.NewOnCPU(cpu, opts, &m.Meter, &m.Params, m.Alloc, m.Stack.InputOn(cpu))
 			if err != nil {
 				return nil, fmt.Errorf("sim: %w", err)
 			}
@@ -259,10 +224,10 @@ func NewNative(cfg NativeConfig) (*NativeMachine, error) {
 		for q := 0; q < m.cpus; q++ {
 			var d *driver.Driver
 			if cfg.Mode == NativeOptimized {
-				d = driver.NewQueue(n, q, driver.ModeRaw, m.laneMeter(q), &m.Params, m.laneAlloc(q))
+				d = driver.NewQueue(n, q, driver.ModeRaw, &m.Meter, &m.Params, m.Alloc)
 				d.DeliverRaw = m.rps[q].EnqueueRaw
 			} else {
-				d = driver.NewQueue(n, q, driver.ModeBaseline, m.laneMeter(q), &m.Params, m.laneAlloc(q))
+				d = driver.NewQueue(n, q, driver.ModeBaseline, &m.Meter, &m.Params, m.Alloc)
 				d.DeliverSKB = m.Stack.InputOn(q)
 			}
 			qdrvs[q] = d
@@ -273,23 +238,6 @@ func NewNative(cfg NativeConfig) (*NativeMachine, error) {
 	m.polling = make([][]bool, len(m.nics))
 	for i := range m.polling {
 		m.polling[i] = make([]bool, m.cpus)
-	}
-
-	// Per-CPU transmit drivers: endpoint ACKs generated on CPU q leave
-	// through q's own driver for the flow's NIC, so transmit charges and
-	// driver state stay on the generating lane (serial machines transmit
-	// through the receive drivers' queue-0 column instead).
-	if cfg.LaneClocks != nil {
-		m.laneTx = make([][]*driver.Driver, m.cpus)
-		txOn := make([]netstack.Transmitter, m.cpus)
-		for cpu := 0; cpu < m.cpus; cpu++ {
-			m.laneTx[cpu] = make([]*driver.Driver, len(m.nics))
-			for i, n := range m.nics {
-				m.laneTx[cpu][i] = driver.NewQueue(n, cpu, driver.ModeBaseline, m.laneMeter(cpu), &m.Params, m.laneAlloc(cpu))
-			}
-			txOn[cpu] = laneRouter{m: m, cpu: cpu}
-		}
-		m.Stack.TxOn = txOn
 	}
 	return m, nil
 }
@@ -317,23 +265,6 @@ func (m *NativeMachine) SetTelemetry(col *telemetry.Collector, stampClock func(c
 		rp.Engine().Clock = func() uint64 { return stampClock(c) }
 	}
 	m.Stack.StampClock = stampClock
-}
-
-// laneMeter returns the charging meter for work attributed to cpu: the
-// lane shard under the parallel scheduler, the machine meter otherwise.
-func (m *NativeMachine) laneMeter(cpu int) *cycles.Meter {
-	if m.laneMeters != nil {
-		return m.laneMeters[cpu]
-	}
-	return &m.Meter
-}
-
-// laneAlloc is laneMeter's allocator counterpart.
-func (m *NativeMachine) laneAlloc(cpu int) *buf.Allocator {
-	if m.laneAllocs != nil {
-		return m.laneAllocs[cpu]
-	}
-	return m.Alloc
 }
 
 // NICs returns the machine's NICs.
@@ -494,37 +425,18 @@ func (m *NativeMachine) ProcessRound(cpu, budget int) (int, bool) {
 		m.rps[cpu].Process(1 << 30)
 	}
 	if frames > 0 {
-		if m.laneFrames != nil {
-			m.laneFrames[cpu] += uint64(frames)
-		} else {
-			m.framesIn += uint64(frames)
-		}
+		m.framesIn += uint64(frames)
 		misc := m.Params.MiscPerPacket
 		if m.Params.SMP {
 			misc += m.Params.SMPMiscExtra
 		}
-		m.laneMeter(cpu).Charge(cycles.Misc, uint64(frames)*misc)
+		m.Meter.Charge(cycles.Misc, uint64(frames)*misc)
 	}
 	return frames, more
 }
 
 // MeterRef returns the machine's cycle meter.
 func (m *NativeMachine) MeterRef() *cycles.Meter { return &m.Meter }
-
-// MeterSnapshot returns the machine's total charged cycles: the base
-// meter plus every per-CPU lane shard (uint64 sums per category, so the
-// result is exactly the serial meter's snapshot for the same work).
-func (m *NativeMachine) MeterSnapshot() cycles.Snapshot {
-	if m.laneMeters == nil {
-		return m.Meter.Snapshot()
-	}
-	var tot cycles.Meter
-	m.Meter.AddInto(&tot)
-	for _, lm := range m.laneMeters {
-		lm.AddInto(&tot)
-	}
-	return tot.Snapshot()
-}
 
 // AllocRef returns the machine's allocator.
 func (m *NativeMachine) AllocRef() *buf.Allocator { return m.Alloc }
@@ -533,22 +445,13 @@ func (m *NativeMachine) AllocRef() *buf.Allocator { return m.Alloc }
 func (m *NativeMachine) ParamsRef() *cost.Params { return &m.Params }
 
 // RegisterEndpoint adds a receiver endpoint to the stack and timer list.
-// With per-CPU contexts armed, the endpoint is rebound onto the lane of
-// the CPU that owns its flow's steering bucket — the queue all its frames
-// arrive on — so its receive processing is lane-local.
 func (m *NativeMachine) RegisterEndpoint(ep *tcp.Endpoint, remoteIP, localIP [4]byte, remotePort, localPort uint16) error {
 	if err := m.Stack.Register(ep, remoteIP, localIP, remotePort, localPort); err != nil {
 		return err
 	}
-	if m.laneMeters != nil {
-		owner := m.steerMap.Queue(rss.HashTCP4(remoteIP, localIP, remotePort, localPort))
-		ep.Rebind(m.laneMeters[owner], m.laneAllocs[owner], m.cfg.LaneClocks[owner])
-		ep.Output = m.Stack.OutputOn(owner)
-	}
 	if m.telCol != nil {
 		// The flow's frames all arrive on the queue its steering bucket
-		// owns, so its latency samples land in that CPU's shard — lane-
-		// local under the parallel scheduler, merged deterministically.
+		// owns, so its latency samples land in that CPU's shard.
 		owner := m.steerMap.Queue(rss.HashTCP4(remoteIP, localIP, remotePort, localPort))
 		sc := m.stampClock
 		ep.SetLatencyRecorder(m.telCol.Lane(owner), func() uint64 { return sc(owner) })
@@ -576,15 +479,8 @@ func (m *NativeMachine) Endpoints() []*tcp.Endpoint { return m.eps }
 // HostPacketsIn returns host packets delivered to the stack.
 func (m *NativeMachine) HostPacketsIn() uint64 { return m.Stack.Stats().HostPacketsIn }
 
-// NetFramesIn returns network frames consumed from the NIC rings (base
-// count plus per-CPU lane shards).
-func (m *NativeMachine) NetFramesIn() uint64 {
-	total := m.framesIn
-	for _, n := range m.laneFrames {
-		total += n
-	}
-	return total
-}
+// NetFramesIn returns network frames consumed from the NIC rings.
+func (m *NativeMachine) NetFramesIn() uint64 { return m.framesIn }
 
 // nativeRouter picks the outgoing driver by the destination IP's third
 // octet (one sender subnet per NIC: 10.0.<i>.x). Transmission always uses
@@ -599,27 +495,6 @@ func (r nativeRouter) Transmit(skb *buf.SKB) {
 	if len(l3) >= 20 {
 		if idx := int(l3[18]); idx < len(m.drvs) {
 			d = m.drvs[idx][0]
-		}
-	}
-	d.Transmit(skb)
-}
-
-// laneRouter is nativeRouter's per-CPU counterpart: the same subnet→NIC
-// routing, but through the lane's own transmit drivers.
-type laneRouter struct {
-	m   *NativeMachine
-	cpu int
-}
-
-// Transmit routes one outgoing host packet to the lane's driver for its
-// NIC.
-func (r laneRouter) Transmit(skb *buf.SKB) {
-	m := r.m
-	l3 := skb.L3()
-	d := m.laneTx[r.cpu][0]
-	if len(l3) >= 20 {
-		if idx := int(l3[18]); idx < len(m.laneTx[r.cpu]) {
-			d = m.laneTx[r.cpu][idx]
 		}
 	}
 	d.Transmit(skb)

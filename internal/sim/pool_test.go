@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"repro/internal/buf"
 	"repro/internal/checksum"
 )
 
@@ -24,28 +23,10 @@ func TestPatternPayloadSum(t *testing.T) {
 	}
 }
 
-// poolMisses sums the buffer population of every frame pool in the run.
+// poolMisses is the buffer population of the run's one frame pool, which
+// its senders share with the receiver.
 func poolMisses(top *streamTopology) uint64 {
-	pools := []*buf.Pool{top.machine.AllocRef().Pool()}
-	for _, s := range top.senders {
-		pools = append(pools, s.alloc.Pool())
-	}
-	if nm, ok := top.machine.(*NativeMachine); ok {
-		for _, a := range nm.laneAllocs {
-			pools = append(pools, a.Pool())
-		}
-	}
-	var n uint64
-	for i, p := range pools {
-		dup := false
-		for _, q := range pools[:i] {
-			dup = dup || q == p
-		}
-		if !dup {
-			n += p.Misses()
-		}
-	}
-	return n
+	return top.machine.AllocRef().Pool().Misses()
 }
 
 // TestFramePoolLeakBound runs each shape to t and then to 2t: once warm,
@@ -71,8 +52,6 @@ func TestFramePoolLeakBound(t *testing.T) {
 		cfg.TimeWaitReuse = true
 		return cfg
 	}
-	parallel := faults()
-	parallel.ParallelScheduler = true
 	baseline := faults()
 	baseline.Opt = OptNone
 	xen := DefaultStreamConfig(SystemXen, OptFull)
@@ -83,7 +62,6 @@ func TestFramePoolLeakBound(t *testing.T) {
 	}{
 		{"smp-q2-faults", faults()},
 		{"smp-q2-faults-baseline", baseline},
-		{"smp-q2-faults-parallel", parallel},
 		{"xen", xen},
 		{"xen-baseline", xenBase},
 	} {
@@ -94,9 +72,9 @@ func TestFramePoolLeakBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			const warm = 100_000_000
-			top.runUntil(warm)
+			top.sim.RunUntil(warm)
 			misses, frames := poolMisses(top), top.machine.NetFramesIn()
-			top.runUntil(2 * warm)
+			top.sim.RunUntil(2 * warm)
 			grew, more := poolMisses(top)-misses, top.machine.NetFramesIn()-frames
 			if more == 0 {
 				t.Fatal("no frames in the second interval")

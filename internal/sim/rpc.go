@@ -30,12 +30,11 @@ import (
 // rpcConn is one fan-in connection of the incast workload.
 type rpcConn struct {
 	rep   *tcp.Endpoint // receiver-side endpoint (issues the requests)
-	owner int           // CPU lane owning the flow (= its RSS queue)
+	owner int           // CPU owning the flow (= its RSS queue)
 
-	// reqSentNs is the burst instant (written by the global burst event,
-	// which runs at a scheduler barrier; read from the owner lane's
-	// context). got/done accumulate the response strictly on the owner
-	// lane; the global poll reads done only at the next barrier.
+	// reqSentNs is the burst instant (written by the burst event, read
+	// when the response completes). got/done accumulate the response as
+	// the owner CPU delivers it; the completion poll reads done.
 	reqSentNs uint64
 	got       uint64
 	done      bool
@@ -133,13 +132,13 @@ func (r *rpcDriver) openConn(c int) error {
 		}
 	}
 
-	// Receiver application: accumulate the response on the owner lane; the
+	// Receiver application: accumulate the response on the owner CPU; the
 	// byte that completes the message defines its RTT. stampNowOn is the
 	// same clock the stage stamps use, so the sample lands at the instant
 	// the socket read returns in simulated time.
-	var lane *telemetry.StageSet
+	var shard *telemetry.StageSet
 	if top.col != nil {
-		lane = top.col.Lane(conn.owner)
+		shard = top.col.Lane(conn.owner)
 	}
 	cs := top.cpu
 	rep.AppSink = func(b []byte) {
@@ -149,8 +148,8 @@ func (r *rpcDriver) openConn(c int) error {
 		conn.got += uint64(len(b))
 		if conn.got >= msg {
 			conn.done = true
-			if lane != nil {
-				lane.RecordRTT(cs.stampNowOn(conn.owner) - conn.reqSentNs)
+			if shard != nil {
+				shard.RecordRTT(cs.stampNowOn(conn.owner) - conn.reqSentNs)
 			}
 		}
 	}
@@ -158,11 +157,10 @@ func (r *rpcDriver) openConn(c int) error {
 	return nil
 }
 
-// fireBurst issues one request on every connection at the current global
-// instant. It runs in global-event context (construction time or the
-// completion poll), which the parallel scheduler executes at a barrier —
-// so the synchronized burst is race-free and identically timed on both
-// schedulers.
+// fireBurst issues one request on every connection at the current
+// instant. It runs at construction time or from the completion poll, never
+// inside a softirq round, so every request of the burst carries the same
+// send time.
 func (r *rpcDriver) fireBurst() {
 	now := r.top.sim.Now()
 	for _, c := range r.conns {

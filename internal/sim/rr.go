@@ -54,7 +54,7 @@ func RunRR(cfg RRConfig) (RRResult, error) {
 		NICs:   1,
 	}
 	s := NewSim()
-	machine, err := buildMachine(&streamCfg, s, nil)
+	machine, err := buildMachine(&streamCfg, s)
 	if err != nil {
 		return RRResult{}, err
 	}

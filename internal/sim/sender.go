@@ -364,9 +364,8 @@ func (m *SenderMachine) scheduleWake() {
 	})
 }
 
-// SetPool makes the machine's endpoints cut their frames from p: the run's
-// shared pool on a serial run, the link lane's own under the parallel
-// scheduler. Every frame NextFrame returns is then a pool buffer.
+// SetPool makes the machine's endpoints cut their frames from p, the run's
+// one pool. Every frame NextFrame returns is then a pool buffer.
 func (m *SenderMachine) SetPool(p *buf.Pool) { m.alloc.SetPool(p) }
 
 // ReceiveFrame processes a frame arriving from the receiver (ACKs; data in

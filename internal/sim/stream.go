@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/aggregate"
-	"repro/internal/buf"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/cycles"
@@ -178,14 +177,6 @@ type StreamConfig struct {
 	// true evicts the oldest-deadline entry early.
 	MaxTimeWaitBuckets  int
 	TimeWaitEvictOldest bool
-	// ParallelScheduler runs the simulation on per-CPU and per-link event
-	// lanes with a deterministic epoch merge (parsched.go) instead of the
-	// single serial event heap. Results are bit-identical to the serial
-	// schedule; only wall-clock time changes. Configurations the lane
-	// partition cannot express — Xen (frontend/backend share vCPUs) and
-	// dynamic steering (bucket ownership changes mid-run) — fall back to
-	// the serial path. Off (the default) leaves the serial path untouched.
-	ParallelScheduler bool
 	// Telemetry selects the run's observation outputs (latency histograms,
 	// activity spans). Observation cost is zero by construction — it reads
 	// the clock, it never schedules — so enabling it changes no throughput
@@ -533,30 +524,9 @@ type streamTopology struct {
 	churn    *churner
 	storm    *stormController
 	steer    *steerController
-	par      *parSched               // non-nil when the parallel scheduler is active
 	col      *telemetry.Collector    // latency histograms (nil: off)
 	spans    *telemetry.SpanRecorder // activity spans (nil: off)
 	rpc      *rpcDriver              // incast workload (nil: bulk streams)
-}
-
-// runUntil advances the experiment to virtual time t: the serial event
-// loop, or the lane executor when the parallel scheduler is active.
-func (top *streamTopology) runUntil(t uint64) {
-	if top.par != nil {
-		top.par.run(t)
-		return
-	}
-	top.sim.RunUntil(t)
-}
-
-// machineSnapshot returns the machine's full charged-cycle snapshot: the
-// base meter plus any per-CPU lane shards (identical to MeterRef on
-// machines that meter centrally).
-func machineSnapshot(m Machine) cycles.Snapshot {
-	if ms, ok := m.(interface{ MeterSnapshot() cycles.Snapshot }); ok {
-		return ms.MeterSnapshot()
-	}
-	return m.MeterRef().Snapshot()
 }
 
 // RunStream executes one bulk-receive experiment.
@@ -569,7 +539,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	// warm-up boundary so histograms and spans cover exactly the measured
 	// interval (resetting only clears observation state — it cannot move
 	// an event or a cycle).
-	top.runUntil(cfg.WarmupNs)
+	top.sim.RunUntil(cfg.WarmupNs)
 	if top.col != nil {
 		top.col.Reset()
 	}
@@ -580,7 +550,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	if top.rpc != nil {
 		startRounds = top.rpc.rounds
 	}
-	startSnap := machineSnapshot(top.machine)
+	startSnap := top.machine.MeterRef().Snapshot()
 	startBytes := appBytes(top.machine)
 	startFrames := top.machine.NetFramesIn()
 	startHost := top.machine.HostPacketsIn()
@@ -589,9 +559,9 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	startDemux := top.machine.FlowTable().DemuxCycles()
 	startLoss := senderLossStats(top.senders)
 
-	top.runUntil(cfg.WarmupNs + cfg.DurationNs)
+	top.sim.RunUntil(cfg.WarmupNs + cfg.DurationNs)
 
-	endSnap := machineSnapshot(top.machine)
+	endSnap := top.machine.MeterRef().Snapshot()
 	delta := endSnap.Sub(startSnap)
 	bytes := appBytes(top.machine) - startBytes
 	frames := top.machine.NetFramesIn() - startFrames
@@ -757,45 +727,21 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	}
 	s := NewSim()
 
-	// The parallel scheduler needs the lane Sims before any component is
-	// built, so senders, links and the machine's per-CPU contexts read
-	// virtual time from their own lane clocks from construction on.
-	// Ineligible configurations (Xen, dynamic steering) silently use the
-	// serial path, which is bit-identical by definition.
-	var par *parSched
-	var laneClocks []tcp.Clock
-	if cfg.ParallelScheduler && cfg.System != SystemXen && !cfg.Steering.steeringActive() {
-		cpus := cfg.Queues
-		if cpus <= 0 {
-			cpus = 1
-		}
-		par = newParSched(s, cfg.NICs, cpus)
-		laneClocks = make([]tcp.Clock, cpus)
-		for q := range laneClocks {
-			laneClocks[q] = par.cpuLanes[q].Clock()
-		}
-	}
-
-	machine, err := buildMachine(cfg, s, laneClocks)
+	machine, err := buildMachine(cfg, s)
 	if err != nil {
 		return nil, err
 	}
 	cpu := newCPUSet(s, machine)
-	if par != nil {
-		par.bind(machine.(*NativeMachine), cpu)
-	}
 
-	top := &streamTopology{sim: s, machine: machine, cpu: cpu, par: par}
+	top := &streamTopology{sim: s, machine: machine, cpu: cpu}
 
 	// Observation plumbing. The stamp clock and recorders only read the
-	// lane clocks and meters — wiring them schedules nothing and charges
+	// clock and meters — wiring them schedules nothing and charges
 	// nothing, so a run with telemetry on stays bit-identical to the same
 	// run with it off.
 	if cfg.Telemetry.Latency {
-		// One lane per softirq CPU, plus one per link for the sender
-		// machines' recovery-latency shards: under the parallel scheduler
-		// each sender runs on its link's lane, so it must own a shard no
-		// receive CPU writes.
+		// One shard per softirq CPU, plus one per link for the sender
+		// machines' recovery-latency samples.
 		top.col = telemetry.NewCollector(machine.CPUs() + cfg.NICs)
 	}
 	if cfg.Telemetry.Spans {
@@ -810,18 +756,9 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	// the machine's NAPI poll lists to the owning CPU's scheduler slot.
 	machine.WireInterrupts(cpu.kick)
 	for i := 0; i < cfg.NICs; i++ {
-		ls := s
-		if par != nil {
-			ls = par.linkLanes[i]
-		}
-		sender := NewSender(ls, cfg.SenderQuantum)
-		// One frame pool per run, shared with the receiver; under the
-		// parallel scheduler each link lane gets its own (parsched.go).
-		if par != nil {
-			sender.SetPool(buf.NewPool())
-		} else {
-			sender.SetPool(machine.AllocRef().Pool())
-		}
+		sender := NewSender(s, cfg.SenderQuantum)
+		// One frame pool per run, shared with the receiver.
+		sender.SetPool(machine.AllocRef().Pool())
 		sender.MaxPayload = cfg.MessageSize
 		if cfg.SACK || cfg.NoTimestamps {
 			sack, noTS := cfg.SACK, cfg.NoTimestamps
@@ -835,7 +772,7 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 		if top.col != nil {
 			sender.RecoveryRec = top.col.Lane(machine.CPUs() + i)
 		}
-		link := NewLink(ls, sender, machine.NICs()[i])
+		link := NewLink(s, sender, machine.NICs()[i])
 		link.CorruptOneIn = cfg.CorruptOneIn
 		link.ReorderOneIn = cfg.Reorder.OneIn
 		link.ReorderDistance = cfg.Reorder.Distance
@@ -849,11 +786,7 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 			link.spanLane = top.spans.Lane(machine.CPUs() + i)
 			link.spanTrack = linkTrackName(i)
 		}
-		if par != nil {
-			par.attachLink(i, link)
-		} else {
-			machine.NICs()[i].OnTransmit = nicReverse(link, cpu)
-		}
+		machine.NICs()[i].OnTransmit = nicReverse(link, cpu)
 		top.senders = append(top.senders, sender)
 		top.links = append(top.links, link)
 	}
@@ -941,10 +874,8 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	return top, nil
 }
 
-// buildMachine constructs the system under test. laneClocks, when
-// non-nil, arms the native machine's per-CPU execution contexts for the
-// parallel scheduler (never set for Xen).
-func buildMachine(cfg *StreamConfig, s *Sim, laneClocks []tcp.Clock) (Machine, error) {
+// buildMachine constructs the system under test.
+func buildMachine(cfg *StreamConfig, s *Sim) (Machine, error) {
 	aggOpts := core.DefaultOptions()
 	if cfg.AggLimit > 0 {
 		aggOpts.Aggregation.Limit = cfg.AggLimit
@@ -985,7 +916,6 @@ func buildMachine(cfg *StreamConfig, s *Sim, laneClocks []tcp.Clock) (Machine, e
 			Clock:         s.Clock(),
 			FlowRuleSlots: ruleSlots,
 			FlowLayout:    cfg.FlowLayout,
-			LaneClocks:    laneClocks,
 		})
 	case SystemXen:
 		params := cost.XenGuest()
@@ -1039,14 +969,6 @@ type cpuSet struct {
 	rxBudget int
 	cpus     []*simCPU
 	current  *simCPU // CPU executing a round right now (nil outside)
-
-	// Parallel scheduler wiring (nil on the serial path): lanes[q] is CPU
-	// q's event lane, laneMeters[q] its private cycle-meter shard, par the
-	// executor (consulted for the barrier instant when a kick arrives from
-	// a global event rather than from lane context).
-	lanes      []*Sim
-	laneMeters []*cycles.Meter
-	par        *parSched
 }
 
 // simCPU is one softirq CPU's scheduler state.
@@ -1056,7 +978,6 @@ type simCPU struct {
 	busyUntil  uint64
 	busyCycles uint64
 	roundBase  uint64 // meter total at round start
-	inRound    bool   // per-lane round marker (parallel scheduler)
 	roundFn    func() // pre-bound round closure (no per-kick allocation)
 
 	// Span telemetry (nil/"" when off): every non-empty softirq round is
@@ -1083,24 +1004,6 @@ func (cs *cpuSet) kick(cpu int) {
 		return
 	}
 	c.scheduled = true
-	if cs.lanes != nil {
-		// The scheduling instant is the lane's own clock when the kick
-		// comes from lane context (ring apply, NAPI re-arm) and the merged
-		// barrier instant when it comes from a global event (timer sweep):
-		// exactly the serial schedule's "now" in both cases.
-		ln := cs.lanes[cpu]
-		now := ln.Now()
-		if b := cs.par.barrierNow; b > now {
-			now = b
-		}
-		at := now
-		if c.busyUntil > at {
-			at = c.busyUntil
-		}
-		ln.seq++
-		ln.ScheduleKeyed(at, now, ln.seq, c.roundFn)
-		return
-	}
 	at := cs.sim.Now()
 	if c.busyUntil > at {
 		at = c.busyUntil
@@ -1122,29 +1025,6 @@ func (cs *cpuSet) kickAll() {
 // sets the batch size the aggregation engine sees).
 func (cs *cpuSet) round(c *simCPU) {
 	c.scheduled = false
-	if cs.lanes != nil {
-		// Lane round: the CPU's private meter shard measures the round and
-		// its own lane clock anchors busyUntil. The arithmetic is the same
-		// float64 expression over the same cycle counts as the serial
-		// branch, so the computed times are bit-identical.
-		meter := cs.laneMeters[c.id]
-		c.roundBase = meter.Total()
-		c.inRound = true
-		_, more := cs.m.ProcessRound(c.id, cs.rxBudget)
-		c.inRound = false
-		used := meter.Total() - c.roundBase
-		c.busyCycles += used
-		busyNs := uint64(float64(used) / cs.m.ParamsRef().ClockHz * 1e9)
-		start := cs.lanes[c.id].Now()
-		c.busyUntil = start + busyNs
-		if used > 0 && c.spanLane != nil {
-			c.spanLane.Record(c.spanTrack, "round", start, busyNs)
-		}
-		if more {
-			cs.kick(c.id)
-		}
-		return
-	}
 	meter := cs.m.MeterRef()
 	c.roundBase = meter.Total()
 	cs.current = c
@@ -1206,18 +1086,5 @@ func (cs *cpuSet) inRoundLatencyNs() uint64 {
 		return 0
 	}
 	used := cs.m.MeterRef().Total() - cs.current.roundBase
-	return uint64(float64(used) / cs.m.ParamsRef().ClockHz * 1e9)
-}
-
-// inRoundLatencyOn is inRoundLatencyNs for one CPU lane: the same charge
-// measurement against the lane's private meter shard. Zero outside a round
-// on that lane (a sweep-time delayed ACK leaves immediately, exactly as it
-// does serially).
-func (cs *cpuSet) inRoundLatencyOn(cpu int) uint64 {
-	c := cs.cpus[cpu]
-	if !c.inRound {
-		return 0
-	}
-	used := cs.laneMeters[cpu].Total() - c.roundBase
 	return uint64(float64(used) / cs.m.ParamsRef().ClockHz * 1e9)
 }

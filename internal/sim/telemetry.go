@@ -11,7 +11,7 @@ import (
 //
 // The invariant all of it preserves: telemetry reads the clock, it never
 // schedules. Stage stamps are unconditional value writes on frames and
-// SKBs; recorders are per-lane shards merged deterministically; nothing
+// SKBs; recorders are per-CPU shards merged deterministically; nothing
 // here charges a cycle or inserts an event, so a run with telemetry on is
 // bit-identical — same schedule, same charged cycles, same StreamResult
 // counters — to the same run with it off.
@@ -24,8 +24,7 @@ type TelemetryConfig struct {
 	Latency bool
 	// Spans enables the activity-interval recorder: per-CPU softirq
 	// rounds and per-link wire occupancy, in simulated time, delivered to
-	// SpanSink at the end of the run (canonically ordered — identical
-	// serial and parallel).
+	// SpanSink at the end of the run (canonically ordered).
 	Spans bool
 	// SpanSink receives the drained spans when Spans is set (nil: spans
 	// are recorded and dropped).
@@ -59,16 +58,11 @@ type RPCConfig struct {
 
 // stampNowOn is the telemetry stamp clock for CPU cpu: the instant the
 // executing softirq round's work has reached — the round's start time
-// plus the CPU time it has charged so far. Serially, rounds execute one
-// at a time, so the global clock plus the shared meter's in-round charge
-// is exactly that instant; under the parallel scheduler the CPU's own
-// lane clock and meter shard measure the same two quantities, so stamps
-// are bit-identical between the two schedules. Outside any round (global
-// events: bursts, timer sweeps) it is plain virtual time.
+// plus the CPU time it has charged so far. Rounds execute one at a time,
+// so the clock plus the meter's in-round charge is exactly that instant
+// for whichever CPU is running. Outside any round (bursts, timer sweeps)
+// it is plain virtual time.
 func (cs *cpuSet) stampNowOn(cpu int) uint64 {
-	if cs.lanes != nil && cpu >= 0 && cpu < len(cs.lanes) {
-		return cs.lanes[cpu].Now() + cs.inRoundLatencyOn(cpu)
-	}
 	return cs.sim.Now() + cs.inRoundLatencyNs()
 }
 

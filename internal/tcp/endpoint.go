@@ -152,18 +152,6 @@ type oooSegment struct {
 	pooled bool // data is a frame-pool buffer, released once drained
 }
 
-// Rebind repoints the endpoint's charging and allocation context: the
-// parallel scheduler moves each registered endpoint onto the meter,
-// allocator and clock of the CPU lane that owns its flow, so its receive
-// processing runs without touching another lane's state. The costs charged
-// are unchanged — only which shard accumulates them.
-func (e *Endpoint) Rebind(m *cycles.Meter, alloc *buf.Allocator, clock Clock) {
-	if m == nil || alloc == nil || clock == nil {
-		panic("tcp: Rebind nil dependency")
-	}
-	e.meter, e.alloc, e.clock = m, alloc, clock
-}
-
 type sentSegment struct {
 	seq    uint32
 	length int

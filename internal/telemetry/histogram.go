@@ -9,13 +9,12 @@
 // advances it. Telemetry enabled and telemetry disabled therefore execute
 // the exact same event schedule and charge the exact same cycles; the
 // goldens of every prior PR hold bit for bit either way (pinned by
-// TestTelemetryOffOnEquivalence).
+// TestTelemetryZeroPerturbation).
 //
-// Under the parallel scheduler every recording site writes into the shard
-// owned by the lane it runs on, and shards are merged only after the run (or
-// at a barrier) — histogram merging is a commutative uint64 sum and the span
-// merge is a canonical sort, so serial and parallel runs produce identical
-// reports.
+// Every recording site writes into the shard of the CPU (or link) it
+// observes, and shards are merged only at report time — histogram merging is
+// a commutative uint64 sum and the span merge is a canonical sort, so the
+// report does not depend on which shard recorded first.
 package telemetry
 
 import "math/bits"

@@ -15,26 +15,23 @@ type Span struct {
 	DurNs uint64 `json:"dur_ns"`
 }
 
-// SpanRecorder captures activity intervals into per-lane shards. Each
-// recording site holds its lane's *SpanLane and appends with no
-// synchronization; under the parallel scheduler a lane's spans are
-// appended in that lane's deterministic event order — the same
-// subsequence the serial run appends — so Drain's canonical merge is
-// bit-identical serial vs parallel. Recording allocates only Go slice
-// growth: no simulated cost, no events.
+// SpanRecorder captures activity intervals into per-track shards (one
+// per softirq CPU, one per link). Each recording site holds its shard's
+// *SpanLane and appends to it; Drain merges the shards canonically.
+// Recording allocates only Go slice growth: no simulated cost, no events.
 type SpanRecorder struct {
 	lanes   []SpanLane
 	enabled bool
 }
 
-// SpanLane is one lane's append-only span shard.
+// SpanLane is one append-only span shard.
 type SpanLane struct {
 	rec   *SpanRecorder
 	spans []Span
 }
 
-// NewSpanRecorder creates a recorder with the given lane count (CPU lanes
-// first, then link lanes, by the caller's convention).
+// NewSpanRecorder creates a recorder with the given shard count (CPU
+// shards first, then link shards, by the caller's convention).
 func NewSpanRecorder(lanes int) *SpanRecorder {
 	if lanes < 1 {
 		lanes = 1
@@ -46,7 +43,7 @@ func NewSpanRecorder(lanes int) *SpanRecorder {
 	return r
 }
 
-// Lane returns lane i's shard (lane 0 for out-of-range indices).
+// Lane returns shard i (shard 0 for out-of-range indices).
 func (r *SpanRecorder) Lane(i int) *SpanLane {
 	if r == nil {
 		return nil
@@ -57,7 +54,7 @@ func (r *SpanRecorder) Lane(i int) *SpanLane {
 	return &r.lanes[i]
 }
 
-// Record appends a span to the lane. Nil-safe, so call sites wire a lane
+// Record appends a span to the shard. Nil-safe, so call sites wire a shard
 // unconditionally and pay one branch when tracing is off.
 func (l *SpanLane) Record(track, name string, startNs, durNs uint64) {
 	if l == nil || !l.rec.enabled {
@@ -66,8 +63,7 @@ func (l *SpanLane) Record(track, name string, startNs, durNs uint64) {
 	l.spans = append(l.spans, Span{Track: track, Name: name, StartNs: startNs, DurNs: durNs})
 }
 
-// Reset clears every shard (measurement-interval boundary; call only from
-// barrier/serial context).
+// Reset clears every shard (measurement-interval boundary).
 func (r *SpanRecorder) Reset() {
 	if r == nil {
 		return
@@ -78,10 +74,8 @@ func (r *SpanRecorder) Reset() {
 }
 
 // Drain returns the canonically merged span stream: shards concatenated
-// in lane order, then stable-sorted by (StartNs, Track, Name, DurNs).
-// Each lane's shard is identical serial vs parallel, so the merged
-// stream is too — this is the deterministic epoch-merge contract of the
-// trace exporter.
+// in shard order, then stable-sorted by (StartNs, Track, Name, DurNs):
+// the trace exporter's canonical order.
 func (r *SpanRecorder) Drain() []Span {
 	if r == nil {
 		return nil

@@ -47,10 +47,9 @@ func (s Stage) String() string {
 	}
 }
 
-// StageSet is one lane's (CPU's) recording shard: per-stage residency
+// StageSet is one CPU's (or link's) recording shard: per-stage residency
 // histograms, the end-to-end per-message histogram, and the RPC
-// round-trip histogram. Each shard is written only by its owning lane;
-// merging happens at report time.
+// round-trip histogram. Merging happens at report time.
 type StageSet struct {
 	stage    [NumStages]Histogram
 	e2e      Histogram
@@ -108,11 +107,10 @@ func (s *StageSet) Reset() {
 	s.recovery.Reset()
 }
 
-// Collector owns the per-lane recording shards of one machine. Lane i is
-// written only by softirq CPU i's execution context (the lane goroutine
-// under the parallel scheduler, the same call sites serially), so
-// recording needs no synchronization; Report merges the shards with the
-// commutative histogram sum.
+// Collector owns the recording shards of one machine: one per softirq
+// CPU, which records what that CPU delivers, then any the caller adds
+// (the simulator adds one per link for sender-side samples). Report merges
+// the shards with the commutative histogram sum.
 type Collector struct {
 	lanes []*StageSet
 }
@@ -129,8 +127,8 @@ func NewCollector(lanes int) *Collector {
 	return c
 }
 
-// Lane returns CPU i's recording shard (shard 0 for out-of-range lanes,
-// so unattributed serial deliveries still record).
+// Lane returns CPU i's recording shard (shard 0 for out-of-range
+// indices, so unattributed deliveries still record).
 func (c *Collector) Lane(i int) *StageSet {
 	if c == nil {
 		return nil
@@ -141,8 +139,7 @@ func (c *Collector) Lane(i int) *StageSet {
 	return c.lanes[i]
 }
 
-// Reset clears every shard (measurement-interval boundary; call only from
-// barrier/serial context).
+// Reset clears every shard (measurement-interval boundary).
 func (c *Collector) Reset() {
 	if c == nil {
 		return
@@ -152,10 +149,8 @@ func (c *Collector) Reset() {
 	}
 }
 
-// merged returns the shard-merged histograms. The merge is a plain sum in
-// lane order; since histogram merging is commutative and each lane's
-// content is deterministic, the result is bit-identical serial vs
-// parallel.
+// merged returns the shard-merged histograms: a plain sum in shard
+// order (histogram merging is commutative).
 func (c *Collector) merged() (stage [NumStages]Histogram, e2e, rtt, recovery Histogram) {
 	for _, l := range c.lanes {
 		for i := range stage {

@@ -49,17 +49,14 @@
 // until the owning vCPU's next round, woken through the event-channel
 // kick.
 //
-// # Serial scheduling only
+// # One event loop
 //
-// The intra-run parallel scheduler (sim/parsched.go) does not partition
-// this machine: the dom0 bridge/netback stage is a serialization point
-// every queue's traffic flows through (grant-copy batches, the shared
+// Like the native machine, this machine runs on the simulator's one serial
+// event loop. The dom0 bridge/netback stage is a serialization point every
+// queue's traffic flows through (grant-copy batches, the shared
 // event-channel demultiplexer, cross-channel netback steering of
-// unhashable traffic), so there is no lane decomposition whose cross-lane
-// traffic is bounded by a link delay the way the native machine's is.
-// StreamConfig.ParallelScheduler on a Xen config therefore silently runs
-// the serial path — same results, no error — rather than a lane split
-// that would have to barrier on every grant batch.
+// unhashable traffic); virtual time, not host threads, models how the
+// cores' work overlaps.
 package xenvirt
 
 import (
@@ -768,7 +765,7 @@ func (m *Machine) RegisterEndpoint(ep *tcp.Endpoint, remoteIP, localIP [4]byte, 
 	}
 	if m.telCol != nil {
 		// The flow's packets all reach the guest on the vCPU its channel
-		// map names, so its latency samples land in that lane's shard.
+		// map names, so its latency samples land in that vCPU's shard.
 		owner := m.chanMap.Queue(rss.HashTCP4(remoteIP, localIP, remotePort, localPort))
 		sc := m.stampClock
 		ep.SetLatencyRecorder(m.telCol.Lane(owner), func() uint64 { return sc(owner) })

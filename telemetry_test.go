@@ -12,7 +12,7 @@ import (
 // telemetry-off run. This is what makes the histograms trustworthy: they
 // describe the same execution the goldens locked, not a perturbed one.
 func TestTelemetryZeroPerturbation(t *testing.T) {
-	for name, cfg := range parDetShapes() {
+	for name, cfg := range goldenShapes() {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -38,64 +38,6 @@ func TestTelemetryZeroPerturbation(t *testing.T) {
 			off.Latency, on.Latency = LatencyReport{}, LatencyReport{}
 			if !reflect.DeepEqual(off, on) {
 				t.Errorf("telemetry perturbed the run:\n  off: %+v\n  on:  %+v", off, on)
-			}
-		})
-	}
-}
-
-// TestTraceParallelDeterminism is the trace-merge invariant: serial and
-// ParallelScheduler runs must produce identical span streams and identical
-// latency histograms, not just identical aggregate results. Per-lane
-// recorders merge by (start, track, name, duration), which is a total
-// order over the spans a deterministic schedule emits. Run under -race
-// this also proves the recorders share no hidden state across lanes.
-func TestTraceParallelDeterminism(t *testing.T) {
-	shapes := map[string]StreamConfig{}
-
-	stream := DefaultStreamConfig(SystemNativeSMP, OptFull)
-	stream.NICs = 4
-	stream.Queues = 4
-	stream.Connections = 32
-	shapes["stream/4q"] = stream
-
-	rpc := DefaultStreamConfig(SystemNativeSMP, OptFull)
-	rpc.NICs = 2
-	rpc.Queues = 2
-	rpc.Connections = 16
-	rpc.RPC = RPCConfig{Enabled: true}
-	shapes["rpc/incast"] = rpc
-
-	for name, cfg := range shapes {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			cfg.DurationNs = 20_000_000
-			cfg.WarmupNs = 10_000_000
-			cfg.Telemetry = TelemetryConfig{Latency: true, Spans: true}
-
-			run := func(parallel bool) (StreamResult, []Span) {
-				c := cfg
-				c.ParallelScheduler = parallel
-				var spans []Span
-				c.Telemetry.SpanSink = func(s []Span) { spans = s }
-				res, err := RunStream(c)
-				if err != nil {
-					t.Fatalf("parallel=%v: %v", parallel, err)
-				}
-				return res, spans
-			}
-			serial, sspans := run(false)
-			par, pspans := run(true)
-
-			if len(sspans) == 0 {
-				t.Fatal("serial run emitted no spans")
-			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Errorf("results diverge:\n  serial:   %+v\n  parallel: %+v", serial, par)
-			}
-			if !reflect.DeepEqual(sspans, pspans) {
-				t.Errorf("span streams diverge: serial %d spans, parallel %d spans",
-					len(sspans), len(pspans))
 			}
 		})
 	}
