@@ -249,12 +249,11 @@ func (s *Stack) Endpoints() int { return s.table.Len() }
 func (s *Stack) Input(skb *buf.SKB) { s.inputFrom(-1, skb) }
 
 func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
-	st := &s.stats
 	if s.StampClock != nil {
 		skb.StackInNs = s.StampClock(cpu)
 	}
-	st.HostPacketsIn++
-	st.NetPacketsIn += uint64(skb.NetPackets)
+	s.stats.HostPacketsIn++
+	s.stats.NetPacketsIn += uint64(skb.NetPackets)
 
 	// Non-protocol per-host-packet work: softirq handoff, netfilter
 	// hooks, socket wakeup accounting (§2.2), plus SMP locking.
@@ -269,14 +268,14 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	// payload chained in fragments beyond the linear buffer.
 	ih, err := ipv4.ParseHeaderOnly(l3)
 	if err != nil || ih.Proto != ipv4.ProtoTCP {
-		st.Malformed++
+		s.stats.Malformed++
 		s.alloc.Free(skb)
 		return
 	}
 	segEnd := ih.TotalLen
 	if segEnd > len(l3) {
 		if !skb.Aggregated {
-			st.Malformed++
+			s.stats.Malformed++
 			s.alloc.Free(skb)
 			return
 		}
@@ -285,7 +284,7 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	seg := l3[ih.IHL:segEnd]
 	th, err := tcpwire.Parse(seg)
 	if err != nil {
-		st.Malformed++
+		s.stats.Malformed++
 		s.alloc.Free(skb)
 		return
 	}
@@ -294,10 +293,10 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	// did not already verify. This is the per-byte cost path the paper
 	// assumes away via receive checksum offload (§3.1).
 	if !skb.CsumVerified {
-		st.SoftCsumVerify++
+		s.stats.SoftCsumVerify++
 		s.meter.Charge(cycles.PerByte, s.params.Mem.ChecksumCost(ih.TotalLen-ih.IHL))
 		if !tcpwire.VerifyChecksum(seg, ih.Src, ih.Dst) {
-			st.BadChecksum++
+			s.stats.BadChecksum++
 			s.alloc.Free(skb)
 			return
 		}
@@ -306,7 +305,7 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	key := FlowKey{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}
 	ep := s.table.LookupOn(cpu, key, skb.RSSHash, skb.NetPackets, skb.Aggregated)
 	if ep == nil {
-		st.NoSocket++
+		s.stats.NoSocket++
 		s.alloc.Free(skb)
 		return
 	}

@@ -43,15 +43,6 @@ func (s *Sim) Schedule(at uint64, fn func()) {
 	s.events.push(event{at: at, seq: s.seq, fn: fn})
 }
 
-// NextAt returns the timestamp of the earliest pending event, or ok=false
-// when the queue is empty.
-func (s *Sim) NextAt() (at uint64, ok bool) {
-	if len(s.events) == 0 {
-		return 0, false
-	}
-	return s.events[0].at, true
-}
-
 // After runs fn at now+delay.
 func (s *Sim) After(delay uint64, fn func()) {
 	s.Schedule(s.now+delay, fn)

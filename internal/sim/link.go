@@ -89,10 +89,6 @@ type Link struct {
 	// wireFreeFn is the pre-bound "serialization finished" event (one
 	// closure for the link's lifetime instead of one per frame).
 	wireFreeFn func()
-	// transmitFn is the pre-bound transmitNext method value: the stall
-	// requeue path runs once per deferred ring-headroom check and a fresh
-	// method-value binding each time was a measurable allocation source.
-	transmitFn func()
 
 	// Reorder-injector state: the withheld frame (nil data = none) and how
 	// many deliveries remain before it is released.
@@ -154,7 +150,6 @@ func NewLink(s *Sim, sender *SenderMachine, dst *nic.NIC) *Link {
 		l.busy = false
 		l.transmitNext()
 	}
-	l.transmitFn = l.transmitNext
 	l.arriveFn = l.arrive
 	return l
 }

@@ -249,7 +249,7 @@ type Endpoint struct {
 
 	// latRec/latClock, when wired (SetLatencyRecorder), record each
 	// data-carrying host packet's stage stamps at app-delivery time into
-	// the owning lane's telemetry shard. latClock is the stamp clock of
+	// the owning CPU's telemetry shard. latClock is the stamp clock of
 	// the softirq CPU that owns this flow — deliberately separate from
 	// e.clock, whose value feeds TCP timestamps and timers and must not
 	// change when telemetry is enabled.
@@ -342,8 +342,8 @@ func (e *Endpoint) AppCPU() int { return e.appCPU }
 // data-carrying host packet delivered to this endpoint records its stamp
 // chain (wire → ring → softirq → aggregation → stack → socket read) into
 // rec, reading the app-read boundary from clock. Recording is observation
-// only — it charges no cycles and schedules nothing — and rec is a
-// per-lane shard, so concurrent CPU lanes never share one.
+// only — it charges no cycles and schedules nothing — and rec is the
+// shard of the CPU that owns the flow.
 func (e *Endpoint) SetLatencyRecorder(rec *telemetry.StageSet, clock Clock) {
 	e.latRec = rec
 	e.latClock = clock
