@@ -136,9 +136,9 @@ func (r *rpcDriver) openConn(c int) error {
 	// byte that completes the message defines its RTT. stampNowOn is the
 	// same clock the stage stamps use, so the sample lands at the instant
 	// the socket read returns in simulated time.
-	var shard *telemetry.StageSet
+	var lane *telemetry.StageSet
 	if top.col != nil {
-		shard = top.col.Lane(conn.owner)
+		lane = top.col.Lane(conn.owner)
 	}
 	cs := top.cpu
 	rep.AppSink = func(b []byte) {
@@ -148,8 +148,8 @@ func (r *rpcDriver) openConn(c int) error {
 		conn.got += uint64(len(b))
 		if conn.got >= msg {
 			conn.done = true
-			if shard != nil {
-				shard.RecordRTT(cs.stampNowOn(conn.owner) - conn.reqSentNs)
+			if lane != nil {
+				lane.RecordRTT(cs.stampNowOn(conn.owner) - conn.reqSentNs)
 			}
 		}
 	}
