@@ -62,6 +62,33 @@ func goldenShapes() map[string]StreamConfig {
 	steer.Steering = SteerConfig{Enabled: true, ARFS: true}
 	shapes["steer/arfs"] = steer
 
+	// The steering handoff under pressure: bucket moves, aRFS rule
+	// evictions and aging, application migration and churn teardowns,
+	// natively and on an asymmetric Xen topology (GuestVCPUs != Queues,
+	// so the NIC rule queue is cpu mod Queues).
+	handoff := SteerConfig{
+		Enabled: true, ARFS: true, RuleTableSlots: 16, RuleIdleEpochs: 2,
+		EpochNs: 2_000_000, AppMigrateIntervalNs: 3_000_000,
+	}
+	handoffNative := DefaultStreamConfig(SystemNativeUP, OptFull)
+	handoffNative.NICs = 4
+	handoffNative.Queues = 4
+	handoffNative.Connections = 120
+	handoffNative.FlowSkew = 2.0
+	handoffNative.ChurnIntervalNs = 4_000_000
+	handoffNative.Steering = handoff
+	shapes["steer/handoff-native"] = handoffNative
+
+	handoffXen := DefaultStreamConfig(SystemXen, OptFull)
+	handoffXen.NICs = 4
+	handoffXen.Queues = 2
+	handoffXen.GuestVCPUs = 4
+	handoffXen.Connections = 120
+	handoffXen.FlowSkew = 2.0
+	handoffXen.ChurnIntervalNs = 1_000_000
+	handoffXen.Steering = handoff
+	shapes["steer/handoff-xen-asym"] = handoffXen
+
 	reorder := DefaultStreamConfig(SystemNativeSMP, OptAggregation)
 	reorder.Queues = 2
 	reorder.Connections = 12
