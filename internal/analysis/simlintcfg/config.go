@@ -28,6 +28,7 @@ var DeterministicPackages = []string{
 	"internal/cycles",
 	"internal/driver",
 	"internal/ether",
+	"internal/frontend",
 	"internal/ipv4",
 	"internal/memmodel",
 	"internal/netstack",
@@ -98,6 +99,7 @@ var PricedTypes = map[string][]string{
 // chargedpath analyzer walks the static call graph from these roots.
 var HotPathRoots = map[string][]string{
 	"internal/driver":    {"Driver.Poll"},
+	"internal/frontend":  {"FrontEnd.Poll"},
 	"internal/netstack":  {"Stack.Input", "Stack.InputOn"},
 	"internal/aggregate": {"Engine.Input"},
 	"internal/tcp":       {"Endpoint.Input"},

@@ -1,0 +1,482 @@
+// Package frontend is the receive front end both simulated machines share:
+// NICs, per-queue NAPI drivers, per-queue Receive Aggregation paths
+// (internal/core), the receiving stack with its owner map, endpoint
+// registration, transmit routing and the drain-then-rewrite steering
+// handoff. The native machine (internal/sim) feeds driver output straight
+// into its stack; the Xen machine (internal/xenvirt) is the same front end
+// in the driver domain, feeding the bridge, with the guest's stack behind
+// the paravirtual I/O channels.
+package frontend
+
+import (
+	"fmt"
+
+	"repro/internal/aggregate"
+	"repro/internal/buf"
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/cycles"
+	"repro/internal/driver"
+	"repro/internal/netstack"
+	"repro/internal/nic"
+	"repro/internal/rss"
+	"repro/internal/tcp"
+	"repro/internal/telemetry"
+)
+
+// Mode selects a machine's receive-path configuration.
+type Mode int
+
+const (
+	// ModeBaseline is the stock receive path.
+	ModeBaseline Mode = iota
+	// ModeOptimized enables Receive Aggregation directly behind the NIC
+	// driver (ACK offload is the endpoint's AckOffload flag).
+	ModeOptimized
+)
+
+// Config assembles a receive front end: the machine fields the native and
+// the paravirtual receivers share.
+type Config struct {
+	// Params is the machine cost profile (NativeUP, NativeSMP, XenGuest,
+	// ...).
+	Params cost.Params
+	// NICCount is the number of Gigabit NICs (the paper uses five).
+	NICCount int
+	// Queues is the number of RSS receive queues per NIC; queue q is
+	// polled from softirq CPU q. 0 or 1 reproduces the paper's
+	// single-queue, single-softirq machine exactly.
+	Queues int
+	// Mode selects baseline or optimized.
+	Mode Mode
+	// Aggregation configures the optimized path. Options without a
+	// QueueCapacity are completed from DefaultOptions, keeping their
+	// Aggregation Limit (when positive) and resequencing window.
+	Aggregation core.Options
+	// Clock supplies virtual time.
+	Clock tcp.Clock
+	// FlowRuleSlots sizes each NIC's exact-match steering-rule table
+	// (0 = no aRFS filters, the paper's hardware).
+	FlowRuleSlots int
+	// FlowLayout selects the flow-table shard layout (default: the
+	// cache-conscious open-addressed layout; LayoutSeedMap is the priced
+	// Go-map baseline).
+	FlowLayout netstack.FlowLayout
+}
+
+// completed returns o, or — when o leaves QueueCapacity unset — the
+// paper's defaults carrying o's Aggregation Limit (when positive) and
+// resequencing window.
+func completed(o core.Options) core.Options {
+	if o.QueueCapacity != 0 {
+		return o
+	}
+	d := core.DefaultOptions()
+	if o.Aggregation.Limit > 0 {
+		d.Aggregation.Limit = o.Aggregation.Limit
+	}
+	d.Aggregation.ReorderWindow = o.Aggregation.ReorderWindow
+	d.Aggregation.ReorderWindowBytes = o.Aggregation.ReorderWindowBytes
+	return d
+}
+
+// FrontEnd is the receive front end every simulated machine embeds: the
+// NICs, one NAPI driver per (NIC, queue), one aggregation path per queue
+// in optimized mode, the receiving stack, endpoint registration, transmit
+// routing and the steering handoff. Natively the stack is the host's and
+// driver output enters it directly; on Xen the front end is the driver
+// domain's (§2.4: aggregation runs "directly behind the NIC driver") and
+// driver output crosses the bridge to the guest's stack.
+//
+// Multi-queue layout: NIC n's receive queue q is serviced by the driver
+// drvs[n][q], polled from softirq CPU q. In optimized mode CPU q owns the
+// receive path rps[q] — softirq context, aggregation queue and
+// aggregation engine — so every per-flow structure on the hot path is
+// CPU-local (see ARCHITECTURE.md).
+type FrontEnd struct {
+	Meter  cycles.Meter
+	Params cost.Params
+	Alloc  *buf.Allocator
+	// Stack is the receiving stack: the host's natively, the guest's on
+	// Xen.
+	Stack *netstack.Stack
+	// RuleMirror, when set, follows every exact-match rule the front end
+	// programs (cpu >= 0) or removes (cpu < 0) — netback's per-flow
+	// channel overrides on Xen.
+	RuleMirror func(t nic.FlowTuple, cpu int)
+
+	nics     []*nic.NIC
+	drvs     [][]*driver.Driver  // [nic][queue]
+	rps      []*core.ReceivePath // [queue]; nil slice in baseline mode
+	eps      []*tcp.Endpoint
+	framesIn uint64
+	polling  [][]bool // NAPI poll lists: [nic][queue] with signaled irq
+	wired    bool     // interrupts routed via WireInterrupts
+	kick     func(cpu int)
+
+	// nicMap steers buckets onto NIC queues; owners maps them to the CPU
+	// that runs the stack for their flows, which defines shard ownership
+	// (and hence steal accounting). Natively the two are one map; on Xen
+	// owners is the netback channel map.
+	nicMap *rss.Map
+	owners *rss.Map
+
+	// Telemetry wiring (nil when off): the latency collector endpoints
+	// record into, and the per-CPU stamp clock behind every stage stamp.
+	telCol     *telemetry.Collector
+	stampClock func(cpu int) uint64
+}
+
+// Init builds the front end in place. owners is the bucket→CPU map the
+// stack's shard ownership follows (nil: the NIC indirection itself), and
+// deliver(q) names where queue q's driver output goes — the stack's
+// InputOn(q) natively, the bridge on Xen. deliver is called after Stack
+// exists.
+func (fe *FrontEnd) Init(cfg Config, owners *rss.Map, deliver func(q int) func(*buf.SKB)) error {
+	if err := cfg.Params.Validate(); err != nil {
+		return err
+	}
+	if cfg.NICCount <= 0 {
+		return fmt.Errorf("frontend: NICCount %d must be positive", cfg.NICCount)
+	}
+	if cfg.Queues == 0 {
+		cfg.Queues = 1
+	}
+	if cfg.Queues < 0 || cfg.Queues > rss.Buckets {
+		return fmt.Errorf("frontend: Queues %d must be in [1, %d]", cfg.Queues, rss.Buckets)
+	}
+	if cfg.Clock == nil {
+		return fmt.Errorf("frontend: Clock must be set")
+	}
+	nm, err := rss.NewMap(cfg.Queues)
+	if err != nil {
+		return err
+	}
+	if owners == nil {
+		owners = nm
+	}
+	fe.nicMap, fe.owners = nm, owners
+	fe.Params = cfg.Params
+	fe.Alloc = buf.NewAllocator(&fe.Meter, &fe.Params)
+	fe.Alloc.SetPool(buf.NewPool())
+	fe.Stack = netstack.NewLayout(&fe.Meter, &fe.Params, fe.Alloc, cfg.FlowLayout)
+	fe.Stack.Tx = fe
+	fe.Stack.SetQueues(owners.Queues())
+	fe.Stack.FlowTable().SetOwnerMap(owners)
+
+	out := make([]func(*buf.SKB), cfg.Queues)
+	for q := range out {
+		out[q] = deliver(q)
+	}
+	if cfg.Mode == ModeOptimized {
+		opts := completed(cfg.Aggregation)
+		for q := range out {
+			rp, err := core.NewOnCPU(q, opts, &fe.Meter, &fe.Params, fe.Alloc, out[q])
+			if err != nil {
+				return err
+			}
+			fe.rps = append(fe.rps, rp)
+		}
+	}
+	for i := 0; i < cfg.NICCount; i++ {
+		ncfg := nic.DefaultConfig(fmt.Sprintf("eth%d", i))
+		ncfg.RxQueues = cfg.Queues
+		ncfg.Indir = nm
+		ncfg.FlowRuleSlots = cfg.FlowRuleSlots
+		ncfg.IntThrottleFrames = 16 // e1000-style interrupt throttling; the
+		// link flushes the line when the wire goes idle, so latency
+		// workloads are not delayed (§5.4)
+		n, err := nic.New(ncfg)
+		if err != nil {
+			return err
+		}
+		qdrvs := make([]*driver.Driver, cfg.Queues)
+		for q := range qdrvs {
+			if cfg.Mode == ModeOptimized {
+				qdrvs[q] = driver.NewQueue(n, q, driver.ModeRaw, &fe.Meter, &fe.Params, fe.Alloc)
+				qdrvs[q].DeliverRaw = fe.rps[q].EnqueueRaw
+			} else {
+				qdrvs[q] = driver.NewQueue(n, q, driver.ModeBaseline, &fe.Meter, &fe.Params, fe.Alloc)
+				qdrvs[q].DeliverSKB = out[q]
+			}
+		}
+		fe.nics = append(fe.nics, n)
+		fe.drvs = append(fe.drvs, qdrvs)
+		fe.polling = append(fe.polling, make([]bool, cfg.Queues))
+	}
+	return nil
+}
+
+// SetTelemetry wires the stage-stamp clocks and latency collector. Receive
+// drivers stamp softirq dequeue with their own queue's clock, aggregation
+// engines stamp aggregate close, and the stack stamps stack entry (on Xen
+// the grant copy carries the stamps across the domain boundary); endpoints
+// registered after this call record into col (when non-nil). All of it
+// reads clocks only — nothing here can perturb the schedule or the charged
+// cycles.
+func (fe *FrontEnd) SetTelemetry(col *telemetry.Collector, stampClock func(cpu int) uint64) {
+	fe.telCol = col
+	fe.stampClock = stampClock
+	if stampClock == nil {
+		return
+	}
+	for ni := range fe.drvs {
+		for q := range fe.drvs[ni] {
+			qq := q
+			fe.drvs[ni][q].StampClock = func() uint64 { return stampClock(qq) }
+		}
+	}
+	for q, rp := range fe.rps {
+		qq := q
+		rp.Engine().Clock = func() uint64 { return stampClock(qq) }
+	}
+	fe.Stack.StampClock = stampClock
+}
+
+// NICs returns the machine's NICs (wire side).
+func (fe *FrontEnd) NICs() []*nic.NIC { return fe.nics }
+
+// CPUs returns the softirq CPU count: one per queue, and — when the stack
+// runs on more CPUs than there are queues (Xen guests with more vCPUs than
+// dom0 queues) — one per stack CPU.
+func (fe *FrontEnd) CPUs() int { return max(fe.nicMap.Queues(), fe.owners.Queues()) }
+
+// WireInterrupts routes every NIC queue's interrupt onto its NAPI poll
+// list and then to the owning CPU's scheduler slot. Only queues that have
+// signaled are polled in a round — this is what preserves per-device
+// batching (and therefore the achievable aggregation factor) when the CPU
+// is not saturated. kick is kept for Kick.
+func (fe *FrontEnd) WireInterrupts(kick func(cpu int)) {
+	fe.wired = true
+	fe.kick = kick
+	for i := range fe.nics {
+		idx := i
+		fe.nics[idx].OnInterrupt = func(q int) {
+			fe.polling[idx][q] = true
+			kick(q)
+		}
+	}
+}
+
+// Kick wakes cpu through the scheduler wired by WireInterrupts (no-op on
+// an unwired machine).
+func (fe *FrontEnd) Kick(cpu int) {
+	if fe.kick != nil {
+		fe.kick(cpu)
+	}
+}
+
+// Poll runs the driver half of a softirq round on queue q: that queue's
+// driver on every NIC, then the queue's aggregation path. It returns the
+// network frames consumed and whether a driver exhausted its budget (NAPI
+// keeps it on the poll list). A CPU with no queue of its own polls nothing.
+func (fe *FrontEnd) Poll(q, budget int) (frames int, more bool) {
+	if q >= fe.nicMap.Queues() {
+		return 0, false
+	}
+	for i := range fe.drvs {
+		// Unwired machines (directly driven tests) poll every queue;
+		// wired machines follow the NAPI poll lists.
+		if fe.wired && !fe.polling[i][q] {
+			continue
+		}
+		n := fe.drvs[i][q].Poll(budget)
+		frames += n
+		if n == budget {
+			more = true // stays on the poll list (NAPI)
+		} else {
+			fe.polling[i][q] = false
+		}
+	}
+	if fe.rps != nil {
+		fe.rps[q].Process(1 << 30)
+	}
+	fe.framesIn += uint64(frames)
+	return frames, more
+}
+
+// ReceivePaths returns every queue's optimized path (nil in baseline
+// mode).
+func (fe *FrontEnd) ReceivePaths() []*core.ReceivePath { return fe.rps }
+
+// FlowTable exposes the stack's sharded demux table.
+func (fe *FrontEnd) FlowTable() *netstack.FlowTable { return fe.Stack.FlowTable() }
+
+// Netstack exposes the receiving stack.
+func (fe *FrontEnd) Netstack() *netstack.Stack { return fe.Stack }
+
+// SteerMap returns the live bucket→CPU map that defines shard ownership.
+func (fe *FrontEnd) SteerMap() *rss.Map { return fe.owners }
+
+// SteerTargets returns the CPUs the stack runs on: they can own buckets
+// and applications. On Xen, dom0-only cores (queues beyond the vCPU count)
+// own no channel and are not targets.
+func (fe *FrontEnd) SteerTargets() int { return fe.owners.Queues() }
+
+// SteerBucket repoints bucket b to cpu. Handoff order matters: the old
+// queue's pending aggregates for the bucket's flows are flushed *before*
+// the indirection is rewritten, so every frame the old queue has already
+// absorbed reaches the stack ahead of anything the new queue will
+// aggregate — no aggregate ever spans the migration boundary. The NIC
+// steers the bucket to queue cpu mod queues (the identity natively; on
+// Xen it keeps dom0 work co-located with the vCPU where the topology
+// allows) and ownership moves to cpu. Frames still queued on the old
+// queue (NIC ring, raw softirq queue) are processed there later — counted
+// as shard steals natively, re-steered by netback onto the new channel on
+// Xen.
+func (fe *FrontEnd) SteerBucket(b, cpu int) {
+	if fe.owners.Entry(b) == cpu {
+		return
+	}
+	oldQ := fe.nicMap.Entry(b)
+	newQ := cpu % fe.nicMap.Queues()
+	if fe.rps != nil && oldQ != newQ {
+		fe.rps[oldQ].FlushWhere(func(k aggregate.FlowKey) bool {
+			return rss.Bucket(rss.HashTCP4(k.Src, k.Dst, k.SrcPort, k.DstPort)) == b
+		})
+	}
+	fe.nicMap.Set(b, newQ)
+	fe.owners.Set(b, cpu)
+	fe.flushCoalescing()
+}
+
+// flushCoalescing fires any coalesced-but-unraised interrupt after a
+// steering rewrite. A rewrite cuts the old queue's arrival stream mid-
+// batch; with the wire still busy (so the link's idle flush never comes)
+// a stranded sub-threshold batch would otherwise sit in the ring
+// indefinitely, and a flow whose ACK clock depends on it deadlocks —
+// the coalescing/migration interaction Wu et al. warn about. Real drivers
+// kick the queue when they touch steering state; so does this machine.
+func (fe *FrontEnd) flushCoalescing() {
+	for _, n := range fe.nics {
+		n.FlushInterrupt()
+	}
+}
+
+// SteerFlow programs an aRFS rule steering flow k onto cpu: pending
+// aggregation state for the flow is drained from every engine (it lives in
+// at most one), the rule is installed on the NIC that carries the flow's
+// subnet (queue cpu mod queues) and mirrored, and the flow table's
+// ownership override follows. An evicted victim's key is returned for the
+// policy to forget; the victim's overrides are cleared so it falls back to
+// its bucket.
+func (fe *FrontEnd) SteerFlow(k netstack.FlowKey, hash uint32, cpu int) (*netstack.FlowKey, error) {
+	table := fe.Stack.FlowTable()
+	if table.OwnerOf(k, hash) == cpu {
+		return nil, nil
+	}
+	core.FlushFlow(fe.rps, k.Src, k.Dst, k.SrcPort, k.DstPort)
+	t := nic.FlowTuple(k)
+	victim, err := fe.nics[fe.nicOf(k)].ProgramFlowRule(t, cpu%fe.nicMap.Queues())
+	if err != nil {
+		return nil, err
+	}
+	fe.mirror(t, cpu)
+	table.SetFlowOwner(k, cpu)
+	fe.flushCoalescing()
+	if victim == nil {
+		return nil, nil
+	}
+	// The evicted victim is itself re-steered (back to its bucket's
+	// indirection), so it gets the same handoff: drop the overrides and
+	// drain its pending state before frames can land elsewhere.
+	fe.mirror(*victim, -1)
+	vk := netstack.FlowKey(*victim)
+	table.ClearFlowOwner(vk)
+	core.FlushFlow(fe.rps, vk.Src, vk.Dst, vk.SrcPort, vk.DstPort)
+	return &vk, nil
+}
+
+// UnsteerFlow removes flow k's aRFS rule (rule aging): the flow reverts
+// to its bucket's indirection with the standard migration handoff —
+// pending aggregation state (including any resequencing window) drained,
+// ownership override cleared, coalesced interrupts kicked. No-op when no
+// rule is programmed. The simulation is single-threaded, so no frame can
+// arrive between these steps.
+func (fe *FrontEnd) UnsteerFlow(k netstack.FlowKey) {
+	t := nic.FlowTuple(k)
+	if !fe.nics[fe.nicOf(k)].RemoveFlowRule(t) {
+		return
+	}
+	fe.mirror(t, -1)
+	fe.Stack.FlowTable().ClearFlowOwner(k)
+	core.FlushFlow(fe.rps, k.Src, k.Dst, k.SrcPort, k.DstPort)
+	fe.flushCoalescing()
+}
+
+// mirror reports a rule change to RuleMirror, if any.
+func (fe *FrontEnd) mirror(t nic.FlowTuple, cpu int) {
+	if fe.RuleMirror != nil {
+		fe.RuleMirror(t, cpu)
+	}
+}
+
+// nicOf maps a flow to the NIC carrying its sender subnet (10.0.<n>.x).
+func (fe *FrontEnd) nicOf(k netstack.FlowKey) int {
+	if n := int(k.Src[2]); n < len(fe.nics) {
+		return n
+	}
+	return 0
+}
+
+// MeterRef returns the machine's cycle meter.
+func (fe *FrontEnd) MeterRef() *cycles.Meter { return &fe.Meter }
+
+// AllocRef returns the machine's buffer allocator.
+func (fe *FrontEnd) AllocRef() *buf.Allocator { return fe.Alloc }
+
+// ParamsRef returns the machine's cost profile.
+func (fe *FrontEnd) ParamsRef() *cost.Params { return &fe.Params }
+
+// RegisterEndpoint adds a receiver endpoint to the stack's demux table and
+// the machine's timer list.
+func (fe *FrontEnd) RegisterEndpoint(ep *tcp.Endpoint, remoteIP, localIP [4]byte, remotePort, localPort uint16) error {
+	if err := fe.Stack.Register(ep, remoteIP, localIP, remotePort, localPort); err != nil {
+		return err
+	}
+	if fe.telCol != nil {
+		// The flow's packets all reach the stack on the CPU its owner map
+		// names, so its latency samples land in that CPU's shard.
+		owner := fe.owners.Queue(rss.HashTCP4(remoteIP, localIP, remotePort, localPort))
+		sc := fe.stampClock
+		ep.SetLatencyRecorder(fe.telCol.Lane(owner), func() uint64 { return sc(owner) })
+	}
+	fe.eps = append(fe.eps, ep)
+	return nil
+}
+
+// UnregisterEndpoint removes an endpoint from the demux table (connection
+// teardown), dropping any steering rule programmed for it. The endpoint
+// stays on the machine's timer/accounting list so bytes it delivered
+// remain counted.
+func (fe *FrontEnd) UnregisterEndpoint(remoteIP, localIP [4]byte, remotePort, localPort uint16) {
+	fe.Stack.Unregister(remoteIP, localIP, remotePort, localPort)
+	t := nic.FlowTuple{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}
+	if fe.nics[fe.nicOf(netstack.FlowKey(t))].RemoveFlowRule(t) {
+		fe.mirror(t, -1)
+	}
+}
+
+// Endpoints returns the registered endpoints in registration order.
+func (fe *FrontEnd) Endpoints() []*tcp.Endpoint { return fe.eps }
+
+// HostPacketsIn returns host packets delivered to the stack.
+func (fe *FrontEnd) HostPacketsIn() uint64 { return fe.Stack.Stats().HostPacketsIn }
+
+// NetFramesIn returns network frames consumed from the NIC rings.
+func (fe *FrontEnd) NetFramesIn() uint64 { return fe.framesIn }
+
+// Transmit sends one outgoing host packet out of the NIC facing its
+// destination: with one NIC per sender subnet, the destination IP's third
+// octet (10.0.<i>.x) selects the NIC; out-of-range values fall back to NIC
+// 0. Transmission always uses the NIC's queue-0 driver; the device's
+// transmit path is queue-agnostic.
+func (fe *FrontEnd) Transmit(skb *buf.SKB) {
+	d := fe.drvs[0][0]
+	if l3 := skb.L3(); len(l3) >= 20 {
+		if idx := int(l3[18]); idx < len(fe.drvs) {
+			d = fe.drvs[idx][0]
+		}
+	}
+	d.Transmit(skb)
+}

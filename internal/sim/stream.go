@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/cycles"
+	"repro/internal/frontend"
 	"repro/internal/netstack"
 	"repro/internal/nic"
 	"repro/internal/tcp"
@@ -894,52 +895,38 @@ func buildMachine(cfg *StreamConfig, s *Sim) (Machine, error) {
 		return nil, fmt.Errorf("sim: GuestVCPUs is a Xen topology knob (system %v)", cfg.System)
 	}
 
+	var params cost.Params
 	switch cfg.System {
-	case SystemNativeUP, SystemNativeSMP:
-		params := cost.NativeUP()
-		if cfg.System == SystemNativeSMP {
-			params = cost.NativeSMP()
-		}
-		if cfg.Params != nil {
-			params = *cfg.Params
-		}
-		mode := NativeBaseline
-		if cfg.Opt != OptNone {
-			mode = NativeOptimized
-		}
-		return NewNative(NativeConfig{
-			Params:        params,
-			NICCount:      cfg.NICs,
-			RxQueues:      cfg.Queues,
-			Mode:          mode,
-			Aggregation:   aggOpts,
-			Clock:         s.Clock(),
-			FlowRuleSlots: ruleSlots,
-			FlowLayout:    cfg.FlowLayout,
-		})
+	case SystemNativeUP:
+		params = cost.NativeUP()
+	case SystemNativeSMP:
+		params = cost.NativeSMP()
 	case SystemXen:
-		params := cost.XenGuest()
-		if cfg.Params != nil {
-			params = *cfg.Params
-		}
-		mode := xenvirt.ModeBaseline
-		if cfg.Opt != OptNone {
-			mode = xenvirt.ModeOptimized
-		}
-		return xenvirt.New(xenvirt.Config{
-			Params:        params,
-			NICCount:      cfg.NICs,
-			Queues:        cfg.Queues,
-			GuestVCPUs:    cfg.GuestVCPUs,
-			Mode:          mode,
-			Aggregation:   aggOpts,
-			Clock:         s.Clock(),
-			FlowRuleSlots: ruleSlots,
-			FlowLayout:    cfg.FlowLayout,
-		})
+		params = cost.XenGuest()
 	default:
 		return nil, fmt.Errorf("sim: unknown system %d", int(cfg.System))
 	}
+	if cfg.Params != nil {
+		params = *cfg.Params
+	}
+	mode := frontend.ModeBaseline
+	if cfg.Opt != OptNone {
+		mode = frontend.ModeOptimized
+	}
+	fc := frontend.Config{
+		Params:        params,
+		NICCount:      cfg.NICs,
+		Queues:        cfg.Queues,
+		Mode:          mode,
+		Aggregation:   aggOpts,
+		Clock:         s.Clock(),
+		FlowRuleSlots: ruleSlots,
+		FlowLayout:    cfg.FlowLayout,
+	}
+	if cfg.System == SystemXen {
+		return xenvirt.New(xenvirt.Config{Config: fc, GuestVCPUs: cfg.GuestVCPUs})
+	}
+	return NewNative(fc)
 }
 
 // nicReverse returns the receiver NIC's transmit hook: frames go back over

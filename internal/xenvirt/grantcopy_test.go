@@ -7,6 +7,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/cost"
 	"repro/internal/ether"
+	"repro/internal/frontend"
 )
 
 // pooledAggregate builds a dom0 host packet the way the aggregation engine
@@ -14,7 +15,7 @@ import (
 // its own pooled frame.
 func pooledAggregate(tb testing.TB, frags int) (*Machine, *buf.SKB) {
 	tb.Helper()
-	m, err := New(Config{Params: cost.XenGuest(), NICCount: 1, Clock: func() uint64 { return 0 }})
+	m, err := New(Config{Config: frontend.Config{Params: cost.XenGuest(), NICCount: 1, Clock: func() uint64 { return 0 }}})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/ether"
+	"repro/internal/frontend"
 	"repro/internal/nic"
 	"repro/internal/packet"
 	"repro/internal/rss"
@@ -24,17 +25,17 @@ type mqRig struct {
 	sent [][]byte
 }
 
-func newMQRig(t *testing.T, mode Mode, queues int) *mqRig {
+func newMQRig(t *testing.T, mode frontend.Mode, queues int) *mqRig {
 	t.Helper()
 	r := &mqRig{}
-	cfg := Config{
+	cfg := Config{Config: frontend.Config{
 		Params:      cost.XenGuest(),
 		NICCount:    1,
 		Queues:      queues,
 		Mode:        mode,
 		Aggregation: core.DefaultOptions(),
 		Clock:       func() uint64 { return r.now },
-	}
+	}}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func portOnQueue(q, queues int) uint16 {
 }
 
 func TestMultiQueueChannelDelivery(t *testing.T) {
-	for _, mode := range []Mode{ModeBaseline, ModeOptimized} {
+	for _, mode := range []frontend.Mode{frontend.ModeBaseline, frontend.ModeOptimized} {
 		r := newMQRig(t, mode, 2)
 		p0 := portOnQueue(0, 2)
 		p1 := portOnQueue(1, 2)
@@ -156,7 +157,7 @@ func TestEndpointChurnReconnect(t *testing.T) {
 	// Connection churn on the paravirtual path: tear an endpoint down
 	// while its frames are still mid-drain (in the NIC ring and I/O
 	// channel), then reconnect on the same four-tuple.
-	r := newMQRig(t, ModeOptimized, 2)
+	r := newMQRig(t, frontend.ModeOptimized, 2)
 	port := portOnQueue(1, 2)
 	ep := r.addFlow(t, port, 1)
 	seq := r.inject(t, port, 1, 10)
@@ -174,7 +175,7 @@ func TestEndpointChurnReconnect(t *testing.T) {
 	if got := ep.Stats().BytesToApp; got != 10*1448 {
 		t.Errorf("unregistered endpoint received %d bytes, want %d", got, 10*1448)
 	}
-	if got := r.m.GuestStack.Stats().NoSocket; got == 0 {
+	if got := r.m.Stack.Stats().NoSocket; got == 0 {
 		t.Error("mid-drain frames for the unregistered flow were not counted as NoSocket")
 	}
 	if live := r.m.Alloc.Stats().Live; live != 0 {
@@ -198,7 +199,7 @@ func TestCrossVCPUChannelDrain(t *testing.T) {
 	// A packet queued on a vCPU's netfront ring from elsewhere (the
 	// cross-core event-channel case) must be consumed at the start of
 	// that vCPU's next softirq round.
-	r := newMQRig(t, ModeBaseline, 2)
+	r := newMQRig(t, frontend.ModeBaseline, 2)
 	port := portOnQueue(1, 2)
 	ep := r.addFlow(t, port, 1)
 
@@ -231,7 +232,7 @@ func TestCrossVCPUChannelDrain(t *testing.T) {
 func TestSingleQueueChannelAccounting(t *testing.T) {
 	// Queues=1 keeps the paper's machine: one channel, every packet
 	// inline, machine-level counters unchanged by the refactor.
-	r := newMQRig(t, ModeBaseline, 1)
+	r := newMQRig(t, frontend.ModeBaseline, 1)
 	ep := r.addFlow(t, 5001, 1)
 	r.inject(t, 5001, 1, 20)
 	r.pumpAll()

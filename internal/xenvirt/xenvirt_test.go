@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/cycles"
+	"repro/internal/frontend"
 	"repro/internal/ipv4"
 	"repro/internal/nic"
 	"repro/internal/packet"
@@ -29,16 +30,16 @@ type rig struct {
 	ipid    uint16
 }
 
-func newRig(t *testing.T, mode Mode, ackOffload bool) *rig {
+func newRig(t *testing.T, mode frontend.Mode, ackOffload bool) *rig {
 	t.Helper()
 	r := &rig{}
-	cfg := Config{
+	cfg := Config{Config: frontend.Config{
 		Params:      cost.XenGuest(),
 		NICCount:    1,
 		Mode:        mode,
 		Aggregation: core.DefaultOptions(),
 		Clock:       func() uint64 { return r.now },
-	}
+	}}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func newRig(t *testing.T, mode Mode, ackOffload bool) *rig {
 		t.Fatal(err)
 	}
 	ep.AppSink = func(b []byte) { r.app.Write(b) }
-	if err := m.GuestStack.Register(ep, senderIP, guestIP, 5001, 44000); err != nil {
+	if err := m.Stack.Register(ep, senderIP, guestIP, 5001, 44000); err != nil {
 		t.Fatal(err)
 	}
 	r.ep = ep
@@ -96,7 +97,7 @@ func (r *rig) pump() {
 }
 
 func TestNewValidation(t *testing.T) {
-	good := Config{Params: cost.XenGuest(), NICCount: 1, Clock: func() uint64 { return 0 }}
+	good := Config{Config: frontend.Config{Params: cost.XenGuest(), NICCount: 1, Clock: func() uint64 { return 0 }}}
 	if _, err := New(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -118,7 +119,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestBaselineDelivery(t *testing.T) {
-	r := newRig(t, ModeBaseline, false)
+	r := newRig(t, frontend.ModeBaseline, false)
 	r.sendStream(t, 20)
 	r.pump()
 	if got := r.ep.Stats().BytesToApp; got != 20*1448 {
@@ -140,7 +141,7 @@ func TestBaselineDelivery(t *testing.T) {
 }
 
 func TestOptimizedDelivery(t *testing.T) {
-	r := newRig(t, ModeOptimized, true)
+	r := newRig(t, frontend.ModeOptimized, true)
 	r.sendStream(t, 40)
 	r.pump()
 	if got := r.ep.Stats().BytesToApp; got != 40*1448 {
@@ -156,16 +157,16 @@ func TestOptimizedDelivery(t *testing.T) {
 	if r.ep.Stats().AckTemplatesOut == 0 {
 		t.Error("no ACK templates with offload enabled")
 	}
-	if r.m.ReceivePath() == nil {
+	if r.m.ReceivePaths()[0] == nil {
 		t.Fatal("optimized machine lacks receive path")
 	}
 }
 
 func TestStreamEquivalenceBaselineVsOptimized(t *testing.T) {
-	base := newRig(t, ModeBaseline, false)
+	base := newRig(t, frontend.ModeBaseline, false)
 	base.sendStream(t, 40)
 	base.pump()
-	opt := newRig(t, ModeOptimized, true)
+	opt := newRig(t, frontend.ModeOptimized, true)
 	opt.sendStream(t, 40)
 	opt.pump()
 	if !bytes.Equal(base.app.Bytes(), opt.app.Bytes()) {
@@ -201,7 +202,7 @@ func TestVirtPerPacketReduction(t *testing.T) {
 	// roughly 3.7x — less than the native reduction because netback,
 	// netfront and grant operations keep per-fragment costs.
 	const frames = 200
-	run := func(mode Mode, ao bool) cycles.Snapshot {
+	run := func(mode frontend.Mode, ao bool) cycles.Snapshot {
 		r := newRig(t, mode, ao)
 		for i := 0; i < frames/40; i++ {
 			r.sendStream(t, 40)
@@ -209,8 +210,8 @@ func TestVirtPerPacketReduction(t *testing.T) {
 		}
 		return r.m.Meter.Snapshot()
 	}
-	base := run(ModeBaseline, false)
-	opt := run(ModeOptimized, true)
+	base := run(frontend.ModeBaseline, false)
+	opt := run(frontend.ModeOptimized, true)
 
 	virt := func(s cycles.Snapshot) float64 {
 		return float64(s.Sum(cycles.XenPerPacketCategories...)) / frames
@@ -235,7 +236,7 @@ func TestVirtPerPacketReduction(t *testing.T) {
 func TestNetfrontNetbackKeepPerFragCosts(t *testing.T) {
 	// With k=20 aggregation, netback/netfront per-frame cost must stay
 	// above their per-frag floor (they cross per fragment).
-	r := newRig(t, ModeOptimized, true)
+	r := newRig(t, frontend.ModeOptimized, true)
 	r.sendStream(t, 40)
 	r.pump()
 	nb := float64(r.m.Meter.Get(cycles.Netback)) / 40
@@ -251,8 +252,8 @@ func TestNetfrontNetbackKeepPerFragCosts(t *testing.T) {
 }
 
 func TestNoSKBLeaks(t *testing.T) {
-	for _, mode := range []Mode{ModeBaseline, ModeOptimized} {
-		r := newRig(t, mode, mode == ModeOptimized)
+	for _, mode := range []frontend.Mode{frontend.ModeBaseline, frontend.ModeOptimized} {
+		r := newRig(t, mode, mode == frontend.ModeOptimized)
 		r.sendStream(t, 60)
 		r.pump()
 		if live := r.m.Alloc.Stats().Live; live != 0 {
@@ -262,7 +263,7 @@ func TestNoSKBLeaks(t *testing.T) {
 }
 
 func TestGrantCopyPreservesBytes(t *testing.T) {
-	r := newRig(t, ModeOptimized, false)
+	r := newRig(t, frontend.ModeOptimized, false)
 	r.sendStream(t, 20)
 	r.pump()
 	want := make([]byte, 20*1448)
