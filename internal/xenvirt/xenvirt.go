@@ -133,8 +133,12 @@ const netfrontRingSlots = 256
 // Machine is one Xen host: hypervisor + driver domain + one guest. The
 // embedded front end is the driver domain's — NICs, dom0 drivers and
 // aggregation, the NIC indirection — with the guest's stack as its
-// receiving stack and the channel map as that stack's owner map; driver
-// output goes to the bridge.
+// receiving stack; driver output goes to the bridge. The stack's owner map
+// (SteerMap) is the channel map: it steers buckets onto I/O channels
+// (guest vCPUs) while the NIC map steers them onto dom0 queues.
+// Symmetric topologies keep the two in lockstep; shard ownership (and
+// hence steal accounting) follows the channel map, because the guest
+// stack runs on the channel's vCPU.
 type Machine struct {
 	frontend.FrontEnd
 
@@ -142,12 +146,6 @@ type Machine struct {
 	curCPU int          // vCPU of the softirq round in progress (-1 outside)
 	stats  Stats
 
-	// chanMap steers buckets onto I/O channels (guest vCPUs); the front
-	// end's NIC map steers them onto dom0 queues. Symmetric topologies
-	// keep the two in lockstep; shard ownership (and hence steal
-	// accounting) follows chanMap, because the guest stack runs on the
-	// channel's vCPU.
-	chanMap *rss.Map
 	// chanRules are netback's per-flow aRFS overrides, mirroring the NIC
 	// rule table but resolving to a channel instead of a queue.
 	chanRules map[nic.FlowTuple]int
@@ -169,7 +167,7 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xenvirt: %w", err)
 	}
-	m := &Machine{curCPU: -1, chanMap: cm, chanRules: make(map[nic.FlowTuple]int)}
+	m := &Machine{curCPU: -1, chanRules: make(map[nic.FlowTuple]int)}
 	if err := m.Init(cfg.Config, cm, func(int) func(*buf.SKB) { return m.bridgeReceive }); err != nil {
 		return nil, fmt.Errorf("xenvirt: %w", err)
 	}
@@ -293,7 +291,7 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 		}
 	}
 	if !steered && len(m.chans) > 1 && skb.RSSHash != 0 {
-		c = m.chanMap.Queue(skb.RSSHash)
+		c = m.SteerMap().Queue(skb.RSSHash)
 	}
 	ch := m.chans[c]
 
