@@ -53,8 +53,6 @@ type Config struct {
 	// QueueCapacity are completed from DefaultOptions, keeping their
 	// Aggregation Limit (when positive) and resequencing window.
 	Aggregation core.Options
-	// Clock supplies virtual time.
-	Clock tcp.Clock
 	// FlowRuleSlots sizes each NIC's exact-match steering-rule table
 	// (0 = no aRFS filters, the paper's hardware).
 	FlowRuleSlots int
@@ -144,9 +142,6 @@ func (fe *FrontEnd) Init(cfg Config, owners *rss.Map, deliver func(q int) func(*
 	}
 	if cfg.Queues < 0 || cfg.Queues > rss.Buckets {
 		return fmt.Errorf("frontend: Queues %d must be in [1, %d]", cfg.Queues, rss.Buckets)
-	}
-	if cfg.Clock == nil {
-		return fmt.Errorf("frontend: Clock must be set")
 	}
 	nm, err := rss.NewMap(cfg.Queues)
 	if err != nil {

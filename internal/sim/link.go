@@ -35,46 +35,12 @@ type Link struct {
 	// frames already in flight.
 	RingHeadroom int
 
-	// CorruptOneIn, when positive, flips a payload bit in every Nth
-	// forward frame after serialization — wire corruption the NIC's
-	// checksum offload will catch, driving the receiver's dup-ACK and
-	// the sender's fast-retransmit machinery.
-	CorruptOneIn int
+	// Faults configures the fault stage every forward frame passes at the
+	// receiver edge (zero value: a clean wire).
+	Faults
 
-	// LossOneIn, when positive, drops each forward frame with
-	// probability 1/N — the uniform arm of the loss injector. The
-	// decision is a seeded hash of the per-link loss counter, so it
-	// depends only on the link's delivery order and is independent of
-	// everything else in the run.
-	LossOneIn int
-	// BurstLossRate, when positive, switches the injector to the
-	// two-state Gilbert-Elliott burst model with this target loss
-	// fraction: drops arrive in runs of mean length BurstLossLen
-	// instead of uniformly. Mutually exclusive with LossOneIn.
-	BurstLossRate float64
-	// BurstLossLen is the Gilbert-Elliott mean burst length in frames
-	// (0 = DefaultBurstLossLen).
-	BurstLossLen float64
-	// LossSeed seeds the injector's PRNG (links get distinct seeds so
-	// parallel wires don't drop in lockstep).
-	LossSeed uint64
-
-	// ReorderOneIn, when positive, displaces every Nth forward frame by
-	// ReorderDistance positions: the frame is withheld at the receiver
-	// edge until that many later frames have been delivered, then
-	// injected — the deterministic reorder fault of a coalescing
-	// multi-queue receiver (adjacent swaps at distance 1, k-distance
-	// displacement beyond; Wu et al.). The displacement is at the
-	// delivery point, after serialization, so wire timing and
-	// backpressure are unchanged.
-	ReorderOneIn int
-	// ReorderDistance is the displacement distance in frames (0 = 1,
-	// the adjacent swap).
-	ReorderDistance int
-
-	busy     bool
-	fwdCount int
-	stats    LinkStats
+	busy  bool
+	stats LinkStats
 
 	// wire holds the forward frames between transmit start and arrival, in
 	// send order. Serialization is sequential and the delay constant, so
@@ -90,18 +56,19 @@ type Link struct {
 	// closure for the link's lifetime instead of one per frame).
 	wireFreeFn func()
 
-	// Reorder-injector state: the withheld frame (nil data = none) and how
-	// many deliveries remain before it is released.
+	// Fault-stage state. Corruption and loss key on arrivals, the count of
+	// frames reaching the receiver edge (in transmit order, so it is also
+	// the transmit index). The reorder injector counts only the frames
+	// offered to it while none is withheld (reorderCount); displaced is the
+	// withheld frame (nil data = none). lossBad is the Gilbert-Elliott
+	// channel state (true = bursting).
+	arrivals     int
 	reorderCount int
 	displaced    wireFrame
 	displaceLeft int
+	lossBad      bool
 
-	// Loss-injector state: frames considered and the Gilbert-Elliott
-	// channel state (true = bad/bursting).
-	lossCount int
-	lossBad   bool
-
-	// spanLane/spanTrack, when wired (buildStream, tracing enabled),
+	// spanLane/spanTrack, when wired (newTopology, tracing enabled),
 	// record one wire-occupancy span per forward frame. Recording reads
 	// the clock only; it never schedules (telemetry invariant).
 	spanLane  *telemetry.SpanLane
@@ -122,8 +89,57 @@ type LinkStats struct {
 	Lost uint64
 }
 
+// Faults configures the link's fault stage, which runs on each forward
+// frame as it reaches the receiver edge (after serialization, so wire
+// timing and backpressure are unchanged). Each frame is lost, corrupted or
+// passed; corrupted and passed frames go on through the reorder injector.
+type Faults struct {
+	// CorruptOneIn, when positive, flips a payload bit in every Nth frame
+	// reaching the receiver edge, lost frames included in the count (a
+	// lost frame is not corrupted). The NIC's checksum offload catches it.
+	CorruptOneIn int
+	Reorder      ReorderConfig
+	Loss         LossConfig
+}
+
+// ReorderConfig tunes the reorder fault injector: every OneIn-th frame is
+// withheld at the receiver edge until Distance later frames have been
+// delivered, then injected — the frame displacement a coalescing
+// multi-queue receiver sees (adjacent swaps at distance 1, k-distance
+// displacement beyond; Wu et al.).
+type ReorderConfig struct {
+	// OneIn displaces every Nth forward frame per link (0 = off).
+	OneIn int
+	// Distance is the displacement distance in frames (0 or 1 = the
+	// adjacent swap; k > 1 delays the frame past k successors).
+	Distance int
+}
+
+// LossConfig tunes the loss fault injector: deterministic frame drops
+// standing in for congestion or a noisy path. Exactly one model may be
+// active — OneIn (uniform) or BurstRate (Gilbert-Elliott). Drop decisions
+// are a pure function of the per-link frame counter and seed, so a given
+// config drops the very same frames on every run and under either
+// scheduler.
+type LossConfig struct {
+	// OneIn drops forward frames at a uniform rate of 1 in OneIn
+	// (0 = off).
+	OneIn int
+	// BurstRate is the Gilbert-Elliott stationary loss fraction in
+	// (0, 1) (0 = off); BurstLen is the mean bad-state burst length in
+	// frames (0 = DefaultBurstLossLen).
+	BurstRate float64
+	BurstLen  float64
+	// Seed perturbs the drop sequence; in a stream run link i draws from
+	// Seed+i, so multi-link runs do not drop in lockstep.
+	Seed uint64
+}
+
+// active reports whether any loss model is configured.
+func (c LossConfig) active() bool { return c.OneIn > 0 || c.BurstRate > 0 }
+
 // DefaultBurstLossLen is the Gilbert-Elliott mean burst length used when
-// BurstLossLen is unset: drops cluster in runs of ~4 frames, the regime
+// LossConfig.BurstLen is unset: drops cluster in runs of ~4 frames, the regime
 // where cumulative-ACK recovery degrades fastest.
 const DefaultBurstLossLen = 4.0
 
@@ -155,13 +171,11 @@ func NewLink(s *Sim, sender *SenderMachine, dst *nic.NIC) *Link {
 }
 
 // wireFrame is one forward frame in flight: its buffer (pooled when it
-// belongs to the sender's frame pool), its transmit-start stamp, and the
-// corruption verdict drawn at transmit.
+// belongs to the sender's frame pool) and its transmit-start stamp.
 type wireFrame struct {
-	data    []byte
-	pooled  bool
-	sentNs  uint64
-	corrupt bool
+	data   []byte
+	pooled bool
+	sentNs uint64
 }
 
 // wireFIFO is a growable ring of in-flight frames.
@@ -224,17 +238,9 @@ func (l *Link) transmitNext() {
 	}
 	frame := l.sender.NextFrame()
 	if frame == nil {
-		// Window-limited: the sender will Kick when ACKs arrive. If
-		// nothing remains in flight either, release any displaced frame
-		// (its reorder window cannot fill while the wire idles — holding
-		// it would deadlock the ACK clock) and flush the NIC's coalesced
-		// interrupt so the tail of a burst is processed immediately
-		// (this is what keeps request/response latency flat, §5.4).
+		// Window-limited: the sender will Kick when ACKs arrive.
 		l.stats.IdleEvents++
-		if l.wire.n == 0 {
-			l.releaseDisplaced()
-			l.dst.FlushInterrupt()
-		}
+		l.releaseIfIdle()
 		return
 	}
 	l.busy = true
@@ -244,37 +250,36 @@ func (l *Link) transmitNext() {
 	// Wire becomes free after serialization; the frame lands at the
 	// receiver one propagation delay later.
 	l.sim.After(wire, l.wireFreeFn)
-	l.fwdCount++
-	l.wire.push(wireFrame{
-		data:    frame,
-		pooled:  l.sender.alloc.Pool() != nil,
-		sentNs:  sentNs,
-		corrupt: l.CorruptOneIn > 0 && l.fwdCount%l.CorruptOneIn == 0,
-	})
+	l.wire.push(wireFrame{data: frame, pooled: l.sender.alloc.Pool() != nil, sentNs: sentNs})
 	l.sim.After(wire+l.DelayNs, l.arriveFn)
 }
 
-// arrive lands the oldest in-flight frame at the receiver edge.
+// arrive lands the oldest in-flight frame at the receiver edge and runs
+// the fault stage on it. A lost frame's buffer goes back to the sender's
+// pool.
 func (l *Link) arrive() {
 	w := l.wire.pop()
-	if l.dropLost() {
-		// The frame vanishes at the delivery point: wire timing and
-		// backpressure already happened, exactly like corruption. Its
-		// buffer goes back to the sender's pool. The idle check below (and
-		// the one in transmitNext) is the wire-idle release discipline —
-		// when a drop leaves nothing in flight and the sender
-		// window-limited, the displaced frame is released and the coalesced
-		// interrupt flushed, so a dropped frame can never strand the ACK
-		// clock.
+	l.arrivals++
+	switch {
+	case l.dropLost():
 		l.stats.Lost++
 		l.release(w)
-	} else {
-		if w.corrupt && len(w.data) > 70 {
-			w.data[len(w.data)-1] ^= 0x01
-			l.stats.Corrupted++
-		}
-		l.deliverForward(w)
+	case l.CorruptOneIn > 0 && l.arrivals%l.CorruptOneIn == 0 && len(w.data) > 70:
+		w.data[len(w.data)-1] ^= 0x01
+		l.stats.Corrupted++
+		fallthrough
+	default:
+		l.reorder(w)
 	}
+	l.releaseIfIdle()
+}
+
+// releaseIfIdle is the wire-idle release. With nothing in flight and the
+// sender window-limited, it releases any displaced frame (its reorder
+// window cannot fill while the wire idles; holding it would deadlock the
+// ACK clock) and flushes the NIC's coalesced interrupt so a burst's tail
+// is processed at once (keeping request/response latency flat, §5.4).
+func (l *Link) releaseIfIdle() {
 	if l.wire.n == 0 && !l.busy {
 		l.releaseDisplaced()
 		l.dst.FlushInterrupt()
@@ -288,30 +293,26 @@ func (l *Link) release(w wireFrame) {
 	}
 }
 
-// lossEnabled reports whether either loss arm is configured.
-func (l *Link) lossEnabled() bool { return l.LossOneIn > 0 || l.BurstLossRate > 0 }
-
-// dropLost decides the fate of one delivered forward frame. Both arms
-// draw from splitmix64 over (LossSeed, lossCount): the decision depends
-// only on the frame's position in this link's delivery order.
+// dropLost is the loss verdict for the frame just arrived. Both arms draw
+// from splitmix64 over (Loss.Seed, arrivals): the decision depends only on
+// the frame's position in this link's delivery order.
 func (l *Link) dropLost() bool {
-	if !l.lossEnabled() {
+	if !l.Loss.active() {
 		return false
 	}
-	l.lossCount++
-	r := splitmix64(l.LossSeed ^ (uint64(l.lossCount) * 0x9e3779b97f4a7c15))
-	if l.LossOneIn > 0 {
-		return r%uint64(l.LossOneIn) == 0
+	r := splitmix64(l.Loss.Seed ^ (uint64(l.arrivals) * 0x9e3779b97f4a7c15))
+	if l.Loss.OneIn > 0 {
+		return r%uint64(l.Loss.OneIn) == 0
 	}
 	// Gilbert-Elliott: transition first, then drop while in the bad
 	// state. Mean bad sojourn = 1/q frames = the burst length; the
 	// good→bad rate p is solved from the stationary loss fraction
 	// f = p/(p+q).
-	f := l.BurstLossRate
+	f := l.Loss.BurstRate
 	if f >= 1 {
 		return true
 	}
-	blen := l.BurstLossLen
+	blen := l.Loss.BurstLen
 	if blen < 1 {
 		blen = DefaultBurstLossLen
 	}
@@ -319,13 +320,9 @@ func (l *Link) dropLost() bool {
 	p := q * f / (1 - f)
 	u := float64(r>>11) / (1 << 53)
 	if l.lossBad {
-		if u < q {
-			l.lossBad = false
-		}
+		l.lossBad = u >= q
 	} else {
-		if u < p {
-			l.lossBad = true
-		}
+		l.lossBad = u < p
 	}
 	return l.lossBad
 }
@@ -342,30 +339,24 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// deliverForward hands a frame to the receiver NIC, applying the reorder
-// injector: every ReorderOneIn-th frame is withheld and re-injected after
-// ReorderDistance later frames have been delivered.
-func (l *Link) deliverForward(w wireFrame) {
-	if l.ReorderOneIn <= 0 {
-		l.deliver(w)
-		return
-	}
+// reorder hands a frame to the receiver NIC through the reorder
+// injector: every Reorder.OneIn-th frame offered while none is withheld is
+// withheld and re-injected after Reorder.Distance later frames have been
+// delivered.
+func (l *Link) reorder(w wireFrame) {
 	if l.displaced.data != nil {
 		l.deliver(w)
-		l.displaceLeft--
-		if l.displaceLeft <= 0 {
+		if l.displaceLeft--; l.displaceLeft <= 0 {
 			l.releaseDisplaced()
 		}
 		return
 	}
-	l.reorderCount++
-	if l.reorderCount%l.ReorderOneIn == 0 {
-		l.displaced = w
-		l.displaceLeft = l.ReorderDistance
-		if l.displaceLeft <= 0 {
-			l.displaceLeft = 1 // adjacent swap
+	if l.Reorder.OneIn > 0 {
+		l.reorderCount++
+		if l.reorderCount%l.Reorder.OneIn == 0 {
+			l.displaced, l.displaceLeft = w, max(l.Reorder.Distance, 1) // 1 = adjacent swap
+			return
 		}
-		return
 	}
 	l.deliver(w)
 }

@@ -200,9 +200,10 @@ func TestCPUDriverSerializesRounds(t *testing.T) {
 }
 
 // TestLinkReleasesDroppedFrames runs a pooled sender into a ring nobody
-// drains, with no pause headroom and a lossy wire: every buffer the pool
-// ever issued must end up either queued in the ring or back in the pool,
-// so ring-full rejects and losses both returned theirs.
+// drains, with no pause headroom and every fault on the wire: every buffer
+// the pool ever issued must end up either queued in the ring or back in
+// the pool, so ring-full rejects, losses, corrupted and displaced frames
+// all returned theirs.
 func TestLinkReleasesDroppedFrames(t *testing.T) {
 	s := NewSim()
 	snd := NewSender(s, 0)
@@ -222,16 +223,117 @@ func TestLinkReleasesDroppedFrames(t *testing.T) {
 	}
 	l := NewLink(s, snd, n)
 	l.RingHeadroom = 0 // never pause: the full ring drops
-	l.LossOneIn, l.LossSeed = 3, 1
+	l.Faults = Faults{
+		CorruptOneIn: 4,
+		Reorder:      ReorderConfig{OneIn: 5, Distance: 2},
+		Loss:         LossConfig{OneIn: 3, Seed: 1},
+	}
 	l.Kick()
 	s.RunUntil(100_000_000) // windows exhausted, wire idle, nothing drained
 	if n.Stats().RxDropped == 0 || l.Stats().Lost == 0 {
 		t.Fatalf("dropped %d, lost %d: both drop paths must fire", n.Stats().RxDropped, l.Stats().Lost)
+	}
+	if l.Stats().Corrupted == 0 || l.Stats().Reordered == 0 {
+		t.Fatalf("corrupted %d, reordered %d: every fault must fire", l.Stats().Corrupted, l.Stats().Reordered)
 	}
 	if got, want := pool.Misses(), uint64(n.RxQueueLen()+pool.Len()); got != want {
 		t.Errorf("pool issued %d buffers, but %d are queued and %d free", got, n.RxQueueLen(), pool.Len())
 	}
 	if pool.Misses() >= l.Stats().FramesDelivered+l.Stats().Lost {
 		t.Error("no buffer was ever reused")
+	}
+}
+
+// TestLinkCombinedFaults runs one link with corruption, loss and
+// reordering all on and checks the counters against a reference that
+// applies the per-frame rules by index: loss by arrival index, corruption
+// by transmit index (the same index: frames arrive in transmit order)
+// unless the frame is lost, and reordering counting only the non-lost
+// frames offered while no frame is withheld.
+func TestLinkCombinedFaults(t *testing.T) {
+	s := NewSim()
+	snd := NewSender(s, 0)
+	for i := uint16(0); i < 40; i++ {
+		if _, err := snd.AddStreamConn(
+			ipv4.Addr{10, 0, 0, 1}, ipv4.Addr{10, 0, 0, 2}, 5001+i, 44000+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := mustTestNIC(t)
+	l := NewLink(s, snd, n)
+	// Never pause: the wire stays busy until every window is spent, so the
+	// only wire-idle release is the final one.
+	l.RingHeadroom = 0
+	const corruptOneIn, lossOneIn, reorderOneIn, distance, seed = 7, 5, 6, 3, 11
+	l.Faults = Faults{
+		CorruptOneIn: corruptOneIn,
+		Reorder:      ReorderConfig{OneIn: reorderOneIn, Distance: distance},
+		Loss:         LossConfig{OneIn: lossOneIn, Seed: seed},
+	}
+	l.Kick()
+	s.RunUntil(100_000_000)
+	st := l.Stats()
+	if l.displaced.data != nil {
+		t.Fatal("a displaced frame outlived the idle wire")
+	}
+
+	var want LinkStats
+	held, left, offered := false, 0, 0
+	for i := 1; uint64(i) <= st.FramesDelivered+st.Lost; i++ {
+		if splitmix64(seed^(uint64(i)*0x9e3779b97f4a7c15))%lossOneIn == 0 {
+			want.Lost++
+			continue
+		}
+		if i%corruptOneIn == 0 {
+			want.Corrupted++
+		}
+		if held {
+			if left--; left == 0 {
+				held = false
+				want.Reordered++
+			}
+			continue
+		}
+		if offered++; offered%reorderOneIn == 0 {
+			held, left = true, distance
+		}
+	}
+	if held {
+		want.Reordered++ // released when the wire went idle
+	}
+	if want.Lost == 0 || want.Corrupted == 0 || want.Reordered == 0 {
+		t.Fatalf("reference %+v: every fault must fire", want)
+	}
+	if st.Lost != want.Lost || st.Corrupted != want.Corrupted || st.Reordered != want.Reordered {
+		t.Errorf("lost/corrupted/reordered = %d/%d/%d, reference %d/%d/%d over %d arrivals",
+			st.Lost, st.Corrupted, st.Reordered, want.Lost, want.Corrupted, want.Reordered,
+			st.FramesDelivered+st.Lost)
+	}
+}
+
+// BenchmarkLinkArrive pushes MTU frames through a loaded link's fault
+// stage with corruption, loss and reordering all on, into a ring drained
+// every 32 frames. One frame stays in flight, so the wire never idles.
+// The stage must not allocate per frame.
+func BenchmarkLinkArrive(b *testing.B) {
+	s := NewSim()
+	n := mustTestNIC(b)
+	l := NewLink(s, NewSender(s, 0), n)
+	l.Faults = Faults{
+		CorruptOneIn: 50,
+		Reorder:      ReorderConfig{OneIn: 25, Distance: 3},
+		Loss:         LossConfig{OneIn: 100, Seed: 1},
+	}
+	frame := testFrame(1, 1448)
+	var polled []nic.Frame
+	l.wire.push(wireFrame{data: frame})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.wire.push(wireFrame{data: frame})
+		l.arrive()
+		if i%32 == 31 {
+			polled = n.PollRxInto(0, 64, polled[:0])
+		}
 	}
 }

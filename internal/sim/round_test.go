@@ -23,7 +23,6 @@ func newRoundMachine(xen bool, agg core.Options) (Machine, error) {
 		NICCount:    1,
 		Mode:        frontend.ModeOptimized,
 		Aggregation: agg,
-		Clock:       func() uint64 { return 0 },
 	}
 	if xen {
 		cfg.Params = cost.XenGuest()

@@ -9,7 +9,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the request/response incast workload (StreamConfig.RPC):
+// This file holds the two request/response workloads: netperf TCP RR
+// (RunRR, paper §5.4, Table 1) and the incast driver (StreamConfig.RPC).
+// Both run on the stream topology.
+//
+// The incast workload:
 // the receiver machine — the system under test — issues synchronized
 // request bursts to many senders, one connection per sender, and every
 // sender answers at once with a MessageBytes response. The responses
@@ -19,7 +23,7 @@ import (
 // telemetry collector records is therefore a direct latency probe of the
 // receive path under fan-in pressure (tail grows with fan-in).
 //
-// The ping-pong self-clocks exactly like netperf RR (sim/rr.go): each
+// The ping-pong self-clocks exactly like netperf RR (RunRR): each
 // response carries the cumulative ACK of the request that triggered it,
 // and each next request ACKs the previous response, so progress never
 // waits on a delayed-ACK timer. A global poll event checks burst
@@ -43,7 +47,6 @@ type rpcConn struct {
 // rpcDriver owns the incast workload's connections and burst machinery.
 type rpcDriver struct {
 	top      *streamTopology
-	cfg      *StreamConfig
 	reqBytes int
 	msgBytes int
 	pollNs   uint64
@@ -58,7 +61,6 @@ type rpcDriver struct {
 func newRPCDriver(top *streamTopology, cfg *StreamConfig) (*rpcDriver, error) {
 	r := &rpcDriver{
 		top:      top,
-		cfg:      cfg,
 		reqBytes: cfg.RPC.RequestBytes,
 		msgBytes: cfg.RPC.MessageBytes,
 		pollNs:   cfg.RPC.PollNs,
@@ -87,7 +89,7 @@ func newRPCDriver(top *streamTopology, cfg *StreamConfig) (*rpcDriver, error) {
 // echoes requests with responses, and a receiver endpoint that issues
 // requests and measures each response's RTT on arrival.
 func (r *rpcDriver) openConn(c int) error {
-	top, cfg := r.top, r.cfg
+	top, cfg := r.top, r.top.cfg
 	n := c % cfg.NICs
 	port := c / cfg.NICs
 	if 5001+port >= churnSenderPortBase || 44000+port >= churnReceiverPortBase {
@@ -102,16 +104,8 @@ func (r *rpcDriver) openConn(c int) error {
 		return err
 	}
 
-	rcfg := tcp.DefaultConfig()
-	rcfg.LocalIP, rcfg.RemoteIP = rcvIP, senderIP
-	rcfg.LocalPort, rcfg.RemotePort = rPort, sPort
-	rcfg.AckOffload = cfg.Opt == OptFull
-	rep, err := tcp.New(rcfg, top.machine.MeterRef(), top.machine.ParamsRef(),
-		top.machine.AllocRef(), top.sim.Clock())
+	rep, err := top.openReceiver(senderIP, rcvIP, sPort, rPort, 0)
 	if err != nil {
-		return err
-	}
-	if err := top.machine.RegisterEndpoint(rep, senderIP, rcvIP, sPort, rPort); err != nil {
 		return err
 	}
 
@@ -121,7 +115,7 @@ func (r *rpcDriver) openConn(c int) error {
 	// Sender application: one MessageBytes response per complete request.
 	// No explicit link kick is needed — the sender machine kicks the link
 	// after every received frame, and the response data carries the
-	// request's ACK (the rr.go pattern).
+	// request's ACK (the RunRR pattern).
 	req, msg := uint64(r.reqBytes), uint64(r.msgBytes)
 	var reqGot uint64
 	sep.AppSink = func(b []byte) {
@@ -187,4 +181,104 @@ func (r *rpcDriver) poll() {
 		r.fireBurst()
 	}
 	r.top.sim.After(r.pollNs, r.poll)
+}
+
+// RRConfig describes a netperf TCP Request/Response experiment (paper
+// §5.4, Table 1): a client sends a one-byte request, the server replies
+// with a one-byte response, and the client immediately issues the next
+// request. The metric is sustained transactions per second.
+type RRConfig struct {
+	// System selects the receiver (server) machine.
+	System SystemKind
+	// Opt selects the server's receive-path variant.
+	Opt OptLevel
+	// DurationNs is the measured interval.
+	DurationNs uint64
+	// WarmupNs precedes measurement.
+	WarmupNs uint64
+}
+
+// DefaultRRConfig mirrors the paper's latency check.
+func DefaultRRConfig(system SystemKind, opt OptLevel) RRConfig {
+	return RRConfig{
+		System:     system,
+		Opt:        opt,
+		DurationNs: 400_000_000,
+		WarmupNs:   50_000_000,
+	}
+}
+
+// RRResult reports one request/response run.
+type RRResult struct {
+	// RequestsPerSec is the sustained transaction rate.
+	RequestsPerSec float64
+	// Transactions is the count completed in the measured interval.
+	Transactions uint64
+	// AggFactor should stay 1.0: with one packet at a time there is
+	// nothing to aggregate, and work conservation must not delay it.
+	AggFactor float64
+}
+
+// RunRR executes one request/response experiment on a one-link stream
+// topology: the link's sender machine is the client, a receiver endpoint
+// the server.
+func RunRR(cfg RRConfig) (RRResult, error) {
+	if cfg.DurationNs == 0 {
+		cfg.DurationNs = 400_000_000
+	}
+	top, err := newTopology(&StreamConfig{System: cfg.System, Opt: cfg.Opt, NICs: 1})
+	if err != nil {
+		return RRResult{}, err
+	}
+	clientIP, serverIP := ipv4.Addr{10, 0, 0, 1}, ipv4.Addr{10, 0, 0, 2}
+	clientEP, err := top.senders[0].AddConn(clientIP, serverIP, 5001, 44000)
+	if err != nil {
+		return RRResult{}, err
+	}
+	serverEP, err := top.openReceiver(clientIP, serverIP, 5001, 44000, 0)
+	if err != nil {
+		return RRResult{}, err
+	}
+
+	// Server application: one response byte per request byte, written
+	// back immediately (the response carries the ACK).
+	serverEP.AppSink = func(b []byte) {
+		serverEP.AppWrite(uint64(len(b)))
+		for serverEP.SendDataSKB(1) {
+		}
+	}
+
+	// Client application: count a transaction per response byte and
+	// issue the next request.
+	var transactions uint64
+	link := top.links[0]
+	clientEP.AppSink = func(b []byte) {
+		transactions += uint64(len(b))
+		clientEP.AppWrite(1)
+		link.Kick()
+	}
+
+	// First request, then the timer sweep — finer than the stream's:
+	// sub-millisecond stalls would distort the latency metric.
+	clientEP.AppWrite(1)
+	top.start(1_000_000)
+
+	s, machine := top.sim, top.machine
+	s.RunUntil(cfg.WarmupNs)
+	startTx := transactions
+	startFrames := machine.NetFramesIn()
+	startHost := machine.HostPacketsIn()
+	s.RunUntil(cfg.WarmupNs + cfg.DurationNs)
+
+	res := RRResult{
+		Transactions:   transactions - startTx,
+		RequestsPerSec: float64(transactions-startTx) / (float64(cfg.DurationNs) / 1e9),
+	}
+	if host := machine.HostPacketsIn() - startHost; host > 0 {
+		res.AggFactor = float64(machine.NetFramesIn()-startFrames) / float64(host)
+	}
+	if res.Transactions == 0 {
+		return res, fmt.Errorf("sim: request/response made no progress")
+	}
+	return res, nil
 }

@@ -398,11 +398,11 @@ func TestLinkWireTime(t *testing.T) {
 	}
 }
 
-func mustTestNIC(t *testing.T) *nic.NIC {
-	t.Helper()
+func mustTestNIC(tb testing.TB) *nic.NIC {
+	tb.Helper()
 	n, err := nic.New(nic.DefaultConfig("test0"))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return n
 }

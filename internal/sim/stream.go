@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/cycles"
 	"repro/internal/frontend"
+	"repro/internal/ipv4"
 	"repro/internal/netstack"
 	"repro/internal/nic"
 	"repro/internal/tcp"
@@ -99,9 +100,6 @@ type StreamConfig struct {
 	// workloads (§5.5, §1) — sub-MSS segments still aggregate poorly
 	// in byte terms and ACK policy differs.
 	MessageSize int
-	// CorruptOneIn injects a bit flip into every Nth delivered frame
-	// (0 = never): failure injection for loss-recovery testing.
-	CorruptOneIn int
 	// Queues is the number of RSS receive queues per NIC, each pinned
 	// to its own softirq CPU (0 or 1 = the paper's single-queue,
 	// single-CPU receive path). On Xen this is also the number of
@@ -133,12 +131,10 @@ type StreamConfig struct {
 	// bit-identical to the previous pipeline). Only meaningful on
 	// optimized paths.
 	ReorderWindow int
-	// Reorder configures the deterministic reorder fault injector on
-	// every link (zero value: no reordering).
-	Reorder ReorderConfig
-	// Loss configures the deterministic link-level loss injector (zero
-	// value: lossless links — bit-identical to every prior pipeline).
-	Loss LossConfig
+	// Faults configures every link's fault stage — CorruptOneIn, Reorder
+	// and Loss (zero value: clean wires). Link i's loss injector draws
+	// from Loss.Seed+i.
+	Faults
 	// SACK enables selective acknowledgments (RFC 2018) on every
 	// connection: receiver block generation from the OOO queue, sender
 	// scoreboard recovery (selective retransmission, limited transmit,
@@ -218,39 +214,6 @@ type RestartStormConfig struct {
 	// minutes-long 2·MSL lingers dwarf any measurement interval).
 	PrefillSpreadNs uint64
 }
-
-// ReorderConfig tunes the link-level reorder fault injector: the frame
-// displacement a coalescing multi-queue receiver sees (Wu et al.).
-type ReorderConfig struct {
-	// OneIn displaces every Nth forward frame per link (0 = off).
-	OneIn int
-	// Distance is the displacement distance in frames (0 or 1 = the
-	// adjacent swap; k > 1 delays the frame past k successors).
-	Distance int
-}
-
-// LossConfig tunes the link-level loss fault injector: deterministic
-// frame drops standing in for congestion or a noisy path. Exactly one
-// model may be active — OneIn (uniform) or BurstRate (Gilbert-Elliott).
-// Drop decisions are a pure function of the per-link frame counter and
-// seed, so a given config drops the very same frames on every run and
-// under either scheduler.
-type LossConfig struct {
-	// OneIn drops forward frames at a uniform rate of 1 in OneIn
-	// (0 = off).
-	OneIn int
-	// BurstRate is the Gilbert-Elliott stationary loss fraction in
-	// (0, 1) (0 = off); BurstLen is the mean bad-state burst length in
-	// frames (0 = the link's DefaultBurstLossLen).
-	BurstRate float64
-	BurstLen  float64
-	// Seed perturbs the drop sequence; link i draws from Seed+i, so
-	// multi-link runs do not drop in lockstep.
-	Seed uint64
-}
-
-// active reports whether any loss model is configured.
-func (c LossConfig) active() bool { return c.OneIn > 0 || c.BurstRate > 0 }
 
 // SteerConfig are the dynamic-steering knobs of a stream run.
 type SteerConfig struct {
@@ -515,6 +478,7 @@ func (r StreamResult) UtilSpread() float64 {
 
 // streamTopology holds the wired-up experiment.
 type streamTopology struct {
+	cfg      *StreamConfig
 	sim      *Sim
 	machine  Machine
 	senders  []*SenderMachine
@@ -670,8 +634,73 @@ func appBytes(m Machine) uint64 {
 	return total
 }
 
-// buildStream wires the full topology.
+// buildStream wires the full stream experiment: the topology, the bulk
+// flows or the RPC driver with churn, storm and steering, and the 5 ms
+// timer sweep.
 func buildStream(cfg *StreamConfig) (*streamTopology, error) {
+	top, err := newTopology(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Connections, round-robin across NICs. RPC runs replace the bulk
+	// streams with the request/response incast driver; otherwise the
+	// many-flow workload generator owns addressing, skewed rates and churn.
+	if cfg.RPC.Enabled {
+		rpc, err := newRPCDriver(top, cfg)
+		if err != nil {
+			return nil, err
+		}
+		top.rpc = rpc
+	} else {
+		gen := newFlowGen(top, cfg)
+		top.gen = gen
+		for c := 0; c < cfg.Connections; c++ {
+			if err := gen.openFlow(); err != nil {
+				return nil, err
+			}
+		}
+		gen.applySkew()
+		if cfg.RegisteredFlows > cfg.Connections {
+			if err := gen.seedIdleFlows(cfg.RegisteredFlows - cfg.Connections); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if cfg.ChurnIntervalNs > 0 || cfg.RestartStorm.AtNs > 0 {
+		top.teardown = newTeardownTracker(top)
+		top.teardown.onReap = top.gen.recycle
+	}
+	if cfg.ChurnIntervalNs > 0 {
+		top.churn = newChurner(top, top.gen, top.teardown, cfg.ChurnIntervalNs)
+		top.sim.After(cfg.ChurnIntervalNs, top.churn.tick)
+	}
+	if cfg.RestartStorm.AtNs > 0 {
+		top.storm = newStormController(top, cfg)
+		// The backlog seeds early (the previous process's residue exists
+		// before the window under measurement); the storm itself fires at
+		// its configured instant.
+		prefillAt := uint64(1_000_000)
+		if cfg.RestartStorm.AtNs < prefillAt {
+			prefillAt = cfg.RestartStorm.AtNs
+		}
+		top.sim.After(prefillAt, top.storm.prefill)
+		top.sim.After(cfg.RestartStorm.AtNs, top.storm.fire)
+	}
+	if cfg.Steering.steeringActive() {
+		sc, err := newSteerController(top, cfg.Steering)
+		if err != nil {
+			return nil, err
+		}
+		top.steer = sc
+	}
+	top.start(5_000_000)
+	return top, nil
+}
+
+// newTopology validates cfg and wires the machine, its CPUs, telemetry,
+// and one sender machine and link per NIC. It schedules nothing and opens
+// no connection: the caller attaches a workload, then calls start.
+func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 	if cfg.NICs <= 0 {
 		return nil, fmt.Errorf("sim: NICs %d must be positive", cfg.NICs)
 	}
@@ -726,15 +755,14 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 		// output.
 		cfg.Telemetry.Latency = true
 	}
-	s := NewSim()
-
-	machine, err := buildMachine(cfg, s)
+	machine, err := buildMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
+	s := NewSim()
 	cpu := newCPUSet(s, machine)
 
-	top := &streamTopology{sim: s, machine: machine, cpu: cpu}
+	top := &streamTopology{cfg: cfg, sim: s, machine: machine, cpu: cpu}
 
 	// Observation plumbing. The stamp clock and recorders only read the
 	// clock and meters — wiring them schedules nothing and charges
@@ -762,32 +790,25 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 		sender.SetPool(machine.AllocRef().Pool())
 		sender.MaxPayload = cfg.MessageSize
 		if cfg.SACK || cfg.NoTimestamps {
-			sack, noTS := cfg.SACK, cfg.NoTimestamps
-			sender.ConfigConn = func(c *tcp.Config) {
-				c.SACK = sack
-				if noTS {
-					c.UseTimestamps = false
-				}
-			}
+			sender.ConfigConn = cfg.connOptions
 		}
 		if top.col != nil {
 			sender.RecoveryRec = top.col.Lane(machine.CPUs() + i)
 		}
 		link := NewLink(s, sender, machine.NICs()[i])
-		link.CorruptOneIn = cfg.CorruptOneIn
-		link.ReorderOneIn = cfg.Reorder.OneIn
-		link.ReorderDistance = cfg.Reorder.Distance
-		if cfg.Loss.active() {
-			link.LossOneIn = cfg.Loss.OneIn
-			link.BurstLossRate = cfg.Loss.BurstRate
-			link.BurstLossLen = cfg.Loss.BurstLen
-			link.LossSeed = cfg.Loss.Seed + uint64(i)
-		}
+		link.Faults = cfg.Faults
+		link.Loss.Seed += uint64(i)
 		if top.spans != nil {
 			link.spanLane = top.spans.Lane(machine.CPUs() + i)
 			link.spanTrack = linkTrackName(i)
 		}
-		machine.NICs()[i].OnTransmit = nicReverse(link, cpu)
+		// The NIC transmits back over the link, each frame departing only
+		// after the CPU time charged so far in the current round: a
+		// response cannot leave before it has been computed, which puts
+		// receive-path cost into the request/response latency of Table 1.
+		machine.NICs()[i].OnTransmit = func(f nic.Frame) {
+			link.DeliverReverse(f, cpu.inRoundLatencyNs())
+		}
 		top.senders = append(top.senders, sender)
 		top.links = append(top.links, link)
 	}
@@ -795,66 +816,17 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	if cfg.MaxTimeWaitBuckets > 0 || cfg.TimeWaitEvictOldest {
 		machine.Netstack().ConfigureTimeWait(cfg.MaxTimeWaitBuckets, cfg.TimeWaitEvictOldest)
 	}
+	return top, nil
+}
 
-	// Connections, round-robin across NICs. RPC runs replace the bulk
-	// streams with the request/response incast driver; otherwise the
-	// many-flow workload generator owns addressing, skewed rates and churn.
-	if cfg.RPC.Enabled {
-		rpc, err := newRPCDriver(top, cfg)
-		if err != nil {
-			return nil, err
-		}
-		top.rpc = rpc
-	} else {
-		gen := newFlowGen(top, cfg)
-		top.gen = gen
-		for c := 0; c < cfg.Connections; c++ {
-			if err := gen.openFlow(); err != nil {
-				return nil, err
-			}
-		}
-		gen.applySkew()
-		if cfg.RegisteredFlows > cfg.Connections {
-			if err := gen.seedIdleFlows(cfg.RegisteredFlows - cfg.Connections); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if cfg.ChurnIntervalNs > 0 || cfg.RestartStorm.AtNs > 0 {
-		top.teardown = newTeardownTracker(top)
-		top.teardown.onReap = top.gen.recycle
-	}
-	if cfg.ChurnIntervalNs > 0 {
-		top.churn = newChurner(top, top.gen, top.teardown, cfg.ChurnIntervalNs)
-		s.After(cfg.ChurnIntervalNs, top.churn.tick)
-	}
-	if cfg.RestartStorm.AtNs > 0 {
-		top.storm = newStormController(top, cfg)
-		// The backlog seeds early (the previous process's residue exists
-		// before the window under measurement); the storm itself fires at
-		// its configured instant.
-		prefillAt := uint64(1_000_000)
-		if cfg.RestartStorm.AtNs < prefillAt {
-			prefillAt = cfg.RestartStorm.AtNs
-		}
-		s.After(prefillAt, top.storm.prefill)
-		s.After(cfg.RestartStorm.AtNs, top.storm.fire)
-	}
-	if cfg.Steering.steeringActive() {
-		sc, err := newSteerController(top, cfg.Steering)
-		if err != nil {
-			return nil, err
-		}
-		top.steer = sc
-	}
-
-	// Periodic timer sweep (delayed ACKs, RTO backstop, TIME_WAIT reap)
-	// and initial kick.
-	const sweepNs = 5_000_000
+// start arms the periodic timer sweep (delayed ACKs, RTO backstop,
+// TIME_WAIT reap) every sweepNs and kicks every link.
+func (top *streamTopology) start(sweepNs uint64) {
+	s := top.sim
 	var sweep func()
 	sweep = func() {
 		now := s.Now()
-		for _, ep := range machine.Endpoints() {
+		for _, ep := range top.machine.Endpoints() {
 			if d := ep.NextTimeout(); d != 0 && now >= d {
 				ep.OnTimeout(now)
 			}
@@ -865,18 +837,50 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 		if top.teardown != nil {
 			top.teardown.poll(now)
 		}
-		cpu.kickAll()
+		top.cpu.kickAll()
 		s.After(sweepNs, sweep)
 	}
 	s.After(sweepNs, sweep)
 	for _, l := range top.links {
 		l.Kick()
 	}
-	return top, nil
+}
+
+// connOptions applies the run's per-connection TCP options (SACK,
+// timestamps) to c; senders and receivers both take them from here.
+func (cfg *StreamConfig) connOptions(c *tcp.Config) {
+	c.SACK = cfg.SACK
+	if cfg.NoTimestamps {
+		c.UseTimestamps = false
+	}
+}
+
+// openReceiver builds the receiver endpoint of the connection
+// senderIP:sPort → rcvIP:rPort with the run's options and registers it
+// with the machine. A nonzero irs fixes the initial receive sequence
+// number.
+func (top *streamTopology) openReceiver(senderIP, rcvIP ipv4.Addr, sPort, rPort uint16, irs uint32) (*tcp.Endpoint, error) {
+	m := top.machine
+	rcfg := tcp.DefaultConfig()
+	rcfg.LocalIP, rcfg.RemoteIP = rcvIP, senderIP
+	rcfg.LocalPort, rcfg.RemotePort = rPort, sPort
+	rcfg.AckOffload = top.cfg.Opt == OptFull
+	top.cfg.connOptions(&rcfg)
+	if irs != 0 {
+		rcfg.IRS = irs
+	}
+	ep, err := tcp.New(rcfg, m.MeterRef(), m.ParamsRef(), m.AllocRef(), top.sim.Clock())
+	if err != nil {
+		return nil, err
+	}
+	if err := m.RegisterEndpoint(ep, senderIP, rcvIP, sPort, rPort); err != nil {
+		return nil, err
+	}
+	return ep, nil
 }
 
 // buildMachine constructs the system under test.
-func buildMachine(cfg *StreamConfig, s *Sim) (Machine, error) {
+func buildMachine(cfg *StreamConfig) (Machine, error) {
 	aggOpts := core.DefaultOptions()
 	if cfg.AggLimit > 0 {
 		aggOpts.Aggregation.Limit = cfg.AggLimit
@@ -919,7 +923,6 @@ func buildMachine(cfg *StreamConfig, s *Sim) (Machine, error) {
 		Queues:        cfg.Queues,
 		Mode:          mode,
 		Aggregation:   aggOpts,
-		Clock:         s.Clock(),
 		FlowRuleSlots: ruleSlots,
 		FlowLayout:    cfg.FlowLayout,
 	}
@@ -927,17 +930,6 @@ func buildMachine(cfg *StreamConfig, s *Sim) (Machine, error) {
 		return xenvirt.New(xenvirt.Config{Config: fc, GuestVCPUs: cfg.GuestVCPUs})
 	}
 	return NewNative(fc)
-}
-
-// nicReverse returns the receiver NIC's transmit hook: frames go back over
-// the link to the sender, departing only after the CPU time charged so far
-// in the current round (the response to a request cannot leave before it
-// has been computed — this is what puts receive-path processing cost into
-// the request/response latency of Table 1).
-func nicReverse(l *Link, cpu *cpuSet) func(nic.Frame) {
-	return func(f nic.Frame) {
-		l.DeliverReverse(f, cpu.inRoundLatencyNs())
-	}
 }
 
 // cpuSet schedules the receiver's softirq CPUs on virtual time: each

@@ -172,23 +172,8 @@ func (g *flowGen) open(n int, sPort, rPort uint16) error {
 		return err
 	}
 
-	rcfg := tcp.DefaultConfig()
-	rcfg.LocalIP, rcfg.RemoteIP = rcvIP, senderIP
-	rcfg.LocalPort, rcfg.RemotePort = rPort, sPort
-	rcfg.AckOffload = cfg.Opt == OptFull
-	rcfg.SACK = cfg.SACK
-	if cfg.NoTimestamps {
-		rcfg.UseTimestamps = false
-	}
-	if isn != 0 {
-		rcfg.IRS = isn
-	}
-	ep, err := tcp.New(rcfg, top.machine.MeterRef(), top.machine.ParamsRef(),
-		top.machine.AllocRef(), top.sim.Clock())
+	ep, err := top.openReceiver(senderIP, rcvIP, sPort, rPort, isn)
 	if err != nil {
-		return err
-	}
-	if err := top.machine.RegisterEndpoint(ep, senderIP, rcvIP, sPort, rPort); err != nil {
 		return err
 	}
 	if cfg.Steering.ARFS {

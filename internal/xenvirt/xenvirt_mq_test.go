@@ -34,7 +34,6 @@ func newMQRig(t *testing.T, mode frontend.Mode, queues int) *mqRig {
 		Queues:      queues,
 		Mode:        mode,
 		Aggregation: core.DefaultOptions(),
-		Clock:       func() uint64 { return r.now },
 	}}
 	m, err := New(cfg)
 	if err != nil {

@@ -38,7 +38,6 @@ func newRig(t *testing.T, mode frontend.Mode, ackOffload bool) *rig {
 		NICCount:    1,
 		Mode:        mode,
 		Aggregation: core.DefaultOptions(),
-		Clock:       func() uint64 { return r.now },
 	}}
 	m, err := New(cfg)
 	if err != nil {
@@ -51,7 +50,7 @@ func newRig(t *testing.T, mode frontend.Mode, ackOffload bool) *rig {
 	tcfg.LocalIP, tcfg.RemoteIP = guestIP, senderIP
 	tcfg.LocalPort, tcfg.RemotePort = 44000, 5001
 	tcfg.AckOffload = ackOffload
-	ep, err := tcp.New(tcfg, &m.Meter, &m.Params, m.Alloc, cfg.Clock)
+	ep, err := tcp.New(tcfg, &m.Meter, &m.Params, m.Alloc, func() uint64 { return r.now })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func (r *rig) pump() {
 }
 
 func TestNewValidation(t *testing.T) {
-	good := Config{Config: frontend.Config{Params: cost.XenGuest(), NICCount: 1, Clock: func() uint64 { return 0 }}}
+	good := Config{Config: frontend.Config{Params: cost.XenGuest(), NICCount: 1}}
 	if _, err := New(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -110,11 +109,6 @@ func TestNewValidation(t *testing.T) {
 	bad.NICCount = 0
 	if _, err := New(bad); err == nil {
 		t.Error("zero NICs accepted")
-	}
-	bad = good
-	bad.Clock = nil
-	if _, err := New(bad); err == nil {
-		t.Error("nil clock accepted")
 	}
 }
 
