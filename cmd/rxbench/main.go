@@ -6,10 +6,22 @@
 //	rxbench -experiment fig7
 //	rxbench -experiment table1 -duration 500ms
 //
-// With -json, the human-readable tables go to stderr and a JSON array of
-// per-run records (experiment, configuration, Mb/s, cycles/byte,
-// aggregation statistics) is written to stdout — the machine-readable
-// form CI records as BENCH_*.json performance trajectories.
+// With -json, the human-readable tables go to stderr and stdout carries
+// one JSON report, the machine-readable form CI records as BENCH_*.json
+// performance trajectories:
+//
+//	{"schema": 1, "runs": [{"experiment", "system", "opt", "config", "result", "error"}, ...]}
+//
+// Every stream run is one entry, in run order. config is the resolved
+// StreamConfig the run used (StreamConfig.Resolved: defaults filled in), so
+// any entry reruns as is; result is its StreamResult, encoded as the golden
+// corpus (testdata/golden_shapes.json) encodes it. A failed run carries
+// error instead of result. system and opt name the config's System and Opt.
+// table1's request/response runs are not stream runs and have no entry.
+//
+// With -trace, the final stream run's span timeline is validated and
+// written as a Chrome trace, and stderr reports each track's spans and busy
+// share of the measured interval.
 //
 // # Profiling the simulator
 //
@@ -31,6 +43,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -52,82 +65,46 @@ var (
 	duration = flag.Duration("duration", 150*time.Millisecond, "measured virtual duration per run")
 	warmup   = flag.Duration("warmup", 40*time.Millisecond, "virtual warm-up before measurement")
 	sysFlag  = flag.String("sys", "up",
-		"system for the rss/churn experiments: up, smp, xen (xen scales paravirtual I/O channels)")
+		"system for the rss, churn, steer, reorder, restartstorm, connscale and rr experiments: up, smp, xen (xen scales paravirtual I/O channels)")
 	queueList = flag.String("queues", "1,2,4,8",
-		"queue counts swept by the rss experiment (comma-separated)")
+		"queue counts swept by the rss experiment (comma-separated); steer, reorder and restartstorm use the last entry")
 	jsonOut = flag.Bool("json", false,
 		"emit machine-readable JSON run records on stdout (tables move to stderr)")
 	parallel = flag.Int("parallel", 1,
-		"worker goroutines for independent sweep points (rss, restartstorm, connscale); output order is deterministic")
+		"worker goroutines for the points of every sweep (rss, loss, restartstorm, connscale, rr); output order is deterministic")
 	cpuProfile = flag.String("cpuprofile", "",
 		"write a CPU profile of the whole invocation to this file")
 	memProfile = flag.String("memprofile", "",
 		"write a heap profile (after the final run) to this file")
 	traceOut = flag.String("trace", "",
-		"write a Chrome trace (chrome://tracing / Perfetto) of the invocation's final stream run to this file; enables span telemetry on every run (observation cost is zero — results are unchanged)")
+		"write a Chrome trace (chrome://tracing / Perfetto) of the invocation's final stream run to this file and report its tracks on stderr; enables span telemetry on every run (observation cost is zero — results are unchanged)")
 )
 
-// runRecord is one stream run's machine-readable result.
-type runRecord struct {
-	Experiment        string         `json:"experiment"`
-	System            string         `json:"system"`
-	Opt               string         `json:"opt"`
-	NICs              int            `json:"nics"`
-	Queues            int            `json:"queues"`
-	Connections       int            `json:"connections"`
-	AggLimit          int            `json:"agg_limit,omitempty"`
-	MessageSize       int            `json:"message_size,omitempty"`
-	FlowSkew          float64        `json:"flow_skew,omitempty"`
-	ReorderOneIn      int            `json:"reorder_one_in,omitempty"`
-	ReorderDistance   int            `json:"reorder_distance,omitempty"`
-	ReorderWindow     int            `json:"reorder_window,omitempty"`
-	TimeWaitPrefill   int            `json:"timewait_prefill,omitempty"`
-	Layout            string         `json:"layout,omitempty"`
-	RegisteredFlows   int            `json:"registered_flows,omitempty"`
-	Mbps              float64        `json:"mbps"`
-	CPUUtil           float64        `json:"cpu_util"`
-	CyclesPerPacket   float64        `json:"cycles_per_packet"`
-	CyclesPerByte     float64        `json:"cycles_per_byte"`
-	AggFactor         float64        `json:"agg_factor"`
-	BytesPerAggregate float64        `json:"bytes_per_aggregate,omitempty"`
-	Frames            uint64         `json:"frames"`
-	OOOSegs           uint64         `json:"ooo_segs,omitempty"`
-	ReorderedFrames   uint64         `json:"reordered_frames,omitempty"`
-	LossModel         string         `json:"loss_model,omitempty"`
-	LossRate          float64        `json:"loss_rate,omitempty"`
-	SACK              bool           `json:"sack,omitempty"`
-	LostFrames        uint64         `json:"lost_frames,omitempty"`
-	DemuxCyclesPerPkt float64        `json:"demux_cycles_per_packet,omitempty"`
-	TableBytes        uint64         `json:"table_bytes,omitempty"`
-	MemPeakBytes      uint64         `json:"mem_peak_bytes,omitempty"`
-	Agg               repro.AggStats `json:"agg_stats"`
-	// TimeWait is the TIME_WAIT table summary (omitted when no flow
-	// ever lingered); Storm summarizes restart-storm activity.
-	TimeWait *repro.TimeWaitStats `json:"timewait,omitempty"`
-	Storm    *repro.StormReport   `json:"storm,omitempty"`
-	// Loss sums the senders' loss-recovery counters; Recovery digests the
-	// per-episode recovery-latency histogram (telemetry runs only).
-	Loss     *repro.LossReport     `json:"loss,omitempty"`
-	Recovery *repro.LatencySummary `json:"recovery,omitempty"`
-	// Latency is the per-message latency telemetry (present whenever the
-	// run collected it — always for the rr incast experiment); RPCRounds
-	// counts its completed request bursts.
-	Latency   *repro.LatencyReport `json:"latency,omitempty"`
-	RPCRounds uint64               `json:"rpc_rounds,omitempty"`
-	// Error marks a sweep point whose run failed; the metric fields are
-	// zero and the remaining points of the sweep are still valid.
-	Error string `json:"error,omitempty"`
+// benchRun is one run of the -json report: the resolved config the run
+// used and its result, JSON-encoded as the golden corpus encodes it (nil
+// when the run failed, with Error set instead).
+type benchRun struct {
+	Experiment string              `json:"experiment"`
+	System     string              `json:"system"`
+	Opt        string              `json:"opt"`
+	Config     repro.StreamConfig  `json:"config"`
+	Result     *repro.StreamResult `json:"result,omitempty"`
+	Error      string              `json:"error,omitempty"`
 }
+
+// reportSchema versions the -json report's layout.
+const reportSchema = 1
 
 var (
 	curExperiment string
-	records       []runRecord
-	// pointFailures counts sweep points that failed (reported in-table
-	// and in JSON rather than aborting the sweep; nonzero exit at the end).
+	runs          = []benchRun{}
+	// pointFailures counts runs that failed (reported in-table and in JSON
+	// rather than aborting the sweep; nonzero exit at the end).
 	pointFailures int
 	// traceSpans holds the final stream run's span timeline when -trace
-	// is set.
+	// is set, and traceNs that run's measured interval.
 	traceSpans []repro.Span
+	traceNs    uint64
 )
 
 func main() {
@@ -214,8 +191,9 @@ func main() {
 }
 
 // writeTrace validates and writes the captured span timeline when -trace
-// is set. Validation runs before the file is written, so a malformed
-// trace fails the invocation instead of landing on disk.
+// is set, then reports each track's activity on stderr. Validation runs
+// before the file is written, so a malformed trace fails the invocation
+// instead of landing on disk.
 func writeTrace() {
 	if *traceOut == "" {
 		return
@@ -236,16 +214,45 @@ func writeTrace() {
 	}
 	fmt.Fprintf(os.Stderr, "rxbench: wrote %d spans (%d complete events) to %s\n",
 		len(traceSpans), complete, *traceOut)
+
+	// Per-track activity, in the order each track's first span starts
+	// (the timeline's canonical order).
+	type trackSum struct {
+		name   string
+		spans  int
+		busyNs uint64
+	}
+	var tracks []trackSum
+	idx := map[string]int{}
+	for _, s := range traceSpans {
+		i, ok := idx[s.Track]
+		if !ok {
+			i = len(tracks)
+			idx[s.Track] = i
+			tracks = append(tracks, trackSum{name: s.Track})
+		}
+		tracks[i].spans++
+		tracks[i].busyNs += s.DurNs
+	}
+	fmt.Fprintf(os.Stderr, "%-12s %8s %10s %7s\n", "track", "spans", "busy µs", "busy")
+	for _, tr := range tracks {
+		fmt.Fprintf(os.Stderr, "%-12s %8d %10.0f %6.1f%%\n", tr.name, tr.spans,
+			float64(tr.busyNs)/1e3, float64(tr.busyNs)*100/float64(traceNs))
+	}
 }
 
-// emitJSON writes the collected run records when -json is set.
-func emitJSON(dest *os.File) {
+// emitJSON writes the run report when -json is set.
+func emitJSON(dest io.Writer) {
 	if !*jsonOut {
 		return
 	}
 	enc := json.NewEncoder(dest)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
+	report := struct {
+		Schema int        `json:"schema"`
+		Runs   []benchRun `json:"runs"`
+	}{reportSchema, runs}
+	if err := enc.Encode(report); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -266,43 +273,35 @@ func writeMemProfile() {
 	}
 }
 
+// stream runs one configuration through streamMany.
 func stream(cfg repro.StreamConfig) repro.StreamResult {
-	cfg.DurationNs = uint64(duration.Nanoseconds())
-	cfg.WarmupNs = uint64(warmup.Nanoseconds())
-	if *traceOut != "" {
-		cfg.Telemetry.Latency, cfg.Telemetry.Spans = true, true
-		cfg.Telemetry.SpanSink = func(s []repro.Span) { traceSpans = s }
-	}
-	res, err := repro.RunStream(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	record(cfg, res)
-	return res
+	results, _ := streamMany([]repro.StreamConfig{cfg})
+	return results[0]
 }
 
-// streamMany runs independent sweep points, fanned out over -parallel
-// worker goroutines (each RunStream builds its own topology, so points
-// share nothing). Results and JSON records keep the input order whatever
-// the completion order was. A failed point does not abort the sweep: its
-// error is logged, recorded in the JSON report and surfaced to the
-// caller's table (errs[i] != nil, results[i] zero); the process exits
-// nonzero at the end.
+// streamMany is the one run path: it sets the -duration/-warmup window,
+// resolves each config's defaults, wires -trace and runs the points,
+// fanned out over -parallel worker goroutines (each RunStream builds its
+// own topology, so points share nothing). Results and report entries keep
+// the input order whatever the completion order was. A failed point does
+// not abort the sweep: its error is logged, recorded in the JSON report
+// and surfaced to the caller (errs[i] != nil, results[i] zero); the
+// process exits nonzero at the end.
 func streamMany(cfgs []repro.StreamConfig) ([]repro.StreamResult, []error) {
-	for i := range cfgs {
-		cfgs[i].DurationNs = uint64(duration.Nanoseconds())
-		cfgs[i].WarmupNs = uint64(warmup.Nanoseconds())
-	}
 	// With -trace every point records spans into its own slot (workers
 	// never share one), and the final point's timeline wins.
 	var spanBufs [][]repro.Span
 	if *traceOut != "" {
 		spanBufs = make([][]repro.Span, len(cfgs))
-		for i := range cfgs {
-			i := i
+	}
+	for i := range cfgs {
+		cfgs[i].DurationNs = uint64(duration.Nanoseconds())
+		cfgs[i].WarmupNs = uint64(warmup.Nanoseconds())
+		if spanBufs != nil {
 			cfgs[i].Telemetry.Latency, cfgs[i].Telemetry.Spans = true, true
 			cfgs[i].Telemetry.SpanSink = func(s []repro.Span) { spanBufs[i] = s }
 		}
+		cfgs[i] = cfgs[i].Resolved()
 	}
 	results := make([]repro.StreamResult, len(cfgs))
 	errs := make([]error, len(cfgs))
@@ -329,95 +328,23 @@ func streamMany(cfgs []repro.StreamConfig) ([]repro.StreamResult, []error) {
 	}
 	close(idx)
 	wg.Wait()
-	for i := range cfgs {
+	for i, cfg := range cfgs {
+		run := benchRun{Experiment: curExperiment, System: cfg.System.String(),
+			Opt: cfg.Opt.String(), Config: cfg}
 		if errs[i] != nil {
 			pointFailures++
 			log.Printf("%s point %d (%s/%s, %d queues): %v",
-				curExperiment, i, cfgs[i].System, cfgs[i].Opt, cfgs[i].Queues, errs[i])
-			recordError(cfgs[i], errs[i])
-			continue
+				curExperiment, i, cfg.System, cfg.Opt, cfg.Queues, errs[i])
+			run.Error = errs[i].Error()
+		} else {
+			run.Result = &results[i]
 		}
-		record(cfgs[i], results[i])
-	}
-	for i := len(spanBufs) - 1; i >= 0; i-- {
-		if spanBufs[i] != nil {
-			traceSpans = spanBufs[i]
-			break
+		runs = append(runs, run)
+		if spanBufs != nil && spanBufs[i] != nil {
+			traceSpans, traceNs = spanBufs[i], cfg.DurationNs
 		}
 	}
 	return results, errs
-}
-
-// recordError captures a failed sweep point for the -json report.
-func recordError(cfg repro.StreamConfig, err error) {
-	records = append(records, runRecord{
-		Experiment:  curExperiment,
-		System:      cfg.System.String(),
-		Opt:         cfg.Opt.String(),
-		NICs:        cfg.NICs,
-		Queues:      cfg.Queues,
-		Connections: cfg.Connections,
-		Error:       err.Error(),
-	})
-}
-
-// record captures one run for the -json report.
-func record(cfg repro.StreamConfig, res repro.StreamResult) {
-	r := runRecord{
-		Experiment:      curExperiment,
-		System:          cfg.System.String(),
-		Opt:             cfg.Opt.String(),
-		NICs:            cfg.NICs,
-		Queues:          res.Queues,
-		Connections:     cfg.Connections,
-		AggLimit:        cfg.AggLimit,
-		MessageSize:     cfg.MessageSize,
-		FlowSkew:        cfg.FlowSkew,
-		ReorderOneIn:    cfg.Reorder.OneIn,
-		ReorderDistance: cfg.Reorder.Distance,
-		ReorderWindow:   cfg.ReorderWindow,
-		Mbps:            res.ThroughputMbps,
-		CPUUtil:         res.CPUUtil,
-		CyclesPerPacket: res.CyclesPerPacket,
-		AggFactor:       res.AggFactor,
-		Frames:          res.Frames,
-		OOOSegs:         res.OOOSegs,
-		ReorderedFrames: res.ReorderedFrames,
-		Agg:             res.AggStats,
-		Storm:           res.Storm,
-		TimeWaitPrefill: cfg.RestartStorm.PrefillTimeWait,
-
-		CyclesPerByte:     res.CyclesPerByte(),
-		BytesPerAggregate: res.BytesPerAggregate(),
-	}
-	if res.TimeWait.Entered > 0 {
-		tw := res.TimeWait
-		r.TimeWait = &tw
-	}
-	if res.Latency.Enabled {
-		lat := res.Latency
-		r.Latency = &lat
-		r.RPCRounds = res.RPCRounds
-	}
-	if cfg.Loss.OneIn > 0 || cfg.Loss.BurstRate > 0 || cfg.SACK {
-		r.LossModel, r.LossRate = lossModelOf(cfg)
-		r.SACK = cfg.SACK
-		r.LostFrames = res.LostFrames
-		l := res.Loss
-		r.Loss = &l
-		if res.Latency.Enabled {
-			rec := res.Latency.Recovery
-			r.Recovery = &rec
-		}
-	}
-	if cfg.RegisteredFlows > 0 || cfg.FlowLayout != repro.LayoutOpenAddressed {
-		r.Layout = cfg.FlowLayout.String()
-		r.RegisteredFlows = cfg.RegisteredFlows
-		r.DemuxCyclesPerPkt = res.DemuxCyclesPerPacket()
-		r.TableBytes = res.Demux.Bytes
-		r.MemPeakBytes = res.Mem.PeakBytes
-	}
-	records = append(records, r)
 }
 
 // fig1 reproduces Figure 1: per-byte vs per-packet share on the 3.8 GHz

@@ -1,10 +1,14 @@
 // Command rxprof prints an OProfile-style cycle breakdown of the receive
-// path for one configuration, as a table and a bar chart, followed by the
-// flow table's per-shard demux statistics (flows, demux hits, steals):
+// path for one configuration, as a table and a bar chart, followed by every
+// section the run's result has: the flow table's per-shard demux statistics
+// (flows, demux hits, steals; the eight busiest shards), the demux and
+// memory summary, the aggregation engines' flush reasons and the per-stage
+// latency breakdown, plus the TIME_WAIT, steering and loss sections when
+// the run exercised them:
 //
 //	rxprof -system xen -opt full
 //	rxprof -system up -opt none -limit 8
-//	rxprof -system xen -queues 4 -conns 100 -shards 12
+//	rxprof -system xen -queues 4 -conns 100
 package main
 
 import (
@@ -26,13 +30,10 @@ var (
 	nics     = flag.Int("nics", 5, "number of Gigabit NICs")
 	queues   = flag.Int("queues", 1, "RSS queues / paravirtual I/O channels per NIC")
 	conns    = flag.Int("conns", 0, "concurrent connections (0 = one per NIC)")
-	shards   = flag.Int("shards", 8, "busiest flow-table shards to list (0 = none)")
 	duration = flag.Duration("duration", 150*time.Millisecond, "measured virtual duration")
 	steer    = flag.Bool("steer", false,
 		"enable dynamic flow steering (rebalancer + aRFS) and print the final indirection table and steering-rule occupancy")
-	skew = flag.Float64("skew", 0, "zipf rate-skew exponent for the flow population (0 = uniform)")
-	agg  = flag.Bool("agg", false,
-		"print the per-engine aggregation breakdown: flush-reason taxonomy and resequencing-window counters")
+	skew   = flag.Float64("skew", 0, "zipf rate-skew exponent for the flow population (0 = uniform)")
 	window = flag.Int("window", 0,
 		"per-flow resequencing window of the aggregation engines, in frames (0 = strict in-sequence)")
 	reorderOneIn = flag.Int("reorder", 0,
@@ -52,9 +53,10 @@ var (
 		"total registered endpoints including an idle population beyond -conns (0 = active connections only); the connscale axis")
 	layout = flag.String("layout", "open",
 		"flow-table shard layout: open (cache-conscious open addressing), map (seed-style Go map baseline)")
-	latency = flag.Bool("latency", false,
-		"collect per-message latency telemetry and print the per-stage residency breakdown (wire/ring/softirq/stack/socket)")
 )
+
+// busiestShards is how many of the busiest flow-table shards are listed.
+const busiestShards = 8
 
 // histogramThreshold is the registered population beyond which the
 // per-shard listing gives way to the occupancy histogram: a raw dump of
@@ -89,8 +91,6 @@ func main() {
 	lossy := *lossOneIn > 0 || *burstLoss > 0
 	if lossy {
 		cfg.Loss = repro.LossConfig{OneIn: *lossOneIn, BurstRate: *burstLoss, BurstLen: *burstLen}
-		// The recovery-latency histogram rides on the telemetry collector.
-		cfg.Telemetry.Latency = true
 	}
 	cfg.SACK = *sack
 	cfg.ChurnIntervalNs = uint64(churnEvery.Nanoseconds())
@@ -110,9 +110,9 @@ func main() {
 	if *steer {
 		cfg.Steering = repro.SteerConfig{Enabled: true, ARFS: true}
 	}
-	if *latency {
-		cfg.Telemetry.Latency = true
-	}
+	// Latency telemetry (the stage breakdown and the recovery-latency
+	// histogram) costs the run nothing: observation never perturbs it.
+	cfg.Telemetry.Latency = true
 	res, err := repro.RunStream(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -135,14 +135,10 @@ func main() {
 		fmt.Println()
 		printSteer(res)
 	}
-	if *agg {
-		fmt.Println()
-		printAggEngines(res)
-	}
-	if *latency {
-		fmt.Println()
-		printLatency(res)
-	}
+	fmt.Println()
+	printAggEngines(res)
+	fmt.Println()
+	printLatency(res)
 	if lossy || *sack {
 		fmt.Println()
 		printLoss(res)
@@ -306,9 +302,6 @@ func printShardStats(res repro.StreamResult) {
 	if steals > 0 {
 		fmt.Println("WARNING: non-zero steals — some shard was touched by a CPU that does not own it")
 	}
-	if *shards <= 0 {
-		return
-	}
 	if res.Demux.Entries >= histogramThreshold {
 		// A raw busiest-shards dump is unreadable noise at this scale; the
 		// occupancy histogram (printDemux) carries the signal instead.
@@ -333,10 +326,7 @@ func printShardStats(res repro.StreamResult) {
 		}
 		return sa.Endpoints > sb.Endpoints
 	})
-	n := *shards
-	if n > len(idx) {
-		n = len(idx)
-	}
+	n := min(busiestShards, len(idx))
 	fmt.Printf("%-7s %7s %10s %10s %8s %8s %8s\n",
 		"shard", "flows", "hits", "frames", "aggs", "misses", "steals")
 	for _, i := range idx[:n] {

@@ -1,16 +1,15 @@
-// Command rxtrace narrates the receive path frame by frame. The default
-// mode feeds a small synthetic burst through the Receive Aggregation
-// engine and prints what happened to every frame — a teaching and
-// debugging view of the §3.1 rules: which frames coalesced, which passed
-// through and why, and what the stack received. With -stream it traces a
-// short real bulk-receive run instead, reporting per-track activity and
-// the per-stage latency breakdown.
+// Command rxtrace narrates the receive path frame by frame: it feeds a
+// small synthetic burst through the Receive Aggregation engine and prints
+// what happened to every frame — a teaching and debugging view of the §3.1
+// rules: which frames coalesced, which passed through and why, and what
+// the stack received.
 //
-// Both modes are built on the telemetry span recorder, so either timeline
+// The narration is built on the telemetry span recorder, so the burst
 // exports to the Chrome trace viewer (chrome://tracing, Perfetto):
 //
 //	rxtrace -chrome agg.json
-//	rxtrace -stream -sys smp -queues 4 -chrome run.json
+//
+// For the timeline of a real run, use rxbench -trace.
 package main
 
 import (
@@ -18,9 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
-	"repro"
 	"repro/internal/aggregate"
 	"repro/internal/buf"
 	"repro/internal/cost"
@@ -34,12 +31,7 @@ import (
 
 var (
 	limit  = flag.Int("limit", 5, "aggregation limit of the synthetic burst")
-	chrome = flag.String("chrome", "", "write the traced timeline as Chrome trace JSON to this file")
-	stream = flag.Bool("stream", false,
-		"trace a short real bulk-receive run (per-CPU rounds, wire activity, stage latency) instead of the synthetic burst")
-	sysFlag  = flag.String("sys", "up", "system for -stream: up, smp, xen")
-	queues   = flag.Int("queues", 2, "RSS queues for -stream")
-	duration = flag.Duration("duration", 10*time.Millisecond, "measured virtual duration for -stream")
+	chrome = flag.String("chrome", "", "write the burst's timeline as Chrome trace JSON to this file")
 )
 
 func main() {
@@ -47,12 +39,7 @@ func main() {
 	log.SetPrefix("rxtrace: ")
 	flag.Parse()
 
-	var spans []telemetry.Span
-	if *stream {
-		spans = traceStream()
-	} else {
-		spans = traceBurst()
-	}
+	spans := traceBurst()
 	if *chrome == "" {
 		return
 	}
@@ -68,75 +55,6 @@ func main() {
 	}
 	fmt.Printf("\nwrote %d spans to %s (load in chrome://tracing or Perfetto)\n",
 		len(spans), *chrome)
-}
-
-// traceStream runs a short real stream and summarizes its span timeline:
-// how busy each track was, and where delivered messages spent their time.
-func traceStream() []telemetry.Span {
-	sys, err := repro.ParseSystem(*sysFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := repro.DefaultStreamConfig(sys, repro.OptFull)
-	cfg.Queues = *queues
-	cfg.DurationNs = uint64(duration.Nanoseconds())
-	cfg.WarmupNs = cfg.DurationNs / 2
-	var spans []telemetry.Span
-	cfg.Telemetry = repro.TelemetryConfig{Latency: true, Spans: true,
-		SpanSink: func(s []repro.Span) { spans = s }}
-	res, err := repro.RunStream(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("%s / %s, %d queues: %.0f Mb/s over %v measured\n\n",
-		sys, cfg.Opt, *queues, res.ThroughputMbps, *duration)
-
-	// Per-track activity, in first-appearance order (the recorder's track
-	// order: CPU lanes, then wire lanes).
-	type trackSum struct {
-		name   string
-		spans  int
-		busyNs uint64
-	}
-	var tracks []trackSum
-	idx := map[string]int{}
-	for _, s := range spans {
-		i, ok := idx[s.Track]
-		if !ok {
-			i = len(tracks)
-			idx[s.Track] = i
-			tracks = append(tracks, trackSum{name: s.Track})
-		}
-		tracks[i].spans++
-		tracks[i].busyNs += s.DurNs
-	}
-	fmt.Printf("%-12s %8s %10s %7s\n", "track", "spans", "busy µs", "busy")
-	for _, tr := range tracks {
-		fmt.Printf("%-12s %8d %10.0f %6.1f%%\n", tr.name, tr.spans,
-			float64(tr.busyNs)/1e3, float64(tr.busyNs)*100/float64(cfg.DurationNs))
-	}
-
-	fmt.Println()
-	printLatency(res.Latency)
-	return spans
-}
-
-// printLatency renders the per-stage residency breakdown of a run.
-func printLatency(lat repro.LatencyReport) {
-	fmt.Printf("latency per delivered message (%d samples, µs):\n", lat.E2E.Count)
-	fmt.Printf("%-9s %9s %9s %9s %9s %7s\n", "stage", "mean", "p50", "p99", "max", "share")
-	us := func(ns uint64) float64 { return float64(ns) / 1e3 }
-	for _, s := range lat.Stages {
-		share := 0.0
-		if lat.E2E.SumNs > 0 {
-			share = float64(s.SumNs) * 100 / float64(lat.E2E.SumNs)
-		}
-		fmt.Printf("%-9s %9.1f %9.1f %9.1f %9.1f %6.1f%%\n",
-			s.Stage, us(s.MeanNs), us(s.P50Ns), us(s.P99Ns), us(s.MaxNs), share)
-	}
-	fmt.Printf("%-9s %9.1f %9.1f %9.1f %9.1f %7s\n",
-		"e2e", us(lat.E2E.MeanNs), us(lat.E2E.P50Ns), us(lat.E2E.P99Ns), us(lat.E2E.MaxNs), "100%")
 }
 
 // traceBurst is the classic synthetic §3.1 narration, now recording a

@@ -55,7 +55,7 @@ var DeterministicPackages = []string{
 var WallClockExemptPackages = []string{
 	"cmd/rxbench",       // -cpuprofile/-memprofile wall timing, bench tables
 	"cmd/rxprof",        // profiling flags
-	"cmd/rxtrace",       // trace export timestamps
+	"cmd/rxtrace",       // synthetic-burst narration and trace file output
 	"cmd/simlint",       // the linter itself (os/exec, file IO)
 	"examples",          // quickstart programs, not simulator state
 	"internal/analysis", // the analyzers read source trees, not sim state

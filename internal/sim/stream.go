@@ -697,21 +697,34 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	return top, nil
 }
 
-// newTopology validates cfg and wires the machine, its CPUs, telemetry,
-// and one sender machine and link per NIC. It schedules nothing and opens
-// no connection: the caller attaches a workload, then calls start.
-func newTopology(cfg *StreamConfig) (*streamTopology, error) {
-	if cfg.NICs <= 0 {
-		return nil, fmt.Errorf("sim: NICs %d must be positive", cfg.NICs)
-	}
+// Resolved returns cfg with its defaults filled in, as a run uses it:
+// Connections defaults to one per NIC, DurationNs to 150 ms, and the RPC
+// workload turns on Telemetry.Latency (the histograms are its output). It
+// validates nothing.
+func (cfg StreamConfig) Resolved() StreamConfig {
 	if cfg.Connections == 0 {
 		cfg.Connections = cfg.NICs
 	}
-	if cfg.Connections < 0 {
-		return nil, fmt.Errorf("sim: Connections %d must be positive", cfg.Connections)
-	}
 	if cfg.DurationNs == 0 {
 		cfg.DurationNs = 150_000_000
+	}
+	if cfg.RPC.Enabled {
+		cfg.Telemetry.Latency = true
+	}
+	return cfg
+}
+
+// newTopology resolves and validates cfg and wires the machine, its CPUs,
+// telemetry, and one sender machine and link per NIC. It schedules nothing
+// and opens no connection: the caller attaches a workload, then calls
+// start.
+func newTopology(cfg *StreamConfig) (*streamTopology, error) {
+	*cfg = cfg.Resolved()
+	if cfg.NICs <= 0 {
+		return nil, fmt.Errorf("sim: NICs %d must be positive", cfg.NICs)
+	}
+	if cfg.Connections < 0 {
+		return nil, fmt.Errorf("sim: Connections %d must be positive", cfg.Connections)
 	}
 	if cfg.FlowSkew < 0 {
 		return nil, fmt.Errorf("sim: FlowSkew %f must be non-negative", cfg.FlowSkew)
@@ -751,9 +764,6 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 			cfg.RegisteredFlows != 0 || cfg.MessageSize != 0 {
 			return nil, fmt.Errorf("sim: the RPC workload is incompatible with churn, storm, steering, skew, connscale and MessageSize knobs")
 		}
-		// The workload exists to measure latency; the histograms are its
-		// output.
-		cfg.Telemetry.Latency = true
 	}
 	machine, err := buildMachine(cfg)
 	if err != nil {

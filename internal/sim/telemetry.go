@@ -27,8 +27,8 @@ type TelemetryConfig struct {
 	// SpanSink at the end of the run (canonically ordered).
 	Spans bool
 	// SpanSink receives the drained spans when Spans is set (nil: spans
-	// are recorded and dropped).
-	SpanSink func([]telemetry.Span)
+	// are recorded and dropped). It is not part of a JSON-encoded config.
+	SpanSink func([]telemetry.Span) `json:"-"`
 }
 
 // enabled reports whether any telemetry output is requested.
