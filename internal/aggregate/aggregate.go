@@ -176,8 +176,10 @@ type pending struct {
 	dataOff int    // TCP header length
 
 	// held is the flow's resequencing window: ahead-of-sequence frames
-	// waiting for the gap to fill, sorted by sequence number. Always nil
-	// when Config.ReorderWindow is 0.
+	// waiting for the gap to fill, sorted by sequence number. Always
+	// empty when Config.ReorderWindow is 0. Its storage stays with the
+	// record through flushes and recycling, so a warm window never
+	// allocates.
 	held []heldFrame
 }
 
@@ -441,7 +443,7 @@ func (e *Engine) stitchHeld(p *pending) {
 				e.finalize(p)
 				return
 			}
-			p.held = p.held[1:]
+			p.held = append(p.held[:0], p.held[1:]...)
 			e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Buf: poolBuf(hf.frame), Ack: hf.ack, TSVal: hf.tsVal})
 			p.count++
 			p.nextSeq = hf.seq + uint32(hf.payloadLen)
@@ -455,12 +457,14 @@ func (e *Engine) stitchHeld(p *pending) {
 		if p.count < e.cfg.Limit {
 			return // window (if any) keeps waiting for its gap
 		}
-		// Limit reached. Deliver, detaching the window first so it can
-		// outlive the flush when the run continues.
+		// Limit reached. Deliver, detaching the window's contents first
+		// so they can outlive the flush when the run continues. held
+		// aliases storage that p keeps; nothing writes a window before
+		// the next Input, so it stays valid below.
 		held := p.held
 		nextSeq := p.nextSeq
 		key := p.key
-		p.held = nil
+		p.held = p.held[:0]
 		e.stats.FlushLimit++
 		e.finalize(p)
 		if len(held) == 0 {
@@ -481,7 +485,7 @@ func (e *Engine) stitchHeld(p *pending) {
 			return
 		}
 		e.stats.Stitched++
-		np.held = held[1:]
+		np.held = append(np.held, held[1:]...)
 		p = np
 	}
 }
@@ -574,6 +578,7 @@ func (e *Engine) newPending(key FlowKey, f nic.Frame, ih *ipv4.Header, th *tcpwi
 		hasTS:   th.HasTimestamp,
 		l4off:   ether.HeaderLen + ih.IHL,
 		dataOff: th.DataOff,
+		held:    p.held[:0],
 	}
 	return p
 }
@@ -698,7 +703,7 @@ func (e *Engine) deliver(p *pending) {
 	// FlushWhere (no held frame may span the migration boundary).
 	if len(p.held) > 0 {
 		held := p.held
-		p.held = nil
+		p.held = p.held[:0]
 		e.drainHeldSlice(held)
 	}
 	// Delivered: no caller touches p again, so the record is recycled.

@@ -21,7 +21,7 @@ type env struct {
 	p     cost.Params
 }
 
-func newEnv(t *testing.T, cfg Config) *env {
+func newEnv(t testing.TB, cfg Config) *env {
 	t.Helper()
 	e := &env{p: cost.NativeUP()}
 	var m cycles.Meter

@@ -18,18 +18,22 @@ type Sim struct {
 	now    uint64
 	seq    uint64
 	events eventHeap
+	clock  func() uint64 // Now, bound once for Clock
 }
 
 // NewSim returns a simulation at time zero.
-func NewSim() *Sim { return &Sim{} }
+func NewSim() *Sim {
+	s := &Sim{}
+	s.clock = s.Now
+	return s
+}
 
 // Now returns the current virtual time in nanoseconds.
 func (s *Sim) Now() uint64 { return s.now }
 
-// Clock returns a tcp.Clock-compatible time source.
-func (s *Sim) Clock() func() uint64 {
-	return func() uint64 { return s.now }
-}
+// Clock returns a tcp.Clock-compatible time source: the same function on
+// every call, so handing it to each new endpoint allocates nothing.
+func (s *Sim) Clock() func() uint64 { return s.clock }
 
 // Schedule runs fn at absolute virtual time at (clamped to now).
 func (s *Sim) Schedule(at uint64, fn func()) {

@@ -46,7 +46,7 @@ type Link struct {
 	// send order. Serialization is sequential and the delay constant, so
 	// they arrive in that order: each arrival is the one pre-bound arriveFn
 	// event popping the head (no closure per frame).
-	wire     wireFIFO
+	wire     fifo[wireFrame]
 	arriveFn func()
 	// revFree recycles delivered reverse frames with their pre-bound
 	// events, so the ACK direction allocates no closure per frame either.
@@ -178,30 +178,34 @@ type wireFrame struct {
 	sentNs uint64
 }
 
-// wireFIFO is a growable ring of in-flight frames.
-type wireFIFO struct {
-	ring    []wireFrame
+// fifo is a growable ring queue. Unlike a slice popped by reslicing its
+// front, it keeps its storage: once grown to the deepest backlog, pushes
+// and pops allocate nothing.
+type fifo[T any] struct {
+	ring    []T
 	head, n int
 }
 
-func (q *wireFIFO) push(w wireFrame) {
+func (q *fifo[T]) push(v T) {
 	if q.n == len(q.ring) {
-		grown := make([]wireFrame, max(2*len(q.ring), 8))
+		grown := make([]T, max(2*len(q.ring), 8))
 		for i := 0; i < q.n; i++ {
 			grown[i] = q.ring[(q.head+i)%len(q.ring)]
 		}
 		q.ring, q.head = grown, 0
 	}
-	q.ring[(q.head+q.n)%len(q.ring)] = w
+	q.ring[(q.head+q.n)%len(q.ring)] = v
 	q.n++
 }
 
-func (q *wireFIFO) pop() wireFrame {
-	w := q.ring[q.head]
-	q.ring[q.head] = wireFrame{}
+// pop removes and returns the oldest element; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	v := q.ring[q.head]
+	var zero T
+	q.ring[q.head] = zero // release references
 	q.head = (q.head + 1) % len(q.ring)
 	q.n--
-	return w
+	return v
 }
 
 // Stats returns a copy of the link counters.

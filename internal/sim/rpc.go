@@ -50,6 +50,7 @@ type rpcDriver struct {
 	reqBytes int
 	msgBytes int
 	pollNs   uint64
+	pollFn   func() // poll, bound once
 	conns    []*rpcConn
 	// rounds counts completed bursts (every connection's response fully
 	// read) over the whole run.
@@ -80,7 +81,8 @@ func newRPCDriver(top *streamTopology, cfg *StreamConfig) (*rpcDriver, error) {
 		}
 	}
 	r.fireBurst()
-	top.sim.After(r.pollNs, r.poll)
+	r.pollFn = r.poll
+	top.sim.After(r.pollNs, r.pollFn)
 	return r, nil
 }
 
@@ -180,7 +182,7 @@ func (r *rpcDriver) poll() {
 		r.rounds++
 		r.fireBurst()
 	}
-	r.top.sim.After(r.pollNs, r.poll)
+	r.top.sim.After(r.pollNs, r.pollFn)
 }
 
 // RRConfig describes a netperf TCP Request/Response experiment (paper

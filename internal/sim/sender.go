@@ -51,7 +51,7 @@ type SenderMachine struct {
 	byPort  map[uint16]*senderConn
 	rrIdx   int
 	rrLeft  int
-	pending [][]byte // retransmissions and pure-ACK frames awaiting the link
+	pending fifo[[]byte] // retransmissions and pure-ACK frames awaiting the link
 
 	// Per-frame scratch for ReceiveFrame's segment view (the endpoint only
 	// ranges over both during Input).
@@ -61,6 +61,7 @@ type SenderMachine struct {
 	paceBlocked []*senderConn // conns held back by pacing this NextFrame
 	wakeAt      uint64        // deadline of the armed pacing wake (0 = none)
 	wakeSeq     uint64        // invalidates superseded wake events
+	wakeFree    *paceWake     // fired wake records, a free list scheduleWake reuses
 
 	// OnWindowOpen is invoked when an ACK arrival may have opened a
 	// window (the link uses it to resume pulling).
@@ -201,14 +202,14 @@ func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 	}
 	ep.SetRecoveryRecorder(m.RecoveryRec)
 	ep.OnRetransmit = func(f []byte) {
-		m.pending = append(m.pending, f)
+		m.pending.push(f)
 		m.kick()
 	}
 	// Pure ACKs from the sender's receive half (it receives only ACKs in
 	// stream mode, but the RR client receives data) go out as frames: the
 	// frame buffer leaves with the link, and only the SKB is freed.
 	ep.Output = func(skb *buf.SKB) {
-		m.pending = append(m.pending, skb.Head)
+		m.pending.push(skb.Head)
 		skb.Pooled = false
 		m.alloc.Free(skb)
 		m.kick()
@@ -300,10 +301,8 @@ func (m *SenderMachine) takeFrame(c *senderConn) []byte {
 // (retransmissions, pure ACKs) take priority; data is drawn round-robin
 // with the quantum.
 func (m *SenderMachine) NextFrame() []byte {
-	if n := len(m.pending); n > 0 {
-		f := m.pending[0]
-		m.pending = m.pending[1:]
-		return f
+	if m.pending.n > 0 {
+		return m.pending.pop()
 	}
 	if len(m.conns) == 0 {
 		return nil
@@ -354,14 +353,36 @@ func (m *SenderMachine) scheduleWake() {
 	}
 	m.wakeAt = at
 	m.wakeSeq++
-	seq := m.wakeSeq
-	m.sim.After(minWait, func() {
-		if seq != m.wakeSeq {
-			return // superseded by a tighter wake
-		}
-		m.wakeAt = 0
-		m.kick()
-	})
+	w := m.wakeFree
+	if w != nil {
+		m.wakeFree = w.next
+	} else {
+		w = &paceWake{m: m}
+		w.fn = w.fire
+	}
+	w.seq = m.wakeSeq
+	m.sim.After(minWait, w.fn)
+}
+
+// paceWake is one scheduled pacing wake with its pre-bound event. A
+// superseded wake still fires, at its own instant, and does nothing: seq
+// tells it from the live one. Fired records are recycled through
+// SenderMachine.wakeFree.
+type paceWake struct {
+	m    *SenderMachine
+	seq  uint64
+	fn   func()
+	next *paceWake // free-list link
+}
+
+func (w *paceWake) fire() {
+	m := w.m
+	w.next, m.wakeFree = m.wakeFree, w
+	if w.seq != m.wakeSeq {
+		return // superseded by a tighter wake
+	}
+	m.wakeAt = 0
+	m.kick()
 }
 
 // SetPool makes the machine's endpoints cut their frames from p, the run's

@@ -24,6 +24,9 @@ type steerController struct {
 	prevBusy  []uint64
 	prevLoads []uint64 // per bucket, summed over NICs
 
+	// epochFn and migrateFn are epochTick and migrateTick, bound once.
+	epochFn, migrateFn func()
+
 	moves         uint64
 	appMigrations uint64
 	rulesAged     uint64
@@ -45,6 +48,7 @@ const defaultSteerEpochNs = 5_000_000
 
 func newSteerController(top *streamTopology, cfg SteerConfig) (*steerController, error) {
 	sc := &steerController{top: top, cfg: cfg, epochNs: cfg.EpochNs}
+	sc.epochFn, sc.migrateFn = sc.epochTick, sc.migrateTick
 	if sc.epochNs == 0 {
 		sc.epochNs = defaultSteerEpochNs
 	}
@@ -71,12 +75,12 @@ func newSteerController(top *streamTopology, cfg SteerConfig) (*steerController,
 		sc.arfs = steer.NewARFS[netstack.FlowKey]()
 		sc.top.machine.Netstack().OnSockRead = sc.onSockRead
 		if cfg.AppMigrateIntervalNs > 0 {
-			top.sim.After(cfg.AppMigrateIntervalNs, sc.migrateTick)
+			top.sim.After(cfg.AppMigrateIntervalNs, sc.migrateFn)
 		}
 	}
 	// The epoch loop drives the rebalancer and/or aRFS rule aging.
 	if sc.reb != nil || sc.agingActive() {
-		top.sim.After(sc.epochNs, sc.epochTick)
+		top.sim.After(sc.epochNs, sc.epochFn)
 	}
 	return sc, nil
 }
@@ -127,7 +131,7 @@ func (sc *steerController) epochTick() {
 		sc.applying = false
 	}
 	sc.ageRules()
-	top.sim.After(sc.epochNs, sc.epochTick)
+	top.sim.After(sc.epochNs, sc.epochFn)
 }
 
 // ageRules expires aRFS rules for flows unobserved longer than
@@ -194,7 +198,7 @@ func (sc *steerController) migrateTick() {
 			break
 		}
 	}
-	sc.top.sim.After(sc.cfg.AppMigrateIntervalNs, sc.migrateTick)
+	sc.top.sim.After(sc.cfg.AppMigrateIntervalNs, sc.migrateFn)
 }
 
 // flowClosed drops per-flow policy state at teardown.

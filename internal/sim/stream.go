@@ -672,7 +672,7 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	}
 	if cfg.ChurnIntervalNs > 0 {
 		top.churn = newChurner(top, top.gen, top.teardown, cfg.ChurnIntervalNs)
-		top.sim.After(cfg.ChurnIntervalNs, top.churn.tick)
+		top.sim.After(cfg.ChurnIntervalNs, top.churn.tickFn)
 	}
 	if cfg.RestartStorm.AtNs > 0 {
 		top.storm = newStormController(top, cfg)

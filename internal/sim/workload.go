@@ -61,6 +61,17 @@ type flowGen struct {
 	// storm's timestamps-off reuse path must dial with the very ISN the
 	// admissibility check was granted on.
 	nextISN uint32
+
+	// perLink is applySkew's scratch, one weighted flow list per NIC,
+	// kept so a churn tick's re-skew allocates nothing.
+	perLink [][]rankedFlow
+}
+
+// rankedFlow is a live flow's sender port with its zipf weight
+// (applySkew).
+type rankedFlow struct {
+	sPort uint16
+	w     float64
 }
 
 // Churn replacement flows draw ports from a range disjoint from the
@@ -72,7 +83,7 @@ const (
 )
 
 func newFlowGen(top *streamTopology, cfg *StreamConfig) *flowGen {
-	return &flowGen{top: top, cfg: cfg}
+	return &flowGen{top: top, cfg: cfg, perLink: make([][]rankedFlow, cfg.NICs)}
 }
 
 // openFlow opens the next initial flow, round-robin across NICs. Sender i
@@ -208,23 +219,21 @@ func (g *flowGen) applySkew() {
 	}
 	const skewOversubscribe = 2.0
 	const lineRateBps = 1e9
-	type ranked struct {
-		f flowRecord
-		w float64
+	for n := range g.perLink {
+		g.perLink[n] = g.perLink[n][:0]
 	}
-	perLink := make([][]ranked, g.cfg.NICs)
 	for rank, f := range g.live {
-		perLink[f.nicIdx] = append(perLink[f.nicIdx],
-			ranked{f: f, w: math.Pow(float64(rank+1), -g.cfg.FlowSkew)})
+		g.perLink[f.nicIdx] = append(g.perLink[f.nicIdx],
+			rankedFlow{sPort: f.sPort, w: math.Pow(float64(rank+1), -g.cfg.FlowSkew)})
 	}
-	for n, flows := range perLink {
+	for n, flows := range g.perLink {
 		var sum float64
 		for _, r := range flows {
 			sum += r.w
 		}
 		for _, r := range flows {
 			rate := skewOversubscribe * lineRateBps * r.w / sum
-			g.top.senders[n].SetConnRate(r.f.sPort, rate)
+			g.top.senders[n].SetConnRate(r.sPort, rate)
 		}
 	}
 }
@@ -350,6 +359,7 @@ type churner struct {
 	gen      *flowGen
 	tr       *teardownTracker
 	interval uint64
+	tickFn   func() // tick, bound once
 	tornDown uint64
 	// openFailures counts ticks whose replacement could not be opened
 	// (port space and recycle pool both exhausted); the victim survives
@@ -359,7 +369,9 @@ type churner struct {
 }
 
 func newChurner(top *streamTopology, gen *flowGen, tr *teardownTracker, interval uint64) *churner {
-	return &churner{top: top, gen: gen, tr: tr, interval: interval}
+	ch := &churner{top: top, gen: gen, tr: tr, interval: interval}
+	ch.tickFn = ch.tick
+	return ch
 }
 
 // tick opens a replacement and tears the oldest flow down, then
@@ -386,5 +398,5 @@ func (ch *churner) tick() {
 			g.applySkew()
 		}
 	}
-	ch.top.sim.After(ch.interval, ch.tick)
+	ch.top.sim.After(ch.interval, ch.tickFn)
 }

@@ -378,8 +378,8 @@ func (e *Endpoint) Input(seg Segment) {
 	if hdr.Flags&tcpwire.FlagACK != 0 {
 		// Scoreboard first (RFC 6675): the dup-ACK handling below sees
 		// the blocks this very ACK carried.
-		if e.cfg.SACK && len(hdr.SACKBlocks) > 0 {
-			e.applySACK(hdr.SACKBlocks)
+		if e.cfg.SACK && len(hdr.SACKBlocks()) > 0 {
+			e.applySACK(hdr.SACKBlocks())
 		}
 		for _, a := range acks {
 			e.processAck(a)

@@ -92,7 +92,7 @@ func TestPooledFramesMatchFresh(t *testing.T) {
 		}
 	}
 	p, err := parseFrame(gotSKBs[len(gotSKBs)-1].Head)
-	if err != nil || len(p.TCP.SACKBlocks) == 0 {
+	if err != nil || len(p.TCP.SACKBlocks()) == 0 {
 		t.Errorf("the last ACK carries no SACK blocks (%v); the SACK layout went untested", err)
 	}
 	for i := range gotSKBs {

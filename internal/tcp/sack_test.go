@@ -3,6 +3,7 @@ package tcp
 import (
 	"testing"
 
+	"repro/internal/buf"
 	"repro/internal/tcpwire"
 )
 
@@ -10,7 +11,7 @@ import (
 // SACK receiver emits while a hole is outstanding.
 func sackAck(ack uint32, blocks ...tcpwire.SACKBlock) Segment {
 	s := ackSeg(ack)
-	s.Hdr.SACKBlocks = blocks
+	s.Hdr.SetSACKBlocks(blocks)
 	return s
 }
 
@@ -37,8 +38,8 @@ func TestReceiverSACKBlocksOnDupAck(t *testing.T) {
 		t.Errorf("dup-ACK ack = %d, want 1449", p.TCP.Ack)
 	}
 	want := tcpwire.SACKBlock{Start: 2897, End: 4345}
-	if len(p.TCP.SACKBlocks) != 1 || p.TCP.SACKBlocks[0] != want {
-		t.Fatalf("SACK blocks = %+v, want [%+v]", p.TCP.SACKBlocks, want)
+	if len(p.TCP.SACKBlocks()) != 1 || p.TCP.SACKBlocks()[0] != want {
+		t.Fatalf("SACK blocks = %+v, want [%+v]", p.TCP.SACKBlocks(), want)
 	}
 	if env.ep.Stats().SACKBlocksOut != 1 {
 		t.Errorf("SACKBlocksOut = %d, want 1", env.ep.Stats().SACKBlocksOut)
@@ -48,8 +49,8 @@ func TestReceiverSACKBlocksOnDupAck(t *testing.T) {
 	env.ep.Input(dataSeg(5793, 1, mss(1448)))
 	p = mustParse(t, env.out[1].Head)
 	wantOrder := []tcpwire.SACKBlock{{Start: 5793, End: 7241}, {Start: 2897, End: 4345}}
-	if len(p.TCP.SACKBlocks) != 2 || p.TCP.SACKBlocks[0] != wantOrder[0] || p.TCP.SACKBlocks[1] != wantOrder[1] {
-		t.Errorf("SACK blocks = %+v, want most-recent-first %+v", p.TCP.SACKBlocks, wantOrder)
+	if len(p.TCP.SACKBlocks()) != 2 || p.TCP.SACKBlocks()[0] != wantOrder[0] || p.TCP.SACKBlocks()[1] != wantOrder[1] {
+		t.Errorf("SACK blocks = %+v, want most-recent-first %+v", p.TCP.SACKBlocks(), wantOrder)
 	}
 	env.freeOut()
 }
@@ -74,8 +75,8 @@ func TestReceiverSACKPrunedAfterFill(t *testing.T) {
 		t.Fatalf("ack = %d, want 2897", p.TCP.Ack)
 	}
 	want := tcpwire.SACKBlock{Start: 5793, End: 7241}
-	if len(p.TCP.SACKBlocks) != 1 || p.TCP.SACKBlocks[0] != want {
-		t.Errorf("SACK blocks after fill = %+v, want [%+v]", p.TCP.SACKBlocks, want)
+	if len(p.TCP.SACKBlocks()) != 1 || p.TCP.SACKBlocks()[0] != want {
+		t.Errorf("SACK blocks after fill = %+v, want [%+v]", p.TCP.SACKBlocks(), want)
 	}
 	env.freeOut()
 }
@@ -88,8 +89,8 @@ func TestReceiverSACKCoalescesAdjacent(t *testing.T) {
 	last := env.out[len(env.out)-1]
 	p := mustParse(t, last.Head)
 	want := tcpwire.SACKBlock{Start: 4345, End: 7241}
-	if len(p.TCP.SACKBlocks) != 1 || p.TCP.SACKBlocks[0] != want {
-		t.Errorf("SACK blocks = %+v, want coalesced [%+v]", p.TCP.SACKBlocks, want)
+	if len(p.TCP.SACKBlocks()) != 1 || p.TCP.SACKBlocks()[0] != want {
+		t.Errorf("SACK blocks = %+v, want coalesced [%+v]", p.TCP.SACKBlocks(), want)
 	}
 	env.freeOut()
 }
@@ -99,8 +100,8 @@ func TestReceiverNoSACKWithoutConfig(t *testing.T) {
 	env.ep.Input(dataSeg(1, 1, mss(1448)))
 	env.ep.Input(dataSeg(2897, 1, mss(1448)))
 	p := mustParse(t, env.out[0].Head)
-	if len(p.TCP.SACKBlocks) != 0 {
-		t.Errorf("SACK blocks emitted with SACK disabled: %+v", p.TCP.SACKBlocks)
+	if len(p.TCP.SACKBlocks()) != 0 {
+		t.Errorf("SACK blocks emitted with SACK disabled: %+v", p.TCP.SACKBlocks())
 	}
 	if env.ep.Stats().SACKBlocksOut != 0 {
 		t.Errorf("SACKBlocksOut = %d, want 0", env.ep.Stats().SACKBlocksOut)
@@ -248,4 +249,37 @@ func TestRTOClearsScoreboard(t *testing.T) {
 		t.Fatalf("accounting: %s", msg)
 	}
 	env.freeOut()
+}
+
+// BenchmarkEndpointInputSACK measures a SACK sender's ACK input: each
+// iteration sends one segment and takes an ACK that advances SND.UNA by
+// one MSS while SACKing the newest segment, so the scoreboard scan runs
+// over an eight-segment flight.
+func BenchmarkEndpointInputSACK(b *testing.B) {
+	ep, alloc := pooledSender(b, buf.NewPool(), func(c *Config) { c.SACK = true })
+	mss := uint32(ep.cfg.MSS)
+	for i := 0; i < 8; i++ {
+		alloc.Release(ep.NextDataFrame(0))
+	}
+	var acks [1]uint32
+	var blocks [1]tcpwire.SACKBlock
+	seg := Segment{
+		Hdr:        tcpwire.Header{Flags: tcpwire.FlagACK, Window: 65535},
+		FragAcks:   acks[:],
+		NetPackets: 1,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		alloc.Release(ep.NextDataFrame(0))
+		acks[0] = ep.SndUna() + mss
+		seg.Hdr.Ack = acks[0]
+		blocks[0] = tcpwire.SACKBlock{Start: ep.SndNxt() - mss, End: ep.SndNxt()}
+		seg.Hdr.SetSACKBlocks(blocks[:])
+		ep.Input(seg)
+	}
+	b.StopTimer()
+	if ep.Stats().SACKBlocksIn == 0 {
+		b.Fatal("no SACK block reached the scoreboard")
+	}
 }

@@ -1,6 +1,7 @@
 package tcpwire
 
 import (
+	"encoding/binary"
 	"testing"
 )
 
@@ -41,13 +42,13 @@ func TestBuildOptionsSACKRoundTrip(t *testing.T) {
 	if !got.HasTimestamp || got.TSVal != 111 || got.TSEcr != 222 {
 		t.Errorf("timestamp lost beside SACK: %+v", got)
 	}
-	if len(got.SACKBlocks) != 3 {
-		t.Fatalf("parsed %d blocks, want 3", len(got.SACKBlocks))
+	if len(got.SACKBlocks()) != 3 {
+		t.Fatalf("parsed %d blocks, want 3", len(got.SACKBlocks()))
 	}
 	for i, b := range blocks {
-		if got.SACKBlocks[i] != b {
+		if got.SACKBlocks()[i] != b {
 			t.Errorf("block %d = %+v, want %+v (RFC 2018 order must survive)",
-				i, got.SACKBlocks[i], b)
+				i, got.SACKBlocks()[i], b)
 		}
 	}
 	if got.TimestampOnly {
@@ -68,22 +69,22 @@ func TestBuildOptionsBlockCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.SACKBlocks) != MaxSACKBlocks {
-		t.Errorf("with TS: %d blocks, want %d", len(got.SACKBlocks), MaxSACKBlocks)
+	if len(got.SACKBlocks()) != MaxSACKBlocks {
+		t.Errorf("with TS: %d blocks, want %d", len(got.SACKBlocks()), MaxSACKBlocks)
 	}
 	// Without a timestamp the 40-byte area admits four.
 	got, err = Parse(sackSegment(t, BuildOptions(false, 0, 0, many)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.SACKBlocks) != 4 {
-		t.Errorf("without TS: %d blocks, want 4", len(got.SACKBlocks))
+	if len(got.SACKBlocks()) != 4 {
+		t.Errorf("without TS: %d blocks, want 4", len(got.SACKBlocks()))
 	}
 	if got.HasTimestamp {
 		t.Error("phantom timestamp parsed")
 	}
 	// The kept prefix must be the most recent blocks, never a truncated one.
-	for i, b := range got.SACKBlocks {
+	for i, b := range got.SACKBlocks() {
 		if b != many[i] {
 			t.Errorf("block %d = %+v, want %+v", i, b, many[i])
 		}
@@ -103,4 +104,83 @@ func TestBuildOptionsEmpty(t *testing.T) {
 	if !h.TimestampOnly || h.TSVal != 7 || h.TSEcr != 8 {
 		t.Errorf("timestamp-only layout misparsed: %+v", h)
 	}
+}
+
+// TestParseSACKAllocFree pins the receive of a SACK-bearing ACK: the
+// blocks land in the header's fixed array, so Parse allocates nothing.
+func TestParseSACKAllocFree(t *testing.T) {
+	blocks := []SACKBlock{{Start: 5000, End: 6448}, {Start: 1000, End: 2448}, {Start: 9000, End: 10448}}
+	seg := sackSegment(t, BuildOptions(true, 111, 222, blocks))
+	var h Header
+	var err error
+	if n := testing.AllocsPerRun(1000, func() { h, err = Parse(seg) }); n != 0 {
+		t.Errorf("Parse of a TS + 3-SACK segment allocates %.1f times", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.SACKBlocks(); len(got) != 3 || got[0] != blocks[0] || got[2] != blocks[2] {
+		t.Errorf("SACKBlocks() = %+v, want %+v", got, blocks)
+	}
+}
+
+// fuzzBlocks cuts up to n SACK blocks out of b, eight bytes each, padding
+// a short tail with zeros.
+func fuzzBlocks(b []byte, n int) []SACKBlock {
+	var pad [8]byte
+	blocks := make([]SACKBlock, n)
+	for i := range blocks {
+		w := pad[:]
+		if len(b) >= 8 {
+			w, b = b[:8], b[8:]
+		} else if len(b) > 0 {
+			copy(w, b)
+			b = nil
+		}
+		blocks[i] = SACKBlock{Start: binary.BigEndian.Uint32(w[:4]), End: binary.BigEndian.Uint32(w[4:])}
+	}
+	return blocks
+}
+
+// FuzzParseOptions checks the options codec two ways. AppendOptions
+// followed by Parse must round-trip a timestamp (when hasTS) and every
+// block count the area admits beside it. Arbitrary option bytes, up to
+// the 40-byte area, must never panic Parse nor yield more than four
+// blocks.
+func FuzzParseOptions(f *testing.F) {
+	f.Fuzz(func(t *testing.T, hasTS bool, tsVal, tsEcr uint32, nblocks uint8, blockBytes, raw []byte) {
+		blocks := fuzzBlocks(blockBytes, int(nblocks)%(sackBudget(hasTS)+1))
+		opts := AppendOptions(nil, hasTS, tsVal, tsEcr, blocks)
+		if len(opts) != OptionsLen(hasTS, len(blocks)) {
+			t.Fatalf("AppendOptions wrote %d bytes, OptionsLen says %d", len(opts), OptionsLen(hasTS, len(blocks)))
+		}
+		h, err := Parse(sackSegment(t, opts))
+		if err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		if h.HasTimestamp != hasTS || (hasTS && (h.TSVal != tsVal || h.TSEcr != tsEcr)) {
+			t.Errorf("timestamp: got %v %d/%d, want %v %d/%d", h.HasTimestamp, h.TSVal, h.TSEcr, hasTS, tsVal, tsEcr)
+		}
+		got := h.SACKBlocks()
+		if len(got) != len(blocks) {
+			t.Fatalf("parsed %d blocks, wrote %d", len(got), len(blocks))
+		}
+		for i := range blocks {
+			if got[i] != blocks[i] {
+				t.Errorf("block %d = %+v, want %+v", i, got[i], blocks[i])
+			}
+		}
+		if h.TimestampOnly != (hasTS && len(blocks) == 0) || h.OtherOptions != (len(blocks) > 0) {
+			t.Errorf("layout flags TimestampOnly=%v OtherOptions=%v for TS %v, %d blocks",
+				h.TimestampOnly, h.OtherOptions, hasTS, len(blocks))
+		}
+
+		if len(raw) > MaxHeaderLen-MinHeaderLen {
+			raw = raw[:MaxHeaderLen-MinHeaderLen]
+		}
+		h, err = Parse(sackSegment(t, raw))
+		if err == nil && len(h.SACKBlocks()) > maxAreaSACKBlocks {
+			t.Errorf("%d blocks parsed from %d option bytes", len(h.SACKBlocks()), len(raw))
+		}
+	})
 }

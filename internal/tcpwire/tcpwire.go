@@ -56,6 +56,10 @@ type SACKBlock struct {
 // options area: NOP,NOP,TS (12) + NOP,NOP,SACK(2+8·3) (28) = 40 bytes.
 const MaxSACKBlocks = 3
 
+// maxAreaSACKBlocks is the most blocks any 40-byte options area can hold:
+// NOP,NOP,SACK(2+8·4) alone, or split over several SACK options.
+const maxAreaSACKBlocks = 4
+
 // Header is a parsed TCP header.
 type Header struct {
 	SrcPort, DstPort uint16
@@ -70,9 +74,11 @@ type Header struct {
 	// HasTimestamp indicates a parsed timestamp option.
 	HasTimestamp bool
 	TSVal, TSEcr uint32
-	// SACKBlocks holds the parsed selective-acknowledgment blocks, most
-	// recently changed first (RFC 2018 ordering), nil when absent.
-	SACKBlocks []SACKBlock
+	// sack[:nsack] holds the parsed selective-acknowledgment blocks
+	// (SACKBlocks): a fixed array, so parsing a SACK-bearing ACK does not
+	// allocate.
+	sack  [maxAreaSACKBlocks]SACKBlock
+	nsack uint8
 	// TimestampOnly indicates the options area contains exactly the
 	// NOP,NOP,Timestamp layout and nothing else.
 	TimestampOnly bool
@@ -144,11 +150,12 @@ func (h *Header) parseOptions() error {
 				h.TSEcr = binary.BigEndian.Uint32(opts[i+6 : i+10])
 				sawTS = true
 			case opts[i] == OptSACK && l >= 2 && (l-2)%8 == 0:
-				for j := i + 2; j < i+l; j += 8 {
-					h.SACKBlocks = append(h.SACKBlocks, SACKBlock{
+				for j := i + 2; j < i+l && int(h.nsack) < len(h.sack); j += 8 {
+					h.sack[h.nsack] = SACKBlock{
 						Start: binary.BigEndian.Uint32(opts[j : j+4]),
 						End:   binary.BigEndian.Uint32(opts[j+4 : j+8]),
-					})
+					}
+					h.nsack++
 				}
 				other = true
 			default:
@@ -160,6 +167,18 @@ func (h *Header) parseOptions() error {
 	h.OtherOptions = other
 	h.TimestampOnly = sawTS && !other
 	return nil
+}
+
+// SACKBlocks returns the parsed selective-acknowledgment blocks, most
+// recently changed first (RFC 2018 ordering); empty when absent. The slice
+// aliases h.
+func (h *Header) SACKBlocks() []SACKBlock { return h.sack[:h.nsack] }
+
+// SetSACKBlocks sets the blocks SACKBlocks returns, keeping at most the
+// four an options area holds. Put does not serialize them (AppendOptions
+// lays SACK blocks on the wire).
+func (h *Header) SetSACKBlocks(blocks []SACKBlock) {
+	h.nsack = uint8(copy(h.sack[:], blocks))
 }
 
 // Len returns the encoded header length.
@@ -226,7 +245,7 @@ func sackBudget(hasTS bool) int {
 	if hasTS {
 		return MaxSACKBlocks
 	}
-	return 4 // 40-byte area fits NOP,NOP,SACK(2+8·4)
+	return maxAreaSACKBlocks
 }
 
 // OptionsLen returns the length of BuildOptions' layout for a timestamp
