@@ -144,3 +144,18 @@ func TestExpandChecksums_Quick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkAckoffExpand measures the driver's per-ACK step of a template
+// expansion: one ExpandTo of a timestamped ACK into a reused buffer.
+func BenchmarkAckoffExpand(b *testing.B) {
+	tpl := ackTemplate(1000, 9)
+	dst := make([]byte, len(tpl))
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if err := ExpandTo(dst, tpl, ether.HeaderLen, i&15, 1000+uint32(i)*1448); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}

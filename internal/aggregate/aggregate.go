@@ -229,8 +229,13 @@ type Engine struct {
 	Clock func() uint64
 
 	table map[FlowKey]*pending
-	order []FlowKey  // insertion order for eviction and FlushAll
-	spare []*pending // delivered pending records, recycled by newPending
+	// order[head:] is the insertion order for eviction and the flushes;
+	// eviction advances head, so the slice keeps its storage, and
+	// compactOrder moves the live entries back to the front.
+	order []FlowKey
+	head  int
+	seen  map[FlowKey]bool // compactOrder's scratch, kept empty
+	spare []*pending       // delivered pending records, recycled by newPending
 
 	stats Stats
 }
@@ -605,22 +610,25 @@ func (e *Engine) start(key FlowKey, f nic.Frame, ih *ipv4.Header, th *tcpwire.He
 // compactOrder drops stale entries (keys already flushed) so the order
 // slice stays bounded even when the aggregation queue never runs empty.
 func (e *Engine) compactOrder() {
+	if e.seen == nil {
+		e.seen = make(map[FlowKey]bool, e.cfg.TableSize)
+	}
 	live := e.order[:0]
-	seen := make(map[FlowKey]bool, len(e.table))
-	for _, k := range e.order {
-		if _, ok := e.table[k]; ok && !seen[k] {
-			seen[k] = true
+	for _, k := range e.order[e.head:] {
+		if _, ok := e.table[k]; ok && !e.seen[k] {
+			e.seen[k] = true
 			live = append(live, k)
 		}
 	}
-	e.order = live
+	clear(e.seen)
+	e.order, e.head = live, 0
 }
 
 // evictOldest flushes the longest-pending aggregate to bound the table.
 func (e *Engine) evictOldest() {
-	for len(e.order) > 0 {
-		k := e.order[0]
-		e.order = e.order[1:]
+	for e.head < len(e.order) {
+		k := e.order[e.head]
+		e.head++
 		if p, ok := e.table[k]; ok {
 			e.stats.FlushEvict++
 			delete(e.table, k)
@@ -634,14 +642,14 @@ func (e *Engine) evictOldest() {
 // moment the aggregation queue runs empty, which is what keeps the scheme
 // work-conserving (§3.3, §3.5): packets never wait while the stack idles.
 func (e *Engine) FlushAll() {
-	for _, k := range e.order {
+	for _, k := range e.order[e.head:] {
 		if p, ok := e.table[k]; ok {
 			e.stats.FlushIdle++
 			delete(e.table, k)
 			e.deliver(p)
 		}
 	}
-	e.order = e.order[:0]
+	e.order, e.head = e.order[:0], 0
 }
 
 // FlushWhere delivers every pending aggregate whose flow key satisfies
@@ -652,7 +660,7 @@ func (e *Engine) FlushAll() {
 // both sides of the migration boundary. It returns the number flushed.
 func (e *Engine) FlushWhere(pred func(FlowKey) bool) int {
 	n := 0
-	for _, k := range e.order {
+	for _, k := range e.order[e.head:] {
 		if !pred(k) {
 			continue
 		}

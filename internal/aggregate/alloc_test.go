@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/buf"
 	"repro/internal/nic"
+	"repro/internal/packet"
 )
 
 // replay feeds the frames of a run through the engine in the given order,
@@ -78,6 +79,45 @@ func TestReorderWindowAllocFree(t *testing.T) {
 	}
 	if live := r.e.alloc.Stats().Live; live != 0 {
 		t.Errorf("%d SKBs live after the cycles", live)
+	}
+}
+
+// TestEvictOldestAllocFree pins table-full eviction: with twice as many
+// flows as table entries, every frame evicts the oldest aggregate, and a
+// warm engine does so without allocating. The order slice keeps its
+// storage across evictions, and compaction reuses its scratch.
+func TestEvictOldestAllocFree(t *testing.T) {
+	const flows = 8
+	e := newEnv(t, Config{Limit: 20, TableSize: flows / 2})
+	pristine, frame := make([][]byte, flows), make([][]byte, flows)
+	for f := range pristine {
+		port := uint16(6000 + f)
+		pristine[f] = flowFrame(1, 1, 1448, func(s *packet.TCPSpec) { s.SrcPort = port }).Data
+		frame[f] = make([]byte, len(pristine[f]))
+	}
+	e.eng.Out = func(s *buf.SKB) { e.alloc.Free(s) }
+	round := func() {
+		for f := range frame {
+			copy(frame[f], pristine[f])
+			e.eng.Input(nic.Frame{Data: frame[f], RxCsumOK: true})
+		}
+	}
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	before := e.eng.Stats().FlushEvict
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			round()
+		}
+	}); n != 0 {
+		t.Errorf("evicting rounds allocate %v times in 1000 rounds", n)
+	}
+	if got := e.eng.Stats().FlushEvict - before; got != 2*1000*flows {
+		t.Errorf("%d evictions in 2000 rounds of %d flows, want one per frame", got, flows)
+	}
+	if len(e.eng.order) > 4*e.eng.cfg.TableSize+1 {
+		t.Errorf("order slice grew to %d entries", len(e.eng.order))
 	}
 }
 

@@ -89,7 +89,7 @@ var SchedulerFuncNames = map[string]bool{
 // hot-path function that accesses fields of one of these must charge, or
 // be called from something that charges (chargedpath analyzer).
 var PricedTypes = map[string][]string{
-	"internal/netstack":  {"FlowTable", "flowShard", "flowSlot", "timeWaitTable", "twShard", "twEntry"},
+	"internal/netstack":  {"FlowTable", "flowShard", "flowSlot", "epRef", "timeWaitTable", "twShard", "twEntry"},
 	"internal/aggregate": {"Engine"},
 	"internal/tcp":       {"Endpoint"},
 }

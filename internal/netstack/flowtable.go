@@ -31,7 +31,7 @@ import (
 //     table of fixed 32-byte slots — two per cache line — probed linearly
 //     with robin-hood displacement and grown by powers of two at 3/4
 //     load. A lookup's memory traffic is the probe run itself: the hit
-//     entry (hash, key and endpoint pointer share the slot) streams in
+//     entry (hash, key and endpoint reference share the slot) streams in
 //     with the key compares, and robin-hood keeps probe runs short and
 //     adjacent, so a demux touch is ~1 line however large the table is.
 //   - LayoutSeedMap: the seed-style Go map shard, kept behind the switch
@@ -75,7 +75,28 @@ type FlowTable struct {
 	// flow's deliveries are expected from its application CPU, whatever
 	// its bucket's owner is.
 	flowOwners map[FlowKey]int
+
+	// eps is the endpoint slab: slots and map entries name their endpoint
+	// by a uint32 handle into it, so neither holds a pointer. Handle 0 is
+	// nil. free stacks the handles whose last key went; newest is the
+	// handle bound last, which binding its endpoint again reuses — so a
+	// batch's keys, or a serial run of inserts for one endpoint, share one
+	// handle.
+	eps    []epRef
+	free   []uint32
+	newest uint32
 }
+
+// epRef is one endpoint slab entry: the endpoint and the number of
+// registered keys naming it. A handle whose count falls to zero is free.
+type epRef struct {
+	ep   *tcp.Endpoint
+	refs int
+}
+
+// epSlabRoom is the slab's initial capacity, enough for a small run's
+// endpoints without regrowth.
+const epSlabRoom = 16
 
 // FlowLayout selects a shard's internal layout.
 type FlowLayout int
@@ -127,11 +148,13 @@ func ParseFlowLayout(s string) (FlowLayout, error) {
 }
 
 const (
-	// FlowSlotBytes is one open-addressed slot: 12 bytes of four-tuple
-	// key, the 4-byte Toeplitz hash, the 2-byte robin-hood probe distance
-	// and the 8-byte endpoint pointer, padded to a half cache line so two
-	// slots share a 64-byte line and a probe run streams rather than
-	// chases.
+	// FlowSlotBytes is the priced footprint of one open-addressed slot:
+	// 12 bytes of four-tuple key, the 4-byte Toeplitz hash, the 2-byte
+	// robin-hood probe distance and an 8-byte endpoint pointer, padded to
+	// a half cache line so two slots share a 64-byte line and a probe run
+	// streams rather than chases. It models a kernel's socket-hash slot
+	// and is deliberately decoupled from the simulator's own 24-byte
+	// flowSlot: what the model charges must not follow how Go stores it.
 	FlowSlotBytes = 32
 	// flowShardMinSlots is the initial slot-array size of a shard's first
 	// insert (arrays are allocated lazily, so empty shards occupy no
@@ -149,15 +172,18 @@ const (
 	flowMapDemuxLines = 4
 )
 
-// flowSlot is one open-addressed entry. dist is the 1-based probe
-// distance from the key's home slot (0 = empty); robin-hood insertion
-// keeps it near 1 and bounded, and it doubles as the per-entry probe
-// length the occupancy histogram reports.
+// flowSlot is one open-addressed entry as the simulator stores it: 24
+// bytes and no pointer, so a million-entry table is 25% smaller than the
+// priced FlowSlotBytes layout and the garbage collector never scans it.
+// ref is the endpoint's slab handle (FlowTable.eps). dist is the 1-based
+// probe distance from the key's home slot (0 = empty); robin-hood
+// insertion keeps it near 1 and bounded, and it doubles as the per-entry
+// probe length the occupancy histogram reports.
 type flowSlot struct {
 	hash uint32
+	ref  uint32
 	dist uint16
 	key  FlowKey
-	ep   *tcp.Endpoint
 }
 
 // flowShard is one shard: a private demux structure (map- or slot-
@@ -165,9 +191,9 @@ type flowSlot struct {
 // including the pending-aggregate accounting that lets tests and
 // benchmarks observe how aggregation state distributes over shards.
 type flowShard struct {
-	conns map[FlowKey]*tcp.Endpoint // LayoutSeedMap
-	slots []flowSlot                // LayoutOpenAddressed (lazy, power of two)
-	used  int                       // occupied slots
+	conns map[FlowKey]uint32 // LayoutSeedMap: key → endpoint handle
+	slots []flowSlot         // LayoutOpenAddressed (lazy, power of two)
+	used  int                // occupied slots
 	stats ShardStats
 }
 
@@ -212,10 +238,15 @@ func NewFlowTableLayout(shards int, layout FlowLayout) (*FlowTable, error) {
 	if layout != LayoutOpenAddressed && layout != LayoutSeedMap {
 		return nil, fmt.Errorf("netstack: unknown flow layout %d", int(layout))
 	}
-	t := &FlowTable{layout: layout, shards: make([]flowShard, shards), mask: uint32(shards - 1)}
+	t := &FlowTable{
+		layout: layout,
+		shards: make([]flowShard, shards),
+		mask:   uint32(shards - 1),
+		eps:    make([]epRef, 1, epSlabRoom),
+	}
 	if layout == LayoutSeedMap {
 		for i := range t.shards {
-			t.shards[i].conns = make(map[FlowKey]*tcp.Endpoint)
+			t.shards[i].conns = make(map[FlowKey]uint32)
 		}
 	}
 	return t, nil
@@ -299,23 +330,68 @@ func (t *FlowTable) chargeGrow(oldSlots, newSlots int) {
 	t.demuxCycles += c
 }
 
-// openLookup probes for k in the open layout, returning the endpoint (or
-// nil) and the probe count. Robin-hood ordering terminates a miss early:
-// once a resident entry's distance is below the probe distance, k cannot
-// be further along.
-func (s *flowShard) openLookup(h uint32, k FlowKey) (*tcp.Endpoint, int) {
+// handleFor returns the slab handle that binding ep takes: the newest
+// handle when it holds ep, else the most recently freed one, else a new
+// one. It reserves nothing; retain commits the binding.
+func (t *FlowTable) handleFor(ep *tcp.Endpoint) uint32 {
+	if e := &t.eps[t.newest]; e.refs > 0 && e.ep == ep {
+		return t.newest
+	}
+	if n := len(t.free); n > 0 {
+		return t.free[n-1]
+	}
+	return uint32(len(t.eps))
+}
+
+// retain binds n more keys to ep under h, the handle handleFor returned.
+func (t *FlowTable) retain(h uint32, ep *tcp.Endpoint, n int) {
+	switch {
+	case int(h) == len(t.eps):
+		t.eps = append(t.eps, epRef{})
+	case t.eps[h].refs == 0:
+		t.free = t.free[:len(t.free)-1]
+	}
+	t.eps[h].ep = ep
+	t.eps[h].refs += n
+	t.newest = h
+}
+
+// release drops one key's reference to handle h; the last one frees it.
+func (t *FlowTable) release(h uint32) {
+	e := &t.eps[h]
+	if e.refs--; e.refs == 0 {
+		e.ep = nil
+		t.free = append(t.free, h)
+	}
+}
+
+// resolve finds k (hash h) in shard s: its endpoint handle (0 = absent)
+// and the cache lines the search touched, in either layout.
+func (t *FlowTable) resolve(s *flowShard, h uint32, k FlowKey) (uint32, int) {
+	if t.layout == LayoutSeedMap {
+		return s.conns[k], flowMapDemuxLines
+	}
+	ref, probes := s.openLookup(h, k)
+	return ref, openProbeLines(probes)
+}
+
+// openLookup probes for k in the open layout, returning the endpoint
+// handle (0 = absent) and the probe count. Robin-hood ordering terminates
+// a miss early: once a resident entry's distance is below the probe
+// distance, k cannot be further along.
+func (s *flowShard) openLookup(h uint32, k FlowKey) (uint32, int) {
 	if len(s.slots) == 0 {
-		return nil, 1
+		return 0, 1
 	}
 	mask := uint32(len(s.slots) - 1)
 	i := slotIndexHash(h) & mask
 	for p := uint16(1); ; p++ {
 		sl := &s.slots[i]
 		if sl.dist == 0 || sl.dist < p {
-			return nil, int(p)
+			return 0, int(p)
 		}
 		if sl.hash == h && sl.key == k {
-			return sl.ep, int(p)
+			return sl.ref, int(p)
 		}
 		i = (i + 1) & mask
 	}
@@ -353,7 +429,7 @@ func (s *flowShard) openGrow(n int, scratch []flowSlot) []flowSlot {
 	s.used = 0
 	for i := range old {
 		if old[i].dist != 0 {
-			s.openPut(old[i].hash, old[i].key, old[i].ep)
+			s.openPut(old[i].hash, old[i].key, old[i].ref)
 		}
 	}
 	return scratch
@@ -363,9 +439,9 @@ func (s *flowShard) openGrow(n int, scratch []flowSlot) []flowSlot {
 // residents, and returns the number of slots visited. The caller must
 // have ensured capacity (openSlotsFor), so an empty slot is guaranteed
 // within the probe run.
-func (s *flowShard) openPut(h uint32, k FlowKey, ep *tcp.Endpoint) int {
+func (s *flowShard) openPut(h uint32, k FlowKey, ref uint32) int {
 	mask := uint32(len(s.slots) - 1)
-	cur := flowSlot{hash: h, dist: 1, key: k, ep: ep}
+	cur := flowSlot{hash: h, ref: ref, dist: 1, key: k}
 	i := slotIndexHash(h) & mask
 	visited := 0
 	for {
@@ -388,19 +464,21 @@ func (s *flowShard) openPut(h uint32, k FlowKey, ep *tcp.Endpoint) int {
 
 // openRemove deletes k with backward-shift compaction (successor entries
 // slide one slot toward home, keeping probe runs tight for every later
-// lookup), returning whether k was resident and the slots visited.
-func (s *flowShard) openRemove(h uint32, k FlowKey) (bool, int) {
+// lookup), returning k's endpoint handle (0 = not resident) and the slots
+// visited.
+func (s *flowShard) openRemove(h uint32, k FlowKey) (uint32, int) {
 	if len(s.slots) == 0 {
-		return false, 1
+		return 0, 1
 	}
 	mask := uint32(len(s.slots) - 1)
 	i := slotIndexHash(h) & mask
 	for p := uint16(1); ; p++ {
 		sl := &s.slots[i]
 		if sl.dist == 0 || sl.dist < p {
-			return false, int(p)
+			return 0, int(p)
 		}
 		if sl.hash == h && sl.key == k {
+			ref := sl.ref
 			for {
 				j := (i + 1) & mask
 				nx := s.slots[j]
@@ -413,7 +491,7 @@ func (s *flowShard) openRemove(h uint32, k FlowKey) (bool, int) {
 				i = j
 			}
 			s.used--
-			return true, int(p)
+			return ref, int(p)
 		}
 		i = (i + 1) & mask
 	}
@@ -437,25 +515,24 @@ func (t *FlowTable) Len() int { return t.count }
 func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 	h := hashOf(k)
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
+	if ref, _ := t.resolve(s, h, k); ref != 0 {
+		return t.dupErr(k)
+	}
+	ref := t.handleFor(ep)
+	t.retain(ref, ep, 1)
 	if t.layout == LayoutSeedMap {
-		if _, dup := s.conns[k]; dup {
-			return t.dupErr(k)
-		}
-		s.conns[k] = ep
+		s.conns[k] = ref
 		t.bytes += flowMapEntryBytes
 		t.charge(cycles.NonProto, flowMapDemuxLines)
 		s.stats.Endpoints++
 		t.count++
 		return nil
 	}
-	if ep0, _ := s.openLookup(h, k); ep0 != nil {
-		return t.dupErr(k)
-	}
 	slots, used := len(s.slots), s.used
 	if n := openSlotsFor(slots, used); n != slots {
 		s.openGrow(n, nil)
 	}
-	t.priceOpenInsert(s, slots, used, s.openPut(h, k, ep))
+	t.priceOpenInsert(s, slots, used, s.openPut(h, k, ref))
 	return nil
 }
 
@@ -495,13 +572,16 @@ func (t *FlowTable) priceOpenInsert(s *flowShard, slots, used, probes int) int {
 //  2. Insert: fill each shard with its keys in index order. Growth doubles
 //     inside the reservation and rehashes in old-slot order, like Insert's
 //     growth, so every slot lands where Insert would put it; each key's
-//     probe count is recorded. Nothing is committed until every shard is
-//     built, so on a duplicate the batch discards its work and reruns
-//     over the keys before it.
+//     probe count overwrites its index in the grouping. Nothing is
+//     committed until every shard is built, so on a duplicate the batch
+//     discards its work and reruns over the keys before it.
 //  3. Replay: in index order, apply priceOpenInsert with the recorded
 //     probe counts and the modelled per-shard slot counts.
 //
-// The seed-map layout keeps the per-key Insert loop.
+// All n keys take the one slab handle Insert's first call would bind, and
+// the later calls reuse. The scratch is two 4-byte words per key: the
+// hashes, and the grouping that becomes the probe counts. The seed-map
+// layout keeps the per-key Insert loop.
 func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
 	if t.layout == LayoutSeedMap {
 		for i := 0; i < n; i++ {
@@ -515,8 +595,8 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		return nil
 	}
 
-	// Pass 1: group by shard. Shard si's keys occupy grouped[start[si]:
-	// start[si+1]] in ascending index order.
+	// Pass 1: group by shard. Shard si's key indices occupy
+	// grouped[start[si]:start[si+1]] in ascending order.
 	nShards := len(t.shards)
 	hashes := make([]uint32, n)
 	start := make([]int, nShards+1)
@@ -527,24 +607,20 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 	for si := 0; si < nShards; si++ {
 		start[si+1] += start[si]
 	}
-	type batchKey struct {
-		i    int32
-		hash uint32
-	}
-	grouped := make([]batchKey, n)
+	grouped := make([]uint32, n)
 	next := append([]int(nil), start[:nShards]...)
 	for i, h := range hashes {
 		si := rss.ShardOf(h, nShards)
-		grouped[next[si]] = batchKey{int32(i), h}
+		grouped[next[si]] = uint32(i)
 		next[si]++
 	}
 
-	// Pass 2: build each touched shard in its reserved array, recording
-	// probe counts in grouped order. model keeps every shard's pre-batch
-	// slot count and occupancy for the replay.
+	// Pass 2: build each touched shard in its reserved array, replacing
+	// each placed key's index in grouped by its probe count. model keeps
+	// every shard's pre-batch slot count and occupancy for the replay.
 	model := make([]struct{ slots, used int }, nShards)
 	built := make([]flowShard, nShards)
-	probes := make([]uint32, n)
+	ref := t.handleFor(ep)
 	var scratch []flowSlot
 	firstDup := n
 	for si := range t.shards {
@@ -561,19 +637,19 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		copy(w.slots, s.slots)
 		w.used = s.used
 		for pos := start[si]; pos < start[si+1]; pos++ {
-			bk := grouped[pos]
-			if int(bk.i) >= firstDup {
+			i := int(grouped[pos])
+			if i >= firstDup {
 				break
 			}
-			k := key(int(bk.i))
-			if ep0, _ := w.openLookup(bk.hash, k); ep0 != nil {
-				firstDup = int(bk.i)
+			h, k := hashes[i], key(i)
+			if r, _ := w.openLookup(h, k); r != 0 {
+				firstDup = i
 				break
 			}
 			if g := openSlotsFor(len(w.slots), w.used); g != len(w.slots) {
 				scratch = w.openGrow(g, scratch)
 			}
-			probes[pos] = uint32(w.openPut(bk.hash, k, ep))
+			grouped[pos] = uint32(w.openPut(h, k, ref))
 		}
 	}
 	if firstDup < n {
@@ -587,6 +663,7 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 			t.shards[si].slots, t.shards[si].used = built[si].slots, built[si].used
 		}
 	}
+	t.retain(ref, ep, n)
 
 	// Pass 3: replay the accounting in index order. Each shard's probe
 	// counts are consumed in the order they were recorded.
@@ -594,7 +671,7 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 	for _, h := range hashes {
 		si := rss.ShardOf(h, nShards)
 		m := &model[si]
-		m.slots = t.priceOpenInsert(&t.shards[si], m.slots, m.used, int(probes[next[si]]))
+		m.slots = t.priceOpenInsert(&t.shards[si], m.slots, m.used, int(grouped[next[si]]))
 		m.used++
 		next[si]++
 	}
@@ -617,12 +694,8 @@ func (t *FlowTable) Has(k FlowKey) bool {
 // endpoint state through it), or nil.
 func (t *FlowTable) Peek(k FlowKey) *tcp.Endpoint {
 	h := hashOf(k)
-	s := &t.shards[rss.ShardOf(h, len(t.shards))]
-	if t.layout == LayoutSeedMap {
-		return s.conns[k]
-	}
-	ep, _ := s.openLookup(h, k)
-	return ep
+	ref, _ := t.resolve(&t.shards[rss.ShardOf(h, len(t.shards))], h, k)
+	return t.eps[ref].ep
 }
 
 // Remove unregisters the endpoint bound to k, reporting whether it
@@ -630,20 +703,23 @@ func (t *FlowTable) Peek(k FlowKey) *tcp.Endpoint {
 func (t *FlowTable) Remove(k FlowKey) bool {
 	h := hashOf(k)
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
+	var ref uint32
+	var lines int
 	if t.layout == LayoutSeedMap {
-		if _, ok := s.conns[k]; !ok {
-			return false
+		if ref, lines = t.resolve(s, h, k); ref != 0 {
+			delete(s.conns, k)
+			t.bytes -= flowMapEntryBytes
 		}
-		delete(s.conns, k)
-		t.bytes -= flowMapEntryBytes
-		t.charge(cycles.NonProto, flowMapDemuxLines)
 	} else {
-		ok, probes := s.openRemove(h, k)
-		if !ok {
-			return false
-		}
-		t.charge(cycles.NonProto, openProbeLines(probes))
+		var probes int
+		ref, probes = s.openRemove(h, k)
+		lines = openProbeLines(probes)
 	}
+	if ref == 0 {
+		return false
+	}
+	t.charge(cycles.NonProto, lines)
+	t.release(ref)
 	delete(t.flowOwners, k)
 	s.stats.Endpoints--
 	t.count--
@@ -723,15 +799,9 @@ func (t *FlowTable) LookupOn(cpu int, k FlowKey, hash uint32, netPackets int, ag
 			s.stats.Steals++
 		}
 	}
-	var ep *tcp.Endpoint
-	if t.layout == LayoutSeedMap {
-		ep = s.conns[k]
-		t.charge(cycles.Rx, flowMapDemuxLines)
-	} else {
-		var probes int
-		ep, probes = s.openLookup(hash, k)
-		t.charge(cycles.Rx, openProbeLines(probes))
-	}
+	ref, lines := t.resolve(s, hash, k)
+	t.charge(cycles.Rx, lines)
+	ep := t.eps[ref].ep
 	if ep == nil {
 		s.stats.Misses++
 		return nil

@@ -114,3 +114,31 @@ func BenchmarkFlowTableLookup(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFlowTableChurn1M times one priced Remove and re-Insert of a
+// resident key in a 1M-entry table, hopping through the key space like
+// BenchmarkFlowTableLookup: a backward-shift delete and a robin-hood
+// insert on cold slots. The key comes back for the population's own
+// endpoint, whose handle it rejoins, so the table neither grows nor
+// allocates (TestChurnAllocFree pins a fresh endpoint's turnover).
+func BenchmarkFlowTableChurn1M(b *testing.B) {
+	ep := testEndpoint(&testing.T{}, 5001, 44000)
+	tab := benchTable(b)
+	if err := tab.InsertBatch(bench1M, benchKey, ep); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	j := 0
+	for b.Loop() {
+		k := benchKey(j)
+		if !tab.Remove(k) {
+			b.Fatalf("key %d missing", j)
+		}
+		if err := tab.Insert(k, ep); err != nil {
+			b.Fatal(err)
+		}
+		if j += 7919; j >= bench1M {
+			j -= bench1M
+		}
+	}
+}

@@ -147,13 +147,10 @@ func (n *NIC) steerQueue(t FlowTuple, hash uint32) int {
 }
 
 // BucketFrames returns a copy of the per-bucket received-frame counters
-// (index = RSS bucket). The rebalancing policy diffs successive snapshots
-// to see where load actually lands.
-func (n *NIC) BucketFrames() []uint64 {
-	out := make([]uint64, len(n.bucketFrames))
-	copy(out, n.bucketFrames[:])
-	return out
-}
+// (index = RSS bucket), by value so taking it allocates nothing. The
+// rebalancing policy diffs successive snapshots to see where load
+// actually lands.
+func (n *NIC) BucketFrames() [rss.Buckets]uint64 { return n.bucketFrames }
 
 // Indirection exposes the NIC's (possibly shared) indirection table.
 func (n *NIC) Indirection() *rss.Map { return n.indir }

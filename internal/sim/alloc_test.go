@@ -238,6 +238,35 @@ func TestApplySkewAllocFree(t *testing.T) {
 	}
 }
 
+// TestRebalanceAllocFree pins the rebalancer's epoch once warm: reading
+// per-CPU busy cycles and per-bucket loads, planning, and applying each
+// move through the machine allocate nothing. Every cycle forgets the
+// previous epoch's observations, so the plan sees the whole run's skew
+// and keeps moving buckets.
+func TestRebalanceAllocFree(t *testing.T) {
+	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
+	cfg.NICs, cfg.Queues, cfg.Connections, cfg.FlowSkew = 4, 4, 120, 2.0
+	cfg.Steering = SteerConfig{Enabled: true, MinMoveEpochs: 1}
+	top, err := buildStream(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top.sim.RunUntil(20_000_000)
+	sc := top.steer
+	before := sc.moves
+	epoch := func() {
+		clear(sc.prevBusy)
+		clear(sc.prevLoads)
+		sc.rebalance()
+	}
+	if n := allocsOver(100, epoch); n != 0 {
+		t.Errorf("rebalance allocates %v times in 100 epochs", n)
+	}
+	if sc.moves == before {
+		t.Fatal("no bucket moved: the pin never reached the move path")
+	}
+}
+
 // BenchmarkEventHeap measures one pop and one push of a pre-bound event
 // on a queue holding 1024 events, the shape of a busy run's timeline.
 func BenchmarkEventHeap(b *testing.B) {

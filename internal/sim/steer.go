@@ -24,8 +24,19 @@ type steerController struct {
 	prevBusy  []uint64
 	prevLoads []uint64 // per bucket, summed over NICs
 
-	// epochFn and migrateFn are epochTick and migrateTick, bound once.
-	epochFn, migrateFn func()
+	// The epoch's observations, kept so a warm epoch allocates nothing:
+	// util per steering target; loads (swapped with prevLoads each epoch)
+	// and delta per bucket; owner, the indirection table the plan edits.
+	util         []float64
+	loads, delta []uint64
+	owner        []int
+
+	// epochFn, migrateFn, moveFn and unsteerFn are epochTick, migrateTick,
+	// applyMove and unsteer, bound once; move and victim are the latter
+	// two's arguments.
+	epochFn, migrateFn, moveFn, unsteerFn func()
+	move                                  steer.Move
+	victim                                netstack.FlowKey
 
 	moves         uint64
 	appMigrations uint64
@@ -49,6 +60,7 @@ const defaultSteerEpochNs = 5_000_000
 func newSteerController(top *streamTopology, cfg SteerConfig) (*steerController, error) {
 	sc := &steerController{top: top, cfg: cfg, epochNs: cfg.EpochNs}
 	sc.epochFn, sc.migrateFn = sc.epochTick, sc.migrateTick
+	sc.moveFn, sc.unsteerFn = sc.applyMove, sc.unsteer
 	if sc.epochNs == 0 {
 		sc.epochNs = defaultSteerEpochNs
 	}
@@ -69,7 +81,11 @@ func newSteerController(top *streamTopology, cfg SteerConfig) (*steerController,
 		}
 		sc.reb = reb
 		sc.prevBusy = make([]uint64, top.machine.CPUs())
+		sc.util = make([]float64, top.machine.SteerTargets())
 		sc.prevLoads = make([]uint64, rss.Buckets)
+		sc.loads = make([]uint64, rss.Buckets)
+		sc.delta = make([]uint64, rss.Buckets)
+		sc.owner = make([]int, rss.Buckets)
 	}
 	if cfg.ARFS {
 		sc.arfs = steer.NewARFS[netstack.FlowKey]()
@@ -90,49 +106,64 @@ func (sc *steerController) agingActive() bool {
 	return sc.arfs != nil && sc.cfg.RuleIdleEpochs > 0
 }
 
-// epochTick is one rebalance evaluation: diff per-CPU busy cycles and
-// per-bucket frame counts against the previous epoch, plan moves, apply
-// each through the machine on the losing CPU's account. Only the
-// steering-target CPUs are planned over: on an asymmetric Xen machine
-// with fewer vCPUs than dom0 queues, the dom0-only cores can own no
-// channel, so their heat is invisible to (and unfixable by) the
-// bucket→channel rebalancer.
+// epochTick is one steering epoch: a rebalance evaluation, then aRFS
+// rule aging, then the next epoch's event.
 func (sc *steerController) epochTick() {
-	top := sc.top
 	if sc.reb != nil {
-		busy := top.cpu.perCPUBusy()
-		epochCycles := top.machine.ParamsRef().ClockHz * float64(sc.epochNs) / 1e9
-		targets := top.machine.SteerTargets()
-		util := make([]float64, targets)
-		for c := range util {
-			util[c] = float64(busy[c]-sc.prevBusy[c]) / epochCycles
-		}
-		sc.prevBusy = busy
-
-		loads := make([]uint64, rss.Buckets)
-		for _, n := range top.machine.NICs() {
-			for b, f := range n.BucketFrames() {
-				loads[b] += f
-			}
-		}
-		delta := make([]uint64, rss.Buckets)
-		for b := range loads {
-			delta[b] = loads[b] - sc.prevLoads[b]
-		}
-		sc.prevLoads = loads
-
-		moves := sc.reb.Plan(util, delta, top.machine.SteerMap().Snapshot())
-		sc.applying = true
-		for _, mv := range moves {
-			mv := mv
-			top.cpu.runOn(mv.From, func() { top.machine.SteerBucket(mv.Bucket, mv.To) })
-			sc.moves++
-		}
-		sc.applying = false
+		sc.rebalance()
 	}
 	sc.ageRules()
-	top.sim.After(sc.epochNs, sc.epochFn)
+	sc.top.sim.After(sc.epochNs, sc.epochFn)
 }
+
+// rebalance is the rebalancer's half of an epoch: it diffs per-CPU busy
+// cycles and per-bucket frame counts against the previous epoch, plans
+// moves, and applies each through the machine on the losing CPU's account.
+// Only the steering-target CPUs are planned over: on an asymmetric Xen
+// machine with fewer vCPUs than dom0 queues, the dom0-only cores can own
+// no channel, so their heat is invisible to (and unfixable by) the
+// bucket→channel rebalancer. Every buffer it fills lives on the
+// controller, so a warm epoch allocates nothing.
+func (sc *steerController) rebalance() {
+	top := sc.top
+	epochCycles := top.machine.ParamsRef().ClockHz * float64(sc.epochNs) / 1e9
+	for c, cpu := range top.cpu.cpus {
+		if c < len(sc.util) {
+			sc.util[c] = float64(cpu.busyCycles-sc.prevBusy[c]) / epochCycles
+		}
+		sc.prevBusy[c] = cpu.busyCycles
+	}
+
+	clear(sc.loads)
+	for _, n := range top.machine.NICs() {
+		for b, f := range n.BucketFrames() {
+			sc.loads[b] += f
+		}
+	}
+	for b := range sc.loads {
+		sc.delta[b] = sc.loads[b] - sc.prevLoads[b]
+	}
+	sc.prevLoads, sc.loads = sc.loads, sc.prevLoads
+
+	sm := top.machine.SteerMap()
+	for b := range sc.owner {
+		sc.owner[b] = sm.Entry(b)
+	}
+	moves := sc.reb.Plan(sc.util, sc.delta, sc.owner)
+	sc.applying = true
+	for _, mv := range moves {
+		sc.move = mv
+		top.cpu.runOn(mv.From, sc.moveFn)
+		sc.moves++
+	}
+	sc.applying = false
+}
+
+// applyMove applies the planned move sc.move through the machine.
+func (sc *steerController) applyMove() { sc.top.machine.SteerBucket(sc.move.Bucket, sc.move.To) }
+
+// unsteer removes the aged-out flow sc.victim's rule through the machine.
+func (sc *steerController) unsteer() { sc.top.machine.UnsteerFlow(sc.victim) }
 
 // ageRules expires aRFS rules for flows unobserved longer than
 // RuleIdleEpochs: each victim's rule is removed through the machine with
@@ -144,11 +175,11 @@ func (sc *steerController) ageRules() {
 	}
 	sc.arfs.Tick()
 	for _, k := range sc.arfs.Expire(uint64(sc.cfg.RuleIdleEpochs)) {
-		k := k
 		hash := rss.HashTCP4(k.Src, k.Dst, k.SrcPort, k.DstPort)
 		owner := sc.top.machine.FlowTable().OwnerOf(k, hash)
+		sc.victim = k
 		sc.applying = true
-		sc.top.cpu.runOn(owner, func() { sc.top.machine.UnsteerFlow(k) })
+		sc.top.cpu.runOn(owner, sc.unsteerFn)
 		sc.applying = false
 		sc.rulesAged++
 	}

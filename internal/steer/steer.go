@@ -30,8 +30,9 @@
 package steer
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/rss"
 )
@@ -76,6 +77,12 @@ type Rebalancer struct {
 	epoch     int
 	lastMoved [rss.Buckets]int // epoch of the bucket's last move
 	stats     RebalanceStats
+
+	// Plan's scratch, kept so a warm epoch allocates nothing.
+	estUtil  []float64
+	cpuLoad  []uint64
+	eligible []int
+	moves    []Move
 }
 
 // NewRebalancer creates a rebalancer; zero-value config fields take the
@@ -112,7 +119,8 @@ func (r *Rebalancer) Stats() RebalanceStats { return r.stats }
 // moves to the currently-coldest one — but only when the move shrinks the
 // gap between the two (a bucket too heavy to help is skipped rather than
 // ping-ponged), and never more than MaxMovesPerEpoch buckets or one move
-// per bucket per MinMoveEpochs epochs.
+// per bucket per MinMoveEpochs epochs. The returned slice is valid until
+// the next Plan.
 func (r *Rebalancer) Plan(util []float64, load []uint64, owner []int) []Move {
 	r.epoch++
 	r.stats.Epochs++
@@ -123,8 +131,10 @@ func (r *Rebalancer) Plan(util []float64, load []uint64, owner []int) []Move {
 
 	// Estimated state, updated as moves are planned: per-CPU utilization
 	// and per-CPU frame load under the plan so far.
-	estUtil := append([]float64(nil), util...)
-	cpuLoad := make([]uint64, cpus)
+	estUtil := append(r.estUtil[:0], util...)
+	cpuLoad := slices.Grow(r.cpuLoad[:0], cpus)[:cpus]
+	clear(cpuLoad)
+	r.estUtil, r.cpuLoad = estUtil, cpuLoad
 	for b, q := range owner {
 		if q >= 0 && q < cpus {
 			cpuLoad[q] += load[b]
@@ -139,20 +149,21 @@ func (r *Rebalancer) Plan(util []float64, load []uint64, owner []int) []Move {
 
 	// Buckets eligible to leave a CPU, heaviest first (moving the heavy
 	// hitter's bucket is what actually shifts load).
-	eligible := make([]int, 0, len(owner))
+	eligible := r.eligible[:0]
 	for b := range owner {
 		if load[b] > 0 && r.epoch-r.lastMoved[b] > r.cfg.MinMoveEpochs {
 			eligible = append(eligible, b)
 		}
 	}
-	sort.Slice(eligible, func(i, j int) bool {
-		if load[eligible[i]] != load[eligible[j]] {
-			return load[eligible[i]] > load[eligible[j]]
+	r.eligible = eligible
+	slices.SortFunc(eligible, func(a, b int) int {
+		if load[a] != load[b] {
+			return cmp.Compare(load[b], load[a])
 		}
-		return eligible[i] < eligible[j] // deterministic tie-break
+		return cmp.Compare(a, b) // deterministic tie-break
 	})
 
-	var moves []Move
+	moves := r.moves[:0]
 	for _, b := range eligible {
 		if len(moves) >= r.cfg.MaxMovesPerEpoch {
 			break
@@ -181,6 +192,7 @@ func (r *Rebalancer) Plan(util []float64, load []uint64, owner []int) []Move {
 		r.lastMoved[b] = r.epoch
 		r.stats.Moves++
 	}
+	r.moves = moves
 	return moves
 }
 
@@ -230,6 +242,8 @@ type ARFS[K comparable] struct {
 	order []K
 	epoch uint64
 	stats ARFSStats
+	// expired is Expire's result storage, reused every epoch.
+	expired []K
 }
 
 // NewARFS creates an empty policy.
@@ -304,9 +318,10 @@ func (a *ARFS[K]) Tick() { a.epoch++ }
 // Expire removes and returns the flows not observed for more than maxIdle
 // epochs, in first-observation order. The caller removes their NIC rules
 // (with the usual migration handoff); a flow that talks again later is
-// simply re-observed and re-programmed.
+// simply re-observed and re-programmed. The returned slice is valid until
+// the next Expire.
 func (a *ARFS[K]) Expire(maxIdle uint64) []K {
-	var expired []K
+	expired := a.expired[:0]
 	live := a.order[:0]
 	for _, k := range a.order {
 		e, ok := a.desired[k]
@@ -321,6 +336,6 @@ func (a *ARFS[K]) Expire(maxIdle uint64) []K {
 		}
 		live = append(live, k)
 	}
-	a.order = live
+	a.order, a.expired = live, expired
 	return expired
 }

@@ -137,6 +137,35 @@ func TestInOrderReceiveAdvancesRcvNxt(t *testing.T) {
 	env.freeOut()
 }
 
+// BenchmarkEndpointInputData measures the receiver's in-order data path:
+// each iteration takes one MSS segment through Endpoint.Input, and every
+// second one sends the delayed ACK, whose buffer a pool recycles.
+func BenchmarkEndpointInputData(b *testing.B) {
+	var m cycles.Meter
+	p := cost.NativeUP()
+	alloc := buf.NewAllocator(&m, &p)
+	alloc.SetPool(buf.NewPool())
+	cfg := DefaultConfig()
+	cfg.LocalIP, cfg.RemoteIP = ipv4.Addr{10, 0, 0, 2}, ipv4.Addr{10, 0, 0, 1}
+	cfg.LocalPort, cfg.RemotePort = 44000, 5001
+	ep, err := New(cfg, &m, &p, alloc, func() uint64 { return 0 })
+	if err != nil {
+		b.Fatal(err)
+	}
+	ep.Output = alloc.Free
+	seg := dataSeg(1, 1, mss(1448))
+	b.ReportAllocs()
+	n := uint64(0)
+	for b.Loop() {
+		ep.Input(seg)
+		seg.Hdr.Seq += 1448
+		n++
+	}
+	if got := ep.Stats().BytesToApp; got != n*1448 {
+		b.Fatalf("%d bytes reached the application, want %d", got, n*1448)
+	}
+}
+
 func TestAckEveryTwoSegments(t *testing.T) {
 	env := newEnv(t, nil)
 	seq := uint32(1)
