@@ -414,15 +414,6 @@ func (fe *FrontEnd) nicOf(k netstack.FlowKey) int {
 	return 0
 }
 
-// MeterRef returns the machine's cycle meter.
-func (fe *FrontEnd) MeterRef() *cycles.Meter { return &fe.Meter }
-
-// AllocRef returns the machine's buffer allocator.
-func (fe *FrontEnd) AllocRef() *buf.Allocator { return fe.Alloc }
-
-// ParamsRef returns the machine's cost profile.
-func (fe *FrontEnd) ParamsRef() *cost.Params { return &fe.Params }
-
 // RegisterEndpoint adds a receiver endpoint to the stack's demux table and
 // the machine's timer list.
 func (fe *FrontEnd) RegisterEndpoint(ep *tcp.Endpoint, remoteIP, localIP [4]byte, remotePort, localPort uint16) error {

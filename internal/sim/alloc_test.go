@@ -196,7 +196,7 @@ func TestRPCPollAllocFree(t *testing.T) {
 	burst := func() {
 		want := r.rounds + 1
 		for r.rounds < want {
-			top.sim.RunUntil(top.sim.Now() + r.pollNs)
+			top.sim.RunUntil(top.sim.Now() + rpcPollNs)
 		}
 	}
 	top.sim.RunUntil(20_000_000)
@@ -246,7 +246,7 @@ func TestApplySkewAllocFree(t *testing.T) {
 func TestRebalanceAllocFree(t *testing.T) {
 	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
 	cfg.NICs, cfg.Queues, cfg.Connections, cfg.FlowSkew = 4, 4, 120, 2.0
-	cfg.Steering = SteerConfig{Enabled: true, MinMoveEpochs: 1}
+	cfg.Steering = SteerConfig{Enabled: true}
 	top, err := buildStream(&cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestLossRecoveryThroughAggregation(t *testing.T) {
 		if mbps < 100 {
 			t.Errorf("%v: throughput collapsed to %.0f Mb/s under 0.25%% loss", opt, mbps)
 		}
-		if live := top.machine.AllocRef().Stats().Live; live != 0 {
+		if live := top.machine.Alloc.Stats().Live; live != 0 {
 			t.Errorf("%v: %d SKBs leaked under loss", opt, live)
 		}
 	}

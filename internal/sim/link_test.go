@@ -190,7 +190,7 @@ func TestCPUDriverSerializesRounds(t *testing.T) {
 	}
 	top.sim.RunUntil(cfg.WarmupNs + cfg.DurationNs)
 	elapsed := float64(cfg.WarmupNs + cfg.DurationNs)
-	busyFrac := float64(top.cpu.cpus[0].busyCycles) / top.machine.ParamsRef().ClockHz / (elapsed / 1e9)
+	busyFrac := float64(top.cpu.cpus[0].busyCycles) / top.machine.Params.ClockHz / (elapsed / 1e9)
 	if busyFrac > 1.02 {
 		t.Errorf("CPU busy fraction %.3f exceeds physical capacity", busyFrac)
 	}

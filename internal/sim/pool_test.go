@@ -26,7 +26,7 @@ func TestPatternPayloadSum(t *testing.T) {
 // poolMisses is the buffer population of the run's one frame pool, which
 // its senders share with the receiver.
 func poolMisses(top *streamTopology) uint64 {
-	return top.machine.AllocRef().Pool().Misses()
+	return top.machine.Alloc.Pool().Misses()
 }
 
 // TestFramePoolLeakBound runs each shape to t and then to 2t: once warm,

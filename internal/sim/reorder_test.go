@@ -6,12 +6,13 @@ import (
 
 	"repro/internal/aggregate"
 	"repro/internal/core"
+	"repro/internal/frontend"
 	"repro/internal/netstack"
 	"repro/internal/rss"
 )
 
 // engineAggSum sums the machine's per-engine aggregation counters.
-func engineAggSum(m Machine) aggregate.Stats {
+func engineAggSum(m *frontend.FrontEnd) aggregate.Stats {
 	var sum aggregate.Stats
 	for _, rp := range m.ReceivePaths() {
 		sum = sum.Add(rp.Engine().Stats())

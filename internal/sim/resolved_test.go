@@ -8,11 +8,13 @@ import (
 )
 
 // TestStreamConfigResolved checks that Resolved fills in exactly what a run
-// would: resolving is idempotent, and running the resolved config gives the
-// same result as running the config as written. The two configs are golden
-// shapes (n1 Linux UP/Optimized, which leaves Connections at its default,
-// and rpc/incast-2q, which leaves Telemetry.Latency off) at the corpus's
-// 30 ms window with 15 ms of warm-up.
+// would: resolving is idempotent, fills every default of a workload that is
+// on, and running the resolved config gives the same result as running the
+// config as written. The configs are golden shapes at the corpus's 30 ms
+// window with 15 ms of warm-up: n1 Linux UP/Optimized (Connections at its
+// default), rpc/incast-2q (Telemetry.Latency and the RPC sizes),
+// steer/handoff-native (every steering knob set) and storm/fraction
+// (PrefillSpreadNs at its default).
 func TestStreamConfigResolved(t *testing.T) {
 	bulk := DefaultStreamConfig(SystemNativeUP, OptFull)
 	bulk.Queues = 1
@@ -21,8 +23,26 @@ func TestStreamConfigResolved(t *testing.T) {
 	rpc.Queues = 2
 	rpc.Connections = 16
 	rpc.RPC = RPCConfig{Enabled: true}
+	handoff := DefaultStreamConfig(SystemNativeUP, OptFull)
+	handoff.NICs = 4
+	handoff.Queues = 4
+	handoff.Connections = 120
+	handoff.FlowSkew = 2.0
+	handoff.ChurnIntervalNs = 4_000_000
+	handoff.Steering = SteerConfig{
+		Enabled: true, ARFS: true, RuleTableSlots: 16, RuleIdleEpochs: 2,
+		EpochNs: 2_000_000, AppMigrateIntervalNs: 3_000_000,
+	}
+	storm := DefaultStreamConfig(SystemNativeUP, OptFull)
+	storm.NICs = 4
+	storm.Connections = 80
+	storm.Queues = 2
+	storm.TimeWaitReuse = true
+	storm.RestartStorm = RestartStormConfig{AtNs: 20_000_000, Fraction: 0.5, PrefillTimeWait: 1000}
 
-	for name, cfg := range map[string]StreamConfig{"bulk": bulk, "rpc": rpc} {
+	for name, cfg := range map[string]StreamConfig{
+		"bulk": bulk, "rpc": rpc, "steer/handoff-native": handoff, "storm/fraction": storm,
+	} {
 		cfg.DurationNs = 30_000_000
 		cfg.WarmupNs = 15_000_000
 		t.Run(name, func(t *testing.T) {
@@ -35,6 +55,15 @@ func TestStreamConfigResolved(t *testing.T) {
 			}
 			if cfg.RPC.Enabled && !resolved.Telemetry.Latency {
 				t.Error("resolved RPC config has latency telemetry off")
+			}
+			if rpc := resolved.RPC; rpc.Enabled && (rpc.RequestBytes == 0 || rpc.MessageBytes == 0) {
+				t.Errorf("resolved RPC config left a size unset: %+v", rpc)
+			}
+			if st := resolved.RestartStorm; st.AtNs > 0 && (st.Fraction == 0 || st.PrefillSpreadNs == 0) {
+				t.Errorf("resolved storm config left a default unset: %+v", st)
+			}
+			if sc := resolved.Steering; sc.steeringActive() && (sc.EpochNs == 0 || sc.ARFS && sc.RuleTableSlots == 0) {
+				t.Errorf("resolved steering config left a default unset: %+v", sc)
 			}
 			want := encodedRun(t, cfg)
 			if got := encodedRun(t, resolved); !bytes.Equal(got, want) {

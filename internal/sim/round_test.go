@@ -12,12 +12,12 @@ import (
 	"repro/internal/packet"
 	"repro/internal/tcp"
 	"repro/internal/tcpwire"
-	"repro/internal/xenvirt"
 )
 
 // newRoundMachine builds an optimized one-NIC, one-queue machine — native
-// UP or Xen — from the given aggregation options.
-func newRoundMachine(xen bool, agg core.Options) (Machine, error) {
+// UP or Xen — from the given aggregation options, returning its front end
+// and softirq round.
+func newRoundMachine(xen bool, agg core.Options) (*frontend.FrontEnd, roundFunc, error) {
 	cfg := frontend.Config{
 		Params:      cost.NativeUP(),
 		NICCount:    1,
@@ -26,17 +26,8 @@ func newRoundMachine(xen bool, agg core.Options) (Machine, error) {
 	}
 	if xen {
 		cfg.Params = cost.XenGuest()
-		m, err := xenvirt.New(xenvirt.Config{Config: cfg})
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
 	}
-	m, err := NewNative(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return newMachine(cfg, xen, 0)
 }
 
 // TestAggregationDefaultsAgree runs the same partial aggregation options —
@@ -47,7 +38,7 @@ func TestAggregationDefaultsAgree(t *testing.T) {
 	want := core.DefaultOptions()
 	want.Aggregation.Limit = 5
 	for _, xen := range []bool{false, true} {
-		m, err := newRoundMachine(xen, partial)
+		m, _, err := newRoundMachine(xen, partial)
 		if err != nil {
 			t.Fatalf("xen=%v: %v", xen, err)
 		}
@@ -70,7 +61,7 @@ func BenchmarkProcessRound(b *testing.B) {
 		xen  bool
 	}{{"native", false}, {"xen", true}} {
 		b.Run(sys.name, func(b *testing.B) {
-			m, err := newRoundMachine(sys.xen, core.DefaultOptions())
+			m, round, err := newRoundMachine(sys.xen, core.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -78,7 +69,7 @@ func BenchmarkProcessRound(b *testing.B) {
 			tcfg.LocalIP, tcfg.RemoteIP = localIP, senderIP
 			tcfg.LocalPort, tcfg.RemotePort = 44000, 5001
 			tcfg.AckOffload = true
-			ep, err := tcp.New(tcfg, m.MeterRef(), m.ParamsRef(), m.AllocRef(), func() uint64 { return 0 })
+			ep, err := tcp.New(tcfg, &m.Meter, &m.Params, m.Alloc, func() uint64 { return 0 })
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -108,7 +99,7 @@ func BenchmarkProcessRound(b *testing.B) {
 					seq += uint32(len(payload))
 				}
 				b.StartTimer()
-				if n, _ := m.ProcessRound(0, budget); n != budget {
+				if n, _ := round(0, budget); n != budget {
 					b.Fatalf("round consumed %d frames, want %d", n, budget)
 				}
 			}

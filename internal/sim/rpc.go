@@ -49,7 +49,6 @@ type rpcDriver struct {
 	top      *streamTopology
 	reqBytes int
 	msgBytes int
-	pollNs   uint64
 	pollFn   func() // poll, bound once
 	conns    []*rpcConn
 	// rounds counts completed bursts (every connection's response fully
@@ -57,23 +56,16 @@ type rpcDriver struct {
 	rounds uint64
 }
 
+// rpcPollNs is the incast's burst-completion poll period: 50 µs.
+const rpcPollNs = 50_000
+
 // newRPCDriver opens the fan-in connections, fires the first burst and
-// arms the completion poll.
+// arms the completion poll. cfg is resolved, so the RPC sizes are set.
 func newRPCDriver(top *streamTopology, cfg *StreamConfig) (*rpcDriver, error) {
 	r := &rpcDriver{
 		top:      top,
 		reqBytes: cfg.RPC.RequestBytes,
 		msgBytes: cfg.RPC.MessageBytes,
-		pollNs:   cfg.RPC.PollNs,
-	}
-	if r.reqBytes == 0 {
-		r.reqBytes = 64
-	}
-	if r.msgBytes == 0 {
-		r.msgBytes = 1448
-	}
-	if r.pollNs == 0 {
-		r.pollNs = 50_000
 	}
 	for c := 0; c < cfg.Connections; c++ {
 		if err := r.openConn(c); err != nil {
@@ -82,7 +74,7 @@ func newRPCDriver(top *streamTopology, cfg *StreamConfig) (*rpcDriver, error) {
 	}
 	r.fireBurst()
 	r.pollFn = r.poll
-	top.sim.After(r.pollNs, r.pollFn)
+	top.sim.After(rpcPollNs, r.pollFn)
 	return r, nil
 }
 
@@ -182,7 +174,7 @@ func (r *rpcDriver) poll() {
 		r.rounds++
 		r.fireBurst()
 	}
-	r.top.sim.After(r.pollNs, r.pollFn)
+	r.top.sim.After(rpcPollNs, r.pollFn)
 }
 
 // RRConfig describes a netperf TCP Request/Response experiment (paper

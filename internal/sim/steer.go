@@ -20,7 +20,6 @@ type steerController struct {
 	reb  *steer.Rebalancer
 	arfs *steer.ARFS[netstack.FlowKey]
 
-	epochNs   uint64
 	prevBusy  []uint64
 	prevLoads []uint64 // per bucket, summed over NICs
 
@@ -52,30 +51,14 @@ type steerController struct {
 	applying bool
 }
 
-// defaultSteerEpochNs is the rebalance period: 5 ms — long against the
-// ~125 µs RTT (indirection rewrites settle between epochs), short against
-// the 150 ms measured interval (a skewed run gets ~30 correction points).
-const defaultSteerEpochNs = 5_000_000
-
+// newSteerController arms the steering policies cfg enables; cfg is
+// resolved and validated, so EpochNs is set.
 func newSteerController(top *streamTopology, cfg SteerConfig) (*steerController, error) {
-	sc := &steerController{top: top, cfg: cfg, epochNs: cfg.EpochNs}
+	sc := &steerController{top: top, cfg: cfg}
 	sc.epochFn, sc.migrateFn = sc.epochTick, sc.migrateTick
 	sc.moveFn, sc.unsteerFn = sc.applyMove, sc.unsteer
-	if sc.epochNs == 0 {
-		sc.epochNs = defaultSteerEpochNs
-	}
-	if cfg.RuleIdleEpochs < 0 {
-		return nil, fmt.Errorf("sim: RuleIdleEpochs %d must be non-negative", cfg.RuleIdleEpochs)
-	}
-	if cfg.RuleIdleEpochs > 0 && !cfg.ARFS {
-		return nil, fmt.Errorf("sim: RuleIdleEpochs ages aRFS rules; set ARFS too")
-	}
 	if cfg.Enabled {
-		reb, err := steer.NewRebalancer(steer.RebalanceConfig{
-			SpreadThreshold:  cfg.SpreadThreshold,
-			MinMoveEpochs:    cfg.MinMoveEpochs,
-			MaxMovesPerEpoch: cfg.MaxMovesPerEpoch,
-		})
+		reb, err := steer.NewRebalancer(steer.DefaultRebalanceConfig())
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
@@ -96,7 +79,7 @@ func newSteerController(top *streamTopology, cfg SteerConfig) (*steerController,
 	}
 	// The epoch loop drives the rebalancer and/or aRFS rule aging.
 	if sc.reb != nil || sc.agingActive() {
-		top.sim.After(sc.epochNs, sc.epochFn)
+		top.sim.After(sc.cfg.EpochNs, sc.epochFn)
 	}
 	return sc, nil
 }
@@ -113,7 +96,7 @@ func (sc *steerController) epochTick() {
 		sc.rebalance()
 	}
 	sc.ageRules()
-	sc.top.sim.After(sc.epochNs, sc.epochFn)
+	sc.top.sim.After(sc.cfg.EpochNs, sc.epochFn)
 }
 
 // rebalance is the rebalancer's half of an epoch: it diffs per-CPU busy
@@ -126,7 +109,7 @@ func (sc *steerController) epochTick() {
 // controller, so a warm epoch allocates nothing.
 func (sc *steerController) rebalance() {
 	top := sc.top
-	epochCycles := top.machine.ParamsRef().ClockHz * float64(sc.epochNs) / 1e9
+	epochCycles := top.machine.Params.ClockHz * float64(sc.cfg.EpochNs) / 1e9
 	for c, cpu := range top.cpu.cpus {
 		if c < len(sc.util) {
 			sc.util[c] = float64(cpu.busyCycles-sc.prevBusy[c]) / epochCycles

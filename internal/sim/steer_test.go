@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/frontend"
 	"repro/internal/netstack"
 	"repro/internal/rss"
 )
@@ -156,7 +157,7 @@ func runMigrationCase(t *testing.T, sys SystemKind, mc migrationCase) {
 }
 
 // shardStatsOf snapshots the machine's per-shard stats.
-func shardStatsOf(m Machine) []netstack.ShardStats {
+func shardStatsOf(m *frontend.FrontEnd) []netstack.ShardStats {
 	table := m.FlowTable()
 	out := make([]netstack.ShardStats, table.Shards())
 	for i := range out {

@@ -49,25 +49,23 @@ type stormController struct {
 	staleEps []staleEp
 }
 
+const (
+	// stormReconnectDelayNs delays each victim's redial of its own
+	// four-tuple: well inside the 8 ms TIME_WAIT linger, so the redial
+	// collides with the lingering entry, and more than one timestamp tick
+	// (1 ms) past teardown, so the RFC 6191 check can admit it.
+	stormReconnectDelayNs = 2_000_000
+	// stormRetryNs is the redial back-off after a refused or premature
+	// attempt: one timestamp tick, so a retried redial carries a newer
+	// timestamp than the attempt it repeats.
+	stormRetryNs = 1_000_000
+)
+
+// newStormController supervises cfg's storm; cfg is resolved, so
+// RestartStorm.Fraction and PrefillSpreadNs are set.
 func newStormController(top *streamTopology, cfg *StreamConfig) *stormController {
-	sc := &stormController{top: top, cfg: cfg.RestartStorm, reuse: cfg.TimeWaitReuse,
+	return &stormController{top: top, cfg: cfg.RestartStorm, reuse: cfg.TimeWaitReuse,
 		noTS: cfg.NoTimestamps}
-	if sc.cfg.Fraction == 0 {
-		sc.cfg.Fraction = 0.5
-	}
-	if sc.cfg.ReconnectDelayNs == 0 {
-		// Well inside the 8 ms TIME_WAIT linger, so the redial collides
-		// with the lingering entry — and at least one timestamp tick
-		// (1 ms) past teardown, so the RFC 6191 check can admit it.
-		sc.cfg.ReconnectDelayNs = 2_000_000
-	}
-	if sc.cfg.RetryNs == 0 {
-		sc.cfg.RetryNs = 1_000_000
-	}
-	if sc.cfg.PrefillSpreadNs == 0 {
-		sc.cfg.PrefillSpreadNs = 500_000_000
-	}
-	return sc
 }
 
 // fire executes the storm: close the victim fraction and schedule the
@@ -94,7 +92,7 @@ func (sc *stormController) fire() {
 		top.teardown.add(v, now+churnForceTeardownNs)
 		// Stagger the redials by a hair so they do not all land on one
 		// sweep; every victim redials its very own four-tuple.
-		delay := sc.cfg.ReconnectDelayNs + uint64(i)*1_000
+		delay := stormReconnectDelayNs + uint64(i)*1_000
 		top.sim.After(delay, func() { sc.reconnect(v) })
 	}
 	g.applySkew()
@@ -201,7 +199,7 @@ func (sc *stormController) reconnect(v flowRecord) {
 // retry reschedules a redial.
 func (sc *stormController) retry(v flowRecord) {
 	sc.report.Retries++
-	sc.top.sim.After(sc.cfg.RetryNs, func() { sc.reconnect(v) })
+	sc.top.sim.After(stormRetryNs, func() { sc.reconnect(v) })
 }
 
 // staleDeliveries returns the number of recycled incarnations whose

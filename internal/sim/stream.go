@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/aggregate"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/cycles"
 	"repro/internal/frontend"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/nic"
 	"repro/internal/tcp"
 	"repro/internal/telemetry"
-	"repro/internal/xenvirt"
 )
 
 // SystemKind selects the receiver system under test (paper §5.1).
@@ -93,8 +91,6 @@ type StreamConfig struct {
 	// Params overrides the machine cost profile (zero value: chosen by
 	// System). Used by the prefetching study (Figure 1).
 	Params *cost.Params
-	// SenderQuantum overrides the sender interleave quantum.
-	SenderQuantum int
 	// MessageSize caps sender segments below the MSS (0 = full MSS).
 	// The paper notes the optimizations do not help small-message
 	// workloads (§5.5, §1) — sub-MSS segments still aggregate poorly
@@ -168,12 +164,10 @@ type StreamConfig struct {
 	// axis, 10k → 1M).
 	RegisteredFlows int
 	// MaxTimeWaitBuckets caps the TIME_WAIT population
-	// (tcp_max_tw_buckets, split across shards; 0 = unlimited), and
-	// TimeWaitEvictOldest selects the over-cap behavior: false refuses
-	// new entries (the closing flow skips TIME_WAIT — Linux's default),
-	// true evicts the oldest-deadline entry early.
-	MaxTimeWaitBuckets  int
-	TimeWaitEvictOldest bool
+	// (tcp_max_tw_buckets, split across shards; 0 = unlimited). Over the
+	// cap new entries are refused: the closing flow skips TIME_WAIT,
+	// Linux's default.
+	MaxTimeWaitBuckets int
 	// Telemetry selects the run's observation outputs (latency histograms,
 	// activity spans). Observation cost is zero by construction — it reads
 	// the clock, it never schedules — so enabling it changes no throughput
@@ -193,16 +187,9 @@ type RestartStormConfig struct {
 	// AtNs fires the storm at this virtual time (0 = no storm).
 	AtNs uint64
 	// Fraction of the live flows torn down at the storm instant
-	// (0 = 0.5; clamped so at least one flow survives).
+	// (0 = 0.5; clamped so at least one flow survives). Each victim
+	// redials its own four-tuple 2 ms later (stormReconnectDelayNs).
 	Fraction float64
-	// ReconnectDelayNs delays each victim's redial of its own four-tuple
-	// (0 = 2 ms: inside the 8 ms TIME_WAIT linger so the redial collides
-	// with the lingering entry, and past one timestamp tick so the
-	// RFC 6191 check can admit it).
-	ReconnectDelayNs uint64
-	// RetryNs is the redial back-off after a refused or premature
-	// attempt (0 = 1 ms).
-	RetryNs uint64
 	// PrefillTimeWait seeds this many synthetic lingering entries at the
 	// storm instant — the backlog of the restarted process's previous
 	// life, scaling the TIME_WAIT population far beyond what the live
@@ -221,18 +208,14 @@ type SteerConfig struct {
 	// observes per-CPU utilization and per-bucket load and rewrites the
 	// NICs' RSS indirection to move buckets off hot CPUs.
 	Enabled bool
-	// EpochNs is the rebalance period (0 = 5 ms).
+	// EpochNs is the rebalance and rule-aging period (0 = 5 ms). The
+	// rebalancer's hysteresis and damping are steer.DefaultRebalanceConfig.
 	EpochNs uint64
-	// SpreadThreshold, MinMoveEpochs and MaxMovesPerEpoch override the
-	// rebalancer's hysteresis/damping defaults (0 = defaults).
-	SpreadThreshold  float64
-	MinMoveEpochs    int
-	MaxMovesPerEpoch int
 	// ARFS enables accelerated-RFS: endpoints get pinned application
 	// CPUs, the netstack observes them at socket-read time, and
 	// exact-match NIC rules steer each flow to its application's CPU.
 	ARFS bool
-	// RuleTableSlots bounds each NIC's rule table (0 = 256).
+	// RuleTableSlots bounds each NIC's rule table (0 = 256; needs ARFS).
 	RuleTableSlots int
 	// RuleIdleEpochs enables aRFS rule aging: a flow's exact-match rule
 	// is removed after the flow goes unobserved for more than this many
@@ -241,12 +224,51 @@ type SteerConfig struct {
 	RuleIdleEpochs int
 	// AppMigrateIntervalNs, when non-zero, re-pins one endpoint's
 	// application to the next CPU every interval — the scheduler-moves-
-	// the-app workload that forces aRFS to follow mid-stream.
+	// the-app workload that forces aRFS to follow mid-stream (needs ARFS).
 	AppMigrateIntervalNs uint64
 }
 
 // steeringActive reports whether any dynamic-steering machinery runs.
 func (c SteerConfig) steeringActive() bool { return c.Enabled || c.ARFS }
+
+// validate rejects negative values and knobs that the steering modes they
+// tune leave off.
+func (c SteerConfig) validate() error {
+	if c.RuleIdleEpochs < 0 {
+		return fmt.Errorf("sim: RuleIdleEpochs %d must be non-negative", c.RuleIdleEpochs)
+	}
+	if !c.ARFS && (c.RuleIdleEpochs != 0 || c.RuleTableSlots != 0 || c.AppMigrateIntervalNs != 0) {
+		return fmt.Errorf("sim: RuleIdleEpochs, RuleTableSlots and AppMigrateIntervalNs tune aRFS; set ARFS too")
+	}
+	if !c.steeringActive() && c.EpochNs != 0 {
+		return fmt.Errorf("sim: EpochNs paces steering; set Enabled or ARFS too")
+	}
+	return nil
+}
+
+// Defaults a run fills in for values its config leaves zero (Resolved).
+const (
+	// defaultDurationNs is the measured interval: 150 ms.
+	defaultDurationNs = 150_000_000
+	// defaultSteerEpochNs is the rebalance period: 5 ms — long against the
+	// ~125 µs RTT (indirection rewrites settle between epochs), short
+	// against the 150 ms measured interval (a skewed run gets ~30
+	// correction points).
+	defaultSteerEpochNs = 5_000_000
+	// defaultRuleTableSlots sizes each NIC's aRFS rule table.
+	defaultRuleTableSlots = 256
+	// defaultStormFraction tears down half the live flows.
+	defaultStormFraction = 0.5
+	// defaultPrefillSpreadNs spreads a seeded TIME_WAIT backlog's
+	// deadlines over 500 ms: the backlog mostly outlives a short measured
+	// window, the way real minutes-long 2·MSL lingers dwarf any
+	// measurement interval.
+	defaultPrefillSpreadNs = 500_000_000
+	// defaultRPCRequestBytes and defaultRPCMessageBytes are the incast's
+	// request and response sizes: a small request, one full-MSS response.
+	defaultRPCRequestBytes = 64
+	defaultRPCMessageBytes = 1448
+)
 
 // DefaultStreamConfig mirrors the paper's five-NIC bulk setup.
 func DefaultStreamConfig(system SystemKind, opt OptLevel) StreamConfig {
@@ -254,8 +276,8 @@ func DefaultStreamConfig(system SystemKind, opt OptLevel) StreamConfig {
 		System:     system,
 		Opt:        opt,
 		NICs:       5,
-		DurationNs: 150_000_000, // 150 ms measured
-		WarmupNs:   40_000_000,  // 40 ms warm-up
+		DurationNs: defaultDurationNs,
+		WarmupNs:   40_000_000, // 40 ms warm-up
 	}
 }
 
@@ -480,7 +502,7 @@ func (r StreamResult) UtilSpread() float64 {
 type streamTopology struct {
 	cfg      *StreamConfig
 	sim      *Sim
-	machine  Machine
+	machine  *frontend.FrontEnd
 	senders  []*SenderMachine
 	links    []*Link
 	cpu      *cpuSet
@@ -515,7 +537,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	if top.rpc != nil {
 		startRounds = top.rpc.rounds
 	}
-	startSnap := top.machine.MeterRef().Snapshot()
+	startSnap := top.machine.Meter.Snapshot()
 	startBytes := appBytes(top.machine)
 	startFrames := top.machine.NetFramesIn()
 	startHost := top.machine.HostPacketsIn()
@@ -526,7 +548,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 
 	top.sim.RunUntil(cfg.WarmupNs + cfg.DurationNs)
 
-	endSnap := top.machine.MeterRef().Snapshot()
+	endSnap := top.machine.Meter.Snapshot()
 	delta := endSnap.Sub(startSnap)
 	bytes := appBytes(top.machine) - startBytes
 	frames := top.machine.NetFramesIn() - startFrames
@@ -534,7 +556,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	endBusy := top.cpu.perCPUBusy()
 
 	elapsedSec := float64(cfg.DurationNs) / 1e9
-	cpuCycles := top.machine.ParamsRef().ClockHz * elapsedSec
+	cpuCycles := top.machine.Params.ClockHz * elapsedSec
 	res := StreamResult{
 		DurationNs:      cfg.DurationNs,
 		Frames:          frames,
@@ -610,7 +632,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 }
 
 // oooSegs sums the receiver endpoints' out-of-order queue insertions.
-func oooSegs(m Machine) uint64 {
+func oooSegs(m *frontend.FrontEnd) uint64 {
 	var total uint64
 	for _, ep := range m.Endpoints() {
 		total += ep.Stats().OOOSegs
@@ -626,7 +648,7 @@ func linkGoodputMbps() float64 {
 }
 
 // appBytes sums delivered application bytes over the receiver endpoints.
-func appBytes(m Machine) uint64 {
+func appBytes(m *frontend.FrontEnd) uint64 {
 	var total uint64
 	for _, ep := range m.Endpoints() {
 		total += ep.Stats().BytesToApp
@@ -698,18 +720,42 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 }
 
 // Resolved returns cfg with its defaults filled in, as a run uses it:
-// Connections defaults to one per NIC, DurationNs to 150 ms, and the RPC
-// workload turns on Telemetry.Latency (the histograms are its output). It
-// validates nothing.
+// Connections defaults to one per NIC and DurationNs to 150 ms. A workload
+// that is on gets its own zero values filled: the RPC workload its request
+// and response sizes and Telemetry.Latency (the histograms are its
+// output), a restart storm its Fraction and PrefillSpreadNs, steering its
+// EpochNs and, with aRFS, its RuleTableSlots. It validates nothing.
 func (cfg StreamConfig) Resolved() StreamConfig {
 	if cfg.Connections == 0 {
 		cfg.Connections = cfg.NICs
 	}
 	if cfg.DurationNs == 0 {
-		cfg.DurationNs = 150_000_000
+		cfg.DurationNs = defaultDurationNs
 	}
-	if cfg.RPC.Enabled {
+	if rpc := &cfg.RPC; rpc.Enabled {
 		cfg.Telemetry.Latency = true
+		if rpc.RequestBytes == 0 {
+			rpc.RequestBytes = defaultRPCRequestBytes
+		}
+		if rpc.MessageBytes == 0 {
+			rpc.MessageBytes = defaultRPCMessageBytes
+		}
+	}
+	if st := &cfg.RestartStorm; st.AtNs > 0 {
+		if st.Fraction == 0 {
+			st.Fraction = defaultStormFraction
+		}
+		if st.PrefillSpreadNs == 0 {
+			st.PrefillSpreadNs = defaultPrefillSpreadNs
+		}
+	}
+	if sc := &cfg.Steering; sc.steeringActive() {
+		if sc.EpochNs == 0 {
+			sc.EpochNs = defaultSteerEpochNs
+		}
+		if sc.ARFS && sc.RuleTableSlots == 0 {
+			sc.RuleTableSlots = defaultRuleTableSlots
+		}
 	}
 	return cfg
 }
@@ -755,6 +801,9 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 	if cfg.MaxTimeWaitBuckets < 0 {
 		return nil, fmt.Errorf("sim: MaxTimeWaitBuckets %d must be non-negative", cfg.MaxTimeWaitBuckets)
 	}
+	if err := cfg.Steering.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.RPC.Enabled {
 		if cfg.RPC.RequestBytes < 0 || cfg.RPC.MessageBytes < 0 {
 			return nil, fmt.Errorf("sim: negative RPC sizes %+v", cfg.RPC)
@@ -765,12 +814,12 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 			return nil, fmt.Errorf("sim: the RPC workload is incompatible with churn, storm, steering, skew, connscale and MessageSize knobs")
 		}
 	}
-	machine, err := buildMachine(cfg)
+	machine, round, err := buildMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := NewSim()
-	cpu := newCPUSet(s, machine)
+	cpu := newCPUSet(s, machine, round)
 
 	top := &streamTopology{cfg: cfg, sim: s, machine: machine, cpu: cpu}
 
@@ -795,9 +844,9 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 	// the machine's NAPI poll lists to the owning CPU's scheduler slot.
 	machine.WireInterrupts(cpu.kick)
 	for i := 0; i < cfg.NICs; i++ {
-		sender := NewSender(s, cfg.SenderQuantum)
+		sender := NewSender(s, DefaultSenderQuantum)
 		// One frame pool per run, shared with the receiver.
-		sender.SetPool(machine.AllocRef().Pool())
+		sender.SetPool(machine.Alloc.Pool())
 		sender.MaxPayload = cfg.MessageSize
 		if cfg.SACK || cfg.NoTimestamps {
 			sender.ConfigConn = cfg.connOptions
@@ -823,8 +872,8 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 		top.links = append(top.links, link)
 	}
 
-	if cfg.MaxTimeWaitBuckets > 0 || cfg.TimeWaitEvictOldest {
-		machine.Netstack().ConfigureTimeWait(cfg.MaxTimeWaitBuckets, cfg.TimeWaitEvictOldest)
+	if cfg.MaxTimeWaitBuckets > 0 {
+		machine.Netstack().ConfigureTimeWait(cfg.MaxTimeWaitBuckets, false)
 	}
 	return top, nil
 }
@@ -879,7 +928,7 @@ func (top *streamTopology) openReceiver(senderIP, rcvIP ipv4.Addr, sPort, rPort 
 	if irs != 0 {
 		rcfg.IRS = irs
 	}
-	ep, err := tcp.New(rcfg, m.MeterRef(), m.ParamsRef(), m.AllocRef(), top.sim.Clock())
+	ep, err := tcp.New(rcfg, &m.Meter, &m.Params, m.Alloc, top.sim.Clock())
 	if err != nil {
 		return nil, err
 	}
@@ -887,59 +936,6 @@ func (top *streamTopology) openReceiver(senderIP, rcvIP ipv4.Addr, sPort, rPort 
 		return nil, err
 	}
 	return ep, nil
-}
-
-// buildMachine constructs the system under test.
-func buildMachine(cfg *StreamConfig) (Machine, error) {
-	aggOpts := core.DefaultOptions()
-	if cfg.AggLimit > 0 {
-		aggOpts.Aggregation.Limit = cfg.AggLimit
-	}
-	aggOpts.Aggregation.ReorderWindow = cfg.ReorderWindow
-	aggOpts.AckOffload = cfg.Opt == OptFull
-
-	ruleSlots := 0
-	if cfg.Steering.ARFS {
-		ruleSlots = cfg.Steering.RuleTableSlots
-		if ruleSlots == 0 {
-			ruleSlots = 256
-		}
-	}
-	if cfg.GuestVCPUs != 0 && cfg.System != SystemXen {
-		return nil, fmt.Errorf("sim: GuestVCPUs is a Xen topology knob (system %v)", cfg.System)
-	}
-
-	var params cost.Params
-	switch cfg.System {
-	case SystemNativeUP:
-		params = cost.NativeUP()
-	case SystemNativeSMP:
-		params = cost.NativeSMP()
-	case SystemXen:
-		params = cost.XenGuest()
-	default:
-		return nil, fmt.Errorf("sim: unknown system %d", int(cfg.System))
-	}
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	mode := frontend.ModeBaseline
-	if cfg.Opt != OptNone {
-		mode = frontend.ModeOptimized
-	}
-	fc := frontend.Config{
-		Params:        params,
-		NICCount:      cfg.NICs,
-		Queues:        cfg.Queues,
-		Mode:          mode,
-		Aggregation:   aggOpts,
-		FlowRuleSlots: ruleSlots,
-		FlowLayout:    cfg.FlowLayout,
-	}
-	if cfg.System == SystemXen {
-		return xenvirt.New(xenvirt.Config{Config: fc, GuestVCPUs: cfg.GuestVCPUs})
-	}
-	return NewNative(fc)
 }
 
 // cpuSet schedules the receiver's softirq CPUs on virtual time: each
@@ -954,7 +950,8 @@ func buildMachine(cfg *StreamConfig) (Machine, error) {
 // overlap.
 type cpuSet struct {
 	sim      *Sim
-	m        Machine
+	fe       *frontend.FrontEnd
+	process  roundFunc // the machine's softirq round
 	rxBudget int
 	cpus     []*simCPU
 	current  *simCPU // CPU executing a round right now (nil outside)
@@ -975,9 +972,9 @@ type simCPU struct {
 	spanTrack string
 }
 
-func newCPUSet(s *Sim, m Machine) *cpuSet {
-	cs := &cpuSet{sim: s, m: m, rxBudget: 64}
-	for i := 0; i < m.CPUs(); i++ {
+func newCPUSet(s *Sim, fe *frontend.FrontEnd, round roundFunc) *cpuSet {
+	cs := &cpuSet{sim: s, fe: fe, process: round, rxBudget: 64}
+	for i := 0; i < fe.CPUs(); i++ {
 		c := &simCPU{id: i}
 		c.roundFn = func() { cs.round(c) }
 		cs.cpus = append(cs.cpus, c)
@@ -1014,14 +1011,14 @@ func (cs *cpuSet) kickAll() {
 // sets the batch size the aggregation engine sees).
 func (cs *cpuSet) round(c *simCPU) {
 	c.scheduled = false
-	meter := cs.m.MeterRef()
+	meter := &cs.fe.Meter
 	c.roundBase = meter.Total()
 	cs.current = c
-	_, more := cs.m.ProcessRound(c.id, cs.rxBudget)
+	_, more := cs.process(c.id, cs.rxBudget)
 	cs.current = nil
 	used := meter.Total() - c.roundBase
 	c.busyCycles += used
-	busyNs := uint64(float64(used) / cs.m.ParamsRef().ClockHz * 1e9)
+	busyNs := uint64(float64(used) / cs.fe.Params.ClockHz * 1e9)
 	start := cs.sim.Now()
 	c.busyUntil = start + busyNs
 	if used > 0 && c.spanLane != nil {
@@ -1040,7 +1037,7 @@ func (cs *cpuSet) round(c *simCPU) {
 // busy work.
 func (cs *cpuSet) runOn(id int, fn func()) {
 	c := cs.cpus[id]
-	meter := cs.m.MeterRef()
+	meter := &cs.fe.Meter
 	prev := cs.current
 	prevBase := c.roundBase
 	c.roundBase = meter.Total()
@@ -1050,7 +1047,7 @@ func (cs *cpuSet) runOn(id int, fn func()) {
 	used := meter.Total() - c.roundBase
 	c.roundBase = prevBase
 	c.busyCycles += used
-	busyNs := uint64(float64(used) / cs.m.ParamsRef().ClockHz * 1e9)
+	busyNs := uint64(float64(used) / cs.fe.Params.ClockHz * 1e9)
 	now := cs.sim.Now()
 	if c.busyUntil < now {
 		c.busyUntil = now
@@ -1074,6 +1071,6 @@ func (cs *cpuSet) inRoundLatencyNs() uint64 {
 	if cs.current == nil {
 		return 0
 	}
-	used := cs.m.MeterRef().Total() - cs.current.roundBase
-	return uint64(float64(used) / cs.m.ParamsRef().ClockHz * 1e9)
+	used := cs.fe.Meter.Total() - cs.current.roundBase
+	return uint64(float64(used) / cs.fe.Params.ClockHz * 1e9)
 }

@@ -50,10 +50,6 @@ type RPCConfig struct {
 	RequestBytes int
 	// MessageBytes is the response size each sender returns (0 = 1448).
 	MessageBytes int
-	// PollNs is the burst-completion poll period (0 = 50 µs). The poll
-	// only gates when the *next* burst fires; per-message RTTs are
-	// measured from the burst instant and are unaffected by it.
-	PollNs uint64
 }
 
 // stampNowOn is the telemetry stamp clock for CPU cpu: the instant the

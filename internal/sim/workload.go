@@ -149,7 +149,7 @@ func (g *flowGen) seedIdleFlows(n int) error {
 	rcfg := tcp.DefaultConfig()
 	rcfg.LocalIP, rcfg.RemoteIP = ipv4.Addr{172, 16, 0, 2}, ipv4.Addr{172, 16, 0, 1}
 	rcfg.LocalPort, rcfg.RemotePort = 8080, 1024
-	dummy, err := tcp.New(rcfg, m.MeterRef(), m.ParamsRef(), m.AllocRef(), g.top.sim.Clock())
+	dummy, err := tcp.New(rcfg, &m.Meter, &m.Params, m.Alloc, g.top.sim.Clock())
 	if err != nil {
 		return err
 	}

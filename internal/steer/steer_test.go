@@ -44,6 +44,20 @@ func TestRebalancerMovesOffHotCPU(t *testing.T) {
 	}
 }
 
+// TestRebalancerRejectsNegativeConfig: each negative tuning value is a
+// configuration error.
+func TestRebalancerRejectsNegativeConfig(t *testing.T) {
+	for _, cfg := range []RebalanceConfig{
+		{SpreadThreshold: -0.1},
+		{MinMoveEpochs: -1},
+		{MaxMovesPerEpoch: -1},
+	} {
+		if _, err := NewRebalancer(cfg); err == nil {
+			t.Errorf("NewRebalancer(%+v) did not error", cfg)
+		}
+	}
+}
+
 func TestRebalancerHysteresis(t *testing.T) {
 	r, _ := NewRebalancer(RebalanceConfig{SpreadThreshold: 0.5})
 	util := []float64{0.6, 0.3, 0.3, 0.3} // spread 0.3 < threshold 0.5

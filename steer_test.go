@@ -61,14 +61,24 @@ func TestSteeringNarrowsSpread(t *testing.T) {
 	}
 }
 
-// TestSteeringInvalidConfig: bad steering parameters are a configuration
-// error through the public API, not a crash.
+// TestSteeringInvalidConfig: bad steering parameters, and knobs whose
+// steering mode is off, are a configuration error through the public API,
+// not a crash or a silently ignored value.
 func TestSteeringInvalidConfig(t *testing.T) {
-	cfg := DefaultStreamConfig(SystemNativeUP, OptNone)
-	cfg.Steering = SteerConfig{Enabled: true, MinMoveEpochs: -1}
-	cfg.DurationNs = 1_000_000
-	if _, err := RunStream(cfg); err == nil {
-		t.Error("negative MinMoveEpochs did not error")
+	for name, sc := range map[string]SteerConfig{
+		"negative RuleIdleEpochs":       {Enabled: true, ARFS: true, RuleIdleEpochs: -1},
+		"RuleIdleEpochs without ARFS":   {Enabled: true, RuleIdleEpochs: 2},
+		"RuleTableSlots without ARFS":   {Enabled: true, RuleTableSlots: 16},
+		"AppMigrate without ARFS":       {Enabled: true, AppMigrateIntervalNs: 2_000_000},
+		"EpochNs with steering off":     {EpochNs: 2_000_000},
+		"negative RuleTableSlots, ARFS": {ARFS: true, RuleTableSlots: -1},
+	} {
+		cfg := DefaultStreamConfig(SystemNativeUP, OptNone)
+		cfg.Steering = sc
+		cfg.DurationNs = 1_000_000
+		if _, err := RunStream(cfg); err == nil {
+			t.Errorf("%s: %+v did not error", name, sc)
+		}
 	}
 }
 
