@@ -106,7 +106,7 @@ type FrontEnd struct {
 	nics     []*nic.NIC
 	drvs     [][]*driver.Driver  // [nic][queue]
 	rps      []*core.ReceivePath // [queue]; nil slice in baseline mode
-	eps      []*tcp.Endpoint
+	eps      []*tcp.Endpoint     // timer and accounting list; nil: a retired endpoint's slot
 	framesIn uint64
 	polling  [][]bool // NAPI poll lists: [nic][queue] with signaled irq
 	wired    bool     // interrupts routed via WireInterrupts
@@ -123,6 +123,11 @@ type FrontEnd struct {
 	// record into, and the per-CPU stamp clock behind every stage stamp.
 	telCol     *telemetry.Collector
 	stampClock func(cpu int) uint64
+
+	// free holds retired endpoints for OpenEndpoint to reset and reuse;
+	// retired totals their counters as they were at retirement.
+	free    []*tcp.Endpoint
+	retired tcp.Stats
 }
 
 // Init builds the front end in place. owners is the bucket→CPU map the
@@ -431,10 +436,36 @@ func (fe *FrontEnd) RegisterEndpoint(ep *tcp.Endpoint, remoteIP, localIP [4]byte
 	return nil
 }
 
+// OpenEndpoint creates an endpoint for cfg that charges this machine and
+// reads virtual time from clock, and registers it like RegisterEndpoint.
+// A retired endpoint is reset and reused when there is one. It returns the
+// endpoint and its slot in Endpoints, the handle RetireEndpoint takes.
+func (fe *FrontEnd) OpenEndpoint(cfg tcp.Config, clock tcp.Clock, remoteIP, localIP [4]byte, remotePort, localPort uint16) (*tcp.Endpoint, int, error) {
+	var ep *tcp.Endpoint
+	if n := len(fe.free); n > 0 {
+		ep = fe.free[n-1]
+		if err := ep.Reset(cfg, &fe.Meter, &fe.Params, fe.Alloc, clock); err != nil {
+			return nil, 0, err
+		}
+		fe.free = fe.free[:n-1]
+	} else {
+		var err error
+		if ep, err = tcp.New(cfg, &fe.Meter, &fe.Params, fe.Alloc, clock); err != nil {
+			return nil, 0, err
+		}
+	}
+	slot := len(fe.eps)
+	if err := fe.RegisterEndpoint(ep, remoteIP, localIP, remotePort, localPort); err != nil {
+		fe.free = append(fe.free, ep) // never registered: as good as retired
+		return nil, 0, err
+	}
+	return ep, slot, nil
+}
+
 // UnregisterEndpoint removes an endpoint from the demux table (connection
 // teardown), dropping any steering rule programmed for it. The endpoint
-// stays on the machine's timer/accounting list so bytes it delivered
-// remain counted.
+// stays on the machine's timer/accounting list until RetireEndpoint takes
+// it off.
 func (fe *FrontEnd) UnregisterEndpoint(remoteIP, localIP [4]byte, remotePort, localPort uint16) {
 	fe.Stack.Unregister(remoteIP, localIP, remotePort, localPort)
 	t := nic.FlowTuple{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}
@@ -443,8 +474,43 @@ func (fe *FrontEnd) UnregisterEndpoint(remoteIP, localIP [4]byte, remotePort, lo
 	}
 }
 
-// Endpoints returns the registered endpoints in registration order.
+// RetireEndpoint ends the life of the unregistered endpoint in slot (from
+// OpenEndpoint): its counters fold into EndpointStats' retired total, the
+// slot becomes a nil tombstone, so Endpoints keeps its length and
+// positions, and the endpoint waits on the free list for OpenEndpoint.
+// Nothing reaches a quiescent unregistered endpoint, so retiring it
+// changes no result. An endpoint that is not quiescent (an armed timer or
+// queued out-of-order data) stays on the timer list, and RetireEndpoint
+// reports false; it reports true once the slot is retired, now or before.
+func (fe *FrontEnd) RetireEndpoint(slot int) bool {
+	ep := fe.eps[slot]
+	if ep == nil {
+		return true
+	}
+	if !ep.Quiescent() {
+		return false
+	}
+	fe.retired = fe.retired.Add(ep.Stats())
+	fe.eps[slot] = nil
+	fe.free = append(fe.free, ep)
+	return true
+}
+
+// Endpoints returns the registered endpoints in registration order. A
+// retired endpoint's slot holds nil.
 func (fe *FrontEnd) Endpoints() []*tcp.Endpoint { return fe.eps }
+
+// EndpointStats returns the counters of every endpoint ever registered,
+// retired ones included: sums, with OOOPeak the largest.
+func (fe *FrontEnd) EndpointStats() tcp.Stats {
+	total := fe.retired
+	for _, ep := range fe.eps {
+		if ep != nil {
+			total = total.Add(ep.Stats())
+		}
+	}
+	return total
+}
 
 // HostPacketsIn returns host packets delivered to the stack.
 func (fe *FrontEnd) HostPacketsIn() uint64 { return fe.Stack.Stats().HostPacketsIn }

@@ -113,9 +113,11 @@ type Stack struct {
 
 	// memPeak is the high-water MemStats total; twEvicted collects the
 	// keys of pressure-evicted TIME_WAIT flows until the next reap drains
-	// them (so callers release peer-side state through one path).
+	// them (so callers release peer-side state through one path), and
+	// twReaped is ReapTimeWait's result storage.
 	memPeak   uint64
 	twEvicted []FlowKey
+	twReaped  []FlowKey
 
 	// output is s.Output bound once: every registration assigns it, so
 	// registering does not allocate a method value per endpoint.

@@ -33,6 +33,10 @@ import (
 //     are never inspected). O(1) amortized per entry, independent of
 //     how many entries linger.
 //
+// A slot is an intrusive list threaded through the entries, and an
+// entry that leaves the wheel goes to the table's free list, so a warm
+// table links and unlinks entries without allocating.
+//
 // Cycle charges scale with the real touches (entry init, bucket link,
 // map update, demux removal), priced through the machine's memory model
 // like every other per-packet cost, instead of the single flat lock
@@ -70,6 +74,41 @@ type twEntry struct {
 	// whenever its slot is next swept (O(1) unlink without scanning the
 	// slot at reuse time).
 	dead bool
+	// next links the entry into its wheel slot, or into the free list
+	// once it has left the wheel.
+	next *twEntry
+}
+
+// twSlot is one wheel slot: a deadline-sorted list of entries.
+type twSlot struct{ head, tail *twEntry }
+
+// link inserts e in deadline order, after any entry with an equal
+// deadline. Deadlines arrive (near-)monotone — now + a fixed linger, or
+// a monotone seeded spread — so the append at the tail is the common
+// case.
+func (s *twSlot) link(e *twEntry) {
+	switch {
+	case s.tail == nil:
+		s.head, s.tail = e, e
+	case s.tail.deadline <= e.deadline:
+		s.tail.next, s.tail = e, e
+	default:
+		p := &s.head
+		for (*p).deadline <= e.deadline {
+			p = &(*p).next
+		}
+		e.next, *p = *p, e
+	}
+}
+
+// pop unlinks and returns the slot's first entry.
+func (s *twSlot) pop() *twEntry {
+	e := s.head
+	s.head, e.next = e.next, nil
+	if s.head == nil {
+		s.tail = nil
+	}
+	return e
 }
 
 // twShard is one shard of the table: the entries whose RSS hash falls in
@@ -77,7 +116,7 @@ type twEntry struct {
 // shard of the same index.
 type twShard struct {
 	entries map[FlowKey]*twEntry
-	wheel   [twWheelSlots][]*twEntry
+	wheel   [twWheelSlots]twSlot
 	cursor  uint64 // next wheel tick not yet swept
 	live    int    // entries excluding tombstones
 	tombs   int    // dead entries still linked in wheel slots
@@ -118,6 +157,27 @@ type timeWaitTable struct {
 
 	entered, reaped, reused, refused uint64
 	evicted, pressureRefused         uint64
+
+	// free lists the entries that have left both the map and the wheel,
+	// for newEntry to reuse.
+	free *twEntry
+}
+
+// newEntry returns a zeroed entry, reusing a freed one when it can.
+func (t *timeWaitTable) newEntry() *twEntry {
+	e := t.free
+	if e == nil {
+		return new(twEntry)
+	}
+	t.free = e.next
+	*e = twEntry{}
+	return e
+}
+
+// freeEntry returns an entry that is in neither the map nor the wheel to
+// the free list.
+func (t *timeWaitTable) freeEntry(e *twEntry) {
+	e.next, t.free = t.free, e
 }
 
 func newTimeWaitTable(shards int) *timeWaitTable {
@@ -146,7 +206,7 @@ func (t *timeWaitTable) configure(maxBuckets int, evictOldest bool) {
 func (sh *twShard) oldest() *twEntry {
 	var best *twEntry
 	for i := range sh.wheel {
-		for _, e := range sh.wheel[i] {
+		for e := sh.wheel[i].head; e != nil; e = e.next {
 			if e.dead {
 				continue
 			}
@@ -194,15 +254,8 @@ func (t *timeWaitTable) insert(shard int, e *twEntry) (bool, *twEntry) {
 		sh.cursor = tick
 	}
 	// Keep the slot deadline-sorted so reaping can stop at the first
-	// not-yet-due entry. Deadlines arrive (near-)monotone — now + a
-	// fixed linger, or a monotone seeded spread — so the scan from the
-	// back is O(1) in practice.
-	slot := tick % twWheelSlots
-	b := append(sh.wheel[slot], e)
-	for i := len(b) - 1; i > 0 && b[i-1].deadline > b[i].deadline; i-- {
-		b[i-1], b[i] = b[i], b[i-1]
-	}
-	sh.wheel[slot] = b
+	// not-yet-due entry.
+	sh.wheel[tick%twWheelSlots].link(e)
 	sh.entries[e.key] = e
 	sh.live++
 	t.live++
@@ -231,13 +284,14 @@ func (t *timeWaitTable) recycle(shard int, e *twEntry) {
 }
 
 // reap sweeps every shard's elapsed wheel ticks, invoking each for every
-// entry whose deadline has passed. Only slots whose tick elapsed are
-// touched, a slot is walked at most once per sweep (ticks repeat with
-// period twWheelSlots, so a sweep that fell behind clamps to one lap),
-// and within a slot only the deadline-sorted due prefix is consumed —
-// the first not-yet-due entry ends the slot, so later-lap entries
-// hashed into it are never inspected. Tombstones are dropped as their
-// deadlines come due (or wholesale once the shard has no live entry).
+// entry whose deadline has passed; the entry is freed for reuse once each
+// returns. Only slots whose tick elapsed are touched, a slot is walked at
+// most once per sweep (ticks repeat with period twWheelSlots, so a sweep
+// that fell behind clamps to one lap), and within a slot only the
+// deadline-sorted due prefix is consumed — the first not-yet-due entry
+// ends the slot, so later-lap entries hashed into it are never
+// inspected. Tombstones are dropped as their deadlines come due (or
+// wholesale once the shard has no live entry).
 func (t *timeWaitTable) reap(now uint64, each func(*twEntry)) {
 	nowTick := now / twTickNs
 	for si := range t.shards {
@@ -247,7 +301,9 @@ func (t *timeWaitTable) reap(now uint64, each func(*twEntry)) {
 				// Every remaining link is a tombstone: drop them all
 				// rather than waiting for their slots' ticks.
 				for i := range sh.wheel {
-					sh.wheel[i] = nil
+					for sh.wheel[i].head != nil {
+						t.freeEntry(sh.wheel[i].pop())
+					}
 				}
 				sh.tombs = 0
 			}
@@ -262,16 +318,12 @@ func (t *timeWaitTable) reap(now uint64, each func(*twEntry)) {
 			start = nowTick - twWheelSlots
 		}
 		for tick := start; tick < nowTick; tick++ {
-			b := sh.wheel[tick%twWheelSlots]
-			if len(b) == 0 {
-				continue
-			}
-			due := 0
-			for due < len(b) && now >= b[due].deadline {
-				e := b[due]
-				due++
+			slot := &sh.wheel[tick%twWheelSlots]
+			for slot.head != nil && now >= slot.head.deadline {
+				e := slot.pop()
 				if e.dead {
 					sh.tombs--
+					t.freeEntry(e)
 					continue
 				}
 				delete(sh.entries, e.key)
@@ -279,15 +331,7 @@ func (t *timeWaitTable) reap(now uint64, each func(*twEntry)) {
 				t.live--
 				t.reaped++
 				each(e)
-			}
-			if due > 0 {
-				// Shift the (typically short) remainder down so the due
-				// prefix's entries are collectable.
-				n := copy(b, b[due:])
-				for i := n; i < len(b); i++ {
-					b[i] = nil
-				}
-				sh.wheel[tick%twWheelSlots] = b[:n]
+				t.freeEntry(e)
 			}
 		}
 		sh.cursor = nowTick
@@ -370,12 +414,14 @@ func (s *Stack) EnterTimeWait(remoteIP, localIP ipv4.Addr, remotePort, localPort
 	if ep == nil {
 		return false
 	}
-	e := &twEntry{key: k, deadline: deadline, lastTS: ep.TSRecent(), rcvNxt: ep.RcvNxt()}
+	e := s.tw.newEntry()
+	*e = twEntry{key: k, deadline: deadline, lastTS: ep.TSRecent(), rcvNxt: ep.RcvNxt()}
 	ok, victim := s.tw.insert(s.table.ShardOf(k), e)
 	if victim != nil {
 		s.dropEvicted(victim)
 	}
 	if !ok {
+		s.tw.freeEntry(e)
 		return false
 	}
 	s.stats.TimeWaitEntered++
@@ -391,12 +437,14 @@ func (s *Stack) EnterTimeWait(remoteIP, localIP ipv4.Addr, remotePort, localPort
 // reap is simply a no-op); lastTS and rcvNxt seed the reuse check. It
 // reports false on a duplicate.
 func (s *Stack) SeedTimeWait(k FlowKey, deadline uint64, lastTS, rcvNxt uint32) bool {
-	e := &twEntry{key: k, deadline: deadline, lastTS: lastTS, rcvNxt: rcvNxt}
+	e := s.tw.newEntry()
+	*e = twEntry{key: k, deadline: deadline, lastTS: lastTS, rcvNxt: rcvNxt}
 	ok, victim := s.tw.insert(s.table.ShardOf(k), e)
 	if victim != nil {
 		s.dropEvicted(victim)
 	}
 	if !ok {
+		s.tw.freeEntry(e)
 		return false
 	}
 	s.stats.TimeWaitEntered++
@@ -462,20 +510,21 @@ func (s *Stack) TimeWaitHas(remoteIP, localIP ipv4.Addr, remotePort, localPort u
 // ReapTimeWait unregisters every TIME_WAIT flow whose deadline tick has
 // elapsed at virtual time now, returning the reaped keys — including any
 // flows pressure-evicted since the last sweep — so the caller releases
-// any peer-side state keyed on them. Teardown is receive-path work: each
-// reap charges the wheel unlink, map delete and demux-table update like
-// any other non-proto mutation — and nothing else, however many entries
-// still linger.
+// any peer-side state keyed on them. The returned slice is valid until
+// the next call. Teardown is receive-path work: each reap charges the
+// wheel unlink, map delete and demux-table update like any other
+// non-proto mutation — and nothing else, however many entries still
+// linger.
 func (s *Stack) ReapTimeWait(now uint64) []FlowKey {
-	reaped := s.twEvicted
-	s.twEvicted = nil
+	s.twReaped = append(s.twReaped[:0], s.twEvicted...)
+	s.twEvicted = s.twEvicted[:0]
 	s.tw.reap(now, func(e *twEntry) {
 		registered := s.table.Remove(e.key)
 		s.chargeTWRemove(registered)
 		s.stats.TimeWaitReaped++
-		reaped = append(reaped, e.key)
+		s.twReaped = append(s.twReaped, e.key)
 	})
-	return reaped
+	return s.twReaped
 }
 
 // TimeWaitLen returns the number of flows lingering in TIME_WAIT.

@@ -132,6 +132,8 @@ type NIC struct {
 	rxq   []rxQueue
 	indir *rss.Map
 	rules map[FlowTuple]*flowRule
+	// ruleFree holds removed and evicted rule records for reuse.
+	ruleFree []*flowRule
 
 	// bucketFrames counts received frames per RSS bucket — the load
 	// observation a rebalancing policy steers by.

@@ -74,17 +74,26 @@ func (n *NIC) ProgramFlowRule(t FlowTuple, queue int) (evicted *FlowTuple, err e
 		evicted = &victim
 	}
 	n.ruleClock++
-	n.rules[t] = &flowRule{queue: queue, lastHit: n.ruleClock}
+	var r *flowRule
+	if k := len(n.ruleFree); k > 0 {
+		r, n.ruleFree = n.ruleFree[k-1], n.ruleFree[:k-1]
+	} else {
+		r = new(flowRule)
+	}
+	*r = flowRule{queue: queue, lastHit: n.ruleClock}
+	n.rules[t] = r
 	n.ruleStats.Programmed++
 	return evicted, nil
 }
 
 // RemoveFlowRule drops t's rule, reporting whether it existed.
 func (n *NIC) RemoveFlowRule(t FlowTuple) bool {
-	if _, ok := n.rules[t]; !ok {
+	r, ok := n.rules[t]
+	if !ok {
 		return false
 	}
 	delete(n.rules, t)
+	n.ruleFree = append(n.ruleFree, r)
 	n.ruleStats.Removed++
 	return true
 }
@@ -108,6 +117,7 @@ func (n *NIC) evictLRURule() FlowTuple {
 		return tupleLess(candidates[i], candidates[j])
 	})
 	victim := candidates[0]
+	n.ruleFree = append(n.ruleFree, n.rules[victim])
 	delete(n.rules, victim)
 	n.ruleStats.Evicted++
 	return victim

@@ -98,7 +98,7 @@ func (r *rpcDriver) openConn(c int) error {
 		return err
 	}
 
-	rep, err := top.openReceiver(senderIP, rcvIP, sPort, rPort, 0)
+	rep, _, err := top.openReceiver(senderIP, rcvIP, sPort, rPort, 0)
 	if err != nil {
 		return err
 	}
@@ -229,7 +229,7 @@ func RunRR(cfg RRConfig) (RRResult, error) {
 	if err != nil {
 		return RRResult{}, err
 	}
-	serverEP, err := top.openReceiver(clientIP, serverIP, 5001, 44000, 0)
+	serverEP, _, err := top.openReceiver(clientIP, serverIP, 5001, 44000, 0)
 	if err != nil {
 		return RRResult{}, err
 	}

@@ -49,6 +49,8 @@ type SenderMachine struct {
 
 	conns   []*senderConn
 	byPort  map[uint16]*senderConn
+	free    []*senderConn // removed conns, reset and reused by addConn
+	connCfg tcp.Config    // addConn's scratch config
 	rrIdx   int
 	rrLeft  int
 	pending fifo[[]byte] // retransmissions and pure-ACK frames awaiting the link
@@ -66,6 +68,11 @@ type SenderMachine struct {
 	// OnWindowOpen is invoked when an ACK arrival may have opened a
 	// window (the link uses it to resume pulling).
 	OnWindowOpen func()
+
+	// retransmitFn and outputFn are retransmit and output, bound once:
+	// every connection's endpoint hooks point at them.
+	retransmitFn func([]byte)
+	outputFn     func(*buf.SKB)
 }
 
 type senderConn struct {
@@ -113,6 +120,7 @@ func NewSender(s *Sim, quantum int) *SenderMachine {
 		byPort:  make(map[uint16]*senderConn),
 	}
 	m.alloc = buf.NewAllocator(&m.meter, &m.params)
+	m.retransmitFn, m.outputFn = m.retransmit, m.output
 	return m
 }
 
@@ -181,11 +189,14 @@ func PatternPayloadSum(seq uint32, b []byte) uint16 {
 	return checksum.Fold64(acc, carry)
 }
 
+// addConn opens a connection on localPort, reusing a removed one's
+// endpoint and record when there is one.
 func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePort uint16) (*tcp.Endpoint, error) {
 	if _, dup := m.byPort[localPort]; dup {
 		return nil, fmt.Errorf("sim: duplicate sender port %d", localPort)
 	}
-	cfg := tcp.DefaultConfig()
+	cfg := &m.connCfg
+	*cfg = tcp.DefaultConfig()
 	cfg.LocalIP, cfg.RemoteIP = localIP, remoteIP
 	cfg.LocalPort, cfg.RemotePort = localPort, remotePort
 	cfg.Source = PatternPayloadSum
@@ -194,30 +205,46 @@ func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 		m.NextISS = 0
 	}
 	if m.ConfigConn != nil {
-		m.ConfigConn(&cfg)
+		m.ConfigConn(cfg)
 	}
-	ep, err := tcp.New(cfg, &m.meter, &m.params, m.alloc, m.sim.Clock())
-	if err != nil {
-		return nil, err
+	var c *senderConn
+	if n := len(m.free); n > 0 {
+		c = m.free[n-1]
+		if err := c.ep.Reset(*cfg, &m.meter, &m.params, m.alloc, m.sim.Clock()); err != nil {
+			return nil, err
+		}
+		m.free = m.free[:n-1]
+	} else {
+		ep, err := tcp.New(*cfg, &m.meter, &m.params, m.alloc, m.sim.Clock())
+		if err != nil {
+			return nil, err
+		}
+		c = &senderConn{ep: ep}
 	}
+	*c = senderConn{ep: c.ep, localPort: localPort}
+	ep := c.ep
 	ep.SetRecoveryRecorder(m.RecoveryRec)
-	ep.OnRetransmit = func(f []byte) {
-		m.pending.push(f)
-		m.kick()
-	}
-	// Pure ACKs from the sender's receive half (it receives only ACKs in
-	// stream mode, but the RR client receives data) go out as frames: the
-	// frame buffer leaves with the link, and only the SKB is freed.
-	ep.Output = func(skb *buf.SKB) {
-		m.pending.push(skb.Head)
-		skb.Pooled = false
-		m.alloc.Free(skb)
-		m.kick()
-	}
-	c := &senderConn{ep: ep, localPort: localPort}
+	ep.OnRetransmit = m.retransmitFn
+	ep.Output = m.outputFn
 	m.conns = append(m.conns, c)
 	m.byPort[localPort] = c
 	return ep, nil
+}
+
+// retransmit queues a retransmitted frame for the link.
+func (m *SenderMachine) retransmit(f []byte) {
+	m.pending.push(f)
+	m.kick()
+}
+
+// output queues a pure ACK from a connection's receive half (it receives
+// only ACKs in stream mode, but the RR client receives data) as a frame:
+// the frame buffer leaves with the link, and only the SKB is freed.
+func (m *SenderMachine) output(skb *buf.SKB) {
+	m.pending.push(skb.Head)
+	skb.Pooled = false
+	m.alloc.Free(skb)
+	m.kick()
 }
 
 func (m *SenderMachine) kick() {
@@ -253,7 +280,9 @@ func (m *SenderMachine) FinishConn(localPort uint16) {
 // long churn runs do not accumulate dead conns in the round-robin scan.
 // Call only after the flow has drained (FinishConn plus a grace period);
 // frames arriving for the port afterwards are ignored like any frame for
-// an unknown port.
+// an unknown port. The connection's endpoint and record wait on a free
+// list for the next addConn to reset, so the endpoint AddConn returned
+// for the port must not be used afterwards.
 func (m *SenderMachine) RemoveConn(localPort uint16) {
 	c, ok := m.byPort[localPort]
 	if !ok {
@@ -274,6 +303,7 @@ func (m *SenderMachine) RemoveConn(localPort uint16) {
 	} else if m.rrIdx >= len(m.conns) {
 		m.rrIdx = 0
 	}
+	m.free = append(m.free, c)
 }
 
 // takeFrame asks one connection for its next data frame, honoring the

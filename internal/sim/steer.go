@@ -199,13 +199,18 @@ func (sc *steerController) onSockRead(k netstack.FlowKey, hash uint32, appCPU, c
 // threads mid-stream. The next delivery's socket-read observation makes
 // aRFS chase it.
 func (sc *steerController) migrateTick() {
-	// The machine's endpoint list retains torn-down flows (for byte
-	// accounting); they are unpinned at teardown, so scan for the next
-	// live pinned application rather than wasting the tick on a corpse.
+	// The machine's endpoint list keeps a slot for every flow ever
+	// opened: a retired flow's slot is nil, and a torn-down flow that
+	// could not be retired yet is unpinned at teardown. Scan for the
+	// next live pinned application rather than wasting the tick on
+	// either.
 	eps := sc.top.machine.Endpoints()
 	for tries := 0; tries < len(eps); tries++ {
 		ep := eps[sc.migrateIdx%len(eps)]
 		sc.migrateIdx++
+		if ep == nil {
+			continue
+		}
 		if cur := ep.AppCPU(); cur >= 0 {
 			ep.SetAppCPU((cur + 1) % sc.top.machine.SteerTargets())
 			sc.appMigrations++

@@ -178,7 +178,7 @@ func (sc *stormController) reconnect(v flowRecord) {
 			// the rest of its state exactly like a reap would.
 			delete(tr.inTW, k)
 			sc.staleEps = append(sc.staleEps, staleEp{ep: rec.ep, bytes: rec.ep.Stats().BytesToApp})
-			tr.release(rec)
+			tr.releaseWatched(rec)
 			if sc.noTS {
 				// Dial with the very ISN the check admitted.
 				top.gen.nextISN = isn

@@ -538,11 +538,10 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 		startRounds = top.rpc.rounds
 	}
 	startSnap := top.machine.Meter.Snapshot()
-	startBytes := appBytes(top.machine)
+	startEP := top.machine.EndpointStats()
 	startFrames := top.machine.NetFramesIn()
 	startHost := top.machine.HostPacketsIn()
 	startBusy := top.cpu.perCPUBusy()
-	startOOO := oooSegs(top.machine)
 	startDemux := top.machine.FlowTable().DemuxCycles()
 	startLoss := senderLossStats(top.senders)
 
@@ -550,7 +549,8 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 
 	endSnap := top.machine.Meter.Snapshot()
 	delta := endSnap.Sub(startSnap)
-	bytes := appBytes(top.machine) - startBytes
+	endEP := top.machine.EndpointStats()
+	bytes := endEP.BytesToApp - startEP.BytesToApp
 	frames := top.machine.NetFramesIn() - startFrames
 	host := top.machine.HostPacketsIn() - startHost
 	endBusy := top.cpu.perCPUBusy()
@@ -603,12 +603,8 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	if top.steer != nil {
 		res.Steer = top.steer.report()
 	}
-	res.OOOSegs = oooSegs(top.machine) - startOOO
-	for _, ep := range top.machine.Endpoints() {
-		if p := ep.Stats().OOOPeak; p > res.OOOPeak {
-			res.OOOPeak = p
-		}
-	}
+	res.OOOSegs = endEP.OOOSegs - startEP.OOOSegs
+	res.OOOPeak = endEP.OOOPeak
 	for _, rp := range top.machine.ReceivePaths() {
 		st := rp.Engine().Stats()
 		res.EngineAgg = append(res.EngineAgg, st)
@@ -631,29 +627,11 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	return res, nil
 }
 
-// oooSegs sums the receiver endpoints' out-of-order queue insertions.
-func oooSegs(m *frontend.FrontEnd) uint64 {
-	var total uint64
-	for _, ep := range m.Endpoints() {
-		total += ep.Stats().OOOSegs
-	}
-	return total
-}
-
 // linkGoodputMbps is the per-link TCP goodput ceiling for MSS-sized
 // segments: 1448 payload bytes per 1538 wire bytes.
 func linkGoodputMbps() float64 {
 	const frameWire = 14 + 20 + 32 + 1448 + 24 // header+payload+overheads
 	return 1000 * 1448 / float64(frameWire)
-}
-
-// appBytes sums delivered application bytes over the receiver endpoints.
-func appBytes(m *frontend.FrontEnd) uint64 {
-	var total uint64
-	for _, ep := range m.Endpoints() {
-		total += ep.Stats().BytesToApp
-	}
-	return total
 }
 
 // buildStream wires the full stream experiment: the topology, the bulk
@@ -886,6 +864,9 @@ func (top *streamTopology) start(sweepNs uint64) {
 	sweep = func() {
 		now := s.Now()
 		for _, ep := range top.machine.Endpoints() {
+			if ep == nil {
+				continue // retired
+			}
 			if d := ep.NextTimeout(); d != 0 && now >= d {
 				ep.OnTimeout(now)
 			}
@@ -916,10 +897,9 @@ func (cfg *StreamConfig) connOptions(c *tcp.Config) {
 
 // openReceiver builds the receiver endpoint of the connection
 // senderIP:sPort → rcvIP:rPort with the run's options and registers it
-// with the machine. A nonzero irs fixes the initial receive sequence
-// number.
-func (top *streamTopology) openReceiver(senderIP, rcvIP ipv4.Addr, sPort, rPort uint16, irs uint32) (*tcp.Endpoint, error) {
-	m := top.machine
+// with the machine, returning it with its endpoint-list slot. A nonzero
+// irs fixes the initial receive sequence number.
+func (top *streamTopology) openReceiver(senderIP, rcvIP ipv4.Addr, sPort, rPort uint16, irs uint32) (*tcp.Endpoint, int, error) {
 	rcfg := tcp.DefaultConfig()
 	rcfg.LocalIP, rcfg.RemoteIP = rcvIP, senderIP
 	rcfg.LocalPort, rcfg.RemotePort = rPort, sPort
@@ -928,14 +908,7 @@ func (top *streamTopology) openReceiver(senderIP, rcvIP ipv4.Addr, sPort, rPort 
 	if irs != 0 {
 		rcfg.IRS = irs
 	}
-	ep, err := tcp.New(rcfg, &m.Meter, &m.Params, m.Alloc, top.sim.Clock())
-	if err != nil {
-		return nil, err
-	}
-	if err := m.RegisterEndpoint(ep, senderIP, rcvIP, sPort, rPort); err != nil {
-		return nil, err
-	}
-	return ep, nil
+	return top.machine.OpenEndpoint(rcfg, top.sim.Clock(), senderIP, rcvIP, sPort, rPort)
 }
 
 // cpuSet schedules the receiver's softirq CPUs on virtual time: each

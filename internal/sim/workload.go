@@ -24,6 +24,7 @@ type flowRecord struct {
 	senderIP, rcvIP ipv4.Addr
 	sPort, rPort    uint16
 	ep              *tcp.Endpoint // the receiver endpoint
+	slot            int           // ep's slot on the machine's endpoint list
 }
 
 // key returns the demux key the receiver sees for this flow.
@@ -183,7 +184,7 @@ func (g *flowGen) open(n int, sPort, rPort uint16) error {
 		return err
 	}
 
-	ep, err := top.openReceiver(senderIP, rcvIP, sPort, rPort, isn)
+	ep, slot, err := top.openReceiver(senderIP, rcvIP, sPort, rPort, isn)
 	if err != nil {
 		return err
 	}
@@ -195,7 +196,7 @@ func (g *flowGen) open(n int, sPort, rPort uint16) error {
 		g.appCPU++
 	}
 	g.live = append(g.live, flowRecord{nicIdx: n, senderIP: senderIP, rcvIP: rcvIP,
-		sPort: sPort, rPort: rPort, ep: ep})
+		sPort: sPort, rPort: rPort, ep: ep, slot: slot})
 	if g.onOpen != nil {
 		g.onOpen(ep)
 	}
@@ -270,6 +271,13 @@ type teardownTracker struct {
 	draining []drainingFlow                  // FIN in flight, not yet closed
 	inTW     map[netstack.FlowKey]flowRecord // lingering in TIME_WAIT
 	onReap   func(flowRecord)                // after-release hook (port recycling)
+
+	// lingering holds the endpoint-list slots of released flows whose
+	// receiver endpoint was not quiescent at release. retired and kept
+	// count releases that retired the endpoint at once and those that
+	// left it lingering.
+	lingering     []int
+	retired, kept uint64
 }
 
 func newTeardownTracker(top *streamTopology) *teardownTracker {
@@ -330,13 +338,37 @@ func (tr *teardownTracker) poll(now uint64) {
 			tr.release(rec)
 		}
 	}
+	lingering := tr.lingering[:0]
+	for _, slot := range tr.lingering {
+		if !tr.top.machine.RetireEndpoint(slot) {
+			lingering = append(lingering, slot)
+		}
+	}
+	tr.lingering = lingering
 }
 
-// release drops everything still keyed on a finished flow: the demux
-// entry (a no-op when the reap or a granted reuse already removed it),
-// any NIC steering rule, the sender-side connection, per-flow steering
-// policy state, and — via onReap — the port pool.
+// release drops everything still keyed on a finished flow (see
+// releaseWatched) and retires its receiver endpoint for reuse by a later
+// open. A receiver endpoint that is not quiescent yet — typically a
+// delayed-ACK timer still armed — stays on the machine's timer list and
+// retires at the first poll that finds it quiescent.
 func (tr *teardownTracker) release(rec flowRecord) {
+	tr.releaseWatched(rec)
+	if tr.top.machine.RetireEndpoint(rec.slot) {
+		tr.retired++
+		return
+	}
+	tr.kept++
+	tr.lingering = append(tr.lingering, rec.slot)
+}
+
+// releaseWatched drops everything still keyed on a finished flow: the
+// demux entry (a no-op when the reap or a granted reuse already removed
+// it), any NIC steering rule, the sender-side connection, per-flow
+// steering policy state, and — via onReap — the port pool. The receiver
+// endpoint stays on the machine's list, so a caller that keeps watching
+// it (the restart storm's stale-delivery check) reads the real endpoint.
+func (tr *teardownTracker) releaseWatched(rec flowRecord) {
 	tr.top.machine.UnregisterEndpoint(rec.senderIP, rec.rcvIP, rec.sPort, rec.rPort)
 	tr.top.senders[rec.nicIdx].RemoveConn(rec.sPort)
 	if tr.top.steer != nil {

@@ -242,13 +242,15 @@ type ARFS[K comparable] struct {
 	order []K
 	epoch uint64
 	stats ARFSStats
-	// expired is Expire's result storage, reused every epoch.
+	// expired is Expire's result storage, reused every epoch; seen is
+	// compactOrder's set, cleared between calls.
 	expired []K
+	seen    map[K]bool
 }
 
 // NewARFS creates an empty policy.
 func NewARFS[K comparable]() *ARFS[K] {
-	return &ARFS[K]{desired: make(map[K]arfsEntry)}
+	return &ARFS[K]{desired: make(map[K]arfsEntry), seen: make(map[K]bool)}
 }
 
 // Stats returns a copy of the policy counters.
@@ -292,11 +294,11 @@ func (a *ARFS[K]) Observe(k K, appCPU int) bool {
 // forget/re-observe cycle) so the order slice stays proportional to the
 // tracked flow count even on long churn runs with aging off.
 func (a *ARFS[K]) compactOrder() {
-	seen := make(map[K]bool, len(a.desired))
+	clear(a.seen)
 	live := a.order[:0]
 	for _, k := range a.order {
-		if _, ok := a.desired[k]; ok && !seen[k] {
-			seen[k] = true
+		if _, ok := a.desired[k]; ok && !a.seen[k] {
+			a.seen[k] = true
 			live = append(live, k)
 		}
 	}

@@ -146,6 +146,38 @@ type Stats struct {
 	RecoveryNsSum    uint64 // summed episode durations, virtual ns
 }
 
+// Add returns the counter totals of s and o. OOOPeak, a high-water mark,
+// takes the larger of the two.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		SegsIn:           s.SegsIn + o.SegsIn,
+		SegsOut:          s.SegsOut + o.SegsOut,
+		BytesIn:          s.BytesIn + o.BytesIn,
+		BytesOut:         s.BytesOut + o.BytesOut,
+		BytesToApp:       s.BytesToApp + o.BytesToApp,
+		AcksOut:          s.AcksOut + o.AcksOut,
+		AckPacketsOut:    s.AckPacketsOut + o.AckPacketsOut,
+		AckTemplatesOut:  s.AckTemplatesOut + o.AckTemplatesOut,
+		DupSegs:          s.DupSegs + o.DupSegs,
+		OOOSegs:          s.OOOSegs + o.OOOSegs,
+		OOOPeak:          max(s.OOOPeak, o.OOOPeak),
+		BadCsum:          s.BadCsum + o.BadCsum,
+		AcksIn:           s.AcksIn + o.AcksIn,
+		DupAcksIn:        s.DupAcksIn + o.DupAcksIn,
+		FastRetransmits:  s.FastRetransmits + o.FastRetransmits,
+		RTOs:             s.RTOs + o.RTOs,
+		DelAckTimerFires: s.DelAckTimerFires + o.DelAckTimerFires,
+		FinsOut:          s.FinsOut + o.FinsOut,
+		FinsIn:           s.FinsIn + o.FinsIn,
+		SACKBlocksOut:    s.SACKBlocksOut + o.SACKBlocksOut,
+		SACKBlocksIn:     s.SACKBlocksIn + o.SACKBlocksIn,
+		SACKRetransmits:  s.SACKRetransmits + o.SACKRetransmits,
+		LimitedTransmits: s.LimitedTransmits + o.LimitedTransmits,
+		RecoveryEvents:   s.RecoveryEvents + o.RecoveryEvents,
+		RecoveryNsSum:    s.RecoveryNsSum + o.RecoveryNsSum,
+	}
+}
+
 type oooSegment struct {
 	seq    uint32
 	data   []byte
@@ -262,44 +294,73 @@ type Endpoint struct {
 // New creates an endpoint charging m under p, allocating from alloc, and
 // reading virtual time from clock.
 func New(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, clock Clock) (*Endpoint, error) {
-	if m == nil || p == nil || alloc == nil || clock == nil {
-		return nil, fmt.Errorf("tcp: nil dependency")
-	}
-	if cfg.MSS <= 0 || cfg.MSS > 65000 {
-		return nil, fmt.Errorf("tcp: bad MSS %d", cfg.MSS)
-	}
-	if cfg.RcvWnd <= 0 {
-		return nil, fmt.Errorf("tcp: bad RcvWnd %d", cfg.RcvWnd)
-	}
-	if cfg.DelAckSegments <= 0 {
-		return nil, fmt.Errorf("tcp: bad DelAckSegments %d", cfg.DelAckSegments)
-	}
-	if cfg.InitialCwnd <= 0 {
-		return nil, fmt.Errorf("tcp: bad InitialCwnd %d", cfg.InitialCwnd)
-	}
-	if cfg.Source == nil {
-		cfg.Source = func(seq uint32, b []byte) uint16 {
-			clear(b)
-			return 0
-		}
-	}
-	e := &Endpoint{
-		cfg:       cfg,
-		meter:     m,
-		params:    p,
-		alloc:     alloc,
-		clock:     clock,
-		rcvNxt:    cfg.IRS,
-		sndUna:    cfg.ISS,
-		sndNxt:    cfg.ISS,
-		cwnd:      cfg.InitialCwnd * cfg.MSS,
-		ssthresh:  1 << 30,
-		sndWnd:    cfg.RcvWnd,
-		rcvMSSEst: cfg.MSS,
-		appCPU:    -1,
+	e := new(Endpoint)
+	if err := e.Reset(cfg, m, p, alloc, clock); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
+
+// Reset turns e into the endpoint New(cfg, m, p, alloc, clock) would
+// create, keeping only the storage of its retransmission, out-of-order,
+// pending-ACK and SACK-block slices, so a torn-down connection's endpoint
+// can carry the next one without allocating. Every other field, the
+// Output, AppSink and OnRetransmit hooks and the telemetry recorders
+// included, is reset. Queued out-of-order copies are dropped, not released
+// to the pool, just as dropping the old endpoint would drop them. On a bad
+// config e is left untouched.
+func (e *Endpoint) Reset(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, clock Clock) error {
+	if m == nil || p == nil || alloc == nil || clock == nil {
+		return fmt.Errorf("tcp: nil dependency")
+	}
+	if cfg.MSS <= 0 || cfg.MSS > 65000 {
+		return fmt.Errorf("tcp: bad MSS %d", cfg.MSS)
+	}
+	if cfg.RcvWnd <= 0 {
+		return fmt.Errorf("tcp: bad RcvWnd %d", cfg.RcvWnd)
+	}
+	if cfg.DelAckSegments <= 0 {
+		return fmt.Errorf("tcp: bad DelAckSegments %d", cfg.DelAckSegments)
+	}
+	if cfg.InitialCwnd <= 0 {
+		return fmt.Errorf("tcp: bad InitialCwnd %d", cfg.InitialCwnd)
+	}
+	if cfg.Source == nil {
+		cfg.Source = zeroSource
+	}
+	clear(e.ooo)
+	*e = Endpoint{
+		cfg:         cfg,
+		meter:       m,
+		params:      p,
+		alloc:       alloc,
+		clock:       clock,
+		rcvNxt:      cfg.IRS,
+		sndUna:      cfg.ISS,
+		sndNxt:      cfg.ISS,
+		cwnd:        cfg.InitialCwnd * cfg.MSS,
+		ssthresh:    1 << 30,
+		sndWnd:      cfg.RcvWnd,
+		rcvMSSEst:   cfg.MSS,
+		appCPU:      -1,
+		rtx:         e.rtx[:0],
+		ooo:         e.ooo[:0],
+		pendingAcks: e.pendingAcks[:0],
+		sackBlocks:  e.sackBlocks[:0],
+	}
+	return nil
+}
+
+// zeroSource is the default DataSource: zero payload bytes.
+func zeroSource(seq uint32, b []byte) uint16 {
+	clear(b)
+	return 0
+}
+
+// Quiescent reports whether nothing the endpoint holds can change without
+// new input: no timer is armed and no out-of-order data is queued. A
+// torn-down endpoint that is quiescent can be retired and reused.
+func (e *Endpoint) Quiescent() bool { return e.NextTimeout() == 0 && len(e.ooo) == 0 }
 
 // Stats returns a copy of the endpoint counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
