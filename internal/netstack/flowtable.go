@@ -153,7 +153,7 @@ const (
 	// robin-hood probe distance and an 8-byte endpoint pointer, padded to
 	// a half cache line so two slots share a 64-byte line and a probe run
 	// streams rather than chases. It models a kernel's socket-hash slot
-	// and is deliberately decoupled from the simulator's own 24-byte
+	// and is deliberately decoupled from the simulator's own 18-byte
 	// flowSlot: what the model charges must not follow how Go stores it.
 	FlowSlotBytes = 32
 	// flowShardMinSlots is the initial slot-array size of a shard's first
@@ -172,19 +172,25 @@ const (
 	flowMapDemuxLines = 4
 )
 
-// flowSlot is one open-addressed entry as the simulator stores it: 24
-// bytes and no pointer, so a million-entry table is 25% smaller than the
+// flowSlot is one open-addressed entry as the simulator stores it: 18
+// bytes and no pointer, so a million-entry table is 44% smaller than the
 // priced FlowSlotBytes layout and the garbage collector never scans it.
-// ref is the endpoint's slab handle (FlowTable.eps). dist is the 1-based
+// Every field is 2-byte aligned, so a slot array has no padding: the
+// endpoint's 32-bit slab handle (FlowTable.eps) is stored as two halves
+// behind ref, and the key's hash is not stored at all — the caller's
+// hash picks the home slot, lookups compare the key, and growth, the one
+// place a resident's hash is needed, recomputes it. dist is the 1-based
 // probe distance from the key's home slot (0 = empty); robin-hood
 // insertion keeps it near 1 and bounded, and it doubles as the per-entry
 // probe length the occupancy histogram reports.
 type flowSlot struct {
-	hash uint32
-	ref  uint32
-	dist uint16
-	key  FlowKey
+	key          FlowKey
+	dist         uint16
+	refLo, refHi uint16
 }
+
+// ref returns the slot's endpoint handle.
+func (sl *flowSlot) ref() uint32 { return uint32(sl.refHi)<<16 | uint32(sl.refLo) }
 
 // flowShard is one shard: a private demux structure (map- or slot-
 // backed, by the table's layout) plus per-shard receive counters,
@@ -390,8 +396,8 @@ func (s *flowShard) openLookup(h uint32, k FlowKey) (uint32, int) {
 		if sl.dist == 0 || sl.dist < p {
 			return 0, int(p)
 		}
-		if sl.hash == h && sl.key == k {
-			return sl.ref, int(p)
+		if sl.key == k {
+			return sl.ref(), int(p)
 		}
 		i = (i + 1) & mask
 	}
@@ -412,37 +418,39 @@ func openSlotsFor(slots, used int) int {
 }
 
 // openGrow resizes the slot array to n slots and rehashes every resident
-// entry in old-slot order. An array with spare capacity (InsertBatch
-// reserves it, zeroed) grows in place: the old entries are staged in
-// scratch, which is returned for reuse. Otherwise a fresh array is
-// allocated and scratch is returned untouched.
-func (s *flowShard) openGrow(n int, scratch []flowSlot) []flowSlot {
+// entry in old-slot order, recomputing each one's hash from its key. An
+// array with spare capacity (InsertBatch reserves it, zeroed) grows in
+// place, with the old entries staged in scratch, which InsertBatch sizes
+// to hold them. Otherwise a fresh array is allocated.
+func (s *flowShard) openGrow(n int, scratch []flowSlot) {
 	old := s.slots
 	if cap(old) >= n {
-		scratch = append(scratch[:0], old...)
+		staged := append(scratch[:0], old...)
 		clear(old)
-		old = scratch
-		s.slots = s.slots[:n]
+		s.slots, old = old[:n], staged
 	} else {
 		s.slots = make([]flowSlot, n)
 	}
 	s.used = 0
 	for i := range old {
 		if old[i].dist != 0 {
-			s.openPut(old[i].hash, old[i].key, old[i].ref)
+			s.openPut(hashOf(old[i].key), old[i].key, old[i].ref())
 		}
 	}
-	return scratch
 }
 
-// openPut inserts a key known to be absent, robin-hood displacing richer
-// residents, and returns the number of slots visited. The caller must
+// openPut inserts k, robin-hood displacing richer residents, and returns
+// the number of slots visited and true; if k is already resident it
+// changes nothing and returns false. It compares keys only until the
+// first displacement, which is exactly where openLookup would stop, so
+// its visit count is the probe count of a lookup miss. The caller must
 // have ensured capacity (openSlotsFor), so an empty slot is guaranteed
 // within the probe run.
-func (s *flowShard) openPut(h uint32, k FlowKey, ref uint32) int {
+func (s *flowShard) openPut(h uint32, k FlowKey, ref uint32) (int, bool) {
 	mask := uint32(len(s.slots) - 1)
-	cur := flowSlot{hash: h, ref: ref, dist: 1, key: k}
+	cur := flowSlot{key: k, dist: 1, refLo: uint16(ref), refHi: uint16(ref >> 16)}
 	i := slotIndexHash(h) & mask
+	displaced := false
 	visited := 0
 	for {
 		visited++
@@ -450,12 +458,15 @@ func (s *flowShard) openPut(h uint32, k FlowKey, ref uint32) int {
 		if sl.dist == 0 {
 			*sl = cur
 			s.used++
-			return visited
+			return visited, true
 		}
 		if sl.dist < cur.dist {
 			// Robin hood: the poorer key (further from home) takes the
 			// slot; the displaced resident continues probing.
 			*sl, cur = cur, *sl
+			displaced = true
+		} else if !displaced && sl.key == k {
+			return visited, false
 		}
 		cur.dist++
 		i = (i + 1) & mask
@@ -477,8 +488,8 @@ func (s *flowShard) openRemove(h uint32, k FlowKey) (uint32, int) {
 		if sl.dist == 0 || sl.dist < p {
 			return 0, int(p)
 		}
-		if sl.hash == h && sl.key == k {
-			ref := sl.ref
+		if sl.key == k {
+			ref := sl.ref()
 			for {
 				j := (i + 1) & mask
 				nx := s.slots[j]
@@ -532,7 +543,8 @@ func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 	if n := openSlotsFor(slots, used); n != slots {
 		s.openGrow(n, nil)
 	}
-	t.priceOpenInsert(s, slots, used, s.openPut(h, k, ref))
+	probes, _ := s.openPut(h, k, ref)
+	t.priceOpenInsert(s, slots, used, probes)
 	return nil
 }
 
@@ -566,22 +578,23 @@ func (t *FlowTable) priceOpenInsert(s *flowShard, slots, used, probes int) int {
 // works on one cache-resident shard at a time instead of scattering
 // consecutive inserts over the whole table:
 //
-//  1. Group: hash the keys and counting-sort their indices by shard, then
-//     reserve each touched shard's final slot array, the exact size its
-//     growth sequence ends at.
-//  2. Insert: fill each shard with its keys in index order. Growth doubles
-//     inside the reservation and rehashes in old-slot order, like Insert's
-//     growth, so every slot lands where Insert would put it; each key's
-//     probe count overwrites its index in the grouping. Nothing is
-//     committed until every shard is built, so on a duplicate the batch
-//     discards its work and reruns over the keys before it.
+//  1. Group: hash the keys, record each one's shard and counting-sort
+//     their indices by shard, then reserve each touched shard's final
+//     slot array, the exact size its growth sequence ends at.
+//  2. Insert: fill each shard with its keys in index order, rehashing
+//     each key as it goes. Growth doubles inside the reservation and
+//     rehashes in old-slot order, like Insert's growth, so every slot
+//     lands where Insert would put it; each key's probe count overwrites
+//     its index in the grouping. The put itself detects a duplicate.
+//     Nothing is committed until every shard is built, so on a duplicate
+//     the batch discards its work and reruns over the keys before it.
 //  3. Replay: in index order, apply priceOpenInsert with the recorded
 //     probe counts and the modelled per-shard slot counts.
 //
 // All n keys take the one slab handle Insert's first call would bind, and
-// the later calls reuse. The scratch is two 4-byte words per key: the
-// hashes, and the grouping that becomes the probe counts. The seed-map
-// layout keeps the per-key Insert loop.
+// the later calls reuse. The scratch is five bytes per key: each key's
+// shard, and the 4-byte grouping that becomes the probe counts. The
+// seed-map layout keeps the per-key Insert loop.
 func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
 	if t.layout == LayoutSeedMap {
 		for i := 0; i < n; i++ {
@@ -598,31 +611,34 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 	// Pass 1: group by shard. Shard si's key indices occupy
 	// grouped[start[si]:start[si+1]] in ascending order.
 	nShards := len(t.shards)
-	hashes := make([]uint32, n)
+	// shardOf holds a shard index in a byte: this fails to compile if
+	// the bucket count, which bounds the shard count, outgrows it.
+	const _ uint8 = rss.Buckets - 1
+	shardOf := make([]uint8, n)
 	start := make([]int, nShards+1)
-	for i := range hashes {
-		hashes[i] = hashOf(key(i))
-		start[rss.ShardOf(hashes[i], nShards)+1]++
+	for i := range shardOf {
+		si := rss.ShardOf(hashOf(key(i)), nShards)
+		shardOf[i] = uint8(si)
+		start[si+1]++
 	}
 	for si := 0; si < nShards; si++ {
 		start[si+1] += start[si]
 	}
 	grouped := make([]uint32, n)
 	next := append([]int(nil), start[:nShards]...)
-	for i, h := range hashes {
-		si := rss.ShardOf(h, nShards)
+	for i, si := range shardOf {
 		grouped[next[si]] = uint32(i)
 		next[si]++
 	}
 
-	// Pass 2: build each touched shard in its reserved array, replacing
-	// each placed key's index in grouped by its probe count. model keeps
-	// every shard's pre-batch slot count and occupancy for the replay.
+	// Pass 2: reserve each touched shard's final array, then build each
+	// shard in it, replacing each placed key's index in grouped by its
+	// probe count. model keeps every shard's pre-batch slot count and
+	// occupancy for the replay. A growth stages the old entries in
+	// scratch, sized once for the largest array a growth leaves behind.
 	model := make([]struct{ slots, used int }, nShards)
 	built := make([]flowShard, nShards)
-	ref := t.handleFor(ep)
-	var scratch []flowSlot
-	firstDup := n
+	stage := 0
 	for si := range t.shards {
 		s, w := &t.shards[si], &built[si]
 		model[si].slots, model[si].used = len(s.slots), s.used
@@ -633,23 +649,33 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		for u := s.used; u < s.used+start[si+1]-start[si]; u++ {
 			final = openSlotsFor(final, u)
 		}
+		if final > len(s.slots) {
+			stage = max(stage, final/2)
+		}
 		w.slots = make([]flowSlot, len(s.slots), final)
 		copy(w.slots, s.slots)
 		w.used = s.used
+	}
+	scratch := make([]flowSlot, 0, stage)
+	ref := t.handleFor(ep)
+	firstDup := n
+	for si := range built {
+		w := &built[si]
 		for pos := start[si]; pos < start[si+1]; pos++ {
 			i := int(grouped[pos])
 			if i >= firstDup {
 				break
 			}
-			h, k := hashes[i], key(i)
-			if r, _ := w.openLookup(h, k); r != 0 {
+			if g := openSlotsFor(len(w.slots), w.used); g != len(w.slots) {
+				w.openGrow(g, scratch)
+			}
+			k := key(i)
+			probes, ok := w.openPut(hashOf(k), k, ref)
+			if !ok {
 				firstDup = i
 				break
 			}
-			if g := openSlotsFor(len(w.slots), w.used); g != len(w.slots) {
-				scratch = w.openGrow(g, scratch)
-			}
-			grouped[pos] = uint32(w.openPut(h, k, ref))
+			grouped[pos] = uint32(probes)
 		}
 	}
 	if firstDup < n {
@@ -668,8 +694,7 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 	// Pass 3: replay the accounting in index order. Each shard's probe
 	// counts are consumed in the order they were recorded.
 	copy(next, start[:nShards])
-	for _, h := range hashes {
-		si := rss.ShardOf(h, nShards)
+	for _, si := range shardOf {
 		m := &model[si]
 		m.slots = t.priceOpenInsert(&t.shards[si], m.slots, m.used, int(grouped[next[si]]))
 		m.used++

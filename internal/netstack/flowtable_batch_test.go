@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -150,6 +152,71 @@ func TestInsertBatchDuplicates(t *testing.T) {
 		checkBatchMatchesSerial(t, fmt.Sprintf("%v dup at 0", layout), layout, n,
 			func(int) FlowKey { return key(5001, 44000) })
 	}
+
+	// The open layout's batch finds a duplicate in the put itself, which
+	// grows the shard first if the insert would. Each shape repeats one
+	// of the first m keys as key m.
+	const m = 3000
+	for _, sh := range dupShapes(t, m) {
+		checkBatchMatchesSerial(t, "open dup "+sh.name, LayoutOpenAddressed, m+1, func(i int) FlowKey {
+			if i == m {
+				return diffKey(sh.j)
+			}
+			return diffKey(i)
+		})
+	}
+}
+
+// dupShape names a key j < m whose repeat as key m exercises one path of
+// the batch's duplicate check.
+type dupShape struct {
+	name string
+	j    int
+}
+
+// dupShapes registers the active flows and diffKey(0..m-1) one by one and
+// picks, for each shape, the first key that has it once all m are in:
+//
+//   - in a grown shard: its shard grew (rehashed) after it was
+//     registered;
+//   - behind a displaced run: a lookup of it probes past at least two
+//     other entries first, and its shard will not grow on the repeat;
+//   - that grows its shard: the repeat's insert grows its shard, which
+//     the batch does before its put finds the first copy.
+func dupShapes(t *testing.T, m int) []dupShape {
+	t.Helper()
+	tab, err := NewFlowTable(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := testEndpoint(t, 5001, 44000)
+	prefillActive(t, tab, ep)
+	slotsAt := make([]int, m)
+	for j := range slotsAt {
+		k := diffKey(j)
+		if err := tab.Insert(k, ep); err != nil {
+			t.Fatal(err)
+		}
+		slotsAt[j] = len(tab.shards[tab.ShardOf(k)].slots)
+	}
+	shapes := []dupShape{{"in a grown shard", -1}, {"behind a displaced run", -1}, {"that grows its shard", -1}}
+	for j := 0; j < m; j++ {
+		k := diffKey(j)
+		s := &tab.shards[tab.ShardOf(k)]
+		_, probes := s.openLookup(hashOf(k), k)
+		grows := openSlotsFor(len(s.slots), s.used) != len(s.slots)
+		for i, has := range []bool{slotsAt[j] < len(s.slots), probes >= 3 && !grows, grows} {
+			if has && shapes[i].j < 0 {
+				shapes[i].j = j
+			}
+		}
+	}
+	for _, sh := range shapes {
+		if sh.j < 0 {
+			t.Fatalf("no key among the first %d is %s", m, sh.name)
+		}
+	}
+	return shapes
 }
 
 // TestInsertBatchThenMutate: a batch-built table behaves like an
@@ -178,6 +245,82 @@ func TestInsertBatchThenMutate(t *testing.T) {
 	}
 	checkOpenInvariants(t, batch)
 	requireTablesEqual(t, "after remove and second batch", serial, batch, ms, mb)
+}
+
+// allocTries is how many times allocated calls its function.
+const allocTries = 3
+
+// allocated returns the fewest bytes, by runtime.MemStats.TotalAlloc, that
+// any of allocTries calls of f allocates. Other goroutines' allocations
+// only add to a reading, so the fewest is f's own.
+func allocated(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	var least uint64
+	for try := 0; try < allocTries; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; try == 0 || d < least {
+			least = d
+		}
+	}
+	return least
+}
+
+// heapBytes returns what allocating n values of type T adds to TotalAlloc:
+// the request rounded up to the allocator's size class, or to whole pages
+// for a large object.
+func heapBytes[T any](n int) uint64 {
+	return allocated(func() { runtime.KeepAlive(make([]T, n)) })
+}
+
+// TestInsertBatchHostBytes pins what a batch allocates on the host. A
+// 100k-key batch into a fresh default table allocates exactly:
+//
+//   - each shard's final slot array, at 18 bytes a slot;
+//   - 5 bytes of scratch per key (its shard, then its probe count);
+//   - one growth staging array, half the largest final array;
+//   - per shard, 120 bytes of bookkeeping: the start and next offsets
+//     (8 bytes each, start one longer), the replay model (16) and the
+//     built shard header (an 88-byte flowShard).
+//
+// Each allocation counts at its allocator size (heapBytes), so a slot or
+// scratch regrowth fails here, not only in the benchmark.
+func TestInsertBatchHostBytes(t *testing.T) {
+	const n = 100_000
+	ep := testEndpoint(t, 5001, 44000)
+	tabs := make([]*FlowTable, allocTries)
+	for i := range tabs {
+		var err error
+		if tabs[i], err = NewFlowTable(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	got := allocated(func() {
+		if err := tabs[next].InsertBatch(n, diffKey, ep); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+
+	tab := tabs[0]
+	want := heapBytes[[1]byte](n) + heapBytes[[4]byte](n)
+	stage := 0
+	for si := range tab.shards {
+		slots := len(tab.shards[si].slots)
+		want += heapBytes[[18]byte](slots)
+		stage = max(stage, slots/2)
+	}
+	want += heapBytes[[18]byte](stage)
+	shards := len(tab.shards)
+	want += heapBytes[[8]byte](shards+1) + heapBytes[[8]byte](shards) +
+		heapBytes[[16]byte](shards) + heapBytes[flowShard](shards)
+	if got != want {
+		t.Errorf("InsertBatch(%d keys) allocated %d bytes, want %d", n, got, want)
+	}
 }
 
 // splitmix64 is a small deterministic mixer for fuzz-derived keys.

@@ -158,9 +158,9 @@ func TestFlowLayoutDifferential(t *testing.T) {
 }
 
 // checkOpenInvariants verifies the open layout's structural invariants
-// slot by slot: every resident entry's stored hash matches its key, it
-// lives in the shard the hash selects, its recorded probe distance is
-// exactly its displacement from the home slot, robin-hood ordering holds
+// slot by slot: every resident entry lives in the shard its key's hash
+// selects, its recorded probe distance is exactly its displacement from
+// the home slot (both derived from hashOf(key)), robin-hood ordering holds
 // (an entry at distance d>1 has a predecessor at distance >= d-1, so no
 // lookup can early-exit past a live key), no shard exceeds 3/4 load, and
 // the per-shard used counts sum to Len.
@@ -191,14 +191,11 @@ func checkOpenInvariants(t *testing.T, tab *FlowTable) {
 				continue
 			}
 			used++
-			if sl.hash != hashOf(sl.key) {
-				t.Errorf("shard %d slot %d: stored hash %08x != hashOf(key) %08x",
-					si, j, sl.hash, hashOf(sl.key))
-			}
-			if own := rss.ShardOf(sl.hash, len(tab.shards)); own != si {
+			h := hashOf(sl.key)
+			if own := rss.ShardOf(h, len(tab.shards)); own != si {
 				t.Errorf("shard %d slot %d: key belongs to shard %d", si, j, own)
 			}
-			home := slotIndexHash(sl.hash) & mask
+			home := slotIndexHash(h) & mask
 			wantDist := ((uint32(j) - home) & mask) + 1
 			if uint32(sl.dist) != wantDist {
 				t.Errorf("shard %d slot %d: dist=%d, actual displacement %d",

@@ -29,11 +29,11 @@ func hasPointers(t reflect.Type) bool {
 	return false
 }
 
-// TestFlowSlotLayout pins the simulator's slot: 24 bytes with no pointer,
+// TestFlowSlotLayout pins the simulator's slot: 18 bytes with no pointer,
 // while the priced footprint stays the modelled 32-byte slot.
 func TestFlowSlotLayout(t *testing.T) {
-	if got := unsafe.Sizeof(flowSlot{}); got != 24 {
-		t.Errorf("flowSlot is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(flowSlot{}); got != 18 {
+		t.Errorf("flowSlot is %d bytes, want 18", got)
 	}
 	if hasPointers(reflect.TypeFor[flowSlot]()) {
 		t.Error("flowSlot holds a pointer")
@@ -110,7 +110,7 @@ func checkSlab(t *testing.T, what string, tab *FlowTable) {
 		}
 		for _, sl := range s.slots {
 			if sl.dist != 0 {
-				counts[sl.ref]++
+				counts[sl.ref()]++
 			}
 		}
 	}

@@ -18,7 +18,6 @@
 package rss
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/ipv4"
@@ -96,16 +95,11 @@ func keyWindow(key []byte, off int) uint32 {
 // specification: source address, destination address, source port,
 // destination port, network byte order.
 func HashTCP4(src, dst ipv4.Addr, srcPort, dstPort uint16) uint32 {
-	var in [12]byte
-	copy(in[0:4], src[:])
-	copy(in[4:8], dst[:])
-	binary.BigEndian.PutUint16(in[8:10], srcPort)
-	binary.BigEndian.PutUint16(in[10:12], dstPort)
-	var h uint32
-	for i, b := range in {
-		h ^= toeplitzTable[i][b]
-	}
-	return h
+	t := &toeplitzTable
+	return t[0][src[0]] ^ t[1][src[1]] ^ t[2][src[2]] ^ t[3][src[3]] ^
+		t[4][dst[0]] ^ t[5][dst[1]] ^ t[6][dst[2]] ^ t[7][dst[3]] ^
+		t[8][byte(srcPort>>8)] ^ t[9][byte(srcPort)] ^
+		t[10][byte(dstPort>>8)] ^ t[11][byte(dstPort)]
 }
 
 // Bucket maps a hash to its indirection-table bucket.
