@@ -456,31 +456,22 @@ func BenchmarkTimeWait_RestartStorm(b *testing.B) {
 	}
 }
 
-// BenchmarkConnScale_Demux is the million-flow demux comparison: a
-// skewed 64-flow active subset receiving against a 200k-endpoint
-// registered population, under the cache-conscious open-addressed shards
-// and the seed-style map baseline. The headline metrics are the demux
-// cycles charged per host packet (the capacity-miss excess of walking a
-// mostly-cold table) and the resulting cycles/byte for each layout.
+// BenchmarkConnScale_Demux is the million-flow demux point: a skewed
+// 64-flow active subset receiving against a 200k-endpoint registered
+// population. The headline metrics are the demux cycles charged per host
+// packet (the capacity-miss excess of walking a mostly-cold table) and
+// the resulting cycles/byte.
 func BenchmarkConnScale_Demux(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, layout := range []FlowLayout{LayoutOpenAddressed, LayoutSeedMap} {
-			cfg := DefaultStreamConfig(SystemNativeUP, OptNone)
-			cfg.NICs = 4
-			cfg.Connections = 64
-			cfg.FlowSkew = 1.1
-			cfg.FlowLayout = layout
-			cfg.RegisteredFlows = 200_000
-			res := benchStream(b, cfg)
-			b.ReportMetric(res.DemuxCyclesPerPacket(), "demux_cpp_"+layout.String())
-			b.ReportMetric(res.CyclesPerByte(), "cyc_byte_"+layout.String())
-			if i == 0 {
-				fmt.Printf("connscale %4s @200k: %.0f Mb/s, %.2f cyc/byte, demux %.0f c/pkt, table %.1f MiB, budget peak %.1f MiB\n",
-					layout, res.ThroughputMbps, res.CyclesPerByte(),
-					res.DemuxCyclesPerPacket(),
-					float64(res.Demux.Bytes)/(1<<20),
-					float64(res.Mem.PeakBytes)/(1<<20))
-			}
+		res := benchStream(b, connScaleConfig(200_000))
+		b.ReportMetric(res.DemuxCyclesPerPacket(), "demux_cpp")
+		b.ReportMetric(res.CyclesPerByte(), "cyc_byte")
+		if i == 0 {
+			fmt.Printf("connscale @200k: %.0f Mb/s, %.2f cyc/byte, demux %.0f c/pkt, table %.1f MiB, budget peak %.1f MiB\n",
+				res.ThroughputMbps, res.CyclesPerByte(),
+				res.DemuxCyclesPerPacket(),
+				float64(res.Demux.Bytes)/(1<<20),
+				float64(res.Mem.PeakBytes)/(1<<20))
 		}
 	}
 }

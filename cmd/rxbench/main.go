@@ -785,48 +785,36 @@ func restartStorm() {
 // structural touches price through the capacity-miss model, so at 10k
 // registered the table fits in cache and charges nothing, while at 1M the
 // table is tens of MB and every lookup pays DRAM latency on its cold line
-// touches. The acceptance is the cycles/byte column: flat (≤15%) for the
-// open-addressed layout — a probe run is ~1 streamed line however big the
-// table — while the seed-style map baseline's four dependent chased lines
-// per lookup degrade it measurably. The budget column must scale linearly
-// with the registered population.
+// touches. The acceptance is the cycles/byte column: flat (≤15%), since a
+// probe run is ~1 streamed line however big the table. The budget column
+// must scale linearly with the registered population.
 func connScale() {
 	sys := benchSystem()
 	var cfgs []repro.StreamConfig
-	for _, layout := range []repro.FlowLayout{repro.LayoutOpenAddressed, repro.LayoutSeedMap} {
-		for _, reg := range []int{10_000, 100_000, 1_000_000} {
-			cfg := repro.DefaultStreamConfig(sys, repro.OptNone)
-			cfg.NICs = 4
-			cfg.Connections = 64
-			cfg.FlowSkew = 1.1
-			cfg.FlowLayout = layout
-			cfg.RegisteredFlows = reg
-			cfgs = append(cfgs, cfg)
-		}
+	for _, reg := range []int{10_000, 100_000, 1_000_000} {
+		cfg := repro.DefaultStreamConfig(sys, repro.OptNone)
+		cfg.NICs = 4
+		cfg.Connections = 64
+		cfg.FlowSkew = 1.1
+		cfg.RegisteredFlows = reg
+		cfgs = append(cfgs, cfg)
 	}
 	results, errs := streamMany(cfgs)
 	fmt.Printf("Connection-count scaling (%s, 64 active zipf flows / 4 links, registered population swept)\n", sys)
-	fmt.Printf("%-7s %-11s %9s %9s %12s %10s %6s %9s %10s\n",
-		"layout", "registered", "Mb/s", "cyc/byte", "demux c/pkt", "probe", "load", "table MB", "budget MB")
+	fmt.Printf("%-11s %9s %9s %12s %10s %6s %9s %10s\n",
+		"registered", "Mb/s", "cyc/byte", "demux c/pkt", "probe", "load", "table MB", "budget MB")
 	for i, res := range results {
 		cfg := cfgs[i]
 		if errs[i] != nil {
-			fmt.Printf("%-7s %-11d FAILED: %v\n", cfg.FlowLayout, cfg.RegisteredFlows, errs[i])
+			fmt.Printf("%-11d FAILED: %v\n", cfg.RegisteredFlows, errs[i])
 			continue
 		}
-		probe := "-"
-		load := "-"
-		if cfg.FlowLayout == repro.LayoutOpenAddressed {
-			probe = fmt.Sprintf("%d/%d", res.Demux.ProbeP50, res.Demux.ProbeMax)
-			load = fmt.Sprintf("%.2f", res.Demux.LoadP50)
-		}
-		fmt.Printf("%-7s %-11d %9.0f %9.2f %12.1f %10s %6s %9.1f %10.1f\n",
-			cfg.FlowLayout, cfg.RegisteredFlows, res.ThroughputMbps, res.CyclesPerByte(),
-			res.DemuxCyclesPerPacket(), probe, load,
+		fmt.Printf("%-11d %9.0f %9.2f %12.1f %10s %6.2f %9.1f %10.1f\n",
+			cfg.RegisteredFlows, res.ThroughputMbps, res.CyclesPerByte(), res.DemuxCyclesPerPacket(),
+			fmt.Sprintf("%d/%d", res.Demux.ProbeP50, res.Demux.ProbeMax), res.Demux.LoadP50,
 			float64(res.Demux.Bytes)/(1<<20), float64(res.Mem.PeakBytes)/(1<<20))
 	}
-	fmt.Println("(open: probe runs stream ~1 line, cycles/byte stays flat as the table dwarfs the cache;")
-	fmt.Println(" map: four dependent chased lines per lookup — the per-packet cost grows with population)")
+	fmt.Println("(probe runs stream ~1 line, so cycles/byte stays flat as the table dwarfs the cache)")
 }
 
 // rrIncast is the request/response incast experiment: the receiver fires

@@ -51,8 +51,6 @@ var (
 		"fire a restart storm one quarter into the measured interval against this many seeded TIME_WAIT entries (0 = no storm; enables tw_reuse)")
 	registered = flag.Int("registered", 0,
 		"total registered endpoints including an idle population beyond -conns (0 = active connections only); the connscale axis")
-	layout = flag.String("layout", "open",
-		"flow-table shard layout: open (cache-conscious open addressing), map (seed-style Go map baseline)")
 )
 
 // busiestShards is how many of the busiest flow-table shards are listed.
@@ -95,10 +93,6 @@ func main() {
 	cfg.SACK = *sack
 	cfg.ChurnIntervalNs = uint64(churnEvery.Nanoseconds())
 	cfg.RegisteredFlows = *registered
-	cfg.FlowLayout, err = repro.ParseFlowLayout(*layout)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *stormSize > 0 {
 		cfg.TimeWaitReuse = true
 		cfg.RestartStorm = repro.RestartStormConfig{
@@ -339,19 +333,19 @@ func printShardStats(res repro.StreamResult) {
 	}
 }
 
-// printDemux renders the demux structure summary: layout, footprint and
-// capacity-model charge, and — for the open-addressed layout at scale —
-// the per-shard load-factor spread and the probe-length distribution,
-// the readable replacement for per-shard dumps at 1M endpoints.
+// printDemux renders the demux structure summary: footprint and
+// capacity-model charge, and — once the table holds entries — the
+// per-shard load-factor spread and the probe-length distribution, the
+// readable replacement for per-shard dumps at 1M endpoints.
 func printDemux(res repro.StreamResult) {
 	d := res.Demux
-	fmt.Printf("demux: %s layout, %d entries, %.1f MiB structure, %d cycles charged (%.1f/host pkt)\n",
-		d.Layout, d.Entries, float64(d.Bytes)/(1<<20), res.DemuxCycles, res.DemuxCyclesPerPacket())
+	fmt.Printf("demux: %d entries, %.1f MiB structure, %d cycles charged (%.1f/host pkt)\n",
+		d.Entries, float64(d.Bytes)/(1<<20), res.DemuxCycles, res.DemuxCyclesPerPacket())
 	fmt.Printf("memory budget: %.1f MiB total (%.1f endpoints, %.1f timewait, %.1f table), peak %.1f MiB\n",
 		float64(res.Mem.TotalBytes)/(1<<20), float64(res.Mem.EndpointBytes)/(1<<20),
 		float64(res.Mem.TimeWaitBytes)/(1<<20), float64(res.Mem.TableBytes)/(1<<20),
 		float64(res.Mem.PeakBytes)/(1<<20))
-	if d.Slots == 0 || len(d.ProbeHist) == 0 {
+	if len(d.ProbeHist) == 0 {
 		return
 	}
 	fmt.Printf("shard load factor: min %.2f / p50 %.2f / max %.2f over %d slots\n",

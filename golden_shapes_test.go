@@ -18,7 +18,7 @@ const goldenShapesFile = "testdata/golden_shapes.json"
 // multi-queue scaling, flow churn (moderate and many-flow), dynamic
 // steering, the reorder fault injector with a resequencing window (two and
 // four NICs), the restart storm (prefill-only and partial restart),
-// connection-scale demux under both flow-table layouts, wire corruption,
+// connection-scale demux at 50k registered endpoints, wire corruption,
 // uniform and burst loss, the multi-queue Xen paravirtual path and the RPC
 // incast workload.
 func goldenShapes() map[string]StreamConfig {
@@ -120,16 +120,11 @@ func goldenShapes() map[string]StreamConfig {
 	stormFrac.RestartStorm = RestartStormConfig{AtNs: 20_000_000, Fraction: 0.5, PrefillTimeWait: 1000}
 	shapes["storm/fraction"] = stormFrac
 
-	for name, layout := range map[string]FlowLayout{
-		"open": LayoutOpenAddressed, "map": LayoutSeedMap,
-	} {
-		cs := DefaultStreamConfig(SystemNativeSMP, OptFull)
-		cs.Queues = 4
-		cs.Connections = 64
-		cs.RegisteredFlows = 50_000
-		cs.FlowLayout = layout
-		shapes["connscale/"+name] = cs
-	}
+	cs := DefaultStreamConfig(SystemNativeSMP, OptFull)
+	cs.Queues = 4
+	cs.Connections = 64
+	cs.RegisteredFlows = 50_000
+	shapes["connscale/open"] = cs
 
 	corrupt := DefaultStreamConfig(SystemNativeUP, OptFull)
 	corrupt.CorruptOneIn = 900

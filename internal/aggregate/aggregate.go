@@ -183,16 +183,19 @@ type pending struct {
 	held []heldFrame
 }
 
-// heldFrame is one ahead-of-sequence frame parked in the resequencing
-// window, with the parsed fields needed to stitch it without re-touching
-// the headers.
+// heldFrame is one eligible data frame with the header fields the engine
+// aggregates on, parsed once at Input. A frame parked in the resequencing
+// window keeps it, so it stitches into an aggregate, or heads a new one,
+// without its headers being parsed again.
 type heldFrame struct {
 	frame      nic.Frame
 	seq, ack   uint32
 	win        uint16
 	tsVal      uint32
 	tsEcr      uint32
-	payloadOff int // payload start within frame.Data
+	hasTS      bool // timestamp option present
+	l4off      int  // TCP header offset within frame.Data
+	dataOff    int  // TCP header length
 	payloadLen int
 }
 
@@ -206,9 +209,10 @@ func poolBuf(f nic.Frame) []byte {
 	return nil
 }
 
-// payload returns the held frame's TCP payload bytes.
-func (h heldFrame) payload() []byte {
-	return h.frame.Data[h.payloadOff : h.payloadOff+h.payloadLen]
+// payload returns the frame's TCP payload bytes.
+func (h *heldFrame) payload() []byte {
+	off := h.l4off + h.dataOff
+	return h.frame.Data[off : off+h.payloadLen]
 }
 
 // Engine is the Receive Aggregation engine for one CPU.
@@ -343,19 +347,16 @@ func (e *Engine) Input(f nic.Frame) {
 		return
 	}
 
-	payloadLen := ih.TotalLen - ih.IHL - th.DataOff
-	payload := seg[th.DataOff : th.DataOff+payloadLen]
+	hf := heldFrame{
+		frame: f, seq: th.Seq, ack: th.Ack, win: th.Window,
+		tsVal: th.TSVal, tsEcr: th.TSEcr, hasTS: th.HasTimestamp,
+		l4off: ether.HeaderLen + ih.IHL, dataOff: th.DataOff,
+		payloadLen: ih.TotalLen - ih.IHL - th.DataOff,
+	}
 
 	if p, ok := e.table[key]; ok {
-		if e.matches(p, &th) {
-			e.alloc.AttachFrag(p.skb, buf.Frag{Data: payload, Buf: poolBuf(f), Ack: th.Ack, TSVal: th.TSVal})
-			p.count++
-			p.nextSeq = th.Seq + uint32(payloadLen)
-			p.lastAck = th.Ack
-			p.lastWin = th.Window
-			p.lastTS = th.TSVal
-			p.lastTSE = th.TSEcr
-			e.stats.Coalesced++
+		if e.matches(p, &hf) {
+			e.attach(p, &hf)
 			if len(p.held) > 0 || p.count >= e.cfg.Limit {
 				// The frame may have filled the gap in front of the
 				// resequencing window: stitch what is now contiguous
@@ -371,9 +372,9 @@ func (e *Engine) Input(f nic.Frame) {
 		// (retransmission, ACK regression, option-layout change, window
 		// exhausted) delivers the pending aggregate first, then starts
 		// fresh with this frame (§3.1 ordering guarantee).
-		if e.cfg.ReorderWindow > 0 && seqGT(th.Seq, p.nextSeq) &&
-			th.HasTimestamp == p.hasTS && seqGEQ(th.Ack, p.lastAck) {
-			if e.tryHold(p, f, &ih, &th, payloadLen) {
+		if e.cfg.ReorderWindow > 0 && seqGT(hf.seq, p.nextSeq) &&
+			hf.hasTS == p.hasTS && seqGEQ(hf.ack, p.lastAck) {
+			if e.tryHold(p, &hf) {
 				return
 			}
 			e.stats.FlushWindowOverflow++
@@ -382,7 +383,21 @@ func (e *Engine) Input(f nic.Frame) {
 		}
 		e.finalize(p)
 	}
-	e.start(key, f, &ih, &th, payloadLen)
+	e.start(key, &hf)
+}
+
+// attach appends hf's payload to p's aggregate and advances p's flow
+// state to it: the next expected sequence number, and the last ACK,
+// window and timestamps that the §3.2 header rewrite copies.
+func (e *Engine) attach(p *pending, hf *heldFrame) {
+	e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Buf: poolBuf(hf.frame), Ack: hf.ack, TSVal: hf.tsVal})
+	p.count++
+	p.nextSeq = hf.seq + uint32(hf.payloadLen)
+	p.lastAck = hf.ack
+	p.lastWin = hf.win
+	p.lastTS = hf.tsVal
+	p.lastTSE = hf.tsEcr
+	e.stats.Coalesced++
 }
 
 // tryHold parks an ahead-of-sequence frame in p's resequencing window,
@@ -391,15 +406,15 @@ func (e *Engine) Input(f nic.Frame) {
 // already held — the capacity conditions that flush as WindowOverflow.
 // Holding charges one queue touch (the paper's cost model: the frame is
 // parked and re-consumed once, with no extra per-packet stack traversal).
-func (e *Engine) tryHold(p *pending, f nic.Frame, ih *ipv4.Header, th *tcpwire.Header, payloadLen int) bool {
+func (e *Engine) tryHold(p *pending, hf *heldFrame) bool {
 	if len(p.held) >= e.cfg.ReorderWindow {
 		return false
 	}
 	// All arithmetic is on deltas from the expected sequence number:
 	// within the (< 2^31) window span, plain comparisons are
 	// wraparound-safe.
-	start := th.Seq - p.nextSeq
-	end := start + uint32(payloadLen)
+	start := hf.seq - p.nextSeq
+	end := start + uint32(hf.payloadLen)
 	if int64(end) > int64(e.cfg.ReorderWindowBytes) {
 		return false
 	}
@@ -415,14 +430,9 @@ func (e *Engine) tryHold(p *pending, f nic.Frame, ih *ipv4.Header, th *tcpwire.H
 			break
 		}
 	}
-	hf := heldFrame{
-		frame: f, seq: th.Seq, ack: th.Ack, win: th.Window,
-		tsVal: th.TSVal, tsEcr: th.TSEcr,
-		payloadOff: ether.HeaderLen + ih.IHL + th.DataOff, payloadLen: payloadLen,
-	}
 	p.held = append(p.held, heldFrame{})
 	copy(p.held[idx+1:], p.held[idx:])
-	p.held[idx] = hf
+	p.held[idx] = *hf
 	e.stats.Held++
 	e.meter.Charge(cycles.Aggr, e.params.NonProtoRawPerFrame)
 	return true
@@ -449,15 +459,8 @@ func (e *Engine) stitchHeld(p *pending) {
 				return
 			}
 			p.held = append(p.held[:0], p.held[1:]...)
-			e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Buf: poolBuf(hf.frame), Ack: hf.ack, TSVal: hf.tsVal})
-			p.count++
-			p.nextSeq = hf.seq + uint32(hf.payloadLen)
-			p.lastAck = hf.ack
-			p.lastWin = hf.win
-			p.lastTS = hf.tsVal
-			p.lastTSE = hf.tsEcr
+			e.attach(p, &hf)
 			e.stats.Stitched++
-			e.stats.Coalesced++
 		}
 		if p.count < e.cfg.Limit {
 			return // window (if any) keeps waiting for its gap
@@ -479,36 +482,19 @@ func (e *Engine) stitchHeld(p *pending) {
 			// The remaining window is non-contiguous with the flushed
 			// run and there is no pending aggregate left to anchor it:
 			// drain it in sequence order rather than park it nowhere.
-			e.drainHeldSlice(held)
+			e.drainHeldSlice(key, held)
 			return
 		}
 		// The run continues: reopen with the next held frame as the new
-		// head and keep stitching.
-		np := e.startHeldFrame(key, held[0])
-		if np == nil {
-			e.drainHeldSlice(held) // defensive: reparse cannot fail for a held frame
-			return
-		}
+		// head and keep stitching. The Limit exceeds 1 here (a Limit of 1
+		// never keeps a pending aggregate), so start tables the new one.
+		head := held[0]
+		e.start(key, &head)
 		e.stats.Stitched++
+		np := e.table[key]
 		np.held = append(np.held, held[1:]...)
 		p = np
 	}
-}
-
-// startHeldFrame opens a new pending aggregate headed by a previously
-// held frame (the Limit landed mid-stitch), reparsing its headers.
-func (e *Engine) startHeldFrame(key FlowKey, hf heldFrame) *pending {
-	l3 := hf.frame.Data[ether.HeaderLen:]
-	ih, err := ipv4.Parse(l3)
-	if err != nil {
-		return nil
-	}
-	th, err := tcpwire.Parse(l3[ih.IHL:ih.TotalLen])
-	if err != nil {
-		return nil
-	}
-	e.start(key, hf.frame, &ih, &th, hf.payloadLen)
-	return e.table[key]
 }
 
 // eligible applies the §3.1 frame-local rules, returning a pointer to the
@@ -538,17 +524,17 @@ func (e *Engine) eligible(f nic.Frame, ih *ipv4.Header, th *tcpwire.Header) *uin
 
 // matches reports whether a frame continues the pending aggregate: next in
 // sequence, ACK number monotone, and the same options layout (§3.1-3.2).
-func (e *Engine) matches(p *pending, th *tcpwire.Header) bool {
+func (e *Engine) matches(p *pending, hf *heldFrame) bool {
 	if p.count >= e.cfg.Limit {
 		return false
 	}
-	if th.Seq != p.nextSeq {
+	if hf.seq != p.nextSeq {
 		return false
 	}
-	if !seqGEQ(th.Ack, p.lastAck) {
+	if !seqGEQ(hf.ack, p.lastAck) {
 		return false
 	}
-	if th.HasTimestamp != p.hasTS {
+	if hf.hasTS != p.hasTS {
 		return false
 	}
 	return true
@@ -557,12 +543,13 @@ func (e *Engine) matches(p *pending, th *tcpwire.Header) bool {
 // newPending builds the pending-aggregate state seeded by one parsed
 // frame. Shared by start and stitchDrainRun so the two construction
 // sites cannot drift when pending grows a field.
-func (e *Engine) newPending(key FlowKey, f nic.Frame, ih *ipv4.Header, th *tcpwire.Header, payloadLen int) *pending {
+func (e *Engine) newPending(key FlowKey, hf *heldFrame) *pending {
+	f := &hf.frame
 	skb := e.alloc.NewData(f.Data, ether.HeaderLen)
 	skb.Pooled = f.Pooled
 	skb.CsumVerified = true
 	skb.RSSHash = f.RSSHash
-	skb.FirstAck = th.Ack
+	skb.FirstAck = hf.ack
 	skb.SentNs, skb.ArriveNs, skb.DequeueNs = f.SentNs, f.ArriveNs, f.DequeueNs
 	var p *pending
 	if n := len(e.spare); n > 0 {
@@ -575,22 +562,22 @@ func (e *Engine) newPending(key FlowKey, f nic.Frame, ih *ipv4.Header, th *tcpwi
 		key:     key,
 		skb:     skb,
 		count:   1,
-		nextSeq: th.Seq + uint32(payloadLen),
-		lastAck: th.Ack,
-		lastWin: th.Window,
-		lastTS:  th.TSVal,
-		lastTSE: th.TSEcr,
-		hasTS:   th.HasTimestamp,
-		l4off:   ether.HeaderLen + ih.IHL,
-		dataOff: th.DataOff,
+		nextSeq: hf.seq + uint32(hf.payloadLen),
+		lastAck: hf.ack,
+		lastWin: hf.win,
+		lastTS:  hf.tsVal,
+		lastTSE: hf.tsEcr,
+		hasTS:   hf.hasTS,
+		l4off:   hf.l4off,
+		dataOff: hf.dataOff,
 		held:    p.held[:0],
 	}
 	return p
 }
 
 // start opens a new pending aggregate seeded with this frame.
-func (e *Engine) start(key FlowKey, f nic.Frame, ih *ipv4.Header, th *tcpwire.Header, payloadLen int) {
-	p := e.newPending(key, f, ih, th, payloadLen)
+func (e *Engine) start(key FlowKey, hf *heldFrame) {
+	p := e.newPending(key, hf)
 	if e.cfg.Limit == 1 {
 		// Degenerate configuration: deliver immediately (§5.5).
 		e.stats.FlushLimit++
@@ -712,7 +699,7 @@ func (e *Engine) deliver(p *pending) {
 	if len(p.held) > 0 {
 		held := p.held
 		p.held = p.held[:0]
-		e.drainHeldSlice(held)
+		e.drainHeldSlice(p.key, held)
 	}
 	// Delivered: no caller touches p again, so the record is recycled.
 	e.spare = append(e.spare, p)
@@ -729,7 +716,7 @@ func (e *Engine) deliver(p *pending) {
 // run stitching shows up additionally as FlushHeldDrain/DrainStitched.
 // The stack's out-of-order queue absorbs the result exactly as it would
 // have absorbed the individual frames.
-func (e *Engine) drainHeldSlice(held []heldFrame) {
+func (e *Engine) drainHeldSlice(key FlowKey, held []heldFrame) {
 	for i := 0; i < len(held); {
 		// Extend the run while frames are exactly consecutive, the ACK
 		// stays monotone (§3.1), and the Aggregation Limit admits more.
@@ -743,49 +730,25 @@ func (e *Engine) drainHeldSlice(held []heldFrame) {
 			e.stats.WindowTimeout++
 			e.passthrough(held[i].frame)
 		} else {
-			e.stitchDrainRun(held[i:j])
+			e.stitchDrainRun(key, held[i:j])
 		}
 		i = j
 	}
 }
 
-// stitchDrainRun delivers one contiguous held run as a single aggregate:
-// the head frame's headers are reparsed (hold time kept only the stitch
-// fields), the rest attach as fragments, and the §3.2 header rewrite in
-// deliver makes the usual aggregate of it. The per-aggregate overhead is
-// charged by deliver like any other flush; the per-frame costs were paid
-// at Input and hold time.
-func (e *Engine) stitchDrainRun(run []heldFrame) {
-	head := run[0]
-	l3 := head.frame.Data[ether.HeaderLen:]
-	ih, err := ipv4.Parse(l3)
-	var th tcpwire.Header
-	if err == nil {
-		th, err = tcpwire.Parse(l3[ih.IHL:ih.TotalLen])
-	}
-	if err != nil {
-		// Defensive: a held frame parsed at hold time, so this cannot
-		// happen; degrade to per-frame passthrough rather than drop.
-		for _, hf := range run {
-			e.stats.WindowTimeout++
-			e.passthrough(hf.frame)
-		}
-		return
-	}
-	key := FlowKey{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}
-	p := e.newPending(key, head.frame, &ih, &th, head.payloadLen)
+// stitchDrainRun delivers one contiguous held run of flow key as a single
+// aggregate: the head frame opens it from its held fields, the rest
+// attach as fragments, and the §3.2 header rewrite in deliver makes the
+// usual aggregate of it. The per-aggregate overhead is charged by deliver
+// like any other flush; the per-frame costs were paid at Input and hold
+// time.
+func (e *Engine) stitchDrainRun(key FlowKey, run []heldFrame) {
+	p := e.newPending(key, &run[0])
 	e.stats.WindowTimeout++
-	for _, hf := range run[1:] {
-		e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Buf: poolBuf(hf.frame), Ack: hf.ack, TSVal: hf.tsVal})
-		p.count++
-		p.nextSeq = hf.seq + uint32(hf.payloadLen)
-		p.lastAck = hf.ack
-		p.lastWin = hf.win
-		p.lastTS = hf.tsVal
-		p.lastTSE = hf.tsEcr
+	for i := range run[1:] {
+		e.attach(p, &run[1+i])
 		e.stats.WindowTimeout++
 		e.stats.DrainStitched++
-		e.stats.Coalesced++
 	}
 	e.stats.FlushHeldDrain++
 	// p never entered the table and carries no window of its own, so

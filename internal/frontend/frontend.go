@@ -56,10 +56,6 @@ type Config struct {
 	// FlowRuleSlots sizes each NIC's exact-match steering-rule table
 	// (0 = no aRFS filters, the paper's hardware).
 	FlowRuleSlots int
-	// FlowLayout selects the flow-table shard layout (default: the
-	// cache-conscious open-addressed layout; LayoutSeedMap is the priced
-	// Go-map baseline).
-	FlowLayout netstack.FlowLayout
 }
 
 // completed returns o, or — when o leaves QueueCapacity unset — the
@@ -159,7 +155,7 @@ func (fe *FrontEnd) Init(cfg Config, owners *rss.Map, deliver func(q int) func(*
 	fe.Params = cfg.Params
 	fe.Alloc = buf.NewAllocator(&fe.Meter, &fe.Params)
 	fe.Alloc.SetPool(buf.NewPool())
-	fe.Stack = netstack.NewLayout(&fe.Meter, &fe.Params, fe.Alloc, cfg.FlowLayout)
+	fe.Stack = netstack.New(&fe.Meter, &fe.Params, fe.Alloc)
 	fe.Stack.Tx = fe
 	fe.Stack.SetQueues(owners.Queues())
 	fe.Stack.FlowTable().SetOwnerMap(owners)

@@ -25,40 +25,31 @@ import (
 // stay within a CPU-local map, and churn on one shard never disturbs
 // another CPU's flows.
 //
-// Within a shard two layouts are available (FlowLayout):
+// Each shard is a cache-conscious open-addressing table of fixed 32-byte
+// slots — two per cache line — probed linearly with robin-hood
+// displacement and grown by powers of two at 3/4 load. A lookup's memory
+// traffic is the probe run itself: the hit entry (hash, key and endpoint
+// reference share the slot) streams in with the key compares, and
+// robin-hood keeps probe runs short and adjacent, so a demux touch is ~1
+// line however large the table is.
 //
-//   - LayoutOpenAddressed (default): a cache-conscious open-addressing
-//     table of fixed 32-byte slots — two per cache line — probed linearly
-//     with robin-hood displacement and grown by powers of two at 3/4
-//     load. A lookup's memory traffic is the probe run itself: the hit
-//     entry (hash, key and endpoint reference share the slot) streams in
-//     with the key compares, and robin-hood keeps probe runs short and
-//     adjacent, so a demux touch is ~1 line however large the table is.
-//   - LayoutSeedMap: the seed-style Go map shard, kept behind the switch
-//     as the priced baseline. Its lookup chases dependent lines through
-//     the bucket array (tophash, key row, value row, overflow), modeled
-//     as flowMapDemuxLines pointer-chased lines per operation.
-//
-// Both layouts charge their structural touches through the machine's
-// memory model at the capacity-miss excess only (CapacityTouchCost):
-// while the table fits in cache the charge is exactly zero — the warm
-// demux cost is already inside the calibrated per-packet constants, and
-// both layouts price bit-identically to the seed — and once the
-// registered population outgrows the cache, every lookup pays DRAM
-// latency on the cold fraction of its line touches. That is what makes
-// connection count an honest per-packet cost axis: the open-addressed
-// layout stays near one line per lookup while the map baseline pays its
-// multi-line chase on a mostly-cold structure.
+// Structural touches charge through the machine's memory model at the
+// capacity-miss excess only (CapacityTouchCost): while the table fits in
+// cache the charge is exactly zero — the warm demux cost is already inside
+// the calibrated per-packet constants, and the table prices
+// bit-identically to the seed — and once the registered population
+// outgrows the cache, every lookup pays DRAM latency on the cold fraction
+// of its line touches. That is what makes connection count an honest
+// per-packet cost axis: a lookup stays near one line however cold the
+// structure is.
 type FlowTable struct {
-	layout FlowLayout
 	shards []flowShard
-	mask   uint32
 	count  int
 	queues int // softirq CPU count for steal detection (0 = unknown)
 
 	// bytes is the modeled structure footprint of the demux table itself
-	// (slot arrays or map buckets — not the endpoints), the capacity-model
-	// input; demuxCycles accumulates every cycle charged through it.
+	// (the slot arrays, not the endpoints), the capacity-model input;
+	// demuxCycles accumulates every cycle charged through it.
 	bytes       uint64
 	demuxCycles uint64
 
@@ -76,12 +67,11 @@ type FlowTable struct {
 	// its bucket's owner is.
 	flowOwners map[FlowKey]int
 
-	// eps is the endpoint slab: slots and map entries name their endpoint
-	// by a uint32 handle into it, so neither holds a pointer. Handle 0 is
-	// nil. free stacks the handles whose last key went; newest is the
-	// handle bound last, which binding its endpoint again reuses — so a
-	// batch's keys, or a serial run of inserts for one endpoint, share one
-	// handle.
+	// eps is the endpoint slab: slots name their endpoint by a uint32
+	// handle into it, so none holds a pointer. Handle 0 is nil. free
+	// stacks the handles whose last key went; newest is the handle bound
+	// last, which binding its endpoint again reuses — so a batch's keys,
+	// or a serial run of inserts for one endpoint, share one handle.
 	eps    []epRef
 	free   []uint32
 	newest uint32
@@ -98,55 +88,6 @@ type epRef struct {
 // endpoints without regrowth.
 const epSlabRoom = 16
 
-// FlowLayout selects a shard's internal layout.
-type FlowLayout int
-
-const (
-	// LayoutOpenAddressed is the cache-conscious open-addressing layout
-	// (the default).
-	LayoutOpenAddressed FlowLayout = iota
-	// LayoutSeedMap is the seed-style Go-map shard, kept as the priced
-	// baseline for head-to-head comparison.
-	LayoutSeedMap
-)
-
-// String names the layout as used by the CLI tools.
-func (l FlowLayout) String() string {
-	switch l {
-	case LayoutOpenAddressed:
-		return "open"
-	case LayoutSeedMap:
-		return "map"
-	default:
-		return fmt.Sprintf("FlowLayout(%d)", int(l))
-	}
-}
-
-// MarshalText emits the CLI name (JSON reports carry "open"/"map").
-func (l FlowLayout) MarshalText() ([]byte, error) { return []byte(l.String()), nil }
-
-// UnmarshalText parses the CLI name.
-func (l *FlowLayout) UnmarshalText(b []byte) error {
-	v, err := ParseFlowLayout(string(b))
-	if err != nil {
-		return err
-	}
-	*l = v
-	return nil
-}
-
-// ParseFlowLayout maps a CLI layout name to its FlowLayout: "open" (the
-// open-addressed default) or "map" (the seed-style baseline).
-func ParseFlowLayout(s string) (FlowLayout, error) {
-	switch s {
-	case "open", "":
-		return LayoutOpenAddressed, nil
-	case "map", "seed":
-		return LayoutSeedMap, nil
-	}
-	return 0, fmt.Errorf("netstack: unknown flow layout %q (want open, map)", s)
-}
-
 const (
 	// FlowSlotBytes is the priced footprint of one open-addressed slot:
 	// 12 bytes of four-tuple key, the 4-byte Toeplitz hash, the 2-byte
@@ -160,16 +101,6 @@ const (
 	// insert (arrays are allocated lazily, so empty shards occupy no
 	// modeled bytes).
 	flowShardMinSlots = 8
-	// flowMapEntryBytes models one Go-map entry's amortized footprint in
-	// the seed layout: the 12-byte key and 8-byte value rows plus the
-	// per-entry share of tophash bytes, bucket headers, overflow pointers
-	// and the ~1/Load slack of map growth.
-	flowMapEntryBytes = 48
-	// flowMapDemuxLines is the dependent line chase of one map operation
-	// in the seed layout: bucket-array indirection, tophash line, key row
-	// and value row are on (at least) four distinct lines reached through
-	// dependent loads.
-	flowMapDemuxLines = 4
 )
 
 // flowSlot is one open-addressed entry as the simulator stores it: 18
@@ -192,14 +123,13 @@ type flowSlot struct {
 // ref returns the slot's endpoint handle.
 func (sl *flowSlot) ref() uint32 { return uint32(sl.refHi)<<16 | uint32(sl.refLo) }
 
-// flowShard is one shard: a private demux structure (map- or slot-
-// backed, by the table's layout) plus per-shard receive counters,
-// including the pending-aggregate accounting that lets tests and
-// benchmarks observe how aggregation state distributes over shards.
+// flowShard is one shard: a private open-addressed slot array plus
+// per-shard receive counters, including the pending-aggregate accounting
+// that lets tests and benchmarks observe how aggregation state
+// distributes over shards.
 type flowShard struct {
-	conns map[FlowKey]uint32 // LayoutSeedMap: key → endpoint handle
-	slots []flowSlot         // LayoutOpenAddressed (lazy, power of two)
-	used  int                // occupied slots
+	slots []flowSlot // lazy, power of two
+	used  int        // occupied slots
 	stats ShardStats
 }
 
@@ -227,39 +157,19 @@ type ShardStats struct {
 const DefaultFlowShards = rss.Buckets
 
 // NewFlowTable creates a table with the given power-of-two shard count
-// (0 = DefaultFlowShards) in the default open-addressed layout.
+// (0 = DefaultFlowShards).
 func NewFlowTable(shards int) (*FlowTable, error) {
-	return NewFlowTableLayout(shards, LayoutOpenAddressed)
-}
-
-// NewFlowTableLayout creates a table with the given shard count and
-// shard layout.
-func NewFlowTableLayout(shards int, layout FlowLayout) (*FlowTable, error) {
 	if shards == 0 {
 		shards = DefaultFlowShards
 	}
 	if err := rss.ValidShards(shards); err != nil {
 		return nil, fmt.Errorf("netstack: %w", err)
 	}
-	if layout != LayoutOpenAddressed && layout != LayoutSeedMap {
-		return nil, fmt.Errorf("netstack: unknown flow layout %d", int(layout))
-	}
-	t := &FlowTable{
-		layout: layout,
+	return &FlowTable{
 		shards: make([]flowShard, shards),
-		mask:   uint32(shards - 1),
 		eps:    make([]epRef, 1, epSlabRoom),
-	}
-	if layout == LayoutSeedMap {
-		for i := range t.shards {
-			t.shards[i].conns = make(map[FlowKey]uint32)
-		}
-	}
-	return t, nil
+	}, nil
 }
-
-// Layout returns the shard layout.
-func (t *FlowTable) Layout() FlowLayout { return t.layout }
 
 // SetPricing arms the table's structural cost charging: lookups charge
 // cycles.Rx and mutations cycles.NonProto through p's memory model at
@@ -270,7 +180,7 @@ func (t *FlowTable) SetPricing(m *cycles.Meter, p *cost.Params) {
 }
 
 // StructBytes returns the modeled footprint of the demux structure
-// itself (slot arrays or map buckets, not the endpoints).
+// itself (the slot arrays, not the endpoints).
 func (t *FlowTable) StructBytes() uint64 { return t.bytes }
 
 // DemuxCycles returns the cycles charged for structural demux touches so
@@ -371,20 +281,10 @@ func (t *FlowTable) release(h uint32) {
 	}
 }
 
-// resolve finds k (hash h) in shard s: its endpoint handle (0 = absent)
-// and the cache lines the search touched, in either layout.
-func (t *FlowTable) resolve(s *flowShard, h uint32, k FlowKey) (uint32, int) {
-	if t.layout == LayoutSeedMap {
-		return s.conns[k], flowMapDemuxLines
-	}
-	ref, probes := s.openLookup(h, k)
-	return ref, openProbeLines(probes)
-}
-
-// openLookup probes for k in the open layout, returning the endpoint
-// handle (0 = absent) and the probe count. Robin-hood ordering terminates
-// a miss early: once a resident entry's distance is below the probe
-// distance, k cannot be further along.
+// openLookup probes shard s for k, returning the endpoint handle (0 =
+// absent) and the probe count. Robin-hood ordering terminates a miss
+// early: once a resident entry's distance is below the probe distance, k
+// cannot be further along.
 func (s *flowShard) openLookup(h uint32, k FlowKey) (uint32, int) {
 	if len(s.slots) == 0 {
 		return 0, 1
@@ -520,25 +420,17 @@ func (t *FlowTable) Shards() int { return len(t.shards) }
 func (t *FlowTable) Len() int { return t.count }
 
 // Insert registers ep under k; duplicate keys error. The structural
-// touches (probe chase plus entry write, or the map mutation) charge
-// cycles.NonProto at the capacity-miss excess — socket-hash insertion is
-// connection-setup work, not receive protocol processing.
+// touches (probe chase plus entry write) charge cycles.NonProto at the
+// capacity-miss excess — socket-hash insertion is connection-setup work,
+// not receive protocol processing.
 func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 	h := hashOf(k)
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
-	if ref, _ := t.resolve(s, h, k); ref != 0 {
+	if ref, _ := s.openLookup(h, k); ref != 0 {
 		return t.dupErr(k)
 	}
 	ref := t.handleFor(ep)
 	t.retain(ref, ep, 1)
-	if t.layout == LayoutSeedMap {
-		s.conns[k] = ref
-		t.bytes += flowMapEntryBytes
-		t.charge(cycles.NonProto, flowMapDemuxLines)
-		s.stats.Endpoints++
-		t.count++
-		return nil
-	}
 	slots, used := len(s.slots), s.used
 	if n := openSlotsFor(slots, used); n != slots {
 		s.openGrow(n, nil)
@@ -548,9 +440,9 @@ func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 	return nil
 }
 
-// priceOpenInsert is the one pricing rule of an open-layout insert into
-// shard s, which held used entries in slots slots before it and whose
-// openPut visited probes slots: the growth decision on the modelled slot
+// priceOpenInsert is the one pricing rule of an insert into shard s,
+// which held used entries in slots slots before it and whose openPut
+// visited probes slots: the growth decision on the modelled slot
 // count, the footprint and growth-rehash charge, the probe-run charge and
 // the endpoint counters, in that order. It returns the shard's slot count
 // after the insert. Insert applies it after each physical insert;
@@ -574,9 +466,9 @@ func (t *FlowTable) priceOpenInsert(s *flowShard, slots, used, probes int) int {
 // stops where that loop would, with the keys before it registered and the
 // same error.
 //
-// The open layout builds the table shard by shard, so bulk population
-// works on one cache-resident shard at a time instead of scattering
-// consecutive inserts over the whole table:
+// The batch builds the table shard by shard, so bulk population works on
+// one cache-resident shard at a time instead of scattering consecutive
+// inserts over the whole table:
 //
 //  1. Group: hash the keys, record each one's shard and counting-sort
 //     their indices by shard, then reserve each touched shard's final
@@ -593,17 +485,8 @@ func (t *FlowTable) priceOpenInsert(s *flowShard, slots, used, probes int) int {
 //
 // All n keys take the one slab handle Insert's first call would bind, and
 // the later calls reuse. The scratch is five bytes per key: each key's
-// shard, and the 4-byte grouping that becomes the probe counts. The
-// seed-map layout keeps the per-key Insert loop.
+// shard, and the 4-byte grouping that becomes the probe counts.
 func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
-	if t.layout == LayoutSeedMap {
-		for i := 0; i < n; i++ {
-			if err := t.Insert(key(i), ep); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	if n <= 0 {
 		return nil
 	}
@@ -719,7 +602,7 @@ func (t *FlowTable) Has(k FlowKey) bool {
 // endpoint state through it), or nil.
 func (t *FlowTable) Peek(k FlowKey) *tcp.Endpoint {
 	h := hashOf(k)
-	ref, _ := t.resolve(&t.shards[rss.ShardOf(h, len(t.shards))], h, k)
+	ref, _ := t.shards[rss.ShardOf(h, len(t.shards))].openLookup(h, k)
 	return t.eps[ref].ep
 }
 
@@ -728,22 +611,11 @@ func (t *FlowTable) Peek(k FlowKey) *tcp.Endpoint {
 func (t *FlowTable) Remove(k FlowKey) bool {
 	h := hashOf(k)
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
-	var ref uint32
-	var lines int
-	if t.layout == LayoutSeedMap {
-		if ref, lines = t.resolve(s, h, k); ref != 0 {
-			delete(s.conns, k)
-			t.bytes -= flowMapEntryBytes
-		}
-	} else {
-		var probes int
-		ref, probes = s.openRemove(h, k)
-		lines = openProbeLines(probes)
-	}
+	ref, probes := s.openRemove(h, k)
 	if ref == 0 {
 		return false
 	}
-	t.charge(cycles.NonProto, lines)
+	t.charge(cycles.NonProto, openProbeLines(probes))
 	t.release(ref)
 	delete(t.flowOwners, k)
 	s.stats.Endpoints--
@@ -810,10 +682,9 @@ func (t *FlowTable) Lookup(k FlowKey, hash uint32, netPackets int, aggregated bo
 // k when available (0 recomputes in software) — on the hot path the
 // hardware already paid for it, and it necessarily equals hashOf(k)
 // because both hash the same four-tuple. It returns nil when no endpoint
-// is bound. The structural touches of the probe (or the map's dependent
-// line chase) charge cycles.Rx at the capacity-miss excess: demux is part
-// of TCP receive processing, and its memory traffic is the cost that
-// grows with the registered population.
+// is bound. The structural touches of the probe charge cycles.Rx at the
+// capacity-miss excess: demux is part of TCP receive processing, and its
+// memory traffic is the cost that grows with the registered population.
 func (t *FlowTable) LookupOn(cpu int, k FlowKey, hash uint32, netPackets int, aggregated bool) *tcp.Endpoint {
 	if hash == 0 {
 		hash = hashOf(k)
@@ -824,8 +695,8 @@ func (t *FlowTable) LookupOn(cpu int, k FlowKey, hash uint32, netPackets int, ag
 			s.stats.Steals++
 		}
 	}
-	ref, lines := t.resolve(s, hash, k)
-	t.charge(cycles.Rx, lines)
+	ref, probes := s.openLookup(hash, k)
+	t.charge(cycles.Rx, openProbeLines(probes))
 	ep := t.eps[ref].ep
 	if ep == nil {
 		s.stats.Misses++
@@ -846,30 +717,23 @@ func (t *FlowTable) ShardStatsOf(i int) ShardStats { return t.shards[i].stats }
 func (t *FlowTable) Occupancy() []int {
 	occ := make([]int, len(t.shards))
 	for i := range t.shards {
-		if t.layout == LayoutSeedMap {
-			occ[i] = len(t.shards[i].conns)
-		} else {
-			occ[i] = t.shards[i].used
-		}
+		occ[i] = t.shards[i].used
 	}
 	return occ
 }
 
-// TableStats is the demux structure summary: layout, footprint, charged
-// demux cycles, per-shard load factors and the probe-length distribution
-// of the resident entries (open layout; the map layout has no meaningful
-// probe or load-factor notion and reports zeros). It is what replaces
-// raw per-shard dumps at million-endpoint scale.
+// TableStats is the demux structure summary: footprint, charged demux
+// cycles, per-shard load factors and the probe-length distribution of the
+// resident entries. It is what replaces raw per-shard dumps at
+// million-endpoint scale.
 type TableStats struct {
-	// Layout is the shard layout ("open" or "map" in reports).
-	Layout FlowLayout `json:"layout"`
 	// Entries is the registered-endpoint count, Slots the allocated slot
-	// count across shards (0 in the map layout).
+	// count across shards.
 	Entries int `json:"entries"`
 	Slots   int `json:"slots,omitempty"`
-	// Bytes is the modeled structure footprint (slot arrays or map
-	// buckets, not the endpoints); DemuxCycles the cycles charged for
-	// structural demux touches so far.
+	// Bytes is the modeled structure footprint (the slot arrays, not the
+	// endpoints); DemuxCycles the cycles charged for structural demux
+	// touches so far.
 	Bytes       uint64 `json:"bytes"`
 	DemuxCycles uint64 `json:"demux_cycles"`
 	// LoadMin/LoadP50/LoadMax summarize per-shard load factor
@@ -887,10 +751,7 @@ type TableStats struct {
 
 // TableStats scans the table and assembles its structure summary.
 func (t *FlowTable) TableStats() TableStats {
-	ts := TableStats{Layout: t.layout, Entries: t.count, Bytes: t.bytes, DemuxCycles: t.DemuxCycles()}
-	if t.layout == LayoutSeedMap {
-		return ts
-	}
+	ts := TableStats{Entries: t.count, Bytes: t.bytes, DemuxCycles: t.DemuxCycles()}
 	var loads []float64
 	var hist []uint64
 	var entries uint64

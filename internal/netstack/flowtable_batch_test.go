@@ -19,16 +19,16 @@ import (
 // The capacity model's cache is shrunk to one line so every structural
 // touch charges, however small the table: equal meters then mean equal
 // charges, not two runs of zeros.
-func pricedPair(t testing.TB, shards int, layout FlowLayout) (a, b *FlowTable, ma, mb *cycles.Meter) {
+func pricedPair(t testing.TB, shards int) (a, b *FlowTable, ma, mb *cycles.Meter) {
 	t.Helper()
 	p := cost.NativeUP()
 	p.Mem.CacheBytes = 64
 	ma, mb = &cycles.Meter{}, &cycles.Meter{}
 	var err error
-	if a, err = NewFlowTableLayout(shards, layout); err != nil {
+	if a, err = NewFlowTable(shards); err != nil {
 		t.Fatal(err)
 	}
-	if b, err = NewFlowTableLayout(shards, layout); err != nil {
+	if b, err = NewFlowTable(shards); err != nil {
 		t.Fatal(err)
 	}
 	a.SetPricing(ma, &p)
@@ -48,7 +48,7 @@ func serialInserts(tab *FlowTable, n int, key func(int) FlowKey, ep *tcp.Endpoin
 }
 
 // requireTablesEqual demands two tables be indistinguishable: every
-// shard's slots element by element (or map contents), occupancy and
+// shard's slots element by element, occupancy and
 // counters, the table's length, footprint and demux cycles, the meters'
 // snapshots and the structure summaries.
 func requireTablesEqual(t testing.TB, what string, a, b *FlowTable, ma, mb *cycles.Meter) {
@@ -66,9 +66,6 @@ func requireTablesEqual(t testing.TB, what string, a, b *FlowTable, ma, mb *cycl
 			if sa.slots[j] != sb.slots[j] {
 				t.Fatalf("%s: shard %d slot %d differs: %+v vs %+v", what, si, j, sa.slots[j], sb.slots[j])
 			}
-		}
-		if !reflect.DeepEqual(sa.conns, sb.conns) {
-			t.Fatalf("%s: shard %d map contents differ", what, si)
 		}
 		if sa.stats != sb.stats {
 			t.Fatalf("%s: shard %d stats differ: %+v vs %+v", what, si, sa.stats, sb.stats)
@@ -100,10 +97,10 @@ func prefillActive(t testing.TB, tab *FlowTable, ep *tcp.Endpoint) {
 // checkBatchMatchesSerial runs the reference loop on one table and
 // InsertBatch on the other, both prefilled with the active flows, and
 // requires equal errors and indistinguishable tables.
-func checkBatchMatchesSerial(t *testing.T, what string, layout FlowLayout, n int, keyOf func(int) FlowKey) {
+func checkBatchMatchesSerial(t *testing.T, what string, n int, keyOf func(int) FlowKey) {
 	t.Helper()
 	ep := testEndpoint(t, 5001, 44000)
-	serial, batch, ms, mb := pricedPair(t, 0, layout)
+	serial, batch, ms, mb := pricedPair(t, 0)
 	prefillActive(t, serial, ep)
 	prefillActive(t, batch, ep)
 	errS := serialInserts(serial, n, keyOf, ep)
@@ -123,15 +120,14 @@ func TestInsertBatchMatchesSerial(t *testing.T) {
 		sizes = append(sizes, 1_000_000)
 	}
 	for _, n := range sizes {
-		checkBatchMatchesSerial(t, fmt.Sprintf("open n=%d", n), LayoutOpenAddressed, n, diffKey)
+		checkBatchMatchesSerial(t, fmt.Sprintf("n=%d", n), n, diffKey)
 	}
-	checkBatchMatchesSerial(t, "map n=1000", LayoutSeedMap, 1000, diffKey)
 }
 
 // TestInsertBatchDuplicates: a duplicate stops the batch exactly where
 // the reference loop stops, with the keys before it registered and the
 // same error, whether the duplicate repeats an earlier batch key or a
-// resident key, under either layout.
+// resident key.
 func TestInsertBatchDuplicates(t *testing.T) {
 	const n = 5000
 	inBatch := func(i int) FlowKey {
@@ -146,19 +142,16 @@ func TestInsertBatchDuplicates(t *testing.T) {
 		}
 		return diffKey(i)
 	}
-	for _, layout := range []FlowLayout{LayoutOpenAddressed, LayoutSeedMap} {
-		checkBatchMatchesSerial(t, fmt.Sprintf("%v in-batch dup", layout), layout, n, inBatch)
-		checkBatchMatchesSerial(t, fmt.Sprintf("%v resident dup", layout), layout, n, resident)
-		checkBatchMatchesSerial(t, fmt.Sprintf("%v dup at 0", layout), layout, n,
-			func(int) FlowKey { return key(5001, 44000) })
-	}
+	checkBatchMatchesSerial(t, "in-batch dup", n, inBatch)
+	checkBatchMatchesSerial(t, "resident dup", n, resident)
+	checkBatchMatchesSerial(t, "dup at 0", n, func(int) FlowKey { return key(5001, 44000) })
 
-	// The open layout's batch finds a duplicate in the put itself, which
-	// grows the shard first if the insert would. Each shape repeats one
-	// of the first m keys as key m.
+	// The batch finds a duplicate in the put itself, which grows the
+	// shard first if the insert would. Each shape repeats one of the
+	// first m keys as key m.
 	const m = 3000
 	for _, sh := range dupShapes(t, m) {
-		checkBatchMatchesSerial(t, "open dup "+sh.name, LayoutOpenAddressed, m+1, func(i int) FlowKey {
+		checkBatchMatchesSerial(t, "dup "+sh.name, m+1, func(i int) FlowKey {
 			if i == m {
 				return diffKey(sh.j)
 			}
@@ -224,7 +217,7 @@ func dupShapes(t *testing.T, m int) []dupShape {
 // backward-shift it, and the robin-hood invariants hold throughout.
 func TestInsertBatchThenMutate(t *testing.T) {
 	ep := testEndpoint(t, 5001, 44000)
-	serial, batch, ms, mb := pricedPair(t, 16, LayoutOpenAddressed)
+	serial, batch, ms, mb := pricedPair(t, 16)
 	if err := serialInserts(serial, 20_000, diffKey, ep); err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +275,9 @@ func heapBytes[T any](n int) uint64 {
 //   - each shard's final slot array, at 18 bytes a slot;
 //   - 5 bytes of scratch per key (its shard, then its probe count);
 //   - one growth staging array, half the largest final array;
-//   - per shard, 120 bytes of bookkeeping: the start and next offsets
+//   - per shard, 112 bytes of bookkeeping: the start and next offsets
 //     (8 bytes each, start one longer), the replay model (16) and the
-//     built shard header (an 88-byte flowShard).
+//     built shard header (an 80-byte flowShard).
 //
 // Each allocation counts at its allocator size (heapBytes), so a slot or
 // scratch regrowth fails here, not only in the benchmark.
@@ -351,7 +344,7 @@ func FuzzInsertBatch(f *testing.F) {
 			return diffKey(int(splitmix64(seed+uint64(i)) % space))
 		}
 		ep := testEndpoint(t, 5001, 44000)
-		serial, batch, ms, mb := pricedPair(t, shards, LayoutOpenAddressed)
+		serial, batch, ms, mb := pricedPair(t, shards)
 		for j := 0; j < int(prefill); j++ {
 			k := diffKey(int(splitmix64(^seed+uint64(j)) % space))
 			if e1, e2 := serial.Insert(k, ep), batch.Insert(k, ep); (e1 == nil) != (e2 == nil) {
@@ -372,10 +365,7 @@ func FuzzInsertBatch(f *testing.F) {
 // resident entry's probe length and sorts them, the definition TableStats
 // computes from its histogram instead.
 func tableStatsBySort(t *FlowTable) TableStats {
-	ts := TableStats{Layout: t.layout, Entries: t.count, Bytes: t.bytes, DemuxCycles: t.DemuxCycles()}
-	if t.layout == LayoutSeedMap {
-		return ts
-	}
+	ts := TableStats{Entries: t.count, Bytes: t.bytes, DemuxCycles: t.DemuxCycles()}
 	var loads []float64
 	var probes []int
 	var hist []uint64
@@ -425,7 +415,7 @@ func TestTableStatsMatchesSortReference(t *testing.T) {
 		case trial%10 == 0:
 			n, shards = rng.Intn(20_000), 1<<rng.Intn(8)
 		}
-		tab, err := NewFlowTableLayout(shards, LayoutOpenAddressed)
+		tab, err := NewFlowTable(shards)
 		if err != nil {
 			t.Fatal(err)
 		}

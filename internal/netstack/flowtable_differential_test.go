@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ipv4"
 	"repro/internal/rss"
+	"repro/internal/tcp"
 )
 
 // diffKey generates the i'th four-tuple of the differential key space:
@@ -20,94 +21,128 @@ func diffKey(i int) FlowKey {
 	}
 }
 
-// TestFlowLayoutDifferential drives the open-addressed and seed-map
-// layouts with an identical seeded-random interleaving of inserts,
-// removes and attributed lookups over >100k keys, and requires them to
-// agree exactly at every observation point: duplicate/missing verdicts,
-// per-key resolution, table length, per-shard occupancy and the full
-// per-shard counter set (hits, misses, aggregates, steals). The open
-// layout is a pure representation change; any behavioral divergence from
-// the seed-map baseline is a bug.
-func TestFlowLayoutDifferential(t *testing.T) {
+// refTable is the oracle the differential tests hold a FlowTable to: a
+// plain map from key to endpoint, plus the per-shard counters derived from
+// their definitions — a key's shard is its RSS hash's (rss.ShardOf), its
+// owning CPU is the hash's queue (rss.QueueOf over queues, 0 = no
+// ownership accounting), and a delivery counts where the table says it
+// does.
+type refTable struct {
+	eps    map[FlowKey]*tcp.Endpoint
+	shards []ShardStats
+	queues int
+}
+
+func newRefTable(shards, queues int) *refTable {
+	return &refTable{eps: make(map[FlowKey]*tcp.Endpoint), shards: make([]ShardStats, shards), queues: queues}
+}
+
+func (r *refTable) shard(k FlowKey) *ShardStats {
+	return &r.shards[rss.ShardOf(hashOf(k), len(r.shards))]
+}
+
+// insert binds k to ep unless k is bound, reporting whether it was.
+func (r *refTable) insert(k FlowKey, ep *tcp.Endpoint) (dup bool) {
+	if _, dup = r.eps[k]; !dup {
+		r.eps[k] = ep
+		r.shard(k).Endpoints++
+	}
+	return dup
+}
+
+// remove unbinds k, reporting whether it was bound.
+func (r *refTable) remove(k FlowKey) bool {
+	_, present := r.eps[k]
+	if present {
+		delete(r.eps, k)
+		r.shard(k).Endpoints--
+	}
+	return present
+}
+
+// lookupOn is FlowTable.LookupOn's definition.
+func (r *refTable) lookupOn(cpu int, k FlowKey, netPackets int, aggregated bool) *tcp.Endpoint {
+	s := r.shard(k)
+	if cpu >= 0 && r.queues > 0 && rss.QueueOf(hashOf(k), r.queues) != cpu {
+		s.Steals++
+	}
+	ep := r.eps[k]
+	if ep == nil {
+		s.Misses++
+		return nil
+	}
+	s.HostPackets++
+	s.NetPackets += uint64(netPackets)
+	if aggregated {
+		s.Aggregates++
+	}
+	return ep
+}
+
+// check requires tab to agree with the oracle: Len, every key's Peek,
+// and each shard's occupancy and counters.
+func (r *refTable) check(t testing.TB, what string, tab *FlowTable, keys []FlowKey) {
+	t.Helper()
+	if tab.Len() != len(r.eps) {
+		t.Fatalf("%s: Len %d, reference %d", what, tab.Len(), len(r.eps))
+	}
+	for i, k := range keys {
+		if got := tab.Peek(k); got != r.eps[k] {
+			t.Fatalf("%s: Peek(key %d) = %p, reference %p", what, i, got, r.eps[k])
+		}
+	}
+	occ := tab.Occupancy()
+	for s, want := range r.shards {
+		if occ[s] != want.Endpoints {
+			t.Fatalf("%s: shard %d occupancy %d, reference %d", what, s, occ[s], want.Endpoints)
+		}
+		if got := tab.ShardStatsOf(s); got != want {
+			t.Fatalf("%s: shard %d stats:\n got %+v\nwant %+v", what, s, got, want)
+		}
+	}
+}
+
+// TestFlowTableDifferential drives the table and the plain-map oracle
+// with one seeded-random interleaving of inserts, removes and attributed
+// lookups over >100k keys, and requires them to agree exactly at every
+// observation point: duplicate/missing verdicts, per-key resolution,
+// table length, per-shard occupancy and the full per-shard counter set
+// (hits, misses, aggregates, steals).
+func TestFlowTableDifferential(t *testing.T) {
 	const nKeys = 120_000
 	const shards = 64
-	open, err := NewFlowTableLayout(shards, LayoutOpenAddressed)
+	tab, err := NewFlowTable(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, err := NewFlowTableLayout(shards, LayoutSeedMap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both tables attribute deliveries to 4 softirq CPUs so steal
-	// accounting is exercised (and must match) too.
-	open.SetQueues(4)
-	seed.SetQueues(4)
+	// Deliveries are attributed to 4 softirq CPUs so steal accounting is
+	// exercised (and must match) too.
+	tab.SetQueues(4)
+	ref := newRefTable(shards, 4)
 
 	ep := testEndpoint(t, 5001, 44000)
 	keys := make([]FlowKey, nKeys)
 	for i := range keys {
 		keys[i] = diffKey(i)
 	}
-	present := make([]bool, nKeys)
 
 	insert := func(i int) {
-		e1 := open.Insert(keys[i], ep)
-		e2 := seed.Insert(keys[i], ep)
-		if (e1 == nil) != (e2 == nil) {
-			t.Fatalf("Insert(key %d) diverged: open err=%v, map err=%v", i, e1, e2)
-		}
-		if e1 == nil {
-			present[i] = true
-		} else if !present[i] {
-			t.Fatalf("Insert(key %d) reported duplicate but key is absent", i)
+		err := tab.Insert(keys[i], ep)
+		if dup := ref.insert(keys[i], ep); (err != nil) != dup {
+			t.Fatalf("Insert(key %d) err=%v, reference duplicate=%v", i, err, dup)
 		}
 	}
 	remove := func(i int) {
-		r1 := open.Remove(keys[i])
-		r2 := seed.Remove(keys[i])
-		if r1 != r2 {
-			t.Fatalf("Remove(key %d) diverged: open=%v, map=%v", i, r1, r2)
+		if got, want := tab.Remove(keys[i]), ref.remove(keys[i]); got != want {
+			t.Fatalf("Remove(key %d) = %v, reference %v", i, got, want)
 		}
-		if r1 != present[i] {
-			t.Fatalf("Remove(key %d) = %v, want %v", i, r1, present[i])
-		}
-		present[i] = false
 	}
 	lookup := func(rng *rand.Rand, i int) {
 		cpu := rng.Intn(4)
 		np := 1 + rng.Intn(4)
 		agg := rng.Intn(2) == 0
-		p1 := open.LookupOn(cpu, keys[i], 0, np, agg)
-		p2 := seed.LookupOn(cpu, keys[i], 0, np, agg)
-		if p1 != p2 {
-			t.Fatalf("LookupOn(key %d) diverged: open=%p, map=%p", i, p1, p2)
-		}
-		if (p1 != nil) != present[i] {
-			t.Fatalf("LookupOn(key %d) hit=%v, want %v", i, p1 != nil, present[i])
-		}
-	}
-	check := func(stage string) {
-		t.Helper()
-		if open.Len() != seed.Len() {
-			t.Fatalf("%s: Len diverged: open=%d, map=%d", stage, open.Len(), seed.Len())
-		}
-		occ1, occ2 := open.Occupancy(), seed.Occupancy()
-		for s := range occ1 {
-			if occ1[s] != occ2[s] {
-				t.Fatalf("%s: shard %d occupancy diverged: open=%d, map=%d",
-					stage, s, occ1[s], occ2[s])
-			}
-			if s1, s2 := open.ShardStatsOf(s), seed.ShardStatsOf(s); s1 != s2 {
-				t.Fatalf("%s: shard %d stats diverged:\nopen: %+v\nmap:  %+v", stage, s, s1, s2)
-			}
-		}
-		for i, k := range keys {
-			o, m := open.Peek(k), seed.Peek(k)
-			if o != m || (o != nil) != present[i] {
-				t.Fatalf("%s: Peek(key %d) diverged: open=%p, map=%p, want present=%v",
-					stage, i, o, m, present[i])
-			}
+		if got, want := tab.LookupOn(cpu, keys[i], 0, np, agg), ref.lookupOn(cpu, keys[i], np, agg); got != want {
+			t.Fatalf("LookupOn(key %d) = %p, reference %p", i, got, want)
 		}
 	}
 
@@ -121,7 +156,7 @@ func TestFlowLayoutDifferential(t *testing.T) {
 			insert(i) // duplicate attempt
 		}
 	}
-	check("after bulk insert")
+	ref.check(t, "after bulk insert", tab, keys)
 
 	// Phase 2: a long random interleaving of lookups (hits and misses),
 	// removes and re-inserts over the whole key space.
@@ -136,7 +171,7 @@ func TestFlowLayoutDifferential(t *testing.T) {
 			insert(i)
 		}
 	}
-	check("after interleaved ops")
+	ref.check(t, "after interleaved ops", tab, keys)
 
 	// Phase 3: drain most of the population (backward-shift deletes at
 	// scale), then verify the survivors still resolve.
@@ -145,19 +180,18 @@ func TestFlowLayoutDifferential(t *testing.T) {
 			remove(i)
 		}
 	}
-	check("after drain")
+	ref.check(t, "after drain", tab, keys)
 
-	if open.StructBytes() == 0 || seed.StructBytes() == 0 {
-		t.Errorf("layouts report no structure footprint: open=%d, map=%d",
-			open.StructBytes(), seed.StructBytes())
+	if tab.StructBytes() == 0 {
+		t.Error("table reports no structure footprint")
 	}
-	ts := open.TableStats()
-	if ts.Entries != open.Len() || ts.Slots == 0 || ts.ProbeMax < ts.ProbeP50 {
-		t.Errorf("open TableStats inconsistent: %+v", ts)
+	ts := tab.TableStats()
+	if ts.Entries != tab.Len() || ts.Slots == 0 || ts.ProbeMax < ts.ProbeP50 {
+		t.Errorf("TableStats inconsistent: %+v", ts)
 	}
 }
 
-// checkOpenInvariants verifies the open layout's structural invariants
+// checkOpenInvariants verifies the table's structural invariants
 // slot by slot: every resident entry lives in the shard its key's hash
 // selects, its recorded probe distance is exactly its displacement from
 // the home slot (both derived from hashOf(key)), robin-hood ordering holds
@@ -225,7 +259,7 @@ func checkOpenInvariants(t *testing.T, tab *FlowTable) {
 // doublings, punches random holes with backward-shift deletes, refills,
 // and checks the full invariant set after every phase.
 func TestFlowOpenRobinHoodInvariants(t *testing.T) {
-	tab, err := NewFlowTableLayout(8, LayoutOpenAddressed)
+	tab, err := NewFlowTable(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,40 +294,4 @@ func TestFlowOpenRobinHoodInvariants(t *testing.T) {
 		}
 	}
 	checkOpenInvariants(t, tab)
-}
-
-// TestFlowLayoutParse pins the CLI names and their round-trip through
-// the text marshaling the JSON reports use.
-func TestFlowLayoutParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want FlowLayout
-	}{
-		{"open", LayoutOpenAddressed},
-		{"", LayoutOpenAddressed},
-		{"map", LayoutSeedMap},
-		{"seed", LayoutSeedMap},
-	}
-	for _, c := range cases {
-		got, err := ParseFlowLayout(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseFlowLayout(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := ParseFlowLayout("cuckoo"); err == nil {
-		t.Error("ParseFlowLayout(cuckoo) did not error")
-	}
-	for _, l := range []FlowLayout{LayoutOpenAddressed, LayoutSeedMap} {
-		b, err := l.MarshalText()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back FlowLayout
-		if err := back.UnmarshalText(b); err != nil || back != l {
-			t.Errorf("round-trip of %v through %q gave %v, %v", l, b, back, err)
-		}
-	}
-	if _, err := NewFlowTableLayout(8, FlowLayout(7)); err == nil {
-		t.Error("NewFlowTableLayout with bogus layout did not error")
-	}
 }

@@ -48,51 +48,49 @@ func TestFlowSlotLayout(t *testing.T) {
 
 // TestChurnAllocFree: once a table has room, a connection's turnover —
 // Remove of its key, then Insert of the same key for a fresh endpoint —
-// allocates nothing in either layout. The handle the old endpoint frees
-// is the one the new endpoint takes, so the slab does not grow.
+// allocates nothing. The handle the old endpoint frees is the one the new
+// endpoint takes, so the slab does not grow.
 func TestChurnAllocFree(t *testing.T) {
 	const n = 64
 	eps := make([]*tcp.Endpoint, n+1)
 	for i := range eps {
 		eps[i] = testEndpoint(t, uint16(5001+i), 44000)
 	}
-	for _, layout := range []FlowLayout{LayoutOpenAddressed, LayoutSeedMap} {
-		tab, err := NewFlowTableLayout(8, layout)
-		if err != nil {
+	tab, err := NewFlowTable(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := make([]int, n) // key i's endpoint index; eps[spare] is unbound
+	for i := range bound {
+		if err := tab.Insert(diffKey(i), eps[i]); err != nil {
 			t.Fatal(err)
 		}
-		bound := make([]int, n) // key i's endpoint index; eps[spare] is unbound
-		for i := range bound {
-			if err := tab.Insert(diffKey(i), eps[i]); err != nil {
-				t.Fatal(err)
-			}
-			bound[i] = i
+		bound[i] = i
+	}
+	spare, i := n, 0
+	churn := func() {
+		k := diffKey(i % n)
+		if !tab.Remove(k) {
+			t.Fatalf("Remove(key %d) missed", i%n)
 		}
-		spare, i := n, 0
-		churn := func() {
-			k := diffKey(i % n)
-			if !tab.Remove(k) {
-				t.Fatalf("%v: Remove(key %d) missed", layout, i%n)
-			}
-			if err := tab.Insert(k, eps[spare]); err != nil {
-				t.Fatal(err)
-			}
-			bound[i%n], spare = spare, bound[i%n]
-			i++
+		if err := tab.Insert(k, eps[spare]); err != nil {
+			t.Fatal(err)
 		}
-		for w := 0; w < 2*n; w++ {
-			churn()
-		}
-		if allocs := testing.AllocsPerRun(10*n, churn); allocs != 0 {
-			t.Errorf("%v: Remove+Insert allocates %.1f times per call", layout, allocs)
-		}
-		if len(tab.eps) != n+1 {
-			t.Errorf("%v: slab holds %d handles for %d endpoints", layout, len(tab.eps)-1, n)
-		}
-		for j := 0; j < n; j++ {
-			if got := tab.Peek(diffKey(j)); got != eps[bound[j]] {
-				t.Fatalf("%v: key %d resolves to %p, want %p", layout, j, got, eps[bound[j]])
-			}
+		bound[i%n], spare = spare, bound[i%n]
+		i++
+	}
+	for w := 0; w < 2*n; w++ {
+		churn()
+	}
+	if allocs := testing.AllocsPerRun(10*n, churn); allocs != 0 {
+		t.Errorf("Remove+Insert allocates %.1f times per call", allocs)
+	}
+	if len(tab.eps) != n+1 {
+		t.Errorf("slab holds %d handles for %d endpoints", len(tab.eps)-1, n)
+	}
+	for j := 0; j < n; j++ {
+		if got := tab.Peek(diffKey(j)); got != eps[bound[j]] {
+			t.Fatalf("key %d resolves to %p, want %p", j, got, eps[bound[j]])
 		}
 	}
 }
@@ -104,11 +102,7 @@ func checkSlab(t *testing.T, what string, tab *FlowTable) {
 	t.Helper()
 	counts := make([]int, len(tab.eps))
 	for si := range tab.shards {
-		s := &tab.shards[si]
-		for _, ref := range s.conns {
-			counts[ref]++
-		}
-		for _, sl := range s.slots {
+		for _, sl := range tab.shards[si].slots {
 			if sl.dist != 0 {
 				counts[sl.ref()]++
 			}
@@ -135,13 +129,13 @@ func checkSlab(t *testing.T, what string, tab *FlowTable) {
 	}
 }
 
-// FuzzFlowTableOps drives both layouts with one byte-coded sequence of
+// FuzzFlowTableOps drives a table with one byte-coded sequence of
 // Insert, InsertBatch, Remove, Peek and LookupOn over a 24-key space and
-// three endpoints, and checks both after every operation against a
-// map[FlowKey]*tcp.Endpoint reference: verdicts, errors, resolutions,
-// lengths, shard counters, and the handle slab (equal across layouts and
-// consistent with the keys). It ends by removing every key, after which
-// every handle must be back on the free list: churn cannot leak handles.
+// three endpoints, and checks it after every operation against the
+// plain-map oracle (refTable): verdicts, errors, resolutions, length,
+// shard occupancy and counters, and the handle slab's consistency with
+// the keys. It ends by removing every key, after which every handle must
+// be back on the free list: churn cannot leak handles.
 //
 // Each operation takes three bytes: the opcode, a key index and an
 // argument (the endpoint, or a batch's length and key stride).
@@ -158,40 +152,17 @@ func FuzzFlowTableOps(f *testing.F) {
 			keys[i] = diffKey(i)
 		}
 		shards := 1 << (shardBits % 4)
-		var tabs [2]*FlowTable
-		for l, layout := range []FlowLayout{LayoutOpenAddressed, LayoutSeedMap} {
-			tab, err := NewFlowTableLayout(shards, layout)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab.SetQueues(2)
-			tabs[l] = tab
+		tab, err := NewFlowTable(shards)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ref := make(map[FlowKey]*tcp.Endpoint)
+		tab.SetQueues(2)
+		ref := newRefTable(shards, 2)
 
 		check := func(what string) {
 			t.Helper()
-			for _, tab := range tabs {
-				if tab.Len() != len(ref) {
-					t.Fatalf("%s: %v Len %d, reference %d", what, tab.Layout(), tab.Len(), len(ref))
-				}
-				for i, k := range keys {
-					if got := tab.Peek(k); got != ref[k] {
-						t.Fatalf("%s: %v Peek(key %d) = %p, reference %p", what, tab.Layout(), i, got, ref[k])
-					}
-				}
-				checkSlab(t, fmt.Sprintf("%s: %v", what, tab.Layout()), tab)
-			}
-			open, seed := tabs[0], tabs[1]
-			if !reflect.DeepEqual(open.eps, seed.eps) || !reflect.DeepEqual(open.free, seed.free) || open.newest != seed.newest {
-				t.Fatalf("%s: slabs differ:\nopen %v free %v newest %d\nmap  %v free %v newest %d", what,
-					open.eps, open.free, open.newest, seed.eps, seed.free, seed.newest)
-			}
-			for s := 0; s < shards; s++ {
-				if a, b := open.ShardStatsOf(s), seed.ShardStatsOf(s); a != b {
-					t.Fatalf("%s: shard %d stats differ:\nopen %+v\nmap  %+v", what, s, a, b)
-				}
-			}
+			ref.check(t, what, tab, keys)
+			checkSlab(t, what, tab)
 		}
 
 		for o := 0; o+2 < len(ops); o += 3 {
@@ -200,70 +171,48 @@ func FuzzFlowTableOps(f *testing.F) {
 			what := fmt.Sprintf("op %d (%d key %d arg %#x)", o/3, op, ki, arg)
 			switch op {
 			case 0: // Insert
-				_, dup := ref[k]
-				for _, tab := range tabs {
-					if err := tab.Insert(k, ep); (err != nil) != dup {
-						t.Fatalf("%s: %v Insert err %v, reference dup %v", what, tab.Layout(), err, dup)
-					}
-				}
-				if !dup {
-					ref[k] = ep
+				err := tab.Insert(k, ep)
+				if dup := ref.insert(k, ep); (err != nil) != dup {
+					t.Fatalf("%s: Insert err %v, reference dup %v", what, err, dup)
 				}
 			case 1: // InsertBatch of arg&7 keys from ki with stride arg>>3
 				n, stride := int(arg&7), int(arg>>3)
 				keyOf := func(i int) FlowKey { return keys[(ki+i*stride)%space] }
 				var want error
 				for i := 0; i < n; i++ {
-					if _, dup := ref[keyOf(i)]; dup {
-						want = tabs[0].dupErr(keyOf(i))
+					if ref.insert(keyOf(i), eps[0]) {
+						want = tab.dupErr(keyOf(i))
 						break
 					}
-					ref[keyOf(i)] = eps[0]
 				}
-				for _, tab := range tabs {
-					if err := tab.InsertBatch(n, keyOf, eps[0]); fmt.Sprint(err) != fmt.Sprint(want) {
-						t.Fatalf("%s: %v InsertBatch err %v, reference %v", what, tab.Layout(), err, want)
-					}
+				if err := tab.InsertBatch(n, keyOf, eps[0]); fmt.Sprint(err) != fmt.Sprint(want) {
+					t.Fatalf("%s: InsertBatch err %v, reference %v", what, err, want)
 				}
 			case 2: // Remove
-				_, present := ref[k]
-				for _, tab := range tabs {
-					if got := tab.Remove(k); got != present {
-						t.Fatalf("%s: %v Remove = %v, reference %v", what, tab.Layout(), got, present)
-					}
+				if got, want := tab.Remove(k), ref.remove(k); got != want {
+					t.Fatalf("%s: Remove = %v, reference %v", what, got, want)
 				}
-				delete(ref, k)
 			case 3: // Peek
-				for _, tab := range tabs {
-					if got := tab.Peek(k); got != ref[k] {
-						t.Fatalf("%s: %v Peek = %p, reference %p", what, tab.Layout(), got, ref[k])
-					}
+				if got := tab.Peek(k); got != ref.eps[k] {
+					t.Fatalf("%s: Peek = %p, reference %p", what, got, ref.eps[k])
 				}
 			case 4: // LookupOn, attributed to CPU arg&1
-				for _, tab := range tabs {
-					if got := tab.LookupOn(int(arg&1), k, 0, 1+int(arg>>4), arg&2 != 0); got != ref[k] {
-						t.Fatalf("%s: %v LookupOn = %p, reference %p", what, tab.Layout(), got, ref[k])
-					}
+				np, agg := 1+int(arg>>4), arg&2 != 0
+				if got, want := tab.LookupOn(int(arg&1), k, 0, np, agg), ref.lookupOn(int(arg&1), k, np, agg); got != want {
+					t.Fatalf("%s: LookupOn = %p, reference %p", what, got, want)
 				}
 			}
 			check(what)
 		}
 
 		for _, k := range keys {
-			_, present := ref[k]
-			for _, tab := range tabs {
-				if tab.Remove(k) != present {
-					t.Fatalf("drain: %v Remove verdict differs from reference", tab.Layout())
-				}
+			if tab.Remove(k) != ref.remove(k) {
+				t.Fatal("drain: Remove verdict differs from reference")
 			}
-			delete(ref, k)
 		}
 		check("drain")
-		for _, tab := range tabs {
-			if len(tab.free) != len(tab.eps)-1 {
-				t.Fatalf("%v: %d of %d handles free after draining every key",
-					tab.Layout(), len(tab.free), len(tab.eps)-1)
-			}
+		if len(tab.free) != len(tab.eps)-1 {
+			t.Fatalf("%d of %d handles free after draining every key", len(tab.free), len(tab.eps)-1)
 		}
 	})
 }

@@ -39,17 +39,6 @@ type Stats struct {
 	Malformed      uint64
 	HostPacketsOut uint64
 	SoftCsumVerify uint64
-	// TimeWaitEntered counts flows moved into the TIME_WAIT table after
-	// teardown; TimeWaitReaped counts expiries that unregistered them;
-	// TimeWaitReused counts lingering entries recycled by SYN-time port
-	// reuse, and TimeWaitReuseRefused the reuse attempts the RFC 6191
-	// admissibility check turned away. TimeWaitEvicted counts entries
-	// dropped early by tcp_max_tw_buckets pressure (ConfigureTimeWait).
-	TimeWaitEntered      uint64
-	TimeWaitReaped       uint64
-	TimeWaitReused       uint64
-	TimeWaitReuseRefused uint64
-	TimeWaitEvicted      uint64
 }
 
 // EndpointSlabBytes models the slab footprint of one registered endpoint:
@@ -125,15 +114,9 @@ type Stack struct {
 }
 
 // New creates an empty stack charging m under p, with the default shard
-// count and flow-table layout.
+// count.
 func New(m *cycles.Meter, p *cost.Params, alloc *buf.Allocator) *Stack {
-	return NewLayout(m, p, alloc, LayoutOpenAddressed)
-}
-
-// NewLayout creates an empty stack with the default shard count and the
-// given flow-table layout.
-func NewLayout(m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, layout FlowLayout) *Stack {
-	s, err := NewShardedLayout(m, p, alloc, 0, layout)
+	s, err := NewSharded(m, p, alloc, 0)
 	if err != nil {
 		panic(err) // unreachable: the default shard count is valid
 	}
@@ -143,16 +126,10 @@ func NewLayout(m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, layout Flo
 // NewSharded creates an empty stack whose flow table has the given
 // power-of-two shard count (0 = DefaultFlowShards).
 func NewSharded(m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, shards int) (*Stack, error) {
-	return NewShardedLayout(m, p, alloc, shards, LayoutOpenAddressed)
-}
-
-// NewShardedLayout creates an empty stack with the given shard count and
-// flow-table layout.
-func NewShardedLayout(m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, shards int, layout FlowLayout) (*Stack, error) {
 	if m == nil || p == nil || alloc == nil {
 		panic("netstack: nil dependency")
 	}
-	t, err := NewFlowTableLayout(shards, layout)
+	t, err := NewFlowTable(shards)
 	if err != nil {
 		return nil, err
 	}

@@ -373,7 +373,6 @@ func (s *Stack) ConfigureTimeWait(maxBuckets int, evictOldest bool) {
 func (s *Stack) dropEvicted(e *twEntry) {
 	registered := s.table.Remove(e.key)
 	s.chargeTWRemove(registered)
-	s.stats.TimeWaitEvicted++
 	s.twEvicted = append(s.twEvicted, e.key)
 }
 
@@ -424,7 +423,6 @@ func (s *Stack) EnterTimeWait(remoteIP, localIP ipv4.Addr, remotePort, localPort
 		s.tw.freeEntry(e)
 		return false
 	}
-	s.stats.TimeWaitEntered++
 	s.chargeTWInsert()
 	s.noteMem()
 	return true
@@ -447,7 +445,6 @@ func (s *Stack) SeedTimeWait(k FlowKey, deadline uint64, lastTS, rcvNxt uint32) 
 		s.tw.freeEntry(e)
 		return false
 	}
-	s.stats.TimeWaitEntered++
 	s.chargeTWInsert()
 	s.noteMem()
 	return true
@@ -490,13 +487,11 @@ func (s *Stack) ReuseTimeWait(remoteIP, localIP ipv4.Addr, remotePort, localPort
 	s.meter.Charge(cycles.NonProto, s.params.Mem.RandomTouchCost(1))
 	if !tcp.ReuseAdmissible(e.lastTS, tsVal, e.rcvNxt, isn) {
 		s.tw.refused++
-		s.stats.TimeWaitReuseRefused++
 		return ReuseRefused
 	}
 	s.tw.recycle(shard, e)
 	registered := s.table.Remove(k)
 	s.chargeTWRemove(registered)
-	s.stats.TimeWaitReused++
 	return ReuseGranted
 }
 
@@ -521,7 +516,6 @@ func (s *Stack) ReapTimeWait(now uint64) []FlowKey {
 	s.tw.reap(now, func(e *twEntry) {
 		registered := s.table.Remove(e.key)
 		s.chargeTWRemove(registered)
-		s.stats.TimeWaitReaped++
 		s.twReaped = append(s.twReaped, e.key)
 	})
 	return s.twReaped
@@ -542,7 +536,3 @@ func (s *Stack) TimeWaitOccupancy() []int {
 	}
 	return occ
 }
-
-// TimeWaitShardOf returns the shard index owning k — the same shard (and
-// therefore softirq CPU) as the flow table's, by construction.
-func (s *Stack) TimeWaitShardOf(k FlowKey) int { return s.table.ShardOf(k) }

@@ -18,7 +18,7 @@ func newPressureRig(t *testing.T, shards, flows, maxBuckets int, evictOldest boo
 	var m cycles.Meter
 	params := cost.NativeUP()
 	alloc := buf.NewAllocator(&m, &params)
-	st, err := NewShardedLayout(&m, &params, alloc, shards, LayoutOpenAddressed)
+	st, err := NewSharded(&m, &params, alloc, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +83,8 @@ func TestTimeWaitPressureRefusal(t *testing.T) {
 	if !r.stack.FlowTable().Has(k) {
 		t.Error("refusal unregistered the flow")
 	}
-	if r.stack.Stats().TimeWaitEvicted != 0 {
-		t.Errorf("refusal mode evicted %d flows", r.stack.Stats().TimeWaitEvicted)
+	if got := r.stack.TimeWaitStats().Evicted; got != 0 {
+		t.Errorf("refusal mode evicted %d flows", got)
 	}
 	twInvariant(t, r.stack, "after refusals")
 
@@ -125,9 +125,6 @@ func TestTimeWaitPressureEvictOldest(t *testing.T) {
 	s := r.stack.TimeWaitStats()
 	if s.Len != 4 || s.Entered != 5 || s.Evicted != 1 || s.PressureRefused != 0 {
 		t.Errorf("stats after eviction = %+v", s)
-	}
-	if got := r.stack.Stats().TimeWaitEvicted; got != 1 {
-		t.Errorf("Stats().TimeWaitEvicted = %d, want 1", got)
 	}
 	twInvariant(t, r.stack, "after eviction")
 

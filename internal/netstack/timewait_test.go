@@ -88,9 +88,6 @@ func TestTimeWaitEnterReap(t *testing.T) {
 	if st.Entered != 2 || st.Reaped != 2 || st.Len != 0 || st.Peak != 2 {
 		t.Errorf("stats = %+v", st)
 	}
-	if s := r.stack.Stats(); s.TimeWaitEntered != 2 || s.TimeWaitReaped != 2 {
-		t.Errorf("stack stats = %+v", s)
-	}
 }
 
 // TestTimeWaitWheelLongLinger: a deadline further out than one wheel lap

@@ -58,7 +58,6 @@ func buildMachine(cfg *StreamConfig) (*frontend.FrontEnd, roundFunc, error) {
 		Mode:          mode,
 		Aggregation:   aggOpts,
 		FlowRuleSlots: cfg.Steering.RuleTableSlots,
-		FlowLayout:    cfg.FlowLayout,
 	}
 	return newMachine(fc, cfg.System == SystemXen, cfg.GuestVCPUs)
 }

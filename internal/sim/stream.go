@@ -152,10 +152,6 @@ type StreamConfig struct {
 	// RestartStorm configures the restart-storm teardown workload (zero
 	// value: no storm).
 	RestartStorm RestartStormConfig
-	// FlowLayout selects the flow-table shard layout (zero value: the
-	// cache-conscious open-addressed layout; LayoutSeedMap keeps the
-	// Go-map shards as the priced baseline).
-	FlowLayout netstack.FlowLayout
 	// RegisteredFlows, when above Connections, grows the registered
 	// endpoint population to this total by seeding idle flows: registered
 	// connections that receive no traffic during the run but occupy demux
@@ -313,12 +309,6 @@ type StreamResult struct {
 	// end of the run (index = shard; cumulative over warm-up and the
 	// measured interval): registered flows, demux hits, misses, steals.
 	ShardStats []netstack.ShardStats
-	// TimeWaitEntered/TimeWaitReaped mirror TimeWait.Entered/Reaped
-	// (kept for older consumers): everything that entered or left the
-	// TIME_WAIT table — churn/storm teardowns AND any seeded
-	// restart-storm backlog, so with PrefillTimeWait set they exceed the
-	// torn-down flow count by the synthetic backlog.
-	TimeWaitEntered, TimeWaitReaped uint64
 	// TimeWait is the full TIME_WAIT table summary at the end of the run
 	// (occupancy, peak, modeled footprint, SYN-time reuse activity).
 	TimeWait netstack.TimeWaitStats
@@ -358,12 +348,11 @@ type StreamResult struct {
 	// DemuxCycles is the cycles the flow table charged for structural
 	// demux touches during the measured interval — the capacity-miss
 	// excess that appears once the registered population outgrows the
-	// cache, zero below it. This is the connscale sweep's per-layout
-	// degradation signal.
+	// cache, zero below it. This is the connscale sweep's degradation
+	// signal.
 	DemuxCycles uint64
 	// Demux is the flow-table structure summary at the end of the run
-	// (layout, footprint, per-shard load factors, probe-length
-	// distribution).
+	// (footprint, per-shard load factors, probe-length distribution).
 	Demux netstack.TableStats
 	// Mem is the stack's modeled memory budget at the end of the run
 	// (endpoint slabs + TIME_WAIT entries + demux structure, with the
@@ -596,9 +585,6 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	res.DemuxCycles = table.DemuxCycles() - startDemux
 	res.Demux = table.TableStats()
 	res.Mem = top.machine.Netstack().MemStats()
-	stackStats := top.machine.Netstack().Stats()
-	res.TimeWaitEntered = stackStats.TimeWaitEntered
-	res.TimeWaitReaped = stackStats.TimeWaitReaped
 	res.TimeWait = top.machine.Netstack().TimeWaitStats()
 	if top.steer != nil {
 		res.Steer = top.steer.report()

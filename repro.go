@@ -119,10 +119,7 @@ type (
 	// modeled footprint and SYN-time reuse activity
 	// (StreamResult.TimeWait).
 	TimeWaitStats = netstack.TimeWaitStats
-	// FlowLayout selects the flow-table shard layout
-	// (StreamConfig.FlowLayout).
-	FlowLayout = netstack.FlowLayout
-	// TableStats is the demux-table structure summary: layout, footprint,
+	// TableStats is the demux-table structure summary: footprint,
 	// charged demux cycles, per-shard load factors and the probe-length
 	// distribution (StreamResult.Demux).
 	TableStats = netstack.TableStats
@@ -151,21 +148,6 @@ type (
 	// duration) of the trace exporter.
 	Span = telemetry.Span
 )
-
-// Flow-table shard layouts (StreamConfig.FlowLayout).
-const (
-	// LayoutOpenAddressed is the cache-conscious open-addressing layout
-	// (the default).
-	LayoutOpenAddressed = netstack.LayoutOpenAddressed
-	// LayoutSeedMap is the seed-style Go-map shard, the priced baseline.
-	LayoutSeedMap = netstack.LayoutSeedMap
-)
-
-// ParseFlowLayout maps a CLI layout name ("open", "map") to its
-// FlowLayout.
-func ParseFlowLayout(s string) (FlowLayout, error) {
-	return netstack.ParseFlowLayout(s)
-}
 
 // ParseSystem maps a CLI system name to its SystemKind: "up" (alias
 // "native"), "smp", or "xen". The single mapping shared by the commands,

@@ -228,14 +228,14 @@ func TestChurnTeardownHandshake(t *testing.T) {
 	if res.FlowsTornDown == 0 {
 		t.Fatal("churn never tore a flow down")
 	}
-	if res.TimeWaitEntered == 0 {
+	if res.TimeWait.Entered == 0 {
 		t.Error("no teardown reached TIME_WAIT: FIN handshake not completing")
 	}
-	if res.TimeWaitReaped == 0 {
+	if res.TimeWait.Reaped == 0 {
 		t.Error("no TIME_WAIT entry was reaped")
 	}
-	if res.TimeWaitReaped > res.TimeWaitEntered {
-		t.Errorf("reaped %d > entered %d", res.TimeWaitReaped, res.TimeWaitEntered)
+	if res.TimeWait.Reaped > res.TimeWait.Entered {
+		t.Errorf("reaped %d > entered %d", res.TimeWait.Reaped, res.TimeWait.Entered)
 	}
 	if res.ThroughputMbps < 3000 {
 		t.Errorf("churned throughput collapsed: %.0f Mb/s", res.ThroughputMbps)
