@@ -250,9 +250,8 @@ func printSteer(res repro.StreamResult) {
 	}
 	fmt.Printf("steering: %d epochs (%d calm), %d bucket moves, util spread %.3f\n",
 		r.Epochs, r.CalmEpochs, r.Moves, res.UtilSpread())
-	fmt.Printf("aRFS rules: %d programmed, %d evicted, %d hits, %d live (+%d flow-owner overrides), %d app migrations\n",
-		r.RulesProgrammed, r.RuleEvictions, r.RuleHits, r.RuleOccupancy,
-		r.FlowOwnerOverrides, r.AppMigrations)
+	fmt.Printf("aRFS rules: %d programmed, %d evicted, %d hits, %d live, %d app migrations\n",
+		r.RulesProgrammed, r.RuleEvictions, r.RuleHits, r.RuleOccupancy, r.AppMigrations)
 	fmt.Println("indirection table (bucket -> CPU):")
 	const perRow = 32
 	for base := 0; base < len(r.Indirection); base += perRow {

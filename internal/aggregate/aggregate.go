@@ -40,19 +40,9 @@ import (
 	"repro/internal/ether"
 	"repro/internal/ipv4"
 	"repro/internal/nic"
+	"repro/internal/rss"
 	"repro/internal/tcpwire"
 )
-
-// FlowKey identifies a TCP connection as seen by the receiver.
-type FlowKey struct {
-	Src, Dst         ipv4.Addr
-	SrcPort, DstPort uint16
-}
-
-// String renders the flow four-tuple.
-func (k FlowKey) String() string {
-	return fmt.Sprintf("%v:%d->%v:%d", k.Src, k.SrcPort, k.Dst, k.DstPort)
-}
 
 // Config tunes the engine.
 type Config struct {
@@ -163,7 +153,7 @@ func (s Stats) Add(o Stats) Stats {
 
 // pending is a partially aggregated packet.
 type pending struct {
-	key     FlowKey
+	key     rss.FlowKey
 	skb     *buf.SKB
 	count   int
 	nextSeq uint32 // expected sequence number of the next frame
@@ -232,14 +222,14 @@ type Engine struct {
 	// cannot perturb the run.
 	Clock func() uint64
 
-	table map[FlowKey]*pending
+	table map[rss.FlowKey]*pending
 	// order[head:] is the insertion order for eviction and the flushes;
 	// eviction advances head, so the slice keeps its storage, and
 	// compactOrder moves the live entries back to the front.
-	order []FlowKey
+	order []rss.FlowKey
 	head  int
-	seen  map[FlowKey]bool // compactOrder's scratch, kept empty
-	spare []*pending       // delivered pending records, recycled by newPending
+	seen  map[rss.FlowKey]bool // compactOrder's scratch, kept empty
+	spare []*pending           // delivered pending records, recycled by newPending
 
 	stats Stats
 }
@@ -269,7 +259,7 @@ func New(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator) (*En
 		meter:  m,
 		params: p,
 		alloc:  alloc,
-		table:  make(map[FlowKey]*pending, cfg.TableSize),
+		table:  make(map[rss.FlowKey]*pending, cfg.TableSize),
 	}, nil
 }
 
@@ -332,7 +322,7 @@ func (e *Engine) Input(f nic.Frame) {
 		e.passthrough(f)
 		return
 	}
-	key := FlowKey{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}
+	key := rss.FlowKey{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}
 
 	reason := e.eligible(f, &ih, &th)
 	if reason != nil {
@@ -543,7 +533,7 @@ func (e *Engine) matches(p *pending, hf *heldFrame) bool {
 // newPending builds the pending-aggregate state seeded by one parsed
 // frame. Shared by start and stitchDrainRun so the two construction
 // sites cannot drift when pending grows a field.
-func (e *Engine) newPending(key FlowKey, hf *heldFrame) *pending {
+func (e *Engine) newPending(key rss.FlowKey, hf *heldFrame) *pending {
 	f := &hf.frame
 	skb := e.alloc.NewData(f.Data, ether.HeaderLen)
 	skb.Pooled = f.Pooled
@@ -576,7 +566,7 @@ func (e *Engine) newPending(key FlowKey, hf *heldFrame) *pending {
 }
 
 // start opens a new pending aggregate seeded with this frame.
-func (e *Engine) start(key FlowKey, hf *heldFrame) {
+func (e *Engine) start(key rss.FlowKey, hf *heldFrame) {
 	p := e.newPending(key, hf)
 	if e.cfg.Limit == 1 {
 		// Degenerate configuration: deliver immediately (§5.5).
@@ -598,7 +588,7 @@ func (e *Engine) start(key FlowKey, hf *heldFrame) {
 // slice stays bounded even when the aggregation queue never runs empty.
 func (e *Engine) compactOrder() {
 	if e.seen == nil {
-		e.seen = make(map[FlowKey]bool, e.cfg.TableSize)
+		e.seen = make(map[rss.FlowKey]bool, e.cfg.TableSize)
 	}
 	live := e.order[:0]
 	for _, k := range e.order[e.head:] {
@@ -645,7 +635,7 @@ func (e *Engine) FlushAll() {
 // re-steered to another CPU, the old CPU's partial aggregates for the
 // affected flows are drained, so no aggregate can ever merge frames from
 // both sides of the migration boundary. It returns the number flushed.
-func (e *Engine) FlushWhere(pred func(FlowKey) bool) int {
+func (e *Engine) FlushWhere(pred func(rss.FlowKey) bool) int {
 	n := 0
 	for _, k := range e.order[e.head:] {
 		if !pred(k) {
@@ -716,7 +706,7 @@ func (e *Engine) deliver(p *pending) {
 // run stitching shows up additionally as FlushHeldDrain/DrainStitched.
 // The stack's out-of-order queue absorbs the result exactly as it would
 // have absorbed the individual frames.
-func (e *Engine) drainHeldSlice(key FlowKey, held []heldFrame) {
+func (e *Engine) drainHeldSlice(key rss.FlowKey, held []heldFrame) {
 	for i := 0; i < len(held); {
 		// Extend the run while frames are exactly consecutive, the ACK
 		// stays monotone (§3.1), and the Aggregation Limit admits more.
@@ -742,7 +732,7 @@ func (e *Engine) drainHeldSlice(key FlowKey, held []heldFrame) {
 // usual aggregate of it. The per-aggregate overhead is charged by deliver
 // like any other flush; the per-frame costs were paid at Input and hold
 // time.
-func (e *Engine) stitchDrainRun(key FlowKey, run []heldFrame) {
+func (e *Engine) stitchDrainRun(key rss.FlowKey, run []heldFrame) {
 	p := e.newPending(key, &run[0])
 	e.stats.WindowTimeout++
 	for i := range run[1:] {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/nic"
 	"repro/internal/packet"
+	"repro/internal/rss"
 	"repro/internal/tcpwire"
 )
 
@@ -56,7 +57,7 @@ func TestFlushWhere(t *testing.T) {
 	if got := e.eng.PendingFlows(); got != 2 {
 		t.Fatalf("PendingFlows = %d, want 2", got)
 	}
-	n := e.eng.FlushWhere(func(k FlowKey) bool { return k.SrcPort == 5001 })
+	n := e.eng.FlushWhere(func(k rss.FlowKey) bool { return k.SrcPort == 5001 })
 	if n != 1 {
 		t.Fatalf("FlushWhere flushed %d aggregates, want 1", n)
 	}
@@ -685,7 +686,7 @@ func TestReorderFlushWhereDrainsHeld(t *testing.T) {
 	defer e.freeOut()
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
 	e.eng.Input(flowFrame(1+2*1448, 1, 1448, nil)) // held
-	n := e.eng.FlushWhere(func(k FlowKey) bool { return k.SrcPort == 5001 })
+	n := e.eng.FlushWhere(func(k rss.FlowKey) bool { return k.SrcPort == 5001 })
 	if n != 1 {
 		t.Fatalf("FlushWhere flushed %d, want 1", n)
 	}
@@ -803,13 +804,6 @@ func TestReorderStitchAcrossSequenceWrap(t *testing.T) {
 	}
 	if st := e.eng.Stats(); st.Stitched != 1 {
 		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestFlowKeyString(t *testing.T) {
-	k := FlowKey{Src: ipv4.Addr{1, 2, 3, 4}, Dst: ipv4.Addr{5, 6, 7, 8}, SrcPort: 9, DstPort: 10}
-	if k.String() != "1.2.3.4:9->5.6.7.8:10" {
-		t.Errorf("String() = %q", k.String())
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/cycles"
 	"repro/internal/nic"
+	"repro/internal/rss"
 	"repro/internal/softirq"
 )
 
@@ -127,17 +128,14 @@ func (rp *ReceivePath) Process(budget int) int {
 // state (used at shutdown and by tests).
 func (rp *ReceivePath) Flush() { rp.engine.FlushAll() }
 
-// FlushFlow drains the pending aggregate of the flow identified by the
-// four-tuple from every given path — it lives in at most one, but which
-// one depends on steering history, so all are swept. Shared by the
-// native and paravirtual machines' steering handoff: any time a flow's
-// steering changes (bucket move, aRFS program, rule eviction), its
-// pending state must be delivered before frames can arrive elsewhere.
-func FlushFlow(rps []*ReceivePath, src, dst [4]byte, srcPort, dstPort uint16) {
+// FlushFlow drains flow k's pending aggregate from every given path — it
+// lives in at most one, but which one depends on steering history, so all
+// are swept. The front end's per-flow steering handoff (aRFS program,
+// rule eviction, rule removal) calls it before frames can arrive on
+// another queue, so no aggregate spans the migration boundary.
+func FlushFlow(rps []*ReceivePath, k rss.FlowKey) {
 	for _, rp := range rps {
-		rp.FlushWhere(func(k aggregate.FlowKey) bool {
-			return k.Src == src && k.Dst == dst && k.SrcPort == srcPort && k.DstPort == dstPort
-		})
+		rp.FlushWhere(func(pk rss.FlowKey) bool { return pk == k })
 	}
 }
 
@@ -146,6 +144,6 @@ func FlushFlow(rps []*ReceivePath, src, dst [4]byte, srcPort, dstPort uint16) {
 // or flow is re-steered to another CPU, the old owner's pending state for
 // it is delivered, so no aggregate spans the migration boundary. It
 // returns the number of aggregates flushed.
-func (rp *ReceivePath) FlushWhere(pred func(aggregate.FlowKey) bool) int {
+func (rp *ReceivePath) FlushWhere(pred func(rss.FlowKey) bool) int {
 	return rp.engine.FlushWhere(pred)
 }

@@ -11,7 +11,6 @@ package frontend
 import (
 	"fmt"
 
-	"repro/internal/aggregate"
 	"repro/internal/buf"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -94,10 +93,6 @@ type FrontEnd struct {
 	// Stack is the receiving stack: the host's natively, the guest's on
 	// Xen.
 	Stack *netstack.Stack
-	// RuleMirror, when set, follows every exact-match rule the front end
-	// programs (cpu >= 0) or removes (cpu < 0) — netback's per-flow
-	// channel overrides on Xen.
-	RuleMirror func(t nic.FlowTuple, cpu int)
 
 	nics     []*nic.NIC
 	drvs     [][]*driver.Driver  // [nic][queue]
@@ -157,7 +152,6 @@ func (fe *FrontEnd) Init(cfg Config, owners *rss.Map, deliver func(q int) func(*
 	fe.Alloc.SetPool(buf.NewPool())
 	fe.Stack = netstack.New(&fe.Meter, &fe.Params, fe.Alloc)
 	fe.Stack.Tx = fe
-	fe.Stack.SetQueues(owners.Queues())
 	fe.Stack.FlowTable().SetOwnerMap(owners)
 
 	out := make([]func(*buf.SKB), cfg.Queues)
@@ -327,9 +321,7 @@ func (fe *FrontEnd) SteerBucket(b, cpu int) {
 	oldQ := fe.nicMap.Entry(b)
 	newQ := cpu % fe.nicMap.Queues()
 	if fe.rps != nil && oldQ != newQ {
-		fe.rps[oldQ].FlushWhere(func(k aggregate.FlowKey) bool {
-			return rss.Bucket(rss.HashTCP4(k.Src, k.Dst, k.SrcPort, k.DstPort)) == b
-		})
+		fe.rps[oldQ].FlushWhere(func(k rss.FlowKey) bool { return rss.Bucket(k.Hash()) == b })
 	}
 	fe.nicMap.Set(b, newQ)
 	fe.owners.Set(b, cpu)
@@ -352,59 +344,48 @@ func (fe *FrontEnd) flushCoalescing() {
 // SteerFlow programs an aRFS rule steering flow k onto cpu: pending
 // aggregation state for the flow is drained from every engine (it lives in
 // at most one), the rule is installed on the NIC that carries the flow's
-// subnet (queue cpu mod queues) and mirrored, and the flow table's
-// ownership override follows. An evicted victim's key is returned for the
-// policy to forget; the victim's overrides are cleared so it falls back to
-// its bucket.
+// subnet (queue cpu mod queues), and the flow table records cpu as the
+// flow's ownership override — the one software record of the decision,
+// which netback also steers by on Xen. An evicted victim's key is
+// returned for the policy to forget; its override is cleared so it falls
+// back to its bucket.
 func (fe *FrontEnd) SteerFlow(k netstack.FlowKey, hash uint32, cpu int) (*netstack.FlowKey, error) {
 	table := fe.Stack.FlowTable()
 	if table.OwnerOf(k, hash) == cpu {
 		return nil, nil
 	}
-	core.FlushFlow(fe.rps, k.Src, k.Dst, k.SrcPort, k.DstPort)
-	t := nic.FlowTuple(k)
-	victim, err := fe.nics[fe.nicOf(k)].ProgramFlowRule(t, cpu%fe.nicMap.Queues())
+	core.FlushFlow(fe.rps, k)
+	victim, err := fe.nics[fe.nicOf(k)].ProgramFlowRule(k, cpu%fe.nicMap.Queues())
 	if err != nil {
 		return nil, err
 	}
-	fe.mirror(t, cpu)
 	table.SetFlowOwner(k, cpu)
 	fe.flushCoalescing()
 	if victim == nil {
 		return nil, nil
 	}
 	// The evicted victim is itself re-steered (back to its bucket's
-	// indirection), so it gets the same handoff: drop the overrides and
+	// indirection), so it gets the same handoff: drop its override and
 	// drain its pending state before frames can land elsewhere.
-	fe.mirror(*victim, -1)
-	vk := netstack.FlowKey(*victim)
-	table.ClearFlowOwner(vk)
-	core.FlushFlow(fe.rps, vk.Src, vk.Dst, vk.SrcPort, vk.DstPort)
-	return &vk, nil
+	table.ClearFlowOwner(*victim)
+	core.FlushFlow(fe.rps, *victim)
+	return victim, nil
 }
 
 // UnsteerFlow removes flow k's aRFS rule (rule aging): the flow reverts
 // to its bucket's indirection with the standard migration handoff —
 // pending aggregation state (including any resequencing window) drained,
-// ownership override cleared, coalesced interrupts kicked. No-op when no
-// rule is programmed. The simulation is single-threaded, so no frame can
-// arrive between these steps.
+// the flow table's ownership override cleared (natively and for netback
+// alike), coalesced interrupts kicked. No-op when no rule is programmed.
+// The simulation is single-threaded, so no frame can arrive between these
+// steps.
 func (fe *FrontEnd) UnsteerFlow(k netstack.FlowKey) {
-	t := nic.FlowTuple(k)
-	if !fe.nics[fe.nicOf(k)].RemoveFlowRule(t) {
+	if !fe.nics[fe.nicOf(k)].RemoveFlowRule(k) {
 		return
 	}
-	fe.mirror(t, -1)
 	fe.Stack.FlowTable().ClearFlowOwner(k)
-	core.FlushFlow(fe.rps, k.Src, k.Dst, k.SrcPort, k.DstPort)
+	core.FlushFlow(fe.rps, k)
 	fe.flushCoalescing()
-}
-
-// mirror reports a rule change to RuleMirror, if any.
-func (fe *FrontEnd) mirror(t nic.FlowTuple, cpu int) {
-	if fe.RuleMirror != nil {
-		fe.RuleMirror(t, cpu)
-	}
 }
 
 // nicOf maps a flow to the NIC carrying its sender subnet (10.0.<n>.x).
@@ -424,7 +405,8 @@ func (fe *FrontEnd) RegisterEndpoint(ep *tcp.Endpoint, remoteIP, localIP [4]byte
 	if fe.telCol != nil {
 		// The flow's packets all reach the stack on the CPU its owner map
 		// names, so its latency samples land in that CPU's shard.
-		owner := fe.owners.Queue(rss.HashTCP4(remoteIP, localIP, remotePort, localPort))
+		k := netstack.FlowKey{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}
+		owner := fe.Stack.FlowTable().OwnerOf(k, k.Hash())
 		sc := fe.stampClock
 		ep.SetLatencyRecorder(fe.telCol.Lane(owner), func() uint64 { return sc(owner) })
 	}
@@ -459,15 +441,13 @@ func (fe *FrontEnd) OpenEndpoint(cfg tcp.Config, clock tcp.Clock, remoteIP, loca
 }
 
 // UnregisterEndpoint removes an endpoint from the demux table (connection
-// teardown), dropping any steering rule programmed for it. The endpoint
-// stays on the machine's timer/accounting list until RetireEndpoint takes
-// it off.
+// teardown), which drops its ownership override, and releases any steering
+// rule programmed for it. The endpoint stays on the machine's
+// timer/accounting list until RetireEndpoint takes it off.
 func (fe *FrontEnd) UnregisterEndpoint(remoteIP, localIP [4]byte, remotePort, localPort uint16) {
 	fe.Stack.Unregister(remoteIP, localIP, remotePort, localPort)
-	t := nic.FlowTuple{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}
-	if fe.nics[fe.nicOf(netstack.FlowKey(t))].RemoveFlowRule(t) {
-		fe.mirror(t, -1)
-	}
+	k := netstack.FlowKey{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}
+	fe.nics[fe.nicOf(k)].RemoveFlowRule(k)
 }
 
 // RetireEndpoint ends the life of the unregistered endpoint in slot (from

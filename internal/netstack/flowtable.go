@@ -45,7 +45,6 @@ import (
 type FlowTable struct {
 	shards []flowShard
 	count  int
-	queues int // softirq CPU count for steal detection (0 = unknown)
 
 	// bytes is the modeled structure footprint of the demux table itself
 	// (the slot arrays, not the endpoints), the capacity-model input;
@@ -59,12 +58,14 @@ type FlowTable struct {
 	params *cost.Params
 
 	// owners, when set, is the live bucket→CPU steering map shared with
-	// the NICs: shard ownership follows indirection rewrites instead of
-	// the static bucket-mod-queues fill.
+	// the NICs: shard ownership follows indirection rewrites. nil turns
+	// ownership (steal) accounting off.
 	owners *rss.Map
-	// flowOwners holds aRFS per-flow ownership overrides: a steered
+	// flowOwners holds the aRFS per-flow ownership overrides: a steered
 	// flow's deliveries are expected from its application CPU, whatever
-	// its bucket's owner is.
+	// its bucket's owner is. It is the one software record of an aRFS
+	// steering decision — netback reads its I/O channel choice from it
+	// too; the NIC's rule table is the hardware's copy.
 	flowOwners map[FlowKey]int
 
 	// eps is the endpoint slab: slots name their endpoint by a uint32
@@ -145,10 +146,11 @@ type ShardStats struct {
 	Aggregates uint64
 	// Misses counts lookups that found no endpoint.
 	Misses uint64
-	// Steals counts lookups performed by a CPU other than the shard's
-	// owning softirq CPU (queue = bucket mod queues). Zero as long as
-	// the queue→shard ownership invariant holds; non-zero means a flow's
-	// packets crossed CPUs and shard state is no longer CPU-local.
+	// Steals counts lookups performed by a CPU other than the flow's
+	// owner (OwnerOf: its aRFS override, else its bucket's entry in the
+	// owner map). Zero as long as the queue→shard ownership invariant
+	// holds; non-zero means a flow's packets crossed CPUs and shard state
+	// is no longer CPU-local.
 	Steals uint64
 }
 
@@ -186,12 +188,6 @@ func (t *FlowTable) StructBytes() uint64 { return t.bytes }
 // DemuxCycles returns the cycles charged for structural demux touches so
 // far (zero while the table fits in cache or pricing is off).
 func (t *FlowTable) DemuxCycles() uint64 { return t.demuxCycles }
-
-// hashOf computes the key's RSS hash. The packet's own addressing is the
-// key (Src = remote peer), matching what the NIC hashed on the wire.
-func hashOf(k FlowKey) uint32 {
-	return rss.HashTCP4(k.Src, k.Dst, k.SrcPort, k.DstPort)
-}
 
 // slotIndexHash remixes the Toeplitz hash for slot indexing. The shard
 // index is the hash's low bucket bits, so every key in a shard shares
@@ -334,7 +330,7 @@ func (s *flowShard) openGrow(n int, scratch []flowSlot) {
 	s.used = 0
 	for i := range old {
 		if old[i].dist != 0 {
-			s.openPut(hashOf(old[i].key), old[i].key, old[i].ref())
+			s.openPut(old[i].key.Hash(), old[i].key, old[i].ref())
 		}
 	}
 }
@@ -410,7 +406,7 @@ func (s *flowShard) openRemove(h uint32, k FlowKey) (uint32, int) {
 
 // ShardOf returns the index of the shard owning key.
 func (t *FlowTable) ShardOf(k FlowKey) int {
-	return rss.ShardOf(hashOf(k), len(t.shards))
+	return rss.ShardOf(k.Hash(), len(t.shards))
 }
 
 // Shards returns the shard count.
@@ -424,7 +420,7 @@ func (t *FlowTable) Len() int { return t.count }
 // capacity-miss excess — socket-hash insertion is connection-setup work,
 // not receive protocol processing.
 func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
-	h := hashOf(k)
+	h := k.Hash()
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
 	if ref, _ := s.openLookup(h, k); ref != 0 {
 		return t.dupErr(k)
@@ -500,7 +496,7 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 	shardOf := make([]uint8, n)
 	start := make([]int, nShards+1)
 	for i := range shardOf {
-		si := rss.ShardOf(hashOf(key(i)), nShards)
+		si := rss.ShardOf(key(i).Hash(), nShards)
 		shardOf[i] = uint8(si)
 		start[si+1]++
 	}
@@ -553,7 +549,7 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 				w.openGrow(g, scratch)
 			}
 			k := key(i)
-			probes, ok := w.openPut(hashOf(k), k, ref)
+			probes, ok := w.openPut(k.Hash(), k, ref)
 			if !ok {
 				firstDup = i
 				break
@@ -601,7 +597,7 @@ func (t *FlowTable) Has(k FlowKey) bool {
 // counter or charging any cost (control-path lookup — teardown snapshots
 // endpoint state through it), or nil.
 func (t *FlowTable) Peek(k FlowKey) *tcp.Endpoint {
-	h := hashOf(k)
+	h := k.Hash()
 	ref, _ := t.shards[rss.ShardOf(h, len(t.shards))].openLookup(h, k)
 	return t.eps[ref].ep
 }
@@ -609,7 +605,7 @@ func (t *FlowTable) Peek(k FlowKey) *tcp.Endpoint {
 // Remove unregisters the endpoint bound to k, reporting whether it
 // existed. Structural touches charge cycles.NonProto like Insert's.
 func (t *FlowTable) Remove(k FlowKey) bool {
-	h := hashOf(k)
+	h := k.Hash()
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
 	ref, probes := s.openRemove(h, k)
 	if ref == 0 {
@@ -623,16 +619,13 @@ func (t *FlowTable) Remove(k FlowKey) bool {
 	return true
 }
 
-// SetQueues records the number of softirq CPUs servicing the table, which
-// defines shard ownership for steal detection: the owner of a shard's
-// buckets is queue = bucket mod queues. 0 disables the accounting.
-func (t *FlowTable) SetQueues(n int) { t.queues = n }
-
-// SetOwnerMap ties shard ownership to a live steering map (normally the
-// same rss.Map the machine's NICs steer with): when the rebalancer
-// repoints a bucket, the shard's expected CPU moves with it, so steal
-// accounting measures violations of the *current* steering, not of the
-// boot-time fill.
+// SetOwnerMap turns ownership accounting on (nil: off) and ties shard
+// ownership to a live steering map (normally the same rss.Map the
+// machine's NICs steer with): when the rebalancer repoints a bucket, the
+// shard's expected CPU moves with it, so steal accounting measures
+// violations of the *current* steering. Together with the per-flow
+// overrides (SetFlowOwner) it is the one software record of which CPU
+// owns a flow; OwnerOf answers from it.
 func (t *FlowTable) SetOwnerMap(m *rss.Map) { t.owners = m }
 
 // SetFlowOwner records an aRFS override: k's deliveries are expected from
@@ -651,20 +644,24 @@ func (t *FlowTable) ClearFlowOwner(k FlowKey) { delete(t.flowOwners, k) }
 // FlowOwnerOverrides returns the number of live per-flow overrides.
 func (t *FlowTable) FlowOwnerOverrides() int { return len(t.flowOwners) }
 
+// FlowOwner returns k's aRFS override, if it has one.
+func (t *FlowTable) FlowOwner(k FlowKey) (cpu int, ok bool) {
+	if len(t.flowOwners) == 0 {
+		return 0, false
+	}
+	cpu, ok = t.flowOwners[k]
+	return cpu, ok
+}
+
 // OwnerOf returns the CPU expected to deliver k's packets under the
-// current steering (per-flow override, then the live map, then the static
-// fill), or -1 when ownership accounting is off.
+// current steering (the per-flow override, else the live map's entry for
+// hash), or -1 when ownership accounting is off.
 func (t *FlowTable) OwnerOf(k FlowKey, hash uint32) int {
-	if len(t.flowOwners) > 0 {
-		if cpu, ok := t.flowOwners[k]; ok {
-			return cpu
-		}
+	if cpu, ok := t.FlowOwner(k); ok {
+		return cpu
 	}
 	if t.owners != nil {
 		return t.owners.Queue(hash)
-	}
-	if t.queues > 0 {
-		return rss.QueueOf(hash, t.queues)
 	}
 	return -1
 }
@@ -680,17 +677,17 @@ func (t *FlowTable) Lookup(k FlowKey, hash uint32, netPackets int, aggregated bo
 // or not) in the owning shard's counters. A delivery from a CPU other than
 // the shard's owner counts as a steal. hash is the NIC's Toeplitz hash of
 // k when available (0 recomputes in software) — on the hot path the
-// hardware already paid for it, and it necessarily equals hashOf(k)
+// hardware already paid for it, and it necessarily equals k.Hash()
 // because both hash the same four-tuple. It returns nil when no endpoint
 // is bound. The structural touches of the probe charge cycles.Rx at the
 // capacity-miss excess: demux is part of TCP receive processing, and its
 // memory traffic is the cost that grows with the registered population.
 func (t *FlowTable) LookupOn(cpu int, k FlowKey, hash uint32, netPackets int, aggregated bool) *tcp.Endpoint {
 	if hash == 0 {
-		hash = hashOf(k)
+		hash = k.Hash()
 	}
 	s := &t.shards[rss.ShardOf(hash, len(t.shards))]
-	if cpu >= 0 && t.queues > 0 {
+	if cpu >= 0 && t.owners != nil {
 		if owner := t.OwnerOf(k, hash); owner >= 0 && owner != cpu {
 			s.stats.Steals++
 		}

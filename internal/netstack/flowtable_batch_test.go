@@ -196,7 +196,7 @@ func dupShapes(t *testing.T, m int) []dupShape {
 	for j := 0; j < m; j++ {
 		k := diffKey(j)
 		s := &tab.shards[tab.ShardOf(k)]
-		_, probes := s.openLookup(hashOf(k), k)
+		_, probes := s.openLookup(k.Hash(), k)
 		grows := openSlotsFor(len(s.slots), s.used) != len(s.slots)
 		for i, has := range []bool{slotsAt[j] < len(s.slots), probes >= 3 && !grows, grows} {
 			if has && shapes[i].j < 0 {

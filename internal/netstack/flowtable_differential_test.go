@@ -38,7 +38,7 @@ func newRefTable(shards, queues int) *refTable {
 }
 
 func (r *refTable) shard(k FlowKey) *ShardStats {
-	return &r.shards[rss.ShardOf(hashOf(k), len(r.shards))]
+	return &r.shards[rss.ShardOf(k.Hash(), len(r.shards))]
 }
 
 // insert binds k to ep unless k is bound, reporting whether it was.
@@ -63,7 +63,7 @@ func (r *refTable) remove(k FlowKey) bool {
 // lookupOn is FlowTable.LookupOn's definition.
 func (r *refTable) lookupOn(cpu int, k FlowKey, netPackets int, aggregated bool) *tcp.Endpoint {
 	s := r.shard(k)
-	if cpu >= 0 && r.queues > 0 && rss.QueueOf(hashOf(k), r.queues) != cpu {
+	if cpu >= 0 && r.queues > 0 && rss.QueueOf(k.Hash(), r.queues) != cpu {
 		s.Steals++
 	}
 	ep := r.eps[k]
@@ -117,7 +117,7 @@ func TestFlowTableDifferential(t *testing.T) {
 	}
 	// Deliveries are attributed to 4 softirq CPUs so steal accounting is
 	// exercised (and must match) too.
-	tab.SetQueues(4)
+	tab.SetOwnerMap(ownerMap(t, 4))
 	ref := newRefTable(shards, 4)
 
 	ep := testEndpoint(t, 5001, 44000)
@@ -194,7 +194,7 @@ func TestFlowTableDifferential(t *testing.T) {
 // checkOpenInvariants verifies the table's structural invariants
 // slot by slot: every resident entry lives in the shard its key's hash
 // selects, its recorded probe distance is exactly its displacement from
-// the home slot (both derived from hashOf(key)), robin-hood ordering holds
+// the home slot (both derived from key.Hash()), robin-hood ordering holds
 // (an entry at distance d>1 has a predecessor at distance >= d-1, so no
 // lookup can early-exit past a live key), no shard exceeds 3/4 load, and
 // the per-shard used counts sum to Len.
@@ -225,7 +225,7 @@ func checkOpenInvariants(t *testing.T, tab *FlowTable) {
 				continue
 			}
 			used++
-			h := hashOf(sl.key)
+			h := sl.key.Hash()
 			if own := rss.ShardOf(h, len(tab.shards)); own != si {
 				t.Errorf("shard %d slot %d: key belongs to shard %d", si, j, own)
 			}

@@ -156,7 +156,7 @@ func FuzzFlowTableOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab.SetQueues(2)
+		tab.SetOwnerMap(ownerMap(t, 2))
 		ref := newRefTable(shards, 2)
 
 		check := func(what string) {

@@ -12,6 +12,17 @@ import (
 	"repro/internal/tcp"
 )
 
+// ownerMap returns a fresh bucket→CPU owner map over queues CPUs (the
+// round-robin fill, bucket b → b mod queues).
+func ownerMap(t testing.TB, queues int) *rss.Map {
+	t.Helper()
+	m, err := rss.NewMap(queues)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func testEndpoint(t *testing.T, rPort, lPort uint16) *tcp.Endpoint {
 	t.Helper()
 	params := cost.NativeUP()
@@ -169,7 +180,7 @@ func TestLookupOnStealAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab.SetQueues(4)
+	tab.SetOwnerMap(ownerMap(t, 4))
 	ep := testEndpoint(t, 5001, 44000)
 	k := key(5001, 44000)
 	if err := tab.Insert(k, ep); err != nil {
@@ -198,7 +209,7 @@ func TestLookupOnStealAccounting(t *testing.T) {
 	if tab.LookupOn(-1, k, hash, 1, false) != ep {
 		t.Fatal("unattributed lookup failed")
 	}
-	tab.SetQueues(0)
+	tab.SetOwnerMap(nil)
 	if tab.LookupOn(thief, k, hash, 1, false) != ep {
 		t.Fatal("lookup with accounting disabled failed")
 	}

@@ -14,16 +14,15 @@ import (
 	"repro/internal/cost"
 	"repro/internal/cycles"
 	"repro/internal/ipv4"
+	"repro/internal/rss"
 	"repro/internal/tcp"
 	"repro/internal/tcpwire"
 )
 
 // FlowKey identifies a connection by the packet's own addressing (source =
-// remote peer, destination = local endpoint).
-type FlowKey struct {
-	Src, Dst         ipv4.Addr
-	SrcPort, DstPort uint16
-}
+// remote peer, destination = local endpoint): the one four-tuple type,
+// rss.FlowKey.
+type FlowKey = rss.FlowKey
 
 // Transmitter consumes outgoing SKBs (normally the NIC driver).
 type Transmitter interface {
@@ -76,10 +75,6 @@ type Stack struct {
 	// Tx transmits outgoing host packets; must be set before endpoints
 	// send.
 	Tx Transmitter
-	// ExtraRxPerPacket charges an additional per-host-packet non-proto
-	// cost on receive (the Xen guest uses it for its side of the
-	// paravirtual plumbing accounting; zero natively).
-	ExtraRxPerPacket uint64
 	// OnSockRead, when set, observes every delivery to an endpoint whose
 	// application CPU is pinned: the socket-read hook accelerated RFS
 	// keys on (the kernel's rps_sock_flow update at recvmsg time). key is
@@ -172,11 +167,6 @@ func (s *Stack) MemStats() MemStats {
 // FlowTable exposes the sharded demux table (stats, tests).
 func (s *Stack) FlowTable() *FlowTable { return s.table }
 
-// SetQueues tells the flow table how many softirq CPUs service the stack
-// so shard lookups can distinguish owner-CPU deliveries from steals (see
-// FlowTable.LookupOn).
-func (s *Stack) SetQueues(n int) { s.table.SetQueues(n) }
-
 // InputOn returns an input function equivalent to Input that attributes
 // every delivery to the given softirq CPU in the flow table's per-shard
 // ownership accounting. Machines bind one per receive queue.
@@ -238,7 +228,7 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	// hooks, socket wakeup accounting (§2.2), plus SMP locking.
 	s.meter.Charge(cycles.NonProto,
 		s.params.SoftirqPerPacket+s.params.NetfilterPerPacket+s.params.NonProtoOther+
-			s.params.LockCost(s.params.NonProtoLockOps)+s.ExtraRxPerPacket)
+			s.params.LockCost(s.params.NonProtoLockOps))
 	// IP receive processing.
 	s.meter.Charge(cycles.Rx, s.params.IPRxFixed)
 

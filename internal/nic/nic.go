@@ -60,8 +60,6 @@ type Frame struct {
 type Caps struct {
 	// RxCsumOffload: the NIC verifies TCP/IP checksums on receive.
 	RxCsumOffload bool
-	// TxCsumOffload: the NIC computes transport checksums on transmit.
-	TxCsumOffload bool
 }
 
 // Config configures a NIC instance.
@@ -99,7 +97,7 @@ func DefaultConfig(name string) Config {
 		Name:              name,
 		RxRingSize:        256,
 		RxQueues:          1,
-		Caps:              Caps{RxCsumOffload: true, TxCsumOffload: true},
+		Caps:              Caps{RxCsumOffload: true},
 		IntThrottleFrames: 8,
 	}
 }
@@ -131,7 +129,7 @@ type NIC struct {
 	cfg   Config
 	rxq   []rxQueue
 	indir *rss.Map
-	rules map[FlowTuple]*flowRule
+	rules map[rss.FlowKey]*flowRule
 	// ruleFree holds removed and evicted rule records for reuse.
 	ruleFree []*flowRule
 
@@ -191,7 +189,7 @@ func New(cfg Config) (*NIC, error) {
 		return nil, fmt.Errorf("nic %s: indirection table spans %d queues, device has %d",
 			cfg.Name, n.indir.Queues(), cfg.RxQueues)
 	}
-	n.rules = make(map[FlowTuple]*flowRule)
+	n.rules = make(map[rss.FlowKey]*flowRule)
 	return n, nil
 }
 
@@ -354,7 +352,7 @@ func (n *NIC) Transmit(f Frame) {
 // exact-match rule lookup). csumOK reports both checksums good. Non-TCP or
 // malformed frames report hashed = false, which routes them around
 // aggregation and onto the default queue.
-func (n *NIC) classify(frame []byte) (hash uint32, tuple FlowTuple, hashed, csumOK bool) {
+func (n *NIC) classify(frame []byte) (hash uint32, tuple rss.FlowKey, hashed, csumOK bool) {
 	if len(frame) < ether.HeaderLen+ipv4.MinHeaderLen {
 		return 0, tuple, false, false
 	}
@@ -373,7 +371,6 @@ func (n *NIC) classify(frame []byte) (hash uint32, tuple FlowTuple, hashed, csum
 	if err != nil {
 		return 0, tuple, false, false
 	}
-	tuple = FlowTuple{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}
-	hash = rss.HashTCP4(ih.Src, ih.Dst, th.SrcPort, th.DstPort)
-	return hash, tuple, true, ipOK && tcpwire.VerifyChecksum(seg, ih.Src, ih.Dst)
+	tuple = rss.FlowKey{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}
+	return tuple.Hash(), tuple, true, ipOK && tcpwire.VerifyChecksum(seg, ih.Src, ih.Dst)
 }

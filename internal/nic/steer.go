@@ -11,16 +11,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/ipv4"
 	"repro/internal/rss"
 )
-
-// FlowTuple is the exact-match key of a steering rule: the connection
-// four-tuple as it appears on received frames (Src = remote sender).
-type FlowTuple struct {
-	Src, Dst         ipv4.Addr
-	SrcPort, DstPort uint16
-}
 
 // flowRule is one programmed filter.
 type flowRule struct {
@@ -41,10 +33,6 @@ type FlowRuleStats struct {
 	Hits, Misses uint64
 }
 
-// FlowRuleCap returns the rule-table capacity (0 = steering filters
-// absent, the paper's e1000-class hardware).
-func (n *NIC) FlowRuleCap() int { return n.cfg.FlowRuleSlots }
-
 // FlowRuleLen returns the number of live rules.
 func (n *NIC) FlowRuleLen() int { return len(n.rules) }
 
@@ -57,7 +45,7 @@ func (n *NIC) FlowRuleStatsRef() FlowRuleStats { return n.ruleStats }
 // can drop any per-flow state keyed on it (e.g. the flow table's ownership
 // override). It errors when the NIC has no rule table or the queue is out
 // of range.
-func (n *NIC) ProgramFlowRule(t FlowTuple, queue int) (evicted *FlowTuple, err error) {
+func (n *NIC) ProgramFlowRule(t rss.FlowKey, queue int) (evicted *rss.FlowKey, err error) {
 	if n.cfg.FlowRuleSlots <= 0 {
 		return nil, fmt.Errorf("nic %s: no flow steering table", n.cfg.Name)
 	}
@@ -87,7 +75,7 @@ func (n *NIC) ProgramFlowRule(t FlowTuple, queue int) (evicted *FlowTuple, err e
 }
 
 // RemoveFlowRule drops t's rule, reporting whether it existed.
-func (n *NIC) RemoveFlowRule(t FlowTuple) bool {
+func (n *NIC) RemoveFlowRule(t rss.FlowKey) bool {
 	r, ok := n.rules[t]
 	if !ok {
 		return false
@@ -103,8 +91,8 @@ func (n *NIC) RemoveFlowRule(t FlowTuple) bool {
 // tuple order: picking the tie victim by map iteration order would make
 // the rule table's contents — and every steering decision after the
 // eviction — differ between two runs of the same config.
-func (n *NIC) evictLRURule() FlowTuple {
-	candidates := make([]FlowTuple, 0, len(n.rules))
+func (n *NIC) evictLRURule() rss.FlowKey {
+	candidates := make([]rss.FlowKey, 0, len(n.rules))
 	//simlint:sorted candidates are fully sorted by (lastHit, tuple) below before the victim is chosen
 	for t := range n.rules {
 		candidates = append(candidates, t)
@@ -123,8 +111,8 @@ func (n *NIC) evictLRURule() FlowTuple {
 	return victim
 }
 
-// tupleLess is a total order over FlowTuple for deterministic tie-breaks.
-func tupleLess(a, b FlowTuple) bool {
+// tupleLess is a total order over flow keys for deterministic tie-breaks.
+func tupleLess(a, b rss.FlowKey) bool {
 	if c := bytes.Compare(a.Src[:], b.Src[:]); c != 0 {
 		return c < 0
 	}
@@ -140,7 +128,7 @@ func tupleLess(a, b FlowTuple) bool {
 // steerQueue resolves the receive queue for a classified frame: an
 // exact-match rule wins over the indirection table. Called from
 // ReceiveFromWire with the parsed tuple and hash.
-func (n *NIC) steerQueue(t FlowTuple, hash uint32) int {
+func (n *NIC) steerQueue(t rss.FlowKey, hash uint32) int {
 	if len(n.rules) > 0 {
 		if r, ok := n.rules[t]; ok {
 			n.ruleClock++

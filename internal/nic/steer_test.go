@@ -7,8 +7,8 @@ import (
 	"repro/internal/rss"
 )
 
-func steerTuple(srcPort uint16) FlowTuple {
-	return FlowTuple{
+func steerTuple(srcPort uint16) rss.FlowKey {
+	return rss.FlowKey{
 		Src: ipv4.Addr{10, 0, 0, 1}, Dst: ipv4.Addr{10, 0, 0, 2},
 		SrcPort: srcPort, DstPort: 44000,
 	}

@@ -90,6 +90,23 @@ func keyWindow(key []byte, off int) uint32 {
 	return uint32(v >> uint(8-shift))
 }
 
+// FlowKey is a TCP connection's four-tuple as it appears on received
+// frames (Src = remote sender, Dst = local endpoint): the key of the
+// aggregation table, the stack's demux table, the flow table's ownership
+// overrides and the NIC's exact-match steering rules.
+type FlowKey struct {
+	Src, Dst         ipv4.Addr
+	SrcPort, DstPort uint16
+}
+
+// String renders the flow four-tuple.
+func (k FlowKey) String() string {
+	return fmt.Sprintf("%v:%d->%v:%d", k.Src, k.SrcPort, k.Dst, k.DstPort)
+}
+
+// Hash returns the flow's RSS hash, HashTCP4 of its four-tuple.
+func (k FlowKey) Hash() uint32 { return HashTCP4(k.Src, k.Dst, k.SrcPort, k.DstPort) }
+
 // HashTCP4 computes the RSS hash of an IPv4 TCP four-tuple using the
 // default key (via the precomputed table). The input layout follows the
 // specification: source address, destination address, source port,

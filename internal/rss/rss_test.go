@@ -144,3 +144,10 @@ func BenchmarkHashTCP4(b *testing.B) {
 	}
 	hashSink = h
 }
+
+func TestFlowKeyString(t *testing.T) {
+	k := FlowKey{Src: ipv4.Addr{1, 2, 3, 4}, Dst: ipv4.Addr{5, 6, 7, 8}, SrcPort: 9, DstPort: 10}
+	if k.String() != "1.2.3.4:9->5.6.7.8:10" {
+		t.Errorf("String() = %q", k.String())
+	}
+}

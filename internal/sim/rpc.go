@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ipv4"
-	"repro/internal/rss"
+	"repro/internal/netstack"
 	"repro/internal/tcp"
 	"repro/internal/telemetry"
 )
@@ -103,8 +103,8 @@ func (r *rpcDriver) openConn(c int) error {
 		return err
 	}
 
-	conn := &rpcConn{rep: rep,
-		owner: top.machine.SteerMap().Queue(rss.HashTCP4(senderIP, rcvIP, sPort, rPort))}
+	k := netstack.FlowKey{Src: senderIP, Dst: rcvIP, SrcPort: sPort, DstPort: rPort}
+	conn := &rpcConn{rep: rep, owner: top.machine.FlowTable().OwnerOf(k, k.Hash())}
 
 	// Sender application: one MessageBytes response per complete request.
 	// No explicit link kick is needed — the sender machine kicks the link

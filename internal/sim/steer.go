@@ -158,8 +158,7 @@ func (sc *steerController) ageRules() {
 	}
 	sc.arfs.Tick()
 	for _, k := range sc.arfs.Expire(uint64(sc.cfg.RuleIdleEpochs)) {
-		hash := rss.HashTCP4(k.Src, k.Dst, k.SrcPort, k.DstPort)
-		owner := sc.top.machine.FlowTable().OwnerOf(k, hash)
+		owner := sc.top.machine.FlowTable().OwnerOf(k, k.Hash())
 		sc.victim = k
 		sc.applying = true
 		sc.top.cpu.runOn(owner, sc.unsteerFn)
@@ -247,6 +246,5 @@ func (sc *steerController) report() *SteerReport {
 		r.RuleHits += s.Hits
 		r.RuleOccupancy += n.FlowRuleLen()
 	}
-	r.FlowOwnerOverrides = sc.top.machine.FlowTable().FlowOwnerOverrides()
 	return r
 }

@@ -425,11 +425,8 @@ type SteerReport struct {
 	RulesProgrammed, RuleEvictions, RuleHits uint64
 	RuleOccupancy                            int
 	RulesAged                                uint64
-	// AppMigrations counts mid-stream application re-pinnings;
-	// FlowOwnerOverrides the per-flow ownership overrides live at the
-	// end.
-	AppMigrations      uint64
-	FlowOwnerOverrides int
+	// AppMigrations counts mid-stream application re-pinnings.
+	AppMigrations uint64
 	// Indirection is the final bucket→CPU table.
 	Indirection []int
 }

@@ -44,7 +44,6 @@ type DataSource func(seq uint32, b []byte) uint16
 // simulation starts connections in the established state: connection setup
 // is not on the paper's measured path.
 type Config struct {
-	LocalMAC, RemoteMAC   ether.Addr
 	LocalIP, RemoteIP     ipv4.Addr
 	LocalPort, RemotePort uint16
 	// MSS is the maximum segment payload (1448 with timestamps on

@@ -378,7 +378,6 @@ func (e *Endpoint) buildFinFrame() ([]byte, bool) {
 func (e *Endpoint) buildFrame(seq, ack uint32, flags uint8, payloadLen int, sack []tcpwire.SACKBlock) (frame []byte, pooled bool) {
 	e.ipID++
 	spec := packet.TCPSpec{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: e.cfg.RemoteMAC,
 		SrcIP: e.cfg.LocalIP, DstIP: e.cfg.RemoteIP,
 		SrcPort: e.cfg.LocalPort, DstPort: e.cfg.RemotePort,
 		Seq: seq, Ack: ack,

@@ -104,9 +104,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the exact sum of recorded values (not bucket-quantized).
 func (h *Histogram) Sum() uint64 { return h.sum }
 
-// Max returns the exact maximum recorded value.
-func (h *Histogram) Max() uint64 { return h.max }
-
 // Mean returns the exact mean of recorded values (0 when empty).
 func (h *Histogram) Mean() uint64 {
 	if h.count == 0 {

@@ -215,21 +215,3 @@ func (c *Collector) MergedE2E() Histogram {
 	_, e2e, _, _ := c.merged()
 	return e2e
 }
-
-// MergedStage returns the shard-merged residency histogram of one stage.
-func (c *Collector) MergedStage(s Stage) Histogram {
-	stage, _, _, _ := c.merged()
-	return stage[s]
-}
-
-// MergedRTT returns the shard-merged RPC round-trip histogram.
-func (c *Collector) MergedRTT() Histogram {
-	_, _, rtt, _ := c.merged()
-	return rtt
-}
-
-// MergedRecovery returns the shard-merged loss-recovery histogram.
-func (c *Collector) MergedRecovery() Histogram {
-	_, _, _, recovery := c.merged()
-	return recovery
-}

@@ -66,7 +66,6 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/frontend"
 	"repro/internal/ipv4"
-	"repro/internal/nic"
 	"repro/internal/rss"
 	"repro/internal/softirq"
 	"repro/internal/tcpwire"
@@ -145,10 +144,6 @@ type Machine struct {
 	chans  []*ioChannel // [vcpu]
 	curCPU int          // vCPU of the softirq round in progress (-1 outside)
 	stats  Stats
-
-	// chanRules are netback's per-flow aRFS overrides, mirroring the NIC
-	// rule table but resolving to a channel instead of a queue.
-	chanRules map[nic.FlowTuple]int
 }
 
 // New assembles a Xen machine.
@@ -167,12 +162,11 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xenvirt: %w", err)
 	}
-	m := &Machine{curCPU: -1, chanRules: make(map[nic.FlowTuple]int)}
+	m := &Machine{curCPU: -1}
 	if err := m.Init(cfg.Config, cm, func(int) func(*buf.SKB) { return m.bridgeReceive }); err != nil {
 		return nil, fmt.Errorf("xenvirt: %w", err)
 	}
 	m.Stack.Tx = txChain{m}
-	m.RuleMirror = m.mirrorRule
 
 	// Per-vCPU I/O channels: netfront ring + softirq consumer. The
 	// handler charges netfront's per-packet and per-fragment costs and
@@ -194,16 +188,6 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// mirrorRule keeps netback's channel overrides in step with the NIC rules
-// the front end programs (cpu >= 0) and removes (cpu < 0).
-func (m *Machine) mirrorRule(t nic.FlowTuple, cpu int) {
-	if cpu < 0 {
-		delete(m.chanRules, t)
-		return
-	}
-	m.chanRules[t] = cpu
-}
-
 // Stats returns machine counters.
 func (m *Machine) Stats() Stats { return m.stats }
 
@@ -213,13 +197,13 @@ func (m *Machine) ChannelStatsOf(q int) ChannelStats { return m.chans[q].stats }
 // NetfrontContext exposes vCPU q's netfront softirq context (stats, tests).
 func (m *Machine) NetfrontContext(q int) *softirq.Context[*buf.SKB] { return m.chans[q].ctx }
 
-// flowTupleOf extracts the four-tuple from a bridged host packet's
-// headers (netback's rule lookup); ok is false for non-TCP traffic.
-func flowTupleOf(skb *buf.SKB) (nic.FlowTuple, bool) {
+// flowKeyOf extracts the four-tuple from a bridged host packet's headers
+// (netback's override lookup); ok is false for non-TCP traffic.
+func flowKeyOf(skb *buf.SKB) (rss.FlowKey, bool) {
 	l3 := skb.L3()
 	ih, err := ipv4.ParseHeaderOnly(l3)
 	if err != nil || ih.Proto != ipv4.ProtoTCP {
-		return nic.FlowTuple{}, false
+		return rss.FlowKey{}, false
 	}
 	segEnd := ih.TotalLen
 	if segEnd > len(l3) {
@@ -227,9 +211,9 @@ func flowTupleOf(skb *buf.SKB) (nic.FlowTuple, bool) {
 	}
 	th, err := tcpwire.Parse(l3[ih.IHL:segEnd])
 	if err != nil {
-		return nic.FlowTuple{}, false
+		return rss.FlowKey{}, false
 	}
-	return nic.FlowTuple{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}, true
+	return rss.FlowKey{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}, true
 }
 
 // ProcessRound runs one softirq round on the given vCPU: pending netfront
@@ -276,18 +260,18 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 	// Netback: per host packet plus per fragment (§5.1).
 	m.Meter.Charge(cycles.Netback,
 		m.Params.NetbackPerPacket+uint64(frags)*m.Params.NetbackPerFrag)
-	// Netback steering: an aRFS rule wins, else channel = live
-	// indirection of the Toeplitz hash — in lockstep with the NIC's
+	// Netback steering: the flow's aRFS override in the guest flow
+	// table (FrontEnd.SteerFlow records it) wins, else channel = live
+	// channel-map entry of the Toeplitz hash — in lockstep with the NIC's
 	// queue choice on symmetric topologies, re-steered across the I/O
 	// channels on asymmetric ones or after a rebalance, so flow affinity
-	// spans the driver domain under dynamic steering too.
+	// spans the driver domain under dynamic steering too. Unhashable
+	// traffic without an override rides channel 0.
 	c := 0
 	steered := false
-	if len(m.chanRules) > 0 {
-		if t, ok := flowTupleOf(skb); ok {
-			if ch, hit := m.chanRules[t]; hit {
-				c, steered = ch, true
-			}
+	if ft := m.FlowTable(); ft.FlowOwnerOverrides() > 0 {
+		if k, ok := flowKeyOf(skb); ok {
+			c, steered = ft.FlowOwner(k)
 		}
 	}
 	if !steered && len(m.chans) > 1 && skb.RSSHash != 0 {

@@ -246,3 +246,88 @@ func TestSingleQueueChannelAccounting(t *testing.T) {
 		t.Errorf("machine kicks %d < channel kicks %d", r.m.Stats().EvtChnKicks, cs.EvtChnKicks)
 	}
 }
+
+func TestNetbackSteersByFlowOwner(t *testing.T) {
+	// Asymmetric topology: 2 dom0 queues, 4 guest vCPUs, a 2-slot rule
+	// table. Netback reads a steered flow's channel from the guest flow
+	// table's ownership override; an unsteered hashed flow follows the
+	// channel map; an unhashable frame rides channel 0.
+	m, err := New(Config{Config: frontend.Config{
+		Params:        cost.XenGuest(),
+		NICCount:      1,
+		Queues:        2,
+		Mode:          frontend.ModeBaseline,
+		FlowRuleSlots: 2,
+	}, GuestVCPUs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.NICs()[0].OnTransmit = func(nic.Frame) {}
+	portOnChannel := func(c int, not uint16) uint16 {
+		for p := uint16(5001); ; p++ {
+			if p != not && m.SteerMap().Queue(rss.HashTCP4(senderIP, guestIP, p, 44000)) == c {
+				return p
+			}
+		}
+	}
+	frame := func(port uint16) []byte {
+		return packet.MustBuild(packet.TCPSpec{
+			SrcIP: senderIP, DstIP: guestIP, SrcPort: port, DstPort: 44000,
+			Seq: 1, Ack: 1, Flags: tcpwire.FlagACK, Window: 65535,
+			Payload: make([]byte, 100),
+		})
+	}
+	// channelOf puts f on the wire, runs every core's softirq rounds
+	// until the NIC and the netfront rings drain, and reports the I/O
+	// channel netback pushed it onto.
+	channelOf := func(f []byte) int {
+		t.Helper()
+		var before [4]uint64
+		for c := range before {
+			before[c] = m.ChannelStatsOf(c).HostPackets
+		}
+		if !m.NICs()[0].ReceiveFromWire(nic.Frame{Data: f}) {
+			t.Fatal("NIC ring overflow")
+		}
+		for pass := 0; pass < 2; pass++ {
+			for cpu := 0; cpu < m.CPUs(); cpu++ {
+				m.ProcessRound(cpu, 64)
+			}
+		}
+		got := -1
+		for c := range before {
+			if m.ChannelStatsOf(c).HostPackets != before[c] {
+				got = c
+			}
+		}
+		return got
+	}
+
+	steeredPort := portOnChannel(1, 0)
+	k := rss.FlowKey{Src: senderIP, Dst: guestIP, SrcPort: steeredPort, DstPort: 44000}
+	if _, err := m.SteerFlow(k, k.Hash(), 3); err != nil {
+		t.Fatal(err)
+	}
+	if cpu, ok := m.FlowTable().FlowOwner(k); !ok || cpu != 3 {
+		t.Fatalf("override = (%d, %v), want (3, true)", cpu, ok)
+	}
+	if c := channelOf(frame(steeredPort)); c != 3 {
+		t.Errorf("steered flow reached channel %d, want its override 3", c)
+	}
+
+	hashedPort := portOnChannel(2, steeredPort)
+	if c := channelOf(frame(hashedPort)); c != 2 {
+		t.Errorf("unsteered hashed flow reached channel %d, want the channel map's 2", c)
+	}
+
+	// Not IPv4 to the NIC (ether type rewritten to ARP), so it carries no
+	// RSS hash; its flow would map to channel 1 if it were hashed.
+	unhashable := frame(portOnChannel(1, steeredPort))
+	unhashable[12], unhashable[13] = 0x08, 0x06
+	if c := channelOf(unhashable); c != 0 {
+		t.Errorf("unhashable frame reached channel %d, want 0", c)
+	}
+	if live := m.Alloc.Stats().Live; live != 0 {
+		t.Errorf("%d SKBs live after the run", live)
+	}
+}
