@@ -208,13 +208,18 @@ func (p Params) CapacityColdFraction(footprint uint64) float64 {
 // cache pays nearly full DRAM latency per touch. This is the demux-table
 // pricing rule: connection-table population becomes a per-packet cost
 // axis exactly when the table outgrows the cache ("Algorithms and Data
-// Structures to Accelerate Network Analysis", Ros-Giralt et al.).
+// Structures to Accelerate Network Analysis", Ros-Giralt et al.). It is
+// CapacityTouchCostAt at the footprint's cold fraction.
 func (p Params) CapacityTouchCost(lines int, footprint uint64) uint64 {
-	if lines <= 0 {
-		return 0
-	}
-	cold := p.CapacityColdFraction(footprint)
-	if cold == 0 {
+	return p.CapacityTouchCostAt(lines, p.CapacityColdFraction(footprint))
+}
+
+// CapacityTouchCostAt prices lines touches at cold fraction cold, the
+// CapacityColdFraction of the structure's footprint. A caller pricing many
+// touches at one footprint computes the fraction once and gets, bit for
+// bit, what CapacityTouchCost would charge.
+func (p Params) CapacityTouchCostAt(lines int, cold float64) uint64 {
+	if lines <= 0 || cold == 0 {
 		return 0
 	}
 	return uint64(float64(lines) * cold * float64(p.DRAMLatency))
@@ -223,9 +228,15 @@ func (p Params) CapacityTouchCost(lines int, footprint uint64) uint64 {
 // CapacityStreamCost prices a sequential sweep over n bytes of a resident
 // structure of footprint bytes (table growth rehash): the streaming read
 // and write costs scaled by the capacity cold fraction. Zero while the
-// structure fits in cache, like every capacity charge.
+// structure fits in cache, like every capacity charge. It is
+// CapacityStreamCostAt at the footprint's cold fraction.
 func (p Params) CapacityStreamCost(n int, footprint uint64) uint64 {
-	cold := p.CapacityColdFraction(footprint)
+	return p.CapacityStreamCostAt(n, p.CapacityColdFraction(footprint))
+}
+
+// CapacityStreamCostAt prices a sequential sweep over n bytes at cold
+// fraction cold, as CapacityTouchCostAt prices touches.
+func (p Params) CapacityStreamCostAt(n int, cold float64) uint64 {
 	if cold == 0 {
 		return 0
 	}

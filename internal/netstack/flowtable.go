@@ -1,11 +1,14 @@
 package netstack
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
 	"repro/internal/cycles"
+	"repro/internal/memmodel"
 	"repro/internal/rss"
 	"repro/internal/tcp"
 )
@@ -25,13 +28,15 @@ import (
 // stay within a CPU-local map, and churn on one shard never disturbs
 // another CPU's flows.
 //
-// Each shard is a cache-conscious open-addressing table of fixed 32-byte
-// slots — two per cache line — probed linearly with robin-hood
-// displacement and grown by powers of two at 3/4 load. A lookup's memory
-// traffic is the probe run itself: the hit entry (hash, key and endpoint
-// reference share the slot) streams in with the key compares, and
-// robin-hood keeps probe runs short and adjacent, so a demux touch is ~1
-// line however large the table is.
+// Each shard is an open-addressing table probed linearly with robin-hood
+// displacement and grown by powers of two at 3/4 load. The cost model
+// prices it as a kernel socket hash of fixed 32-byte slots
+// (FlowSlotBytes), two per cache line, in which hash, key and endpoint
+// reference share the slot: a lookup's memory traffic is the probe run
+// itself, the hit entry streams in with the key compares, and robin-hood
+// keeps probe runs short and adjacent, so a demux touch is ~1 line
+// however large the table is. The simulator stores each slot in 18 bytes
+// with no hash (flowSlot); the priced footprint does not follow it.
 //
 // Structural touches charge through the machine's memory model at the
 // capacity-miss excess only (CapacityTouchCost): while the table fits in
@@ -438,50 +443,83 @@ func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 
 // priceOpenInsert is the one pricing rule of an insert into shard s,
 // which held used entries in slots slots before it and whose openPut
-// visited probes slots: the growth decision on the modelled slot
-// count, the footprint and growth-rehash charge, the probe-run charge and
-// the endpoint counters, in that order. It returns the shard's slot count
-// after the insert. Insert applies it after each physical insert;
-// InsertBatch replays it in index order.
-func (t *FlowTable) priceOpenInsert(s *flowShard, slots, used, probes int) int {
+// visited probes slots: the growth decision on the modelled slot count,
+// the footprint and growth-rehash charge, the probe-run charge and the
+// endpoint counters, in that order. Insert applies it after each physical
+// insert; InsertBatch sums the same charges per footprint epoch.
+func (t *FlowTable) priceOpenInsert(s *flowShard, slots, used, probes int) {
 	if n := openSlotsFor(slots, used); n != slots {
 		t.bytes += uint64(n-slots) * FlowSlotBytes
 		t.chargeGrow(slots, n)
-		slots = n
 	}
 	t.charge(cycles.NonProto, openProbeLines(probes))
 	s.stats.Endpoints++
 	t.count++
-	return slots
+}
+
+// growth is one shard growth a batch takes: the index of the key whose
+// insert triggers it, and the shard's slot counts before and after.
+type growth struct{ key, from, to uint32 }
+
+// shardGrowths walks openSlotsFor over the next keys inserts into a shard
+// of slots slots holding used entries. It calls grow, when non-nil, with
+// the 0-based ordinal of each insert that grows the shard and the slot
+// counts before and after, and returns the growth count and the final
+// slot count. At a fixed slot count, openSlotsFor grows from some
+// occupancy on, so each growth is found by binary search rather than by
+// trying every insert.
+func shardGrowths(slots, used, keys int, grow func(j, from, to int)) (growths, final int) {
+	for j := 0; ; j++ {
+		j += sort.Search(keys-j, func(d int) bool { return openSlotsFor(slots, used+j+d) != slots })
+		if j >= keys {
+			return growths, slots
+		}
+		n := openSlotsFor(slots, used+j)
+		if grow != nil {
+			grow(j, slots, n)
+		}
+		growths++
+		slots = n
+	}
 }
 
 // InsertBatch registers ep under key(0), …, key(n-1) and leaves the table
 // exactly as n calls to Insert in index order would: the same slots in
-// every shard, the same footprint, counters and demux cycles, and every
-// meter charge with the same value in the same order. On a duplicate it
-// stops where that loop would, with the keys before it registered and the
-// same error.
+// every shard, the same footprint, counters, meter and demux cycles. On a
+// duplicate it stops where that loop would, with the keys before it
+// registered and the same error.
 //
 // The batch builds the table shard by shard, so bulk population works on
 // one cache-resident shard at a time instead of scattering consecutive
 // inserts over the whole table:
 //
-//  1. Group: hash the keys, record each one's shard and counting-sort
-//     their indices by shard, then reserve each touched shard's final
-//     slot array, the exact size its growth sequence ends at.
+//  1. Group and reserve: hash the keys, record each one's shard and
+//     counting-sort their indices by shard. Walk each touched shard's
+//     growth sequence, reserve its final slot array, and record each
+//     growth with the index of the key that triggers it. Sorted by that
+//     index, the growths cut the batch into footprint epochs: key i's
+//     epoch is the growths at indices up to i, its own included, so its
+//     probe charge sees the footprint Insert's charge would. Each epoch's
+//     cold fraction is computed once, and each growth's rehash charge is
+//     priced at the footprint it leaves.
 //  2. Insert: fill each shard with its keys in index order, rehashing
 //     each key as it goes. Growth doubles inside the reservation and
 //     rehashes in old-slot order, like Insert's growth, so every slot
-//     lands where Insert would put it; each key's probe count overwrites
-//     its index in the grouping. The put itself detects a duplicate.
-//     Nothing is committed until every shard is built, so on a duplicate
-//     the batch discards its work and reruns over the keys before it.
-//  3. Replay: in index order, apply priceOpenInsert with the recorded
-//     probe counts and the modelled per-shard slot counts.
+//     lands where Insert would put it. A per-shard cursor over the sorted
+//     growths tracks each key's epoch, which prices its probe run. The
+//     put itself detects a duplicate. Nothing is committed or charged
+//     until every shard is built, so on a duplicate the batch discards
+//     its work and reruns over the keys before it.
+//
+// The commit then applies the summed charge once. That is exact because a
+// cycles.Meter keeps only a per-category sum: the per-key charges Insert
+// would make, added in another order, give the same meter and demux
+// cycles.
 //
 // All n keys take the one slab handle Insert's first call would bind, and
-// the later calls reuse. The scratch is five bytes per key: each key's
-// shard, and the 4-byte grouping that becomes the probe counts.
+// the later calls reuse. The scratch is five bytes per key (each key's
+// shard and its grouped index), plus one 12-byte growth record per shard
+// growth and one cold fraction per epoch.
 func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
 	if n <= 0 {
 		return nil
@@ -510,25 +548,19 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		next[si]++
 	}
 
-	// Pass 2: reserve each touched shard's final array, then build each
-	// shard in it, replacing each placed key's index in grouped by its
-	// probe count. model keeps every shard's pre-batch slot count and
-	// occupancy for the replay. A growth stages the old entries in
-	// scratch, sized once for the largest array a growth leaves behind.
-	model := make([]struct{ slots, used int }, nShards)
+	// Reserve each touched shard's final array, counting the growths on
+	// the way. A growth stages the old entries in scratch, sized once for
+	// the largest array a growth leaves behind.
 	built := make([]flowShard, nShards)
-	stage := 0
+	stage, nGrowths := 0, 0
 	for si := range t.shards {
 		s, w := &t.shards[si], &built[si]
-		model[si].slots, model[si].used = len(s.slots), s.used
 		if start[si] == start[si+1] {
 			continue
 		}
-		final := len(s.slots)
-		for u := s.used; u < s.used+start[si+1]-start[si]; u++ {
-			final = openSlotsFor(final, u)
-		}
-		if final > len(s.slots) {
+		g, final := shardGrowths(len(s.slots), s.used, start[si+1]-start[si], nil)
+		nGrowths += g
+		if g > 0 {
 			stage = max(stage, final/2)
 		}
 		w.slots = make([]flowSlot, len(s.slots), final)
@@ -536,12 +568,42 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		w.used = s.used
 	}
 	scratch := make([]flowSlot, 0, stage)
+
+	// Record the growths, sort them into index order and price the
+	// epochs. cold[e] is the cold fraction once the first e growths have
+	// landed. An unpriced table prices at the zero memory model, whose
+	// capacity charges are all zero.
+	growths := make([]growth, 0, nGrowths)
+	for si := range t.shards {
+		s, keys := &t.shards[si], grouped[start[si]:start[si+1]]
+		shardGrowths(len(s.slots), s.used, len(keys), func(j, from, to int) {
+			growths = append(growths, growth{keys[j], uint32(from), uint32(to)})
+		})
+	}
+	slices.SortFunc(growths, func(a, b growth) int { return cmp.Compare(a.key, b.key) })
+	var mem memmodel.Params
+	if t.meter != nil {
+		mem = t.params.Mem
+	}
+	footprint := t.bytes
+	cold := make([]float64, len(growths)+1)
+	cold[0] = mem.CapacityColdFraction(footprint)
+	var demux uint64
+	for e, g := range growths {
+		footprint += uint64(g.to-g.from) * FlowSlotBytes
+		cold[e+1] = mem.CapacityColdFraction(footprint)
+		demux += mem.CapacityStreamCostAt((int(g.from)+int(g.to))*FlowSlotBytes, cold[e+1])
+	}
+
+	// Pass 2: build each shard in its reservation, pricing each key's
+	// probe run at its epoch.
 	ref := t.handleFor(ep)
 	firstDup := n
 	for si := range built {
 		w := &built[si]
-		for pos := start[si]; pos < start[si+1]; pos++ {
-			i := int(grouped[pos])
+		e := 0
+		for _, i32 := range grouped[start[si]:start[si+1]] {
+			i := int(i32)
 			if i >= firstDup {
 				break
 			}
@@ -554,7 +616,10 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 				firstDup = i
 				break
 			}
-			grouped[pos] = uint32(probes)
+			for e < len(growths) && growths[e].key <= i32 {
+				e++
+			}
+			demux += mem.CapacityTouchCostAt(openProbeLines(probes), cold[e])
 		}
 	}
 	if firstDup < n {
@@ -563,21 +628,21 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		}
 		return t.dupErr(key(firstDup))
 	}
+
+	// Commit.
 	for si := range t.shards {
-		if start[si] < start[si+1] {
-			t.shards[si].slots, t.shards[si].used = built[si].slots, built[si].used
+		if keys := start[si+1] - start[si]; keys > 0 {
+			s := &t.shards[si]
+			s.slots, s.used = built[si].slots, built[si].used
+			s.stats.Endpoints += keys
 		}
 	}
 	t.retain(ref, ep, n)
-
-	// Pass 3: replay the accounting in index order. Each shard's probe
-	// counts are consumed in the order they were recorded.
-	copy(next, start[:nShards])
-	for _, si := range shardOf {
-		m := &model[si]
-		m.slots = t.priceOpenInsert(&t.shards[si], m.slots, m.used, int(grouped[next[si]]))
-		m.used++
-		next[si]++
+	t.count += n
+	t.bytes = footprint
+	if demux > 0 {
+		t.meter.Charge(cycles.NonProto, demux)
+		t.demuxCycles += demux
 	}
 	return nil
 }
@@ -750,8 +815,11 @@ type TableStats struct {
 func (t *FlowTable) TableStats() TableStats {
 	ts := TableStats{Entries: t.count, Bytes: t.bytes, DemuxCycles: t.DemuxCycles()}
 	var loads []float64
+	// byDist[d] counts the slots at probe distance d, the empty ones in
+	// byDist[0], so the scan has no branch on occupancy. Only a distance
+	// past the fixed histogram takes the slice, which hist grows to hold.
+	var byDist [65]uint64
 	var hist []uint64
-	var entries uint64
 	for i := range t.shards {
 		s := &t.shards[i]
 		if len(s.slots) == 0 {
@@ -760,12 +828,13 @@ func (t *FlowTable) TableStats() TableStats {
 		ts.Slots += len(s.slots)
 		loads = append(loads, float64(s.used)/float64(len(s.slots)))
 		for j := range s.slots {
-			if d := int(s.slots[j].dist); d > 0 {
-				for len(hist) < d {
+			if d := s.slots[j].dist; int(d) < len(byDist) {
+				byDist[d]++
+			} else {
+				for len(hist) < int(d) {
 					hist = append(hist, 0)
 				}
 				hist[d-1]++
-				entries++
 			}
 		}
 	}
@@ -773,8 +842,20 @@ func (t *FlowTable) TableStats() TableStats {
 		sort.Float64s(loads)
 		ts.LoadMin, ts.LoadP50, ts.LoadMax = loads[0], loads[len(loads)/2], loads[len(loads)-1]
 	}
-	if entries == 0 {
-		return ts
+	if hist == nil {
+		top := len(byDist) - 1
+		for top > 0 && byDist[top] == 0 {
+			top--
+		}
+		if top == 0 {
+			return ts
+		}
+		hist = make([]uint64, top)
+	}
+	copy(hist, byDist[1:])
+	var entries uint64
+	for _, c := range hist {
+		entries += c
 	}
 	// The probe summary reads off the histogram: the shortest and longest
 	// populated lengths, and the median as the length holding the

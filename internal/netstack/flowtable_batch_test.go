@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -15,14 +16,14 @@ import (
 	"repro/internal/tcp"
 )
 
-// pricedPair builds two identical priced tables, each with its own meter.
-// The capacity model's cache is shrunk to one line so every structural
-// touch charges, however small the table: equal meters then mean equal
-// charges, not two runs of zeros.
-func pricedPair(t testing.TB, shards int) (a, b *FlowTable, ma, mb *cycles.Meter) {
+// pricedPair builds two identical priced tables, each with its own meter,
+// whose capacity model's cache holds cacheBytes. At 64 bytes, one line,
+// every structural touch charges however small the table, so equal meters
+// mean equal charges, not two runs of zeros.
+func pricedPair(t testing.TB, shards int, cacheBytes uint64) (a, b *FlowTable, ma, mb *cycles.Meter) {
 	t.Helper()
 	p := cost.NativeUP()
-	p.Mem.CacheBytes = 64
+	p.Mem.CacheBytes = cacheBytes
 	ma, mb = &cycles.Meter{}, &cycles.Meter{}
 	var err error
 	if a, err = NewFlowTable(shards); err != nil {
@@ -96,11 +97,19 @@ func prefillActive(t testing.TB, tab *FlowTable, ep *tcp.Endpoint) {
 
 // checkBatchMatchesSerial runs the reference loop on one table and
 // InsertBatch on the other, both prefilled with the active flows, and
-// requires equal errors and indistinguishable tables.
+// requires equal errors and indistinguishable tables, with a one-line
+// cache.
 func checkBatchMatchesSerial(t *testing.T, what string, n int, keyOf func(int) FlowKey) {
 	t.Helper()
+	checkBatchMatchesSerialAt(t, what, 64, n, keyOf)
+}
+
+// checkBatchMatchesSerialAt is checkBatchMatchesSerial with a cache of
+// cacheBytes.
+func checkBatchMatchesSerialAt(t *testing.T, what string, cacheBytes uint64, n int, keyOf func(int) FlowKey) {
+	t.Helper()
 	ep := testEndpoint(t, 5001, 44000)
-	serial, batch, ms, mb := pricedPair(t, 0)
+	serial, batch, ms, mb := pricedPair(t, 0, cacheBytes)
 	prefillActive(t, serial, ep)
 	prefillActive(t, batch, ep)
 	errS := serialInserts(serial, n, keyOf, ep)
@@ -111,9 +120,31 @@ func checkBatchMatchesSerial(t *testing.T, what string, n int, keyOf func(int) F
 	requireTablesEqual(t, what, serial, batch, ms, mb)
 }
 
-// TestInsertBatchMatchesSerial is the exact-replay contract: a batch is
+// midBatchCache returns a cache size the footprint crosses partway
+// through a batch of n diffKeys after the active prefill: halfway between
+// the footprints before and after the batch.
+func midBatchCache(t *testing.T, n int) uint64 {
+	t.Helper()
+	tab, err := NewFlowTable(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := testEndpoint(t, 5001, 44000)
+	prefillActive(t, tab, ep)
+	before := tab.StructBytes()
+	if err := tab.InsertBatch(n, diffKey, ep); err != nil {
+		t.Fatal(err)
+	}
+	return (before + tab.StructBytes()) / 2
+}
+
+// TestInsertBatchMatchesSerial is the batch ≡ serial contract: a batch is
 // indistinguishable from n Inserts in index order, down to every slot and
 // every charged cycle, at sizes from empty to the connscale population.
+// Each size runs twice: with a one-line cache, which the footprint
+// outgrows at the first key, and with one the footprint outgrows partway
+// through the batch, so keys before and after the crossing price at
+// different footprint epochs.
 func TestInsertBatchMatchesSerial(t *testing.T) {
 	sizes := []int{0, 1, 7, 1000, 100_000}
 	if !testing.Short() {
@@ -121,6 +152,8 @@ func TestInsertBatchMatchesSerial(t *testing.T) {
 	}
 	for _, n := range sizes {
 		checkBatchMatchesSerial(t, fmt.Sprintf("n=%d", n), n, diffKey)
+		cache := midBatchCache(t, n)
+		checkBatchMatchesSerialAt(t, fmt.Sprintf("n=%d cache=%d", n, cache), cache, n, diffKey)
 	}
 }
 
@@ -217,7 +250,7 @@ func dupShapes(t *testing.T, m int) []dupShape {
 // backward-shift it, and the robin-hood invariants hold throughout.
 func TestInsertBatchThenMutate(t *testing.T) {
 	ep := testEndpoint(t, 5001, 44000)
-	serial, batch, ms, mb := pricedPair(t, 16)
+	serial, batch, ms, mb := pricedPair(t, 16, 64)
 	if err := serialInserts(serial, 20_000, diffKey, ep); err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +306,16 @@ func heapBytes[T any](n int) uint64 {
 // 100k-key batch into a fresh default table allocates exactly:
 //
 //   - each shard's final slot array, at 18 bytes a slot;
-//   - 5 bytes of scratch per key (its shard, then its probe count);
+//   - 5 bytes of scratch per key (its shard and its grouped index);
 //   - one growth staging array, half the largest final array;
-//   - per shard, 112 bytes of bookkeeping: the start and next offsets
-//     (8 bytes each, start one longer), the replay model (16) and the
-//     built shard header (an 80-byte flowShard).
+//   - one 12-byte growth record per shard growth, and one 8-byte cold
+//     fraction per footprint epoch (one more than the growths);
+//   - per shard, 96 bytes of bookkeeping: the start and next offsets
+//     (8 bytes each, start one longer) and the built shard header (an
+//     80-byte flowShard).
 //
-// Each allocation counts at its allocator size (heapBytes), so a slot or
-// scratch regrowth fails here, not only in the benchmark.
+// Each allocation counts at its allocator size (heapBytes), so a slot,
+// scratch or growth-list regrowth fails here, not only in the benchmark.
 func TestInsertBatchHostBytes(t *testing.T) {
 	const n = 100_000
 	ep := testEndpoint(t, 5001, 44000)
@@ -301,16 +336,20 @@ func TestInsertBatchHostBytes(t *testing.T) {
 
 	tab := tabs[0]
 	want := heapBytes[[1]byte](n) + heapBytes[[4]byte](n)
-	stage := 0
+	stage, growths := 0, 0
 	for si := range tab.shards {
 		slots := len(tab.shards[si].slots)
 		want += heapBytes[[18]byte](slots)
 		stage = max(stage, slots/2)
+		// A fresh shard grows to flowShardMinSlots, then doubles.
+		if slots > 0 {
+			growths += 1 + bits.TrailingZeros(uint(slots/flowShardMinSlots))
+		}
 	}
 	want += heapBytes[[18]byte](stage)
+	want += heapBytes[[12]byte](growths) + heapBytes[float64](growths+1)
 	shards := len(tab.shards)
-	want += heapBytes[[8]byte](shards+1) + heapBytes[[8]byte](shards) +
-		heapBytes[[16]byte](shards) + heapBytes[flowShard](shards)
+	want += heapBytes[[8]byte](shards+1) + heapBytes[[8]byte](shards) + heapBytes[flowShard](shards)
 	if got != want {
 		t.Errorf("InsertBatch(%d keys) allocated %d bytes, want %d", n, got, want)
 	}
@@ -325,14 +364,18 @@ func splitmix64(x uint64) uint64 {
 }
 
 // FuzzInsertBatch drives the batch ≡ serial contract over fuzzed batch
-// sizes, prefill counts and address seeds. The seed picks the shard count
-// and either a collision-free key run or keys drawn from a space small
-// enough that in-batch and resident duplicates are likely.
+// sizes, prefill counts and address seeds. The seed picks the shard count,
+// either a collision-free key run or keys drawn from a space small enough
+// that in-batch and resident duplicates are likely, and, from its top 16
+// bits, the cache size: 64 bytes up to half a megabyte, so the footprint
+// outgrows the cache at the first key, partway through the batch or not
+// at all.
 func FuzzInsertBatch(f *testing.F) {
 	f.Add(uint16(0), uint8(0), uint64(0))
 	f.Add(uint16(1), uint8(64), uint64(2))
 	f.Add(uint16(1000), uint8(64), uint64(0x700))
 	f.Add(uint16(3000), uint8(10), uint64(0x301))
+	f.Add(uint16(3000), uint8(10), uint64(0x3000_0000_0000_0300))
 	f.Fuzz(func(t *testing.T, n uint16, prefill uint8, seed uint64) {
 		size := int(n % 4096)
 		shards := 1 << (seed >> 8 % 8)
@@ -344,7 +387,7 @@ func FuzzInsertBatch(f *testing.F) {
 			return diffKey(int(splitmix64(seed+uint64(i)) % space))
 		}
 		ep := testEndpoint(t, 5001, 44000)
-		serial, batch, ms, mb := pricedPair(t, shards)
+		serial, batch, ms, mb := pricedPair(t, shards, 64+seed>>48<<3)
 		for j := 0; j < int(prefill); j++ {
 			k := diffKey(int(splitmix64(^seed+uint64(j)) % space))
 			if e1, e2 := serial.Insert(k, ep), batch.Insert(k, ep); (e1 == nil) != (e2 == nil) {
@@ -400,7 +443,8 @@ func tableStatsBySort(t *FlowTable) TableStats {
 
 // TestTableStatsMatchesSortReference checks the histogram-derived probe
 // summary against the sort-based reference on random tables, from empty
-// and single-entry ones to tables thinned by removes.
+// and single-entry ones to tables thinned by removes, and on one pile-up
+// whose probe lengths pass TableStats' fixed histogram.
 func TestTableStatsMatchesSortReference(t *testing.T) {
 	ep := testEndpoint(t, 5001, 44000)
 	rng := rand.New(rand.NewSource(13))
@@ -435,6 +479,30 @@ func TestTableStatsMatchesSortReference(t *testing.T) {
 		if got, want := tab.TableStats(), tableStatsBySort(tab); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%d keys, %d shards): TableStats\n got %+v\nwant %+v", trial, n, shards, got, want)
 		}
+	}
+
+	// One more trial: 80 keys that share a home slot in a 1-shard table
+	// of 128 slots probe 1 to 80 slots deep, past TableStats' fixed
+	// histogram.
+	const pileup = 80
+	tab, err := NewFlowTable(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := slotIndexHash(diffKey(0).Hash()) & 127
+	for i := 0; tab.Len() < pileup; i++ {
+		if k := diffKey(i); slotIndexHash(k.Hash())&127 == home {
+			if err := tab.Insert(k, ep); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, want := tab.TableStats(), tableStatsBySort(tab)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pile-up of %d keys: TableStats\n got %+v\nwant %+v", pileup, got, want)
+	}
+	if got.ProbeMax != pileup || got.Slots != 128 {
+		t.Fatalf("pile-up of %d keys: probe max %d in %d slots, want %d in 128", pileup, got.ProbeMax, got.Slots, pileup)
 	}
 }
 
