@@ -6,6 +6,10 @@
 //	rxbench -experiment fig7
 //	rxbench -experiment table1 -duration 500ms
 //
+// Each experiment is defined once, in the experiments list below. Every
+// stream experiment runs its points on the -parallel worker pool and
+// prints them in a fixed order, so its table does not depend on -parallel.
+//
 // With -json, the human-readable tables go to stderr and stdout carries
 // one JSON report, the machine-readable form CI records as BENCH_*.json
 // performance trajectories:
@@ -40,6 +44,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -60,18 +65,17 @@ import (
 )
 
 var (
-	experiment = flag.String("experiment", "all",
-		"experiment to run: all, fig1, fig2, fig3, fig4, fig6, fig7, fig8, fig9, fig10, fig11, fig12, table1, limit1, rss, churn, steer, smallmsg, reorder, loss, restartstorm, connscale, rr")
-	duration = flag.Duration("duration", 150*time.Millisecond, "measured virtual duration per run")
-	warmup   = flag.Duration("warmup", 40*time.Millisecond, "virtual warm-up before measurement")
-	sysFlag  = flag.String("sys", "up",
+	experiment = flag.String("experiment", "all", "experiment to run: all"+experimentNames())
+	duration   = flag.Duration("duration", 150*time.Millisecond, "measured virtual duration per run")
+	warmup     = flag.Duration("warmup", 40*time.Millisecond, "virtual warm-up before measurement")
+	sysFlag    = flag.String("sys", "up",
 		"system for the rss, churn, steer, reorder, restartstorm, connscale and rr experiments: up, smp, xen (xen scales paravirtual I/O channels)")
 	queueList = flag.String("queues", "1,2,4,8",
 		"queue counts swept by the rss experiment (comma-separated); steer, reorder and restartstorm use the last entry")
 	jsonOut = flag.Bool("json", false,
 		"emit machine-readable JSON run records on stdout (tables move to stderr)")
 	parallel = flag.Int("parallel", 1,
-		"worker goroutines for the points of every sweep (rss, loss, restartstorm, connscale, rr); output order is deterministic")
+		"worker goroutines for the points of every experiment but table1; output order is deterministic")
 	cpuProfile = flag.String("cpuprofile", "",
 		"write a CPU profile of the whole invocation to this file")
 	memProfile = flag.String("memprofile", "",
@@ -79,6 +83,54 @@ var (
 	traceOut = flag.String("trace", "",
 		"write a Chrome trace (chrome://tracing / Perfetto) of the invocation's final stream run to this file and report its tracks on stderr; enables span telemetry on every run (observation cost is zero — results are unchanged)")
 )
+
+// experimentDef is one experiment: its name and the function that runs it.
+type experimentDef struct {
+	name string
+	run  func(w io.Writer)
+}
+
+// experiments lists every experiment in the order -experiment all runs them.
+var experiments = []experimentDef{
+	{"fig1", fig1},
+	{"fig2", fig2},
+	{"fig3", figBreakdown(repro.SystemNativeUP, repro.FormatBreakdown, "Figure 3: breakdown of receive processing overheads (UP, cycles/packet)",
+		"(paper shares: per-byte 17%, rx+tx 21%, buffer+non-proto 25%, driver 21%)")},
+	{"fig4", fig4},
+	{"fig6", figBreakdown(repro.SystemXen, repro.FormatXenBreakdown, "Figure 6: breakdown of receive processing overheads (Xen, cycles/packet)",
+		"(paper: virt per-packet 56%, per-byte 14%, TCP rx+tx 10%)")},
+	{"fig7", fig7},
+	{"fig8", figOptBreakdown(repro.SystemNativeUP, "Figure 8: receive processing overheads (UP)",
+		"(paper: per-packet categories ÷4.3, aggr ~789 cycles/pkt)")},
+	{"fig9", figOptBreakdown(repro.SystemNativeSMP, "Figure 9: receive processing overheads (SMP)",
+		"(paper: per-packet categories ÷5.5)")},
+	{"fig10", figOptBreakdown(repro.SystemXen, "Figure 10: receive processing overheads (Xen)",
+		"(paper: virt per-packet categories ÷3.7)")},
+	{"fig11", fig11},
+	{"fig12", fig12},
+	{"table1", table1},
+	{"limit1", limit1},
+	{"rss", rssScaling},
+	{"churn", churn},
+	{"steer", steerExperiment},
+	{"smallmsg", smallMsg},
+	{"reorder", reorderExperiment},
+	{"loss", lossExperiment},
+	{"restartstorm", restartStorm},
+	{"connscale", connScale},
+	{"rr", rrIncast},
+}
+
+// experimentNames is ", name" for each experiment, for the help text.
+func experimentNames() (names string) {
+	for _, e := range experiments {
+		names += ", " + e.name
+	}
+	return names
+}
+
+// paperSystems are the three machines of the paper's evaluation.
+var paperSystems = []repro.SystemKind{repro.SystemNativeUP, repro.SystemNativeSMP, repro.SystemXen}
 
 // benchRun is one run of the -json report: the resolved config the run
 // used and its result, JSON-encoded as the golden corpus encodes it (nil
@@ -96,10 +148,14 @@ type benchRun struct {
 const reportSchema = 1
 
 var (
+	// benchSys and benchQueues are -sys and -queues, parsed by parseFlags
+	// before the first run.
+	benchSys      repro.SystemKind
+	benchQueues   []int
 	curExperiment string
 	runs          = []benchRun{}
 	// pointFailures counts runs that failed (reported in-table and in JSON
-	// rather than aborting the sweep; nonzero exit at the end).
+	// rather than aborting the experiment; nonzero exit at the end).
 	pointFailures int
 	// traceSpans holds the final stream run's span timeline when -trace
 	// is set, and traceNs that run's measured interval.
@@ -111,10 +167,15 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rxbench: ")
 	flag.Parse()
+	selected, err := parseFlags()
+	if err != nil {
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// Declared before the profile defers so it runs after them (LIFO):
-	// profiles are flushed even when failed sweep points force a nonzero
-	// exit.
+	// profiles are flushed even when failed points force a nonzero exit.
 	defer func() {
 		if pointFailures > 0 {
 			os.Exit(1)
@@ -134,60 +195,46 @@ func main() {
 	}
 	defer writeMemProfile()
 
-	// With -json the real stdout carries only the JSON document; the
-	// experiments' fmt.Print* tables resolve os.Stdout at call time, so
-	// rerouting the variable moves them wholesale to stderr.
-	jsonDest := os.Stdout
+	// With -json stdout carries only the JSON document.
+	var out io.Writer = os.Stdout
 	if *jsonOut {
-		os.Stdout = os.Stderr
+		out = os.Stderr
 	}
-
-	runners := map[string]func(){
-		"fig1":         fig1,
-		"fig2":         fig2,
-		"fig3":         fig3,
-		"fig4":         fig4,
-		"fig6":         fig6,
-		"fig7":         fig7,
-		"fig8":         func() { figOptBreakdown(repro.SystemNativeUP, "Figure 8: receive processing overheads (UP)", false) },
-		"fig9":         func() { figOptBreakdown(repro.SystemNativeSMP, "Figure 9: receive processing overheads (SMP)", false) },
-		"fig10":        func() { figOptBreakdown(repro.SystemXen, "Figure 10: receive processing overheads (Xen)", true) },
-		"fig11":        fig11,
-		"fig12":        fig12,
-		"table1":       table1,
-		"limit1":       limit1,
-		"rss":          rssScaling,
-		"churn":        churn,
-		"steer":        steerExperiment,
-		"smallmsg":     smallMsg,
-		"reorder":      reorderExperiment,
-		"loss":         lossExperiment,
-		"restartstorm": restartStorm,
-		"connscale":    connScale,
-		"rr":           rrIncast,
-	}
-	if *experiment == "all" {
-		for _, name := range []string{"fig1", "fig2", "fig3", "fig4", "fig6", "fig7",
-			"fig8", "fig9", "fig10", "fig11", "fig12", "table1", "limit1", "rss", "churn",
-			"steer", "smallmsg", "reorder", "loss", "restartstorm", "connscale", "rr"} {
-			curExperiment = name
-			runners[name]()
-			fmt.Println()
+	for _, e := range selected {
+		curExperiment = e.name
+		e.run(out)
+		if *experiment == "all" {
+			fmt.Fprintln(out)
 		}
-		writeTrace()
-		emitJSON(jsonDest)
-		return
 	}
-	run, ok := runners[*experiment]
-	if !ok {
-		log.Printf("unknown experiment %q", *experiment)
-		flag.Usage()
-		os.Exit(2)
-	}
-	curExperiment = *experiment
-	run()
 	writeTrace()
-	emitJSON(jsonDest)
+	emitJSON(os.Stdout)
+}
+
+// parseFlags resolves -sys and -queues and selects the -experiment runs,
+// so that a bad value fails the invocation before its first run.
+func parseFlags() ([]experimentDef, error) {
+	var err error
+	if benchSys, err = repro.ParseSystem(*sysFlag); err != nil {
+		return nil, fmt.Errorf("-sys: %v", err)
+	}
+	benchQueues = nil
+	for _, f := range strings.Split(*queueList, ",") {
+		q, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || q <= 0 {
+			return nil, fmt.Errorf("bad -queues entry %q", f)
+		}
+		benchQueues = append(benchQueues, q)
+	}
+	for i, e := range experiments {
+		if e.name == *experiment {
+			return experiments[i : i+1], nil
+		}
+	}
+	if *experiment != "all" {
+		return nil, fmt.Errorf("unknown experiment %q", *experiment)
+	}
+	return experiments, nil
 }
 
 // writeTrace validates and writes the captured span timeline when -trace
@@ -273,20 +320,14 @@ func writeMemProfile() {
 	}
 }
 
-// stream runs one configuration through streamMany.
-func stream(cfg repro.StreamConfig) repro.StreamResult {
-	results, _ := streamMany([]repro.StreamConfig{cfg})
-	return results[0]
-}
-
 // streamMany is the one run path: it sets the -duration/-warmup window,
 // resolves each config's defaults, wires -trace and runs the points,
 // fanned out over -parallel worker goroutines (each RunStream builds its
-// own topology, so points share nothing). Results and report entries keep
-// the input order whatever the completion order was. A failed point does
-// not abort the sweep: its error is logged, recorded in the JSON report
-// and surfaced to the caller (errs[i] != nil, results[i] zero); the
-// process exits nonzero at the end.
+// own topology, so points share nothing). Results and report entries keep the input order
+// whatever the completion order was. A failed point does not abort the
+// experiment: its error is logged, recorded in the JSON report and
+// surfaced to the caller (errs[i] != nil, results[i] zero); the process
+// exits nonzero at the end.
 func streamMany(cfgs []repro.StreamConfig) ([]repro.StreamResult, []error) {
 	// With -trace every point records spans into its own slot (workers
 	// never share one), and the final point's timeline wins.
@@ -303,18 +344,10 @@ func streamMany(cfgs []repro.StreamConfig) ([]repro.StreamResult, []error) {
 		}
 		cfgs[i] = cfgs[i].Resolved()
 	}
-	results := make([]repro.StreamResult, len(cfgs))
-	errs := make([]error, len(cfgs))
-	workers := *parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
+	results, errs := make([]repro.StreamResult, len(cfgs)), make([]error, len(cfgs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(max(*parallel, 1), len(cfgs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -347,12 +380,55 @@ func streamMany(cfgs []repro.StreamConfig) ([]repro.StreamResult, []error) {
 	return results, errs
 }
 
+// table is one experiment's rows: each row's label and points, every row
+// with the same number of points.
+type table struct {
+	labels []string
+	cfgs   []repro.StreamConfig
+}
+
+// add appends a row of points under its label and returns t.
+func (t *table) add(label string, cfgs ...repro.StreamConfig) *table {
+	t.labels = append(t.labels, label)
+	t.cfgs = append(t.cfgs, cfgs...)
+	return t
+}
+
+// print runs the points through streamMany and prints each row: its
+// label, then the figures row formats from its results, or FAILED and the
+// first error among its points. A figure that is one whole table is one
+// row labelled with its title, and its formatter gets an empty title,
+// which leaves the table's first line to the label.
+func (t *table) print(w io.Writer, row func(res []repro.StreamResult) string) {
+	results, errs := streamMany(t.cfgs)
+	per := len(results) / len(t.labels)
+	for i, label := range t.labels {
+		if err := cmp.Or(errs[i*per : (i+1)*per]...); err != nil {
+			fmt.Fprintf(w, "%s FAILED: %v\n", label, err)
+		} else {
+			fmt.Fprint(w, label, row(results[i*per:(i+1)*per]))
+		}
+	}
+}
+
+// sharesFigure is Figures 1 and 2: each row's per-byte vs per-packet share.
+func sharesFigure(w io.Writer, title, paper string, rows []string, cfgs []repro.StreamConfig) {
+	new(table).add(title, cfgs...).print(w, func(res []repro.StreamResult) string {
+		groups := profile.StandardShareGroups()
+		var per [][]float64
+		for _, r := range res {
+			per = append(per, profile.ShareLine(r.Breakdown, groups))
+		}
+		return profile.SharesTable("", rows, per, groups)
+	})
+	fmt.Fprintln(w, paper)
+}
+
 // fig1 reproduces Figure 1: per-byte vs per-packet share on the 3.8 GHz
 // uniprocessor as the prefetch configuration varies.
-func fig1() {
-	groups := profile.StandardShareGroups()
+func fig1(w io.Writer) {
 	var rows []string
-	var per [][]float64
+	var cfgs []repro.StreamConfig
 	for _, mode := range []memmodel.PrefetchMode{
 		memmodel.PrefetchNone, memmodel.PrefetchPartial, memmodel.PrefetchFull,
 	} {
@@ -361,150 +437,128 @@ func fig1() {
 		cfg := repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptNone)
 		cfg.NICs = 1
 		cfg.Params = &p
-		res := stream(cfg)
 		rows = append(rows, mode.String())
-		per = append(per, profile.ShareLine(res.Breakdown, groups))
+		cfgs = append(cfgs, cfg)
 	}
-	fmt.Print(profile.SharesTable(
-		"Figure 1: impact of prefetching on overhead shares (UP, 3.8 GHz)",
-		rows, per, groups))
+	sharesFigure(w, "Figure 1: impact of prefetching on overhead shares (UP, 3.8 GHz)",
+		"(paper: per-byte 52% -> 14%, per-packet 37% -> ~70%)", rows, cfgs)
 }
 
 // fig2 reproduces Figure 2: per-byte vs per-packet share for UP, SMP and
 // Xen with full prefetching.
-func fig2() {
-	groups := profile.StandardShareGroups()
+func fig2(w io.Writer) {
 	var rows []string
-	var per [][]float64
-	for _, sys := range []repro.SystemKind{
-		repro.SystemNativeUP, repro.SystemNativeSMP, repro.SystemXen,
-	} {
-		res := stream(repro.DefaultStreamConfig(sys, repro.OptNone))
+	var cfgs []repro.StreamConfig
+	for _, sys := range paperSystems {
 		rows = append(rows, sys.String())
-		per = append(per, profile.ShareLine(res.Breakdown, groups))
+		cfgs = append(cfgs, repro.DefaultStreamConfig(sys, repro.OptNone))
 	}
-	fmt.Print(profile.SharesTable(
-		"Figure 2: per-byte vs per-packet overhead (full prefetching)",
-		rows, per, groups))
+	sharesFigure(w, "Figure 2: per-byte vs per-packet overhead (full prefetching)",
+		"(paper: per-packet dominates everywhere)", rows, cfgs)
 }
 
-func fig3() {
-	res := stream(repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptNone))
-	fmt.Print(repro.FormatBreakdown(
-		"Figure 3: breakdown of receive processing overheads (UP, cycles/packet)",
-		res.Breakdown))
+// figBreakdown is Figures 3 and 6: one system's Original breakdown.
+func figBreakdown(sys repro.SystemKind, format func(string, repro.Breakdown) string, title, paper string) func(io.Writer) {
+	return func(w io.Writer) {
+		new(table).add(title, repro.DefaultStreamConfig(sys, repro.OptNone)).print(w,
+			func(r []repro.StreamResult) string { return format("", r[0].Breakdown) })
+		fmt.Fprintln(w, paper)
+	}
 }
 
-func fig4() {
-	up := stream(repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptNone))
-	smp := stream(repro.DefaultStreamConfig(repro.SystemNativeSMP, repro.OptNone))
-	fmt.Print(profile.Comparison(
-		"Figure 4: receive processing overheads, UP vs SMP (cycles/packet)",
-		"UP", "SMP", up.Breakdown, smp.Breakdown, profile.NativeCategories))
+func fig4(w io.Writer) {
+	new(table).add("Figure 4: receive processing overheads, UP vs SMP (cycles/packet)",
+		repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptNone),
+		repro.DefaultStreamConfig(repro.SystemNativeSMP, repro.OptNone),
+	).print(w, func(r []repro.StreamResult) string {
+		return profile.Comparison("", "UP", "SMP", r[0].Breakdown, r[1].Breakdown, profile.NativeCategories)
+	})
+	fmt.Fprintln(w, "(paper: rx +62%, tx +40%, buffer/copy unchanged)")
 }
 
-func fig6() {
-	res := stream(repro.DefaultStreamConfig(repro.SystemXen, repro.OptNone))
-	fmt.Print(repro.FormatXenBreakdown(
-		"Figure 6: breakdown of receive processing overheads (Xen, cycles/packet)",
-		res.Breakdown))
-}
-
-func fig7() {
-	fmt.Println("Figure 7: overall performance improvement (Mb/s)")
-	fmt.Printf("%-11s %10s %10s %10s %8s %8s\n",
+func fig7(w io.Writer) {
+	var t table
+	for _, sys := range paperSystems {
+		t.add(fmt.Sprintf("%-11s", sys), repro.DefaultStreamConfig(sys, repro.OptNone),
+			repro.DefaultStreamConfig(sys, repro.OptAggregation), repro.DefaultStreamConfig(sys, repro.OptFull))
+	}
+	fmt.Fprintln(w, "Figure 7: overall performance improvement (Mb/s)")
+	fmt.Fprintf(w, "%-11s %10s %10s %10s %8s %8s\n",
 		"system", "Original", "RA only", "Optimized", "gain", "util")
-	for _, sys := range []repro.SystemKind{
-		repro.SystemNativeUP, repro.SystemNativeSMP, repro.SystemXen,
-	} {
-		orig := stream(repro.DefaultStreamConfig(sys, repro.OptNone))
-		ra := stream(repro.DefaultStreamConfig(sys, repro.OptAggregation))
-		opt := stream(repro.DefaultStreamConfig(sys, repro.OptFull))
-		fmt.Printf("%-11s %10.0f %10.0f %10.0f %+7.0f%% %7.0f%%\n",
-			sys, orig.ThroughputMbps, ra.ThroughputMbps, opt.ThroughputMbps,
+	t.print(w, func(r []repro.StreamResult) string {
+		orig, ra, opt := r[0], r[1], r[2]
+		return fmt.Sprintf(" %10.0f %10.0f %10.0f %+7.0f%% %7.0f%%\n",
+			orig.ThroughputMbps, ra.ThroughputMbps, opt.ThroughputMbps,
 			(opt.ThroughputMbps/orig.ThroughputMbps-1)*100, opt.CPUUtil*100)
+	})
+	fmt.Fprintln(w, "(paper: UP 3452->4660, SMP 2988->4660, Xen 1088->1877;")
+	fmt.Fprintln(w, " RA-only gains +26/36/45%; optimized native runs are NIC-limited at ~93% CPU)")
+}
+
+// figOptBreakdown is Figures 8-10: Original vs Optimized per category.
+func figOptBreakdown(sys repro.SystemKind, title, paper string) func(io.Writer) {
+	return func(w io.Writer) {
+		orig, opt := repro.DefaultStreamConfig(sys, repro.OptNone), repro.DefaultStreamConfig(sys, repro.OptFull)
+		new(table).add(title, orig, opt).print(w, func(r []repro.StreamResult) string {
+			return repro.FormatComparison("", r[0].Breakdown, r[1].Breakdown, sys == repro.SystemXen) +
+				fmt.Sprintf("aggregation factor: %.1f\n", r[1].AggFactor)
+		})
+		fmt.Fprintln(w, paper)
 	}
-	fmt.Println("(paper: UP 3452->4660, SMP 2988->4660, Xen 1088->1877;")
-	fmt.Println(" RA-only gains +26/36/45%; optimized native runs are NIC-limited at ~93% CPU)")
 }
 
-func figOptBreakdown(sys repro.SystemKind, title string, xen bool) {
-	orig := stream(repro.DefaultStreamConfig(sys, repro.OptNone))
-	opt := stream(repro.DefaultStreamConfig(sys, repro.OptFull))
-	fmt.Print(repro.FormatComparison(title, orig.Breakdown, opt.Breakdown, xen))
-	fmt.Printf("aggregation factor: %.1f\n", opt.AggFactor)
-}
-
-func fig11() {
-	fmt.Println("Figure 11: CPU overhead vs Aggregation Limit (UP)")
-	fmt.Printf("%-6s %16s %10s\n", "limit", "cycles/packet", "agg")
+func fig11(w io.Writer) {
+	var t table
 	for _, lim := range []int{1, 2, 3, 5, 8, 10, 15, 20, 25, 30, 35} {
 		cfg := repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptFull)
 		cfg.AggLimit = lim
-		res := stream(cfg)
-		fmt.Printf("%-6d %16.0f %10.1f\n", lim, res.CyclesPerPacket, res.AggFactor)
+		t.add(fmt.Sprintf("%-6d", lim), cfg)
 	}
-	fmt.Println("(paper: steep drop then flat; x + y/k shape; limit 20 chosen)")
+	fmt.Fprintln(w, "Figure 11: CPU overhead vs Aggregation Limit (UP)")
+	fmt.Fprintf(w, "%-6s %16s %10s\n", "limit", "cycles/packet", "agg")
+	t.print(w, func(r []repro.StreamResult) string {
+		return fmt.Sprintf(" %16.0f %10.1f\n", r[0].CyclesPerPacket, r[0].AggFactor)
+	})
+	fmt.Fprintln(w, "(paper: steep drop then flat; x + y/k shape; limit 20 chosen)")
 }
 
-func fig12() {
-	fmt.Println("Figure 12: scalability with concurrent connections (SMP, Mb/s)")
-	fmt.Printf("%-8s %10s %10s %8s %8s\n", "conns", "Original", "Optimized", "gain", "agg")
+func fig12(w io.Writer) {
+	var t table
 	for _, conns := range []int{5, 25, 50, 100, 200, 400} {
 		base := repro.DefaultStreamConfig(repro.SystemNativeSMP, repro.OptNone)
-		base.Connections = conns
 		opt := repro.DefaultStreamConfig(repro.SystemNativeSMP, repro.OptFull)
-		opt.Connections = conns
-		b := stream(base)
-		o := stream(opt)
-		fmt.Printf("%-8d %10.0f %10.0f %+7.0f%% %8.1f\n",
-			conns, b.ThroughputMbps, o.ThroughputMbps,
-			(o.ThroughputMbps/b.ThroughputMbps-1)*100, o.AggFactor)
+		base.Connections, opt.Connections = conns, conns
+		t.add(fmt.Sprintf("%-8d", conns), base, opt)
 	}
-	fmt.Println("(paper: optimized stays >=40% ahead at 400 connections)")
+	fmt.Fprintln(w, "Figure 12: scalability with concurrent connections (SMP, Mb/s)")
+	fmt.Fprintf(w, "%-8s %10s %10s %8s %8s\n", "conns", "Original", "Optimized", "gain", "agg")
+	t.print(w, func(r []repro.StreamResult) string {
+		b, o := r[0], r[1]
+		return fmt.Sprintf(" %10.0f %10.0f %+7.0f%% %8.1f\n",
+			b.ThroughputMbps, o.ThroughputMbps, (o.ThroughputMbps/b.ThroughputMbps-1)*100, o.AggFactor)
+	})
+	fmt.Fprintln(w, "(paper: optimized stays >=40% ahead at 400 connections)")
 }
 
-func table1() {
-	fmt.Println("Table 1: impact of receive optimizations on latency (requests/sec)")
-	fmt.Printf("%-11s %12s %12s %8s\n", "system", "Original", "Optimized", "delta")
-	for _, sys := range []repro.SystemKind{
-		repro.SystemNativeUP, repro.SystemNativeSMP, repro.SystemXen,
-	} {
-		o, err := repro.RunRR(repro.DefaultRRConfig(sys, repro.OptNone))
-		if err != nil {
-			log.Fatal(err)
+func table1(w io.Writer) {
+	fmt.Fprintln(w, "Table 1: impact of receive optimizations on latency (requests/sec)")
+	fmt.Fprintf(w, "%-11s %12s %12s %8s\n", "system", "Original", "Optimized", "delta")
+	for _, sys := range paperSystems {
+		o, errO := repro.RunRR(repro.DefaultRRConfig(sys, repro.OptNone))
+		f, errF := repro.RunRR(repro.DefaultRRConfig(sys, repro.OptFull))
+		if err := cmp.Or(errO, errF); err != nil {
+			for _, err := range []error{errO, errF} {
+				if err != nil {
+					pointFailures++
+				}
+			}
+			fmt.Fprintf(w, "%-11s FAILED: %v\n", sys, err)
+			continue
 		}
-		f, err := repro.RunRR(repro.DefaultRRConfig(sys, repro.OptFull))
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-11s %12.0f %12.0f %+7.2f%%\n",
-			sys, o.RequestsPerSec, f.RequestsPerSec,
-			(f.RequestsPerSec/o.RequestsPerSec-1)*100)
+		fmt.Fprintf(w, "%-11s %12.0f %12.0f %+7.2f%%\n",
+			sys, o.RequestsPerSec, f.RequestsPerSec, (f.RequestsPerSec/o.RequestsPerSec-1)*100)
 	}
-	fmt.Println("(paper: UP 7874/7894, SMP 7970/7985, Xen 6965/6953 — no noticeable impact)")
-}
-
-// benchSystem resolves the -sys flag for the beyond-the-paper experiments.
-func benchSystem() repro.SystemKind {
-	sys, err := repro.ParseSystem(*sysFlag)
-	if err != nil {
-		log.Fatalf("-sys: %v", err)
-	}
-	return sys
-}
-
-// benchQueues parses the -queues sweep list.
-func benchQueues() []int {
-	var out []int
-	for _, f := range strings.Split(*queueList, ",") {
-		q, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || q <= 0 {
-			log.Fatalf("bad -queues entry %q", f)
-		}
-		out = append(out, q)
-	}
-	return out
+	fmt.Fprintln(w, "(paper: UP 7874/7894, SMP 7970/7985, Xen 6965/6953 — no noticeable impact)")
 }
 
 // rssScaling is the multi-queue experiment beyond the paper: aggregate
@@ -512,122 +566,116 @@ func benchQueues() []int {
 // baseline and the optimized receive path. On -sys xen the queues are
 // paravirtual I/O channels: per-vCPU netfront/netback rings steered by
 // the same Toeplitz hash as the native NIC queues.
-func rssScaling() {
-	sys := benchSystem()
-	fmt.Printf("RSS queue scaling (%s, 200 flows, 8 links; 1 queue = the paper's single-softirq receiver)\n", sys)
-	fmt.Printf("%-7s %-10s %10s %10s %8s  %s\n",
+func rssScaling(w io.Writer) {
+	fmt.Fprintf(w, "RSS queue scaling (%s, 200 flows, 8 links; 1 queue = the paper's single-softirq receiver)\n", benchSys)
+	fmt.Fprintf(w, "%-7s %-10s %10s %10s %8s  %s\n",
 		"queues", "path", "Mb/s", "cyc/pkt", "util", "per-CPU util")
-	var cfgs []repro.StreamConfig
+	var t table
 	for _, opt := range []repro.OptLevel{repro.OptNone, repro.OptFull} {
-		for _, q := range benchQueues() {
-			cfg := repro.DefaultStreamConfig(sys, opt)
+		for _, q := range benchQueues {
+			cfg := repro.DefaultStreamConfig(benchSys, opt)
 			cfg.NICs = 8
 			cfg.Connections = 200
 			cfg.Queues = q
-			cfgs = append(cfgs, cfg)
+			t.add(fmt.Sprintf("%-7d %-10s", q, opt), cfg)
 		}
 	}
-	results, errs := streamMany(cfgs)
-	for i, res := range results {
-		if errs[i] != nil {
-			fmt.Printf("%-7d %-10s FAILED: %v\n", cfgs[i].Queues, cfgs[i].Opt, errs[i])
-			continue
-		}
+	t.print(w, func(r []repro.StreamResult) string {
 		per := ""
-		for _, u := range res.PerCPUUtil {
+		for _, u := range r[0].PerCPUUtil {
 			per += fmt.Sprintf(" %3.0f%%", u*100)
 		}
-		fmt.Printf("%-7d %-10s %10.0f %10.0f %7.0f%% %s\n",
-			cfgs[i].Queues, cfgs[i].Opt, res.ThroughputMbps, res.CyclesPerPacket, res.CPUUtil*100, per)
-	}
-	fmt.Println("(link limit is ~7532 Mb/s over 8 NICs: scaling ends where the wire does)")
+		return fmt.Sprintf(" %10.0f %10.0f %7.0f%% %s\n",
+			r[0].ThroughputMbps, r[0].CyclesPerPacket, r[0].CPUUtil*100, per)
+	})
+	fmt.Fprintln(w, "(link limit is ~7532 Mb/s over 8 NICs: scaling ends where the wire does)")
 }
 
 // churn is the production-shaped workload: hundreds of zipf-skewed flows
 // with connection arrival/teardown churn on a 4-queue pipeline.
-func churn() {
-	sys := benchSystem()
-	fmt.Printf("Many-flow churn (%s, 400 zipf-skewed flows, churn every 2ms, 4 queues)\n", sys)
-	fmt.Printf("%-10s %10s %8s %8s %10s\n", "path", "Mb/s", "util", "agg", "churned")
+func churn(w io.Writer) {
+	fmt.Fprintf(w, "Many-flow churn (%s, 400 zipf-skewed flows, churn every 2ms, 4 queues)\n", benchSys)
+	fmt.Fprintf(w, "%-10s %10s %8s %8s %10s\n", "path", "Mb/s", "util", "agg", "churned")
+	var t table
 	for _, opt := range []repro.OptLevel{repro.OptNone, repro.OptFull} {
-		cfg := repro.DefaultStreamConfig(sys, opt)
+		cfg := repro.DefaultStreamConfig(benchSys, opt)
 		cfg.Connections = 400
 		cfg.Queues = 4
 		cfg.FlowSkew = 1.1
 		cfg.ChurnIntervalNs = 2_000_000
-		res := stream(cfg)
-		fmt.Printf("%-10s %10.0f %7.0f%% %8.1f %10d\n",
-			opt, res.ThroughputMbps, res.CPUUtil*100, res.AggFactor, res.FlowsTornDown)
+		t.add(fmt.Sprintf("%-10s", opt), cfg)
 	}
+	t.print(w, func(r []repro.StreamResult) string {
+		return fmt.Sprintf(" %10.0f %7.0f%% %8.1f %10d\n",
+			r[0].ThroughputMbps, r[0].CPUUtil*100, r[0].AggFactor, r[0].FlowsTornDown)
+	})
 }
 
 // steerExperiment is the dynamic-flow-steering study: the 200-flow zipf
 // workload under static RSS, the indirection rebalancer, and rebalancer +
-// accelerated RFS (including the app-migration workload), reporting
-// throughput, the per-CPU utilization spread, bucket migrations and
-// steering-rule occupancy. Queue counts come from -queues (the last entry
-// is used); -sys selects native or paravirtual.
-func steerExperiment() {
-	sys := benchSystem()
-	queues := benchQueues()
-	q := queues[len(queues)-1]
-	fmt.Printf("Dynamic flow steering (%s, 200 zipf flows, 8 links, %d queues)\n", sys, q)
-	fmt.Printf("%-22s %8s %8s %8s %8s %8s %8s %8s\n",
+// accelerated RFS (including the app-migration workload).
+func steerExperiment(w io.Writer) {
+	q := benchQueues[len(benchQueues)-1]
+	fmt.Fprintf(w, "Dynamic flow steering (%s, 200 zipf flows, 8 links, %d queues)\n", benchSys, q)
+	fmt.Fprintf(w, "%-22s %8s %8s %8s %8s %8s %8s %8s\n",
 		"policy", "Mb/s", "util", "spread", "moves", "rules", "occ", "appmig")
-	run := func(name string, steer repro.SteerConfig) {
-		cfg := repro.DefaultStreamConfig(sys, repro.OptFull)
+	var t table
+	add := func(name string, steer repro.SteerConfig) {
+		cfg := repro.DefaultStreamConfig(benchSys, repro.OptFull)
 		cfg.NICs = 8
 		cfg.Connections = 200
 		cfg.Queues = q
 		cfg.FlowSkew = 1.2
 		cfg.Steering = steer
-		res := stream(cfg)
+		t.add(fmt.Sprintf("%-22s", name), cfg)
+	}
+	add("static RSS", repro.SteerConfig{})
+	add("rebalancer", repro.SteerConfig{Enabled: true})
+	add("rebalancer+aRFS", repro.SteerConfig{Enabled: true, ARFS: true})
+	add("rebalancer+aRFS+mig", repro.SteerConfig{Enabled: true, ARFS: true,
+		AppMigrateIntervalNs: 2_000_000})
+	t.print(w, func(r []repro.StreamResult) string {
+		res := r[0]
 		var moves, rules, appmig uint64
 		occ := 0
 		if res.Steer != nil {
 			moves, rules, appmig = res.Steer.Moves, res.Steer.RulesProgrammed, res.Steer.AppMigrations
 			occ = res.Steer.RuleOccupancy
 		}
-		fmt.Printf("%-22s %8.0f %7.0f%% %8.3f %8d %8d %8d %8d\n",
-			name, res.ThroughputMbps, res.CPUUtil*100, res.UtilSpread(),
-			moves, rules, occ, appmig)
-	}
-	run("static RSS", repro.SteerConfig{})
-	run("rebalancer", repro.SteerConfig{Enabled: true})
-	run("rebalancer+aRFS", repro.SteerConfig{Enabled: true, ARFS: true})
-	run("rebalancer+aRFS+mig", repro.SteerConfig{Enabled: true, ARFS: true,
-		AppMigrateIntervalNs: 2_000_000})
-	fmt.Println("(spread = max-min per-CPU utilization; steering must narrow it at equal or better throughput)")
+		return fmt.Sprintf(" %8.0f %7.0f%% %8.3f %8d %8d %8d %8d\n",
+			res.ThroughputMbps, res.CPUUtil*100, res.UtilSpread(), moves, rules, occ, appmig)
+	})
+	fmt.Fprintln(w, "(spread = max-min per-CPU utilization; steering must narrow it at equal or better throughput)")
 }
 
 // smallMsg is the §5.5 quantitative reproduction: sweep sub-MSS message
 // sizes and report how aggregation's effectiveness degrades in byte terms
 // — frames per aggregate stay respectable while the bytes each aggregate
 // saves collapse with the message size.
-func smallMsg() {
-	fmt.Println("Section 5.5: aggregation effectiveness vs message size (UP, 2 links)")
-	fmt.Printf("%-8s %10s %10s %10s %10s %12s %12s\n",
-		"bytes", "Orig Mb/s", "Opt Mb/s", "gain", "frames/agg", "bytes/agg", "saved/agg")
+func smallMsg(w io.Writer) {
+	var t table
 	for _, size := range []int{256, 512, 1024, 1448} {
-		run := func(opt repro.OptLevel) repro.StreamResult {
-			cfg := repro.DefaultStreamConfig(repro.SystemNativeUP, opt)
-			cfg.NICs = 2
-			cfg.MessageSize = size
-			return stream(cfg)
-		}
-		base := run(repro.OptNone)
-		opt := run(repro.OptFull)
+		base := repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptNone)
+		opt := repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptFull)
+		base.NICs, opt.NICs = 2, 2
+		base.MessageSize, opt.MessageSize = size, size
+		t.add(fmt.Sprintf("%-8d", size), base, opt)
+	}
+	fmt.Fprintln(w, "Section 5.5: aggregation effectiveness vs message size (UP, 2 links)")
+	fmt.Fprintf(w, "%-8s %10s %10s %10s %10s %12s %12s\n",
+		"bytes", "Orig Mb/s", "Opt Mb/s", "gain", "frames/agg", "bytes/agg", "saved/agg")
+	t.print(w, func(r []repro.StreamResult) string {
+		base, opt := r[0], r[1]
 		bytesPerAgg := opt.BytesPerAggregate()
 		// Bytes the host-packet costs were amortized over beyond the
 		// first frame: the byte-level win of each aggregate.
 		savedPerAgg := bytesPerAgg * (1 - 1/opt.AggFactor)
-		fmt.Printf("%-8d %10.0f %10.0f %+9.0f%% %10.1f %12.0f %12.0f\n",
-			size, base.ThroughputMbps, opt.ThroughputMbps,
-			(opt.ThroughputMbps/base.ThroughputMbps-1)*100,
+		return fmt.Sprintf(" %10.0f %10.0f %+9.0f%% %10.1f %12.0f %12.0f\n",
+			base.ThroughputMbps, opt.ThroughputMbps, (opt.ThroughputMbps/base.ThroughputMbps-1)*100,
 			opt.AggFactor, bytesPerAgg, savedPerAgg)
-	}
-	fmt.Println("(paper §5.5/§1: the optimizations do not help small-message workloads —")
-	fmt.Println(" an aggregate of sub-MSS segments amortizes per-packet cost over few bytes)")
+	})
+	fmt.Fprintln(w, "(paper §5.5/§1: the optimizations do not help small-message workloads —")
+	fmt.Fprintln(w, " an aggregate of sub-MSS segments amortizes per-packet cost over few bytes)")
 }
 
 // reorderExperiment is the reordering-tolerance study: the 200-flow zipf
@@ -637,101 +685,76 @@ func smallMsg() {
 // (FlushMismatch) and bytes/aggregate collapses toward the MSS; the
 // window holds the early frame and stitches it once the gap fills,
 // restoring the §3.1 aggregation win and relieving the TCP OOO queue.
-// Queue count comes from -queues (last entry); -sys selects the machine.
-func reorderExperiment() {
-	sys := benchSystem()
-	queues := benchQueues()
-	q := queues[len(queues)-1]
-	fmt.Printf("Reordering tolerance (%s, 200 zipf flows, 8 links, %d queues, adjacent swaps)\n", sys, q)
-	fmt.Printf("%-7s %-7s %9s %7s %9s %10s %9s %9s %9s %9s\n",
+func reorderExperiment(w io.Writer) {
+	q := benchQueues[len(benchQueues)-1]
+	fmt.Fprintf(w, "Reordering tolerance (%s, 200 zipf flows, 8 links, %d queues, adjacent swaps)\n", benchSys, q)
+	fmt.Fprintf(w, "%-7s %-7s %9s %7s %9s %10s %9s %9s %9s %9s\n",
 		"swap", "window", "Mb/s", "util", "frm/agg", "bytes/agg", "cyc/byte", "stitched", "timeout", "mismatch")
+	var t table
 	for _, swap := range []int{0, 50, 20} { // 0%, 2%, 5% of frames
+		rate := "0%"
+		if swap > 0 {
+			rate = fmt.Sprintf("%.0f%%", 100.0/float64(swap))
+		}
 		for _, win := range []int{0, 2, 4, 8} {
-			cfg := repro.DefaultStreamConfig(sys, repro.OptFull)
+			cfg := repro.DefaultStreamConfig(benchSys, repro.OptFull)
 			cfg.NICs = 8
 			cfg.Connections = 200
 			cfg.Queues = q
 			cfg.FlowSkew = 1.1
 			cfg.Reorder = repro.ReorderConfig{OneIn: swap, Distance: 1}
 			cfg.ReorderWindow = win
-			res := stream(cfg)
-			rate := "0%"
-			if swap > 0 {
-				rate = fmt.Sprintf("%.0f%%", 100.0/float64(swap))
-			}
-			fmt.Printf("%-7s %-7d %9.0f %6.0f%% %9.1f %10.0f %9.2f %9d %9d %9d\n",
-				rate, win, res.ThroughputMbps, res.CPUUtil*100, res.AggFactor,
-				res.BytesPerAggregate(), res.CyclesPerByte(), res.AggStats.Stitched,
-				res.AggStats.WindowTimeout, res.AggStats.FlushMismatch)
+			t.add(fmt.Sprintf("%-7s %-7d", rate, win), cfg)
 		}
 	}
-	fmt.Println("(window 0 is the strict flush-on-OOO engine; under swaps it degenerates toward Limit=1")
-	fmt.Println(" and the §5 per-packet savings evaporate — the window restores them)")
-}
-
-// lossModelOf names a config's loss model and returns its nominal
-// stationary loss rate.
-func lossModelOf(cfg repro.StreamConfig) (string, float64) {
-	switch {
-	case cfg.Loss.OneIn > 0:
-		return "uniform", 1 / float64(cfg.Loss.OneIn)
-	case cfg.Loss.BurstRate > 0:
-		return "burst", cfg.Loss.BurstRate
-	default:
-		return "", 0
-	}
+	t.print(w, func(r []repro.StreamResult) string {
+		res := r[0]
+		return fmt.Sprintf(" %9.0f %6.0f%% %9.1f %10.0f %9.2f %9d %9d %9d\n",
+			res.ThroughputMbps, res.CPUUtil*100, res.AggFactor,
+			res.BytesPerAggregate(), res.CyclesPerByte(), res.AggStats.Stitched,
+			res.AggStats.WindowTimeout, res.AggStats.FlushMismatch)
+	})
+	fmt.Fprintln(w, "(window 0 is the strict flush-on-OOO engine; under swaps it degenerates toward Limit=1")
+	fmt.Fprintln(w, " and the §5 per-packet savings evaporate — the window restores them)")
 }
 
 // lossExperiment is the loss-and-recovery degradation study: the paper's
 // five-link bulk workload under deterministic link loss, crossing loss
 // model (uniform / Gilbert-Elliott bursts) × rate (0.1%, 1%, 5%) × SACK
-// (off/on) on the native UP and Xen receivers. Reported per point:
-// throughput, cycles/byte, bytes/aggregate, fast retransmits, RTOs, and
-// the recovery-latency distribution from the telemetry histogram. The
-// headline is the SACK column pair — at 1% and 5% loss the scoreboard
-// keeps the pipe full through recovery while cumulative-ACK Reno stalls
-// on every lost retransmission until the 200 ms RTO floor.
-func lossExperiment() {
-	fmt.Println("Loss and recovery (5 links, bulk streams; uniform and burst loss, SACK off/on)")
-	fmt.Printf("%-9s %-8s %6s %-5s %9s %9s %10s %8s %5s %9s %9s\n",
+// (off/on) on the native UP and Xen receivers. The headline is the SACK
+// column pair — at 1% and 5% loss the scoreboard keeps the pipe full
+// through recovery while cumulative-ACK Reno stalls on every lost
+// retransmission until the 200 ms RTO floor.
+func lossExperiment(w io.Writer) {
+	fmt.Fprintln(w, "Loss and recovery (5 links, bulk streams; uniform and burst loss, SACK off/on)")
+	fmt.Fprintf(w, "%-9s %-8s %6s %-5s %9s %9s %10s %8s %5s %9s %9s\n",
 		"system", "model", "rate", "sack", "Mb/s", "cyc/byte", "bytes/agg",
 		"fastRtx", "RTOs", "rec p50µs", "rec p99µs")
-	var cfgs []repro.StreamConfig
+	var t table
 	for _, sys := range []repro.SystemKind{repro.SystemNativeUP, repro.SystemXen} {
 		for _, model := range []string{"uniform", "burst"} {
 			for _, rate := range []float64{0.001, 0.01, 0.05} {
 				for _, sack := range []bool{false, true} {
 					cfg := repro.DefaultStreamConfig(sys, repro.OptFull)
+					cfg.Loss = repro.LossConfig{BurstRate: rate}
 					if model == "uniform" {
-						cfg.Loss.OneIn = int(1/rate + 0.5)
-					} else {
-						cfg.Loss.BurstRate = rate
+						cfg.Loss = repro.LossConfig{OneIn: int(1/rate + 0.5)}
 					}
 					cfg.SACK = sack
 					cfg.Telemetry.Latency = true
-					cfgs = append(cfgs, cfg)
+					t.add(fmt.Sprintf("%-9s %-8s %5.1f%% %-5v", sys, model, rate*100, sack), cfg)
 				}
 			}
 		}
 	}
-	results, errs := streamMany(cfgs)
-	for i, res := range results {
-		cfg := cfgs[i]
-		model, rate := lossModelOf(cfg)
-		if errs[i] != nil {
-			fmt.Printf("%-9s %-8s %5.1f%% %-5v FAILED: %v\n",
-				cfg.System, model, rate*100, cfg.SACK, errs[i])
-			continue
-		}
-		rec := res.Latency.Recovery
-		us := func(ns uint64) float64 { return float64(ns) / 1e3 }
-		fmt.Printf("%-9s %-8s %5.1f%% %-5v %9.0f %9.2f %10.0f %8d %5d %9.1f %9.1f\n",
-			cfg.System, model, rate*100, cfg.SACK, res.ThroughputMbps,
-			res.CyclesPerByte(), res.BytesPerAggregate(),
-			res.Loss.FastRetransmits, res.Loss.RTOs, us(rec.P50Ns), us(rec.P99Ns))
-	}
-	fmt.Println("(SACK must win at 1% and 5%: with runs shorter than the 200 ms RTO floor, Reno's only")
-	fmt.Println(" answer to a lost retransmission is the timer; the scoreboard retransmits it within an RTT)")
+	t.print(w, func(r []repro.StreamResult) string {
+		res, rec := r[0], r[0].Latency.Recovery
+		return fmt.Sprintf(" %9.0f %9.2f %10.0f %8d %5d %9.1f %9.1f\n",
+			res.ThroughputMbps, res.CyclesPerByte(), res.BytesPerAggregate(),
+			res.Loss.FastRetransmits, res.Loss.RTOs, float64(rec.P50Ns)/1e3, float64(rec.P99Ns)/1e3)
+	})
+	fmt.Fprintln(w, "(SACK must win at 1% and 5%: with runs shorter than the 200 ms RTO floor, Reno's only")
+	fmt.Fprintln(w, " answer to a lost retransmission is the timer; the scoreboard retransmits it within an RTT)")
 }
 
 // restartStorm is the TIME_WAIT-at-scale experiment: half the flow
@@ -740,18 +763,15 @@ func lossExperiment() {
 // against a seeded TIME_WAIT backlog from 1k to 100k+ entries — far
 // beyond what the port space admits as live flows. The deadline-wheel
 // acceptance is a flat cycles/byte column: per-packet receive cost must
-// not grow with the lingering population (the seed's flat slice
-// rescanned all of it on every insert and sweep).
-func restartStorm() {
-	sys := benchSystem()
-	queues := benchQueues()
-	q := queues[len(queues)-1]
-	fmt.Printf("Restart storm (%s, 80 flows/4 links, %d queues; half torn down and redialed on their own ports, tw_reuse on)\n", sys, q)
-	fmt.Printf("%-9s %9s %9s %10s %9s %8s %8s %9s %10s\n",
+// not grow with the lingering population.
+func restartStorm(w io.Writer) {
+	q := benchQueues[len(benchQueues)-1]
+	fmt.Fprintf(w, "Restart storm (%s, 80 flows/4 links, %d queues; half torn down and redialed on their own ports, tw_reuse on)\n", benchSys, q)
+	fmt.Fprintf(w, "%-9s %9s %9s %10s %9s %8s %8s %9s %10s\n",
 		"backlog", "Mb/s", "cyc/byte", "entered", "reaped", "reused", "refused", "peak", "lingering")
-	var cfgs []repro.StreamConfig
+	var t table
 	for _, prefill := range []int{1_000, 10_000, 50_000, 100_000} {
-		cfg := repro.DefaultStreamConfig(sys, repro.OptFull)
+		cfg := repro.DefaultStreamConfig(benchSys, repro.OptFull)
 		cfg.NICs = 4
 		cfg.Connections = 80
 		cfg.Queues = q
@@ -761,21 +781,16 @@ func restartStorm() {
 			Fraction:        0.5,
 			PrefillTimeWait: prefill,
 		}
-		cfgs = append(cfgs, cfg)
+		t.add(fmt.Sprintf("%-9d", prefill), cfg)
 	}
-	results, errs := streamMany(cfgs)
-	for i, res := range results {
-		if errs[i] != nil {
-			fmt.Printf("%-9d FAILED: %v\n", cfgs[i].RestartStorm.PrefillTimeWait, errs[i])
-			continue
-		}
-		tw := res.TimeWait
-		fmt.Printf("%-9d %9.0f %9.2f %10d %9d %8d %8d %9d %10d\n",
-			cfgs[i].RestartStorm.PrefillTimeWait, res.ThroughputMbps, res.CyclesPerByte(),
+	t.print(w, func(r []repro.StreamResult) string {
+		tw := r[0].TimeWait
+		return fmt.Sprintf(" %9.0f %9.2f %10d %9d %8d %8d %9d %10d\n",
+			r[0].ThroughputMbps, r[0].CyclesPerByte(),
 			tw.Entered, tw.Reaped, tw.Reused, tw.ReuseRefused, tw.Peak, tw.Len)
-	}
-	fmt.Println("(flat cycles/byte as the backlog scales 1k -> 100k is the deadline-wheel acceptance:")
-	fmt.Println(" insert/reap charge per entry, never a scan of the lingering population)")
+	})
+	fmt.Fprintln(w, "(flat cycles/byte as the backlog scales 1k -> 100k is the deadline-wheel acceptance:")
+	fmt.Fprintln(w, " insert/reap charge per entry, never a scan of the lingering population)")
 }
 
 // connScale is the million-flow demux experiment: a small active flow set
@@ -788,33 +803,27 @@ func restartStorm() {
 // touches. The acceptance is the cycles/byte column: flat (≤15%), since a
 // probe run is ~1 streamed line however big the table. The budget column
 // must scale linearly with the registered population.
-func connScale() {
-	sys := benchSystem()
-	var cfgs []repro.StreamConfig
+func connScale(w io.Writer) {
+	var t table
 	for _, reg := range []int{10_000, 100_000, 1_000_000} {
-		cfg := repro.DefaultStreamConfig(sys, repro.OptNone)
+		cfg := repro.DefaultStreamConfig(benchSys, repro.OptNone)
 		cfg.NICs = 4
 		cfg.Connections = 64
 		cfg.FlowSkew = 1.1
 		cfg.RegisteredFlows = reg
-		cfgs = append(cfgs, cfg)
+		t.add(fmt.Sprintf("%-11d", reg), cfg)
 	}
-	results, errs := streamMany(cfgs)
-	fmt.Printf("Connection-count scaling (%s, 64 active zipf flows / 4 links, registered population swept)\n", sys)
-	fmt.Printf("%-11s %9s %9s %12s %10s %6s %9s %10s\n",
+	fmt.Fprintf(w, "Connection-count scaling (%s, 64 active zipf flows / 4 links, registered population swept)\n", benchSys)
+	fmt.Fprintf(w, "%-11s %9s %9s %12s %10s %6s %9s %10s\n",
 		"registered", "Mb/s", "cyc/byte", "demux c/pkt", "probe", "load", "table MB", "budget MB")
-	for i, res := range results {
-		cfg := cfgs[i]
-		if errs[i] != nil {
-			fmt.Printf("%-11d FAILED: %v\n", cfg.RegisteredFlows, errs[i])
-			continue
-		}
-		fmt.Printf("%-11d %9.0f %9.2f %12.1f %10s %6.2f %9.1f %10.1f\n",
-			cfg.RegisteredFlows, res.ThroughputMbps, res.CyclesPerByte(), res.DemuxCyclesPerPacket(),
+	t.print(w, func(r []repro.StreamResult) string {
+		res := r[0]
+		return fmt.Sprintf(" %9.0f %9.2f %12.1f %10s %6.2f %9.1f %10.1f\n",
+			res.ThroughputMbps, res.CyclesPerByte(), res.DemuxCyclesPerPacket(),
 			fmt.Sprintf("%d/%d", res.Demux.ProbeP50, res.Demux.ProbeMax), res.Demux.LoadP50,
 			float64(res.Demux.Bytes)/(1<<20), float64(res.Mem.PeakBytes)/(1<<20))
-	}
-	fmt.Println("(probe runs stream ~1 line, so cycles/byte stays flat as the table dwarfs the cache)")
+	})
+	fmt.Fprintln(w, "(probe runs stream ~1 line, so cycles/byte stays flat as the table dwarfs the cache)")
 }
 
 // rrIncast is the request/response incast experiment: the receiver fires
@@ -822,49 +831,39 @@ func connScale() {
 // shared link, and the telemetry collector's RTT histogram measures how
 // the burst's tail stretches — the last response queues behind fan-in−1
 // others on the wire and in the receive path, so p99 grows with fan-in
-// while the median barely moves. Swept over fan-in × message size;
-// -sys selects native or the Xen paravirtual path.
-func rrIncast() {
-	sys := benchSystem()
-	fmt.Printf("Incast request/response (%s, 1 link, synchronized bursts, RTT per message)\n", sys)
-	fmt.Printf("%-7s %-7s %8s %9s %9s %9s %9s %8s\n",
+// while the median barely moves. Swept over fan-in × message size.
+func rrIncast(w io.Writer) {
+	fmt.Fprintf(w, "Incast request/response (%s, 1 link, synchronized bursts, RTT per message)\n", benchSys)
+	fmt.Fprintf(w, "%-7s %-7s %8s %9s %9s %9s %9s %8s\n",
 		"fan-in", "msg", "rounds", "p50 µs", "p99 µs", "p999 µs", "max µs", "Mb/s")
-	var cfgs []repro.StreamConfig
+	var t table
 	for _, fanin := range []int{4, 16, 64} {
 		for _, size := range []int{256, 1448, 4344} {
-			cfg := repro.DefaultStreamConfig(sys, repro.OptFull)
+			cfg := repro.DefaultStreamConfig(benchSys, repro.OptFull)
 			cfg.NICs = 1
 			cfg.Connections = fanin
 			cfg.RPC = repro.RPCConfig{Enabled: true, MessageBytes: size}
-			cfgs = append(cfgs, cfg)
+			t.add(fmt.Sprintf("%-7d %-7d", fanin, size), cfg)
 		}
 	}
-	results, errs := streamMany(cfgs)
-	for i, res := range results {
-		cfg := cfgs[i]
-		if errs[i] != nil {
-			fmt.Printf("%-7d %-7d FAILED: %v\n", cfg.Connections, cfg.RPC.MessageBytes, errs[i])
-			continue
-		}
-		rtt := res.Latency.RTT
+	t.print(w, func(r []repro.StreamResult) string {
+		rtt := r[0].Latency.RTT
 		us := func(ns uint64) float64 { return float64(ns) / 1e3 }
-		fmt.Printf("%-7d %-7d %8d %9.1f %9.1f %9.1f %9.1f %8.0f\n",
-			cfg.Connections, cfg.RPC.MessageBytes, res.RPCRounds,
-			us(rtt.P50Ns), us(rtt.P99Ns), us(rtt.P999Ns), us(rtt.MaxNs),
-			res.ThroughputMbps)
-	}
-	fmt.Println("(p99 tracks the burst width: the last message of a fan-in-N burst waited for N−1 others)")
+		return fmt.Sprintf(" %8d %9.1f %9.1f %9.1f %9.1f %8.0f\n", r[0].RPCRounds,
+			us(rtt.P50Ns), us(rtt.P99Ns), us(rtt.P999Ns), us(rtt.MaxNs), r[0].ThroughputMbps)
+	})
+	fmt.Fprintln(w, "(p99 tracks the burst width: the last message of a fan-in-N burst waited for N−1 others)")
 }
 
-func limit1() {
-	base := stream(repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptNone))
-	cfg := repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptFull)
-	cfg.AggLimit = 1
-	lim1 := stream(cfg)
-	fmt.Println("Section 5.5 check: Aggregation Limit = 1 must not degrade performance")
-	fmt.Printf("baseline:  %7.0f Mb/s  %7.0f cycles/packet\n",
-		base.ThroughputMbps, base.CyclesPerPacket)
-	fmt.Printf("limit 1:   %7.0f Mb/s  %7.0f cycles/packet (%+.1f%%)\n",
-		lim1.ThroughputMbps, lim1.CyclesPerPacket,
-		(lim1.CyclesPerPacket/base.CyclesPerPacket-1)*100)
+func limit1(w io.Writer) {
+	lim := repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptFull)
+	lim.AggLimit = 1
+	new(table).add("Section 5.5 check: Aggregation Limit = 1 must not degrade performance",
+		repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptNone), lim,
+	).print(w, func(r []repro.StreamResult) string {
+		base, lim1 := r[0], r[1]
+		return fmt.Sprintf("\nbaseline:  %7.0f Mb/s  %7.0f cycles/packet\n", base.ThroughputMbps, base.CyclesPerPacket) +
+			fmt.Sprintf("limit 1:   %7.0f Mb/s  %7.0f cycles/packet (%+.1f%%)\n",
+				lim1.ThroughputMbps, lim1.CyclesPerPacket, (lim1.CyclesPerPacket/base.CyclesPerPacket-1)*100)
+	})
 }
