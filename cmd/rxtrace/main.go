@@ -64,7 +64,7 @@ func traceBurst() []telemetry.Span {
 	var meter cycles.Meter
 	params := cost.NativeUP()
 	alloc := buf.NewAllocator(&meter, &params)
-	eng, err := aggregate.New(aggregate.Config{Limit: *limit, TableSize: 64},
+	eng, err := aggregate.New(aggregate.Config{Limit: *limit},
 		&meter, &params, alloc)
 	if err != nil {
 		log.Fatal(err)

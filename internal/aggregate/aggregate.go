@@ -51,10 +51,6 @@ type Config struct {
 	// disables coalescing but keeps the engine on the path (the §5.5
 	// no-degradation check).
 	Limit int
-	// TableSize bounds the lookup table of partially aggregated packets
-	// (§3.5 describes it as small). When full, the oldest pending
-	// aggregate is flushed to make room.
-	TableSize int
 	// ReorderWindow is the per-flow resequencing window: the maximum
 	// number of ahead-of-sequence frames held per pending aggregate.
 	// Interrupt coalescing plus multi-queue steering reorders
@@ -66,21 +62,24 @@ type Config struct {
 	// delivery. 0 disables the window: every out-of-sequence frame
 	// flushes, bit-identical to the original engine.
 	ReorderWindow int
-	// ReorderWindowBytes bounds the sequence span (gap plus held
-	// payload) the window may cover; frames further ahead flush the
-	// aggregate as a window overflow. 0 defaults to 64 KiB when the
-	// window is enabled.
-	ReorderWindowBytes int
 }
 
-// DefaultReorderWindowBytes is the default sequence-span bound of the
-// resequencing window (the classic maximum TCP window).
-const DefaultReorderWindowBytes = 64 * 1024
+const (
+	// tableSize bounds the lookup table of partially aggregated packets
+	// (§3.5 describes it as small). When full, the oldest pending
+	// aggregate is flushed to make room.
+	tableSize = 256
+	// reorderWindowBytes bounds the sequence span (gap plus held
+	// payload) the resequencing window may cover, the classic maximum
+	// TCP window; frames further ahead flush the aggregate as a window
+	// overflow.
+	reorderWindowBytes = 64 * 1024
+)
 
 // DefaultConfig uses the paper's chosen Aggregation Limit of 20 with the
 // resequencing window disabled (the paper's strict in-sequence engine).
 func DefaultConfig() Config {
-	return Config{Limit: 20, TableSize: 256}
+	return Config{Limit: 20}
 }
 
 // Stats counts engine activity and rejection reasons.
@@ -96,8 +95,8 @@ type Stats struct {
 	FlushSteer    uint64 // closed by FlushWhere (migration handoff)
 	// FlushWindowOverflow counts aggregates closed because an
 	// ahead-of-sequence frame could not be held (window slots exhausted,
-	// sequence span beyond ReorderWindowBytes, or overlap with an
-	// already-held frame).
+	// sequence span beyond 64 KiB, or overlap with an already-held
+	// frame).
 	FlushWindowOverflow uint64
 
 	// Resequencing-window activity. Held counts frames that entered the
@@ -239,17 +238,8 @@ func New(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator) (*En
 	if cfg.Limit <= 0 {
 		return nil, fmt.Errorf("aggregate: Limit %d must be positive", cfg.Limit)
 	}
-	if cfg.TableSize <= 0 {
-		return nil, fmt.Errorf("aggregate: TableSize %d must be positive", cfg.TableSize)
-	}
 	if cfg.ReorderWindow < 0 {
 		return nil, fmt.Errorf("aggregate: ReorderWindow %d must be non-negative", cfg.ReorderWindow)
-	}
-	if cfg.ReorderWindowBytes < 0 {
-		return nil, fmt.Errorf("aggregate: ReorderWindowBytes %d must be non-negative", cfg.ReorderWindowBytes)
-	}
-	if cfg.ReorderWindow > 0 && cfg.ReorderWindowBytes == 0 {
-		cfg.ReorderWindowBytes = DefaultReorderWindowBytes
 	}
 	if m == nil || p == nil || alloc == nil {
 		return nil, fmt.Errorf("aggregate: nil dependency")
@@ -259,7 +249,7 @@ func New(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator) (*En
 		meter:  m,
 		params: p,
 		alloc:  alloc,
-		table:  make(map[rss.FlowKey]*pending, cfg.TableSize),
+		table:  make(map[rss.FlowKey]*pending, tableSize),
 	}, nil
 }
 
@@ -405,7 +395,7 @@ func (e *Engine) tryHold(p *pending, hf *heldFrame) bool {
 	// wraparound-safe.
 	start := hf.seq - p.nextSeq
 	end := start + uint32(hf.payloadLen)
-	if int64(end) > int64(e.cfg.ReorderWindowBytes) {
+	if end > reorderWindowBytes {
 		return false
 	}
 	idx := len(p.held)
@@ -574,10 +564,10 @@ func (e *Engine) start(key rss.FlowKey, hf *heldFrame) {
 		e.deliver(p)
 		return
 	}
-	if len(e.table) >= e.cfg.TableSize {
+	if len(e.table) >= tableSize {
 		e.evictOldest()
 	}
-	if len(e.order) > 4*e.cfg.TableSize {
+	if len(e.order) > 4*tableSize {
 		e.compactOrder()
 	}
 	e.table[key] = p
@@ -588,7 +578,7 @@ func (e *Engine) start(key rss.FlowKey, hf *heldFrame) {
 // slice stays bounded even when the aggregation queue never runs empty.
 func (e *Engine) compactOrder() {
 	if e.seen == nil {
-		e.seen = make(map[rss.FlowKey]bool, e.cfg.TableSize)
+		e.seen = make(map[rss.FlowKey]bool, tableSize)
 	}
 	live := e.order[:0]
 	for _, k := range e.order[e.head:] {

@@ -47,7 +47,7 @@ func (e *env) freeOut() {
 // TestFlushWhere: the migration-handoff primitive delivers exactly the
 // pending aggregates whose key matches, leaving the rest pending.
 func TestFlushWhere(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16})
+	e := newEnv(t, Config{Limit: 20})
 	defer e.freeOut()
 	// Two flows, two frames each: both are pending (limit not reached).
 	e.eng.Input(flowFrame(1, 1, 100, nil))
@@ -113,11 +113,8 @@ func TestNewValidation(t *testing.T) {
 	var m cycles.Meter
 	p := cost.NativeUP()
 	alloc := buf.NewAllocator(&m, &p)
-	if _, err := New(Config{Limit: 0, TableSize: 10}, &m, &p, alloc); err == nil {
+	if _, err := New(Config{Limit: 0}, &m, &p, alloc); err == nil {
 		t.Error("expected error for zero limit")
-	}
-	if _, err := New(Config{Limit: 5, TableSize: 0}, &m, &p, alloc); err == nil {
-		t.Error("expected error for zero table")
 	}
 	if _, err := New(DefaultConfig(), nil, &p, alloc); err == nil {
 		t.Error("expected error for nil meter")
@@ -125,7 +122,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestAggregatesUpToLimit(t *testing.T) {
-	e := newEnv(t, Config{Limit: 4, TableSize: 16})
+	e := newEnv(t, Config{Limit: 4})
 	feedRun(e, 4)
 	if len(e.out) != 1 {
 		t.Fatalf("host packets = %d, want 1", len(e.out))
@@ -148,7 +145,7 @@ func TestAggregatesUpToLimit(t *testing.T) {
 }
 
 func TestHeaderRewrite(t *testing.T) {
-	e := newEnv(t, Config{Limit: 3, TableSize: 16})
+	e := newEnv(t, Config{Limit: 3})
 	// Three frames with advancing acks, windows and timestamps.
 	e.eng.Input(flowFrame(1, 1000, 1448, func(s *packet.TCPSpec) {
 		s.Window = 1000
@@ -209,7 +206,7 @@ func TestHeaderRewrite(t *testing.T) {
 }
 
 func TestPayloadBytesPreserved(t *testing.T) {
-	e := newEnv(t, Config{Limit: 3, TableSize: 16})
+	e := newEnv(t, Config{Limit: 3})
 	feedRun(e, 3)
 	skb := e.out[0]
 	// Reassemble the byte stream: head payload + fragments.
@@ -234,7 +231,7 @@ func TestPayloadBytesPreserved(t *testing.T) {
 }
 
 func TestWorkConservingFlush(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16})
+	e := newEnv(t, Config{Limit: 20})
 	feedRun(e, 3) // below limit: still pending
 	if len(e.out) != 0 {
 		t.Fatalf("premature delivery: %d", len(e.out))
@@ -260,7 +257,7 @@ func TestWorkConservingFlush(t *testing.T) {
 
 func TestLimitOneDeliversImmediately(t *testing.T) {
 	// §5.5: Aggregation Limit 1 must never hold packets.
-	e := newEnv(t, Config{Limit: 1, TableSize: 16})
+	e := newEnv(t, Config{Limit: 1})
 	feedRun(e, 5)
 	if len(e.out) != 5 {
 		t.Fatalf("host packets = %d, want 5", len(e.out))
@@ -277,7 +274,7 @@ func TestLimitOneDeliversImmediately(t *testing.T) {
 }
 
 func TestOutOfSequenceFlushesAndRestarts(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16})
+	e := newEnv(t, Config{Limit: 20})
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
 	e.eng.Input(flowFrame(1449, 1, 1448, nil))
 	// Gap: sequence jumps.
@@ -301,7 +298,7 @@ func TestOutOfSequenceFlushesAndRestarts(t *testing.T) {
 
 func TestAckRegressionNotCoalesced(t *testing.T) {
 	// §3.1: a later fragment must have ack >= the previous fragment's.
-	e := newEnv(t, Config{Limit: 20, TableSize: 16})
+	e := newEnv(t, Config{Limit: 20})
 	e.eng.Input(flowFrame(1, 5000, 1448, nil))
 	e.eng.Input(flowFrame(1449, 4000, 1448, nil)) // ACK regressed
 	if e.eng.Stats().FlushMismatch != 1 {
@@ -387,7 +384,7 @@ func TestNonIPPassthrough(t *testing.T) {
 func TestInOrderDeliveryAcrossIneligibleFrame(t *testing.T) {
 	// §3.1: the pending aggregate must be delivered BEFORE a subsequent
 	// ineligible frame of the same flow.
-	e := newEnv(t, Config{Limit: 20, TableSize: 16})
+	e := newEnv(t, Config{Limit: 20})
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
 	e.eng.Input(flowFrame(1449, 1, 1448, nil))
 	// Pure ACK of the same flow: ineligible, must flush the pair first.
@@ -403,7 +400,7 @@ func TestInOrderDeliveryAcrossIneligibleFrame(t *testing.T) {
 }
 
 func TestMultipleFlowsAggregateIndependently(t *testing.T) {
-	e := newEnv(t, Config{Limit: 4, TableSize: 16})
+	e := newEnv(t, Config{Limit: 4})
 	mkFlow := func(port uint16, seq uint32) nic.Frame {
 		return flowFrame(seq, 1, 1448, func(s *packet.TCPSpec) { s.SrcPort = port })
 	}
@@ -429,26 +426,29 @@ func TestMultipleFlowsAggregateIndependently(t *testing.T) {
 }
 
 func TestTableEviction(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 2})
-	for port := uint16(1); port <= 3; port++ {
+	e := newEnv(t, Config{Limit: 20})
+	for port := uint16(1); port <= tableSize+1; port++ {
 		e.eng.Input(flowFrame(1, 1, 1448, func(s *packet.TCPSpec) { s.SrcPort = port }))
 	}
-	// Third flow evicts the first (oldest).
+	// Flow 257 evicts the first (oldest).
 	if e.eng.Stats().FlushEvict != 1 {
 		t.Errorf("FlushEvict = %d, want 1", e.eng.Stats().FlushEvict)
 	}
 	if len(e.out) != 1 {
 		t.Fatalf("host packets = %d, want 1 evicted", len(e.out))
 	}
-	if e.eng.PendingFlows() != 2 {
-		t.Errorf("pending = %d, want 2", e.eng.PendingFlows())
+	if e.eng.PendingFlows() != tableSize {
+		t.Errorf("pending = %d, want %d", e.eng.PendingFlows(), tableSize)
+	}
+	if p, err := packet.Parse(e.out[0].Head); err != nil || p.TCP.SrcPort != 1 {
+		t.Errorf("evicted flow's source port = %d (err %v), want the oldest, 1", p.TCP.SrcPort, err)
 	}
 	e.eng.FlushAll()
 	e.freeOut()
 }
 
 func TestAggrCycleCharges(t *testing.T) {
-	e := newEnv(t, Config{Limit: 4, TableSize: 16})
+	e := newEnv(t, Config{Limit: 4})
 	feedRun(e, 4)
 	perFrame := e.p.AggrPerFrame + e.p.MACProcFixed + e.p.Mem.HeaderTouchCost()
 	want := 4*perFrame + e.p.AggrPerAggregate
@@ -465,7 +465,7 @@ func TestAggrCycleCharges(t *testing.T) {
 }
 
 func TestCompactOrderBoundsMemory(t *testing.T) {
-	e := newEnv(t, Config{Limit: 2, TableSize: 4})
+	e := newEnv(t, Config{Limit: 2})
 	// Thousands of limit-flushes must not grow the order slice without
 	// bound even though FlushAll never runs.
 	for i := 0; i < 5000; i++ {
@@ -474,7 +474,7 @@ func TestCompactOrderBoundsMemory(t *testing.T) {
 		e.eng.Input(flowFrame(seq+1448, 1, 1448, nil))
 		e.out = e.out[:0] // discard without freeing (throwaway buffers)
 	}
-	if len(e.eng.order) > 4*e.eng.cfg.TableSize+1 {
+	if len(e.eng.order) > 4*tableSize+1 {
 		t.Errorf("order slice grew to %d entries", len(e.eng.order))
 	}
 }
@@ -485,7 +485,7 @@ func TestCompactOrderBoundsMemory(t *testing.T) {
 // stitched once the gap fills, yielding one aggregate with the payload in
 // sequence order.
 func TestReorderAdjacentSwapStitched(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16, ReorderWindow: 2})
+	e := newEnv(t, Config{Limit: 20, ReorderWindow: 2})
 	defer e.freeOut()
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
 	e.eng.Input(flowFrame(1+2*1448, 1, 1448, nil)) // frame 3 arrives early
@@ -527,7 +527,7 @@ func TestReorderAdjacentSwapStitched(t *testing.T) {
 // flushes the aggregate (and drains the window) exactly like a mismatch,
 // counted as FlushWindowOverflow.
 func TestReorderWindowOverflowFlushes(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16, ReorderWindow: 1})
+	e := newEnv(t, Config{Limit: 20, ReorderWindow: 1})
 	defer e.freeOut()
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
 	e.eng.Input(flowFrame(1+2*1448, 1, 1448, nil)) // held (1 slot)
@@ -549,15 +549,20 @@ func TestReorderWindowOverflowFlushes(t *testing.T) {
 	e.eng.FlushAll()
 }
 
-// TestReorderByteSpanBound: a frame within slot capacity but beyond
-// ReorderWindowBytes is not held.
+// TestReorderByteSpanBound: a frame within slot capacity is held while
+// its span (gap plus payload) fits in 64 KiB, and not held beyond it.
 func TestReorderByteSpanBound(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16, ReorderWindow: 8, ReorderWindowBytes: 4000})
+	e := newEnv(t, Config{Limit: 20, ReorderWindow: 8})
 	defer e.freeOut()
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
-	e.eng.Input(flowFrame(1+4*1448, 1, 1448, nil)) // span 4*1448+1448 > 4000
-	if st := e.eng.Stats(); st.FlushWindowOverflow != 1 || st.Held != 0 {
-		t.Errorf("stats = %+v", st)
+	// Spans count from the expected sequence number, 1+1448.
+	e.eng.Input(flowFrame(1+45*1448, 1, 1448, nil)) // span 45*1448 = 65160: held
+	if st := e.eng.Stats(); st.FlushWindowOverflow != 0 || st.Held != 1 {
+		t.Errorf("after a frame inside the span: stats = %+v", st)
+	}
+	e.eng.Input(flowFrame(1+46*1448, 1, 1448, nil)) // span 46*1448 = 66608 > 65536
+	if st := e.eng.Stats(); st.FlushWindowOverflow != 1 || st.Held != 1 {
+		t.Errorf("after a frame beyond the span: stats = %+v", st)
 	}
 	e.eng.FlushAll()
 }
@@ -569,7 +574,7 @@ func TestReorderByteSpanBound(t *testing.T) {
 // with each other (only the gap in front never filled), so they drain as
 // one stitched aggregate rather than two host packets.
 func TestReorderIdleFlushDrainsHeldInOrder(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16, ReorderWindow: 4})
+	e := newEnv(t, Config{Limit: 20, ReorderWindow: 4})
 	defer e.freeOut()
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
 	e.eng.Input(flowFrame(1+3*1448, 1, 1448, nil)) // held, out of order
@@ -609,7 +614,7 @@ func TestReorderIdleFlushDrainsHeldInOrder(t *testing.T) {
 // rewrite — total length spanning the run, last fragment's ACK/window —
 // and byte-exact in-sequence payload.
 func TestDrainStitchRunPayload(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16, ReorderWindow: 8})
+	e := newEnv(t, Config{Limit: 20, ReorderWindow: 8})
 	defer e.freeOut()
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
 	// A 3-distance displacement: frames 3,4,5 arrive while 2 is delayed.
@@ -654,7 +659,7 @@ func TestDrainStitchRunPayload(t *testing.T) {
 // into separate deliveries, and a run longer than the Aggregation Limit
 // is capped like any aggregate.
 func TestDrainStitchRespectsGapsAndLimit(t *testing.T) {
-	e := newEnv(t, Config{Limit: 2, TableSize: 16, ReorderWindow: 8})
+	e := newEnv(t, Config{Limit: 2, ReorderWindow: 8})
 	defer e.freeOut()
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
 	// Held: 2,3,4 contiguous; 6 isolated (gap at 5).
@@ -682,7 +687,7 @@ func TestDrainStitchRespectsGapsAndLimit(t *testing.T) {
 // the flow's resequencing window along with its aggregate — no held frame
 // may span the migration boundary.
 func TestReorderFlushWhereDrainsHeld(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16, ReorderWindow: 4})
+	e := newEnv(t, Config{Limit: 20, ReorderWindow: 4})
 	defer e.freeOut()
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
 	e.eng.Input(flowFrame(1+2*1448, 1, 1448, nil)) // held
@@ -705,7 +710,7 @@ func TestReorderFlushWhereDrainsHeld(t *testing.T) {
 // stitched run closes the aggregate and continues the run in a fresh one
 // — same host-packet count as an in-order run of that length.
 func TestReorderLimitMidStitch(t *testing.T) {
-	e := newEnv(t, Config{Limit: 3, TableSize: 16, ReorderWindow: 4})
+	e := newEnv(t, Config{Limit: 3, ReorderWindow: 4})
 	defer e.freeOut()
 	seqAt := func(i int) uint32 { return uint32(1 + i*1448) }
 	e.eng.Input(flowFrame(seqAt(0), 1, 1448, nil))
@@ -729,7 +734,7 @@ func TestReorderLimitMidStitch(t *testing.T) {
 // TestReorderHeldAckRegression: a held frame whose ACK regresses relative
 // to the aggregate by stitch time violates §3.1 and flushes everything.
 func TestReorderHeldAckRegression(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16, ReorderWindow: 4})
+	e := newEnv(t, Config{Limit: 20, ReorderWindow: 4})
 	defer e.freeOut()
 	e.eng.Input(flowFrame(1, 2000, 1448, nil))
 	e.eng.Input(flowFrame(1+2*1448, 2500, 1448, nil)) // held, ack fine at hold time
@@ -748,7 +753,7 @@ func TestReorderHeldAckRegression(t *testing.T) {
 // TestReorderDuplicateHeldRejected: a frame overlapping one already held
 // (a retransmission inside the window) cannot be held — it flushes.
 func TestReorderDuplicateHeldRejected(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16, ReorderWindow: 4})
+	e := newEnv(t, Config{Limit: 20, ReorderWindow: 4})
 	defer e.freeOut()
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
 	e.eng.Input(flowFrame(1+2*1448, 1, 1448, nil))
@@ -763,7 +768,7 @@ func TestReorderDuplicateHeldRejected(t *testing.T) {
 // original flush-on-OOO behaviour exactly (the golden-compatibility
 // contract).
 func TestReorderWindowZeroIdentical(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16, ReorderWindow: 0})
+	e := newEnv(t, Config{Limit: 20, ReorderWindow: 0})
 	e.eng.Input(flowFrame(1, 1, 1448, nil))
 	e.eng.Input(flowFrame(1+2*1448, 1, 1448, nil)) // OOO: must flush, not hold
 	if st := e.eng.Stats(); st.FlushMismatch != 1 || st.Held != 0 {
@@ -781,18 +786,15 @@ func TestReorderConfigValidation(t *testing.T) {
 	var m cycles.Meter
 	p := cost.NativeUP()
 	alloc := buf.NewAllocator(&m, &p)
-	if _, err := New(Config{Limit: 2, TableSize: 4, ReorderWindow: -1}, &m, &p, alloc); err == nil {
+	if _, err := New(Config{Limit: 2, ReorderWindow: -1}, &m, &p, alloc); err == nil {
 		t.Error("negative ReorderWindow accepted")
-	}
-	if _, err := New(Config{Limit: 2, TableSize: 4, ReorderWindowBytes: -1}, &m, &p, alloc); err == nil {
-		t.Error("negative ReorderWindowBytes accepted")
 	}
 }
 
 // TestReorderStitchAcrossSequenceWrap: hold/stitch arithmetic must be
 // wraparound-safe like the rest of the engine.
 func TestReorderStitchAcrossSequenceWrap(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, TableSize: 16, ReorderWindow: 2})
+	e := newEnv(t, Config{Limit: 20, ReorderWindow: 2})
 	defer e.freeOut()
 	seq := uint32(0xFFFFFFFF - 2000) // run crosses 2^32
 	e.eng.Input(flowFrame(seq, 1, 1448, nil))
@@ -809,7 +811,7 @@ func TestReorderStitchAcrossSequenceWrap(t *testing.T) {
 
 func TestAggregationAcrossSequenceWrap(t *testing.T) {
 	// Sequence continuity must hold across the 2^32 wrap.
-	e := newEnv(t, Config{Limit: 4, TableSize: 16})
+	e := newEnv(t, Config{Limit: 4})
 	seq := uint32(0xFFFFFFFF - 2000)
 	for i := 0; i < 4; i++ {
 		e.eng.Input(flowFrame(seq, 1, 1448, nil))

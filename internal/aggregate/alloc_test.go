@@ -56,7 +56,7 @@ var windowCycle = []int{0, 2, 3, 5, 6, 1}
 // pending records and their window storage are warm, a full
 // hold/stitch/flush/drain cycle allocates nothing.
 func TestReorderWindowAllocFree(t *testing.T) {
-	r := newReplay(t, Config{Limit: 3, TableSize: 16, ReorderWindow: 4}, 7, windowCycle)
+	r := newReplay(t, Config{Limit: 3, ReorderWindow: 4}, 7, windowCycle)
 	r.record = true
 	r.pass()
 	r.record = false
@@ -82,13 +82,14 @@ func TestReorderWindowAllocFree(t *testing.T) {
 	}
 }
 
-// TestEvictOldestAllocFree pins table-full eviction: with twice as many
-// flows as table entries, every frame evicts the oldest aggregate, and a
-// warm engine does so without allocating. The order slice keeps its
-// storage across evictions, and compaction reuses its scratch.
+// TestEvictOldestAllocFree pins table-full eviction: with one flow more
+// than the table holds, fed round robin, every frame evicts the oldest
+// aggregate, and a warm engine does so without allocating. The order
+// slice keeps its storage across evictions, and compaction reuses its
+// scratch.
 func TestEvictOldestAllocFree(t *testing.T) {
-	const flows = 8
-	e := newEnv(t, Config{Limit: 20, TableSize: flows / 2})
+	const flows = tableSize + 1
+	e := newEnv(t, Config{Limit: 20})
 	pristine, frame := make([][]byte, flows), make([][]byte, flows)
 	for f := range pristine {
 		port := uint16(6000 + f)
@@ -116,7 +117,7 @@ func TestEvictOldestAllocFree(t *testing.T) {
 	if got := e.eng.Stats().FlushEvict - before; got != 2*1000*flows {
 		t.Errorf("%d evictions in 2000 rounds of %d flows, want one per frame", got, flows)
 	}
-	if len(e.eng.order) > 4*e.eng.cfg.TableSize+1 {
+	if len(e.eng.order) > 4*tableSize+1 {
 		t.Errorf("order slice grew to %d entries", len(e.eng.order))
 	}
 }
@@ -134,8 +135,8 @@ func BenchmarkEngineInput(b *testing.B) {
 		n     int
 		order []int
 	}{
-		{"inorder", Config{Limit: 20, TableSize: 16}, 20, inOrder},
-		{"reorder-window4", Config{Limit: 3, TableSize: 16, ReorderWindow: 4}, 7, windowCycle},
+		{"inorder", Config{Limit: 20}, 20, inOrder},
+		{"reorder-window4", Config{Limit: 3, ReorderWindow: 4}, 7, windowCycle},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := newReplay(b, bc.cfg, bc.n, bc.order)

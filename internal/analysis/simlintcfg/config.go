@@ -100,7 +100,7 @@ var PricedTypes = map[string][]string{
 var HotPathRoots = map[string][]string{
 	"internal/driver":    {"Driver.Poll"},
 	"internal/frontend":  {"FrontEnd.Poll"},
-	"internal/netstack":  {"Stack.Input", "Stack.InputOn"},
+	"internal/netstack":  {"Stack.InputOn"},
 	"internal/aggregate": {"Engine.Input"},
 	"internal/tcp":       {"Endpoint.Input"},
 	"internal/xenvirt":   {"Machine.ProcessRound"},

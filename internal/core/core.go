@@ -1,10 +1,10 @@
-// Package core wires the paper's two optimizations into the receive path:
-// it owns the per-CPU softirq context whose lock-free aggregation queue
-// the raw-mode driver produces into, drives the Receive Aggregation
-// engine from softirq context, and enforces the work-conserving contract
-// of §3.3/§3.5 — the moment the queue runs empty, every partially
-// aggregated packet is flushed to the stack so that no packet ever waits
-// while the stack is idle.
+// Package core wires Receive Aggregation, the paper's first optimization,
+// into the receive path: it owns the per-CPU softirq context whose
+// aggregation queue the raw-mode driver produces into, drives the
+// aggregation engine from softirq context, and enforces the
+// work-conserving contract of §3.3/§3.5 — the moment the queue runs
+// empty, every partially aggregated packet is flushed to the stack so
+// that no packet ever waits while the stack is idle.
 //
 // In the multi-queue RSS pipeline there is one ReceivePath per receive
 // queue (NewOnCPU), pinned to the queue's CPU. Each path owns its own
@@ -13,12 +13,12 @@
 // given flow's pending aggregate and no cross-CPU synchronization exists
 // anywhere on the receive path.
 //
-// Acknowledgment Offload needs no pump of its own: templates are built by
-// the TCP layer (internal/tcp) and expanded by the driver
-// (internal/driver, internal/ackoff); this package's role there is the
-// configuration knob that enables it alongside aggregation (§4.3: the two
-// are designed to be used together, since aggregation is what creates the
-// batched ACK opportunity).
+// Acknowledgment Offload, the second optimization, does not pass through
+// this package: templates are built by the TCP layer (internal/tcp, when
+// its Config.AckOffload is set) and expanded by the driver
+// (internal/driver, internal/ackoff). The two are designed to be used
+// together (§4.3), since aggregation is what creates the batched ACK
+// opportunity.
 package core
 
 import (
@@ -33,29 +33,29 @@ import (
 	"repro/internal/softirq"
 )
 
+// queueCapacity sizes the raw aggregation queue (frames).
+const queueCapacity = 4096
+
 // Options selects the optimized receive path's parameters.
 type Options struct {
 	// Aggregation configures the Receive Aggregation engine.
 	Aggregation aggregate.Config
-	// AckOffload enables ACK template generation in the TCP layer.
+	// AckOffload is not read by this package: ACK offload is switched by
+	// the receiving endpoint's tcp.Config.AckOffload.
 	AckOffload bool
-	// QueueCapacity sizes the raw aggregation queue (frames).
-	QueueCapacity int
 }
 
 // DefaultOptions mirrors the paper's evaluated configuration: Aggregation
 // Limit 20 with ACK offload on.
 func DefaultOptions() Options {
 	return Options{
-		Aggregation:   aggregate.DefaultConfig(),
-		AckOffload:    true,
-		QueueCapacity: 4096,
+		Aggregation: aggregate.DefaultConfig(),
+		AckOffload:  true,
 	}
 }
 
 // ReceivePath is the optimized softirq receive path for one CPU.
 type ReceivePath struct {
-	opts   Options
 	ctx    *softirq.Context[nic.Frame]
 	engine *aggregate.Engine
 }
@@ -74,10 +74,7 @@ func NewOnCPU(cpu int, opts Options, m *cycles.Meter, p *cost.Params, alloc *buf
 	if out == nil {
 		return nil, fmt.Errorf("core: out must not be nil")
 	}
-	if opts.QueueCapacity <= 0 {
-		return nil, fmt.Errorf("core: QueueCapacity %d must be positive", opts.QueueCapacity)
-	}
-	ctx, err := softirq.NewContext[nic.Frame](cpu, opts.QueueCapacity)
+	ctx, err := softirq.NewContext[nic.Frame](cpu, queueCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -88,20 +85,11 @@ func NewOnCPU(cpu int, opts Options, m *cycles.Meter, p *cost.Params, alloc *buf
 	eng.Out = out
 	ctx.Handle = eng.Input
 	ctx.Idle = eng.FlushAll
-	return &ReceivePath{opts: opts, ctx: ctx, engine: eng}, nil
+	return &ReceivePath{ctx: ctx, engine: eng}, nil
 }
-
-// Options returns the path's configuration.
-func (rp *ReceivePath) Options() Options { return rp.opts }
-
-// CPU returns the CPU that owns this path.
-func (rp *ReceivePath) CPU() int { return rp.ctx.CPU() }
 
 // Engine exposes the aggregation engine (stats, tests).
 func (rp *ReceivePath) Engine() *aggregate.Engine { return rp.engine }
-
-// Context exposes the softirq context (stats, tests).
-func (rp *ReceivePath) Context() *softirq.Context[nic.Frame] { return rp.ctx }
 
 // EnqueueRaw is the driver-side producer (interrupt context): it drops the
 // raw frame into the per-CPU aggregation queue. It reports false when the
@@ -110,9 +98,6 @@ func (rp *ReceivePath) Context() *softirq.Context[nic.Frame] { return rp.ctx }
 func (rp *ReceivePath) EnqueueRaw(f nic.Frame) bool {
 	return rp.ctx.Enqueue(f)
 }
-
-// QueueLen returns the number of raw frames awaiting aggregation.
-func (rp *ReceivePath) QueueLen() int { return rp.ctx.Len() }
 
 // Process consumes up to budget raw frames from the queue through the
 // aggregation engine. When the queue runs empty — before or at the budget —
@@ -123,10 +108,6 @@ func (rp *ReceivePath) QueueLen() int { return rp.ctx.Len() }
 func (rp *ReceivePath) Process(budget int) int {
 	return rp.ctx.Run(budget)
 }
-
-// Flush forces delivery of all partial aggregates regardless of queue
-// state (used at shutdown and by tests).
-func (rp *ReceivePath) Flush() { rp.engine.FlushAll() }
 
 // FlushFlow drains flow k's pending aggregate from every given path — it
 // lives in at most one, but which one depends on steering history, so all

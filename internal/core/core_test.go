@@ -54,11 +54,6 @@ func TestNewValidation(t *testing.T) {
 		t.Error("expected error for nil out")
 	}
 	o := DefaultOptions()
-	o.QueueCapacity = 0
-	if _, err := New(o, &m, &p, alloc, func(*buf.SKB) {}); err == nil {
-		t.Error("expected error for zero queue capacity")
-	}
-	o = DefaultOptions()
 	o.Aggregation.Limit = 0
 	if _, err := New(o, &m, &p, alloc, func(*buf.SKB) {}); err == nil {
 		t.Error("expected error for bad aggregation config")
@@ -120,26 +115,24 @@ func TestProcessBudgetExhaustedKeepsPending(t *testing.T) {
 	if len(e.out) != 0 {
 		t.Errorf("host packets = %d, want 0 while backlog remains", len(e.out))
 	}
-	if e.rp.QueueLen() != 6 {
-		t.Errorf("queue len = %d, want 6", e.rp.QueueLen())
+	// Next round drains the other 6 and flushes.
+	if n := e.rp.Process(100); n != 6 {
+		t.Errorf("second round processed %d, want the 6 left queued", n)
 	}
-	// Next round drains and flushes.
-	e.rp.Process(100)
 	if len(e.out) != 1 || e.out[0].NetPackets != 10 {
 		t.Errorf("final delivery wrong: %d packets", len(e.out))
 	}
 }
 
 func TestEnqueueRawFullQueue(t *testing.T) {
-	o := DefaultOptions()
-	o.QueueCapacity = 4
-	e := newEnv(t, o)
-	for i := 0; i < 4; i++ {
-		if !e.rp.EnqueueRaw(frame(uint32(1 + i*1448))) {
+	e := newEnv(t, DefaultOptions())
+	f := frame(1)
+	for i := 0; i < queueCapacity; i++ {
+		if !e.rp.EnqueueRaw(f) {
 			t.Fatalf("enqueue %d failed below capacity", i)
 		}
 	}
-	if e.rp.EnqueueRaw(frame(99999)) {
+	if e.rp.EnqueueRaw(f) {
 		t.Error("enqueue succeeded into full queue")
 	}
 }
@@ -149,12 +142,12 @@ func TestFlushForcesDelivery(t *testing.T) {
 	e.rp.EnqueueRaw(frame(1))
 	e.rp.EnqueueRaw(frame(1449))
 	// Consume without letting Process see an empty queue... process all,
-	// which flushes; then check Flush is harmless when nothing pends.
+	// which flushes; then check FlushAll is harmless when nothing pends.
 	e.rp.Process(2)
 	before := len(e.out)
-	e.rp.Flush()
+	e.rp.Engine().FlushAll()
 	if len(e.out) != before {
-		t.Error("Flush delivered something unexpected")
+		t.Error("FlushAll delivered something unexpected")
 	}
 }
 
@@ -166,7 +159,7 @@ func TestDefaultOptionsMatchPaper(t *testing.T) {
 	if !o.AckOffload {
 		t.Error("default must enable ACK offload (§4.3)")
 	}
-	if o.Aggregation.TableSize != aggregate.DefaultConfig().TableSize {
+	if o.Aggregation != aggregate.DefaultConfig() {
 		t.Error("aggregation defaults diverged")
 	}
 }

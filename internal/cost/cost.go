@@ -206,19 +206,6 @@ func (p *Params) LockCost(n int) uint64 {
 	return uint64(n) * p.LockedRMW
 }
 
-// CyclesToSeconds converts a cycle count to seconds on this machine.
-func (p *Params) CyclesToSeconds(c uint64) float64 {
-	return float64(c) / p.ClockHz
-}
-
-// SecondsToCycles converts seconds to cycles on this machine.
-func (p *Params) SecondsToCycles(s float64) uint64 {
-	if s <= 0 {
-		return 0
-	}
-	return uint64(s * p.ClockHz)
-}
-
 // baseMem returns the memory system shared by all profiles, at the given
 // clock (DRAM latency is ~100 ns of wall time, so its cycle cost scales
 // with the clock).
@@ -327,9 +314,4 @@ func XenGuest() Params {
 	p.XenSchedPerPacket = 500
 	p.Dom0MiscPerFrame = 800
 	return p
-}
-
-// Profiles returns all machine profiles, for sweep-style tools.
-func Profiles() []Params {
-	return []Params{NativeUP(), NativeSMP(), XenGuest()}
 }

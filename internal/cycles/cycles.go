@@ -9,11 +9,7 @@
 // Linux 2.6.16 kernels, so no synchronization is required on the hot path.
 package cycles
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Category identifies one overhead bucket from the paper's profiles.
 type Category int
@@ -131,14 +127,6 @@ func (m *Meter) Snapshot() Snapshot {
 	return Snapshot{counts: m.counts}
 }
 
-// AddInto accumulates this meter's counts into dst. It is used to merge
-// per-component meters (e.g. driver domain + guest domain) into one profile.
-func (m *Meter) AddInto(dst *Meter) {
-	for i := range m.counts {
-		dst.counts[i] += m.counts[i]
-	}
-}
-
 // Snapshot is an immutable copy of a Meter, with derived reporting helpers.
 type Snapshot struct {
 	counts [NumCategories]uint64
@@ -181,25 +169,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		out.counts[i] = s.counts[i] - prev.counts[i]
 	}
 	return out
-}
-
-// Percent returns category c's share of the total, in percent. A zero-total
-// snapshot reports 0 for every category.
-func (s Snapshot) Percent(c Category) float64 {
-	t := s.Total()
-	if t == 0 {
-		return 0
-	}
-	return 100 * float64(s.Get(c)) / float64(t)
-}
-
-// PercentSum returns the combined share of the given categories, in percent.
-func (s Snapshot) PercentSum(cats ...Category) float64 {
-	t := s.Total()
-	if t == 0 {
-		return 0
-	}
-	return 100 * float64(s.Sum(cats...)) / float64(t)
 }
 
 // Breakdown is a per-category view normalized to a unit of work, typically
@@ -248,37 +217,4 @@ func (b Breakdown) Sum(cats ...Category) float64 {
 		t += b.Get(c)
 	}
 	return t
-}
-
-// Format renders the breakdown as an aligned text table with one row per
-// category, sorted in canonical (paper) order, skipping zero rows.
-func (b Breakdown) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-10s %14s\n", "category", "cycles/"+b.Unit)
-	for c := Category(0); c < NumCategories; c++ {
-		if b.Per[c] == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "%-10s %14.1f\n", c.String(), b.Per[c])
-	}
-	fmt.Fprintf(&sb, "%-10s %14.1f\n", "total", b.Total())
-	return sb.String()
-}
-
-// TopCategories returns categories ordered by descending per-unit cost,
-// omitting zero entries. Useful for profile-style reports.
-func (b Breakdown) TopCategories() []Category {
-	var cats []Category
-	for c := Category(0); c < NumCategories; c++ {
-		if b.Per[c] > 0 {
-			cats = append(cats, c)
-		}
-	}
-	sort.Slice(cats, func(i, j int) bool {
-		if b.Per[cats[i]] != b.Per[cats[j]] {
-			return b.Per[cats[i]] > b.Per[cats[j]]
-		}
-		return cats[i] < cats[j]
-	})
-	return cats
 }

@@ -1,8 +1,6 @@
 package cycles
 
 import (
-	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -104,24 +102,6 @@ func TestMeterReset(t *testing.T) {
 	}
 }
 
-func TestMeterAddInto(t *testing.T) {
-	var a, b Meter
-	a.Charge(Rx, 5)
-	a.Charge(Xen, 9)
-	b.Charge(Rx, 3)
-	a.AddInto(&b)
-	if got := b.Get(Rx); got != 8 {
-		t.Errorf("merged Rx = %d, want 8", got)
-	}
-	if got := b.Get(Xen); got != 9 {
-		t.Errorf("merged Xen = %d, want 9", got)
-	}
-	// Source must be unchanged.
-	if got := a.Get(Rx); got != 5 {
-		t.Errorf("source Rx = %d, want 5", got)
-	}
-}
-
 func TestSnapshotSub(t *testing.T) {
 	var m Meter
 	m.Charge(Driver, 100)
@@ -148,23 +128,6 @@ func TestSnapshotSubNegativePanics(t *testing.T) {
 	later := m.Snapshot()
 	m.Charge(Rx, 5)
 	later.Sub(m.Snapshot())
-}
-
-func TestSnapshotPercent(t *testing.T) {
-	var m Meter
-	m.Charge(PerByte, 25)
-	m.Charge(Rx, 75)
-	s := m.Snapshot()
-	if got := s.Percent(PerByte); math.Abs(got-25) > 1e-9 {
-		t.Errorf("Percent(PerByte) = %v, want 25", got)
-	}
-	if got := s.PercentSum(PerByte, Rx); math.Abs(got-100) > 1e-9 {
-		t.Errorf("PercentSum = %v, want 100", got)
-	}
-	var empty Meter
-	if got := empty.Snapshot().Percent(Rx); got != 0 {
-		t.Errorf("empty Percent = %v, want 0", got)
-	}
 }
 
 func TestPerPacketBreakdown(t *testing.T) {
@@ -196,40 +159,8 @@ func TestPerPacketZeroPanics(t *testing.T) {
 	m.Snapshot().PerPacket(0)
 }
 
-func TestBreakdownFormat(t *testing.T) {
-	var m Meter
-	m.Charge(Driver, 2000)
-	m.Charge(Rx, 1200)
-	out := m.Snapshot().PerPacket(2).Format()
-	for _, want := range []string{"driver", "rx", "total", "1000.0", "600.0"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Format() missing %q in:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "netback") {
-		t.Errorf("Format() should skip zero categories:\n%s", out)
-	}
-}
-
-func TestTopCategories(t *testing.T) {
-	var m Meter
-	m.Charge(Rx, 10)
-	m.Charge(Driver, 100)
-	m.Charge(PerByte, 50)
-	top := m.Snapshot().PerPacket(1).TopCategories()
-	want := []Category{Driver, PerByte, Rx}
-	if len(top) != len(want) {
-		t.Fatalf("TopCategories len = %d, want %d", len(top), len(want))
-	}
-	for i := range want {
-		if top[i] != want[i] {
-			t.Errorf("TopCategories[%d] = %v, want %v", i, top[i], want[i])
-		}
-	}
-}
-
-// Property: Total always equals the sum of per-category Gets, and percent
-// shares always sum to ~100 for non-empty meters.
+// Property: Total always equals the sum of per-category Gets, on the meter
+// and on its snapshot.
 func TestMeterInvariants_Quick(t *testing.T) {
 	f := func(charges []uint16) bool {
 		var m Meter
@@ -242,15 +173,12 @@ func TestMeterInvariants_Quick(t *testing.T) {
 		if m.Total() != want {
 			return false
 		}
-		if want == 0 {
-			return true
-		}
 		s := m.Snapshot()
-		var pct float64
+		var sum uint64
 		for c := Category(0); c < NumCategories; c++ {
-			pct += s.Percent(c)
+			sum += s.Get(c)
 		}
-		return math.Abs(pct-100) < 1e-6
+		return s.Total() == want && sum == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,8 @@
 // One Driver instance services one receive queue of one NIC (NewQueue);
 // a multi-queue RSS NIC therefore has one driver per queue, each polled
 // from the softirq context of the CPU that owns the queue — the per-queue
-// NAPI model of multi-queue Linux drivers. New binds queue 0, which on a
-// single-queue NIC is the paper's original whole-device driver.
+// NAPI model of multi-queue Linux drivers. Queue 0 of a single-queue
+// NIC is the paper's original whole-device driver.
 //
 // The driver runs in two modes mirroring the paper:
 //
@@ -93,17 +93,12 @@ type Driver struct {
 
 	stats Stats
 
-	// scratch is the reusable poll buffer (hot path: one PollRxOn slice
+	// scratch is the reusable poll buffer (hot path: one PollRxInto slice
 	// allocation per poll otherwise).
 	scratch []nic.Frame
 	// expanded holds one ACK template's expansions between building them
 	// and putting them on the wire (reused across templates).
 	expanded []nic.Frame
-}
-
-// New creates a driver for queue 0 of n charging m under p.
-func New(n *nic.NIC, mode Mode, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator) *Driver {
-	return NewQueue(n, 0, mode, m, p, alloc)
 }
 
 // NewQueue creates a driver for receive queue q of n charging m under p.

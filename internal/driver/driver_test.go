@@ -35,7 +35,7 @@ func newHarness(t *testing.T, mode Mode) *harness {
 	alloc := buf.NewAllocator(&m, &p)
 	return &harness{
 		nic:    n,
-		drv:    New(n, mode, &m, &p, alloc),
+		drv:    NewQueue(n, 0, mode, &m, &p, alloc),
 		meter:  &m,
 		params: p,
 		alloc:  alloc,

@@ -36,14 +36,6 @@ func (a Addr) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
 }
 
-// IsBroadcast reports whether the address is the broadcast address.
-func (a Addr) IsBroadcast() bool {
-	return a == Addr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-}
-
-// IsMulticast reports whether the address has the group bit set.
-func (a Addr) IsMulticast() bool { return a[0]&1 == 1 }
-
 // Header is a parsed Ethernet II header.
 type Header struct {
 	Dst  Addr

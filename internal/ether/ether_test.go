@@ -49,21 +49,6 @@ func TestPayload(t *testing.T) {
 	}
 }
 
-func TestAddrPredicates(t *testing.T) {
-	bcast := Addr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-	if !bcast.IsBroadcast() || !bcast.IsMulticast() {
-		t.Error("broadcast address misclassified")
-	}
-	uni := Addr{0x00, 0x1b, 0x21, 0, 0, 1}
-	if uni.IsBroadcast() || uni.IsMulticast() {
-		t.Error("unicast address misclassified")
-	}
-	mcast := Addr{0x01, 0x00, 0x5e, 0, 0, 1}
-	if !mcast.IsMulticast() || mcast.IsBroadcast() {
-		t.Error("multicast address misclassified")
-	}
-}
-
 func TestAddrString(t *testing.T) {
 	a := Addr{0x00, 0x1b, 0x21, 0xaa, 0xbb, 0xcc}
 	if got, want := a.String(), "00:1b:21:aa:bb:cc"; got != want {

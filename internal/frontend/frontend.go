@@ -48,29 +48,11 @@ type Config struct {
 	Queues int
 	// Mode selects baseline or optimized.
 	Mode Mode
-	// Aggregation configures the optimized path. Options without a
-	// QueueCapacity are completed from DefaultOptions, keeping their
-	// Aggregation Limit (when positive) and resequencing window.
+	// Aggregation configures the optimized path.
 	Aggregation core.Options
 	// FlowRuleSlots sizes each NIC's exact-match steering-rule table
 	// (0 = no aRFS filters, the paper's hardware).
 	FlowRuleSlots int
-}
-
-// completed returns o, or — when o leaves QueueCapacity unset — the
-// paper's defaults carrying o's Aggregation Limit (when positive) and
-// resequencing window.
-func completed(o core.Options) core.Options {
-	if o.QueueCapacity != 0 {
-		return o
-	}
-	d := core.DefaultOptions()
-	if o.Aggregation.Limit > 0 {
-		d.Aggregation.Limit = o.Aggregation.Limit
-	}
-	d.Aggregation.ReorderWindow = o.Aggregation.ReorderWindow
-	d.Aggregation.ReorderWindowBytes = o.Aggregation.ReorderWindowBytes
-	return d
 }
 
 // FrontEnd is the receive front end every simulated machine embeds: the
@@ -159,9 +141,8 @@ func (fe *FrontEnd) Init(cfg Config, owners *rss.Map, deliver func(q int) func(*
 		out[q] = deliver(q)
 	}
 	if cfg.Mode == ModeOptimized {
-		opts := completed(cfg.Aggregation)
 		for q := range out {
-			rp, err := core.NewOnCPU(q, opts, &fe.Meter, &fe.Params, fe.Alloc, out[q])
+			rp, err := core.NewOnCPU(q, cfg.Aggregation, &fe.Meter, &fe.Params, fe.Alloc, out[q])
 			if err != nil {
 				return err
 			}

@@ -58,10 +58,6 @@ func (r *steerRig) register(t *testing.T, k netstack.FlowKey) {
 func (r *steerRig) landingQueue(t *testing.T, k netstack.FlowKey) int {
 	t.Helper()
 	n := r.fe.NICs()[0]
-	var before [4]uint64
-	for q := range before {
-		before[q] = n.RxFramesOn(q)
-	}
 	f := packet.MustBuild(packet.TCPSpec{
 		SrcIP: k.Src, DstIP: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort,
 		Seq: 1, Ack: 1, Flags: tcpwire.FlagACK | tcpwire.FlagPSH,
@@ -71,8 +67,8 @@ func (r *steerRig) landingQueue(t *testing.T, k netstack.FlowKey) int {
 		t.Fatal("NIC ring overflow")
 	}
 	landed := -1
-	for q := range before {
-		if n.RxFramesOn(q) != before[q] {
+	for q := 0; q < n.RxQueues(); q++ {
+		if n.RxQueueLenOn(q) != 0 {
 			landed = q
 		}
 		r.fe.Poll(q, 64)

@@ -67,9 +67,6 @@ func (h *Header) HasOptions() bool { return h.IHL > MinHeaderLen }
 // IsFragment reports whether the packet is part of a fragmented datagram.
 func (h *Header) IsFragment() bool { return h.MF || h.FragOffset != 0 }
 
-// PayloadLen returns the length of the transport payload.
-func (h *Header) PayloadLen() int { return h.TotalLen - h.IHL }
-
 // Parse decodes the IPv4 header at the front of b. It validates structural
 // invariants (version, IHL, total length) but does not verify the checksum;
 // callers decide when to pay that cost (the aggregation engine verifies it

@@ -120,8 +120,8 @@ func TestOptions(t *testing.T) {
 	if got.IHL != 24 {
 		t.Errorf("IHL = %d, want 24", got.IHL)
 	}
-	if got.PayloadLen() != 100 {
-		t.Errorf("PayloadLen = %d, want 100", got.PayloadLen())
+	if got.TotalLen-got.IHL != 100 {
+		t.Errorf("payload = %d bytes, want 100", got.TotalLen-got.IHL)
 	}
 }
 

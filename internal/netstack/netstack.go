@@ -167,8 +167,12 @@ func (s *Stack) MemStats() MemStats {
 // FlowTable exposes the sharded demux table (stats, tests).
 func (s *Stack) FlowTable() *FlowTable { return s.table }
 
-// InputOn returns an input function equivalent to Input that attributes
-// every delivery to the given softirq CPU in the flow table's per-shard
+// InputOn returns the input function of softirq CPU cpu. It receives one
+// host packet (plain or aggregated SKB) from the driver or the
+// aggregation engine, runs IP receive processing and the non-proto
+// per-packet work, and delivers a tcp.Segment to the owning endpoint. The
+// SKB is freed here on error paths; on success the endpoint frees it.
+// Every delivery is attributed to cpu in the flow table's per-shard
 // ownership accounting. Machines bind one per receive queue.
 func (s *Stack) InputOn(cpu int) func(*buf.SKB) {
 	return func(skb *buf.SKB) { s.inputFrom(cpu, skb) }
@@ -209,13 +213,6 @@ func (s *Stack) Unregister(remoteIP, localIP ipv4.Addr, remotePort, localPort ui
 
 // Endpoints returns the number of registered endpoints.
 func (s *Stack) Endpoints() int { return s.table.Len() }
-
-// Input receives one host packet (plain or aggregated SKB) from the driver
-// or the aggregation engine, runs IP receive processing and the non-proto
-// per-packet work, and delivers a tcp.Segment to the owning endpoint. The
-// SKB is freed here on error paths; on success the endpoint frees it.
-// Deliveries are not attributed to a CPU; see InputOn.
-func (s *Stack) Input(skb *buf.SKB) { s.inputFrom(-1, skb) }
 
 func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	if s.StampClock != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/cycles"
 	"repro/internal/driver"
+	"repro/internal/ether"
 	"repro/internal/ipv4"
 	"repro/internal/nic"
 	"repro/internal/packet"
@@ -70,16 +71,16 @@ func newRig(t *testing.T, optimized, ackOffload bool) *rig {
 	}
 
 	if optimized {
-		rp, err := core.New(core.DefaultOptions(), &m, &r.params, r.alloc, r.stack.Input)
+		rp, err := core.New(core.DefaultOptions(), &m, &r.params, r.alloc, r.stack.InputOn(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.rp = rp
-		r.drv = driver.New(n, driver.ModeRaw, &m, &r.params, r.alloc)
+		r.drv = driver.NewQueue(n, 0, driver.ModeRaw, &m, &r.params, r.alloc)
 		r.drv.DeliverRaw = rp.EnqueueRaw
 	} else {
-		r.drv = driver.New(n, driver.ModeBaseline, &m, &r.params, r.alloc)
-		r.drv.DeliverSKB = r.stack.Input
+		r.drv = driver.NewQueue(n, 0, driver.ModeBaseline, &m, &r.params, r.alloc)
+		r.drv.DeliverSKB = r.stack.InputOn(0)
 	}
 	r.stack.Tx = r.drv
 	return r
@@ -87,7 +88,7 @@ func newRig(t *testing.T, optimized, ackOffload bool) *rig {
 
 // pump runs the full receive path over the queued wire frames.
 func (r *rig) pump() {
-	for r.nic.RxQueueLen() > 0 {
+	for r.nic.RxQueueLenOn(0) > 0 {
 		r.drv.Poll(64)
 		if r.rp != nil {
 			r.rp.Process(1 << 20)
@@ -263,48 +264,52 @@ func TestNoSocketDrops(t *testing.T) {
 	}
 }
 
+// TestSoftwareChecksumFallback: an SKB the NIC did not verify (a frame
+// its parse could not validate) is checksummed by the stack in software,
+// charged per byte, and dropped if the checksum is bad.
 func TestSoftwareChecksumFallback(t *testing.T) {
-	// Without NIC offload, the stack must verify in software, charge
-	// per-byte cycles, and still deliver.
 	r := newRig(t, false, false)
-	cfgNIC := nic.DefaultConfig("eth1")
-	cfgNIC.Caps.RxCsumOffload = false
-	n2, err := nic.New(cfgNIC)
-	if err != nil {
-		t.Fatal(err)
+	input := r.stack.InputOn(0)
+	segment := func(seq uint32, verified, corrupt bool) *buf.SKB {
+		f := packet.MustBuild(packet.TCPSpec{
+			SrcIP: senderIP, DstIP: rcvrIP,
+			SrcPort: 5001, DstPort: 44000,
+			Seq: seq, Ack: 1, Flags: tcpwire.FlagACK, Window: 65535,
+			HasTS: true, Payload: make([]byte, 1448), CorruptTCPCsum: corrupt,
+		})
+		skb := r.alloc.NewData(f, ether.HeaderLen)
+		skb.CsumVerified = verified
+		return skb
 	}
-	drv := driver.New(n2, driver.ModeBaseline, r.meter, &r.params, r.alloc)
-	drv.DeliverSKB = r.stack.Input
+	perByte := func(skb *buf.SKB) uint64 {
+		before := r.meter.Get(cycles.PerByte)
+		input(skb)
+		return r.meter.Get(cycles.PerByte) - before
+	}
 
-	f := packet.MustBuild(packet.TCPSpec{
-		SrcIP: senderIP, DstIP: rcvrIP,
-		SrcPort: 5001, DstPort: 44000,
-		Seq: 1, Ack: 1, Flags: tcpwire.FlagACK, Window: 65535,
-		HasTS: true, Payload: make([]byte, 1448),
-	})
-	n2.ReceiveFromWire(nic.Frame{Data: f})
-	drv.Poll(8)
+	offloaded := perByte(segment(1, true, false))
+	software := perByte(segment(1+1448, false, false))
 	if r.stack.Stats().SoftCsumVerify != 1 {
 		t.Errorf("SoftCsumVerify = %d, want 1", r.stack.Stats().SoftCsumVerify)
 	}
-	if r.ep.Stats().BytesToApp != 1448 {
-		t.Errorf("BytesToApp = %d", r.ep.Stats().BytesToApp)
+	if r.ep.Stats().BytesToApp != 2*1448 {
+		t.Errorf("BytesToApp = %d, want %d", r.ep.Stats().BytesToApp, 2*1448)
+	}
+	segLen := tcpwire.TimestampHeaderLen + 1448
+	if got, want := software-offloaded, r.params.Mem.ChecksumCost(segLen); got != want {
+		t.Errorf("software checksum charged %d per-byte cycles over the offloaded segment, want %d", got, want)
 	}
 
 	// A corrupted segment must be dropped by the software check.
-	bad := packet.MustBuild(packet.TCPSpec{
-		SrcIP: senderIP, DstIP: rcvrIP,
-		SrcPort: 5001, DstPort: 44000,
-		Seq: 1449, Ack: 1, Flags: tcpwire.FlagACK, Window: 65535,
-		HasTS: true, Payload: make([]byte, 100), CorruptTCPCsum: true,
-	})
-	n2.ReceiveFromWire(nic.Frame{Data: bad})
-	drv.Poll(8)
+	input(segment(1+2*1448, false, true))
 	if r.stack.Stats().BadChecksum != 1 {
 		t.Errorf("BadChecksum = %d, want 1", r.stack.Stats().BadChecksum)
 	}
-	if r.ep.Stats().BytesToApp != 1448 {
+	if r.ep.Stats().BytesToApp != 2*1448 {
 		t.Error("corrupted segment delivered")
+	}
+	if r.alloc.Stats().Live != 0 {
+		t.Errorf("leaked SKBs: %d", r.alloc.Stats().Live)
 	}
 }
 
@@ -327,7 +332,7 @@ func TestRegisterDuplicate(t *testing.T) {
 func TestMalformedPacketCounted(t *testing.T) {
 	r := newRig(t, false, false)
 	skb := r.alloc.NewData(make([]byte, 30), 14) // truncated garbage
-	r.stack.Input(skb)
+	r.stack.InputOn(0)(skb)
 	if r.stack.Stats().Malformed != 1 {
 		t.Errorf("Malformed = %d, want 1", r.stack.Stats().Malformed)
 	}

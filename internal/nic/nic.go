@@ -5,10 +5,10 @@
 // receive queues with a Toeplitz flow hash steering each frame to the
 // queue that owns its flow, one interrupt vector per queue.
 //
-// Receive checksum offload matters beyond realism: Receive Aggregation is
-// only performed when the NIC has already validated the TCP checksum
-// (paper §3.1); if the capability is absent the optimized path must fall
-// back to unaggregated delivery.
+// Receive checksum offload is always on, as on the paper's e1000: Receive
+// Aggregation is only performed when the NIC has already validated the
+// TCP checksum (paper §3.1). Frames the NIC could not validate still
+// reach the stack, which then checksums them in software.
 //
 // RSS steering is a pure function of the connection four-tuple
 // (internal/rss), so all frames of a flow land on the same queue in
@@ -24,8 +24,13 @@ import (
 	"repro/internal/ether"
 	"repro/internal/ipv4"
 	"repro/internal/rss"
+	"repro/internal/softirq"
 	"repro/internal/tcpwire"
 )
+
+// rxRingSize is the receive descriptor ring capacity per queue, the
+// e1000's 256 descriptors.
+const rxRingSize = 256
 
 // Frame is an Ethernet frame in host memory (post-DMA on receive).
 type Frame struct {
@@ -56,25 +61,15 @@ type Frame struct {
 	DequeueNs uint64
 }
 
-// Caps describes NIC hardware offload capabilities.
-type Caps struct {
-	// RxCsumOffload: the NIC verifies TCP/IP checksums on receive.
-	RxCsumOffload bool
-}
-
 // Config configures a NIC instance.
 type Config struct {
 	// Name identifies the interface (e.g. "eth0").
 	Name string
-	// RxRingSize is the receive descriptor ring capacity per queue.
-	RxRingSize int
 	// RxQueues is the number of receive queues (0 or 1 = single-queue,
 	// the paper's hardware). Frames are steered by Toeplitz hash of the
 	// TCP four-tuple; each queue has its own descriptor ring, interrupt
 	// state and throttling counter.
 	RxQueues int
-	// Caps are the hardware offloads.
-	Caps Caps
 	// IntThrottleFrames is the interrupt coalescing threshold: an
 	// interrupt is asserted after this many frames arrive on a queue
 	// while that queue's previous interrupt is unacknowledged
@@ -95,9 +90,7 @@ type Config struct {
 func DefaultConfig(name string) Config {
 	return Config{
 		Name:              name,
-		RxRingSize:        256,
 		RxQueues:          1,
-		Caps:              Caps{RxCsumOffload: true},
 		IntThrottleFrames: 8,
 	}
 }
@@ -115,13 +108,10 @@ type Stats struct {
 
 // rxQueue is one receive descriptor ring with its own interrupt vector.
 type rxQueue struct {
-	ring []Frame
-	head int // next frame the driver will take
-	len  int
+	ring softirq.Ring[Frame]
 
 	irqPending     bool
 	framesSinceIRQ int
-	rxFrames       uint64
 }
 
 // NIC is one simulated network interface.
@@ -159,9 +149,6 @@ type NIC struct {
 
 // New creates a NIC from cfg.
 func New(cfg Config) (*NIC, error) {
-	if cfg.RxRingSize <= 0 {
-		return nil, fmt.Errorf("nic %s: RxRingSize %d must be positive", cfg.Name, cfg.RxRingSize)
-	}
 	if cfg.IntThrottleFrames <= 0 {
 		return nil, fmt.Errorf("nic %s: IntThrottleFrames %d must be positive", cfg.Name, cfg.IntThrottleFrames)
 	}
@@ -176,7 +163,11 @@ func New(cfg Config) (*NIC, error) {
 	}
 	n := &NIC{cfg: cfg, rxq: make([]rxQueue, cfg.RxQueues)}
 	for q := range n.rxq {
-		n.rxq[q].ring = make([]Frame, cfg.RxRingSize)
+		ring, err := softirq.NewRing[Frame](rxRingSize)
+		if err != nil {
+			return nil, fmt.Errorf("nic %s: %w", cfg.Name, err)
+		}
+		n.rxq[q].ring = ring
 	}
 	n.indir = cfg.Indir
 	if n.indir == nil {
@@ -202,33 +193,17 @@ func (n *NIC) Stats() Stats { return n.stats }
 // RxQueues returns the number of receive queues.
 func (n *NIC) RxQueues() int { return len(n.rxq) }
 
-// RxQueueLen returns the total number of frames waiting across all
-// receive rings.
-func (n *NIC) RxQueueLen() int {
-	total := 0
-	for q := range n.rxq {
-		total += n.rxq[q].len
-	}
-	return total
-}
-
 // RxQueueLenOn returns the number of frames waiting in queue q's ring.
-func (n *NIC) RxQueueLenOn(q int) int { return n.rxq[q].len }
-
-// RxFramesOn returns the number of frames queue q has received.
-func (n *NIC) RxFramesOn(q int) uint64 { return n.rxq[q].rxFrames }
-
-// CanAccept reports whether every receive ring has room for another
-// frame. The link model uses it to apply pause-frame backpressure instead
-// of dropping (ARCHITECTURE.md, "Lossless links: pause instead of drop");
-// pause frames stop the whole link, so one full queue pauses the port.
-func (n *NIC) CanAccept() bool { return !n.RxNearFull(1) }
+func (n *NIC) RxQueueLenOn(q int) int { return n.rxq[q].ring.Len() }
 
 // RxNearFull reports whether any queue has fewer than headroom free ring
-// slots — the link-level pause condition covering frames in flight.
+// slots — the link-level pause condition covering frames in flight. The
+// link model uses it to apply pause-frame backpressure instead of
+// dropping (ARCHITECTURE.md, "Lossless links: pause instead of drop");
+// pause frames stop the whole link, so one full queue pauses the port.
 func (n *NIC) RxNearFull(headroom int) bool {
 	for q := range n.rxq {
-		if n.rxq[q].len > len(n.rxq[q].ring)-headroom {
+		if n.rxq[q].ring.Len() > rxRingSize-headroom {
 			return true
 		}
 	}
@@ -248,8 +223,9 @@ func (n *NIC) ReceiveFromWire(f Frame) bool {
 		q = n.steerQueue(tuple, hash)
 	}
 	f.RxQueue = q
+	f.RxCsumOK = csumOK
 	rxq := &n.rxq[q]
-	if rxq.len == len(rxq.ring) {
+	if !rxq.ring.Push(f) {
 		n.stats.RxDropped++
 		return false
 	}
@@ -258,19 +234,11 @@ func (n *NIC) ReceiveFromWire(f Frame) bool {
 	} else {
 		n.stats.Unsteered++
 	}
-	if n.cfg.Caps.RxCsumOffload {
-		f.RxCsumOK = csumOK
-		if csumOK {
-			n.stats.CsumGood++
-		} else {
-			n.stats.CsumBad++
-		}
+	if csumOK {
+		n.stats.CsumGood++
 	} else {
-		f.RxCsumOK = false
+		n.stats.CsumBad++
 	}
-	rxq.ring[(rxq.head+rxq.len)%len(rxq.ring)] = f
-	rxq.len++
-	rxq.rxFrames++
 	n.stats.RxFrames++
 
 	rxq.framesSinceIRQ++
@@ -285,7 +253,7 @@ func (n *NIC) ReceiveFromWire(f Frame) bool {
 // coalescing never strands frames (work conservation end to end).
 func (n *NIC) FlushInterrupt() {
 	for q := range n.rxq {
-		if !n.rxq[q].irqPending && n.rxq[q].len > 0 {
+		if !n.rxq[q].irqPending && !n.rxq[q].ring.Empty() {
 			n.assertInterrupt(q)
 		}
 	}
@@ -305,38 +273,16 @@ func (n *NIC) assertInterrupt(q int) {
 func (n *NIC) AckInterrupt(q int) {
 	rxq := &n.rxq[q]
 	rxq.irqPending = false
-	if rxq.len > 0 && rxq.framesSinceIRQ >= n.cfg.IntThrottleFrames {
+	if !rxq.ring.Empty() && rxq.framesSinceIRQ >= n.cfg.IntThrottleFrames {
 		n.assertInterrupt(q)
 	}
-}
-
-// PollRx removes up to max frames from queue 0 (single-queue driver side).
-func (n *NIC) PollRx(max int) []Frame { return n.PollRxOn(0, max) }
-
-// PollRxOn removes up to max frames from queue q's ring (driver side).
-func (n *NIC) PollRxOn(q, max int) []Frame {
-	return n.PollRxInto(q, max, nil)
 }
 
 // PollRxInto removes up to max frames from queue q's ring, appending them
 // to dst (reusing its capacity — the driver's per-poll scratch buffer, so
 // the hot path allocates nothing once the buffer has grown to the budget).
 func (n *NIC) PollRxInto(q, max int, dst []Frame) []Frame {
-	rxq := &n.rxq[q]
-	if max <= 0 || rxq.len == 0 {
-		return dst
-	}
-	take := max
-	if take > rxq.len {
-		take = rxq.len
-	}
-	for i := 0; i < take; i++ {
-		dst = append(dst, rxq.ring[rxq.head])
-		rxq.ring[rxq.head] = Frame{}
-		rxq.head = (rxq.head + 1) % len(rxq.ring)
-	}
-	rxq.len -= take
-	return dst
+	return n.rxq[q].ring.PopBatch(dst, max)
 }
 
 // Transmit puts a frame on the wire.

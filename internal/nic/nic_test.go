@@ -33,10 +33,7 @@ func mustNIC(t *testing.T, cfg Config) *NIC {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Name: "x", RxRingSize: 0, IntThrottleFrames: 1}); err == nil {
-		t.Error("expected error for zero ring")
-	}
-	if _, err := New(Config{Name: "x", RxRingSize: 8, IntThrottleFrames: 0}); err == nil {
+	if _, err := New(Config{Name: "x", IntThrottleFrames: 0}); err == nil {
 		t.Error("expected error for zero throttle")
 	}
 }
@@ -48,35 +45,38 @@ func TestReceiveAndPoll(t *testing.T) {
 			t.Fatal("frame rejected with empty ring")
 		}
 	}
-	if n.RxQueueLen() != 5 {
-		t.Errorf("RxQueueLen = %d, want 5", n.RxQueueLen())
+	if n.RxQueueLenOn(0) != 5 {
+		t.Errorf("RxQueueLenOn(0) = %d, want 5", n.RxQueueLenOn(0))
 	}
-	frames := n.PollRx(3)
+	frames := n.PollRxInto(0, 3, nil)
 	if len(frames) != 3 {
-		t.Errorf("PollRx(3) = %d frames", len(frames))
+		t.Errorf("PollRxInto(0, 3) = %d frames", len(frames))
 	}
-	if n.RxQueueLen() != 2 {
-		t.Errorf("RxQueueLen after poll = %d, want 2", n.RxQueueLen())
+	if n.RxQueueLenOn(0) != 2 {
+		t.Errorf("RxQueueLenOn(0) after poll = %d, want 2", n.RxQueueLenOn(0))
 	}
-	if got := n.PollRx(10); len(got) != 2 {
-		t.Errorf("second poll = %d frames, want 2", len(got))
+	// The poll appends to the caller's slice and takes at most max.
+	if got := n.PollRxInto(0, 10, frames); len(got) != 5 {
+		t.Errorf("second poll onto 3 frames = %d frames, want 5", len(got))
 	}
-	if got := n.PollRx(10); got != nil {
+	if got := n.PollRxInto(0, 10, nil); got != nil {
 		t.Errorf("empty poll returned %d frames", len(got))
 	}
 }
 
 func TestRingOverflowDrops(t *testing.T) {
-	cfg := DefaultConfig("eth0")
-	cfg.RxRingSize = 4
-	n := mustNIC(t, cfg)
-	for i := 0; i < 4; i++ {
-		if !n.ReceiveFromWire(Frame{Data: goodFrame()}) {
+	n := mustNIC(t, DefaultConfig("eth0"))
+	frame := goodFrame()
+	for i := 0; i < rxRingSize; i++ {
+		if n.RxNearFull(1) {
+			t.Fatalf("ring reads full with %d of %d slots used", i, rxRingSize)
+		}
+		if !n.ReceiveFromWire(Frame{Data: frame}) {
 			t.Fatalf("frame %d rejected early", i)
 		}
 	}
-	if n.CanAccept() {
-		t.Error("CanAccept true with full ring")
+	if !n.RxNearFull(1) {
+		t.Error("RxNearFull(1) false with full ring")
 	}
 	if n.ReceiveFromWire(Frame{Data: goodFrame()}) {
 		t.Error("frame accepted into full ring")
@@ -89,7 +89,7 @@ func TestRingOverflowDrops(t *testing.T) {
 func TestChecksumOffloadGood(t *testing.T) {
 	n := mustNIC(t, DefaultConfig("eth0"))
 	n.ReceiveFromWire(Frame{Data: goodFrame()})
-	f := n.PollRx(1)[0]
+	f := n.PollRxInto(0, 1, nil)[0]
 	if !f.RxCsumOK {
 		t.Error("valid frame not marked RxCsumOK")
 	}
@@ -106,21 +106,11 @@ func TestChecksumOffloadBad(t *testing.T) {
 		Payload: []byte{1, 2, 3}, CorruptTCPCsum: true,
 	}
 	n.ReceiveFromWire(Frame{Data: packet.MustBuild(spec)})
-	if f := n.PollRx(1)[0]; f.RxCsumOK {
+	if f := n.PollRxInto(0, 1, nil)[0]; f.RxCsumOK {
 		t.Error("corrupt frame marked RxCsumOK")
 	}
 	if n.Stats().CsumBad != 1 {
 		t.Errorf("CsumBad = %d", n.Stats().CsumBad)
-	}
-}
-
-func TestChecksumOffloadDisabled(t *testing.T) {
-	cfg := DefaultConfig("eth0")
-	cfg.Caps.RxCsumOffload = false
-	n := mustNIC(t, cfg)
-	n.ReceiveFromWire(Frame{Data: goodFrame()})
-	if f := n.PollRx(1)[0]; f.RxCsumOK {
-		t.Error("RxCsumOK set with offload disabled")
 	}
 }
 
@@ -131,7 +121,7 @@ func TestChecksumOffloadNonTCP(t *testing.T) {
 	arp := goodFrame()
 	arp[12], arp[13] = 0x08, 0x06
 	n.ReceiveFromWire(Frame{Data: arp})
-	for _, f := range n.PollRx(2) {
+	for _, f := range n.PollRxInto(0, 2, nil) {
 		if f.RxCsumOK {
 			t.Error("non-TCP frame marked RxCsumOK")
 		}
@@ -152,7 +142,7 @@ func TestInterruptCoalescing(t *testing.T) {
 	if irqs != 1 {
 		t.Errorf("interrupts = %d, want 1", irqs)
 	}
-	n.PollRx(8)
+	n.PollRxInto(0, 8, nil)
 	n.AckInterrupt(0)
 	for i := 0; i < 4; i++ {
 		n.ReceiveFromWire(Frame{Data: goodFrame()})
@@ -177,7 +167,7 @@ func TestFlushInterrupt(t *testing.T) {
 		t.Errorf("interrupts after flush = %d, want 1", irqs)
 	}
 	// Flushing with nothing queued must not fire.
-	n.PollRx(1)
+	n.PollRxInto(0, 1, nil)
 	n.AckInterrupt(0)
 	n.FlushInterrupt()
 	if irqs != 1 {
@@ -228,7 +218,7 @@ func TestRSSSteering(t *testing.T) {
 				t.Fatal("frame rejected")
 			}
 		}
-		fs := n.PollRxOn(want, 3)
+		fs := n.PollRxInto(want, 3, nil)
 		if len(fs) != 3 {
 			t.Fatalf("flow port %d: queue %d got %d frames, want 3", sp, want, len(fs))
 		}
@@ -245,18 +235,13 @@ func TestRSSSteering(t *testing.T) {
 	if len(used) < 2 {
 		t.Errorf("64 flows all steered to %d queue(s)", len(used))
 	}
-	if n.RxQueueLen() != 0 {
-		t.Errorf("frames left on unexpected queues: %d", n.RxQueueLen())
+	for q := 0; q < n.RxQueues(); q++ {
+		if n.RxQueueLenOn(q) != 0 {
+			t.Errorf("frames left on unexpected queue %d: %d", q, n.RxQueueLenOn(q))
+		}
 	}
 	if s := n.Stats(); s.Steered != 192 || s.Unsteered != 0 {
 		t.Errorf("steering stats = %+v", s)
-	}
-	var perQueue uint64
-	for q := 0; q < n.RxQueues(); q++ {
-		perQueue += n.RxFramesOn(q)
-	}
-	if perQueue != n.Stats().RxFrames {
-		t.Errorf("per-queue frame counts sum to %d, total %d", perQueue, n.Stats().RxFrames)
 	}
 }
 
@@ -302,7 +287,7 @@ func TestPerQueueInterrupts(t *testing.T) {
 	if irqs[1] != 1 || irqs[0] != 0 {
 		t.Fatalf("irqs = %v, want queue 1 only", irqs)
 	}
-	n.PollRxOn(1, 8)
+	n.PollRxInto(1, 8, nil)
 	n.AckInterrupt(1)
 	// Unclassifiable frames throttle on queue 0 independently.
 	n.ReceiveFromWire(Frame{Data: make([]byte, 10)})
@@ -312,7 +297,7 @@ func TestPerQueueInterrupts(t *testing.T) {
 	}
 	// FlushInterrupt covers all queues with pending frames.
 	n.ReceiveFromWire(Frame{Data: flowFrame(q1Port, 44000)})
-	n.PollRxOn(0, 8)
+	n.PollRxInto(0, 8, nil)
 	n.AckInterrupt(0)
 	n.FlushInterrupt()
 	if irqs[1] != 2 {
@@ -321,9 +306,7 @@ func TestPerQueueInterrupts(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	cfg := DefaultConfig("eth0")
-	cfg.RxRingSize = 4
-	n := mustNIC(t, cfg)
+	n := mustNIC(t, DefaultConfig("eth0"))
 	seq := 0
 	mk := func() Frame {
 		seq++
@@ -333,10 +316,11 @@ func TestRingWraparound(t *testing.T) {
 	// order via the trailing marker byte.
 	var got []byte
 	want := byte(0)
-	for round := 0; round < 5; round++ {
+	// Two frames in, two out per round: the ring's 256 slots wrap twice.
+	for round := 0; round < rxRingSize; round++ {
 		n.ReceiveFromWire(mk())
 		n.ReceiveFromWire(mk())
-		for _, f := range n.PollRx(2) {
+		for _, f := range n.PollRxInto(0, 2, nil) {
 			got = append(got, f.Data[len(f.Data)-1])
 		}
 	}

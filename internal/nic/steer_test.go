@@ -26,18 +26,20 @@ func TestIndirectionRewrite(t *testing.T) {
 	orig := n.Indirection().Entry(bucket)
 
 	n.ReceiveFromWire(Frame{Data: flowFrame(sp, 44000)})
-	if got := n.PollRxOn(orig, 1); len(got) != 1 {
+	if got := n.PollRxInto(orig, 1, nil); len(got) != 1 {
 		t.Fatalf("frame not on original queue %d", orig)
 	}
 
 	moved := (orig + 1) % 4
 	n.Indirection().Set(bucket, moved)
 	n.ReceiveFromWire(Frame{Data: flowFrame(sp, 44000)})
-	if got := n.PollRxOn(moved, 1); len(got) != 1 {
+	if got := n.PollRxInto(moved, 1, nil); len(got) != 1 {
 		t.Fatalf("frame not re-steered to queue %d after rewrite", moved)
 	}
-	if n.RxQueueLen() != 0 {
-		t.Fatalf("stray frames on other queues")
+	for q := 0; q < n.RxQueues(); q++ {
+		if n.RxQueueLenOn(q) != 0 {
+			t.Fatalf("stray frame on queue %d", q)
+		}
 	}
 }
 
@@ -57,7 +59,7 @@ func TestFlowRuleOverridesHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.ReceiveFromWire(Frame{Data: flowFrame(sp, 44000)})
-	if got := n.PollRxOn(ruleQ, 1); len(got) != 1 {
+	if got := n.PollRxInto(ruleQ, 1, nil); len(got) != 1 {
 		t.Fatalf("rule did not override the hash (queue %d empty)", ruleQ)
 	}
 	if s := n.FlowRuleStatsRef(); s.Hits != 1 {
@@ -67,7 +69,7 @@ func TestFlowRuleOverridesHash(t *testing.T) {
 	other := uint16(5002)
 	n.ReceiveFromWire(Frame{Data: flowFrame(other, 44000)})
 	otherQ := n.Indirection().Queue(rss.HashTCP4(ipv4.Addr{10, 0, 0, 1}, ipv4.Addr{10, 0, 0, 2}, other, 44000))
-	if got := n.PollRxOn(otherQ, 1); len(got) != 1 {
+	if got := n.PollRxInto(otherQ, 1, nil); len(got) != 1 {
 		t.Fatalf("unruled flow left its hash queue")
 	}
 
@@ -75,7 +77,7 @@ func TestFlowRuleOverridesHash(t *testing.T) {
 		t.Fatal("rule removal failed")
 	}
 	n.ReceiveFromWire(Frame{Data: flowFrame(sp, 44000)})
-	if got := n.PollRxOn(hashQ, 1); len(got) != 1 {
+	if got := n.PollRxInto(hashQ, 1, nil); len(got) != 1 {
 		t.Fatalf("flow did not fall back to hash steering after removal")
 	}
 }

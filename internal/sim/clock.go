@@ -72,9 +72,6 @@ func (s *Sim) RunUntil(deadline uint64) int {
 	return n
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.events) }
-
 type event struct {
 	at  uint64
 	seq uint64 // tie-break: FIFO among simultaneous events

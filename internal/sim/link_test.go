@@ -50,22 +50,16 @@ func TestLinkDeliversAtRateAndDelay(t *testing.T) {
 func TestLinkPausesOnRingPressure(t *testing.T) {
 	s := NewSim()
 	snd := NewSender(s, 0)
-	// Several connections so the aggregate initial window (10 MSS each)
-	// comfortably exceeds the pause threshold.
-	for i := uint16(0); i < 5; i++ {
+	// Enough connections that the aggregate initial window (10 MSS each)
+	// exceeds the 256-slot ring, so without pause frames it would drop.
+	for i := uint16(0); i < 30; i++ {
 		if _, err := snd.AddStreamConn(
 			ipv4.Addr{10, 0, 0, 1}, ipv4.Addr{10, 0, 0, 2}, 5001+i, 44000+i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cfg := nic.DefaultConfig("eth0")
-	cfg.RxRingSize = 32
-	n, err := nic.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLink(s, snd, n)
-	l.RingHeadroom = 24 // pause at 8 queued
+	n := mustTestNIC(t)
+	l := NewLink(s, snd, n) // pauses above 256-24 queued
 	l.Kick()
 	s.RunUntil(100_000_000) // nobody drains the ring
 	if n.Stats().RxDropped != 0 {
@@ -74,7 +68,7 @@ func TestLinkPausesOnRingPressure(t *testing.T) {
 	// The pause threshold is checked at transmit start; frames already
 	// serialized or propagating still land, bounded by delay/wire-time.
 	inFlightBound := int(l.DelayNs/l.wireTimeNs(1514)) + 2
-	if got := n.RxQueueLen(); got > 32-l.RingHeadroom+inFlightBound {
+	if got := n.RxQueueLenOn(0); got > 256-l.RingHeadroom+inFlightBound {
 		t.Errorf("ring filled to %d despite pause threshold", got)
 	}
 	if l.Stats().PauseEvents == 0 {
@@ -82,7 +76,7 @@ func TestLinkPausesOnRingPressure(t *testing.T) {
 	}
 	// Draining the ring lets transmission resume.
 	before := n.Stats().RxFrames
-	n.PollRx(32)
+	n.PollRxInto(0, 256, nil)
 	s.RunUntil(s.Now() + 1_000_000)
 	if n.Stats().RxFrames <= before {
 		t.Error("link did not resume after drain")
@@ -209,18 +203,15 @@ func TestLinkReleasesDroppedFrames(t *testing.T) {
 	snd := NewSender(s, 0)
 	pool := buf.NewPool()
 	snd.SetPool(pool)
-	for i := uint16(0); i < 5; i++ {
+	// 50 connections' initial windows (10 MSS each) overfill the 256-slot
+	// ring even after a third of the frames are lost.
+	for i := uint16(0); i < 50; i++ {
 		if _, err := snd.AddStreamConn(
 			ipv4.Addr{10, 0, 0, 1}, ipv4.Addr{10, 0, 0, 2}, 5001+i, 44000+i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cfg := nic.DefaultConfig("eth0")
-	cfg.RxRingSize = 8
-	n, err := nic.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := mustTestNIC(t)
 	l := NewLink(s, snd, n)
 	l.RingHeadroom = 0 // never pause: the full ring drops
 	l.Faults = Faults{
@@ -236,8 +227,8 @@ func TestLinkReleasesDroppedFrames(t *testing.T) {
 	if l.Stats().Corrupted == 0 || l.Stats().Reordered == 0 {
 		t.Fatalf("corrupted %d, reordered %d: every fault must fire", l.Stats().Corrupted, l.Stats().Reordered)
 	}
-	if got, want := pool.Misses(), uint64(n.RxQueueLen()+pool.Len()); got != want {
-		t.Errorf("pool issued %d buffers, but %d are queued and %d free", got, n.RxQueueLen(), pool.Len())
+	if got, want := pool.Misses(), uint64(n.RxQueueLenOn(0)+pool.Len()); got != want {
+		t.Errorf("pool issued %d buffers, but %d are queued and %d free", got, n.RxQueueLenOn(0), pool.Len())
 	}
 	if pool.Misses() >= l.Stats().FramesDelivered+l.Stats().Lost {
 		t.Error("no buffer was ever reused")

@@ -131,7 +131,7 @@ func runLossPropertyCase(t *testing.T, sys SystemKind) {
 	// not strand frames in resequencing windows (the wire-idle release
 	// discipline) nor leak them through migrations.
 	for _, rp := range m.ReceivePaths() {
-		rp.Flush()
+		rp.Engine().FlushAll()
 	}
 	agg := engineAggSum(m)
 	if agg.Held != agg.Stitched+agg.WindowTimeout {

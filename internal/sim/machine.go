@@ -27,7 +27,6 @@ func buildMachine(cfg *StreamConfig) (*frontend.FrontEnd, roundFunc, error) {
 		aggOpts.Aggregation.Limit = cfg.AggLimit
 	}
 	aggOpts.Aggregation.ReorderWindow = cfg.ReorderWindow
-	aggOpts.AckOffload = cfg.Opt == OptFull
 
 	if cfg.GuestVCPUs != 0 && cfg.System != SystemXen {
 		return nil, nil, fmt.Errorf("sim: GuestVCPUs is a Xen topology knob (system %v)", cfg.System)

@@ -143,7 +143,7 @@ func runReorderPropertyCase(t *testing.T, sys SystemKind, oneIn, dist int) {
 	// accounted: Held = Stitched + WindowTimeout exactly, nothing parked,
 	// no SKB leaked.
 	for _, rp := range m.ReceivePaths() {
-		rp.Flush()
+		rp.Engine().FlushAll()
 	}
 	agg := engineAggSum(m)
 	if agg.Held == 0 || agg.Stitched == 0 {

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"repro/internal/aggregate"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/frontend"
@@ -15,37 +14,19 @@ import (
 )
 
 // newRoundMachine builds an optimized one-NIC, one-queue machine — native
-// UP or Xen — from the given aggregation options, returning its front end
-// and softirq round.
-func newRoundMachine(xen bool, agg core.Options) (*frontend.FrontEnd, roundFunc, error) {
+// UP or Xen — with the paper's aggregation options, returning its front
+// end and softirq round.
+func newRoundMachine(xen bool) (*frontend.FrontEnd, roundFunc, error) {
 	cfg := frontend.Config{
 		Params:      cost.NativeUP(),
 		NICCount:    1,
 		Mode:        frontend.ModeOptimized,
-		Aggregation: agg,
+		Aggregation: core.DefaultOptions(),
 	}
 	if xen {
 		cfg.Params = cost.XenGuest()
 	}
 	return newMachine(cfg, xen, 0)
-}
-
-// TestAggregationDefaultsAgree runs the same partial aggregation options —
-// an Aggregation Limit and nothing else — through both machines: one rule
-// completes them, so both build the paper's default path with that limit.
-func TestAggregationDefaultsAgree(t *testing.T) {
-	partial := core.Options{Aggregation: aggregate.Config{Limit: 5}}
-	want := core.DefaultOptions()
-	want.Aggregation.Limit = 5
-	for _, xen := range []bool{false, true} {
-		m, _, err := newRoundMachine(xen, partial)
-		if err != nil {
-			t.Fatalf("xen=%v: %v", xen, err)
-		}
-		if got := m.ReceivePaths()[0].Options(); got != want {
-			t.Errorf("xen=%v: partial options completed to %+v, want %+v", xen, got, want)
-		}
-	}
 }
 
 // BenchmarkProcessRound measures one optimized softirq round on a one-NIC
@@ -61,7 +42,7 @@ func BenchmarkProcessRound(b *testing.B) {
 		xen  bool
 	}{{"native", false}, {"xen", true}} {
 		b.Run(sys.name, func(b *testing.B) {
-			m, round, err := newRoundMachine(sys.xen, core.DefaultOptions())
+			m, round, err := newRoundMachine(sys.xen)
 			if err != nil {
 				b.Fatal(err)
 			}

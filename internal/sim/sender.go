@@ -253,9 +253,6 @@ func (m *SenderMachine) kick() {
 	}
 }
 
-// Conns returns the number of connections on this sender.
-func (m *SenderMachine) Conns() int { return len(m.conns) }
-
 // SetConnRate caps the offered rate of the connection with the given
 // local port (0 removes the cap). Part of the skewed many-flow workload.
 func (m *SenderMachine) SetConnRate(localPort uint16, bps float64) {

@@ -35,8 +35,8 @@ func TestSimDeadlineStopsExecution(t *testing.T) {
 	if ran {
 		t.Error("event beyond deadline executed")
 	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", s.Pending())
+	if len(s.events) != 1 {
+		t.Errorf("%d events pending, want 1", len(s.events))
 	}
 	s.RunUntil(600)
 	if !ran {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/netstack"
 	"repro/internal/rss"
 	"repro/internal/steer"
@@ -53,16 +51,12 @@ type steerController struct {
 
 // newSteerController arms the steering policies cfg enables; cfg is
 // resolved and validated, so EpochNs is set.
-func newSteerController(top *streamTopology, cfg SteerConfig) (*steerController, error) {
+func newSteerController(top *streamTopology, cfg SteerConfig) *steerController {
 	sc := &steerController{top: top, cfg: cfg}
 	sc.epochFn, sc.migrateFn = sc.epochTick, sc.migrateTick
 	sc.moveFn, sc.unsteerFn = sc.applyMove, sc.unsteer
 	if cfg.Enabled {
-		reb, err := steer.NewRebalancer(steer.DefaultRebalanceConfig())
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		sc.reb = reb
+		sc.reb = steer.NewRebalancer()
 		sc.prevBusy = make([]uint64, top.machine.CPUs())
 		sc.util = make([]float64, top.machine.SteerTargets())
 		sc.prevLoads = make([]uint64, rss.Buckets)
@@ -81,7 +75,7 @@ func newSteerController(top *streamTopology, cfg SteerConfig) (*steerController,
 	if sc.reb != nil || sc.agingActive() {
 		top.sim.After(sc.cfg.EpochNs, sc.epochFn)
 	}
-	return sc, nil
+	return sc
 }
 
 // agingActive reports whether aRFS rule aging runs on the epoch loop.

@@ -205,7 +205,7 @@ type SteerConfig struct {
 	// NICs' RSS indirection to move buckets off hot CPUs.
 	Enabled bool
 	// EpochNs is the rebalance and rule-aging period (0 = 5 ms). The
-	// rebalancer's hysteresis and damping are steer.DefaultRebalanceConfig.
+	// rebalancer's hysteresis and damping are internal/steer constants.
 	EpochNs uint64
 	// ARFS enables accelerated-RFS: endpoints get pinned application
 	// CPUs, the netstack observes them at socket-read time, and
@@ -670,11 +670,7 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 		top.sim.After(cfg.RestartStorm.AtNs, top.storm.fire)
 	}
 	if cfg.Steering.steeringActive() {
-		sc, err := newSteerController(top, cfg.Steering)
-		if err != nil {
-			return nil, err
-		}
-		top.steer = sc
+		top.steer = newSteerController(top, cfg.Steering)
 	}
 	top.start(5_000_000)
 	return top, nil

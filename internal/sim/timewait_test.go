@@ -61,7 +61,7 @@ func TestBackstopReleasedFlowDoesNotStrandInTW(t *testing.T) {
 		t.Errorf("TIME_WAIT table has %d entries for an unregistered flow", got)
 	}
 	// No sender-side leak: the conn is gone from the round-robin scan.
-	if n := top.senders[victim.nicIdx].Conns(); n != 1 {
+	if n := len(top.senders[victim.nicIdx].conns); n != 1 {
 		t.Errorf("sender still scans %d conns, want 1", n)
 	}
 }

@@ -2,10 +2,10 @@ package softirq
 
 import "fmt"
 
-// Context is one per-CPU softirq processing context: the bounded
-// lock-free ring that interrupt-context producers (one NIC queue's
-// driver, or several drivers pinned to the same CPU) feed, plus the
-// handler that softirq context drains it with.
+// Context is one per-CPU softirq processing context: the bounded ring
+// that interrupt-context producers (one NIC queue's driver, or several
+// drivers pinned to the same CPU) feed, plus the handler that softirq
+// context drains it with.
 //
 // In the multi-queue RSS pipeline there is one Context per receive queue,
 // pinned to the CPU that owns the queue. Because RSS steers every frame
@@ -15,7 +15,7 @@ import "fmt"
 // aggregation queue, preserved at N queues.
 type Context[T any] struct {
 	cpu  int
-	ring *Ring[T]
+	ring Ring[T]
 
 	// Handle processes one dequeued item. Must be set before Run.
 	Handle func(T)

@@ -1,9 +1,6 @@
 package softirq
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestNewRingValidation(t *testing.T) {
 	if _, err := NewRing[int](0); err == nil {
@@ -86,6 +83,26 @@ func TestPopBatch(t *testing.T) {
 	}
 }
 
+// TestPopBatchAppends: max bounds the items dequeued, not the length of
+// the returned slice, so a caller's existing contents do not shrink the
+// batch (the NIC's poll appends to the driver's scratch this way).
+func TestPopBatchAppends(t *testing.T) {
+	r, _ := NewRing[int](16)
+	for i := 0; i < 10; i++ {
+		r.Push(i)
+	}
+	out := r.PopBatch([]int{-2, -1}, 4)
+	if len(out) != 6 || out[0] != -2 || out[1] != -1 || out[2] != 0 || out[5] != 3 {
+		t.Errorf("batch after two held items = %v, want [-2 -1 0 1 2 3]", out)
+	}
+	if r.Len() != 6 {
+		t.Errorf("Len after batch = %d, want 6", r.Len())
+	}
+	if got := r.PopBatch([]int{-1}, 0); len(got) != 1 || r.Len() != 6 {
+		t.Errorf("max 0 dequeued: %v, Len %d", got, r.Len())
+	}
+}
+
 func TestPopClearsSlot(t *testing.T) {
 	// Popped slots must drop their references so the consumer does not
 	// retain packet memory.
@@ -108,46 +125,71 @@ func TestPopClearsSlot(t *testing.T) {
 	}
 }
 
-func TestConcurrentSPSC(t *testing.T) {
-	// One producer, one consumer, no locks: every value must arrive
-	// exactly once, in order.
-	const total = 200000
-	r, _ := NewRing[int](1024)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < total; {
-			if r.Push(i) {
-				i++
-			}
-		}
-	}()
-	var failure string
-	go func() {
-		defer wg.Done()
-		for want := 0; want < total; {
-			v, ok := r.Pop()
-			if !ok {
-				continue
-			}
-			if v != want {
-				failure = "out of order delivery"
-				return
-			}
-			want++
-		}
-	}()
-	wg.Wait()
-	if failure != "" {
-		t.Fatal(failure)
-	}
-}
-
 func BenchmarkPushPop(b *testing.B) {
 	r, _ := NewRing[int](256)
 	for i := 0; i < b.N; i++ {
 		r.Push(i)
 		r.Pop()
 	}
+}
+
+// FuzzRing drives a ring through a sequence of pushes, pops and batch
+// pops decoded from the input and checks every result against a slice
+// FIFO of the same capacity. The first byte picks the capacity (1..16,
+// rounded up to a power of two); each later byte is one operation:
+// b%4 of 0 or 1 pushes the next value, 2 pops, and 3 pops a batch of up
+// to b>>3 items onto a slice already holding b>>2&1 items.
+func FuzzRing(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0xfb, 1, 0x1f})    // fill past a 4-slot ring, batch-drain
+	f.Add([]byte{1, 0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 0, 0x13, 0x17}) // wraparound on a 2-slot ring
+	f.Add([]byte{15, 0, 1, 0, 1, 0, 1, 0x0b, 0x0f, 2, 2, 2})      // batches with and without a held item
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		r, err := NewRing[int](int(ops[0])%16 + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref []int
+		next := 0
+		for i, b := range ops[1:] {
+			switch b % 4 {
+			case 0, 1:
+				want := len(ref) < r.Cap()
+				if got := r.Push(next); got != want {
+					t.Fatalf("op %d: Push with %d of %d queued = %v", i, len(ref), r.Cap(), got)
+				}
+				if want {
+					ref = append(ref, next)
+				}
+				next++
+			case 2:
+				v, ok := r.Pop()
+				if ok != (len(ref) > 0) || ok && v != ref[0] {
+					t.Fatalf("op %d: Pop = %d, %v; want head of %v", i, v, ok, ref)
+				}
+				if ok {
+					ref = ref[1:]
+				}
+			case 3:
+				max, held := int(b>>3), int(b>>2&1)
+				out := r.PopBatch(make([]int, held), max)
+				n := min(max, len(ref))
+				if len(out) != held+n {
+					t.Fatalf("op %d: PopBatch(max %d) onto %d held = %d items, want %d", i, max, held, len(out), held+n)
+				}
+				for j := 0; j < n; j++ {
+					if out[held+j] != ref[j] {
+						t.Fatalf("op %d: PopBatch = %v, want %v after %d held", i, out, ref[:n], held)
+					}
+				}
+				ref = ref[n:]
+			}
+			if r.Len() != len(ref) || r.Empty() != (len(ref) == 0) {
+				t.Fatalf("op %d: Len %d, Empty %v; want %d queued", i, r.Len(), r.Empty(), len(ref))
+			}
+		}
+	})
 }

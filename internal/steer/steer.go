@@ -31,30 +31,22 @@ package steer
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/rss"
 )
 
-// RebalanceConfig tunes the indirection rebalancer.
-type RebalanceConfig struct {
-	// SpreadThreshold is the hysteresis band: no moves are planned while
-	// max−min per-CPU utilization stays below it.
-	SpreadThreshold float64
-	// MinMoveEpochs is the damping rest period: a bucket moved in epoch
-	// E is not eligible again before epoch E+MinMoveEpochs.
-	MinMoveEpochs int
-	// MaxMovesPerEpoch bounds the indirection rewrites of one epoch.
-	MaxMovesPerEpoch int
-}
-
-// DefaultRebalanceConfig returns the evaluated defaults: act above an
-// 8-point utilization spread, rest moved buckets for 2 epochs, rewrite at
-// most 8 entries per epoch.
-func DefaultRebalanceConfig() RebalanceConfig {
-	return RebalanceConfig{SpreadThreshold: 0.08, MinMoveEpochs: 2, MaxMovesPerEpoch: 8}
-}
+// The rebalancer's evaluated tuning.
+const (
+	// spreadThreshold is the hysteresis band: no moves are planned while
+	// max−min per-CPU utilization stays below 8 points.
+	spreadThreshold = 0.08
+	// minMoveEpochs is the damping rest period: a bucket moved in epoch
+	// E is not eligible again before epoch E+minMoveEpochs.
+	minMoveEpochs = 2
+	// maxMovesPerEpoch bounds the indirection rewrites of one epoch.
+	maxMovesPerEpoch = 8
+)
 
 // Move is one planned indirection rewrite.
 type Move struct {
@@ -73,7 +65,6 @@ type RebalanceStats struct {
 // per-bucket load observations. It is deterministic: same observations,
 // same plan.
 type Rebalancer struct {
-	cfg       RebalanceConfig
 	epoch     int
 	lastMoved [rss.Buckets]int // epoch of the bucket's last move
 	stats     RebalanceStats
@@ -85,27 +76,13 @@ type Rebalancer struct {
 	moves    []Move
 }
 
-// NewRebalancer creates a rebalancer; zero-value config fields take the
-// defaults.
-func NewRebalancer(cfg RebalanceConfig) (*Rebalancer, error) {
-	def := DefaultRebalanceConfig()
-	if cfg.SpreadThreshold == 0 {
-		cfg.SpreadThreshold = def.SpreadThreshold
-	}
-	if cfg.MinMoveEpochs == 0 {
-		cfg.MinMoveEpochs = def.MinMoveEpochs
-	}
-	if cfg.MaxMovesPerEpoch == 0 {
-		cfg.MaxMovesPerEpoch = def.MaxMovesPerEpoch
-	}
-	if cfg.SpreadThreshold < 0 || cfg.MinMoveEpochs < 0 || cfg.MaxMovesPerEpoch < 0 {
-		return nil, fmt.Errorf("steer: negative rebalance parameter %+v", cfg)
-	}
-	r := &Rebalancer{cfg: cfg}
+// NewRebalancer creates a rebalancer.
+func NewRebalancer() *Rebalancer {
+	r := &Rebalancer{}
 	for b := range r.lastMoved {
 		r.lastMoved[b] = -1 << 30 // every bucket starts eligible
 	}
-	return r, nil
+	return r
 }
 
 // Stats returns a copy of the rebalancer counters.
@@ -118,8 +95,8 @@ func (r *Rebalancer) Stats() RebalanceStats { return r.stats }
 // threshold, the heaviest eligible bucket of the currently-hottest CPU
 // moves to the currently-coldest one — but only when the move shrinks the
 // gap between the two (a bucket too heavy to help is skipped rather than
-// ping-ponged), and never more than MaxMovesPerEpoch buckets or one move
-// per bucket per MinMoveEpochs epochs. The returned slice is valid until
+// ping-ponged), and never more than maxMovesPerEpoch buckets or one move
+// per bucket per minMoveEpochs epochs. The returned slice is valid until
 // the next Plan.
 func (r *Rebalancer) Plan(util []float64, load []uint64, owner []int) []Move {
 	r.epoch++
@@ -142,7 +119,7 @@ func (r *Rebalancer) Plan(util []float64, load []uint64, owner []int) []Move {
 	}
 
 	hot, cold := hottestColdest(estUtil)
-	if estUtil[hot]-estUtil[cold] < r.cfg.SpreadThreshold {
+	if estUtil[hot]-estUtil[cold] < spreadThreshold {
 		r.stats.CalmEpochs++
 		return nil
 	}
@@ -151,7 +128,7 @@ func (r *Rebalancer) Plan(util []float64, load []uint64, owner []int) []Move {
 	// hitter's bucket is what actually shifts load).
 	eligible := r.eligible[:0]
 	for b := range owner {
-		if load[b] > 0 && r.epoch-r.lastMoved[b] > r.cfg.MinMoveEpochs {
+		if load[b] > 0 && r.epoch-r.lastMoved[b] > minMoveEpochs {
 			eligible = append(eligible, b)
 		}
 	}
@@ -165,12 +142,12 @@ func (r *Rebalancer) Plan(util []float64, load []uint64, owner []int) []Move {
 
 	moves := r.moves[:0]
 	for _, b := range eligible {
-		if len(moves) >= r.cfg.MaxMovesPerEpoch {
+		if len(moves) >= maxMovesPerEpoch {
 			break
 		}
 		hot, cold = hottestColdest(estUtil)
 		gap := estUtil[hot] - estUtil[cold]
-		if gap < r.cfg.SpreadThreshold/2 {
+		if gap < spreadThreshold/2 {
 			break // balanced enough under the plan so far
 		}
 		from := owner[b]

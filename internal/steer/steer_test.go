@@ -22,16 +22,13 @@ func hotColdSetup() (util []float64, load []uint64, owner []int) {
 }
 
 func TestRebalancerMovesOffHotCPU(t *testing.T) {
-	r, err := NewRebalancer(RebalanceConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewRebalancer()
 	util, load, owner := hotColdSetup()
 	moves := r.Plan(util, load, owner)
 	if len(moves) == 0 {
 		t.Fatal("no moves planned for a 0.6 utilization spread")
 	}
-	if len(moves) > DefaultRebalanceConfig().MaxMovesPerEpoch {
+	if len(moves) > maxMovesPerEpoch {
 		t.Fatalf("%d moves exceed the per-epoch cap", len(moves))
 	}
 	for _, m := range moves {
@@ -44,23 +41,9 @@ func TestRebalancerMovesOffHotCPU(t *testing.T) {
 	}
 }
 
-// TestRebalancerRejectsNegativeConfig: each negative tuning value is a
-// configuration error.
-func TestRebalancerRejectsNegativeConfig(t *testing.T) {
-	for _, cfg := range []RebalanceConfig{
-		{SpreadThreshold: -0.1},
-		{MinMoveEpochs: -1},
-		{MaxMovesPerEpoch: -1},
-	} {
-		if _, err := NewRebalancer(cfg); err == nil {
-			t.Errorf("NewRebalancer(%+v) did not error", cfg)
-		}
-	}
-}
-
 func TestRebalancerHysteresis(t *testing.T) {
-	r, _ := NewRebalancer(RebalanceConfig{SpreadThreshold: 0.5})
-	util := []float64{0.6, 0.3, 0.3, 0.3} // spread 0.3 < threshold 0.5
+	r := NewRebalancer()
+	util := []float64{0.37, 0.3, 0.3, 0.3} // spread 0.07 < threshold 0.08
 	_, load, owner := hotColdSetup()
 	if moves := r.Plan(util, load, owner); len(moves) != 0 {
 		t.Fatalf("planned %d moves inside the hysteresis band", len(moves))
@@ -70,24 +53,33 @@ func TestRebalancerHysteresis(t *testing.T) {
 	}
 }
 
-// TestRebalancerDamping: a bucket moved in epoch E must rest MinMoveEpochs
-// epochs even when the imbalance persists.
+// TestRebalancerDamping: a bucket moved in epoch E must rest 2 epochs
+// even when the imbalance persists, and is eligible again in epoch E+3.
 func TestRebalancerDamping(t *testing.T) {
-	r, _ := NewRebalancer(RebalanceConfig{MinMoveEpochs: 3, MaxMovesPerEpoch: 1})
+	r := NewRebalancer()
 	util, load, owner := hotColdSetup()
-	first := r.Plan(util, append([]uint64(nil), load...), append([]int(nil), owner...))
-	if len(first) != 1 {
-		t.Fatalf("epoch 1 planned %d moves, want 1", len(first))
+	plan := func() []Move {
+		return r.Plan(util, append([]uint64(nil), load...), append([]int(nil), owner...))
 	}
-	moved := first[0].Bucket
-	// Same hot picture next epoch: the rested bucket must not move again.
-	for epoch := 2; epoch <= 3; epoch++ {
-		moves := r.Plan(util, append([]uint64(nil), load...), append([]int(nil), owner...))
-		for _, m := range moves {
-			if m.Bucket == moved {
-				t.Fatalf("epoch %d re-moved bucket %d during its rest period", epoch, moved)
+	first := plan()
+	if len(first) == 0 {
+		t.Fatal("epoch 1 planned no moves")
+	}
+	moved := map[int]bool{}
+	for _, m := range first {
+		moved[m.Bucket] = true
+	}
+	heaviest := first[0].Bucket
+	// Same hot picture next epochs: the rested buckets must not move again.
+	for epoch := 2; epoch <= 1+minMoveEpochs; epoch++ {
+		for _, m := range plan() {
+			if moved[m.Bucket] {
+				t.Fatalf("epoch %d re-moved bucket %d during its rest period", epoch, m.Bucket)
 			}
 		}
+	}
+	if again := plan(); len(again) == 0 || again[0].Bucket != heaviest {
+		t.Errorf("epoch %d planned %+v, want bucket %d moved again after its rest", 2+minMoveEpochs, again, heaviest)
 	}
 }
 
@@ -95,7 +87,7 @@ func TestRebalancerDamping(t *testing.T) {
 // too heavy to help (moving it would just swap hot and cold) and must be
 // skipped.
 func TestRebalancerNoPingPong(t *testing.T) {
-	r, _ := NewRebalancer(RebalanceConfig{})
+	r := NewRebalancer()
 	util := []float64{0.95, 0.1, 0.1, 0.1}
 	load := make([]uint64, rss.Buckets)
 	owner := make([]int, rss.Buckets)
@@ -111,7 +103,7 @@ func TestRebalancerNoPingPong(t *testing.T) {
 // TestRebalancerConverges: iterating plan+apply on a static load picture
 // must reach a spread below the threshold and then go calm, not oscillate.
 func TestRebalancerConverges(t *testing.T) {
-	r, _ := NewRebalancer(RebalanceConfig{MinMoveEpochs: 1})
+	r := NewRebalancer()
 	load := make([]uint64, rss.Buckets)
 	owner := make([]int, rss.Buckets)
 	for b := range owner {
@@ -145,7 +137,7 @@ func TestRebalancerConverges(t *testing.T) {
 	}
 	util := utilOf()
 	hot, cold := hottestColdest(util)
-	if spread := util[hot] - util[cold]; spread > DefaultRebalanceConfig().SpreadThreshold {
+	if spread := util[hot] - util[cold]; spread > spreadThreshold {
 		t.Errorf("after 50 epochs spread is still %.3f", spread)
 	}
 	if lastMoves != 0 {

@@ -70,13 +70,6 @@ type Config struct {
 	ISS, IRS uint32
 	// InitialCwnd is the initial congestion window in segments.
 	InitialCwnd int
-	// RTONs, when nonzero, pins the retransmission timeout (the fixed
-	// 200 ms of the original model — the override golden and unit tests
-	// use for exact timer control). When zero the endpoint runs the
-	// Jacobson/Karn estimator (RFC 6298): srtt/rttvar from RTT samples
-	// of never-retransmitted segments, exponential backoff on repeated
-	// RTOs, and the MinRTONs floor.
-	RTONs uint64
 	// SACK enables selective acknowledgments (RFC 2018): the receive
 	// side generates up to three blocks from the out-of-order queue,
 	// the send side keeps a scoreboard over the retransmission list
@@ -86,10 +79,12 @@ type Config struct {
 	Source DataSource
 }
 
-// MinRTONs is the adaptive estimator's timeout floor (Linux's 200 ms) —
-// also the effective timeout whenever the measured RTT is far below it,
-// which keeps the estimator bit-identical to the historical fixed default
-// on every clean-link golden.
+// MinRTONs is the retransmission timeout's floor (Linux's 200 ms). The
+// endpoint runs the Jacobson/Karn estimator (RFC 6298): srtt/rttvar from
+// RTT samples of never-retransmitted segments, exponential backoff on
+// repeated RTOs, and this floor — which is also the effective timeout
+// whenever the measured RTT is far below it, as on every clean-link
+// golden.
 const MinRTONs = 200_000_000
 
 // MaxRTONs caps the exponentially backed-off timeout.
@@ -108,9 +103,6 @@ func DefaultConfig() Config {
 		ISS:             1,
 		IRS:             1,
 		InitialCwnd:     10,
-		// RTONs zero: the adaptive Jacobson/Karn estimator with the
-		// MinRTONs (200 ms) floor — numerically identical to the old
-		// fixed 200 ms default at simulated sub-millisecond RTTs.
 	}
 }
 
@@ -256,7 +248,7 @@ type Endpoint struct {
 	ipID           uint16
 	sackedBytes    int // sequence space of sacked rtx entries (pipe accounting)
 
-	// Adaptive RTO state (RTONs == 0): RFC 6298 smoothed estimator.
+	// RTO state: RFC 6298 smoothed estimator.
 	srttNs, rttvarNs uint64
 	rtoBackoff       uint // Karn exponential backoff exponent
 

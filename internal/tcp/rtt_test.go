@@ -4,14 +4,11 @@ import (
 	"testing"
 )
 
-// rttSenderEnv is an adaptive-RTO sender (the DefaultConfig arrangement)
-// with the clock started away from zero so sent-at stamps are valid.
+// rttSenderEnv is a default sender with the clock started away from zero
+// so sent-at stamps are valid.
 func rttSenderEnv(t *testing.T) *testEnv {
 	t.Helper()
 	env := senderEnv(t)
-	if env.ep.cfg.RTONs != 0 {
-		t.Fatal("default config is no longer adaptive; RTT tests void")
-	}
 	env.now = 1_000
 	return env
 }
@@ -97,30 +94,5 @@ func TestKarnSkipsRetransmittedAndResetsBackoff(t *testing.T) {
 	}
 	if got := env.ep.RTO(); got != MinRTONs {
 		t.Errorf("RTO after new-data ACK = %d, want backoff reset to %d", got, MinRTONs)
-	}
-}
-
-func TestFixedRTOOverrideDisablesEstimator(t *testing.T) {
-	const fixed = 5_000_000
-	env := newEnv(t, func(c *Config) { c.RTONs = fixed })
-	env.ep.SetAppLimit(^uint64(0))
-	env.ep.sndWnd = 1 << 20
-	env.now = 1_000
-	pump(t, env, 1)
-	env.now += 3_000_000
-	env.ep.Input(ackSeg(env.ep.SndNxt()))
-	if env.ep.SRTT() != 0 {
-		t.Errorf("SRTT = %d under fixed RTO, want 0 (estimator off)", env.ep.SRTT())
-	}
-	if got := env.ep.RTO(); got != fixed {
-		t.Errorf("RTO = %d, want fixed override %d", got, fixed)
-	}
-	// The fixed override never backs off: the historical golden behaviour.
-	env.ep.OnRetransmit = func([]byte) {}
-	pump(t, env, 1)
-	env.now = env.ep.NextTimeout()
-	env.ep.OnTimeout(env.now)
-	if got := env.ep.RTO(); got != fixed {
-		t.Errorf("RTO after timeout = %d, want fixed %d (no backoff)", got, fixed)
 	}
 }

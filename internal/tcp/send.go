@@ -121,12 +121,8 @@ func (e *Endpoint) processAck(ackNum uint32) {
 
 // sampleRTT feeds the RFC 6298 estimator from the newest segment the
 // cumulative ACK fully covers, skipping anything ever retransmitted
-// (Karn's algorithm: a retransmitted segment's ACK is ambiguous). Only
-// runs under the adaptive default; a fixed RTONs override disables it.
+// (Karn's algorithm: a retransmitted segment's ACK is ambiguous).
 func (e *Endpoint) sampleRTT(ackNum uint32) {
-	if e.cfg.RTONs != 0 {
-		return
-	}
 	var sentAt uint64
 	for i := range e.rtx {
 		s := &e.rtx[i]
@@ -157,13 +153,9 @@ func (e *Endpoint) sampleRTT(ackNum uint32) {
 	e.srttNs = (7*e.srttNs + r) / 8
 }
 
-// rtoNs returns the current retransmission timeout: the fixed override
-// when configured, otherwise the RFC 6298 estimate floored at MinRTONs
-// and shifted by the Karn backoff.
+// rtoNs returns the current retransmission timeout: the RFC 6298
+// estimate floored at MinRTONs and shifted by the Karn backoff.
 func (e *Endpoint) rtoNs() uint64 {
-	if e.cfg.RTONs != 0 {
-		return e.cfg.RTONs
-	}
 	rto := uint64(MinRTONs)
 	if e.srttNs != 0 {
 		if est := e.srttNs + 4*e.rttvarNs; est > rto {
@@ -494,7 +486,7 @@ func (e *Endpoint) onRTO() {
 		}
 		e.sackedBytes = 0
 	}
-	if e.cfg.RTONs == 0 && e.rtoBackoff < 12 {
+	if e.rtoBackoff < 12 {
 		e.rtoBackoff++
 	}
 	e.enterLossEpisode(e.sndNxt)

@@ -30,7 +30,7 @@ func TestBuildOptionsSACKRoundTrip(t *testing.T) {
 		{Start: 1000, End: 2448},
 		{Start: 9000, End: 10448},
 	}
-	opts := BuildOptions(true, 111, 222, blocks)
+	opts := AppendOptions(nil, true, 111, 222, blocks)
 	// NOP,NOP,TS(10) + NOP,NOP,SACK(2+8*3): exactly the 40-byte area.
 	if len(opts) != 40 {
 		t.Fatalf("options length = %d, want 40 (full area)", len(opts))
@@ -65,7 +65,7 @@ func TestBuildOptionsBlockCap(t *testing.T) {
 		many[i] = SACKBlock{Start: uint32(i * 1000), End: uint32(i*1000 + 500)}
 	}
 	// Beside a timestamp only MaxSACKBlocks fit.
-	got, err := Parse(sackSegment(t, BuildOptions(true, 1, 2, many)))
+	got, err := Parse(sackSegment(t, AppendOptions(nil, true, 1, 2, many)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestBuildOptionsBlockCap(t *testing.T) {
 		t.Errorf("with TS: %d blocks, want %d", len(got.SACKBlocks()), MaxSACKBlocks)
 	}
 	// Without a timestamp the 40-byte area admits four.
-	got, err = Parse(sackSegment(t, BuildOptions(false, 0, 0, many)))
+	got, err = Parse(sackSegment(t, AppendOptions(nil, false, 0, 0, many)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +92,12 @@ func TestBuildOptionsBlockCap(t *testing.T) {
 }
 
 func TestBuildOptionsEmpty(t *testing.T) {
-	if got := BuildOptions(false, 0, 0, nil); got != nil {
-		t.Errorf("BuildOptions with nothing requested = %v, want nil", got)
+	if got := AppendOptions(nil, false, 0, 0, nil); got != nil {
+		t.Errorf("AppendOptions with nothing requested = %v, want nil", got)
 	}
-	// Timestamp-only via BuildOptions parses back as TimestampOnly: the
+	// Timestamp-only via AppendOptions parses back as TimestampOnly: the
 	// aggregatable layout is preserved when no blocks are pending.
-	h, err := Parse(sackSegment(t, BuildOptions(true, 7, 8, nil)))
+	h, err := Parse(sackSegment(t, AppendOptions(nil, true, 7, 8, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestBuildOptionsEmpty(t *testing.T) {
 // blocks land in the header's fixed array, so Parse allocates nothing.
 func TestParseSACKAllocFree(t *testing.T) {
 	blocks := []SACKBlock{{Start: 5000, End: 6448}, {Start: 1000, End: 2448}, {Start: 9000, End: 10448}}
-	seg := sackSegment(t, BuildOptions(true, 111, 222, blocks))
+	seg := sackSegment(t, AppendOptions(nil, true, 111, 222, blocks))
 	var h Header
 	var err error
 	if n := testing.AllocsPerRun(1000, func() { h, err = Parse(seg) }); n != 0 {

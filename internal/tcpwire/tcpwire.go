@@ -226,19 +226,6 @@ func (h *Header) Put(b []byte) error {
 	return nil
 }
 
-// BuildOptions serializes the canonical option layout an ACK carrying
-// timestamp and/or SACK blocks uses: NOP,NOP,TS then NOP,NOP,SACK. At most
-// MaxSACKBlocks blocks fit beside a timestamp (the 40-byte options area is
-// exactly full at three); excess blocks are dropped, never truncated
-// mid-block. Returns nil when neither option is requested.
-func BuildOptions(hasTS bool, tsVal, tsEcr uint32, blocks []SACKBlock) []byte {
-	n := OptionsLen(hasTS, len(blocks))
-	if n == 0 {
-		return nil
-	}
-	return AppendOptions(make([]byte, 0, n), hasTS, tsVal, tsEcr, blocks)
-}
-
 // sackBudget is the number of SACK blocks that fit beside the timestamp
 // option (or alone, when there is none).
 func sackBudget(hasTS bool) int {
@@ -248,7 +235,7 @@ func sackBudget(hasTS bool) int {
 	return maxAreaSACKBlocks
 }
 
-// OptionsLen returns the length of BuildOptions' layout for a timestamp
+// OptionsLen returns the length of AppendOptions' layout for a timestamp
 // (when hasTS) and nblocks SACK blocks: a multiple of four, 0 for neither.
 func OptionsLen(hasTS bool, nblocks int) int {
 	nblocks = min(nblocks, sackBudget(hasTS))
@@ -262,8 +249,13 @@ func OptionsLen(hasTS bool, nblocks int) int {
 	return n
 }
 
-// AppendOptions appends BuildOptions' layout to dst. Appending into a
-// zero-length slice of a frame writes the options in place.
+// AppendOptions appends the canonical option layout an ACK carrying
+// timestamp and/or SACK blocks uses to dst: NOP,NOP,TS then NOP,NOP,SACK.
+// At most MaxSACKBlocks blocks fit beside a timestamp (the 40-byte options
+// area is exactly full at three); excess blocks are dropped, never
+// truncated mid-block. Nothing is appended when neither option is
+// requested. Appending into a zero-length slice of a frame writes the
+// options in place.
 func AppendOptions(dst []byte, hasTS bool, tsVal, tsEcr uint32, blocks []SACKBlock) []byte {
 	if max := sackBudget(hasTS); len(blocks) > max {
 		blocks = blocks[:max]

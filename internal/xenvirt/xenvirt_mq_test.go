@@ -83,9 +83,12 @@ func (r *mqRig) inject(t *testing.T, senderPort uint16, seq uint32, count int) u
 
 // pumpAll runs softirq rounds on every vCPU until all NIC rings drain.
 func (r *mqRig) pumpAll() {
-	for r.m.NICs()[0].RxQueueLen() > 0 {
-		for q := 0; q < r.m.CPUs(); q++ {
-			r.m.ProcessRound(q, 64)
+	n := r.m.NICs()[0]
+	for q := 0; q < n.RxQueues(); q++ {
+		for n.RxQueueLenOn(q) > 0 {
+			for c := 0; c < r.m.CPUs(); c++ {
+				r.m.ProcessRound(c, 64)
+			}
 		}
 	}
 }
