@@ -64,8 +64,8 @@ func goldenShapes() map[string]StreamConfig {
 
 	// The steering handoff under pressure: bucket moves, aRFS rule
 	// evictions and aging, application migration and churn teardowns,
-	// natively and on an asymmetric Xen topology (GuestVCPUs != Queues,
-	// so the NIC rule queue is cpu mod Queues).
+	// natively and on the 4-channel Xen machine (netback follows every
+	// move and rule onto the new I/O channel).
 	handoff := SteerConfig{
 		Enabled: true, ARFS: true, RuleTableSlots: 16, RuleIdleEpochs: 2,
 		EpochNs: 2_000_000, AppMigrateIntervalNs: 3_000_000,
@@ -81,13 +81,12 @@ func goldenShapes() map[string]StreamConfig {
 
 	handoffXen := DefaultStreamConfig(SystemXen, OptFull)
 	handoffXen.NICs = 4
-	handoffXen.Queues = 2
-	handoffXen.GuestVCPUs = 4
+	handoffXen.Queues = 4
 	handoffXen.Connections = 120
 	handoffXen.FlowSkew = 2.0
 	handoffXen.ChurnIntervalNs = 1_000_000
 	handoffXen.Steering = handoff
-	shapes["steer/handoff-xen-asym"] = handoffXen
+	shapes["steer/handoff-xen"] = handoffXen
 
 	reorder := DefaultStreamConfig(SystemNativeSMP, OptAggregation)
 	reorder.Queues = 2

@@ -7,7 +7,7 @@
 // that no packet ever waits while the stack is idle.
 //
 // In the multi-queue RSS pipeline there is one ReceivePath per receive
-// queue (NewOnCPU), pinned to the queue's CPU. Each path owns its own
+// queue, pinned to the queue's CPU. Each path owns its own
 // aggregation engine, so aggregation state is shard-local: RSS guarantees
 // a flow's frames all arrive on one queue, hence one engine ever holds a
 // given flow's pending aggregate and no cross-CPU synchronization exists
@@ -60,21 +60,15 @@ type ReceivePath struct {
 	engine *aggregate.Engine
 }
 
-// New builds a CPU-0 receive path delivering host packets to out.
+// New builds one CPU's receive path delivering host packets to out: its
+// softirq context, aggregation queue and aggregation engine all belong to
+// that CPU alone.
 func New(opts Options, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator,
-	out func(*buf.SKB)) (*ReceivePath, error) {
-	return NewOnCPU(0, opts, m, p, alloc, out)
-}
-
-// NewOnCPU builds the receive path owned by the given CPU: its softirq
-// context, aggregation queue and aggregation engine all belong to that
-// CPU alone.
-func NewOnCPU(cpu int, opts Options, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator,
 	out func(*buf.SKB)) (*ReceivePath, error) {
 	if out == nil {
 		return nil, fmt.Errorf("core: out must not be nil")
 	}
-	ctx, err := softirq.NewContext[nic.Frame](cpu, queueCapacity)
+	ctx, err := softirq.NewContext[nic.Frame](queueCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

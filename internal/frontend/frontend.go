@@ -1,11 +1,13 @@
 // Package frontend is the receive front end both simulated machines share:
 // NICs, per-queue NAPI drivers, per-queue Receive Aggregation paths
-// (internal/core), the receiving stack with its owner map, endpoint
-// registration, transmit routing and the drain-then-rewrite steering
-// handoff. The native machine (internal/sim) feeds driver output straight
-// into its stack; the Xen machine (internal/xenvirt) is the same front end
-// in the driver domain, feeding the bridge, with the guest's stack behind
-// the paravirtual I/O channels.
+// (internal/core), the receiving stack, endpoint registration, transmit
+// routing and the drain-then-rewrite steering handoff. One bucket→CPU map
+// serves as the NICs' indirection table, the flow table's owner map and,
+// on Xen, netback's channel map, so queue q, CPU q and I/O channel q
+// always carry the same buckets. The native machine (internal/sim) feeds
+// driver output straight into its stack; the Xen machine
+// (internal/xenvirt) is the same front end in the driver domain, feeding
+// the bridge, with the guest's stack behind the paravirtual I/O channels.
 package frontend
 
 import (
@@ -85,12 +87,11 @@ type FrontEnd struct {
 	wired    bool     // interrupts routed via WireInterrupts
 	kick     func(cpu int)
 
-	// nicMap steers buckets onto NIC queues; owners maps them to the CPU
-	// that runs the stack for their flows, which defines shard ownership
-	// (and hence steal accounting). Natively the two are one map; on Xen
-	// owners is the netback channel map.
-	nicMap *rss.Map
-	owners *rss.Map
+	// indir is the one bucket→CPU map: the NICs steer buckets onto queue
+	// indir[b], the flow table's shard ownership (and hence steal
+	// accounting) follows it, and on Xen netback steers onto channel
+	// indir[b].
+	indir *rss.Map
 
 	// Telemetry wiring (nil when off): the latency collector endpoints
 	// record into, and the per-CPU stamp clock behind every stage stamp.
@@ -103,12 +104,10 @@ type FrontEnd struct {
 	retired tcp.Stats
 }
 
-// Init builds the front end in place. owners is the bucket→CPU map the
-// stack's shard ownership follows (nil: the NIC indirection itself), and
-// deliver(q) names where queue q's driver output goes — the stack's
-// InputOn(q) natively, the bridge on Xen. deliver is called after Stack
-// exists.
-func (fe *FrontEnd) Init(cfg Config, owners *rss.Map, deliver func(q int) func(*buf.SKB)) error {
+// Init builds the front end in place. deliver(q) names where queue q's
+// driver output goes — the stack's InputOn(q) natively, the bridge on Xen.
+// deliver is called after Stack exists.
+func (fe *FrontEnd) Init(cfg Config, deliver func(q int) func(*buf.SKB)) error {
 	if err := cfg.Params.Validate(); err != nil {
 		return err
 	}
@@ -121,20 +120,17 @@ func (fe *FrontEnd) Init(cfg Config, owners *rss.Map, deliver func(q int) func(*
 	if cfg.Queues < 0 || cfg.Queues > rss.Buckets {
 		return fmt.Errorf("frontend: Queues %d must be in [1, %d]", cfg.Queues, rss.Buckets)
 	}
-	nm, err := rss.NewMap(cfg.Queues)
+	indir, err := rss.NewMap(cfg.Queues)
 	if err != nil {
 		return err
 	}
-	if owners == nil {
-		owners = nm
-	}
-	fe.nicMap, fe.owners = nm, owners
+	fe.indir = indir
 	fe.Params = cfg.Params
 	fe.Alloc = buf.NewAllocator(&fe.Meter, &fe.Params)
 	fe.Alloc.SetPool(buf.NewPool())
 	fe.Stack = netstack.New(&fe.Meter, &fe.Params, fe.Alloc)
 	fe.Stack.Tx = fe
-	fe.Stack.FlowTable().SetOwnerMap(owners)
+	fe.Stack.FlowTable().SetOwnerMap(indir)
 
 	out := make([]func(*buf.SKB), cfg.Queues)
 	for q := range out {
@@ -142,7 +138,7 @@ func (fe *FrontEnd) Init(cfg Config, owners *rss.Map, deliver func(q int) func(*
 	}
 	if cfg.Mode == ModeOptimized {
 		for q := range out {
-			rp, err := core.NewOnCPU(q, cfg.Aggregation, &fe.Meter, &fe.Params, fe.Alloc, out[q])
+			rp, err := core.New(cfg.Aggregation, &fe.Meter, &fe.Params, fe.Alloc, out[q])
 			if err != nil {
 				return err
 			}
@@ -152,7 +148,7 @@ func (fe *FrontEnd) Init(cfg Config, owners *rss.Map, deliver func(q int) func(*
 	for i := 0; i < cfg.NICCount; i++ {
 		ncfg := nic.DefaultConfig(fmt.Sprintf("eth%d", i))
 		ncfg.RxQueues = cfg.Queues
-		ncfg.Indir = nm
+		ncfg.Indir = indir
 		ncfg.FlowRuleSlots = cfg.FlowRuleSlots
 		ncfg.IntThrottleFrames = 16 // e1000-style interrupt throttling; the
 		// link flushes the line when the wire goes idle, so latency
@@ -207,10 +203,9 @@ func (fe *FrontEnd) SetTelemetry(col *telemetry.Collector, stampClock func(cpu i
 // NICs returns the machine's NICs (wire side).
 func (fe *FrontEnd) NICs() []*nic.NIC { return fe.nics }
 
-// CPUs returns the softirq CPU count: one per queue, and — when the stack
-// runs on more CPUs than there are queues (Xen guests with more vCPUs than
-// dom0 queues) — one per stack CPU.
-func (fe *FrontEnd) CPUs() int { return max(fe.nicMap.Queues(), fe.owners.Queues()) }
+// CPUs returns the softirq CPU count: one per queue. Every CPU can own
+// buckets, flows and applications.
+func (fe *FrontEnd) CPUs() int { return fe.indir.Queues() }
 
 // WireInterrupts routes every NIC queue's interrupt onto its NAPI poll
 // list and then to the owning CPU's scheduler slot. Only queues that have
@@ -240,11 +235,8 @@ func (fe *FrontEnd) Kick(cpu int) {
 // Poll runs the driver half of a softirq round on queue q: that queue's
 // driver on every NIC, then the queue's aggregation path. It returns the
 // network frames consumed and whether a driver exhausted its budget (NAPI
-// keeps it on the poll list). A CPU with no queue of its own polls nothing.
+// keeps it on the poll list).
 func (fe *FrontEnd) Poll(q, budget int) (frames int, more bool) {
-	if q >= fe.nicMap.Queues() {
-		return 0, false
-	}
 	for i := range fe.drvs {
 		// Unwired machines (directly driven tests) poll every queue;
 		// wired machines follow the NAPI poll lists.
@@ -276,36 +268,28 @@ func (fe *FrontEnd) FlowTable() *netstack.FlowTable { return fe.Stack.FlowTable(
 // Netstack exposes the receiving stack.
 func (fe *FrontEnd) Netstack() *netstack.Stack { return fe.Stack }
 
-// SteerMap returns the live bucket→CPU map that defines shard ownership.
-func (fe *FrontEnd) SteerMap() *rss.Map { return fe.owners }
-
-// SteerTargets returns the CPUs the stack runs on: they can own buckets
-// and applications. On Xen, dom0-only cores (queues beyond the vCPU count)
-// own no channel and are not targets.
-func (fe *FrontEnd) SteerTargets() int { return fe.owners.Queues() }
+// SteerMap returns the live bucket→CPU map: the NIC indirection, which
+// shard ownership and netback's channel choice follow.
+func (fe *FrontEnd) SteerMap() *rss.Map { return fe.indir }
 
 // SteerBucket repoints bucket b to cpu. Handoff order matters: the old
 // queue's pending aggregates for the bucket's flows are flushed *before*
 // the indirection is rewritten, so every frame the old queue has already
 // absorbed reaches the stack ahead of anything the new queue will
 // aggregate — no aggregate ever spans the migration boundary. The NIC
-// steers the bucket to queue cpu mod queues (the identity natively; on
-// Xen it keeps dom0 work co-located with the vCPU where the topology
-// allows) and ownership moves to cpu. Frames still queued on the old
-// queue (NIC ring, raw softirq queue) are processed there later — counted
-// as shard steals natively, re-steered by netback onto the new channel on
-// Xen.
+// then steers the bucket to queue cpu, and ownership moves with it. Frames
+// still queued on the old queue (NIC ring, raw softirq queue) are
+// processed there later — counted as shard steals natively, re-steered by
+// netback onto the new channel on Xen.
 func (fe *FrontEnd) SteerBucket(b, cpu int) {
-	if fe.owners.Entry(b) == cpu {
+	old := fe.indir.Entry(b)
+	if old == cpu {
 		return
 	}
-	oldQ := fe.nicMap.Entry(b)
-	newQ := cpu % fe.nicMap.Queues()
-	if fe.rps != nil && oldQ != newQ {
-		fe.rps[oldQ].FlushWhere(func(k rss.FlowKey) bool { return rss.Bucket(k.Hash()) == b })
+	if fe.rps != nil {
+		fe.rps[old].FlushWhere(func(k rss.FlowKey) bool { return rss.Bucket(k.Hash()) == b })
 	}
-	fe.nicMap.Set(b, newQ)
-	fe.owners.Set(b, cpu)
+	fe.indir.Set(b, cpu)
 	fe.flushCoalescing()
 }
 
@@ -325,7 +309,7 @@ func (fe *FrontEnd) flushCoalescing() {
 // SteerFlow programs an aRFS rule steering flow k onto cpu: pending
 // aggregation state for the flow is drained from every engine (it lives in
 // at most one), the rule is installed on the NIC that carries the flow's
-// subnet (queue cpu mod queues), and the flow table records cpu as the
+// subnet (queue cpu), and the flow table records cpu as the
 // flow's ownership override — the one software record of the decision,
 // which netback also steers by on Xen. An evicted victim's key is
 // returned for the policy to forget; its override is cleared so it falls
@@ -336,7 +320,7 @@ func (fe *FrontEnd) SteerFlow(k netstack.FlowKey, hash uint32, cpu int) (*netsta
 		return nil, nil
 	}
 	core.FlushFlow(fe.rps, k)
-	victim, err := fe.nics[fe.nicOf(k)].ProgramFlowRule(k, cpu%fe.nicMap.Queues())
+	victim, err := fe.nics[fe.nicOf(k)].ProgramFlowRule(k, cpu)
 	if err != nil {
 		return nil, err
 	}

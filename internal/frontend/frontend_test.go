@@ -30,7 +30,7 @@ func newSteerRig(t *testing.T) *steerRig {
 	t.Helper()
 	r := &steerRig{fe: &FrontEnd{}}
 	cfg := Config{Params: cost.NativeSMP(), NICCount: 1, Queues: 4, FlowRuleSlots: 2}
-	if err := r.fe.Init(cfg, nil, func(q int) func(*buf.SKB) { return r.fe.Stack.InputOn(q) }); err != nil {
+	if err := r.fe.Init(cfg, func(q int) func(*buf.SKB) { return r.fe.Stack.InputOn(q) }); err != nil {
 		t.Fatal(err)
 	}
 	r.fe.NICs()[0].OnTransmit = func(nic.Frame) {} // ACKs leave the machine
@@ -83,9 +83,9 @@ func (r *steerRig) bucketOwner(k netstack.FlowKey) int {
 
 // checkOneRecord asserts the flow table's overrides are the one record of
 // every steering decision: as many overrides as live NIC rules, each
-// steered flow owned by its CPU with its frames landing on queue
-// cpu mod queues, every other flow back on its bucket, and no delivery
-// ever counted as a steal.
+// steered flow owned by its CPU with its frames landing on queue cpu,
+// every other flow back on its bucket, and no delivery ever counted as a
+// steal.
 func (r *steerRig) checkOneRecord(t *testing.T, step string, flows []netstack.FlowKey, steered map[netstack.FlowKey]int) {
 	t.Helper()
 	table := r.fe.FlowTable()
@@ -96,7 +96,6 @@ func (r *steerRig) checkOneRecord(t *testing.T, step string, flows []netstack.Fl
 	if got := table.FlowOwnerOverrides(); got != rules || got != len(steered) {
 		t.Errorf("%s: %d overrides, %d NIC rules, %d steered flows", step, got, rules, len(steered))
 	}
-	queues := r.fe.NICs()[0].RxQueues()
 	for _, k := range flows {
 		want, ok := steered[k]
 		if !ok {
@@ -108,8 +107,8 @@ func (r *steerRig) checkOneRecord(t *testing.T, step string, flows []netstack.Fl
 		if got := table.OwnerOf(k, k.Hash()); got != want {
 			t.Errorf("%s: OwnerOf(%v) = %d, want %d", step, k, got, want)
 		}
-		if q := r.landingQueue(t, k); q != want%queues {
-			t.Errorf("%s: flow %v frame landed on queue %d, want %d", step, k, q, want%queues)
+		if q := r.landingQueue(t, k); q != want {
+			t.Errorf("%s: flow %v frame landed on queue %d, want %d", step, k, q, want)
 		}
 	}
 	for i := 0; i < table.Shards(); i++ {

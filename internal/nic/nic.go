@@ -184,9 +184,6 @@ func New(cfg Config) (*NIC, error) {
 	return n, nil
 }
 
-// Config returns the NIC configuration.
-func (n *NIC) Config() Config { return n.cfg }
-
 // Stats returns a copy of the NIC counters.
 func (n *NIC) Stats() Stats { return n.stats }
 

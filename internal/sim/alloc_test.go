@@ -286,7 +286,7 @@ func TestAgeRulesAllocFree(t *testing.T) {
 	top.sim.RunUntil(20_000_000)
 	sc := top.steer
 	flows := top.gen.live[:16]
-	targets := top.machine.SteerTargets()
+	targets := top.machine.CPUs()
 	round := 0
 	cycle := func() {
 		round++

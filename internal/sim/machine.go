@@ -28,10 +28,6 @@ func buildMachine(cfg *StreamConfig) (*frontend.FrontEnd, roundFunc, error) {
 	}
 	aggOpts.Aggregation.ReorderWindow = cfg.ReorderWindow
 
-	if cfg.GuestVCPUs != 0 && cfg.System != SystemXen {
-		return nil, nil, fmt.Errorf("sim: GuestVCPUs is a Xen topology knob (system %v)", cfg.System)
-	}
-
 	var params cost.Params
 	switch cfg.System {
 	case SystemNativeUP:
@@ -58,24 +54,24 @@ func buildMachine(cfg *StreamConfig) (*frontend.FrontEnd, roundFunc, error) {
 		Aggregation:   aggOpts,
 		FlowRuleSlots: cfg.Steering.RuleTableSlots,
 	}
-	return newMachine(fc, cfg.System == SystemXen, cfg.GuestVCPUs)
+	return newMachine(fc, cfg.System == SystemXen)
 }
 
 // newMachine assembles a receiver from fc and returns its front end and
-// softirq round. On Xen (with guestVCPUs I/O channels, 0 = one per queue)
-// the round is the machine's ProcessRound. Natively driver output enters
-// the host stack directly on the polling CPU, and the round is the front
-// end's Poll plus the per-frame misc (and SMP coherence) charge.
-func newMachine(fc frontend.Config, xen bool, guestVCPUs int) (*frontend.FrontEnd, roundFunc, error) {
+// softirq round. On Xen (one guest vCPU and I/O channel per queue) the
+// round is the machine's ProcessRound. Natively driver output enters the
+// host stack directly on the polling CPU, and the round is the front end's
+// Poll plus the per-frame misc (and SMP coherence) charge.
+func newMachine(fc frontend.Config, xen bool) (*frontend.FrontEnd, roundFunc, error) {
 	if xen {
-		m, err := xenvirt.New(xenvirt.Config{Config: fc, GuestVCPUs: guestVCPUs})
+		m, err := xenvirt.New(fc)
 		if err != nil {
 			return nil, nil, err
 		}
 		return &m.FrontEnd, m.ProcessRound, nil
 	}
 	fe := &frontend.FrontEnd{}
-	if err := fe.Init(fc, nil, func(q int) func(*buf.SKB) { return fe.Stack.InputOn(q) }); err != nil {
+	if err := fe.Init(fc, func(q int) func(*buf.SKB) { return fe.Stack.InputOn(q) }); err != nil {
 		return nil, nil, fmt.Errorf("sim: %w", err)
 	}
 	round := func(cpu, budget int) (int, bool) {

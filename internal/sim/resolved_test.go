@@ -56,8 +56,8 @@ func TestStreamConfigResolved(t *testing.T) {
 			if cfg.RPC.Enabled && !resolved.Telemetry.Latency {
 				t.Error("resolved RPC config has latency telemetry off")
 			}
-			if rpc := resolved.RPC; rpc.Enabled && (rpc.RequestBytes == 0 || rpc.MessageBytes == 0) {
-				t.Errorf("resolved RPC config left a size unset: %+v", rpc)
+			if rpc := resolved.RPC; rpc.Enabled && rpc.MessageBytes == 0 {
+				t.Errorf("resolved RPC config left its size unset: %+v", rpc)
 			}
 			if st := resolved.RestartStorm; st.AtNs > 0 && (st.Fraction == 0 || st.PrefillSpreadNs == 0) {
 				t.Errorf("resolved storm config left a default unset: %+v", st)

@@ -26,7 +26,7 @@ func newRoundMachine(xen bool) (*frontend.FrontEnd, roundFunc, error) {
 	if xen {
 		cfg.Params = cost.XenGuest()
 	}
-	return newMachine(cfg, xen, 0)
+	return newMachine(cfg, xen)
 }
 
 // BenchmarkProcessRound measures one optimized softirq round on a one-NIC

@@ -47,7 +47,6 @@ type rpcConn struct {
 // rpcDriver owns the incast workload's connections and burst machinery.
 type rpcDriver struct {
 	top      *streamTopology
-	reqBytes int
 	msgBytes int
 	pollFn   func() // poll, bound once
 	conns    []*rpcConn
@@ -56,15 +55,18 @@ type rpcDriver struct {
 	rounds uint64
 }
 
-// rpcPollNs is the incast's burst-completion poll period: 50 µs.
-const rpcPollNs = 50_000
+const (
+	// rpcPollNs is the incast's burst-completion poll period: 50 µs.
+	rpcPollNs = 50_000
+	// rpcRequestBytes is the size of every request the receiver sends.
+	rpcRequestBytes = 64
+)
 
 // newRPCDriver opens the fan-in connections, fires the first burst and
-// arms the completion poll. cfg is resolved, so the RPC sizes are set.
+// arms the completion poll. cfg is resolved, so MessageBytes is set.
 func newRPCDriver(top *streamTopology, cfg *StreamConfig) (*rpcDriver, error) {
 	r := &rpcDriver{
 		top:      top,
-		reqBytes: cfg.RPC.RequestBytes,
 		msgBytes: cfg.RPC.MessageBytes,
 	}
 	for c := 0; c < cfg.Connections; c++ {
@@ -98,7 +100,7 @@ func (r *rpcDriver) openConn(c int) error {
 		return err
 	}
 
-	rep, _, err := top.openReceiver(senderIP, rcvIP, sPort, rPort, 0)
+	rep, _, err := top.openReceiver(senderIP, rcvIP, sPort, rPort)
 	if err != nil {
 		return err
 	}
@@ -110,7 +112,7 @@ func (r *rpcDriver) openConn(c int) error {
 	// No explicit link kick is needed — the sender machine kicks the link
 	// after every received frame, and the response data carries the
 	// request's ACK (the RunRR pattern).
-	req, msg := uint64(r.reqBytes), uint64(r.msgBytes)
+	req, msg := uint64(rpcRequestBytes), uint64(r.msgBytes)
 	var reqGot uint64
 	sep.AppSink = func(b []byte) {
 		reqGot += uint64(len(b))
@@ -154,7 +156,7 @@ func (r *rpcDriver) fireBurst() {
 	for _, c := range r.conns {
 		c.got, c.done = 0, false
 		c.reqSentNs = now
-		c.rep.AppWrite(uint64(r.reqBytes))
+		c.rep.AppWrite(rpcRequestBytes)
 		for c.rep.SendDataSKB(0) {
 		}
 	}
@@ -229,7 +231,7 @@ func RunRR(cfg RRConfig) (RRResult, error) {
 	if err != nil {
 		return RRResult{}, err
 	}
-	serverEP, _, err := top.openReceiver(clientIP, serverIP, 5001, 44000, 0)
+	serverEP, _, err := top.openReceiver(clientIP, serverIP, 5001, 44000)
 	if err != nil {
 		return RRResult{}, err
 	}

@@ -33,15 +33,8 @@ type SenderMachine struct {
 	// MaxPayload caps data segments below the MSS (0 = full MSS).
 	MaxPayload int
 
-	// ConfigConn, when set, adjusts each new connection's endpoint config
-	// before the endpoint is created (SACK, timestamp, window knobs).
-	ConfigConn func(*tcp.Config)
-
-	// NextISS, when nonzero, overrides the next connection's initial send
-	// sequence number and is consumed by that connection: the restart
-	// storm's timestamps-off reuse path picks an ISN beyond the old
-	// incarnation's RCV.NXT so the RFC 6191 sequence arm admits it.
-	NextISS uint32
+	// SACK enables selective acknowledgments on every new connection.
+	SACK bool
 
 	// RecoveryRec, when set, records each connection's loss-episode
 	// durations into the given telemetry shard.
@@ -200,13 +193,7 @@ func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 	cfg.LocalIP, cfg.RemoteIP = localIP, remoteIP
 	cfg.LocalPort, cfg.RemotePort = localPort, remotePort
 	cfg.Source = PatternPayloadSum
-	if m.NextISS != 0 {
-		cfg.ISS = m.NextISS
-		m.NextISS = 0
-	}
-	if m.ConfigConn != nil {
-		m.ConfigConn(cfg)
-	}
+	cfg.SACK = m.SACK
 	var c *senderConn
 	if n := len(m.free); n > 0 {
 		c = m.free[n-1]

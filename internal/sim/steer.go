@@ -22,7 +22,7 @@ type steerController struct {
 	prevLoads []uint64 // per bucket, summed over NICs
 
 	// The epoch's observations, kept so a warm epoch allocates nothing:
-	// util per steering target; loads (swapped with prevLoads each epoch)
+	// util per CPU; loads (swapped with prevLoads each epoch)
 	// and delta per bucket; owner, the indirection table the plan edits.
 	util         []float64
 	loads, delta []uint64
@@ -58,7 +58,7 @@ func newSteerController(top *streamTopology, cfg SteerConfig) *steerController {
 	if cfg.Enabled {
 		sc.reb = steer.NewRebalancer()
 		sc.prevBusy = make([]uint64, top.machine.CPUs())
-		sc.util = make([]float64, top.machine.SteerTargets())
+		sc.util = make([]float64, top.machine.CPUs())
 		sc.prevLoads = make([]uint64, rss.Buckets)
 		sc.loads = make([]uint64, rss.Buckets)
 		sc.delta = make([]uint64, rss.Buckets)
@@ -96,18 +96,13 @@ func (sc *steerController) epochTick() {
 // rebalance is the rebalancer's half of an epoch: it diffs per-CPU busy
 // cycles and per-bucket frame counts against the previous epoch, plans
 // moves, and applies each through the machine on the losing CPU's account.
-// Only the steering-target CPUs are planned over: on an asymmetric Xen
-// machine with fewer vCPUs than dom0 queues, the dom0-only cores can own
-// no channel, so their heat is invisible to (and unfixable by) the
-// bucket→channel rebalancer. Every buffer it fills lives on the
-// controller, so a warm epoch allocates nothing.
+// Every buffer it fills lives on the controller, so a warm epoch allocates
+// nothing.
 func (sc *steerController) rebalance() {
 	top := sc.top
 	epochCycles := top.machine.Params.ClockHz * float64(sc.cfg.EpochNs) / 1e9
 	for c, cpu := range top.cpu.cpus {
-		if c < len(sc.util) {
-			sc.util[c] = float64(cpu.busyCycles-sc.prevBusy[c]) / epochCycles
-		}
+		sc.util[c] = float64(cpu.busyCycles-sc.prevBusy[c]) / epochCycles
 		sc.prevBusy[c] = cpu.busyCycles
 	}
 
@@ -205,7 +200,7 @@ func (sc *steerController) migrateTick() {
 			continue
 		}
 		if cur := ep.AppCPU(); cur >= 0 {
-			ep.SetAppCPU((cur + 1) % sc.top.machine.SteerTargets())
+			ep.SetAppCPU((cur + 1) % sc.top.machine.CPUs())
 			sc.appMigrations++
 			break
 		}

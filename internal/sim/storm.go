@@ -43,7 +43,6 @@ type stormController struct {
 	top   *streamTopology
 	cfg   RestartStormConfig
 	reuse bool
-	noTS  bool // connections run without timestamps (RFC 6191 ISN arm)
 
 	report   StormReport
 	staleEps []staleEp
@@ -64,8 +63,7 @@ const (
 // newStormController supervises cfg's storm; cfg is resolved, so
 // RestartStorm.Fraction and PrefillSpreadNs are set.
 func newStormController(top *streamTopology, cfg *StreamConfig) *stormController {
-	return &stormController{top: top, cfg: cfg.RestartStorm, reuse: cfg.TimeWaitReuse,
-		noTS: cfg.NoTimestamps}
+	return &stormController{top: top, cfg: cfg.RestartStorm, reuse: cfg.TimeWaitReuse}
 }
 
 // fire executes the storm: close the victim fraction and schedule the
@@ -113,11 +111,6 @@ func (sc *stormController) prefill() {
 	now := sc.top.sim.Now()
 	ns := sc.top.machine.Netstack()
 	lastTS := uint32(now / 1_000_000)
-	if sc.noTS {
-		// The previous process ran without timestamps: its lingering
-		// entries carry none, so any reuse of them must pass the ISN arm.
-		lastTS = 0
-	}
 	base := sc.cfg.AtNs
 	if base < now {
 		base = now
@@ -158,15 +151,6 @@ func (sc *stormController) reconnect(v flowRecord) {
 		ns := top.machine.Netstack()
 		newTS := uint32(top.sim.Now() / 1_000_000)
 		isn := tcp.DefaultConfig().ISS
-		if sc.noTS {
-			// Timestamps-off: the old incarnation kept no timestamp state,
-			// so admissibility is the classic BSD rule — the redial's SYN
-			// carries no timestamp and an ISN beyond the old incarnation's
-			// RCV.NXT, putting any delayed old segment outside the new
-			// receive window.
-			newTS = 0
-			isn = rec.ep.RcvNxt() + 1
-		}
 		switch ns.ReuseTimeWait(v.senderIP, v.rcvIP, v.sPort, v.rPort, isn, newTS) {
 		case netstack.ReuseRefused:
 			sc.retry(v)
@@ -179,10 +163,6 @@ func (sc *stormController) reconnect(v flowRecord) {
 			delete(tr.inTW, k)
 			sc.staleEps = append(sc.staleEps, staleEp{ep: rec.ep, bytes: rec.ep.Stats().BytesToApp})
 			tr.releaseWatched(rec)
-			if sc.noTS {
-				// Dial with the very ISN the check admitted.
-				top.gen.nextISN = isn
-			}
 		case netstack.ReuseNone:
 			// The sweep reaped it between our check and the call;
 			// the tuple is free.

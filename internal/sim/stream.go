@@ -115,10 +115,6 @@ type StreamConfig struct {
 	// receiver's final ACK costs receive-path cycles, and the endpoint
 	// lingers in the stack's TIME_WAIT table before unregistering.
 	ChurnIntervalNs uint64
-	// GuestVCPUs (Xen only) sets the guest vCPU / I/O channel count
-	// independently of Queues (0 = Queues): the asymmetric paravirtual
-	// topology where netback re-steers across the channels.
-	GuestVCPUs int
 	// Steering configures dynamic flow steering (zero value: static RSS,
 	// the exact PR 2 pipeline).
 	Steering SteerConfig
@@ -137,11 +133,6 @@ type StreamConfig struct {
 	// pipe accounting). Off, wire format and recovery behaviour are
 	// bit-identical to the seed.
 	SACK bool
-	// NoTimestamps disables the TCP timestamp option on every connection.
-	// Segments are then not aggregatable (§3.1), and TIME_WAIT reuse must
-	// take the RFC 6191 sequence-number arm (ISN beyond the old
-	// incarnation's RCV.NXT) instead of the timestamp arm.
-	NoTimestamps bool
 	// TimeWaitReuse enables SYN-time port reuse against lingering
 	// TIME_WAIT entries (Linux tcp_tw_reuse, RFC 6191 admissibility):
 	// a reconnect colliding with a lingering four-tuple may recycle the
@@ -260,9 +251,7 @@ const (
 	// window, the way real minutes-long 2·MSL lingers dwarf any
 	// measurement interval.
 	defaultPrefillSpreadNs = 500_000_000
-	// defaultRPCRequestBytes and defaultRPCMessageBytes are the incast's
-	// request and response sizes: a small request, one full-MSS response.
-	defaultRPCRequestBytes = 64
+	// defaultRPCMessageBytes is the incast's response size: one full MSS.
 	defaultRPCMessageBytes = 1448
 )
 
@@ -678,8 +667,8 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 
 // Resolved returns cfg with its defaults filled in, as a run uses it:
 // Connections defaults to one per NIC and DurationNs to 150 ms. A workload
-// that is on gets its own zero values filled: the RPC workload its request
-// and response sizes and Telemetry.Latency (the histograms are its
+// that is on gets its own zero values filled: the RPC workload its
+// response size and Telemetry.Latency (the histograms are its
 // output), a restart storm its Fraction and PrefillSpreadNs, steering its
 // EpochNs and, with aRFS, its RuleTableSlots. It validates nothing.
 func (cfg StreamConfig) Resolved() StreamConfig {
@@ -691,9 +680,6 @@ func (cfg StreamConfig) Resolved() StreamConfig {
 	}
 	if rpc := &cfg.RPC; rpc.Enabled {
 		cfg.Telemetry.Latency = true
-		if rpc.RequestBytes == 0 {
-			rpc.RequestBytes = defaultRPCRequestBytes
-		}
 		if rpc.MessageBytes == 0 {
 			rpc.MessageBytes = defaultRPCMessageBytes
 		}
@@ -762,8 +748,8 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 		return nil, err
 	}
 	if cfg.RPC.Enabled {
-		if cfg.RPC.RequestBytes < 0 || cfg.RPC.MessageBytes < 0 {
-			return nil, fmt.Errorf("sim: negative RPC sizes %+v", cfg.RPC)
+		if cfg.RPC.MessageBytes < 0 {
+			return nil, fmt.Errorf("sim: RPC MessageBytes %d must be non-negative", cfg.RPC.MessageBytes)
 		}
 		if cfg.ChurnIntervalNs != 0 || cfg.RestartStorm.AtNs != 0 ||
 			cfg.Steering.steeringActive() || cfg.FlowSkew != 0 ||
@@ -805,9 +791,7 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 		// One frame pool per run, shared with the receiver.
 		sender.SetPool(machine.Alloc.Pool())
 		sender.MaxPayload = cfg.MessageSize
-		if cfg.SACK || cfg.NoTimestamps {
-			sender.ConfigConn = cfg.connOptions
-		}
+		sender.SACK = cfg.SACK
 		if top.col != nil {
 			sender.RecoveryRec = top.col.Lane(machine.CPUs() + i)
 		}
@@ -865,28 +849,15 @@ func (top *streamTopology) start(sweepNs uint64) {
 	}
 }
 
-// connOptions applies the run's per-connection TCP options (SACK,
-// timestamps) to c; senders and receivers both take them from here.
-func (cfg *StreamConfig) connOptions(c *tcp.Config) {
-	c.SACK = cfg.SACK
-	if cfg.NoTimestamps {
-		c.UseTimestamps = false
-	}
-}
-
 // openReceiver builds the receiver endpoint of the connection
 // senderIP:sPort → rcvIP:rPort with the run's options and registers it
-// with the machine, returning it with its endpoint-list slot. A nonzero
-// irs fixes the initial receive sequence number.
-func (top *streamTopology) openReceiver(senderIP, rcvIP ipv4.Addr, sPort, rPort uint16, irs uint32) (*tcp.Endpoint, int, error) {
+// with the machine, returning it with its endpoint-list slot.
+func (top *streamTopology) openReceiver(senderIP, rcvIP ipv4.Addr, sPort, rPort uint16) (*tcp.Endpoint, int, error) {
 	rcfg := tcp.DefaultConfig()
 	rcfg.LocalIP, rcfg.RemoteIP = rcvIP, senderIP
 	rcfg.LocalPort, rcfg.RemotePort = rPort, sPort
 	rcfg.AckOffload = top.cfg.Opt == OptFull
-	top.cfg.connOptions(&rcfg)
-	if irs != 0 {
-		rcfg.IRS = irs
-	}
+	rcfg.SACK = top.cfg.SACK
 	return top.machine.OpenEndpoint(rcfg, top.sim.Clock(), senderIP, rcvIP, sPort, rPort)
 }
 

@@ -35,19 +35,17 @@ type TelemetryConfig struct {
 func (t TelemetryConfig) enabled() bool { return t.Latency || t.Spans }
 
 // RPCConfig configures the request/response incast workload: the receiver
-// machine (the system under test) issues synchronized request bursts to
-// many senders — one connection per sender, fan-in = Connections — and
-// each sender answers with a MessageBytes response. All responses of a
-// burst converge on the receiver at once (the incast pattern), and the
-// next burst fires only when every response has been fully read, so the
-// per-message RTT distribution directly exposes receive-path latency
-// under fan-in pressure.
+// machine (the system under test) issues synchronized bursts of 64-byte
+// requests to many senders — one connection per sender, fan-in =
+// Connections — and each sender answers with a MessageBytes response. All
+// responses of a burst converge on the receiver at once (the incast
+// pattern), and the next burst fires only when every response has been
+// fully read, so the per-message RTT distribution directly exposes
+// receive-path latency under fan-in pressure.
 type RPCConfig struct {
 	// Enabled switches the stream run from bulk streaming to the RPC
 	// incast workload (implies TelemetryConfig.Latency).
 	Enabled bool
-	// RequestBytes is the request size the receiver sends (0 = 64).
-	RequestBytes int
 	// MessageBytes is the response size each sender returns (0 = 1448).
 	MessageBytes int
 }

@@ -132,29 +132,16 @@ func TestChurnRecyclesReapedPorts(t *testing.T) {
 //     stream (byte-exact through teardown, reuse and steering).
 func TestTimeWaitStormProperty(t *testing.T) {
 	for _, sys := range []SystemKind{SystemNativeUP, SystemXen} {
-		t.Run(sys.String(), func(t *testing.T) { runStormProperty(t, sys, false) })
+		t.Run(sys.String(), func(t *testing.T) { runStormProperty(t, sys) })
 	}
 }
 
-// TestTimeWaitStormNoTimestampsProperty is the same storm with
-// timestamps off end to end: lingering entries carry no timestamp state,
-// so every granted reuse must pass the RFC 6191 sequence arm — the
-// redial's ISN lies beyond the old incarnation's RCV.NXT — and the
-// reconnected flows (whose streams now start at that dialed ISN) must
-// still deliver the pattern byte-exact with zero stale deliveries.
-func TestTimeWaitStormNoTimestampsProperty(t *testing.T) {
-	for _, sys := range []SystemKind{SystemNativeUP, SystemXen} {
-		t.Run(sys.String(), func(t *testing.T) { runStormProperty(t, sys, true) })
-	}
-}
-
-func runStormProperty(t *testing.T, sys SystemKind, noTS bool) {
+func runStormProperty(t *testing.T, sys SystemKind) {
 	cfg := DefaultStreamConfig(sys, OptFull)
 	cfg.NICs = 2
 	cfg.Connections = 24
 	cfg.Queues = 2
 	cfg.Steering = SteerConfig{Enabled: true, ARFS: true}
-	cfg.NoTimestamps = noTS
 	cfg.TimeWaitReuse = true
 	cfg.RestartStorm = RestartStormConfig{
 		AtNs:            12_000_000,
@@ -178,10 +165,8 @@ func runStormProperty(t *testing.T, sys SystemKind, noTS bool) {
 		if _, ok := states[ep]; ok {
 			return
 		}
-		// The pattern is keyed on absolute sequence numbers, and a
-		// timestamps-off reconnect starts at the granted ISN rather
-		// than the default 1: the endpoint's initial RCV.NXT is the
-		// first payload byte either way.
+		// The pattern is keyed on absolute sequence numbers: the
+		// endpoint's initial RCV.NXT is its first payload byte.
 		v := &verify{pos: ep.RcvNxt()}
 		states[ep] = v
 		ep.AppSink = func(b []byte) {

@@ -57,12 +57,6 @@ type flowGen struct {
 	// attach their verification sinks here, before any byte flows).
 	onOpen func(*tcp.Endpoint)
 
-	// nextISN, when nonzero, seeds the next open's initial sequence
-	// number on both sides and is consumed by that open: the restart
-	// storm's timestamps-off reuse path must dial with the very ISN the
-	// admissibility check was granted on.
-	nextISN uint32
-
 	// perLink is applySkew's scratch, one weighted flow list per NIC,
 	// kept so a churn tick's re-skew allocates nothing.
 	perLink [][]rankedFlow
@@ -175,24 +169,19 @@ func (g *flowGen) open(n int, sPort, rPort uint16) error {
 	senderIP := ipv4.Addr{10, 0, byte(n), 1}
 	rcvIP := ipv4.Addr{10, 0, byte(n), 2}
 
-	isn := g.nextISN
-	g.nextISN = 0
-	if isn != 0 {
-		top.senders[n].NextISS = isn
-	}
 	if _, err := top.senders[n].AddStreamConn(senderIP, rcvIP, sPort, rPort); err != nil {
 		return err
 	}
 
-	ep, slot, err := top.openReceiver(senderIP, rcvIP, sPort, rPort, isn)
+	ep, slot, err := top.openReceiver(senderIP, rcvIP, sPort, rPort)
 	if err != nil {
 		return err
 	}
 	if cfg.Steering.ARFS {
-		// Pin the consuming application round-robin over the steerable
-		// CPUs — deliberately decorrelated from the Toeplitz hash, so
-		// following the app is a real steering decision, not a no-op.
-		ep.SetAppCPU(g.appCPU % top.machine.SteerTargets())
+		// Pin the consuming application round-robin over the CPUs —
+		// deliberately decorrelated from the Toeplitz hash, so following
+		// the app is a real steering decision, not a no-op.
+		ep.SetAppCPU(g.appCPU % top.machine.CPUs())
 		g.appCPU++
 	}
 	g.live = append(g.live, flowRecord{nicIdx: n, senderIP: senderIP, rcvIP: rcvIP,

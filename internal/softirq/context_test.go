@@ -3,12 +3,9 @@ package softirq
 import "testing"
 
 func TestContextRunAndIdle(t *testing.T) {
-	ctx, err := NewContext[int](3, 8)
+	ctx, err := NewContext[int](8)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ctx.CPU() != 3 {
-		t.Errorf("CPU = %d", ctx.CPU())
 	}
 	var handled []int
 	idles := 0
@@ -39,28 +36,36 @@ func TestContextRunAndIdle(t *testing.T) {
 			t.Fatalf("handled out of order: %v", handled)
 		}
 	}
-	s := ctx.Stats()
-	if s.Enqueued != 5 || s.Consumed != 5 || s.Runs != 2 || s.IdleFlushes != 1 {
-		t.Errorf("stats = %+v", s)
+	if len(handled) != 5 {
+		t.Errorf("handled %d items, want 5", len(handled))
+	}
+	// An empty ring consumes nothing and still reports idle.
+	if n := ctx.Run(100); n != 0 {
+		t.Errorf("empty Run = %d", n)
+	}
+	if idles != 2 {
+		t.Errorf("idles = %d after an empty run, want 2", idles)
 	}
 }
 
 func TestContextOverflow(t *testing.T) {
-	ctx, err := NewContext[int](0, 2) // capacity rounds to 2
+	ctx, err := NewContext[int](2) // capacity rounds to 2
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx.Handle = func(int) {}
+	var handled []int
+	ctx.Handle = func(v int) { handled = append(handled, v) }
 	if !ctx.Enqueue(1) || !ctx.Enqueue(2) {
 		t.Fatal("ring should hold two items")
 	}
 	if ctx.Enqueue(3) {
 		t.Error("overflow enqueue succeeded")
 	}
-	if s := ctx.Stats(); s.EnqueueFull != 1 {
-		t.Errorf("EnqueueFull = %d", s.EnqueueFull)
+	// The rejected item is gone; the two accepted ones are handled.
+	if n := ctx.Run(100); n != 2 || len(handled) != 2 || handled[1] != 2 {
+		t.Errorf("Run = %d, handled %v; want 2 items [1 2]", n, handled)
 	}
-	if _, err := NewContext[int](-1, 4); err == nil {
-		t.Error("negative CPU accepted")
+	if _, err := NewContext[int](0); err == nil {
+		t.Error("zero capacity accepted")
 	}
 }

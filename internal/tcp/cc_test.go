@@ -29,7 +29,8 @@ func pump(t *testing.T, env *testEnv, n int) {
 }
 
 func senderEnv(t *testing.T) *testEnv {
-	env := newEnv(t, func(c *Config) { c.InitialCwnd = 2 })
+	env := newEnv(t, nil)
+	env.ep.cwnd = 2 * env.ep.cfg.MSS
 	env.ep.SetAppLimit(^uint64(0))
 	env.ep.sndWnd = 1 << 20
 	return env

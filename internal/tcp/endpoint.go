@@ -47,29 +47,16 @@ type Config struct {
 	LocalIP, RemoteIP     ipv4.Addr
 	LocalPort, RemotePort uint16
 	// MSS is the maximum segment payload (1448 with timestamps on
-	// Ethernet).
+	// Ethernet). Every segment carries the timestamp option, which
+	// Receive Aggregation requires (§3.1).
 	MSS int
-	// RcvWnd is the advertised receive window in bytes.
-	RcvWnd int
-	// UseTimestamps enables the TCP timestamp option (required for
-	// segments to be aggregatable, §3.1).
-	UseTimestamps bool
 	// DelAckSegments is the full-segment count that triggers an ACK
 	// (2 per RFC 1122 and §3.4).
 	DelAckSegments int
-	// DelAckTimeoutNs flushes a pending ACK that never reached the
-	// segment threshold.
-	DelAckTimeoutNs uint64
 	// AckOffload emits ACK runs as template SKBs (§4).
 	AckOffload bool
-	// WScale is the window-scale shift both sides agreed on during the
-	// (unsimulated) handshake; Linux 2.6.16 negotiates it by default,
-	// and without it the 64 KB window cap stalls Gigabit streams.
-	WScale uint8
 	// ISS and IRS are the initial local and remote sequence numbers.
 	ISS, IRS uint32
-	// InitialCwnd is the initial congestion window in segments.
-	InitialCwnd int
 	// SACK enables selective acknowledgments (RFC 2018): the receive
 	// side generates up to three blocks from the out-of-order queue,
 	// the send side keeps a scoreboard over the retransmission list
@@ -90,19 +77,29 @@ const MinRTONs = 200_000_000
 // MaxRTONs caps the exponentially backed-off timeout.
 const MaxRTONs = 120_000_000_000
 
+// Every endpoint shares these Linux-2.6.16-like settings.
+const (
+	// rcvWnd is the advertised receive window in bytes.
+	rcvWnd = 87380
+	// wScale is the window-scale shift both sides agreed on during the
+	// (unsimulated) handshake; Linux 2.6.16 negotiates it by default,
+	// and without it the 64 KB window cap stalls Gigabit streams.
+	wScale = 2
+	// delAckTimeoutNs flushes a pending ACK that never reached the
+	// segment threshold: 40 ms.
+	delAckTimeoutNs = 40_000_000
+	// initialCwnd is the initial congestion window in segments.
+	initialCwnd = 10
+)
+
 // DefaultConfig returns a config with Linux-2.6.16-like defaults for the
 // given four-tuple.
 func DefaultConfig() Config {
 	return Config{
-		MSS:             1448,
-		RcvWnd:          87380,
-		WScale:          2,
-		UseTimestamps:   true,
-		DelAckSegments:  2,
-		DelAckTimeoutNs: 40_000_000, // 40 ms
-		ISS:             1,
-		IRS:             1,
-		InitialCwnd:     10,
+		MSS:            1448,
+		DelAckSegments: 2,
+		ISS:            1,
+		IRS:            1,
 	}
 }
 
@@ -307,14 +304,8 @@ func (e *Endpoint) Reset(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf
 	if cfg.MSS <= 0 || cfg.MSS > 65000 {
 		return fmt.Errorf("tcp: bad MSS %d", cfg.MSS)
 	}
-	if cfg.RcvWnd <= 0 {
-		return fmt.Errorf("tcp: bad RcvWnd %d", cfg.RcvWnd)
-	}
 	if cfg.DelAckSegments <= 0 {
 		return fmt.Errorf("tcp: bad DelAckSegments %d", cfg.DelAckSegments)
-	}
-	if cfg.InitialCwnd <= 0 {
-		return fmt.Errorf("tcp: bad InitialCwnd %d", cfg.InitialCwnd)
 	}
 	if cfg.Source == nil {
 		cfg.Source = zeroSource
@@ -329,9 +320,9 @@ func (e *Endpoint) Reset(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf
 		rcvNxt:      cfg.IRS,
 		sndUna:      cfg.ISS,
 		sndNxt:      cfg.ISS,
-		cwnd:        cfg.InitialCwnd * cfg.MSS,
+		cwnd:        initialCwnd * cfg.MSS,
 		ssthresh:    1 << 30,
-		sndWnd:      cfg.RcvWnd,
+		sndWnd:      rcvWnd,
 		rcvMSSEst:   cfg.MSS,
 		appCPU:      -1,
 		rtx:         e.rtx[:0],
@@ -438,7 +429,7 @@ func (e *Endpoint) Input(seg Segment) {
 		}
 		// Peer window update: for aggregates this is the last
 		// fragment's advertised window (§3.2 rewrite).
-		e.sndWnd = int(hdr.Window) << e.cfg.WScale
+		e.sndWnd = int(hdr.Window) << wScale
 	}
 
 	// Timestamp echo state (in-order packets only; §3.2 keeps the last
@@ -589,8 +580,8 @@ func (e *Endpoint) countSegmentForAck(runLen int, cumAck uint32) {
 		e.delackArm = 0
 		return
 	}
-	if e.delackArm == 0 && e.cfg.DelAckTimeoutNs > 0 {
-		e.delackArm = e.clock() + e.cfg.DelAckTimeoutNs
+	if e.delackArm == 0 {
+		e.delackArm = e.clock() + delAckTimeoutNs
 	}
 }
 
@@ -706,7 +697,7 @@ func (e *Endpoint) SetRecoveryRecorder(rec *telemetry.StageSet) { e.recRec = rec
 
 // advertisedWindow returns the scaled window field value.
 func (e *Endpoint) advertisedWindow() uint16 {
-	w := e.cfg.RcvWnd >> e.cfg.WScale
+	w := rcvWnd >> wScale
 	return uint16(minInt(w, 0xffff))
 }
 

@@ -375,7 +375,7 @@ func (e *Endpoint) buildFrame(seq, ack uint32, flags uint8, payloadLen int, sack
 		Seq: seq, Ack: ack,
 		Flags:  flags,
 		Window: e.advertisedWindow(),
-		HasTS:  e.cfg.UseTimestamps, TSVal: e.tsNow(), TSEcr: e.tsRecent,
+		HasTS:  true, TSVal: e.tsNow(), TSEcr: e.tsRecent,
 		IPID:       e.ipID,
 		SACKBlocks: sack,
 	}

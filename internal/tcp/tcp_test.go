@@ -101,9 +101,7 @@ func TestNewValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.MSS = 0 },
 		func(c *Config) { c.MSS = 70000 },
-		func(c *Config) { c.RcvWnd = 0 },
 		func(c *Config) { c.DelAckSegments = 0 },
-		func(c *Config) { c.InitialCwnd = 0 },
 	}
 	for i, f := range bad {
 		cfg := DefaultConfig()
@@ -477,7 +475,7 @@ func TestPiggybackClearsDelayedAck(t *testing.T) {
 	// Advancing past the delayed-ACK deadline must not emit a pure ACK:
 	// the data frame already carried it. (The RTO timer is armed, but it
 	// is beyond the delayed-ACK deadline and must not fire here.)
-	env.now += env.ep.cfg.DelAckTimeoutNs + 1
+	env.now += delAckTimeoutNs + 1
 	env.ep.OnTimeout(env.now)
 	if len(env.out) != 0 {
 		t.Error("delayed ACK emitted despite piggyback")

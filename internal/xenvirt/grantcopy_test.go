@@ -15,7 +15,7 @@ import (
 // its own pooled frame.
 func pooledAggregate(tb testing.TB, frags int) (*Machine, *buf.SKB) {
 	tb.Helper()
-	m, err := New(Config{Config: frontend.Config{Params: cost.XenGuest(), NICCount: 1}})
+	m, err := New(frontend.Config{Params: cost.XenGuest(), NICCount: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -28,16 +28,17 @@
 //
 // Beyond the paper's single-softirq machine, the paravirtual path scales
 // the same way the native RSS pipeline does (ARCHITECTURE.md): with
-// Config.Queues = N the machine runs N per-vCPU I/O channels, each a
-// bounded netfront ring (softirq.Context) plus an event channel and a
-// grant-copy batch. The physical NICs steer frames with the Toeplitz
+// frontend.Config.Queues = N the guest has N vCPUs and the machine runs N
+// per-vCPU I/O channels, each a bounded netfront ring (softirq.Context)
+// plus an event channel and a grant-copy batch. The physical NICs steer frames with the Toeplitz
 // hash/indirection table (internal/rss), dom0 runs one NAPI driver — and,
 // in optimized mode, one aggregation engine (core.ReceivePath) — per
 // (NIC, queue), and netback steers bridged host packets onto the I/O
-// channel named by the same hash, so a flow's packets always reach the
-// same guest vCPU. Each vCPU's netfront context feeds the guest stack's
-// sharded flow table; shard = f(bucket) and channel = bucket mod queues,
-// so no per-flow structure is ever touched by two vCPUs.
+// channel the same indirection names, so a flow's packets always reach
+// the same guest vCPU. Each vCPU's netfront context feeds the guest stack's
+// sharded flow table; the front end's one bucket map names the dom0
+// queue, the channel and the shard owner alike, so no per-flow structure
+// is ever touched by two vCPUs.
 //
 // Driver-domain queue q and guest vCPU q are pinned to the same host core
 // (the standard multi-queue netfront/netback deployment): when netback
@@ -45,9 +46,9 @@
 // softirq, netfront consumes it synchronously in the same round — which is
 // also exactly the paper's single-queue machine when Queues = 1. Only a
 // packet whose channel belongs to another core (unhashable traffic seen
-// from a non-zero queue, or asymmetric configurations) stays on the ring
-// until the owning vCPU's next round, woken through the event-channel
-// kick.
+// from a non-zero queue, or frames a steering change caught on the old
+// queue) stays on the ring until the owning vCPU's next round, woken
+// through the event-channel kick.
 //
 // # One event loop
 //
@@ -70,22 +71,6 @@ import (
 	"repro/internal/softirq"
 	"repro/internal/tcpwire"
 )
-
-// Config assembles a Xen machine: the shared front-end config (Params must
-// be the XenGuest cost profile or a variant; Queues is the number of RSS
-// queues per NIC = dom0 driver/softirq contexts, where 0 or 1 is the
-// paper's single-softirq, single-event-channel machine, bit for bit) plus
-// the guest's vCPU count.
-type Config struct {
-	frontend.Config
-	// GuestVCPUs is the number of paravirtual I/O channels (= guest
-	// vCPUs on the receive path). 0 = Queues, the symmetric pinned
-	// topology; a different value models the asymmetric deployment where
-	// the driver domain's queue count and the guest's vCPU count differ
-	// — netback then re-steers bridged packets across the I/O channels,
-	// exercising the cross-vCPU event path.
-	GuestVCPUs int
-}
 
 // Stats aggregates machine-level counters (network frames are the front
 // end's NetFramesIn).
@@ -132,12 +117,10 @@ const netfrontRingSlots = 256
 // Machine is one Xen host: hypervisor + driver domain + one guest. The
 // embedded front end is the driver domain's — NICs, dom0 drivers and
 // aggregation, the NIC indirection — with the guest's stack as its
-// receiving stack; driver output goes to the bridge. The stack's owner map
-// (SteerMap) is the channel map: it steers buckets onto I/O channels
-// (guest vCPUs) while the NIC map steers them onto dom0 queues.
-// Symmetric topologies keep the two in lockstep; shard ownership (and
-// hence steal accounting) follows the channel map, because the guest
-// stack runs on the channel's vCPU.
+// receiving stack; driver output goes to the bridge. The NIC indirection
+// (SteerMap) is also the channel map: bucket b rides dom0 queue, I/O
+// channel and guest vCPU SteerMap()[b], which is why shard ownership (and
+// hence steal accounting) follows it.
 type Machine struct {
 	frontend.FrontEnd
 
@@ -146,24 +129,17 @@ type Machine struct {
 	stats  Stats
 }
 
-// New assembles a Xen machine.
-func New(cfg Config) (*Machine, error) {
+// New assembles a Xen machine from the shared front-end config: Params
+// must be the XenGuest cost profile or a variant, and Queues is the number
+// of RSS queues per NIC, dom0 driver/softirq contexts, I/O channels and
+// guest vCPUs alike (0 or 1 is the paper's single-softirq,
+// single-event-channel machine, bit for bit).
+func New(cfg frontend.Config) (*Machine, error) {
 	if cfg.Params.NetbackPerPacket == 0 || cfg.Params.NetfrontPerPacket == 0 {
 		return nil, fmt.Errorf("xenvirt: profile %q lacks virtualization costs", cfg.Params.Name)
 	}
-	vcpus := cfg.GuestVCPUs
-	if vcpus == 0 {
-		vcpus = max(cfg.Queues, 1)
-	}
-	if vcpus < 0 || vcpus > rss.Buckets {
-		return nil, fmt.Errorf("xenvirt: GuestVCPUs %d must be in [1, %d]", vcpus, rss.Buckets)
-	}
-	cm, err := rss.NewMap(vcpus)
-	if err != nil {
-		return nil, fmt.Errorf("xenvirt: %w", err)
-	}
 	m := &Machine{curCPU: -1}
-	if err := m.Init(cfg.Config, cm, func(int) func(*buf.SKB) { return m.bridgeReceive }); err != nil {
+	if err := m.Init(cfg, func(int) func(*buf.SKB) { return m.bridgeReceive }); err != nil {
 		return nil, fmt.Errorf("xenvirt: %w", err)
 	}
 	m.Stack.Tx = txChain{m}
@@ -172,8 +148,8 @@ func New(cfg Config) (*Machine, error) {
 	// handler charges netfront's per-packet and per-fragment costs and
 	// feeds the guest stack's sharded flow table, attributing the
 	// delivery to this vCPU.
-	for q := 0; q < vcpus; q++ {
-		ctx, err := softirq.NewContext[*buf.SKB](q, netfrontRingSlots)
+	for q := 0; q < m.CPUs(); q++ {
+		ctx, err := softirq.NewContext[*buf.SKB](netfrontRingSlots)
 		if err != nil {
 			return nil, fmt.Errorf("xenvirt: %w", err)
 		}
@@ -228,11 +204,8 @@ func (m *Machine) ProcessRound(cpu, budget int) (int, bool) {
 	defer func() { m.curCPU = prev }()
 
 	// Event-channel work first: packets other vCPUs' netback queued on
-	// this vCPU's netfront ring since its last round. (On an asymmetric
-	// topology a core beyond the guest's vCPU count runs dom0 work only.)
-	if cpu < len(m.chans) {
-		m.chans[cpu].ctx.Run(1 << 30)
-	}
+	// this vCPU's netfront ring since its last round.
+	m.chans[cpu].ctx.Run(1 << 30)
 
 	frames, more := m.Poll(cpu, budget)
 	if frames > 0 {
@@ -262,11 +235,11 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 		m.Params.NetbackPerPacket+uint64(frags)*m.Params.NetbackPerFrag)
 	// Netback steering: the flow's aRFS override in the guest flow
 	// table (FrontEnd.SteerFlow records it) wins, else channel = live
-	// channel-map entry of the Toeplitz hash — in lockstep with the NIC's
-	// queue choice on symmetric topologies, re-steered across the I/O
-	// channels on asymmetric ones or after a rebalance, so flow affinity
-	// spans the driver domain under dynamic steering too. Unhashable
-	// traffic without an override rides channel 0.
+	// indirection entry of the Toeplitz hash — the NIC's own queue choice,
+	// and after a rebalance the new owner even for frames the old queue
+	// still held, so flow affinity spans the driver domain under dynamic
+	// steering too. Unhashable traffic without an override rides
+	// channel 0.
 	c := 0
 	steered := false
 	if ft := m.FlowTable(); ft.FlowOwnerOverrides() > 0 {

@@ -28,13 +28,13 @@ type mqRig struct {
 func newMQRig(t *testing.T, mode frontend.Mode, queues int) *mqRig {
 	t.Helper()
 	r := &mqRig{}
-	cfg := Config{Config: frontend.Config{
+	cfg := frontend.Config{
 		Params:      cost.XenGuest(),
 		NICCount:    1,
 		Queues:      queues,
 		Mode:        mode,
 		Aggregation: core.DefaultOptions(),
-	}}
+	}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -251,17 +251,17 @@ func TestSingleQueueChannelAccounting(t *testing.T) {
 }
 
 func TestNetbackSteersByFlowOwner(t *testing.T) {
-	// Asymmetric topology: 2 dom0 queues, 4 guest vCPUs, a 2-slot rule
-	// table. Netback reads a steered flow's channel from the guest flow
-	// table's ownership override; an unsteered hashed flow follows the
-	// channel map; an unhashable frame rides channel 0.
-	m, err := New(Config{Config: frontend.Config{
+	// 4 queues and I/O channels, a 2-slot rule table. Netback reads a
+	// steered flow's channel from the guest flow table's ownership
+	// override; an unsteered hashed flow follows the indirection; an
+	// unhashable frame rides channel 0.
+	m, err := New(frontend.Config{
 		Params:        cost.XenGuest(),
 		NICCount:      1,
-		Queues:        2,
+		Queues:        4,
 		Mode:          frontend.ModeBaseline,
 		FlowRuleSlots: 2,
-	}, GuestVCPUs: 4})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestNetbackSteersByFlowOwner(t *testing.T) {
 
 	hashedPort := portOnChannel(2, steeredPort)
 	if c := channelOf(frame(hashedPort)); c != 2 {
-		t.Errorf("unsteered hashed flow reached channel %d, want the channel map's 2", c)
+		t.Errorf("unsteered hashed flow reached channel %d, want the indirection's 2", c)
 	}
 
 	// Not IPv4 to the NIC (ether type rewritten to ARP), so it carries no
@@ -330,6 +330,111 @@ func TestNetbackSteersByFlowOwner(t *testing.T) {
 	if c := channelOf(unhashable); c != 0 {
 		t.Errorf("unhashable frame reached channel %d, want 0", c)
 	}
+	if live := m.Alloc.Stats().Live; live != 0 {
+		t.Errorf("%d SKBs live after the run", live)
+	}
+}
+
+func TestSteeringMovesQueueChannelAndShard(t *testing.T) {
+	// One bucket map per machine: after SteerBucket(b, cpu), and after
+	// SteerFlow for a single flow, the flow's next frame lands on NIC
+	// queue cpu, crosses on I/O channel cpu and is demultiplexed by vCPU
+	// cpu, with no shard steal anywhere.
+	m, err := New(frontend.Config{
+		Params:        cost.XenGuest(),
+		NICCount:      1,
+		Queues:        4,
+		Mode:          frontend.ModeOptimized,
+		Aggregation:   core.DefaultOptions(),
+		FlowRuleSlots: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.NICs()[0].OnTransmit = func(nic.Frame) {}
+	demux := -1
+	m.Stack.OnSockRead = func(_ rss.FlowKey, _ uint32, _, cpu int) { demux = cpu }
+
+	type flow struct {
+		k   rss.FlowKey
+		seq uint32
+	}
+	open := func(port uint16) *flow {
+		t.Helper()
+		cfg := tcp.DefaultConfig()
+		cfg.LocalIP, cfg.RemoteIP = guestIP, senderIP
+		cfg.LocalPort, cfg.RemotePort = 44000, port
+		ep, _, err := m.OpenEndpoint(cfg, func() uint64 { return 0 }, senderIP, guestIP, port, 44000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.SetAppCPU(0) // pinned, so every delivery reports its CPU
+		return &flow{k: rss.FlowKey{Src: senderIP, Dst: guestIP, SrcPort: port, DstPort: 44000}, seq: 1}
+	}
+	// path sends f's next frame and reports the NIC queue it landed on,
+	// the I/O channel netback pushed it onto and the vCPU that
+	// demultiplexed it.
+	path := func(f *flow) (queue, channel, cpu int) {
+		t.Helper()
+		n := m.NICs()[0]
+		if !n.ReceiveFromWire(nic.Frame{Data: packet.MustBuild(packet.TCPSpec{
+			SrcIP: f.k.Src, DstIP: f.k.Dst, SrcPort: f.k.SrcPort, DstPort: f.k.DstPort,
+			Seq: f.seq, Ack: 1, Flags: tcpwire.FlagACK | tcpwire.FlagPSH,
+			Window: 65535, HasTS: true, TSVal: 7, TSEcr: 3, Payload: make([]byte, 100),
+		})}) {
+			t.Fatal("NIC ring overflow")
+		}
+		f.seq += 100
+		queue, channel, demux = -1, -1, -1
+		var before [4]uint64
+		for q := range before {
+			if n.RxQueueLenOn(q) != 0 {
+				queue = q
+			}
+			before[q] = m.ChannelStatsOf(q).HostPackets
+		}
+		for pass := 0; pass < 2; pass++ {
+			for c := 0; c < m.CPUs(); c++ {
+				m.ProcessRound(c, 64)
+			}
+		}
+		for q := range before {
+			if m.ChannelStatsOf(q).HostPackets != before[q] {
+				channel = q
+			}
+		}
+		return queue, channel, demux
+	}
+	check := func(step string, f *flow, want int) {
+		t.Helper()
+		if q, c, cpu := path(f); q != want || c != want || cpu != want {
+			t.Errorf("%s: frame took queue %d, channel %d, demux CPU %d; want %d for all three",
+				step, q, c, cpu, want)
+		}
+		ft := m.FlowTable()
+		for i := 0; i < ft.Shards(); i++ {
+			if s := ft.ShardStatsOf(i).Steals; s != 0 {
+				t.Fatalf("%s: shard %d counted %d steals", step, i, s)
+			}
+		}
+	}
+
+	bucketFlow, ruleFlow := open(5001), open(5002)
+	b := rss.Bucket(bucketFlow.k.Hash())
+	home := m.SteerMap().Entry(b)
+	check("registered", bucketFlow, home)
+
+	moved := (home + 1) % 4
+	m.SteerBucket(b, moved)
+	check("SteerBucket", bucketFlow, moved)
+
+	ruleHome := m.SteerMap().Queue(ruleFlow.k.Hash())
+	target := (ruleHome + 2) % 4
+	if _, err := m.SteerFlow(ruleFlow.k, ruleFlow.k.Hash(), target); err != nil {
+		t.Fatal(err)
+	}
+	check("SteerFlow", ruleFlow, target)
+	check("SteerFlow, bucket flow", bucketFlow, moved)
 	if live := m.Alloc.Stats().Live; live != 0 {
 		t.Errorf("%d SKBs live after the run", live)
 	}

@@ -33,12 +33,12 @@ type rig struct {
 func newRig(t *testing.T, mode frontend.Mode, ackOffload bool) *rig {
 	t.Helper()
 	r := &rig{}
-	cfg := Config{Config: frontend.Config{
+	cfg := frontend.Config{
 		Params:      cost.XenGuest(),
 		NICCount:    1,
 		Mode:        mode,
 		Aggregation: core.DefaultOptions(),
-	}}
+	}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func (r *rig) pump() {
 }
 
 func TestNewValidation(t *testing.T) {
-	good := Config{Config: frontend.Config{Params: cost.XenGuest(), NICCount: 1}}
+	good := frontend.Config{Params: cost.XenGuest(), NICCount: 1}
 	if _, err := New(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}

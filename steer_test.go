@@ -125,91 +125,6 @@ func TestSteeringFollowsMigratingApp(t *testing.T) {
 	}
 }
 
-// TestXenAsymmetricVCPUs: the dom0-queues ≠ guest-vCPUs topology runs,
-// spreads guest work over all vCPUs with zero ownership steals (netback
-// re-steers), and out-performs the symmetric 2-queue machine on a
-// CPU-bound workload.
-func TestXenAsymmetricVCPUs(t *testing.T) {
-	run := func(q, v int) StreamResult {
-		cfg := DefaultStreamConfig(SystemXen, OptNone)
-		cfg.Connections = 100
-		cfg.Queues = q
-		cfg.GuestVCPUs = v
-		cfg.FlowSkew = 1.1
-		cfg.DurationNs = 30_000_000
-		cfg.WarmupNs = 15_000_000
-		res, err := RunStream(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	sym := run(2, 0)
-	asym := run(2, 4)
-	if len(asym.PerCPUUtil) != 4 {
-		t.Fatalf("asymmetric run reports %d CPUs, want 4", len(asym.PerCPUUtil))
-	}
-	if asym.ThroughputMbps < sym.ThroughputMbps*1.15 {
-		t.Errorf("2 queues + 4 vCPUs = %.0f Mb/s, no gain over symmetric %.0f",
-			asym.ThroughputMbps, sym.ThroughputMbps)
-	}
-	for i, s := range asym.ShardStats {
-		if s.Steals != 0 {
-			t.Errorf("shard %d: %d steals — netback re-steering broke ownership", i, s.Steals)
-		}
-	}
-	// Native machines must reject the knob.
-	bad := DefaultStreamConfig(SystemNativeUP, OptNone)
-	bad.GuestVCPUs = 2
-	bad.DurationNs = 1_000_000
-	if _, err := RunStream(bad); err == nil {
-		t.Error("GuestVCPUs accepted on a native machine")
-	}
-}
-
-// TestXenFewerVCPUsThanQueues: the reverse asymmetry (dom0 queues >
-// guest vCPUs) must run — with dynamic steering active — steering only
-// ever targets channel-capable CPUs, never the dom0-only cores.
-// Regression: steering used to plan moves over CPUs() = max(queues,
-// vcpus) and panic writing the vcpus-sized channel map.
-func TestXenFewerVCPUsThanQueues(t *testing.T) {
-	cfg := DefaultStreamConfig(SystemXen, OptFull)
-	cfg.Connections = 80
-	cfg.Queues = 4
-	cfg.GuestVCPUs = 2
-	cfg.FlowSkew = 1.2
-	cfg.Steering = SteerConfig{Enabled: true, ARFS: true, AppMigrateIntervalNs: 3_000_000}
-	cfg.DurationNs = 30_000_000
-	cfg.WarmupNs = 15_000_000
-	res, err := RunStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ThroughputMbps <= 0 {
-		t.Fatal("stream stalled")
-	}
-	if len(res.PerCPUUtil) != 4 {
-		t.Fatalf("reported %d CPUs, want 4 (dom0 queues)", len(res.PerCPUUtil))
-	}
-	for _, cpu := range res.Steer.Indirection {
-		if cpu >= 2 {
-			t.Fatalf("channel map names vCPU %d, only 2 exist", cpu)
-		}
-	}
-	// With every dom0→channel push remote (queues > vcpus), packets wait
-	// on the netfront rings, and a steering change mid-wait is delivered
-	// by the old vCPU: a bounded, accounted transient — not silent
-	// misdelivery, but not zero either.
-	var steals, host uint64
-	for _, s := range res.ShardStats {
-		steals += s.Steals
-		host += s.HostPackets
-	}
-	if steals*100 > host {
-		t.Errorf("steals %d exceed 1%% of %d deliveries: migration transients not bounded", steals, host)
-	}
-}
-
 // TestChurnTeardownHandshake: connection churn now pays for teardown on
 // the receive path — FIN processed, final ACK sent, endpoints linger in
 // TIME_WAIT and are reaped — while throughput holds.
