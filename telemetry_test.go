@@ -43,6 +43,12 @@ func TestTelemetryZeroPerturbation(t *testing.T) {
 	}
 }
 
+// tracedTelemetry turns on every telemetry output, delivering the drained
+// spans to sink.
+func tracedTelemetry(sink func([]Span)) TelemetryConfig {
+	return TelemetryConfig{Latency: true, Spans: true, SpanSink: sink}
+}
+
 // TestRPCIncastTailGrowsWithFanIn checks the incast workload measures what
 // it claims: synchronized response bursts over a shared wire queue the
 // last message behind fan-in−1 others, so the RTT tail must rise with
