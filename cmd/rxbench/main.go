@@ -339,7 +339,7 @@ func streamMany(cfgs []repro.StreamConfig) ([]repro.StreamResult, []error) {
 		cfgs[i].DurationNs = uint64(duration.Nanoseconds())
 		cfgs[i].WarmupNs = uint64(warmup.Nanoseconds())
 		if spanBufs != nil {
-			cfgs[i].Telemetry.Latency, cfgs[i].Telemetry.Spans = true, true
+			cfgs[i].Telemetry.Latency = true
 			cfgs[i].Telemetry.SpanSink = func(s []repro.Span) { spanBufs[i] = s }
 		}
 		cfgs[i] = cfgs[i].Resolved()

@@ -73,8 +73,7 @@ func traceBurst() []telemetry.Span {
 	// A synthetic clock stands in for simulated time: one MSS frame is
 	// ~12µs on a Gigabit wire, so each fed frame occupies a 12µs slot.
 	const frameSlotNs = 12_000
-	rec := telemetry.NewSpanRecorder(2)
-	frameLane, hostLane := rec.Lane(0), rec.Lane(1)
+	var rec telemetry.SpanRecorder
 	var now uint64
 
 	hostPackets := 0
@@ -88,7 +87,7 @@ func traceBurst() []telemetry.Span {
 		}
 		fmt.Printf("  -> host packet %d: %s (frag acks %v)\n",
 			hostPackets, kind, s.FragAcks())
-		hostLane.Record("host", name, now, frameSlotNs/2)
+		rec.Record("host", name, now, frameSlotNs/2)
 		alloc.Free(s)
 	}
 
@@ -112,7 +111,7 @@ func traceBurst() []telemetry.Span {
 
 	feed := func(desc, short string, f nic.Frame) {
 		fmt.Printf("frame: %s\n", desc)
-		frameLane.Record("frame", short, now, frameSlotNs)
+		rec.Record("frame", short, now, frameSlotNs)
 		eng.Input(f)
 		now += frameSlotNs
 	}

@@ -93,10 +93,11 @@ type FrontEnd struct {
 	// indir[b].
 	indir *rss.Map
 
-	// Telemetry wiring (nil when off): the latency collector endpoints
-	// record into, and the per-CPU stamp clock behind every stage stamp.
+	// Telemetry wiring (nil when off): the run's latency collector
+	// endpoints record into, and the one stamp clock behind every stage
+	// stamp.
 	telCol     *telemetry.Collector
-	stampClock func(cpu int) uint64
+	stampClock func() uint64
 
 	// free holds retired endpoints for OpenEndpoint to reset and reuse;
 	// retired totals their counters as they were at retirement.
@@ -174,28 +175,23 @@ func (fe *FrontEnd) Init(cfg Config, deliver func(q int) func(*buf.SKB)) error {
 	return nil
 }
 
-// SetTelemetry wires the stage-stamp clocks and latency collector. Receive
-// drivers stamp softirq dequeue with their own queue's clock, aggregation
-// engines stamp aggregate close, and the stack stamps stack entry (on Xen
-// the grant copy carries the stamps across the domain boundary); endpoints
-// registered after this call record into col (when non-nil). All of it
-// reads clocks only — nothing here can perturb the schedule or the charged
-// cycles.
-func (fe *FrontEnd) SetTelemetry(col *telemetry.Collector, stampClock func(cpu int) uint64) {
+// SetTelemetry wires the stage-stamp clock and latency collector. Receive
+// drivers stamp softirq dequeue, aggregation engines stamp aggregate
+// close, and the stack stamps stack entry (on Xen the grant copy carries
+// the stamps across the domain boundary), all from the one stampClock;
+// endpoints registered after this call record into col (when non-nil).
+// All of it reads clocks only — nothing here can perturb the schedule or
+// the charged cycles.
+func (fe *FrontEnd) SetTelemetry(col *telemetry.Collector, stampClock func() uint64) {
 	fe.telCol = col
 	fe.stampClock = stampClock
-	if stampClock == nil {
-		return
-	}
-	for ni := range fe.drvs {
-		for q := range fe.drvs[ni] {
-			qq := q
-			fe.drvs[ni][q].StampClock = func() uint64 { return stampClock(qq) }
+	for _, qdrvs := range fe.drvs {
+		for _, d := range qdrvs {
+			d.StampClock = stampClock
 		}
 	}
-	for q, rp := range fe.rps {
-		qq := q
-		rp.Engine().Clock = func() uint64 { return stampClock(qq) }
+	for _, rp := range fe.rps {
+		rp.Engine().Clock = stampClock
 	}
 	fe.Stack.StampClock = stampClock
 }
@@ -264,9 +260,6 @@ func (fe *FrontEnd) ReceivePaths() []*core.ReceivePath { return fe.rps }
 
 // FlowTable exposes the stack's sharded demux table.
 func (fe *FrontEnd) FlowTable() *netstack.FlowTable { return fe.Stack.FlowTable() }
-
-// Netstack exposes the receiving stack.
-func (fe *FrontEnd) Netstack() *netstack.Stack { return fe.Stack }
 
 // SteerMap returns the live bucket→CPU map: the NIC indirection, which
 // shard ownership and netback's channel choice follow.
@@ -362,19 +355,13 @@ func (fe *FrontEnd) nicOf(k netstack.FlowKey) int {
 }
 
 // RegisterEndpoint adds a receiver endpoint to the stack's demux table and
-// the machine's timer list.
+// the machine's timer list, and wires it to the latency collector
+// SetTelemetry named (none when telemetry is off).
 func (fe *FrontEnd) RegisterEndpoint(ep *tcp.Endpoint, remoteIP, localIP [4]byte, remotePort, localPort uint16) error {
 	if err := fe.Stack.Register(ep, remoteIP, localIP, remotePort, localPort); err != nil {
 		return err
 	}
-	if fe.telCol != nil {
-		// The flow's packets all reach the stack on the CPU its owner map
-		// names, so its latency samples land in that CPU's shard.
-		k := netstack.FlowKey{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}
-		owner := fe.Stack.FlowTable().OwnerOf(k, k.Hash())
-		sc := fe.stampClock
-		ep.SetLatencyRecorder(fe.telCol.Lane(owner), func() uint64 { return sc(owner) })
-	}
+	ep.SetLatencyRecorder(fe.telCol, fe.stampClock)
 	fe.eps = append(fe.eps, ep)
 	return nil
 }

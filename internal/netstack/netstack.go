@@ -82,10 +82,10 @@ type Stack struct {
 	// consumes, cpu the softirq CPU that delivered (-1 = unattributed).
 	OnSockRead func(key FlowKey, hash uint32, appCPU, cpu int)
 
-	// StampClock, when set, supplies the simulated-ns time (as seen by the
-	// delivering softirq CPU) used to stamp each host packet's stack-entry
-	// boundary (internal/telemetry). Read-only: no charge, no scheduling.
-	StampClock func(cpu int) uint64
+	// StampClock, when set, supplies the simulated-ns time used to stamp
+	// each host packet's stack-entry boundary (internal/telemetry).
+	// Read-only: no charge, no scheduling.
+	StampClock func() uint64
 
 	table *FlowTable
 	tw    *timeWaitTable
@@ -216,7 +216,7 @@ func (s *Stack) Endpoints() int { return s.table.Len() }
 
 func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 	if s.StampClock != nil {
-		skb.StackInNs = s.StampClock(cpu)
+		skb.StackInNs = s.StampClock()
 	}
 	s.stats.HostPacketsIn++
 	s.stats.NetPacketsIn += uint64(skb.NetPackets)

@@ -68,10 +68,10 @@ type Link struct {
 	displaceLeft int
 	lossBad      bool
 
-	// spanLane/spanTrack, when wired (newTopology, tracing enabled),
-	// record one wire-occupancy span per forward frame. Recording reads
-	// the clock only; it never schedules (telemetry invariant).
-	spanLane  *telemetry.SpanLane
+	// spans/spanTrack, when wired (newTopology, tracing enabled), record
+	// one wire-occupancy span per forward frame. Recording reads the
+	// clock only; it never schedules (telemetry invariant).
+	spans     *telemetry.SpanRecorder
 	spanTrack string
 }
 
@@ -250,7 +250,7 @@ func (l *Link) transmitNext() {
 	l.busy = true
 	wire := l.wireTimeNs(len(frame))
 	sentNs := l.sim.Now() // transmit start: the frame's StageWire boundary
-	l.spanLane.Record(l.spanTrack, "tx", sentNs, wire)
+	l.spans.Record(l.spanTrack, "tx", sentNs, wire)
 	// Wire becomes free after serialization; the frame lands at the
 	// receiver one propagation delay later.
 	l.sim.After(wire, l.wireFreeFn)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ipv4"
-	"repro/internal/netstack"
 	"repro/internal/tcp"
-	"repro/internal/telemetry"
 )
 
 // This file holds the two request/response workloads: netperf TCP RR
@@ -33,8 +31,7 @@ import (
 
 // rpcConn is one fan-in connection of the incast workload.
 type rpcConn struct {
-	rep   *tcp.Endpoint // receiver-side endpoint (issues the requests)
-	owner int           // CPU owning the flow (= its RSS queue)
+	rep *tcp.Endpoint // receiver-side endpoint (issues the requests)
 
 	// reqSentNs is the burst instant (written by the burst event, read
 	// when the response completes). got/done accumulate the response as
@@ -105,8 +102,7 @@ func (r *rpcDriver) openConn(c int) error {
 		return err
 	}
 
-	k := netstack.FlowKey{Src: senderIP, Dst: rcvIP, SrcPort: sPort, DstPort: rPort}
-	conn := &rpcConn{rep: rep, owner: top.machine.FlowTable().OwnerOf(k, k.Hash())}
+	conn := &rpcConn{rep: rep}
 
 	// Sender application: one MessageBytes response per complete request.
 	// No explicit link kick is needed — the sender machine kicks the link
@@ -123,14 +119,10 @@ func (r *rpcDriver) openConn(c int) error {
 	}
 
 	// Receiver application: accumulate the response on the owner CPU; the
-	// byte that completes the message defines its RTT. stampNowOn is the
+	// byte that completes the message defines its RTT. stampNow is the
 	// same clock the stage stamps use, so the sample lands at the instant
 	// the socket read returns in simulated time.
-	var lane *telemetry.StageSet
-	if top.col != nil {
-		lane = top.col.Lane(conn.owner)
-	}
-	cs := top.cpu
+	col, cs := top.col, top.cpu
 	rep.AppSink = func(b []byte) {
 		if conn.done {
 			return
@@ -138,9 +130,7 @@ func (r *rpcDriver) openConn(c int) error {
 		conn.got += uint64(len(b))
 		if conn.got >= msg {
 			conn.done = true
-			if lane != nil {
-				lane.RecordRTT(cs.stampNowOn(conn.owner) - conn.reqSentNs)
-			}
+			col.RecordRTT(cs.stampNow() - conn.reqSentNs)
 		}
 	}
 	r.conns = append(r.conns, conn)

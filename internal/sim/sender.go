@@ -37,8 +37,8 @@ type SenderMachine struct {
 	SACK bool
 
 	// RecoveryRec, when set, records each connection's loss-episode
-	// durations into the given telemetry shard.
-	RecoveryRec *telemetry.StageSet
+	// durations into the run's latency collector.
+	RecoveryRec *telemetry.Collector
 
 	conns   []*senderConn
 	byPort  map[uint16]*senderConn

@@ -66,7 +66,7 @@ func newSteerController(top *streamTopology, cfg SteerConfig) *steerController {
 	}
 	if cfg.ARFS {
 		sc.arfs = steer.NewARFS[netstack.FlowKey]()
-		sc.top.machine.Netstack().OnSockRead = sc.onSockRead
+		sc.top.machine.Stack.OnSockRead = sc.onSockRead
 		if cfg.AppMigrateIntervalNs > 0 {
 			top.sim.After(cfg.AppMigrateIntervalNs, sc.migrateFn)
 		}

@@ -109,7 +109,7 @@ func (sc *stormController) prefill() {
 		return
 	}
 	now := sc.top.sim.Now()
-	ns := sc.top.machine.Netstack()
+	ns := sc.top.machine.Stack
 	lastTS := uint32(now / 1_000_000)
 	base := sc.cfg.AtNs
 	if base < now {
@@ -148,7 +148,7 @@ func (sc *stormController) reconnect(v flowRecord) {
 			sc.retry(v)
 			return
 		}
-		ns := top.machine.Netstack()
+		ns := top.machine.Stack
 		newTS := uint32(top.sim.Now() / 1_000_000)
 		isn := tcp.DefaultConfig().ISS
 		switch ns.ReuseTimeWait(v.senderIP, v.rcvIP, v.sPort, v.rPort, isn, newTS) {

@@ -502,12 +502,8 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	// interval (resetting only clears observation state — it cannot move
 	// an event or a cycle).
 	top.sim.RunUntil(cfg.WarmupNs)
-	if top.col != nil {
-		top.col.Reset()
-	}
-	if top.spans != nil {
-		top.spans.Reset()
-	}
+	top.col.Reset()
+	top.spans.Reset()
 	var startRounds uint64
 	if top.rpc != nil {
 		startRounds = top.rpc.rounds
@@ -570,8 +566,8 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	res.HostPackets = host
 	res.DemuxCycles = table.DemuxCycles() - startDemux
 	res.Demux = table.TableStats()
-	res.Mem = top.machine.Netstack().MemStats()
-	res.TimeWait = top.machine.Netstack().TimeWaitStats()
+	res.Mem = top.machine.Stack.MemStats()
+	res.TimeWait = top.machine.Stack.TimeWaitStats()
 	if top.steer != nil {
 		res.Steer = top.steer.report()
 	}
@@ -587,13 +583,11 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 		res.LostFrames += l.Stats().Lost
 	}
 	res.Loss = senderLossStats(top.senders).sub(startLoss)
-	if top.col != nil {
-		res.Latency = top.col.Report()
-	}
+	res.Latency = top.col.Report()
 	if top.rpc != nil {
 		res.RPCRounds = top.rpc.rounds - startRounds
 	}
-	if top.spans != nil && cfg.Telemetry.SpanSink != nil {
+	if cfg.Telemetry.SpanSink != nil {
 		cfg.Telemetry.SpanSink(top.spans.Drain())
 	}
 	return res, nil
@@ -771,16 +765,14 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 	// nothing, so a run with telemetry on stays bit-identical to the same
 	// run with it off.
 	if cfg.Telemetry.Latency {
-		// One shard per softirq CPU, plus one per link for the sender
-		// machines' recovery-latency samples.
-		top.col = telemetry.NewCollector(machine.CPUs() + cfg.NICs)
+		top.col = &telemetry.Collector{}
 	}
-	if cfg.Telemetry.Spans {
-		top.spans = telemetry.NewSpanRecorder(machine.CPUs() + cfg.NICs)
+	if cfg.Telemetry.SpanSink != nil {
+		top.spans = &telemetry.SpanRecorder{}
 		cpu.armSpans(top.spans)
 	}
 	if cfg.Telemetry.enabled() {
-		machine.SetTelemetry(top.col, cpu.stampNowOn)
+		machine.SetTelemetry(top.col, cpu.stampNow)
 	}
 
 	// One sender machine + link per NIC; per-queue interrupts go through
@@ -792,14 +784,12 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 		sender.SetPool(machine.Alloc.Pool())
 		sender.MaxPayload = cfg.MessageSize
 		sender.SACK = cfg.SACK
-		if top.col != nil {
-			sender.RecoveryRec = top.col.Lane(machine.CPUs() + i)
-		}
+		sender.RecoveryRec = top.col
 		link := NewLink(s, sender, machine.NICs()[i])
 		link.Faults = cfg.Faults
 		link.Loss.Seed += uint64(i)
 		if top.spans != nil {
-			link.spanLane = top.spans.Lane(machine.CPUs() + i)
+			link.spans = top.spans
 			link.spanTrack = linkTrackName(i)
 		}
 		// The NIC transmits back over the link, each frame departing only
@@ -814,7 +804,7 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 	}
 
 	if cfg.MaxTimeWaitBuckets > 0 {
-		machine.Netstack().ConfigureTimeWait(cfg.MaxTimeWaitBuckets, false)
+		machine.Stack.ConfigureTimeWait(cfg.MaxTimeWaitBuckets, false)
 	}
 	return top, nil
 }
@@ -891,7 +881,7 @@ type simCPU struct {
 
 	// Span telemetry (nil/"" when off): every non-empty softirq round is
 	// recorded as an activity interval on the CPU's trace track.
-	spanLane  *telemetry.SpanLane
+	spans     *telemetry.SpanRecorder
 	spanTrack string
 }
 
@@ -944,8 +934,8 @@ func (cs *cpuSet) round(c *simCPU) {
 	busyNs := uint64(float64(used) / cs.fe.Params.ClockHz * 1e9)
 	start := cs.sim.Now()
 	c.busyUntil = start + busyNs
-	if used > 0 && c.spanLane != nil {
-		c.spanLane.Record(c.spanTrack, "round", start, busyNs)
+	if used > 0 {
+		c.spans.Record(c.spanTrack, "round", start, busyNs)
 	}
 
 	if more {

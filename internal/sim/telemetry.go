@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"strconv"
+
 	"repro/internal/telemetry"
 )
 
@@ -9,9 +11,13 @@ import (
 // Chrome-trace exporter, and the stamp clock that timestamps stage
 // boundaries.
 //
+// A run has one collector, one span recorder and one stamp clock, shared
+// by every CPU, link and sender: the simulator executes one event at a
+// time, so one recorder sees every sample in a deterministic order.
+//
 // The invariant all of it preserves: telemetry reads the clock, it never
 // schedules. Stage stamps are unconditional value writes on frames and
-// SKBs; recorders are per-CPU shards merged deterministically; nothing
+// SKBs; recording is a histogram increment or a slice append; nothing
 // here charges a cycle or inserts an event, so a run with telemetry on is
 // bit-identical — same schedule, same charged cycles, same StreamResult
 // counters — to the same run with it off.
@@ -22,17 +28,15 @@ type TelemetryConfig struct {
 	// host packet records its stage residencies (wire, ring, softirq,
 	// stack, socket) and end-to-end latency into StreamResult.Latency.
 	Latency bool
-	// Spans enables the activity-interval recorder: per-CPU softirq
-	// rounds and per-link wire occupancy, in simulated time, delivered to
-	// SpanSink at the end of the run (canonically ordered).
-	Spans bool
-	// SpanSink receives the drained spans when Spans is set (nil: spans
-	// are recorded and dropped). It is not part of a JSON-encoded config.
+	// SpanSink, when set, enables the activity-interval recorder: per-CPU
+	// softirq rounds and per-link wire occupancy, in simulated time,
+	// delivered to SpanSink at the end of the run (canonically ordered).
+	// It is not part of a JSON-encoded config.
 	SpanSink func([]telemetry.Span) `json:"-"`
 }
 
 // enabled reports whether any telemetry output is requested.
-func (t TelemetryConfig) enabled() bool { return t.Latency || t.Spans }
+func (t TelemetryConfig) enabled() bool { return t.Latency || t.SpanSink != nil }
 
 // RPCConfig configures the request/response incast workload: the receiver
 // machine (the system under test) issues synchronized bursts of 64-byte
@@ -50,46 +54,31 @@ type RPCConfig struct {
 	MessageBytes int
 }
 
-// stampNowOn is the telemetry stamp clock for CPU cpu: the instant the
-// executing softirq round's work has reached — the round's start time
-// plus the CPU time it has charged so far. Rounds execute one at a time,
-// so the clock plus the meter's in-round charge is exactly that instant
-// for whichever CPU is running. Outside any round (bursts, timer sweeps)
-// it is plain virtual time.
-func (cs *cpuSet) stampNowOn(cpu int) uint64 {
+// stampNow is the telemetry stamp clock: the instant the executing softirq
+// round's work has reached — the round's start time plus the CPU time it
+// has charged so far. Rounds execute one at a time, so the clock plus the
+// meter's in-round charge is exactly that instant for whichever CPU is
+// running. Outside any round (bursts, timer sweeps) it is plain virtual
+// time.
+func (cs *cpuSet) stampNow() uint64 {
 	return cs.sim.Now() + cs.inRoundLatencyNs()
 }
 
-// armSpans points every CPU at its span shard so round() can record
-// activity intervals (nil-safe: unarmed CPUs record nothing).
+// armSpans points every CPU at the run's span recorder so round() can
+// record activity intervals (nil-safe: unarmed CPUs record nothing).
 func (cs *cpuSet) armSpans(rec *telemetry.SpanRecorder) {
 	for i, c := range cs.cpus {
-		c.spanLane = rec.Lane(i)
+		c.spans = rec
 		c.spanTrack = cpuTrackName(i)
 	}
 }
 
 // cpuTrackName returns the trace track of softirq CPU i ("cpu0", ...).
 func cpuTrackName(i int) string {
-	return "cpu" + itoa(i)
+	return "cpu" + strconv.Itoa(i)
 }
 
 // linkTrackName returns the trace track of link i's wire ("eth0.wire").
 func linkTrackName(i int) string {
-	return "eth" + itoa(i) + ".wire"
-}
-
-// itoa is strconv.Itoa for small non-negative ints without the import.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return "eth" + strconv.Itoa(i) + ".wire"
 }

@@ -158,7 +158,7 @@ func (g *flowGen) seedIdleFlows(n int) error {
 			DstPort: 8080,
 		}
 	}
-	if err := m.Netstack().RegisterBatch(n, key, dummy); err != nil {
+	if err := m.Stack.RegisterBatch(n, key, dummy); err != nil {
 		return fmt.Errorf("sim: seeding idle flows: %w", err)
 	}
 	return nil
@@ -298,7 +298,7 @@ func (tr *teardownTracker) waiting(k netstack.FlowKey) (flowRecord, bool) {
 // poll advances the teardown state machines (called from the periodic
 // sweep).
 func (tr *teardownTracker) poll(now uint64) {
-	ns := tr.top.machine.Netstack()
+	ns := tr.top.machine.Stack
 	keep := tr.draining[:0]
 	for _, d := range tr.draining {
 		switch {

@@ -254,7 +254,7 @@ type Endpoint struct {
 	// whose cumulative coverage ends it.
 	recStart uint64
 	recEnd   uint32
-	recRec   *telemetry.StageSet // recovery-latency shard (may be nil)
+	recRec   *telemetry.Collector // recovery-latency recorder (may be nil)
 
 	// Teardown state (FIN handshake, churn workloads).
 	closeReq bool   // application requested close (AppClose)
@@ -269,11 +269,11 @@ type Endpoint struct {
 
 	// latRec/latClock, when wired (SetLatencyRecorder), record each
 	// data-carrying host packet's stage stamps at app-delivery time into
-	// the owning CPU's telemetry shard. latClock is the stamp clock of
-	// the softirq CPU that owns this flow — deliberately separate from
-	// e.clock, whose value feeds TCP timestamps and timers and must not
-	// change when telemetry is enabled.
-	latRec   *telemetry.StageSet
+	// the run's latency collector. latClock is the run's stamp clock —
+	// deliberately separate from e.clock, whose value feeds TCP
+	// timestamps and timers and must not change when telemetry is
+	// enabled.
+	latRec   *telemetry.Collector
 	latClock Clock
 
 	stats Stats
@@ -384,10 +384,10 @@ func (e *Endpoint) AppCPU() int { return e.appCPU }
 // SetLatencyRecorder wires per-packet stage-latency recording: every
 // data-carrying host packet delivered to this endpoint records its stamp
 // chain (wire → ring → softirq → aggregation → stack → socket read) into
-// rec, reading the app-read boundary from clock. Recording is observation
-// only — it charges no cycles and schedules nothing — and rec is the
-// shard of the CPU that owns the flow.
-func (e *Endpoint) SetLatencyRecorder(rec *telemetry.StageSet, clock Clock) {
+// rec, reading the app-read boundary from clock, the stamp clock every
+// other stage boundary reads. Recording is observation only — it charges
+// no cycles and schedules nothing.
+func (e *Endpoint) SetLatencyRecorder(rec *telemetry.Collector, clock Clock) {
 	e.latRec = rec
 	e.latClock = clock
 }
@@ -693,7 +693,7 @@ func (e *Endpoint) pruneSACK() {
 // covering everything outstanding at entry) records its duration into
 // rec. Observation only — episode tracking itself always runs (it feeds
 // Stats.RecoveryNsSum), so enabling the recorder changes no other state.
-func (e *Endpoint) SetRecoveryRecorder(rec *telemetry.StageSet) { e.recRec = rec }
+func (e *Endpoint) SetRecoveryRecorder(rec *telemetry.Collector) { e.recRec = rec }
 
 // advertisedWindow returns the scaled window field value.
 func (e *Endpoint) advertisedWindow() uint16 {

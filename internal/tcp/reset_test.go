@@ -69,8 +69,8 @@ func TestResetMatchesNew(t *testing.T) {
 	ep := env.ep
 	ep.AppSink = func([]byte) {}
 	ep.OnRetransmit = func([]byte) {}
-	ep.SetRecoveryRecorder(&telemetry.StageSet{})
-	ep.SetLatencyRecorder(&telemetry.StageSet{}, func() uint64 { return env.now })
+	ep.SetRecoveryRecorder(&telemetry.Collector{})
+	ep.SetLatencyRecorder(&telemetry.Collector{}, func() uint64 { return env.now })
 	ep.SetAppCPU(2)
 
 	// Receive half: in-order data, then a hole that queues out-of-order

@@ -191,7 +191,7 @@ func (e *Endpoint) enterLossEpisode(target uint32) {
 }
 
 // closeLossEpisode ends the open episode once ackNum covers its target,
-// accumulating the duration and recording it into the telemetry shard.
+// accumulating the duration and recording it into the latency collector.
 func (e *Endpoint) closeLossEpisode(ackNum uint32) {
 	if e.recStart == 0 || !seqGEQ(ackNum, e.recEnd) {
 		return

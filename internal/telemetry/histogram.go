@@ -11,10 +11,10 @@
 // goldens of every prior PR hold bit for bit either way (pinned by
 // TestTelemetryZeroPerturbation).
 //
-// Every recording site writes into the shard of the CPU (or link) it
-// observes, and shards are merged only at report time — histogram merging is
-// a commutative uint64 sum and the span merge is a canonical sort, so the
-// report does not depend on which shard recorded first.
+// A run has one Collector and one SpanRecorder, and every recording site
+// writes into them. The simulator executes one event at a time, so samples
+// arrive in one deterministic order; Drain's canonical sort fixes the span
+// order for the trace exporter.
 package telemetry
 
 import "math/bits"
@@ -82,8 +82,8 @@ func (h *Histogram) Add(v, n uint64) {
 }
 
 // Merge accumulates o into h. Bucket counts, totals and maxima are plain
-// uint64 sums/maxima, so merging is commutative and associative: any shard
-// order produces the bit-identical merged histogram.
+// uint64 sums/maxima, so merging is commutative and associative: any merge
+// order produces the bit-identical histogram.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.count == 0 {
 		return

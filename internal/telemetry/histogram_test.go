@@ -126,10 +126,10 @@ func TestWeightedAdd(t *testing.T) {
 	}
 }
 
-// TestStageSetPartition: stage residencies partition the end-to-end
+// TestCollectorPartition: stage residencies partition the end-to-end
 // interval exactly — the cross-check identity rxprof relies on.
-func TestStageSetPartition(t *testing.T) {
-	var s StageSet
+func TestCollectorPartition(t *testing.T) {
+	var s Collector
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 1000; i++ {
 		base := uint64(rng.Int63n(1 << 40))
@@ -162,37 +162,14 @@ func TestStageSetPartition(t *testing.T) {
 	}
 }
 
-// TestCollectorShardSum: recording spread over lanes merges to exactly the
-// single-shard result.
-func TestCollectorShardSum(t *testing.T) {
-	many := NewCollector(4)
-	one := NewCollector(1)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 8000; i++ {
-		sent := uint64(rng.Int63n(1 << 30))
-		read := sent + uint64(rng.Int63n(1<<20))
-		many.Lane(i%4).RecordStamps(sent, 0, 0, 0, 0, read)
-		one.Lane(0).RecordStamps(sent, 0, 0, 0, 0, read)
-		many.Lane(i % 4).RecordRTT(read - sent)
-		one.Lane(0).RecordRTT(read - sent)
-	}
-	if !reflect.DeepEqual(many.Report(), one.Report()) {
-		t.Fatal("sharded recording merged differently from single-shard")
-	}
-	m1, m2 := many.MergedE2E(), one.MergedE2E()
-	if !reflect.DeepEqual(m1, m2) {
-		t.Fatal("merged e2e histograms differ")
-	}
-}
-
-// TestSpanDrainCanonical: Drain output is independent of shard placement
-// given identical per-lane streams, and sorted by start time.
+// TestSpanDrainCanonical: Drain output is sorted by start time, ties
+// broken by track, whatever order the spans were recorded in.
 func TestSpanDrainCanonical(t *testing.T) {
-	r := NewSpanRecorder(3)
-	r.Lane(2).Record("cpu2", "round", 100, 10)
-	r.Lane(0).Record("cpu0", "round", 50, 5)
-	r.Lane(1).Record("cpu1", "round", 100, 10)
-	r.Lane(0).Record("cpu0", "round", 100, 20)
+	var r SpanRecorder
+	r.Record("cpu2", "round", 100, 10)
+	r.Record("cpu0", "round", 50, 5)
+	r.Record("cpu1", "round", 100, 10)
+	r.Record("cpu0", "round", 100, 20)
 	out := r.Drain()
 	if len(out) != 4 {
 		t.Fatalf("drained %d spans, want 4", len(out))
@@ -207,17 +184,17 @@ func TestSpanDrainCanonical(t *testing.T) {
 	}
 	r.Reset()
 	if len(r.Drain()) != 0 {
-		t.Fatal("Reset did not clear shards")
+		t.Fatal("Reset did not clear the recorder")
 	}
 }
 
 // TestChromeTraceRoundTrip: exported traces validate, and validation
 // rejects malformed input.
 func TestChromeTraceRoundTrip(t *testing.T) {
-	r := NewSpanRecorder(2)
-	r.Lane(0).Record("cpu0", "round", 1000, 500)
-	r.Lane(1).Record("eth0.wire", "tx", 1200, 300)
-	r.Lane(0).Record("cpu0", "round", 2000, 100)
+	var r SpanRecorder
+	r.Record("cpu0", "round", 1000, 500)
+	r.Record("eth0.wire", "tx", 1200, 300)
+	r.Record("cpu0", "round", 2000, 100)
 	var bufw bufWriter
 	if err := WriteChromeTrace(&bufw, r.Drain()); err != nil {
 		t.Fatal(err)

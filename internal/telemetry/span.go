@@ -15,79 +15,38 @@ type Span struct {
 	DurNs uint64 `json:"dur_ns"`
 }
 
-// SpanRecorder captures activity intervals into per-track shards (one
-// per softirq CPU, one per link). Each recording site holds its shard's
-// *SpanLane and appends to it; Drain merges the shards canonically.
-// Recording allocates only Go slice growth: no simulated cost, no events.
+// SpanRecorder is a run's one activity-interval recorder: every recording
+// site (softirq CPUs, link wires) appends to the same slice, and Drain
+// returns it in canonical order. Recording allocates only Go slice
+// growth: no simulated cost, no events.
 type SpanRecorder struct {
-	lanes   []SpanLane
-	enabled bool
-}
-
-// SpanLane is one append-only span shard.
-type SpanLane struct {
-	rec   *SpanRecorder
 	spans []Span
 }
 
-// NewSpanRecorder creates a recorder with the given shard count (CPU
-// shards first, then link shards, by the caller's convention).
-func NewSpanRecorder(lanes int) *SpanRecorder {
-	if lanes < 1 {
-		lanes = 1
-	}
-	r := &SpanRecorder{lanes: make([]SpanLane, lanes), enabled: true}
-	for i := range r.lanes {
-		r.lanes[i].rec = r
-	}
-	return r
-}
-
-// Lane returns shard i (shard 0 for out-of-range indices).
-func (r *SpanRecorder) Lane(i int) *SpanLane {
-	if r == nil {
-		return nil
-	}
-	if i < 0 || i >= len(r.lanes) {
-		return &r.lanes[0]
-	}
-	return &r.lanes[i]
-}
-
-// Record appends a span to the shard. Nil-safe, so call sites wire a shard
+// Record appends a span. Nil-safe, so call sites wire the recorder
 // unconditionally and pay one branch when tracing is off.
-func (l *SpanLane) Record(track, name string, startNs, durNs uint64) {
-	if l == nil || !l.rec.enabled {
+func (r *SpanRecorder) Record(track, name string, startNs, durNs uint64) {
+	if r == nil {
 		return
 	}
-	l.spans = append(l.spans, Span{Track: track, Name: name, StartNs: startNs, DurNs: durNs})
+	r.spans = append(r.spans, Span{Track: track, Name: name, StartNs: startNs, DurNs: durNs})
 }
 
-// Reset clears every shard (measurement-interval boundary).
+// Reset clears the recorder (measurement-interval boundary).
 func (r *SpanRecorder) Reset() {
 	if r == nil {
 		return
 	}
-	for i := range r.lanes {
-		r.lanes[i].spans = r.lanes[i].spans[:0]
-	}
+	r.spans = r.spans[:0]
 }
 
-// Drain returns the canonically merged span stream: shards concatenated
-// in shard order, then stable-sorted by (StartNs, Track, Name, DurNs):
-// the trace exporter's canonical order.
+// Drain returns a copy of the recorded spans stable-sorted by (StartNs,
+// Track, Name, DurNs): the trace exporter's canonical order.
 func (r *SpanRecorder) Drain() []Span {
 	if r == nil {
 		return nil
 	}
-	total := 0
-	for i := range r.lanes {
-		total += len(r.lanes[i].spans)
-	}
-	out := make([]Span, 0, total)
-	for i := range r.lanes {
-		out = append(out, r.lanes[i].spans...)
-	}
+	out := append([]Span(nil), r.spans...)
 	sort.SliceStable(out, func(a, b int) bool {
 		if out[a].StartNs != out[b].StartNs {
 			return out[a].StartNs < out[b].StartNs

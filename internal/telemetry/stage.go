@@ -47,10 +47,14 @@ func (s Stage) String() string {
 	}
 }
 
-// StageSet is one CPU's (or link's) recording shard: per-stage residency
-// histograms, the end-to-end per-message histogram, and the RPC
-// round-trip histogram. Merging happens at report time.
-type StageSet struct {
+// Collector is a run's one latency recorder: per-stage residency
+// histograms, the end-to-end per-message histogram, the RPC round-trip
+// histogram and the sender loss-recovery histogram. Every recording site
+// of the run (endpoints, the RPC driver, the senders) holds the same
+// collector; the simulator executes one event at a time, so the samples
+// land in one deterministic order. Every method is nil-safe, so a site
+// wired with a nil collector records nothing.
+type Collector struct {
 	stage    [NumStages]Histogram
 	e2e      Histogram
 	rtt      Histogram
@@ -63,8 +67,8 @@ type StageSet struct {
 // inherits the previous boundary, making that stage zero-width; a stamp
 // below the previous boundary (impossible by construction, but cheap to
 // guard) is clamped likewise.
-func (s *StageSet) RecordStamps(sent, arrive, dequeue, aggClose, stackIn, appRead uint64) {
-	if s == nil || sent == 0 {
+func (c *Collector) RecordStamps(sent, arrive, dequeue, aggClose, stackIn, appRead uint64) {
+	if c == nil || sent == 0 {
 		return
 	}
 	bounds := [NumStages + 1]uint64{sent, arrive, dequeue, aggClose, stackIn, appRead}
@@ -74,93 +78,40 @@ func (s *StageSet) RecordStamps(sent, arrive, dequeue, aggClose, stackIn, appRea
 		}
 	}
 	for i := 0; i < NumStages; i++ {
-		s.stage[i].Record(bounds[i+1] - bounds[i])
+		c.stage[i].Record(bounds[i+1] - bounds[i])
 	}
-	s.e2e.Record(bounds[NumStages] - bounds[0])
+	c.e2e.Record(bounds[NumStages] - bounds[0])
 }
 
 // RecordRTT records one RPC request→response round trip.
-func (s *StageSet) RecordRTT(ns uint64) {
-	if s == nil {
+func (c *Collector) RecordRTT(ns uint64) {
+	if c == nil {
 		return
 	}
-	s.rtt.Record(ns)
+	c.rtt.Record(ns)
 }
 
 // RecordRecovery records one sender loss episode's duration: first
 // retransmission (fast retransmit or RTO) to the cumulative ACK that
 // covers every byte outstanding when the episode began.
-func (s *StageSet) RecordRecovery(ns uint64) {
-	if s == nil {
+func (c *Collector) RecordRecovery(ns uint64) {
+	if c == nil {
 		return
 	}
-	s.recovery.Record(ns)
+	c.recovery.Record(ns)
 }
 
-// Reset clears the shard.
-func (s *StageSet) Reset() {
-	for i := range s.stage {
-		s.stage[i].Reset()
-	}
-	s.e2e.Reset()
-	s.rtt.Reset()
-	s.recovery.Reset()
-}
-
-// Collector owns the recording shards of one machine: one per softirq
-// CPU, which records what that CPU delivers, then any the caller adds
-// (the simulator adds one per link for sender-side samples). Report merges
-// the shards with the commutative histogram sum.
-type Collector struct {
-	lanes []*StageSet
-}
-
-// NewCollector creates a collector with one shard per softirq CPU.
-func NewCollector(lanes int) *Collector {
-	if lanes < 1 {
-		lanes = 1
-	}
-	c := &Collector{lanes: make([]*StageSet, lanes)}
-	for i := range c.lanes {
-		c.lanes[i] = &StageSet{}
-	}
-	return c
-}
-
-// Lane returns CPU i's recording shard (shard 0 for out-of-range
-// indices, so unattributed deliveries still record).
-func (c *Collector) Lane(i int) *StageSet {
-	if c == nil {
-		return nil
-	}
-	if i < 0 || i >= len(c.lanes) {
-		return c.lanes[0]
-	}
-	return c.lanes[i]
-}
-
-// Reset clears every shard (measurement-interval boundary).
+// Reset clears every histogram (measurement-interval boundary).
 func (c *Collector) Reset() {
 	if c == nil {
 		return
 	}
-	for _, l := range c.lanes {
-		l.Reset()
+	for i := range c.stage {
+		c.stage[i].Reset()
 	}
-}
-
-// merged returns the shard-merged histograms: a plain sum in shard
-// order (histogram merging is commutative).
-func (c *Collector) merged() (stage [NumStages]Histogram, e2e, rtt, recovery Histogram) {
-	for _, l := range c.lanes {
-		for i := range stage {
-			stage[i].Merge(&l.stage[i])
-		}
-		e2e.Merge(&l.e2e)
-		rtt.Merge(&l.rtt)
-		recovery.Merge(&l.recovery)
-	}
-	return stage, e2e, rtt, recovery
+	c.e2e.Reset()
+	c.rtt.Reset()
+	c.recovery.Reset()
 }
 
 // StageSummary is one stage's digest in a LatencyReport.
@@ -169,7 +120,7 @@ type StageSummary struct {
 	Summary
 }
 
-// LatencyReport is the merged latency digest surfaced as
+// LatencyReport is the run's latency digest surfaced as
 // StreamResult.Latency. The zero value (telemetry disabled) is an empty
 // report; comparing results with the Latency field zeroed is how the
 // off/on equivalence golden is pinned.
@@ -190,28 +141,20 @@ type LatencyReport struct {
 	Stages []StageSummary `json:"stages,omitempty"`
 }
 
-// Report merges the shards into a LatencyReport.
+// Report digests the histograms into a LatencyReport.
 func (c *Collector) Report() LatencyReport {
 	if c == nil {
 		return LatencyReport{}
 	}
-	stage, e2e, rtt, recovery := c.merged()
 	r := LatencyReport{
 		Enabled:  true,
-		E2E:      e2e.Summarize(),
-		RTT:      rtt.Summarize(),
-		Recovery: recovery.Summarize(),
+		E2E:      c.e2e.Summarize(),
+		RTT:      c.rtt.Summarize(),
+		Recovery: c.recovery.Summarize(),
 		Stages:   make([]StageSummary, NumStages),
 	}
 	for i := range r.Stages {
-		r.Stages[i] = StageSummary{Stage: Stage(i).String(), Summary: stage[i].Summarize()}
+		r.Stages[i] = StageSummary{Stage: Stage(i).String(), Summary: c.stage[i].Summarize()}
 	}
 	return r
-}
-
-// MergedE2E returns the shard-merged end-to-end histogram (tests and the
-// partition-identity cross-check).
-func (c *Collector) MergedE2E() Histogram {
-	_, e2e, _, _ := c.merged()
-	return e2e
 }

@@ -72,44 +72,6 @@ import (
 	"repro/internal/tcpwire"
 )
 
-// Stats aggregates machine-level counters (network frames are the front
-// end's NetFramesIn).
-type Stats struct {
-	HostPackets uint64
-	GrantCopies uint64
-	EvtChnKicks uint64
-}
-
-// ChannelStats counts one I/O channel's activity (receive direction).
-type ChannelStats struct {
-	// HostPackets is the number of host packets netback pushed onto this
-	// channel; NetFrames counts their constituent network frames.
-	HostPackets, NetFrames uint64
-	// GrantBatches is the number of batched grant-copy hypercalls (one
-	// per host packet crossing: the batch covers all of its fragments);
-	// GrantOps counts the individual per-fragment copy operations inside
-	// those batches.
-	GrantBatches, GrantOps uint64
-	// EvtChnKicks is the number of event-channel notifications netback
-	// sent for this channel.
-	EvtChnKicks uint64
-	// RemoteKicks counts notifications that targeted a vCPU other than
-	// the core running netback (the packet waited on the ring for the
-	// owning vCPU's softirq round).
-	RemoteKicks uint64
-	// RingFullDrops counts host packets dropped because the netfront
-	// ring was full (the paravirtual analogue of a backlog overflow).
-	RingFullDrops uint64
-}
-
-// ioChannel is one per-vCPU I/O channel between netback and netfront: the
-// bounded netfront ring with its softirq consumer, the event-channel
-// state, and the grant-batch accounting.
-type ioChannel struct {
-	ctx   *softirq.Context[*buf.SKB]
-	stats ChannelStats
-}
-
 // netfrontRingSlots is the netfront receive ring capacity per channel
 // (256 slots, the classic netfront RX ring size).
 const netfrontRingSlots = 256
@@ -124,9 +86,12 @@ const netfrontRingSlots = 256
 type Machine struct {
 	frontend.FrontEnd
 
-	chans  []*ioChannel // [vcpu]
-	curCPU int          // vCPU of the softirq round in progress (-1 outside)
-	stats  Stats
+	// chans holds each vCPU's I/O channel between netback and netfront:
+	// the bounded netfront ring with its softirq consumer. The event
+	// channel and the grant batch are priced per host packet in
+	// bridgeReceive.
+	chans  []*softirq.Context[*buf.SKB] // [vcpu]
+	curCPU int                          // vCPU of the softirq round in progress (-1 outside)
 }
 
 // New assembles a Xen machine from the shared front-end config: Params
@@ -159,19 +124,10 @@ func New(cfg frontend.Config) (*Machine, error) {
 				m.Params.NetfrontPerPacket+uint64(skb.NetPackets)*m.Params.NetfrontPerFrag)
 			input(skb)
 		}
-		m.chans = append(m.chans, &ioChannel{ctx: ctx})
+		m.chans = append(m.chans, ctx)
 	}
 	return m, nil
 }
-
-// Stats returns machine counters.
-func (m *Machine) Stats() Stats { return m.stats }
-
-// ChannelStatsOf returns a copy of I/O channel q's counters.
-func (m *Machine) ChannelStatsOf(q int) ChannelStats { return m.chans[q].stats }
-
-// NetfrontContext exposes vCPU q's netfront softirq context (stats, tests).
-func (m *Machine) NetfrontContext(q int) *softirq.Context[*buf.SKB] { return m.chans[q].ctx }
 
 // flowKeyOf extracts the four-tuple from a bridged host packet's headers
 // (netback's override lookup); ok is false for non-TCP traffic.
@@ -205,7 +161,7 @@ func (m *Machine) ProcessRound(cpu, budget int) (int, bool) {
 
 	// Event-channel work first: packets other vCPUs' netback queued on
 	// this vCPU's netfront ring since its last round.
-	m.chans[cpu].ctx.Run(1 << 30)
+	m.chans[cpu].Run(1 << 30)
 
 	frames, more := m.Poll(cpu, budget)
 	if frames > 0 {
@@ -226,7 +182,6 @@ func (m *Machine) ProcessRound(cpu, budget int) (int, bool) {
 // already in softirq consumes the event synchronously; any other vCPU is
 // woken through the scheduler kick.
 func (m *Machine) bridgeReceive(skb *buf.SKB) {
-	m.stats.HostPackets++
 	frags := skb.NetPackets
 	// Bridge + dom0 netfilter: per host packet (non-proto, §2.4).
 	m.Meter.Charge(cycles.NonProto, m.Params.BridgePerPacket+m.Params.NetfilterPerPacket)
@@ -255,8 +210,7 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 	// Netback checks ring space before copying (as real netback does):
 	// a full netfront ring drops the packet here, before any grant work
 	// or event is spent on it.
-	if ch.ctx.Len() == ch.ctx.Cap() {
-		ch.stats.RingFullDrops++
+	if ch.Len() == ch.Cap() {
 		m.Alloc.Free(skb)
 		return
 	}
@@ -266,7 +220,6 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 	m.Meter.Charge(cycles.Xen,
 		uint64(frags)*m.Params.XenGrantPerFrag+
 			m.Params.XenEvtChnPerPacket+m.Params.XenSchedPerPacket)
-	m.stats.EvtChnKicks++
 
 	// Grant copy: the first of the two per-byte copies (§2.4). The data
 	// really moves between domains, so the guest gets its own buffers.
@@ -277,22 +230,16 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 	// The dom0 SKB is done; the guest owns the copy from here on.
 	m.Alloc.Free(skb)
 
-	ch.stats.HostPackets++
-	ch.stats.NetFrames += uint64(frags)
-	ch.stats.GrantBatches++
-	ch.stats.GrantOps += uint64(frags)
-	ch.stats.EvtChnKicks++
-	ch.ctx.Enqueue(guestSKB) // cannot fail: space checked above
+	ch.Enqueue(guestSKB) // cannot fail: space checked above
 	if c == m.curCPU {
 		// The owning vCPU shares this core: the event is consumed in
 		// the current softirq round (the paper's synchronous traversal,
 		// and the Queues=1 degenerate case).
-		ch.ctx.Run(1 << 30)
+		ch.Run(1 << 30)
 		return
 	}
 	// Cross-vCPU event: the packet waits on the netfront ring for the
 	// owning vCPU's round.
-	ch.stats.RemoteKicks++
 	m.Kick(c)
 }
 
@@ -301,7 +248,6 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 // is a fresh stream for the prefetcher). The guest buffers come from the
 // machine's frame pool and are released when the guest frees the SKB.
 func (m *Machine) grantCopy(skb *buf.SKB) *buf.SKB {
-	m.stats.GrantCopies++
 	head, pooled := m.Alloc.FrameBuf(len(skb.Head))
 	copy(head, skb.Head)
 	m.Meter.Charge(cycles.Xen, m.Params.GrantCopyFixed)
@@ -345,7 +291,6 @@ func (t txChain) Transmit(skb *buf.SKB) {
 	m.Meter.Charge(cycles.PerByte, m.Params.Mem.CopyCost(len(skb.Head)))
 	// Hypervisor work for the reverse crossing.
 	m.Meter.Charge(cycles.Xen, m.Params.XenGrantPerFrag+m.Params.XenEvtChnPerPacket)
-	m.stats.EvtChnKicks++
 	// Netback tx.
 	m.Meter.Charge(cycles.Netback, m.Params.NetbackPerPacket)
 	// Bridge back to the physical NIC.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/ether"
 	"repro/internal/frontend"
 	"repro/internal/nic"
 	"repro/internal/packet"
@@ -93,6 +92,25 @@ func (r *mqRig) pumpAll() {
 	}
 }
 
+// deliveringVCPU runs every vCPU's softirq round, one at a time, for two
+// passes and returns the vCPU whose round delivered to the guest stack
+// (-1 = none). Netfront feeds the stack only from its own vCPU's round —
+// inline when netback ran on that core, else at the start of its next
+// round — so this is the I/O channel netback chose.
+func deliveringVCPU(m *Machine) int {
+	got := -1
+	for pass := 0; pass < 2; pass++ {
+		for cpu := 0; cpu < m.CPUs(); cpu++ {
+			before := m.Stack.Stats().HostPacketsIn
+			m.ProcessRound(cpu, 64)
+			if m.Stack.Stats().HostPacketsIn != before {
+				got = cpu
+			}
+		}
+	}
+	return got
+}
+
 // portOnQueue finds a sender port whose flow the hash steers to queue q.
 func portOnQueue(q, queues int) uint16 {
 	for p := uint16(5001); ; p++ {
@@ -117,29 +135,18 @@ func TestMultiQueueChannelDelivery(t *testing.T) {
 		if got := r.m.NICs()[0].RxQueueLenOn(0); got != 20 {
 			t.Fatalf("mode %d: queue 0 holds %d frames, want 20", mode, got)
 		}
-		// A round on vCPU 0 must not consume vCPU 1's queue or channel.
-		r.m.ProcessRound(0, 64)
-		if got := ep1.Stats().BytesToApp; got != 0 {
-			t.Errorf("mode %d: vCPU 0 round delivered %d bytes of queue-1 flow", mode, got)
-		}
-		r.pumpAll()
-
-		for i, ep := range []*tcp.Endpoint{ep0, ep1} {
+		// Each vCPU's round delivers its own flow in full and nothing of
+		// the other's: netback steered each flow onto its queue's I/O
+		// channel, consumed inline by that vCPU.
+		for q, ep := range []*tcp.Endpoint{ep0, ep1} {
+			r.m.ProcessRound(q, 64)
 			if got := ep.Stats().BytesToApp; got != 20*1448 {
-				t.Errorf("mode %d: flow %d delivered %d bytes, want %d", mode, i, got, 20*1448)
+				t.Errorf("mode %d: vCPU %d round delivered %d bytes of its flow, want %d", mode, q, got, 20*1448)
 			}
-		}
-		// Both I/O channels carried traffic; netback steered by hash.
-		for q := 0; q < 2; q++ {
-			cs := r.m.ChannelStatsOf(q)
-			if cs.HostPackets == 0 || cs.NetFrames != 20 {
-				t.Errorf("mode %d: channel %d stats = %+v, want 20 frames", mode, q, cs)
-			}
-			if cs.GrantBatches != cs.HostPackets || cs.GrantOps != cs.NetFrames {
-				t.Errorf("mode %d: channel %d grant batch accounting inconsistent: %+v", mode, q, cs)
-			}
-			if cs.EvtChnKicks != cs.HostPackets {
-				t.Errorf("mode %d: channel %d kicks = %d, want one per host packet", mode, q, cs.EvtChnKicks)
+			if q == 0 {
+				if got := ep1.Stats().BytesToApp; got != 0 {
+					t.Errorf("mode %d: vCPU 0 round delivered %d bytes of queue-1 flow", mode, got)
+				}
 			}
 		}
 		// Shard ownership held: no cross-vCPU lookups.
@@ -198,29 +205,24 @@ func TestEndpointChurnReconnect(t *testing.T) {
 }
 
 func TestCrossVCPUChannelDrain(t *testing.T) {
-	// A packet queued on a vCPU's netfront ring from elsewhere (the
-	// cross-core event-channel case) must be consumed at the start of
-	// that vCPU's next softirq round.
+	// A packet netback pushes onto another vCPU's netfront ring (the
+	// cross-core event-channel case) must wait there and be consumed at
+	// the start of that vCPU's next softirq round. A frame left on NIC
+	// queue 0 when its bucket is steered to 1 takes exactly that path:
+	// vCPU 0 polls it, and netback follows the live indirection onto
+	// channel 1.
 	r := newMQRig(t, frontend.ModeBaseline, 2)
-	port := portOnQueue(1, 2)
+	port := portOnQueue(0, 2)
 	ep := r.addFlow(t, port, 1)
+	r.inject(t, port, 1, 1)
+	r.m.SteerBucket(rss.Bucket(rss.HashTCP4(senderIP, guestIP, port, 44000)), 1)
 
-	frame := packet.MustBuild(packet.TCPSpec{
-		SrcIP: senderIP, DstIP: guestIP,
-		SrcPort: port, DstPort: 44000,
-		Seq: 1, Ack: 1, Flags: tcpwire.FlagACK | tcpwire.FlagPSH,
-		Window: 65535, HasTS: true, TSVal: 7, TSEcr: 3,
-		Payload: make([]byte, 1448), IPID: 1,
-	})
-	skb := r.m.Alloc.NewData(frame, ether.HeaderLen)
-	skb.CsumVerified = true
-	if !r.m.NetfrontContext(1).Enqueue(skb) {
-		t.Fatal("netfront ring rejected the packet")
-	}
-	// The wrong vCPU's round must not touch channel 1.
 	r.m.ProcessRound(0, 64)
+	if got := r.m.NICs()[0].RxQueueLenOn(0); got != 0 {
+		t.Fatalf("vCPU 0 round left %d frames on NIC queue 0", got)
+	}
 	if got := ep.Stats().BytesToApp; got != 0 {
-		t.Fatalf("vCPU 0 drained vCPU 1's netfront ring (%d bytes)", got)
+		t.Fatalf("vCPU 0 round delivered the cross-queued packet (%d bytes)", got)
 	}
 	r.m.ProcessRound(1, 64)
 	if got := ep.Stats().BytesToApp; got != 1448 {
@@ -233,20 +235,16 @@ func TestCrossVCPUChannelDrain(t *testing.T) {
 
 func TestSingleQueueChannelAccounting(t *testing.T) {
 	// Queues=1 keeps the paper's machine: one channel, every packet
-	// inline, machine-level counters unchanged by the refactor.
+	// consumed inline — one round delivers all 20 host packets.
 	r := newMQRig(t, frontend.ModeBaseline, 1)
 	ep := r.addFlow(t, 5001, 1)
 	r.inject(t, 5001, 1, 20)
-	r.pumpAll()
+	r.m.ProcessRound(0, 64)
 	if got := ep.Stats().BytesToApp; got != 20*1448 {
-		t.Fatalf("delivered %d bytes, want %d", got, 20*1448)
+		t.Fatalf("one round delivered %d bytes, want %d", got, 20*1448)
 	}
-	cs := r.m.ChannelStatsOf(0)
-	if cs.HostPackets != 20 || cs.RemoteKicks != 0 || cs.RingFullDrops != 0 {
-		t.Errorf("channel 0 stats = %+v, want 20 inline host packets", cs)
-	}
-	if r.m.Stats().EvtChnKicks < cs.EvtChnKicks {
-		t.Errorf("machine kicks %d < channel kicks %d", r.m.Stats().EvtChnKicks, cs.EvtChnKicks)
+	if got := r.m.Stack.Stats().HostPacketsIn; got != 20 {
+		t.Errorf("guest host packets = %d, want 20", got)
 	}
 }
 
@@ -285,25 +283,10 @@ func TestNetbackSteersByFlowOwner(t *testing.T) {
 	// channel netback pushed it onto.
 	channelOf := func(f []byte) int {
 		t.Helper()
-		var before [4]uint64
-		for c := range before {
-			before[c] = m.ChannelStatsOf(c).HostPackets
-		}
 		if !m.NICs()[0].ReceiveFromWire(nic.Frame{Data: f}) {
 			t.Fatal("NIC ring overflow")
 		}
-		for pass := 0; pass < 2; pass++ {
-			for cpu := 0; cpu < m.CPUs(); cpu++ {
-				m.ProcessRound(cpu, 64)
-			}
-		}
-		got := -1
-		for c := range before {
-			if m.ChannelStatsOf(c).HostPackets != before[c] {
-				got = c
-			}
-		}
-		return got
+		return deliveringVCPU(m)
 	}
 
 	steeredPort := portOnChannel(1, 0)
@@ -385,25 +368,13 @@ func TestSteeringMovesQueueChannelAndShard(t *testing.T) {
 			t.Fatal("NIC ring overflow")
 		}
 		f.seq += 100
-		queue, channel, demux = -1, -1, -1
-		var before [4]uint64
-		for q := range before {
+		queue, demux = -1, -1
+		for q := 0; q < m.CPUs(); q++ {
 			if n.RxQueueLenOn(q) != 0 {
 				queue = q
 			}
-			before[q] = m.ChannelStatsOf(q).HostPackets
 		}
-		for pass := 0; pass < 2; pass++ {
-			for c := 0; c < m.CPUs(); c++ {
-				m.ProcessRound(c, 64)
-			}
-		}
-		for q := range before {
-			if m.ChannelStatsOf(q).HostPackets != before[q] {
-				channel = q
-			}
-		}
-		return queue, channel, demux
+		return queue, deliveringVCPU(m), demux
 	}
 	check := func(step string, f *flow, want int) {
 		t.Helper()

@@ -129,8 +129,10 @@ func TestBaselineDelivery(t *testing.T) {
 			t.Errorf("category %v uncharged on baseline path", c)
 		}
 	}
-	if r.m.Stats().GrantCopies != 20 {
-		t.Errorf("grant copies = %d, want 20 (one per packet)", r.m.Stats().GrantCopies)
+	// One grant copy per packet: each crossing reaches the guest stack
+	// as one host packet.
+	if got := r.m.Stack.Stats().HostPacketsIn; got != 20 {
+		t.Errorf("guest host packets = %d, want 20 (one per packet)", got)
 	}
 }
 
@@ -145,8 +147,8 @@ func TestOptimizedDelivery(t *testing.T) {
 		t.Errorf("wire ACKs = %d, want 20", len(r.sent))
 	}
 	// Aggregation in dom0: the I/O channel crossed ~2 times, not 40.
-	if got := r.m.Stats().GrantCopies; got > 4 {
-		t.Errorf("grant copies = %d, want <=4 with aggregation", got)
+	if got := r.m.Stack.Stats().HostPacketsIn; got > 4 {
+		t.Errorf("guest host packets = %d, want <=4 with aggregation", got)
 	}
 	if r.ep.Stats().AckTemplatesOut == 0 {
 		t.Error("no ACK templates with offload enabled")

@@ -24,7 +24,7 @@ func TestTelemetryZeroPerturbation(t *testing.T) {
 				t.Fatalf("telemetry off: %v", err)
 			}
 			oncfg := cfg
-			oncfg.Telemetry = TelemetryConfig{Latency: true, Spans: true}
+			oncfg.Telemetry = TelemetryConfig{Latency: true, SpanSink: func([]Span) {}}
 			on, err := RunStream(oncfg)
 			if err != nil {
 				t.Fatalf("telemetry on: %v", err)
@@ -46,7 +46,7 @@ func TestTelemetryZeroPerturbation(t *testing.T) {
 // tracedTelemetry turns on every telemetry output, delivering the drained
 // spans to sink.
 func tracedTelemetry(sink func([]Span)) TelemetryConfig {
-	return TelemetryConfig{Latency: true, Spans: true, SpanSink: sink}
+	return TelemetryConfig{Latency: true, SpanSink: sink}
 }
 
 // TestRPCIncastTailGrowsWithFanIn checks the incast workload measures what
