@@ -6,7 +6,8 @@
 //	rxbench -experiment fig7
 //	rxbench -experiment table1 -duration 500ms
 //
-// Each experiment is defined once, in the experiments list below. Every
+// Each experiment is defined once, in the experiments list below, and a
+// paper figure's "(paper: ...)" footer is its rows of internal/paper. Every
 // stream experiment runs its points on the -parallel worker pool and
 // prints them in a fixed order, so its table does not depend on -parallel.
 //
@@ -60,6 +61,7 @@ import (
 
 	"repro"
 	"repro/internal/memmodel"
+	"repro/internal/paper"
 	"repro/internal/profile"
 	"repro/internal/telemetry"
 )
@@ -94,18 +96,13 @@ type experimentDef struct {
 var experiments = []experimentDef{
 	{"fig1", fig1},
 	{"fig2", fig2},
-	{"fig3", figBreakdown(repro.SystemNativeUP, repro.FormatBreakdown, "Figure 3: breakdown of receive processing overheads (UP, cycles/packet)",
-		"(paper shares: per-byte 17%, rx+tx 21%, buffer+non-proto 25%, driver 21%)")},
+	{"fig3", figBreakdown(repro.SystemNativeUP, repro.FormatBreakdown, "Figure 3: breakdown of receive processing overheads (UP, cycles/packet)")},
 	{"fig4", fig4},
-	{"fig6", figBreakdown(repro.SystemXen, repro.FormatXenBreakdown, "Figure 6: breakdown of receive processing overheads (Xen, cycles/packet)",
-		"(paper: virt per-packet 56%, per-byte 14%, TCP rx+tx 10%)")},
+	{"fig6", figBreakdown(repro.SystemXen, repro.FormatXenBreakdown, "Figure 6: breakdown of receive processing overheads (Xen, cycles/packet)")},
 	{"fig7", fig7},
-	{"fig8", figOptBreakdown(repro.SystemNativeUP, "Figure 8: receive processing overheads (UP)",
-		"(paper: per-packet categories ÷4.3, aggr ~789 cycles/pkt)")},
-	{"fig9", figOptBreakdown(repro.SystemNativeSMP, "Figure 9: receive processing overheads (SMP)",
-		"(paper: per-packet categories ÷5.5)")},
-	{"fig10", figOptBreakdown(repro.SystemXen, "Figure 10: receive processing overheads (Xen)",
-		"(paper: virt per-packet categories ÷3.7)")},
+	{"fig8", figOptBreakdown(repro.SystemNativeUP, "Figure 8: receive processing overheads (UP)")},
+	{"fig9", figOptBreakdown(repro.SystemNativeSMP, "Figure 9: receive processing overheads (SMP)")},
+	{"fig10", figOptBreakdown(repro.SystemXen, "Figure 10: receive processing overheads (Xen)")},
 	{"fig11", fig11},
 	{"fig12", fig12},
 	{"table1", table1},
@@ -119,6 +116,13 @@ var experiments = []experimentDef{
 	{"restartstorm", restartStorm},
 	{"connscale", connScale},
 	{"rr", rrIncast},
+}
+
+// print runs e, then prints the paper's values beneath a paper figure.
+func (e experimentDef) print(w io.Writer) {
+	curExperiment = e.name
+	e.run(w)
+	fmt.Fprint(w, paper.Footer(e.name))
 }
 
 // experimentNames is ", name" for each experiment, for the help text.
@@ -201,8 +205,7 @@ func main() {
 		out = os.Stderr
 	}
 	for _, e := range selected {
-		curExperiment = e.name
-		e.run(out)
+		e.print(out)
 		if *experiment == "all" {
 			fmt.Fprintln(out)
 		}
@@ -412,7 +415,7 @@ func (t *table) print(w io.Writer, row func(res []repro.StreamResult) string) {
 }
 
 // sharesFigure is Figures 1 and 2: each row's per-byte vs per-packet share.
-func sharesFigure(w io.Writer, title, paper string, rows []string, cfgs []repro.StreamConfig) {
+func sharesFigure(w io.Writer, title string, rows []string, cfgs []repro.StreamConfig) {
 	new(table).add(title, cfgs...).print(w, func(res []repro.StreamResult) string {
 		groups := profile.StandardShareGroups()
 		var per [][]float64
@@ -421,7 +424,6 @@ func sharesFigure(w io.Writer, title, paper string, rows []string, cfgs []repro.
 		}
 		return profile.SharesTable("", rows, per, groups)
 	})
-	fmt.Fprintln(w, paper)
 }
 
 // fig1 reproduces Figure 1: per-byte vs per-packet share on the 3.8 GHz
@@ -440,8 +442,7 @@ func fig1(w io.Writer) {
 		rows = append(rows, mode.String())
 		cfgs = append(cfgs, cfg)
 	}
-	sharesFigure(w, "Figure 1: impact of prefetching on overhead shares (UP, 3.8 GHz)",
-		"(paper: per-byte 52% -> 14%, per-packet 37% -> ~70%)", rows, cfgs)
+	sharesFigure(w, "Figure 1: impact of prefetching on overhead shares (UP, 3.8 GHz)", rows, cfgs)
 }
 
 // fig2 reproduces Figure 2: per-byte vs per-packet share for UP, SMP and
@@ -453,27 +454,33 @@ func fig2(w io.Writer) {
 		rows = append(rows, sys.String())
 		cfgs = append(cfgs, repro.DefaultStreamConfig(sys, repro.OptNone))
 	}
-	sharesFigure(w, "Figure 2: per-byte vs per-packet overhead (full prefetching)",
-		"(paper: per-packet dominates everywhere)", rows, cfgs)
+	sharesFigure(w, "Figure 2: per-byte vs per-packet overhead (full prefetching)", rows, cfgs)
 }
 
 // figBreakdown is Figures 3 and 6: one system's Original breakdown.
-func figBreakdown(sys repro.SystemKind, format func(string, repro.Breakdown) string, title, paper string) func(io.Writer) {
+func figBreakdown(sys repro.SystemKind, format func(string, repro.Breakdown) string, title string) func(io.Writer) {
 	return func(w io.Writer) {
 		new(table).add(title, repro.DefaultStreamConfig(sys, repro.OptNone)).print(w,
 			func(r []repro.StreamResult) string { return format("", r[0].Breakdown) })
-		fmt.Fprintln(w, paper)
 	}
 }
 
+// fig4 is Figure 4: UP and SMP per category, and SMP's cost over UP's as
+// the paper states it.
 func fig4(w io.Writer) {
 	new(table).add("Figure 4: receive processing overheads, UP vs SMP (cycles/packet)",
 		repro.DefaultStreamConfig(repro.SystemNativeUP, repro.OptNone),
 		repro.DefaultStreamConfig(repro.SystemNativeSMP, repro.OptNone),
 	).print(w, func(r []repro.StreamResult) string {
-		return profile.Comparison("", "UP", "SMP", r[0].Breakdown, r[1].Breakdown, profile.NativeCategories)
+		up, smp := r[0].Breakdown, r[1].Breakdown
+		s := fmt.Sprintf("\n%-10s %14s %14s %8s\n", "category", "UP", "SMP", "SMP/UP")
+		for _, c := range profile.NativeCategories {
+			if u, m := up.Get(c), smp.Get(c); u != 0 || m != 0 {
+				s += fmt.Sprintf("%-10s %14.0f %14.0f %+7.0f%%\n", c, u, m, (m/u-1)*100)
+			}
+		}
+		return s + fmt.Sprintf("%-10s %14.0f %14.0f %+7.0f%%\n", "total", up.Total(), smp.Total(), (smp.Total()/up.Total()-1)*100)
 	})
-	fmt.Fprintln(w, "(paper: rx +62%, tx +40%, buffer/copy unchanged)")
 }
 
 func fig7(w io.Writer) {
@@ -491,19 +498,16 @@ func fig7(w io.Writer) {
 			orig.ThroughputMbps, ra.ThroughputMbps, opt.ThroughputMbps,
 			(opt.ThroughputMbps/orig.ThroughputMbps-1)*100, opt.CPUUtil*100)
 	})
-	fmt.Fprintln(w, "(paper: UP 3452->4660, SMP 2988->4660, Xen 1088->1877;")
-	fmt.Fprintln(w, " RA-only gains +26/36/45%; optimized native runs are NIC-limited at ~93% CPU)")
 }
 
 // figOptBreakdown is Figures 8-10: Original vs Optimized per category.
-func figOptBreakdown(sys repro.SystemKind, title, paper string) func(io.Writer) {
+func figOptBreakdown(sys repro.SystemKind, title string) func(io.Writer) {
 	return func(w io.Writer) {
 		orig, opt := repro.DefaultStreamConfig(sys, repro.OptNone), repro.DefaultStreamConfig(sys, repro.OptFull)
 		new(table).add(title, orig, opt).print(w, func(r []repro.StreamResult) string {
 			return repro.FormatComparison("", r[0].Breakdown, r[1].Breakdown, sys == repro.SystemXen) +
 				fmt.Sprintf("aggregation factor: %.1f\n", r[1].AggFactor)
 		})
-		fmt.Fprintln(w, paper)
 	}
 }
 
@@ -519,7 +523,6 @@ func fig11(w io.Writer) {
 	t.print(w, func(r []repro.StreamResult) string {
 		return fmt.Sprintf(" %16.0f %10.1f\n", r[0].CyclesPerPacket, r[0].AggFactor)
 	})
-	fmt.Fprintln(w, "(paper: steep drop then flat; x + y/k shape; limit 20 chosen)")
 }
 
 func fig12(w io.Writer) {
@@ -537,7 +540,6 @@ func fig12(w io.Writer) {
 		return fmt.Sprintf(" %10.0f %10.0f %+7.0f%% %8.1f\n",
 			b.ThroughputMbps, o.ThroughputMbps, (o.ThroughputMbps/b.ThroughputMbps-1)*100, o.AggFactor)
 	})
-	fmt.Fprintln(w, "(paper: optimized stays >=40% ahead at 400 connections)")
 }
 
 func table1(w io.Writer) {
@@ -558,7 +560,6 @@ func table1(w io.Writer) {
 		fmt.Fprintf(w, "%-11s %12.0f %12.0f %+7.2f%%\n",
 			sys, o.RequestsPerSec, f.RequestsPerSec, (f.RequestsPerSec/o.RequestsPerSec-1)*100)
 	}
-	fmt.Fprintln(w, "(paper: UP 7874/7894, SMP 7970/7985, Xen 6965/6953 — no noticeable impact)")
 }
 
 // rssScaling is the multi-queue experiment beyond the paper: aggregate

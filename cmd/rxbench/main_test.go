@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/paper"
 )
 
 // TestJSONReport runs Figure 3 and one rr incast point with -json at a
@@ -90,7 +91,8 @@ func TestJSONReport(t *testing.T) {
 // TestEveryExperiment runs every experiment of -experiment all at a 2 ms
 // window with 1 ms of warm-up on the native and the Xen receiver. No point
 // may fail, every experiment must print a table, and the tables must be
-// byte-identical whether the points run on one worker or two.
+// byte-identical whether the points run on one worker or two. Every paper
+// figure must print its internal/paper footer and no other paper values.
 func TestEveryExperiment(t *testing.T) {
 	*duration, *warmup, *experiment, *queueList = 2*time.Millisecond, time.Millisecond, "all", "1,2,4,8"
 	defer func() { *parallel = 1 }()
@@ -106,11 +108,14 @@ func TestEveryExperiment(t *testing.T) {
 			runs, pointFailures = nil, 0
 			var all strings.Builder
 			for _, e := range selected {
-				curExperiment = e.name
 				var out bytes.Buffer
-				e.run(&out)
+				e.print(&out)
 				if out.Len() == 0 {
 					t.Errorf("-sys %s -parallel %d: %s printed nothing", sys, *parallel, e.name)
+				}
+				figure := strings.HasPrefix(e.name, "fig") || strings.HasPrefix(e.name, "table")
+				if figure && (paper.Footer(e.name) == "" || strings.Count(out.String(), "(paper") != 1) {
+					t.Errorf("%s: want one paper footer, from internal/paper:\n%s", e.name, out.String())
 				}
 				all.Write(out.Bytes())
 			}

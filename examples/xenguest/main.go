@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"repro"
+	"repro/internal/paper"
 )
 
 func main() {
@@ -26,9 +27,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("guest receive throughput: %.0f -> %.0f Mb/s (%+.0f%%; paper: 1088 -> 1877, +86%%)\n\n",
-		orig.ThroughputMbps, opt.ThroughputMbps,
-		(opt.ThroughputMbps/orig.ThroughputMbps-1)*100)
+	paperOrig, paperOpt := paper.Get("fig7/mbps/xen-orig").Paper, paper.Get("fig7/mbps/xen-opt").Paper
+	fmt.Printf("guest receive throughput: %.0f -> %.0f Mb/s (%+.0f%%; paper: %.0f -> %.0f, %+.0f%%)\n",
+		orig.ThroughputMbps, opt.ThroughputMbps, (opt.ThroughputMbps/orig.ThroughputMbps-1)*100,
+		paperOrig, paperOpt, (paperOpt/paperOrig-1)*100)
+	fmt.Printf("CPU-scaled gain: %+.0f%% (paper: %+.0f%%)\n\n",
+		(orig.CyclesPerPacket/opt.CyclesPerPacket-1)*100, paper.Get("fig7/cpu-scaled/xen").Paper)
 
 	fmt.Print(repro.FormatComparison(
 		"virtualized receive path, cycles per network packet:",

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/nic"
 	"repro/internal/packet"
+	"repro/internal/paper"
 	"repro/internal/rss"
 	"repro/internal/tcpwire"
 )
@@ -455,11 +456,11 @@ func TestAggrCycleCharges(t *testing.T) {
 	if got := e.meter.Get(cycles.Aggr); got != want {
 		t.Errorf("aggr charge = %d, want %d", got, want)
 	}
-	// Roughly the paper's 789 cycles/packet for the aggregation routine
+	// Roughly the paper's cycles/packet for the aggregation routine
 	// (§5.1), dominated by the compulsory header miss.
-	perPkt := float64(e.meter.Get(cycles.Aggr)) / 4
-	if perPkt < 600 || perPkt > 1100 {
-		t.Errorf("aggr cycles/packet = %.0f, paper reports ~789", perPkt)
+	row := paper.Get("fig8/aggr")
+	if perPkt := float64(e.meter.Get(cycles.Aggr)) / 4; !row.In(perPkt) {
+		t.Errorf("aggr cycles/packet = %.0f, paper reports ~%v", perPkt, row.Paper)
 	}
 	e.freeOut()
 }

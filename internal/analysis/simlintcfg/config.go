@@ -34,6 +34,7 @@ var DeterministicPackages = []string{
 	"internal/netstack",
 	"internal/nic",
 	"internal/packet",
+	"internal/paper",
 	"internal/profile",
 	"internal/rss",
 	"internal/sim",

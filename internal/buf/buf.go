@@ -130,17 +130,6 @@ func (s *SKB) AppendFragAcks(dst []uint32) []uint32 {
 	return dst
 }
 
-// TotalPayloadLen returns the TCP payload bytes carried: the first frame's
-// payload (computed by the caller from headers) is not known here, so this
-// sums only the chained fragments; see netstack for full-length accounting.
-func (s *SKB) fragPayloadLen() int {
-	n := 0
-	for i := range s.Frags {
-		n += len(s.Frags[i].Data)
-	}
-	return n
-}
-
 // Stats counts allocator activity; the sim and tests use it to assert the
 // packet-vs-aggregate reduction factors.
 type Stats struct {

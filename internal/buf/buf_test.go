@@ -58,8 +58,8 @@ func TestAttachFrag(t *testing.T) {
 	if s.NetPackets != 20 {
 		t.Errorf("NetPackets = %d, want 20", s.NetPackets)
 	}
-	if got := s.fragPayloadLen(); got != 19*1448 {
-		t.Errorf("fragPayloadLen = %d, want %d", got, 19*1448)
+	if len(s.Frags) != 19 || len(s.Frags[18].Data) != 1448 {
+		t.Errorf("%d frags attached, want 19 of 1448 bytes", len(s.Frags))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/nic"
 	"repro/internal/packet"
+	"repro/internal/paper"
 	"repro/internal/tcpwire"
 )
 
@@ -153,8 +154,8 @@ func TestFlushForcesDelivery(t *testing.T) {
 
 func TestDefaultOptionsMatchPaper(t *testing.T) {
 	o := DefaultOptions()
-	if o.Aggregation.Limit != 20 {
-		t.Errorf("default Aggregation Limit = %d, paper chose 20 (§5.2)", o.Aggregation.Limit)
+	if chosen := paper.Get("fig11/chosen").Paper; float64(o.Aggregation.Limit) != chosen {
+		t.Errorf("default Aggregation Limit = %d, paper chose %v (§5.2)", o.Aggregation.Limit, chosen)
 	}
 	if !o.AckOffload {
 		t.Error("default must enable ACK offload (§4.3)")

@@ -3,13 +3,13 @@
 //
 // Calibration discipline: the constants below are set ONCE so that the
 // baseline uniprocessor profile reproduces the category shares of the
-// paper's Figure 3 (per-byte 17%, rx+tx 21%, buffer+non-proto 25%, driver
-// 21%, misc 16%) and the baseline throughput of Figure 7 (3452 Mb/s at CPU
-// saturation on a 3.0 GHz Xeon). Every other number the experiments report
-// (bench/rxperf/README.md keeps the baseline table) — the SMP and Xen
-// profiles, all optimized variants, the aggregation-limit sweep and the
-// scalability curve — is *emergent*: the event counts change with
-// the configuration, the unit costs never do.
+// paper's Figure 3 and the baseline throughput of Figure 7 at CPU
+// saturation on a 3.0 GHz Xeon. internal/paper holds those values and the
+// bands the calibration tests enforce. Every other number the experiments
+// report (bench/rxperf/README.md keeps the baseline table) — the SMP and
+// Xen profiles, all optimized variants, the aggregation-limit sweep and
+// the scalability curve — is *emergent*: the event counts change with the
+// configuration, the unit costs never do.
 //
 // Costs are expressed in CPU cycles. Fixed instruction-path costs are plain
 // constants; memory-dependent costs go through memmodel so that the prefetch

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/memmodel"
+	"repro/internal/paper"
 )
 
 func TestProfilesValidate(t *testing.T) {
@@ -50,23 +51,25 @@ func TestLockCost(t *testing.T) {
 	}
 }
 
+// checkRow fails t unless got lies in the band of the paper row key.
+func checkRow(t *testing.T, key string, got float64) {
+	t.Helper()
+	if row := paper.Get(key); !row.In(got) {
+		t.Errorf("%s = %.1f %s, want ~%v (band %v to %v)", row.Label, got, row.Unit, row.Paper, row.Lo, row.Hi)
+	}
+}
+
 func TestSMPLockCalibration(t *testing.T) {
-	// Paper §2.3: SMP raises rx by 62% and tx by 40% relative to UP.
+	// Paper §2.3 (Figure 4): SMP raises rx and tx relative to UP.
 	smp := NativeSMP()
 	rxBase := smp.IPRxFixed + smp.TCPRxSegment
 	rxExtra := smp.LockCost(smp.RxLockOps)
-	rxRatio := float64(rxExtra) / float64(rxBase)
-	if rxRatio < 0.55 || rxRatio > 0.70 {
-		t.Errorf("rx lock overhead ratio = %.2f, want ~0.62", rxRatio)
-	}
+	checkRow(t, "fig4/rx", 100*float64(rxExtra)/float64(rxBase))
 	// tx locks are charged per ACK; one ACK covers two data segments, so
 	// the per-data-packet tx base is half the per-ACK cost.
 	txBasePerAck := smp.TCPMakeAck + smp.IPTxFixed + smp.TxQueueFixed
 	txExtraPerAck := smp.LockCost(smp.TxLockOps)
-	txRatio := float64(txExtraPerAck) / float64(txBasePerAck)
-	if txRatio < 0.33 || txRatio > 0.47 {
-		t.Errorf("tx lock overhead ratio = %.2f, want ~0.40", txRatio)
-	}
+	checkRow(t, "fig4/tx", 100*float64(txExtraPerAck)/float64(txBasePerAck))
 }
 
 func TestDRAMLatencyScalesWithClock(t *testing.T) {
@@ -82,12 +85,9 @@ func TestDRAMLatencyScalesWithClock(t *testing.T) {
 
 func TestMACMoveCalibration(t *testing.T) {
 	// Paper §5.1: moving MAC processing (and its compulsory miss) out of
-	// the driver saves ~681 cycles/packet on the 3 GHz machine.
+	// the driver saves cycles/packet on the 3 GHz machine.
 	p := NativeUP()
-	saved := p.MACProcFixed + p.Mem.HeaderTouchCost()
-	if saved < 600 || saved > 760 {
-		t.Errorf("MAC move savings = %d cycles, want ~681", saved)
-	}
+	checkRow(t, "fig8/mac-move", float64(p.MACProcFixed+p.Mem.HeaderTouchCost()))
 }
 
 func TestXenProfileHasVirtCosts(t *testing.T) {
@@ -104,86 +104,54 @@ func TestXenProfileHasVirtCosts(t *testing.T) {
 	}
 }
 
+// baseline composes p's Original cost per packet under memory model mem,
+// as the live stack charges it: MSS-sized (1448 B) frames, one ACK per two
+// data segments.
+func baseline(p Params, mem memmodel.Params) (perByte, rxTx, bufferNonProto, driver, misc float64) {
+	rx := p.IPRxFixed + p.TCPRxSegment
+	tx := (p.TCPMakeAck + p.IPTxFixed + p.TxQueueFixed) / 2
+	buffer := p.SKBAlloc + p.SKBFree + p.DataBufPerFrame + (p.AckSKBAlloc+p.AckSKBFree)/2
+	nonProto := p.SoftirqPerPacket + p.NetfilterPerPacket + p.NonProtoOther
+	drv := p.DriverRxFixed + mem.RandomTouchCost(p.DriverDescLines) +
+		mem.HeaderTouchCost() + p.MACProcFixed + p.DriverTxPerPacket/2
+	return float64(mem.CopyCost(1448) + p.CopyFixed), float64(rx + tx), float64(buffer + nonProto),
+		float64(drv), float64(p.MiscPerPacket)
+}
+
 func TestBaselineUPFigure3Shares(t *testing.T) {
 	// Static calibration check against Figure 3: compose the baseline
 	// per-packet cost from the table, as the live stack will, and check
-	// the category shares. MSS-sized (1448 B) frames, one ACK per two
-	// data segments.
+	// the category shares.
 	p := NativeUP()
-	perByte := p.Mem.CopyCost(1448) + p.CopyFixed
-	rx := p.IPRxFixed + p.TCPRxSegment
-	txPerAck := p.TCPMakeAck + p.IPTxFixed + p.TxQueueFixed
-	tx := txPerAck / 2
-	buffer := p.SKBAlloc + p.SKBFree + p.DataBufPerFrame + (p.AckSKBAlloc+p.AckSKBFree)/2
-	nonProto := p.SoftirqPerPacket + p.NetfilterPerPacket + p.NonProtoOther
-	driver := p.DriverRxFixed + p.Mem.RandomTouchCost(p.DriverDescLines) +
-		p.Mem.HeaderTouchCost() + p.MACProcFixed + p.DriverTxPerPacket/2
-	misc := p.MiscPerPacket
+	perByte, rxTx, bufferNonProto, driver, misc := baseline(p, p.Mem)
+	total := perByte + rxTx + bufferNonProto + driver + misc
+	checkRow(t, "fig3/per-byte", 100*perByte/total)
+	checkRow(t, "fig3/rx-tx", 100*rxTx/total)
+	checkRow(t, "fig3/buffer-non-proto", 100*bufferNonProto/total)
+	checkRow(t, "fig3/driver", 100*driver/total)
+	checkRow(t, "fig3/misc", 100*misc/total)
 
-	total := float64(perByte + rx + tx + buffer + nonProto + driver + misc)
-	share := func(c uint64) float64 { return 100 * float64(c) / total }
-
-	checks := []struct {
-		name     string
-		got      float64
-		lo, hi   float64
-		paperVal float64
-	}{
-		{"per-byte", share(perByte), 13, 20, 17},
-		{"rx+tx", share(rx + tx), 18, 24, 21},
-		{"buffer+non-proto", share(buffer + nonProto), 22, 28, 25},
-		{"driver", share(driver), 18, 24, 21},
-		{"misc", share(misc), 13, 19, 16},
-	}
-	for _, c := range checks {
-		if c.got < c.lo || c.got > c.hi {
-			t.Errorf("%s share = %.1f%%, want %.0f%% (band %.0f-%.0f)",
-				c.name, c.got, c.paperVal, c.lo, c.hi)
-		}
-	}
-
-	// And the baseline throughput target: ~3452 Mb/s at saturation.
-	pps := p.ClockHz / total
-	mbps := pps * 1448 * 8 / 1e6
-	if mbps < 3300 || mbps > 3650 {
-		t.Errorf("baseline UP saturation throughput = %.0f Mb/s, want ~3452", mbps)
-	}
+	// And Figure 7's baseline throughput at saturation.
+	checkRow(t, "fig7/mbps/up-orig", p.ClockHz/total*1448*8/1e6)
 }
 
 func TestPrefetchShiftFigure1(t *testing.T) {
 	// The Figure 1 mechanism: on the 3.8 GHz machine, per-byte share must
-	// fall from ~52% (None) to <20% (Full) while per-packet rises to
-	// dominance.
+	// fall from most of the cost (None) to a minor share (Full) while
+	// per-packet rises to dominance.
 	p := NativeUP38()
-	perPacket := func(mem memmodel.Params) float64 {
-		rx := p.IPRxFixed + p.TCPRxSegment
-		tx := (p.TCPMakeAck + p.IPTxFixed + p.TxQueueFixed) / 2
-		buffer := p.SKBAlloc + p.SKBFree + p.DataBufPerFrame + (p.AckSKBAlloc+p.AckSKBFree)/2
-		nonProto := p.SoftirqPerPacket + p.NetfilterPerPacket + p.NonProtoOther
-		driver := p.DriverRxFixed + mem.RandomTouchCost(p.DriverDescLines) +
-			mem.HeaderTouchCost() + p.MACProcFixed + p.DriverTxPerPacket/2
-		return float64(rx + tx + buffer + nonProto + driver)
-	}
 	shares := map[memmodel.PrefetchMode][2]float64{}
 	for _, mode := range []memmodel.PrefetchMode{
 		memmodel.PrefetchNone, memmodel.PrefetchPartial, memmodel.PrefetchFull,
 	} {
-		mem := p.Mem.WithMode(mode)
-		pb := float64(mem.CopyCost(1448) + p.CopyFixed)
-		pp := perPacket(mem)
-		total := pb + pp + float64(p.MiscPerPacket)
-		shares[mode] = [2]float64{100 * pb / total, 100 * pp / total}
+		pb, rxTx, bufferNonProto, driver, misc := baseline(p, p.Mem.WithMode(mode))
+		pp := rxTx + bufferNonProto + driver
+		shares[mode] = [2]float64{100 * pb / (pb + pp + misc), 100 * pp / (pb + pp + misc)}
 	}
 	none, full := shares[memmodel.PrefetchNone], shares[memmodel.PrefetchFull]
-	if none[0] < 45 || none[0] > 58 {
-		t.Errorf("None per-byte share = %.1f%%, want ~52%%", none[0])
-	}
-	if full[0] > 20 {
-		t.Errorf("Full per-byte share = %.1f%%, want <=20%% (paper 14%%)", full[0])
-	}
-	if full[1] < 60 {
-		t.Errorf("Full per-packet share = %.1f%%, want >=60%% (paper ~70%%)", full[1])
-	}
+	checkRow(t, "fig1/none-per-byte", none[0])
+	checkRow(t, "fig1/full-per-byte", full[0])
+	checkRow(t, "fig1/full-per-packet", full[1])
 	if !(none[0] > shares[memmodel.PrefetchPartial][0] &&
 		shares[memmodel.PrefetchPartial][0] > full[0]) {
 		t.Error("per-byte share must decrease monotonically with prefetch aggressiveness")

@@ -13,6 +13,7 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/nic"
 	"repro/internal/packet"
+	"repro/internal/paper"
 	"repro/internal/tcpwire"
 )
 
@@ -145,8 +146,8 @@ func TestRawModeSavesDriverCycles(t *testing.T) {
 	if saved != want {
 		t.Errorf("per-frame driver savings = %d, want %d", saved, want)
 	}
-	if saved < 600 || saved > 760 {
-		t.Errorf("savings = %d cycles, paper reports ~681", saved)
+	if row := paper.Get("fig8/mac-move"); !row.In(float64(saved)) {
+		t.Errorf("savings = %d cycles, paper reports ~%v", saved, row.Paper)
 	}
 }
 

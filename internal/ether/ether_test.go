@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/paper"
 )
 
 func TestParsePutRoundTrip(t *testing.T) {
@@ -58,14 +60,14 @@ func TestAddrString(t *testing.T) {
 
 func TestWireOverheadConstant(t *testing.T) {
 	// 1538 bytes of wire time per 1500-byte MTU frame: the basis of the
-	// ~81,274 frames/s Gigabit packet rate the paper cites (§3.6).
+	// Gigabit packet rate the paper cites (§3.6).
 	frame := HeaderLen + MTU + PerFrameOverhead
 	if frame != 1538 {
 		t.Errorf("wire bytes per MTU frame = %d, want 1538", frame)
 	}
-	pps := 1e9 / 8 / float64(frame)
-	if pps < 81000 || pps > 81500 {
-		t.Errorf("gigabit MTU packet rate = %.0f, want ~81274", pps)
+	row := paper.Get("unit/gigabit-pps")
+	if pps := 1e9 / 8 / float64(frame); !row.In(pps) {
+		t.Errorf("gigabit MTU packet rate = %.0f, want ~%v", pps, row.Paper)
 	}
 }
 

@@ -47,7 +47,6 @@ func (r *steerRig) register(t *testing.T, k netstack.FlowKey) {
 	cfg := tcp.DefaultConfig()
 	cfg.LocalIP, cfg.RemoteIP = k.Dst, k.Src
 	cfg.LocalPort, cfg.RemotePort = k.DstPort, k.SrcPort
-	cfg.IRS = 1
 	if _, _, err := r.fe.OpenEndpoint(cfg, func() uint64 { return 0 }, k.Src, k.Dst, k.SrcPort, k.DstPort); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/nic"
 	"repro/internal/packet"
+	"repro/internal/paper"
 	"repro/internal/tcp"
 	"repro/internal/tcpwire"
 )
@@ -228,16 +229,18 @@ func TestOptimizedCyclesPerPacketLower(t *testing.T) {
 	if optCyc >= baseCyc {
 		t.Fatalf("optimized %.0f cycles/pkt >= baseline %.0f", optCyc, baseCyc)
 	}
-	improvement := baseCyc/optCyc - 1
-	if improvement < 0.30 {
-		t.Errorf("improvement = %.0f%%, want >=30%% (paper: 45%% CPU-scaled)", improvement*100)
+	gain := paper.Get("unit/cpu-scaled-up")
+	if improvement := (baseCyc/optCyc - 1) * 100; !gain.In(improvement) {
+		t.Errorf("improvement = %.0f%%, want >=%v%% (paper: %v%% CPU-scaled)",
+			improvement, gain.Lo, paper.Get("fig7/cpu-scaled/up").Paper)
 	}
-	// Per-packet categories must fall by a large factor (paper: 4.3x).
+	// Per-packet categories must fall by a large factor.
 	pp := func(m *cycles.Meter) float64 {
 		return float64(m.Sum(cycles.PerPacketCategories...)) / n
 	}
-	if ratio := pp(base.meter) / pp(opt.meter); ratio < 3 {
-		t.Errorf("per-packet category reduction = %.1fx, want >=3x", ratio)
+	cut := paper.Get("fig8/per-packet")
+	if ratio := pp(base.meter) / pp(opt.meter); !cut.In(ratio) {
+		t.Errorf("per-packet category reduction = %.1fx, want >=%vx (paper: %vx)", ratio, cut.Lo, cut.Paper)
 	}
 	// Per-byte costs must be (nearly) unchanged.
 	pb := func(m *cycles.Meter) float64 { return float64(m.Get(cycles.PerByte)) / n }

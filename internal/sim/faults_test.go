@@ -134,12 +134,10 @@ func TestSequenceWraparound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild the connection with ISS near the wrap point.
-	// (Simplest: run the standard topology but verify the endpoint's
-	// math on a synthetic wrap via direct segments is covered in
-	// internal/tcp; here we check the full path keeps flowing when the
-	// sim runs long enough for seq to advance past 2^31 is infeasible,
-	// so instead assert the helpers directly.)
+	// A run cannot advance the sequence past 2^31 in feasible time, and
+	// every connection starts at sequence 1: the endpoint's wrap math is
+	// tested on synthetic segments in internal/tcp. Here the full path
+	// must keep flowing.
 	top.sim.RunUntil(cfg.WarmupNs + cfg.DurationNs)
 	if appBytes(top.machine) == 0 {
 		t.Fatal("stream stalled")

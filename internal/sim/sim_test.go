@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/nic"
+	"repro/internal/paper"
 )
 
 func TestSimEventOrdering(t *testing.T) {
@@ -88,236 +92,139 @@ func shortStream(sys SystemKind, opt OptLevel) StreamConfig {
 	return cfg
 }
 
-// TestFig7Throughputs checks the headline Figure 7 result shapes: absolute
-// throughputs near the paper's values and the right winners.
-func TestFig7Throughputs(t *testing.T) {
-	type band struct{ lo, hi float64 }
-	cases := []struct {
-		sys   SystemKind
-		opt   OptLevel
-		tput  band
-		paper float64
-	}{
-		{SystemNativeUP, OptNone, band{3200, 3700}, 3452},
-		{SystemNativeUP, OptFull, band{4500, 4800}, 4660},
-		{SystemNativeSMP, OptNone, band{2700, 3200}, 2988},
-		{SystemNativeSMP, OptFull, band{4500, 4800}, 4660},
-		{SystemXen, OptNone, band{900, 1250}, 1088},
-		{SystemXen, OptFull, band{1700, 2200}, 1877},
-	}
-	for _, tc := range cases {
-		res, err := RunStream(shortStream(tc.sys, tc.opt))
-		if err != nil {
-			t.Fatalf("%v/%v: %v", tc.sys, tc.opt, err)
-		}
-		if res.ThroughputMbps < tc.tput.lo || res.ThroughputMbps > tc.tput.hi {
-			t.Errorf("%v/%v: throughput %.0f Mb/s outside band [%.0f, %.0f] (paper %.0f)",
-				tc.sys, tc.opt, res.ThroughputMbps, tc.tput.lo, tc.tput.hi, tc.paper)
-		}
-	}
-}
-
-func TestFig7OptimizedSaturatesNICsNotCPU(t *testing.T) {
-	// Paper: the optimized native systems saturate all five links at
-	// ~93% CPU; the baselines saturate the CPU instead.
-	res, err := RunStream(shortStream(SystemNativeUP, OptFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ThroughputMbps < res.LinkLimitedMbps*0.98 {
-		t.Errorf("optimized UP not link-limited: %.0f of %.0f Mb/s",
-			res.ThroughputMbps, res.LinkLimitedMbps)
-	}
-	if res.CPUUtil > 0.97 {
-		t.Errorf("optimized UP CPU util = %.2f, want <0.97 (paper 0.93)", res.CPUUtil)
-	}
-	base, err := RunStream(shortStream(SystemNativeUP, OptNone))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.CPUUtil < 0.97 {
-		t.Errorf("baseline UP CPU util = %.2f, want saturation", base.CPUUtil)
-	}
-	if base.ThroughputMbps > base.LinkLimitedMbps*0.9 {
-		t.Errorf("baseline UP should be CPU-bound well below link rate")
-	}
-}
-
-func TestCPUScaledGains(t *testing.T) {
-	// CPU-scaled gains (cycles-per-packet ratios): paper reports +45%
-	// (UP), +67% (SMP), +86% (Xen) for the full optimizations.
-	cases := []struct {
-		sys          SystemKind
-		lo, hi       float64
-		paperPercent float64
-	}{
-		{SystemNativeUP, 1.35, 1.65, 45},
-		{SystemNativeSMP, 1.45, 1.80, 67},
-		{SystemXen, 1.70, 2.15, 86},
-	}
-	for _, tc := range cases {
-		base, err := RunStream(shortStream(tc.sys, OptNone))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := RunStream(shortStream(tc.sys, OptFull))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gain := base.CyclesPerPacket / opt.CyclesPerPacket
-		if gain < tc.lo || gain > tc.hi {
-			t.Errorf("%v: CPU-scaled gain %.2fx outside [%.2f, %.2f] (paper +%.0f%%)",
-				tc.sys, gain, tc.lo, tc.hi, tc.paperPercent)
-		}
-	}
-}
-
-func TestRAOnlyAblation(t *testing.T) {
-	// §5.1: aggregation alone gains +26/36/45% with CPU still saturated.
-	for _, tc := range []struct {
-		sys    SystemKind
-		lo, hi float64
-	}{
-		{SystemNativeUP, 1.20, 1.45},
-		{SystemNativeSMP, 1.30, 1.55},
-		{SystemXen, 1.30, 1.60},
-	} {
-		base, err := RunStream(shortStream(tc.sys, OptNone))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ra, err := RunStream(shortStream(tc.sys, OptAggregation))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gain := ra.ThroughputMbps / base.ThroughputMbps
-		if gain < tc.lo || gain > tc.hi {
-			t.Errorf("%v: RA-only gain %.2fx outside [%.2f, %.2f]", tc.sys, gain, tc.lo, tc.hi)
-		}
-		if ra.CPUUtil < 0.95 {
-			t.Errorf("%v: RA-only should stay CPU-saturated (util %.2f)", tc.sys, ra.CPUUtil)
-		}
-		full, err := RunStream(shortStream(tc.sys, OptFull))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.CyclesPerPacket >= ra.CyclesPerPacket {
-			t.Errorf("%v: ACK offload adds no benefit over RA alone", tc.sys)
-		}
-	}
-}
-
-func TestAggregationFactorNearLimit(t *testing.T) {
-	res, err := RunStream(shortStream(SystemNativeUP, OptFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AggFactor < 10 || res.AggFactor > 20 {
-		t.Errorf("aggregation factor = %.1f, want 10-20 under bulk load", res.AggFactor)
-	}
-}
-
-func TestFig11LimitSweepShape(t *testing.T) {
-	// Figure 11: cycles/packet falls steeply then flattens (x + y/k);
-	// limit 1 must not degrade versus baseline (§5.5).
-	limits := []int{1, 2, 5, 10, 20, 35}
-	var cycles []float64
-	for _, lim := range limits {
-		cfg := shortStream(SystemNativeUP, OptFull)
-		cfg.AggLimit = lim
-		res, err := RunStream(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cycles = append(cycles, res.CyclesPerPacket)
-	}
-	base, err := RunStream(shortStream(SystemNativeUP, OptNone))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Limit 1: within 6% of baseline either way (§5.5: no degradation).
-	if ratio := cycles[0] / base.CyclesPerPacket; ratio > 1.06 {
-		t.Errorf("limit 1 degrades: %.0f vs baseline %.0f cycles/pkt",
-			cycles[0], base.CyclesPerPacket)
-	}
-	// Monotone non-increasing (within noise).
-	for i := 1; i < len(cycles); i++ {
-		if cycles[i] > cycles[i-1]*1.03 {
-			t.Errorf("cycles rose from limit %d (%.0f) to %d (%.0f)",
-				limits[i-1], cycles[i-1], limits[i], cycles[i])
-		}
-	}
-	// Steep then flat: the 1->10 drop dwarfs the 20->35 change.
-	bigDrop := cycles[0] - cycles[3]
-	tailDrop := cycles[4] - cycles[5]
-	if bigDrop < 5*tailDrop {
-		t.Errorf("no knee: drop(1->10)=%.0f, drop(20->35)=%.0f", bigDrop, tailDrop)
-	}
-}
+// The paper's evaluation is checked against internal/paper: each test
+// below checks the rows under its key prefix, computing each row's value
+// from runs that every test shares, so each configuration runs once.
+func TestFig7Throughputs(t *testing.T)                  { checkPaperRows(t, "fig7/mbps/") }
+func TestFig7OptimizedSaturatesNICsNotCPU(t *testing.T) { checkPaperRows(t, "fig7/bound/") }
+func TestCPUScaledGains(t *testing.T)                   { checkPaperRows(t, "fig7/cpu-scaled/") }
+func TestRAOnlyAblation(t *testing.T)                   { checkPaperRows(t, "fig7/ra/") }
+func TestAggregationFactorNearLimit(t *testing.T)       { checkPaperRows(t, "fig8/agg-factor") }
+func TestFig11LimitSweepShape(t *testing.T)             { checkPaperRows(t, "fig11/") }
+func TestTable1RequestResponse(t *testing.T)            { checkPaperRows(t, "table1/") }
 
 func TestFig12ScalabilityShape(t *testing.T) {
-	// Figure 12: at hundreds of connections the optimized SMP system
-	// still beats the baseline by >=40%.
 	if testing.Short() {
 		t.Skip("multi-connection sweep is slow")
 	}
-	for _, conns := range []int{5, 100, 400} {
-		baseCfg := shortStream(SystemNativeSMP, OptNone)
-		baseCfg.Connections = conns
-		base, err := RunStream(baseCfg)
-		if err != nil {
-			t.Fatal(err)
+	checkPaperRows(t, "fig12/")
+}
+
+// checkPaperRows checks every banded row under prefix, and fails on a
+// banded row no metric computes.
+func checkPaperRows(t *testing.T, prefix string) {
+	for _, row := range paper.Rows {
+		if !strings.HasPrefix(row.Key, prefix) || !row.Checked() {
+			continue
 		}
-		optCfg := shortStream(SystemNativeSMP, OptFull)
-		optCfg.Connections = conns
-		opt, err := RunStream(optCfg)
-		if err != nil {
-			t.Fatal(err)
+		metric, ok := paperMetrics[row.Key]
+		if !ok {
+			t.Errorf("%s: no metric computes this row", row.Key)
+			continue
 		}
-		gain := opt.ThroughputMbps / base.ThroughputMbps
-		if gain < 1.40 {
-			t.Errorf("%d conns: optimized gain %.2fx, want >=1.40x (paper: 40%% at 400)",
-				conns, gain)
-		}
-		if conns >= 100 && opt.AggFactor < 5 {
-			t.Errorf("%d conns: aggregation collapsed to %.1f", conns, opt.AggFactor)
+		got := metric(t)
+		t.Logf("%s = %.3f", row.Key, got)
+		if !row.In(got) {
+			t.Errorf("%s (%s): %.2f %s outside band [%v, %v]", row.Key, row.Label, got, row.Unit, row.Lo, row.Hi)
 		}
 	}
 }
 
-func TestTable1RequestResponse(t *testing.T) {
-	// Table 1: ~7900 req/s native, lower on Xen, and the optimizations
-	// change the rate by well under 1%.
-	type result struct{ orig, opt float64 }
-	get := func(sys SystemKind) result {
-		cfg := DefaultRRConfig(sys, OptNone)
-		cfg.DurationNs = 200_000_000
-		o, err := RunRR(cfg)
+// paperRuns memoizes the runs the paper rows read, by resolved config.
+var paperRuns = map[string]StreamResult{}
+
+// paperRun is the stream run of sys at opt with the given Aggregation Limit
+// and connection count (0 for the defaults).
+func paperRun(t *testing.T, sys SystemKind, opt OptLevel, limit, conns int) StreamResult {
+	cfg := shortStream(sys, opt)
+	cfg.AggLimit, cfg.Connections = limit, conns
+	key := fmt.Sprintf("%+v", cfg.Resolved())
+	if _, ok := paperRuns[key]; !ok {
+		res, err := RunStream(cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v/%v limit %d conns %d: %v", sys, opt, limit, conns, err)
 		}
-		cfg.Opt = OptFull
-		f, err := RunRR(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return result{o.RequestsPerSec, f.RequestsPerSec}
+		paperRuns[key] = res
 	}
-	up := get(SystemNativeUP)
-	if up.orig < 7500 || up.orig > 8300 {
-		t.Errorf("UP RR = %.0f req/s, want ~7874", up.orig)
-	}
-	if d := up.opt/up.orig - 1; d < -0.01 || d > 0.01 {
-		t.Errorf("UP RR impact = %+.2f%%, want within 1%%", d*100)
-	}
-	xen := get(SystemXen)
-	if xen.orig >= up.orig {
-		t.Error("Xen RR should be slower than native (extra processing latency)")
-	}
-	if d := xen.opt/xen.orig - 1; d < -0.01 || d > 0.01 {
-		t.Errorf("Xen RR impact = %+.2f%%, want within 1%%", d*100)
-	}
+	return paperRuns[key]
 }
+
+// rr is Table 1's request rate of sys at opt over 200 ms.
+func rr(t *testing.T, sys SystemKind, opt OptLevel) float64 {
+	key := fmt.Sprint("rr ", sys, opt)
+	if _, ok := paperRuns[key]; !ok {
+		cfg := DefaultRRConfig(sys, opt)
+		cfg.DurationNs = 200_000_000
+		res, err := RunRR(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paperRuns[key] = StreamResult{ThroughputMbps: res.RequestsPerSec}
+	}
+	return paperRuns[key].ThroughputMbps
+}
+
+// pct is a over b as a percentage change.
+func pct(a, b float64) float64 { return (a/b - 1) * 100 }
+
+// paperMetrics computes the simulator's value of each row checked here.
+var paperMetrics = func() map[string]func(*testing.T) float64 {
+	up, smp, xen, none, ra, full := SystemNativeUP, SystemNativeSMP, SystemXen, OptNone, OptAggregation, OptFull
+	linkShare := func(r StreamResult) float64 { return 100 * r.ThroughputMbps / r.LinkLimitedMbps }
+	cycles := func(t *testing.T, limit int) float64 { return paperRun(t, up, full, limit, 0).CyclesPerPacket }
+	lead := func(t *testing.T, conns int) float64 {
+		return pct(paperRun(t, smp, full, 0, conns).ThroughputMbps, paperRun(t, smp, none, 0, conns).ThroughputMbps)
+	}
+	m := map[string]func(*testing.T) float64{
+		"fig7/bound/opt-link":  func(t *testing.T) float64 { return linkShare(paperRun(t, up, full, 0, 0)) },
+		"fig7/bound/opt-util":  func(t *testing.T) float64 { return 100 * paperRun(t, up, full, 0, 0).CPUUtil },
+		"fig7/bound/orig-util": func(t *testing.T) float64 { return 100 * paperRun(t, up, none, 0, 0).CPUUtil },
+		"fig7/bound/orig-link": func(t *testing.T) float64 { return linkShare(paperRun(t, up, none, 0, 0)) },
+		"fig7/ra/util": func(t *testing.T) float64 {
+			return 100 * min(paperRun(t, up, ra, 0, 0).CPUUtil, paperRun(t, smp, ra, 0, 0).CPUUtil, paperRun(t, xen, ra, 0, 0).CPUUtil)
+		},
+		"fig7/ra/ack-offload": func(t *testing.T) float64 {
+			saved := func(sys SystemKind) float64 {
+				return pct(paperRun(t, sys, full, 0, 0).CyclesPerPacket, paperRun(t, sys, ra, 0, 0).CyclesPerPacket)
+			}
+			return max(saved(up), saved(smp), saved(xen))
+		},
+		"fig8/agg-factor": func(t *testing.T) float64 { return paperRun(t, up, full, 0, 0).AggFactor },
+		"fig11/limit1":    func(t *testing.T) float64 { return pct(cycles(t, 1), paperRun(t, up, none, 0, 0).CyclesPerPacket) },
+		"fig11/monotone": func(t *testing.T) float64 {
+			rise, limits := math.Inf(-1), []int{1, 2, 5, 10, 20, 35}
+			for i := 1; i < len(limits); i++ {
+				rise = max(rise, pct(cycles(t, limits[i]), cycles(t, limits[i-1])))
+			}
+			return rise
+		},
+		// The drop from limit 20 to 35 as a share of the drop from 1 to 10.
+		"fig11/knee": func(t *testing.T) float64 {
+			if cycles(t, 1) <= cycles(t, 10) {
+				return math.Inf(1)
+			}
+			return 100 * (cycles(t, 20) - cycles(t, 35)) / (cycles(t, 1) - cycles(t, 10))
+		},
+		"fig12/lead-400":   func(t *testing.T) float64 { return lead(t, 400) },
+		"fig12/lead-fewer": func(t *testing.T) float64 { return min(lead(t, 5), lead(t, 100)) },
+		"fig12/agg": func(t *testing.T) float64 {
+			return min(paperRun(t, smp, full, 0, 100).AggFactor, paperRun(t, smp, full, 0, 400).AggFactor)
+		},
+		"table1/up-orig":    func(t *testing.T) float64 { return rr(t, up, none) },
+		"table1/up-impact":  func(t *testing.T) float64 { return pct(rr(t, up, full), rr(t, up, none)) },
+		"table1/xen-impact": func(t *testing.T) float64 { return pct(rr(t, xen, full), rr(t, xen, none)) },
+		"table1/xen-slower": func(t *testing.T) float64 { return pct(rr(t, xen, none), rr(t, up, none)) },
+	}
+	for i, name := range []string{"up", "smp", "xen"} {
+		sys := []SystemKind{up, smp, xen}[i]
+		at := func(t *testing.T, opt OptLevel) StreamResult { return paperRun(t, sys, opt, 0, 0) }
+		m["fig7/mbps/"+name+"-orig"] = func(t *testing.T) float64 { return at(t, none).ThroughputMbps }
+		m["fig7/mbps/"+name+"-opt"] = func(t *testing.T) float64 { return at(t, full).ThroughputMbps }
+		m["fig7/ra/"+name] = func(t *testing.T) float64 { return pct(at(t, ra).ThroughputMbps, at(t, none).ThroughputMbps) }
+		m["fig7/cpu-scaled/"+name] = func(t *testing.T) float64 { return pct(at(t, none).CyclesPerPacket, at(t, full).CyclesPerPacket) }
+	}
+	return m
+}()
 
 func TestRRNoAggregationDelay(t *testing.T) {
 	// Work conservation: one-packet-at-a-time traffic must never wait

@@ -150,7 +150,7 @@ func (sc *stormController) reconnect(v flowRecord) {
 		}
 		ns := top.machine.Stack
 		newTS := uint32(top.sim.Now() / 1_000_000)
-		isn := tcp.DefaultConfig().ISS
+		const isn = 1 // every tcp endpoint starts its sequence at 1
 		switch ns.ReuseTimeWait(v.senderIP, v.rcvIP, v.sPort, v.rPort, isn, newTS) {
 		case netstack.ReuseRefused:
 			sc.retry(v)

@@ -43,12 +43,12 @@ func TestSlowStartGrowth(t *testing.T) {
 		t.Fatalf("initial cwnd = %d", env.ep.Cwnd())
 	}
 	pump(t, env, 2)
-	env.ep.Input(ackSeg(env.ep.cfg.ISS + uint32(2*mssB)))
+	env.ep.Input(ackSeg(iss + uint32(2*mssB)))
 	// One ACK in slow start: cwnd += MSS.
 	if got, want := env.ep.Cwnd(), 3*mssB; got != want {
 		t.Errorf("cwnd after 1 ack = %d, want %d", got, want)
 	}
-	if env.ep.SndUna() != env.ep.cfg.ISS+uint32(2*mssB) {
+	if env.ep.SndUna() != iss+uint32(2*mssB) {
 		t.Errorf("sndUna = %d", env.ep.SndUna())
 	}
 }
@@ -59,7 +59,7 @@ func TestCongestionAvoidanceGrowth(t *testing.T) {
 	env.ep.ssthresh = 2 * mssB // force CA immediately
 	pump(t, env, 2)
 	before := env.ep.Cwnd()
-	env.ep.Input(ackSeg(env.ep.cfg.ISS + uint32(mssB)))
+	env.ep.Input(ackSeg(iss + uint32(mssB)))
 	got := env.ep.Cwnd() - before
 	want := mssB * mssB / before
 	if got != want {
@@ -77,7 +77,7 @@ func TestWindowLimitsSending(t *testing.T) {
 	if f := env.ep.NextDataFrame(0); f != nil {
 		t.Error("frame sent beyond window")
 	}
-	env.ep.Input(ackSeg(env.ep.cfg.ISS + uint32(mssB)))
+	env.ep.Input(ackSeg(iss + uint32(mssB)))
 	if !env.ep.HasDataToSend() {
 		t.Error("window should reopen after ACK")
 	}
@@ -214,14 +214,14 @@ func TestDataFrameContents(t *testing.T) {
 	}
 	f := env.ep.NextDataFrame(0)
 	p := mustParse(t, f)
-	if p.TCP.Seq != env.ep.cfg.ISS {
+	if p.TCP.Seq != iss {
 		t.Errorf("seq = %d, want ISS", p.TCP.Seq)
 	}
 	if len(p.Payload) != env.ep.cfg.MSS {
 		t.Errorf("payload = %d, want MSS", len(p.Payload))
 	}
 	for i, b := range p.Payload[:16] {
-		if b != byte(env.ep.cfg.ISS+uint32(i)) {
+		if b != byte(iss+uint32(i)) {
 			t.Fatalf("payload byte %d = %d, not from Source", i, b)
 		}
 	}

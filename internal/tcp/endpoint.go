@@ -55,8 +55,6 @@ type Config struct {
 	DelAckSegments int
 	// AckOffload emits ACK runs as template SKBs (§4).
 	AckOffload bool
-	// ISS and IRS are the initial local and remote sequence numbers.
-	ISS, IRS uint32
 	// SACK enables selective acknowledgments (RFC 2018): the receive
 	// side generates up to three blocks from the out-of-order queue,
 	// the send side keeps a scoreboard over the retransmission list
@@ -90,6 +88,8 @@ const (
 	delAckTimeoutNs = 40_000_000
 	// initialCwnd is the initial congestion window in segments.
 	initialCwnd = 10
+	// iss and irs are the initial local and remote sequence numbers.
+	iss, irs = 1, 1
 )
 
 // DefaultConfig returns a config with Linux-2.6.16-like defaults for the
@@ -98,8 +98,6 @@ func DefaultConfig() Config {
 	return Config{
 		MSS:            1448,
 		DelAckSegments: 2,
-		ISS:            1,
-		IRS:            1,
 	}
 }
 
@@ -317,9 +315,9 @@ func (e *Endpoint) Reset(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf
 		params:      p,
 		alloc:       alloc,
 		clock:       clock,
-		rcvNxt:      cfg.IRS,
-		sndUna:      cfg.ISS,
-		sndNxt:      cfg.ISS,
+		rcvNxt:      irs,
+		sndUna:      iss,
+		sndNxt:      iss,
 		cwnd:        initialCwnd * cfg.MSS,
 		ssthresh:    1 << 30,
 		sndWnd:      rcvWnd,

@@ -114,7 +114,6 @@ func TestResetMatchesNew(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.LocalPort, cfg.RemotePort = 44001, 5002
-	cfg.ISS, cfg.IRS = 7, 9
 	cfg.AckOffload = true
 	clock := func() uint64 { return env.now }
 

@@ -26,7 +26,7 @@ func (e *Endpoint) SetAppLimit(n uint64) { e.appLimited = n }
 // on loss like data, and completing teardown when the peer's final ACK
 // covers it (the teardown half of connection churn workloads).
 func (e *Endpoint) AppClose() {
-	e.appLimited = uint64(e.sndNxt - e.cfg.ISS)
+	e.appLimited = uint64(e.sndNxt - iss)
 	e.closeReq = true
 }
 
@@ -35,7 +35,7 @@ func (e *Endpoint) AppClose() {
 // the FIN has not been sent yet.
 func (e *Endpoint) finPending() bool {
 	return e.closeReq && !e.finSent &&
-		e.appLimited != ^uint64(0) && uint64(e.sndNxt-e.cfg.ISS) >= e.appLimited
+		e.appLimited != ^uint64(0) && uint64(e.sndNxt-iss) >= e.appLimited
 }
 
 // AppWrite makes n more bytes available for sending (request/response
@@ -283,7 +283,7 @@ func (e *Endpoint) SendWindowAvail() int {
 		return 0
 	}
 	if e.appLimited != ^uint64(0) {
-		if remaining := int64(e.appLimited) - int64(e.sndNxt-e.cfg.ISS); remaining < int64(avail) {
+		if remaining := int64(e.appLimited) - int64(e.sndNxt-iss); remaining < int64(avail) {
 			if remaining < 0 {
 				return 0
 			}

@@ -334,7 +334,7 @@ func TestCwndEquivalencePerFragmentAcks(t *testing.T) {
 
 	// Individual ACK packets.
 	plain := setup()
-	ackBase := plain.ep.cfg.ISS
+	ackBase := uint32(iss)
 	for i := 1; i <= 6; i++ {
 		a := ackBase + uint32(i*2*1448)
 		plain.ep.Input(Segment{
@@ -536,13 +536,14 @@ func mustParse(t *testing.T, frame []byte) parsedFrame {
 }
 
 func TestSequenceWraparoundReceive(t *testing.T) {
-	// IRS just below the 2^32 wrap: in-order delivery must continue
-	// seamlessly across it (wraparound-safe comparisons).
-	iss := uint32(0xFFFFFFFF - 2000)
-	env := newEnv(t, func(c *Config) { c.IRS = iss })
+	// Receive sequence just below the 2^32 wrap: in-order delivery must
+	// continue seamlessly across it (wraparound-safe comparisons).
+	start := uint32(0xFFFFFFFF - 2000)
+	env := newEnv(t, nil)
+	env.ep.rcvNxt = start
 	var got bytes.Buffer
 	env.ep.AppSink = func(b []byte) { got.Write(b) }
-	seq := iss
+	seq := start
 	total := 0
 	for i := 0; i < 5; i++ { // crosses the wrap on segment 2
 		env.ep.Input(dataSeg(seq, 1, mss(1448)))
@@ -552,8 +553,8 @@ func TestSequenceWraparoundReceive(t *testing.T) {
 	if env.ep.Stats().BytesToApp != uint64(total) {
 		t.Errorf("BytesToApp = %d, want %d across wrap", env.ep.Stats().BytesToApp, total)
 	}
-	if env.ep.RcvNxt() != iss+uint32(total) {
-		t.Errorf("RcvNxt = %d, want %d", env.ep.RcvNxt(), iss+uint32(total))
+	if env.ep.RcvNxt() != start+uint32(total) {
+		t.Errorf("RcvNxt = %d, want %d", env.ep.RcvNxt(), start+uint32(total))
 	}
 	if env.ep.Stats().DupSegs != 0 || env.ep.Stats().OOOSegs != 0 {
 		t.Error("wraparound misclassified in-order segments")
@@ -562,14 +563,15 @@ func TestSequenceWraparoundReceive(t *testing.T) {
 }
 
 func TestSequenceWraparoundAggregated(t *testing.T) {
-	iss := uint32(0xFFFFFFFF - 700)
-	env := newEnv(t, func(c *Config) { c.IRS = iss })
+	start := uint32(0xFFFFFFFF - 700)
+	env := newEnv(t, nil)
+	env.ep.rcvNxt = start
 	payloads := [][]byte{mss(1448), mss(1448)} // second crosses wrap
-	env.ep.Input(aggSeg(iss, payloads, []uint32{1, 1}))
+	env.ep.Input(aggSeg(start, payloads, []uint32{1, 1}))
 	if env.ep.Stats().BytesToApp != 2896 {
 		t.Errorf("BytesToApp = %d across aggregated wrap", env.ep.Stats().BytesToApp)
 	}
-	if env.ep.RcvNxt() != iss+2896 {
+	if env.ep.RcvNxt() != start+2896 {
 		t.Errorf("RcvNxt = %d", env.ep.RcvNxt())
 	}
 	env.freeOut()

@@ -81,23 +81,6 @@ func (h *Histogram) Add(v, n uint64) {
 	}
 }
 
-// Merge accumulates o into h. Bucket counts, totals and maxima are plain
-// uint64 sums/maxima, so merging is commutative and associative: any merge
-// order produces the bit-identical histogram.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	for i := range o.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.count }
 

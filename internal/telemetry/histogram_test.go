@@ -70,50 +70,6 @@ func TestQuantileErrorBounds(t *testing.T) {
 	}
 }
 
-// TestMergeAssociativity: merging shards in any grouping or order yields
-// the bit-identical histogram, and the merged sum/count equal the shard
-// sums exactly.
-func TestMergeAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	shards := make([]Histogram, 4)
-	var wantCount, wantSum uint64
-	for i := range shards {
-		for j := 0; j < 5000; j++ {
-			v := uint64(rng.Int63n(1 << 30))
-			shards[i].Record(v)
-			wantCount++
-			wantSum += v
-		}
-	}
-	// (((a+b)+c)+d)
-	var left Histogram
-	for i := range shards {
-		left.Merge(&shards[i])
-	}
-	// (d+(c+(b+a)))
-	var right Histogram
-	for i := len(shards) - 1; i >= 0; i-- {
-		right.Merge(&shards[i])
-	}
-	// ((a+b)+(c+d))
-	var ab, cd, grouped Histogram
-	ab.Merge(&shards[0])
-	ab.Merge(&shards[1])
-	cd.Merge(&shards[2])
-	cd.Merge(&shards[3])
-	grouped.Merge(&ab)
-	grouped.Merge(&cd)
-	if !reflect.DeepEqual(left, right) || !reflect.DeepEqual(left, grouped) {
-		t.Fatal("merge order changed the merged histogram")
-	}
-	if left.Count() != wantCount || left.Sum() != wantSum {
-		t.Fatalf("merged count/sum %d/%d != exact %d/%d", left.Count(), left.Sum(), wantCount, wantSum)
-	}
-	if left.Summarize() != right.Summarize() {
-		t.Fatal("summaries differ across merge orders")
-	}
-}
-
 // TestWeightedAdd: Add(v, n) is exactly n Records of v.
 func TestWeightedAdd(t *testing.T) {
 	var a, b Histogram

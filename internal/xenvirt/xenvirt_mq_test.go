@@ -44,12 +44,11 @@ func newMQRig(t *testing.T, mode frontend.Mode, queues int) *mqRig {
 }
 
 // addFlow registers a guest endpoint for senderPort and returns it.
-func (r *mqRig) addFlow(t *testing.T, senderPort uint16, irs uint32) *tcp.Endpoint {
+func (r *mqRig) addFlow(t *testing.T, senderPort uint16) *tcp.Endpoint {
 	t.Helper()
 	tcfg := tcp.DefaultConfig()
 	tcfg.LocalIP, tcfg.RemoteIP = guestIP, senderIP
 	tcfg.LocalPort, tcfg.RemotePort = 44000, senderPort
-	tcfg.IRS = irs
 	ep, err := tcp.New(tcfg, &r.m.Meter, &r.m.Params, r.m.Alloc, func() uint64 { return r.now })
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +125,8 @@ func TestMultiQueueChannelDelivery(t *testing.T) {
 		r := newMQRig(t, mode, 2)
 		p0 := portOnQueue(0, 2)
 		p1 := portOnQueue(1, 2)
-		ep0 := r.addFlow(t, p0, 1)
-		ep1 := r.addFlow(t, p1, 1)
+		ep0 := r.addFlow(t, p0)
+		ep1 := r.addFlow(t, p1)
 		r.inject(t, p0, 1, 20)
 		r.inject(t, p1, 1, 20)
 
@@ -168,7 +167,7 @@ func TestEndpointChurnReconnect(t *testing.T) {
 	// channel), then reconnect on the same four-tuple.
 	r := newMQRig(t, frontend.ModeOptimized, 2)
 	port := portOnQueue(1, 2)
-	ep := r.addFlow(t, port, 1)
+	ep := r.addFlow(t, port)
 	seq := r.inject(t, port, 1, 10)
 	r.pumpAll()
 	if got := ep.Stats().BytesToApp; got != 10*1448 {
@@ -178,7 +177,7 @@ func TestEndpointChurnReconnect(t *testing.T) {
 	// Frames arrive, then the endpoint unregisters before the softirq
 	// round drains them: they must be dropped at demux (NoSocket) and
 	// freed, not delivered or leaked.
-	seq = r.inject(t, port, seq, 10)
+	r.inject(t, port, seq, 10)
 	r.m.UnregisterEndpoint(senderIP, guestIP, port, 44000)
 	r.pumpAll()
 	if got := ep.Stats().BytesToApp; got != 10*1448 {
@@ -192,9 +191,9 @@ func TestEndpointChurnReconnect(t *testing.T) {
 	}
 
 	// Reconnect: a fresh endpoint on the same four-tuple (new
-	// connection, same addressing) picks up where the wire is.
-	ep2 := r.addFlow(t, port, seq)
-	r.inject(t, port, seq, 10)
+	// connection, same addressing) starts over at sequence 1.
+	ep2 := r.addFlow(t, port)
+	r.inject(t, port, 1, 10)
 	r.pumpAll()
 	if got := ep2.Stats().BytesToApp; got != 10*1448 {
 		t.Errorf("reconnected endpoint delivered %d bytes, want %d", got, 10*1448)
@@ -213,7 +212,7 @@ func TestCrossVCPUChannelDrain(t *testing.T) {
 	// channel 1.
 	r := newMQRig(t, frontend.ModeBaseline, 2)
 	port := portOnQueue(0, 2)
-	ep := r.addFlow(t, port, 1)
+	ep := r.addFlow(t, port)
 	r.inject(t, port, 1, 1)
 	r.m.SteerBucket(rss.Bucket(rss.HashTCP4(senderIP, guestIP, port, 44000)), 1)
 
@@ -237,7 +236,7 @@ func TestSingleQueueChannelAccounting(t *testing.T) {
 	// Queues=1 keeps the paper's machine: one channel, every packet
 	// consumed inline — one round delivers all 20 host packets.
 	r := newMQRig(t, frontend.ModeBaseline, 1)
-	ep := r.addFlow(t, 5001, 1)
+	ep := r.addFlow(t, 5001)
 	r.inject(t, 5001, 1, 20)
 	r.m.ProcessRound(0, 64)
 	if got := ep.Stats().BytesToApp; got != 20*1448 {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/nic"
 	"repro/internal/packet"
+	"repro/internal/paper"
 	"repro/internal/tcp"
 	"repro/internal/tcpwire"
 )
@@ -212,9 +213,9 @@ func TestVirtPerPacketReduction(t *testing.T) {
 	virt := func(s cycles.Snapshot) float64 {
 		return float64(s.Sum(cycles.XenPerPacketCategories...)) / frames
 	}
-	ratio := virt(base) / virt(opt)
-	if ratio < 2.5 || ratio > 6.0 {
-		t.Errorf("virt per-packet reduction = %.1fx, want ~3.7x (band 2.5-6)", ratio)
+	row := paper.Get("fig10/virt")
+	if ratio := virt(base) / virt(opt); !row.In(ratio) {
+		t.Errorf("virt per-packet reduction = %.1fx, want ~%vx (band %v-%v)", ratio, row.Paper, row.Lo, row.Hi)
 	}
 	// Per-byte must not fall: two copies remain per byte.
 	pbBase := float64(base.Get(cycles.PerByte)) / frames
@@ -222,7 +223,7 @@ func TestVirtPerPacketReduction(t *testing.T) {
 	if pbOpt < pbBase*0.9 {
 		t.Errorf("per-byte fell from %.0f to %.0f; copies must remain", pbBase, pbOpt)
 	}
-	// Total must improve substantially (paper: 86% throughput gain).
+	// Total must improve substantially (paper: +86% CPU-scaled).
 	tot := base.Total() > opt.Total()
 	if !tot {
 		t.Error("optimized Xen path not cheaper overall")
