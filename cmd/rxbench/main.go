@@ -779,7 +779,6 @@ func restartStorm(w io.Writer) {
 		cfg.TimeWaitReuse = true
 		cfg.RestartStorm = repro.RestartStormConfig{
 			AtNs:            uint64(warmup.Nanoseconds()) + uint64(duration.Nanoseconds())/4,
-			Fraction:        0.5,
 			PrefillTimeWait: prefill,
 		}
 		t.add(fmt.Sprintf("%-9d", prefill), cfg)

@@ -43,7 +43,6 @@ var (
 		"drop every Nth forward frame on each link, uniformly at random (the loss fault injector; 0 = off); prints the loss-recovery breakdown")
 	burstLoss = flag.Float64("burst-loss", 0,
 		"Gilbert-Elliott burst loss: stationary loss rate in [0,1) (0 = off; mutually exclusive with -loss)")
-	burstLen   = flag.Float64("burst-len", 0, "mean burst length in frames for -burst-loss (0 = default)")
 	sack       = flag.Bool("sack", false, "negotiate SACK on every connection (scoreboard recovery at the senders)")
 	churnEvery = flag.Duration("churn", 0,
 		"tear down and replace the oldest flow at this interval (0 = no churn); teardowns linger in TIME_WAIT")
@@ -88,7 +87,7 @@ func main() {
 	cfg.Reorder = repro.ReorderConfig{OneIn: *reorderOneIn, Distance: *reorderDist}
 	lossy := *lossOneIn > 0 || *burstLoss > 0
 	if lossy {
-		cfg.Loss = repro.LossConfig{OneIn: *lossOneIn, BurstRate: *burstLoss, BurstLen: *burstLen}
+		cfg.Loss = repro.LossConfig{OneIn: *lossOneIn, BurstRate: *burstLoss}
 	}
 	cfg.SACK = *sack
 	cfg.ChurnIntervalNs = uint64(churnEvery.Nanoseconds())
@@ -97,7 +96,6 @@ func main() {
 		cfg.TimeWaitReuse = true
 		cfg.RestartStorm = repro.RestartStormConfig{
 			AtNs:            cfg.WarmupNs + cfg.DurationNs/4,
-			Fraction:        0.5,
 			PrefillTimeWait: *stormSize,
 		}
 	}

@@ -63,11 +63,11 @@ func goldenShapes() map[string]StreamConfig {
 	shapes["steer/arfs"] = steer
 
 	// The steering handoff under pressure: bucket moves, aRFS rule
-	// evictions and aging, application migration and churn teardowns,
+	// evictions, application migration and churn teardowns,
 	// natively and on the 4-channel Xen machine (netback follows every
 	// move and rule onto the new I/O channel).
 	handoff := SteerConfig{
-		Enabled: true, ARFS: true, RuleTableSlots: 16, RuleIdleEpochs: 2,
+		Enabled: true, ARFS: true, RuleTableSlots: 16,
 		EpochNs: 2_000_000, AppMigrateIntervalNs: 3_000_000,
 	}
 	handoffNative := DefaultStreamConfig(SystemNativeUP, OptFull)
@@ -116,7 +116,7 @@ func goldenShapes() map[string]StreamConfig {
 	stormFrac.Connections = 80
 	stormFrac.Queues = 2
 	stormFrac.TimeWaitReuse = true
-	stormFrac.RestartStorm = RestartStormConfig{AtNs: 20_000_000, Fraction: 0.5, PrefillTimeWait: 1000}
+	stormFrac.RestartStorm = RestartStormConfig{AtNs: 20_000_000, PrefillTimeWait: 1000}
 	shapes["storm/fraction"] = stormFrac
 
 	cs := DefaultStreamConfig(SystemNativeSMP, OptFull)
@@ -137,7 +137,7 @@ func goldenShapes() map[string]StreamConfig {
 	burst := DefaultStreamConfig(SystemNativeSMP, OptFull)
 	burst.Queues = 2
 	burst.Connections = 8
-	burst.Loss = LossConfig{BurstRate: 0.01, BurstLen: 4}
+	burst.Loss = LossConfig{BurstRate: 0.01}
 	shapes["loss/burst-reno"] = burst
 
 	xen := DefaultStreamConfig(SystemXen, OptFull)

@@ -330,22 +330,6 @@ func (fe *FrontEnd) SteerFlow(k netstack.FlowKey, hash uint32, cpu int) (*netsta
 	return victim, nil
 }
 
-// UnsteerFlow removes flow k's aRFS rule (rule aging): the flow reverts
-// to its bucket's indirection with the standard migration handoff —
-// pending aggregation state (including any resequencing window) drained,
-// the flow table's ownership override cleared (natively and for netback
-// alike), coalesced interrupts kicked. No-op when no rule is programmed.
-// The simulation is single-threaded, so no frame can arrive between these
-// steps.
-func (fe *FrontEnd) UnsteerFlow(k netstack.FlowKey) {
-	if !fe.nics[fe.nicOf(k)].RemoveFlowRule(k) {
-		return
-	}
-	fe.Stack.FlowTable().ClearFlowOwner(k)
-	core.FlushFlow(fe.rps, k)
-	fe.flushCoalescing()
-}
-
 // nicOf maps a flow to the NIC carrying its sender subnet (10.0.<n>.x).
 func (fe *FrontEnd) nicOf(k netstack.FlowKey) int {
 	if n := int(k.Src[2]); n < len(fe.nics) {

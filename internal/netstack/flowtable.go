@@ -703,7 +703,8 @@ func (t *FlowTable) SetFlowOwner(k FlowKey, cpu int) {
 	t.flowOwners[k] = cpu
 }
 
-// ClearFlowOwner drops k's aRFS override (rule eviction or removal).
+// ClearFlowOwner drops k's aRFS override when LRU pressure evicts its
+// rule.
 func (t *FlowTable) ClearFlowOwner(k FlowKey) { delete(t.flowOwners, k) }
 
 // FlowOwnerOverrides returns the number of live per-flow overrides.

@@ -79,7 +79,8 @@ type Stack struct {
 	// application CPU is pinned: the socket-read hook accelerated RFS
 	// keys on (the kernel's rps_sock_flow update at recvmsg time). key is
 	// the flow, hash the steering hash, appCPU where the application
-	// consumes, cpu the softirq CPU that delivered (-1 = unattributed).
+	// consumes, cpu the softirq CPU that delivered (the cpu InputOn was
+	// bound to, never negative).
 	OnSockRead func(key FlowKey, hash uint32, appCPU, cpu int)
 
 	// StampClock, when set, supplies the simulated-ns time used to stamp

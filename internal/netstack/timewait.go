@@ -413,19 +413,7 @@ func (s *Stack) EnterTimeWait(remoteIP, localIP ipv4.Addr, remotePort, localPort
 	if ep == nil {
 		return false
 	}
-	e := s.tw.newEntry()
-	*e = twEntry{key: k, deadline: deadline, lastTS: ep.TSRecent(), rcvNxt: ep.RcvNxt()}
-	ok, victim := s.tw.insert(s.table.ShardOf(k), e)
-	if victim != nil {
-		s.dropEvicted(victim)
-	}
-	if !ok {
-		s.tw.freeEntry(e)
-		return false
-	}
-	s.chargeTWInsert()
-	s.noteMem()
-	return true
+	return s.insertTimeWait(k, deadline, ep.TSRecent(), ep.RcvNxt())
 }
 
 // SeedTimeWait inserts a lingering entry with no live endpoint behind it
@@ -435,6 +423,14 @@ func (s *Stack) EnterTimeWait(remoteIP, localIP ipv4.Addr, remotePort, localPort
 // reap is simply a no-op); lastTS and rcvNxt seed the reuse check. It
 // reports false on a duplicate.
 func (s *Stack) SeedTimeWait(k FlowKey, deadline uint64, lastTS, rcvNxt uint32) bool {
+	return s.insertTimeWait(k, deadline, lastTS, rcvNxt)
+}
+
+// insertTimeWait admits one entry into k's shard: a pressure victim the
+// shard gives up is dropped first, a refused or duplicate entry goes back
+// to the free list, and an admitted one is charged and counted against
+// the memory budget. It reports whether the entry was admitted.
+func (s *Stack) insertTimeWait(k FlowKey, deadline uint64, lastTS, rcvNxt uint32) bool {
 	e := s.tw.newEntry()
 	*e = twEntry{key: k, deadline: deadline, lastTS: lastTS, rcvNxt: rcvNxt}
 	ok, victim := s.tw.insert(s.table.ShardOf(k), e)

@@ -23,8 +23,8 @@ type flowRule struct {
 // FlowRuleStats counts steering-rule activity on one NIC.
 type FlowRuleStats struct {
 	// Programmed counts rule installs (including queue updates of an
-	// existing rule); Removed counts explicit removals.
-	Programmed, Removed uint64
+	// existing rule).
+	Programmed uint64
 	// Evicted counts rules displaced by capacity pressure.
 	Evicted uint64
 	// Hits counts received frames steered by a rule (overriding the
@@ -82,7 +82,6 @@ func (n *NIC) RemoveFlowRule(t rss.FlowKey) bool {
 	}
 	delete(n.rules, t)
 	n.ruleFree = append(n.ruleFree, r)
-	n.ruleStats.Removed++
 	return true
 }
 

@@ -123,23 +123,3 @@ func TestSmallMessageWorkload(t *testing.T) {
 		t.Errorf("small-message gain %.2fx suspiciously above bulk gain", gain)
 	}
 }
-
-// TestSequenceWraparound runs a stream whose sequence numbers cross 2^32:
-// all sequence arithmetic (endpoint, aggregation continuity, OOO queue)
-// must be wraparound-safe.
-func TestSequenceWraparound(t *testing.T) {
-	cfg := shortStream(SystemNativeUP, OptFull)
-	cfg.NICs = 1
-	top, err := buildStream(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A run cannot advance the sequence past 2^31 in feasible time, and
-	// every connection starts at sequence 1: the endpoint's wrap math is
-	// tested on synthetic segments in internal/tcp. Here the full path
-	// must keep flowing.
-	top.sim.RunUntil(cfg.WarmupNs + cfg.DurationNs)
-	if appBytes(top.machine) == 0 {
-		t.Fatal("stream stalled")
-	}
-}

@@ -126,10 +126,9 @@ type LossConfig struct {
 	// (0 = off).
 	OneIn int
 	// BurstRate is the Gilbert-Elliott stationary loss fraction in
-	// (0, 1) (0 = off); BurstLen is the mean bad-state burst length in
-	// frames (0 = DefaultBurstLossLen).
+	// (0, 1) (0 = off); the mean bad-state burst is DefaultBurstLossLen
+	// frames.
 	BurstRate float64
-	BurstLen  float64
 	// Seed perturbs the drop sequence; in a stream run link i draws from
 	// Seed+i, so multi-link runs do not drop in lockstep.
 	Seed uint64
@@ -138,9 +137,9 @@ type LossConfig struct {
 // active reports whether any loss model is configured.
 func (c LossConfig) active() bool { return c.OneIn > 0 || c.BurstRate > 0 }
 
-// DefaultBurstLossLen is the Gilbert-Elliott mean burst length used when
-// LossConfig.BurstLen is unset: drops cluster in runs of ~4 frames, the regime
-// where cumulative-ACK recovery degrades fastest.
+// DefaultBurstLossLen is the Gilbert-Elliott mean burst length in frames:
+// drops cluster in runs of ~4 frames, the regime where cumulative-ACK
+// recovery degrades fastest.
 const DefaultBurstLossLen = 4.0
 
 // DefaultLinkDelayNs is the one-way delay used by the experiments. It is
@@ -316,11 +315,7 @@ func (l *Link) dropLost() bool {
 	if f >= 1 {
 		return true
 	}
-	blen := l.Loss.BurstLen
-	if blen < 1 {
-		blen = DefaultBurstLossLen
-	}
-	q := 1 / blen
+	q := 1 / DefaultBurstLossLen
 	p := q * f / (1 - f)
 	u := float64(r>>11) / (1 << 53)
 	if l.lossBad {

@@ -30,7 +30,7 @@ func TestStreamConfigResolved(t *testing.T) {
 	handoff.FlowSkew = 2.0
 	handoff.ChurnIntervalNs = 4_000_000
 	handoff.Steering = SteerConfig{
-		Enabled: true, ARFS: true, RuleTableSlots: 16, RuleIdleEpochs: 2,
+		Enabled: true, ARFS: true, RuleTableSlots: 16,
 		EpochNs: 2_000_000, AppMigrateIntervalNs: 3_000_000,
 	}
 	storm := DefaultStreamConfig(SystemNativeUP, OptFull)
@@ -38,7 +38,7 @@ func TestStreamConfigResolved(t *testing.T) {
 	storm.Connections = 80
 	storm.Queues = 2
 	storm.TimeWaitReuse = true
-	storm.RestartStorm = RestartStormConfig{AtNs: 20_000_000, Fraction: 0.5, PrefillTimeWait: 1000}
+	storm.RestartStorm = RestartStormConfig{AtNs: 20_000_000, PrefillTimeWait: 1000}
 
 	for name, cfg := range map[string]StreamConfig{
 		"bulk": bulk, "rpc": rpc, "steer/handoff-native": handoff, "storm/fraction": storm,
@@ -59,10 +59,10 @@ func TestStreamConfigResolved(t *testing.T) {
 			if rpc := resolved.RPC; rpc.Enabled && rpc.MessageBytes == 0 {
 				t.Errorf("resolved RPC config left its size unset: %+v", rpc)
 			}
-			if st := resolved.RestartStorm; st.AtNs > 0 && (st.Fraction == 0 || st.PrefillSpreadNs == 0) {
+			if st := resolved.RestartStorm; st.AtNs > 0 && st.PrefillSpreadNs == 0 {
 				t.Errorf("resolved storm config left a default unset: %+v", st)
 			}
-			if sc := resolved.Steering; sc.steeringActive() && (sc.EpochNs == 0 || sc.ARFS && sc.RuleTableSlots == 0) {
+			if sc := resolved.Steering; sc.Enabled && sc.EpochNs == 0 || sc.ARFS && sc.RuleTableSlots == 0 {
 				t.Errorf("resolved steering config left a default unset: %+v", sc)
 			}
 			want := encodedRun(t, cfg)

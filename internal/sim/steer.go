@@ -28,16 +28,13 @@ type steerController struct {
 	loads, delta []uint64
 	owner        []int
 
-	// epochFn, migrateFn, moveFn and unsteerFn are epochTick, migrateTick,
-	// applyMove and unsteer, bound once; move and victim are the latter
-	// two's arguments.
-	epochFn, migrateFn, moveFn, unsteerFn func()
-	move                                  steer.Move
-	victim                                netstack.FlowKey
+	// epochFn, migrateFn and moveFn are epochTick, migrateTick and
+	// applyMove, bound once; move is applyMove's argument.
+	epochFn, migrateFn, moveFn func()
+	move                       steer.Move
 
 	moves         uint64
 	appMigrations uint64
-	rulesAged     uint64
 	migrateIdx    int
 
 	// applying guards against re-entry: applying a steering change
@@ -50,11 +47,10 @@ type steerController struct {
 }
 
 // newSteerController arms the steering policies cfg enables; cfg is
-// resolved and validated, so EpochNs is set.
+// resolved and validated, so EpochNs is set when the rebalancer is on.
 func newSteerController(top *streamTopology, cfg SteerConfig) *steerController {
 	sc := &steerController{top: top, cfg: cfg}
-	sc.epochFn, sc.migrateFn = sc.epochTick, sc.migrateTick
-	sc.moveFn, sc.unsteerFn = sc.applyMove, sc.unsteer
+	sc.epochFn, sc.migrateFn, sc.moveFn = sc.epochTick, sc.migrateTick, sc.applyMove
 	if cfg.Enabled {
 		sc.reb = steer.NewRebalancer()
 		sc.prevBusy = make([]uint64, top.machine.CPUs())
@@ -71,31 +67,24 @@ func newSteerController(top *streamTopology, cfg SteerConfig) *steerController {
 			top.sim.After(cfg.AppMigrateIntervalNs, sc.migrateFn)
 		}
 	}
-	// The epoch loop drives the rebalancer and/or aRFS rule aging.
-	if sc.reb != nil || sc.agingActive() {
-		top.sim.After(sc.cfg.EpochNs, sc.epochFn)
+	// Armed after the migration tick: where the two periods coincide,
+	// each instant's migration runs before its rebalance.
+	if cfg.Enabled {
+		top.sim.After(cfg.EpochNs, sc.epochFn)
 	}
 	return sc
 }
 
-// agingActive reports whether aRFS rule aging runs on the epoch loop.
-func (sc *steerController) agingActive() bool {
-	return sc.arfs != nil && sc.cfg.RuleIdleEpochs > 0
-}
-
-// epochTick is one steering epoch: a rebalance evaluation, then aRFS
-// rule aging, then the next epoch's event.
+// epochTick is one rebalance epoch: an evaluation, then the next epoch's
+// event.
 func (sc *steerController) epochTick() {
-	if sc.reb != nil {
-		sc.rebalance()
-	}
-	sc.ageRules()
+	sc.rebalance()
 	sc.top.sim.After(sc.cfg.EpochNs, sc.epochFn)
 }
 
-// rebalance is the rebalancer's half of an epoch: it diffs per-CPU busy
-// cycles and per-bucket frame counts against the previous epoch, plans
-// moves, and applies each through the machine on the losing CPU's account.
+// rebalance is an epoch's evaluation: it diffs per-CPU busy cycles and
+// per-bucket frame counts against the previous epoch, plans moves, and
+// applies each through the machine on the losing CPU's account.
 // Every buffer it fills lives on the controller, so a warm epoch allocates
 // nothing.
 func (sc *steerController) rebalance() {
@@ -133,28 +122,6 @@ func (sc *steerController) rebalance() {
 
 // applyMove applies the planned move sc.move through the machine.
 func (sc *steerController) applyMove() { sc.top.machine.SteerBucket(sc.move.Bucket, sc.move.To) }
-
-// unsteer removes the aged-out flow sc.victim's rule through the machine.
-func (sc *steerController) unsteer() { sc.top.machine.UnsteerFlow(sc.victim) }
-
-// ageRules expires aRFS rules for flows unobserved longer than
-// RuleIdleEpochs: each victim's rule is removed through the machine with
-// the standard handoff, billed to the CPU that owned the flow (it loses
-// the flow's pending state the way a migration source does).
-func (sc *steerController) ageRules() {
-	if !sc.agingActive() {
-		return
-	}
-	sc.arfs.Tick()
-	for _, k := range sc.arfs.Expire(uint64(sc.cfg.RuleIdleEpochs)) {
-		owner := sc.top.machine.FlowTable().OwnerOf(k, k.Hash())
-		sc.victim = k
-		sc.applying = true
-		sc.top.cpu.runOn(owner, sc.unsteerFn)
-		sc.applying = false
-		sc.rulesAged++
-	}
-}
 
 // onSockRead is the stack's socket-read observation: flow k's application
 // consumed on appCPU. When the policy wants the flow re-steered — or the
@@ -220,7 +187,6 @@ func (sc *steerController) report() *SteerReport {
 	r := &SteerReport{
 		Moves:         sc.moves,
 		AppMigrations: sc.appMigrations,
-		RulesAged:     sc.rulesAged,
 		Indirection:   sc.top.machine.SteerMap().Snapshot(),
 	}
 	if sc.reb != nil {

@@ -166,64 +166,6 @@ func shardStatsOf(m *frontend.FrontEnd) []netstack.ShardStats {
 	return out
 }
 
-// TestARFSRuleAgingExpiresIdleFlows: with rule aging on, a heavy-tailed
-// flow population (many nearly-idle flows) sheds its idle rules on the
-// epoch loop instead of waiting for LRU pressure: rules age out, the
-// table runs leaner than without aging, and an aged flow that talks again
-// is simply re-programmed — while the stream keeps its throughput (the
-// expiry handoff drains pending aggregation state like any re-steer).
-func TestARFSRuleAgingExpiresIdleFlows(t *testing.T) {
-	run := func(idleEpochs int) StreamResult {
-		cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
-		cfg.NICs = 4
-		cfg.Connections = 120
-		cfg.Queues = 2
-		cfg.FlowSkew = 2.0 // heavy tail: most flows talk rarely
-		cfg.Steering = SteerConfig{
-			ARFS:           true,
-			RuleTableSlots: 48, // tighter than the flow count: eviction pressure too
-			RuleIdleEpochs: idleEpochs,
-			EpochNs:        2_000_000,
-		}
-		cfg.DurationNs = 30_000_000
-		cfg.WarmupNs = 15_000_000
-		res, err := RunStream(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	lru := run(0)
-	aged := run(2)
-	if lru.Steer.RulesAged != 0 {
-		t.Fatalf("aging off but %d rules aged", lru.Steer.RulesAged)
-	}
-	if aged.Steer.RulesAged == 0 {
-		t.Fatal("aging on but no rule ever expired")
-	}
-	// Aging relieves LRU pressure: idle flows leave on their own, so
-	// capacity evictions must not increase and end-of-run occupancy must
-	// shrink.
-	if aged.Steer.RuleEvictions > lru.Steer.RuleEvictions {
-		t.Errorf("aging increased LRU evictions: %d → %d",
-			lru.Steer.RuleEvictions, aged.Steer.RuleEvictions)
-	}
-	if aged.Steer.RuleOccupancy >= lru.Steer.RuleOccupancy {
-		t.Errorf("aged occupancy %d not below LRU-only occupancy %d",
-			aged.Steer.RuleOccupancy, lru.Steer.RuleOccupancy)
-	}
-	// An aged flow that talks again re-programs: with churn-free traffic
-	// the extra programs are exactly the re-installs after expiry.
-	if aged.Steer.RulesProgrammed <= lru.Steer.RulesProgrammed {
-		t.Errorf("no re-programs after aging: %d vs %d",
-			aged.Steer.RulesProgrammed, lru.Steer.RulesProgrammed)
-	}
-	if aged.ThroughputMbps < lru.ThroughputMbps*0.99 {
-		t.Errorf("rule aging cost throughput: %.0f → %.0f Mb/s",
-			lru.ThroughputMbps, aged.ThroughputMbps)
-	}
-}
-
 // TestSteeringDisabledIdentical: a zero-value Steering config must be the
 // exact PR 2 pipeline — same frames, bytes, busy cycles (the bit-for-bit
 // claim the root goldens also pin for Queues=1; this covers multi-queue).

@@ -9,11 +9,11 @@ import (
 // the TIME_WAIT subsystem exists for. A server process restarts; its
 // clients all tear down and redial near-simultaneously, on the very same
 // four-tuples, while hundreds of thousands of TIME_WAIT incarnations of
-// the previous process still linger. The workload tears down a
-// configurable fraction of the live flows at one instant, seeds a
-// configurable synthetic TIME_WAIT backlog (far larger populations than
-// the port space admits live flows), and then redials every victim's
-// four-tuple — exercising SYN-time port reuse when the stack allows it
+// the previous process still linger. The workload tears down half the
+// live flows at one instant, seeds a configurable synthetic TIME_WAIT
+// backlog (far larger populations than the port space admits live
+// flows), and then redials every victim's four-tuple — exercising
+// SYN-time port reuse when the stack allows it
 // (StreamConfig.TimeWaitReuse) and the reap-then-redial path when it
 // does not.
 
@@ -61,22 +61,20 @@ const (
 )
 
 // newStormController supervises cfg's storm; cfg is resolved, so
-// RestartStorm.Fraction and PrefillSpreadNs are set.
+// RestartStorm.PrefillSpreadNs is set.
 func newStormController(top *streamTopology, cfg *StreamConfig) *stormController {
 	return &stormController{top: top, cfg: cfg.RestartStorm, reuse: cfg.TimeWaitReuse}
 }
 
-// fire executes the storm: close the victim fraction and schedule the
-// redials (the backlog was seeded earlier; see prefill).
+// fire executes the storm: close the first half of the live flows
+// (rounded down, so at least one survives its own storm) and schedule
+// the redials (the backlog was seeded earlier; see prefill).
 func (sc *stormController) fire() {
 	top := sc.top
 	g := top.gen
 
-	n := int(sc.cfg.Fraction * float64(g.liveCount()))
-	if n >= g.liveCount() {
-		n = g.liveCount() - 1 // the run must survive its own storm
-	}
-	if n <= 0 {
+	n := g.liveCount() / 2
+	if n == 0 {
 		return
 	}
 	victims := append([]flowRecord(nil), g.live[:n]...)

@@ -167,16 +167,15 @@ type StreamConfig struct {
 }
 
 // RestartStormConfig tunes the restart-storm workload: a near-
-// simultaneous teardown of a fraction of the flow population followed by
+// simultaneous teardown of half the flow population followed by
 // redials of the very same four-tuples, against a configurable backlog
 // of lingering TIME_WAIT entries.
 type RestartStormConfig struct {
-	// AtNs fires the storm at this virtual time (0 = no storm).
+	// AtNs fires the storm at this virtual time (0 = no storm). Half the
+	// live flows (rounded down) are torn down at that instant, and each
+	// victim redials its own four-tuple 2 ms later
+	// (stormReconnectDelayNs).
 	AtNs uint64
-	// Fraction of the live flows torn down at the storm instant
-	// (0 = 0.5; clamped so at least one flow survives). Each victim
-	// redials its own four-tuple 2 ms later (stormReconnectDelayNs).
-	Fraction float64
 	// PrefillTimeWait seeds this many synthetic lingering entries at the
 	// storm instant — the backlog of the restarted process's previous
 	// life, scaling the TIME_WAIT population far beyond what the live
@@ -195,20 +194,16 @@ type SteerConfig struct {
 	// observes per-CPU utilization and per-bucket load and rewrites the
 	// NICs' RSS indirection to move buckets off hot CPUs.
 	Enabled bool
-	// EpochNs is the rebalance and rule-aging period (0 = 5 ms). The
+	// EpochNs is the rebalance period (0 = 5 ms; needs Enabled). The
 	// rebalancer's hysteresis and damping are internal/steer constants.
 	EpochNs uint64
 	// ARFS enables accelerated-RFS: endpoints get pinned application
 	// CPUs, the netstack observes them at socket-read time, and
-	// exact-match NIC rules steer each flow to its application's CPU.
+	// exact-match NIC rules steer each flow to its application's CPU. A
+	// rule stays until its flow is torn down or LRU pressure evicts it.
 	ARFS bool
 	// RuleTableSlots bounds each NIC's rule table (0 = 256; needs ARFS).
 	RuleTableSlots int
-	// RuleIdleEpochs enables aRFS rule aging: a flow's exact-match rule
-	// is removed after the flow goes unobserved for more than this many
-	// steering epochs, instead of squatting a rule-table slot until LRU
-	// pressure evicts it (0 = aging off).
-	RuleIdleEpochs int
 	// AppMigrateIntervalNs, when non-zero, re-pins one endpoint's
 	// application to the next CPU every interval — the scheduler-moves-
 	// the-app workload that forces aRFS to follow mid-stream (needs ARFS).
@@ -218,17 +213,13 @@ type SteerConfig struct {
 // steeringActive reports whether any dynamic-steering machinery runs.
 func (c SteerConfig) steeringActive() bool { return c.Enabled || c.ARFS }
 
-// validate rejects negative values and knobs that the steering modes they
-// tune leave off.
+// validate rejects knobs that the steering modes they tune leave off.
 func (c SteerConfig) validate() error {
-	if c.RuleIdleEpochs < 0 {
-		return fmt.Errorf("sim: RuleIdleEpochs %d must be non-negative", c.RuleIdleEpochs)
+	if !c.ARFS && (c.RuleTableSlots != 0 || c.AppMigrateIntervalNs != 0) {
+		return fmt.Errorf("sim: RuleTableSlots and AppMigrateIntervalNs tune aRFS; set ARFS too")
 	}
-	if !c.ARFS && (c.RuleIdleEpochs != 0 || c.RuleTableSlots != 0 || c.AppMigrateIntervalNs != 0) {
-		return fmt.Errorf("sim: RuleIdleEpochs, RuleTableSlots and AppMigrateIntervalNs tune aRFS; set ARFS too")
-	}
-	if !c.steeringActive() && c.EpochNs != 0 {
-		return fmt.Errorf("sim: EpochNs paces steering; set Enabled or ARFS too")
+	if !c.Enabled && c.EpochNs != 0 {
+		return fmt.Errorf("sim: EpochNs paces the rebalancer; set Enabled too")
 	}
 	return nil
 }
@@ -244,8 +235,6 @@ const (
 	defaultSteerEpochNs = 5_000_000
 	// defaultRuleTableSlots sizes each NIC's aRFS rule table.
 	defaultRuleTableSlots = 256
-	// defaultStormFraction tears down half the live flows.
-	defaultStormFraction = 0.5
 	// defaultPrefillSpreadNs spreads a seeded TIME_WAIT backlog's
 	// deadlines over 500 ms: the backlog mostly outlives a short measured
 	// window, the way real minutes-long 2·MSL lingers dwarf any
@@ -410,10 +399,8 @@ type SteerReport struct {
 	Epochs, CalmEpochs, Moves uint64
 	// RulesProgrammed/RuleEvictions/RuleHits sum the NICs' exact-match
 	// rule activity; RuleOccupancy is the live rule count at the end.
-	// RulesAged counts rules removed by idle-flow aging.
 	RulesProgrammed, RuleEvictions, RuleHits uint64
 	RuleOccupancy                            int
-	RulesAged                                uint64
 	// AppMigrations counts mid-stream application re-pinnings.
 	AppMigrations uint64
 	// Indirection is the final bucket→CPU table.
@@ -663,8 +650,8 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 // Connections defaults to one per NIC and DurationNs to 150 ms. A workload
 // that is on gets its own zero values filled: the RPC workload its
 // response size and Telemetry.Latency (the histograms are its
-// output), a restart storm its Fraction and PrefillSpreadNs, steering its
-// EpochNs and, with aRFS, its RuleTableSlots. It validates nothing.
+// output), a restart storm its PrefillSpreadNs, the rebalancer its
+// EpochNs and aRFS its RuleTableSlots. It validates nothing.
 func (cfg StreamConfig) Resolved() StreamConfig {
 	if cfg.Connections == 0 {
 		cfg.Connections = cfg.NICs
@@ -678,21 +665,15 @@ func (cfg StreamConfig) Resolved() StreamConfig {
 			rpc.MessageBytes = defaultRPCMessageBytes
 		}
 	}
-	if st := &cfg.RestartStorm; st.AtNs > 0 {
-		if st.Fraction == 0 {
-			st.Fraction = defaultStormFraction
-		}
-		if st.PrefillSpreadNs == 0 {
-			st.PrefillSpreadNs = defaultPrefillSpreadNs
-		}
+	if st := &cfg.RestartStorm; st.AtNs > 0 && st.PrefillSpreadNs == 0 {
+		st.PrefillSpreadNs = defaultPrefillSpreadNs
 	}
-	if sc := &cfg.Steering; sc.steeringActive() {
-		if sc.EpochNs == 0 {
-			sc.EpochNs = defaultSteerEpochNs
-		}
-		if sc.ARFS && sc.RuleTableSlots == 0 {
-			sc.RuleTableSlots = defaultRuleTableSlots
-		}
+	sc := &cfg.Steering
+	if sc.Enabled && sc.EpochNs == 0 {
+		sc.EpochNs = defaultSteerEpochNs
+	}
+	if sc.ARFS && sc.RuleTableSlots == 0 {
+		sc.RuleTableSlots = defaultRuleTableSlots
 	}
 	return cfg
 }
@@ -718,14 +699,13 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 	if cfg.Reorder.OneIn < 0 || cfg.Reorder.Distance < 0 {
 		return nil, fmt.Errorf("sim: negative reorder-injector config %+v", cfg.Reorder)
 	}
-	if cfg.Loss.OneIn < 0 || cfg.Loss.BurstRate < 0 || cfg.Loss.BurstRate >= 1 ||
-		cfg.Loss.BurstLen < 0 {
+	if cfg.Loss.OneIn < 0 || cfg.Loss.BurstRate < 0 || cfg.Loss.BurstRate >= 1 {
 		return nil, fmt.Errorf("sim: invalid loss-injector config %+v", cfg.Loss)
 	}
 	if cfg.Loss.OneIn > 0 && cfg.Loss.BurstRate > 0 {
 		return nil, fmt.Errorf("sim: loss models are mutually exclusive (OneIn and BurstRate both set)")
 	}
-	if st := cfg.RestartStorm; st.Fraction < 0 || st.Fraction > 1 || st.PrefillTimeWait < 0 {
+	if st := cfg.RestartStorm; st.PrefillTimeWait < 0 {
 		return nil, fmt.Errorf("sim: invalid restart-storm config %+v", st)
 	}
 	if cfg.RegisteredFlows < 0 {

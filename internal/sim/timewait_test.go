@@ -145,7 +145,6 @@ func runStormProperty(t *testing.T, sys SystemKind) {
 	cfg.TimeWaitReuse = true
 	cfg.RestartStorm = RestartStormConfig{
 		AtNs:            12_000_000,
-		Fraction:        0.5,
 		PrefillTimeWait: 5_000,
 		PrefillSpreadNs: 20_000_000,
 	}

@@ -186,135 +186,37 @@ func hottestColdest(util []float64) (hot, cold int) {
 	return hot, cold
 }
 
-// ARFSStats counts aRFS policy activity.
-type ARFSStats struct {
-	// Observations counts socket-read observations examined; Programs
-	// the steering decisions issued (first-time and re-steers);
-	// Forgotten the flows dropped from tracking.
-	Observations, Programs, Forgotten uint64
-	// Expired counts flows aged out for idleness (no observation for
-	// longer than the caller's idle bound).
-	Expired uint64
-}
-
-// arfsEntry is one tracked flow's policy state.
-type arfsEntry struct {
-	cpu      int
-	lastSeen uint64 // epoch of the last observation
-}
-
 // ARFS is the accelerated-RFS policy: it tracks, per flow, the CPU the
 // consuming application was last observed on, and decides when a steering
-// rule must be (re)programmed. It also ages rules: exact-match NIC tables
-// are small, and a rule for a flow that stopped talking squats a slot
-// until LRU pressure happens to evict it — Expire returns flows idle
-// longer than a bound so the control path can remove their rules
-// proactively. K is the flow-key type of the caller's stack (the policy
-// never inspects it).
+// rule must be (re)programmed. A rule stays until its flow is torn down
+// or LRU pressure on the NIC's bounded table evicts it; either way the
+// caller forgets the flow. K is the flow-key type of the caller's stack
+// (the policy never inspects it).
 type ARFS[K comparable] struct {
-	desired map[K]arfsEntry
-	// order preserves first-observation order so Expire returns victims
-	// deterministically (map iteration order would leak into the
-	// caller's rule-removal order and break run reproducibility).
-	order []K
-	epoch uint64
-	stats ARFSStats
-	// expired is Expire's result storage, reused every epoch; seen is
-	// compactOrder's set, cleared between calls.
-	expired []K
-	seen    map[K]bool
+	desired map[K]int
 }
 
 // NewARFS creates an empty policy.
 func NewARFS[K comparable]() *ARFS[K] {
-	return &ARFS[K]{desired: make(map[K]arfsEntry), seen: make(map[K]bool)}
+	return &ARFS[K]{desired: make(map[K]int)}
 }
-
-// Stats returns a copy of the policy counters.
-func (a *ARFS[K]) Stats() ARFSStats { return a.stats }
-
-// Flows returns the number of flows currently tracked.
-func (a *ARFS[K]) Flows() int { return len(a.desired) }
 
 // Observe consumes one socket-read observation: flow k's application ran
 // on appCPU. It reports whether a steering rule must be programmed —
 // true exactly when appCPU is a real CPU and differs from what the policy
 // last programmed for k (so a settled flow costs one map lookup per
-// observation and no rule churn). Every observation refreshes the flow's
-// idle clock.
+// observation and no rule churn).
 func (a *ARFS[K]) Observe(k K, appCPU int) bool {
-	a.stats.Observations++
 	if appCPU < 0 {
 		return false
 	}
-	if cur, ok := a.desired[k]; ok {
-		cur.lastSeen = a.epoch
-		if cur.cpu == appCPU {
-			a.desired[k] = cur
-			return false
-		}
-		cur.cpu = appCPU
-		a.desired[k] = cur
-		a.stats.Programs++
-		return true
+	if cur, ok := a.desired[k]; ok && cur == appCPU {
+		return false
 	}
-	a.desired[k] = arfsEntry{cpu: appCPU, lastSeen: a.epoch}
-	if len(a.order) > 2*len(a.desired)+16 {
-		a.compactOrder()
-	}
-	a.order = append(a.order, k)
-	a.stats.Programs++
+	a.desired[k] = appCPU
 	return true
-}
-
-// compactOrder drops stale entries (forgotten flows, duplicates from a
-// forget/re-observe cycle) so the order slice stays proportional to the
-// tracked flow count even on long churn runs with aging off.
-func (a *ARFS[K]) compactOrder() {
-	clear(a.seen)
-	live := a.order[:0]
-	for _, k := range a.order {
-		if _, ok := a.desired[k]; ok && !a.seen[k] {
-			a.seen[k] = true
-			live = append(live, k)
-		}
-	}
-	a.order = live
 }
 
 // Forget drops k from tracking (flow teardown or rule eviction): the next
 // observation will program afresh.
-func (a *ARFS[K]) Forget(k K) {
-	if _, ok := a.desired[k]; ok {
-		delete(a.desired, k)
-		a.stats.Forgotten++
-	}
-}
-
-// Tick advances the policy's epoch clock (call once per steering epoch).
-func (a *ARFS[K]) Tick() { a.epoch++ }
-
-// Expire removes and returns the flows not observed for more than maxIdle
-// epochs, in first-observation order. The caller removes their NIC rules
-// (with the usual migration handoff); a flow that talks again later is
-// simply re-observed and re-programmed. The returned slice is valid until
-// the next Expire.
-func (a *ARFS[K]) Expire(maxIdle uint64) []K {
-	expired := a.expired[:0]
-	live := a.order[:0]
-	for _, k := range a.order {
-		e, ok := a.desired[k]
-		if !ok {
-			continue // forgotten (teardown/eviction): drop from order too
-		}
-		if a.epoch-e.lastSeen > maxIdle {
-			delete(a.desired, k)
-			a.stats.Expired++
-			expired = append(expired, k)
-			continue
-		}
-		live = append(live, k)
-	}
-	a.order, a.expired = live, expired
-	return expired
-}
+func (a *ARFS[K]) Forget(k K) { delete(a.desired, k) }

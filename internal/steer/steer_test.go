@@ -145,6 +145,9 @@ func TestRebalancerConverges(t *testing.T) {
 	}
 }
 
+// TestARFSObserve: a rule is programmed on a flow's first observation and
+// on every app-CPU move, never for a settled flow or an unpinned app, and
+// afresh after Forget.
 func TestARFSObserve(t *testing.T) {
 	a := NewARFS[string]()
 	if !a.Observe("flow-a", 2) {
@@ -156,66 +159,18 @@ func TestARFSObserve(t *testing.T) {
 	if !a.Observe("flow-a", 3) {
 		t.Fatal("app-CPU migration did not re-program")
 	}
+	if a.Observe("flow-a", 3) {
+		t.Fatal("flow settled on its new CPU re-programmed")
+	}
 	if a.Observe("flow-b", -1) {
 		t.Fatal("unpinned app programmed a rule")
 	}
 	a.Forget("flow-a")
+	a.Forget("flow-c") // never observed: a no-op
 	if !a.Observe("flow-a", 3) {
 		t.Fatal("forgotten flow did not re-program")
 	}
-	s := a.Stats()
-	if s.Programs != 3 || s.Forgotten != 1 {
-		t.Errorf("stats = %+v, want 3 programs, 1 forgotten", s)
-	}
-}
-
-// TestARFSRuleAging: flows unobserved for more than maxIdle epochs
-// expire in first-observation order; observed flows never expire; an
-// expired flow that talks again re-programs from scratch.
-func TestARFSRuleAging(t *testing.T) {
-	a := NewARFS[string]()
-	a.Observe("idle-1", 0)
-	a.Observe("busy", 1)
-	a.Observe("idle-2", 2)
-	for e := 0; e < 3; e++ {
-		a.Tick()
-		a.Observe("busy", 1) // refreshed every epoch
-		if got := a.Expire(2); e < 2 && len(got) != 0 {
-			t.Fatalf("epoch %d: expired %v before the idle bound", e, got)
-		} else if e == 2 {
-			if len(got) != 2 || got[0] != "idle-1" || got[1] != "idle-2" {
-				t.Fatalf("epoch 2: expired %v, want [idle-1 idle-2] in observation order", got)
-			}
-		}
-	}
-	if a.Flows() != 1 {
-		t.Errorf("Flows = %d after aging, want 1 (busy)", a.Flows())
-	}
-	if s := a.Stats(); s.Expired != 2 {
-		t.Errorf("Expired = %d, want 2", s.Expired)
-	}
-	// The expired flow talks again: it must re-program like a new flow.
-	if !a.Observe("idle-1", 0) {
-		t.Error("re-observed expired flow did not program")
-	}
-}
-
-// TestARFSAgingAfterForget: a flow forgotten (evicted/torn down) between
-// observation and expiry must not be double-counted or returned by
-// Expire — the eviction-handoff already dropped its rule.
-func TestARFSAgingAfterForget(t *testing.T) {
-	a := NewARFS[string]()
-	a.Observe("gone", 0)
-	a.Observe("stays", 1)
-	a.Forget("gone")
-	for e := 0; e < 4; e++ {
-		a.Tick()
-	}
-	got := a.Expire(2)
-	if len(got) != 1 || got[0] != "stays" {
-		t.Fatalf("Expire = %v, want [stays] only", got)
-	}
-	if s := a.Stats(); s.Expired != 1 || s.Forgotten != 1 {
-		t.Errorf("stats = %+v", s)
+	if !a.Observe("flow-b", 1) {
+		t.Fatal("first pinned observation of a flow did not program")
 	}
 }

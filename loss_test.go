@@ -69,7 +69,6 @@ func TestLossConfigValidation(t *testing.T) {
 		func(c *StreamConfig) { c.Loss.OneIn = -1 },
 		func(c *StreamConfig) { c.Loss.BurstRate = -0.1 },
 		func(c *StreamConfig) { c.Loss.BurstRate = 1.0 },
-		func(c *StreamConfig) { c.Loss.BurstLen = -2 },
 		func(c *StreamConfig) { c.Loss.OneIn = 100; c.Loss.BurstRate = 0.01 },
 	}
 	for i, mutate := range bad {

@@ -66,11 +66,10 @@ func TestSteeringNarrowsSpread(t *testing.T) {
 // not a crash or a silently ignored value.
 func TestSteeringInvalidConfig(t *testing.T) {
 	for name, sc := range map[string]SteerConfig{
-		"negative RuleIdleEpochs":       {Enabled: true, ARFS: true, RuleIdleEpochs: -1},
-		"RuleIdleEpochs without ARFS":   {Enabled: true, RuleIdleEpochs: 2},
 		"RuleTableSlots without ARFS":   {Enabled: true, RuleTableSlots: 16},
 		"AppMigrate without ARFS":       {Enabled: true, AppMigrateIntervalNs: 2_000_000},
 		"EpochNs with steering off":     {EpochNs: 2_000_000},
+		"EpochNs with aRFS alone":       {ARFS: true, EpochNs: 2_000_000},
 		"negative RuleTableSlots, ARFS": {ARFS: true, RuleTableSlots: -1},
 	} {
 		cfg := DefaultStreamConfig(SystemNativeUP, OptNone)

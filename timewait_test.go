@@ -14,7 +14,6 @@ func stormRun(t *testing.T, sys SystemKind, prefill int) StreamResult {
 	cfg.TimeWaitReuse = true
 	cfg.RestartStorm = RestartStormConfig{
 		AtNs:            20_000_000, // 5 ms into the measured interval
-		Fraction:        0.5,
 		PrefillTimeWait: prefill,
 	}
 	return shortStream(t, cfg)
@@ -85,7 +84,7 @@ func TestRestartStormWithoutReuse(t *testing.T) {
 	cfg.NICs = 2
 	cfg.Connections = 16
 	cfg.Queues = 2
-	cfg.RestartStorm = RestartStormConfig{AtNs: 18_000_000, Fraction: 0.5}
+	cfg.RestartStorm = RestartStormConfig{AtNs: 18_000_000}
 	res := shortStream(t, cfg)
 	if res.Storm == nil || res.Storm.TornDown == 0 {
 		t.Fatal("storm never fired")
