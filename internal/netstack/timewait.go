@@ -143,9 +143,13 @@ type TimeWaitStats struct {
 
 // timeWaitTable is the sharded deadline wheel.
 type timeWaitTable struct {
-	shards []twShard
-	live   int
-	peak   int
+	// shards is allocated on the first insert (nil until then: a run that
+	// tears no flow down never touches it); nShards is its length.
+	shards  []twShard
+	nShards int
+
+	live int
+	peak int
 
 	// maxPerShard caps each shard's live entries (0 = unlimited), the
 	// per-shard share of tcp_max_tw_buckets. evictOldest selects the
@@ -181,7 +185,7 @@ func (t *timeWaitTable) freeEntry(e *twEntry) {
 }
 
 func newTimeWaitTable(shards int) *timeWaitTable {
-	return &timeWaitTable{shards: make([]twShard, shards)}
+	return &timeWaitTable{nShards: shards}
 }
 
 // configure sets the table-wide live-entry cap (tcp_max_tw_buckets; 0 =
@@ -191,7 +195,7 @@ func (t *timeWaitTable) configure(maxBuckets int, evictOldest bool) {
 	if maxBuckets <= 0 {
 		t.maxPerShard = 0
 	} else {
-		t.maxPerShard = (maxBuckets + len(t.shards) - 1) / len(t.shards)
+		t.maxPerShard = (maxBuckets + t.nShards - 1) / t.nShards
 		if t.maxPerShard < 1 {
 			t.maxPerShard = 1
 		}
@@ -224,6 +228,9 @@ func (sh *twShard) oldest() *twEntry {
 // victim to admit e, the victim (already tombstoned and uncounted) is
 // returned for the caller to unregister.
 func (t *timeWaitTable) insert(shard int, e *twEntry) (bool, *twEntry) {
+	if t.shards == nil {
+		t.shards = make([]twShard, t.nShards)
+	}
 	sh := &t.shards[shard]
 	if sh.entries == nil {
 		sh.entries = make(map[FlowKey]*twEntry)
@@ -268,6 +275,9 @@ func (t *timeWaitTable) insert(shard int, e *twEntry) (bool, *twEntry) {
 
 // lookup returns the live entry for k, or nil.
 func (t *timeWaitTable) lookup(shard int, k FlowKey) *twEntry {
+	if t.shards == nil {
+		return nil
+	}
 	return t.shards[shard].entries[k]
 }
 
@@ -526,7 +536,7 @@ func (s *Stack) TimeWaitStats() TimeWaitStats { return s.tw.stats() }
 // TimeWaitOccupancy returns the lingering-entry count per shard (a fresh
 // slice; shard index matches the flow table's).
 func (s *Stack) TimeWaitOccupancy() []int {
-	occ := make([]int, len(s.tw.shards))
+	occ := make([]int, s.tw.nShards)
 	for i := range s.tw.shards {
 		occ[i] = s.tw.shards[i].live
 	}

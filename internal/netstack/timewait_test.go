@@ -90,6 +90,34 @@ func TestTimeWaitEnterReap(t *testing.T) {
 	}
 }
 
+// TestTimeWaitShardsLazy: the shard array waits for the first insert, so
+// a stack that tears no flow down carries none of it, and every reader
+// answers from the stored shard count until then.
+func TestTimeWaitShardsLazy(t *testing.T) {
+	r := newTWRig(t, 1)
+	r.stack.ConfigureTimeWait(1000, false)
+	k := r.keys[0]
+	if r.stack.TimeWaitHas(k.Src, k.Dst, k.SrcPort, k.DstPort) ||
+		r.stack.ReuseTimeWait(k.Src, k.Dst, k.SrcPort, k.DstPort, 1, 1) != ReuseNone ||
+		len(r.stack.ReapTimeWait(50_000_000)) != 0 {
+		t.Error("an empty TIME_WAIT table reported an entry")
+	}
+	occ := r.stack.TimeWaitOccupancy()
+	if r.stack.tw.shards != nil || len(occ) != r.stack.table.Shards() {
+		t.Fatalf("before any insert: %d shards allocated, occupancy over %d; want 0, %d",
+			len(r.stack.tw.shards), len(occ), r.stack.table.Shards())
+	}
+	if want := (1000 + len(occ) - 1) / len(occ); r.stack.tw.maxPerShard != want {
+		t.Errorf("per-shard cap %d, want %d", r.stack.tw.maxPerShard, want)
+	}
+	if !r.enter(0, 60_000_000) || len(r.stack.tw.shards) != len(occ) {
+		t.Fatalf("first insert: %d shards, want %d", len(r.stack.tw.shards), len(occ))
+	}
+	if !r.stack.TimeWaitHas(k.Src, k.Dst, k.SrcPort, k.DstPort) {
+		t.Error("entered flow not found")
+	}
+}
+
 // TestTimeWaitWheelLongLinger: a deadline further out than one wheel lap
 // (slot collision with earlier ticks) must not reap early, and must
 // still reap once due.

@@ -74,15 +74,14 @@ func (n *NIC) ProgramFlowRule(t rss.FlowKey, queue int) (evicted *rss.FlowKey, e
 	return evicted, nil
 }
 
-// RemoveFlowRule drops t's rule, reporting whether it existed.
-func (n *NIC) RemoveFlowRule(t rss.FlowKey) bool {
+// RemoveFlowRule drops t's rule, if it has one.
+func (n *NIC) RemoveFlowRule(t rss.FlowKey) {
 	r, ok := n.rules[t]
 	if !ok {
-		return false
+		return
 	}
 	delete(n.rules, t)
 	n.ruleFree = append(n.ruleFree, r)
-	return true
 }
 
 // evictLRURule removes and returns the least-recently-hit rule's tuple.

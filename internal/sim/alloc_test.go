@@ -140,7 +140,7 @@ func TestSenderFIFOAllocFree(t *testing.T) {
 	frames := [][]byte{make([]byte, 64), make([]byte, 64), make([]byte, 64)}
 	cycle := func() {
 		for _, f := range frames {
-			m.pending.push(f)
+			m.pending.Push(f)
 		}
 		for _, f := range frames {
 			if got := m.NextFrame(); &got[0] != &f[0] {

@@ -3,6 +3,7 @@ package sim
 import (
 	"repro/internal/ether"
 	"repro/internal/nic"
+	"repro/internal/softirq"
 	"repro/internal/telemetry"
 )
 
@@ -46,7 +47,7 @@ type Link struct {
 	// send order. Serialization is sequential and the delay constant, so
 	// they arrive in that order: each arrival is the one pre-bound arriveFn
 	// event popping the head (no closure per frame).
-	wire     fifo[wireFrame]
+	wire     softirq.Ring[wireFrame] // unbounded
 	arriveFn func()
 	// revFree recycles delivered reverse frames with their pre-bound
 	// events, so the ACK direction allocates no closure per frame either.
@@ -177,36 +178,6 @@ type wireFrame struct {
 	sentNs uint64
 }
 
-// fifo is a growable ring queue. Unlike a slice popped by reslicing its
-// front, it keeps its storage: once grown to the deepest backlog, pushes
-// and pops allocate nothing.
-type fifo[T any] struct {
-	ring    []T
-	head, n int
-}
-
-func (q *fifo[T]) push(v T) {
-	if q.n == len(q.ring) {
-		grown := make([]T, max(2*len(q.ring), 8))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.ring[(q.head+i)%len(q.ring)]
-		}
-		q.ring, q.head = grown, 0
-	}
-	q.ring[(q.head+q.n)%len(q.ring)] = v
-	q.n++
-}
-
-// pop removes and returns the oldest element; the queue must not be empty.
-func (q *fifo[T]) pop() T {
-	v := q.ring[q.head]
-	var zero T
-	q.ring[q.head] = zero // release references
-	q.head = (q.head + 1) % len(q.ring)
-	q.n--
-	return v
-}
-
 // Stats returns a copy of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
@@ -253,7 +224,7 @@ func (l *Link) transmitNext() {
 	// Wire becomes free after serialization; the frame lands at the
 	// receiver one propagation delay later.
 	l.sim.After(wire, l.wireFreeFn)
-	l.wire.push(wireFrame{data: frame, pooled: l.sender.alloc.Pool() != nil, sentNs: sentNs})
+	l.wire.Push(wireFrame{data: frame, pooled: l.sender.alloc.Pool() != nil, sentNs: sentNs})
 	l.sim.After(wire+l.DelayNs, l.arriveFn)
 }
 
@@ -261,7 +232,7 @@ func (l *Link) transmitNext() {
 // the fault stage on it. A lost frame's buffer goes back to the sender's
 // pool.
 func (l *Link) arrive() {
-	w := l.wire.pop()
+	w, _ := l.wire.Pop()
 	l.arrivals++
 	switch {
 	case l.dropLost():
@@ -283,7 +254,7 @@ func (l *Link) arrive() {
 // ACK clock) and flushes the NIC's coalesced interrupt so a burst's tail
 // is processed at once (keeping request/response latency flat, §5.4).
 func (l *Link) releaseIfIdle() {
-	if l.wire.n == 0 && !l.busy {
+	if l.wire.Empty() && !l.busy {
 		l.releaseDisplaced()
 		l.dst.FlushInterrupt()
 	}

@@ -317,11 +317,11 @@ func BenchmarkLinkArrive(b *testing.B) {
 	}
 	frame := testFrame(1, 1448)
 	var polled []nic.Frame
-	l.wire.push(wireFrame{data: frame})
+	l.wire.Push(wireFrame{data: frame})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.wire.push(wireFrame{data: frame})
+		l.wire.Push(wireFrame{data: frame})
 		l.arrive()
 		if i%32 == 31 {
 			polled = n.PollRxInto(0, 64, polled[:0])

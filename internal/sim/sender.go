@@ -12,6 +12,7 @@ import (
 	"repro/internal/ether"
 	"repro/internal/ipv4"
 	"repro/internal/packet"
+	"repro/internal/softirq"
 	"repro/internal/tcp"
 	"repro/internal/telemetry"
 )
@@ -46,7 +47,7 @@ type SenderMachine struct {
 	connCfg tcp.Config    // addConn's scratch config
 	rrIdx   int
 	rrLeft  int
-	pending fifo[[]byte] // retransmissions and pure-ACK frames awaiting the link
+	pending softirq.Ring[[]byte] // unbounded: retransmissions and pure-ACK frames awaiting the link
 
 	// Per-frame scratch for ReceiveFrame's segment view (the endpoint only
 	// ranges over both during Input).
@@ -220,7 +221,7 @@ func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 
 // retransmit queues a retransmitted frame for the link.
 func (m *SenderMachine) retransmit(f []byte) {
-	m.pending.push(f)
+	m.pending.Push(f)
 	m.kick()
 }
 
@@ -228,7 +229,7 @@ func (m *SenderMachine) retransmit(f []byte) {
 // only ACKs in stream mode, but the RR client receives data) as a frame:
 // the frame buffer leaves with the link, and only the SKB is freed.
 func (m *SenderMachine) output(skb *buf.SKB) {
-	m.pending.push(skb.Head)
+	m.pending.Push(skb.Head)
 	skb.Pooled = false
 	m.alloc.Free(skb)
 	m.kick()
@@ -315,8 +316,8 @@ func (m *SenderMachine) takeFrame(c *senderConn) []byte {
 // (retransmissions, pure ACKs) take priority; data is drawn round-robin
 // with the quantum.
 func (m *SenderMachine) NextFrame() []byte {
-	if m.pending.n > 0 {
-		return m.pending.pop()
+	if f, ok := m.pending.Pop(); ok {
+		return f
 	}
 	if len(m.conns) == 0 {
 		return nil

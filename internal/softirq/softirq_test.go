@@ -133,38 +133,103 @@ func BenchmarkPushPop(b *testing.B) {
 	}
 }
 
+// TestNewRingAllocatesNothing: the bound is not storage, so building a
+// ring, even the aggregation queue's 4096-slot one, allocates nothing.
+func TestNewRingAllocatesNothing(t *testing.T) {
+	var r Ring[[64]byte]
+	if n := testing.AllocsPerRun(100, func() { r, _ = NewRing[[64]byte](4096) }); n != 0 {
+		t.Errorf("NewRing allocates %v times", n)
+	}
+	if r.Cap() != 4096 || r.Len() != 0 {
+		t.Errorf("Cap %d, Len %d; want 4096, 0", r.Cap(), r.Len())
+	}
+}
+
+// TestRingStorageTracksPeakBacklog: a ring's slot array never exceeds
+// the larger of the first allocation (firstSlots, or the bound if
+// smaller) and the smallest power of two at or above the deepest backlog
+// it has held, whatever the bound, and it wraps before it grows.
+func TestRingStorageTracksPeakBacklog(t *testing.T) {
+	for _, bound := range []int{0, 1, 5, 64, 100, 4096} {
+		var r Ring[int]
+		first := firstSlots
+		if bound > 0 {
+			r, _ = NewRing[int](bound)
+			first = min(first, r.Cap())
+		}
+		peak, next := 0, 0
+		// Backlogs rise in steps with partial drains in between, so the
+		// head sits mid-array when the array fills and grows.
+		for _, depth := range []int{3, 40, 64, 65, 70, 200, 129, 1000, 5000} {
+			for r.Len() < depth && r.Push(next) {
+				next++
+			}
+			peak = max(peak, r.Len())
+			want := first
+			for want < peak {
+				want <<= 1
+			}
+			if len(r.buf) > want {
+				t.Errorf("bound %d: %d slots after a peak backlog of %d, want at most %d", bound, len(r.buf), peak, want)
+			}
+			for i := 0; i < r.Len()/2; i++ {
+				r.Pop()
+			}
+		}
+		if bound > 0 && peak != r.Cap() {
+			t.Errorf("bound %d: peak backlog %d, want the bound %d", bound, peak, r.Cap())
+		}
+	}
+}
+
 // FuzzRing drives a ring through a sequence of pushes, pops and batch
 // pops decoded from the input and checks every result against a slice
-// FIFO of the same capacity. The first byte picks the capacity (1..16,
-// rounded up to a power of two); each later byte is one operation:
-// b%4 of 0 or 1 pushes the next value, 2 pops, and 3 pops a batch of up
+// FIFO with the same bound. The first byte picks the bound: 0 is the
+// zero-value (unbounded) ring, n > 0 a ring of NewRing(n), rounded up to
+// a power of two, so rings both below and above the first allocation are
+// covered, and the ring is drained against the reference at the end.
+// Each later byte is one operation: b%4 of 0 pushes the next
+// value, 1 pushes a burst of b>>2+1 values (enough to fill, grow and
+// wrap the slot array in a few operations), 2 pops, and 3 pops a batch of up
 // to b>>3 items onto a slice already holding b>>2&1 items.
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{0})
-	f.Add([]byte{3, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0xfb, 1, 0x1f})    // fill past a 4-slot ring, batch-drain
-	f.Add([]byte{1, 0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 0, 0x13, 0x17}) // wraparound on a 2-slot ring
-	f.Add([]byte{15, 0, 1, 0, 1, 0, 1, 0x0b, 0x0f, 2, 2, 2})      // batches with and without a held item
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0xfb, 1, 0x1f})                      // fill past a 4-slot ring, batch-drain
+	f.Add([]byte{2, 0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 0, 0x13, 0x17})                   // wraparound on a 2-slot ring
+	f.Add([]byte{15, 0, 1, 0, 1, 0, 1, 0x0b, 0x0f, 2, 2, 2})                        // batches with and without a held item
+	f.Add([]byte{200, 0xf9, 0, 2, 2, 2, 0x0d, 0xfd, 0xfd, 0xfd, 0xfd, 0xff})        // grow while wrapped, then refuse at 256
+	f.Add([]byte{0, 0xfd, 0xfd, 0xfb, 2, 0xfd, 0xfd, 0xfd, 0xfd, 0xfd, 0xfd, 0xff}) // unbounded: drain a batch, then grow while wrapped
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
 		}
-		r, err := NewRing[int](int(ops[0])%16 + 1)
-		if err != nil {
-			t.Fatal(err)
+		var r Ring[int]
+		if ops[0] > 0 {
+			var err error
+			if r, err = NewRing[int](int(ops[0])); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var ref []int
 		next := 0
+		push := func(i int) {
+			want := r.Cap() == 0 || len(ref) < r.Cap()
+			if got := r.Push(next); got != want {
+				t.Fatalf("op %d: Push with %d of %d queued = %v", i, len(ref), r.Cap(), got)
+			}
+			if want {
+				ref = append(ref, next)
+			}
+			next++
+		}
 		for i, b := range ops[1:] {
 			switch b % 4 {
-			case 0, 1:
-				want := len(ref) < r.Cap()
-				if got := r.Push(next); got != want {
-					t.Fatalf("op %d: Push with %d of %d queued = %v", i, len(ref), r.Cap(), got)
+			case 0:
+				push(i)
+			case 1:
+				for range b>>2 + 1 {
+					push(i)
 				}
-				if want {
-					ref = append(ref, next)
-				}
-				next++
 			case 2:
 				v, ok := r.Pop()
 				if ok != (len(ref) > 0) || ok && v != ref[0] {
@@ -190,6 +255,15 @@ func FuzzRing(f *testing.F) {
 			if r.Len() != len(ref) || r.Empty() != (len(ref) == 0) {
 				t.Fatalf("op %d: Len %d, Empty %v; want %d queued", i, r.Len(), r.Empty(), len(ref))
 			}
+		}
+		// Drain what is left, so items a growth copied are checked too.
+		for _, want := range ref {
+			if v, ok := r.Pop(); !ok || v != want {
+				t.Fatalf("drain: Pop = %d, %v; want %d", v, ok, want)
+			}
+		}
+		if !r.Empty() {
+			t.Fatalf("drain: %d items left past the reference", r.Len())
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -60,5 +62,37 @@ func TestFacadeComparison(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Xen comparison missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRPCIncastSetupHostBytes pins the host memory a run of the rpc-incast
+// benchmark workload's shape allocates before its first frame: bounded
+// rings (the aggregation queue, the NIC's descriptor rings) and the
+// TIME_WAIT shards hold only what traffic puts in them, so set-up is the
+// topology, endpoints and pools. The run is one nanosecond long; the
+// least of a few tries, with the collector off, is taken.
+func TestRPCIncastSetupHostBytes(t *testing.T) {
+	const budget = 320_000
+	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
+	cfg.NICs, cfg.Connections = 1, 64
+	cfg.RPC = RPCConfig{Enabled: true, MessageBytes: 256}
+	cfg.WarmupNs, cfg.DurationNs = 0, 1
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	var least uint64
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunStream(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; try == 0 || d < least {
+			least = d
+		}
+	}
+	t.Logf("rpc-incast set-up allocates %d bytes", least)
+	if least > budget {
+		t.Errorf("rpc-incast set-up allocated %d bytes, budget %d", least, budget)
 	}
 }
