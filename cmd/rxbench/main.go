@@ -762,9 +762,9 @@ func lossExperiment(w io.Writer) {
 // population torn down at one instant and redialed on the very same
 // four-tuples (SYN-time reuse against the lingering entries), swept
 // against a seeded TIME_WAIT backlog from 1k to 100k+ entries — far
-// beyond what the port space admits as live flows. The deadline-wheel
-// acceptance is a flat cycles/byte column: per-packet receive cost must
-// not grow with the lingering population.
+// beyond what the port space admits as live flows. The TIME_WAIT
+// table's acceptance is a flat cycles/byte column: per-packet receive
+// cost must not grow with the lingering population.
 func restartStorm(w io.Writer) {
 	q := benchQueues[len(benchQueues)-1]
 	fmt.Fprintf(w, "Restart storm (%s, 80 flows/4 links, %d queues; half torn down and redialed on their own ports, tw_reuse on)\n", benchSys, q)
@@ -789,7 +789,7 @@ func restartStorm(w io.Writer) {
 			r[0].ThroughputMbps, r[0].CyclesPerByte(),
 			tw.Entered, tw.Reaped, tw.Reused, tw.ReuseRefused, tw.Peak, tw.Len)
 	})
-	fmt.Fprintln(w, "(flat cycles/byte as the backlog scales 1k -> 100k is the deadline-wheel acceptance:")
+	fmt.Fprintln(w, "(flat cycles/byte as the backlog scales 1k -> 100k is the TIME_WAIT table's acceptance:")
 	fmt.Fprintln(w, " insert/reap charge per entry, never a scan of the lingering population)")
 }
 

@@ -90,7 +90,7 @@ var SchedulerFuncNames = map[string]bool{
 // hot-path function that accesses fields of one of these must charge, or
 // be called from something that charges (chargedpath analyzer).
 var PricedTypes = map[string][]string{
-	"internal/netstack":  {"FlowTable", "flowShard", "flowSlot", "epRef", "timeWaitTable", "twShard", "twEntry"},
+	"internal/netstack":  {"FlowTable", "flowShard", "flowSlot", "epRef", "timeWaitTable", "twEntry"},
 	"internal/aggregate": {"Engine"},
 	"internal/tcp":       {"Endpoint"},
 }

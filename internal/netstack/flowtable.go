@@ -652,12 +652,6 @@ func (t *FlowTable) dupErr(k FlowKey) error {
 		k.Src, k.SrcPort, k.Dst, k.DstPort)
 }
 
-// Has reports whether k is registered, without touching any delivery
-// counter (control-path existence check).
-func (t *FlowTable) Has(k FlowKey) bool {
-	return t.Peek(k) != nil
-}
-
 // Peek returns the endpoint bound to k without touching any delivery
 // counter or charging any cost (control-path lookup — teardown snapshots
 // endpoint state through it), or nil.

@@ -89,7 +89,7 @@ type Stack struct {
 	StampClock func() uint64
 
 	table *FlowTable
-	tw    *timeWaitTable
+	tw    timeWaitTable
 	stats Stats
 
 	// scratch buffers for the input path.
@@ -134,7 +134,7 @@ func NewSharded(m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, shards in
 	t.SetPricing(m, p)
 	// The TIME_WAIT table shares the flow table's sharding, so a flow's
 	// lingering entry lives on the same softirq CPU as its demux entry.
-	s := &Stack{meter: m, params: p, alloc: alloc, table: t, tw: newTimeWaitTable(t.Shards())}
+	s := &Stack{meter: m, params: p, alloc: alloc, table: t, tw: timeWaitTable{nShards: t.Shards()}}
 	s.output = s.Output
 	return s, nil
 }
@@ -146,7 +146,7 @@ func (s *Stack) Stats() Stats { return s.stats }
 // footprint can grow (registration, TIME_WAIT entry).
 func (s *Stack) noteMem() {
 	total := uint64(s.table.Len())*EndpointSlabBytes +
-		uint64(s.tw.live)*TimeWaitEntryBytes + s.table.StructBytes()
+		uint64(len(s.tw.deadlines))*TimeWaitEntryBytes + s.table.StructBytes()
 	if total > s.memPeak {
 		s.memPeak = total
 	}
@@ -157,7 +157,7 @@ func (s *Stack) MemStats() MemStats {
 	s.noteMem()
 	ms := MemStats{
 		EndpointBytes: uint64(s.table.Len()) * EndpointSlabBytes,
-		TimeWaitBytes: uint64(s.tw.live) * TimeWaitEntryBytes,
+		TimeWaitBytes: uint64(len(s.tw.deadlines)) * TimeWaitEntryBytes,
 		TableBytes:    s.table.StructBytes(),
 		PeakBytes:     s.memPeak,
 	}

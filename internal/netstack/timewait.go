@@ -1,6 +1,8 @@
 package netstack
 
 import (
+	"sort"
+
 	"repro/internal/cycles"
 	"repro/internal/ipv4"
 	"repro/internal/tcp"
@@ -12,47 +14,32 @@ import (
 // lingering entries (RFC 6191 / Linux tcp_tw_reuse).
 //
 // The structure is scale-honest. A production restart storm leaves
-// hundreds of thousands of entries lingering at once, so the flat slice
-// the table used to be — an O(n) duplicate scan on every insert and a
-// full-slice sweep on every reap — would melt exactly the receive path
-// the paper's argument (and this repo's sharding) protects: per-packet
-// work must not grow with connection-table population ("Algorithms and
-// Data Structures to Accelerate Network Analysis", Ros-Giralt et al.).
-// Instead the table is sharded by the same RSS bucket as the flow table
-// (the one softirq CPU that owns a flow's demux shard also owns its
-// TIME_WAIT entry), and each shard keeps
+// hundreds of thousands of entries lingering at once, so a flat slice —
+// an O(n) duplicate scan on every insert and a full-slice sweep on every
+// reap — would melt exactly the receive path the paper's argument (and
+// this repo's sharding) protects: per-packet work must not grow with
+// connection-table population ("Algorithms and Data Structures to
+// Accelerate Network Analysis", Ros-Giralt et al.). Instead the table is
+// sharded by the same RSS bucket as the flow table (the one softirq CPU
+// that owns a flow's demux shard also owns its TIME_WAIT entry), and
 //
-//   - a map keyed by four-tuple: O(1) duplicate detection at insert and
-//     O(1) collision lookup at SYN time, and
-//   - a hashed deadline wheel (twWheelSlots slots of twTickNs): insert
-//     links the entry into the slot its deadline falls in, kept
-//     deadline-sorted, and a reap sweep walks only the slots whose tick
-//     has elapsed — and within each, only the due prefix plus one
-//     boundary probe (sorted order means the first not-yet-due entry
-//     ends the slot's work; later-lap entries hashed into the same slot
-//     are never inspected). O(1) amortized per entry, independent of
-//     how many entries linger.
+//   - one table-wide map from four-tuple to deadline gives O(1) duplicate
+//     detection at insert and O(1) collision detection at SYN time, and
+//   - each shard keeps its entries in one queue sorted by deadline, ties
+//     in insertion order. Deadlines arrive in order — now + a fixed
+//     linger, or a seeded spread monotone in its index — so an insert is
+//     almost always an append, and a reap sweep consumes only each
+//     queue's due prefix: the first entry not yet due ends the shard's
+//     work, however many entries linger behind it.
 //
-// A slot is an intrusive list threaded through the entries, and an
-// entry that leaves the wheel goes to the table's free list, so a warm
-// table links and unlinks entries without allocating.
-//
-// Cycle charges scale with the real touches (entry init, bucket link,
-// map update, demux removal), priced through the machine's memory model
-// like every other per-packet cost, instead of the single flat lock
-// charge the slice implementation made.
+// Cycle charges scale with the real touches (entry init, queue and map
+// update, demux removal), priced through the machine's memory model like
+// every other per-packet cost.
 
-const (
-	// twWheelSlots is the number of deadline-wheel slots per shard; with
-	// twTickNs granularity the wheel spans slots×tick before an entry
-	// shares a slot with a later lap (handled by the per-entry deadline
-	// check, never by extra scans).
-	twWheelSlots = 32
-	// twTickNs is the wheel granularity. Reaping is quantized to it: an
-	// entry is reclaimed on the first sweep after its deadline's tick has
-	// fully elapsed (TIME_WAIT expiry needs no better precision).
-	twTickNs = 1_000_000
-)
+// twTickNs is the reap granularity: an entry is reclaimed on the first
+// sweep after its deadline's 1 ms tick has fully elapsed (TIME_WAIT
+// expiry needs no better precision).
+const twTickNs = 1_000_000
 
 // TimeWaitEntryBytes models the memory footprint of one lingering entry
 // — a Linux tcp_timewait_sock is a ~200-byte shadow of the socket
@@ -69,57 +56,6 @@ type twEntry struct {
 	deadline uint64
 	lastTS   uint32 // last peer TSVal the old incarnation echoed
 	rcvNxt   uint32 // next sequence the old incarnation expected
-	// dead marks an entry recycled by SYN-time reuse: it has already
-	// left the map and the live count, and its wheel link is dropped
-	// whenever its slot is next swept (O(1) unlink without scanning the
-	// slot at reuse time).
-	dead bool
-	// next links the entry into its wheel slot, or into the free list
-	// once it has left the wheel.
-	next *twEntry
-}
-
-// twSlot is one wheel slot: a deadline-sorted list of entries.
-type twSlot struct{ head, tail *twEntry }
-
-// link inserts e in deadline order, after any entry with an equal
-// deadline. Deadlines arrive (near-)monotone — now + a fixed linger, or
-// a monotone seeded spread — so the append at the tail is the common
-// case.
-func (s *twSlot) link(e *twEntry) {
-	switch {
-	case s.tail == nil:
-		s.head, s.tail = e, e
-	case s.tail.deadline <= e.deadline:
-		s.tail.next, s.tail = e, e
-	default:
-		p := &s.head
-		for (*p).deadline <= e.deadline {
-			p = &(*p).next
-		}
-		e.next, *p = *p, e
-	}
-}
-
-// pop unlinks and returns the slot's first entry.
-func (s *twSlot) pop() *twEntry {
-	e := s.head
-	s.head, e.next = e.next, nil
-	if s.head == nil {
-		s.tail = nil
-	}
-	return e
-}
-
-// twShard is one shard of the table: the entries whose RSS hash falls in
-// the shard's buckets, owned by the same softirq CPU as the flow-table
-// shard of the same index.
-type twShard struct {
-	entries map[FlowKey]*twEntry
-	wheel   [twWheelSlots]twSlot
-	cursor  uint64 // next wheel tick not yet swept
-	live    int    // entries excluding tombstones
-	tombs   int    // dead entries still linked in wheel slots
 }
 
 // TimeWaitStats summarizes the table.
@@ -141,215 +77,105 @@ type TimeWaitStats struct {
 	Bytes, PeakBytes uint64
 }
 
-// timeWaitTable is the sharded deadline wheel.
+// timeWaitTable is the sharded TIME_WAIT table.
 type timeWaitTable struct {
-	// shards is allocated on the first insert (nil until then: a run that
+	// shards holds each shard's deadline-sorted queue. It is allocated,
+	// with deadlines, on the first insert (nil until then: a run that
 	// tears no flow down never touches it); nShards is its length.
-	shards  []twShard
+	shards  [][]twEntry
 	nShards int
+	// deadlines maps every lingering key to its deadline, which locates
+	// the entry in its shard's queue.
+	deadlines map[FlowKey]uint64
 
-	live int
 	peak int
 
-	// maxPerShard caps each shard's live entries (0 = unlimited), the
+	// maxPerShard caps each shard's entries (0 = unlimited), the
 	// per-shard share of tcp_max_tw_buckets. evictOldest selects the
-	// over-cap behavior: evict the shard's oldest-deadline entry to admit
-	// the new one, or refuse the insertion (Linux's default: the closing
-	// flow skips TIME_WAIT entirely).
+	// over-cap behavior: evict the shard's earliest-deadline entry to
+	// admit the new one, or refuse the insertion (Linux's default: the
+	// closing flow skips TIME_WAIT entirely).
 	maxPerShard int
 	evictOldest bool
 
 	entered, reaped, reused, refused uint64
 	evicted, pressureRefused         uint64
-
-	// free lists the entries that have left both the map and the wheel,
-	// for newEntry to reuse.
-	free *twEntry
 }
 
-// newEntry returns a zeroed entry, reusing a freed one when it can.
-func (t *timeWaitTable) newEntry() *twEntry {
-	e := t.free
-	if e == nil {
-		return new(twEntry)
-	}
-	t.free = e.next
-	*e = twEntry{}
-	return e
-}
-
-// freeEntry returns an entry that is in neither the map nor the wheel to
-// the free list.
-func (t *timeWaitTable) freeEntry(e *twEntry) {
-	e.next, t.free = t.free, e
-}
-
-func newTimeWaitTable(shards int) *timeWaitTable {
-	return &timeWaitTable{nShards: shards}
-}
-
-// configure sets the table-wide live-entry cap (tcp_max_tw_buckets; 0 =
+// configure sets the table-wide entry cap (tcp_max_tw_buckets; 0 =
 // unlimited), split evenly across shards like the kernel's per-hash-chain
 // pressure, and the over-cap behavior.
 func (t *timeWaitTable) configure(maxBuckets int, evictOldest bool) {
-	if maxBuckets <= 0 {
-		t.maxPerShard = 0
-	} else {
+	t.maxPerShard = 0
+	if maxBuckets > 0 {
 		t.maxPerShard = (maxBuckets + t.nShards - 1) / t.nShards
-		if t.maxPerShard < 1 {
-			t.maxPerShard = 1
-		}
 	}
 	t.evictOldest = evictOldest
 }
 
-// oldest returns the shard's live entry with the earliest deadline (the
-// eviction victim), or nil. Each wheel slot is deadline-sorted, so only
-// the first live entry per slot competes: at most twWheelSlots probes,
-// independent of occupancy.
-func (sh *twShard) oldest() *twEntry {
-	var best *twEntry
-	for i := range sh.wheel {
-		for e := sh.wheel[i].head; e != nil; e = e.next {
-			if e.dead {
-				continue
-			}
-			if best == nil || e.deadline < best.deadline {
-				best = e
-			}
-			break
-		}
-	}
-	return best
-}
-
-// insert links a new entry. It reports false on a live duplicate or a
-// pressure refusal; when eviction mode displaced an oldest-deadline
-// victim to admit e, the victim (already tombstoned and uncounted) is
-// returned for the caller to unregister.
-func (t *timeWaitTable) insert(shard int, e *twEntry) (bool, *twEntry) {
-	if t.shards == nil {
-		t.shards = make([]twShard, t.nShards)
-	}
-	sh := &t.shards[shard]
-	if sh.entries == nil {
-		sh.entries = make(map[FlowKey]*twEntry)
-	}
-	if _, dup := sh.entries[e.key]; dup {
-		return false, nil
-	}
-	var victim *twEntry
-	if t.maxPerShard > 0 && sh.live >= t.maxPerShard {
-		if !t.evictOldest {
-			t.pressureRefused++
-			return false, nil
-		}
-		if victim = sh.oldest(); victim != nil {
-			delete(sh.entries, victim.key)
-			victim.dead = true
-			sh.live--
-			sh.tombs++
-			t.live--
-			t.evicted++
-		}
-	}
-	tick := e.deadline / twTickNs
-	if sh.live == 0 || tick < sh.cursor {
-		// An empty shard's cursor is stale; a deadline already due slots
-		// behind the cursor and must pull it back or it would wait a
-		// full wheel lap.
-		sh.cursor = tick
-	}
-	// Keep the slot deadline-sorted so reaping can stop at the first
-	// not-yet-due entry.
-	sh.wheel[tick%twWheelSlots].link(e)
-	sh.entries[e.key] = e
-	sh.live++
-	t.live++
-	if t.live > t.peak {
-		t.peak = t.live
-	}
+// insert adds e to its shard's queue after every entry with an equal or
+// earlier deadline; the caller has checked for a duplicate and for room.
+// Deadlines arrive (near-)monotone, so this is almost always an append.
+func (t *timeWaitTable) insert(shard int, e twEntry) {
+	q := t.shards[shard]
+	i := sort.Search(len(q), func(i int) bool { return q[i].deadline > e.deadline })
+	q = append(q, twEntry{})
+	copy(q[i+1:], q[i:])
+	q[i] = e
+	t.shards[shard] = q
+	t.deadlines[e.key] = e.deadline
+	t.peak = max(t.peak, len(t.deadlines))
 	t.entered++
-	return true, victim
 }
 
-// lookup returns the live entry for k, or nil.
-func (t *timeWaitTable) lookup(shard int, k FlowKey) *twEntry {
-	if t.shards == nil {
-		return nil
+// find returns the index of k's entry in its shard's queue, or -1: a
+// binary search to the first entry with k's deadline, then a step over
+// its ties.
+func (t *timeWaitTable) find(shard int, k FlowKey) int {
+	d, ok := t.deadlines[k]
+	if !ok {
+		return -1
 	}
-	return t.shards[shard].entries[k]
+	q := t.shards[shard]
+	i := sort.Search(len(q), func(i int) bool { return q[i].deadline >= d })
+	for q[i].key != k {
+		i++
+	}
+	return i
 }
 
-// recycle removes an entry at SYN-time reuse: out of the map and the
-// live count immediately, tombstoned in its wheel slot.
-func (t *timeWaitTable) recycle(shard int, e *twEntry) {
-	sh := &t.shards[shard]
-	delete(sh.entries, e.key)
-	e.dead = true
-	sh.live--
-	sh.tombs++
-	t.live--
-	t.reused++
+// remove takes entry i out of its shard's queue (SYN-time reuse or a
+// pressure eviction) and returns its key.
+func (t *timeWaitTable) remove(shard, i int) FlowKey {
+	q := t.shards[shard]
+	k := q[i].key
+	t.shards[shard] = append(q[:i], q[i+1:]...)
+	delete(t.deadlines, k)
+	return k
 }
 
-// reap sweeps every shard's elapsed wheel ticks, invoking each for every
-// entry whose deadline has passed; the entry is freed for reuse once each
-// returns. Only slots whose tick elapsed are touched, a slot is walked at
-// most once per sweep (ticks repeat with period twWheelSlots, so a sweep
-// that fell behind clamps to one lap), and within a slot only the
-// deadline-sorted due prefix is consumed — the first not-yet-due entry
-// ends the slot, so later-lap entries hashed into it are never
-// inspected. Tombstones are dropped as their deadlines come due (or
-// wholesale once the shard has no live entry).
-func (t *timeWaitTable) reap(now uint64, each func(*twEntry)) {
+// reap takes, shard by shard in index order, each queue's prefix whose
+// deadline tick has elapsed at now, invoking each for every key in
+// deadline order. The first entry not yet due ends a shard's work.
+func (t *timeWaitTable) reap(now uint64, each func(FlowKey)) {
 	nowTick := now / twTickNs
-	for si := range t.shards {
-		sh := &t.shards[si]
-		if sh.live == 0 {
-			if sh.tombs > 0 {
-				// Every remaining link is a tombstone: drop them all
-				// rather than waiting for their slots' ticks.
-				for i := range sh.wheel {
-					for sh.wheel[i].head != nil {
-						t.freeEntry(sh.wheel[i].pop())
-					}
-				}
-				sh.tombs = 0
-			}
-			sh.cursor = nowTick
-			continue
+	for si, q := range t.shards {
+		n := 0
+		for n < len(q) && q[n].deadline/twTickNs < nowTick {
+			delete(t.deadlines, q[n].key)
+			each(q[n].key)
+			n++
 		}
-		if sh.cursor >= nowTick {
-			continue
+		if n > 0 {
+			t.reaped += uint64(n)
+			t.shards[si] = append(q[:0], q[n:]...)
 		}
-		start := sh.cursor
-		if nowTick-start > twWheelSlots {
-			start = nowTick - twWheelSlots
-		}
-		for tick := start; tick < nowTick; tick++ {
-			slot := &sh.wheel[tick%twWheelSlots]
-			for slot.head != nil && now >= slot.head.deadline {
-				e := slot.pop()
-				if e.dead {
-					sh.tombs--
-					t.freeEntry(e)
-					continue
-				}
-				delete(sh.entries, e.key)
-				sh.live--
-				t.live--
-				t.reaped++
-				each(e)
-				t.freeEntry(e)
-			}
-		}
-		sh.cursor = nowTick
 	}
 }
 
 // stats assembles the aggregate summary.
 func (t *timeWaitTable) stats() TimeWaitStats {
+	n := len(t.deadlines)
 	return TimeWaitStats{
 		Entered:         t.entered,
 		Reaped:          t.reaped,
@@ -357,9 +183,9 @@ func (t *timeWaitTable) stats() TimeWaitStats {
 		ReuseRefused:    t.refused,
 		Evicted:         t.evicted,
 		PressureRefused: t.pressureRefused,
-		Len:             t.live,
+		Len:             n,
 		Peak:            t.peak,
-		Bytes:           uint64(t.live) * TimeWaitEntryBytes,
+		Bytes:           uint64(n) * TimeWaitEntryBytes,
 		PeakBytes:       uint64(t.peak) * TimeWaitEntryBytes,
 	}
 }
@@ -380,15 +206,15 @@ func (s *Stack) ConfigureTimeWait(maxBuckets int, evictOldest bool) {
 // dropEvicted finishes a pressure eviction: the victim's demux entry is
 // removed (charged like any TIME_WAIT removal) and its key queued for the
 // next reap's return value.
-func (s *Stack) dropEvicted(e *twEntry) {
-	registered := s.table.Remove(e.key)
+func (s *Stack) dropEvicted(k FlowKey) {
+	registered := s.table.Remove(k)
 	s.chargeTWRemove(registered)
-	s.twEvicted = append(s.twEvicted, e.key)
+	s.twEvicted = append(s.twEvicted, k)
 }
 
 // chargeTWInsert prices one entry insertion: the entry init streams
-// through the store buffer; linking it into the wheel slot and the shard
-// map chases two cold lines.
+// through the store buffer; placing it in the shard queue and the map
+// chases two cold lines.
 func (s *Stack) chargeTWInsert() {
 	s.meter.Charge(cycles.NonProto,
 		s.params.Mem.SequentialWriteCost(TimeWaitEntryBytes)+
@@ -436,21 +262,30 @@ func (s *Stack) SeedTimeWait(k FlowKey, deadline uint64, lastTS, rcvNxt uint32) 
 	return s.insertTimeWait(k, deadline, lastTS, rcvNxt)
 }
 
-// insertTimeWait admits one entry into k's shard: a pressure victim the
-// shard gives up is dropped first, a refused or duplicate entry goes back
-// to the free list, and an admitted one is charged and counted against
-// the memory budget. It reports whether the entry was admitted.
+// insertTimeWait admits one entry into k's shard, refusing a lingering
+// duplicate. A full shard refuses it too, or in eviction mode first gives
+// up its earliest-deadline entry, the queue's first. An admitted entry is
+// charged and counted against the memory budget. It reports whether the
+// entry was admitted.
 func (s *Stack) insertTimeWait(k FlowKey, deadline uint64, lastTS, rcvNxt uint32) bool {
-	e := s.tw.newEntry()
-	*e = twEntry{key: k, deadline: deadline, lastTS: lastTS, rcvNxt: rcvNxt}
-	ok, victim := s.tw.insert(s.table.ShardOf(k), e)
-	if victim != nil {
-		s.dropEvicted(victim)
-	}
-	if !ok {
-		s.tw.freeEntry(e)
+	t := &s.tw
+	if _, dup := t.deadlines[k]; dup {
 		return false
 	}
+	if t.shards == nil {
+		t.shards = make([][]twEntry, t.nShards)
+		t.deadlines = make(map[FlowKey]uint64)
+	}
+	shard := s.table.ShardOf(k)
+	if t.maxPerShard > 0 && len(t.shards[shard]) >= t.maxPerShard {
+		if !t.evictOldest {
+			t.pressureRefused++
+			return false
+		}
+		t.evicted++
+		s.dropEvicted(t.remove(shard, 0))
+	}
+	t.insert(shard, twEntry{key: k, deadline: deadline, lastTS: lastTS, rcvNxt: rcvNxt})
 	s.chargeTWInsert()
 	s.noteMem()
 	return true
@@ -484,18 +319,19 @@ const (
 func (s *Stack) ReuseTimeWait(remoteIP, localIP ipv4.Addr, remotePort, localPort uint16, isn, tsVal uint32) ReuseVerdict {
 	k := FlowKey{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}
 	shard := s.table.ShardOf(k)
-	e := s.tw.lookup(shard, k)
-	if e == nil {
+	i := s.tw.find(shard, k)
+	if i < 0 {
 		return ReuseNone
 	}
 	// Reading the lingering entry's final state is a cold touch either
 	// way the verdict goes.
 	s.meter.Charge(cycles.NonProto, s.params.Mem.RandomTouchCost(1))
-	if !tcp.ReuseAdmissible(e.lastTS, tsVal, e.rcvNxt, isn) {
+	if e := &s.tw.shards[shard][i]; !tcp.ReuseAdmissible(e.lastTS, tsVal, e.rcvNxt, isn) {
 		s.tw.refused++
 		return ReuseRefused
 	}
-	s.tw.recycle(shard, e)
+	s.tw.remove(shard, i)
+	s.tw.reused++
 	registered := s.table.Remove(k)
 	s.chargeTWRemove(registered)
 	return ReuseGranted
@@ -504,8 +340,8 @@ func (s *Stack) ReuseTimeWait(remoteIP, localIP ipv4.Addr, remotePort, localPort
 // TimeWaitHas reports whether the four-tuple lingers in TIME_WAIT
 // (control-path check, no charge).
 func (s *Stack) TimeWaitHas(remoteIP, localIP ipv4.Addr, remotePort, localPort uint16) bool {
-	k := FlowKey{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}
-	return s.tw.lookup(s.table.ShardOf(k), k) != nil
+	_, ok := s.tw.deadlines[FlowKey{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}]
+	return ok
 }
 
 // ReapTimeWait unregisters every TIME_WAIT flow whose deadline tick has
@@ -513,22 +349,18 @@ func (s *Stack) TimeWaitHas(remoteIP, localIP ipv4.Addr, remotePort, localPort u
 // flows pressure-evicted since the last sweep — so the caller releases
 // any peer-side state keyed on them. The returned slice is valid until
 // the next call. Teardown is receive-path work: each reap charges the
-// wheel unlink, map delete and demux-table update like any other
-// non-proto mutation — and nothing else, however many entries still
-// linger.
+// queue pop, map delete and demux-table update like any other non-proto
+// mutation — and nothing else, however many entries still linger.
 func (s *Stack) ReapTimeWait(now uint64) []FlowKey {
 	s.twReaped = append(s.twReaped[:0], s.twEvicted...)
 	s.twEvicted = s.twEvicted[:0]
-	s.tw.reap(now, func(e *twEntry) {
-		registered := s.table.Remove(e.key)
+	s.tw.reap(now, func(k FlowKey) {
+		registered := s.table.Remove(k)
 		s.chargeTWRemove(registered)
-		s.twReaped = append(s.twReaped, e.key)
+		s.twReaped = append(s.twReaped, k)
 	})
 	return s.twReaped
 }
-
-// TimeWaitLen returns the number of flows lingering in TIME_WAIT.
-func (s *Stack) TimeWaitLen() int { return s.tw.live }
 
 // TimeWaitStats returns the TIME_WAIT table summary.
 func (s *Stack) TimeWaitStats() TimeWaitStats { return s.tw.stats() }
@@ -538,7 +370,7 @@ func (s *Stack) TimeWaitStats() TimeWaitStats { return s.tw.stats() }
 func (s *Stack) TimeWaitOccupancy() []int {
 	occ := make([]int, s.tw.nShards)
 	for i := range s.tw.shards {
-		occ[i] = s.tw.shards[i].live
+		occ[i] = len(s.tw.shards[i])
 	}
 	return occ
 }

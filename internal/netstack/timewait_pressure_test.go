@@ -80,7 +80,7 @@ func TestTimeWaitPressureRefusal(t *testing.T) {
 	if r.stack.TimeWaitHas(k.Src, k.Dst, k.SrcPort, k.DstPort) {
 		t.Error("refused flow is lingering in TIME_WAIT")
 	}
-	if !r.stack.FlowTable().Has(k) {
+	if r.stack.FlowTable().Peek(k) == nil {
 		t.Error("refusal unregistered the flow")
 	}
 	if got := r.stack.TimeWaitStats().Evicted; got != 0 {
@@ -119,7 +119,7 @@ func TestTimeWaitPressureEvictOldest(t *testing.T) {
 	if r.stack.TimeWaitHas(victim.Src, victim.Dst, victim.SrcPort, victim.DstPort) {
 		t.Error("oldest entry still lingers after eviction")
 	}
-	if r.stack.FlowTable().Has(victim) {
+	if r.stack.FlowTable().Peek(victim) != nil {
 		t.Error("evicted flow is still registered")
 	}
 	s := r.stack.TimeWaitStats()

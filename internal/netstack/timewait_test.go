@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/buf"
@@ -60,8 +61,8 @@ func TestTimeWaitEnterReap(t *testing.T) {
 	if r.stack.EnterTimeWait(k.Src, k.Dst, k.SrcPort, k.DstPort, 8_000_000) {
 		t.Error("EnterTimeWait accepted an unregistered flow")
 	}
-	if got := r.stack.TimeWaitLen(); got != 2 {
-		t.Fatalf("TimeWaitLen = %d, want 2", got)
+	if got := r.stack.TimeWaitStats().Len; got != 2 {
+		t.Fatalf("TIME_WAIT length = %d, want 2", got)
 	}
 	if r.stack.Endpoints() != 3 {
 		t.Fatalf("demux entries dropped early: %d", r.stack.Endpoints())
@@ -72,7 +73,7 @@ func TestTimeWaitEnterReap(t *testing.T) {
 		t.Fatalf("premature reap of %d entries", len(got))
 	}
 	// The 8 ms entry's tick has fully elapsed at 9.5 ms; the 9 ms one
-	// has not (reaping is quantized to the wheel tick).
+	// has not (reaping is quantized to the 1 ms tick).
 	got := r.stack.ReapTimeWait(9_500_000)
 	if len(got) != 1 || got[0] != r.keys[0] {
 		t.Fatalf("reap at 9.5ms = %v, want [%v]", got, r.keys[0])
@@ -118,66 +119,85 @@ func TestTimeWaitShardsLazy(t *testing.T) {
 	}
 }
 
-// TestTimeWaitWheelLongLinger: a deadline further out than one wheel lap
-// (slot collision with earlier ticks) must not reap early, and must
-// still reap once due.
-func TestTimeWaitWheelLongLinger(t *testing.T) {
-	r := newTWRig(t, 2)
-	const lap = twWheelSlots * twTickNs
+// TestTimeWaitLongLinger: a deadline more than 32 ms out reaps neither
+// early nor late, whether the sweeps before it run every 5 ms or one
+// sweep comes long after the last. One shard holds all three entries,
+// so the earliest one's sweep is also the later ones' last sweep.
+func TestTimeWaitLongLinger(t *testing.T) {
+	r := newPressureRig(t, 1, 3, 0, false)
 	r.enter(0, 2_000_000)
-	r.enter(1, 2_000_000+lap) // same slot, one lap later
+	r.enter(1, 70_000_000)
+	r.enter(2, 70_400_000)
 	if got := r.stack.ReapTimeWait(5_000_000); len(got) != 1 || got[0] != r.keys[0] {
-		t.Fatalf("lap-0 reap = %v", got)
+		t.Fatalf("first reap = %v, want [%v]", got, r.keys[0])
 	}
-	if got := r.stack.ReapTimeWait(uint64(lap) + 1_000_000); len(got) != 0 {
-		t.Fatalf("lap-1 entry reaped early: %v", got)
+	// 65 ms after the last sweep, both deadlines are past but their tick
+	// has not elapsed.
+	if got := r.stack.ReapTimeWait(70_500_000); len(got) != 0 {
+		t.Fatalf("reap after a 65 ms gap = %v, want none before the 70 ms tick elapses", got)
 	}
-	if got := r.stack.ReapTimeWait(uint64(lap) + 4_000_000); len(got) != 1 || got[0] != r.keys[1] {
-		t.Fatalf("lap-1 reap = %v", got)
+	for now := uint64(70_600_000); now < 71_000_000; now += 100_000 {
+		if got := r.stack.ReapTimeWait(now); len(got) != 0 {
+			t.Fatalf("reap at %dns = %v, want none", now, got)
+		}
+	}
+	if got := r.stack.ReapTimeWait(71_000_000); len(got) != 2 {
+		t.Fatalf("reap at 71ms = %v, want both 70 ms entries", got)
 	}
 }
 
-// TestTimeWaitSlotOrdering: entries hashed into the same wheel slot —
-// out-of-order inserts and later laps — reap strictly by deadline: the
-// slot's sorted due prefix is consumed, later laps stay untouched.
-func TestTimeWaitSlotOrdering(t *testing.T) {
-	tw := newTimeWaitTable(1)
-	const lap = twWheelSlots * twTickNs
-	mk := func(port uint16, deadline uint64) *twEntry {
-		return &twEntry{key: FlowKey{SrcPort: port, DstPort: 80}, deadline: deadline}
+// TestTimeWaitReapOrder: entries inserted out of deadline order reap in
+// deadline order, ties in insertion order, both within a 5 ms sweep and
+// across a sweep more than 32 ms after the last.
+func TestTimeWaitReapOrder(t *testing.T) {
+	r := newPressureRig(t, 1, 6, 0, false)
+	for i, d := range []uint64{60_000_000, 3_000_000, 72_000_000, 3_000_000, 60_000_000, 3_500_000} {
+		if !r.enter(i, d) {
+			t.Fatalf("EnterTimeWait(%d) refused", i)
+		}
 	}
-	// Same slot (tick 3), three laps, inserted out of order.
-	tw.insert(0, mk(1, 3_000_000+2*lap))
-	tw.insert(0, mk(2, 3_000_000))
-	tw.insert(0, mk(3, 3_000_000+lap))
-	var got []uint16
-	reapAt := func(now uint64) {
-		tw.reap(now, func(e *twEntry) { got = append(got, e.key.SrcPort) })
+	for _, step := range []struct {
+		now  uint64
+		want []int
+	}{{4_000_000, []int{1, 3, 5}}, {100_000_000, []int{0, 4, 2}}} {
+		got := r.stack.ReapTimeWait(step.now)
+		want := make([]FlowKey, len(step.want))
+		for i, k := range step.want {
+			want[i] = r.keys[k]
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("reap at %dns = %v, want flows %v in that order", step.now, got, step.want)
+		}
 	}
-	reapAt(5_000_000)
-	reapAt(uint64(lap) + 5_000_000)
-	reapAt(uint64(2*lap) + 5_000_000)
-	if len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 1 {
-		t.Fatalf("reap order = %v, want [2 3 1] (deadline order across laps)", got)
-	}
-	if tw.live != 0 {
-		t.Errorf("live = %d after all laps", tw.live)
+	if n := r.stack.TimeWaitStats().Len; n != 0 {
+		t.Errorf("%d entries linger after every deadline passed", n)
 	}
 }
 
 // TestTimeWaitReapFarBehind: a sweep arriving long after many deadlines
-// (stalled timer) must still reclaim everything in one pass.
+// (stalled timer) must still reclaim everything in one pass, shard by
+// shard in deadline order.
 func TestTimeWaitReapFarBehind(t *testing.T) {
 	r := newTWRig(t, 40)
-	for i := range r.keys {
-		r.enter(i, uint64(1_000_000+i*500_000))
+	deadline := make(map[FlowKey]uint64)
+	for i, k := range r.keys {
+		deadline[k] = uint64(1_000_000 + i*500_000)
+		r.enter(i, deadline[k])
 	}
-	got := r.stack.ReapTimeWait(10 * uint64(twWheelSlots) * twTickNs)
+	got := r.stack.ReapTimeWait(320_000_000)
 	if len(got) != 40 {
 		t.Fatalf("far-behind reap reclaimed %d of 40", len(got))
 	}
-	if r.stack.TimeWaitLen() != 0 {
-		t.Errorf("lingering after full reap: %d", r.stack.TimeWaitLen())
+	for i := 1; i < len(got); i++ {
+		prev, k := got[i-1], got[i]
+		ps, s := r.stack.table.ShardOf(prev), r.stack.table.ShardOf(k)
+		if ps > s || ps == s && deadline[prev] > deadline[k] {
+			t.Fatalf("reap %d (shard %d, deadline %d) follows shard %d, deadline %d",
+				i, s, deadline[k], ps, deadline[prev])
+		}
+	}
+	if n := r.stack.TimeWaitStats().Len; n != 0 {
+		t.Errorf("lingering after full reap: %d", n)
 	}
 }
 
@@ -205,7 +225,7 @@ func TestTimeWaitReuse(t *testing.T) {
 	if r.stack.TimeWaitHas(k.Src, k.Dst, k.SrcPort, k.DstPort) {
 		t.Error("entry still lingering after granted reuse")
 	}
-	if r.stack.FlowTable().Has(k) {
+	if r.stack.FlowTable().Peek(k) != nil {
 		t.Error("stale demux entry survived reuse")
 	}
 	// No lingering entry: a fresh four-tuple reports ReuseNone.
@@ -219,9 +239,9 @@ func TestTimeWaitReuse(t *testing.T) {
 	if st.Entered != st.Reaped+st.Reused+uint64(st.Len) {
 		t.Errorf("accounting broken: %+v", st)
 	}
-	// The tombstoned wheel link must not resurrect at reap time.
+	// The reused entry left the table: no later reap returns it.
 	if got := r.stack.ReapTimeWait(20_000_000); len(got) != 0 {
-		t.Errorf("tombstone reaped: %v", got)
+		t.Errorf("reused entry reaped: %v", got)
 	}
 }
 
@@ -257,8 +277,8 @@ func TestTimeWaitSeededBacklog(t *testing.T) {
 			t.Fatalf("duplicate seed %d accepted", i)
 		}
 	}
-	if got := r.stack.TimeWaitLen(); got != n {
-		t.Fatalf("TimeWaitLen = %d, want %d", got, n)
+	if got := r.stack.TimeWaitStats().Len; got != n {
+		t.Fatalf("TIME_WAIT length = %d, want %d", got, n)
 	}
 	// Occupancy spreads over the shards (the whole point of sharding).
 	occ := r.stack.TimeWaitOccupancy()
@@ -297,7 +317,7 @@ func TestTimeWaitChargesScaleWithTouches(t *testing.T) {
 		for i := 0; i < backlog; i++ {
 			k := FlowKey{Src: ipv4.Addr{172, 16, byte(i >> 8), byte(i)},
 				Dst: ipv4.Addr{10, 0, 0, 2}, SrcPort: uint16(i), DstPort: 80}
-			r.stack.SeedTimeWait(k, uint64(twWheelSlots*2)*twTickNs, 0, 1)
+			r.stack.SeedTimeWait(k, 64_000_000, 0, 1)
 		}
 		before := r.meter.Get(cycles.NonProto)
 		r.enter(0, 2_000_000)

@@ -24,13 +24,8 @@ type Link struct {
 	sender *SenderMachine
 	dst    *nic.NIC
 
-	// RateBps is the line rate (default 1 Gb/s).
-	RateBps uint64
 	// DelayNs is the one-way propagation + switching delay.
 	DelayNs uint64
-	// PauseRetryNs is how long a paused link waits before re-checking
-	// ring headroom.
-	PauseRetryNs uint64
 	// RingHeadroom is the occupancy margin that triggers pause: the
 	// link stops when fewer than this many ring slots remain, covering
 	// frames already in flight.
@@ -150,15 +145,20 @@ const DefaultBurstLossLen = 4.0
 // time and the rest is receive-path processing.
 const DefaultLinkDelayNs = 61_500
 
+// lineRateBps is every link's line rate: Gigabit Ethernet.
+const lineRateBps = 1_000_000_000
+
+// pauseRetryNs is how long a paused link waits before re-checking ring
+// headroom.
+const pauseRetryNs = 15_000
+
 // NewLink wires sender -> dst with default Gigabit parameters.
 func NewLink(s *Sim, sender *SenderMachine, dst *nic.NIC) *Link {
 	l := &Link{
 		sim:          s,
 		sender:       sender,
 		dst:          dst,
-		RateBps:      1_000_000_000,
 		DelayNs:      DefaultLinkDelayNs,
-		PauseRetryNs: 15_000,
 		RingHeadroom: 24,
 	}
 	sender.OnWindowOpen = l.Kick
@@ -193,7 +193,7 @@ func (l *Link) Kick() {
 // FCS and inter-frame gap.
 func (l *Link) wireTimeNs(frameLen int) uint64 {
 	bits := uint64(frameLen+ether.PerFrameOverhead) * 8
-	return bits * 1_000_000_000 / l.RateBps
+	return bits * 1_000_000_000 / lineRateBps
 }
 
 // transmitNext pulls one frame if the wire is free and the ring has room.
@@ -207,7 +207,7 @@ func (l *Link) transmitNext() {
 		// delivery.
 		l.stats.PauseEvents++
 		l.busy = true
-		l.sim.After(l.PauseRetryNs, l.wireFreeFn)
+		l.sim.After(pauseRetryNs, l.wireFreeFn)
 		return
 	}
 	frame := l.sender.NextFrame()

@@ -584,7 +584,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 // segments: 1448 payload bytes per 1538 wire bytes.
 func linkGoodputMbps() float64 {
 	const frameWire = 14 + 20 + 32 + 1448 + 24 // header+payload+overheads
-	return 1000 * 1448 / float64(frameWire)
+	return lineRateBps / 1e6 * 1448 / float64(frameWire)
 }
 
 // buildStream wires the full stream experiment: the topology, the bulk

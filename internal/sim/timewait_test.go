@@ -42,7 +42,7 @@ func TestBackstopReleasedFlowDoesNotStrandInTW(t *testing.T) {
 	// The backstop path fired earlier: the flow was force-released (its
 	// demux entry unregistered, sender conn dropped).
 	tr.release(victim)
-	if top.machine.Stack.FlowTable().Has(victim.key()) {
+	if top.machine.Stack.FlowTable().Peek(victim.key()) != nil {
 		t.Fatal("release left the demux entry registered")
 	}
 
@@ -57,7 +57,7 @@ func TestBackstopReleasedFlowDoesNotStrandInTW(t *testing.T) {
 	if len(tr.inTW) != 0 {
 		t.Errorf("backstop-released flow stranded in inTW: %d entries", len(tr.inTW))
 	}
-	if got := top.machine.Stack.TimeWaitLen(); got != 0 {
+	if got := top.machine.Stack.TimeWaitStats().Len; got != 0 {
 		t.Errorf("TIME_WAIT table has %d entries for an unregistered flow", got)
 	}
 	// No sender-side leak: the conn is gone from the round-robin scan.

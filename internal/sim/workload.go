@@ -208,7 +208,6 @@ func (g *flowGen) applySkew() {
 		return
 	}
 	const skewOversubscribe = 2.0
-	const lineRateBps = 1e9
 	for n := range g.perLink {
 		g.perLink[n] = g.perLink[n][:0]
 	}

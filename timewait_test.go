@@ -22,7 +22,7 @@ func stormRun(t *testing.T, sys SystemKind, prefill int) StreamResult {
 // TestRestartStormScalesFlat is the TIME_WAIT-at-scale acceptance check:
 // as the lingering population scales 1k → 100k (far beyond what the port
 // space admits as live flows), receive-path cycles per byte must stay
-// flat — the sharded deadline wheel charges each insert/reap a constant
+// flat — the sharded deadline queues charge each insert/reap a constant
 // number of touches, where the seed's flat slice rescanned the whole
 // population on every insert and sweep. The storm itself must complete:
 // every victim redials its own four-tuple through SYN-time reuse or the
