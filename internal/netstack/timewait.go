@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cycles"
@@ -119,10 +120,7 @@ func (t *timeWaitTable) configure(maxBuckets int, evictOldest bool) {
 func (t *timeWaitTable) insert(shard int, e twEntry) {
 	q := t.shards[shard]
 	i := sort.Search(len(q), func(i int) bool { return q[i].deadline > e.deadline })
-	q = append(q, twEntry{})
-	copy(q[i+1:], q[i:])
-	q[i] = e
-	t.shards[shard] = q
+	t.shards[shard] = slices.Insert(q, i, e)
 	t.deadlines[e.key] = e.deadline
 	t.peak = max(t.peak, len(t.deadlines))
 	t.entered++
@@ -149,7 +147,7 @@ func (t *timeWaitTable) find(shard int, k FlowKey) int {
 func (t *timeWaitTable) remove(shard, i int) FlowKey {
 	q := t.shards[shard]
 	k := q[i].key
-	t.shards[shard] = append(q[:i], q[i+1:]...)
+	t.shards[shard] = slices.Delete(q, i, i+1)
 	delete(t.deadlines, k)
 	return k
 }
@@ -168,7 +166,7 @@ func (t *timeWaitTable) reap(now uint64, each func(FlowKey)) {
 		}
 		if n > 0 {
 			t.reaped += uint64(n)
-			t.shards[si] = append(q[:0], q[n:]...)
+			t.shards[si] = slices.Delete(q, 0, n)
 		}
 	}
 }
