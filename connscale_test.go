@@ -110,3 +110,24 @@ func TestConnScaleSeedingPinned(t *testing.T) {
 		t.Errorf("table summary drifted:\n got %+v\nwant %+v", res.Demux, want)
 	}
 }
+
+// TestConnScaleSetupHostBytes pins the host memory a run of the
+// connscale-1m benchmark workload's shape allocates before its first
+// frame. Registering the million idle flows dominates it: the demux
+// table's slot arrays at 16 bytes a slot, and InsertBatch's scratch at 2
+// bytes a key, about 36 MB in all. With 18-byte slots and 5 bytes of
+// scratch a key it was 43 MB; the budget sits between the two, so a slot
+// or scratch regression fails here. The run is one nanosecond long.
+func TestConnScaleSetupHostBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M-endpoint set-up in -short mode")
+	}
+	const budget = 40_000_000
+	cfg := connScaleConfig(1_000_000)
+	cfg.WarmupNs, cfg.DurationNs = 0, 1
+	least := leastRunAlloc(t, cfg)
+	t.Logf("connscale-1m set-up allocates %d bytes", least)
+	if least > budget {
+		t.Errorf("connscale-1m set-up allocated %d bytes, budget %d", least, budget)
+	}
+}

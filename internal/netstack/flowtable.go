@@ -1,9 +1,9 @@
 package netstack
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/cost"
@@ -35,7 +35,7 @@ import (
 // reference share the slot: a lookup's memory traffic is the probe run
 // itself, the hit entry streams in with the key compares, and robin-hood
 // keeps probe runs short and adjacent, so a demux touch is ~1 line
-// however large the table is. The simulator stores each slot in 18 bytes
+// however large the table is. The simulator stores each slot in 16 bytes
 // with no hash (flowSlot); the priced footprint does not follow it.
 //
 // Structural touches charge through the machine's memory model at the
@@ -73,14 +73,15 @@ type FlowTable struct {
 	// too; the NIC's rule table is the hardware's copy.
 	flowOwners map[FlowKey]int
 
-	// eps is the endpoint slab: slots name their endpoint by a uint32
-	// handle into it, so none holds a pointer. Handle 0 is nil. free
-	// stacks the handles whose last key went; newest is the handle bound
-	// last, which binding its endpoint again reuses — so a batch's keys,
-	// or a serial run of inserts for one endpoint, share one handle.
+	// eps is the endpoint slab: slots name their endpoint by a uint16
+	// handle into it, so none holds a pointer. Handle 0 is nil, so at
+	// most MaxEndpoints handles are live. free stacks the handles whose
+	// last key went; newest is the handle bound last, which binding its
+	// endpoint again reuses — so a batch's keys, or a serial run of
+	// inserts for one endpoint, share one handle.
 	eps    []epRef
-	free   []uint32
-	newest uint32
+	free   []uint16
+	newest uint16
 }
 
 // epRef is one endpoint slab entry: the endpoint and the number of
@@ -94,13 +95,24 @@ type epRef struct {
 // endpoints without regrowth.
 const epSlabRoom = 16
 
+// MaxEndpoints is the most endpoint handles one table holds at once: a
+// slot names its endpoint by a 16-bit handle, and handle 0 is nil. Keys
+// bound to one endpoint in a row (a batch, or consecutive inserts) share
+// its handle, so a run's whole idle population takes one: the bound is on
+// live connections, not on registered keys.
+const MaxEndpoints = math.MaxUint16
+
+// ErrTooManyEndpoints is the error of an insert that would bind a new
+// endpoint to a table already binding MaxEndpoints.
+var ErrTooManyEndpoints = fmt.Errorf("netstack: flow table already binds its maximum of %d endpoints", MaxEndpoints)
+
 const (
 	// FlowSlotBytes is the priced footprint of one open-addressed slot:
 	// 12 bytes of four-tuple key, the 4-byte Toeplitz hash, the 2-byte
 	// robin-hood probe distance and an 8-byte endpoint pointer, padded to
 	// a half cache line so two slots share a 64-byte line and a probe run
 	// streams rather than chases. It models a kernel's socket-hash slot
-	// and is deliberately decoupled from the simulator's own 18-byte
+	// and is deliberately decoupled from the simulator's own 16-byte
 	// flowSlot: what the model charges must not follow how Go stores it.
 	FlowSlotBytes = 32
 	// flowShardMinSlots is the initial slot-array size of a shard's first
@@ -109,25 +121,22 @@ const (
 	flowShardMinSlots = 8
 )
 
-// flowSlot is one open-addressed entry as the simulator stores it: 18
-// bytes and no pointer, so a million-entry table is 44% smaller than the
-// priced FlowSlotBytes layout and the garbage collector never scans it.
-// Every field is 2-byte aligned, so a slot array has no padding: the
-// endpoint's 32-bit slab handle (FlowTable.eps) is stored as two halves
-// behind ref, and the key's hash is not stored at all — the caller's
-// hash picks the home slot, lookups compare the key, and growth, the one
-// place a resident's hash is needed, recomputes it. dist is the 1-based
-// probe distance from the key's home slot (0 = empty); robin-hood
+// flowSlot is one open-addressed entry as the simulator stores it: 16
+// bytes and no pointer, so a million-entry table is half the priced
+// FlowSlotBytes layout and the garbage collector never scans it. Every
+// field is 2-byte aligned, so a slot array has no padding. ref is the
+// endpoint's 16-bit slab handle (FlowTable.eps), which bounds a table to
+// MaxEndpoints live endpoints. The key's hash is not stored at all: the
+// caller's hash picks the home slot, lookups compare the key, and growth,
+// the one place a resident's hash is needed, recomputes it. dist is the
+// 1-based probe distance from the key's home slot (0 = empty); robin-hood
 // insertion keeps it near 1 and bounded, and it doubles as the per-entry
 // probe length the occupancy histogram reports.
 type flowSlot struct {
-	key          FlowKey
-	dist         uint16
-	refLo, refHi uint16
+	key  FlowKey
+	dist uint16
+	ref  uint16
 }
-
-// ref returns the slot's endpoint handle.
-func (sl *flowSlot) ref() uint32 { return uint32(sl.refHi)<<16 | uint32(sl.refLo) }
 
 // flowShard is one shard: a private open-addressed slot array plus
 // per-shard receive counters, including the pending-aggregate accounting
@@ -249,19 +258,23 @@ func (t *FlowTable) chargeGrow(oldSlots, newSlots int) {
 
 // handleFor returns the slab handle that binding ep takes: the newest
 // handle when it holds ep, else the most recently freed one, else a new
-// one. It reserves nothing; retain commits the binding.
-func (t *FlowTable) handleFor(ep *tcp.Endpoint) uint32 {
+// one, or ErrTooManyEndpoints when all MaxEndpoints are live. It reserves
+// nothing; retain commits the binding.
+func (t *FlowTable) handleFor(ep *tcp.Endpoint) (uint16, error) {
 	if e := &t.eps[t.newest]; e.refs > 0 && e.ep == ep {
-		return t.newest
+		return t.newest, nil
 	}
 	if n := len(t.free); n > 0 {
-		return t.free[n-1]
+		return t.free[n-1], nil
 	}
-	return uint32(len(t.eps))
+	if len(t.eps) > MaxEndpoints {
+		return 0, ErrTooManyEndpoints
+	}
+	return uint16(len(t.eps)), nil
 }
 
 // retain binds n more keys to ep under h, the handle handleFor returned.
-func (t *FlowTable) retain(h uint32, ep *tcp.Endpoint, n int) {
+func (t *FlowTable) retain(h uint16, ep *tcp.Endpoint, n int) {
 	switch {
 	case int(h) == len(t.eps):
 		t.eps = append(t.eps, epRef{})
@@ -274,7 +287,7 @@ func (t *FlowTable) retain(h uint32, ep *tcp.Endpoint, n int) {
 }
 
 // release drops one key's reference to handle h; the last one frees it.
-func (t *FlowTable) release(h uint32) {
+func (t *FlowTable) release(h uint16) {
 	e := &t.eps[h]
 	if e.refs--; e.refs == 0 {
 		e.ep = nil
@@ -286,7 +299,7 @@ func (t *FlowTable) release(h uint32) {
 // absent) and the probe count. Robin-hood ordering terminates a miss
 // early: once a resident entry's distance is below the probe distance, k
 // cannot be further along.
-func (s *flowShard) openLookup(h uint32, k FlowKey) (uint32, int) {
+func (s *flowShard) openLookup(h uint32, k FlowKey) (uint16, int) {
 	if len(s.slots) == 0 {
 		return 0, 1
 	}
@@ -298,7 +311,7 @@ func (s *flowShard) openLookup(h uint32, k FlowKey) (uint32, int) {
 			return 0, int(p)
 		}
 		if sl.key == k {
-			return sl.ref(), int(p)
+			return sl.ref, int(p)
 		}
 		i = (i + 1) & mask
 	}
@@ -335,7 +348,7 @@ func (s *flowShard) openGrow(n int, scratch []flowSlot) {
 	s.used = 0
 	for i := range old {
 		if old[i].dist != 0 {
-			s.openPut(old[i].key.Hash(), old[i].key, old[i].ref())
+			s.openPut(old[i].key.Hash(), old[i].key, old[i].ref)
 		}
 	}
 }
@@ -347,9 +360,9 @@ func (s *flowShard) openGrow(n int, scratch []flowSlot) {
 // its visit count is the probe count of a lookup miss. The caller must
 // have ensured capacity (openSlotsFor), so an empty slot is guaranteed
 // within the probe run.
-func (s *flowShard) openPut(h uint32, k FlowKey, ref uint32) (int, bool) {
+func (s *flowShard) openPut(h uint32, k FlowKey, ref uint16) (int, bool) {
 	mask := uint32(len(s.slots) - 1)
-	cur := flowSlot{key: k, dist: 1, refLo: uint16(ref), refHi: uint16(ref >> 16)}
+	cur := flowSlot{key: k, dist: 1, ref: ref}
 	i := slotIndexHash(h) & mask
 	displaced := false
 	visited := 0
@@ -378,7 +391,7 @@ func (s *flowShard) openPut(h uint32, k FlowKey, ref uint32) (int, bool) {
 // slide one slot toward home, keeping probe runs tight for every later
 // lookup), returning k's endpoint handle (0 = not resident) and the slots
 // visited.
-func (s *flowShard) openRemove(h uint32, k FlowKey) (uint32, int) {
+func (s *flowShard) openRemove(h uint32, k FlowKey) (uint16, int) {
 	if len(s.slots) == 0 {
 		return 0, 1
 	}
@@ -390,7 +403,7 @@ func (s *flowShard) openRemove(h uint32, k FlowKey) (uint32, int) {
 			return 0, int(p)
 		}
 		if sl.key == k {
-			ref := sl.ref()
+			ref := sl.ref
 			for {
 				j := (i + 1) & mask
 				nx := s.slots[j]
@@ -420,7 +433,9 @@ func (t *FlowTable) Shards() int { return len(t.shards) }
 // Len returns the total number of registered endpoints.
 func (t *FlowTable) Len() int { return t.count }
 
-// Insert registers ep under k; duplicate keys error. The structural
+// Insert registers ep under k; a duplicate key errors, and so does a new
+// endpoint once MaxEndpoints are bound (ErrTooManyEndpoints). Either
+// error leaves the table and its charges untouched. The structural
 // touches (probe chase plus entry write) charge cycles.NonProto at the
 // capacity-miss excess — socket-hash insertion is connection-setup work,
 // not receive protocol processing.
@@ -430,7 +445,10 @@ func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 	if ref, _ := s.openLookup(h, k); ref != 0 {
 		return t.dupErr(k)
 	}
-	ref := t.handleFor(ep)
+	ref, err := t.handleFor(ep)
+	if err != nil {
+		return err
+	}
 	t.retain(ref, ep, 1)
 	slots, used := len(s.slots), s.used
 	if n := openSlotsFor(slots, used); n != slots {
@@ -457,59 +475,40 @@ func (t *FlowTable) priceOpenInsert(s *flowShard, slots, used, probes int) {
 	t.count++
 }
 
-// growth is one shard growth a batch takes: the index of the key whose
-// insert triggers it, and the shard's slot counts before and after.
-type growth struct{ key, from, to uint32 }
-
-// shardGrowths walks openSlotsFor over the next keys inserts into a shard
-// of slots slots holding used entries. It calls grow, when non-nil, with
-// the 0-based ordinal of each insert that grows the shard and the slot
-// counts before and after, and returns the growth count and the final
-// slot count. At a fixed slot count, openSlotsFor grows from some
-// occupancy on, so each growth is found by binary search rather than by
-// trying every insert.
-func shardGrowths(slots, used, keys int, grow func(j, from, to int)) (growths, final int) {
-	for j := 0; ; j++ {
-		j += sort.Search(keys-j, func(d int) bool { return openSlotsFor(slots, used+j+d) != slots })
-		if j >= keys {
-			return growths, slots
-		}
-		n := openSlotsFor(slots, used+j)
-		if grow != nil {
-			grow(j, slots, n)
-		}
-		growths++
-		slots = n
-	}
-}
+// batchBlock is InsertBatch's grouping block: each run of batchBlock keys
+// is grouped by shard on its own, so a key's place in its group is a
+// 16-bit offset into its block.
+const batchBlock = 1 << 16
 
 // InsertBatch registers ep under key(0), …, key(n-1) and leaves the table
 // exactly as n calls to Insert in index order would: the same slots in
 // every shard, the same footprint, counters, meter and demux cycles. On a
 // duplicate it stops where that loop would, with the keys before it
-// registered and the same error.
+// registered and the same error. With no handle left for ep it fails as
+// that loop's first Insert would, changing nothing.
 //
 // The batch builds the table shard by shard, so bulk population works on
 // one cache-resident shard at a time instead of scattering consecutive
 // inserts over the whole table:
 //
-//  1. Group and reserve: hash the keys, record each one's shard and
-//     counting-sort their indices by shard. Walk each touched shard's
-//     growth sequence, reserve its final slot array, and record each
-//     growth with the index of the key that triggers it. Sorted by that
-//     index, the growths cut the batch into footprint epochs: key i's
-//     epoch is the growths at indices up to i, its own included, so its
-//     probe charge sees the footprint Insert's charge would. Each epoch's
-//     cold fraction is computed once, and each growth's rehash charge is
-//     priced at the footprint it leaves.
-//  2. Insert: fill each shard with its keys in index order, rehashing
-//     each key as it goes. Growth doubles inside the reservation and
-//     rehashes in old-slot order, like Insert's growth, so every slot
-//     lands where Insert would put it. A per-shard cursor over the sorted
-//     growths tracks each key's epoch, which prices its probe run. The
-//     put itself detects a duplicate. Nothing is committed or charged
-//     until every shard is built, so on a duplicate the batch discards
-//     its work and reruns over the keys before it.
+//  1. Group and reserve: walk the keys in index order, hash each one and
+//     apply the growth rule to its shard's running slot count and
+//     occupancy. The growths come out in index order and cut the batch
+//     into footprint epochs: key i's epoch is the growths at indices up
+//     to i, its own included, so its probe charge sees the footprint
+//     Insert's charge would. Each epoch's cold fraction is computed once,
+//     and each growth's rehash charge is priced at the footprint it
+//     leaves. Each block of batchBlock keys is counting-sorted by shard
+//     into 16-bit offsets under a per-(block, shard) start table. Then
+//     each touched shard's final slot array is reserved.
+//  2. Insert: fill each shard with its keys in index order, block by
+//     block, rehashing each key as it goes. Growth doubles inside the
+//     reservation and rehashes in old-slot order, like Insert's growth,
+//     so every slot lands where Insert would put it. A per-shard cursor
+//     over the epochs prices each key's probe run. The put itself detects
+//     a duplicate. Nothing is committed or charged until every shard is
+//     built, so on a duplicate the batch discards its work and reruns over
+//     the keys before it.
 //
 // The commit then applies the summed charge once. That is exact because a
 // cycles.Meter keeps only a per-category sum: the per-key charges Insert
@@ -517,109 +516,129 @@ func shardGrowths(slots, used, keys int, grow func(j, from, to int)) (growths, f
 // cycles.
 //
 // All n keys take the one slab handle Insert's first call would bind, and
-// the later calls reuse. The scratch is five bytes per key (each key's
-// shard and its grouped index), plus one 12-byte growth record per shard
-// growth and one cold fraction per epoch.
+// the later calls reuse. The scratch is two bytes per key (its offset in
+// its block's shard group), one byte per key of a block (the block's
+// shards, reused block to block), the start table, one 16-byte epoch
+// record per possible growth and a few words per shard.
 func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
 	if n <= 0 {
 		return nil
 	}
+	ref, err := t.handleFor(ep)
+	if err != nil {
+		return t.Insert(key(0), ep) // the duplicate or handle error, as the loop's first call
+	}
+	// An unpriced table prices at the zero memory model, whose capacity
+	// charges are all zero.
+	var mem memmodel.Params
+	if t.meter != nil {
+		mem = t.params.Mem
+	}
 
-	// Pass 1: group by shard. Shard si's key indices occupy
-	// grouped[start[si]:start[si+1]] in ascending order.
+	// Pass 1: in index order, find the growths and price the epochs, and
+	// group each block by shard. The block starting at key lo puts shard
+	// si's offsets, ascending, in grouped[start[r]:start[r+1]] with
+	// r = lo/batchBlock*nShards + si.
 	nShards := len(t.shards)
-	// shardOf holds a shard index in a byte: this fails to compile if
+	// blockShard holds a shard index in a byte: this fails to compile if
 	// the bucket count, which bounds the shard count, outgrows it.
 	const _ uint8 = rss.Buckets - 1
-	shardOf := make([]uint8, n)
-	start := make([]int, nShards+1)
-	for i := range shardOf {
-		si := rss.ShardOf(key(i).Hash(), nShards)
-		shardOf[i] = uint8(si)
-		start[si+1]++
+	blockShard := make([]uint8, min(n, batchBlock))
+	grouped := make([]uint16, n)
+	start := make([]int, (n+batchBlock-1)/batchBlock*nShards+1)
+	// tally holds each shard's slot count and occupancy as the inserts
+	// land in index order, and its placement cursor in the current block.
+	tally := make([]struct{ slots, used, next int }, nShards)
+	for si := range tally {
+		tally[si].slots, tally[si].used = len(t.shards[si].slots), t.shards[si].used
 	}
-	for si := 0; si < nShards; si++ {
-		start[si+1] += start[si]
+	// An epoch opens at the key whose insert grows a shard (the first at
+	// key 0) and prices at its footprint's cold fraction. Each insert
+	// grows at most one shard, and a shard ending up with m entries has
+	// grown at most bits.Len(m) times (to flowShardMinSlots, then by
+	// doublings to fewer than 8m/3 slots), which bounds their number.
+	type epoch struct {
+		key  int
+		cold float64
 	}
-	grouped := make([]uint32, n)
-	next := append([]int(nil), start[:nShards]...)
-	for i, si := range shardOf {
-		grouped[next[si]] = uint32(i)
-		next[si]++
+	footprint := t.bytes
+	epochs := make([]epoch, 1, 1+min(n, nShards*bits.Len(uint(t.count+n))))
+	epochs[0].cold = mem.CapacityColdFraction(footprint)
+	var demux uint64
+	for lo := 0; lo < n; lo += batchBlock {
+		block := blockShard[:min(batchBlock, n-lo)]
+		count := start[lo/batchBlock*nShards:][:nShards+1]
+		for j := range block {
+			si := rss.ShardOf(key(lo+j).Hash(), nShards)
+			block[j] = uint8(si)
+			count[si+1]++
+			c := &tally[si]
+			if g := openSlotsFor(c.slots, c.used); g != c.slots {
+				footprint += uint64(g-c.slots) * FlowSlotBytes
+				cold := mem.CapacityColdFraction(footprint)
+				demux += mem.CapacityStreamCostAt((c.slots+g)*FlowSlotBytes, cold)
+				epochs = append(epochs, epoch{lo + j, cold})
+				c.slots = g
+			}
+			c.used++
+		}
+		for si := range tally {
+			count[si+1] += count[si]
+			tally[si].next = count[si]
+		}
+		for j, si := range block {
+			grouped[tally[si].next] = uint16(j)
+			tally[si].next++
+		}
 	}
 
-	// Reserve each touched shard's final array, counting the growths on
-	// the way. A growth stages the old entries in scratch, sized once for
-	// the largest array a growth leaves behind.
+	// Reserve each touched shard's final array. A growth stages the old
+	// entries in scratch, sized once for the largest array a growth
+	// leaves behind.
 	built := make([]flowShard, nShards)
-	stage, nGrowths := 0, 0
+	stage := 0
 	for si := range t.shards {
-		s, w := &t.shards[si], &built[si]
-		if start[si] == start[si+1] {
+		s, w, c := &t.shards[si], &built[si], &tally[si]
+		if c.used == s.used {
 			continue
 		}
-		g, final := shardGrowths(len(s.slots), s.used, start[si+1]-start[si], nil)
-		nGrowths += g
-		if g > 0 {
-			stage = max(stage, final/2)
+		if c.slots != len(s.slots) {
+			stage = max(stage, c.slots/2)
 		}
-		w.slots = make([]flowSlot, len(s.slots), final)
+		w.slots = make([]flowSlot, len(s.slots), c.slots)
 		copy(w.slots, s.slots)
 		w.used = s.used
 	}
 	scratch := make([]flowSlot, 0, stage)
 
-	// Record the growths, sort them into index order and price the
-	// epochs. cold[e] is the cold fraction once the first e growths have
-	// landed. An unpriced table prices at the zero memory model, whose
-	// capacity charges are all zero.
-	growths := make([]growth, 0, nGrowths)
-	for si := range t.shards {
-		s, keys := &t.shards[si], grouped[start[si]:start[si+1]]
-		shardGrowths(len(s.slots), s.used, len(keys), func(j, from, to int) {
-			growths = append(growths, growth{keys[j], uint32(from), uint32(to)})
-		})
-	}
-	slices.SortFunc(growths, func(a, b growth) int { return cmp.Compare(a.key, b.key) })
-	var mem memmodel.Params
-	if t.meter != nil {
-		mem = t.params.Mem
-	}
-	footprint := t.bytes
-	cold := make([]float64, len(growths)+1)
-	cold[0] = mem.CapacityColdFraction(footprint)
-	var demux uint64
-	for e, g := range growths {
-		footprint += uint64(g.to-g.from) * FlowSlotBytes
-		cold[e+1] = mem.CapacityColdFraction(footprint)
-		demux += mem.CapacityStreamCostAt((int(g.from)+int(g.to))*FlowSlotBytes, cold[e+1])
-	}
-
 	// Pass 2: build each shard in its reservation, pricing each key's
 	// probe run at its epoch.
-	ref := t.handleFor(ep)
 	firstDup := n
 	for si := range built {
 		w := &built[si]
 		e := 0
-		for _, i32 := range grouped[start[si]:start[si+1]] {
-			i := int(i32)
-			if i >= firstDup {
-				break
+	blocks:
+		for lo := 0; lo < n; lo += batchBlock {
+			r := lo/batchBlock*nShards + si
+			for _, off := range grouped[start[r]:start[r+1]] {
+				i := lo + int(off)
+				if i >= firstDup {
+					break blocks
+				}
+				if g := openSlotsFor(len(w.slots), w.used); g != len(w.slots) {
+					w.openGrow(g, scratch)
+				}
+				k := key(i)
+				probes, ok := w.openPut(k.Hash(), k, ref)
+				if !ok {
+					firstDup = i
+					break blocks
+				}
+				for e+1 < len(epochs) && epochs[e+1].key <= i {
+					e++
+				}
+				demux += mem.CapacityTouchCostAt(openProbeLines(probes), epochs[e].cold)
 			}
-			if g := openSlotsFor(len(w.slots), w.used); g != len(w.slots) {
-				w.openGrow(g, scratch)
-			}
-			k := key(i)
-			probes, ok := w.openPut(k.Hash(), k, ref)
-			if !ok {
-				firstDup = i
-				break
-			}
-			for e < len(growths) && growths[e].key <= i32 {
-				e++
-			}
-			demux += mem.CapacityTouchCostAt(openProbeLines(probes), cold[e])
 		}
 	}
 	if firstDup < n {
@@ -631,8 +650,8 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 
 	// Commit.
 	for si := range t.shards {
-		if keys := start[si+1] - start[si]; keys > 0 {
-			s := &t.shards[si]
+		s := &t.shards[si]
+		if keys := tally[si].used - s.used; keys > 0 {
 			s.slots, s.used = built[si].slots, built[si].used
 			s.stats.Endpoints += keys
 		}

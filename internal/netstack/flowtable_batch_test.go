@@ -179,6 +179,22 @@ func TestInsertBatchDuplicates(t *testing.T) {
 	checkBatchMatchesSerial(t, "resident dup", n, resident)
 	checkBatchMatchesSerial(t, "dup at 0", n, func(int) FlowKey { return key(5001, 44000) })
 
+	// A duplicate in the third grouping block: key 140,000 repeats a key
+	// of the first block, or a resident key.
+	const big, late = 150_000, 140_000
+	checkBatchMatchesSerial(t, "later-block dup of key 10", big, func(i int) FlowKey {
+		if i == late {
+			return diffKey(10)
+		}
+		return diffKey(i)
+	})
+	checkBatchMatchesSerial(t, "later-block resident dup", big, func(i int) FlowKey {
+		if i == late {
+			return key(5001+20, 44000)
+		}
+		return diffKey(i)
+	})
+
 	// The batch finds a duplicate in the put itself, which grows the
 	// shard first if the insert would. Each shape repeats one of the
 	// first m keys as key m.
@@ -303,19 +319,22 @@ func heapBytes[T any](n int) uint64 {
 }
 
 // TestInsertBatchHostBytes pins what a batch allocates on the host. A
-// 100k-key batch into a fresh default table allocates exactly:
+// 100k-key batch, two grouping blocks, into a fresh default table
+// allocates exactly:
 //
-//   - each shard's final slot array, at 18 bytes a slot;
-//   - 5 bytes of scratch per key (its shard and its grouped index);
+//   - each shard's final slot array, at 16 bytes a slot;
+//   - 2 bytes of scratch per key (its offset in its block's shard group)
+//     and 1 byte per key of one block (the block's shards);
+//   - the per-(block, shard) start table, one word more than blocks ×
+//     shards;
 //   - one growth staging array, half the largest final array;
-//   - one 12-byte growth record per shard growth, and one 8-byte cold
-//     fraction per footprint epoch (one more than the growths);
-//   - per shard, 96 bytes of bookkeeping: the start and next offsets
-//     (8 bytes each, start one longer) and the built shard header (an
-//     80-byte flowShard).
+//   - one 16-byte epoch record per growth the batch could take,
+//     min(n, shards × bits.Len(n)), plus the first epoch;
+//   - per shard, the pass-1 tally (three words) and the built shard
+//     header (an 80-byte flowShard).
 //
 // Each allocation counts at its allocator size (heapBytes), so a slot,
-// scratch or growth-list regrowth fails here, not only in the benchmark.
+// scratch or epoch-list regrowth fails here, not only in the benchmark.
 func TestInsertBatchHostBytes(t *testing.T) {
 	const n = 100_000
 	ep := testEndpoint(t, 5001, 44000)
@@ -335,21 +354,18 @@ func TestInsertBatchHostBytes(t *testing.T) {
 	})
 
 	tab := tabs[0]
-	want := heapBytes[[1]byte](n) + heapBytes[[4]byte](n)
-	stage, growths := 0, 0
+	shards := len(tab.shards)
+	blocks := (n + batchBlock - 1) / batchBlock
+	want := heapBytes[uint16](n) + heapBytes[uint8](batchBlock) + heapBytes[int](blocks*shards+1)
+	stage := 0
 	for si := range tab.shards {
 		slots := len(tab.shards[si].slots)
-		want += heapBytes[[18]byte](slots)
+		want += heapBytes[[16]byte](slots)
 		stage = max(stage, slots/2)
-		// A fresh shard grows to flowShardMinSlots, then doubles.
-		if slots > 0 {
-			growths += 1 + bits.TrailingZeros(uint(slots/flowShardMinSlots))
-		}
 	}
-	want += heapBytes[[18]byte](stage)
-	want += heapBytes[[12]byte](growths) + heapBytes[float64](growths+1)
-	shards := len(tab.shards)
-	want += heapBytes[[8]byte](shards+1) + heapBytes[[8]byte](shards) + heapBytes[flowShard](shards)
+	want += heapBytes[[16]byte](stage)
+	want += heapBytes[[16]byte](1 + min(n, shards*bits.Len(n)))
+	want += heapBytes[[3]int](shards) + heapBytes[flowShard](shards)
 	if got != want {
 		t.Errorf("InsertBatch(%d keys) allocated %d bytes, want %d", n, got, want)
 	}
@@ -366,8 +382,9 @@ func splitmix64(x uint64) uint64 {
 // FuzzInsertBatch drives the batch ≡ serial contract over fuzzed batch
 // sizes, prefill counts and address seeds. The seed picks the shard count,
 // either a collision-free key run or keys drawn from a space small enough
-// that in-batch and resident duplicates are likely, and, from its top 16
-// bits, the cache size: 64 bytes up to half a megabyte, so the footprint
+// that in-batch and resident duplicates are likely, with bit 7 a batch
+// one grouping block (batchBlock keys) longer, and, from its top 16 bits,
+// the cache size: 64 bytes up to half a megabyte, so the footprint
 // outgrows the cache at the first key, partway through the batch or not
 // at all.
 func FuzzInsertBatch(f *testing.F) {
@@ -376,8 +393,13 @@ func FuzzInsertBatch(f *testing.F) {
 	f.Add(uint16(1000), uint8(64), uint64(0x700))
 	f.Add(uint16(3000), uint8(10), uint64(0x301))
 	f.Add(uint16(3000), uint8(10), uint64(0x3000_0000_0000_0300))
+	// One grouping block and 100 keys, over 32 shards.
+	f.Add(uint16(100), uint8(0), uint64(0x580))
 	f.Fuzz(func(t *testing.T, n uint16, prefill uint8, seed uint64) {
 		size := int(n % 4096)
+		if seed&0x80 != 0 {
+			size += batchBlock
+		}
 		shards := 1 << (seed >> 8 % 8)
 		space := uint64(4*size + int(prefill) + 1)
 		keyOf := func(i int) FlowKey {

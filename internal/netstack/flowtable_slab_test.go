@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -29,11 +30,11 @@ func hasPointers(t reflect.Type) bool {
 	return false
 }
 
-// TestFlowSlotLayout pins the simulator's slot: 18 bytes with no pointer,
+// TestFlowSlotLayout pins the simulator's slot: 16 bytes with no pointer,
 // while the priced footprint stays the modelled 32-byte slot.
 func TestFlowSlotLayout(t *testing.T) {
-	if got := unsafe.Sizeof(flowSlot{}); got != 18 {
-		t.Errorf("flowSlot is %d bytes, want 18", got)
+	if got := unsafe.Sizeof(flowSlot{}); got != 16 {
+		t.Errorf("flowSlot is %d bytes, want 16", got)
 	}
 	if hasPointers(reflect.TypeFor[flowSlot]()) {
 		t.Error("flowSlot holds a pointer")
@@ -104,7 +105,7 @@ func checkSlab(t *testing.T, what string, tab *FlowTable) {
 	for si := range tab.shards {
 		for _, sl := range tab.shards[si].slots {
 			if sl.dist != 0 {
-				counts[sl.ref()]++
+				counts[sl.ref]++
 			}
 		}
 	}
@@ -215,4 +216,54 @@ func FuzzFlowTableOps(f *testing.F) {
 			t.Fatalf("%d of %d handles free after draining every key", len(tab.free), len(tab.eps)-1)
 		}
 	})
+}
+
+// TestEndpointHandleLimit: a table binds at most MaxEndpoints distinct
+// endpoints. With all of them bound, an Insert or an InsertBatch that
+// needs one more fails with ErrTooManyEndpoints and leaves the table, the
+// meter and the demux cycles as they were; a duplicate key still reports
+// as a duplicate. The endpoint bound last can still take keys, and once a
+// key's removal frees a handle, the next endpoint takes it.
+func TestEndpointHandleLimit(t *testing.T) {
+	eps := make([]tcp.Endpoint, MaxEndpoints+1) // only their addresses matter
+	ref, tab, mr, mt := pricedPair(t, 0, 64)
+	for i := 0; i < MaxEndpoints; i++ {
+		for _, tb := range []*FlowTable{ref, tab} {
+			if err := tb.Insert(diffKey(i), &eps[i]); err != nil {
+				t.Fatalf("endpoint %d: %v", i, err)
+			}
+		}
+	}
+	extra := &eps[MaxEndpoints]
+	more := func(i int) FlowKey { return diffKey(MaxEndpoints + i) }
+	if err := tab.Insert(more(0), extra); !errors.Is(err, ErrTooManyEndpoints) {
+		t.Fatalf("Insert past the limit: err = %v, want ErrTooManyEndpoints", err)
+	}
+	if err := tab.InsertBatch(3, more, extra); !errors.Is(err, ErrTooManyEndpoints) {
+		t.Fatalf("InsertBatch past the limit: err = %v, want ErrTooManyEndpoints", err)
+	}
+	if err := tab.InsertBatch(3, diffKey, extra); err == nil || errors.Is(err, ErrTooManyEndpoints) {
+		t.Fatalf("InsertBatch of a resident key past the limit: err = %v, want a duplicate", err)
+	}
+	requireTablesEqual(t, "refused inserts", ref, tab, mr, mt)
+	checkSlab(t, "refused inserts", tab)
+
+	last := &eps[MaxEndpoints-1]
+	for _, tb := range []*FlowTable{ref, tab} {
+		if err := tb.InsertBatch(2, more, last); err != nil {
+			t.Fatalf("keys for the newest endpoint: %v", err)
+		}
+		if !tb.Remove(diffKey(7)) {
+			t.Fatal("Remove(key 7) missed")
+		}
+		if err := tb.Insert(more(2), extra); err != nil {
+			t.Fatalf("Insert after a handle was freed: %v", err)
+		}
+	}
+	requireTablesEqual(t, "after reuse", ref, tab, mr, mt)
+	checkSlab(t, "after reuse", tab)
+	if len(tab.eps) != MaxEndpoints+1 || tab.Peek(more(2)) != extra {
+		t.Fatalf("slab holds %d handles, key resolves to %p, want %d and %p",
+			len(tab.eps)-1, tab.Peek(more(2)), MaxEndpoints, extra)
+	}
 }

@@ -180,7 +180,9 @@ func (s *Stack) InputOn(cpu int) func(*buf.SKB) {
 }
 
 // Register adds an endpoint to the demux table under the key incoming
-// packets for it will carry.
+// packets for it will carry. It fails, changing nothing, on a duplicate
+// key or when the table already binds MaxEndpoints other endpoints
+// (ErrTooManyEndpoints).
 func (s *Stack) Register(ep *tcp.Endpoint, remoteIP, localIP ipv4.Addr, remotePort, localPort uint16) error {
 	k := FlowKey{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}
 	if err := s.table.Insert(k, ep); err != nil {

@@ -642,8 +642,31 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	if cfg.Steering.steeringActive() {
 		top.steer = newSteerController(top, cfg.Steering)
 	}
-	top.start(5_000_000)
+	top.start(streamSweepNs)
 	return top, nil
+}
+
+// streamSweepNs is the period of a stream run's timer sweep (start).
+const streamSweepNs = 5_000_000
+
+// registeredEndpoints bounds the distinct endpoints a run of cfg holds
+// registered in its flow table at once: one per connection (a restart
+// storm's victim redials only once its old incarnation is unregistered),
+// the one placeholder the idle population shares, and under churn every
+// torn-down flow still registered. A churn victim drains its FIN for at
+// most churnForceTeardownNs and then lingers churnTimeWaitNs, each phase
+// ending up to one timer sweep late, so it is registered for less than
+// churnRegisteredNs after the tick that tore it down.
+func registeredEndpoints(cfg *StreamConfig) int {
+	const churnRegisteredNs = churnForceTeardownNs + churnTimeWaitNs + 2*streamSweepNs
+	n := cfg.Connections
+	if cfg.RegisteredFlows > cfg.Connections {
+		n++
+	}
+	if cfg.ChurnIntervalNs > 0 {
+		n += int(churnRegisteredNs/cfg.ChurnIntervalNs) + 1
+	}
+	return n
 }
 
 // Resolved returns cfg with its defaults filled in, as a run uses it:
@@ -730,6 +753,10 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 			cfg.RegisteredFlows != 0 || cfg.MessageSize != 0 {
 			return nil, fmt.Errorf("sim: the RPC workload is incompatible with churn, storm, steering, skew, connscale and MessageSize knobs")
 		}
+	}
+	if n := registeredEndpoints(cfg); n > netstack.MaxEndpoints {
+		return nil, fmt.Errorf("sim: the run could hold %d endpoints registered at once, above the flow table's %d",
+			n, netstack.MaxEndpoints)
 	}
 	machine, round, err := buildMachine(cfg)
 	if err != nil {

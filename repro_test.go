@@ -65,18 +65,12 @@ func TestFacadeComparison(t *testing.T) {
 	}
 }
 
-// TestRPCIncastSetupHostBytes pins the host memory a run of the rpc-incast
-// benchmark workload's shape allocates before its first frame: bounded
-// rings (the aggregation queue, the NIC's descriptor rings) and the
-// TIME_WAIT shards hold only what traffic puts in them, so set-up is the
-// topology, endpoints and pools. The run is one nanosecond long; the
-// least of a few tries, with the collector off, is taken.
-func TestRPCIncastSetupHostBytes(t *testing.T) {
-	const budget = 320_000
-	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
-	cfg.NICs, cfg.Connections = 1, 64
-	cfg.RPC = RPCConfig{Enabled: true, MessageBytes: 256}
-	cfg.WarmupNs, cfg.DurationNs = 0, 1
+// leastRunAlloc returns the fewest bytes, by runtime.MemStats.TotalAlloc,
+// that any of three runs of cfg allocates, with the collector off. Other
+// goroutines' allocations only add to a reading, so the fewest is the
+// run's own.
+func leastRunAlloc(t *testing.T, cfg StreamConfig) uint64 {
+	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
 	var least uint64
@@ -91,6 +85,21 @@ func TestRPCIncastSetupHostBytes(t *testing.T) {
 			least = d
 		}
 	}
+	return least
+}
+
+// TestRPCIncastSetupHostBytes pins the host memory a run of the rpc-incast
+// benchmark workload's shape allocates before its first frame: bounded
+// rings (the aggregation queue, the NIC's descriptor rings) and the
+// TIME_WAIT shards hold only what traffic puts in them, so set-up is the
+// topology, endpoints and pools. The run is one nanosecond long.
+func TestRPCIncastSetupHostBytes(t *testing.T) {
+	const budget = 320_000
+	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
+	cfg.NICs, cfg.Connections = 1, 64
+	cfg.RPC = RPCConfig{Enabled: true, MessageBytes: 256}
+	cfg.WarmupNs, cfg.DurationNs = 0, 1
+	least := leastRunAlloc(t, cfg)
 	t.Logf("rpc-incast set-up allocates %d bytes", least)
 	if least > budget {
 		t.Errorf("rpc-incast set-up allocated %d bytes, budget %d", least, budget)
