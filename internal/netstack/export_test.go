@@ -14,7 +14,7 @@ func (s *Stack) TimeWaitHas(remoteIP, localIP ipv4.Addr, remotePort, localPort u
 func (s *Stack) TimeWaitOccupancy() []int {
 	occ := make([]int, s.tw.nShards)
 	for i := range s.tw.shards {
-		occ[i] = len(s.tw.shards[i].live())
+		occ[i] = len(s.tw.shards[i])
 	}
 	return occ
 }

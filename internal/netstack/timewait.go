@@ -31,9 +31,7 @@ import (
 //     linger, or a seeded spread monotone in its index — so an insert is
 //     almost always an append, and a reap sweep consumes only each
 //     queue's due prefix: the first entry not yet due ends the shard's
-//     work, however many entries linger behind it. Popping that prefix
-//     advances the queue's head; the live entries move to the front only
-//     when an insert would otherwise grow the queue's array.
+//     work, however many entries linger behind it.
 //
 // Cycle charges scale with the real touches (entry init, queue and map
 // update, demux removal), priced through the machine's memory model like
@@ -80,23 +78,12 @@ type TimeWaitStats struct {
 	Bytes, PeakBytes uint64
 }
 
-// twQueue is one shard's deadline-sorted queue: the live entries are
-// buf[head:]. Taking the first entry advances head; the entries ahead of
-// it are dead until an insert compacts them away.
-type twQueue struct {
-	buf  []twEntry
-	head int
-}
-
-// live returns the queue's entries in deadline order.
-func (q *twQueue) live() []twEntry { return q.buf[q.head:] }
-
 // timeWaitTable is the sharded TIME_WAIT table.
 type timeWaitTable struct {
-	// shards holds each shard's queue. It is allocated, with deadlines,
-	// on the first insert (nil until then: a run that tears no flow down
-	// never touches it); nShards is its length.
-	shards  []twQueue
+	// shards holds each shard's deadline-sorted queue. It is allocated,
+	// with deadlines, on the first insert (nil until then: a run that
+	// tears no flow down never touches it); nShards is its length.
+	shards  [][]twEntry
 	nShards int
 	// deadlines maps every lingering key to its deadline, which locates
 	// the entry in its shard's queue.
@@ -130,31 +117,24 @@ func (t *timeWaitTable) configure(maxBuckets int, evictOldest bool) {
 // insert adds e to its shard's queue after every entry with an equal or
 // earlier deadline; the caller has checked for a duplicate and for room.
 // Deadlines arrive (near-)monotone, so this is almost always an append.
-// A full array first drops its dead entries, if it has any, rather than
-// grow.
 func (t *timeWaitTable) insert(shard int, e twEntry) {
-	q := &t.shards[shard]
-	if q.head > 0 && len(q.buf) == cap(q.buf) {
-		q.buf = q.buf[:copy(q.buf, q.live())]
-		q.head = 0
-	}
-	live := q.live()
-	i := sort.Search(len(live), func(i int) bool { return live[i].deadline > e.deadline })
-	q.buf = slices.Insert(q.buf, q.head+i, e)
+	q := t.shards[shard]
+	i := sort.Search(len(q), func(i int) bool { return q[i].deadline > e.deadline })
+	t.shards[shard] = slices.Insert(q, i, e)
 	t.deadlines[e.key] = e.deadline
 	t.peak = max(t.peak, len(t.deadlines))
 	t.entered++
 }
 
-// find returns the index of k's entry among its shard's live entries, or
-// -1: a binary search to the first entry with k's deadline, then a step
-// over its ties.
+// find returns the index of k's entry in its shard's queue, or -1: a
+// binary search to the first entry with k's deadline, then a step over
+// its ties.
 func (t *timeWaitTable) find(shard int, k FlowKey) int {
 	d, ok := t.deadlines[k]
 	if !ok {
 		return -1
 	}
-	q := t.shards[shard].live()
+	q := t.shards[shard]
 	i := sort.Search(len(q), func(i int) bool { return q[i].deadline >= d })
 	for q[i].key != k {
 		i++
@@ -162,26 +142,14 @@ func (t *timeWaitTable) find(shard int, k FlowKey) int {
 	return i
 }
 
-// remove takes live entry i out of its shard's queue (SYN-time reuse or
-// a pressure eviction, whose victim is the first) and returns its key.
+// remove takes entry i out of its shard's queue (SYN-time reuse or a
+// pressure eviction) and returns its key.
 func (t *timeWaitTable) remove(shard, i int) FlowKey {
-	q := &t.shards[shard]
-	k := q.live()[i].key
-	if i == 0 {
-		q.pop(1)
-	} else {
-		q.buf = slices.Delete(q.buf, q.head+i, q.head+i+1)
-	}
+	q := t.shards[shard]
+	k := q[i].key
+	t.shards[shard] = slices.Delete(q, i, i+1)
 	delete(t.deadlines, k)
 	return k
-}
-
-// pop drops the queue's first n entries. An emptied queue restarts at
-// the front of its array.
-func (q *twQueue) pop(n int) {
-	if q.head += n; q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
 }
 
 // reap takes, shard by shard in index order, each queue's prefix whose
@@ -189,18 +157,16 @@ func (q *twQueue) pop(n int) {
 // deadline order. The first entry not yet due ends a shard's work.
 func (t *timeWaitTable) reap(now uint64, each func(FlowKey)) {
 	nowTick := now / twTickNs
-	for si := range t.shards {
-		q := &t.shards[si]
-		live := q.live()
+	for si, q := range t.shards {
 		n := 0
-		for n < len(live) && live[n].deadline/twTickNs < nowTick {
-			delete(t.deadlines, live[n].key)
-			each(live[n].key)
+		for n < len(q) && q[n].deadline/twTickNs < nowTick {
+			delete(t.deadlines, q[n].key)
+			each(q[n].key)
 			n++
 		}
 		if n > 0 {
 			t.reaped += uint64(n)
-			q.pop(n)
+			t.shards[si] = slices.Delete(q, 0, n)
 		}
 	}
 }
@@ -305,11 +271,11 @@ func (s *Stack) insertTimeWait(k FlowKey, deadline uint64, lastTS, rcvNxt uint32
 		return false
 	}
 	if t.shards == nil {
-		t.shards = make([]twQueue, t.nShards)
+		t.shards = make([][]twEntry, t.nShards)
 		t.deadlines = make(map[FlowKey]uint64)
 	}
 	shard := s.table.ShardOf(k)
-	if t.maxPerShard > 0 && len(t.shards[shard].live()) >= t.maxPerShard {
+	if t.maxPerShard > 0 && len(t.shards[shard]) >= t.maxPerShard {
 		if !t.evictOldest {
 			t.pressureRefused++
 			return false
@@ -358,7 +324,7 @@ func (s *Stack) ReuseTimeWait(remoteIP, localIP ipv4.Addr, remotePort, localPort
 	// Reading the lingering entry's final state is a cold touch either
 	// way the verdict goes.
 	s.meter.Charge(cycles.NonProto, s.params.Mem.RandomTouchCost(1))
-	if e := &s.tw.shards[shard].live()[i]; !tcp.ReuseAdmissible(e.lastTS, tsVal, e.rcvNxt, isn) {
+	if e := &s.tw.shards[shard][i]; !tcp.ReuseAdmissible(e.lastTS, tsVal, e.rcvNxt, isn) {
 		s.tw.refused++
 		return ReuseRefused
 	}

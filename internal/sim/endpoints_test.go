@@ -14,7 +14,8 @@ import (
 // count takes every connection, the idle population's one shared
 // placeholder, and under churn the torn-down flows still draining or
 // lingering: 78 ms of them (60 ms of FIN drain, 8 ms of TIME_WAIT and up
-// to two 5 ms sweeps), 40 at a 2 ms interval.
+// to two 5 ms sweeps), 40 at a 2 ms interval, but never more than the
+// churn port pool's 10,536 pairs, however short the interval.
 func TestRegisteredEndpointLimit(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -25,6 +26,7 @@ func TestRegisteredEndpointLimit(t *testing.T) {
 		{"idle population", 1, func(c *StreamConfig) { c.RegisteredFlows = 1_000_000 }},
 		{"2 ms churn", 40, func(c *StreamConfig) { c.ChurnIntervalNs = 2_000_000 }},
 		{"100 us churn", 781, func(c *StreamConfig) { c.ChurnIntervalNs = 100_000 }},
+		{"500 ns churn", churnPortPairs, func(c *StreamConfig) { c.ChurnIntervalNs = 500 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultStreamConfig(SystemNativeUP, OptNone)

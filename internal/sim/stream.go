@@ -656,7 +656,10 @@ const streamSweepNs = 5_000_000
 // torn-down flow still registered. A churn victim drains its FIN for at
 // most churnForceTeardownNs and then lingers churnTimeWaitNs, each phase
 // ending up to one timer sweep late, so it is registered for less than
-// churnRegisteredNs after the tick that tore it down.
+// churnRegisteredNs after the tick that tore it down. However short the
+// interval, a run holds at most its initial flows plus churnPortPairs
+// churn flows registered: a churn flow keeps its pair from the one churn
+// port pool until it is unregistered.
 func registeredEndpoints(cfg *StreamConfig) int {
 	const churnRegisteredNs = churnForceTeardownNs + churnTimeWaitNs + 2*streamSweepNs
 	n := cfg.Connections
@@ -664,7 +667,7 @@ func registeredEndpoints(cfg *StreamConfig) int {
 		n++
 	}
 	if cfg.ChurnIntervalNs > 0 {
-		n += int(churnRegisteredNs/cfg.ChurnIntervalNs) + 1
+		n += min(int(churnRegisteredNs/cfg.ChurnIntervalNs)+1, churnPortPairs)
 	}
 	return n
 }

@@ -71,10 +71,13 @@ type rankedFlow struct {
 
 // Churn replacement flows draw ports from a range disjoint from the
 // initial population's (which starts at 5001/44000 and grows by one per
-// round-robin lap), so reopened flows never collide with live ones.
+// round-robin lap), so reopened flows never collide with live ones. The
+// range holds churnPortPairs pairs, shared by every churn flow still
+// registered, live or torn down.
 const (
 	churnSenderPortBase   = 20000
 	churnReceiverPortBase = 55000
+	churnPortPairs        = math.MaxUint16 - churnReceiverPortBase + 1
 )
 
 func newFlowGen(top *streamTopology, cfg *StreamConfig) *flowGen {
@@ -103,7 +106,7 @@ func (g *flowGen) openFlow() error {
 // When the linear churn range runs out it redials port pairs reaped out
 // of TIME_WAIT; only with the recycle pool also empty does it fail.
 func (g *flowGen) openChurnFlow(n int) error {
-	if churnReceiverPortBase+g.churnPort > math.MaxUint16 {
+	if g.churnPort >= churnPortPairs {
 		if len(g.recycled) > 0 {
 			p := g.recycled[len(g.recycled)-1]
 			g.recycled = g.recycled[:len(g.recycled)-1]
