@@ -71,9 +71,9 @@ var (
 	duration   = flag.Duration("duration", 150*time.Millisecond, "measured virtual duration per run")
 	warmup     = flag.Duration("warmup", 40*time.Millisecond, "virtual warm-up before measurement")
 	sysFlag    = flag.String("sys", "up",
-		"system for the rss, churn, steer, reorder, restartstorm, connscale and rr experiments: up, smp, xen (xen scales paravirtual I/O channels)")
+		"system for the rss, churn, reorder, restartstorm, connscale and rr experiments: up, smp, xen (xen scales paravirtual I/O channels)")
 	queueList = flag.String("queues", "1,2,4,8",
-		"queue counts swept by the rss experiment (comma-separated); steer, reorder and restartstorm use the last entry")
+		"queue counts swept by the rss experiment (comma-separated); reorder and restartstorm use the last entry")
 	jsonOut = flag.Bool("json", false,
 		"emit machine-readable JSON run records on stdout (tables move to stderr)")
 	parallel = flag.Int("parallel", 1,
@@ -109,7 +109,6 @@ var experiments = []experimentDef{
 	{"limit1", limit1},
 	{"rss", rssScaling},
 	{"churn", churn},
-	{"steer", steerExperiment},
 	{"smallmsg", smallMsg},
 	{"reorder", reorderExperiment},
 	{"loss", lossExperiment},
@@ -610,43 +609,6 @@ func churn(w io.Writer) {
 		return fmt.Sprintf(" %10.0f %7.0f%% %8.1f %10d\n",
 			r[0].ThroughputMbps, r[0].CPUUtil*100, r[0].AggFactor, r[0].FlowsTornDown)
 	})
-}
-
-// steerExperiment is the dynamic-flow-steering study: the 200-flow zipf
-// workload under static RSS, the indirection rebalancer, and rebalancer +
-// accelerated RFS (including the app-migration workload).
-func steerExperiment(w io.Writer) {
-	q := benchQueues[len(benchQueues)-1]
-	fmt.Fprintf(w, "Dynamic flow steering (%s, 200 zipf flows, 8 links, %d queues)\n", benchSys, q)
-	fmt.Fprintf(w, "%-22s %8s %8s %8s %8s %8s %8s %8s\n",
-		"policy", "Mb/s", "util", "spread", "moves", "rules", "occ", "appmig")
-	var t table
-	add := func(name string, steer repro.SteerConfig) {
-		cfg := repro.DefaultStreamConfig(benchSys, repro.OptFull)
-		cfg.NICs = 8
-		cfg.Connections = 200
-		cfg.Queues = q
-		cfg.FlowSkew = 1.2
-		cfg.Steering = steer
-		t.add(fmt.Sprintf("%-22s", name), cfg)
-	}
-	add("static RSS", repro.SteerConfig{})
-	add("rebalancer", repro.SteerConfig{Enabled: true})
-	add("rebalancer+aRFS", repro.SteerConfig{Enabled: true, ARFS: true})
-	add("rebalancer+aRFS+mig", repro.SteerConfig{Enabled: true, ARFS: true,
-		AppMigrateIntervalNs: 2_000_000})
-	t.print(w, func(r []repro.StreamResult) string {
-		res := r[0]
-		var moves, rules, appmig uint64
-		occ := 0
-		if res.Steer != nil {
-			moves, rules, appmig = res.Steer.Moves, res.Steer.RulesProgrammed, res.Steer.AppMigrations
-			occ = res.Steer.RuleOccupancy
-		}
-		return fmt.Sprintf(" %8.0f %7.0f%% %8.3f %8d %8d %8d %8d\n",
-			res.ThroughputMbps, res.CPUUtil*100, res.UtilSpread(), moves, rules, occ, appmig)
-	})
-	fmt.Fprintln(w, "(spread = max-min per-CPU utilization; steering must narrow it at equal or better throughput)")
 }
 
 // smallMsg is the §5.5 quantitative reproduction: sweep sub-MSS message

@@ -3,7 +3,7 @@
 // section the run's result has: the flow table's per-shard demux statistics
 // (flows, demux hits, steals; the eight busiest shards), the demux and
 // memory summary, the aggregation engines' flush reasons and the per-stage
-// latency breakdown, plus the TIME_WAIT, steering and loss sections when
+// latency breakdown, plus the TIME_WAIT and loss sections when
 // the run exercised them:
 //
 //	rxprof -system xen -opt full
@@ -31,10 +31,8 @@ var (
 	queues   = flag.Int("queues", 1, "RSS queues / paravirtual I/O channels per NIC")
 	conns    = flag.Int("conns", 0, "concurrent connections (0 = one per NIC)")
 	duration = flag.Duration("duration", 150*time.Millisecond, "measured virtual duration")
-	steer    = flag.Bool("steer", false,
-		"enable dynamic flow steering (rebalancer + aRFS) and print the final indirection table and steering-rule occupancy")
-	skew   = flag.Float64("skew", 0, "zipf rate-skew exponent for the flow population (0 = uniform)")
-	window = flag.Int("window", 0,
+	skew     = flag.Float64("skew", 0, "zipf rate-skew exponent for the flow population (0 = uniform)")
+	window   = flag.Int("window", 0,
 		"per-flow resequencing window of the aggregation engines, in frames (0 = strict in-sequence)")
 	reorderOneIn = flag.Int("reorder", 0,
 		"displace every Nth forward frame on each link (the reorder fault injector; 0 = off)")
@@ -99,9 +97,6 @@ func main() {
 			PrefillTimeWait: *stormSize,
 		}
 	}
-	if *steer {
-		cfg.Steering = repro.SteerConfig{Enabled: true, ARFS: true}
-	}
 	// Latency telemetry (the stage breakdown and the recovery-latency
 	// histogram) costs the run nothing: observation never perturbs it.
 	cfg.Telemetry.Latency = true
@@ -123,10 +118,6 @@ func main() {
 	printShardStats(res)
 	printDemux(res)
 	printTimeWait(res)
-	if *steer {
-		fmt.Println()
-		printSteer(res)
-	}
 	fmt.Println()
 	printAggEngines(res)
 	fmt.Println()
@@ -192,7 +183,7 @@ func printLatency(res repro.StreamResult) {
 
 // printAggEngines renders each aggregation engine's flush-reason
 // taxonomy and resequencing-window activity — how aggregates end (the
-// Limit, a §3.1 mismatch, idle/evict/steer flushes, window overflow) and
+// Limit, a §3.1 mismatch, idle/evict flushes, window overflow) and
 // how the window behaved (held/stitched/drained), per CPU and in total.
 func printAggEngines(res repro.StreamResult) {
 	if len(res.EngineAgg) == 0 {
@@ -200,15 +191,15 @@ func printAggEngines(res repro.StreamResult) {
 		return
 	}
 	fmt.Println("aggregation engines (flush reasons and resequencing window):")
-	fmt.Printf("%-6s %9s %8s %8s %7s %7s %7s %7s %7s %7s %6s %8s %8s\n",
+	fmt.Printf("%-6s %9s %8s %8s %7s %7s %7s %7s %7s %6s %8s %8s\n",
 		"cpu", "frames", "host", "coalesc",
-		"limit", "mism", "idle", "evict", "steer", "ovflw",
+		"limit", "mism", "idle", "evict", "ovflw",
 		"held", "stitched", "drained")
 	row := func(name string, s repro.AggStats) {
-		fmt.Printf("%-6s %9d %8d %8d %7d %7d %7d %7d %7d %7d %6d %8d %8d\n",
+		fmt.Printf("%-6s %9d %8d %8d %7d %7d %7d %7d %7d %6d %8d %8d\n",
 			name, s.FramesIn, s.HostOut, s.Coalesced,
 			s.FlushLimit, s.FlushMismatch, s.FlushIdle, s.FlushEvict,
-			s.FlushSteer, s.FlushWindowOverflow,
+			s.FlushWindowOverflow,
 			s.Held, s.Stitched, s.WindowTimeout)
 	}
 	for cpu, s := range res.EngineAgg {
@@ -235,33 +226,6 @@ func printTimeWait(res repro.StreamResult) {
 	if res.ChurnOpenFailures > 0 {
 		fmt.Printf("WARNING: %d churn ticks could not open a replacement (port space exhausted)\n",
 			res.ChurnOpenFailures)
-	}
-}
-
-// printSteer renders the run's steering state: policy activity, rule-table
-// occupancy and the final RSS indirection table (bucket → CPU).
-func printSteer(res repro.StreamResult) {
-	r := res.Steer
-	if r == nil {
-		fmt.Println("steering: no report (steering inactive)")
-		return
-	}
-	fmt.Printf("steering: %d epochs (%d calm), %d bucket moves, util spread %.3f\n",
-		r.Epochs, r.CalmEpochs, r.Moves, res.UtilSpread())
-	fmt.Printf("aRFS rules: %d programmed, %d evicted, %d hits, %d live, %d app migrations\n",
-		r.RulesProgrammed, r.RuleEvictions, r.RuleHits, r.RuleOccupancy, r.AppMigrations)
-	fmt.Println("indirection table (bucket -> CPU):")
-	const perRow = 32
-	for base := 0; base < len(r.Indirection); base += perRow {
-		end := base + perRow
-		if end > len(r.Indirection) {
-			end = len(r.Indirection)
-		}
-		fmt.Printf("  %3d:", base)
-		for _, cpu := range r.Indirection[base:end] {
-			fmt.Printf(" %d", cpu)
-		}
-		fmt.Println()
 	}
 }
 

@@ -15,12 +15,11 @@ const goldenShapesFile = "testdata/golden_shapes.json"
 
 // goldenShapes is the one corpus of workload shapes every equivalence test
 // ranges over: the single-queue regression lock on every system, RSS
-// multi-queue scaling, flow churn (moderate and many-flow), dynamic
-// steering, the reorder fault injector with a resequencing window (two and
-// four NICs), the restart storm (prefill-only and partial restart),
-// connection-scale demux at 50k registered endpoints, wire corruption,
-// uniform and burst loss, the multi-queue Xen paravirtual path and the RPC
-// incast workload.
+// multi-queue scaling, flow churn (moderate and many-flow), the reorder
+// fault injector with a resequencing window (two and four NICs), the
+// restart storm (prefill-only and partial restart), connection-scale demux
+// at 50k registered endpoints, wire corruption, uniform and burst loss, the
+// multi-queue Xen paravirtual path and the RPC incast workload.
 func goldenShapes() map[string]StreamConfig {
 	shapes := map[string]StreamConfig{}
 
@@ -53,40 +52,6 @@ func goldenShapes() map[string]StreamConfig {
 	churn400.FlowSkew = 1.1
 	churn400.ChurnIntervalNs = 2_000_000
 	shapes["churn/400flow"] = churn400
-
-	steer := DefaultStreamConfig(SystemNativeUP, OptFull)
-	steer.NICs = 8
-	steer.Queues = 4
-	steer.Connections = 200
-	steer.FlowSkew = 1.2
-	steer.Steering = SteerConfig{Enabled: true, ARFS: true}
-	shapes["steer/arfs"] = steer
-
-	// The steering handoff under pressure: bucket moves, aRFS rule
-	// evictions, application migration and churn teardowns,
-	// natively and on the 4-channel Xen machine (netback follows every
-	// move and rule onto the new I/O channel).
-	handoff := SteerConfig{
-		Enabled: true, ARFS: true, RuleTableSlots: 16,
-		EpochNs: 2_000_000, AppMigrateIntervalNs: 3_000_000,
-	}
-	handoffNative := DefaultStreamConfig(SystemNativeUP, OptFull)
-	handoffNative.NICs = 4
-	handoffNative.Queues = 4
-	handoffNative.Connections = 120
-	handoffNative.FlowSkew = 2.0
-	handoffNative.ChurnIntervalNs = 4_000_000
-	handoffNative.Steering = handoff
-	shapes["steer/handoff-native"] = handoffNative
-
-	handoffXen := DefaultStreamConfig(SystemXen, OptFull)
-	handoffXen.NICs = 4
-	handoffXen.Queues = 4
-	handoffXen.Connections = 120
-	handoffXen.FlowSkew = 2.0
-	handoffXen.ChurnIntervalNs = 1_000_000
-	handoffXen.Steering = handoff
-	shapes["steer/handoff-xen"] = handoffXen
 
 	reorder := DefaultStreamConfig(SystemNativeSMP, OptAggregation)
 	reorder.Queues = 2

@@ -92,7 +92,6 @@ type Stats struct {
 	FlushMismatch uint64 // closed by a non-matching same-flow frame
 	FlushIdle     uint64 // closed by FlushAll (queue went empty)
 	FlushEvict    uint64 // closed by table eviction
-	FlushSteer    uint64 // closed by FlushWhere (migration handoff)
 	// FlushWindowOverflow counts aggregates closed because an
 	// ahead-of-sequence frame could not be held (window slots exhausted,
 	// sequence span beyond 64 KiB, or overlap with an already-held
@@ -102,7 +101,7 @@ type Stats struct {
 	// Resequencing-window activity. Held counts frames that entered the
 	// hold buffer; Stitched those that later joined an aggregate when
 	// the gap filled; WindowTimeout those drained undelivered-gap (idle
-	// flush, eviction, migration handoff, or a mismatch flush).
+	// flush, eviction, or a mismatch flush).
 	// Held = Stitched + WindowTimeout + currently-held at all times.
 	Held, Stitched, WindowTimeout uint64
 	// Drain-time run stitching: contiguous held frames drained together
@@ -130,7 +129,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.FlushMismatch += o.FlushMismatch
 	s.FlushIdle += o.FlushIdle
 	s.FlushEvict += o.FlushEvict
-	s.FlushSteer += o.FlushSteer
 	s.FlushWindowOverflow += o.FlushWindowOverflow
 	s.Held += o.Held
 	s.Stitched += o.Stitched
@@ -619,31 +617,6 @@ func (e *Engine) FlushAll() {
 	e.order, e.head = e.order[:0], 0
 }
 
-// FlushWhere delivers every pending aggregate whose flow key satisfies
-// pred, counting each as a steering flush. The steering control path uses
-// it for migration handoff: before a bucket (or a single flow) is
-// re-steered to another CPU, the old CPU's partial aggregates for the
-// affected flows are drained, so no aggregate can ever merge frames from
-// both sides of the migration boundary. It returns the number flushed.
-func (e *Engine) FlushWhere(pred func(rss.FlowKey) bool) int {
-	n := 0
-	for _, k := range e.order[e.head:] {
-		if !pred(k) {
-			continue
-		}
-		if p, ok := e.table[k]; ok {
-			e.stats.FlushSteer++
-			delete(e.table, k)
-			e.deliver(p)
-			n++
-		}
-	}
-	if n > 0 {
-		e.compactOrder()
-	}
-	return n
-}
-
 // finalize removes p from the table and delivers it.
 func (e *Engine) finalize(p *pending) {
 	delete(e.table, p.key)
@@ -674,8 +647,7 @@ func (e *Engine) deliver(p *pending) {
 	// after the aggregate and in sequence order, so the flow's bytes
 	// reach the stack exactly as far along as the engine ever saw them.
 	// This is what keeps held frames from outliving an idle flush (work
-	// conservation, §3.5), a table eviction, or a steering-migration
-	// FlushWhere (no held frame may span the migration boundary).
+	// conservation, §3.5) or a table eviction.
 	if len(p.held) > 0 {
 		held := p.held
 		p.held = p.held[:0]

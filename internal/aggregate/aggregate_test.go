@@ -11,7 +11,6 @@ import (
 	"repro/internal/nic"
 	"repro/internal/packet"
 	"repro/internal/paper"
-	"repro/internal/rss"
 	"repro/internal/tcpwire"
 )
 
@@ -43,43 +42,6 @@ func (e *env) freeOut() {
 		e.alloc.Free(s)
 	}
 	e.out = nil
-}
-
-// TestFlushWhere: the migration-handoff primitive delivers exactly the
-// pending aggregates whose key matches, leaving the rest pending.
-func TestFlushWhere(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20})
-	defer e.freeOut()
-	// Two flows, two frames each: both are pending (limit not reached).
-	e.eng.Input(flowFrame(1, 1, 100, nil))
-	e.eng.Input(flowFrame(101, 1, 100, nil))
-	e.eng.Input(flowFrame(1, 1, 100, func(s *packet.TCPSpec) { s.SrcPort = 5002 }))
-	e.eng.Input(flowFrame(101, 1, 100, func(s *packet.TCPSpec) { s.SrcPort = 5002 }))
-	if got := e.eng.PendingFlows(); got != 2 {
-		t.Fatalf("PendingFlows = %d, want 2", got)
-	}
-	n := e.eng.FlushWhere(func(k rss.FlowKey) bool { return k.SrcPort == 5001 })
-	if n != 1 {
-		t.Fatalf("FlushWhere flushed %d aggregates, want 1", n)
-	}
-	if got := e.eng.PendingFlows(); got != 1 {
-		t.Fatalf("PendingFlows = %d after selective flush, want 1", got)
-	}
-	if len(e.out) != 1 || e.out[0].NetPackets != 2 {
-		t.Fatalf("delivered %d packets, want one 2-frame aggregate", len(e.out))
-	}
-	if got := e.eng.Stats().FlushSteer; got != 1 {
-		t.Errorf("FlushSteer = %d, want 1", got)
-	}
-	// The surviving flow is untouched and still aggregating.
-	e.eng.Input(flowFrame(201, 1, 100, func(s *packet.TCPSpec) { s.SrcPort = 5002 }))
-	if got := e.eng.PendingFlows(); got != 1 {
-		t.Errorf("survivor flow lost its pending aggregate (%d pending)", got)
-	}
-	e.eng.FlushAll()
-	if len(e.out) != 2 || e.out[1].NetPackets != 3 {
-		t.Errorf("survivor did not keep aggregating across FlushWhere")
-	}
 }
 
 // flowFrame builds an in-sequence data frame for the canonical test flow.
@@ -681,29 +643,6 @@ func TestDrainStitchRespectsGapsAndLimit(t *testing.T) {
 	}
 	if st.FramesIn != st.HostOut+st.Coalesced {
 		t.Errorf("frame conservation broken: %+v", st)
-	}
-}
-
-// TestReorderFlushWhereDrainsHeld: the steering-migration handoff drains
-// the flow's resequencing window along with its aggregate — no held frame
-// may span the migration boundary.
-func TestReorderFlushWhereDrainsHeld(t *testing.T) {
-	e := newEnv(t, Config{Limit: 20, ReorderWindow: 4})
-	defer e.freeOut()
-	e.eng.Input(flowFrame(1, 1, 1448, nil))
-	e.eng.Input(flowFrame(1+2*1448, 1, 1448, nil)) // held
-	n := e.eng.FlushWhere(func(k rss.FlowKey) bool { return k.SrcPort == 5001 })
-	if n != 1 {
-		t.Fatalf("FlushWhere flushed %d, want 1", n)
-	}
-	if len(e.out) != 2 {
-		t.Fatalf("host packets = %d, want 2 (aggregate + drained held)", len(e.out))
-	}
-	if e.eng.HeldFrames() != 0 {
-		t.Error("held frame leaked across FlushWhere handoff")
-	}
-	if st := e.eng.Stats(); st.WindowTimeout != 1 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 

@@ -39,7 +39,6 @@ var DeterministicPackages = []string{
 	"internal/rss",
 	"internal/sim",
 	"internal/softirq",
-	"internal/steer",
 	"internal/tcp",
 	"internal/tcpwire",
 	"internal/telemetry",

@@ -29,7 +29,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/cycles"
 	"repro/internal/nic"
-	"repro/internal/rss"
 	"repro/internal/softirq"
 )
 
@@ -101,24 +100,4 @@ func (rp *ReceivePath) EnqueueRaw(f nic.Frame) bool {
 // It returns the number of frames consumed.
 func (rp *ReceivePath) Process(budget int) int {
 	return rp.ctx.Run(budget)
-}
-
-// FlushFlow drains flow k's pending aggregate from every given path — it
-// lives in at most one, but which one depends on steering history, so all
-// are swept. The front end's per-flow steering handoff (aRFS program,
-// rule eviction, rule removal) calls it before frames can arrive on
-// another queue, so no aggregate spans the migration boundary.
-func FlushFlow(rps []*ReceivePath, k rss.FlowKey) {
-	for _, rp := range rps {
-		rp.FlushWhere(func(pk rss.FlowKey) bool { return pk == k })
-	}
-}
-
-// FlushWhere drains the partial aggregates whose flow key satisfies pred
-// — the migration-handoff half of dynamic flow steering: before a bucket
-// or flow is re-steered to another CPU, the old owner's pending state for
-// it is delivered, so no aggregate spans the migration boundary. It
-// returns the number of aggregates flushed.
-func (rp *ReceivePath) FlushWhere(pred func(rss.FlowKey) bool) int {
-	return rp.engine.FlushWhere(pred)
 }

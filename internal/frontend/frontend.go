@@ -1,10 +1,10 @@
 // Package frontend is the receive front end both simulated machines share:
 // NICs, per-queue NAPI drivers, per-queue Receive Aggregation paths
-// (internal/core), the receiving stack, endpoint registration, transmit
-// routing and the drain-then-rewrite steering handoff. One bucket→CPU map
-// serves as the NICs' indirection table, the flow table's owner map and,
-// on Xen, netback's channel map, so queue q, CPU q and I/O channel q
-// always carry the same buckets. The native machine (internal/sim) feeds
+// (internal/core), the receiving stack, endpoint registration and
+// transmit routing. Steering is static RSS: one pure function,
+// rss.QueueOf, picks the NIC queue, the flow table's owner CPU and, on
+// Xen, netback's I/O channel, so queue q, CPU q and I/O channel q always
+// carry the same buckets. The native machine (internal/sim) feeds
 // driver output straight into its stack; the Xen machine
 // (internal/xenvirt) is the same front end in the driver domain, feeding
 // the bridge, with the guest's stack behind the paravirtual I/O channels.
@@ -52,15 +52,12 @@ type Config struct {
 	Mode Mode
 	// Aggregation configures the optimized path.
 	Aggregation core.Options
-	// FlowRuleSlots sizes each NIC's exact-match steering-rule table
-	// (0 = no aRFS filters, the paper's hardware).
-	FlowRuleSlots int
 }
 
 // FrontEnd is the receive front end every simulated machine embeds: the
 // NICs, one NAPI driver per (NIC, queue), one aggregation path per queue
-// in optimized mode, the receiving stack, endpoint registration, transmit
-// routing and the steering handoff. Natively the stack is the host's and
+// in optimized mode, the receiving stack, endpoint registration and
+// transmit routing. Natively the stack is the host's and
 // driver output enters it directly; on Xen the front end is the driver
 // domain's (§2.4: aggregation runs "directly behind the NIC driver") and
 // driver output crosses the bridge to the guest's stack.
@@ -87,11 +84,9 @@ type FrontEnd struct {
 	wired    bool     // interrupts routed via WireInterrupts
 	kick     func(cpu int)
 
-	// indir is the one bucket→CPU map: the NICs steer buckets onto queue
-	// indir[b], the flow table's shard ownership (and hence steal
-	// accounting) follows it, and on Xen netback steers onto channel
-	// indir[b].
-	indir *rss.Map
+	// queues is the RSS queue count: flow hash h rides queue, CPU and
+	// (on Xen) I/O channel rss.QueueOf(h, queues).
+	queues int
 
 	// Telemetry wiring (nil when off): the run's latency collector
 	// endpoints record into, and the one stamp clock behind every stage
@@ -121,17 +116,13 @@ func (fe *FrontEnd) Init(cfg Config, deliver func(q int) func(*buf.SKB)) error {
 	if cfg.Queues < 0 || cfg.Queues > rss.Buckets {
 		return fmt.Errorf("frontend: Queues %d must be in [1, %d]", cfg.Queues, rss.Buckets)
 	}
-	indir, err := rss.NewMap(cfg.Queues)
-	if err != nil {
-		return err
-	}
-	fe.indir = indir
+	fe.queues = cfg.Queues
 	fe.Params = cfg.Params
 	fe.Alloc = buf.NewAllocator(&fe.Meter, &fe.Params)
 	fe.Alloc.SetPool(buf.NewPool())
 	fe.Stack = netstack.New(&fe.Meter, &fe.Params, fe.Alloc)
 	fe.Stack.Tx = fe
-	fe.Stack.FlowTable().SetOwnerMap(indir)
+	fe.Stack.FlowTable().SetOwnerQueues(cfg.Queues)
 
 	out := make([]func(*buf.SKB), cfg.Queues)
 	for q := range out {
@@ -149,8 +140,6 @@ func (fe *FrontEnd) Init(cfg Config, deliver func(q int) func(*buf.SKB)) error {
 	for i := 0; i < cfg.NICCount; i++ {
 		ncfg := nic.DefaultConfig(fmt.Sprintf("eth%d", i))
 		ncfg.RxQueues = cfg.Queues
-		ncfg.Indir = indir
-		ncfg.FlowRuleSlots = cfg.FlowRuleSlots
 		ncfg.IntThrottleFrames = 16 // e1000-style interrupt throttling; the
 		// link flushes the line when the wire goes idle, so latency
 		// workloads are not delayed (§5.4)
@@ -200,8 +189,8 @@ func (fe *FrontEnd) SetTelemetry(col *telemetry.Collector, stampClock func() uin
 func (fe *FrontEnd) NICs() []*nic.NIC { return fe.nics }
 
 // CPUs returns the softirq CPU count: one per queue. Every CPU can own
-// buckets, flows and applications.
-func (fe *FrontEnd) CPUs() int { return fe.indir.Queues() }
+// buckets and flows.
+func (fe *FrontEnd) CPUs() int { return fe.queues }
 
 // WireInterrupts routes every NIC queue's interrupt onto its NAPI poll
 // list and then to the owning CPU's scheduler slot. Only queues that have
@@ -261,83 +250,6 @@ func (fe *FrontEnd) ReceivePaths() []*core.ReceivePath { return fe.rps }
 // FlowTable exposes the stack's sharded demux table.
 func (fe *FrontEnd) FlowTable() *netstack.FlowTable { return fe.Stack.FlowTable() }
 
-// SteerMap returns the live bucket→CPU map: the NIC indirection, which
-// shard ownership and netback's channel choice follow.
-func (fe *FrontEnd) SteerMap() *rss.Map { return fe.indir }
-
-// SteerBucket repoints bucket b to cpu. Handoff order matters: the old
-// queue's pending aggregates for the bucket's flows are flushed *before*
-// the indirection is rewritten, so every frame the old queue has already
-// absorbed reaches the stack ahead of anything the new queue will
-// aggregate — no aggregate ever spans the migration boundary. The NIC
-// then steers the bucket to queue cpu, and ownership moves with it. Frames
-// still queued on the old queue (NIC ring, raw softirq queue) are
-// processed there later — counted as shard steals natively, re-steered by
-// netback onto the new channel on Xen.
-func (fe *FrontEnd) SteerBucket(b, cpu int) {
-	old := fe.indir.Entry(b)
-	if old == cpu {
-		return
-	}
-	if fe.rps != nil {
-		fe.rps[old].FlushWhere(func(k rss.FlowKey) bool { return rss.Bucket(k.Hash()) == b })
-	}
-	fe.indir.Set(b, cpu)
-	fe.flushCoalescing()
-}
-
-// flushCoalescing fires any coalesced-but-unraised interrupt after a
-// steering rewrite. A rewrite cuts the old queue's arrival stream mid-
-// batch; with the wire still busy (so the link's idle flush never comes)
-// a stranded sub-threshold batch would otherwise sit in the ring
-// indefinitely, and a flow whose ACK clock depends on it deadlocks —
-// the coalescing/migration interaction Wu et al. warn about. Real drivers
-// kick the queue when they touch steering state; so does this machine.
-func (fe *FrontEnd) flushCoalescing() {
-	for _, n := range fe.nics {
-		n.FlushInterrupt()
-	}
-}
-
-// SteerFlow programs an aRFS rule steering flow k onto cpu: pending
-// aggregation state for the flow is drained from every engine (it lives in
-// at most one), the rule is installed on the NIC that carries the flow's
-// subnet (queue cpu), and the flow table records cpu as the
-// flow's ownership override — the one software record of the decision,
-// which netback also steers by on Xen. An evicted victim's key is
-// returned for the policy to forget; its override is cleared so it falls
-// back to its bucket.
-func (fe *FrontEnd) SteerFlow(k netstack.FlowKey, hash uint32, cpu int) (*netstack.FlowKey, error) {
-	table := fe.Stack.FlowTable()
-	if table.OwnerOf(k, hash) == cpu {
-		return nil, nil
-	}
-	core.FlushFlow(fe.rps, k)
-	victim, err := fe.nics[fe.nicOf(k)].ProgramFlowRule(k, cpu)
-	if err != nil {
-		return nil, err
-	}
-	table.SetFlowOwner(k, cpu)
-	fe.flushCoalescing()
-	if victim == nil {
-		return nil, nil
-	}
-	// The evicted victim is itself re-steered (back to its bucket's
-	// indirection), so it gets the same handoff: drop its override and
-	// drain its pending state before frames can land elsewhere.
-	table.ClearFlowOwner(*victim)
-	core.FlushFlow(fe.rps, *victim)
-	return victim, nil
-}
-
-// nicOf maps a flow to the NIC carrying its sender subnet (10.0.<n>.x).
-func (fe *FrontEnd) nicOf(k netstack.FlowKey) int {
-	if n := int(k.Src[2]); n < len(fe.nics) {
-		return n
-	}
-	return 0
-}
-
 // RegisterEndpoint adds a receiver endpoint to the stack's demux table and
 // the machine's timer list, and wires it to the latency collector
 // SetTelemetry named (none when telemetry is off).
@@ -377,13 +289,10 @@ func (fe *FrontEnd) OpenEndpoint(cfg tcp.Config, clock tcp.Clock, remoteIP, loca
 }
 
 // UnregisterEndpoint removes an endpoint from the demux table (connection
-// teardown), which drops its ownership override, and releases any steering
-// rule programmed for it. The endpoint stays on the machine's
-// timer/accounting list until RetireEndpoint takes it off.
+// teardown). The endpoint stays on the machine's timer/accounting list
+// until RetireEndpoint takes it off.
 func (fe *FrontEnd) UnregisterEndpoint(remoteIP, localIP [4]byte, remotePort, localPort uint16) {
 	fe.Stack.Unregister(remoteIP, localIP, remotePort, localPort)
-	k := netstack.FlowKey{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}
-	fe.nics[fe.nicOf(k)].RemoveFlowRule(k)
 }
 
 // RetireEndpoint ends the life of the unregistered endpoint in slot (from

@@ -9,6 +9,7 @@ import (
 	"repro/internal/netstack"
 	"repro/internal/nic"
 	"repro/internal/packet"
+	"repro/internal/rss"
 	"repro/internal/tcp"
 	"repro/internal/tcpwire"
 )
@@ -20,141 +21,54 @@ var (
 
 const localPort = 44000
 
-// steerRig is a directly driven native front end: 4 queues, one NIC with
-// a 2-slot aRFS rule table, driver output straight into the host stack.
-type steerRig struct {
-	fe *FrontEnd
-}
-
-func newSteerRig(t *testing.T) *steerRig {
-	t.Helper()
-	r := &steerRig{fe: &FrontEnd{}}
-	cfg := Config{Params: cost.NativeSMP(), NICCount: 1, Queues: 4, FlowRuleSlots: 2}
-	if err := r.fe.Init(cfg, func(q int) func(*buf.SKB) { return r.fe.Stack.InputOn(q) }); err != nil {
+// TestStaticRSSOneOwner drives a 4-queue native front end directly: every
+// flow's frames land on queue rss.QueueOf(hash, 4), the CPU polling that
+// queue owns the flow's demux shard, so no delivery counts as a steal.
+func TestStaticRSSOneOwner(t *testing.T) {
+	fe := &FrontEnd{}
+	cfg := Config{Params: cost.NativeSMP(), NICCount: 1, Queues: 4}
+	if err := fe.Init(cfg, func(q int) func(*buf.SKB) { return fe.Stack.InputOn(q) }); err != nil {
 		t.Fatal(err)
 	}
-	r.fe.NICs()[0].OnTransmit = func(nic.Frame) {} // ACKs leave the machine
-	return r
-}
-
-func flowKey(senderPort uint16) netstack.FlowKey {
-	return netstack.FlowKey{Src: senderIP, Dst: localIP, SrcPort: senderPort, DstPort: localPort}
-}
-
-// register binds a receiver endpoint for k.
-func (r *steerRig) register(t *testing.T, k netstack.FlowKey) {
-	t.Helper()
-	cfg := tcp.DefaultConfig()
-	cfg.LocalIP, cfg.RemoteIP = k.Dst, k.Src
-	cfg.LocalPort, cfg.RemotePort = k.DstPort, k.SrcPort
-	if _, _, err := r.fe.OpenEndpoint(cfg, func() uint64 { return 0 }, k.Src, k.Dst, k.SrcPort, k.DstPort); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// landingQueue puts one frame of flow k on the wire, reports the NIC queue
-// it landed on, and drains every queue into the stack.
-func (r *steerRig) landingQueue(t *testing.T, k netstack.FlowKey) int {
-	t.Helper()
-	n := r.fe.NICs()[0]
-	f := packet.MustBuild(packet.TCPSpec{
-		SrcIP: k.Src, DstIP: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort,
-		Seq: 1, Ack: 1, Flags: tcpwire.FlagACK | tcpwire.FlagPSH,
-		Window: 65535, Payload: make([]byte, 100),
-	})
-	if !n.ReceiveFromWire(nic.Frame{Data: f}) {
-		t.Fatal("NIC ring overflow")
-	}
-	landed := -1
-	for q := 0; q < n.RxQueues(); q++ {
-		if n.RxQueueLenOn(q) != 0 {
-			landed = q
-		}
-		r.fe.Poll(q, 64)
-	}
-	return landed
-}
-
-// bucketOwner is the CPU the owner map names for k's bucket.
-func (r *steerRig) bucketOwner(k netstack.FlowKey) int {
-	return r.fe.SteerMap().Queue(k.Hash())
-}
-
-// checkOneRecord asserts the flow table's overrides are the one record of
-// every steering decision: as many overrides as live NIC rules, each
-// steered flow owned by its CPU with its frames landing on queue cpu,
-// every other flow back on its bucket, and no delivery ever counted as a
-// steal.
-func (r *steerRig) checkOneRecord(t *testing.T, step string, flows []netstack.FlowKey, steered map[netstack.FlowKey]int) {
-	t.Helper()
-	table := r.fe.FlowTable()
-	rules := 0
-	for _, n := range r.fe.NICs() {
-		rules += n.FlowRuleLen()
-	}
-	if got := table.FlowOwnerOverrides(); got != rules || got != len(steered) {
-		t.Errorf("%s: %d overrides, %d NIC rules, %d steered flows", step, got, rules, len(steered))
-	}
-	for _, k := range flows {
-		want, ok := steered[k]
-		if !ok {
-			want = r.bucketOwner(k)
-		}
-		if cpu, has := table.FlowOwner(k); has != ok || (ok && cpu != want) {
-			t.Errorf("%s: flow %v override = (%d, %v), want (%d, %v)", step, k, cpu, has, want, ok)
-		}
-		if got := table.OwnerOf(k, k.Hash()); got != want {
-			t.Errorf("%s: OwnerOf(%v) = %d, want %d", step, k, got, want)
-		}
-		if q := r.landingQueue(t, k); q != want {
-			t.Errorf("%s: flow %v frame landed on queue %d, want %d", step, k, q, want)
-		}
-	}
-	for i := 0; i < table.Shards(); i++ {
-		if s := table.ShardStatsOf(i).Steals; s != 0 {
-			t.Fatalf("%s: shard %d counted %d steals", step, i, s)
-		}
-	}
-}
-
-func TestSteerFlowOneOwnerRecord(t *testing.T) {
-	r := newSteerRig(t)
-	flows := []netstack.FlowKey{flowKey(5001), flowKey(5002), flowKey(5003)}
-	for _, k := range flows {
-		r.register(t, k)
-	}
-	steered := map[netstack.FlowKey]int{}
-	r.checkOneRecord(t, "registered", flows, steered)
-
-	// Steer each flow one CPU past its bucket's owner. The 2-slot rule
-	// table fills after two; the third evicts the least-recently-hit
-	// rule — the first flow's, whose frame checkOneRecord sent before the
-	// second's — and returns that flow.
-	steer := func(k netstack.FlowKey) *netstack.FlowKey {
-		t.Helper()
-		cpu := (r.bucketOwner(k) + 1) % 4
-		victim, err := r.fe.SteerFlow(k, k.Hash(), cpu)
-		if err != nil {
+	n := fe.NICs()[0]
+	n.OnTransmit = func(nic.Frame) {} // ACKs leave the machine
+	for port := uint16(5001); port <= 5016; port++ {
+		k := netstack.FlowKey{Src: senderIP, Dst: localIP, SrcPort: port, DstPort: localPort}
+		tcfg := tcp.DefaultConfig()
+		tcfg.LocalIP, tcfg.RemoteIP = k.Dst, k.Src
+		tcfg.LocalPort, tcfg.RemotePort = k.DstPort, k.SrcPort
+		if _, _, err := fe.OpenEndpoint(tcfg, func() uint64 { return 0 }, k.Src, k.Dst, k.SrcPort, k.DstPort); err != nil {
 			t.Fatal(err)
 		}
-		steered[k] = cpu
-		return victim
-	}
-	for i, k := range flows[:2] {
-		if v := steer(k); v != nil {
-			t.Fatalf("steering flow %d evicted %v with a free slot", i, *v)
+		f := packet.MustBuild(packet.TCPSpec{
+			SrcIP: k.Src, DstIP: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort,
+			Seq: 1, Ack: 1, Flags: tcpwire.FlagACK | tcpwire.FlagPSH,
+			Window: 65535, Payload: make([]byte, 100),
+		})
+		if !n.ReceiveFromWire(nic.Frame{Data: f}) {
+			t.Fatal("NIC ring overflow")
 		}
-		r.checkOneRecord(t, "steer", flows, steered)
+		want := rss.QueueOf(k.Hash(), 4)
+		for q := 0; q < n.RxQueues(); q++ {
+			if got := n.RxQueueLenOn(q); (q == want) != (got == 1) {
+				t.Errorf("flow %v: queue %d holds %d frames, want its frame on queue %d", k, q, got, want)
+			}
+			fe.Poll(q, 64)
+		}
 	}
-	victim := steer(flows[2])
-	if victim == nil || *victim != flows[0] {
-		t.Fatalf("third steer evicted %v, want the first flow %v", victim, flows[0])
+	if got := fe.HostPacketsIn(); got != 16 {
+		t.Errorf("stack received %d host packets, want 16", got)
 	}
-	delete(steered, flows[0])
-	r.checkOneRecord(t, "evict", flows, steered)
-
-	k := flows[2]
-	r.fe.UnregisterEndpoint(k.Src, k.Dst, k.SrcPort, k.DstPort)
-	delete(steered, k)
-	r.checkOneRecord(t, "unregister", flows, steered)
+	table := fe.FlowTable()
+	for i := 0; i < table.Shards(); i++ {
+		if s := table.ShardStatsOf(i); s.Steals != 0 || s.Misses != 0 {
+			t.Fatalf("shard %d counted %d steals and %d misses", i, s.Steals, s.Misses)
+		}
+	}
+	// Accounting is on: a delivery from any other CPU is a steal.
+	k := netstack.FlowKey{Src: senderIP, Dst: localIP, SrcPort: 5001, DstPort: localPort}
+	table.LookupOn((rss.QueueOf(k.Hash(), 4)+1)%4, k, k.Hash(), 1, false)
+	if got := table.ShardStatsOf(table.ShardOf(k)).Steals; got != 1 {
+		t.Errorf("a delivery from a foreign CPU counted %d steals, want 1", got)
+	}
 }

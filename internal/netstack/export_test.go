@@ -18,3 +18,12 @@ func (s *Stack) TimeWaitOccupancy() []int {
 	}
 	return occ
 }
+
+// Occupancy returns the endpoint count per shard (a fresh slice).
+func (t *FlowTable) Occupancy() []int {
+	occ := make([]int, len(t.shards))
+	for i := range t.shards {
+		occ[i] = t.shards[i].used
+	}
+	return occ
+}

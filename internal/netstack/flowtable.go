@@ -62,16 +62,10 @@ type FlowTable struct {
 	meter  *cycles.Meter
 	params *cost.Params
 
-	// owners, when set, is the live bucket→CPU steering map shared with
-	// the NICs: shard ownership follows indirection rewrites. nil turns
-	// ownership (steal) accounting off.
-	owners *rss.Map
-	// flowOwners holds the aRFS per-flow ownership overrides: a steered
-	// flow's deliveries are expected from its application CPU, whatever
-	// its bucket's owner is. It is the one software record of an aRFS
-	// steering decision — netback reads its I/O channel choice from it
-	// too; the NIC's rule table is the hardware's copy.
-	flowOwners map[FlowKey]int
+	// queues is the receive-queue count ownership follows: a flow's
+	// owner is rss.QueueOf(hash, queues), the CPU polling its queue. 0
+	// turns ownership (steal) accounting off.
+	queues int
 
 	// eps is the endpoint slab: slots name their endpoint by a uint16
 	// handle into it, so none holds a pointer. Handle 0 is nil, so at
@@ -96,14 +90,17 @@ type epRef struct {
 const epSlabRoom = 16
 
 // MaxEndpoints is the most endpoint handles one table holds at once: a
-// slot names its endpoint by a 16-bit handle, and handle 0 is nil. Keys
-// bound to one endpoint in a row (a batch, or consecutive inserts) share
-// its handle, so a run's whole idle population takes one: the bound is on
-// live connections, not on registered keys.
+// slot names its endpoint by a 16-bit handle, and handle 0 is nil. The
+// bound is on handles, not on endpoints or keys. Keys bound to one
+// endpoint in a row (a batch, or consecutive inserts) share its handle,
+// so a run's whole idle population takes one. Only the newest handle is
+// shared, though: binding a key to an endpoint bound earlier, whose
+// handle is no longer the newest, takes a handle of its own.
 const MaxEndpoints = math.MaxUint16
 
-// ErrTooManyEndpoints is the error of an insert that would bind a new
-// endpoint to a table already binding MaxEndpoints.
+// ErrTooManyEndpoints is the error of an insert that needs a handle while
+// all MaxEndpoints are live. That includes re-binding an endpoint that
+// already holds an older handle (see MaxEndpoints).
 var ErrTooManyEndpoints = fmt.Errorf("netstack: flow table already binds its maximum of %d endpoints", MaxEndpoints)
 
 const (
@@ -161,10 +158,9 @@ type ShardStats struct {
 	// Misses counts lookups that found no endpoint.
 	Misses uint64
 	// Steals counts lookups performed by a CPU other than the flow's
-	// owner (OwnerOf: its aRFS override, else its bucket's entry in the
-	// owner map). Zero as long as the queue→shard ownership invariant
-	// holds; non-zero means a flow's packets crossed CPUs and shard state
-	// is no longer CPU-local.
+	// owner, the CPU polling its RSS queue (SetOwnerQueues). Zero as long
+	// as the queue→shard ownership invariant holds; non-zero means a
+	// flow's packets crossed CPUs and shard state is no longer CPU-local.
 	Steals uint64
 }
 
@@ -433,9 +429,10 @@ func (t *FlowTable) Shards() int { return len(t.shards) }
 // Len returns the total number of registered endpoints.
 func (t *FlowTable) Len() int { return t.count }
 
-// Insert registers ep under k; a duplicate key errors, and so does a new
-// endpoint once MaxEndpoints are bound (ErrTooManyEndpoints). Either
-// error leaves the table and its charges untouched. The structural
+// Insert registers ep under k. A duplicate key errors, and so does a key
+// that needs a new handle while all MaxEndpoints are live
+// (ErrTooManyEndpoints); only the newest bound endpoint shares its handle.
+// Either error leaves the table and its charges untouched. The structural
 // touches (probe chase plus entry write) charge cycles.NonProto at the
 // capacity-miss excess — socket-hash insertion is connection-setup work,
 // not receive protocol processing.
@@ -691,59 +688,15 @@ func (t *FlowTable) Remove(k FlowKey) bool {
 	}
 	t.charge(cycles.NonProto, openProbeLines(probes))
 	t.release(ref)
-	delete(t.flowOwners, k)
 	s.stats.Endpoints--
 	t.count--
 	return true
 }
 
-// SetOwnerMap turns ownership accounting on (nil: off) and ties shard
-// ownership to a live steering map (normally the same rss.Map the
-// machine's NICs steer with): when the rebalancer repoints a bucket, the
-// shard's expected CPU moves with it, so steal accounting measures
-// violations of the *current* steering. Together with the per-flow
-// overrides (SetFlowOwner) it is the one software record of which CPU
-// owns a flow; OwnerOf answers from it.
-func (t *FlowTable) SetOwnerMap(m *rss.Map) { t.owners = m }
-
-// SetFlowOwner records an aRFS override: k's deliveries are expected from
-// cpu regardless of its bucket's owner. Cleared by ClearFlowOwner or when
-// the flow is removed.
-func (t *FlowTable) SetFlowOwner(k FlowKey, cpu int) {
-	if t.flowOwners == nil {
-		t.flowOwners = make(map[FlowKey]int)
-	}
-	t.flowOwners[k] = cpu
-}
-
-// ClearFlowOwner drops k's aRFS override when LRU pressure evicts its
-// rule.
-func (t *FlowTable) ClearFlowOwner(k FlowKey) { delete(t.flowOwners, k) }
-
-// FlowOwnerOverrides returns the number of live per-flow overrides.
-func (t *FlowTable) FlowOwnerOverrides() int { return len(t.flowOwners) }
-
-// FlowOwner returns k's aRFS override, if it has one.
-func (t *FlowTable) FlowOwner(k FlowKey) (cpu int, ok bool) {
-	if len(t.flowOwners) == 0 {
-		return 0, false
-	}
-	cpu, ok = t.flowOwners[k]
-	return cpu, ok
-}
-
-// OwnerOf returns the CPU expected to deliver k's packets under the
-// current steering (the per-flow override, else the live map's entry for
-// hash), or -1 when ownership accounting is off.
-func (t *FlowTable) OwnerOf(k FlowKey, hash uint32) int {
-	if cpu, ok := t.FlowOwner(k); ok {
-		return cpu
-	}
-	if t.owners != nil {
-		return t.owners.Queue(hash)
-	}
-	return -1
-}
+// SetOwnerQueues turns ownership (steal) accounting on for a machine
+// with queues receive queues (0: off). A flow's owner is then the CPU
+// that polls its static RSS queue, rss.QueueOf(hash, queues).
+func (t *FlowTable) SetOwnerQueues(queues int) { t.queues = queues }
 
 // Lookup demuxes k without attributing the delivery to a CPU; see
 // LookupOn.
@@ -766,10 +719,8 @@ func (t *FlowTable) LookupOn(cpu int, k FlowKey, hash uint32, netPackets int, ag
 		hash = k.Hash()
 	}
 	s := &t.shards[rss.ShardOf(hash, len(t.shards))]
-	if cpu >= 0 && t.owners != nil {
-		if owner := t.OwnerOf(k, hash); owner >= 0 && owner != cpu {
-			s.stats.Steals++
-		}
+	if cpu >= 0 && t.queues > 0 && rss.QueueOf(hash, t.queues) != cpu {
+		s.stats.Steals++
 	}
 	ref, probes := s.openLookup(hash, k)
 	t.charge(cycles.Rx, openProbeLines(probes))
@@ -788,15 +739,6 @@ func (t *FlowTable) LookupOn(cpu int, k FlowKey, hash uint32, netPackets int, ag
 
 // ShardStatsOf returns a copy of shard i's counters.
 func (t *FlowTable) ShardStatsOf(i int) ShardStats { return t.shards[i].stats }
-
-// Occupancy returns the endpoint count per shard (a fresh slice).
-func (t *FlowTable) Occupancy() []int {
-	occ := make([]int, len(t.shards))
-	for i := range t.shards {
-		occ[i] = t.shards[i].used
-	}
-	return occ
-}
 
 // TableStats is the demux structure summary: footprint, charged demux
 // cycles, per-shard load factors and the probe-length distribution of the

@@ -117,7 +117,7 @@ func TestFlowTableDifferential(t *testing.T) {
 	}
 	// Deliveries are attributed to 4 softirq CPUs so steal accounting is
 	// exercised (and must match) too.
-	tab.SetOwnerMap(ownerMap(t, 4))
+	tab.SetOwnerQueues(4)
 	ref := newRefTable(shards, 4)
 
 	ep := testEndpoint(t, 5001, 44000)

@@ -157,7 +157,7 @@ func FuzzFlowTableOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab.SetOwnerMap(ownerMap(t, 2))
+		tab.SetOwnerQueues(2)
 		ref := newRefTable(shards, 2)
 
 		check := func(what string) {
@@ -244,6 +244,11 @@ func TestEndpointHandleLimit(t *testing.T) {
 	}
 	if err := tab.InsertBatch(3, diffKey, extra); err == nil || errors.Is(err, ErrTooManyEndpoints) {
 		t.Fatalf("InsertBatch of a resident key past the limit: err = %v, want a duplicate", err)
+	}
+	// The bound is on handles: an endpoint already bound, but not the
+	// newest, takes a new handle for a new key, and is refused too.
+	if err := tab.Insert(more(0), &eps[0]); !errors.Is(err, ErrTooManyEndpoints) {
+		t.Fatalf("Insert for an older bound endpoint past the limit: err = %v, want ErrTooManyEndpoints", err)
 	}
 	requireTablesEqual(t, "refused inserts", ref, tab, mr, mt)
 	checkSlab(t, "refused inserts", tab)

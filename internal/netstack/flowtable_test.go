@@ -12,17 +12,6 @@ import (
 	"repro/internal/tcp"
 )
 
-// ownerMap returns a fresh bucket→CPU owner map over queues CPUs (the
-// round-robin fill, bucket b → b mod queues).
-func ownerMap(t testing.TB, queues int) *rss.Map {
-	t.Helper()
-	m, err := rss.NewMap(queues)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 func testEndpoint(t *testing.T, rPort, lPort uint16) *tcp.Endpoint {
 	t.Helper()
 	params := cost.NativeUP()
@@ -180,7 +169,7 @@ func TestLookupOnStealAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab.SetOwnerMap(ownerMap(t, 4))
+	tab.SetOwnerQueues(4)
 	ep := testEndpoint(t, 5001, 44000)
 	k := key(5001, 44000)
 	if err := tab.Insert(k, ep); err != nil {
@@ -209,7 +198,7 @@ func TestLookupOnStealAccounting(t *testing.T) {
 	if tab.LookupOn(-1, k, hash, 1, false) != ep {
 		t.Fatal("unattributed lookup failed")
 	}
-	tab.SetOwnerMap(nil)
+	tab.SetOwnerQueues(0)
 	if tab.LookupOn(thief, k, hash, 1, false) != ep {
 		t.Fatal("lookup with accounting disabled failed")
 	}

@@ -75,14 +75,6 @@ type Stack struct {
 	// Tx transmits outgoing host packets; must be set before endpoints
 	// send.
 	Tx Transmitter
-	// OnSockRead, when set, observes every delivery to an endpoint whose
-	// application CPU is pinned: the socket-read hook accelerated RFS
-	// keys on (the kernel's rps_sock_flow update at recvmsg time). key is
-	// the flow, hash the steering hash, appCPU where the application
-	// consumes, cpu the softirq CPU that delivered (the cpu InputOn was
-	// bound to, never negative).
-	OnSockRead func(key FlowKey, hash uint32, appCPU, cpu int)
-
 	// StampClock, when set, supplies the simulated-ns time used to stamp
 	// each host packet's stack-entry boundary (internal/telemetry).
 	// Read-only: no charge, no scheduling.
@@ -96,13 +88,10 @@ type Stack struct {
 	payloadScratch [][]byte
 	ackScratch     []uint32
 
-	// memPeak is the high-water MemStats total; twEvicted collects the
-	// keys of pressure-evicted TIME_WAIT flows until the next reap drains
-	// them (so callers release peer-side state through one path), and
-	// twReaped is ReapTimeWait's result storage.
-	memPeak   uint64
-	twEvicted []FlowKey
-	twReaped  []FlowKey
+	// memPeak is the high-water MemStats total; twReaped is
+	// ReapTimeWait's result storage.
+	memPeak  uint64
+	twReaped []FlowKey
 
 	// output is s.Output bound once: every registration assigns it, so
 	// registering does not allocate a method value per endpoint.
@@ -181,8 +170,8 @@ func (s *Stack) InputOn(cpu int) func(*buf.SKB) {
 
 // Register adds an endpoint to the demux table under the key incoming
 // packets for it will carry. It fails, changing nothing, on a duplicate
-// key or when the table already binds MaxEndpoints other endpoints
-// (ErrTooManyEndpoints).
+// key, or when the key needs a new endpoint handle and all MaxEndpoints
+// are live (ErrTooManyEndpoints).
 func (s *Stack) Register(ep *tcp.Endpoint, remoteIP, localIP ipv4.Addr, remotePort, localPort uint16) error {
 	k := FlowKey{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}
 	if err := s.table.Insert(k, ep); err != nil {
@@ -277,15 +266,6 @@ func (s *Stack) inputFrom(cpu int, skb *buf.SKB) {
 		s.stats.NoSocket++
 		s.alloc.Free(skb)
 		return
-	}
-
-	// Socket-read observation for accelerated RFS: the delivery wakes the
-	// application, whose scheduler placement is what steering should
-	// follow. Only pinned endpoints (AppCPU >= 0) are observable.
-	if s.OnSockRead != nil {
-		if app := ep.AppCPU(); app >= 0 {
-			s.OnSockRead(key, skb.RSSHash, app, cpu)
-		}
 	}
 
 	// Assemble the TCP layer's view: head payload plus chained fragment

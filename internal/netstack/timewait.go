@@ -64,11 +64,12 @@ type TimeWaitStats struct {
 	// Entered counts insertions (real teardowns and seeded backlog);
 	// Reaped counts deadline expiries; Reused counts entries recycled by
 	// SYN-time port reuse; ReuseRefused counts reconnects the
-	// admissibility check turned away. Evicted counts entries dropped
-	// early under tcp_max_tw_buckets pressure, and PressureRefused the
-	// insertions turned away at the cap in refusal mode (the flow skips
-	// TIME_WAIT entirely, Linux's "time wait bucket table overflow"). At
-	// all times Entered = Reaped + Reused + Evicted + Len.
+	// admissibility check turned away. PressureRefused counts the
+	// insertions turned away at the tcp_max_tw_buckets cap (the flow skips
+	// TIME_WAIT entirely, Linux's "time wait bucket table overflow").
+	// Evicted is always 0: the table refuses at the cap and never evicts
+	// early. It stays because bench/rxperf's accounting check reads it.
+	// At all times Entered = Reaped + Reused + Evicted + Len.
 	Entered, Reaped, Reused, ReuseRefused uint64
 	Evicted, PressureRefused              uint64
 	// Len is the current number of lingering entries, Peak the run's
@@ -92,26 +93,22 @@ type timeWaitTable struct {
 	peak int
 
 	// maxPerShard caps each shard's entries (0 = unlimited), the
-	// per-shard share of tcp_max_tw_buckets. evictOldest selects the
-	// over-cap behavior: evict the shard's earliest-deadline entry to
-	// admit the new one, or refuse the insertion (Linux's default: the
-	// closing flow skips TIME_WAIT entirely).
+	// per-shard share of tcp_max_tw_buckets. Over the cap an insertion is
+	// refused (Linux's default: the closing flow skips TIME_WAIT
+	// entirely).
 	maxPerShard int
-	evictOldest bool
 
-	entered, reaped, reused, refused uint64
-	evicted, pressureRefused         uint64
+	entered, reaped, reused, refused, pressureRefused uint64
 }
 
 // configure sets the table-wide entry cap (tcp_max_tw_buckets; 0 =
 // unlimited), split evenly across shards like the kernel's per-hash-chain
-// pressure, and the over-cap behavior.
-func (t *timeWaitTable) configure(maxBuckets int, evictOldest bool) {
+// pressure.
+func (t *timeWaitTable) configure(maxBuckets int) {
 	t.maxPerShard = 0
 	if maxBuckets > 0 {
 		t.maxPerShard = (maxBuckets + t.nShards - 1) / t.nShards
 	}
-	t.evictOldest = evictOldest
 }
 
 // insert adds e to its shard's queue after every entry with an equal or
@@ -142,14 +139,11 @@ func (t *timeWaitTable) find(shard int, k FlowKey) int {
 	return i
 }
 
-// remove takes entry i out of its shard's queue (SYN-time reuse or a
-// pressure eviction) and returns its key.
-func (t *timeWaitTable) remove(shard, i int) FlowKey {
+// remove takes entry i out of its shard's queue (SYN-time reuse).
+func (t *timeWaitTable) remove(shard, i int) {
 	q := t.shards[shard]
-	k := q[i].key
+	delete(t.deadlines, q[i].key)
 	t.shards[shard] = slices.Delete(q, i, i+1)
-	delete(t.deadlines, k)
-	return k
 }
 
 // reap takes, shard by shard in index order, each queue's prefix whose
@@ -179,7 +173,6 @@ func (t *timeWaitTable) stats() TimeWaitStats {
 		Reaped:          t.reaped,
 		Reused:          t.reused,
 		ReuseRefused:    t.refused,
-		Evicted:         t.evicted,
 		PressureRefused: t.pressureRefused,
 		Len:             n,
 		Peak:            t.peak,
@@ -190,24 +183,11 @@ func (t *timeWaitTable) stats() TimeWaitStats {
 
 // ConfigureTimeWait sets tcp_max_tw_buckets for the stack: at most
 // maxBuckets flows may linger in TIME_WAIT (0 = unlimited), the cap split
-// evenly across shards. Over the cap, evictOldest selects Linux-matching
-// pressure behavior: false refuses the new entry — the closing flow skips
-// TIME_WAIT entirely (the kernel's default, logged as "time wait bucket
-// table overflow") — while true evicts the shard's oldest-deadline entry
-// early to admit the new one. Evicted flows are unregistered immediately
-// and their keys surface through the next ReapTimeWait, so peer-side
-// state releases through the same path as an expiry.
-func (s *Stack) ConfigureTimeWait(maxBuckets int, evictOldest bool) {
-	s.tw.configure(maxBuckets, evictOldest)
-}
-
-// dropEvicted finishes a pressure eviction: the victim's demux entry is
-// removed (charged like any TIME_WAIT removal) and its key queued for the
-// next reap's return value.
-func (s *Stack) dropEvicted(k FlowKey) {
-	registered := s.table.Remove(k)
-	s.chargeTWRemove(registered)
-	s.twEvicted = append(s.twEvicted, k)
+// evenly across shards. Over the cap the new entry is refused, and the
+// closing flow skips TIME_WAIT entirely (the kernel's default, logged as
+// "time wait bucket table overflow").
+func (s *Stack) ConfigureTimeWait(maxBuckets int) {
+	s.tw.configure(maxBuckets)
 }
 
 // chargeTWInsert prices one entry insertion: the entry init streams
@@ -261,10 +241,8 @@ func (s *Stack) SeedTimeWait(k FlowKey, deadline uint64, lastTS, rcvNxt uint32) 
 }
 
 // insertTimeWait admits one entry into k's shard, refusing a lingering
-// duplicate. A full shard refuses it too, or in eviction mode first gives
-// up its earliest-deadline entry, the queue's first. An admitted entry is
-// charged and counted against the memory budget. It reports whether the
-// entry was admitted.
+// duplicate or a full shard. An admitted entry is charged and counted
+// against the memory budget. It reports whether the entry was admitted.
 func (s *Stack) insertTimeWait(k FlowKey, deadline uint64, lastTS, rcvNxt uint32) bool {
 	t := &s.tw
 	if _, dup := t.deadlines[k]; dup {
@@ -276,12 +254,8 @@ func (s *Stack) insertTimeWait(k FlowKey, deadline uint64, lastTS, rcvNxt uint32
 	}
 	shard := s.table.ShardOf(k)
 	if t.maxPerShard > 0 && len(t.shards[shard]) >= t.maxPerShard {
-		if !t.evictOldest {
-			t.pressureRefused++
-			return false
-		}
-		t.evicted++
-		s.dropEvicted(t.remove(shard, 0))
+		t.pressureRefused++
+		return false
 	}
 	t.insert(shard, twEntry{key: k, deadline: deadline, lastTS: lastTS, rcvNxt: rcvNxt})
 	s.chargeTWInsert()
@@ -336,15 +310,13 @@ func (s *Stack) ReuseTimeWait(remoteIP, localIP ipv4.Addr, remotePort, localPort
 }
 
 // ReapTimeWait unregisters every TIME_WAIT flow whose deadline tick has
-// elapsed at virtual time now, returning the reaped keys — including any
-// flows pressure-evicted since the last sweep — so the caller releases
-// any peer-side state keyed on them. The returned slice is valid until
+// elapsed at virtual time now, returning the reaped keys so the caller
+// releases any peer-side state keyed on them. The returned slice is valid until
 // the next call. Teardown is receive-path work: each reap charges the
 // queue pop, map delete and demux-table update like any other non-proto
 // mutation — and nothing else, however many entries still linger.
 func (s *Stack) ReapTimeWait(now uint64) []FlowKey {
-	s.twReaped = append(s.twReaped[:0], s.twEvicted...)
-	s.twEvicted = s.twEvicted[:0]
+	s.twReaped = s.twReaped[:0]
 	s.tw.reap(now, func(k FlowKey) {
 		registered := s.table.Remove(k)
 		s.chargeTWRemove(registered)

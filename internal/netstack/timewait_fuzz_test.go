@@ -22,20 +22,18 @@ type twRefEntry struct {
 
 // twRef is the brute-force TIME_WAIT table FuzzTimeWait holds a Stack
 // to: a plain slice of the lingering entries in insertion order, scanned
-// in full by every lookup, eviction and reap, plus the demux
+// in full by every lookup and reap, plus the demux
 // registrations the table's exits remove.
 type twRef struct {
 	shards     int
 	perShard   int // 0 = unlimited
-	evict      bool
 	lingering  []twRefEntry
-	evicted    []FlowKey // victims the next reap returns first
 	registered map[FlowKey]*tcp.Endpoint
 	st         TimeWaitStats
 }
 
-func (r *twRef) configure(maxBuckets int, evict bool) {
-	r.perShard, r.evict = 0, evict
+func (r *twRef) configure(maxBuckets int) {
+	r.perShard = 0
 	if maxBuckets > 0 {
 		r.perShard = max((maxBuckets+r.shards-1)/r.shards, 1)
 	}
@@ -59,30 +57,22 @@ func (r *twRef) take(i int) FlowKey {
 }
 
 // insert is SeedTimeWait's definition: refused on a lingering duplicate
-// or at a full shard in refusal mode; in eviction mode a full shard first
-// gives up its earliest-deadline entry, the earliest inserted on a tie.
+// or at a full shard.
 func (r *twRef) insert(k FlowKey, deadline uint64, lastTS, rcvNxt uint32) bool {
 	if r.find(k) >= 0 {
 		return false
 	}
 	shard := rss.ShardOf(k.Hash(), r.shards)
 	if r.perShard > 0 {
-		n, victim := 0, -1
-		for i, e := range r.lingering {
+		n := 0
+		for _, e := range r.lingering {
 			if e.shard == shard {
 				n++
-				if victim < 0 || e.deadline < r.lingering[victim].deadline {
-					victim = i
-				}
 			}
 		}
 		if n >= r.perShard {
-			if !r.evict {
-				r.st.PressureRefused++
-				return false
-			}
-			r.evicted = append(r.evicted, r.take(victim))
-			r.st.Evicted++
+			r.st.PressureRefused++
+			return false
 		}
 	}
 	r.lingering = append(r.lingering, twRefEntry{key: k, shard: shard, deadline: deadline, lastTS: lastTS, rcvNxt: rcvNxt})
@@ -112,12 +102,10 @@ func (r *twRef) reuse(k FlowKey, isn, tsVal uint32) ReuseVerdict {
 	return ReuseGranted
 }
 
-// reap returns the pending eviction victims, then shard by shard every
-// entry whose deadline tick lies below now's, in deadline order with
-// insertion-order ties.
+// reap returns, shard by shard, every entry whose deadline tick lies
+// below now's, in deadline order with insertion-order ties.
 func (r *twRef) reap(now uint64) []FlowKey {
-	got := r.evicted
-	r.evicted = nil
+	var got []FlowKey
 	for shard := 0; shard < r.shards; shard++ {
 		for {
 			due := -1
@@ -155,7 +143,7 @@ func (r *twRef) occupancy() []int {
 
 // FuzzTimeWait drives a Stack's TIME_WAIT table with one byte-coded
 // sequence of EnterTimeWait, SeedTimeWait, ReuseTimeWait, ReapTimeWait,
-// Register and ConfigureTimeWait (refusal and eviction mode) over a
+// Register and ConfigureTimeWait over a
 // 16-key space, and checks it after every operation against the
 // brute-force reference (twRef): verdicts, reaped key sequences, stats,
 // the Entered = Reaped + Reused + Evicted + Len balance, per-shard
@@ -168,7 +156,7 @@ func (r *twRef) occupancy() []int {
 //
 // Each operation takes three bytes: the opcode, a key index and an
 // argument (a deadline or reap offset, seeded or offered reuse state, an
-// endpoint, or a cap and mode).
+// endpoint, or a cap).
 func FuzzTimeWait(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 0, 20, 0, 1, 25, 3, 0, 80, 3, 0, 100})
 	f.Add(uint8(2), []byte{5, 0, 0x0a, 1, 3, 0x35, 1, 7, 0x21, 2, 7, 0x33, 0, 2, 9, 0, 5, 9, 3, 0, 250, 3, 0, 250})
@@ -262,14 +250,14 @@ func timeWaitOps(t *testing.T, shardBits uint8, ops []byte) {
 			if ref.registered[k] == nil {
 				register(k, eps[int(arg)%len(eps)])
 			}
-		case 5: // ConfigureTimeWait: cap arg&7 (0 = none), evict when arg&8
-			st.ConfigureTimeWait(int(arg&7), arg&8 != 0)
-			ref.configure(int(arg&7), arg&8 != 0)
+		case 5: // ConfigureTimeWait: cap arg&7 (0 = none)
+			st.ConfigureTimeWait(int(arg & 7))
+			ref.configure(int(arg & 7))
 		}
 		check(what)
 	}
 
-	for i := 0; len(ref.lingering) > 0 || len(ref.evicted) > 0; i++ {
+	for i := 0; len(ref.lingering) > 0; i++ {
 		if i == 5 {
 			t.Fatalf("drain: %d entries still lingering", len(ref.lingering))
 		}

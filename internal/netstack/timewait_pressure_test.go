@@ -13,7 +13,7 @@ import (
 // newPressureRig builds a twRig over a stack with an explicit shard
 // count, so tcp_max_tw_buckets splits into a known per-shard cap
 // (shards=1 makes the cap global and every admission deterministic).
-func newPressureRig(t *testing.T, shards, flows, maxBuckets int, evictOldest bool) *twRig {
+func newPressureRig(t *testing.T, shards, flows, maxBuckets int) *twRig {
 	t.Helper()
 	var m cycles.Meter
 	params := cost.NativeUP()
@@ -22,7 +22,7 @@ func newPressureRig(t *testing.T, shards, flows, maxBuckets int, evictOldest boo
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.ConfigureTimeWait(maxBuckets, evictOldest)
+	st.ConfigureTimeWait(maxBuckets)
 	r := &twRig{stack: st, meter: &m}
 	for i := 0; i < flows; i++ {
 		remote := ipv4.Addr{10, 0, byte(i / 200), 1}
@@ -59,7 +59,7 @@ func twInvariant(t *testing.T, st *Stack, stage string) {
 // table overflow") — the closing flow skips TIME_WAIT entirely, nothing
 // already lingering is disturbed, and the refusal is counted.
 func TestTimeWaitPressureRefusal(t *testing.T) {
-	r := newPressureRig(t, 1, 6, 4, false)
+	r := newPressureRig(t, 1, 6, 4)
 	for i := 0; i < 4; i++ {
 		if !r.enter(i, uint64(8_000_000+i*1_000_000)) {
 			t.Fatalf("EnterTimeWait(%d) refused below the cap", i)
@@ -83,9 +83,6 @@ func TestTimeWaitPressureRefusal(t *testing.T) {
 	if r.stack.FlowTable().Peek(k) == nil {
 		t.Error("refusal unregistered the flow")
 	}
-	if got := r.stack.TimeWaitStats().Evicted; got != 0 {
-		t.Errorf("refusal mode evicted %d flows", got)
-	}
 	twInvariant(t, r.stack, "after refusals")
 
 	// Reaping drains the cap: the next entry is admitted again.
@@ -98,60 +95,13 @@ func TestTimeWaitPressureRefusal(t *testing.T) {
 	twInvariant(t, r.stack, "after reap")
 }
 
-// TestTimeWaitPressureEvictOldest pins the opt-in eviction behavior: at
-// the cap, the shard's oldest-deadline entry is dropped early to admit
-// the new one. The victim unregisters immediately and its key surfaces
-// through the next ReapTimeWait, so peer-side state releases through the
-// same path as a deadline expiry.
-func TestTimeWaitPressureEvictOldest(t *testing.T) {
-	r := newPressureRig(t, 1, 6, 4, true)
-	deadlines := []uint64{10_000_000, 8_000_000, 12_000_000, 9_000_000}
-	for i, d := range deadlines {
-		if !r.enter(i, d) {
-			t.Fatalf("EnterTimeWait(%d) refused below the cap", i)
-		}
-	}
-	// Over the cap: flow 1 (deadline 8 ms, the oldest) must be evicted.
-	if !r.enter(4, 15_000_000) {
-		t.Fatal("EnterTimeWait over the cap was refused in evict mode")
-	}
-	victim := r.keys[1]
-	if r.stack.TimeWaitHas(victim.Src, victim.Dst, victim.SrcPort, victim.DstPort) {
-		t.Error("oldest entry still lingers after eviction")
-	}
-	if r.stack.FlowTable().Peek(victim) != nil {
-		t.Error("evicted flow is still registered")
-	}
-	s := r.stack.TimeWaitStats()
-	if s.Len != 4 || s.Entered != 5 || s.Evicted != 1 || s.PressureRefused != 0 {
-		t.Errorf("stats after eviction = %+v", s)
-	}
-	twInvariant(t, r.stack, "after eviction")
-
-	// The victim's key surfaces on the next reap even though no deadline
-	// has passed yet.
-	got := r.stack.ReapTimeWait(0)
-	if len(got) != 1 || got[0] != victim {
-		t.Fatalf("ReapTimeWait(0) = %v, want just the evicted key %v", got, victim)
-	}
-	// And it is not returned twice.
-	if got := r.stack.ReapTimeWait(20_000_000); len(got) != 4 {
-		t.Fatalf("final reap returned %d keys, want 4", len(got))
-	}
-	s = r.stack.TimeWaitStats()
-	if s.Len != 0 || s.Reaped != 4 || s.Evicted != 1 {
-		t.Errorf("stats after final reap = %+v", s)
-	}
-	twInvariant(t, r.stack, "after final reap")
-}
-
 // TestTimeWaitPressurePerShardSplit verifies the cap is a per-shard
 // share of tcp_max_tw_buckets (like the kernel's per-chain pressure): no
 // shard ever holds more than ceil(max/shards), and every attempt is
 // accounted as admitted or refused.
 func TestTimeWaitPressurePerShardSplit(t *testing.T) {
 	const flows, maxBuckets, shards = 64, 8, 4
-	r := newPressureRig(t, shards, flows, maxBuckets, false)
+	r := newPressureRig(t, shards, flows, maxBuckets)
 	perShard := (maxBuckets + shards - 1) / shards
 	admitted := 0
 	for i := 0; i < flows; i++ {
@@ -175,9 +125,9 @@ func TestTimeWaitPressurePerShardSplit(t *testing.T) {
 }
 
 // TestTimeWaitPressureSeededBacklog verifies seeded (restart-storm)
-// entries respect the same cap and eviction path as real teardowns.
+// entries count against the same cap as real teardowns.
 func TestTimeWaitPressureSeededBacklog(t *testing.T) {
-	r := newPressureRig(t, 1, 2, 3, true)
+	r := newPressureRig(t, 1, 2, 3)
 	for i := 0; i < 3; i++ {
 		k := FlowKey{Src: ipv4.Addr{10, 9, 0, 1}, Dst: ipv4.Addr{10, 9, 0, 2},
 			SrcPort: uint16(7000 + i), DstPort: 80}
@@ -185,13 +135,14 @@ func TestTimeWaitPressureSeededBacklog(t *testing.T) {
 			t.Fatalf("SeedTimeWait(%d) refused below the cap", i)
 		}
 	}
-	// A real teardown over the cap evicts the oldest seeded entry.
-	if !r.enter(0, 30_000_000) {
-		t.Fatal("EnterTimeWait over a seeded-full table was refused in evict mode")
+	// A real teardown over the cap is refused, and no seeded entry is
+	// disturbed.
+	if r.enter(0, 30_000_000) {
+		t.Fatal("EnterTimeWait over a seeded-full table was admitted")
 	}
 	s := r.stack.TimeWaitStats()
-	if s.Evicted != 1 || s.Len != 3 || s.Entered != 4 {
-		t.Errorf("stats after seeded eviction = %+v", s)
+	if s.PressureRefused != 1 || s.Len != 3 || s.Entered != 3 {
+		t.Errorf("stats after seeded refusal = %+v", s)
 	}
 	twInvariant(t, r.stack, "seeded backlog")
 }

@@ -96,7 +96,7 @@ func TestTimeWaitEnterReap(t *testing.T) {
 // answers from the stored shard count until then.
 func TestTimeWaitShardsLazy(t *testing.T) {
 	r := newTWRig(t, 1)
-	r.stack.ConfigureTimeWait(1000, false)
+	r.stack.ConfigureTimeWait(1000)
 	k := r.keys[0]
 	if r.stack.TimeWaitHas(k.Src, k.Dst, k.SrcPort, k.DstPort) ||
 		r.stack.ReuseTimeWait(k.Src, k.Dst, k.SrcPort, k.DstPort, 1, 1) != ReuseNone ||
@@ -124,7 +124,7 @@ func TestTimeWaitShardsLazy(t *testing.T) {
 // sweep comes long after the last. One shard holds all three entries,
 // so the earliest one's sweep is also the later ones' last sweep.
 func TestTimeWaitLongLinger(t *testing.T) {
-	r := newPressureRig(t, 1, 3, 0, false)
+	r := newPressureRig(t, 1, 3, 0)
 	r.enter(0, 2_000_000)
 	r.enter(1, 70_000_000)
 	r.enter(2, 70_400_000)
@@ -150,7 +150,7 @@ func TestTimeWaitLongLinger(t *testing.T) {
 // deadline order, ties in insertion order, both within a 5 ms sweep and
 // across a sweep more than 32 ms after the last.
 func TestTimeWaitReapOrder(t *testing.T) {
-	r := newPressureRig(t, 1, 6, 0, false)
+	r := newPressureRig(t, 1, 6, 0)
 	for i, d := range []uint64{60_000_000, 3_000_000, 72_000_000, 3_000_000, 60_000_000, 3_500_000} {
 		if !r.enter(i, d) {
 			t.Fatalf("EnterTimeWait(%d) refused", i)

@@ -75,15 +75,6 @@ type Config struct {
 	// while that queue's previous interrupt is unacknowledged
 	// (1 = interrupt per frame).
 	IntThrottleFrames int
-	// Indir, when set, is the (shared) RSS indirection table the NIC
-	// steers with; nil builds a private round-robin table. A machine
-	// shares one Map across its NICs and its flow table so a steering
-	// policy re-homes a bucket everywhere with one write.
-	Indir *rss.Map
-	// FlowRuleSlots bounds the exact-match steering-rule table
-	// (Flow-Director/aRFS-class filters); 0 = no rule table, the paper's
-	// e1000-class hardware.
-	FlowRuleSlots int
 }
 
 // DefaultConfig mirrors the paper's e1000 setup.
@@ -101,9 +92,6 @@ type Stats struct {
 	TxFrames            uint64
 	Interrupts          uint64
 	CsumGood, CsumBad   uint64
-	// Steered counts frames classified by the RSS hash; Unsteered counts
-	// frames routed to the default queue because they were unhashable.
-	Steered, Unsteered uint64
 }
 
 // rxQueue is one receive descriptor ring with its own interrupt vector.
@@ -116,21 +104,8 @@ type rxQueue struct {
 
 // NIC is one simulated network interface.
 type NIC struct {
-	cfg   Config
-	rxq   []rxQueue
-	indir *rss.Map
-	rules map[rss.FlowKey]*flowRule
-	// ruleFree holds removed and evicted rule records for reuse.
-	ruleFree []*flowRule
-
-	// bucketFrames counts received frames per RSS bucket — the load
-	// observation a rebalancing policy steers by.
-	bucketFrames [rss.Buckets]uint64
-	ruleStats    FlowRuleStats
-	// ruleClock is a monotonic touch counter ordering rule installs and
-	// hits; using it (rather than a frame count that may tie) as the LRU
-	// key keeps eviction order deterministic.
-	ruleClock uint64
+	cfg Config
+	rxq []rxQueue
 
 	// OnInterrupt is invoked with the queue index when a queue asserts
 	// its interrupt; the machine uses it to schedule driver processing
@@ -158,9 +133,6 @@ func New(cfg Config) (*NIC, error) {
 	if cfg.RxQueues < 0 || cfg.RxQueues > rss.Buckets {
 		return nil, fmt.Errorf("nic %s: RxQueues %d must be in [1, %d]", cfg.Name, cfg.RxQueues, rss.Buckets)
 	}
-	if cfg.FlowRuleSlots < 0 {
-		return nil, fmt.Errorf("nic %s: FlowRuleSlots %d must be non-negative", cfg.Name, cfg.FlowRuleSlots)
-	}
 	n := &NIC{cfg: cfg, rxq: make([]rxQueue, cfg.RxQueues)}
 	for q := range n.rxq {
 		ring, err := softirq.NewRing[Frame](rxRingSize)
@@ -169,18 +141,6 @@ func New(cfg Config) (*NIC, error) {
 		}
 		n.rxq[q].ring = ring
 	}
-	n.indir = cfg.Indir
-	if n.indir == nil {
-		m, err := rss.NewMap(cfg.RxQueues)
-		if err != nil {
-			return nil, fmt.Errorf("nic %s: %w", cfg.Name, err)
-		}
-		n.indir = m
-	} else if n.indir.Queues() > cfg.RxQueues {
-		return nil, fmt.Errorf("nic %s: indirection table spans %d queues, device has %d",
-			cfg.Name, n.indir.Queues(), cfg.RxQueues)
-	}
-	n.rules = make(map[rss.FlowKey]*flowRule)
 	return n, nil
 }
 
@@ -212,12 +172,11 @@ func (n *NIC) RxNearFull(headroom int) bool {
 // cycles are charged). It returns false and counts a drop if the target
 // ring is full; the frame's buffer then stays the caller's to release.
 func (n *NIC) ReceiveFromWire(f Frame) bool {
-	hash, tuple, hashed, csumOK := n.classify(f.Data)
+	hash, hashed, csumOK := n.classify(f.Data)
 	q := 0
 	if hashed {
 		f.RSSHash = hash
-		n.bucketFrames[rss.Bucket(hash)]++
-		q = n.steerQueue(tuple, hash)
+		q = rss.QueueOf(hash, len(n.rxq))
 	}
 	f.RxQueue = q
 	f.RxCsumOK = csumOK
@@ -225,11 +184,6 @@ func (n *NIC) ReceiveFromWire(f Frame) bool {
 	if !rxq.ring.Push(f) {
 		n.stats.RxDropped++
 		return false
-	}
-	if hashed {
-		n.stats.Steered++
-	} else {
-		n.stats.Unsteered++
 	}
 	if csumOK {
 		n.stats.CsumGood++
@@ -291,29 +245,28 @@ func (n *NIC) Transmit(f Frame) {
 }
 
 // classify performs the hardware parse of an IPv4/TCP frame: IP and TCP
-// checksum validation, the Toeplitz steering hash and the four-tuple (for
-// exact-match rule lookup). csumOK reports both checksums good. Non-TCP or
-// malformed frames report hashed = false, which routes them around
-// aggregation and onto the default queue.
-func (n *NIC) classify(frame []byte) (hash uint32, tuple rss.FlowKey, hashed, csumOK bool) {
+// checksum validation and the Toeplitz steering hash. csumOK reports both
+// checksums good. Non-TCP or malformed frames report hashed = false, which
+// routes them around aggregation and onto the default queue.
+func (n *NIC) classify(frame []byte) (hash uint32, hashed, csumOK bool) {
 	if len(frame) < ether.HeaderLen+ipv4.MinHeaderLen {
-		return 0, tuple, false, false
+		return 0, false, false
 	}
 	eh, err := ether.Parse(frame)
 	if err != nil || eh.Type != ether.TypeIPv4 {
-		return 0, tuple, false, false
+		return 0, false, false
 	}
 	l3 := frame[ether.HeaderLen:]
 	ipOK := ipv4.VerifyChecksum(l3)
 	ih, err := ipv4.Parse(l3)
 	if err != nil || ih.Proto != ipv4.ProtoTCP || ih.IsFragment() {
-		return 0, tuple, false, false
+		return 0, false, false
 	}
 	seg := frame[ether.HeaderLen+int(ih.IHL) : ether.HeaderLen+int(ih.TotalLen)]
 	th, err := tcpwire.Parse(seg)
 	if err != nil {
-		return 0, tuple, false, false
+		return 0, false, false
 	}
-	tuple = rss.FlowKey{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}
-	return tuple.Hash(), tuple, true, ipOK && tcpwire.VerifyChecksum(seg, ih.Src, ih.Dst)
+	hash = rss.HashTCP4(ih.Src, ih.Dst, th.SrcPort, th.DstPort)
+	return hash, true, ipOK && tcpwire.VerifyChecksum(seg, ih.Src, ih.Dst)
 }

@@ -212,7 +212,8 @@ func TestRSSSteering(t *testing.T) {
 	used := map[int]bool{}
 	for p := uint16(0); p < 64; p++ {
 		sp, dp := 5001+p, uint16(44000)
-		want := rss.QueueOf(rss.HashTCP4(ipv4.Addr{10, 0, 0, 1}, ipv4.Addr{10, 0, 0, 2}, sp, dp), 4)
+		hash := rss.HashTCP4(ipv4.Addr{10, 0, 0, 1}, ipv4.Addr{10, 0, 0, 2}, sp, dp)
+		want := rss.QueueOf(hash, 4)
 		for rep := 0; rep < 3; rep++ {
 			if !n.ReceiveFromWire(Frame{Data: flowFrame(sp, dp)}) {
 				t.Fatal("frame rejected")
@@ -223,8 +224,8 @@ func TestRSSSteering(t *testing.T) {
 			t.Fatalf("flow port %d: queue %d got %d frames, want 3", sp, want, len(fs))
 		}
 		for _, f := range fs {
-			if f.RxQueue != want {
-				t.Fatalf("frame tagged queue %d, want %d", f.RxQueue, want)
+			if f.RxQueue != want || f.RSSHash != hash {
+				t.Fatalf("frame tagged queue %d hash %#x, want %d and %#x", f.RxQueue, f.RSSHash, want, hash)
 			}
 			if !f.RxCsumOK {
 				t.Fatal("steered frame lost checksum offload")
@@ -240,13 +241,13 @@ func TestRSSSteering(t *testing.T) {
 			t.Errorf("frames left on unexpected queue %d: %d", q, n.RxQueueLenOn(q))
 		}
 	}
-	if s := n.Stats(); s.Steered != 192 || s.Unsteered != 0 {
-		t.Errorf("steering stats = %+v", s)
+	if s := n.Stats(); s.RxFrames != 192 {
+		t.Errorf("RxFrames = %d, want 192", s.RxFrames)
 	}
 }
 
 // TestRSSUnhashableDefaultsToQueue0: frames the hardware cannot classify
-// (runts, non-IP) go to the default queue.
+// (runts, non-IP) go to the default queue, unhashed.
 func TestRSSUnhashableDefaultsToQueue0(t *testing.T) {
 	cfg := DefaultConfig("eth0")
 	cfg.RxQueues = 4
@@ -258,8 +259,10 @@ func TestRSSUnhashableDefaultsToQueue0(t *testing.T) {
 	if got := n.RxQueueLenOn(0); got != 2 {
 		t.Errorf("queue 0 holds %d frames, want 2", got)
 	}
-	if s := n.Stats(); s.Unsteered != 2 {
-		t.Errorf("Unsteered = %d, want 2", s.Unsteered)
+	for _, f := range n.PollRxInto(0, 2, nil) {
+		if f.RSSHash != 0 {
+			t.Errorf("unclassifiable frame carries hash %#x", f.RSSHash)
+		}
 	}
 }
 

@@ -92,8 +92,7 @@ func keyWindow(key []byte, off int) uint32 {
 
 // FlowKey is a TCP connection's four-tuple as it appears on received
 // frames (Src = remote sender, Dst = local endpoint): the key of the
-// aggregation table, the stack's demux table, the flow table's ownership
-// overrides and the NIC's exact-match steering rules.
+// aggregation table and the stack's demux table.
 type FlowKey struct {
 	Src, Dst         ipv4.Addr
 	SrcPort, DstPort uint16
@@ -124,7 +123,10 @@ func Bucket(hash uint32) int { return int(hash & (Buckets - 1)) }
 
 // QueueOf maps a hash onto one of queues receive queues via the
 // indirection table. The table is filled round-robin (bucket b -> queue
-// b mod queues), the standard even spread; queues must be positive.
+// b mod queues), the standard even spread, and never rewritten (static
+// RSS); queues must be positive. It is the one bucket→CPU decision: the
+// NICs' queue choice, the flow table's owner accounting and netback's I/O
+// channel choice all call it.
 func QueueOf(hash uint32, queues int) int {
 	if queues <= 1 {
 		return 0

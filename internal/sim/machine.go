@@ -47,12 +47,11 @@ func buildMachine(cfg *StreamConfig) (*frontend.FrontEnd, roundFunc, error) {
 		mode = frontend.ModeOptimized
 	}
 	fc := frontend.Config{
-		Params:        params,
-		NICCount:      cfg.NICs,
-		Queues:        cfg.Queues,
-		Mode:          mode,
-		Aggregation:   aggOpts,
-		FlowRuleSlots: cfg.Steering.RuleTableSlots,
+		Params:      params,
+		NICCount:    cfg.NICs,
+		Queues:      cfg.Queues,
+		Mode:        mode,
+		Aggregation: aggOpts,
 	}
 	return newMachine(fc, cfg.System == SystemXen)
 }

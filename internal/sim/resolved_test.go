@@ -12,9 +12,8 @@ import (
 // on, and running the resolved config gives the same result as running the
 // config as written. The configs are golden shapes at the corpus's 30 ms
 // window with 15 ms of warm-up: n1 Linux UP/Optimized (Connections at its
-// default), rpc/incast-2q (Telemetry.Latency and the RPC sizes),
-// steer/handoff-native (every steering knob set) and storm/fraction
-// (PrefillSpreadNs at its default).
+// default), rpc/incast-2q (Telemetry.Latency and the RPC sizes) and
+// storm/fraction (PrefillSpreadNs at its default).
 func TestStreamConfigResolved(t *testing.T) {
 	bulk := DefaultStreamConfig(SystemNativeUP, OptFull)
 	bulk.Queues = 1
@@ -23,16 +22,6 @@ func TestStreamConfigResolved(t *testing.T) {
 	rpc.Queues = 2
 	rpc.Connections = 16
 	rpc.RPC = RPCConfig{Enabled: true}
-	handoff := DefaultStreamConfig(SystemNativeUP, OptFull)
-	handoff.NICs = 4
-	handoff.Queues = 4
-	handoff.Connections = 120
-	handoff.FlowSkew = 2.0
-	handoff.ChurnIntervalNs = 4_000_000
-	handoff.Steering = SteerConfig{
-		Enabled: true, ARFS: true, RuleTableSlots: 16,
-		EpochNs: 2_000_000, AppMigrateIntervalNs: 3_000_000,
-	}
 	storm := DefaultStreamConfig(SystemNativeUP, OptFull)
 	storm.NICs = 4
 	storm.Connections = 80
@@ -41,7 +30,7 @@ func TestStreamConfigResolved(t *testing.T) {
 	storm.RestartStorm = RestartStormConfig{AtNs: 20_000_000, PrefillTimeWait: 1000}
 
 	for name, cfg := range map[string]StreamConfig{
-		"bulk": bulk, "rpc": rpc, "steer/handoff-native": handoff, "storm/fraction": storm,
+		"bulk": bulk, "rpc": rpc, "storm/fraction": storm,
 	} {
 		cfg.DurationNs = 30_000_000
 		cfg.WarmupNs = 15_000_000
@@ -61,9 +50,6 @@ func TestStreamConfigResolved(t *testing.T) {
 			}
 			if st := resolved.RestartStorm; st.AtNs > 0 && st.PrefillSpreadNs == 0 {
 				t.Errorf("resolved storm config left a default unset: %+v", st)
-			}
-			if sc := resolved.Steering; sc.Enabled && sc.EpochNs == 0 || sc.ARFS && sc.RuleTableSlots == 0 {
-				t.Errorf("resolved steering config left a default unset: %+v", sc)
 			}
 			want := encodedRun(t, cfg)
 			if got := encodedRun(t, resolved); !bytes.Equal(got, want) {

@@ -141,8 +141,8 @@ func (m *SenderMachine) AddConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 // PatternPayload is the deterministic byte source every sim sender
 // transmits: byte at absolute sequence s is a fixed mix of s. Receivers
 // (tests) can therefore verify end-to-end that the delivered stream is
-// the in-order original — across aggregation, ACK offload, retransmission
-// and flow-steering migration — without buffering a reference copy.
+// the in-order original — across aggregation, ACK offload and
+// retransmission — without buffering a reference copy.
 func PatternPayload(seq uint32, b []byte) {
 	PatternPayloadSum(seq, b)
 }

@@ -83,7 +83,6 @@ func (sc *stormController) fire() {
 	for i, v := range victims {
 		v := v
 		sc.report.TornDown++
-		v.ep.SetAppCPU(-1)
 		top.senders[v.nicIdx].FinishConn(v.sPort)
 		top.teardown.add(v, now+churnForceTeardownNs)
 		// Stagger the redials by a hair so they do not all land on one

@@ -115,9 +115,6 @@ type StreamConfig struct {
 	// receiver's final ACK costs receive-path cycles, and the endpoint
 	// lingers in the stack's TIME_WAIT table before unregistering.
 	ChurnIntervalNs uint64
-	// Steering configures dynamic flow steering (zero value: static RSS,
-	// the exact PR 2 pipeline).
-	Steering SteerConfig
 	// ReorderWindow sets the aggregation engines' per-flow resequencing
 	// window in frames (0 = disabled, the strict flush-on-OOO engine —
 	// bit-identical to the previous pipeline). Only meaningful on
@@ -188,53 +185,10 @@ type RestartStormConfig struct {
 	PrefillSpreadNs uint64
 }
 
-// SteerConfig are the dynamic-steering knobs of a stream run.
-type SteerConfig struct {
-	// Enabled turns on the indirection rebalancer: every epoch it
-	// observes per-CPU utilization and per-bucket load and rewrites the
-	// NICs' RSS indirection to move buckets off hot CPUs.
-	Enabled bool
-	// EpochNs is the rebalance period (0 = 5 ms; needs Enabled). The
-	// rebalancer's hysteresis and damping are internal/steer constants.
-	EpochNs uint64
-	// ARFS enables accelerated-RFS: endpoints get pinned application
-	// CPUs, the netstack observes them at socket-read time, and
-	// exact-match NIC rules steer each flow to its application's CPU. A
-	// rule stays until its flow is torn down or LRU pressure evicts it.
-	ARFS bool
-	// RuleTableSlots bounds each NIC's rule table (0 = 256; needs ARFS).
-	RuleTableSlots int
-	// AppMigrateIntervalNs, when non-zero, re-pins one endpoint's
-	// application to the next CPU every interval — the scheduler-moves-
-	// the-app workload that forces aRFS to follow mid-stream (needs ARFS).
-	AppMigrateIntervalNs uint64
-}
-
-// steeringActive reports whether any dynamic-steering machinery runs.
-func (c SteerConfig) steeringActive() bool { return c.Enabled || c.ARFS }
-
-// validate rejects knobs that the steering modes they tune leave off.
-func (c SteerConfig) validate() error {
-	if !c.ARFS && (c.RuleTableSlots != 0 || c.AppMigrateIntervalNs != 0) {
-		return fmt.Errorf("sim: RuleTableSlots and AppMigrateIntervalNs tune aRFS; set ARFS too")
-	}
-	if !c.Enabled && c.EpochNs != 0 {
-		return fmt.Errorf("sim: EpochNs paces the rebalancer; set Enabled too")
-	}
-	return nil
-}
-
 // Defaults a run fills in for values its config leaves zero (Resolved).
 const (
 	// defaultDurationNs is the measured interval: 150 ms.
 	defaultDurationNs = 150_000_000
-	// defaultSteerEpochNs is the rebalance period: 5 ms — long against the
-	// ~125 µs RTT (indirection rewrites settle between epochs), short
-	// against the 150 ms measured interval (a skewed run gets ~30
-	// correction points).
-	defaultSteerEpochNs = 5_000_000
-	// defaultRuleTableSlots sizes each NIC's aRFS rule table.
-	defaultRuleTableSlots = 256
 	// defaultPrefillSpreadNs spreads a seeded TIME_WAIT backlog's
 	// deadlines over 500 ms: the backlog mostly outlives a short measured
 	// window, the way real minutes-long 2·MSL lingers dwarf any
@@ -296,9 +250,6 @@ type StreamResult struct {
 	ChurnOpenFailures uint64
 	// Storm reports restart-storm activity (nil when no storm ran).
 	Storm *StormReport
-	// Steer reports dynamic-steering activity (nil when steering was
-	// off).
-	Steer *SteerReport
 	// EngineAgg is each aggregation engine's cumulative counters at the
 	// end of the run (index = CPU; nil on baseline paths): flush-reason
 	// taxonomy plus resequencing-window activity.
@@ -392,21 +343,6 @@ func senderLossStats(senders []*SenderMachine) LossReport {
 	return r
 }
 
-// SteerReport summarizes a run's dynamic-steering activity.
-type SteerReport struct {
-	// Epochs counts rebalance evaluations, CalmEpochs those inside the
-	// hysteresis band, Moves the indirection entries rewritten.
-	Epochs, CalmEpochs, Moves uint64
-	// RulesProgrammed/RuleEvictions/RuleHits sum the NICs' exact-match
-	// rule activity; RuleOccupancy is the live rule count at the end.
-	RulesProgrammed, RuleEvictions, RuleHits uint64
-	RuleOccupancy                            int
-	// AppMigrations counts mid-stream application re-pinnings.
-	AppMigrations uint64
-	// Indirection is the final bucket→CPU table.
-	Indirection []int
-}
-
 // BytesDelivered returns the application bytes of the measured interval.
 func (r StreamResult) BytesDelivered() float64 {
 	return r.ThroughputMbps * 1e6 / 8 * float64(r.DurationNs) / 1e9
@@ -442,8 +378,8 @@ func (r StreamResult) DemuxCyclesPerPacket() float64 {
 	return float64(r.DemuxCycles) / float64(r.HostPackets)
 }
 
-// UtilSpread returns max−min per-CPU utilization — the imbalance metric
-// the rebalancer drives down.
+// UtilSpread returns max−min per-CPU utilization, the load imbalance
+// across CPUs.
 func (r StreamResult) UtilSpread() float64 {
 	if len(r.PerCPUUtil) == 0 {
 		return 0
@@ -472,7 +408,6 @@ type streamTopology struct {
 	teardown *teardownTracker
 	churn    *churner
 	storm    *stormController
-	steer    *steerController
 	col      *telemetry.Collector    // latency histograms (nil: off)
 	spans    *telemetry.SpanRecorder // activity spans (nil: off)
 	rpc      *rpcDriver              // incast workload (nil: bulk streams)
@@ -555,9 +490,6 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	res.Demux = table.TableStats()
 	res.Mem = top.machine.Stack.MemStats()
 	res.TimeWait = top.machine.Stack.TimeWaitStats()
-	if top.steer != nil {
-		res.Steer = top.steer.report()
-	}
 	res.OOOSegs = endEP.OOOSegs - startEP.OOOSegs
 	res.OOOPeak = endEP.OOOPeak
 	for _, rp := range top.machine.ReceivePaths() {
@@ -588,8 +520,7 @@ func linkGoodputMbps() float64 {
 }
 
 // buildStream wires the full stream experiment: the topology, the bulk
-// flows or the RPC driver with churn, storm and steering, and the 5 ms
-// timer sweep.
+// flows or the RPC driver with churn and storm, and the 5 ms timer sweep.
 func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	top, err := newTopology(cfg)
 	if err != nil {
@@ -639,9 +570,6 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 		top.sim.After(prefillAt, top.storm.prefill)
 		top.sim.After(cfg.RestartStorm.AtNs, top.storm.fire)
 	}
-	if cfg.Steering.steeringActive() {
-		top.steer = newSteerController(top, cfg.Steering)
-	}
 	top.start(streamSweepNs)
 	return top, nil
 }
@@ -676,8 +604,7 @@ func registeredEndpoints(cfg *StreamConfig) int {
 // Connections defaults to one per NIC and DurationNs to 150 ms. A workload
 // that is on gets its own zero values filled: the RPC workload its
 // response size and Telemetry.Latency (the histograms are its
-// output), a restart storm its PrefillSpreadNs, the rebalancer its
-// EpochNs and aRFS its RuleTableSlots. It validates nothing.
+// output) and a restart storm its PrefillSpreadNs. It validates nothing.
 func (cfg StreamConfig) Resolved() StreamConfig {
 	if cfg.Connections == 0 {
 		cfg.Connections = cfg.NICs
@@ -693,13 +620,6 @@ func (cfg StreamConfig) Resolved() StreamConfig {
 	}
 	if st := &cfg.RestartStorm; st.AtNs > 0 && st.PrefillSpreadNs == 0 {
 		st.PrefillSpreadNs = defaultPrefillSpreadNs
-	}
-	sc := &cfg.Steering
-	if sc.Enabled && sc.EpochNs == 0 {
-		sc.EpochNs = defaultSteerEpochNs
-	}
-	if sc.ARFS && sc.RuleTableSlots == 0 {
-		sc.RuleTableSlots = defaultRuleTableSlots
 	}
 	return cfg
 }
@@ -744,17 +664,13 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 	if cfg.MaxTimeWaitBuckets < 0 {
 		return nil, fmt.Errorf("sim: MaxTimeWaitBuckets %d must be non-negative", cfg.MaxTimeWaitBuckets)
 	}
-	if err := cfg.Steering.validate(); err != nil {
-		return nil, err
-	}
 	if cfg.RPC.Enabled {
 		if cfg.RPC.MessageBytes < 0 {
 			return nil, fmt.Errorf("sim: RPC MessageBytes %d must be non-negative", cfg.RPC.MessageBytes)
 		}
 		if cfg.ChurnIntervalNs != 0 || cfg.RestartStorm.AtNs != 0 ||
-			cfg.Steering.steeringActive() || cfg.FlowSkew != 0 ||
-			cfg.RegisteredFlows != 0 || cfg.MessageSize != 0 {
-			return nil, fmt.Errorf("sim: the RPC workload is incompatible with churn, storm, steering, skew, connscale and MessageSize knobs")
+			cfg.FlowSkew != 0 || cfg.RegisteredFlows != 0 || cfg.MessageSize != 0 {
+			return nil, fmt.Errorf("sim: the RPC workload is incompatible with churn, storm, skew, connscale and MessageSize knobs")
 		}
 	}
 	if n := registeredEndpoints(cfg); n > netstack.MaxEndpoints {
@@ -814,7 +730,7 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 	}
 
 	if cfg.MaxTimeWaitBuckets > 0 {
-		machine.Stack.ConfigureTimeWait(cfg.MaxTimeWaitBuckets, false)
+		machine.Stack.ConfigureTimeWait(cfg.MaxTimeWaitBuckets)
 	}
 	return top, nil
 }
@@ -951,31 +867,6 @@ func (cs *cpuSet) round(c *simCPU) {
 	if more {
 		cs.kick(c.id)
 	}
-}
-
-// runOn executes fn outside a softirq round, attributing the cycles it
-// charges to CPU id — how migration work (pending-aggregate flushes, the
-// IPI-like handoff of a steering rewrite) is billed to the CPU that loses
-// the bucket, pushing its next round out in virtual time like any other
-// busy work.
-func (cs *cpuSet) runOn(id int, fn func()) {
-	c := cs.cpus[id]
-	meter := &cs.fe.Meter
-	prev := cs.current
-	prevBase := c.roundBase
-	c.roundBase = meter.Total()
-	cs.current = c
-	fn()
-	cs.current = prev
-	used := meter.Total() - c.roundBase
-	c.roundBase = prevBase
-	c.busyCycles += used
-	busyNs := uint64(float64(used) / cs.fe.Params.ClockHz * 1e9)
-	now := cs.sim.Now()
-	if c.busyUntil < now {
-		c.busyUntil = now
-	}
-	c.busyUntil += busyNs
 }
 
 // perCPUBusy returns each CPU's cumulative busy cycles.

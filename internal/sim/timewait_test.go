@@ -11,8 +11,7 @@ import (
 // when its FIN completes (force-released by the backstop, or torn down
 // out from under the tracker) used to land in inTW anyway — and since
 // EnterTimeWait had refused it, no reap would ever yield its key, so the
-// sender-side connection and any programmed steering rule leaked for the
-// rest of the run. The tracker must honor EnterTimeWait's verdict and
+// sender-side connection leaked for the rest of the run. The tracker must honor EnterTimeWait's verdict and
 // release immediately.
 func TestBackstopReleasedFlowDoesNotStrandInTW(t *testing.T) {
 	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
@@ -121,15 +120,15 @@ func TestChurnRecyclesReapedPorts(t *testing.T) {
 }
 
 // TestTimeWaitStormProperty is the TIME_WAIT-at-scale property test, on
-// the native and the paravirtual machine with dynamic steering enabled:
-// through a restart storm with a seeded backlog and SYN-time reuse,
+// the native and the paravirtual machine: through a restart storm with a
+// seeded backlog and SYN-time reuse,
 //
 //   - the table accounting balances at every sweep
 //     (Entered = Reaped + Reused + Len; with reuse disabled this is the
 //     issue's Entered = Reaped + Len),
 //   - reuse never delivers bytes to a stale endpoint, and
 //   - every byte every live endpoint delivers is the in-order pattern
-//     stream (byte-exact through teardown, reuse and steering).
+//     stream (byte-exact through teardown and reuse).
 func TestTimeWaitStormProperty(t *testing.T) {
 	for _, sys := range []SystemKind{SystemNativeUP, SystemXen} {
 		t.Run(sys.String(), func(t *testing.T) { runStormProperty(t, sys) })
@@ -141,7 +140,6 @@ func runStormProperty(t *testing.T, sys SystemKind) {
 	cfg.NICs = 2
 	cfg.Connections = 24
 	cfg.Queues = 2
-	cfg.Steering = SteerConfig{Enabled: true, ARFS: true}
 	cfg.TimeWaitReuse = true
 	cfg.RestartStorm = RestartStormConfig{
 		AtNs:            12_000_000,

@@ -43,7 +43,6 @@ type flowGen struct {
 
 	next      int // round-robin NIC cursor / initial port index
 	churnPort int // port counter for churn replacements
-	appCPU    int // round-robin application-CPU cursor (aRFS workloads)
 	live      []flowRecord
 
 	// recycled holds churn-range port pairs reaped out of TIME_WAIT:
@@ -168,7 +167,7 @@ func (g *flowGen) seedIdleFlows(n int) error {
 }
 
 func (g *flowGen) open(n int, sPort, rPort uint16) error {
-	top, cfg := g.top, g.cfg
+	top := g.top
 	senderIP := ipv4.Addr{10, 0, byte(n), 1}
 	rcvIP := ipv4.Addr{10, 0, byte(n), 2}
 
@@ -179,13 +178,6 @@ func (g *flowGen) open(n int, sPort, rPort uint16) error {
 	ep, slot, err := top.openReceiver(senderIP, rcvIP, sPort, rPort)
 	if err != nil {
 		return err
-	}
-	if cfg.Steering.ARFS {
-		// Pin the consuming application round-robin over the CPUs —
-		// deliberately decorrelated from the Toeplitz hash, so following
-		// the app is a real steering decision, not a no-op.
-		ep.SetAppCPU(g.appCPU % top.machine.CPUs())
-		g.appCPU++
 	}
 	g.live = append(g.live, flowRecord{nicIdx: n, senderIP: senderIP, rcvIP: rcvIP,
 		sPort: sPort, rPort: rPort, ep: ep, slot: slot})
@@ -311,9 +303,9 @@ func (tr *teardownTracker) poll(now uint64) {
 			} else {
 				// The flow is no longer registered (force-released by an
 				// earlier backstop, or torn down out from under us):
-				// stranding it in inTW would leak the sender conn and any
-				// programmed steering rule for the rest of the run, since
-				// no reap would ever yield its key. Release immediately.
+				// stranding it in inTW would leak the sender conn for the
+				// rest of the run, since no reap would ever yield its key.
+				// Release immediately.
 				tr.release(d.rec)
 			}
 		case now >= d.deadline:
@@ -355,16 +347,13 @@ func (tr *teardownTracker) release(rec flowRecord) {
 
 // releaseWatched drops everything still keyed on a finished flow: the
 // demux entry (a no-op when the reap or a granted reuse already removed
-// it), any NIC steering rule, the sender-side connection, per-flow
-// steering policy state, and — via onReap — the port pool. The receiver
-// endpoint stays on the machine's list, so a caller that keeps watching
-// it (the restart storm's stale-delivery check) reads the real endpoint.
+// it), the sender-side connection and — via onReap — the port pool. The
+// receiver endpoint stays on the machine's list, so a caller that keeps
+// watching it (the restart storm's stale-delivery check) reads the real
+// endpoint.
 func (tr *teardownTracker) releaseWatched(rec flowRecord) {
 	tr.top.machine.UnregisterEndpoint(rec.senderIP, rec.rcvIP, rec.sPort, rec.rPort)
 	tr.top.senders[rec.nicIdx].RemoveConn(rec.sPort)
-	if tr.top.steer != nil {
-		tr.top.steer.flowClosed(rec.key())
-	}
 	if tr.onReap != nil {
 		tr.onReap(rec)
 	}
@@ -411,11 +400,7 @@ func (ch *churner) tick() {
 		} else {
 			g.live = g.live[1:]
 			ch.tornDown++
-			// Application close on the sender: drain, then FIN. The
-			// receiver side's application is gone too — unpin it so aRFS
-			// stops following (and the migration workload skips) a dead
-			// flow.
-			victim.ep.SetAppCPU(-1)
+			// Application close on the sender: drain, then FIN.
 			ch.top.senders[victim.nicIdx].FinishConn(victim.sPort)
 			ch.tr.add(victim, ch.top.sim.Now()+churnForceTeardownNs)
 			g.applySkew()

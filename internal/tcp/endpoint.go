@@ -260,11 +260,6 @@ type Endpoint struct {
 	finAcked bool   // the peer acknowledged our FIN
 	finSeq   uint32 // sequence number the FIN consumed
 
-	// appCPU is the CPU the consuming application runs on (-1 =
-	// unpinned): the observation accelerated RFS steers by. In the
-	// simulation it models the scheduler's placement of the app thread.
-	appCPU int
-
 	// latRec/latClock, when wired (SetLatencyRecorder), record each
 	// data-carrying host packet's stage stamps at app-delivery time into
 	// the run's latency collector. latClock is the run's stamp clock —
@@ -322,7 +317,6 @@ func (e *Endpoint) Reset(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf
 		ssthresh:    1 << 30,
 		sndWnd:      rcvWnd,
 		rcvMSSEst:   cfg.MSS,
-		appCPU:      -1,
 		rtx:         e.rtx[:0],
 		ooo:         e.ooo[:0],
 		pendingAcks: e.pendingAcks[:0],
@@ -370,14 +364,6 @@ func (e *Endpoint) FinAcked() bool { return e.finAcked }
 // check: a reconnect may recycle the lingering incarnation only with a
 // strictly newer timestamp.
 func (e *Endpoint) TSRecent() uint32 { return e.tsRecent }
-
-// SetAppCPU records the CPU the consuming application runs on (-1 =
-// unpinned). The netstack reports it at socket-read time so an aRFS
-// policy can steer the flow to follow the application.
-func (e *Endpoint) SetAppCPU(cpu int) { e.appCPU = cpu }
-
-// AppCPU returns the application's CPU (-1 = unpinned).
-func (e *Endpoint) AppCPU() int { return e.appCPU }
 
 // SetLatencyRecorder wires per-packet stage-latency recording: every
 // data-carrying host packet delivered to this endpoint records its stamp

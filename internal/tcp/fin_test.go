@@ -140,15 +140,3 @@ func TestRetransmittedFINReAcked(t *testing.T) {
 	}
 	env.freeOut()
 }
-
-// TestAppCPUPin: the aRFS observation accessor round-trips.
-func TestAppCPUPin(t *testing.T) {
-	env := newEnv(t, nil)
-	if got := env.ep.AppCPU(); got != -1 {
-		t.Fatalf("fresh endpoint AppCPU = %d, want -1 (unpinned)", got)
-	}
-	env.ep.SetAppCPU(3)
-	if got := env.ep.AppCPU(); got != 3 {
-		t.Errorf("AppCPU = %d, want 3", got)
-	}
-}

@@ -71,7 +71,6 @@ func TestResetMatchesNew(t *testing.T) {
 	ep.OnRetransmit = func([]byte) {}
 	ep.SetRecoveryRecorder(&telemetry.Collector{})
 	ep.SetLatencyRecorder(&telemetry.Collector{}, func() uint64 { return env.now })
-	ep.SetAppCPU(2)
 
 	// Receive half: in-order data, then a hole that queues out-of-order
 	// data and SACK blocks, then the peer's FIN (left beyond the hole,

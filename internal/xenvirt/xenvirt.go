@@ -30,13 +30,13 @@
 // the same way the native RSS pipeline does (ARCHITECTURE.md): with
 // frontend.Config.Queues = N the guest has N vCPUs and the machine runs N
 // per-vCPU I/O channels, each a bounded netfront ring (softirq.Context)
-// plus an event channel and a grant-copy batch. The physical NICs steer frames with the Toeplitz
-// hash/indirection table (internal/rss), dom0 runs one NAPI driver — and,
-// in optimized mode, one aggregation engine (core.ReceivePath) — per
-// (NIC, queue), and netback steers bridged host packets onto the I/O
-// channel the same indirection names, so a flow's packets always reach
-// the same guest vCPU. Each vCPU's netfront context feeds the guest stack's
-// sharded flow table; the front end's one bucket map names the dom0
+// plus an event channel and a grant-copy batch. The physical NICs steer
+// frames by the Toeplitz hash (static RSS, rss.QueueOf), dom0 runs one NAPI
+// driver — and, in optimized mode, one aggregation engine
+// (core.ReceivePath) — per (NIC, queue), and netback steers bridged host
+// packets onto the I/O channel the same function names, so a flow's
+// packets always reach the same guest vCPU. Each vCPU's netfront context
+// feeds the guest stack's sharded flow table; rss.QueueOf names the dom0
 // queue, the channel and the shard owner alike, so no per-flow structure
 // is ever touched by two vCPUs.
 //
@@ -44,20 +44,20 @@
 // (the standard multi-queue netfront/netback deployment): when netback
 // sends the event for a packet whose channel lives on the core already in
 // softirq, netfront consumes it synchronously in the same round — which is
-// also exactly the paper's single-queue machine when Queues = 1. Only a
-// packet whose channel belongs to another core (unhashable traffic seen
-// from a non-zero queue, or frames a steering change caught on the old
-// queue) stays on the ring until the owning vCPU's next round, woken
-// through the event-channel kick.
+// also exactly the paper's single-queue machine when Queues = 1. A packet's
+// channel is always the queue it arrived on, so within a round netfront
+// always consumes inline. Only a packet netback handles outside its
+// channel's round (a directly driven machine polling a queue) stays on the
+// ring until the owning vCPU's next round, woken through the event-channel
+// kick.
 //
 // # One event loop
 //
 // Like the native machine, this machine runs on the simulator's one serial
 // event loop. The dom0 bridge/netback stage is a serialization point every
 // queue's traffic flows through (grant-copy batches, the shared
-// event-channel demultiplexer, cross-channel netback steering of
-// unhashable traffic); virtual time, not host threads, models how the
-// cores' work overlaps.
+// event-channel demultiplexer); virtual time, not host threads, models how
+// the cores' work overlaps.
 package xenvirt
 
 import (
@@ -66,10 +66,8 @@ import (
 	"repro/internal/buf"
 	"repro/internal/cycles"
 	"repro/internal/frontend"
-	"repro/internal/ipv4"
 	"repro/internal/rss"
 	"repro/internal/softirq"
-	"repro/internal/tcpwire"
 )
 
 // netfrontRingSlots is the netfront receive ring capacity per channel
@@ -78,11 +76,10 @@ const netfrontRingSlots = 256
 
 // Machine is one Xen host: hypervisor + driver domain + one guest. The
 // embedded front end is the driver domain's — NICs, dom0 drivers and
-// aggregation, the NIC indirection — with the guest's stack as its
-// receiving stack; driver output goes to the bridge. The NIC indirection
-// (SteerMap) is also the channel map: bucket b rides dom0 queue, I/O
-// channel and guest vCPU SteerMap()[b], which is why shard ownership (and
-// hence steal accounting) follows it.
+// aggregation — with the guest's stack as its receiving stack; driver
+// output goes to the bridge. Static RSS is also the channel map: hash h
+// rides dom0 queue, I/O channel and guest vCPU rss.QueueOf(h, queues),
+// which is why shard ownership (and hence steal accounting) follows it.
 type Machine struct {
 	frontend.FrontEnd
 
@@ -129,25 +126,6 @@ func New(cfg frontend.Config) (*Machine, error) {
 	return m, nil
 }
 
-// flowKeyOf extracts the four-tuple from a bridged host packet's headers
-// (netback's override lookup); ok is false for non-TCP traffic.
-func flowKeyOf(skb *buf.SKB) (rss.FlowKey, bool) {
-	l3 := skb.L3()
-	ih, err := ipv4.ParseHeaderOnly(l3)
-	if err != nil || ih.Proto != ipv4.ProtoTCP {
-		return rss.FlowKey{}, false
-	}
-	segEnd := ih.TotalLen
-	if segEnd > len(l3) {
-		segEnd = len(l3)
-	}
-	th, err := tcpwire.Parse(l3[ih.IHL:segEnd])
-	if err != nil {
-		return rss.FlowKey{}, false
-	}
-	return rss.FlowKey{Src: ih.Src, Dst: ih.Dst, SrcPort: th.SrcPort, DstPort: th.DstPort}, true
-}
-
 // ProcessRound runs one softirq round on the given vCPU: pending netfront
 // work delivered by other vCPUs' netback, dom0 driver polls of this CPU's
 // queue on every NIC, dom0 aggregation, the bridge/netback/netfront
@@ -175,7 +153,7 @@ func (m *Machine) ProcessRound(cpu, budget int) (int, bool) {
 
 // bridgeReceive is the driver domain's bridge + netfilter hop, followed by
 // netback: the I/O channel is chosen by the frame's Toeplitz hash — the
-// same indirection the physical NIC used (internal/rss), so channel q only
+// same rss.QueueOf the physical NIC used, so channel q only
 // ever carries queue q's flows — the packet is grant-copied into guest
 // memory as one batched hypercall, pushed onto the channel's netfront
 // ring, and the event channel is signaled. A channel owned by the core
@@ -188,23 +166,10 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 	// Netback: per host packet plus per fragment (§5.1).
 	m.Meter.Charge(cycles.Netback,
 		m.Params.NetbackPerPacket+uint64(frags)*m.Params.NetbackPerFrag)
-	// Netback steering: the flow's aRFS override in the guest flow
-	// table (FrontEnd.SteerFlow records it) wins, else channel = live
-	// indirection entry of the Toeplitz hash — the NIC's own queue choice,
-	// and after a rebalance the new owner even for frames the old queue
-	// still held, so flow affinity spans the driver domain under dynamic
-	// steering too. Unhashable traffic without an override rides
-	// channel 0.
-	c := 0
-	steered := false
-	if ft := m.FlowTable(); ft.FlowOwnerOverrides() > 0 {
-		if k, ok := flowKeyOf(skb); ok {
-			c, steered = ft.FlowOwner(k)
-		}
-	}
-	if !steered && len(m.chans) > 1 && skb.RSSHash != 0 {
-		c = m.SteerMap().Queue(skb.RSSHash)
-	}
+	// Netback steering: the channel is the NIC's own queue choice for
+	// the Toeplitz hash, so flow affinity spans the driver domain.
+	// Unhashable traffic (hash 0) rides channel 0.
+	c := rss.QueueOf(skb.RSSHash, len(m.chans))
 	ch := m.chans[c]
 
 	// Netback checks ring space before copying (as real netback does):

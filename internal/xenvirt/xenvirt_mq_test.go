@@ -204,22 +204,21 @@ func TestEndpointChurnReconnect(t *testing.T) {
 }
 
 func TestCrossVCPUChannelDrain(t *testing.T) {
-	// A packet netback pushes onto another vCPU's netfront ring (the
-	// cross-core event-channel case) must wait there and be consumed at
-	// the start of that vCPU's next softirq round. A frame left on NIC
-	// queue 0 when its bucket is steered to 1 takes exactly that path:
-	// vCPU 0 polls it, and netback follows the live indirection onto
-	// channel 1.
+	// A packet netback pushes onto a vCPU's netfront ring while that
+	// vCPU is not in softirq (the cross-core event-channel case) must wait
+	// there and be consumed at the start of the vCPU's next round. Polling
+	// queue 1 outside any round takes exactly that path: netback puts the
+	// frame on channel 1, and vCPU 0's round must not deliver it.
 	r := newMQRig(t, frontend.ModeBaseline, 2)
-	port := portOnQueue(0, 2)
+	port := portOnQueue(1, 2)
 	ep := r.addFlow(t, port)
 	r.inject(t, port, 1, 1)
-	r.m.SteerBucket(rss.Bucket(rss.HashTCP4(senderIP, guestIP, port, 44000)), 1)
 
-	r.m.ProcessRound(0, 64)
-	if got := r.m.NICs()[0].RxQueueLenOn(0); got != 0 {
-		t.Fatalf("vCPU 0 round left %d frames on NIC queue 0", got)
+	r.m.Poll(1, 64)
+	if got := r.m.NICs()[0].RxQueueLenOn(1); got != 0 {
+		t.Fatalf("poll left %d frames on NIC queue 1", got)
 	}
+	r.m.ProcessRound(0, 64)
 	if got := ep.Stats().BytesToApp; got != 0 {
 		t.Fatalf("vCPU 0 round delivered the cross-queued packet (%d bytes)", got)
 	}
@@ -247,29 +246,20 @@ func TestSingleQueueChannelAccounting(t *testing.T) {
 	}
 }
 
-func TestNetbackSteersByFlowOwner(t *testing.T) {
-	// 4 queues and I/O channels, a 2-slot rule table. Netback reads a
-	// steered flow's channel from the guest flow table's ownership
-	// override; an unsteered hashed flow follows the indirection; an
-	// unhashable frame rides channel 0.
+func TestNetbackChannelFollowsHash(t *testing.T) {
+	// 4 queues and I/O channels. Netback puts a hashed flow on the channel
+	// of the CPU that owns it, rss.QueueOf of its hash, the NIC's own
+	// queue choice; an unhashable frame rides channel 0.
 	m, err := New(frontend.Config{
-		Params:        cost.XenGuest(),
-		NICCount:      1,
-		Queues:        4,
-		Mode:          frontend.ModeBaseline,
-		FlowRuleSlots: 2,
+		Params:   cost.XenGuest(),
+		NICCount: 1,
+		Queues:   4,
+		Mode:     frontend.ModeBaseline,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.NICs()[0].OnTransmit = func(nic.Frame) {}
-	portOnChannel := func(c int, not uint16) uint16 {
-		for p := uint16(5001); ; p++ {
-			if p != not && m.SteerMap().Queue(rss.HashTCP4(senderIP, guestIP, p, 44000)) == c {
-				return p
-			}
-		}
-	}
 	frame := func(port uint16) []byte {
 		return packet.MustBuild(packet.TCPSpec{
 			SrcIP: senderIP, DstIP: guestIP, SrcPort: port, DstPort: 44000,
@@ -288,123 +278,19 @@ func TestNetbackSteersByFlowOwner(t *testing.T) {
 		return deliveringVCPU(m)
 	}
 
-	steeredPort := portOnChannel(1, 0)
-	k := rss.FlowKey{Src: senderIP, Dst: guestIP, SrcPort: steeredPort, DstPort: 44000}
-	if _, err := m.SteerFlow(k, k.Hash(), 3); err != nil {
-		t.Fatal(err)
-	}
-	if cpu, ok := m.FlowTable().FlowOwner(k); !ok || cpu != 3 {
-		t.Fatalf("override = (%d, %v), want (3, true)", cpu, ok)
-	}
-	if c := channelOf(frame(steeredPort)); c != 3 {
-		t.Errorf("steered flow reached channel %d, want its override 3", c)
-	}
-
-	hashedPort := portOnChannel(2, steeredPort)
-	if c := channelOf(frame(hashedPort)); c != 2 {
-		t.Errorf("unsteered hashed flow reached channel %d, want the indirection's 2", c)
+	for c := 0; c < 4; c++ {
+		if got := channelOf(frame(portOnQueue(c, 4))); got != c {
+			t.Errorf("flow owned by CPU %d reached channel %d", c, got)
+		}
 	}
 
 	// Not IPv4 to the NIC (ether type rewritten to ARP), so it carries no
 	// RSS hash; its flow would map to channel 1 if it were hashed.
-	unhashable := frame(portOnChannel(1, steeredPort))
+	unhashable := frame(portOnQueue(1, 4))
 	unhashable[12], unhashable[13] = 0x08, 0x06
 	if c := channelOf(unhashable); c != 0 {
 		t.Errorf("unhashable frame reached channel %d, want 0", c)
 	}
-	if live := m.Alloc.Stats().Live; live != 0 {
-		t.Errorf("%d SKBs live after the run", live)
-	}
-}
-
-func TestSteeringMovesQueueChannelAndShard(t *testing.T) {
-	// One bucket map per machine: after SteerBucket(b, cpu), and after
-	// SteerFlow for a single flow, the flow's next frame lands on NIC
-	// queue cpu, crosses on I/O channel cpu and is demultiplexed by vCPU
-	// cpu, with no shard steal anywhere.
-	m, err := New(frontend.Config{
-		Params:        cost.XenGuest(),
-		NICCount:      1,
-		Queues:        4,
-		Mode:          frontend.ModeOptimized,
-		Aggregation:   core.DefaultOptions(),
-		FlowRuleSlots: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.NICs()[0].OnTransmit = func(nic.Frame) {}
-	demux := -1
-	m.Stack.OnSockRead = func(_ rss.FlowKey, _ uint32, _, cpu int) { demux = cpu }
-
-	type flow struct {
-		k   rss.FlowKey
-		seq uint32
-	}
-	open := func(port uint16) *flow {
-		t.Helper()
-		cfg := tcp.DefaultConfig()
-		cfg.LocalIP, cfg.RemoteIP = guestIP, senderIP
-		cfg.LocalPort, cfg.RemotePort = 44000, port
-		ep, _, err := m.OpenEndpoint(cfg, func() uint64 { return 0 }, senderIP, guestIP, port, 44000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep.SetAppCPU(0) // pinned, so every delivery reports its CPU
-		return &flow{k: rss.FlowKey{Src: senderIP, Dst: guestIP, SrcPort: port, DstPort: 44000}, seq: 1}
-	}
-	// path sends f's next frame and reports the NIC queue it landed on,
-	// the I/O channel netback pushed it onto and the vCPU that
-	// demultiplexed it.
-	path := func(f *flow) (queue, channel, cpu int) {
-		t.Helper()
-		n := m.NICs()[0]
-		if !n.ReceiveFromWire(nic.Frame{Data: packet.MustBuild(packet.TCPSpec{
-			SrcIP: f.k.Src, DstIP: f.k.Dst, SrcPort: f.k.SrcPort, DstPort: f.k.DstPort,
-			Seq: f.seq, Ack: 1, Flags: tcpwire.FlagACK | tcpwire.FlagPSH,
-			Window: 65535, HasTS: true, TSVal: 7, TSEcr: 3, Payload: make([]byte, 100),
-		})}) {
-			t.Fatal("NIC ring overflow")
-		}
-		f.seq += 100
-		queue, demux = -1, -1
-		for q := 0; q < m.CPUs(); q++ {
-			if n.RxQueueLenOn(q) != 0 {
-				queue = q
-			}
-		}
-		return queue, deliveringVCPU(m), demux
-	}
-	check := func(step string, f *flow, want int) {
-		t.Helper()
-		if q, c, cpu := path(f); q != want || c != want || cpu != want {
-			t.Errorf("%s: frame took queue %d, channel %d, demux CPU %d; want %d for all three",
-				step, q, c, cpu, want)
-		}
-		ft := m.FlowTable()
-		for i := 0; i < ft.Shards(); i++ {
-			if s := ft.ShardStatsOf(i).Steals; s != 0 {
-				t.Fatalf("%s: shard %d counted %d steals", step, i, s)
-			}
-		}
-	}
-
-	bucketFlow, ruleFlow := open(5001), open(5002)
-	b := rss.Bucket(bucketFlow.k.Hash())
-	home := m.SteerMap().Entry(b)
-	check("registered", bucketFlow, home)
-
-	moved := (home + 1) % 4
-	m.SteerBucket(b, moved)
-	check("SteerBucket", bucketFlow, moved)
-
-	ruleHome := m.SteerMap().Queue(ruleFlow.k.Hash())
-	target := (ruleHome + 2) % 4
-	if _, err := m.SteerFlow(ruleFlow.k, ruleFlow.k.Hash(), target); err != nil {
-		t.Fatal(err)
-	}
-	check("SteerFlow", ruleFlow, target)
-	check("SteerFlow, bucket flow", bucketFlow, moved)
 	if live := m.Alloc.Stats().Live; live != 0 {
 		t.Errorf("%d SKBs live after the run", live)
 	}

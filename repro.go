@@ -88,12 +88,6 @@ type (
 	// ShardStats is one flow-table shard's demux counters (flows, demux
 	// hits, steals), reported per shard in StreamResult.ShardStats.
 	ShardStats = netstack.ShardStats
-	// SteerConfig holds the dynamic-flow-steering knobs of a stream run
-	// (indirection rebalancing, accelerated RFS).
-	SteerConfig = sim.SteerConfig
-	// SteerReport summarizes a run's steering activity (indirection
-	// moves, rule-table occupancy, app migrations).
-	SteerReport = sim.SteerReport
 	// ReorderConfig tunes the link-level reorder fault injector
 	// (adjacent swaps / k-distance displacement at a deterministic rate).
 	ReorderConfig = sim.ReorderConfig
@@ -104,7 +98,7 @@ type (
 	// the measured interval (StreamResult.Loss).
 	LossReport = sim.LossReport
 	// AggStats is one aggregation engine's counter set: flush-reason
-	// taxonomy (Limit/Mismatch/Idle/Evict/Steer/WindowOverflow) and
+	// taxonomy (Limit/Mismatch/Idle/Evict/WindowOverflow) and
 	// resequencing-window activity (Held/Stitched/WindowTimeout,
 	// drain-time run stitching).
 	AggStats = aggregate.Stats

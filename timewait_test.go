@@ -104,3 +104,35 @@ func TestRestartStormWithoutReuse(t *testing.T) {
 		t.Errorf("reuse-disabled accounting should balance without the Reused term: %+v", st)
 	}
 }
+
+// TestChurnTeardownHandshake: connection churn now pays for teardown on
+// the receive path — FIN processed, final ACK sent, endpoints linger in
+// TIME_WAIT and are reaped — while throughput holds.
+func TestChurnTeardownHandshake(t *testing.T) {
+	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
+	cfg.Connections = 200
+	cfg.Queues = 4
+	cfg.FlowSkew = 1.1
+	cfg.ChurnIntervalNs = 2_000_000
+	cfg.DurationNs = 30_000_000
+	cfg.WarmupNs = 15_000_000
+	res, err := RunStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FlowsTornDown == 0 {
+		t.Fatal("churn never tore a flow down")
+	}
+	if res.TimeWait.Entered == 0 {
+		t.Error("no teardown reached TIME_WAIT: FIN handshake not completing")
+	}
+	if res.TimeWait.Reaped == 0 {
+		t.Error("no TIME_WAIT entry was reaped")
+	}
+	if res.TimeWait.Reaped > res.TimeWait.Entered {
+		t.Errorf("reaped %d > entered %d", res.TimeWait.Reaped, res.TimeWait.Entered)
+	}
+	if res.ThroughputMbps < 3000 {
+		t.Errorf("churned throughput collapsed: %.0f Mb/s", res.ThroughputMbps)
+	}
+}
