@@ -563,9 +563,8 @@ func table1(w io.Writer) {
 
 // rssScaling is the multi-queue experiment beyond the paper: aggregate
 // throughput and per-CPU utilization as the queue count scales, for the
-// baseline and the optimized receive path. On -sys xen the queues are
-// paravirtual I/O channels: per-vCPU netfront/netback rings steered by
-// the same Toeplitz hash as the native NIC queues.
+// baseline and the optimized receive path. On -sys xen each queue also
+// carries one paravirtual I/O channel to its own guest vCPU.
 func rssScaling(w io.Writer) {
 	fmt.Fprintf(w, "RSS queue scaling (%s, 200 flows, 8 links; 1 queue = the paper's single-softirq receiver)\n", benchSys)
 	fmt.Fprintf(w, "%-7s %-10s %10s %10s %8s  %s\n",

@@ -89,13 +89,3 @@ func patchIPID(l3 []byte, id uint16) {
 	binary.BigEndian.PutUint16(l3[4:6], id)
 	binary.BigEndian.PutUint16(l3[10:12], checksum.Update16(cs, old, id))
 }
-
-// TemplateSavings reports how many host packets the transmit stack was
-// spared for a template covering n ACKs: n-1 (one template replaces n
-// stack traversals; the driver still emits n wire packets).
-func TemplateSavings(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return n - 1
-}

@@ -105,15 +105,6 @@ func TestExpandRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestTemplateSavings(t *testing.T) {
-	cases := map[int]int{0: 0, 1: 0, 2: 1, 10: 9}
-	for n, want := range cases {
-		if got := TemplateSavings(n); got != want {
-			t.Errorf("TemplateSavings(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 // Property: every expanded ACK checksums correctly for arbitrary ACK values
 // and template fields.
 func TestExpandChecksums_Quick(t *testing.T) {

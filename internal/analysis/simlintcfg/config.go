@@ -103,7 +103,7 @@ var HotPathRoots = map[string][]string{
 	"internal/netstack":  {"Stack.InputOn"},
 	"internal/aggregate": {"Engine.Input"},
 	"internal/tcp":       {"Endpoint.Input"},
-	"internal/xenvirt":   {"Machine.ProcessRound"},
+	"internal/xenvirt":   {"Machine.bridgeReceive"},
 }
 
 // SortedAnnotation is the escape hatch marker for map iterations whose

@@ -1,6 +1,6 @@
 // Package core wires Receive Aggregation, the paper's first optimization,
-// into the receive path: it owns the per-CPU softirq context whose
-// aggregation queue the raw-mode driver produces into, drives the
+// into the receive path: it owns the per-CPU aggregation queue the
+// raw-mode driver produces into, drives the
 // aggregation engine from softirq context, and enforces the
 // work-conserving contract of §3.3/§3.5 — the moment the queue runs
 // empty, every partially aggregated packet is flushed to the stack so
@@ -55,19 +55,18 @@ func DefaultOptions() Options {
 
 // ReceivePath is the optimized softirq receive path for one CPU.
 type ReceivePath struct {
-	ctx    *softirq.Context[nic.Frame]
+	queue  softirq.Ring[nic.Frame] // the aggregation queue
 	engine *aggregate.Engine
 }
 
 // New builds one CPU's receive path delivering host packets to out: its
-// softirq context, aggregation queue and aggregation engine all belong to
-// that CPU alone.
+// aggregation queue and aggregation engine belong to that CPU alone.
 func New(opts Options, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator,
 	out func(*buf.SKB)) (*ReceivePath, error) {
 	if out == nil {
 		return nil, fmt.Errorf("core: out must not be nil")
 	}
-	ctx, err := softirq.NewContext[nic.Frame](queueCapacity)
+	queue, err := softirq.NewRing[nic.Frame](queueCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -76,9 +75,7 @@ func New(opts Options, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator,
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	eng.Out = out
-	ctx.Handle = eng.Input
-	ctx.Idle = eng.FlushAll
-	return &ReceivePath{ctx: ctx, engine: eng}, nil
+	return &ReceivePath{queue: queue, engine: eng}, nil
 }
 
 // Engine exposes the aggregation engine (stats, tests).
@@ -89,7 +86,7 @@ func (rp *ReceivePath) Engine() *aggregate.Engine { return rp.engine }
 // queue is full, in which case the driver counts a drop — the same
 // behaviour as a softirq backlog overflow in Linux.
 func (rp *ReceivePath) EnqueueRaw(f nic.Frame) bool {
-	return rp.ctx.Enqueue(f)
+	return rp.queue.Push(f)
 }
 
 // Process consumes up to budget raw frames from the queue through the
@@ -99,5 +96,16 @@ func (rp *ReceivePath) EnqueueRaw(f nic.Frame) bool {
 //
 // It returns the number of frames consumed.
 func (rp *ReceivePath) Process(budget int) int {
-	return rp.ctx.Run(budget)
+	n := 0
+	for ; n < budget; n++ {
+		f, ok := rp.queue.Pop()
+		if !ok {
+			break
+		}
+		rp.engine.Input(f)
+	}
+	if rp.queue.Empty() {
+		rp.engine.FlushAll()
+	}
+	return n
 }

@@ -112,12 +112,6 @@ func NewQueue(n *nic.NIC, q int, mode Mode, m *cycles.Meter, p *cost.Params, all
 	return &Driver{nic: n, queue: q, mode: mode, meter: m, params: p, alloc: alloc}
 }
 
-// Mode returns the driver's receive mode.
-func (d *Driver) Mode() Mode { return d.mode }
-
-// Queue returns the receive queue this driver services.
-func (d *Driver) Queue() int { return d.queue }
-
 // Stats returns a copy of the driver counters.
 func (d *Driver) Stats() Stats { return d.stats }
 

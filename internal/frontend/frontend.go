@@ -2,12 +2,13 @@
 // NICs, per-queue NAPI drivers, per-queue Receive Aggregation paths
 // (internal/core), the receiving stack, endpoint registration and
 // transmit routing. Steering is static RSS: one pure function,
-// rss.QueueOf, picks the NIC queue, the flow table's owner CPU and, on
-// Xen, netback's I/O channel, so queue q, CPU q and I/O channel q always
-// carry the same buckets. The native machine (internal/sim) feeds
-// driver output straight into its stack; the Xen machine
-// (internal/xenvirt) is the same front end in the driver domain, feeding
-// the bridge, with the guest's stack behind the paravirtual I/O channels.
+// rss.QueueOf, picks the NIC queue and the flow table's owner CPU, so
+// queue q and CPU q always carry the same buckets. The native machine
+// (internal/sim) feeds driver output straight into its stack; the Xen
+// machine (internal/xenvirt) is the same front end in the driver domain,
+// feeding the bridge, whose netback and netfront hand queue q's packets
+// to the guest's stack through I/O channel q within the same call.
+// Either way Poll is the machine's whole softirq round on one CPU.
 package frontend
 
 import (
@@ -64,9 +65,9 @@ type Config struct {
 //
 // Multi-queue layout: NIC n's receive queue q is serviced by the driver
 // drvs[n][q], polled from softirq CPU q. In optimized mode CPU q owns the
-// receive path rps[q] — softirq context, aggregation queue and
-// aggregation engine — so every per-flow structure on the hot path is
-// CPU-local (see ARCHITECTURE.md).
+// receive path rps[q] — aggregation queue and aggregation engine — so
+// every per-flow structure on the hot path is CPU-local (see
+// ARCHITECTURE.md).
 type FrontEnd struct {
 	Meter  cycles.Meter
 	Params cost.Params
@@ -82,7 +83,6 @@ type FrontEnd struct {
 	framesIn uint64
 	polling  [][]bool // NAPI poll lists: [nic][queue] with signaled irq
 	wired    bool     // interrupts routed via WireInterrupts
-	kick     func(cpu int)
 
 	// queues is the RSS queue count: flow hash h rides queue, CPU and
 	// (on Xen) I/O channel rss.QueueOf(h, queues).
@@ -140,9 +140,6 @@ func (fe *FrontEnd) Init(cfg Config, deliver func(q int) func(*buf.SKB)) error {
 	for i := 0; i < cfg.NICCount; i++ {
 		ncfg := nic.DefaultConfig(fmt.Sprintf("eth%d", i))
 		ncfg.RxQueues = cfg.Queues
-		ncfg.IntThrottleFrames = 16 // e1000-style interrupt throttling; the
-		// link flushes the line when the wire goes idle, so latency
-		// workloads are not delayed (§5.4)
 		n, err := nic.New(ncfg)
 		if err != nil {
 			return err
@@ -196,10 +193,9 @@ func (fe *FrontEnd) CPUs() int { return fe.queues }
 // list and then to the owning CPU's scheduler slot. Only queues that have
 // signaled are polled in a round — this is what preserves per-device
 // batching (and therefore the achievable aggregation factor) when the CPU
-// is not saturated. kick is kept for Kick.
+// is not saturated.
 func (fe *FrontEnd) WireInterrupts(kick func(cpu int)) {
 	fe.wired = true
-	fe.kick = kick
 	for i := range fe.nics {
 		idx := i
 		fe.nics[idx].OnInterrupt = func(q int) {
@@ -209,18 +205,14 @@ func (fe *FrontEnd) WireInterrupts(kick func(cpu int)) {
 	}
 }
 
-// Kick wakes cpu through the scheduler wired by WireInterrupts (no-op on
-// an unwired machine).
-func (fe *FrontEnd) Kick(cpu int) {
-	if fe.kick != nil {
-		fe.kick(cpu)
-	}
-}
-
-// Poll runs the driver half of a softirq round on queue q: that queue's
-// driver on every NIC, then the queue's aggregation path. It returns the
-// network frames consumed and whether a driver exhausted its budget (NAPI
-// keeps it on the poll list).
+// Poll runs one softirq round on CPU q: that queue's driver on every NIC,
+// then the queue's aggregation path, then everything delivery reaches —
+// on Xen the bridge, netback, grant copy and netfront — through the
+// stack and the endpoints, and finally the per-frame misc work
+// (interrupt bookkeeping, timers, domain switches; SMP coherence on an
+// SMP profile). It returns the network frames consumed and whether a
+// driver exhausted its budget (NAPI keeps it on the poll list: the CPU
+// must run another round without waiting for an interrupt).
 func (fe *FrontEnd) Poll(q, budget int) (frames int, more bool) {
 	for i := range fe.drvs {
 		// Unwired machines (directly driven tests) poll every queue;
@@ -240,6 +232,11 @@ func (fe *FrontEnd) Poll(q, budget int) (frames int, more bool) {
 		fe.rps[q].Process(1 << 30)
 	}
 	fe.framesIn += uint64(frames)
+	misc := fe.Params.MiscPerPacket + fe.Params.Dom0MiscPerFrame
+	if fe.Params.SMP {
+		misc += fe.Params.SMPMiscExtra
+	}
+	fe.Meter.Charge(cycles.Misc, uint64(frames)*misc)
 	return frames, more
 }
 

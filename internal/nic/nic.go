@@ -77,12 +77,14 @@ type Config struct {
 	IntThrottleFrames int
 }
 
-// DefaultConfig mirrors the paper's e1000 setup.
+// DefaultConfig mirrors the paper's e1000 setup, with e1000-style
+// interrupt throttling every 16 frames; the link flushes the line when
+// the wire goes idle, so latency workloads are not delayed (§5.4).
 func DefaultConfig(name string) Config {
 	return Config{
 		Name:              name,
 		RxQueues:          1,
-		IntThrottleFrames: 8,
+		IntThrottleFrames: 16,
 	}
 }
 

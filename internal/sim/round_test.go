@@ -15,8 +15,8 @@ import (
 
 // newRoundMachine builds an optimized one-NIC, one-queue machine — native
 // UP or Xen — with the paper's aggregation options, returning its front
-// end and softirq round.
-func newRoundMachine(xen bool) (*frontend.FrontEnd, roundFunc, error) {
+// end, whose Poll is the softirq round.
+func newRoundMachine(xen bool) (*frontend.FrontEnd, error) {
 	cfg := frontend.Config{
 		Params:      cost.NativeUP(),
 		NICCount:    1,
@@ -42,7 +42,7 @@ func BenchmarkProcessRound(b *testing.B) {
 		xen  bool
 	}{{"native", false}, {"xen", true}} {
 		b.Run(sys.name, func(b *testing.B) {
-			m, round, err := newRoundMachine(sys.xen)
+			m, err := newRoundMachine(sys.xen)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func BenchmarkProcessRound(b *testing.B) {
 					seq += uint32(len(payload))
 				}
 				b.StartTimer()
-				if n, _ := round(0, budget); n != budget {
+				if n, _ := m.Poll(0, budget); n != budget {
 					b.Fatalf("round consumed %d frames, want %d", n, budget)
 				}
 			}

@@ -99,8 +99,8 @@ type StreamConfig struct {
 	// Queues is the number of RSS receive queues per NIC, each pinned
 	// to its own softirq CPU (0 or 1 = the paper's single-queue,
 	// single-CPU receive path). On Xen this is also the number of
-	// paravirtual I/O channels: netback steers bridged packets onto
-	// per-vCPU netfront rings with the same Toeplitz hash the NIC used.
+	// paravirtual I/O channels and guest vCPUs: queue q's bridged
+	// packets cross channel q to vCPU q.
 	Queues int
 	// FlowSkew, when positive, skews per-flow offered rates with a
 	// zipf-like profile (weight 1/(k+1)^FlowSkew for the k-th flow on a
@@ -677,12 +677,12 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 		return nil, fmt.Errorf("sim: the run could hold %d endpoints registered at once, above the flow table's %d",
 			n, netstack.MaxEndpoints)
 	}
-	machine, round, err := buildMachine(cfg)
+	machine, err := buildMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := NewSim()
-	cpu := newCPUSet(s, machine, round)
+	cpu := newCPUSet(s, machine)
 
 	top := &streamTopology{cfg: cfg, sim: s, machine: machine, cpu: cpu}
 
@@ -790,7 +790,6 @@ func (top *streamTopology) openReceiver(senderIP, rcvIP ipv4.Addr, sPort, rPort 
 type cpuSet struct {
 	sim      *Sim
 	fe       *frontend.FrontEnd
-	process  roundFunc // the machine's softirq round
 	rxBudget int
 	cpus     []*simCPU
 	current  *simCPU // CPU executing a round right now (nil outside)
@@ -811,8 +810,8 @@ type simCPU struct {
 	spanTrack string
 }
 
-func newCPUSet(s *Sim, fe *frontend.FrontEnd, round roundFunc) *cpuSet {
-	cs := &cpuSet{sim: s, fe: fe, process: round, rxBudget: 64}
+func newCPUSet(s *Sim, fe *frontend.FrontEnd) *cpuSet {
+	cs := &cpuSet{sim: s, fe: fe, rxBudget: 64}
 	for i := 0; i < fe.CPUs(); i++ {
 		c := &simCPU{id: i}
 		c.roundFn = func() { cs.round(c) }
@@ -853,7 +852,7 @@ func (cs *cpuSet) round(c *simCPU) {
 	meter := &cs.fe.Meter
 	c.roundBase = meter.Total()
 	cs.current = c
-	_, more := cs.process(c.id, cs.rxBudget)
+	_, more := cs.fe.Poll(c.id, cs.rxBudget)
 	cs.current = nil
 	used := meter.Total() - c.roundBase
 	c.busyCycles += used

@@ -8,8 +8,7 @@
 // the simulator is one goroutine, so the ring needs no synchronization;
 // the paper's lock-free property is modelled by what is not charged — no
 // SMP lock costs are charged for queue access. The NIC's receive
-// descriptor rings, the netfront rings and the link's wire queues are the
-// same type.
+// descriptor rings and the link's wire queues are the same type.
 package softirq
 
 import "fmt"

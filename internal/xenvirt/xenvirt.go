@@ -29,27 +29,21 @@
 // Beyond the paper's single-softirq machine, the paravirtual path scales
 // the same way the native RSS pipeline does (ARCHITECTURE.md): with
 // frontend.Config.Queues = N the guest has N vCPUs and the machine runs N
-// per-vCPU I/O channels, each a bounded netfront ring (softirq.Context)
-// plus an event channel and a grant-copy batch. The physical NICs steer
-// frames by the Toeplitz hash (static RSS, rss.QueueOf), dom0 runs one NAPI
-// driver — and, in optimized mode, one aggregation engine
-// (core.ReceivePath) — per (NIC, queue), and netback steers bridged host
-// packets onto the I/O channel the same function names, so a flow's
-// packets always reach the same guest vCPU. Each vCPU's netfront context
-// feeds the guest stack's sharded flow table; rss.QueueOf names the dom0
-// queue, the channel and the shard owner alike, so no per-flow structure
-// is ever touched by two vCPUs.
+// I/O channels, each an event channel and a grant-copy batch. The
+// physical NICs steer frames by the Toeplitz hash (static RSS,
+// rss.QueueOf), dom0 runs one NAPI driver — and, in optimized mode, one
+// aggregation engine (core.ReceivePath) — per (NIC, queue), and queue q's
+// output crosses I/O channel q into guest vCPU q's netfront, which feeds
+// the guest stack's sharded flow table. rss.QueueOf names the dom0 queue,
+// the channel and the shard owner alike, so a flow's packets always reach
+// the same guest vCPU and no per-flow structure is ever touched by two
+// vCPUs.
 //
 // Driver-domain queue q and guest vCPU q are pinned to the same host core
-// (the standard multi-queue netfront/netback deployment): when netback
-// sends the event for a packet whose channel lives on the core already in
-// softirq, netfront consumes it synchronously in the same round — which is
-// also exactly the paper's single-queue machine when Queues = 1. A packet's
-// channel is always the queue it arrived on, so within a round netfront
-// always consumes inline. Only a packet netback handles outside its
-// channel's round (a directly driven machine polling a queue) stays on the
-// ring until the owning vCPU's next round, woken through the event-channel
-// kick.
+// (the standard multi-queue netfront/netback deployment), so when netback
+// sends the event, netfront consumes it synchronously in the same softirq
+// round — which is also exactly the paper's single-queue machine when
+// Queues = 1.
 //
 // # One event loop
 //
@@ -66,13 +60,7 @@ import (
 	"repro/internal/buf"
 	"repro/internal/cycles"
 	"repro/internal/frontend"
-	"repro/internal/rss"
-	"repro/internal/softirq"
 )
-
-// netfrontRingSlots is the netfront receive ring capacity per channel
-// (256 slots, the classic netfront RX ring size).
-const netfrontRingSlots = 256
 
 // Machine is one Xen host: hypervisor + driver domain + one guest. The
 // embedded front end is the driver domain's — NICs, dom0 drivers and
@@ -80,15 +68,9 @@ const netfrontRingSlots = 256
 // output goes to the bridge. Static RSS is also the channel map: hash h
 // rides dom0 queue, I/O channel and guest vCPU rss.QueueOf(h, queues),
 // which is why shard ownership (and hence steal accounting) follows it.
+// The softirq round on vCPU q is the embedded FrontEnd's Poll(q, budget).
 type Machine struct {
 	frontend.FrontEnd
-
-	// chans holds each vCPU's I/O channel between netback and netfront:
-	// the bounded netfront ring with its softirq consumer. The event
-	// channel and the grant batch are priced per host packet in
-	// bridgeReceive.
-	chans  []*softirq.Context[*buf.SKB] // [vcpu]
-	curCPU int                          // vCPU of the softirq round in progress (-1 outside)
 }
 
 // New assembles a Xen machine from the shared front-end config: Params
@@ -100,85 +82,35 @@ func New(cfg frontend.Config) (*Machine, error) {
 	if cfg.Params.NetbackPerPacket == 0 || cfg.Params.NetfrontPerPacket == 0 {
 		return nil, fmt.Errorf("xenvirt: profile %q lacks virtualization costs", cfg.Params.Name)
 	}
-	m := &Machine{curCPU: -1}
-	if err := m.Init(cfg, func(int) func(*buf.SKB) { return m.bridgeReceive }); err != nil {
+	m := &Machine{}
+	// Queue q's driver output crosses I/O channel q to vCPU q's netfront,
+	// which feeds the guest stack's sharded flow table, attributing the
+	// delivery to that vCPU.
+	deliver := func(q int) func(*buf.SKB) {
+		netfront := m.Stack.InputOn(q)
+		return func(skb *buf.SKB) { m.bridgeReceive(skb, netfront) }
+	}
+	if err := m.Init(cfg, deliver); err != nil {
 		return nil, fmt.Errorf("xenvirt: %w", err)
 	}
 	m.Stack.Tx = txChain{m}
-
-	// Per-vCPU I/O channels: netfront ring + softirq consumer. The
-	// handler charges netfront's per-packet and per-fragment costs and
-	// feeds the guest stack's sharded flow table, attributing the
-	// delivery to this vCPU.
-	for q := 0; q < m.CPUs(); q++ {
-		ctx, err := softirq.NewContext[*buf.SKB](netfrontRingSlots)
-		if err != nil {
-			return nil, fmt.Errorf("xenvirt: %w", err)
-		}
-		input := m.Stack.InputOn(q)
-		ctx.Handle = func(skb *buf.SKB) {
-			m.Meter.Charge(cycles.Netfront,
-				m.Params.NetfrontPerPacket+uint64(skb.NetPackets)*m.Params.NetfrontPerFrag)
-			input(skb)
-		}
-		m.chans = append(m.chans, ctx)
-	}
 	return m, nil
 }
 
-// ProcessRound runs one softirq round on the given vCPU: pending netfront
-// work delivered by other vCPUs' netback, dom0 driver polls of this CPU's
-// queue on every NIC, dom0 aggregation, the bridge/netback/netfront
-// traversal of what they produced, guest stack processing, and the
-// per-frame misc charges of both domains. It returns the number of network
-// frames consumed.
-func (m *Machine) ProcessRound(cpu, budget int) (int, bool) {
-	prev := m.curCPU
-	m.curCPU = cpu
-	defer func() { m.curCPU = prev }()
-
-	// Event-channel work first: packets other vCPUs' netback queued on
-	// this vCPU's netfront ring since its last round.
-	m.chans[cpu].Run(1 << 30)
-
-	frames, more := m.Poll(cpu, budget)
-	if frames > 0 {
-		// Misc work scales with network frames in both domains:
-		// interrupt bookkeeping, timers, domain switches.
-		m.Meter.Charge(cycles.Misc,
-			uint64(frames)*(m.Params.MiscPerPacket+m.Params.Dom0MiscPerFrame))
-	}
-	return frames, more
-}
-
 // bridgeReceive is the driver domain's bridge + netfilter hop, followed by
-// netback: the I/O channel is chosen by the frame's Toeplitz hash — the
-// same rss.QueueOf the physical NIC used, so channel q only
-// ever carries queue q's flows — the packet is grant-copied into guest
-// memory as one batched hypercall, pushed onto the channel's netfront
-// ring, and the event channel is signaled. A channel owned by the core
-// already in softirq consumes the event synchronously; any other vCPU is
-// woken through the scheduler kick.
-func (m *Machine) bridgeReceive(skb *buf.SKB) {
+// netback: the packet is grant-copied into guest memory as one batched
+// hypercall and the event channel is signaled. The channel is the queue
+// the packet arrived on, whose vCPU shares this core and is already in
+// softirq, so netfront consumes the event synchronously (the paper's
+// synchronous traversal): netfront's costs are charged here and the guest
+// copy goes to netfront, that vCPU's guest stack input.
+func (m *Machine) bridgeReceive(skb *buf.SKB, netfront func(*buf.SKB)) {
 	frags := skb.NetPackets
 	// Bridge + dom0 netfilter: per host packet (non-proto, §2.4).
 	m.Meter.Charge(cycles.NonProto, m.Params.BridgePerPacket+m.Params.NetfilterPerPacket)
 	// Netback: per host packet plus per fragment (§5.1).
 	m.Meter.Charge(cycles.Netback,
 		m.Params.NetbackPerPacket+uint64(frags)*m.Params.NetbackPerFrag)
-	// Netback steering: the channel is the NIC's own queue choice for
-	// the Toeplitz hash, so flow affinity spans the driver domain.
-	// Unhashable traffic (hash 0) rides channel 0.
-	c := rss.QueueOf(skb.RSSHash, len(m.chans))
-	ch := m.chans[c]
-
-	// Netback checks ring space before copying (as real netback does):
-	// a full netfront ring drops the packet here, before any grant work
-	// or event is spent on it.
-	if ch.Len() == ch.Cap() {
-		m.Alloc.Free(skb)
-		return
-	}
 
 	// Hypervisor: grant validation per fragment, event channel and
 	// scheduling per host packet.
@@ -195,17 +127,10 @@ func (m *Machine) bridgeReceive(skb *buf.SKB) {
 	// The dom0 SKB is done; the guest owns the copy from here on.
 	m.Alloc.Free(skb)
 
-	ch.Enqueue(guestSKB) // cannot fail: space checked above
-	if c == m.curCPU {
-		// The owning vCPU shares this core: the event is consumed in
-		// the current softirq round (the paper's synchronous traversal,
-		// and the Queues=1 degenerate case).
-		ch.Run(1 << 30)
-		return
-	}
-	// Cross-vCPU event: the packet waits on the netfront ring for the
-	// owning vCPU's round.
-	m.Kick(c)
+	// Netfront: per host packet plus per fragment.
+	m.Meter.Charge(cycles.Netfront,
+		m.Params.NetfrontPerPacket+uint64(guestSKB.NetPackets)*m.Params.NetfrontPerFrag)
+	netfront(guestSKB)
 }
 
 // grantCopy copies the packet into guest memory, charging the batched

@@ -14,8 +14,8 @@ import (
 )
 
 // Tests of the multi-queue paravirtual path: per-vCPU I/O channels,
-// netback hash steering, endpoint churn (unregister + reconnect) with
-// frames still in flight, and the netfront ring's cross-vCPU drain.
+// netback hash steering, and endpoint churn (unregister + reconnect) with
+// frames still in flight.
 
 // mqRig is a directly driven multi-queue Xen machine.
 type mqRig struct {
@@ -85,26 +85,23 @@ func (r *mqRig) pumpAll() {
 	for q := 0; q < n.RxQueues(); q++ {
 		for n.RxQueueLenOn(q) > 0 {
 			for c := 0; c < r.m.CPUs(); c++ {
-				r.m.ProcessRound(c, 64)
+				r.m.Poll(c, 64)
 			}
 		}
 	}
 }
 
-// deliveringVCPU runs every vCPU's softirq round, one at a time, for two
-// passes and returns the vCPU whose round delivered to the guest stack
-// (-1 = none). Netfront feeds the stack only from its own vCPU's round —
-// inline when netback ran on that core, else at the start of its next
-// round — so this is the I/O channel netback chose.
+// deliveringVCPU runs every vCPU's softirq round, one at a time, and
+// returns the vCPU whose round delivered to the guest stack (-1 = none).
+// Netfront feeds the stack only from its own vCPU's round, inline when
+// netback runs on that core, so this is the I/O channel netback chose.
 func deliveringVCPU(m *Machine) int {
 	got := -1
-	for pass := 0; pass < 2; pass++ {
-		for cpu := 0; cpu < m.CPUs(); cpu++ {
-			before := m.Stack.Stats().HostPacketsIn
-			m.ProcessRound(cpu, 64)
-			if m.Stack.Stats().HostPacketsIn != before {
-				got = cpu
-			}
+	for cpu := 0; cpu < m.CPUs(); cpu++ {
+		before := m.Stack.Stats().HostPacketsIn
+		m.Poll(cpu, 64)
+		if m.Stack.Stats().HostPacketsIn != before {
+			got = cpu
 		}
 	}
 	return got
@@ -138,7 +135,7 @@ func TestMultiQueueChannelDelivery(t *testing.T) {
 		// the other's: netback steered each flow onto its queue's I/O
 		// channel, consumed inline by that vCPU.
 		for q, ep := range []*tcp.Endpoint{ep0, ep1} {
-			r.m.ProcessRound(q, 64)
+			r.m.Poll(q, 64)
 			if got := ep.Stats().BytesToApp; got != 20*1448 {
 				t.Errorf("mode %d: vCPU %d round delivered %d bytes of its flow, want %d", mode, q, got, 20*1448)
 			}
@@ -163,8 +160,8 @@ func TestMultiQueueChannelDelivery(t *testing.T) {
 
 func TestEndpointChurnReconnect(t *testing.T) {
 	// Connection churn on the paravirtual path: tear an endpoint down
-	// while its frames are still mid-drain (in the NIC ring and I/O
-	// channel), then reconnect on the same four-tuple.
+	// while its frames are still mid-drain (in the NIC ring), then
+	// reconnect on the same four-tuple.
 	r := newMQRig(t, frontend.ModeOptimized, 2)
 	port := portOnQueue(1, 2)
 	ep := r.addFlow(t, port)
@@ -203,41 +200,13 @@ func TestEndpointChurnReconnect(t *testing.T) {
 	}
 }
 
-func TestCrossVCPUChannelDrain(t *testing.T) {
-	// A packet netback pushes onto a vCPU's netfront ring while that
-	// vCPU is not in softirq (the cross-core event-channel case) must wait
-	// there and be consumed at the start of the vCPU's next round. Polling
-	// queue 1 outside any round takes exactly that path: netback puts the
-	// frame on channel 1, and vCPU 0's round must not deliver it.
-	r := newMQRig(t, frontend.ModeBaseline, 2)
-	port := portOnQueue(1, 2)
-	ep := r.addFlow(t, port)
-	r.inject(t, port, 1, 1)
-
-	r.m.Poll(1, 64)
-	if got := r.m.NICs()[0].RxQueueLenOn(1); got != 0 {
-		t.Fatalf("poll left %d frames on NIC queue 1", got)
-	}
-	r.m.ProcessRound(0, 64)
-	if got := ep.Stats().BytesToApp; got != 0 {
-		t.Fatalf("vCPU 0 round delivered the cross-queued packet (%d bytes)", got)
-	}
-	r.m.ProcessRound(1, 64)
-	if got := ep.Stats().BytesToApp; got != 1448 {
-		t.Errorf("cross-queued packet delivered %d bytes, want 1448", got)
-	}
-	if live := r.m.Alloc.Stats().Live; live != 0 {
-		t.Errorf("%d SKBs live after cross-vCPU drain", live)
-	}
-}
-
 func TestSingleQueueChannelAccounting(t *testing.T) {
 	// Queues=1 keeps the paper's machine: one channel, every packet
 	// consumed inline — one round delivers all 20 host packets.
 	r := newMQRig(t, frontend.ModeBaseline, 1)
 	ep := r.addFlow(t, 5001)
 	r.inject(t, 5001, 1, 20)
-	r.m.ProcessRound(0, 64)
+	r.m.Poll(0, 64)
 	if got := ep.Stats().BytesToApp; got != 20*1448 {
 		t.Fatalf("one round delivered %d bytes, want %d", got, 20*1448)
 	}
@@ -267,9 +236,8 @@ func TestNetbackChannelFollowsHash(t *testing.T) {
 			Payload: make([]byte, 100),
 		})
 	}
-	// channelOf puts f on the wire, runs every core's softirq rounds
-	// until the NIC and the netfront rings drain, and reports the I/O
-	// channel netback pushed it onto.
+	// channelOf puts f on the wire, runs every core's softirq round and
+	// reports the I/O channel netback pushed it onto.
 	channelOf := func(f []byte) int {
 		t.Helper()
 		if !m.NICs()[0].ReceiveFromWire(nic.Frame{Data: f}) {

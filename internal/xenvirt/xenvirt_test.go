@@ -92,7 +92,7 @@ func (r *rig) sendStream(t *testing.T, count int) {
 
 func (r *rig) pump() {
 	for r.m.NICs()[0].RxQueueLenOn(0) > 0 {
-		r.m.ProcessRound(0, 64)
+		r.m.Poll(0, 64)
 	}
 }
 
