@@ -71,9 +71,9 @@ var (
 	duration   = flag.Duration("duration", 150*time.Millisecond, "measured virtual duration per run")
 	warmup     = flag.Duration("warmup", 40*time.Millisecond, "virtual warm-up before measurement")
 	sysFlag    = flag.String("sys", "up",
-		"system for the rss, churn, reorder, restartstorm, connscale and rr experiments: up, smp, xen (xen scales paravirtual I/O channels)")
+		"system for the rss, churn, reorder, connscale and rr experiments: up, smp, xen (xen scales paravirtual I/O channels)")
 	queueList = flag.String("queues", "1,2,4,8",
-		"queue counts swept by the rss experiment (comma-separated); reorder and restartstorm use the last entry")
+		"queue counts swept by the rss experiment (comma-separated); reorder uses the last entry")
 	jsonOut = flag.Bool("json", false,
 		"emit machine-readable JSON run records on stdout (tables move to stderr)")
 	parallel = flag.Int("parallel", 1,
@@ -112,7 +112,6 @@ var experiments = []experimentDef{
 	{"smallmsg", smallMsg},
 	{"reorder", reorderExperiment},
 	{"loss", lossExperiment},
-	{"restartstorm", restartStorm},
 	{"connscale", connScale},
 	{"rr", rrIncast},
 }
@@ -717,41 +716,6 @@ func lossExperiment(w io.Writer) {
 	})
 	fmt.Fprintln(w, "(SACK must win at 1% and 5%: with runs shorter than the 200 ms RTO floor, Reno's only")
 	fmt.Fprintln(w, " answer to a lost retransmission is the timer; the scoreboard retransmits it within an RTT)")
-}
-
-// restartStorm is the TIME_WAIT-at-scale experiment: half the flow
-// population torn down at one instant and redialed on the very same
-// four-tuples (SYN-time reuse against the lingering entries), swept
-// against a seeded TIME_WAIT backlog from 1k to 100k+ entries — far
-// beyond what the port space admits as live flows. The TIME_WAIT
-// table's acceptance is a flat cycles/byte column: per-packet receive
-// cost must not grow with the lingering population.
-func restartStorm(w io.Writer) {
-	q := benchQueues[len(benchQueues)-1]
-	fmt.Fprintf(w, "Restart storm (%s, 80 flows/4 links, %d queues; half torn down and redialed on their own ports, tw_reuse on)\n", benchSys, q)
-	fmt.Fprintf(w, "%-9s %9s %9s %10s %9s %8s %8s %9s %10s\n",
-		"backlog", "Mb/s", "cyc/byte", "entered", "reaped", "reused", "refused", "peak", "lingering")
-	var t table
-	for _, prefill := range []int{1_000, 10_000, 50_000, 100_000} {
-		cfg := repro.DefaultStreamConfig(benchSys, repro.OptFull)
-		cfg.NICs = 4
-		cfg.Connections = 80
-		cfg.Queues = q
-		cfg.TimeWaitReuse = true
-		cfg.RestartStorm = repro.RestartStormConfig{
-			AtNs:            uint64(warmup.Nanoseconds()) + uint64(duration.Nanoseconds())/4,
-			PrefillTimeWait: prefill,
-		}
-		t.add(fmt.Sprintf("%-9d", prefill), cfg)
-	}
-	t.print(w, func(r []repro.StreamResult) string {
-		tw := r[0].TimeWait
-		return fmt.Sprintf(" %9.0f %9.2f %10d %9d %8d %8d %9d %10d\n",
-			r[0].ThroughputMbps, r[0].CyclesPerByte(),
-			tw.Entered, tw.Reaped, tw.Reused, tw.ReuseRefused, tw.Peak, tw.Len)
-	})
-	fmt.Fprintln(w, "(flat cycles/byte as the backlog scales 1k -> 100k is the TIME_WAIT table's acceptance:")
-	fmt.Fprintln(w, " insert/reap charge per entry, never a scan of the lingering population)")
 }
 
 // connScale is the million-flow demux experiment: a small active flow set

@@ -44,8 +44,6 @@ var (
 	sack       = flag.Bool("sack", false, "negotiate SACK on every connection (scoreboard recovery at the senders)")
 	churnEvery = flag.Duration("churn", 0,
 		"tear down and replace the oldest flow at this interval (0 = no churn); teardowns linger in TIME_WAIT")
-	stormSize = flag.Int("storm", 0,
-		"fire a restart storm one quarter into the measured interval against this many seeded TIME_WAIT entries (0 = no storm; enables tw_reuse)")
 	registered = flag.Int("registered", 0,
 		"total registered endpoints including an idle population beyond -conns (0 = active connections only); the connscale axis")
 )
@@ -90,13 +88,6 @@ func main() {
 	cfg.SACK = *sack
 	cfg.ChurnIntervalNs = uint64(churnEvery.Nanoseconds())
 	cfg.RegisteredFlows = *registered
-	if *stormSize > 0 {
-		cfg.TimeWaitReuse = true
-		cfg.RestartStorm = repro.RestartStormConfig{
-			AtNs:            cfg.WarmupNs + cfg.DurationNs/4,
-			PrefillTimeWait: *stormSize,
-		}
-	}
 	// Latency telemetry (the stage breakdown and the recovery-latency
 	// histogram) costs the run nothing: observation never perturbs it.
 	cfg.Telemetry.Latency = true
@@ -208,21 +199,15 @@ func printAggEngines(res repro.StreamResult) {
 	row("total", res.AggStats)
 }
 
-// printTimeWait renders the TIME_WAIT table's occupancy and SYN-time
-// reuse activity (skipped when no flow ever lingered: churn- and
-// storm-free runs tear nothing down).
+// printTimeWait renders the TIME_WAIT table's occupancy (skipped when no
+// flow ever lingered: churn-free runs tear nothing down).
 func printTimeWait(res repro.StreamResult) {
 	tw := res.TimeWait
 	if tw.Entered == 0 {
 		return
 	}
-	fmt.Printf("TIME_WAIT: %d entered, %d reaped, %d reused (%d refused), peak %d (%.0f KiB), lingering %d\n",
-		tw.Entered, tw.Reaped, tw.Reused, tw.ReuseRefused,
-		tw.Peak, float64(tw.PeakBytes)/1024, tw.Len)
-	if res.Storm != nil {
-		fmt.Printf("restart storm: %d torn down, %d reconnected on their own ports, %d retries, %d open failures\n",
-			res.Storm.TornDown, res.Storm.Reconnected, res.Storm.Retries, res.Storm.OpenFailures)
-	}
+	fmt.Printf("TIME_WAIT: %d entered, %d reaped, peak %d (%.0f KiB), lingering %d\n",
+		tw.Entered, tw.Reaped, tw.Peak, float64(tw.PeakBytes)/1024, tw.Len)
 	if res.ChurnOpenFailures > 0 {
 		fmt.Printf("WARNING: %d churn ticks could not open a replacement (port space exhausted)\n",
 			res.ChurnOpenFailures)

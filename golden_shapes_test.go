@@ -16,10 +16,10 @@ const goldenShapesFile = "testdata/golden_shapes.json"
 // goldenShapes is the one corpus of workload shapes every equivalence test
 // ranges over: the single-queue regression lock on every system, RSS
 // multi-queue scaling, flow churn (moderate and many-flow), the reorder
-// fault injector with a resequencing window (two and four NICs), the
-// restart storm (prefill-only and partial restart), connection-scale demux
-// at 50k registered endpoints, wire corruption, uniform and burst loss, the
-// multi-queue Xen paravirtual path and the RPC incast workload.
+// fault injector with a resequencing window (two and four NICs),
+// connection-scale demux at 50k registered endpoints, wire corruption,
+// uniform and burst loss, the multi-queue Xen paravirtual path and the RPC
+// incast workload.
 func goldenShapes() map[string]StreamConfig {
 	shapes := map[string]StreamConfig{}
 
@@ -67,22 +67,6 @@ func goldenShapes() map[string]StreamConfig {
 	reorder4.Reorder = ReorderConfig{OneIn: 50, Distance: 1}
 	reorder4.ReorderWindow = 8
 	shapes["reorder/4nic"] = reorder4
-
-	storm := DefaultStreamConfig(SystemNativeSMP, OptFull)
-	storm.Queues = 4
-	storm.Connections = 24
-	storm.RestartStorm = RestartStormConfig{AtNs: 20_000_000, PrefillTimeWait: 5000}
-	storm.TimeWaitReuse = true
-	storm.MaxTimeWaitBuckets = 4096
-	shapes["storm/reuse"] = storm
-
-	stormFrac := DefaultStreamConfig(SystemNativeUP, OptFull)
-	stormFrac.NICs = 4
-	stormFrac.Connections = 80
-	stormFrac.Queues = 2
-	stormFrac.TimeWaitReuse = true
-	stormFrac.RestartStorm = RestartStormConfig{AtNs: 20_000_000, PrefillTimeWait: 1000}
-	shapes["storm/fraction"] = stormFrac
 
 	cs := DefaultStreamConfig(SystemNativeSMP, OptFull)
 	cs.Queues = 4

@@ -59,16 +59,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Stats counts driver activity.
-type Stats struct {
-	FramesPolled  uint64
-	SKBsDelivered uint64
-	RawDelivered  uint64
-	TxPackets     uint64
-	AcksExpanded  uint64
-	RawQueueFull  uint64
-}
-
 // Driver drives one receive queue of one NIC (and can transmit on the
 // device, which is queue-agnostic).
 type Driver struct {
@@ -91,8 +81,6 @@ type Driver struct {
 	// nothing, so wiring it cannot perturb the run.
 	StampClock func() uint64
 
-	stats Stats
-
 	// scratch is the reusable poll buffer (hot path: one PollRxInto slice
 	// allocation per poll otherwise).
 	scratch []nic.Frame
@@ -112,9 +100,6 @@ func NewQueue(n *nic.NIC, q int, mode Mode, m *cycles.Meter, p *cost.Params, all
 	return &Driver{nic: n, queue: q, mode: mode, meter: m, params: p, alloc: alloc}
 }
 
-// Stats returns a copy of the driver counters.
-func (d *Driver) Stats() Stats { return d.stats }
-
 // Poll drains up to budget frames from the driver's receive queue,
 // charging driver costs and delivering each frame according to the mode.
 // It returns the number of frames processed and re-arms the queue's
@@ -123,7 +108,6 @@ func (d *Driver) Poll(budget int) int {
 	d.scratch = d.nic.PollRxInto(d.queue, budget, d.scratch[:0])
 	frames := d.scratch
 	for _, f := range frames {
-		d.stats.FramesPolled++
 		// Per-frame driver work: descriptor writeback handling and
 		// ring bookkeeping. The descriptor is a cold random line.
 		d.meter.Charge(cycles.Driver,
@@ -145,7 +129,6 @@ func (d *Driver) Poll(budget int) int {
 			skb.RSSHash = f.RSSHash
 			skb.SentNs, skb.ArriveNs, skb.DequeueNs = f.SentNs, f.ArriveNs, f.DequeueNs
 			if d.DeliverSKB != nil {
-				d.stats.SKBsDelivered++
 				d.DeliverSKB(skb)
 			} else {
 				d.alloc.Free(skb)
@@ -155,11 +138,8 @@ func (d *Driver) Poll(budget int) int {
 			// untouched (the compulsory miss is deferred to the
 			// aggregation routine).
 			d.meter.Charge(cycles.NonProto, d.params.NonProtoRawPerFrame)
-			if d.DeliverRaw != nil && d.DeliverRaw(f) {
-				d.stats.RawDelivered++
-			} else {
+			if d.DeliverRaw == nil || !d.DeliverRaw(f) {
 				// Backlog overflow: the frame dies here.
-				d.stats.RawQueueFull++
 				if f.Pooled {
 					d.alloc.Release(f.Data)
 				}
@@ -191,14 +171,11 @@ func (d *Driver) Transmit(skb *buf.SKB) {
 	}
 
 	d.meter.Charge(cycles.Driver, d.params.DriverTxPerPacket)
-	d.stats.TxPackets++
 	d.nic.Transmit(nic.Frame{Data: frame, Pooled: skb.Pooled})
 	skb.Pooled = false // the wire owns the buffer now
 	for i, f := range d.expanded {
 		d.meter.Charge(cycles.Driver,
 			d.params.AckExpandPerAck+d.params.DriverTxPerPacket)
-		d.stats.TxPackets++
-		d.stats.AcksExpanded++
 		d.nic.Transmit(f)
 		d.expanded[i] = nic.Frame{}
 	}

@@ -123,8 +123,8 @@ func TestRawPollDeliversFrames(t *testing.T) {
 	if gotC, want := h.meter.Get(cycles.NonProto), 6*h.params.NonProtoRawPerFrame; gotC != want {
 		t.Errorf("non-proto charge = %d, want %d", gotC, want)
 	}
-	if h.drv.Stats().RawDelivered != 6 {
-		t.Errorf("RawDelivered = %d", h.drv.Stats().RawDelivered)
+	if live := h.alloc.Stats().Live; live != 0 {
+		t.Errorf("raw mode left %d SKBs live, want none allocated", live)
 	}
 }
 
@@ -153,11 +153,14 @@ func TestRawModeSavesDriverCycles(t *testing.T) {
 
 func TestRawQueueFullDrops(t *testing.T) {
 	h := newHarness(t, ModeRaw)
-	h.drv.DeliverRaw = func(nic.Frame) bool { return false }
+	offered := 0
+	h.drv.DeliverRaw = func(nic.Frame) bool { offered++; return false }
 	h.nic.ReceiveFromWire(nic.Frame{Data: dataFrame(0)})
-	h.drv.Poll(64)
-	if h.drv.Stats().RawQueueFull != 1 {
-		t.Errorf("RawQueueFull = %d, want 1", h.drv.Stats().RawQueueFull)
+	if n := h.drv.Poll(64); n != 1 || offered != 1 {
+		t.Errorf("Poll = %d with %d frames offered to a full backlog, want 1 and 1", n, offered)
+	}
+	if h.nic.RxQueueLenOn(0) != 0 || h.alloc.Stats().Live != 0 {
+		t.Errorf("dropped frame left %d in the ring and %d SKBs live", h.nic.RxQueueLenOn(0), h.alloc.Stats().Live)
 	}
 }
 
@@ -210,8 +213,11 @@ func TestTransmitAckTemplateExpansion(t *testing.T) {
 	if len(sent) != 4 {
 		t.Fatalf("sent %d frames, want 4", len(sent))
 	}
-	if h.drv.Stats().AcksExpanded != 3 {
-		t.Errorf("AcksExpanded = %d, want 3", h.drv.Stats().AcksExpanded)
+	if tx := h.nic.Stats().TxFrames; tx != 4 {
+		t.Errorf("NIC transmitted %d frames, want the template and 3 expansions", tx)
+	}
+	if h.alloc.Stats().Live != 0 {
+		t.Error("template SKB not freed after transmit")
 	}
 	for i, frame := range sent {
 		p, err := packet.Parse(frame)
@@ -300,12 +306,13 @@ func TestRawQueueFullReleasesFrame(t *testing.T) {
 	h := newHarness(t, ModeRaw)
 	pool := buf.NewPool()
 	h.alloc.SetPool(pool)
-	h.drv.DeliverRaw = func(nic.Frame) bool { return false } // backlog full
+	offered := 0
+	h.drv.DeliverRaw = func(nic.Frame) bool { offered++; return false } // backlog full
 	h.nic.ReceiveFromWire(h.pooledCopy(dataFrame(1)))
 	h.nic.ReceiveFromWire(nic.Frame{Data: dataFrame(1449)}) // hand-built
 	h.drv.Poll(64)
-	if h.drv.Stats().RawQueueFull != 2 {
-		t.Fatalf("RawQueueFull = %d, want 2", h.drv.Stats().RawQueueFull)
+	if offered != 2 {
+		t.Fatalf("%d frames offered to the full backlog, want 2", offered)
 	}
 	if pool.Len() != 1 {
 		t.Errorf("%d buffers back in the pool, want 1 (the pooled frame only)", pool.Len())

@@ -5,7 +5,7 @@ import "repro/internal/ipv4"
 // TimeWaitHas reports whether the four-tuple lingers in TIME_WAIT
 // (control-path check, no charge).
 func (s *Stack) TimeWaitHas(remoteIP, localIP ipv4.Addr, remotePort, localPort uint16) bool {
-	_, ok := s.tw.deadlines[FlowKey{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}]
+	_, ok := s.tw.keys[FlowKey{Src: remoteIP, Dst: localIP, SrcPort: remotePort, DstPort: localPort}]
 	return ok
 }
 

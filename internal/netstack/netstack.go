@@ -135,7 +135,7 @@ func (s *Stack) Stats() Stats { return s.stats }
 // footprint can grow (registration, TIME_WAIT entry).
 func (s *Stack) noteMem() {
 	total := uint64(s.table.Len())*EndpointSlabBytes +
-		uint64(len(s.tw.deadlines))*TimeWaitEntryBytes + s.table.StructBytes()
+		uint64(len(s.tw.keys))*TimeWaitEntryBytes + s.table.StructBytes()
 	if total > s.memPeak {
 		s.memPeak = total
 	}
@@ -146,7 +146,7 @@ func (s *Stack) MemStats() MemStats {
 	s.noteMem()
 	ms := MemStats{
 		EndpointBytes: uint64(s.table.Len()) * EndpointSlabBytes,
-		TimeWaitBytes: uint64(len(s.tw.deadlines)) * TimeWaitEntryBytes,
+		TimeWaitBytes: uint64(len(s.tw.keys)) * TimeWaitEntryBytes,
 		TableBytes:    s.table.StructBytes(),
 		PeakBytes:     s.memPeak,
 	}

@@ -14,29 +14,20 @@ import (
 
 // twRefEntry is one lingering entry of the reference table.
 type twRefEntry struct {
-	key            FlowKey
-	shard          int
-	deadline       uint64
-	lastTS, rcvNxt uint32
+	key      FlowKey
+	shard    int
+	deadline uint64
 }
 
 // twRef is the brute-force TIME_WAIT table FuzzTimeWait holds a Stack
 // to: a plain slice of the lingering entries in insertion order, scanned
-// in full by every lookup and reap, plus the demux
-// registrations the table's exits remove.
+// in full by every lookup and reap, plus the demux registrations the
+// reap removes.
 type twRef struct {
 	shards     int
-	perShard   int // 0 = unlimited
 	lingering  []twRefEntry
 	registered map[FlowKey]*tcp.Endpoint
 	st         TimeWaitStats
-}
-
-func (r *twRef) configure(maxBuckets int) {
-	r.perShard = 0
-	if maxBuckets > 0 {
-		r.perShard = max((maxBuckets+r.shards-1)/r.shards, 1)
-	}
 }
 
 func (r *twRef) find(k FlowKey) int {
@@ -48,62 +39,21 @@ func (r *twRef) find(k FlowKey) int {
 	return -1
 }
 
-// take removes lingering entry i and unregisters its key.
-func (r *twRef) take(i int) FlowKey {
-	k := r.lingering[i].key
-	r.lingering = append(r.lingering[:i], r.lingering[i+1:]...)
-	delete(r.registered, k)
-	return k
-}
-
-// insert is SeedTimeWait's definition: refused on a lingering duplicate
-// or at a full shard.
-func (r *twRef) insert(k FlowKey, deadline uint64, lastTS, rcvNxt uint32) bool {
-	if r.find(k) >= 0 {
+// enter is EnterTimeWait's definition: only a registered flow that does
+// not linger already enters.
+func (r *twRef) enter(k FlowKey, deadline uint64) bool {
+	if r.registered[k] == nil || r.find(k) >= 0 {
 		return false
 	}
-	shard := rss.ShardOf(k.Hash(), r.shards)
-	if r.perShard > 0 {
-		n := 0
-		for _, e := range r.lingering {
-			if e.shard == shard {
-				n++
-			}
-		}
-		if n >= r.perShard {
-			r.st.PressureRefused++
-			return false
-		}
-	}
-	r.lingering = append(r.lingering, twRefEntry{key: k, shard: shard, deadline: deadline, lastTS: lastTS, rcvNxt: rcvNxt})
+	r.lingering = append(r.lingering, twRefEntry{key: k, shard: rss.ShardOf(k.Hash(), r.shards), deadline: deadline})
 	r.st.Entered++
 	r.st.Peak = max(r.st.Peak, len(r.lingering))
 	return true
 }
 
-// enter is EnterTimeWait's definition: only a registered flow enters,
-// carrying its endpoint's final receive state.
-func (r *twRef) enter(k FlowKey, deadline uint64) bool {
-	ep := r.registered[k]
-	return ep != nil && r.insert(k, deadline, ep.TSRecent(), ep.RcvNxt())
-}
-
-func (r *twRef) reuse(k FlowKey, isn, tsVal uint32) ReuseVerdict {
-	i := r.find(k)
-	switch {
-	case i < 0:
-		return ReuseNone
-	case !tcp.ReuseAdmissible(r.lingering[i].lastTS, tsVal, r.lingering[i].rcvNxt, isn):
-		r.st.ReuseRefused++
-		return ReuseRefused
-	}
-	r.take(i)
-	r.st.Reused++
-	return ReuseGranted
-}
-
 // reap returns, shard by shard, every entry whose deadline tick lies
-// below now's, in deadline order with insertion-order ties.
+// below now's, in deadline order with insertion-order ties, and
+// unregisters each.
 func (r *twRef) reap(now uint64) []FlowKey {
 	var got []FlowKey
 	for shard := 0; shard < r.shards; shard++ {
@@ -118,7 +68,10 @@ func (r *twRef) reap(now uint64) []FlowKey {
 			if due < 0 {
 				break
 			}
-			got = append(got, r.take(due))
+			k := r.lingering[due].key
+			r.lingering = append(r.lingering[:due], r.lingering[due+1:]...)
+			delete(r.registered, k)
+			got = append(got, k)
 			r.st.Reaped++
 		}
 	}
@@ -142,25 +95,23 @@ func (r *twRef) occupancy() []int {
 }
 
 // FuzzTimeWait drives a Stack's TIME_WAIT table with one byte-coded
-// sequence of EnterTimeWait, SeedTimeWait, ReuseTimeWait, ReapTimeWait,
-// Register and ConfigureTimeWait over a
-// 16-key space, and checks it after every operation against the
-// brute-force reference (twRef): verdicts, reaped key sequences, stats,
-// the Entered = Reaped + Reused + Evicted + Len balance, per-shard
-// occupancy, and which keys linger and stay registered. It ends by
-// reaping until the table is empty.
+// sequence of EnterTimeWait, ReapTimeWait and Register over a 16-key
+// space, and checks it after every operation against the brute-force
+// reference (twRef): verdicts, reaped key sequences, stats (Reused,
+// ReuseRefused and Evicted stay 0), the Entered = Reaped + Len balance,
+// per-shard occupancy, and which keys linger and stay registered. It ends
+// by reaping until the table is empty.
 //
 // Time follows the stream runs' regime: a deadline never lies before the
 // last reap, and consecutive reaps are less than 31 ms apart (the timer
 // sweep's period is 5 ms).
 //
-// Each operation takes three bytes: the opcode, a key index and an
-// argument (a deadline or reap offset, seeded or offered reuse state, an
-// endpoint, or a cap).
+// Each operation takes three bytes: the opcode (mod 3), a key index and
+// an argument (a deadline or reap offset, or an endpoint).
 func FuzzTimeWait(f *testing.F) {
-	f.Add(uint8(0), []byte{0, 0, 20, 0, 1, 25, 3, 0, 80, 3, 0, 100})
-	f.Add(uint8(2), []byte{5, 0, 0x0a, 1, 3, 0x35, 1, 7, 0x21, 2, 7, 0x33, 0, 2, 9, 0, 5, 9, 3, 0, 250, 3, 0, 250})
-	f.Add(uint8(1), []byte{5, 0, 0x02, 0, 1, 40, 0, 4, 10, 1, 9, 10, 2, 9, 0x10, 4, 9, 1, 0, 9, 3, 3, 0, 200})
+	f.Add(uint8(0), []byte{0, 0, 20, 0, 1, 25, 1, 0, 80, 1, 0, 100})
+	f.Add(uint8(2), []byte{0, 3, 0x35, 0, 7, 0x21, 0, 2, 9, 0, 5, 9, 2, 13, 1, 0, 13, 9, 0, 5, 9, 1, 0, 250, 1, 0, 250})
+	f.Add(uint8(1), []byte{0, 1, 40, 0, 4, 10, 0, 9, 10, 1, 0, 30, 0, 9, 3, 2, 9, 1, 0, 9, 3, 0, 14, 5, 1, 0, 200})
 	f.Fuzz(timeWaitOps)
 }
 
@@ -209,7 +160,7 @@ func timeWaitOps(t *testing.T, shardBits uint8, ops []byte) {
 		if got != want {
 			t.Fatalf("%s: stats %+v, reference %+v", what, got, want)
 		}
-		if got.Entered != got.Reaped+got.Reused+got.Evicted+uint64(got.Len) {
+		if got.Entered != got.Reaped+uint64(got.Len) {
 			t.Fatalf("%s: accounting broken: %+v", what, got)
 		}
 		if occ, want := st.TimeWaitOccupancy(), ref.occupancy(); !reflect.DeepEqual(occ, want) {
@@ -226,33 +177,20 @@ func timeWaitOps(t *testing.T, shardBits uint8, ops []byte) {
 	}
 
 	for o := 0; o+2 < len(ops); o += 3 {
-		op, k, arg := ops[o]%6, keys[int(ops[o+1])%space], ops[o+2]
+		op, k, arg := ops[o]%3, keys[int(ops[o+1])%space], ops[o+2]
 		what := fmt.Sprintf("op %d (%d key %d arg %#x)", o/3, op, ops[o+1]%space, arg)
-		deadline := lastReap + uint64(arg)*400_000
 		switch op {
 		case 0: // EnterTimeWait, up to 102 ms past the last reap
+			deadline := lastReap + uint64(arg)*400_000
 			if got, want := st.EnterTimeWait(k.Src, k.Dst, k.SrcPort, k.DstPort, deadline), ref.enter(k, deadline); got != want {
 				t.Fatalf("%s: EnterTimeWait = %v, reference %v", what, got, want)
 			}
-		case 1: // SeedTimeWait with lastTS arg>>4 and rcvNxt arg&15
-			lastTS, rcvNxt := uint32(arg>>4), uint32(arg&15)
-			if got, want := st.SeedTimeWait(k, deadline, lastTS, rcvNxt), ref.insert(k, deadline, lastTS, rcvNxt); got != want {
-				t.Fatalf("%s: SeedTimeWait = %v, reference %v", what, got, want)
-			}
-		case 2: // ReuseTimeWait offering ISN arg&15 and TSVal arg>>4
-			isn, tsVal := uint32(arg&15), uint32(arg>>4)
-			if got, want := st.ReuseTimeWait(k.Src, k.Dst, k.SrcPort, k.DstPort, isn, tsVal), ref.reuse(k, isn, tsVal); got != want {
-				t.Fatalf("%s: ReuseTimeWait = %v, reference %v", what, got, want)
-			}
-		case 3: // ReapTimeWait up to 30.9 ms after the last one
+		case 1: // ReapTimeWait up to 30.9 ms after the last one
 			reap(what, lastReap+uint64(arg)*121_000)
-		case 4: // Register a key no endpoint is bound under
+		case 2: // Register a key no endpoint is bound under
 			if ref.registered[k] == nil {
 				register(k, eps[int(arg)%len(eps)])
 			}
-		case 5: // ConfigureTimeWait: cap arg&7 (0 = none)
-			st.ConfigureTimeWait(int(arg & 7))
-			ref.configure(int(arg & 7))
 		}
 		check(what)
 	}

@@ -17,14 +17,21 @@ type twRig struct {
 	stack *Stack
 	meter *cycles.Meter
 	keys  []FlowKey
+	ep    *tcp.Endpoint // the last flow's endpoint
 }
 
-func newTWRig(t *testing.T, flows int) *twRig {
+// newTWRig registers flows endpoints on a stack with the given
+// power-of-two shard count (0 = DefaultFlowShards).
+func newTWRig(t *testing.T, shards, flows int) *twRig {
 	t.Helper()
 	var m cycles.Meter
 	params := cost.NativeUP()
 	alloc := buf.NewAllocator(&m, &params)
-	r := &twRig{stack: New(&m, &params, alloc), meter: &m}
+	st, err := NewSharded(&m, &params, alloc, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &twRig{stack: st, meter: &m}
 	for i := 0; i < flows; i++ {
 		remote := ipv4.Addr{10, 0, byte(i / 200), 1}
 		local := ipv4.Addr{10, 0, byte(i / 200), 2}
@@ -36,12 +43,35 @@ func newTWRig(t *testing.T, flows int) *twRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.stack.Register(ep, remote, local, rp, lp); err != nil {
+		if err := st.Register(ep, remote, local, rp, lp); err != nil {
 			t.Fatal(err)
 		}
 		r.keys = append(r.keys, FlowKey{Src: remote, Dst: local, SrcPort: rp, DstPort: lp})
+		r.ep = ep
 	}
 	return r
+}
+
+// backlog registers n more keys in the 172.16/12 space, all bound to the
+// rig's last endpoint, and moves each into TIME_WAIT with deadline(i).
+func (r *twRig) backlog(t *testing.T, n int, deadline func(i int) uint64) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		k := FlowKey{
+			Src:     ipv4.Addr{172, 16, byte(i >> 8), byte(i)},
+			Dst:     ipv4.Addr{10, 0, 0, 2},
+			SrcPort: uint16(10000 + i%50000), DstPort: 80,
+		}
+		if err := r.stack.Register(r.ep, k.Src, k.Dst, k.SrcPort, k.DstPort); err != nil {
+			t.Fatal(err)
+		}
+		if !r.stack.EnterTimeWait(k.Src, k.Dst, k.SrcPort, k.DstPort, deadline(i)) {
+			t.Fatalf("backlog entry %d refused", i)
+		}
+		if r.stack.EnterTimeWait(k.Src, k.Dst, k.SrcPort, k.DstPort, deadline(i)) {
+			t.Fatalf("duplicate backlog entry %d accepted", i)
+		}
+	}
 }
 
 func (r *twRig) enter(i int, deadline uint64) bool {
@@ -50,7 +80,7 @@ func (r *twRig) enter(i int, deadline uint64) bool {
 }
 
 func TestTimeWaitEnterReap(t *testing.T) {
-	r := newTWRig(t, 3)
+	r := newTWRig(t, 0, 3)
 	if !r.enter(0, 8_000_000) || !r.enter(1, 9_000_000) {
 		t.Fatal("EnterTimeWait refused a registered flow")
 	}
@@ -95,11 +125,9 @@ func TestTimeWaitEnterReap(t *testing.T) {
 // a stack that tears no flow down carries none of it, and every reader
 // answers from the stored shard count until then.
 func TestTimeWaitShardsLazy(t *testing.T) {
-	r := newTWRig(t, 1)
-	r.stack.ConfigureTimeWait(1000)
+	r := newTWRig(t, 0, 1)
 	k := r.keys[0]
 	if r.stack.TimeWaitHas(k.Src, k.Dst, k.SrcPort, k.DstPort) ||
-		r.stack.ReuseTimeWait(k.Src, k.Dst, k.SrcPort, k.DstPort, 1, 1) != ReuseNone ||
 		len(r.stack.ReapTimeWait(50_000_000)) != 0 {
 		t.Error("an empty TIME_WAIT table reported an entry")
 	}
@@ -107,9 +135,6 @@ func TestTimeWaitShardsLazy(t *testing.T) {
 	if r.stack.tw.shards != nil || len(occ) != r.stack.table.Shards() {
 		t.Fatalf("before any insert: %d shards allocated, occupancy over %d; want 0, %d",
 			len(r.stack.tw.shards), len(occ), r.stack.table.Shards())
-	}
-	if want := (1000 + len(occ) - 1) / len(occ); r.stack.tw.maxPerShard != want {
-		t.Errorf("per-shard cap %d, want %d", r.stack.tw.maxPerShard, want)
 	}
 	if !r.enter(0, 60_000_000) || len(r.stack.tw.shards) != len(occ) {
 		t.Fatalf("first insert: %d shards, want %d", len(r.stack.tw.shards), len(occ))
@@ -124,7 +149,7 @@ func TestTimeWaitShardsLazy(t *testing.T) {
 // sweep comes long after the last. One shard holds all three entries,
 // so the earliest one's sweep is also the later ones' last sweep.
 func TestTimeWaitLongLinger(t *testing.T) {
-	r := newPressureRig(t, 1, 3, 0)
+	r := newTWRig(t, 1, 3)
 	r.enter(0, 2_000_000)
 	r.enter(1, 70_000_000)
 	r.enter(2, 70_400_000)
@@ -150,7 +175,7 @@ func TestTimeWaitLongLinger(t *testing.T) {
 // deadline order, ties in insertion order, both within a 5 ms sweep and
 // across a sweep more than 32 ms after the last.
 func TestTimeWaitReapOrder(t *testing.T) {
-	r := newPressureRig(t, 1, 6, 0)
+	r := newTWRig(t, 1, 6)
 	for i, d := range []uint64{60_000_000, 3_000_000, 72_000_000, 3_000_000, 60_000_000, 3_500_000} {
 		if !r.enter(i, d) {
 			t.Fatalf("EnterTimeWait(%d) refused", i)
@@ -178,7 +203,7 @@ func TestTimeWaitReapOrder(t *testing.T) {
 // (stalled timer) must still reclaim everything in one pass, shard by
 // shard in deadline order.
 func TestTimeWaitReapFarBehind(t *testing.T) {
-	r := newTWRig(t, 40)
+	r := newTWRig(t, 0, 40)
 	deadline := make(map[FlowKey]uint64)
 	for i, k := range r.keys {
 		deadline[k] = uint64(1_000_000 + i*500_000)
@@ -201,82 +226,14 @@ func TestTimeWaitReapFarBehind(t *testing.T) {
 	}
 }
 
-func TestTimeWaitReuse(t *testing.T) {
-	r := newTWRig(t, 2)
-	// Feed the endpoint a data segment so its TS.Recent is non-zero: the
-	// teardown snapshot the admissibility check compares against.
-	ep := r.stack.FlowTable().Peek(r.keys[0])
-	ep.Input(tcp.Segment{
-		Hdr: seg(1, 1, 4000).Hdr, Payloads: [][]byte{make([]byte, 1448)},
-		FragAcks: []uint32{1}, NetPackets: 1,
-	})
-	r.enter(0, 8_000_000)
-
-	k := r.keys[0]
-	// Same-millisecond reconnect: timestamp not strictly newer → refused.
-	if v := r.stack.ReuseTimeWait(k.Src, k.Dst, k.SrcPort, k.DstPort, 1, 4000); v != ReuseRefused {
-		t.Fatalf("same-ts reuse = %v, want refused", v)
-	}
-	// A later millisecond: granted; the demux entry must be gone so the
-	// four-tuple is immediately registrable.
-	if v := r.stack.ReuseTimeWait(k.Src, k.Dst, k.SrcPort, k.DstPort, 1, 4001); v != ReuseGranted {
-		t.Fatalf("newer-ts reuse = %v, want granted", v)
-	}
-	if r.stack.TimeWaitHas(k.Src, k.Dst, k.SrcPort, k.DstPort) {
-		t.Error("entry still lingering after granted reuse")
-	}
-	if r.stack.FlowTable().Peek(k) != nil {
-		t.Error("stale demux entry survived reuse")
-	}
-	// No lingering entry: a fresh four-tuple reports ReuseNone.
-	if v := r.stack.ReuseTimeWait(k.Src, k.Dst, k.SrcPort, k.DstPort, 1, 5000); v != ReuseNone {
-		t.Fatalf("reuse on free tuple = %v, want none", v)
-	}
-	st := r.stack.TimeWaitStats()
-	if st.Reused != 1 || st.ReuseRefused != 1 || st.Len != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.Entered != st.Reaped+st.Reused+uint64(st.Len) {
-		t.Errorf("accounting broken: %+v", st)
-	}
-	// The reused entry left the table: no later reap returns it.
-	if got := r.stack.ReapTimeWait(20_000_000); len(got) != 0 {
-		t.Errorf("reused entry reaped: %v", got)
-	}
-}
-
-// seg builds a minimal in-order data segment header for feeding TS state.
-func seg(seqNum, ack uint32, tsVal uint32) tcp.Segment {
-	var s tcp.Segment
-	s.Hdr.Seq = seqNum
-	s.Hdr.Ack = ack
-	s.Hdr.Flags = 0x10 // ACK
-	s.Hdr.Window = 65535
-	s.Hdr.HasTimestamp = true
-	s.Hdr.TSVal = tsVal
-	return s
-}
-
-// TestTimeWaitSeededBacklog: seeded entries (restart-storm backlog) age,
-// reap and account like real ones; a duplicate seed is refused; reaping
-// them never disturbs live demux entries.
+// TestTimeWaitSeededBacklog: a backlog of thousands of lingering entries
+// spreads over the shards, ages, reaps and accounts like a handful; a
+// duplicate entry is refused; and reaping the backlog unregisters its
+// keys without disturbing the live demux entry.
 func TestTimeWaitSeededBacklog(t *testing.T) {
-	r := newTWRig(t, 1)
+	r := newTWRig(t, 0, 1)
 	const n = 5000
-	for i := 0; i < n; i++ {
-		k := FlowKey{
-			Src:     ipv4.Addr{172, 16, byte(i >> 8), byte(i)},
-			Dst:     ipv4.Addr{10, 0, 0, 2},
-			SrcPort: uint16(10000 + i%50000), DstPort: 80,
-		}
-		deadline := uint64(2_000_000 + (i%20)*1_000_000)
-		if !r.stack.SeedTimeWait(k, deadline, 100, 1) {
-			t.Fatalf("seed %d refused", i)
-		}
-		if r.stack.SeedTimeWait(k, deadline, 100, 1) {
-			t.Fatalf("duplicate seed %d accepted", i)
-		}
-	}
+	r.backlog(t, n, func(i int) uint64 { return uint64(2_000_000 + (i%20)*1_000_000) })
 	if got := r.stack.TimeWaitStats().Len; got != n {
 		t.Fatalf("TIME_WAIT length = %d, want %d", got, n)
 	}
@@ -295,34 +252,31 @@ func TestTimeWaitSeededBacklog(t *testing.T) {
 	for now := uint64(0); now <= 30_000_000; now += 5_000_000 {
 		reaped += len(r.stack.ReapTimeWait(now))
 		st := r.stack.TimeWaitStats()
-		if st.Entered != st.Reaped+st.Reused+uint64(st.Len) {
+		if st.Entered != st.Reaped+uint64(st.Len) {
 			t.Fatalf("accounting broken at %dns: %+v", now, st)
 		}
 	}
 	if reaped != n {
-		t.Errorf("reaped %d of %d seeded entries", reaped, n)
+		t.Errorf("reaped %d of %d backlog entries", reaped, n)
 	}
-	if r.stack.Endpoints() != 1 {
-		t.Errorf("seeded reap disturbed live endpoints: %d", r.stack.Endpoints())
+	if r.stack.Endpoints() != 1 || r.stack.FlowTable().Peek(r.keys[0]) == nil {
+		t.Errorf("backlog reap left %d registered, want only the live flow", r.stack.Endpoints())
 	}
 }
 
 // TestTimeWaitChargesScaleWithTouches: an insert/reap cycle charges the
 // memory-model touches of the entry — and the charge is independent of
 // how many other entries linger (the O(1) claim, measured in modeled
-// cycles rather than asserted).
+// cycles rather than asserted). The flow table's own structural charge,
+// which grows with the registered population, is left out.
 func TestTimeWaitChargesScaleWithTouches(t *testing.T) {
 	measure := func(backlog int) uint64 {
-		r := newTWRig(t, 2)
-		for i := 0; i < backlog; i++ {
-			k := FlowKey{Src: ipv4.Addr{172, 16, byte(i >> 8), byte(i)},
-				Dst: ipv4.Addr{10, 0, 0, 2}, SrcPort: uint16(i), DstPort: 80}
-			r.stack.SeedTimeWait(k, 64_000_000, 0, 1)
-		}
-		before := r.meter.Get(cycles.NonProto)
+		r := newTWRig(t, 0, 2)
+		r.backlog(t, backlog, func(int) uint64 { return 64_000_000 })
+		before := r.meter.Get(cycles.NonProto) - r.stack.FlowTable().DemuxCycles()
 		r.enter(0, 2_000_000)
 		r.stack.ReapTimeWait(4_000_000)
-		return r.meter.Get(cycles.NonProto) - before
+		return r.meter.Get(cycles.NonProto) - r.stack.FlowTable().DemuxCycles() - before
 	}
 	lone, crowded := measure(0), measure(20000)
 	if lone == 0 {

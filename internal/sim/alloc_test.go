@@ -15,7 +15,6 @@ func faultsChurnConfig() StreamConfig {
 	cfg.Reorder = ReorderConfig{OneIn: 50, Distance: 1}
 	cfg.ReorderWindow = 4
 	cfg.ChurnIntervalNs = 2_000_000
-	cfg.TimeWaitReuse = true
 	return cfg
 }
 

@@ -49,7 +49,6 @@ func TestFramePoolLeakBound(t *testing.T) {
 		cfg.Reorder = ReorderConfig{OneIn: 50, Distance: 1}
 		cfg.ReorderWindow = 4
 		cfg.ChurnIntervalNs = 2_000_000
-		cfg.TimeWaitReuse = true
 		return cfg
 	}
 	baseline := faults()

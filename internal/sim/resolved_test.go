@@ -12,8 +12,7 @@ import (
 // on, and running the resolved config gives the same result as running the
 // config as written. The configs are golden shapes at the corpus's 30 ms
 // window with 15 ms of warm-up: n1 Linux UP/Optimized (Connections at its
-// default), rpc/incast-2q (Telemetry.Latency and the RPC sizes) and
-// storm/fraction (PrefillSpreadNs at its default).
+// default) and rpc/incast-2q (Telemetry.Latency and the RPC sizes).
 func TestStreamConfigResolved(t *testing.T) {
 	bulk := DefaultStreamConfig(SystemNativeUP, OptFull)
 	bulk.Queues = 1
@@ -22,16 +21,8 @@ func TestStreamConfigResolved(t *testing.T) {
 	rpc.Queues = 2
 	rpc.Connections = 16
 	rpc.RPC = RPCConfig{Enabled: true}
-	storm := DefaultStreamConfig(SystemNativeUP, OptFull)
-	storm.NICs = 4
-	storm.Connections = 80
-	storm.Queues = 2
-	storm.TimeWaitReuse = true
-	storm.RestartStorm = RestartStormConfig{AtNs: 20_000_000, PrefillTimeWait: 1000}
 
-	for name, cfg := range map[string]StreamConfig{
-		"bulk": bulk, "rpc": rpc, "storm/fraction": storm,
-	} {
+	for name, cfg := range map[string]StreamConfig{"bulk": bulk, "rpc": rpc} {
 		cfg.DurationNs = 30_000_000
 		cfg.WarmupNs = 15_000_000
 		t.Run(name, func(t *testing.T) {
@@ -47,9 +38,6 @@ func TestStreamConfigResolved(t *testing.T) {
 			}
 			if rpc := resolved.RPC; rpc.Enabled && rpc.MessageBytes == 0 {
 				t.Errorf("resolved RPC config left its size unset: %+v", rpc)
-			}
-			if st := resolved.RestartStorm; st.AtNs > 0 && st.PrefillSpreadNs == 0 {
-				t.Errorf("resolved storm config left a default unset: %+v", st)
 			}
 			want := encodedRun(t, cfg)
 			if got := encodedRun(t, resolved); !bytes.Equal(got, want) {

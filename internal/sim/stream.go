@@ -130,16 +130,10 @@ type StreamConfig struct {
 	// pipe accounting). Off, wire format and recovery behaviour are
 	// bit-identical to the seed.
 	SACK bool
-	// TimeWaitReuse enables SYN-time port reuse against lingering
-	// TIME_WAIT entries (Linux tcp_tw_reuse, RFC 6191 admissibility):
-	// a reconnect colliding with a lingering four-tuple may recycle the
-	// old incarnation instead of waiting out the 2·MSL linger. Off, a
-	// colliding reconnect backs off until the reap — the seed behaviour,
-	// which the goldens pin.
+	// TimeWaitReuse is read by nothing: the stack never recycles a
+	// lingering TIME_WAIT entry, so a run is the same with it on or off.
+	// It stays only because bench/rxperf's faults-churn workload sets it.
 	TimeWaitReuse bool
-	// RestartStorm configures the restart-storm teardown workload (zero
-	// value: no storm).
-	RestartStorm RestartStormConfig
 	// RegisteredFlows, when above Connections, grows the registered
 	// endpoint population to this total by seeding idle flows: registered
 	// connections that receive no traffic during the run but occupy demux
@@ -147,11 +141,6 @@ type StreamConfig struct {
 	// walk a realistically cold, realistically large table (the connscale
 	// axis, 10k → 1M).
 	RegisteredFlows int
-	// MaxTimeWaitBuckets caps the TIME_WAIT population
-	// (tcp_max_tw_buckets, split across shards; 0 = unlimited). Over the
-	// cap new entries are refused: the closing flow skips TIME_WAIT,
-	// Linux's default.
-	MaxTimeWaitBuckets int
 	// Telemetry selects the run's observation outputs (latency histograms,
 	// activity spans). Observation cost is zero by construction — it reads
 	// the clock, it never schedules — so enabling it changes no throughput
@@ -163,37 +152,10 @@ type StreamConfig struct {
 	RPC RPCConfig
 }
 
-// RestartStormConfig tunes the restart-storm workload: a near-
-// simultaneous teardown of half the flow population followed by
-// redials of the very same four-tuples, against a configurable backlog
-// of lingering TIME_WAIT entries.
-type RestartStormConfig struct {
-	// AtNs fires the storm at this virtual time (0 = no storm). Half the
-	// live flows (rounded down) are torn down at that instant, and each
-	// victim redials its own four-tuple 2 ms later
-	// (stormReconnectDelayNs).
-	AtNs uint64
-	// PrefillTimeWait seeds this many synthetic lingering entries at the
-	// storm instant — the backlog of the restarted process's previous
-	// life, scaling the TIME_WAIT population far beyond what the live
-	// port space admits (the 1k → 100k+ sweep).
-	PrefillTimeWait int
-	// PrefillSpreadNs spreads the seeded deadlines uniformly so reaping
-	// is a steady trickle rather than one spike (0 = 500 ms: the
-	// backlog mostly outlives a short measured window, the way real
-	// minutes-long 2·MSL lingers dwarf any measurement interval).
-	PrefillSpreadNs uint64
-}
-
 // Defaults a run fills in for values its config leaves zero (Resolved).
 const (
 	// defaultDurationNs is the measured interval: 150 ms.
 	defaultDurationNs = 150_000_000
-	// defaultPrefillSpreadNs spreads a seeded TIME_WAIT backlog's
-	// deadlines over 500 ms: the backlog mostly outlives a short measured
-	// window, the way real minutes-long 2·MSL lingers dwarf any
-	// measurement interval.
-	defaultPrefillSpreadNs = 500_000_000
 	// defaultRPCMessageBytes is the incast's response size: one full MSS.
 	defaultRPCMessageBytes = 1448
 )
@@ -242,14 +204,12 @@ type StreamResult struct {
 	// measured interval): registered flows, demux hits, misses, steals.
 	ShardStats []netstack.ShardStats
 	// TimeWait is the full TIME_WAIT table summary at the end of the run
-	// (occupancy, peak, modeled footprint, SYN-time reuse activity).
+	// (entries in and reaped, occupancy, peak, modeled footprint).
 	TimeWait netstack.TimeWaitStats
 	// ChurnOpenFailures counts churn ticks that could not open a
 	// replacement flow (port space and recycle pool exhausted); such
 	// ticks leave the victim up instead of bleeding the population.
 	ChurnOpenFailures uint64
-	// Storm reports restart-storm activity (nil when no storm ran).
-	Storm *StormReport
 	// EngineAgg is each aggregation engine's cumulative counters at the
 	// end of the run (index = CPU; nil on baseline paths): flush-reason
 	// taxonomy plus resequencing-window activity.
@@ -407,7 +367,6 @@ type streamTopology struct {
 	gen      *flowGen
 	teardown *teardownTracker
 	churn    *churner
-	storm    *stormController
 	col      *telemetry.Collector    // latency histograms (nil: off)
 	spans    *telemetry.SpanRecorder // activity spans (nil: off)
 	rpc      *rpcDriver              // incast workload (nil: bulk streams)
@@ -475,11 +434,6 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 		res.FlowsTornDown = top.churn.tornDown
 		res.ChurnOpenFailures = top.churn.openFailures
 	}
-	if top.storm != nil {
-		report := top.storm.report
-		res.Storm = &report
-		res.FlowsTornDown += report.TornDown
-	}
 	table := top.machine.FlowTable()
 	res.ShardStats = make([]netstack.ShardStats, table.Shards())
 	for i := range res.ShardStats {
@@ -520,7 +474,7 @@ func linkGoodputMbps() float64 {
 }
 
 // buildStream wires the full stream experiment: the topology, the bulk
-// flows or the RPC driver with churn and storm, and the 5 ms timer sweep.
+// flows with churn or the RPC driver, and the 5 ms timer sweep.
 func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	top, err := newTopology(cfg)
 	if err != nil {
@@ -550,25 +504,10 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 			}
 		}
 	}
-	if cfg.ChurnIntervalNs > 0 || cfg.RestartStorm.AtNs > 0 {
-		top.teardown = newTeardownTracker(top)
-		top.teardown.onReap = top.gen.recycle
-	}
 	if cfg.ChurnIntervalNs > 0 {
+		top.teardown = newTeardownTracker(top)
 		top.churn = newChurner(top, top.gen, top.teardown, cfg.ChurnIntervalNs)
 		top.sim.After(cfg.ChurnIntervalNs, top.churn.tickFn)
-	}
-	if cfg.RestartStorm.AtNs > 0 {
-		top.storm = newStormController(top, cfg)
-		// The backlog seeds early (the previous process's residue exists
-		// before the window under measurement); the storm itself fires at
-		// its configured instant.
-		prefillAt := uint64(1_000_000)
-		if cfg.RestartStorm.AtNs < prefillAt {
-			prefillAt = cfg.RestartStorm.AtNs
-		}
-		top.sim.After(prefillAt, top.storm.prefill)
-		top.sim.After(cfg.RestartStorm.AtNs, top.storm.fire)
 	}
 	top.start(streamSweepNs)
 	return top, nil
@@ -578,9 +517,8 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 const streamSweepNs = 5_000_000
 
 // registeredEndpoints bounds the distinct endpoints a run of cfg holds
-// registered in its flow table at once: one per connection (a restart
-// storm's victim redials only once its old incarnation is unregistered),
-// the one placeholder the idle population shares, and under churn every
+// registered in its flow table at once: one per connection, the one
+// placeholder the idle population shares, and under churn every
 // torn-down flow still registered. A churn victim drains its FIN for at
 // most churnForceTeardownNs and then lingers churnTimeWaitNs, each phase
 // ending up to one timer sweep late, so it is registered for less than
@@ -601,10 +539,9 @@ func registeredEndpoints(cfg *StreamConfig) int {
 }
 
 // Resolved returns cfg with its defaults filled in, as a run uses it:
-// Connections defaults to one per NIC and DurationNs to 150 ms. A workload
-// that is on gets its own zero values filled: the RPC workload its
-// response size and Telemetry.Latency (the histograms are its
-// output) and a restart storm its PrefillSpreadNs. It validates nothing.
+// Connections defaults to one per NIC and DurationNs to 150 ms. The RPC
+// workload, when on, gets its response size and Telemetry.Latency (the
+// histograms are its output). It validates nothing.
 func (cfg StreamConfig) Resolved() StreamConfig {
 	if cfg.Connections == 0 {
 		cfg.Connections = cfg.NICs
@@ -617,9 +554,6 @@ func (cfg StreamConfig) Resolved() StreamConfig {
 		if rpc.MessageBytes == 0 {
 			rpc.MessageBytes = defaultRPCMessageBytes
 		}
-	}
-	if st := &cfg.RestartStorm; st.AtNs > 0 && st.PrefillSpreadNs == 0 {
-		st.PrefillSpreadNs = defaultPrefillSpreadNs
 	}
 	return cfg
 }
@@ -651,9 +585,6 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 	if cfg.Loss.OneIn > 0 && cfg.Loss.BurstRate > 0 {
 		return nil, fmt.Errorf("sim: loss models are mutually exclusive (OneIn and BurstRate both set)")
 	}
-	if st := cfg.RestartStorm; st.PrefillTimeWait < 0 {
-		return nil, fmt.Errorf("sim: invalid restart-storm config %+v", st)
-	}
 	if cfg.RegisteredFlows < 0 {
 		return nil, fmt.Errorf("sim: RegisteredFlows %d must be non-negative", cfg.RegisteredFlows)
 	}
@@ -661,16 +592,12 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 		return nil, fmt.Errorf("sim: RegisteredFlows %d below Connections %d",
 			cfg.RegisteredFlows, cfg.Connections)
 	}
-	if cfg.MaxTimeWaitBuckets < 0 {
-		return nil, fmt.Errorf("sim: MaxTimeWaitBuckets %d must be non-negative", cfg.MaxTimeWaitBuckets)
-	}
 	if cfg.RPC.Enabled {
 		if cfg.RPC.MessageBytes < 0 {
 			return nil, fmt.Errorf("sim: RPC MessageBytes %d must be non-negative", cfg.RPC.MessageBytes)
 		}
-		if cfg.ChurnIntervalNs != 0 || cfg.RestartStorm.AtNs != 0 ||
-			cfg.FlowSkew != 0 || cfg.RegisteredFlows != 0 || cfg.MessageSize != 0 {
-			return nil, fmt.Errorf("sim: the RPC workload is incompatible with churn, storm, skew, connscale and MessageSize knobs")
+		if cfg.ChurnIntervalNs != 0 || cfg.FlowSkew != 0 || cfg.RegisteredFlows != 0 || cfg.MessageSize != 0 {
+			return nil, fmt.Errorf("sim: the RPC workload is incompatible with churn, skew, connscale and MessageSize knobs")
 		}
 	}
 	if n := registeredEndpoints(cfg); n > netstack.MaxEndpoints {
@@ -727,10 +654,6 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 		}
 		top.senders = append(top.senders, sender)
 		top.links = append(top.links, link)
-	}
-
-	if cfg.MaxTimeWaitBuckets > 0 {
-		machine.Stack.ConfigureTimeWait(cfg.MaxTimeWaitBuckets)
 	}
 	return top, nil
 }

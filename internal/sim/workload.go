@@ -14,9 +14,8 @@ import (
 // rates, and runs connection arrival/teardown churn. The paper's
 // experiments are the degenerate case — a handful of uniform, immortal
 // flows — while the multi-queue RSS pipeline is exercised with thousands
-// of flows, heavy-hitter rate skew and endpoint churn. The teardown
-// state machine (FIN drain → TIME_WAIT → reap) is shared with the
-// restart-storm workload (storm.go).
+// of flows, heavy-hitter rate skew and endpoint churn, whose teardowns
+// run the full FIN drain → TIME_WAIT → reap state machine.
 
 // flowRecord is one live connection's addressing.
 type flowRecord struct {
@@ -48,12 +47,12 @@ type flowGen struct {
 	// recycled holds churn-range port pairs reaped out of TIME_WAIT:
 	// once the linear churn range is exhausted, replacements redial
 	// these instead of silently failing (the four-tuples are fully
-	// unregistered, so reopening them needs no reuse check).
+	// unregistered, so reopening them collides with nothing).
 	recycled []portPair
 
 	// onOpen, when set, observes every receiver endpoint as it opens —
-	// including churn replacements and storm reconnects (property tests
-	// attach their verification sinks here, before any byte flows).
+	// churn replacements included (property tests attach their
+	// verification sinks here, before any byte flows).
 	onOpen func(*tcp.Endpoint)
 
 	// perLink is applySkew's scratch, one weighted flow list per NIC,
@@ -119,8 +118,8 @@ func (g *flowGen) openChurnFlow(n int) error {
 }
 
 // recycle returns a reaped flow's port pair to the churn pool. Only
-// churn-range pairs are pooled: initial-range ports belong to the
-// restart-storm reconnect path, which redials them by four-tuple.
+// churn-range pairs are pooled, so every replacement stays in the churn
+// range.
 func (g *flowGen) recycle(rec flowRecord) {
 	if rec.sPort >= churnSenderPortBase && rec.sPort < churnReceiverPortBase {
 		g.recycled = append(g.recycled, portPair{s: rec.sPort, r: rec.rPort})
@@ -243,17 +242,15 @@ type drainingFlow struct {
 }
 
 // teardownTracker advances the teardown state machines of every
-// torn-down flow (churn victims and restart-storm victims alike):
-// receivers that have processed the FIN enter TIME_WAIT; expired
-// TIME_WAIT entries are reaped — unregistering the demux entry — and the
-// sender side is released; handshakes stuck past the backstop are forced
-// down. One tracker per topology: the stack's reap sweep yields each
+// torn-down churn victim: receivers that have processed the FIN enter
+// TIME_WAIT; expired TIME_WAIT entries are reaped — unregistering the
+// demux entry — and the sender side is released; handshakes stuck past
+// the backstop are forced down. One tracker per topology: the stack's reap sweep yields each
 // reaped key exactly once.
 type teardownTracker struct {
 	top      *streamTopology
 	draining []drainingFlow                  // FIN in flight, not yet closed
 	inTW     map[netstack.FlowKey]flowRecord // lingering in TIME_WAIT
-	onReap   func(flowRecord)                // after-release hook (port recycling)
 
 	// lingering holds the endpoint-list slots of released flows whose
 	// receiver endpoint was not quiescent at release. retired and kept
@@ -271,22 +268,6 @@ func newTeardownTracker(top *streamTopology) *teardownTracker {
 // closed); deadline is the force-teardown backstop.
 func (tr *teardownTracker) add(rec flowRecord, deadline uint64) {
 	tr.draining = append(tr.draining, drainingFlow{rec: rec, deadline: deadline})
-}
-
-// isDraining reports whether k's FIN handshake is still in flight.
-func (tr *teardownTracker) isDraining(k netstack.FlowKey) bool {
-	for _, d := range tr.draining {
-		if d.rec.key() == k {
-			return true
-		}
-	}
-	return false
-}
-
-// waiting returns the TIME_WAIT record for k, if tracked.
-func (tr *teardownTracker) waiting(k netstack.FlowKey) (flowRecord, bool) {
-	rec, ok := tr.inTW[k]
-	return rec, ok
 }
 
 // poll advances the teardown state machines (called from the periodic
@@ -330,33 +311,23 @@ func (tr *teardownTracker) poll(now uint64) {
 	tr.lingering = lingering
 }
 
-// release drops everything still keyed on a finished flow (see
-// releaseWatched) and retires its receiver endpoint for reuse by a later
-// open. A receiver endpoint that is not quiescent yet — typically a
-// delayed-ACK timer still armed — stays on the machine's timer list and
-// retires at the first poll that finds it quiescent.
+// release drops everything still keyed on a finished flow — the demux
+// entry (a no-op when the reap already removed it), the sender-side
+// connection and the port pair (flowGen.recycle) — and retires its
+// receiver endpoint for reuse by a later open. A receiver endpoint that is
+// not quiescent yet — typically a delayed-ACK timer still armed — stays on
+// the machine's timer list and retires at the first poll that finds it
+// quiescent.
 func (tr *teardownTracker) release(rec flowRecord) {
-	tr.releaseWatched(rec)
+	tr.top.machine.UnregisterEndpoint(rec.senderIP, rec.rcvIP, rec.sPort, rec.rPort)
+	tr.top.senders[rec.nicIdx].RemoveConn(rec.sPort)
+	tr.top.gen.recycle(rec)
 	if tr.top.machine.RetireEndpoint(rec.slot) {
 		tr.retired++
 		return
 	}
 	tr.kept++
 	tr.lingering = append(tr.lingering, rec.slot)
-}
-
-// releaseWatched drops everything still keyed on a finished flow: the
-// demux entry (a no-op when the reap or a granted reuse already removed
-// it), the sender-side connection and — via onReap — the port pool. The
-// receiver endpoint stays on the machine's list, so a caller that keeps
-// watching it (the restart storm's stale-delivery check) reads the real
-// endpoint.
-func (tr *teardownTracker) releaseWatched(rec flowRecord) {
-	tr.top.machine.UnregisterEndpoint(rec.senderIP, rec.rcvIP, rec.sPort, rec.rPort)
-	tr.top.senders[rec.nicIdx].RemoveConn(rec.sPort)
-	if tr.onReap != nil {
-		tr.onReap(rec)
-	}
 }
 
 // churner runs connection arrival/teardown churn: every interval the

@@ -43,9 +43,6 @@ func NewRing[T any](capacity int) (Ring[T], error) {
 	return Ring[T]{bound: n}, nil
 }
 
-// Cap returns the ring's bound (0 for an unbounded ring).
-func (r *Ring[T]) Cap() int { return r.bound }
-
 // Len returns the number of queued items.
 func (r *Ring[T]) Len() int { return int(r.tail - r.head) }
 

@@ -358,13 +358,6 @@ func (e *Endpoint) Closed() bool { return e.finSeen }
 // half of teardown is complete).
 func (e *Endpoint) FinAcked() bool { return e.finAcked }
 
-// TSRecent returns the most recent peer timestamp this endpoint echoed
-// (RFC 7323 TS.Recent). Teardown snapshots it into the stack's
-// TIME_WAIT entry, where it anchors the RFC 6191 reuse-admissibility
-// check: a reconnect may recycle the lingering incarnation only with a
-// strictly newer timestamp.
-func (e *Endpoint) TSRecent() uint32 { return e.tsRecent }
-
 // SetLatencyRecorder wires per-packet stage-latency recording: every
 // data-carrying host packet delivered to this endpoint records its stamp
 // chain (wire → ring → softirq → aggregation → stack → socket read) into

@@ -135,6 +135,34 @@ func TestInOrderReceiveAdvancesRcvNxt(t *testing.T) {
 	env.freeOut()
 }
 
+// TestTSRecentTracksPeer: the endpoint's ACKs echo the peer timestamp
+// (RFC 7323 TS.Recent) of the latest in-order segment; an out-of-order
+// segment's timestamp is not echoed.
+func TestTSRecentTracksPeer(t *testing.T) {
+	env := newEnv(t, nil)
+	defer env.freeOut()
+	for _, seq := range []uint32{1, 1449} {
+		seg := dataSeg(seq, 1, mss(1448))
+		seg.Hdr.TSVal = 7777
+		env.ep.Input(seg)
+	}
+	if len(env.out) != 1 {
+		t.Fatalf("ACKs after two segments = %d, want 1", len(env.out))
+	}
+	if got := mustParse(t, env.out[0].Head).TCP.TSEcr; got != 7777 {
+		t.Fatalf("ACK TSEcr = %d, want 7777", got)
+	}
+	ooo := dataSeg(5793, 1, mss(1448)) // hole at 2897: immediate dup-ACK
+	ooo.Hdr.TSVal = 9999
+	env.ep.Input(ooo)
+	if len(env.out) != 2 {
+		t.Fatalf("ACKs after an out-of-order segment = %d, want 2", len(env.out))
+	}
+	if got := mustParse(t, env.out[1].Head).TCP.TSEcr; got != 7777 {
+		t.Errorf("dup-ACK TSEcr = %d, want 7777 (the out-of-order TSVal must not be echoed)", got)
+	}
+}
+
 // BenchmarkEndpointInputData measures the receiver's in-order data path:
 // each iteration takes one MSS segment through Endpoint.Input, and every
 // second one sends the delayed ACK, whose buffer a pool recycles.

@@ -102,15 +102,8 @@ type (
 	// resequencing-window activity (Held/Stitched/WindowTimeout,
 	// drain-time run stitching).
 	AggStats = aggregate.Stats
-	// RestartStormConfig tunes the restart-storm workload: near-
-	// simultaneous teardown of a flow fraction, same-four-tuple redials,
-	// and a seeded TIME_WAIT backlog (StreamConfig.RestartStorm).
-	RestartStormConfig = sim.RestartStormConfig
-	// StormReport summarizes a run's restart-storm activity
-	// (StreamResult.Storm).
-	StormReport = sim.StormReport
-	// TimeWaitStats is the TIME_WAIT table summary: occupancy, peak,
-	// modeled footprint and SYN-time reuse activity
+	// TimeWaitStats is the TIME_WAIT table summary: entries in and
+	// reaped, occupancy, peak and modeled footprint
 	// (StreamResult.TimeWait).
 	TimeWaitStats = netstack.TimeWaitStats
 	// TableStats is the demux-table structure summary: footprint,
