@@ -73,7 +73,7 @@ var (
 	sysFlag    = flag.String("sys", "up",
 		"system for the rss, churn, reorder, connscale and rr experiments: up, smp, xen (xen scales paravirtual I/O channels)")
 	queueList = flag.String("queues", "1,2,4,8",
-		"queue counts swept by the rss experiment (comma-separated); reorder uses the last entry")
+		"queue counts swept by the rss experiment (comma-separated); reorder uses the last entry; churn is fixed at 4 queues and ignores it")
 	jsonOut = flag.Bool("json", false,
 		"emit machine-readable JSON run records on stdout (tables move to stderr)")
 	parallel = flag.Int("parallel", 1,

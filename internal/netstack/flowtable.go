@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/cycles"
+	"repro/internal/ipv4"
 	"repro/internal/memmodel"
 	"repro/internal/rss"
 	"repro/internal/tcp"
@@ -35,8 +36,19 @@ import (
 // reference share the slot: a lookup's memory traffic is the probe run
 // itself, the hit entry streams in with the key compares, and robin-hood
 // keeps probe runs short and adjacent, so a demux touch is ~1 line
-// however large the table is. The simulator stores each slot in 16 bytes
-// with no hash (flowSlot); the priced footprint does not follow it.
+// however large the table is. The simulator stores each slot in 10 bytes,
+// the key's remote half and the endpoint handle with no hash (flowSlot);
+// the priced footprint does not follow it.
+//
+// A key's local half (its destination address and port) lives once per
+// handle, in the endpoint slab, not once per slot: a handle names an
+// (endpoint, local address) pair, as a kernel socket owns its own address
+// pair. A key compare follows the kernel's established-hash match, which
+// compares the packet's addresses against the socket's own: the slot's
+// remote half first, and only on a match the handle's local half. The
+// Toeplitz hash splits the same way, by XOR (rss.HashRemote ^
+// rss.HashLocal), so a growth rehash rebuilds a resident's hash from its
+// remote half and its handle's local share.
 //
 // Structural touches charge through the machine's memory model at the
 // capacity-miss excess only (CapacityTouchCost): while the table fits in
@@ -67,22 +79,33 @@ type FlowTable struct {
 	// turns ownership (steal) accounting off.
 	queues int
 
-	// eps is the endpoint slab: slots name their endpoint by a uint16
-	// handle into it, so none holds a pointer. Handle 0 is nil, so at
-	// most MaxEndpoints handles are live. free stacks the handles whose
-	// last key went; newest is the handle bound last, which binding its
-	// endpoint again reuses — so a batch's keys, or a serial run of
-	// inserts for one endpoint, share one handle.
+	// eps is the endpoint slab: slots name their endpoint and local
+	// address by a uint16 handle into it, so none holds a pointer or its
+	// key's local half. Handle 0 is nil, so at most MaxEndpoints handles
+	// are live. free stacks the handles whose last key went; newest is
+	// the handle bound last, which binding its endpoint under the same
+	// local address again reuses — so a batch's keys, or a serial run of
+	// inserts for one endpoint, share one handle per local address.
 	eps    []epRef
 	free   []uint16
 	newest uint16
 }
 
-// epRef is one endpoint slab entry: the endpoint and the number of
-// registered keys naming it. A handle whose count falls to zero is free.
+// epRef is one endpoint slab entry: the endpoint, the local half of every
+// key naming it (dst, dstPort) with that half's Toeplitz share
+// (rss.HashLocal), and the number of registered keys naming it. A handle
+// whose count falls to zero is free.
 type epRef struct {
-	ep   *tcp.Endpoint
-	refs int
+	ep        *tcp.Endpoint
+	refs      int
+	dst       ipv4.Addr
+	dstPort   uint16
+	localHash uint32
+}
+
+// local reports whether k's local half is the one e binds.
+func (e *epRef) local(k FlowKey) bool {
+	return e.dst == k.Dst && e.dstPort == k.DstPort
 }
 
 // epSlabRoom is the slab's initial capacity, enough for a small run's
@@ -90,12 +113,13 @@ type epRef struct {
 const epSlabRoom = 16
 
 // MaxEndpoints is the most endpoint handles one table holds at once: a
-// slot names its endpoint by a 16-bit handle, and handle 0 is nil. The
-// bound is on handles, not on endpoints or keys. Keys bound to one
-// endpoint in a row (a batch, or consecutive inserts) share its handle,
-// so a run's whole idle population takes one. Only the newest handle is
-// shared, though: binding a key to an endpoint bound earlier, whose
-// handle is no longer the newest, takes a handle of its own.
+// slot names its endpoint and local address by a 16-bit handle, and
+// handle 0 is nil. The bound is on handles, not on endpoints or keys. Keys
+// of one local address bound to one endpoint in a row (a batch, or
+// consecutive inserts) share its handle, so a run's whole idle population
+// takes one. Only the newest handle is shared, though: binding a key to an
+// endpoint bound earlier, whose handle is no longer the newest, or under
+// another local address takes a handle of its own.
 const MaxEndpoints = math.MaxUint16
 
 // ErrTooManyEndpoints is the error of an insert that needs a handle while
@@ -109,7 +133,7 @@ const (
 	// robin-hood probe distance and an 8-byte endpoint pointer, padded to
 	// a half cache line so two slots share a 64-byte line and a probe run
 	// streams rather than chases. It models a kernel's socket-hash slot
-	// and is deliberately decoupled from the simulator's own 16-byte
+	// and is deliberately decoupled from the simulator's own 10-byte
 	// flowSlot: what the model charges must not follow how Go stores it.
 	FlowSlotBytes = 32
 	// flowShardMinSlots is the initial slot-array size of a shard's first
@@ -118,21 +142,38 @@ const (
 	flowShardMinSlots = 8
 )
 
-// flowSlot is one open-addressed entry as the simulator stores it: 16
-// bytes and no pointer, so a million-entry table is half the priced
-// FlowSlotBytes layout and the garbage collector never scans it. Every
-// field is 2-byte aligned, so a slot array has no padding. ref is the
-// endpoint's 16-bit slab handle (FlowTable.eps), which bounds a table to
-// MaxEndpoints live endpoints. The key's hash is not stored at all: the
-// caller's hash picks the home slot, lookups compare the key, and growth,
-// the one place a resident's hash is needed, recomputes it. dist is the
-// 1-based probe distance from the key's home slot (0 = empty); robin-hood
-// insertion keeps it near 1 and bounded, and it doubles as the per-entry
-// probe length the occupancy histogram reports.
+// flowSlot is one open-addressed entry as the simulator stores it: 10
+// bytes and no pointer, so a million-entry table is under a third of the
+// priced FlowSlotBytes layout and the garbage collector never scans it.
+// Every field is at most 2-byte aligned, so a slot array has no padding.
+// The slot holds only its key's remote half (src, srcPort). ref is the
+// 16-bit slab handle (FlowTable.eps) of the key's endpoint and local half,
+// which bounds a table to MaxEndpoints live handles. The key's hash is not
+// stored at all: the caller's hash picks the home slot, lookups compare
+// the key (holds), and growth, the one place a resident's hash is needed,
+// rebuilds it from the remote half and the handle's local share. dist is
+// the 1-based probe distance from the key's home slot (0 = empty);
+// robin-hood insertion keeps it near 1 and bounded, and it doubles as the
+// per-entry probe length the occupancy histogram reports.
 type flowSlot struct {
-	key  FlowKey
-	dist uint16
-	ref  uint16
+	src     ipv4.Addr
+	srcPort uint16
+	dist    uint16
+	ref     uint16
+}
+
+// holds reports whether the occupied slot sl holds k, in the order of the
+// kernel's established-hash match: the remote half from the slot first,
+// and only on a match the local half from its handle's slab entry.
+func (sl *flowSlot) holds(k FlowKey, eps []epRef) bool {
+	return sl.src == k.Src && sl.srcPort == k.SrcPort && eps[sl.ref].local(k)
+}
+
+// key rebuilds the four-tuple sl holds from its remote half and its
+// handle's local half.
+func (sl *flowSlot) key(eps []epRef) FlowKey {
+	e := &eps[sl.ref]
+	return FlowKey{Src: sl.src, Dst: e.dst, SrcPort: sl.srcPort, DstPort: e.dstPort}
 }
 
 // flowShard is one shard: a private open-addressed slot array plus
@@ -252,12 +293,12 @@ func (t *FlowTable) chargeGrow(oldSlots, newSlots int) {
 	t.demuxCycles += c
 }
 
-// handleFor returns the slab handle that binding ep takes: the newest
-// handle when it holds ep, else the most recently freed one, else a new
-// one, or ErrTooManyEndpoints when all MaxEndpoints are live. It reserves
-// nothing; retain commits the binding.
-func (t *FlowTable) handleFor(ep *tcp.Endpoint) (uint16, error) {
-	if e := &t.eps[t.newest]; e.refs > 0 && e.ep == ep {
+// handleFor returns the slab handle that binding ep under k's local half
+// takes: the newest handle when it holds ep and that local half, else the
+// most recently freed one, else a new one, or ErrTooManyEndpoints when
+// all MaxEndpoints are live. It reserves nothing; bind claims the handle.
+func (t *FlowTable) handleFor(ep *tcp.Endpoint, k FlowKey) (uint16, error) {
+	if e := &t.eps[t.newest]; e.refs > 0 && e.ep == ep && e.local(k) {
 		return t.newest, nil
 	}
 	if n := len(t.free); n > 0 {
@@ -269,17 +310,23 @@ func (t *FlowTable) handleFor(ep *tcp.Endpoint) (uint16, error) {
 	return uint16(len(t.eps)), nil
 }
 
-// retain binds n more keys to ep under h, the handle handleFor returned.
-func (t *FlowTable) retain(h uint16, ep *tcp.Endpoint, n int) {
+// bind claims h, the handle handleFor returned for k, as the newest
+// handle, and gives a fresh one k's local half and its hash share. The
+// caller sets the endpoint and counts the keys; until it does, the claim
+// is undone by restoring the slab's lengths and newest handle (InsertBatch).
+func (t *FlowTable) bind(h uint16, k FlowKey) *epRef {
 	switch {
 	case int(h) == len(t.eps):
 		t.eps = append(t.eps, epRef{})
 	case t.eps[h].refs == 0:
 		t.free = t.free[:len(t.free)-1]
 	}
-	t.eps[h].ep = ep
-	t.eps[h].refs += n
+	e := &t.eps[h]
+	if e.refs == 0 {
+		e.dst, e.dstPort, e.localHash = k.Dst, k.DstPort, rss.HashLocal(k.Dst, k.DstPort)
+	}
 	t.newest = h
+	return e
 }
 
 // release drops one key's reference to handle h; the last one frees it.
@@ -295,7 +342,7 @@ func (t *FlowTable) release(h uint16) {
 // absent) and the probe count. Robin-hood ordering terminates a miss
 // early: once a resident entry's distance is below the probe distance, k
 // cannot be further along.
-func (s *flowShard) openLookup(h uint32, k FlowKey) (uint16, int) {
+func (s *flowShard) openLookup(h uint32, k FlowKey, eps []epRef) (uint16, int) {
 	if len(s.slots) == 0 {
 		return 0, 1
 	}
@@ -306,7 +353,7 @@ func (s *flowShard) openLookup(h uint32, k FlowKey) (uint16, int) {
 		if sl.dist == 0 || sl.dist < p {
 			return 0, int(p)
 		}
-		if sl.key == k {
+		if sl.holds(k, eps) {
 			return sl.ref, int(p)
 		}
 		i = (i + 1) & mask
@@ -328,11 +375,12 @@ func openSlotsFor(slots, used int) int {
 }
 
 // openGrow resizes the slot array to n slots and rehashes every resident
-// entry in old-slot order, recomputing each one's hash from its key. An
-// array with spare capacity (InsertBatch reserves it, zeroed) grows in
-// place, with the old entries staged in scratch, which InsertBatch sizes
-// to hold them. Otherwise a fresh array is allocated.
-func (s *flowShard) openGrow(n int, scratch []flowSlot) {
+// entry in old-slot order, rebuilding each one's hash from its remote half
+// and its handle's local share (six table lookups, not twelve). An array
+// with spare capacity (InsertBatch reserves it, zeroed) grows in place,
+// with the old entries staged in scratch, which InsertBatch sizes to hold
+// them. Otherwise a fresh array is allocated.
+func (s *flowShard) openGrow(n int, scratch []flowSlot, eps []epRef) {
 	old := s.slots
 	if cap(old) >= n {
 		staged := append(scratch[:0], old...)
@@ -343,22 +391,23 @@ func (s *flowShard) openGrow(n int, scratch []flowSlot) {
 	}
 	s.used = 0
 	for i := range old {
-		if old[i].dist != 0 {
-			s.openPut(old[i].key.Hash(), old[i].key, old[i].ref)
+		if sl := &old[i]; sl.dist != 0 {
+			h := rss.HashRemote(sl.src, sl.srcPort) ^ eps[sl.ref].localHash
+			s.openPut(h, sl.key(eps), sl.ref, eps)
 		}
 	}
 }
 
-// openPut inserts k, robin-hood displacing richer residents, and returns
-// the number of slots visited and true; if k is already resident it
-// changes nothing and returns false. It compares keys only until the
-// first displacement, which is exactly where openLookup would stop, so
-// its visit count is the probe count of a lookup miss. The caller must
-// have ensured capacity (openSlotsFor), so an empty slot is guaranteed
-// within the probe run.
-func (s *flowShard) openPut(h uint32, k FlowKey, ref uint16) (int, bool) {
+// openPut inserts k under handle ref, whose slab entry holds k's local
+// half, robin-hood displacing richer residents, and returns the number of
+// slots visited and true; if k is already resident it changes nothing and
+// returns false. It compares keys only until the first displacement,
+// which is exactly where openLookup would stop, so its visit count is the
+// probe count of a lookup miss. The caller must have ensured capacity
+// (openSlotsFor), so an empty slot is guaranteed within the probe run.
+func (s *flowShard) openPut(h uint32, k FlowKey, ref uint16, eps []epRef) (int, bool) {
 	mask := uint32(len(s.slots) - 1)
-	cur := flowSlot{key: k, dist: 1, ref: ref}
+	cur := flowSlot{src: k.Src, srcPort: k.SrcPort, dist: 1, ref: ref}
 	i := slotIndexHash(h) & mask
 	displaced := false
 	visited := 0
@@ -375,7 +424,7 @@ func (s *flowShard) openPut(h uint32, k FlowKey, ref uint16) (int, bool) {
 			// slot; the displaced resident continues probing.
 			*sl, cur = cur, *sl
 			displaced = true
-		} else if !displaced && sl.key == k {
+		} else if !displaced && sl.holds(k, eps) {
 			return visited, false
 		}
 		cur.dist++
@@ -387,7 +436,7 @@ func (s *flowShard) openPut(h uint32, k FlowKey, ref uint16) (int, bool) {
 // slide one slot toward home, keeping probe runs tight for every later
 // lookup), returning k's endpoint handle (0 = not resident) and the slots
 // visited.
-func (s *flowShard) openRemove(h uint32, k FlowKey) (uint16, int) {
+func (s *flowShard) openRemove(h uint32, k FlowKey, eps []epRef) (uint16, int) {
 	if len(s.slots) == 0 {
 		return 0, 1
 	}
@@ -398,7 +447,7 @@ func (s *flowShard) openRemove(h uint32, k FlowKey) (uint16, int) {
 		if sl.dist == 0 || sl.dist < p {
 			return 0, int(p)
 		}
-		if sl.key == k {
+		if sl.holds(k, eps) {
 			ref := sl.ref
 			for {
 				j := (i + 1) & mask
@@ -431,7 +480,8 @@ func (t *FlowTable) Len() int { return t.count }
 
 // Insert registers ep under k. A duplicate key errors, and so does a key
 // that needs a new handle while all MaxEndpoints are live
-// (ErrTooManyEndpoints); only the newest bound endpoint shares its handle.
+// (ErrTooManyEndpoints); only the newest handle is shared, by a key of its
+// endpoint and local half.
 // Either error leaves the table and its charges untouched. The structural
 // touches (probe chase plus entry write) charge cycles.NonProto at the
 // capacity-miss excess — socket-hash insertion is connection-setup work,
@@ -439,19 +489,21 @@ func (t *FlowTable) Len() int { return t.count }
 func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 	h := k.Hash()
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
-	if ref, _ := s.openLookup(h, k); ref != 0 {
+	if ref, _ := s.openLookup(h, k, t.eps); ref != 0 {
 		return t.dupErr(k)
 	}
-	ref, err := t.handleFor(ep)
+	ref, err := t.handleFor(ep, k)
 	if err != nil {
 		return err
 	}
-	t.retain(ref, ep, 1)
+	e := t.bind(ref, k)
+	e.ep = ep
+	e.refs++
 	slots, used := len(s.slots), s.used
 	if n := openSlotsFor(slots, used); n != slots {
-		s.openGrow(n, nil)
+		s.openGrow(n, nil, t.eps)
 	}
-	probes, _ := s.openPut(h, k, ref)
+	probes, _ := s.openPut(h, k, ref, t.eps)
 	t.priceOpenInsert(s, slots, used, probes)
 	return nil
 }
@@ -480,9 +532,9 @@ const batchBlock = 1 << 16
 // InsertBatch registers ep under key(0), …, key(n-1) and leaves the table
 // exactly as n calls to Insert in index order would: the same slots in
 // every shard, the same footprint, counters, meter and demux cycles. On a
-// duplicate it stops where that loop would, with the keys before it
-// registered and the same error. With no handle left for ep it fails as
-// that loop's first Insert would, changing nothing.
+// duplicate, or with no handle left for a key that needs one, it stops
+// where that loop would, with the keys before it registered and the same
+// error.
 //
 // The batch builds the table shard by shard, so bulk population works on
 // one cache-resident shard at a time instead of scattering consecutive
@@ -490,40 +542,41 @@ const batchBlock = 1 << 16
 //
 //  1. Group and reserve: walk the keys in index order, hash each one and
 //     apply the growth rule to its shard's running slot count and
-//     occupancy. The growths come out in index order and cut the batch
-//     into footprint epochs: key i's epoch is the growths at indices up
-//     to i, its own included, so its probe charge sees the footprint
-//     Insert's charge would. Each epoch's cold fraction is computed once,
-//     and each growth's rehash charge is priced at the footprint it
-//     leaves. Each block of batchBlock keys is counting-sorted by shard
-//     into 16-bit offsets under a per-(block, shard) start table. Then
-//     each touched shard's final slot array is reserved.
+//     occupancy. A key whose local half differs from the key before it
+//     (or key 0) opens a run and claims the handle its Insert would take
+//     (bind); the run's later keys share it. The growths come out in
+//     index order and cut the batch into footprint epochs: key i's epoch
+//     is the growths at indices up to i, its own included, so its probe
+//     charge sees the footprint Insert's charge would. Each epoch's cold
+//     fraction is computed once, and each growth's rehash charge is
+//     priced at the footprint it leaves. Each block of batchBlock keys
+//     is counting-sorted by shard into 16-bit offsets under a
+//     per-(block, shard) start table. Then each touched shard's final
+//     slot array is reserved.
 //  2. Insert: fill each shard with its keys in index order, block by
 //     block, rehashing each key as it goes. Growth doubles inside the
 //     reservation and rehashes in old-slot order, like Insert's growth,
 //     so every slot lands where Insert would put it. A per-shard cursor
-//     over the epochs prices each key's probe run. The put itself detects
-//     a duplicate. Nothing is committed or charged until every shard is
-//     built, so on a duplicate the batch discards its work and reruns over
-//     the keys before it.
+//     over the epochs prices each key's probe run, and one over the runs
+//     names its handle. The put itself detects a duplicate. Nothing is
+//     committed or charged until every shard is built, so on a duplicate
+//     the batch discards its work, releases its runs' handles and reruns
+//     over the keys before it. A run that finds no handle does the same
+//     at the run's first key.
 //
-// The commit then applies the summed charge once. That is exact because a
-// cycles.Meter keeps only a per-category sum: the per-key charges Insert
-// would make, added in another order, give the same meter and demux
-// cycles.
+// The commit then applies the summed charge once and counts each run's
+// keys on its handle. That is exact because a cycles.Meter keeps only a
+// per-category sum: the per-key charges Insert would make, added in
+// another order, give the same meter and demux cycles.
 //
-// All n keys take the one slab handle Insert's first call would bind, and
-// the later calls reuse. The scratch is two bytes per key (its offset in
-// its block's shard group), one byte per key of a block (the block's
-// shards, reused block to block), the start table, one 16-byte epoch
-// record per possible growth and a few words per shard.
+// The scratch is two bytes per key (its offset in its block's shard
+// group), one byte per key of a block (the block's shards, reused block
+// to block), the start table, one 16-byte epoch record per possible
+// growth, a few words per shard, and a run list that allocates only when
+// the local half changes within the batch.
 func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
 	if n <= 0 {
 		return nil
-	}
-	ref, err := t.handleFor(ep)
-	if err != nil {
-		return t.Insert(key(0), ep) // the duplicate or handle error, as the loop's first call
 	}
 	// An unpriced table prices at the zero memory model, whose capacity
 	// charges are all zero.
@@ -532,10 +585,26 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		mem = t.params.Mem
 	}
 
-	// Pass 1: in index order, find the growths and price the epochs, and
-	// group each block by shard. The block starting at key lo puts shard
-	// si's offsets, ascending, in grouped[start[r]:start[r+1]] with
-	// r = lo/batchBlock*nShards + si.
+	// A run binds keys from key onward to handle ref. Pass 1 claims each
+	// run's handle with no key counted yet; unbind releases the claims
+	// on every exit short of the commit.
+	type run struct {
+		key int
+		ref uint16
+	}
+	// A batch of one local half, the common case, keeps its one run on
+	// the stack.
+	var oneRun [1]run
+	runs := oneRun[:0]
+	slabLen, freeLen, newest := len(t.eps), len(t.free), t.newest
+	unbind := func() {
+		t.eps, t.free, t.newest = t.eps[:slabLen], t.free[:freeLen], newest
+	}
+
+	// Pass 1: in index order, find the runs and the growths, price the
+	// epochs, and group each block by shard. The block starting at key lo
+	// puts shard si's offsets, ascending, in grouped[start[r]:start[r+1]]
+	// with r = lo/batchBlock*nShards + si.
 	nShards := len(t.shards)
 	// blockShard holds a shard index in a byte: this fails to compile if
 	// the bucket count, which bounds the shard count, outgrows it.
@@ -562,11 +631,28 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 	epochs := make([]epoch, 1, 1+min(n, nShards*bits.Len(uint(t.count+n))))
 	epochs[0].cold = mem.CapacityColdFraction(footprint)
 	var demux uint64
+	var local FlowKey // the current run's local half
 	for lo := 0; lo < n; lo += batchBlock {
 		block := blockShard[:min(batchBlock, n-lo)]
 		count := start[lo/batchBlock*nShards:][:nShards+1]
 		for j := range block {
-			si := rss.ShardOf(key(lo+j).Hash(), nShards)
+			k := key(lo + j)
+			if lo+j == 0 || k.Dst != local.Dst || k.DstPort != local.DstPort {
+				ref, err := t.handleFor(ep, k)
+				if err != nil {
+					// The Insert of this run's first key fails, as a
+					// duplicate or for want of a handle.
+					unbind()
+					if err := t.InsertBatch(lo+j, key, ep); err != nil {
+						return err
+					}
+					return t.Insert(k, ep)
+				}
+				t.bind(ref, k)
+				runs = append(runs, run{lo + j, ref})
+				local = k
+			}
+			si := rss.ShardOf(k.Hash(), nShards)
 			block[j] = uint8(si)
 			count[si+1]++
 			c := &tally[si]
@@ -609,24 +695,27 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 	scratch := make([]flowSlot, 0, stage)
 
 	// Pass 2: build each shard in its reservation, pricing each key's
-	// probe run at its epoch.
+	// probe run at its epoch and binding it under its run's handle.
 	firstDup := n
 	for si := range built {
 		w := &built[si]
-		e := 0
+		e, r := 0, 0
 	blocks:
 		for lo := 0; lo < n; lo += batchBlock {
-			r := lo/batchBlock*nShards + si
-			for _, off := range grouped[start[r]:start[r+1]] {
+			b := lo/batchBlock*nShards + si
+			for _, off := range grouped[start[b]:start[b+1]] {
 				i := lo + int(off)
 				if i >= firstDup {
 					break blocks
 				}
 				if g := openSlotsFor(len(w.slots), w.used); g != len(w.slots) {
-					w.openGrow(g, scratch)
+					w.openGrow(g, scratch, t.eps)
+				}
+				for r+1 < len(runs) && runs[r+1].key <= i {
+					r++
 				}
 				k := key(i)
-				probes, ok := w.openPut(k.Hash(), k, ref)
+				probes, ok := w.openPut(k.Hash(), k, runs[r].ref, t.eps)
 				if !ok {
 					firstDup = i
 					break blocks
@@ -639,6 +728,7 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		}
 	}
 	if firstDup < n {
+		unbind()
 		if err := t.InsertBatch(firstDup, key, ep); err != nil {
 			return err
 		}
@@ -653,7 +743,15 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 			s.stats.Endpoints += keys
 		}
 	}
-	t.retain(ref, ep, n)
+	for r, ru := range runs {
+		end := n
+		if r+1 < len(runs) {
+			end = runs[r+1].key
+		}
+		e := &t.eps[ru.ref]
+		e.ep = ep
+		e.refs += end - ru.key
+	}
 	t.count += n
 	t.bytes = footprint
 	if demux > 0 {
@@ -673,7 +771,7 @@ func (t *FlowTable) dupErr(k FlowKey) error {
 // endpoint state through it), or nil.
 func (t *FlowTable) Peek(k FlowKey) *tcp.Endpoint {
 	h := k.Hash()
-	ref, _ := t.shards[rss.ShardOf(h, len(t.shards))].openLookup(h, k)
+	ref, _ := t.shards[rss.ShardOf(h, len(t.shards))].openLookup(h, k, t.eps)
 	return t.eps[ref].ep
 }
 
@@ -682,7 +780,7 @@ func (t *FlowTable) Peek(k FlowKey) *tcp.Endpoint {
 func (t *FlowTable) Remove(k FlowKey) bool {
 	h := k.Hash()
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
-	ref, probes := s.openRemove(h, k)
+	ref, probes := s.openRemove(h, k, t.eps)
 	if ref == 0 {
 		return false
 	}
@@ -722,7 +820,7 @@ func (t *FlowTable) LookupOn(cpu int, k FlowKey, hash uint32, netPackets int, ag
 	if cpu >= 0 && t.queues > 0 && rss.QueueOf(hash, t.queues) != cpu {
 		s.stats.Steals++
 	}
-	ref, probes := s.openLookup(hash, k)
+	ref, probes := s.openLookup(hash, k, t.eps)
 	t.charge(cycles.Rx, openProbeLines(probes))
 	ep := t.eps[ref].ep
 	if ep == nil {

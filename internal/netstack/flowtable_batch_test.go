@@ -1,18 +1,21 @@
 package netstack
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/buf"
 	"repro/internal/cost"
 	"repro/internal/cycles"
+	"repro/internal/ipv4"
 	"repro/internal/tcp"
 )
 
@@ -49,9 +52,10 @@ func serialInserts(tab *FlowTable, n int, key func(int) FlowKey, ep *tcp.Endpoin
 }
 
 // requireTablesEqual demands two tables be indistinguishable: every
-// shard's slots element by element, occupancy and
-// counters, the table's length, footprint and demux cycles, the meters'
-// snapshots and the structure summaries.
+// shard's slots element by element, occupancy and counters, the endpoint
+// slab (every live handle's entry, the free list and the newest handle),
+// the table's length, footprint and demux cycles, the meters' snapshots
+// and the structure summaries.
 func requireTablesEqual(t testing.TB, what string, a, b *FlowTable, ma, mb *cycles.Meter) {
 	t.Helper()
 	if len(a.shards) != len(b.shards) {
@@ -70,6 +74,15 @@ func requireTablesEqual(t testing.TB, what string, a, b *FlowTable, ma, mb *cycl
 		}
 		if sa.stats != sb.stats {
 			t.Fatalf("%s: shard %d stats differ: %+v vs %+v", what, si, sa.stats, sb.stats)
+		}
+	}
+	if len(a.eps) != len(b.eps) || a.newest != b.newest || !slices.Equal(a.free, b.free) {
+		t.Fatalf("%s: slabs differ: %d vs %d handles, newest %d vs %d, %d vs %d free", what,
+			len(a.eps), len(b.eps), a.newest, b.newest, len(a.free), len(b.free))
+	}
+	for h := range a.eps {
+		if ea, eb := a.eps[h], b.eps[h]; (ea.refs > 0 || eb.refs > 0) && ea != eb {
+			t.Fatalf("%s: handle %d differs: %+v vs %+v", what, h, ea, eb)
 		}
 	}
 	if a.Len() != b.Len() || a.StructBytes() != b.StructBytes() || a.DemuxCycles() != b.DemuxCycles() {
@@ -209,6 +222,154 @@ func TestInsertBatchDuplicates(t *testing.T) {
 	}
 }
 
+// TestInsertBatchLocalRuns: a batch whose local half changes opens a run
+// at each change and binds each run's keys under the handle the serial
+// loop would take, down to the slab, whether the halves alternate, come
+// back, change at a grouping-block boundary or at a duplicate. twinKey's
+// local half hashes like diffKey's, so every run's keys share home slots
+// with the other's: keys of one remote half under both local halves are
+// two registrations, not a duplicate.
+func TestInsertBatchLocalRuns(t *testing.T) {
+	const n = 5000
+	halves := func(twin func(i int) bool) func(int) FlowKey {
+		return func(i int) FlowKey {
+			if twin(i) {
+				return twinKey(i)
+			}
+			return diffKey(i)
+		}
+	}
+	checkBatchMatchesSerial(t, "two halves", n, halves(func(i int) bool { return i >= n/2 }))
+	checkBatchMatchesSerial(t, "alternating every 7", n, halves(func(i int) bool { return i/7%2 == 1 }))
+	checkBatchMatchesSerial(t, "back to the first half", n, halves(func(i int) bool { return i >= n/3 && i < 2*n/3 }))
+	checkBatchMatchesSerial(t, "change at a block boundary", batchBlock+100, halves(func(i int) bool { return i >= batchBlock }))
+	// One remote half under two local halves that differ in both, in the
+	// address alone or in the port alone.
+	for _, other := range []struct {
+		name string
+		key  func(int) FlowKey
+	}{
+		{"twinKey", twinKey},
+		{"another address", func(i int) FlowKey { k := diffKey(i); k.Dst = ipv4.Addr{10, 0, 0, 3}; return k }},
+		{"another port", func(i int) FlowKey { k := diffKey(i); k.DstPort++; return k }},
+	} {
+		both := func(i int) FlowKey {
+			if i >= n {
+				return other.key(i - n)
+			}
+			return diffKey(i)
+		}
+		what := "one remote half under diffKey and " + other.name
+		checkBatchMatchesSerial(t, what, 2*n, both)
+		// Every key registers and resolves, after the active prefill.
+		ep := testEndpoint(t, 5001, 44000)
+		tab, err := NewFlowTable(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefillActive(t, tab, ep)
+		if err := tab.InsertBatch(2*n, both, ep); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for i := 0; i < 2*n; i++ {
+			if got := tab.Peek(both(i)); got != ep {
+				t.Fatalf("%s: key %d resolves to %p, want %p", what, i, got, ep)
+			}
+		}
+		checkOpenInvariants(t, tab)
+	}
+	checkBatchMatchesSerial(t, "duplicate that opens a run", n, func(i int) FlowKey {
+		switch {
+		case i == 3000:
+			return diffKey(17)
+		case i >= 2000:
+			return twinKey(i)
+		}
+		return diffKey(i)
+	})
+	checkBatchMatchesSerial(t, "duplicate inside a later run", n, func(i int) FlowKey {
+		switch {
+		case i == 3000:
+			return twinKey(2500)
+		case i >= 2000:
+			return twinKey(i)
+		}
+		return diffKey(i)
+	})
+}
+
+// TestInsertBatchRunHandles: a batch's runs take freed handles, most
+// recently freed first, then new ones, as the serial loop does; with the
+// slab full, the first run that needs a handle stops the batch at its
+// first key with ErrTooManyEndpoints (or as a duplicate, if that key is
+// one), the keys before it registered.
+func TestInsertBatchRunHandles(t *testing.T) {
+	// Runs of 100 keys under alternating local halves.
+	alternating := func(i int) FlowKey {
+		if i/100%2 == 1 {
+			return twinKey(i)
+		}
+		return diffKey(i)
+	}
+	eps := make([]tcp.Endpoint, 6) // only their addresses matter
+	serial, batch, ms, mb := pricedPair(t, 0, 64)
+	for _, tab := range []*FlowTable{serial, batch} {
+		for e := range eps[1:] {
+			if err := tab.Insert(diffKey(100_000+e), &eps[1+e]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tab.Remove(diffKey(100_001))
+		tab.Remove(diffKey(100_003))
+	}
+	errS := serialInserts(serial, 450, alternating, &eps[0])
+	errB := batch.InsertBatch(450, alternating, &eps[0])
+	if errS != nil || errB != nil {
+		t.Fatalf("errors: serial %v, batch %v", errS, errB)
+	}
+	requireTablesEqual(t, "freed handles", serial, batch, ms, mb)
+	checkSlab(t, "freed handles", batch)
+
+	full := make([]tcp.Endpoint, MaxEndpoints-2)
+	for _, tail := range []struct {
+		name string
+		key  func(int) FlowKey
+	}{
+		{"full slab", alternating},
+		{"full slab, duplicate run start", func(i int) FlowKey {
+			if i == 300 {
+				return twinKey(150) // registered by run 1
+			}
+			return alternating(i)
+		}},
+	} {
+		serial, batch, ms, mb := pricedPair(t, 0, 64)
+		for _, tab := range []*FlowTable{serial, batch} {
+			for e := range full {
+				if err := tab.Insert(diffKey(100_000+e), &full[e]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Run 0 shares the newest handle, runs 1 and 2 take the last two,
+		// and run 3 finds none.
+		last := &full[len(full)-1]
+		errS := serialInserts(serial, 450, tail.key, last)
+		errB := batch.InsertBatch(450, tail.key, last)
+		if fmt.Sprint(errS) != fmt.Sprint(errB) || errS == nil {
+			t.Fatalf("%s: errors: serial %v, batch %v", tail.name, errS, errB)
+		}
+		if dup := tail.name != "full slab"; dup == errors.Is(errB, ErrTooManyEndpoints) {
+			t.Fatalf("%s: err = %v", tail.name, errB)
+		}
+		if batch.Len() != len(full)+300 {
+			t.Fatalf("%s: %d keys registered, want %d", tail.name, batch.Len(), len(full)+300)
+		}
+		requireTablesEqual(t, tail.name, serial, batch, ms, mb)
+		checkSlab(t, tail.name, batch)
+	}
+}
+
 // dupShape names a key j < m whose repeat as key m exercises one path of
 // the batch's duplicate check.
 type dupShape struct {
@@ -245,7 +406,7 @@ func dupShapes(t *testing.T, m int) []dupShape {
 	for j := 0; j < m; j++ {
 		k := diffKey(j)
 		s := &tab.shards[tab.ShardOf(k)]
-		_, probes := s.openLookup(k.Hash(), k)
+		_, probes := s.openLookup(k.Hash(), k, tab.eps)
 		grows := openSlotsFor(len(s.slots), s.used) != len(s.slots)
 		for i, has := range []bool{slotsAt[j] < len(s.slots), probes >= 3 && !grows, grows} {
 			if has && shapes[i].j < 0 {
@@ -322,7 +483,7 @@ func heapBytes[T any](n int) uint64 {
 // 100k-key batch, two grouping blocks, into a fresh default table
 // allocates exactly:
 //
-//   - each shard's final slot array, at 16 bytes a slot;
+//   - each shard's final slot array, at 10 bytes a slot;
 //   - 2 bytes of scratch per key (its offset in its block's shard group)
 //     and 1 byte per key of one block (the block's shards);
 //   - the per-(block, shard) start table, one word more than blocks ×
@@ -331,7 +492,9 @@ func heapBytes[T any](n int) uint64 {
 //   - one 16-byte epoch record per growth the batch could take,
 //     min(n, shards × bits.Len(n)), plus the first epoch;
 //   - per shard, the pass-1 tally (three words) and the built shard
-//     header (an 80-byte flowShard).
+//     header (an 80-byte flowShard);
+//   - nothing for the run list: the batch's one local half is one run,
+//     which the batch keeps on its stack.
 //
 // Each allocation counts at its allocator size (heapBytes), so a slot,
 // scratch or epoch-list regrowth fails here, not only in the benchmark.
@@ -360,10 +523,10 @@ func TestInsertBatchHostBytes(t *testing.T) {
 	stage := 0
 	for si := range tab.shards {
 		slots := len(tab.shards[si].slots)
-		want += heapBytes[[16]byte](slots)
+		want += heapBytes[[10]byte](slots)
 		stage = max(stage, slots/2)
 	}
-	want += heapBytes[[16]byte](stage)
+	want += heapBytes[[10]byte](stage)
 	want += heapBytes[[16]byte](1 + min(n, shards*bits.Len(n)))
 	want += heapBytes[[3]int](shards) + heapBytes[flowShard](shards)
 	if got != want {
@@ -382,11 +545,11 @@ func splitmix64(x uint64) uint64 {
 // FuzzInsertBatch drives the batch ≡ serial contract over fuzzed batch
 // sizes, prefill counts and address seeds. The seed picks the shard count,
 // either a collision-free key run or keys drawn from a space small enough
-// that in-batch and resident duplicates are likely, with bit 7 a batch
-// one grouping block (batchBlock keys) longer, and, from its top 16 bits,
-// the cache size: 64 bytes up to half a megabyte, so the footprint
-// outgrows the cache at the first key, partway through the batch or not
-// at all.
+// that in-batch and resident duplicates are likely, with bit 2 runs of
+// local halves that change within the batch, bit 7 a batch one grouping
+// block (batchBlock keys) longer, and, from its top 16 bits, the cache
+// size: 64 bytes up to half a megabyte, so the footprint outgrows the
+// cache at the first key, partway through the batch or not at all.
 func FuzzInsertBatch(f *testing.F) {
 	f.Add(uint16(0), uint8(0), uint64(0))
 	f.Add(uint16(1), uint8(64), uint64(2))
@@ -395,35 +558,47 @@ func FuzzInsertBatch(f *testing.F) {
 	f.Add(uint16(3000), uint8(10), uint64(0x3000_0000_0000_0300))
 	// One grouping block and 100 keys, over 32 shards.
 	f.Add(uint16(100), uint8(0), uint64(0x580))
-	f.Fuzz(func(t *testing.T, n uint16, prefill uint8, seed uint64) {
-		size := int(n % 4096)
-		if seed&0x80 != 0 {
-			size += batchBlock
+	// Runs of both local halves, with duplicates likely.
+	f.Add(uint16(2000), uint8(30), uint64(0x205))
+	f.Fuzz(insertBatchCase)
+}
+
+// insertBatchCase is FuzzInsertBatch's body: it runs one batch and its
+// serial reference on a fresh pair of tables. With seed bit 2 set, the
+// batch's keys come in runs of four whose local half is drawn from the
+// seed, diffKey's or twinKey's.
+func insertBatchCase(t *testing.T, n uint16, prefill uint8, seed uint64) {
+	size := int(n % 4096)
+	if seed&0x80 != 0 {
+		size += batchBlock
+	}
+	shards := 1 << (seed >> 8 % 8)
+	space := uint64(4*size + int(prefill) + 1)
+	keyOf := func(i int) FlowKey {
+		j := int(seed>>16%(1<<20)) + i
+		if seed&1 != 0 {
+			j = int(splitmix64(seed+uint64(i)) % space)
 		}
-		shards := 1 << (seed >> 8 % 8)
-		space := uint64(4*size + int(prefill) + 1)
-		keyOf := func(i int) FlowKey {
-			if seed&1 == 0 {
-				return diffKey(int(seed>>16%(1<<20)) + i)
-			}
-			return diffKey(int(splitmix64(seed+uint64(i)) % space))
+		if seed&4 != 0 && splitmix64(^seed+uint64(i/4))&1 != 0 {
+			return twinKey(j)
 		}
-		ep := testEndpoint(t, 5001, 44000)
-		serial, batch, ms, mb := pricedPair(t, shards, 64+seed>>48<<3)
-		for j := 0; j < int(prefill); j++ {
-			k := diffKey(int(splitmix64(^seed+uint64(j)) % space))
-			if e1, e2 := serial.Insert(k, ep), batch.Insert(k, ep); (e1 == nil) != (e2 == nil) {
-				t.Fatalf("prefill %d diverged: %v vs %v", j, e1, e2)
-			}
+		return diffKey(j)
+	}
+	ep := testEndpoint(t, 5001, 44000)
+	serial, batch, ms, mb := pricedPair(t, shards, 64+seed>>48<<3)
+	for j := 0; j < int(prefill); j++ {
+		k := diffKey(int(splitmix64(^seed+uint64(j)) % space))
+		if e1, e2 := serial.Insert(k, ep), batch.Insert(k, ep); (e1 == nil) != (e2 == nil) {
+			t.Fatalf("prefill %d diverged: %v vs %v", j, e1, e2)
 		}
-		errS := serialInserts(serial, size, keyOf, ep)
-		errB := batch.InsertBatch(size, keyOf, ep)
-		if fmt.Sprint(errS) != fmt.Sprint(errB) {
-			t.Fatalf("errors differ: serial %v, batch %v", errS, errB)
-		}
-		requireTablesEqual(t, "fuzz", serial, batch, ms, mb)
-		checkOpenInvariants(t, batch)
-	})
+	}
+	errS := serialInserts(serial, size, keyOf, ep)
+	errB := batch.InsertBatch(size, keyOf, ep)
+	if fmt.Sprint(errS) != fmt.Sprint(errB) {
+		t.Fatalf("errors differ: serial %v, batch %v", errS, errB)
+	}
+	requireTablesEqual(t, "fuzz", serial, batch, ms, mb)
+	checkOpenInvariants(t, batch)
 }
 
 // tableStatsBySort is the reference structure summary: it collects every

@@ -21,6 +21,19 @@ func diffKey(i int) FlowKey {
 	}
 }
 
+// twinKey is diffKey(i)'s remote half under a second local half,
+// 10.240.0.23:8151, whose Toeplitz share equals diffKey's (rcvrIP:8080).
+// The hash is linear over GF(2), and the two local halves differ by a
+// vector of its kernel. So twinKey(i) and diffKey(i) hash alike: they
+// share a shard and a home slot at every table size, and a probe that
+// reaches either compares the other, a remote-half match whose local
+// half differs.
+func twinKey(i int) FlowKey {
+	k := diffKey(i)
+	k.Dst, k.DstPort = ipv4.Addr{10, 240, 0, 23}, 8151
+	return k
+}
+
 // refTable is the oracle the differential tests hold a FlowTable to: a
 // plain map from key to endpoint, plus the per-shard counters derived from
 // their definitions — a key's shard is its RSS hash's (rss.ShardOf), its
@@ -225,7 +238,7 @@ func checkOpenInvariants(t *testing.T, tab *FlowTable) {
 				continue
 			}
 			used++
-			h := sl.key.Hash()
+			h := sl.key(tab.eps).Hash()
 			if own := rss.ShardOf(h, len(tab.shards)); own != si {
 				t.Errorf("shard %d slot %d: key belongs to shard %d", si, j, own)
 			}

@@ -30,11 +30,12 @@ func hasPointers(t reflect.Type) bool {
 	return false
 }
 
-// TestFlowSlotLayout pins the simulator's slot: 16 bytes with no pointer,
-// while the priced footprint stays the modelled 32-byte slot.
+// TestFlowSlotLayout pins the simulator's slot: 10 bytes, the key's
+// remote half and two 16-bit fields, with no pointer, while the priced
+// footprint stays the modelled 32-byte slot.
 func TestFlowSlotLayout(t *testing.T) {
-	if got := unsafe.Sizeof(flowSlot{}); got != 16 {
-		t.Errorf("flowSlot is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(flowSlot{}); got != 10 {
+		t.Errorf("flowSlot is %d bytes, want 10", got)
 	}
 	if hasPointers(reflect.TypeFor[flowSlot]()) {
 		t.Error("flowSlot holds a pointer")
@@ -131,91 +132,105 @@ func checkSlab(t *testing.T, what string, tab *FlowTable) {
 }
 
 // FuzzFlowTableOps drives a table with one byte-coded sequence of
-// Insert, InsertBatch, Remove, Peek and LookupOn over a 24-key space and
+// Insert, InsertBatch, Remove, Peek and LookupOn over a 32-key space and
 // three endpoints, and checks it after every operation against the
 // plain-map oracle (refTable): verdicts, errors, resolutions, length,
 // shard occupancy and counters, and the handle slab's consistency with
 // the keys. It ends by removing every key, after which every handle must
 // be back on the free list: churn cannot leak handles.
 //
+// The key space has two local halves: keys 24 to 31 are keys 0 to 7's
+// remote halves under twinKey's local half, so each shares its home slot
+// with its twin.
+//
 // Each operation takes three bytes: the opcode, a key index and an
 // argument (the endpoint, or a batch's length and key stride).
 func FuzzFlowTableOps(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 0, 0, 1, 0, 2, 1, 0, 3, 1, 7})
 	f.Add(uint8(3), []byte{1, 0, 0x31, 1, 4, 0x72, 2, 4, 0, 0, 4, 2})
-	f.Fuzz(func(t *testing.T, shardBits uint8, ops []byte) {
-		const space = 24
-		eps := []*tcp.Endpoint{
-			testEndpoint(t, 5001, 44000), testEndpoint(t, 5002, 44000), testEndpoint(t, 5003, 44000),
-		}
-		keys := make([]FlowKey, space)
-		for i := range keys {
+	// Twins: batches across both local halves, removes of either twin.
+	f.Add(uint8(1), []byte{1, 20, 0x27, 0, 2, 1, 2, 26, 0, 4, 2, 0x11, 1, 26, 0xc3, 2, 2, 0, 3, 26, 0})
+	f.Fuzz(flowTableOps)
+}
+
+// flowTableOps is FuzzFlowTableOps' body: it runs one operation sequence
+// against a fresh table and the reference.
+func flowTableOps(t *testing.T, shardBits uint8, ops []byte) {
+	const space, twins = 32, 8
+	eps := []*tcp.Endpoint{
+		testEndpoint(t, 5001, 44000), testEndpoint(t, 5002, 44000), testEndpoint(t, 5003, 44000),
+	}
+	keys := make([]FlowKey, space)
+	for i := range keys {
+		if i < space-twins {
 			keys[i] = diffKey(i)
+		} else {
+			keys[i] = twinKey(i - (space - twins))
 		}
-		shards := 1 << (shardBits % 4)
-		tab, err := NewFlowTable(shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab.SetOwnerQueues(2)
-		ref := newRefTable(shards, 2)
+	}
+	shards := 1 << (shardBits % 4)
+	tab, err := NewFlowTable(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.SetOwnerQueues(2)
+	ref := newRefTable(shards, 2)
 
-		check := func(what string) {
-			t.Helper()
-			ref.check(t, what, tab, keys)
-			checkSlab(t, what, tab)
-		}
+	check := func(what string) {
+		t.Helper()
+		ref.check(t, what, tab, keys)
+		checkSlab(t, what, tab)
+	}
 
-		for o := 0; o+2 < len(ops); o += 3 {
-			op, ki, arg := ops[o]%5, int(ops[o+1])%space, ops[o+2]
-			k, ep := keys[ki], eps[int(arg)%len(eps)]
-			what := fmt.Sprintf("op %d (%d key %d arg %#x)", o/3, op, ki, arg)
-			switch op {
-			case 0: // Insert
-				err := tab.Insert(k, ep)
-				if dup := ref.insert(k, ep); (err != nil) != dup {
-					t.Fatalf("%s: Insert err %v, reference dup %v", what, err, dup)
-				}
-			case 1: // InsertBatch of arg&7 keys from ki with stride arg>>3
-				n, stride := int(arg&7), int(arg>>3)
-				keyOf := func(i int) FlowKey { return keys[(ki+i*stride)%space] }
-				var want error
-				for i := 0; i < n; i++ {
-					if ref.insert(keyOf(i), eps[0]) {
-						want = tab.dupErr(keyOf(i))
-						break
-					}
-				}
-				if err := tab.InsertBatch(n, keyOf, eps[0]); fmt.Sprint(err) != fmt.Sprint(want) {
-					t.Fatalf("%s: InsertBatch err %v, reference %v", what, err, want)
-				}
-			case 2: // Remove
-				if got, want := tab.Remove(k), ref.remove(k); got != want {
-					t.Fatalf("%s: Remove = %v, reference %v", what, got, want)
-				}
-			case 3: // Peek
-				if got := tab.Peek(k); got != ref.eps[k] {
-					t.Fatalf("%s: Peek = %p, reference %p", what, got, ref.eps[k])
-				}
-			case 4: // LookupOn, attributed to CPU arg&1
-				np, agg := 1+int(arg>>4), arg&2 != 0
-				if got, want := tab.LookupOn(int(arg&1), k, 0, np, agg), ref.lookupOn(int(arg&1), k, np, agg); got != want {
-					t.Fatalf("%s: LookupOn = %p, reference %p", what, got, want)
+	for o := 0; o+2 < len(ops); o += 3 {
+		op, ki, arg := ops[o]%5, int(ops[o+1])%space, ops[o+2]
+		k, ep := keys[ki], eps[int(arg)%len(eps)]
+		what := fmt.Sprintf("op %d (%d key %d arg %#x)", o/3, op, ki, arg)
+		switch op {
+		case 0: // Insert
+			err := tab.Insert(k, ep)
+			if dup := ref.insert(k, ep); (err != nil) != dup {
+				t.Fatalf("%s: Insert err %v, reference dup %v", what, err, dup)
+			}
+		case 1: // InsertBatch of arg&7 keys from ki with stride arg>>3
+			n, stride := int(arg&7), int(arg>>3)
+			keyOf := func(i int) FlowKey { return keys[(ki+i*stride)%space] }
+			var want error
+			for i := 0; i < n; i++ {
+				if ref.insert(keyOf(i), eps[0]) {
+					want = tab.dupErr(keyOf(i))
+					break
 				}
 			}
-			check(what)
-		}
-
-		for _, k := range keys {
-			if tab.Remove(k) != ref.remove(k) {
-				t.Fatal("drain: Remove verdict differs from reference")
+			if err := tab.InsertBatch(n, keyOf, eps[0]); fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Fatalf("%s: InsertBatch err %v, reference %v", what, err, want)
+			}
+		case 2: // Remove
+			if got, want := tab.Remove(k), ref.remove(k); got != want {
+				t.Fatalf("%s: Remove = %v, reference %v", what, got, want)
+			}
+		case 3: // Peek
+			if got := tab.Peek(k); got != ref.eps[k] {
+				t.Fatalf("%s: Peek = %p, reference %p", what, got, ref.eps[k])
+			}
+		case 4: // LookupOn, attributed to CPU arg&1
+			np, agg := 1+int(arg>>4), arg&2 != 0
+			if got, want := tab.LookupOn(int(arg&1), k, 0, np, agg), ref.lookupOn(int(arg&1), k, np, agg); got != want {
+				t.Fatalf("%s: LookupOn = %p, reference %p", what, got, want)
 			}
 		}
-		check("drain")
-		if len(tab.free) != len(tab.eps)-1 {
-			t.Fatalf("%d of %d handles free after draining every key", len(tab.free), len(tab.eps)-1)
+		check(what)
+	}
+
+	for _, k := range keys {
+		if tab.Remove(k) != ref.remove(k) {
+			t.Fatal("drain: Remove verdict differs from reference")
 		}
-	})
+	}
+	check("drain")
+	if len(tab.free) != len(tab.eps)-1 {
+		t.Fatalf("%d of %d handles free after draining every key", len(tab.free), len(tab.eps)-1)
+	}
 }
 
 // TestEndpointHandleLimit: a table binds at most MaxEndpoints distinct

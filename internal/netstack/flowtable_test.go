@@ -206,3 +206,75 @@ func TestLookupOnStealAccounting(t *testing.T) {
 		t.Errorf("steals = %d after unattributed/disabled lookups, want 1", got)
 	}
 }
+
+// TestTwoListenersOneRemote: one remote address:port bound under two local
+// halves (two listeners) demuxes to two endpoints, through shard growth
+// and after either key is removed. twinKey's local half hashes like
+// diffKey's, so the two keys share a home slot at every table size, and
+// every probe for one compares the other.
+func TestTwoListenersOneRemote(t *testing.T) {
+	twin := twinKey(0)
+	if rss.HashLocal(rcvrIP, 8080) != rss.HashLocal(twin.Dst, twin.DstPort) {
+		t.Fatal("twinKey's local half does not share diffKey's hash share")
+	}
+	eps := [2]*tcp.Endpoint{testEndpoint(t, 1024, 8080), testEndpoint(t, 1024, 8151)}
+	keys := [2]FlowKey{diffKey(0), twin}
+	others := [2]func(int) FlowKey{
+		func(i int) FlowKey { return diffKey(1 + i) },
+		func(i int) FlowKey { return twinKey(1 + i) },
+	}
+	for gone := range keys {
+		tab, err := NewFlowTable(1) // one shard, so it grows often
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolve := func(what string, live [2]bool) {
+			t.Helper()
+			for i, k := range keys {
+				want := eps[i]
+				if !live[i] {
+					want = nil
+				}
+				if got := tab.Peek(k); got != want {
+					t.Fatalf("key %d removed, %s: Peek(%v) = %p, want %p", gone, what, k, got, want)
+				}
+				if got := tab.LookupOn(-1, k, 0, 1, false); got != want {
+					t.Fatalf("key %d removed, %s: LookupOn(%v) = %p, want %p", gone, what, k, got, want)
+				}
+			}
+			checkOpenInvariants(t, tab)
+		}
+		grow := func(from, n int) {
+			t.Helper()
+			for i, more := range others {
+				if err := tab.InsertBatch(n, func(j int) FlowKey { return more(from + j) }, eps[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i, k := range keys {
+			if err := tab.Insert(k, eps[i]); err != nil {
+				t.Fatalf("Insert(%v): %v", k, err)
+			}
+		}
+		resolve("both bound", [2]bool{true, true})
+		grow(0, 500)
+		resolve("after growth", [2]bool{true, true})
+
+		live := [2]bool{true, true}
+		live[gone] = false
+		if !tab.Remove(keys[gone]) {
+			t.Fatalf("Remove(%v) missed", keys[gone])
+		}
+		if tab.Remove(keys[gone]) {
+			t.Fatalf("second Remove(%v) hit", keys[gone])
+		}
+		resolve("after the remove", live)
+		grow(500, 1500)
+		resolve("after the remove and growth", live)
+		if err := tab.Insert(keys[gone], eps[gone]); err != nil {
+			t.Fatalf("re-Insert(%v): %v", keys[gone], err)
+		}
+		resolve("re-bound", [2]bool{true, true})
+	}
+}

@@ -118,6 +118,25 @@ func HashTCP4(src, dst ipv4.Addr, srcPort, dstPort uint16) uint32 {
 		t[10][byte(dstPort>>8)] ^ t[11][byte(dstPort)]
 }
 
+// HashRemote and HashLocal split HashTCP4 into its remote (source) and
+// local (destination) halves. The Toeplitz hash XORs one contribution per
+// input byte, so HashTCP4(src, dst, srcPort, dstPort) is exactly
+// HashRemote(src, srcPort) ^ HashLocal(dst, dstPort): a table that knows
+// a key's local half already, with its hash share, rebuilds the key's
+// hash from the six remote bytes alone.
+func HashRemote(src ipv4.Addr, srcPort uint16) uint32 {
+	t := &toeplitzTable
+	return t[0][src[0]] ^ t[1][src[1]] ^ t[2][src[2]] ^ t[3][src[3]] ^
+		t[8][byte(srcPort>>8)] ^ t[9][byte(srcPort)]
+}
+
+// HashLocal is the local half of HashTCP4; see HashRemote.
+func HashLocal(dst ipv4.Addr, dstPort uint16) uint32 {
+	t := &toeplitzTable
+	return t[4][dst[0]] ^ t[5][dst[1]] ^ t[6][dst[2]] ^ t[7][dst[3]] ^
+		t[10][byte(dstPort>>8)] ^ t[11][byte(dstPort)]
+}
+
 // Bucket maps a hash to its indirection-table bucket.
 func Bucket(hash uint32) int { return int(hash & (Buckets - 1)) }
 

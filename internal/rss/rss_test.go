@@ -48,6 +48,42 @@ func TestTableMatchesBitwise(t *testing.T) {
 	}
 }
 
+// TestHashHalvesMatchBitwise: the remote and local halves XOR to the
+// table hash, and the split hash and each half equal the bitwise Toeplitz
+// reference, over seeded tuples.
+func TestHashHalvesMatchBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 2000; i++ {
+		var in [12]byte
+		rng.Read(in[:])
+		var src, dst ipv4.Addr
+		copy(src[:], in[0:4])
+		copy(dst[:], in[4:8])
+		sp := uint16(in[8])<<8 | uint16(in[9])
+		dp := uint16(in[10])<<8 | uint16(in[11])
+		split := HashRemote(src, sp) ^ HashLocal(dst, dp)
+		if full := HashTCP4(src, dst, sp, dp); split != full {
+			t.Fatalf("HashRemote ^ HashLocal = %#08x, HashTCP4 = %#08x for %x", split, full, in)
+		}
+		if want := Toeplitz(DefaultKey[:], in[:]); split != want {
+			t.Fatalf("split hash %#08x != bitwise %#08x for %x", split, want, in)
+		}
+		// Each half alone is the hash of the tuple with the other half
+		// zeroed.
+		remote, local := in, in
+		clear(remote[4:8])
+		clear(remote[10:12])
+		clear(local[0:4])
+		clear(local[8:10])
+		if got, want := HashRemote(src, sp), Toeplitz(DefaultKey[:], remote[:]); got != want {
+			t.Fatalf("HashRemote = %#08x, bitwise %#08x for %x", got, want, remote)
+		}
+		if got, want := HashLocal(dst, dp), Toeplitz(DefaultKey[:], local[:]); got != want {
+			t.Fatalf("HashLocal = %#08x, bitwise %#08x for %x", got, want, local)
+		}
+	}
+}
+
 // TestHashDeterministic: a flow's hash — and therefore its queue and shard
 // — never changes, for any queue count. This is the no-reordering
 // guarantee: RSS never moves a live flow between queues.
