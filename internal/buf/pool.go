@@ -14,6 +14,11 @@ const (
 // reader sees it instead of plausible old frame bytes.
 const poisonByte = 0xdb
 
+// pageBufs is how many buffers of one size class a page holds. Both page
+// sizes, 8 × FrameBufCap = 12,288 and 8 × SmallBufCap = 2,048 bytes, are
+// exact Go allocator size classes, so a page wastes nothing.
+const pageBufs = 8
+
 // Pool is a run-scoped free list of frame buffers: the host-side
 // counterpart of the packet memory the cost model prices. Every simulated
 // frame (data, retransmission, FIN, ACK, ACK-template expansion, Xen grant
@@ -22,16 +27,28 @@ const poisonByte = 0xdb
 // a returned frame (ARCHITECTURE.md, "Frame buffer lifetime").
 //
 // A Pool is a plain LIFO slice per size class with no locking: a run
-// shares one between its senders and the receiver. It grows lazily, one
-// buffer per miss, and never shrinks or pre-sizes. sync.Pool is
-// deliberately not used: its GC-driven eviction would make the run's
-// allocation count depend on GC timing.
+// shares one between its senders and the receiver. When a class's free
+// list is empty, Get carves the next buffer from that class's current
+// page of pageBufs buffers, and allocates a new page only once the
+// current one is used up — one allocation per eight buffers, as Linux
+// carves receive buffers from pages (netdev_alloc_frag). A carved buffer's
+// capacity ends at its own slot, so an append past it reallocates instead
+// of writing into the next buffer. The pool never shrinks or pre-sizes.
+// sync.Pool is deliberately not used: its GC-driven eviction would make
+// the run's allocation count depend on GC timing.
 //
 // A nil *Pool is valid and allocates every buffer fresh (Put is a no-op),
 // which is what unpooled allocators and hand-built test frames get.
 type Pool struct {
-	classes [2][][]byte // free buffers: SmallBufCap, FrameBufCap
+	classes [2]class // SmallBufCap, FrameBufCap
 	misses  uint64
+}
+
+// class is one size class: its free buffers and the uncarved rest of its
+// current page.
+type class struct {
+	free [][]byte
+	page []byte
 }
 
 // NewPool returns an empty pool.
@@ -49,14 +66,19 @@ func (p *Pool) Get(n int) []byte {
 	if n <= SmallBufCap {
 		cls, capacity = &p.classes[0], SmallBufCap
 	}
-	k := len(*cls)
+	k := len(cls.free)
 	if k == 0 {
 		p.misses++
-		return make([]byte, n, capacity)
+		if len(cls.page) == 0 {
+			cls.page = make([]byte, pageBufs*capacity)
+		}
+		b := cls.page[:n:capacity]
+		cls.page = cls.page[capacity:]
+		return b
 	}
-	b := (*cls)[k-1]
-	(*cls)[k-1] = nil
-	*cls = (*cls)[:k-1]
+	b := cls.free[k-1]
+	cls.free[k-1] = nil
+	cls.free = cls.free[:k-1]
 	if poisonReleased {
 		if !poisoned(b) {
 			panic("buf: a released frame buffer was written after its release")
@@ -75,7 +97,7 @@ func (p *Pool) Put(b []byte) {
 	if p == nil {
 		return
 	}
-	var cls *[][]byte
+	var cls *class
 	switch cap(b) {
 	case SmallBufCap:
 		cls = &p.classes[0]
@@ -93,7 +115,7 @@ func (p *Pool) Put(b []byte) {
 			b[i] = poisonByte
 		}
 	}
-	*cls = append(*cls, b)
+	cls.free = append(cls.free, b)
 }
 
 // poisoned reports whether every byte of b is the poison byte. A live
@@ -107,11 +129,11 @@ func poisoned(b []byte) bool {
 	return true
 }
 
-// Misses returns how many buffers the pool has had to allocate: its whole
-// population, since buffers never leave it. A run whose every frame is
+// Misses returns how many buffers the pool has carved from its pages: its
+// whole population, since buffers never leave it. A run whose every frame is
 // released at end of life reaches a steady population, so Misses stops
 // growing with run length.
 func (p *Pool) Misses() uint64 { return p.misses }
 
 // Len returns the number of free buffers held.
-func (p *Pool) Len() int { return len(p.classes[0]) + len(p.classes[1]) }
+func (p *Pool) Len() int { return len(p.classes[0].free) + len(p.classes[1].free) }

@@ -117,3 +117,23 @@ func TestTemplateAcksCapacityRecycled(t *testing.T) {
 		t.Errorf("TemplateAcks = %v", s.TemplateAcks)
 	}
 }
+
+// TestPoolCarvesPages: a size class allocates once per pageBufs buffers it
+// carves, not once per buffer.
+func TestPoolCarvesPages(t *testing.T) {
+	p := NewPool()
+	for _, n := range []int{1514, 66} {
+		// AllocsPerRun's warm-up call carves the first page, the measured
+		// call exactly the second.
+		if got := testing.AllocsPerRun(1, func() {
+			for range pageBufs {
+				p.Get(n)
+			}
+		}); got != 1 {
+			t.Errorf("carving %d buffers of %d bytes allocated %.0f times, want 1", pageBufs, n, got)
+		}
+	}
+	if p.Misses() != 4*pageBufs {
+		t.Errorf("Misses %d, want %d", p.Misses(), 4*pageBufs)
+	}
+}

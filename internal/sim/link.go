@@ -44,9 +44,13 @@ type Link struct {
 	// event popping the head (no closure per frame).
 	wire     softirq.Ring[wireFrame] // unbounded
 	arriveFn func()
-	// revFree recycles delivered reverse frames with their pre-bound
-	// events, so the ACK direction allocates no closure per frame either.
-	revFree []*revFrame
+	// revFree is the stack of arrived reverse-frame records, linked
+	// through revFrame.next, and revPage the uncarved rest of the current
+	// page of revPageLen records. Records keep their pre-bound events
+	// and are recycled, so the ACK direction allocates no closure per
+	// frame either, and carves its records eight at a time.
+	revFree *revFrame
+	revPage []revFrame
 
 	// wireFreeFn is the pre-bound "serialization finished" event (one
 	// closure for the link's lifetime instead of one per frame).
@@ -363,26 +367,35 @@ func (l *Link) DeliverReverse(f nic.Frame, extraNs uint64) {
 	l.sim.After(extraNs+l.DelayNs, l.reverseEvent(f))
 }
 
+// revPageLen is how many revFrame records one allocation carves.
+const revPageLen = 8
+
 // revFrame is one reverse frame in flight with its pre-bound arrival
 // event. Reverse frames need not arrive in send order (each departs after
 // its own round's CPU time), so unlike the forward FIFO each carries its
-// own event; arrived ones are recycled through Link.revFree.
+// own event; arrived ones are recycled through Link.revFree, linked by
+// next.
 type revFrame struct {
 	l      *Link
 	data   []byte
 	pooled bool
 	fn     func()
+	next   *revFrame
 }
 
 // reverseEvent returns the arrival event for f, reusing a recycled record
-// when one is free.
+// when one is free and carving a new one from the link's current page
+// otherwise.
 func (l *Link) reverseEvent(f nic.Frame) func() {
-	var r *revFrame
-	if n := len(l.revFree); n > 0 {
-		r = l.revFree[n-1]
-		l.revFree = l.revFree[:n-1]
+	r := l.revFree
+	if r != nil {
+		l.revFree, r.next = r.next, nil
 	} else {
-		r = &revFrame{l: l}
+		if len(l.revPage) == 0 {
+			l.revPage = make([]revFrame, revPageLen)
+		}
+		r, l.revPage = &l.revPage[0], l.revPage[1:]
+		r.l = l
 		r.fn = r.arrive
 	}
 	r.data, r.pooled = f.Data, f.Pooled
@@ -393,6 +406,6 @@ func (l *Link) reverseEvent(f nic.Frame) func() {
 func (r *revFrame) arrive() {
 	l, data, pooled := r.l, r.data, r.pooled
 	r.data = nil
-	l.revFree = append(l.revFree, r)
+	r.next, l.revFree = l.revFree, r
 	l.sender.receiveReverse(data, pooled)
 }

@@ -199,71 +199,75 @@ func FuzzRing(f *testing.F) {
 	f.Add([]byte{15, 0, 1, 0, 1, 0, 1, 0x0b, 0x0f, 2, 2, 2})                        // batches with and without a held item
 	f.Add([]byte{200, 0xf9, 0, 2, 2, 2, 0x0d, 0xfd, 0xfd, 0xfd, 0xfd, 0xff})        // grow while wrapped, then refuse at 256
 	f.Add([]byte{0, 0xfd, 0xfd, 0xfb, 2, 0xfd, 0xfd, 0xfd, 0xfd, 0xfd, 0xfd, 0xff}) // unbounded: drain a batch, then grow while wrapped
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) == 0 {
-			return
+	f.Fuzz(ringOps)
+}
+
+// ringOps is FuzzRing's body: it decodes ops as FuzzRing describes and
+// checks the ring against the reference FIFO.
+func ringOps(t *testing.T, ops []byte) {
+	if len(ops) == 0 {
+		return
+	}
+	var r Ring[int]
+	if ops[0] > 0 {
+		var err error
+		if r, err = NewRing[int](int(ops[0])); err != nil {
+			t.Fatal(err)
 		}
-		var r Ring[int]
-		if ops[0] > 0 {
-			var err error
-			if r, err = NewRing[int](int(ops[0])); err != nil {
-				t.Fatal(err)
-			}
+	}
+	var ref []int
+	next := 0
+	push := func(i int) {
+		want := r.Cap() == 0 || len(ref) < r.Cap()
+		if got := r.Push(next); got != want {
+			t.Fatalf("op %d: Push with %d of %d queued = %v", i, len(ref), r.Cap(), got)
 		}
-		var ref []int
-		next := 0
-		push := func(i int) {
-			want := r.Cap() == 0 || len(ref) < r.Cap()
-			if got := r.Push(next); got != want {
-				t.Fatalf("op %d: Push with %d of %d queued = %v", i, len(ref), r.Cap(), got)
-			}
-			if want {
-				ref = append(ref, next)
-			}
-			next++
+		if want {
+			ref = append(ref, next)
 		}
-		for i, b := range ops[1:] {
-			switch b % 4 {
-			case 0:
+		next++
+	}
+	for i, b := range ops[1:] {
+		switch b % 4 {
+		case 0:
+			push(i)
+		case 1:
+			for range b>>2 + 1 {
 				push(i)
-			case 1:
-				for range b>>2 + 1 {
-					push(i)
-				}
-			case 2:
-				v, ok := r.Pop()
-				if ok != (len(ref) > 0) || ok && v != ref[0] {
-					t.Fatalf("op %d: Pop = %d, %v; want head of %v", i, v, ok, ref)
-				}
-				if ok {
-					ref = ref[1:]
-				}
-			case 3:
-				max, held := int(b>>3), int(b>>2&1)
-				out := r.PopBatch(make([]int, held), max)
-				n := min(max, len(ref))
-				if len(out) != held+n {
-					t.Fatalf("op %d: PopBatch(max %d) onto %d held = %d items, want %d", i, max, held, len(out), held+n)
-				}
-				for j := 0; j < n; j++ {
-					if out[held+j] != ref[j] {
-						t.Fatalf("op %d: PopBatch = %v, want %v after %d held", i, out, ref[:n], held)
-					}
-				}
-				ref = ref[n:]
 			}
-			if r.Len() != len(ref) || r.Empty() != (len(ref) == 0) {
-				t.Fatalf("op %d: Len %d, Empty %v; want %d queued", i, r.Len(), r.Empty(), len(ref))
+		case 2:
+			v, ok := r.Pop()
+			if ok != (len(ref) > 0) || ok && v != ref[0] {
+				t.Fatalf("op %d: Pop = %d, %v; want head of %v", i, v, ok, ref)
 			}
-		}
-		// Drain what is left, so items a growth copied are checked too.
-		for _, want := range ref {
-			if v, ok := r.Pop(); !ok || v != want {
-				t.Fatalf("drain: Pop = %d, %v; want %d", v, ok, want)
+			if ok {
+				ref = ref[1:]
 			}
+		case 3:
+			max, held := int(b>>3), int(b>>2&1)
+			out := r.PopBatch(make([]int, held), max)
+			n := min(max, len(ref))
+			if len(out) != held+n {
+				t.Fatalf("op %d: PopBatch(max %d) onto %d held = %d items, want %d", i, max, held, len(out), held+n)
+			}
+			for j := 0; j < n; j++ {
+				if out[held+j] != ref[j] {
+					t.Fatalf("op %d: PopBatch = %v, want %v after %d held", i, out, ref[:n], held)
+				}
+			}
+			ref = ref[n:]
 		}
-		if !r.Empty() {
-			t.Fatalf("drain: %d items left past the reference", r.Len())
+		if r.Len() != len(ref) || r.Empty() != (len(ref) == 0) {
+			t.Fatalf("op %d: Len %d, Empty %v; want %d queued", i, r.Len(), r.Empty(), len(ref))
 		}
-	})
+	}
+	// Drain what is left, so items a growth copied are checked too.
+	for _, want := range ref {
+		if v, ok := r.Pop(); !ok || v != want {
+			t.Fatalf("drain: Pop = %d, %v; want %d", v, ok, want)
+		}
+	}
+	if !r.Empty() {
+		t.Fatalf("drain: %d items left past the reference", r.Len())
+	}
 }

@@ -164,20 +164,22 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
+// oooSegment and sentSegment order their fields widest first, so neither
+// carries padding: 32 bytes each (TestSegmentLayout).
 type oooSegment struct {
-	seq    uint32
 	data   []byte
+	seq    uint32
 	pooled bool // data is a frame-pool buffer, released once drained
 }
 
 type sentSegment struct {
-	seq    uint32
-	length int
-	fin    bool   // the segment carries FIN (consumes one sequence number)
 	sentAt uint64 // first-transmit time (RTT sampling; Karn-invalid once rexmit)
 	lastTx uint64 // most recent transmit time (scoreboard re-retransmit pacing)
-	rexmit bool   // retransmitted at least once (excluded from RTT samples)
-	sacked bool   // covered by a peer SACK block (scoreboard state)
+	length int
+	seq    uint32
+	fin    bool // the segment carries FIN (consumes one sequence number)
+	rexmit bool // retransmitted at least once (excluded from RTT samples)
+	sacked bool // covered by a peer SACK block (scoreboard state)
 }
 
 // seqLen returns the sequence-number space the segment occupies: its

@@ -71,6 +71,20 @@ func TestFacadeComparison(t *testing.T) {
 // run's own.
 func leastRunAlloc(t *testing.T, cfg StreamConfig) uint64 {
 	t.Helper()
+	return leastRunStat(t, cfg, func(m *runtime.MemStats) uint64 { return m.TotalAlloc })
+}
+
+// leastRunMallocs is leastRunAlloc's twin for the allocation count,
+// runtime.MemStats.Mallocs.
+func leastRunMallocs(t *testing.T, cfg StreamConfig) uint64 {
+	t.Helper()
+	return leastRunStat(t, cfg, func(m *runtime.MemStats) uint64 { return m.Mallocs })
+}
+
+// leastRunStat returns the least delta of stat over three runs of cfg,
+// with the collector off.
+func leastRunStat(t *testing.T, cfg StreamConfig, stat func(*runtime.MemStats) uint64) uint64 {
+	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
 	var least uint64
@@ -81,11 +95,28 @@ func leastRunAlloc(t *testing.T, cfg StreamConfig) uint64 {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if d := after.TotalAlloc - before.TotalAlloc; try == 0 || d < least {
+		if d := stat(&after) - stat(&before); try == 0 || d < least {
 			least = d
 		}
 	}
 	return least
+}
+
+// TestPaperXenMallocBudget bounds the host allocations of the paper-xen
+// benchmark workload's shape (Xen, Optimized, 20 ms). A run's mallocs are
+// the fixed price of its frame population, not a per-frame cost: the frame
+// pool and the reverse link carve their records eight to a page, so a
+// return to one malloc per buffer in flight (1,185 on this run, against
+// 645 paged) fails here.
+func TestPaperXenMallocBudget(t *testing.T) {
+	const budget = 800
+	cfg := DefaultStreamConfig(SystemXen, OptFull)
+	cfg.DurationNs = 20_000_000
+	least := leastRunMallocs(t, cfg)
+	t.Logf("paper-xen shape allocates %d times", least)
+	if least > budget {
+		t.Errorf("paper-xen shape allocated %d times, budget %d", least, budget)
+	}
 }
 
 // TestRPCIncastSetupHostBytes pins the host memory a run of the rpc-incast
