@@ -368,6 +368,9 @@ func (e *Engine) Input(f nic.Frame) {
 // state to it: the next expected sequence number, and the last ACK,
 // window and timestamps that the §3.2 header rewrite copies.
 func (e *Engine) attach(p *pending, hf *heldFrame) {
+	if cap(p.skb.Frags) == 0 { // sized once for the most an aggregate holds; recycled SKBs keep it
+		p.skb.Frags = make([]buf.Frag, 0, e.cfg.Limit-1)
+	}
 	e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Buf: poolBuf(hf.frame), Ack: hf.ack, TSVal: hf.tsVal})
 	p.count++
 	p.nextSeq = hf.seq + uint32(hf.payloadLen)

@@ -9,7 +9,7 @@
 // analyzers over every package in dependency order, and matches findings
 // line-by-line:
 //
-//	s.Schedule(at, nil) // want `schedules events`
+//	s.After(d, w) // want `schedules events \(After\)`
 //
 // Each want pattern is a regexp that must match a diagnostic reported on
 // that line, every pattern must be satisfied, and no unmatched diagnostics

@@ -77,8 +77,11 @@ var PricingPackages = []string{
 const TelemetryPackage = "internal/telemetry"
 
 // SchedulerFuncNames are method/function names that schedule simulator
-// events. Calling one from telemetry code, or from inside an unordered map
-// iteration, breaks replay determinism.
+// events: sim.Sim's Schedule and After, which take a handler (any record
+// with a fire method). The analyzers match by name, whatever the handler's
+// type, so a call through an interface counts too. Calling one from
+// telemetry code, or from inside an unordered map iteration, breaks replay
+// determinism.
 var SchedulerFuncNames = map[string]bool{
 	"Schedule": true,
 	"After":    true,

@@ -33,7 +33,9 @@ const pageBufs = 8
 // current one is used up — one allocation per eight buffers, as Linux
 // carves receive buffers from pages (netdev_alloc_frag). A carved buffer's
 // capacity ends at its own slot, so an append past it reallocates instead
-// of writing into the next buffer. The pool never shrinks or pre-sizes.
+// of writing into the next buffer. A new page also makes room on the free
+// list for the class's population, so Put never grows it. The pool never
+// shrinks or pre-sizes.
 // sync.Pool is deliberately not used: its GC-driven eviction would make
 // the run's allocation count depend on GC timing.
 //
@@ -41,14 +43,14 @@ const pageBufs = 8
 // which is what unpooled allocators and hand-built test frames get.
 type Pool struct {
 	classes [2]class // SmallBufCap, FrameBufCap
-	misses  uint64
 }
 
-// class is one size class: its free buffers and the uncarved rest of its
-// current page.
+// class is one size class: its free buffers, the uncarved rest of its
+// current page, and how many buffers it has carved.
 type class struct {
-	free [][]byte
-	page []byte
+	free   [][]byte
+	page   []byte
+	carved int
 }
 
 // NewPool returns an empty pool.
@@ -68,10 +70,13 @@ func (p *Pool) Get(n int) []byte {
 	}
 	k := len(cls.free)
 	if k == 0 {
-		p.misses++
 		if len(cls.page) == 0 {
 			cls.page = make([]byte, pageBufs*capacity)
+			if pop := cls.carved + pageBufs; cap(cls.free) < pop {
+				cls.free = make([][]byte, 0, 2*pop) // it is empty: nothing to copy
+			}
 		}
+		cls.carved++
 		b := cls.page[:n:capacity]
 		cls.page = cls.page[capacity:]
 		return b
@@ -133,7 +138,7 @@ func poisoned(b []byte) bool {
 // whole population, since buffers never leave it. A run whose every frame is
 // released at end of life reaches a steady population, so Misses stops
 // growing with run length.
-func (p *Pool) Misses() uint64 { return p.misses }
+func (p *Pool) Misses() uint64 { return uint64(p.classes[0].carved + p.classes[1].carved) }
 
 // Len returns the number of free buffers held.
 func (p *Pool) Len() int { return len(p.classes[0].free) + len(p.classes[1].free) }

@@ -1,0 +1,51 @@
+package ether
+
+import (
+	"fmt"
+	"testing"
+	"time"
+)
+
+// seededInputs is how many splitmix64-seeded inputs TestSeededFuzzBodies
+// feeds FuzzParse's body: a few milliseconds of work on a 2-core host, inside a
+// budget of 1 s (seededBudget).
+const (
+	seededInputs = 64
+	seededBudget = time.Second
+)
+
+// splitmix64 is the SplitMix64 finalizer, the seeded inputs' generator.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// seededBytes returns n bytes drawn from splitmix64 after x.
+func seededBytes(x uint64, n int) []byte {
+	b := make([]byte, n)
+	for j := range b {
+		x = splitmix64(x)
+		b[j] = byte(x)
+	}
+	return b
+}
+
+// TestSeededFuzzBodies runs FuzzParse's body on seededInputs fixed inputs
+// drawn from splitmix64, 0 to 31 bytes each, so both the short-input
+// rejection and the round trip run without the fuzz engine. The elapsed
+// time is logged against seededBudget rather than checked, so a slow
+// host (or the race detector) cannot fail it.
+func TestSeededFuzzBodies(t *testing.T) {
+	begin := time.Now()
+	for i := uint64(0); i < seededInputs; i++ {
+		x := splitmix64(i)
+		b := seededBytes(x, int(x%32))
+		t.Run(fmt.Sprintf("Parse/%d", i), func(t *testing.T) { parseCase(t, b) })
+	}
+	t.Logf("%d seeded inputs for the parse body in %v (budget %v)",
+		seededInputs, time.Since(begin), seededBudget)
+}

@@ -19,55 +19,58 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add(b[:MinHeaderLen])
 	f.Add(b)
-	f.Fuzz(func(t *testing.T, b []byte) {
-		VerifyChecksum(b)
-		full, fullErr := Parse(b)
-		h, err := ParseHeaderOnly(b)
-		if err != nil {
-			if fullErr == nil {
-				t.Fatalf("Parse accepted what ParseHeaderOnly rejects: %v", err)
-			}
-			return
-		}
-		if len(b) < MinHeaderLen || len(b) < h.IHL || h.IHL < MinHeaderLen || h.IHL > MaxHeaderLen || h.TotalLen < h.IHL {
-			t.Fatalf("ParseHeaderOnly accepted %d bytes as %+v", len(b), h)
-		}
-		if fullErr == nil && (full.TotalLen > len(b) || !reflect.DeepEqual(full, h)) {
-			t.Fatalf("Parse = %+v on %d bytes, header-only %+v", full, len(b), h)
-		}
-		if fullErr != nil && h.TotalLen <= len(b) {
-			t.Fatalf("Parse rejected a complete datagram: %v", fullErr)
-		}
-		for n := 0; n < h.IHL; n++ {
-			if _, err := ParseHeaderOnly(b[:n]); err == nil {
-				t.Fatalf("ParseHeaderOnly accepted the %d-byte prefix of a %d-byte header", n, h.IHL)
-			}
-		}
+	f.Fuzz(parseCase)
+}
 
-		out := make([]byte, h.Len())
-		put := h
-		if err := put.Put(out); err != nil {
-			t.Fatalf("Put of a parsed header: %v", err)
+// parseCase is FuzzParse's body.
+func parseCase(t *testing.T, b []byte) {
+	VerifyChecksum(b)
+	full, fullErr := Parse(b)
+	h, err := ParseHeaderOnly(b)
+	if err != nil {
+		if fullErr == nil {
+			t.Fatalf("Parse accepted what ParseHeaderOnly rejects: %v", err)
 		}
-		if len(out) != h.IHL {
-			t.Fatalf("re-encoded %d header bytes, parsed %d", len(out), h.IHL)
+		return
+	}
+	if len(b) < MinHeaderLen || len(b) < h.IHL || h.IHL < MinHeaderLen || h.IHL > MaxHeaderLen || h.TotalLen < h.IHL {
+		t.Fatalf("ParseHeaderOnly accepted %d bytes as %+v", len(b), h)
+	}
+	if fullErr == nil && (full.TotalLen > len(b) || !reflect.DeepEqual(full, h)) {
+		t.Fatalf("Parse = %+v on %d bytes, header-only %+v", full, len(b), h)
+	}
+	if fullErr != nil && h.TotalLen <= len(b) {
+		t.Fatalf("Parse rejected a complete datagram: %v", fullErr)
+	}
+	for n := 0; n < h.IHL; n++ {
+		if _, err := ParseHeaderOnly(b[:n]); err == nil {
+			t.Fatalf("ParseHeaderOnly accepted the %d-byte prefix of a %d-byte header", n, h.IHL)
 		}
-		if !VerifyChecksum(out) {
-			t.Fatal("Put wrote a header checksum VerifyChecksum rejects")
-		}
-		want := append([]byte(nil), b[:h.IHL]...)
-		want[6] &^= 0x80                      // reserved flag bit
-		want[10], want[11] = out[10], out[11] // checksum is recomputed
-		if !bytes.Equal(out, want) {
-			t.Fatalf("round trip:\n got %x\nwant %x", out, want)
-		}
-		again, err := ParseHeaderOnly(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again.Checksum = h.Checksum
-		if !reflect.DeepEqual(again, h) {
-			t.Fatalf("re-parse = %+v, want %+v", again, h)
-		}
-	})
+	}
+
+	out := make([]byte, h.Len())
+	put := h
+	if err := put.Put(out); err != nil {
+		t.Fatalf("Put of a parsed header: %v", err)
+	}
+	if len(out) != h.IHL {
+		t.Fatalf("re-encoded %d header bytes, parsed %d", len(out), h.IHL)
+	}
+	if !VerifyChecksum(out) {
+		t.Fatal("Put wrote a header checksum VerifyChecksum rejects")
+	}
+	want := append([]byte(nil), b[:h.IHL]...)
+	want[6] &^= 0x80                      // reserved flag bit
+	want[10], want[11] = out[10], out[11] // checksum is recomputed
+	if !bytes.Equal(out, want) {
+		t.Fatalf("round trip:\n got %x\nwant %x", out, want)
+	}
+	again, err := ParseHeaderOnly(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again.Checksum = h.Checksum
+	if !reflect.DeepEqual(again, h) {
+		t.Fatalf("re-parse = %+v, want %+v", again, h)
+	}
 }

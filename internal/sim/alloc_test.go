@@ -2,7 +2,10 @@ package sim
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
+
+	"repro/internal/nic"
 )
 
 // faultsChurnConfig is the loss, reorder-window and churn shape: SACK-bearing
@@ -109,7 +112,7 @@ func allocsOver(n int, f func()) float64 {
 func TestEventLoopAllocFree(t *testing.T) {
 	s := NewSim()
 	fired := 0
-	fn := func() { fired++ }
+	fn := eventFunc(func() { fired++ })
 	cycle := func() {
 		for i := uint64(0); i < 16; i++ {
 			s.After(i%5, fn)
@@ -166,7 +169,7 @@ func TestSenderFIFOAllocFree(t *testing.T) {
 }
 
 // TestPaceWakeRecycled: a pacing wake, superseded or live, is a recycled
-// record with a pre-bound event; only the live one kicks.
+// record that is its own event; only the live one kicks.
 func TestPaceWakeRecycled(t *testing.T) {
 	s := NewSim()
 	m := NewSender(s, 0)
@@ -191,6 +194,49 @@ func TestPaceWakeRecycled(t *testing.T) {
 	}
 	if kicks != 2001 {
 		t.Errorf("kicks = %d, want 2001", kicks)
+	}
+}
+
+// TestReverseFramesAllocPagesOnly: a reverse frame's record is its own
+// event, so n frames in flight cost the link one allocation per page of
+// revPageLen records and nothing per frame, and once they have landed a
+// second burst reuses the recycled records without allocating.
+func TestReverseFramesAllocPagesOnly(t *testing.T) {
+	const n = 100
+	s := NewSim()
+	l := NewLink(s, NewSender(s, 0), mustTestNIC(t))
+	frame := nic.Frame{Data: testFrame(1, 0)} // for no conn: the sender drops it
+	// Grow the event queue to n pending events first, so that only the
+	// link's records are counted.
+	idle := eventFunc(func() {})
+	for i := 0; i < n; i++ {
+		s.After(0, idle)
+	}
+	s.RunUntil(0)
+	burst := func() {
+		for i := uint64(0); i < n; i++ {
+			l.DeliverReverse(frame, i)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	burst()
+	runtime.ReadMemStats(&after)
+	pages := uint64((n + revPageLen - 1) / revPageLen)
+	if got := after.Mallocs - before.Mallocs; got > pages {
+		t.Errorf("%d reverse frames allocated %d times, want at most %d (pages only)", n, got, pages)
+	}
+	landed := func() {
+		burst()
+		s.RunUntil(s.Now() + n + DefaultLinkDelayNs)
+	}
+	landed()
+	if got := l.Stats().ReverseFrames; got != 2*n {
+		t.Fatalf("ReverseFrames = %d, want %d", got, 2*n)
+	}
+	if a := allocsOver(10, landed); a != 0 {
+		t.Errorf("recycled reverse frames allocate %v times in 10 bursts", a)
 	}
 }
 
@@ -249,20 +295,20 @@ func TestApplySkewAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkEventHeap measures one pop and one push of a pre-bound event
-// on a queue holding 1024 events, the shape of a busy run's timeline.
+// BenchmarkEventHeap measures one pop and one push of an event on a queue
+// holding 1024 events, the shape of a busy run's timeline.
 func BenchmarkEventHeap(b *testing.B) {
 	var h eventHeap
-	fn := func() {}
+	fn := eventFunc(func() {})
 	var seq uint64
 	for ; seq < 1024; seq++ {
-		h.push(event{at: seq * 7919 % 1024, seq: seq, fn: fn})
+		h.push(event{at: seq * 7919 % 1024, seq: seq, h: fn})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := h.pop()
 		seq++
-		h.push(event{at: ev.at + seq*7919%1024, seq: seq, fn: fn})
+		h.push(event{at: ev.at + seq*7919%1024, seq: seq, h: fn})
 	}
 }

@@ -7,10 +7,6 @@
 // model (see ARCHITECTURE.md, "Model substitutions").
 package sim
 
-import (
-	"fmt"
-)
-
 // Sim is a virtual clock with an event queue. Nanosecond resolution.
 // Events run in (at, seq) order: by time, then FIFO among simultaneous
 // events.
@@ -35,35 +31,36 @@ func (s *Sim) Now() uint64 { return s.now }
 // every call, so handing it to each new endpoint allocates nothing.
 func (s *Sim) Clock() func() uint64 { return s.clock }
 
-// Schedule runs fn at absolute virtual time at (clamped to now).
-func (s *Sim) Schedule(at uint64, fn func()) {
-	if fn == nil {
+// handler is an event's receiver, a record that acts when its instant
+// comes. A pointer stored in an interface does not allocate, so scheduling
+// a recycled record allocates nothing (ARCHITECTURE.md, "Typed events").
+type handler interface{ fire() }
+
+// Schedule fires h at absolute virtual time at (clamped to now).
+func (s *Sim) Schedule(at uint64, h handler) {
+	if h == nil {
 		panic("sim: nil event")
 	}
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
-	s.events.push(event{at: at, seq: s.seq, fn: fn})
+	s.events.push(event{at: at, seq: s.seq, h: h})
 }
 
-// After runs fn at now+delay.
-func (s *Sim) After(delay uint64, fn func()) {
-	s.Schedule(s.now+delay, fn)
+// After fires h at now+delay.
+func (s *Sim) After(delay uint64, h handler) {
+	s.Schedule(s.now+delay, h)
 }
 
 // RunUntil executes events in timestamp order until the queue is empty or
 // virtual time reaches deadline. It returns the number of events executed.
 func (s *Sim) RunUntil(deadline uint64) int {
 	n := 0
-	for len(s.events) > 0 {
-		ev := s.events[0]
-		if ev.at > deadline {
-			break
-		}
-		s.events.pop()
+	for len(s.events) > 0 && s.events[0].at <= deadline {
+		ev := s.events.pop()
 		s.now = ev.at
-		ev.fn()
+		ev.h.fire()
 		n++
 	}
 	if s.now < deadline {
@@ -75,66 +72,66 @@ func (s *Sim) RunUntil(deadline uint64) int {
 type event struct {
 	at  uint64
 	seq uint64 // tie-break: FIFO among simultaneous events
-	fn  func()
+	h   handler
 }
 
-// eventHeap is a hand-rolled binary min-heap. container/heap would box
-// every pushed and popped event through interface{} — two allocations per
-// scheduled event, which profiling showed was ~38% of all hot-path
-// allocations in a stream run.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a runs before b: the (at, seq) order, which is
+// total, so the heap pops the same sequence whatever its shape.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
+
+// eventHeap is a hand-rolled binary min-heap of 32-byte events (key and
+// handler, two words each); container/heap would box every event through
+// interface{}. Both sifts move a hole, one event copy per level instead
+// of a swap's three. A 4-ary heap was measured and rejected
+// (ARCHITECTURE.md, "Typed events").
+type eventHeap []event
 
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
-	// Sift up.
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !ev.before(&s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
 }
 
 func (h *eventHeap) pop() event {
 	s := *h
 	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s[n] = event{} // release the fn reference
+	top, last := s[0], s[n]
+	s[n] = event{} // release the handler reference
 	*h = s[:n]
+	if n == 0 {
+		return top
+	}
 	s = s[:n]
-	// Sift down.
+	// Sift the last event down from the root.
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s.less(l, small) {
-			small = l
-		}
-		if r < n && s.less(r, small) {
-			small = r
-		}
-		if small == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[small] = s[small], s[i]
-		i = small
+		if r := c + 1; r < n && s[r].before(&s[c]) {
+			c = r
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
 	}
+	s[i] = last
 	return top
-}
-
-// String summarizes the sim state (debugging aid).
-func (s *Sim) String() string {
-	return fmt.Sprintf("sim{t=%dns, pending=%d}", s.now, len(s.events))
 }

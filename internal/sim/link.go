@@ -40,21 +40,16 @@ type Link struct {
 
 	// wire holds the forward frames between transmit start and arrival, in
 	// send order. Serialization is sequential and the delay constant, so
-	// they arrive in that order: each arrival is the one pre-bound arriveFn
-	// event popping the head (no closure per frame).
-	wire     softirq.Ring[wireFrame] // unbounded
-	arriveFn func()
+	// they arrive in that order: each arrival is the link's own arrival
+	// event popping the head (no record per frame).
+	wire softirq.Ring[wireFrame] // unbounded
 	// revFree is the stack of arrived reverse-frame records, linked
 	// through revFrame.next, and revPage the uncarved rest of the current
-	// page of revPageLen records. Records keep their pre-bound events
-	// and are recycled, so the ACK direction allocates no closure per
-	// frame either, and carves its records eight at a time.
+	// page of revPageLen records. Each record is its own event and is
+	// recycled, so the ACK direction carves its records eight at a time
+	// and allocates nothing else per frame.
 	revFree *revFrame
 	revPage []revFrame
-
-	// wireFreeFn is the pre-bound "serialization finished" event (one
-	// closure for the link's lifetime instead of one per frame).
-	wireFreeFn func()
 
 	// Fault-stage state. Corruption and loss key on arrivals, the count of
 	// frames reaching the receiver edge (in transmit order, so it is also
@@ -166,12 +161,19 @@ func NewLink(s *Sim, sender *SenderMachine, dst *nic.NIC) *Link {
 		RingHeadroom: 24,
 	}
 	sender.OnWindowOpen = l.Kick
-	l.wireFreeFn = func() {
-		l.busy = false
-		l.transmitNext()
-	}
-	l.arriveFn = l.arrive
 	return l
+}
+
+// wireFree (serialization or a pause is over) and arrival are the link's
+// forward events: the link pointer itself, under another method set.
+type (
+	wireFree Link
+	arrival  Link
+)
+
+func (w *wireFree) fire() {
+	w.busy = false
+	(*Link)(w).Kick()
 }
 
 // wireFrame is one forward frame in flight: its buffer (pooled when it
@@ -185,14 +187,6 @@ type wireFrame struct {
 // Stats returns a copy of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
-// Kick attempts to start (or resume) forward transmission. Idempotent.
-func (l *Link) Kick() {
-	if l.busy {
-		return
-	}
-	l.transmitNext()
-}
-
 // wireTimeNs returns the serialization time of a frame including preamble,
 // FCS and inter-frame gap.
 func (l *Link) wireTimeNs(frameLen int) uint64 {
@@ -200,8 +194,9 @@ func (l *Link) wireTimeNs(frameLen int) uint64 {
 	return bits * 1_000_000_000 / lineRateBps
 }
 
-// transmitNext pulls one frame if the wire is free and the ring has room.
-func (l *Link) transmitNext() {
+// Kick starts (or resumes) forward transmission: it pulls one frame if
+// the wire is free and the ring has room. Idempotent.
+func (l *Link) Kick() {
 	if l.busy {
 		return
 	}
@@ -211,7 +206,7 @@ func (l *Link) transmitNext() {
 		// delivery.
 		l.stats.PauseEvents++
 		l.busy = true
-		l.sim.After(pauseRetryNs, l.wireFreeFn)
+		l.sim.After(pauseRetryNs, (*wireFree)(l))
 		return
 	}
 	frame := l.sender.NextFrame()
@@ -227,15 +222,15 @@ func (l *Link) transmitNext() {
 	l.spans.Record(l.spanTrack, "tx", sentNs, wire)
 	// Wire becomes free after serialization; the frame lands at the
 	// receiver one propagation delay later.
-	l.sim.After(wire, l.wireFreeFn)
+	l.sim.After(wire, (*wireFree)(l))
 	l.wire.Push(wireFrame{data: frame, pooled: l.sender.alloc.Pool() != nil, sentNs: sentNs})
-	l.sim.After(wire+l.DelayNs, l.arriveFn)
+	l.sim.After(wire+l.DelayNs, (*arrival)(l))
 }
 
-// arrive lands the oldest in-flight frame at the receiver edge and runs
-// the fault stage on it. A lost frame's buffer goes back to the sender's
-// pool.
-func (l *Link) arrive() {
+// fire lands the oldest in-flight frame at the receiver edge and runs the
+// fault stage on it. A lost frame's buffer goes back to the sender's pool.
+func (a *arrival) fire() {
+	l := (*Link)(a)
 	w, _ := l.wire.Pop()
 	l.arrivals++
 	switch {
@@ -358,35 +353,28 @@ func (l *Link) deliver(w wireFrame) {
 	}
 }
 
-// DeliverReverse carries a receiver-transmitted frame back to the sender
-// after the propagation delay, holding it extraNs longer before it leaves
-// the receiver (CPU processing time of the round that produced it). A
-// Pooled frame is released by the sender once processed.
-func (l *Link) DeliverReverse(f nic.Frame, extraNs uint64) {
-	l.stats.ReverseFrames++
-	l.sim.After(extraNs+l.DelayNs, l.reverseEvent(f))
-}
-
 // revPageLen is how many revFrame records one allocation carves.
 const revPageLen = 8
 
-// revFrame is one reverse frame in flight with its pre-bound arrival
-// event. Reverse frames need not arrive in send order (each departs after
-// its own round's CPU time), so unlike the forward FIFO each carries its
-// own event; arrived ones are recycled through Link.revFree, linked by
-// next.
+// revFrame is one reverse frame in flight, and its own arrival event.
+// Reverse frames need not arrive in send order (each departs after its own
+// round's CPU time), so unlike the forward FIFO each is a separate event;
+// arrived ones are recycled through Link.revFree, linked by next.
 type revFrame struct {
 	l      *Link
 	data   []byte
 	pooled bool
-	fn     func()
 	next   *revFrame
 }
 
-// reverseEvent returns the arrival event for f, reusing a recycled record
-// when one is free and carving a new one from the link's current page
-// otherwise.
-func (l *Link) reverseEvent(f nic.Frame) func() {
+// DeliverReverse carries a receiver-transmitted frame back to the sender
+// after the propagation delay, holding it extraNs longer before it leaves
+// the receiver (CPU processing time of the round that produced it). A
+// Pooled frame is released by the sender once processed. The frame rides
+// a recycled record when one is free, else one carved from the link's
+// current page.
+func (l *Link) DeliverReverse(f nic.Frame, extraNs uint64) {
+	l.stats.ReverseFrames++
 	r := l.revFree
 	if r != nil {
 		l.revFree, r.next = r.next, nil
@@ -396,14 +384,13 @@ func (l *Link) reverseEvent(f nic.Frame) func() {
 		}
 		r, l.revPage = &l.revPage[0], l.revPage[1:]
 		r.l = l
-		r.fn = r.arrive
 	}
 	r.data, r.pooled = f.Data, f.Pooled
-	return r.fn
+	l.sim.After(extraNs+l.DelayNs, r)
 }
 
-// arrive hands the frame to the sender and recycles the record.
-func (r *revFrame) arrive() {
+// fire hands the frame to the sender and recycles the record.
+func (r *revFrame) fire() {
 	l, data, pooled := r.l, r.data, r.pooled
 	r.data = nil
 	r.next, l.revFree = l.revFree, r

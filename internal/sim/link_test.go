@@ -322,7 +322,7 @@ func BenchmarkLinkArrive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.wire.Push(wireFrame{data: frame})
-		l.arrive()
+		(*arrival)(l).fire()
 		if i%32 == 31 {
 			polled = n.PollRxInto(0, 64, polled[:0])
 		}

@@ -69,7 +69,7 @@ func runLossPropertyCase(t *testing.T, sys SystemKind) {
 	// recovery runs.
 	m := top.machine
 	checkpoints := 0
-	var checkpoint func()
+	var checkpoint eventFunc
 	checkpoint = func() {
 		checkpoints++
 		agg := engineAggSum(m)

@@ -89,7 +89,7 @@ func runReorderPropertyCase(t *testing.T, sys SystemKind, oneIn, dist int) {
 	// while frames are still parked in the resequencing windows.
 	m := top.machine
 	checkpoints := 0
-	var checkpoint func()
+	var checkpoint eventFunc
 	checkpoint = func() {
 		checkpoints++
 		agg := engineAggSum(m)

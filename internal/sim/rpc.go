@@ -45,7 +45,6 @@ type rpcConn struct {
 type rpcDriver struct {
 	top      *streamTopology
 	msgBytes int
-	pollFn   func() // poll, bound once
 	conns    []*rpcConn
 	// rounds counts completed bursts (every connection's response fully
 	// read) over the whole run.
@@ -72,8 +71,7 @@ func newRPCDriver(top *streamTopology, cfg *StreamConfig) (*rpcDriver, error) {
 		}
 	}
 	r.fireBurst()
-	r.pollFn = r.poll
-	top.sim.After(rpcPollNs, r.pollFn)
+	top.sim.After(rpcPollNs, r)
 	return r, nil
 }
 
@@ -152,9 +150,9 @@ func (r *rpcDriver) fireBurst() {
 	}
 }
 
-// poll fires the next burst once every connection has fully read its
-// response, then re-arms itself.
-func (r *rpcDriver) poll() {
+// fire is the completion poll: it fires the next burst once every
+// connection has fully read its response, then re-arms itself.
+func (r *rpcDriver) fire() {
 	all := true
 	for _, c := range r.conns {
 		if !c.done {
@@ -166,7 +164,7 @@ func (r *rpcDriver) poll() {
 		r.rounds++
 		r.fireBurst()
 	}
-	r.top.sim.After(rpcPollNs, r.pollFn)
+	r.top.sim.After(rpcPollNs, r)
 }
 
 // RRConfig describes a netperf TCP Request/Response experiment (paper

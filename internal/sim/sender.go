@@ -373,20 +373,18 @@ func (m *SenderMachine) scheduleWake() {
 		m.wakeFree = w.next
 	} else {
 		w = &paceWake{m: m}
-		w.fn = w.fire
 	}
 	w.seq = m.wakeSeq
-	m.sim.After(minWait, w.fn)
+	m.sim.After(minWait, w)
 }
 
-// paceWake is one scheduled pacing wake with its pre-bound event. A
-// superseded wake still fires, at its own instant, and does nothing: seq
-// tells it from the live one. Fired records are recycled through
+// paceWake is one scheduled pacing wake, and its own event. A superseded
+// wake still fires, at its own instant, and does nothing: seq tells it
+// from the live one. Fired records are recycled through
 // SenderMachine.wakeFree.
 type paceWake struct {
 	m    *SenderMachine
 	seq  uint64
-	fn   func()
 	next *paceWake // free-list link
 }
 

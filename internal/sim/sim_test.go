@@ -10,13 +10,19 @@ import (
 	"repro/internal/paper"
 )
 
+// eventFunc adapts a plain function to an event handler, for tests that
+// schedule closures.
+type eventFunc func()
+
+func (f eventFunc) fire() { f() }
+
 func TestSimEventOrdering(t *testing.T) {
 	s := NewSim()
 	var order []int
-	s.Schedule(100, func() { order = append(order, 2) })
-	s.Schedule(50, func() { order = append(order, 1) })
-	s.Schedule(100, func() { order = append(order, 3) }) // FIFO at same time
-	s.After(200, func() { order = append(order, 4) })
+	s.Schedule(100, eventFunc(func() { order = append(order, 2) }))
+	s.Schedule(50, eventFunc(func() { order = append(order, 1) }))
+	s.Schedule(100, eventFunc(func() { order = append(order, 3) })) // FIFO at same time
+	s.After(200, eventFunc(func() { order = append(order, 4) }))
 	n := s.RunUntil(1000)
 	if n != 4 {
 		t.Fatalf("executed %d events, want 4", n)
@@ -34,7 +40,7 @@ func TestSimEventOrdering(t *testing.T) {
 func TestSimDeadlineStopsExecution(t *testing.T) {
 	s := NewSim()
 	ran := false
-	s.Schedule(500, func() { ran = true })
+	s.Schedule(500, eventFunc(func() { ran = true }))
 	s.RunUntil(100)
 	if ran {
 		t.Error("event beyond deadline executed")
@@ -51,7 +57,7 @@ func TestSimDeadlineStopsExecution(t *testing.T) {
 func TestSimEventsScheduleEvents(t *testing.T) {
 	s := NewSim()
 	count := 0
-	var tick func()
+	var tick eventFunc
 	tick = func() {
 		count++
 		if count < 10 {
@@ -69,7 +75,7 @@ func TestSimSchedulePastClamps(t *testing.T) {
 	s := NewSim()
 	s.RunUntil(100)
 	ran := false
-	s.Schedule(50, func() { ran = true }) // in the past: clamp to now
+	s.Schedule(50, eventFunc(func() { ran = true })) // in the past: clamp to now
 	s.RunUntil(100)
 	if !ran {
 		t.Error("past-scheduled event not run at current time")
@@ -83,6 +89,36 @@ func TestSimNilEventPanics(t *testing.T) {
 		}
 	}()
 	NewSim().Schedule(0, nil)
+}
+
+// TestEventHeapPopsInOrder: interleaved pushes and pops, with timestamps
+// that collide often, come out in (at, seq) order. A pop that missed the
+// minimum would leave it queued to pop later, out of order, so checking
+// each pop against the one before it and draining at the end suffices.
+func TestEventHeapPopsInOrder(t *testing.T) {
+	var h eventHeap
+	var seq uint64
+	var last event
+	check := func() {
+		ev := h.pop()
+		if ev.at < last.at || ev.at == last.at && ev.seq < last.seq {
+			t.Fatalf("popped (%d, %d) after (%d, %d)", ev.at, ev.seq, last.at, last.seq)
+		}
+		last = ev
+	}
+	x := uint64(1)
+	for i := 0; i < 20_000; i++ {
+		x = splitmix64(x)
+		if len(h) > 0 && x%4 == 0 {
+			check()
+			continue
+		}
+		seq++
+		h.push(event{at: last.at + x>>58, seq: seq}) // never before the last pop, as Schedule clamps
+	}
+	for len(h) > 0 {
+		check()
+	}
 }
 
 func shortStream(sys SystemKind, opt OptLevel) StreamConfig {

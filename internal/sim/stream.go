@@ -370,6 +370,7 @@ type streamTopology struct {
 	col      *telemetry.Collector    // latency histograms (nil: off)
 	spans    *telemetry.SpanRecorder // activity spans (nil: off)
 	rpc      *rpcDriver              // incast workload (nil: bulk streams)
+	sweepNs  uint64                  // timer sweep period (start)
 }
 
 // RunStream executes one bulk-receive experiment.
@@ -507,7 +508,7 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 	if cfg.ChurnIntervalNs > 0 {
 		top.teardown = newTeardownTracker(top)
 		top.churn = newChurner(top, top.gen, top.teardown, cfg.ChurnIntervalNs)
-		top.sim.After(cfg.ChurnIntervalNs, top.churn.tickFn)
+		top.sim.After(cfg.ChurnIntervalNs, top.churn)
 	}
 	top.start(streamSweepNs)
 	return top, nil
@@ -658,34 +659,36 @@ func newTopology(cfg *StreamConfig) (*streamTopology, error) {
 	return top, nil
 }
 
-// start arms the periodic timer sweep (delayed ACKs, RTO backstop,
-// TIME_WAIT reap) every sweepNs and kicks every link.
+// start arms the periodic timer sweep (fire) every sweepNs and kicks
+// every link.
 func (top *streamTopology) start(sweepNs uint64) {
-	s := top.sim
-	var sweep func()
-	sweep = func() {
-		now := s.Now()
-		for _, ep := range top.machine.Endpoints() {
-			if ep == nil {
-				continue // retired
-			}
-			if d := ep.NextTimeout(); d != 0 && now >= d {
-				ep.OnTimeout(now)
-			}
-		}
-		for _, snd := range top.senders {
-			snd.FireTimers(now)
-		}
-		if top.teardown != nil {
-			top.teardown.poll(now)
-		}
-		top.cpu.kickAll()
-		s.After(sweepNs, sweep)
-	}
-	s.After(sweepNs, sweep)
+	top.sweepNs = sweepNs
+	top.sim.After(sweepNs, top)
 	for _, l := range top.links {
 		l.Kick()
 	}
+}
+
+// fire is the timer sweep (delayed ACKs, RTO backstop, TIME_WAIT reap); it
+// re-arms itself every sweepNs.
+func (top *streamTopology) fire() {
+	now := top.sim.Now()
+	for _, ep := range top.machine.Endpoints() {
+		if ep == nil {
+			continue // retired
+		}
+		if d := ep.NextTimeout(); d != 0 && now >= d {
+			ep.OnTimeout(now)
+		}
+	}
+	for _, snd := range top.senders {
+		snd.FireTimers(now)
+	}
+	if top.teardown != nil {
+		top.teardown.poll(now)
+	}
+	top.cpu.kickAll()
+	top.sim.After(top.sweepNs, top)
 }
 
 // openReceiver builds the receiver endpoint of the connection
@@ -718,14 +721,14 @@ type cpuSet struct {
 	current  *simCPU // CPU executing a round right now (nil outside)
 }
 
-// simCPU is one softirq CPU's scheduler state.
+// simCPU is one softirq CPU's scheduler state and its rounds' event.
 type simCPU struct {
+	set        *cpuSet
 	id         int
 	scheduled  bool
 	busyUntil  uint64
 	busyCycles uint64
 	roundBase  uint64 // meter total at round start
-	roundFn    func() // pre-bound round closure (no per-kick allocation)
 
 	// Span telemetry (nil/"" when off): every non-empty softirq round is
 	// recorded as an activity interval on the CPU's trace track.
@@ -736,9 +739,7 @@ type simCPU struct {
 func newCPUSet(s *Sim, fe *frontend.FrontEnd) *cpuSet {
 	cs := &cpuSet{sim: s, fe: fe, rxBudget: 64}
 	for i := 0; i < fe.CPUs(); i++ {
-		c := &simCPU{id: i}
-		c.roundFn = func() { cs.round(c) }
-		cs.cpus = append(cs.cpus, c)
+		cs.cpus = append(cs.cpus, &simCPU{set: cs, id: i})
 	}
 	return cs
 }
@@ -755,7 +756,7 @@ func (cs *cpuSet) kick(cpu int) {
 	if c.busyUntil > at {
 		at = c.busyUntil
 	}
-	cs.sim.Schedule(at, c.roundFn)
+	cs.sim.Schedule(at, c)
 }
 
 // kickAll schedules a round on every CPU (timer sweeps, initial kick).
@@ -765,12 +766,13 @@ func (cs *cpuSet) kickAll() {
 	}
 }
 
-// round executes one softirq round on c and accounts its CPU time. NAPI
+// fire executes one softirq round on c and accounts its CPU time. NAPI
 // semantics: the CPU re-runs immediately only while some driver exhausts
 // its poll budget; once every ring drains within budget, interrupts are
 // re-enabled and the next round waits for the NIC (whose throttling then
 // sets the batch size the aggregation engine sees).
-func (cs *cpuSet) round(c *simCPU) {
+func (c *simCPU) fire() {
+	cs := c.set
 	c.scheduled = false
 	meter := &cs.fe.Meter
 	c.roundBase = meter.Total()

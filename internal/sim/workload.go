@@ -342,7 +342,6 @@ type churner struct {
 	gen      *flowGen
 	tr       *teardownTracker
 	interval uint64
-	tickFn   func() // tick, bound once
 	tornDown uint64
 	// openFailures counts ticks whose replacement could not be opened
 	// (port space and recycle pool both exhausted); the victim survives
@@ -352,17 +351,15 @@ type churner struct {
 }
 
 func newChurner(top *streamTopology, gen *flowGen, tr *teardownTracker, interval uint64) *churner {
-	ch := &churner{top: top, gen: gen, tr: tr, interval: interval}
-	ch.tickFn = ch.tick
-	return ch
+	return &churner{top: top, gen: gen, tr: tr, interval: interval}
 }
 
-// tick opens a replacement and tears the oldest flow down, then
-// reschedules itself. The replacement opens first: on port-space
-// exhaustion the victim stays up and the failure is surfaced in the run
-// report, where the old behaviour tore down regardless and long runs
-// silently decayed toward a single flow.
-func (ch *churner) tick() {
+// fire is the churn tick: it opens a replacement and tears the oldest
+// flow down, then reschedules itself. The replacement opens first: on
+// port-space exhaustion the victim stays up and the failure is surfaced in
+// the run report, where the old behaviour tore down regardless and long
+// runs silently decayed toward a single flow.
+func (ch *churner) fire() {
 	g := ch.gen
 	if g.liveCount() > 1 {
 		victim := g.live[0]
@@ -377,5 +374,5 @@ func (ch *churner) tick() {
 			g.applySkew()
 		}
 	}
-	ch.top.sim.After(ch.interval, ch.tickFn)
+	ch.top.sim.After(ch.interval, ch)
 }

@@ -94,8 +94,13 @@ func (r *Ring[T]) Pop() (T, bool) {
 }
 
 // PopBatch dequeues up to max items, appending them to out (whose
-// existing contents are kept), and returns the extended slice.
+// existing contents are kept), and returns the extended slice. An empty
+// out is sized for the largest batch the ring gives, so a caller that
+// reuses it allocates once instead of doubling from empty.
 func (r *Ring[T]) PopBatch(out []T, max int) []T {
+	if cap(out) == 0 && max > 0 && !r.Empty() {
+		out = make([]T, 0, min(max, len(r.buf)))
+	}
 	for ; max > 0; max-- {
 		v, ok := r.Pop()
 		if !ok {

@@ -331,6 +331,9 @@ func (e *Endpoint) nextDataFrame(maxPayload int) ([]byte, bool) {
 		e.stats.LimitedTransmits++
 	}
 	now := e.clock()
+	if cap(e.rtx) == 0 { // first growth: room for every segment the window admits now
+		e.rtx = make([]sentSegment, 0, avail/size)
+	}
 	e.rtx = append(e.rtx, sentSegment{seq: e.sndNxt, length: size, sentAt: now, lastTx: now})
 	e.sndNxt += uint32(size)
 	e.stats.SegsOut++

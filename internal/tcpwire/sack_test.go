@@ -148,39 +148,42 @@ func fuzzBlocks(b []byte, n int) []SACKBlock {
 // the 40-byte area, must never panic Parse nor yield more than four
 // blocks.
 func FuzzParseOptions(f *testing.F) {
-	f.Fuzz(func(t *testing.T, hasTS bool, tsVal, tsEcr uint32, nblocks uint8, blockBytes, raw []byte) {
-		blocks := fuzzBlocks(blockBytes, int(nblocks)%(sackBudget(hasTS)+1))
-		opts := AppendOptions(nil, hasTS, tsVal, tsEcr, blocks)
-		if len(opts) != OptionsLen(hasTS, len(blocks)) {
-			t.Fatalf("AppendOptions wrote %d bytes, OptionsLen says %d", len(opts), OptionsLen(hasTS, len(blocks)))
-		}
-		h, err := Parse(sackSegment(t, opts))
-		if err != nil {
-			t.Fatalf("round trip: %v", err)
-		}
-		if h.HasTimestamp != hasTS || (hasTS && (h.TSVal != tsVal || h.TSEcr != tsEcr)) {
-			t.Errorf("timestamp: got %v %d/%d, want %v %d/%d", h.HasTimestamp, h.TSVal, h.TSEcr, hasTS, tsVal, tsEcr)
-		}
-		got := h.SACKBlocks()
-		if len(got) != len(blocks) {
-			t.Fatalf("parsed %d blocks, wrote %d", len(got), len(blocks))
-		}
-		for i := range blocks {
-			if got[i] != blocks[i] {
-				t.Errorf("block %d = %+v, want %+v", i, got[i], blocks[i])
-			}
-		}
-		if h.TimestampOnly != (hasTS && len(blocks) == 0) || h.OtherOptions != (len(blocks) > 0) {
-			t.Errorf("layout flags TimestampOnly=%v OtherOptions=%v for TS %v, %d blocks",
-				h.TimestampOnly, h.OtherOptions, hasTS, len(blocks))
-		}
+	f.Fuzz(parseOptionsCase)
+}
 
-		if len(raw) > MaxHeaderLen-MinHeaderLen {
-			raw = raw[:MaxHeaderLen-MinHeaderLen]
+// parseOptionsCase is FuzzParseOptions's body.
+func parseOptionsCase(t *testing.T, hasTS bool, tsVal, tsEcr uint32, nblocks uint8, blockBytes, raw []byte) {
+	blocks := fuzzBlocks(blockBytes, int(nblocks)%(sackBudget(hasTS)+1))
+	opts := AppendOptions(nil, hasTS, tsVal, tsEcr, blocks)
+	if len(opts) != OptionsLen(hasTS, len(blocks)) {
+		t.Fatalf("AppendOptions wrote %d bytes, OptionsLen says %d", len(opts), OptionsLen(hasTS, len(blocks)))
+	}
+	h, err := Parse(sackSegment(t, opts))
+	if err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	if h.HasTimestamp != hasTS || (hasTS && (h.TSVal != tsVal || h.TSEcr != tsEcr)) {
+		t.Errorf("timestamp: got %v %d/%d, want %v %d/%d", h.HasTimestamp, h.TSVal, h.TSEcr, hasTS, tsVal, tsEcr)
+	}
+	got := h.SACKBlocks()
+	if len(got) != len(blocks) {
+		t.Fatalf("parsed %d blocks, wrote %d", len(got), len(blocks))
+	}
+	for i := range blocks {
+		if got[i] != blocks[i] {
+			t.Errorf("block %d = %+v, want %+v", i, got[i], blocks[i])
 		}
-		h, err = Parse(sackSegment(t, raw))
-		if err == nil && len(h.SACKBlocks()) > maxAreaSACKBlocks {
-			t.Errorf("%d blocks parsed from %d option bytes", len(h.SACKBlocks()), len(raw))
-		}
-	})
+	}
+	if h.TimestampOnly != (hasTS && len(blocks) == 0) || h.OtherOptions != (len(blocks) > 0) {
+		t.Errorf("layout flags TimestampOnly=%v OtherOptions=%v for TS %v, %d blocks",
+			h.TimestampOnly, h.OtherOptions, hasTS, len(blocks))
+	}
+
+	if len(raw) > MaxHeaderLen-MinHeaderLen {
+		raw = raw[:MaxHeaderLen-MinHeaderLen]
+	}
+	h, err = Parse(sackSegment(t, raw))
+	if err == nil && len(h.SACKBlocks()) > maxAreaSACKBlocks {
+		t.Errorf("%d blocks parsed from %d option bytes", len(h.SACKBlocks()), len(raw))
+	}
 }

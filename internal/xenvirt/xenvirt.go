@@ -56,6 +56,7 @@ package xenvirt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/buf"
 	"repro/internal/cycles"
@@ -152,6 +153,7 @@ func (m *Machine) grantCopy(skb *buf.SKB) *buf.SKB {
 	// Stage stamps cross the domain boundary with the data.
 	g.SentNs, g.ArriveNs, g.DequeueNs, g.AggCloseNs =
 		skb.SentNs, skb.ArriveNs, skb.DequeueNs, skb.AggCloseNs
+	g.Frags = slices.Grow(g.Frags, len(skb.Frags))
 	for i := range skb.Frags {
 		f := skb.Frags[i]
 		data, pooled := m.Alloc.FrameBuf(len(f.Data))

@@ -105,11 +105,15 @@ func leastRunStat(t *testing.T, cfg StreamConfig, stat func(*runtime.MemStats) u
 // TestPaperXenMallocBudget bounds the host allocations of the paper-xen
 // benchmark workload's shape (Xen, Optimized, 20 ms). A run's mallocs are
 // the fixed price of its frame population, not a per-frame cost: the frame
-// pool and the reverse link carve their records eight to a page, so a
-// return to one malloc per buffer in flight (1,185 on this run, against
-// 645 paged) fails here.
+// pool and the reverse link carve their records eight to a page (one
+// malloc per buffer in flight measured 1,185 on this run, against 645
+// paged), every event record is its own handler with no closure bound to
+// it (494), and the containers that used to double from empty are sized
+// at their first growth (413). The budget is the 413 measured plus about
+// 9% for the runtime's own allocations, which the MemStats delta counts
+// too.
 func TestPaperXenMallocBudget(t *testing.T) {
-	const budget = 800
+	const budget = 450
 	cfg := DefaultStreamConfig(SystemXen, OptFull)
 	cfg.DurationNs = 20_000_000
 	least := leastRunMallocs(t, cfg)
