@@ -411,12 +411,21 @@ func (e *Engine) tryHold(p *pending, hf *heldFrame) bool {
 			break
 		}
 	}
-	p.held = append(p.held, heldFrame{})
+	p.held = append(e.heldRoom(p), heldFrame{})
 	copy(p.held[idx+1:], p.held[idx:])
 	p.held[idx] = *hf
 	e.stats.Held++
 	e.meter.Charge(cycles.Aggr, e.params.NonProtoRawPerFrame)
 	return true
+}
+
+// heldRoom returns p's resequencing window, given room for the whole
+// ReorderWindow at its first growth; recycled pendings keep it.
+func (e *Engine) heldRoom(p *pending) []heldFrame {
+	if cap(p.held) == 0 {
+		return make([]heldFrame, 0, e.cfg.ReorderWindow)
+	}
+	return p.held
 }
 
 // stitchHeld folds the resequencing window into p after a gap-filling
@@ -473,7 +482,7 @@ func (e *Engine) stitchHeld(p *pending) {
 		e.start(key, &head)
 		e.stats.Stitched++
 		np := e.table[key]
-		np.held = append(np.held, held[1:]...)
+		np.held = append(e.heldRoom(np), held[1:]...)
 		p = np
 	}
 }

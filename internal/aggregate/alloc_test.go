@@ -150,3 +150,12 @@ func BenchmarkEngineInput(b *testing.B) {
 		})
 	}
 }
+
+// TestPacketAcksCoversDefaultLimit: buf.PacketAcks, the first size of the
+// containers that hold one host packet's ACKs, is one ACK per frame of an
+// aggregate at the default Limit plus one for a FIN.
+func TestPacketAcksCoversDefaultLimit(t *testing.T) {
+	if want := DefaultConfig().Limit + 1; buf.PacketAcks != want {
+		t.Errorf("buf.PacketAcks = %d, want the default Limit plus one, %d", buf.PacketAcks, want)
+	}
+}

@@ -27,6 +27,15 @@ const (
 	KindAck
 )
 
+// PacketAcks is the most ACKs one host packet can make its receiver emit:
+// one per constituent frame of the largest aggregate, at the paper's
+// Aggregation Limit of 20 (aggregate.DefaultConfig), plus one for a FIN.
+// Every container that holds one packet's ACKs — the endpoint's pending
+// ACKs, an SKB's template ACKs and the driver's expansions — takes it as
+// its first size, so none doubles from empty; a larger Limit grows them
+// once more.
+const PacketAcks = 20 + 1
+
 // Frag is one chained fragment of an aggregated packet: the payload bytes
 // of one constituent network frame (§3.2: subsequent TCP fragments retain
 // only their payload).
@@ -107,8 +116,12 @@ func (s *SKB) L3() []byte { return s.Head[s.L3Offset:] }
 
 // SetTemplateAcks marks the SKB as an ACK template carrying a copy of acks
 // (which must be non-empty), reusing the capacity of the SKB's previous
-// template so that template building allocates nothing in steady state.
+// template so that template building allocates nothing in steady state. An
+// SKB's first template gets room for PacketAcks.
 func (s *SKB) SetTemplateAcks(acks []uint32) {
+	if cap(s.tmplCap) == 0 {
+		s.tmplCap = make([]uint32, 0, max(len(acks), PacketAcks))
+	}
 	s.TemplateAcks = append(s.tmplCap[:0], acks...)
 }
 

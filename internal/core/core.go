@@ -78,6 +78,11 @@ func New(opts Options, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator,
 	return &ReceivePath{queue: queue, engine: eng}, nil
 }
 
+// SetQueueFirstSize gives the aggregation queue a first slot array of
+// frames slots (softirq.Ring.SetFirstSize), for an owner that knows how
+// deep one round fills it. It allocates nothing.
+func (rp *ReceivePath) SetQueueFirstSize(frames int) { rp.queue.SetFirstSize(frames) }
+
 // Engine exposes the aggregation engine (stats, tests).
 func (rp *ReceivePath) Engine() *aggregate.Engine { return rp.engine }
 

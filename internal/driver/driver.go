@@ -161,6 +161,9 @@ func (d *Driver) Transmit(skb *buf.SKB) {
 	frame := skb.Head
 	// Expand before anything leaves: once on the wire the template frame
 	// belongs to the link.
+	if cap(d.expanded) == 0 && len(skb.TemplateAcks) > 0 { // first growth: one packet's ACKs
+		d.expanded = make([]nic.Frame, 0, max(len(skb.TemplateAcks), buf.PacketAcks))
+	}
 	d.expanded = d.expanded[:0]
 	for i, ack := range skb.TemplateAcks {
 		cp, pooled := d.alloc.FrameBuf(len(frame))

@@ -13,6 +13,7 @@ package frontend
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/buf"
 	"repro/internal/core"
@@ -36,6 +37,10 @@ const (
 	// driver (ACK offload is the endpoint's AckOffload flag).
 	ModeOptimized
 )
+
+// PollBudget is the NAPI budget of a softirq round: the most frames Poll
+// takes from each NIC queue's driver per round (Linux's netdev weight).
+const PollBudget = 64
 
 // Config assembles a receive front end: the machine fields the native and
 // the paravirtual receivers share.
@@ -95,9 +100,11 @@ type FrontEnd struct {
 	stampClock func() uint64
 
 	// free holds retired endpoints for OpenEndpoint to reset and reuse;
-	// retired totals their counters as they were at retirement.
+	// retired totals their counters as they were at retirement. slab holds
+	// the ReserveEndpoints records no endpoint has used yet.
 	free    []*tcp.Endpoint
 	retired tcp.Stats
+	slab    []tcp.Endpoint
 }
 
 // Init builds the front end in place. deliver(q) names where queue q's
@@ -259,23 +266,27 @@ func (fe *FrontEnd) RegisterEndpoint(ep *tcp.Endpoint, remoteIP, localIP [4]byte
 	return nil
 }
 
-// OpenEndpoint creates an endpoint for cfg that charges this machine and
+// ReserveEndpoints carves the records of the n endpoints the machine is
+// about to open from one allocation, and makes room for them on the
+// endpoint list, so opening a population costs one allocation instead of
+// one per endpoint. OpenEndpoint takes a record from the slab once the
+// free list is empty; what the slab does not cover is allocated singly.
+func (fe *FrontEnd) ReserveEndpoints(n int) {
+	fe.slab = make([]tcp.Endpoint, n)
+	fe.eps = slices.Grow(fe.eps, n)
+}
+
+// OpenEndpoint makes an endpoint for cfg that charges this machine and
 // reads virtual time from clock, and registers it like RegisterEndpoint.
-// A retired endpoint is reset and reused when there is one. It returns the
-// endpoint and its slot in Endpoints, the handle RetireEndpoint takes.
+// It resets a retired endpoint when there is one, else the next record of
+// the ReserveEndpoints slab, and allocates one only when both are used
+// up. It returns the endpoint and its slot in Endpoints, the handle
+// RetireEndpoint takes.
 func (fe *FrontEnd) OpenEndpoint(cfg tcp.Config, clock tcp.Clock, remoteIP, localIP [4]byte, remotePort, localPort uint16) (*tcp.Endpoint, int, error) {
-	var ep *tcp.Endpoint
-	if n := len(fe.free); n > 0 {
-		ep = fe.free[n-1]
-		if err := ep.Reset(cfg, &fe.Meter, &fe.Params, fe.Alloc, clock); err != nil {
-			return nil, 0, err
-		}
-		fe.free = fe.free[:n-1]
-	} else {
-		var err error
-		if ep, err = tcp.New(cfg, &fe.Meter, &fe.Params, fe.Alloc, clock); err != nil {
-			return nil, 0, err
-		}
+	ep := fe.takeEndpoint()
+	if err := ep.Reset(cfg, &fe.Meter, &fe.Params, fe.Alloc, clock); err != nil {
+		fe.free = append(fe.free, ep) // never opened: as good as retired
+		return nil, 0, err
 	}
 	slot := len(fe.eps)
 	if err := fe.RegisterEndpoint(ep, remoteIP, localIP, remotePort, localPort); err != nil {
@@ -283,6 +294,22 @@ func (fe *FrontEnd) OpenEndpoint(cfg tcp.Config, clock tcp.Clock, remoteIP, loca
 		return nil, 0, err
 	}
 	return ep, slot, nil
+}
+
+// takeEndpoint returns the record OpenEndpoint resets: a retired endpoint,
+// else the slab's next record, else a new one.
+func (fe *FrontEnd) takeEndpoint() *tcp.Endpoint {
+	if n := len(fe.free); n > 0 {
+		ep := fe.free[n-1]
+		fe.free = fe.free[:n-1]
+		return ep
+	}
+	if len(fe.slab) > 0 {
+		ep := &fe.slab[0]
+		fe.slab = fe.slab[1:]
+		return ep
+	}
+	return new(tcp.Endpoint)
 }
 
 // UnregisterEndpoint removes an endpoint from the demux table (connection

@@ -44,6 +44,11 @@ const twTickNs = 1_000_000
 // through the machine's memory model.
 const TimeWaitEntryBytes = 192
 
+// twFirstEntries is a shard queue's first size. Reaps keep a queue's
+// storage, so a shard allocates once unless its linger backlog ever
+// outgrows it.
+const twFirstEntries = 16
+
 // twEntry is one TIME_WAIT entry: the lingering four-tuple and its reap
 // deadline.
 type twEntry struct {
@@ -89,6 +94,9 @@ type timeWaitTable struct {
 func (t *timeWaitTable) insert(shard int, e twEntry) {
 	q := t.shards[shard]
 	i := sort.Search(len(q), func(i int) bool { return q[i].deadline > e.deadline })
+	if cap(q) == 0 {
+		q = make([]twEntry, 0, twFirstEntries)
+	}
 	t.shards[shard] = slices.Insert(q, i, e)
 	t.keys[e.key] = struct{}{}
 	t.peak = max(t.peak, len(t.keys))

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
+	"repro/internal/ipv4"
 	"repro/internal/netstack"
+	"repro/internal/tcp"
 )
 
 // TestRegisteredEndpointLimit: a stream config that could hold more
@@ -46,5 +50,72 @@ func TestRegisteredEndpointLimit(t *testing.T) {
 				t.Fatalf("config one endpoint over the limit: err = %v", err)
 			}
 		})
+	}
+}
+
+// TestOpenConnectionsAllocateFixedRecords: opening a link's connections
+// allocates the same number of times whatever their count. The receiver
+// machine's endpoints come from one slab and the sender machine's records
+// from another, and the lists and port map that index them are sized
+// before the first open. The demux table is warmed with the keys first:
+// its shards grow with the keys, not with the records.
+func TestOpenConnectionsAllocateFixedRecords(t *testing.T) {
+	src, dst := ipv4.Addr{10, 0, 0, 1}, ipv4.Addr{10, 0, 0, 2}
+	opens := func(n int) uint64 {
+		cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
+		cfg.NICs, cfg.Connections = 1, n
+		top, err := newTopology(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := top.machine
+		placeholder, err := tcp.New(tcp.DefaultConfig(), &m.Meter, &m.Params, m.Alloc, top.sim.Clock())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := m.Stack.Register(placeholder, src, dst, uint16(5001+i), uint16(44000+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			m.Stack.Unregister(src, dst, uint16(5001+i), uint16(44000+i))
+		}
+
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		top.reserve(n)
+		for i := 0; i < n; i++ {
+			sPort, rPort := uint16(5001+i), uint16(44000+i)
+			if _, err := top.senders[0].AddStreamConn(src, dst, sPort, rPort); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := top.openReceiver(src, dst, sPort, rPort); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	few, many := opens(20), opens(200)
+	t.Logf("opening 20 connections allocates %d times, 200 %d times", few, many)
+	if many != few {
+		t.Errorf("opening 200 connections allocates %d times, 20 allocate %d: records are allocated per connection", many, few)
+	}
+}
+
+// BenchmarkOpenConnections builds a one-link stream run of 200
+// connections up to its first event: the topology, both machines' record
+// slabs and the demux entries. Its allocs/op is the set-up price of a
+// connection population.
+func BenchmarkOpenConnections(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
+		cfg.NICs, cfg.Connections = 1, 200
+		if _, err := buildStream(&cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

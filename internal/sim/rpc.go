@@ -35,17 +35,20 @@ type rpcConn struct {
 
 	// reqSentNs is the burst instant (written by the burst event, read
 	// when the response completes). got/done accumulate the response as
-	// the owner CPU delivers it; the completion poll reads done.
+	// the owner CPU delivers it; the completion poll reads done. reqGot
+	// counts the request bytes the sender has read toward its next
+	// response.
 	reqSentNs uint64
 	got       uint64
 	done      bool
+	reqGot    uint64
 }
 
 // rpcDriver owns the incast workload's connections and burst machinery.
 type rpcDriver struct {
 	top      *streamTopology
 	msgBytes int
-	conns    []*rpcConn
+	conns    []rpcConn // one slab, one record per connection
 	// rounds counts completed bursts (every connection's response fully
 	// read) over the whole run.
 	rounds uint64
@@ -64,7 +67,9 @@ func newRPCDriver(top *streamTopology, cfg *StreamConfig) (*rpcDriver, error) {
 	r := &rpcDriver{
 		top:      top,
 		msgBytes: cfg.RPC.MessageBytes,
+		conns:    make([]rpcConn, cfg.Connections),
 	}
+	top.reserve(cfg.Connections)
 	for c := 0; c < cfg.Connections; c++ {
 		if err := r.openConn(c); err != nil {
 			return nil, err
@@ -100,18 +105,18 @@ func (r *rpcDriver) openConn(c int) error {
 		return err
 	}
 
-	conn := &rpcConn{rep: rep}
+	conn := &r.conns[c]
+	conn.rep = rep
 
 	// Sender application: one MessageBytes response per complete request.
 	// No explicit link kick is needed — the sender machine kicks the link
 	// after every received frame, and the response data carries the
 	// request's ACK (the RunRR pattern).
 	req, msg := uint64(rpcRequestBytes), uint64(r.msgBytes)
-	var reqGot uint64
 	sep.AppSink = func(b []byte) {
-		reqGot += uint64(len(b))
-		for reqGot >= req {
-			reqGot -= req
+		conn.reqGot += uint64(len(b))
+		for conn.reqGot >= req {
+			conn.reqGot -= req
 			sep.AppWrite(msg)
 		}
 	}
@@ -131,7 +136,6 @@ func (r *rpcDriver) openConn(c int) error {
 			col.RecordRTT(cs.stampNow() - conn.reqSentNs)
 		}
 	}
-	r.conns = append(r.conns, conn)
 	return nil
 }
 
@@ -141,7 +145,8 @@ func (r *rpcDriver) openConn(c int) error {
 // send time.
 func (r *rpcDriver) fireBurst() {
 	now := r.top.sim.Now()
-	for _, c := range r.conns {
+	for i := range r.conns {
+		c := &r.conns[i]
 		c.got, c.done = 0, false
 		c.reqSentNs = now
 		c.rep.AppWrite(rpcRequestBytes)
@@ -154,8 +159,8 @@ func (r *rpcDriver) fireBurst() {
 // connection has fully read its response, then re-arms itself.
 func (r *rpcDriver) fire() {
 	all := true
-	for _, c := range r.conns {
-		if !c.done {
+	for i := range r.conns {
+		if !r.conns[i].done {
 			all = false
 			break
 		}

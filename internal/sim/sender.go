@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/buf"
 	"repro/internal/checksum"
@@ -44,6 +45,7 @@ type SenderMachine struct {
 	conns   []*senderConn
 	byPort  map[uint16]*senderConn
 	free    []*senderConn // removed conns, reset and reused by addConn
+	slab    []connRecord  // reserved records no conn has used yet
 	connCfg tcp.Config    // addConn's scratch config
 	rrIdx   int
 	rrLeft  int
@@ -78,6 +80,13 @@ type senderConn struct {
 	rateBps    float64
 	allowance  float64
 	lastRefill uint64
+}
+
+// connRecord is the storage of one connection: its record and the
+// endpoint the record points at, allocated together.
+type connRecord struct {
+	conn senderConn
+	ep   tcp.Endpoint
 }
 
 // senderBurstBytes caps a paced connection's token bucket: the largest
@@ -183,8 +192,21 @@ func PatternPayloadSum(seq uint32, b []byte) uint16 {
 	return checksum.Fold64(acc, carry)
 }
 
-// addConn opens a connection on localPort, reusing a removed one's
-// endpoint and record when there is one.
+// reserve carves the records of the n connections the machine is about to
+// open from one allocation, and sizes its connection list and port map for
+// them, so opening a link's share of a population costs one allocation
+// instead of two per connection.
+func (m *SenderMachine) reserve(n int) {
+	m.slab = make([]connRecord, n)
+	m.conns = slices.Grow(m.conns, n)
+	if len(m.byPort) == 0 {
+		m.byPort = make(map[uint16]*senderConn, n)
+	}
+}
+
+// addConn opens a connection on localPort. It resets a removed
+// connection's endpoint and record when there is one, else takes the next
+// reserved record, and allocates a record only when both are used up.
 func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePort uint16) (*tcp.Endpoint, error) {
 	if _, dup := m.byPort[localPort]; dup {
 		return nil, fmt.Errorf("sim: duplicate sender port %d", localPort)
@@ -195,19 +217,10 @@ func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 	cfg.LocalPort, cfg.RemotePort = localPort, remotePort
 	cfg.Source = PatternPayloadSum
 	cfg.SACK = m.SACK
-	var c *senderConn
-	if n := len(m.free); n > 0 {
-		c = m.free[n-1]
-		if err := c.ep.Reset(*cfg, &m.meter, &m.params, m.alloc, m.sim.Clock()); err != nil {
-			return nil, err
-		}
-		m.free = m.free[:n-1]
-	} else {
-		ep, err := tcp.New(*cfg, &m.meter, &m.params, m.alloc, m.sim.Clock())
-		if err != nil {
-			return nil, err
-		}
-		c = &senderConn{ep: ep}
+	c := m.takeConn()
+	if err := c.ep.Reset(*cfg, &m.meter, &m.params, m.alloc, m.sim.Clock()); err != nil {
+		m.free = append(m.free, c) // never opened: as good as removed
+		return nil, err
 	}
 	*c = senderConn{ep: c.ep, localPort: localPort}
 	ep := c.ep
@@ -217,6 +230,24 @@ func (m *SenderMachine) addConn(localIP, remoteIP ipv4.Addr, localPort, remotePo
 	m.conns = append(m.conns, c)
 	m.byPort[localPort] = c
 	return ep, nil
+}
+
+// takeConn returns the record addConn resets: a removed connection's, else
+// the next reserved one, else a new one.
+func (m *SenderMachine) takeConn() *senderConn {
+	if n := len(m.free); n > 0 {
+		c := m.free[n-1]
+		m.free = m.free[:n-1]
+		return c
+	}
+	var r *connRecord
+	if len(m.slab) > 0 {
+		r, m.slab = &m.slab[0], m.slab[1:]
+	} else {
+		r = new(connRecord)
+	}
+	r.conn.ep = &r.ep
+	return &r.conn
 }
 
 // retransmit queues a retransmitted frame for the link.

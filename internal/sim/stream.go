@@ -491,6 +491,7 @@ func buildStream(cfg *StreamConfig) (*streamTopology, error) {
 		}
 		top.rpc = rpc
 	} else {
+		top.reserve(cfg.Connections)
 		gen := newFlowGen(top, cfg)
 		top.gen = gen
 		for c := 0; c < cfg.Connections; c++ {
@@ -691,6 +692,17 @@ func (top *streamTopology) fire() {
 	top.sim.After(top.sweepNs, top)
 }
 
+// reserve carves the records of the n connections a workload is about to
+// open, round-robin over the links: one allocation of receiver endpoints
+// for the machine, and one of sender records per link for its share.
+func (top *streamTopology) reserve(n int) {
+	top.machine.ReserveEndpoints(n)
+	links := len(top.senders)
+	for i, s := range top.senders {
+		s.reserve((n - i + links - 1) / links) // link i carries connections i, i+links, ...
+	}
+}
+
 // openReceiver builds the receiver endpoint of the connection
 // senderIP:sPort → rcvIP:rPort with the run's options and registers it
 // with the machine, returning it with its endpoint-list slot.
@@ -737,7 +749,7 @@ type simCPU struct {
 }
 
 func newCPUSet(s *Sim, fe *frontend.FrontEnd) *cpuSet {
-	cs := &cpuSet{sim: s, fe: fe, rxBudget: 64}
+	cs := &cpuSet{sim: s, fe: fe, rxBudget: frontend.PollBudget}
 	for i := 0; i < fe.CPUs(); i++ {
 		cs.cpus = append(cs.cpus, &simCPU{set: cs, id: i})
 	}

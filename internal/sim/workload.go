@@ -78,8 +78,10 @@ const (
 	churnPortPairs        = math.MaxUint16 - churnReceiverPortBase + 1
 )
 
+// newFlowGen makes the generator with room for the run's initial flows.
 func newFlowGen(top *streamTopology, cfg *StreamConfig) *flowGen {
-	return &flowGen{top: top, cfg: cfg, perLink: make([][]rankedFlow, cfg.NICs)}
+	return &flowGen{top: top, cfg: cfg, live: make([]flowRecord, 0, cfg.Connections),
+		perLink: make([][]rankedFlow, cfg.NICs)}
 }
 
 // openFlow opens the next initial flow, round-robin across NICs. Sender i
@@ -202,7 +204,11 @@ func (g *flowGen) applySkew() {
 		return
 	}
 	const skewOversubscribe = 2.0
+	links := len(g.perLink)
 	for n := range g.perLink {
+		if cap(g.perLink[n]) == 0 { // first growth: the link's share, which churn keeps
+			g.perLink[n] = make([]rankedFlow, 0, (len(g.live)+links-1)/links)
+		}
 		g.perLink[n] = g.perLink[n][:0]
 	}
 	for rank, f := range g.live {

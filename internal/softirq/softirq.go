@@ -14,8 +14,9 @@ package softirq
 import "fmt"
 
 // firstSlots is the slot array a ring allocates on its first Push (or its
-// bound, if smaller). It covers the deepest backlog of most queues, so a
-// ring usually allocates once and never grows.
+// bound, if smaller) unless its owner names another first size
+// (SetFirstSize). It covers the deepest backlog of most queues, so a ring
+// usually allocates once and never grows.
 const firstSlots = 64
 
 // Ring is a FIFO queue with an optional bound. The bound decides when
@@ -28,6 +29,7 @@ type Ring[T any] struct {
 	head  uint64 // consumer position
 	tail  uint64 // producer position
 	bound int    // 0: unbounded
+	first int    // slot count of the first allocation; 0: firstSlots
 }
 
 // NewRing creates an empty ring whose bound is capacity rounded up to a
@@ -36,12 +38,24 @@ func NewRing[T any](capacity int) (Ring[T], error) {
 	if capacity <= 0 {
 		return Ring[T]{}, fmt.Errorf("softirq: capacity %d must be positive", capacity)
 	}
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	return Ring[T]{bound: n}, nil
+	return Ring[T]{bound: pow2AtLeast(capacity)}, nil
 }
+
+// pow2AtLeast returns the smallest power of two at or above n.
+func pow2AtLeast(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+// SetFirstSize makes the ring's first slot array n slots, rounded up to a
+// power of two (and capped by the bound when the array is allocated),
+// instead of firstSlots: an owner that knows its deepest backlog allocates
+// once instead of doubling to it. It allocates nothing, and changes
+// nothing once the ring holds slots.
+func (r *Ring[T]) SetFirstSize(n int) { r.first = pow2AtLeast(n) }
 
 // Len returns the number of queued items.
 func (r *Ring[T]) Len() int { return int(r.tail - r.head) }
@@ -67,7 +81,13 @@ func (r *Ring[T]) grow() bool {
 	if r.bound > 0 && n >= r.bound {
 		return false
 	}
-	size := max(2*n, firstSlots)
+	size := 2 * n
+	if n == 0 {
+		size = firstSlots
+		if r.first > 0 {
+			size = r.first
+		}
+	}
 	if r.bound > 0 {
 		size = min(size, r.bound)
 	}

@@ -182,6 +182,33 @@ func TestRingStorageTracksPeakBacklog(t *testing.T) {
 	}
 }
 
+// TestRingFirstSize: a ring given a first size allocates it, rounded up
+// to a power of two, on its first Push and holds that backlog without
+// growing; past it the array doubles as usual, and a bound smaller than
+// the first size caps it.
+func TestRingFirstSize(t *testing.T) {
+	var r Ring[int]
+	r.SetFirstSize(320)
+	for i := 0; i < 512; i++ {
+		r.Push(i)
+	}
+	if len(r.buf) != 512 {
+		t.Errorf("first size 320: %d slots after 512 pushes, want 512", len(r.buf))
+	}
+	r.Push(512)
+	if len(r.buf) != 1024 {
+		t.Errorf("first size 320: %d slots after 513 pushes, want 1024", len(r.buf))
+	}
+
+	b, _ := NewRing[int](100)
+	b.SetFirstSize(320)
+	for b.Push(0) {
+	}
+	if len(b.buf) != 128 || b.Len() != 128 {
+		t.Errorf("bound 100, first size 320: %d slots holding %d, want 128 and 128", len(b.buf), b.Len())
+	}
+}
+
 // FuzzRing drives a ring through a sequence of pushes, pops and batch
 // pops decoded from the input and checks every result against a slice
 // FIFO with the same bound. The first byte picks the bound: 0 is the

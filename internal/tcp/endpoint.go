@@ -90,6 +90,12 @@ const (
 	initialCwnd = 10
 	// iss and irs are the initial local and remote sequence numbers.
 	iss, irs = 1, 1
+	// oooFirstSegs is the out-of-order queue's first size: a hole behind
+	// a reordered or lost frame queues a few segments before the repair
+	// arrives. It is not the peer window (rcvWnd/MSS+1, 61 segments): a
+	// connection whose queue never gets that deep would carry the
+	// difference for nothing.
+	oooFirstSegs = 8
 )
 
 // DefaultConfig returns a config with Linux-2.6.16-like defaults for the
@@ -287,11 +293,15 @@ func New(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, cloc
 // Reset turns e into the endpoint New(cfg, m, p, alloc, clock) would
 // create, keeping only the storage of its retransmission, out-of-order,
 // pending-ACK and SACK-block slices, so a torn-down connection's endpoint
-// can carry the next one without allocating. Every other field, the
-// Output, AppSink and OnRetransmit hooks and the telemetry recorders
-// included, is reset. Queued out-of-order copies are dropped, not released
-// to the pool, just as dropping the old endpoint would drop them. On a bad
-// config e is left untouched.
+// can carry the next one without allocating. None of the four is sized
+// here: each gets its first size at its first growth (the segments the
+// window then admits, oooFirstSegs, buf.PacketAcks and the most noteSACK
+// holds), and keeps it across resets. Every other field, the Output,
+// AppSink and OnRetransmit hooks and the telemetry recorders included, is
+// reset. Queued out-of-order copies are dropped, not released to the pool,
+// just as dropping the old endpoint would drop them. On a bad config e is
+// left untouched. Reset of a zero Endpoint is New without the allocation:
+// it is how a machine turns records carved from one slab into endpoints.
 func (e *Endpoint) Reset(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, clock Clock) error {
 	if m == nil || p == nil || alloc == nil || clock == nil {
 		return fmt.Errorf("tcp: nil dependency")
@@ -568,6 +578,9 @@ func (e *Endpoint) countSegmentForAck(runLen int, cumAck uint32) {
 // the same connection queued in one Input call are exactly the batch that
 // Acknowledgment Offload turns into a template (§4.3).
 func (e *Endpoint) queueAck(ackNum uint32) {
+	if cap(e.pendingAcks) == 0 { // first growth: the most one host packet yields
+		e.pendingAcks = make([]uint32, 0, buf.PacketAcks)
+	}
 	e.pendingAcks = append(e.pendingAcks, ackNum)
 }
 
@@ -628,6 +641,9 @@ func (e *Endpoint) buildAck(ackNum uint32) *buf.SKB {
 func (e *Endpoint) noteSACK(start, end uint32) {
 	if !e.cfg.SACK {
 		return
+	}
+	if cap(e.sackBlocks) == 0 { // first growth: the most the list holds before it truncates
+		e.sackBlocks = make([]tcpwire.SACKBlock, 0, tcpwire.MaxSACKBlocks+2)
 	}
 	nb := tcpwire.SACKBlock{Start: start, End: end}
 	keep := e.sackBlocks[:0]
@@ -719,6 +735,9 @@ func (e *Endpoint) insertOOO(seg oooSegment) {
 			i = j
 			break
 		}
+	}
+	if cap(e.ooo) == 0 {
+		e.ooo = make([]oooSegment, 0, oooFirstSegs)
 	}
 	e.ooo = append(e.ooo, oooSegment{})
 	copy(e.ooo[i+1:], e.ooo[i:])

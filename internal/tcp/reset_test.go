@@ -4,6 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/buf"
+	"repro/internal/cost"
+	"repro/internal/cycles"
+	"repro/internal/ipv4"
 	"repro/internal/tcpwire"
 	"repro/internal/telemetry"
 )
@@ -162,5 +166,95 @@ func TestStatsAddCoversEveryCounter(t *testing.T) {
 		if g := got.Field(i).Uint(); g != want {
 			t.Errorf("Add: %s = %d, want %d", name, g, want)
 		}
+	}
+}
+
+// TestResetReplayAllocFree: an endpoint that has been through loss,
+// reordering and SACK on both halves is Reset, then replays the same input
+// without allocating. Every per-connection container keeps the storage
+// its first growth gave it, and frames and SKBs come back from the
+// allocator's pool and free list.
+func TestResetReplayAllocFree(t *testing.T) {
+	var m cycles.Meter
+	p := cost.NativeUP()
+	alloc := buf.NewAllocator(&m, &p)
+	alloc.SetPool(buf.NewPool())
+	cfg := DefaultConfig()
+	cfg.LocalIP, cfg.RemoteIP = ipv4.Addr{10, 0, 0, 2}, ipv4.Addr{10, 0, 0, 1}
+	cfg.LocalPort, cfg.RemotePort = 44000, 5001
+	cfg.SACK, cfg.AckOffload = true, true
+	cfg.Source = mixSource
+	var now uint64
+	clock := func() uint64 { return now }
+
+	// Receive half, in frames of one MSS from sequence 1: an aggregate of
+	// frames 0-3, frame 4 lost behind 5 and 6, frames 7 and 8 swapped,
+	// frame 4's retransmission, then an aggregate of frames 9-18.
+	payload := make([]byte, 1448)
+	frames := func(first, n int) Segment {
+		s := dataSeg(1+uint32(first)*1448, 1, payload)
+		s.Payloads, s.FragAcks, s.NetPackets = nil, nil, n
+		for i := 0; i < n; i++ {
+			s.Payloads = append(s.Payloads, payload)
+			s.FragAcks = append(s.FragAcks, 1)
+		}
+		return s
+	}
+	input := []Segment{frames(0, 4), frames(5, 1), frames(6, 1), frames(8, 1), frames(7, 1), frames(4, 1), frames(9, 10)}
+
+	// Send half: ten segments in flight, the first lost; three duplicate
+	// ACKs whose SACK blocks cover the rest trigger its fast
+	// retransmission, and a cumulative ACK covers everything.
+	var dupAcks []Segment
+	for i := 2; i <= 4; i++ {
+		dupAcks = append(dupAcks, sackAck(1, tcpwire.SACKBlock{Start: 1 + 1448, End: 1 + uint32(i)*1448}))
+	}
+	fullAck := ackSeg(1 + 10*1448)
+
+	ep := new(Endpoint)
+	output, retransmit := alloc.Free, alloc.Release
+	replay := func() {
+		now = 1_000_000
+		if err := ep.Reset(cfg, &m, &p, alloc, clock); err != nil {
+			t.Fatal(err)
+		}
+		ep.Output, ep.OnRetransmit = output, retransmit
+		for _, s := range input {
+			ep.Input(s)
+		}
+		ep.SetAppLimit(10 * 1448)
+		for f := ep.NextDataFrame(0); f != nil; f = ep.NextDataFrame(0) {
+			alloc.Release(f)
+		}
+		now += 100_000
+		for _, s := range dupAcks {
+			ep.Input(s)
+		}
+		ep.Input(fullAck)
+	}
+
+	replay()
+	st := ep.Stats()
+	if st.OOOSegs == 0 || st.SACKBlocksOut == 0 || st.AckTemplatesOut == 0 ||
+		st.SACKBlocksIn == 0 || st.FastRetransmits == 0 {
+		t.Fatalf("the input missed a path: %+v", st)
+	}
+	if len(ep.ooo) != 0 || ep.SndUna() != ep.SndNxt() {
+		t.Fatalf("the input leaves %d segments queued and %d bytes unacknowledged",
+			len(ep.ooo), ep.SndNxt()-ep.SndUna())
+	}
+	if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
+		t.Errorf("replaying after Reset allocates %.1f times", allocs)
+	}
+
+	// A new endpoint pays each container's first growth once: the
+	// endpoint, its retransmission, out-of-order, pending-ACK and
+	// SACK-block slices.
+	fresh := testing.AllocsPerRun(20, func() {
+		ep = new(Endpoint)
+		replay()
+	})
+	if fresh != 5 {
+		t.Errorf("a new endpoint's first pass allocates %.1f times, want 5", fresh)
 	}
 }

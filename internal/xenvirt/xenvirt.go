@@ -94,6 +94,12 @@ func New(cfg frontend.Config) (*Machine, error) {
 	if err := m.Init(cfg, deliver); err != nil {
 		return nil, fmt.Errorf("xenvirt: %w", err)
 	}
+	// A round polls up to PollBudget frames from every NIC into a CPU's
+	// aggregation queue, and the CPU-bound guest's queues reach that
+	// depth: they get it as their first size instead of doubling to it.
+	for _, rp := range m.ReceivePaths() {
+		rp.SetQueueFirstSize(frontend.PollBudget * cfg.NICCount)
+	}
 	m.Stack.Tx = txChain{m}
 	return m, nil
 }

@@ -108,18 +108,59 @@ func leastRunStat(t *testing.T, cfg StreamConfig, stat func(*runtime.MemStats) u
 // pool and the reverse link carve their records eight to a page (one
 // malloc per buffer in flight measured 1,185 on this run, against 645
 // paged), every event record is its own handler with no closure bound to
-// it (494), and the containers that used to double from empty are sized
-// at their first growth (413). The budget is the 413 measured plus about
-// 9% for the runtime's own allocations, which the MemStats delta counts
-// too.
+// it (494), the containers that used to double from empty are sized at
+// their first growth (413), and the connections open from one record slab
+// per machine while the aggregation queue takes its first size from the
+// poll budget (356). The budget is the 356 measured plus about 9% for the
+// runtime's own allocations, which the MemStats delta counts too.
 func TestPaperXenMallocBudget(t *testing.T) {
-	const budget = 450
+	const budget = 390
 	cfg := DefaultStreamConfig(SystemXen, OptFull)
 	cfg.DurationNs = 20_000_000
 	least := leastRunMallocs(t, cfg)
 	t.Logf("paper-xen shape allocates %d times", least)
 	if least > budget {
 		t.Errorf("paper-xen shape allocated %d times, budget %d", least, budget)
+	}
+}
+
+// TestFaultsChurnMallocBudget bounds the host allocations of the
+// faults-churn benchmark workload's shape (loss, reordering, SACK and 2 ms
+// churn; 200 ms). Each machine carves its initial connections from one
+// slab, and every per-connection container takes a stated first size at
+// its first growth, so what is left is each record's first use of its
+// containers and the few queues that outgrow their first size. The budget
+// is the measured count plus about 10%.
+func TestFaultsChurnMallocBudget(t *testing.T) {
+	const budget = 1420
+	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
+	cfg.NICs, cfg.Connections, cfg.FlowSkew = 4, 80, 1.1
+	cfg.Loss = LossConfig{OneIn: 100, Seed: 1}
+	cfg.SACK = true
+	cfg.Reorder = ReorderConfig{OneIn: 50, Distance: 1}
+	cfg.ReorderWindow = 4
+	cfg.ChurnIntervalNs = 2_000_000
+	cfg.DurationNs = 200_000_000
+	least := leastRunMallocs(t, cfg)
+	t.Logf("faults-churn shape allocates %d times", least)
+	if least > budget {
+		t.Errorf("faults-churn shape allocated %d times, budget %d", least, budget)
+	}
+}
+
+// TestRSSSMPMallocBudget bounds the host allocations of the rss-smp-q2
+// benchmark workload's shape (8 links, 200 zipf flows over 2 RSS queues;
+// 50 ms): its 200 connections open from one slab per machine. The budget
+// is the measured count plus about 10%.
+func TestRSSSMPMallocBudget(t *testing.T) {
+	const budget = 1330
+	cfg := DefaultStreamConfig(SystemNativeSMP, OptFull)
+	cfg.NICs, cfg.Connections, cfg.FlowSkew, cfg.Queues = 8, 200, 1.1, 2
+	cfg.DurationNs = 50_000_000
+	least := leastRunMallocs(t, cfg)
+	t.Logf("rss-smp-q2 shape allocates %d times", least)
+	if least > budget {
+		t.Errorf("rss-smp-q2 shape allocated %d times, budget %d", least, budget)
 	}
 }
 
