@@ -114,15 +114,15 @@ func TestConnScaleSeedingPinned(t *testing.T) {
 // TestConnScaleSetupHostBytes pins the host memory a run of the
 // connscale-1m benchmark workload's shape allocates before its first
 // frame. Registering the million idle flows dominates it: the demux
-// table's slot arrays at 10 bytes a slot, and InsertBatch's scratch at 2
-// bytes a key, about 23 MB in all. With 16-byte slots it was 36 MB; the
-// budget sits between the two, so a slot or scratch regression fails
+// table's slot arrays at 8 bytes a slot, and InsertBatch's scratch at 2
+// bytes a key, about 19.2 MB in all. With 10-byte slots it was 23.3 MB;
+// the budget sits between the two, so a slot or scratch regression fails
 // here. The run is one nanosecond long.
 func TestConnScaleSetupHostBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-endpoint set-up in -short mode")
 	}
-	const budget = 30_000_000
+	const budget = 21_000_000
 	cfg := connScaleConfig(1_000_000)
 	cfg.WarmupNs, cfg.DurationNs = 0, 1
 	least := leastRunAlloc(t, cfg)

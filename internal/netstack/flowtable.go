@@ -36,9 +36,9 @@ import (
 // reference share the slot: a lookup's memory traffic is the probe run
 // itself, the hit entry streams in with the key compares, and robin-hood
 // keeps probe runs short and adjacent, so a demux touch is ~1 line
-// however large the table is. The simulator stores each slot in 10 bytes,
-// the key's remote half and the endpoint handle with no hash (flowSlot);
-// the priced footprint does not follow it.
+// however large the table is. The simulator stores each slot in 8 bytes,
+// the key's remote half and the endpoint handle with no hash and no probe
+// distance (flowSlot); the priced footprint does not follow it.
 //
 // A key's local half (its destination address and port) lives once per
 // handle, in the endpoint slab, not once per slot: a handle names an
@@ -89,6 +89,15 @@ type FlowTable struct {
 	eps    []epRef
 	free   []uint16
 	newest uint16
+
+	// hist counts the resident entries by probe distance. Every put,
+	// displacement, backward shift, growth and batch commit keeps it
+	// current, so TableStats reads it instead of deriving every slot's
+	// distance.
+	hist probeHist
+	// page is what is left of the slot page that shards' first arrays are
+	// carved from (firstSlots).
+	page []flowSlot
 }
 
 // epRef is one endpoint slab entry: the endpoint, the local half of every
@@ -133,32 +142,33 @@ const (
 	// robin-hood probe distance and an 8-byte endpoint pointer, padded to
 	// a half cache line so two slots share a 64-byte line and a probe run
 	// streams rather than chases. It models a kernel's socket-hash slot
-	// and is deliberately decoupled from the simulator's own 10-byte
+	// and is deliberately decoupled from the simulator's own 8-byte
 	// flowSlot: what the model charges must not follow how Go stores it.
 	FlowSlotBytes = 32
 	// flowShardMinSlots is the initial slot-array size of a shard's first
 	// insert (arrays are allocated lazily, so empty shards occupy no
 	// modeled bytes).
 	flowShardMinSlots = 8
+	// slotPageShards is how many shards' first arrays one slot page
+	// holds (firstSlots).
+	slotPageShards = 8
 )
 
-// flowSlot is one open-addressed entry as the simulator stores it: 10
-// bytes and no pointer, so a million-entry table is under a third of the
+// flowSlot is one open-addressed entry as the simulator stores it: 8
+// bytes and no pointer, so a million-entry table is a quarter of the
 // priced FlowSlotBytes layout and the garbage collector never scans it.
 // Every field is at most 2-byte aligned, so a slot array has no padding.
 // The slot holds only its key's remote half (src, srcPort). ref is the
 // 16-bit slab handle (FlowTable.eps) of the key's endpoint and local half,
-// which bounds a table to MaxEndpoints live handles. The key's hash is not
-// stored at all: the caller's hash picks the home slot, lookups compare
-// the key (holds), and growth, the one place a resident's hash is needed,
-// rebuilds it from the remote half and the handle's local share. dist is
-// the 1-based probe distance from the key's home slot (0 = empty);
-// robin-hood insertion keeps it near 1 and bounded, and it doubles as the
-// per-entry probe length the occupancy histogram reports.
+// which bounds a table to MaxEndpoints live handles; handle 0 is nil, so a
+// slot whose ref is 0 is empty. Neither the key's hash nor its probe
+// distance is stored: the caller's hash picks the home slot, lookups
+// compare the key (holds), and where a resident's hash is needed — its
+// probe distance when a probe passes it, or growth — it is rebuilt from
+// the remote half and the handle's local share (hash, distAt).
 type flowSlot struct {
 	src     ipv4.Addr
 	srcPort uint16
-	dist    uint16
 	ref     uint16
 }
 
@@ -174,6 +184,57 @@ func (sl *flowSlot) holds(k FlowKey, eps []epRef) bool {
 func (sl *flowSlot) key(eps []epRef) FlowKey {
 	e := &eps[sl.ref]
 	return FlowKey{Src: sl.src, Dst: e.dst, SrcPort: sl.srcPort, DstPort: e.dstPort}
+}
+
+// hash rebuilds the Toeplitz hash of the key sl holds: six table lookups
+// for the remote half, XORed with the handle's stored local share.
+func (sl *flowSlot) hash(eps []epRef) uint32 {
+	return rss.HashRemote(sl.src, sl.srcPort) ^ eps[sl.ref].localHash
+}
+
+// probeDist is the 1-based probe distance of a key hashing to h that sits
+// in slot i of a shard of mask+1 slots: its displacement from its home
+// slot, slotIndexHash(h) & mask.
+func probeDist(i, h, mask uint32) uint32 {
+	return (i-slotIndexHash(h))&mask + 1
+}
+
+// probeHist counts resident entries by probe distance d ≥ 1: byDist[d]
+// up to 64, over[d-65] past it, so only a pile-up past 64 ever allocates.
+// Counts add modulo 2^64, so a batch's change, decrements included, can be
+// gathered in a probeHist of its own and merged at its commit.
+type probeHist struct {
+	byDist [65]uint64
+	over   []uint64
+}
+
+func (h *probeHist) inc(d uint32) { *h.at(d)++ }
+func (h *probeHist) dec(d uint32) { *h.at(d)-- }
+
+// at returns distance d's counter.
+func (h *probeHist) at(d uint32) *uint64 {
+	if d < uint32(len(h.byDist)) {
+		return &h.byDist[d]
+	}
+	return h.overAt(int(d) - len(h.byDist))
+}
+
+// overAt returns the counter of distance i+65, growing over to hold it.
+func (h *probeHist) overAt(i int) *uint64 {
+	for len(h.over) <= i {
+		h.over = append(h.over, 0)
+	}
+	return &h.over[i]
+}
+
+// merge adds o's counts to h.
+func (h *probeHist) merge(o *probeHist) {
+	for d, n := range o.byDist {
+		h.byDist[d] += n
+	}
+	for i, n := range o.over {
+		*h.overAt(i) += n
+	}
 }
 
 // flowShard is one shard: a private open-addressed slot array plus
@@ -338,23 +399,34 @@ func (t *FlowTable) release(h uint16) {
 	}
 }
 
+// distAt derives the probe distance of the resident in slot i of s from
+// its rebuilt hash; mask is len(s.slots)-1.
+func (s *flowShard) distAt(i, mask uint32, eps []epRef) uint32 {
+	return probeDist(i, s.slots[i].hash(eps), mask)
+}
+
 // openLookup probes shard s for k, returning the endpoint handle (0 =
 // absent) and the probe count. Robin-hood ordering terminates a miss
 // early: once a resident entry's distance is below the probe distance, k
-// cannot be further along.
+// cannot be further along. A resident holding k sits exactly at the probe
+// distance, and no distance is below 1, so only the residents that do not
+// hold k and sit past k's home slot need their distance derived.
 func (s *flowShard) openLookup(h uint32, k FlowKey, eps []epRef) (uint16, int) {
 	if len(s.slots) == 0 {
 		return 0, 1
 	}
 	mask := uint32(len(s.slots) - 1)
 	i := slotIndexHash(h) & mask
-	for p := uint16(1); ; p++ {
+	for p := uint32(1); ; p++ {
 		sl := &s.slots[i]
-		if sl.dist == 0 || sl.dist < p {
+		if sl.ref == 0 {
 			return 0, int(p)
 		}
 		if sl.holds(k, eps) {
 			return sl.ref, int(p)
+		}
+		if p > 1 && s.distAt(i, mask, eps) < p {
+			return 0, int(p)
 		}
 		i = (i + 1) & mask
 	}
@@ -374,13 +446,27 @@ func openSlotsFor(slots, used int) int {
 	return slots
 }
 
+// firstSlots returns a shard's first slot array: flowShardMinSlots zeroed
+// slots carved from the table's slot page, so slotPageShards shards' first
+// inserts share one allocation. The array's capacity ends at its own
+// slots, so its growth allocates rather than run into the next shard's.
+func (t *FlowTable) firstSlots() []flowSlot {
+	if len(t.page) == 0 {
+		t.page = make([]flowSlot, slotPageShards*flowShardMinSlots)
+	}
+	a := t.page[:flowShardMinSlots:flowShardMinSlots]
+	t.page = t.page[flowShardMinSlots:]
+	return a
+}
+
 // openGrow resizes the slot array to n slots and rehashes every resident
 // entry in old-slot order, rebuilding each one's hash from its remote half
 // and its handle's local share (six table lookups, not twelve). An array
 // with spare capacity (InsertBatch reserves it, zeroed) grows in place,
 // with the old entries staged in scratch, which InsertBatch sizes to hold
-// them. Otherwise a fresh array is allocated.
-func (s *flowShard) openGrow(n int, scratch []flowSlot, eps []epRef) {
+// them. Otherwise a fresh array is allocated. dists and hist are openPut's;
+// with hist, each resident moves from its old distance to its new one.
+func (s *flowShard) openGrow(n int, scratch []flowSlot, eps []epRef, dists []uint16, hist *probeHist) {
 	old := s.slots
 	if cap(old) >= n {
 		staged := append(scratch[:0], old...)
@@ -389,11 +475,18 @@ func (s *flowShard) openGrow(n int, scratch []flowSlot, eps []epRef) {
 	} else {
 		s.slots = make([]flowSlot, n)
 	}
+	if dists != nil {
+		clear(dists[:n])
+	}
 	s.used = 0
+	mask := uint32(len(old) - 1)
 	for i := range old {
-		if sl := &old[i]; sl.dist != 0 {
-			h := rss.HashRemote(sl.src, sl.srcPort) ^ eps[sl.ref].localHash
-			s.openPut(h, sl.key(eps), sl.ref, eps)
+		if sl := &old[i]; sl.ref != 0 {
+			h := sl.hash(eps)
+			if hist != nil {
+				hist.dec(probeDist(uint32(i), h, mask))
+			}
+			s.openPut(h, sl.key(eps), sl.ref, eps, dists, hist)
 		}
 	}
 }
@@ -405,63 +498,128 @@ func (s *flowShard) openGrow(n int, scratch []flowSlot, eps []epRef) {
 // which is exactly where openLookup would stop, so its visit count is the
 // probe count of a lookup miss. The caller must have ensured capacity
 // (openSlotsFor), so an empty slot is guaranteed within the probe run.
-func (s *flowShard) openPut(h uint32, k FlowKey, ref uint16, eps []epRef) (int, bool) {
+//
+// Exactly one of dists and hist is given. hist, the serial path's, counts
+// k at the distance it lands at and moves each displaced resident from
+// its old distance to its new one. dists is a batch's record of every
+// slot's distance (0 for an empty slot, saturating at math.MaxUint16,
+// past which a distance is derived): openPut reads a resident's distance
+// there and records each one it places, and the batch counts the shard's
+// distances once it is built (addDists).
+func (s *flowShard) openPut(h uint32, k FlowKey, ref uint16, eps []epRef, dists []uint16, hist *probeHist) (int, bool) {
 	mask := uint32(len(s.slots) - 1)
-	cur := flowSlot{src: k.Src, srcPort: k.SrcPort, dist: 1, ref: ref}
+	cur := flowSlot{src: k.Src, srcPort: k.SrcPort, ref: ref}
+	dist := uint32(1) // cur's probe distance at slot i
 	i := slotIndexHash(h) & mask
 	displaced := false
 	visited := 0
 	for {
 		visited++
 		sl := &s.slots[i]
-		if sl.dist == 0 {
+		if sl.ref == 0 {
 			*sl = cur
 			s.used++
+			if dists != nil {
+				dists[i] = saturated(dist)
+			} else {
+				hist.inc(dist)
+			}
 			return visited, true
 		}
-		if sl.dist < cur.dist {
+		if !displaced && sl.holds(k, eps) {
+			return visited, false
+		}
+		var d uint32
+		switch {
+		case dist == 1:
+			// A key at its home slot displaces no one.
+			d = dist
+		case dists != nil && dists[i] != math.MaxUint16:
+			d = uint32(dists[i])
+		default:
+			d = s.distAt(i, mask, eps)
+		}
+		if d < dist {
 			// Robin hood: the poorer key (further from home) takes the
 			// slot; the displaced resident continues probing.
 			*sl, cur = cur, *sl
+			if dists != nil {
+				dists[i] = saturated(dist)
+			} else {
+				hist.dec(d)
+				hist.inc(dist)
+			}
+			dist = d
 			displaced = true
-		} else if !displaced && sl.holds(k, eps) {
-			return visited, false
 		}
-		cur.dist++
+		dist++
 		i = (i + 1) & mask
 	}
+}
+
+// saturated is distance d as a dists entry.
+func saturated(d uint32) uint16 {
+	return uint16(min(d, math.MaxUint16))
+}
+
+// addDists counts the distances of s's residents into h, from dists, the
+// record openPut keeps of them. An empty slot's 0 lands in byDist[0],
+// which is restored after, so the scan has no branch on occupancy.
+func (h *probeHist) addDists(s *flowShard, dists []uint16, eps []epRef) {
+	mask := uint32(len(s.slots) - 1)
+	empty := h.byDist[0]
+	for j, d := range dists[:len(s.slots)] {
+		switch {
+		case int(d) < len(h.byDist):
+			h.byDist[d]++
+		case d == math.MaxUint16:
+			h.inc(s.distAt(uint32(j), mask, eps))
+		default:
+			h.inc(uint32(d))
+		}
+	}
+	h.byDist[0] = empty
 }
 
 // openRemove deletes k with backward-shift compaction (successor entries
 // slide one slot toward home, keeping probe runs tight for every later
 // lookup), returning k's endpoint handle (0 = not resident) and the slots
-// visited.
-func (s *flowShard) openRemove(h uint32, k FlowKey, eps []epRef) (uint16, int) {
+// visited. hist drops k and moves each shifted successor one distance
+// nearer home.
+func (s *flowShard) openRemove(h uint32, k FlowKey, eps []epRef, hist *probeHist) (uint16, int) {
 	if len(s.slots) == 0 {
 		return 0, 1
 	}
 	mask := uint32(len(s.slots) - 1)
 	i := slotIndexHash(h) & mask
-	for p := uint16(1); ; p++ {
+	for p := uint32(1); ; p++ {
 		sl := &s.slots[i]
-		if sl.dist == 0 || sl.dist < p {
+		if sl.ref == 0 {
 			return 0, int(p)
 		}
 		if sl.holds(k, eps) {
 			ref := sl.ref
+			hist.dec(p)
 			for {
 				j := (i + 1) & mask
-				nx := s.slots[j]
-				if nx.dist <= 1 {
-					s.slots[i] = flowSlot{}
+				if s.slots[j].ref == 0 {
 					break
 				}
-				nx.dist--
-				s.slots[i] = nx
+				d := s.distAt(j, mask, eps)
+				if d == 1 {
+					break
+				}
+				hist.dec(d)
+				hist.inc(d - 1)
+				s.slots[i] = s.slots[j]
 				i = j
 			}
+			s.slots[i] = flowSlot{}
 			s.used--
 			return ref, int(p)
+		}
+		if p > 1 && s.distAt(i, mask, eps) < p {
+			return 0, int(p)
 		}
 		i = (i + 1) & mask
 	}
@@ -500,10 +658,13 @@ func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 	e.ep = ep
 	e.refs++
 	slots, used := len(s.slots), s.used
-	if n := openSlotsFor(slots, used); n != slots {
-		s.openGrow(n, nil, t.eps)
+	switch n := openSlotsFor(slots, used); {
+	case slots == 0:
+		s.slots = t.firstSlots()
+	case n != slots:
+		s.openGrow(n, nil, t.eps, nil, &t.hist)
 	}
-	probes, _ := s.openPut(h, k, ref, t.eps)
+	probes, _ := s.openPut(h, k, ref, t.eps, nil, &t.hist)
 	t.priceOpenInsert(s, slots, used, probes)
 	return nil
 }
@@ -551,29 +712,37 @@ const batchBlock = 1 << 16
 //     fraction is computed once, and each growth's rehash charge is
 //     priced at the footprint it leaves. Each block of batchBlock keys
 //     is counting-sorted by shard into 16-bit offsets under a
-//     per-(block, shard) start table. Then each touched shard's final
-//     slot array is reserved.
+//     per-(block, shard) start table. Then every touched shard's final
+//     slot array is reserved, all of them cut from one slab.
 //  2. Insert: fill each shard with its keys in index order, block by
 //     block, rehashing each key as it goes. Growth doubles inside the
 //     reservation and rehashes in old-slot order, like Insert's growth,
-//     so every slot lands where Insert would put it. A per-shard cursor
-//     over the epochs prices each key's probe run, and one over the runs
-//     names its handle. The put itself detects a duplicate. Nothing is
-//     committed or charged until every shard is built, so on a duplicate
-//     the batch discards its work, releases its runs' handles and reruns
-//     over the keys before it. A run that finds no handle does the same
-//     at the run's first key.
+//     so every slot lands where Insert would put it. The shard being
+//     built keeps its slots' probe distances in a scratch array, so a
+//     put reads a resident's distance rather than rebuilding its hash. A
+//     per-shard cursor over the epochs prices each key's probe run, and
+//     one over the runs names its handle. The put itself detects a
+//     duplicate. The shard's residents leave the probe-distance
+//     histogram at their distances when its build starts (derived, for
+//     the residents from before the batch) and rejoin it at those the
+//     scratch holds when it ends, in a histogram of the batch's own.
+//     Nothing is committed or charged until every shard is built, so on
+//     a duplicate the batch discards its work, releases its runs'
+//     handles and reruns over the keys before it. A run that finds no
+//     handle does the same at the run's first key.
 //
-// The commit then applies the summed charge once and counts each run's
-// keys on its handle. That is exact because a cycles.Meter keeps only a
-// per-category sum: the per-key charges Insert would make, added in
-// another order, give the same meter and demux cycles.
+// The commit then applies the summed charge once, merges the histogram's
+// change and counts each run's keys on its handle. That is exact because
+// a cycles.Meter keeps only a per-category sum: the per-key charges
+// Insert would make, added in another order, give the same meter and
+// demux cycles.
 //
 // The scratch is two bytes per key (its offset in its block's shard
 // group), one byte per key of a block (the block's shards, reused block
 // to block), the start table, one 16-byte epoch record per possible
-// growth, a few words per shard, and a run list that allocates only when
-// the local half changes within the batch.
+// growth, two bytes per slot of the largest touched shard (its
+// distances, reused shard to shard), a few words per shard, and a run
+// list that allocates only when the local half changes within the batch.
 func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
 	if n <= 0 {
 		return nil
@@ -675,30 +844,55 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		}
 	}
 
-	// Reserve each touched shard's final array. A growth stages the old
-	// entries in scratch, sized once for the largest array a growth
-	// leaves behind.
+	// Reserve each touched shard's final array from one slab, each cut
+	// with its capacity ending at its own slots, so growing in place
+	// never runs into the next shard's. A growth stages the old entries in
+	// scratch, sized once for the largest array a growth leaves behind;
+	// dists is sized for the largest final array.
+	total, widest, stage := 0, 0, 0
+	for si := range t.shards {
+		s, c := &t.shards[si], &tally[si]
+		if c.used == s.used {
+			continue
+		}
+		total += c.slots
+		widest = max(widest, c.slots)
+		if c.slots != len(s.slots) {
+			stage = max(stage, c.slots/2)
+		}
+	}
+	slab := make([]flowSlot, total)
 	built := make([]flowShard, nShards)
-	stage := 0
 	for si := range t.shards {
 		s, w, c := &t.shards[si], &built[si], &tally[si]
 		if c.used == s.used {
 			continue
 		}
-		if c.slots != len(s.slots) {
-			stage = max(stage, c.slots/2)
-		}
-		w.slots = make([]flowSlot, len(s.slots), c.slots)
+		w.slots = slab[:len(s.slots):c.slots]
+		slab = slab[c.slots:]
 		copy(w.slots, s.slots)
 		w.used = s.used
 	}
 	scratch := make([]flowSlot, 0, stage)
+	dists := make([]uint16, widest)
 
 	// Pass 2: build each shard in its reservation, pricing each key's
-	// probe run at its epoch and binding it under its run's handle.
+	// probe run at its epoch and binding it under its run's handle. The
+	// shard's residents leave the probe-distance histogram as it starts
+	// and rejoin it, at their final distances, once it is built.
+	var hist probeHist // the histogram's change
 	firstDup := n
 	for si := range built {
 		w := &built[si]
+		mask := uint32(len(w.slots) - 1)
+		for j, sl := range w.slots {
+			var d uint32
+			if sl.ref != 0 {
+				d = w.distAt(uint32(j), mask, t.eps)
+				hist.dec(d)
+			}
+			dists[j] = saturated(d)
+		}
 		e, r := 0, 0
 	blocks:
 		for lo := 0; lo < n; lo += batchBlock {
@@ -709,13 +903,13 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 					break blocks
 				}
 				if g := openSlotsFor(len(w.slots), w.used); g != len(w.slots) {
-					w.openGrow(g, scratch, t.eps)
+					w.openGrow(g, scratch, t.eps, dists, nil)
 				}
 				for r+1 < len(runs) && runs[r+1].key <= i {
 					r++
 				}
 				k := key(i)
-				probes, ok := w.openPut(k.Hash(), k, runs[r].ref, t.eps)
+				probes, ok := w.openPut(k.Hash(), k, runs[r].ref, t.eps, dists, nil)
 				if !ok {
 					firstDup = i
 					break blocks
@@ -726,6 +920,7 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 				demux += mem.CapacityTouchCostAt(openProbeLines(probes), epochs[e].cold)
 			}
 		}
+		hist.addDists(w, dists, t.eps)
 	}
 	if firstDup < n {
 		unbind()
@@ -752,6 +947,7 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		e.ep = ep
 		e.refs += end - ru.key
 	}
+	t.hist.merge(&hist)
 	t.count += n
 	t.bytes = footprint
 	if demux > 0 {
@@ -780,7 +976,7 @@ func (t *FlowTable) Peek(k FlowKey) *tcp.Endpoint {
 func (t *FlowTable) Remove(k FlowKey) bool {
 	h := k.Hash()
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
-	ref, probes := s.openRemove(h, k, t.eps)
+	ref, probes := s.openRemove(h, k, t.eps, &t.hist)
 	if ref == 0 {
 		return false
 	}
@@ -865,15 +1061,12 @@ type TableStats struct {
 	ProbeHist []uint64 `json:"probe_hist,omitempty"`
 }
 
-// TableStats scans the table and assembles its structure summary.
+// TableStats assembles the table's structure summary: the load factors
+// from the shards' occupancy, the probe summary from the maintained
+// probe-distance histogram, without visiting a slot.
 func (t *FlowTable) TableStats() TableStats {
 	ts := TableStats{Entries: t.count, Bytes: t.bytes, DemuxCycles: t.DemuxCycles()}
 	var loads []float64
-	// byDist[d] counts the slots at probe distance d, the empty ones in
-	// byDist[0], so the scan has no branch on occupancy. Only a distance
-	// past the fixed histogram takes the slice, which hist grows to hold.
-	var byDist [65]uint64
-	var hist []uint64
 	for i := range t.shards {
 		s := &t.shards[i]
 		if len(s.slots) == 0 {
@@ -881,32 +1074,28 @@ func (t *FlowTable) TableStats() TableStats {
 		}
 		ts.Slots += len(s.slots)
 		loads = append(loads, float64(s.used)/float64(len(s.slots)))
-		for j := range s.slots {
-			if d := s.slots[j].dist; int(d) < len(byDist) {
-				byDist[d]++
-			} else {
-				for len(hist) < int(d) {
-					hist = append(hist, 0)
-				}
-				hist[d-1]++
-			}
-		}
 	}
 	if len(loads) > 0 {
 		sort.Float64s(loads)
 		ts.LoadMin, ts.LoadP50, ts.LoadMax = loads[0], loads[len(loads)/2], loads[len(loads)-1]
 	}
-	if hist == nil {
-		top := len(byDist) - 1
-		for top > 0 && byDist[top] == 0 {
-			top--
+	// The histogram runs to the longest populated distance: past 64 when
+	// an overflow count is non-zero, else to the last non-zero fixed one.
+	byDist, over := t.hist.byDist[1:], t.hist.over
+	for len(over) > 0 && over[len(over)-1] == 0 {
+		over = over[:len(over)-1]
+	}
+	if len(over) == 0 {
+		for len(byDist) > 0 && byDist[len(byDist)-1] == 0 {
+			byDist = byDist[:len(byDist)-1]
 		}
-		if top == 0 {
+		if len(byDist) == 0 {
 			return ts
 		}
-		hist = make([]uint64, top)
 	}
-	copy(hist, byDist[1:])
+	hist := make([]uint64, len(byDist)+len(over))
+	copy(hist, byDist)
+	copy(hist[len(byDist):], over)
 	var entries uint64
 	for _, c := range hist {
 		entries += c

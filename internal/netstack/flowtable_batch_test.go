@@ -483,12 +483,13 @@ func heapBytes[T any](n int) uint64 {
 // 100k-key batch, two grouping blocks, into a fresh default table
 // allocates exactly:
 //
-//   - each shard's final slot array, at 10 bytes a slot;
+//   - one slab holding every shard's final slot array, at 8 bytes a slot;
 //   - 2 bytes of scratch per key (its offset in its block's shard group)
 //     and 1 byte per key of one block (the block's shards);
 //   - the per-(block, shard) start table, one word more than blocks ×
 //     shards;
-//   - one growth staging array, half the largest final array;
+//   - one growth staging array, half the largest final array, and the
+//     distance scratch, 2 bytes a slot of the largest final array;
 //   - one 16-byte epoch record per growth the batch could take,
 //     min(n, shards × bits.Len(n)), plus the first epoch;
 //   - per shard, the pass-1 tally (three words) and the built shard
@@ -497,7 +498,8 @@ func heapBytes[T any](n int) uint64 {
 //     which the batch keeps on its stack.
 //
 // Each allocation counts at its allocator size (heapBytes), so a slot,
-// scratch or epoch-list regrowth fails here, not only in the benchmark.
+// scratch or epoch-list regrowth, or a slot array allocated on its own,
+// fails here, not only in the benchmark.
 func TestInsertBatchHostBytes(t *testing.T) {
 	const n = 100_000
 	ep := testEndpoint(t, 5001, 44000)
@@ -520,13 +522,13 @@ func TestInsertBatchHostBytes(t *testing.T) {
 	shards := len(tab.shards)
 	blocks := (n + batchBlock - 1) / batchBlock
 	want := heapBytes[uint16](n) + heapBytes[uint8](batchBlock) + heapBytes[int](blocks*shards+1)
-	stage := 0
+	total, widest := 0, 0
 	for si := range tab.shards {
 		slots := len(tab.shards[si].slots)
-		want += heapBytes[[10]byte](slots)
-		stage = max(stage, slots/2)
+		total += slots
+		widest = max(widest, slots)
 	}
-	want += heapBytes[[10]byte](stage)
+	want += heapBytes[[8]byte](total) + heapBytes[[8]byte](widest/2) + heapBytes[uint16](widest)
 	want += heapBytes[[16]byte](1 + min(n, shards*bits.Len(n)))
 	want += heapBytes[[3]int](shards) + heapBytes[flowShard](shards)
 	if got != want {
@@ -598,12 +600,14 @@ func insertBatchCase(t *testing.T, n uint16, prefill uint8, seed uint64) {
 		t.Fatalf("errors differ: serial %v, batch %v", errS, errB)
 	}
 	requireTablesEqual(t, "fuzz", serial, batch, ms, mb)
+	checkOpenInvariants(t, serial)
 	checkOpenInvariants(t, batch)
 }
 
-// tableStatsBySort is the reference structure summary: it collects every
-// resident entry's probe length and sorts them, the definition TableStats
-// computes from its histogram instead.
+// tableStatsBySort is the reference structure summary: it derives every
+// resident entry's probe length from its slot index and its key's full
+// Toeplitz hash, and sorts them, the definition TableStats reads off its
+// maintained histogram instead.
 func tableStatsBySort(t *FlowTable) TableStats {
 	ts := TableStats{Entries: t.count, Bytes: t.bytes, DemuxCycles: t.DemuxCycles()}
 	var loads []float64
@@ -616,14 +620,18 @@ func tableStatsBySort(t *FlowTable) TableStats {
 		}
 		ts.Slots += len(s.slots)
 		loads = append(loads, float64(s.used)/float64(len(s.slots)))
-		for j := range s.slots {
-			if d := int(s.slots[j].dist); d > 0 {
-				probes = append(probes, d)
-				for len(hist) < d {
-					hist = append(hist, 0)
-				}
-				hist[d-1]++
+		mask := len(s.slots) - 1
+		for j, sl := range s.slots {
+			if sl.ref == 0 {
+				continue
 			}
+			home := int(slotIndexHash(sl.key(t.eps).Hash())) & mask
+			d := (j-home)&mask + 1
+			probes = append(probes, d)
+			for len(hist) < d {
+				hist = append(hist, 0)
+			}
+			hist[d-1]++
 		}
 	}
 	if len(loads) > 0 {

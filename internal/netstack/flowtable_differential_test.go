@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ipv4"
@@ -205,12 +206,14 @@ func TestFlowTableDifferential(t *testing.T) {
 }
 
 // checkOpenInvariants verifies the table's structural invariants
-// slot by slot: every resident entry lives in the shard its key's hash
-// selects, its recorded probe distance is exactly its displacement from
-// the home slot (both derived from key.Hash()), robin-hood ordering holds
-// (an entry at distance d>1 has a predecessor at distance >= d-1, so no
-// lookup can early-exit past a live key), no shard exceeds 3/4 load, and
-// the per-shard used counts sum to Len.
+// slot by slot: every occupied slot names a live handle, every resident
+// entry lives in the shard its key's hash selects, robin-hood ordering
+// holds (each slot's probe distance, derived from its index and its key's
+// full hash, is at most its predecessor's plus 1, an empty slot counting
+// 0, so no lookup can early-exit past a live key), a lookup of each
+// resident finds it in exactly its distance's probes, no shard exceeds
+// 3/4 load, the per-shard used counts sum to Len, and TableStats, read
+// off the maintained histogram, equals the slot scan of tableStatsBySort.
 func checkOpenInvariants(t *testing.T, tab *FlowTable) {
 	t.Helper()
 	total := 0
@@ -231,28 +234,36 @@ func checkOpenInvariants(t *testing.T, tab *FlowTable) {
 			t.Errorf("shard %d: %d/%d slots used exceeds 3/4 load", si, s.used, len(s.slots))
 		}
 		mask := uint32(len(s.slots) - 1)
+		dist := func(j uint32) uint32 {
+			if s.slots[j].ref == 0 {
+				return 0
+			}
+			home := slotIndexHash(s.slots[j].key(tab.eps).Hash()) & mask
+			return (j-home)&mask + 1
+		}
 		used := 0
 		for j := range s.slots {
 			sl := s.slots[j]
-			if sl.dist == 0 {
+			if sl.ref == 0 {
 				continue
 			}
 			used++
-			h := sl.key(tab.eps).Hash()
-			if own := rss.ShardOf(h, len(tab.shards)); own != si {
+			if int(sl.ref) >= len(tab.eps) || tab.eps[sl.ref].refs == 0 {
+				t.Errorf("shard %d slot %d: handle %d is not live", si, j, sl.ref)
+				continue
+			}
+			k := sl.key(tab.eps)
+			if own := tab.ShardOf(k); own != si {
 				t.Errorf("shard %d slot %d: key belongs to shard %d", si, j, own)
 			}
-			home := slotIndexHash(h) & mask
-			wantDist := ((uint32(j) - home) & mask) + 1
-			if uint32(sl.dist) != wantDist {
-				t.Errorf("shard %d slot %d: dist=%d, actual displacement %d",
-					si, j, sl.dist, wantDist)
+			d := dist(uint32(j))
+			if prev := dist((uint32(j) - 1) & mask); d > prev+1 {
+				t.Errorf("shard %d slot %d: robin-hood order broken (dist %d after %d)",
+					si, j, d, prev)
 			}
-			if sl.dist > 1 {
-				if prev := s.slots[(uint32(j)-1)&mask]; prev.dist < sl.dist-1 {
-					t.Errorf("shard %d slot %d: robin-hood order broken (dist %d after %d)",
-						si, j, sl.dist, prev.dist)
-				}
+			if ref, probes := s.openLookup(k.Hash(), k, tab.eps); ref != sl.ref || probes != int(d) {
+				t.Errorf("shard %d slot %d: lookup finds handle %d in %d probes, want %d in %d",
+					si, j, ref, probes, sl.ref, d)
 			}
 		}
 		if used != s.used {
@@ -265,6 +276,9 @@ func checkOpenInvariants(t *testing.T, tab *FlowTable) {
 	}
 	if slotBytes != tab.StructBytes() {
 		t.Errorf("slot arrays hold %d bytes but StructBytes=%d", slotBytes, tab.StructBytes())
+	}
+	if got, want := tab.TableStats(), tableStatsBySort(tab); !reflect.DeepEqual(got, want) {
+		t.Errorf("TableStats from the histogram\n got %+v\nwant %+v (slot scan)", got, want)
 	}
 }
 

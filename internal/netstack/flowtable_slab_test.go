@@ -30,12 +30,12 @@ func hasPointers(t reflect.Type) bool {
 	return false
 }
 
-// TestFlowSlotLayout pins the simulator's slot: 10 bytes, the key's
-// remote half and two 16-bit fields, with no pointer, while the priced
+// TestFlowSlotLayout pins the simulator's slot: 8 bytes, the key's
+// remote half and the 16-bit handle, with no pointer, while the priced
 // footprint stays the modelled 32-byte slot.
 func TestFlowSlotLayout(t *testing.T) {
-	if got := unsafe.Sizeof(flowSlot{}); got != 10 {
-		t.Errorf("flowSlot is %d bytes, want 10", got)
+	if got := unsafe.Sizeof(flowSlot{}); got != 8 {
+		t.Errorf("flowSlot is %d bytes, want 8", got)
 	}
 	if hasPointers(reflect.TypeFor[flowSlot]()) {
 		t.Error("flowSlot holds a pointer")
@@ -98,20 +98,19 @@ func TestChurnAllocFree(t *testing.T) {
 }
 
 // checkSlab verifies the handle bookkeeping against the keys themselves:
-// every live handle's count equals the keys naming it, no key names the
-// nil handle, and the free list holds exactly the released handles, once.
+// every live handle's count equals the keys naming it, the nil handle
+// (which marks an empty slot) stays empty, and the free list holds
+// exactly the released handles, once.
 func checkSlab(t *testing.T, what string, tab *FlowTable) {
 	t.Helper()
 	counts := make([]int, len(tab.eps))
 	for si := range tab.shards {
 		for _, sl := range tab.shards[si].slots {
-			if sl.dist != 0 {
-				counts[sl.ref]++
-			}
+			counts[sl.ref]++
 		}
 	}
-	if counts[0] != 0 || tab.eps[0] != (epRef{}) {
-		t.Fatalf("%s: handle 0 named by %d keys, holds %+v", what, counts[0], tab.eps[0])
+	if tab.eps[0] != (epRef{}) {
+		t.Fatalf("%s: handle 0 holds %+v", what, tab.eps[0])
 	}
 	onFree := make([]bool, len(tab.eps))
 	for _, h := range tab.free {
@@ -135,9 +134,10 @@ func checkSlab(t *testing.T, what string, tab *FlowTable) {
 // Insert, InsertBatch, Remove, Peek and LookupOn over a 32-key space and
 // three endpoints, and checks it after every operation against the
 // plain-map oracle (refTable): verdicts, errors, resolutions, length,
-// shard occupancy and counters, and the handle slab's consistency with
-// the keys. It ends by removing every key, after which every handle must
-// be back on the free list: churn cannot leak handles.
+// shard occupancy and counters, the handle slab's consistency with the
+// keys, and the slot invariants with TableStats against a slot scan
+// (checkOpenInvariants). It ends by removing every key, after which every
+// handle must be back on the free list: churn cannot leak handles.
 //
 // The key space has two local halves: keys 24 to 31 are keys 0 to 7's
 // remote halves under twinKey's local half, so each shares its home slot
@@ -180,6 +180,7 @@ func flowTableOps(t *testing.T, shardBits uint8, ops []byte) {
 		t.Helper()
 		ref.check(t, what, tab, keys)
 		checkSlab(t, what, tab)
+		checkOpenInvariants(t, tab)
 	}
 
 	for o := 0; o+2 < len(ops); o += 3 {
@@ -267,6 +268,7 @@ func TestEndpointHandleLimit(t *testing.T) {
 	}
 	requireTablesEqual(t, "refused inserts", ref, tab, mr, mt)
 	checkSlab(t, "refused inserts", tab)
+	checkOpenInvariants(t, tab)
 
 	last := &eps[MaxEndpoints-1]
 	for _, tb := range []*FlowTable{ref, tab} {
