@@ -38,3 +38,19 @@ func BenchmarkHarness_WallClock(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkConnScaleSetup times the set-up of the connscale-1m benchmark
+// workload's shape, building the topology and registering its million
+// idle flows, run over 1 ns of virtual time (WarmupNs 0, DurationNs 1):
+// exactly what rxperf's setup_s times, as a Go benchmark whose runs pair
+// up before and after a change.
+func BenchmarkConnScaleSetup(b *testing.B) {
+	cfg := connScaleConfig(1_000_000)
+	cfg.WarmupNs, cfg.DurationNs = 0, 1
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := RunStream(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -117,6 +117,11 @@ func (e *epRef) local(k FlowKey) bool {
 	return e.dst == k.Dst && e.dstPort == k.DstPort
 }
 
+// sameLocal reports whether e and o bind the same local half.
+func (e *epRef) sameLocal(o *epRef) bool {
+	return e.dst == o.dst && e.dstPort == o.dstPort
+}
+
 // epSlabRoom is the slab's initial capacity, enough for a small run's
 // endpoints without regrowth.
 const epSlabRoom = 16
@@ -165,7 +170,9 @@ const (
 // distance is stored: the caller's hash picks the home slot, lookups
 // compare the key (holds), and where a resident's hash is needed — its
 // probe distance when a probe passes it, or growth — it is rebuilt from
-// the remote half and the handle's local share (hash, distAt).
+// the remote half and the handle's local share (hash, distAt). InsertBatch
+// keeps the distances and home hashes of the shard it builds in scratch
+// instead (shardBuild).
 type flowSlot struct {
 	src     ipv4.Addr
 	srcPort uint16
@@ -373,8 +380,8 @@ func (t *FlowTable) handleFor(ep *tcp.Endpoint, k FlowKey) (uint16, error) {
 
 // bind claims h, the handle handleFor returned for k, as the newest
 // handle, and gives a fresh one k's local half and its hash share. The
-// caller sets the endpoint and counts the keys; until it does, the claim
-// is undone by restoring the slab's lengths and newest handle (InsertBatch).
+// caller sets the endpoint and counts the keys; until it does, unbind
+// undoes the claim.
 func (t *FlowTable) bind(h uint16, k FlowKey) *epRef {
 	switch {
 	case int(h) == len(t.eps):
@@ -388,6 +395,24 @@ func (t *FlowTable) bind(h uint16, k FlowKey) *epRef {
 	}
 	t.newest = h
 	return e
+}
+
+// slabMark is the endpoint slab's lengths and newest handle, as mark
+// takes them before a bind.
+type slabMark struct {
+	eps, free int
+	newest    uint16
+}
+
+func (t *FlowTable) mark() slabMark {
+	return slabMark{len(t.eps), len(t.free), t.newest}
+}
+
+// unbind undoes the binds made since m was taken, none of whose keys is
+// counted yet: restoring the slab's lengths and newest handle frees every
+// handle they claimed.
+func (t *FlowTable) unbind(m slabMark) {
+	t.eps, t.free, t.newest = t.eps[:m.eps], t.free[:m.free], m.newest
 }
 
 // release drops one key's reference to handle h; the last one frees it.
@@ -459,34 +484,22 @@ func (t *FlowTable) firstSlots() []flowSlot {
 	return a
 }
 
-// openGrow resizes the slot array to n slots and rehashes every resident
-// entry in old-slot order, rebuilding each one's hash from its remote half
-// and its handle's local share (six table lookups, not twelve). An array
-// with spare capacity (InsertBatch reserves it, zeroed) grows in place,
-// with the old entries staged in scratch, which InsertBatch sizes to hold
-// them. Otherwise a fresh array is allocated. dists and hist are openPut's;
-// with hist, each resident moves from its old distance to its new one.
-func (s *flowShard) openGrow(n int, scratch []flowSlot, eps []epRef, dists []uint16, hist *probeHist) {
+// openGrow resizes the slot array to a fresh array of n slots and
+// rehashes every resident entry in old-slot order, rebuilding each one's
+// hash from its remote half and its handle's local share (six table
+// lookups, not twelve), and moving it in hist from its old distance to its
+// new one. InsertBatch grows the shard it builds inside its reservation
+// instead, from scratch that keeps every resident's home (shardBuild.grow).
+func (s *flowShard) openGrow(n int, eps []epRef, hist *probeHist) {
 	old := s.slots
-	if cap(old) >= n {
-		staged := append(scratch[:0], old...)
-		clear(old)
-		s.slots, old = old[:n], staged
-	} else {
-		s.slots = make([]flowSlot, n)
-	}
-	if dists != nil {
-		clear(dists[:n])
-	}
+	s.slots = make([]flowSlot, n)
 	s.used = 0
 	mask := uint32(len(old) - 1)
 	for i := range old {
 		if sl := &old[i]; sl.ref != 0 {
 			h := sl.hash(eps)
-			if hist != nil {
-				hist.dec(probeDist(uint32(i), h, mask))
-			}
-			s.openPut(h, sl.key(eps), sl.ref, eps, dists, hist)
+			hist.dec(probeDist(uint32(i), h, mask))
+			s.openPut(h, sl.key(eps), sl.ref, eps, hist)
 		}
 	}
 }
@@ -496,17 +509,12 @@ func (s *flowShard) openGrow(n int, scratch []flowSlot, eps []epRef, dists []uin
 // slots visited and true; if k is already resident it changes nothing and
 // returns false. It compares keys only until the first displacement,
 // which is exactly where openLookup would stop, so its visit count is the
-// probe count of a lookup miss. The caller must have ensured capacity
-// (openSlotsFor), so an empty slot is guaranteed within the probe run.
-//
-// Exactly one of dists and hist is given. hist, the serial path's, counts
-// k at the distance it lands at and moves each displaced resident from
-// its old distance to its new one. dists is a batch's record of every
-// slot's distance (0 for an empty slot, saturating at math.MaxUint16,
-// past which a distance is derived): openPut reads a resident's distance
-// there and records each one it places, and the batch counts the shard's
-// distances once it is built (addDists).
-func (s *flowShard) openPut(h uint32, k FlowKey, ref uint16, eps []epRef, dists []uint16, hist *probeHist) (int, bool) {
+// probe count of a lookup miss, and a resident k is met before anything
+// moves. The caller must have ensured capacity (openSlotsFor), so an
+// empty slot is guaranteed within the probe run. hist counts k at the
+// distance it lands at and moves each displaced resident from its old
+// distance to its new one.
+func (s *flowShard) openPut(h uint32, k FlowKey, ref uint16, eps []epRef, hist *probeHist) (int, bool) {
 	mask := uint32(len(s.slots) - 1)
 	cur := flowSlot{src: k.Src, srcPort: k.SrcPort, ref: ref}
 	dist := uint32(1) // cur's probe distance at slot i
@@ -519,36 +527,22 @@ func (s *flowShard) openPut(h uint32, k FlowKey, ref uint16, eps []epRef, dists 
 		if sl.ref == 0 {
 			*sl = cur
 			s.used++
-			if dists != nil {
-				dists[i] = saturated(dist)
-			} else {
-				hist.inc(dist)
-			}
+			hist.inc(dist)
 			return visited, true
 		}
 		if !displaced && sl.holds(k, eps) {
 			return visited, false
 		}
-		var d uint32
-		switch {
-		case dist == 1:
-			// A key at its home slot displaces no one.
-			d = dist
-		case dists != nil && dists[i] != math.MaxUint16:
-			d = uint32(dists[i])
-		default:
+		d := dist // a key at its home slot displaces no one
+		if dist > 1 {
 			d = s.distAt(i, mask, eps)
 		}
 		if d < dist {
 			// Robin hood: the poorer key (further from home) takes the
 			// slot; the displaced resident continues probing.
 			*sl, cur = cur, *sl
-			if dists != nil {
-				dists[i] = saturated(dist)
-			} else {
-				hist.dec(d)
-				hist.inc(dist)
-			}
+			hist.dec(d)
+			hist.inc(dist)
 			dist = d
 			displaced = true
 		}
@@ -557,28 +551,167 @@ func (s *flowShard) openPut(h uint32, k FlowKey, ref uint16, eps []epRef, dists 
 	}
 }
 
+// shardBuild is InsertBatch's scratch for the shard it is building, reused
+// shard to shard. slots and used are the shard's slot array, inside its
+// reservation, and its occupancy. For each slot, dists holds the
+// resident's probe distance (0 for an empty slot, saturating at
+// math.MaxUint16, past which the distance is derived from the home) and
+// homes its home hash, the slotIndexHash of its Toeplitz hash, whose low
+// bits name its home slot at any array size. Both move with the resident
+// on every place and swap, so no put and no growth rebuilds a resident's
+// hash, and a probe walk reads two bytes a slot, not the slot itself.
+// staged holds a growth's residents while it re-puts them.
+type shardBuild struct {
+	slots  []flowSlot
+	used   int
+	dists  []uint16
+	homes  []uint32
+	staged []stagedSlot
+}
+
+// stagedSlot is a resident a growth staged, with its home hash.
+type stagedSlot struct {
+	sl   flowSlot
+	home uint32
+}
+
 // saturated is distance d as a dists entry.
 func saturated(d uint32) uint16 {
 	return uint16(min(d, math.MaxUint16))
 }
 
-// addDists counts the distances of s's residents into h, from dists, the
-// record openPut keeps of them. An empty slot's 0 lands in byDist[0],
-// which is restored after, so the scan has no branch on occupancy.
-func (h *probeHist) addDists(s *flowShard, dists []uint16, eps []epRef) {
-	mask := uint32(len(s.slots) - 1)
-	empty := h.byDist[0]
-	for j, d := range dists[:len(s.slots)] {
-		switch {
-		case int(d) < len(h.byDist):
-			h.byDist[d]++
-		case d == math.MaxUint16:
-			h.inc(s.distAt(uint32(j), mask, eps))
-		default:
-			h.inc(uint32(d))
+// begin starts building a shard whose used residents sit in slots, cut
+// with the shard's reservation as capacity. It records each resident's
+// distance and home, rebuilding its hash this once, and takes it out of
+// hist at that distance; end puts every resident back.
+func (b *shardBuild) begin(slots []flowSlot, used int, eps []epRef, hist *probeHist) {
+	b.slots, b.used = slots, used
+	mask := uint32(len(slots) - 1)
+	for j := range slots {
+		var d uint32
+		if sl := &slots[j]; sl.ref != 0 {
+			b.homes[j] = slotIndexHash(sl.hash(eps))
+			d = (uint32(j)-b.homes[j])&mask + 1
+			hist.dec(d)
+		}
+		b.dists[j] = saturated(d)
+	}
+}
+
+// dist is the probe distance of the resident in slot i, 0 if it is empty;
+// mask is len(b.slots)-1.
+func (b *shardBuild) dist(i, mask uint32) uint32 {
+	if d := b.dists[i]; d != math.MaxUint16 {
+		return uint32(d)
+	}
+	return (i-b.homes[i])&mask + 1
+}
+
+// grow doubles the shard to n slots inside its reservation and re-puts
+// every resident in old-slot order, as openGrow does, so each lands where
+// Insert's growth would put it. It stages the residents with their homes,
+// so none has its hash rebuilt, and places each one from its new home
+// slot: straight at the first empty slot when no resident on the way sits
+// nearer its own home, which only a resident that wrapped past the old
+// array's end can, else by the robin-hood put (place).
+func (b *shardBuild) grow(n int) {
+	old := b.slots
+	staged := b.staged[:0]
+	for j, d := range b.dists[:len(old)] {
+		if d != 0 {
+			staged = append(staged, stagedSlot{old[j], b.homes[j]})
 		}
 	}
-	h.byDist[0] = empty
+	clear(old)
+	clear(b.dists[:n])
+	b.slots = old[:n]
+	mask := uint32(n - 1)
+	for _, st := range staged {
+		i := st.home & mask
+		for dist := uint32(1); ; dist++ {
+			d := b.dist(i, mask)
+			if d == 0 {
+				b.slots[i], b.homes[i], b.dists[i] = st.sl, st.home, saturated(dist)
+				break
+			}
+			if d < dist {
+				b.place(i, st.sl, st.home, dist)
+				break
+			}
+			i = (i + 1) & mask
+		}
+	}
+}
+
+// put inserts the key of remote half (src, srcPort) and of handle ref's
+// local half, whose home hash is home, under ref, and returns what openPut
+// would: the slots visited and true, or false with nothing changed if the
+// key is already resident. A resident holding the key shares its home, so
+// the put meets it at exactly the distance it has probed to; it compares
+// keys only at a resident of that distance, and only up to its first
+// displacement, after which place carries on. The key comes as its remote
+// half alone: its local half is ref's.
+func (b *shardBuild) put(home uint32, src ipv4.Addr, srcPort, ref uint16, eps []epRef) (int, bool) {
+	mask := uint32(len(b.slots) - 1)
+	i := home & mask
+	for dist := uint32(1); ; dist++ {
+		d := b.dist(i, mask)
+		if d < dist {
+			b.used++
+			if d == 0 {
+				sl := &b.slots[i]
+				sl.src, sl.srcPort, sl.ref = src, srcPort, ref
+				b.homes[i], b.dists[i] = home, saturated(dist)
+				return int(dist), true
+			}
+			cur := flowSlot{src: src, srcPort: srcPort, ref: ref}
+			return int(dist) - 1 + b.place(i, cur, home, dist), true
+		}
+		if sl := &b.slots[i]; d == dist && sl.src == src && sl.srcPort == srcPort && eps[sl.ref].sameLocal(&eps[ref]) {
+			return int(dist), false
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// place puts sl, whose home hash is home, in slot i, at probe distance
+// dist, or past it: robin-hood displacing richer residents without
+// comparing keys, as openPut does once it has displaced one. It returns
+// the slots visited from i on.
+func (b *shardBuild) place(i uint32, sl flowSlot, home, dist uint32) int {
+	mask := uint32(len(b.slots) - 1)
+	for visited := 1; ; visited++ {
+		d := b.dist(i, mask)
+		if d == 0 {
+			b.slots[i], b.homes[i], b.dists[i] = sl, home, saturated(dist)
+			return visited
+		}
+		if d < dist {
+			b.slots[i], sl = sl, b.slots[i]
+			b.homes[i], home = home, b.homes[i]
+			b.dists[i] = saturated(dist)
+			dist = d
+		}
+		dist++
+		i = (i + 1) & mask
+	}
+}
+
+// end counts the built shard's residents into hist at their distances
+// and returns its slot array. An empty slot's 0 lands in byDist[0], which
+// is restored after, so the scan has no branch on occupancy.
+func (b *shardBuild) end(hist *probeHist) []flowSlot {
+	mask := uint32(len(b.slots) - 1)
+	empty := hist.byDist[0]
+	for j, d := range b.dists[:len(b.slots)] {
+		if int(d) < len(hist.byDist) {
+			hist.byDist[d]++
+		} else {
+			hist.inc(b.dist(uint32(j), mask))
+		}
+	}
+	hist.byDist[0] = empty
+	return b.slots
 }
 
 // openRemove deletes k with backward-shift compaction (successor entries
@@ -644,27 +777,40 @@ func (t *FlowTable) Len() int { return t.count }
 // touches (probe chase plus entry write) charge cycles.NonProto at the
 // capacity-miss excess — socket-hash insertion is connection-setup work,
 // not receive protocol processing.
+//
+// The put itself finds a duplicate, before it moves anything, so a key's
+// probe run is walked once. Two cases look the key up first instead: a
+// growth due before the put, which must not run for a duplicate, and no
+// handle left, where a duplicate still reports as one.
 func (t *FlowTable) Insert(k FlowKey, ep *tcp.Endpoint) error {
 	h := k.Hash()
 	s := &t.shards[rss.ShardOf(h, len(t.shards))]
-	if ref, _ := s.openLookup(h, k, t.eps); ref != 0 {
-		return t.dupErr(k)
-	}
-	ref, err := t.handleFor(ep, k)
-	if err != nil {
-		return err
-	}
-	e := t.bind(ref, k)
-	e.ep = ep
-	e.refs++
 	slots, used := len(s.slots), s.used
-	switch n := openSlotsFor(slots, used); {
+	n := openSlotsFor(slots, used)
+	ref, err := t.handleFor(ep, k)
+	if err != nil || (slots != 0 && n != slots) {
+		if found, _ := s.openLookup(h, k, t.eps); found != 0 {
+			return t.dupErr(k)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	m := t.mark()
+	e := t.bind(ref, k)
+	switch {
 	case slots == 0:
 		s.slots = t.firstSlots()
 	case n != slots:
-		s.openGrow(n, nil, t.eps, nil, &t.hist)
+		s.openGrow(n, t.eps, &t.hist)
 	}
-	probes, _ := s.openPut(h, k, ref, t.eps, nil, &t.hist)
+	probes, ok := s.openPut(h, k, ref, t.eps, &t.hist)
+	if !ok {
+		t.unbind(m)
+		return t.dupErr(k)
+	}
+	e.ep = ep
+	e.refs++
 	t.priceOpenInsert(s, slots, used, probes)
 	return nil
 }
@@ -690,6 +836,10 @@ func (t *FlowTable) priceOpenInsert(s *flowShard, slots, used, probes int) {
 // 16-bit offset into its block.
 const batchBlock = 1 << 16
 
+// epochLines is how many probe-run lengths, 1 to epochLines lines, each
+// of InsertBatch's footprint epochs prices ahead of its keys.
+const epochLines = 4
+
 // InsertBatch registers ep under key(0), …, key(n-1) and leaves the table
 // exactly as n calls to Insert in index order would: the same slots in
 // every shard, the same footprint, counters, meter and demux cycles. On a
@@ -705,24 +855,29 @@ const batchBlock = 1 << 16
 //     apply the growth rule to its shard's running slot count and
 //     occupancy. A key whose local half differs from the key before it
 //     (or key 0) opens a run and claims the handle its Insert would take
-//     (bind); the run's later keys share it. The growths come out in
-//     index order and cut the batch into footprint epochs: key i's epoch
-//     is the growths at indices up to i, its own included, so its probe
-//     charge sees the footprint Insert's charge would. Each epoch's cold
-//     fraction is computed once, and each growth's rehash charge is
-//     priced at the footprint it leaves. Each block of batchBlock keys
-//     is counting-sorted by shard into 16-bit offsets under a
-//     per-(block, shard) start table. Then every touched shard's final
-//     slot array is reserved, all of them cut from one slab.
+//     (bind); the run's later keys share it. bind has computed the local
+//     half's hash share, so each key hashes only its remote half
+//     (rss.HashRemote). The growths come out in index order and cut the
+//     batch into footprint epochs: key i's epoch is the growths at indices
+//     up to i, its own included, so its probe charge sees the footprint
+//     Insert's charge would. Each epoch's cold fraction is computed once,
+//     with the probe charges of runs of 1 to epochLines lines at it, and
+//     each growth's rehash charge is priced at the footprint it leaves.
+//     Each block of batchBlock keys is counting-sorted by shard into
+//     16-bit offsets under a per-(block, shard) start table. Then every
+//     touched shard's final slot array is reserved, all of them cut from
+//     one slab.
 //  2. Insert: fill each shard with its keys in index order, block by
-//     block, rehashing each key as it goes. Growth doubles inside the
-//     reservation and rehashes in old-slot order, like Insert's growth,
-//     so every slot lands where Insert would put it. The shard being
-//     built keeps its slots' probe distances in a scratch array, so a
-//     put reads a resident's distance rather than rebuilding its hash. A
-//     per-shard cursor over the epochs prices each key's probe run, and
-//     one over the runs names its handle. The put itself detects a
-//     duplicate. The shard's residents leave the probe-distance
+//     block, hashing each key's remote half again. The shard being built
+//     keeps each slot's probe distance and home hash in scratch
+//     (shardBuild), so a put walks the distances, not the slots, and
+//     compares keys only at a resident of its own distance: a duplicate
+//     shares its home. Growth doubles inside the reservation and re-puts
+//     the residents in old-slot order from their stored homes, like
+//     Insert's growth but with no hash rebuilt, so every slot lands where
+//     Insert would put it. A per-shard cursor over the epochs prices each
+//     key's probe run at its epoch, and one over the runs names its handle
+//     and hash share. The shard's residents leave the probe-distance
 //     histogram at their distances when its build starts (derived, for
 //     the residents from before the batch) and rejoin it at those the
 //     scratch holds when it ends, in a histogram of the batch's own.
@@ -739,9 +894,10 @@ const batchBlock = 1 << 16
 //
 // The scratch is two bytes per key (its offset in its block's shard
 // group), one byte per key of a block (the block's shards, reused block
-// to block), the start table, one 16-byte epoch record per possible
-// growth, two bytes per slot of the largest touched shard (its
-// distances, reused shard to shard), a few words per shard, and a run
+// to block), the start table, one epoch record per possible growth and a
+// closing one, six bytes per slot of the largest touched shard (its
+// distances and homes, reused shard to shard), twelve bytes per resident
+// of the largest growth (its staging), a few words per shard, and a run
 // list that allocates only when the local half changes within the batch.
 func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) error {
 	if n <= 0 {
@@ -754,21 +910,19 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		mem = t.params.Mem
 	}
 
-	// A run binds keys from key onward to handle ref. Pass 1 claims each
-	// run's handle with no key counted yet; unbind releases the claims
-	// on every exit short of the commit.
+	// A run binds keys from key onward to handle ref, up to the next run's
+	// first key; a closing run at key n ends the list. Pass 1 claims each
+	// run's handle with no key counted yet; unbind releases the claims on
+	// every exit short of the commit.
 	type run struct {
 		key int
 		ref uint16
 	}
-	// A batch of one local half, the common case, keeps its one run on
-	// the stack.
-	var oneRun [1]run
-	runs := oneRun[:0]
-	slabLen, freeLen, newest := len(t.eps), len(t.free), t.newest
-	unbind := func() {
-		t.eps, t.free, t.newest = t.eps[:slabLen], t.free[:freeLen], newest
-	}
+	// A batch of one local half, the common case, keeps its run and the
+	// closing one on the stack.
+	var twoRuns [2]run
+	runs := twoRuns[:0]
+	unclaimed := t.mark()
 
 	// Pass 1: in index order, find the runs and the growths, price the
 	// epochs, and group each block by shard. The block starting at key lo
@@ -781,26 +935,44 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 	blockShard := make([]uint8, min(n, batchBlock))
 	grouped := make([]uint16, n)
 	start := make([]int, (n+batchBlock-1)/batchBlock*nShards+1)
-	// tally holds each shard's slot count and occupancy as the inserts
-	// land in index order, and its placement cursor in the current block.
-	tally := make([]struct{ slots, used, next int }, nShards)
-	for si := range tally {
-		tally[si].slots, tally[si].used = len(t.shards[si].slots), t.shards[si].used
+	// plan holds each shard's slot count and occupancy as the inserts land
+	// in index order and its placement cursor in the current block, then
+	// its reservation, in which pass 2 builds it.
+	plan := make([]struct {
+		slots, used, next int
+		built             []flowSlot
+	}, nShards)
+	for si := range plan {
+		plan[si].slots, plan[si].used = len(t.shards[si].slots), t.shards[si].used
 	}
 	// An epoch opens at the key whose insert grows a shard (the first at
-	// key 0) and prices at its footprint's cold fraction. Each insert
-	// grows at most one shard, and a shard ending up with m entries has
-	// grown at most bits.Len(m) times (to flowShardMinSlots, then by
-	// doublings to fewer than 8m/3 slots), which bounds their number.
+	// key 0) and prices at its footprint's cold fraction: price[l-1] is
+	// the charge of an l-line probe run. Each insert grows at most one
+	// shard, and a shard ending up with m entries has grown at most
+	// bits.Len(m) times (to flowShardMinSlots, then by doublings to fewer
+	// than 8m/3 slots), which bounds their number. A closing epoch at key
+	// n ends the list.
 	type epoch struct {
-		key  int
-		cold float64
+		key   int
+		cold  float64
+		price [epochLines]uint64
 	}
 	footprint := t.bytes
-	epochs := make([]epoch, 1, 1+min(n, nShards*bits.Len(uint(t.count+n))))
-	epochs[0].cold = mem.CapacityColdFraction(footprint)
+	epochs := make([]epoch, 0, 2+min(n, nShards*bits.Len(uint(t.count+n))))
+	openEpoch := func(key int) float64 {
+		e := epoch{key: key, cold: mem.CapacityColdFraction(footprint)}
+		for l := range e.price {
+			e.price[l] = mem.CapacityTouchCostAt(l+1, e.cold)
+		}
+		epochs = append(epochs, e)
+		return e.cold
+	}
+	openEpoch(0)
+	// stage is the most residents a growth re-puts.
+	stage := 0
 	var demux uint64
 	var local FlowKey // the current run's local half
+	var localHash uint32
 	for lo := 0; lo < n; lo += batchBlock {
 		block := blockShard[:min(batchBlock, n-lo)]
 		count := start[lo/batchBlock*nShards:][:nShards+1]
@@ -811,70 +983,67 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 				if err != nil {
 					// The Insert of this run's first key fails, as a
 					// duplicate or for want of a handle.
-					unbind()
+					t.unbind(unclaimed)
 					if err := t.InsertBatch(lo+j, key, ep); err != nil {
 						return err
 					}
 					return t.Insert(k, ep)
 				}
-				t.bind(ref, k)
+				localHash = t.bind(ref, k).localHash
 				runs = append(runs, run{lo + j, ref})
 				local = k
 			}
-			si := rss.ShardOf(k.Hash(), nShards)
+			si := rss.ShardOf(rss.HashRemote(k.Src, k.SrcPort)^localHash, nShards)
 			block[j] = uint8(si)
 			count[si+1]++
-			c := &tally[si]
+			c := &plan[si]
 			if g := openSlotsFor(c.slots, c.used); g != c.slots {
 				footprint += uint64(g-c.slots) * FlowSlotBytes
-				cold := mem.CapacityColdFraction(footprint)
+				cold := openEpoch(lo + j)
 				demux += mem.CapacityStreamCostAt((c.slots+g)*FlowSlotBytes, cold)
-				epochs = append(epochs, epoch{lo + j, cold})
+				stage = max(stage, c.used)
 				c.slots = g
 			}
 			c.used++
 		}
-		for si := range tally {
+		for si := range plan {
 			count[si+1] += count[si]
-			tally[si].next = count[si]
+			plan[si].next = count[si]
 		}
 		for j, si := range block {
-			grouped[tally[si].next] = uint16(j)
-			tally[si].next++
+			grouped[plan[si].next] = uint16(j)
+			plan[si].next++
 		}
 	}
+	epochs = append(epochs, epoch{key: n})
+	runs = append(runs, run{key: n})
 
 	// Reserve each touched shard's final array from one slab, each cut
 	// with its capacity ending at its own slots, so growing in place
-	// never runs into the next shard's. A growth stages the old entries in
-	// scratch, sized once for the largest array a growth leaves behind;
-	// dists is sized for the largest final array.
-	total, widest, stage := 0, 0, 0
+	// never runs into the next shard's. The build scratch is sized for the
+	// largest final array and the largest growth.
+	total, widest := 0, 0
 	for si := range t.shards {
-		s, c := &t.shards[si], &tally[si]
-		if c.used == s.used {
-			continue
-		}
-		total += c.slots
-		widest = max(widest, c.slots)
-		if c.slots != len(s.slots) {
-			stage = max(stage, c.slots/2)
+		if c := &plan[si]; c.used != t.shards[si].used {
+			total += c.slots
+			widest = max(widest, c.slots)
 		}
 	}
 	slab := make([]flowSlot, total)
-	built := make([]flowShard, nShards)
 	for si := range t.shards {
-		s, w, c := &t.shards[si], &built[si], &tally[si]
+		s, c := &t.shards[si], &plan[si]
 		if c.used == s.used {
 			continue
 		}
-		w.slots = slab[:len(s.slots):c.slots]
+		c.built = slab[:len(s.slots):c.slots]
 		slab = slab[c.slots:]
-		copy(w.slots, s.slots)
-		w.used = s.used
+		copy(c.built, s.slots)
 	}
-	scratch := make([]flowSlot, 0, stage)
-	dists := make([]uint16, widest)
+	b := shardBuild{
+		dists:  make([]uint16, widest),
+		homes:  make([]uint32, widest),
+		staged: make([]stagedSlot, 0, stage),
+	}
 
 	// Pass 2: build each shard in its reservation, pricing each key's
 	// probe run at its epoch and binding it under its run's handle. The
@@ -882,48 +1051,51 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 	// and rejoin it, at their final distances, once it is built.
 	var hist probeHist // the histogram's change
 	firstDup := n
-	for si := range built {
-		w := &built[si]
-		mask := uint32(len(w.slots) - 1)
-		for j, sl := range w.slots {
-			var d uint32
-			if sl.ref != 0 {
-				d = w.distAt(uint32(j), mask, t.eps)
-				hist.dec(d)
-			}
-			dists[j] = saturated(d)
+	for si := range plan {
+		c := &plan[si]
+		if c.used == t.shards[si].used {
+			continue
 		}
-		e, r := 0, 0
+		b.begin(c.built, t.shards[si].used, t.eps, &hist)
+		r, e, at := 0, 0, &epochs[0]
+		ref, share := runs[0].ref, t.eps[runs[0].ref].localHash
+		nextRun, nextEpoch := runs[1].key, epochs[1].key
 	blocks:
 		for lo := 0; lo < n; lo += batchBlock {
-			b := lo/batchBlock*nShards + si
-			for _, off := range grouped[start[b]:start[b+1]] {
+			g := lo/batchBlock*nShards + si
+			for _, off := range grouped[start[g]:start[g+1]] {
 				i := lo + int(off)
 				if i >= firstDup {
 					break blocks
 				}
-				if g := openSlotsFor(len(w.slots), w.used); g != len(w.slots) {
-					w.openGrow(g, scratch, t.eps, dists, nil)
+				if slots := openSlotsFor(len(b.slots), b.used); slots != len(b.slots) {
+					b.grow(slots)
 				}
-				for r+1 < len(runs) && runs[r+1].key <= i {
+				for i >= nextRun {
 					r++
+					ref, share, nextRun = runs[r].ref, t.eps[runs[r].ref].localHash, runs[r+1].key
 				}
 				k := key(i)
-				probes, ok := w.openPut(k.Hash(), k, runs[r].ref, t.eps, dists, nil)
+				probes, ok := b.put(slotIndexHash(rss.HashRemote(k.Src, k.SrcPort)^share), k.Src, k.SrcPort, ref, t.eps)
 				if !ok {
 					firstDup = i
 					break blocks
 				}
-				for e+1 < len(epochs) && epochs[e+1].key <= i {
+				for i >= nextEpoch {
 					e++
+					at, nextEpoch = &epochs[e], epochs[e+1].key
 				}
-				demux += mem.CapacityTouchCostAt(openProbeLines(probes), epochs[e].cold)
+				if lines := openProbeLines(probes); lines <= epochLines {
+					demux += at.price[lines-1]
+				} else {
+					demux += mem.CapacityTouchCostAt(lines, at.cold)
+				}
 			}
 		}
-		hist.addDists(w, dists, t.eps)
+		c.built = b.end(&hist)
 	}
 	if firstDup < n {
-		unbind()
+		t.unbind(unclaimed)
 		if err := t.InsertBatch(firstDup, key, ep); err != nil {
 			return err
 		}
@@ -932,20 +1104,16 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 
 	// Commit.
 	for si := range t.shards {
-		s := &t.shards[si]
-		if keys := tally[si].used - s.used; keys > 0 {
-			s.slots, s.used = built[si].slots, built[si].used
+		s, c := &t.shards[si], &plan[si]
+		if keys := c.used - s.used; keys > 0 {
+			s.slots, s.used = c.built, c.used
 			s.stats.Endpoints += keys
 		}
 	}
-	for r, ru := range runs {
-		end := n
-		if r+1 < len(runs) {
-			end = runs[r+1].key
-		}
+	for r, ru := range runs[:len(runs)-1] {
 		e := &t.eps[ru.ref]
 		e.ep = ep
-		e.refs += end - ru.key
+		e.refs += runs[r+1].key - ru.key
 	}
 	t.hist.merge(&hist)
 	t.count += n

@@ -488,14 +488,17 @@ func heapBytes[T any](n int) uint64 {
 //     and 1 byte per key of one block (the block's shards);
 //   - the per-(block, shard) start table, one word more than blocks ×
 //     shards;
-//   - one growth staging array, half the largest final array, and the
-//     distance scratch, 2 bytes a slot of the largest final array;
-//   - one 16-byte epoch record per growth the batch could take,
-//     min(n, shards × bits.Len(n)), plus the first epoch;
-//   - per shard, the pass-1 tally (three words) and the built shard
-//     header (an 80-byte flowShard);
+//   - the build scratch of the largest final array, 2 bytes a slot of
+//     distances and 4 bytes a slot of homes;
+//   - one growth staging array of 12-byte entries, a resident and its
+//     home, for the largest growth: a shard grows when it holds 3/4 of its
+//     slots, so the largest final array's last growth stages 3/8 of it;
+//   - one epoch record per growth the batch could take, min(n, shards ×
+//     bits.Len(n)), plus the first epoch and the closing one, each a key, a
+//     cold fraction and epochLines prices;
+//   - per shard, the plan (three words and the reserved slot array);
 //   - nothing for the run list: the batch's one local half is one run,
-//     which the batch keeps on its stack.
+//     which the batch keeps on its stack with the closing run.
 //
 // Each allocation counts at its allocator size (heapBytes), so a slot,
 // scratch or epoch-list regrowth, or a slot array allocated on its own,
@@ -528,9 +531,13 @@ func TestInsertBatchHostBytes(t *testing.T) {
 		total += slots
 		widest = max(widest, slots)
 	}
-	want += heapBytes[[8]byte](total) + heapBytes[[8]byte](widest/2) + heapBytes[uint16](widest)
-	want += heapBytes[[16]byte](1 + min(n, shards*bits.Len(n)))
-	want += heapBytes[[3]int](shards) + heapBytes[flowShard](shards)
+	want += heapBytes[[8]byte](total) + heapBytes[uint16](widest) + heapBytes[uint32](widest)
+	want += heapBytes[[12]byte](3 * widest / 8)
+	want += heapBytes[[16 + 8*epochLines]byte](2 + min(n, shards*bits.Len(n)))
+	want += heapBytes[struct {
+		slots, used, next int
+		built             []flowSlot
+	}](shards)
 	if got != want {
 		t.Errorf("InsertBatch(%d keys) allocated %d bytes, want %d", n, got, want)
 	}
