@@ -28,6 +28,17 @@
 // written as a Chrome trace, and stderr reports each track's spans and busy
 // share of the measured interval.
 //
+// -experiment run prints the full report of one Optimized run
+// (profile.Report): its cycle breakdown as a table and a bar chart, the
+// flow table's shard and demux statistics with the memory budget,
+// TIME_WAIT when a flow lingered, the aggregation engines' flush reasons,
+// the per-stage latency and, with -loss or -sack, the loss-recovery
+// breakdown. -sys and the first -queues entry pick the receiver; -conns,
+// -loss, -sack, -churn and -registered shape its workload:
+//
+//	rxbench -experiment run -sys xen -queues 4 -conns 100
+//	rxbench -experiment run -loss 100 -sack
+//
 // # Profiling the simulator
 //
 // rxbench doubles as the profiling harness for the simulator's own hot
@@ -71,9 +82,9 @@ var (
 	duration   = flag.Duration("duration", 150*time.Millisecond, "measured virtual duration per run")
 	warmup     = flag.Duration("warmup", 40*time.Millisecond, "virtual warm-up before measurement")
 	sysFlag    = flag.String("sys", "up",
-		"system for the rss, churn, reorder, connscale and rr experiments: up, smp, xen (xen scales paravirtual I/O channels)")
+		"system for the rss, churn, reorder, connscale, rr and run experiments: up, smp, xen (xen scales paravirtual I/O channels)")
 	queueList = flag.String("queues", "1,2,4,8",
-		"queue counts swept by the rss experiment (comma-separated); reorder uses the last entry; churn is fixed at 4 queues and ignores it")
+		"queue counts swept by the rss experiment (comma-separated); reorder uses the last entry and run the first; churn is fixed at 4 queues and ignores it")
 	jsonOut = flag.Bool("json", false,
 		"emit machine-readable JSON run records on stdout (tables move to stderr)")
 	parallel = flag.Int("parallel", 1,
@@ -84,6 +95,14 @@ var (
 		"write a heap profile (after the final run) to this file")
 	traceOut = flag.String("trace", "",
 		"write a Chrome trace (chrome://tracing / Perfetto) of the invocation's final stream run to this file and report its tracks on stderr; enables span telemetry on every run (observation cost is zero — results are unchanged)")
+	// The run experiment's workload.
+	conns      = flag.Int("conns", 0, "concurrent connections of the run experiment (0 = one per link)")
+	lossOneIn  = flag.Int("loss", 0, "run experiment: drop every Nth forward frame on each link, uniformly at random (0 = off)")
+	sack       = flag.Bool("sack", false, "run experiment: negotiate SACK on every connection")
+	churnEvery = flag.Duration("churn", 0,
+		"run experiment: tear down and replace the oldest flow at this interval (0 = no churn); teardowns linger in TIME_WAIT")
+	registered = flag.Int("registered", 0,
+		"run experiment: registered endpoints, counting an idle population beyond -conns (0 = active connections only)")
 )
 
 // experimentDef is one experiment: its name and the function that runs it.
@@ -114,6 +133,7 @@ var experiments = []experimentDef{
 	{"loss", lossExperiment},
 	{"connscale", connScale},
 	{"rr", rrIncast},
+	{"run", runReport},
 }
 
 // print runs e, then prints the paper's values beneath a paper figure.
@@ -791,4 +811,24 @@ func limit1(w io.Writer) {
 			fmt.Sprintf("limit 1:   %7.0f Mb/s  %7.0f cycles/packet (%+.1f%%)\n",
 				lim1.ThroughputMbps, lim1.CyclesPerPacket, (lim1.CyclesPerPacket/base.CyclesPerPacket-1)*100)
 	})
+}
+
+// runReport is one Optimized point on -sys with the first -queues entry,
+// shaped by -conns, -loss, -sack, -churn and -registered, with latency
+// telemetry on, printed as the full run report.
+func runReport(w io.Writer) {
+	cfg := repro.DefaultStreamConfig(benchSys, repro.OptFull)
+	cfg.Queues = benchQueues[0]
+	cfg.Connections = *conns
+	cfg.Loss = repro.LossConfig{OneIn: *lossOneIn}
+	cfg.SACK = *sack
+	cfg.ChurnIntervalNs = uint64(churnEvery.Nanoseconds())
+	cfg.RegisteredFlows = *registered
+	cfg.Telemetry.Latency = true
+	res, errs := streamMany([]repro.StreamConfig{cfg})
+	if errs[0] != nil {
+		fmt.Fprintf(w, "%s / %s FAILED: %v\n", cfg.System, cfg.Opt, errs[0])
+		return
+	}
+	fmt.Fprint(w, profile.Report(cfg, res[0]))
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -184,6 +187,49 @@ func TestBadFlagsFailBeforeAnyRun(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("-sys %s -queues %s -experiment %s: err = %v, want one naming %s",
 				tc.sys, tc.queues, tc.experiment, err, tc.want)
+		}
+	}
+}
+
+// TestDocsNameExistingCLIs reads the documents that tell a reader how to
+// drive the simulator and checks that what they name exists: every
+// -experiment value is all or an entry of experiments, and every rx<name>
+// word and cmd/<name> path names a CLI directory under cmd/ or bench/.
+func TestDocsNameExistingCLIs(t *testing.T) {
+	experimentArg := regexp.MustCompile(`-experiment[ =]([A-Za-z0-9_]+)`)
+	cliWord := regexp.MustCompile(`\b(rx[a-z]+)\b`)
+	cmdPath := regexp.MustCompile(`(?m)(?:^|[^A-Za-z0-9_./-])(?:\./)?cmd/([A-Za-z0-9_]+)`)
+	known := map[string]bool{"all": true}
+	for _, e := range experiments {
+		known[e.name] = true
+	}
+	isCLI := func(name string) bool {
+		for _, dir := range []string{"cmd", "bench"} {
+			if fi, err := os.Stat(filepath.Join("..", "..", dir, name)); err == nil && fi.IsDir() {
+				return true
+			}
+		}
+		return false
+	}
+	for _, doc := range []string{"ARCHITECTURE.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reported := map[string]bool{}
+		for _, m := range experimentArg.FindAllSubmatch(src, -1) {
+			if name := string(m[1]); !known[name] && !reported[name] {
+				reported[name] = true
+				t.Errorf("%s runs -experiment %s, which rxbench does not define", doc, name)
+			}
+		}
+		for _, re := range []*regexp.Regexp{cliWord, cmdPath} {
+			for _, m := range re.FindAllSubmatch(src, -1) {
+				if name := string(m[1]); !isCLI(name) && !reported[name] {
+					reported[name] = true
+					t.Errorf("%s names %s, which is no CLI directory under cmd/ or bench/", doc, name)
+				}
+			}
 		}
 	}
 }

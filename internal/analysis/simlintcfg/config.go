@@ -54,7 +54,6 @@ var DeterministicPackages = []string{
 // choice.
 var WallClockExemptPackages = []string{
 	"cmd/rxbench",       // -cpuprofile/-memprofile wall timing, bench tables
-	"cmd/rxprof",        // profiling flags
 	"cmd/rxtrace",       // synthetic-burst narration and trace file output
 	"cmd/simlint",       // the linter itself (os/exec, file IO)
 	"examples",          // quickstart programs, not simulator state

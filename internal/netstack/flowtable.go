@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
@@ -91,7 +92,7 @@ type FlowTable struct {
 	newest uint16
 
 	// hist counts the resident entries by probe distance. Every put,
-	// displacement, backward shift, growth and batch commit keeps it
+	// displacement, backward shift, growth and batch build keeps it
 	// current, so TableStats reads it instead of deriving every slot's
 	// distance.
 	hist probeHist
@@ -206,41 +207,22 @@ func probeDist(i, h, mask uint32) uint32 {
 	return (i-slotIndexHash(h))&mask + 1
 }
 
-// probeHist counts resident entries by probe distance d ≥ 1: byDist[d]
-// up to 64, over[d-65] past it, so only a pile-up past 64 ever allocates.
-// Counts add modulo 2^64, so a batch's change, decrements included, can be
-// gathered in a probeHist of its own and merged at its commit.
-type probeHist struct {
-	byDist [65]uint64
-	over   []uint64
-}
+// probeHist counts resident entries by probe distance d ≥ 1, indexed by
+// distance (index 0 is unused). A table's is made with probeHistRoom
+// counters and grows only when an entry lands past them, which only a
+// pile-up does.
+type probeHist []uint64
 
-func (h *probeHist) inc(d uint32) { *h.at(d)++ }
-func (h *probeHist) dec(d uint32) { *h.at(d)-- }
+// probeHistRoom is how many counters a table's histogram is made with.
+const probeHistRoom = 16
 
-// at returns distance d's counter.
-func (h *probeHist) at(d uint32) *uint64 {
-	if d < uint32(len(h.byDist)) {
-		return &h.byDist[d]
-	}
-	return h.overAt(int(d) - len(h.byDist))
-}
+func (h *probeHist) inc(d uint32) { h.reach(d); (*h)[d]++ }
+func (h *probeHist) dec(d uint32) { h.reach(d); (*h)[d]-- }
 
-// overAt returns the counter of distance i+65, growing over to hold it.
-func (h *probeHist) overAt(i int) *uint64 {
-	for len(h.over) <= i {
-		h.over = append(h.over, 0)
-	}
-	return &h.over[i]
-}
-
-// merge adds o's counts to h.
-func (h *probeHist) merge(o *probeHist) {
-	for d, n := range o.byDist {
-		h.byDist[d] += n
-	}
-	for i, n := range o.over {
-		*h.overAt(i) += n
+// reach grows h to hold distance d's counter.
+func (h *probeHist) reach(d uint32) {
+	if n := int(d) + 1; n > len(*h) {
+		*h = append(*h, make([]uint64, n-len(*h))...)
 	}
 }
 
@@ -289,6 +271,7 @@ func NewFlowTable(shards int) (*FlowTable, error) {
 	return &FlowTable{
 		shards: make([]flowShard, shards),
 		eps:    make([]epRef, 1, epSlabRoom),
+		hist:   make(probeHist, probeHistRoom),
 	}, nil
 }
 
@@ -698,19 +681,33 @@ func (b *shardBuild) place(i uint32, sl flowSlot, home, dist uint32) int {
 }
 
 // end counts the built shard's residents into hist at their distances
-// and returns its slot array. An empty slot's 0 lands in byDist[0], which
-// is restored after, so the scan has no branch on occupancy.
+// and returns its slot array. It grows hist once, to the longest stored
+// distance, then indexes it by each stored distance; an empty slot's 0
+// lands in hist[0], which is restored after, so the scan has no branch on
+// occupancy. Only a saturated distance sends the scan to derive each
+// distance from its home.
 func (b *shardBuild) end(hist *probeHist) []flowSlot {
-	mask := uint32(len(b.slots) - 1)
-	empty := hist.byDist[0]
-	for j, d := range b.dists[:len(b.slots)] {
-		if int(d) < len(hist.byDist) {
-			hist.byDist[d]++
-		} else {
-			hist.inc(b.dist(uint32(j), mask))
-		}
+	dists := b.dists[:len(b.slots)]
+	var longest uint16
+	for _, d := range dists {
+		longest = max(longest, d)
 	}
-	hist.byDist[0] = empty
+	if longest == math.MaxUint16 {
+		mask := uint32(len(b.slots) - 1)
+		for j, d := range dists {
+			if d != 0 {
+				hist.inc(b.dist(uint32(j), mask))
+			}
+		}
+		return b.slots
+	}
+	hist.reach(uint32(longest))
+	h := *hist
+	empty := h[0]
+	for _, d := range dists {
+		h[d]++
+	}
+	h[0] = empty
 	return b.slots
 }
 
@@ -1048,15 +1045,16 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 	// Pass 2: build each shard in its reservation, pricing each key's
 	// probe run at its epoch and binding it under its run's handle. The
 	// shard's residents leave the probe-distance histogram as it starts
-	// and rejoin it, at their final distances, once it is built.
-	var hist probeHist // the histogram's change
+	// and rejoin it, at their final distances, once it is built. A
+	// duplicate abandons the batch, and the histogram is recounted from
+	// the slot arrays, which the build never touches.
 	firstDup := n
 	for si := range plan {
 		c := &plan[si]
 		if c.used == t.shards[si].used {
 			continue
 		}
-		b.begin(c.built, t.shards[si].used, t.eps, &hist)
+		b.begin(c.built, t.shards[si].used, t.eps, &t.hist)
 		r, e, at := 0, 0, &epochs[0]
 		ref, share := runs[0].ref, t.eps[runs[0].ref].localHash
 		nextRun, nextEpoch := runs[1].key, epochs[1].key
@@ -1092,9 +1090,10 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 				}
 			}
 		}
-		c.built = b.end(&hist)
+		c.built = b.end(&t.hist)
 	}
 	if firstDup < n {
+		t.recount()
 		t.unbind(unclaimed)
 		if err := t.InsertBatch(firstDup, key, ep); err != nil {
 			return err
@@ -1115,7 +1114,6 @@ func (t *FlowTable) InsertBatch(n int, key func(int) FlowKey, ep *tcp.Endpoint) 
 		e.ep = ep
 		e.refs += runs[r+1].key - ru.key
 	}
-	t.hist.merge(&hist)
 	t.count += n
 	t.bytes = footprint
 	if demux > 0 {
@@ -1229,6 +1227,21 @@ type TableStats struct {
 	ProbeHist []uint64 `json:"probe_hist,omitempty"`
 }
 
+// recount rebuilds the probe-distance histogram from every resident's
+// rebuilt hash.
+func (t *FlowTable) recount() {
+	clear(t.hist)
+	for si := range t.shards {
+		s := &t.shards[si]
+		mask := uint32(len(s.slots) - 1)
+		for i := range s.slots {
+			if sl := &s.slots[i]; sl.ref != 0 {
+				t.hist.inc(probeDist(uint32(i), sl.hash(t.eps), mask))
+			}
+		}
+	}
+}
+
 // TableStats assembles the table's structure summary: the load factors
 // from the shards' occupancy, the probe summary from the maintained
 // probe-distance histogram, without visiting a slot.
@@ -1247,23 +1260,15 @@ func (t *FlowTable) TableStats() TableStats {
 		sort.Float64s(loads)
 		ts.LoadMin, ts.LoadP50, ts.LoadMax = loads[0], loads[len(loads)/2], loads[len(loads)-1]
 	}
-	// The histogram runs to the longest populated distance: past 64 when
-	// an overflow count is non-zero, else to the last non-zero fixed one.
-	byDist, over := t.hist.byDist[1:], t.hist.over
-	for len(over) > 0 && over[len(over)-1] == 0 {
-		over = over[:len(over)-1]
+	// The histogram runs from distance 1 to the longest populated one.
+	hist := t.hist[1:]
+	for len(hist) > 0 && hist[len(hist)-1] == 0 {
+		hist = hist[:len(hist)-1]
 	}
-	if len(over) == 0 {
-		for len(byDist) > 0 && byDist[len(byDist)-1] == 0 {
-			byDist = byDist[:len(byDist)-1]
-		}
-		if len(byDist) == 0 {
-			return ts
-		}
+	if len(hist) == 0 {
+		return ts
 	}
-	hist := make([]uint64, len(byDist)+len(over))
-	copy(hist, byDist)
-	copy(hist[len(byDist):], over)
+	hist = slices.Clone(hist)
 	var entries uint64
 	for _, c := range hist {
 		entries += c

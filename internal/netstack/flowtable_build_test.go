@@ -189,3 +189,12 @@ func TestShardBuildSaturatedDistances(t *testing.T) {
 	}
 	requireTablesEqual(t, "saturated scratch after duplicates", serial, built, ms, mb)
 }
+
+// merge adds o's counts to h. Counts add modulo 2^64, so a hand-built
+// shard's change, decrements included, gathers in a probeHist of its own.
+func (h *probeHist) merge(o *probeHist) {
+	h.reach(uint32(max(len(*o), 1) - 1))
+	for d, n := range *o {
+		(*h)[d] += n
+	}
+}

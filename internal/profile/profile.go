@@ -1,8 +1,9 @@
 // Package profile renders OProfile-style reports of receive-path cycle
 // breakdowns: per-category cycles-per-packet tables (Figures 3, 4, 6),
-// original-vs-optimized comparisons (Figures 8, 9, 10), and percentage
-// share summaries (Figures 1, 2). The paper collected these with OProfile;
-// here the meters are exact.
+// original-vs-optimized comparisons (Figures 8, 9, 10), percentage
+// share summaries (Figures 1, 2), and the full report of one stream run
+// (Report). The paper collected these with OProfile; here the meters are
+// exact.
 package profile
 
 import (

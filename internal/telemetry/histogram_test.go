@@ -83,7 +83,8 @@ func TestWeightedAdd(t *testing.T) {
 }
 
 // TestCollectorPartition: stage residencies partition the end-to-end
-// interval exactly — the cross-check identity rxprof relies on.
+// interval exactly — the identity the run report's share column relies
+// on (profile.Report, printed by rxbench -experiment run).
 func TestCollectorPartition(t *testing.T) {
 	var s Collector
 	rng := rand.New(rand.NewSource(3))
