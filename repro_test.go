@@ -124,6 +124,29 @@ func TestPaperXenMallocBudget(t *testing.T) {
 	}
 }
 
+// faultsChurnShape is the faults-churn benchmark workload's shape (loss,
+// reordering, SACK and 2 ms churn) at 200 ms.
+func faultsChurnShape() StreamConfig {
+	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
+	cfg.NICs, cfg.Connections, cfg.FlowSkew = 4, 80, 1.1
+	cfg.Loss = LossConfig{OneIn: 100, Seed: 1}
+	cfg.SACK = true
+	cfg.Reorder = ReorderConfig{OneIn: 50, Distance: 1}
+	cfg.ReorderWindow = 4
+	cfg.ChurnIntervalNs = 2_000_000
+	cfg.DurationNs = 200_000_000
+	return cfg
+}
+
+// rssSMPShape is the rss-smp-q2 benchmark workload's shape (8 links, 200
+// zipf flows over 2 RSS queues) at 50 ms.
+func rssSMPShape() StreamConfig {
+	cfg := DefaultStreamConfig(SystemNativeSMP, OptFull)
+	cfg.NICs, cfg.Connections, cfg.FlowSkew, cfg.Queues = 8, 200, 1.1, 2
+	cfg.DurationNs = 50_000_000
+	return cfg
+}
+
 // TestFaultsChurnMallocBudget bounds the host allocations of the
 // faults-churn benchmark workload's shape (loss, reordering, SACK and 2 ms
 // churn; 200 ms). Each machine carves its initial connections from one
@@ -133,15 +156,7 @@ func TestPaperXenMallocBudget(t *testing.T) {
 // is the measured count plus about 10%.
 func TestFaultsChurnMallocBudget(t *testing.T) {
 	const budget = 1420
-	cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
-	cfg.NICs, cfg.Connections, cfg.FlowSkew = 4, 80, 1.1
-	cfg.Loss = LossConfig{OneIn: 100, Seed: 1}
-	cfg.SACK = true
-	cfg.Reorder = ReorderConfig{OneIn: 50, Distance: 1}
-	cfg.ReorderWindow = 4
-	cfg.ChurnIntervalNs = 2_000_000
-	cfg.DurationNs = 200_000_000
-	least := leastRunMallocs(t, cfg)
+	least := leastRunMallocs(t, faultsChurnShape())
 	t.Logf("faults-churn shape allocates %d times", least)
 	if least > budget {
 		t.Errorf("faults-churn shape allocated %d times, budget %d", least, budget)
@@ -154,13 +169,36 @@ func TestFaultsChurnMallocBudget(t *testing.T) {
 // is the measured count plus about 10%.
 func TestRSSSMPMallocBudget(t *testing.T) {
 	const budget = 1330
-	cfg := DefaultStreamConfig(SystemNativeSMP, OptFull)
-	cfg.NICs, cfg.Connections, cfg.FlowSkew, cfg.Queues = 8, 200, 1.1, 2
-	cfg.DurationNs = 50_000_000
-	least := leastRunMallocs(t, cfg)
+	least := leastRunMallocs(t, rssSMPShape())
 	t.Logf("rss-smp-q2 shape allocates %d times", least)
 	if least > budget {
 		t.Errorf("rss-smp-q2 shape allocated %d times, budget %d", least, budget)
+	}
+}
+
+// TestFaultsChurnHostBytes bounds the host bytes a run of the
+// faults-churn shape allocates (TestFaultsChurnMallocBudget's config).
+// Taking allocations out of a run must not buy the count with bytes: the
+// budget is 777,160 bytes, measured before connection storage came from
+// one reservation per machine, plus 2%.
+func TestFaultsChurnHostBytes(t *testing.T) {
+	const budget = 792_700
+	least := leastRunAlloc(t, faultsChurnShape())
+	t.Logf("faults-churn shape allocates %d bytes", least)
+	if least > budget {
+		t.Errorf("faults-churn shape allocated %d bytes, budget %d", least, budget)
+	}
+}
+
+// TestRSSSMPHostBytes is TestFaultsChurnHostBytes for the rss-smp-q2 shape
+// (TestRSSSMPMallocBudget's config): 1,166,408 bytes measured before
+// connection storage came from one reservation per machine, plus 2%.
+func TestRSSSMPHostBytes(t *testing.T) {
+	const budget = 1_189_700
+	least := leastRunAlloc(t, rssSMPShape())
+	t.Logf("rss-smp-q2 shape allocates %d bytes", least)
+	if least > budget {
+		t.Errorf("rss-smp-q2 shape allocated %d bytes, budget %d", least, budget)
 	}
 }
 
