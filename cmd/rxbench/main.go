@@ -232,12 +232,21 @@ func main() {
 	emitJSON(os.Stdout)
 }
 
-// parseFlags resolves -sys and -queues and selects the -experiment runs,
-// so that a bad value fails the invocation before its first run.
+// parseFlags resolves -sys and -queues, rejects a negative -duration,
+// -warmup or -churn, and selects the -experiment runs, so that a bad value
+// fails the invocation before its first run.
 func parseFlags() ([]experimentDef, error) {
 	var err error
 	if benchSys, err = repro.ParseSystem(*sysFlag); err != nil {
 		return nil, fmt.Errorf("-sys: %v", err)
+	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{{"-duration", *duration}, {"-warmup", *warmup}, {"-churn", *churnEvery}} {
+		if d.v < 0 {
+			return nil, fmt.Errorf("%s %v is negative", d.name, d.v)
+		}
 	}
 	benchQueues = nil
 	for _, f := range strings.Split(*queueList, ",") {

@@ -191,6 +191,28 @@ func TestBadFlagsFailBeforeAnyRun(t *testing.T) {
 	}
 }
 
+// TestNegativeDurationsFailBeforeAnyRun: a negative -duration, -warmup or
+// -churn fails parseFlags, naming the flag, instead of running an
+// unbounded window or no churn at all; zero stays valid.
+func TestNegativeDurationsFailBeforeAnyRun(t *testing.T) {
+	defer func(d, w, c time.Duration) { *duration, *warmup, *churnEvery = d, w, c }(*duration, *warmup, *churnEvery)
+	for _, tc := range []struct {
+		flag string
+		v    *time.Duration
+	}{{"-duration", duration}, {"-warmup", warmup}, {"-churn", churnEvery}} {
+		*duration, *warmup, *churnEvery = 150*time.Millisecond, 40*time.Millisecond, 0
+		*tc.v = -time.Millisecond
+		_, err := parseFlags()
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s -1ms: err = %v, want one naming %s", tc.flag, err, tc.flag)
+		}
+		*tc.v = 0
+		if _, err := parseFlags(); err != nil {
+			t.Errorf("%s 0: err = %v", tc.flag, err)
+		}
+	}
+}
+
 // TestDocsNameExistingCLIs reads the documents that tell a reader how to
 // drive the simulator and checks that what they name exists: every
 // -experiment value is all or an entry of experiments, and every rx<name>

@@ -227,8 +227,39 @@ type Engine struct {
 	head  int
 	seen  map[rss.FlowKey]bool // compactOrder's scratch, kept empty
 	spare []*pending           // delivered pending records, recycled by newPending
+	store *Storage             // the machine's aggregation storage (nil: none)
 
 	stats Stats
+}
+
+// Storage is a machine's storage for its aggregation engines' pending
+// records and their resequencing windows: one buf.Store for each, shared
+// by the machine's engines (UseStorage). A record's window is carved once
+// and stays with it. An engine without one allocates each itself.
+type Storage struct {
+	records buf.Store[pending]
+	windows buf.Store[heldFrame]
+}
+
+// UseStorage makes e carve its pending records and their windows from s,
+// its machine's aggregation storage.
+func (e *Engine) UseStorage(s *Storage) { e.store = s }
+
+// The stores of a nil Storage are nil: they allocate every record and
+// array.
+
+func (s *Storage) recordStore() *buf.Store[pending] {
+	if s == nil {
+		return nil
+	}
+	return &s.records
+}
+
+func (s *Storage) windowStore() *buf.Store[heldFrame] {
+	if s == nil {
+		return nil
+	}
+	return &s.windows
 }
 
 // New creates an engine charging m under p.
@@ -368,9 +399,7 @@ func (e *Engine) Input(f nic.Frame) {
 // state to it: the next expected sequence number, and the last ACK,
 // window and timestamps that the §3.2 header rewrite copies.
 func (e *Engine) attach(p *pending, hf *heldFrame) {
-	if cap(p.skb.Frags) == 0 { // sized once for the most an aggregate holds; recycled SKBs keep it
-		p.skb.Frags = make([]buf.Frag, 0, e.cfg.Limit-1)
-	}
+	e.alloc.FragRoom(p.skb, e.cfg.Limit-1) // the most an aggregate holds
 	e.alloc.AttachFrag(p.skb, buf.Frag{Data: hf.payload(), Buf: poolBuf(hf.frame), Ack: hf.ack, TSVal: hf.tsVal})
 	p.count++
 	p.nextSeq = hf.seq + uint32(hf.payloadLen)
@@ -423,7 +452,7 @@ func (e *Engine) tryHold(p *pending, hf *heldFrame) bool {
 // ReorderWindow at its first growth; recycled pendings keep it.
 func (e *Engine) heldRoom(p *pending) []heldFrame {
 	if cap(p.held) == 0 {
-		return make([]heldFrame, 0, e.cfg.ReorderWindow)
+		return e.store.windowStore().Take(e.cfg.ReorderWindow)
 	}
 	return p.held
 }
@@ -546,7 +575,7 @@ func (e *Engine) newPending(key rss.FlowKey, hf *heldFrame) *pending {
 		p = e.spare[n-1]
 		e.spare = e.spare[:n-1]
 	} else {
-		p = new(pending)
+		p = e.store.recordStore().Record()
 	}
 	*p = pending{
 		key:     key,

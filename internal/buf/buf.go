@@ -117,10 +117,19 @@ func (s *SKB) L3() []byte { return s.Head[s.L3Offset:] }
 // SetTemplateAcks marks the SKB as an ACK template carrying a copy of acks
 // (which must be non-empty), reusing the capacity of the SKB's previous
 // template so that template building allocates nothing in steady state. An
-// SKB's first template gets room for PacketAcks.
+// SKB's first template gets room for PacketAcks, carved from its
+// allocator's storage when it has one, as does a larger one.
 func (s *SKB) SetTemplateAcks(acks []uint32) {
-	if cap(s.tmplCap) == 0 {
-		s.tmplCap = make([]uint32, 0, max(len(acks), PacketAcks))
+	if cap(s.tmplCap) < len(acks) {
+		var st *Store[uint32]
+		if s.alloc != nil {
+			st = s.alloc.store.tmplStore()
+		}
+		if cap(s.tmplCap) == 0 {
+			s.tmplCap = st.Take(max(len(acks), PacketAcks))
+		} else {
+			s.tmplCap = st.Grow(s.tmplCap[:0], len(acks))
+		}
 	}
 	s.TemplateAcks = append(s.tmplCap[:0], acks...)
 }
@@ -162,7 +171,45 @@ type Allocator struct {
 	stats  Stats
 	free   []*SKB
 	pool   *Pool
+	store  *Storage
 }
+
+// Storage is a receiving machine's storage for SKB records and their
+// fragment and template arrays: one Store for each, so the machine's
+// aggregates and ACK templates carve them from shared pages. An allocator
+// without one (SetStorage) allocates each record and array itself.
+type Storage struct {
+	skbs  Store[SKB]
+	frags Store[Frag]
+	tmpls Store[uint32]
+}
+
+// The stores of a nil Storage are nil: they allocate every array.
+
+func (s *Storage) skbStore() *Store[SKB] {
+	if s == nil {
+		return nil
+	}
+	return &s.skbs
+}
+
+func (s *Storage) fragStore() *Store[Frag] {
+	if s == nil {
+		return nil
+	}
+	return &s.frags
+}
+
+func (s *Storage) tmplStore() *Store[uint32] {
+	if s == nil {
+		return nil
+	}
+	return &s.tmpls
+}
+
+// SetStorage makes the allocator carve SKB records and their fragment
+// and template arrays from s, its machine's storage (nil: none).
+func (a *Allocator) SetStorage(s *Storage) { a.store = s }
 
 // NewAllocator returns an allocator charging m under p.
 func NewAllocator(m *cycles.Meter, p *cost.Params) *Allocator {
@@ -233,8 +280,17 @@ func (a *Allocator) AttachFrag(s *SKB, f Frag) {
 	}
 	a.meter.Charge(cycles.Buffer, a.params.FragAttach)
 	a.stats.FragAttaches++
-	s.Frags = append(s.Frags, f)
+	s.Frags = append(a.store.fragStore().Room(s.Frags, 1), f)
 	s.NetPackets++
+}
+
+// FragRoom gives s, at its first aggregation, room for n fragments,
+// carved from the allocator's storage when it has one. A recycled SKB keeps its room.
+// Pure host bookkeeping: no cycles are charged.
+func (a *Allocator) FragRoom(s *SKB, n int) {
+	if cap(s.Frags) == 0 {
+		s.Frags = a.store.fragStore().Take(n)
+	}
 }
 
 // Free releases the SKB, charging the matching free cost. Double frees
@@ -287,9 +343,9 @@ func (a *Allocator) Free(s *SKB) {
 // Stats returns a copy of the allocator's counters.
 func (a *Allocator) Stats() Stats { return a.stats }
 
-// get recycles a freed SKB or allocates a new one. Recycling keeps the
-// simulator's Go-level allocation rate flat at high packet rates; it has no
-// bearing on the charged cycle costs.
+// get recycles a freed SKB or makes a new one, carved from the
+// allocator's storage when it has one. Recycling keeps the simulator's Go-level allocation rate
+// flat at high packet rates; it has no bearing on the charged cycle costs.
 func (a *Allocator) get() *SKB {
 	if n := len(a.free); n > 0 {
 		s := a.free[n-1]
@@ -298,5 +354,7 @@ func (a *Allocator) get() *SKB {
 		*s = SKB{alloc: a, Frags: s.Frags[:0], tmplCap: s.tmplCap}
 		return s
 	}
-	return &SKB{alloc: a}
+	s := a.store.skbStore().Record()
+	s.alloc = a
+	return s
 }

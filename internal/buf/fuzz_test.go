@@ -124,11 +124,11 @@ func poolOps(t *testing.T, ops []byte) {
 	check(len(ops))
 }
 
-// TestSeededFuzzBodies runs FuzzPool's body on seededInputs fixed inputs
-// drawn from splitmix64, each 1 to 256 operations long, so a plain test
-// run explores past the corpus without the fuzz engine. The elapsed time
-// is logged against seededBudget rather than checked, so a slow host (or
-// the race detector) cannot fail it.
+// TestSeededFuzzBodies runs FuzzPool's and FuzzStore's bodies on
+// seededInputs fixed inputs each, drawn from splitmix64 and 1 to 256
+// operations long, so a plain test run explores past the corpus without
+// the fuzz engine. The elapsed time is logged against seededBudget rather
+// than checked, so a slow host (or the race detector) cannot fail it.
 func TestSeededFuzzBodies(t *testing.T) {
 	begin := time.Now()
 	for i := uint64(0); i < seededInputs; i++ {
@@ -139,7 +139,9 @@ func TestSeededFuzzBodies(t *testing.T) {
 			ops[j] = byte(x)
 		}
 		t.Run(fmt.Sprintf("Pool/%d", i), func(t *testing.T) { poolOps(t, ops) })
+		// The store's input leads with its reservation byte.
+		t.Run(fmt.Sprintf("Store/%d", i), func(t *testing.T) { storeOps(t, append([]byte{byte(x >> 8)}, ops...)) })
 	}
-	t.Logf("%d seeded inputs for the pool body in %v (budget %v)",
+	t.Logf("%d seeded inputs each for the pool and store bodies in %v (budget %v)",
 		seededInputs, time.Since(begin), seededBudget)
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/aggregate"
 	"repro/internal/buf"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -101,10 +102,17 @@ type FrontEnd struct {
 
 	// free holds retired endpoints for OpenEndpoint to reset and reuse;
 	// retired totals their counters as they were at retirement. slab holds
-	// the ReserveEndpoints records no endpoint has used yet.
+	// the ReserveEndpoints records no endpoint has used yet, and conns is
+	// the connection storage every record is bound to.
 	free    []*tcp.Endpoint
 	retired tcp.Stats
 	slab    []tcp.Endpoint
+	conns   tcp.Storage
+
+	// The machine's storage for its SKBs and aggregation records
+	// (ARCHITECTURE.md, "Connection records").
+	bufs buf.Storage
+	aggs aggregate.Storage
 }
 
 // Init builds the front end in place. deliver(q) names where queue q's
@@ -127,6 +135,7 @@ func (fe *FrontEnd) Init(cfg Config, deliver func(q int) func(*buf.SKB)) error {
 	fe.Params = cfg.Params
 	fe.Alloc = buf.NewAllocator(&fe.Meter, &fe.Params)
 	fe.Alloc.SetPool(buf.NewPool())
+	fe.Alloc.SetStorage(&fe.bufs)
 	fe.Stack = netstack.New(&fe.Meter, &fe.Params, fe.Alloc)
 	fe.Stack.Tx = fe
 	fe.Stack.FlowTable().SetOwnerQueues(cfg.Queues)
@@ -141,6 +150,7 @@ func (fe *FrontEnd) Init(cfg Config, deliver func(q int) func(*buf.SKB)) error {
 			if err != nil {
 				return err
 			}
+			rp.Engine().UseStorage(&fe.aggs)
 			fe.rps = append(fe.rps, rp)
 		}
 	}
@@ -271,9 +281,14 @@ func (fe *FrontEnd) RegisterEndpoint(ep *tcp.Endpoint, remoteIP, localIP [4]byte
 // endpoint list, so opening a population costs one allocation instead of
 // one per endpoint. OpenEndpoint takes a record from the slab once the
 // free list is empty; what the slab does not cover is allocated singly.
+// The machine's connection storage then owes the n connections their
+// first containers, and its TIME_WAIT table and aggregation engines
+// their first arrays (see Stack.Reserve).
 func (fe *FrontEnd) ReserveEndpoints(n int) {
 	fe.slab = make([]tcp.Endpoint, n)
 	fe.eps = slices.Grow(fe.eps, n)
+	fe.conns.Reserve(n)
+	fe.Stack.ReserveTimeWait(n)
 }
 
 // OpenEndpoint makes an endpoint for cfg that charges this machine and
@@ -304,12 +319,14 @@ func (fe *FrontEnd) takeEndpoint() *tcp.Endpoint {
 		fe.free = fe.free[:n-1]
 		return ep
 	}
+	var ep *tcp.Endpoint
 	if len(fe.slab) > 0 {
-		ep := &fe.slab[0]
-		fe.slab = fe.slab[1:]
-		return ep
+		ep, fe.slab = &fe.slab[0], fe.slab[1:]
+	} else {
+		ep = new(tcp.Endpoint)
 	}
-	return new(tcp.Endpoint)
+	ep.UseStorage(&fe.conns)
+	return ep
 }
 
 // UnregisterEndpoint removes an endpoint from the demux table (connection

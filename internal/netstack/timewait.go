@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/buf"
 	"repro/internal/cycles"
 	"repro/internal/ipv4"
 )
@@ -45,7 +46,8 @@ const twTickNs = 1_000_000
 const TimeWaitEntryBytes = 192
 
 // twFirstEntries is a shard queue's first size. Reaps keep a queue's
-// storage, so a shard allocates once unless its linger backlog ever
+// storage, so a shard takes a first array once, from the table's
+// queues store, and a larger one only if its linger backlog ever
 // outgrows it.
 const twFirstEntries = 16
 
@@ -80,6 +82,9 @@ type timeWaitTable struct {
 	// tears no flow down never touches it); nShards is its length.
 	shards  [][]twEntry
 	nShards int
+	// queues is the machine's storage for the shard queues' arrays
+	// (buf.Store): first arrays come from pages the reservation sizes.
+	queues buf.Store[twEntry]
 	// keys holds every lingering key.
 	keys map[FlowKey]struct{}
 
@@ -92,11 +97,8 @@ type timeWaitTable struct {
 // earlier deadline; the caller has checked for a duplicate. Deadlines
 // arrive (near-)monotone, so this is almost always an append.
 func (t *timeWaitTable) insert(shard int, e twEntry) {
-	q := t.shards[shard]
+	q := t.queues.Room(t.shards[shard], twFirstEntries)
 	i := sort.Search(len(q), func(i int) bool { return q[i].deadline > e.deadline })
-	if cap(q) == 0 {
-		q = make([]twEntry, 0, twFirstEntries)
-	}
 	t.shards[shard] = slices.Insert(q, i, e)
 	t.keys[e.key] = struct{}{}
 	t.peak = max(t.peak, len(t.keys))
@@ -155,6 +157,14 @@ func (s *Stack) chargeTWRemove(registered bool) {
 	}
 	s.meter.Charge(cycles.NonProto,
 		s.params.Mem.RandomTouchCost(lines)+s.params.LockCost(1))
+}
+
+// ReserveTimeWait makes the TIME_WAIT table owe first queue arrays to as
+// many shards as n connections lingering at once can touch: the machine
+// is about to open n connections. It allocates nothing; the table's first
+// queue page is allocated at its first insert.
+func (s *Stack) ReserveTimeWait(n int) {
+	s.tw.queues.Reserve(min(n, s.tw.nShards))
 }
 
 // EnterTimeWait moves the flow keyed by the given addressing into the

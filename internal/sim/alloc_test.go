@@ -178,10 +178,11 @@ func TestPaceWakeRecycled(t *testing.T) {
 	blocked := &senderConn{rateBps: 1e9}
 	cycle := func() {
 		// Arm a wake, then supersede it with a tighter one.
-		m.paceBlocked = append(m.paceBlocked[:0], blocked)
 		blocked.allowance = 0
+		m.paceWait = blocked.paceWait()
 		m.scheduleWake()
 		blocked.allowance = paceFrameBytes / 2
+		m.paceWait = blocked.paceWait()
 		m.scheduleWake()
 		s.RunUntil(s.Now() + 1_000_000)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/netstack"
 	"repro/internal/tcp"
+	"repro/internal/tcpwire"
 )
 
 // TestRegisteredEndpointLimit: a stream config that could hold more
@@ -102,6 +103,76 @@ func TestOpenConnectionsAllocateFixedRecords(t *testing.T) {
 	t.Logf("opening 20 connections allocates %d times, 200 %d times", few, many)
 	if many != few {
 		t.Errorf("opening 200 connections allocates %d times, 20 allocate %d: records are allocated per connection", many, few)
+	}
+}
+
+// TestFirstContainersAllocateFixedPages: a machine's connections take the
+// first arrays of their containers from pages its reservation sizes, so
+// giving every one of n connections its first retransmission list (sender
+// machine), out-of-order queue, SACK-block list and pending-ACK list
+// (receiver machine) allocates the same number of times at n = 20 as at
+// n = 200. Each receiver is handed one segment out of order and then the
+// segment that fills the hole, and each sender sends one segment; their
+// frames go back to the pool, so only the containers can grow with n.
+func TestFirstContainersAllocateFixedPages(t *testing.T) {
+	src, dst := ipv4.Addr{10, 0, 0, 1}, ipv4.Addr{10, 0, 0, 2}
+	payload := make([]byte, 1448)
+	segment := func(seq uint32) tcp.Segment {
+		return tcp.Segment{
+			Hdr:        tcpwire.Header{Seq: seq, Ack: 1, Flags: tcpwire.FlagACK, Window: 0xffff},
+			Payloads:   [][]byte{payload},
+			FragAcks:   []uint32{1},
+			NetPackets: 1,
+		}
+	}
+	hole, fill := segment(1+1448), segment(1)
+	firsts := func(n int) uint64 {
+		cfg := DefaultStreamConfig(SystemNativeUP, OptFull)
+		cfg.NICs, cfg.Connections, cfg.SACK = 1, n, true
+		top, err := newTopology(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := top.machine
+		top.reserve(n)
+		var senders, receivers []*tcp.Endpoint
+		for i := 0; i < n; i++ {
+			sPort, rPort := uint16(5001+i), uint16(44000+i)
+			snd, err := top.senders[0].AddStreamConn(src, dst, sPort, rPort)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rcv, _, err := top.openReceiver(src, dst, sPort, rPort)
+			if err != nil {
+				t.Fatal(err)
+			}
+			senders, receivers = append(senders, snd), append(receivers, rcv)
+		}
+		free := m.Alloc.Free
+		for _, ep := range receivers {
+			ep.Output = free
+		}
+
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			m.Alloc.Release(senders[i].NextDataFrame(0))
+			receivers[i].Input(hole)
+			receivers[i].Input(fill)
+		}
+		runtime.ReadMemStats(&after)
+		for _, ep := range receivers {
+			if st := ep.Stats(); st.OOOSegs != 1 || st.SACKBlocksOut == 0 || ep.RcvNxt() != 1+2*1448 {
+				t.Fatalf("receiver missed a container: %+v, rcvNxt %d", st, ep.RcvNxt())
+			}
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	few, many := firsts(20), firsts(200)
+	t.Logf("20 connections' first containers allocate %d times, 200 connections' %d times", few, many)
+	if many != few {
+		t.Errorf("200 connections' first containers allocate %d times, 20 connections' %d: containers are allocated per connection", many, few)
 	}
 }
 

@@ -46,6 +46,7 @@ type SenderMachine struct {
 	byPort  map[uint16]*senderConn
 	free    []*senderConn // removed conns, reset and reused by addConn
 	slab    []connRecord  // reserved records no conn has used yet
+	store   tcp.Storage   // the connection storage every record is bound to
 	connCfg tcp.Config    // addConn's scratch config
 	rrIdx   int
 	rrLeft  int
@@ -56,10 +57,10 @@ type SenderMachine struct {
 	fragAcks [1]uint32
 	payloads [1][]byte
 
-	paceBlocked []*senderConn // conns held back by pacing this NextFrame
-	wakeAt      uint64        // deadline of the armed pacing wake (0 = none)
-	wakeSeq     uint64        // invalidates superseded wake events
-	wakeFree    *paceWake     // fired wake records, a free list scheduleWake reuses
+	paceWait uint64    // soonest wait of a conn held back by pacing this NextFrame (noPaceWait: none)
+	wakeAt   uint64    // deadline of the armed pacing wake (0 = none)
+	wakeSeq  uint64    // invalidates superseded wake events
+	wakeFree *paceWake // fired wake records, a free list scheduleWake reuses
 
 	// OnWindowOpen is invoked when an ACK arrival may have opened a
 	// window (the link uses it to resume pulling).
@@ -97,6 +98,16 @@ const senderBurstBytes = 64 * 1024
 // emit a frame (one MSS-sized frame plus per-frame overhead).
 const paceFrameBytes = 14 + 20 + 32 + 1448 + ether.PerFrameOverhead
 
+// noPaceWait marks SenderMachine.paceWait empty: no conn was held back.
+const noPaceWait = ^uint64(0)
+
+// paceWait returns the virtual ns until the paced conn can afford its
+// next frame at its rate.
+func (c *senderConn) paceWait() uint64 {
+	need := paceFrameBytes - c.allowance
+	return uint64(need * 8e9 / c.rateBps)
+}
+
 // refill adds rate-proportional allowance for the time since the last
 // refill, capped at the burst size.
 func (c *senderConn) refill(now uint64) {
@@ -117,10 +128,11 @@ func NewSender(s *Sim, quantum int) *SenderMachine {
 		quantum = DefaultSenderQuantum
 	}
 	m := &SenderMachine{
-		sim:     s,
-		params:  cost.NativeUP(),
-		quantum: quantum,
-		byPort:  make(map[uint16]*senderConn),
+		sim:      s,
+		params:   cost.NativeUP(),
+		quantum:  quantum,
+		byPort:   make(map[uint16]*senderConn),
+		paceWait: noPaceWait,
 	}
 	m.alloc = buf.NewAllocator(&m.meter, &m.params)
 	m.retransmitFn, m.outputFn = m.retransmit, m.output
@@ -195,9 +207,11 @@ func PatternPayloadSum(seq uint32, b []byte) uint16 {
 // reserve carves the records of the n connections the machine is about to
 // open from one allocation, and sizes its connection list and port map for
 // them, so opening a link's share of a population costs one allocation
-// instead of two per connection.
+// instead of two per connection. The machine's connection storage then
+// owes the n connections their first containers.
 func (m *SenderMachine) reserve(n int) {
 	m.slab = make([]connRecord, n)
+	m.store.Reserve(n)
 	m.conns = slices.Grow(m.conns, n)
 	if len(m.byPort) == 0 {
 		m.byPort = make(map[uint16]*senderConn, n)
@@ -247,6 +261,7 @@ func (m *SenderMachine) takeConn() *senderConn {
 		r = new(connRecord)
 	}
 	r.conn.ep = &r.ep
+	r.ep.UseStorage(&m.store)
 	return &r.conn
 }
 
@@ -323,14 +338,14 @@ func (m *SenderMachine) RemoveConn(localPort uint16) {
 }
 
 // takeFrame asks one connection for its next data frame, honoring the
-// pacing token bucket. Pace-blocked conns with an open window are
-// remembered so NextFrame can schedule a wake-up.
+// pacing token bucket. The soonest wait of the pace-blocked conns with an
+// open window is kept so NextFrame can schedule a wake-up.
 func (m *SenderMachine) takeFrame(c *senderConn) []byte {
 	if c.rateBps > 0 {
 		c.refill(m.sim.Now())
 		if c.allowance < paceFrameBytes {
 			if c.ep.HasDataToSend() {
-				m.paceBlocked = append(m.paceBlocked, c)
+				m.paceWait = min(m.paceWait, c.paceWait())
 			}
 			return nil
 		}
@@ -353,7 +368,7 @@ func (m *SenderMachine) NextFrame() []byte {
 	if len(m.conns) == 0 {
 		return nil
 	}
-	m.paceBlocked = m.paceBlocked[:0]
+	m.paceWait = noPaceWait
 	for tries := 0; tries < len(m.conns); tries++ {
 		c := m.conns[m.rrIdx]
 		if m.rrLeft > 0 {
@@ -379,20 +394,10 @@ func (m *SenderMachine) NextFrame() []byte {
 // armed wake is tightened (superseded) when a newly blocked connection
 // can afford its frame sooner than the pending deadline.
 func (m *SenderMachine) scheduleWake() {
-	if len(m.paceBlocked) == 0 {
+	if m.paceWait == noPaceWait {
 		return
 	}
-	minWait := ^uint64(0)
-	for _, c := range m.paceBlocked {
-		need := paceFrameBytes - c.allowance
-		wait := uint64(need * 8e9 / c.rateBps)
-		if wait < minWait {
-			minWait = wait
-		}
-	}
-	if minWait == 0 {
-		minWait = 1
-	}
+	minWait := max(m.paceWait, 1)
 	at := m.sim.Now() + minWait
 	if m.wakeAt != 0 && at >= m.wakeAt {
 		return // the armed wake fires soon enough

@@ -199,6 +199,59 @@ func boolToSeq(b bool) uint32 {
 	return 0
 }
 
+// Storage is a machine's connection storage for its endpoints: one
+// buf.Store for each per-connection container, so the machine's
+// connections carve their first arrays from shared pages and pass
+// outgrown arrays on to each other (buf.Store). A machine binds each of
+// its endpoint records to its Storage once (UseStorage); Reset keeps the
+// binding. An unbound endpoint allocates its containers itself.
+type Storage struct {
+	rtx  buf.Store[sentSegment]
+	ooo  buf.Store[oooSegment]
+	sack buf.Store[tcpwire.SACKBlock]
+	acks buf.Store[uint32]
+}
+
+// Reserve makes the storage owe n more connections their first
+// containers: the machine is about to open them. It allocates nothing;
+// a container's page is allocated at its first use.
+func (s *Storage) Reserve(n int) {
+	s.rtx.Reserve(n)
+	s.ooo.Reserve(n)
+	s.sack.Reserve(n)
+	s.acks.Reserve(n)
+}
+
+// The stores of a nil Storage are nil: they allocate every array.
+
+func (s *Storage) rtxStore() *buf.Store[sentSegment] {
+	if s == nil {
+		return nil
+	}
+	return &s.rtx
+}
+
+func (s *Storage) oooStore() *buf.Store[oooSegment] {
+	if s == nil {
+		return nil
+	}
+	return &s.ooo
+}
+
+func (s *Storage) sackStore() *buf.Store[tcpwire.SACKBlock] {
+	if s == nil {
+		return nil
+	}
+	return &s.sack
+}
+
+func (s *Storage) ackStore() *buf.Store[uint32] {
+	if s == nil {
+		return nil
+	}
+	return &s.acks
+}
+
 // Endpoint is one side of an established TCP connection.
 type Endpoint struct {
 	cfg    Config
@@ -206,6 +259,7 @@ type Endpoint struct {
 	params *cost.Params
 	alloc  *buf.Allocator
 	clock  Clock
+	store  *Storage // the machine's connection storage (nil: none)
 
 	// Output transmits an SKB toward the IP layer. Must be set before
 	// any traffic flows.
@@ -228,9 +282,9 @@ type Endpoint struct {
 	ooo         []oooSegment
 	delackSegs  int
 	ackPending  bool
+	finSeen     bool
 	delackArm   uint64 // virtual deadline, 0 = unarmed
 	pendingAcks []uint32
-	finSeen     bool
 	rcvMSSEst   int // estimate of the peer's effective send MSS
 	lastRunLen  int // previous sub-estimate run length (shrink detector)
 	// sackBlocks is the receive-side SACK block list in RFC 2018 order
@@ -244,12 +298,12 @@ type Endpoint struct {
 	sndWnd         int
 	dupAcks        int
 	inFastRec      bool
+	ipID           uint16
 	recover        uint32
 	rtx            []sentSegment
 	rtoDeadline    uint64
 	appLimited     uint64 // bytes the app wants to send; ^uint64(0) = unlimited
-	ipID           uint16
-	sackedBytes    int // sequence space of sacked rtx entries (pipe accounting)
+	sackedBytes    int    // sequence space of sacked rtx entries (pipe accounting)
 
 	// RTO state: RFC 6298 smoothed estimator.
 	srttNs, rttvarNs uint64
@@ -292,11 +346,12 @@ func New(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf.Allocator, cloc
 
 // Reset turns e into the endpoint New(cfg, m, p, alloc, clock) would
 // create, keeping only the storage of its retransmission, out-of-order,
-// pending-ACK and SACK-block slices, so a torn-down connection's endpoint
-// can carry the next one without allocating. None of the four is sized
-// here: each gets its first size at its first growth (the segments the
-// window then admits, oooFirstSegs, buf.PacketAcks and the most noteSACK
-// holds), and keeps it across resets. Every other field, the Output,
+// pending-ACK and SACK-block slices and its UseStorage binding, so a
+// torn-down connection's endpoint can carry the next one without
+// allocating. None of the four is sized here: each gets its first size at
+// its first growth (the segments the window then admits, oooFirstSegs,
+// buf.PacketAcks and the most noteSACK holds), from the bound Storage,
+// and keeps it across resets. Every other field, the Output,
 // AppSink and OnRetransmit hooks and the telemetry recorders included, is
 // reset. Queued out-of-order copies are dropped, not released to the pool,
 // just as dropping the old endpoint would drop them. On a bad config e is
@@ -329,6 +384,7 @@ func (e *Endpoint) Reset(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf
 		ssthresh:    1 << 30,
 		sndWnd:      rcvWnd,
 		rcvMSSEst:   cfg.MSS,
+		store:       e.store,
 		rtx:         e.rtx[:0],
 		ooo:         e.ooo[:0],
 		pendingAcks: e.pendingAcks[:0],
@@ -336,6 +392,12 @@ func (e *Endpoint) Reset(cfg Config, m *cycles.Meter, p *cost.Params, alloc *buf
 	}
 	return nil
 }
+
+// UseStorage binds e to s, its machine's connection storage: e's
+// containers take their first and larger arrays from s and return
+// outgrown ones to it. A machine binds a record once, before its first
+// Reset; Reset keeps the binding.
+func (e *Endpoint) UseStorage(s *Storage) { e.store = s }
 
 // zeroSource is the default DataSource: zero payload bytes.
 func zeroSource(seq uint32, b []byte) uint16 {
@@ -578,10 +640,8 @@ func (e *Endpoint) countSegmentForAck(runLen int, cumAck uint32) {
 // the same connection queued in one Input call are exactly the batch that
 // Acknowledgment Offload turns into a template (§4.3).
 func (e *Endpoint) queueAck(ackNum uint32) {
-	if cap(e.pendingAcks) == 0 { // first growth: the most one host packet yields
-		e.pendingAcks = make([]uint32, 0, buf.PacketAcks)
-	}
-	e.pendingAcks = append(e.pendingAcks, ackNum)
+	// First size: the most ACKs one host packet yields.
+	e.pendingAcks = append(e.store.ackStore().Room(e.pendingAcks, buf.PacketAcks), ackNum)
 }
 
 // flushAcks emits the queued ACKs: as one template SKB under ACK offload,
@@ -642,9 +702,6 @@ func (e *Endpoint) noteSACK(start, end uint32) {
 	if !e.cfg.SACK {
 		return
 	}
-	if cap(e.sackBlocks) == 0 { // first growth: the most the list holds before it truncates
-		e.sackBlocks = make([]tcpwire.SACKBlock, 0, tcpwire.MaxSACKBlocks+2)
-	}
 	nb := tcpwire.SACKBlock{Start: start, End: end}
 	keep := e.sackBlocks[:0]
 	for _, b := range e.sackBlocks {
@@ -660,7 +717,9 @@ func (e *Endpoint) noteSACK(start, end uint32) {
 		}
 		keep = append(keep, b)
 	}
-	e.sackBlocks = append(keep, tcpwire.SACKBlock{}) // grow by one
+	// Grow by one. First size: the most the list holds before it
+	// truncates, so it never grows past it.
+	e.sackBlocks = append(e.store.sackStore().Room(keep, tcpwire.MaxSACKBlocks+2), tcpwire.SACKBlock{})
 	copy(e.sackBlocks[1:], e.sackBlocks[:len(e.sackBlocks)-1])
 	e.sackBlocks[0] = nb
 	if len(e.sackBlocks) > tcpwire.MaxSACKBlocks+1 {
@@ -736,10 +795,7 @@ func (e *Endpoint) insertOOO(seg oooSegment) {
 			break
 		}
 	}
-	if cap(e.ooo) == 0 {
-		e.ooo = make([]oooSegment, 0, oooFirstSegs)
-	}
-	e.ooo = append(e.ooo, oooSegment{})
+	e.ooo = append(e.store.oooStore().Room(e.ooo, oooFirstSegs), oooSegment{})
 	copy(e.ooo[i+1:], e.ooo[i:])
 	e.ooo[i] = seg
 	e.notePeakOOO()

@@ -331,10 +331,8 @@ func (e *Endpoint) nextDataFrame(maxPayload int) ([]byte, bool) {
 		e.stats.LimitedTransmits++
 	}
 	now := e.clock()
-	if cap(e.rtx) == 0 { // first growth: room for every segment the window admits now
-		e.rtx = make([]sentSegment, 0, avail/size)
-	}
-	e.rtx = append(e.rtx, sentSegment{seq: e.sndNxt, length: size, sentAt: now, lastTx: now})
+	// First size: room for every segment the window admits now.
+	e.rtx = append(e.store.rtxStore().Room(e.rtx, avail/size), sentSegment{seq: e.sndNxt, length: size, sentAt: now, lastTx: now})
 	e.sndNxt += uint32(size)
 	e.stats.SegsOut++
 	e.stats.BytesOut += uint64(size)
@@ -351,7 +349,7 @@ func (e *Endpoint) nextDataFrame(maxPayload int) ([]byte, bool) {
 func (e *Endpoint) buildFinFrame() ([]byte, bool) {
 	frame, pooled := e.buildFrame(e.sndNxt, e.rcvNxt, tcpwire.FlagACK|tcpwire.FlagFIN, 0, nil)
 	now := e.clock()
-	e.rtx = append(e.rtx, sentSegment{seq: e.sndNxt, fin: true, sentAt: now, lastTx: now})
+	e.rtx = append(e.store.rtxStore().Room(e.rtx, 1), sentSegment{seq: e.sndNxt, fin: true, sentAt: now, lastTx: now})
 	e.finSeq = e.sndNxt
 	e.finSent = true
 	e.sndNxt++
